@@ -40,7 +40,9 @@ class Space:
         """The joint MBR of one or more relations of KPEs.
 
         An all-empty input yields the unit square so downstream grid maths
-        stays well defined.
+        stays well defined.  A relation that carries ``.columnar`` (a
+        mapped relation, a ``ColumnarRelation``) contributes its column
+        minima/maxima instead of being iterated tuple by tuple.
         """
         import math
 
@@ -48,6 +50,16 @@ class Space:
         xh = yh = -math.inf
         seen = False
         for rel in relations:
+            cols = getattr(rel, "columnar", None)
+            if cols is not None:
+                if len(cols):
+                    seen = True
+                    cxl, cyl, cxh, cyh = cols.extent()
+                    xl = min(xl, cxl)
+                    yl = min(yl, cyl)
+                    xh = max(xh, cxh)
+                    yh = max(yh, cyh)
+                continue
             for k in rel:
                 seen = True
                 if k[1] < xl:

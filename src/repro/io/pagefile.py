@@ -27,7 +27,10 @@ class PageFile:
         self.disk = disk
         self.record_bytes = record_bytes
         self.name = name
-        self.records: List = []
+        #: A list — or, for the id runs the columnar partitioner emits, a
+        #: read-only int64 array (read side only; ``read_all`` still
+        #: returns a list).
+        self.records: Any = []
 
     # ------------------------------------------------------------------
     # geometry
@@ -78,8 +81,9 @@ class PageFile:
     # ------------------------------------------------------------------
     def read_all(self) -> List:
         """Read the whole file as one contiguous request."""
-        self.disk.charge_read(self.n_pages, requests=1 if self.records else 0)
-        return list(self.records)
+        self.disk.charge_read(self.n_pages, requests=1)
+        records = self.records
+        return list(records) if isinstance(records, list) else records.tolist()
 
     def iter_chunks(self, buffer_pages: int) -> Iterator[List]:
         """Iterate the file in buffer-sized chunks, one request each."""

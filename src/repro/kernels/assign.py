@@ -4,21 +4,27 @@
 the tile range its rectangle overlaps and the owning partition of each
 tile — four coordinate normalisations plus a set build per KPE.  This
 module computes the tile ranges of a whole relation in six array
-operations and resolves the (overwhelmingly common) single-tile records to
-their partition id array-wise; only genuinely multi-tile records fall back
-to the per-tile loop.
+operations and offers two consumers of them:
 
-The plan preserves the partitioner's exact semantics: per-record write
-order, per-partition record order, replica counts, and the structure-op
-accounting all match the scalar path, so simulated costs are identical —
-the win is wall clock only.
+* :func:`partition_plan` — per-record destinations for the
+  records-emitting partitioner: single-tile records (the overwhelmingly
+  common case) resolve to their partition id array-wise, only genuinely
+  multi-tile records fall back to the per-tile loop;
+* :func:`partition_ids` — the whole ``emit="ids"`` partition phase as
+  one kernel: columns in, CSR ``(offsets, ids)`` out, no per-record
+  Python at all.
+
+Both preserve the partitioner's exact semantics: per-partition record
+order, replica counts, and the structure-op accounting all match the
+scalar path, so simulated costs are identical — the win is wall clock
+only.
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple, Union
 
-from repro.kernels.backend import get_numpy
+from repro.kernels.backend import get_numpy, require_numpy
 from repro.pbsm.grid import TileGrid
 
 #: A record's destination: one partition id, or a tuple of several.
@@ -30,15 +36,23 @@ def tile_ranges(np: Any, grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
 
     Replays ``TileGrid.tile_of_point`` on the low and high corners in
     float64/int64 so the ranges are bit-identical to the scalar path.
+    Inputs that carry ``.columnar`` (a mapped relation, a
+    ``ColumnarRelation``) are read from those columns directly; only
+    plain tuple sequences are converted.
     """
-    table = np.asarray(kpes, dtype=np.float64)
+    cols = getattr(kpes, "columnar", None)
+    if cols is not None:
+        xl, yl, xh, yh = cols.xl, cols.yl, cols.xh, cols.yh
+    else:
+        table = np.asarray(kpes, dtype=np.float64)
+        xl, yl, xh, yh = table[:, 1], table[:, 2], table[:, 3], table[:, 4]
     space = grid.space
     nx = grid.nx
     ny = grid.ny
-    txl = ((table[:, 1] - space.xl) / space.width * nx).astype(np.int64)
-    tyl = ((table[:, 2] - space.yl) / space.height * ny).astype(np.int64)
-    txh = ((table[:, 3] - space.xl) / space.width * nx).astype(np.int64)
-    tyh = ((table[:, 4] - space.yl) / space.height * ny).astype(np.int64)
+    txl = ((xl - space.xl) / space.width * nx).astype(np.int64)
+    tyl = ((yl - space.yl) / space.height * ny).astype(np.int64)
+    txh = ((xh - space.xl) / space.width * nx).astype(np.int64)
+    tyh = ((yh - space.yl) / space.height * ny).astype(np.int64)
     np.clip(txl, 0, nx - 1, out=txl)
     np.clip(txh, 0, nx - 1, out=txh)
     np.clip(tyl, 0, ny - 1, out=tyl)
@@ -87,4 +101,57 @@ def partition_plan(
     return plan
 
 
-__all__ = ["PartitionPlanEntry", "partition_plan", "tile_ranges"]
+def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
+    """The id-emitting partition phase as one kernel: CSR ``(offsets, ids)``.
+
+    Partition ``pid`` receives the input positions
+    ``ids[offsets[pid]:offsets[pid + 1]]`` in ascending order — every
+    record once per *distinct* partition owning a tile it overlaps,
+    which is exactly what the scalar loop appends to partition file
+    ``pid``.  Single-tile records resolve array-wise; multi-tile records
+    are expanded to one entry per overlapped tile (``repeat``) and
+    collapsed to distinct ``(partition, record)`` pairs after the one
+    sort that orders everything.  Both arrays are int64; ``len(ids)`` is
+    the partitioner's ``records_written``.
+    """
+    np = require_numpy()
+    from repro.kernels.rpm import tile_partitions
+
+    n = len(kpes)
+    n_partitions = grid.n_partitions
+    if n == 0:
+        return np.zeros(n_partitions + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    txl, tyl, txh, tyh = tile_ranges(np, grid, kpes)
+    width = txh - txl + 1
+    tiles = width * (tyh - tyl + 1)
+    record = np.arange(n, dtype=np.int64)
+    # (partition, record) packed into one sortable key: partition-major,
+    # so sorted keys *are* the CSR layout.
+    keys = tile_partitions(np, grid, txl, tyl) * n + record
+    multi = np.flatnonzero(tiles > 1)
+    if multi.size:
+        counts = tiles[multi]
+        rec = np.repeat(multi, counts)
+        # Position of each expanded entry inside its record's tile range,
+        # row-major like TileGrid.tiles_for_rect.
+        k = np.arange(rec.size, dtype=np.int64) - np.repeat(
+            np.cumsum(counts) - counts, counts
+        )
+        tx = txl[rec] + k % width[rec]
+        ty = tyl[rec] + k // width[rec]
+        keys = np.concatenate(
+            (keys[tiles == 1], tile_partitions(np, grid, tx, ty) * n + rec)
+        )
+    keys.sort()
+    if multi.size:
+        # Several tiles of one record may belong to the same partition;
+        # it is inserted there once (sort + neighbour mask: np.unique
+        # costs 20x the plain sort on int64 keys).
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    offsets = np.searchsorted(
+        keys, np.arange(n_partitions + 1, dtype=np.int64) * n
+    )
+    return offsets, keys % n
+
+
+__all__ = ["PartitionPlanEntry", "partition_ids", "partition_plan", "tile_ranges"]

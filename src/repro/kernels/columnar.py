@@ -94,6 +94,26 @@ class ColumnarRelation:
     def __len__(self) -> int:
         return self.n
 
+    @property
+    def columnar(self) -> "ColumnarRelation":
+        """Itself: the attribute column-aware entry points probe a relation for."""
+        return self
+
+    def extent(self) -> Tuple[float, float, float, float]:
+        """The MBR ``(xl, yl, xh, yh)`` of all rows, skipping NaN coordinates.
+
+        The same fold as the scalar ``Space.of`` loop (a NaN never wins a
+        ``<``/``>`` comparison there); an empty relation yields the
+        loop's untouched ``(inf, inf, -inf, -inf)``.
+        """
+        np = require_numpy()
+        return (
+            float(np.fmin.reduce(self.xl, initial=np.inf)),
+            float(np.fmin.reduce(self.yl, initial=np.inf)),
+            float(np.fmax.reduce(self.xh, initial=-np.inf)),
+            float(np.fmax.reduce(self.yh, initial=-np.inf)),
+        )
+
     # ------------------------------------------------------------------
     # conversion back
     # ------------------------------------------------------------------

@@ -103,6 +103,7 @@ from repro.kernels.backend import (
     numpy_enabled,
     require_numpy,
 )
+from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import rpm_join_ids, rpm_join_task
 from repro.kernels.shm import (
     AliasedStore,
@@ -738,9 +739,14 @@ class ParallelPBSM:
         pairs: List[Tuple[int, int]] = []
         if not left or not right:
             return JoinResult(pairs=pairs, stats=stats)
+        # The zero-copy path never touches a KPE tuple: grid extent,
+        # partitioning and the segment all read the five columns (already
+        # there for mapped inputs, built once otherwise).
+        rel_left: Any = ColumnarRelation.from_kpes(left) if use_shm else left
+        rel_right: Any = ColumnarRelation.from_kpes(right) if use_shm else right
         cost = self.cost_model
         kpe_bytes = cost.kpe_bytes
-        space = Space.of(left, right)
+        space = Space.of(rel_left, rel_right)
         n_partitions = estimate_partitions(
             len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
         )
@@ -770,10 +776,10 @@ class ParallelPBSM:
             with tracer.span(PHASE_PARTITION, cpu=part_cpu, disk=disk) as sp:
                 with disk.phase(PHASE_PARTITION):
                     left_files, n_left_written = partition_relation(
-                        left, grid, disk, kpe_bytes, part_cpu, "R", emit=emit
+                        rel_left, grid, disk, kpe_bytes, part_cpu, "R", emit=emit
                     )
                     right_files, n_right_written = partition_relation(
-                        right, grid, disk, kpe_bytes, part_cpu, "S", emit=emit
+                        rel_right, grid, disk, kpe_bytes, part_cpu, "S", emit=emit
                     )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
@@ -791,8 +797,9 @@ class ParallelPBSM:
                 # files hold the same counts either way, so the charged
                 # reads are identical.
                 tasks: List = []
-                ids_left: List[int] = []
-                ids_right: List[int] = []
+                ids_left: List[Any] = []
+                ids_right: List[Any] = []
+                n_ids_left = n_ids_right = 0
                 task_io_units: Dict[int, float] = {}
                 for pid in range(n_partitions):
                     file_left = left_files[pid]
@@ -805,24 +812,31 @@ class ParallelPBSM:
                     if pair_bytes > stats.peak_memory_bytes:
                         stats.peak_memory_bytes = pair_bytes
                     task_disk = SimulatedDisk(cost)
-                    # Rebind so the join-phase reads are charged to this
-                    # task (they used to land on the partition disk's
-                    # default phase, zeroing every task's I/O share).
-                    file_left.disk = task_disk
-                    file_right.disk = task_disk
                     with task_disk.phase(PHASE_JOIN):
-                        records_left = file_left.read_all()
-                        records_right = file_right.read_all()
-                    if use_shm:
-                        l_lo = len(ids_left)
-                        ids_left.extend(records_left)
-                        r_lo = len(ids_right)
-                        ids_right.extend(records_right)
-                        tasks.append(
-                            (pid, l_lo, len(ids_left), r_lo, len(ids_right))
-                        )
-                    else:
-                        tasks.append((pid, records_left, records_right))
+                        if use_shm:
+                            # The id runs go into the segment as the int64
+                            # arrays they are; charge the two whole-file
+                            # reads.  The task tuple stays plain ints.
+                            task_disk.charge_read(file_left.n_pages)
+                            task_disk.charge_read(file_right.n_pages)
+                            l_lo, r_lo = n_ids_left, n_ids_right
+                            ids_left.append(file_left.records)
+                            ids_right.append(file_right.records)
+                            n_ids_left += file_left.n_records
+                            n_ids_right += file_right.n_records
+                            tasks.append(
+                                (pid, l_lo, n_ids_left, r_lo, n_ids_right)
+                            )
+                        else:
+                            # Rebind so the join-phase reads are charged to
+                            # this task (they used to land on the partition
+                            # disk's default phase, zeroing every task's
+                            # I/O share).
+                            file_left.disk = task_disk
+                            file_right.disk = task_disk
+                            tasks.append(
+                                (pid, file_left.read_all(), file_right.read_all())
+                            )
                     task_io_units[pid] = task_disk.total_units()
 
                 # --- stripe-split oversized tasks --------------------------
@@ -841,7 +855,7 @@ class ParallelPBSM:
                 # --- execute the tasks -------------------------------------
                 if use_shm:
                     outcomes = self._execute_shm(
-                        tasks, grid, stats, left, right, ids_left, ids_right
+                        tasks, grid, stats, rel_left, rel_right, ids_left, ids_right
                     )
                 else:
                     outcomes = self._execute(tasks, grid, stats)
@@ -1173,15 +1187,16 @@ class ParallelPBSM:
         tasks: List[ShmJoinTask],
         grid: TileGrid,
         stats: JoinStats,
-        left: Sequence[Tuple],
-        right: Sequence[Tuple],
-        ids_left: List[int],
-        ids_right: List[int],
+        left: ColumnarRelation,
+        right: ColumnarRelation,
+        ids_left: List[Any],
+        ids_right: List[Any],
     ) -> List[TaskOutcome]:
         """Fan the tasks out via the zero-copy shared-memory transport.
 
         Loads both inputs once into a columnar segment (plus the CSR id
-        arrays the partitioner emitted), ships five-integer tasks (seven
+        arrays: *ids_left*/*ids_right* are the per-task int64 id runs the
+        partitioner emitted, in task order), ships five-integer tasks (seven
         with a stripe part), and decodes worker-returned ``(rid, sid)``
         id buffers in ``(pid, part)`` order — so the merged output is
         byte-identical to the pickle transport and to sequential
@@ -1197,8 +1212,6 @@ class ParallelPBSM:
         stats.join_busy_seconds = 0.0
 
         encode_started = time.perf_counter()
-        from repro.kernels.columnar import ColumnarRelation
-
         pinned_refs: List[StoreRef] = []
         arrays: Dict[str, object] = {}
         if self.pool is not None and self.pinned is not None:
@@ -1212,12 +1225,10 @@ class ParallelPBSM:
                 (r_manifest, (("R", "D"),), True),
             ]
         else:
-            arrays = columnar_arrays("L", ColumnarRelation.from_kpes(left))
-            arrays.update(
-                columnar_arrays("R", ColumnarRelation.from_kpes(right))
-            )
-        arrays["L.ids"] = np.asarray(ids_left, dtype=np.int64)
-        arrays["R.ids"] = np.asarray(ids_right, dtype=np.int64)
+            arrays = columnar_arrays("L", left)
+            arrays.update(columnar_arrays("R", right))
+        arrays["L.ids"] = np.concatenate(ids_left)
+        arrays["R.ids"] = np.concatenate(ids_right)
         chunks = self._units(tasks)
 
         with SharedColumnarStore.create(arrays) as store:

@@ -14,6 +14,11 @@ object stands in for it), so the two modes are indistinguishable to the
 simulated-cost accounting.  Reading id-emitting files back per partition
 yields exactly the CSR form (offsets + record ids) the zero-copy workers
 slice; :func:`partition_csr` performs that concatenation.
+
+On the numpy backend ``emit="ids"`` runs no per-record loop at all: the
+CSR arrays come out of one columnar kernel and the charges are computed
+from the per-partition counts (:func:`_partition_ids`).  The loop below
+is then only the numpy-free fallback for that mode.
 """
 
 from __future__ import annotations
@@ -56,6 +61,10 @@ def partition_relation(
     if emit not in EMIT_MODES:
         raise ValueError(f"emit must be one of {EMIT_MODES}, got {emit!r}")
     as_ids = emit == "ids"
+    if as_ids and numpy_enabled():
+        return _partition_ids(
+            kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages
+        )
     files = [
         PageFile(disk, record_bytes, f"{name_prefix}.{pid}")
         for pid in range(grid.n_partitions)
@@ -69,16 +78,15 @@ def partition_relation(
         # identical to the scalar loop — wall clock is the only change.
         from repro.kernels.assign import partition_plan
 
-        for i, (kpe, dest) in enumerate(zip(kpes, partition_plan(kpes, grid))):
-            item = i if as_ids else kpe
+        for kpe, dest in zip(kpes, partition_plan(kpes, grid)):
             if type(dest) is int:
-                writers[dest].write(item)
+                writers[dest].write(kpe)
                 structure_ops += 2
                 written += 1
             else:
                 structure_ops += len(dest) + 1
                 for pid in dest:
-                    writers[pid].write(item)
+                    writers[pid].write(kpe)
                 written += len(dest)
     else:
         partitions_for_rect = grid.partitions_for_rect
@@ -92,6 +100,51 @@ def partition_relation(
     for writer in writers:
         writer.close()
     counters.structure_ops += structure_ops
+    return files, written
+
+
+def _partition_ids(
+    kpes: Sequence[Tuple],
+    grid: TileGrid,
+    disk: SimulatedDisk,
+    record_bytes: int,
+    counters: CpuCounters,
+    name_prefix: str,
+    buffer_pages: int,
+) -> Tuple[List[PageFile], int]:
+    """``emit="ids"`` on the columnar backend: one kernel, charged by count.
+
+    ``kernels.assign.partition_ids`` yields every partition's id run at
+    once; each file takes its run as a read-only int64 array (a view into
+    the one CSR buffer).  Nothing the scalar loop charges depends on the
+    interleaving of its writes, only on how many records each file
+    receives, so the charges are computed from the run lengths: a file
+    of ``n`` records costs the ``ceil(n / buffer)`` flushes its
+    :class:`~repro.io.pagefile.PageWriter` would have issued — full
+    buffers of ``buffer_pages`` pages plus one final partial buffer —
+    and every record costs one structure op per copy plus one for the
+    lookup.
+    """
+    from repro.kernels.assign import partition_ids
+
+    if buffer_pages < 1:
+        raise ValueError("buffer_pages must be >= 1")
+    offsets, ids = partition_ids(kpes, grid)
+    ids.flags.writeable = False
+    buffer_records = buffer_pages * disk.cost.records_per_page(record_bytes)
+    files: List[PageFile] = []
+    bounds = offsets.tolist()
+    for pid in range(grid.n_partitions):
+        file = PageFile(disk, record_bytes, f"{name_prefix}.{pid}")
+        file.records = ids[bounds[pid] : bounds[pid + 1]]
+        full, rest = divmod(file.n_records, buffer_records)
+        disk.charge_write(
+            full * buffer_pages + disk.cost.pages_for(rest, record_bytes),
+            requests=full + (1 if rest else 0),
+        )
+        files.append(file)
+    written = len(ids)
+    counters.structure_ops += written + len(kpes)
     return files, written
 
 

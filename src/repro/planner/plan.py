@@ -10,8 +10,8 @@ making the estimator's error observable instead of hidden.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, List, Optional, Sequence, Tuple, cast
 
 from repro.core.result import JoinResult
 from repro.io.costmodel import CostModel
@@ -246,7 +246,10 @@ def plan_join(
     """Choose the cheapest plan for joining *left* and *right*.
 
     With a *cache*, repeated planning of the same inputs and budget
-    returns the cached :class:`JoinPlan` without re-profiling.  Planning
+    returns a copy of the cached :class:`JoinPlan` without re-profiling
+    (the candidates and profile are shared, the per-call fields —
+    ``from_cache``, ``planning_seconds``, ``inputs_mapped``,
+    ``last_result`` — are the caller's own).  Planning
     is traced as one ``plan`` span (with ``profile`` and ``enumerate``
     child sections on a fresh enumeration); ``planning_seconds`` is that
     span's wall time.  ``workers > 1`` adds parallel PBSM candidates
@@ -263,7 +266,7 @@ def plan_join(
 
     with tracer.span("plan", kind=KIND_PLAN) as plan_span:
         key = None
-        cached = None
+        cached: Optional[JoinPlan] = None
         if cache is not None:
             key = cache.plan_key(
                 cache.relation_profile(left).fingerprint,
@@ -275,7 +278,7 @@ def plan_join(
                     workers,
                 ),
             )
-            cached = cache.get_plan(key)
+            cached = cast(Optional[JoinPlan], cache.get_plan(key))
         plan_span.set_tag("from_cache", cached is not None)
         if cached is None:
             jp = profile_join(left, right, cache, tracer=tracer)
@@ -295,12 +298,19 @@ def plan_join(
             plan_span.set_tag("chosen", candidates[0].describe())
 
     if cached is not None:
-        cached.from_cache = True
-        cached.planning_seconds = plan_span.wall_seconds
-        # Same content can arrive mapped on one call and in-memory on
-        # the next (identical fingerprints); keep the ingest line honest.
-        cached.inputs_mapped = inputs_mapped
-        return cached
+        # A per-call copy: the cached plan is shared by every concurrent
+        # query that hits it, so the per-call fields must not be stamped
+        # onto it (and a result parked on it would stay pinned by the
+        # cache).  Same content can arrive mapped on one call and
+        # in-memory on the next (identical fingerprints), hence
+        # inputs_mapped is per call too.
+        return replace(
+            cached,
+            from_cache=True,
+            planning_seconds=plan_span.wall_seconds,
+            inputs_mapped=inputs_mapped,
+            last_result=None,
+        )
     plan = JoinPlan(
         chosen=candidates[0],
         candidates=candidates,
@@ -311,5 +321,7 @@ def plan_join(
         inputs_mapped=inputs_mapped,
     )
     if cache is not None:
-        cache.put_plan(key, plan)
+        # The cache keeps its own copy, so executing the returned plan
+        # does not park the result inside the cache either.
+        cache.put_plan(key, replace(plan))
     return plan

@@ -25,9 +25,12 @@ equal checksums mean byte-identical sorted result sets.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import struct
 from typing import Any, Dict, Iterable, List, Sequence, Tuple
+
+from repro.kernels.backend import get_numpy
 
 #: Upper bound on one protocol line; the asyncio stream reader limit.
 #: Large enough for a register-by-records request of a few hundred
@@ -68,7 +71,20 @@ def error_response(error: str, message: str, **extra: Any) -> Dict[str, Any]:
 
 
 def result_checksum(pairs: Iterable[Tuple[int, int]]) -> str:
-    """Order-insensitive SHA-256 fingerprint of a result-pair set."""
+    """Order-insensitive SHA-256 fingerprint of a result-pair set.
+
+    On the numpy backend the pairs are sorted as two int64 columns and
+    hashed as one packed buffer — the same bytes, hence the same digest,
+    as the per-pair ``struct`` loop below.
+    """
+    np = get_numpy()
+    if np is not None:
+        rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+        table = np.fromiter(
+            itertools.chain.from_iterable(rows), dtype="<i8", count=2 * len(rows)
+        ).reshape(-1, 2)
+        order = np.lexsort((table[:, 1], table[:, 0]))
+        return hashlib.sha256(table[order]).hexdigest()  # C-contiguous buffer
     digest = hashlib.sha256()
     pack = _PAIR_STRUCT.pack
     for left_oid, right_oid in sorted(pairs):

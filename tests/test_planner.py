@@ -179,6 +179,34 @@ class TestPlannerCache:
         # A cache hit must cost (near) nothing: no re-profiling.
         assert warm.planning_seconds < cold_seconds
 
+    def test_cache_hit_returns_a_per_call_copy(self, small_pair):
+        """A hit must not re-stamp (or park results on) the shared plan:
+        concurrent served queries would race on those fields and the
+        cache would pin the last result's pair list."""
+        left, right = small_pair
+        cache = PlannerCache()
+        cold = plan_join(left, right, 16_000, cache=cache)
+        cold_seconds = cold.planning_seconds
+        cold_result = cold.execute(left, right)
+        first = plan_join(left, right, 16_000, cache=cache)
+        second = plan_join(left, right, 16_000, cache=cache)
+        # The cold plan keeps what it was stamped with.
+        assert not cold.from_cache
+        assert cold.planning_seconds == cold_seconds
+        assert cold.last_result is cold_result
+        # Hits are distinct objects sharing the (immutable) enumeration.
+        assert first.from_cache and second.from_cache
+        assert first is not second and first is not cold
+        assert first.chosen is cold.chosen and first.candidates is cold.candidates
+        assert first.last_result is None and second.last_result is None
+        first_result = first.execute(left, right)
+        assert first.last_result is first_result
+        assert second.last_result is None
+        # Nothing executed through a returned plan lands in the cache.
+        assert plan_join(left, right, 16_000, cache=cache).last_result is None
+        assert "estimated vs. actual" in first.explain()
+        assert "estimated vs. actual" not in second.explain()
+
     def test_memory_budget_is_part_of_the_key(self, small_pair):
         left, right = small_pair
         cache = PlannerCache()

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro import spatial_join
-from repro.kernels.backend import numpy_enabled
+from repro.kernels.backend import numpy_enabled, python_backend
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -96,6 +96,30 @@ class TestProtocol:
         pairs = [(3, 4), (1, 2), (5, 6)]
         assert result_checksum(pairs) == result_checksum(list(reversed(pairs)))
         assert result_checksum(pairs) != result_checksum(pairs[:2])
+
+    def test_checksum_columnar_digest_equals_the_struct_loop(self):
+        """The numpy path hashes the same bytes as the per-pair loop."""
+        import random
+
+        rng = random.Random(7)
+        cases = {
+            "empty": [],
+            "single": [(7, 9)],
+            "ties_on_left_oid": [(5, rng.randrange(100)) for _ in range(50)],
+            "negative_and_wide": [
+                (-1, 2**62), (2**62, -(2**62)), (0, 0), (-(2**63), 2**63 - 1),
+            ],
+            "random": [
+                (rng.randrange(5000), rng.randrange(10**6, 10**6 + 5000))
+                for _ in range(3000)
+            ],
+        }
+        for name, pairs in cases.items():
+            with python_backend():
+                reference = result_checksum(pairs)
+            assert result_checksum(pairs) == reference, name
+            assert result_checksum(iter(pairs)) == reference, name
+            assert result_checksum([list(p) for p in pairs]) == reference, name
 
     def test_paginate_covers_everything_in_order(self):
         pairs = [(i, i + 1) for i in range(10)]

@@ -36,6 +36,7 @@ from repro.core import (
 from repro.estimate import GridHistogram
 from repro.internal import INTERNAL_ALGORITHMS, internal_algorithm
 from repro.io import CostModel, SimulatedDisk, mb
+from repro.kernels.backend import numpy_enabled
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.pbsm import PBSM, ParallelPBSM, pbsm_join
 from repro.planner import JoinPlan, PlannerCache, plan_join
@@ -77,6 +78,15 @@ def spatial_join(
         "shj" (spatial hash join), "rtree" (index on both relations), or
         "auto" — let the cost-based planner profile the inputs and pick
         algorithm, internal join and ``t``-factor itself.
+
+        With the numpy backend enabled, "pbsm" defaults to
+        ``internal="sweep_numpy"``: the columnar engine (row-id
+        partitions, id-pair kernels, repartitioned pairs included; see
+        ``docs/kernels.md``), which reports the same pairs several times
+        faster.  Pass ``internal="sweep_list"`` (or "sweep_trie", ...)
+        for the paper's tuple engine — what :class:`~repro.pbsm.PBSM`
+        itself defaults to, and what runs when numpy is missing or
+        ``REPRO_DISABLE_NUMPY=1``.
     workers:
         When given (and > 1), execute the join-phase partition pairs on a
         real process pool via :class:`~repro.pbsm.ParallelPBSM` —
@@ -131,8 +141,11 @@ def spatial_join(
             )
         if shared_memory and workers is None:
             raise ValueError("shared_memory=True requires workers=")
-        if workers is not None and method == "pbsm":
+        if method == "pbsm" and (workers is not None or numpy_enabled()):
+            # Columns all the way (docs/kernels.md); without numpy the
+            # sequential default stays the paper's tuple engine.
             kwargs.setdefault("internal", "sweep_numpy")
+        if workers is not None and method == "pbsm":
             kwargs.setdefault("executor", "process")
             result = ParallelPBSM(
                 memory_bytes,

@@ -592,6 +592,9 @@ def run_planner_sweep(
     from repro.planner import PlannerCache, plan_join
 
     cache = PlannerCache()
+    # The fixed methods as the paper runs them: PBSM on its tuple engine,
+    # not spatial_join's columnar default.
+    pinned = {"pbsm": {"internal": "sweep_list"}}
     rows = []
     for label, left, right, memory in planner_sweep(n, fractions):
         plan = plan_join(left, right, memory, cache=cache)
@@ -600,7 +603,9 @@ def run_planner_sweep(
         replanned = plan_join(left, right, memory, cache=cache)
         warm_ms = replanned.planning_seconds * 1e3
         fixed = {
-            method: spatial_join(left, right, memory, method=method).stats.sim_seconds
+            method: spatial_join(
+                left, right, memory, method=method, **pinned.get(method, {})
+            ).stats.sim_seconds
             for method in JOIN_METHODS
         }
         best_method = min(fixed, key=fixed.get)

@@ -85,6 +85,15 @@ class PageFile:
         records = self.records
         return list(records) if isinstance(records, list) else records.tolist()
 
+    def read_view(self) -> Any:
+        """Like :meth:`read_all`, but hands out the stored sequence itself.
+
+        Same single charged request, no copy: how the columnar driver
+        reads an id run (a read-only int64 array) without boxing it.
+        """
+        self.disk.charge_read(self.n_pages, requests=1)
+        return self.records
+
     def iter_chunks(self, buffer_pages: int) -> Iterator[List]:
         """Iterate the file in buffer-sized chunks, one request each."""
         if buffer_pages < 1:
@@ -104,7 +113,8 @@ class PageFile:
 
     def clear(self) -> None:
         """Drop the contents without charging I/O (deallocation is free)."""
-        self.records.clear()
+        # Rebind rather than ``.clear()``: an id run is an ndarray view.
+        self.records = []
 
 
 class PageWriter:

@@ -56,6 +56,7 @@ from repro.kernels.sweep import (
 from repro.kernels.rpm import (
     point_partitions,
     point_tiles,
+    region_join_ids,
     rpm_join_ids,
     rpm_join_task,
     tile_partitions,
@@ -86,6 +87,7 @@ __all__ = [
     "point_tiles",
     "python_backend",
     "python_forward_scan",
+    "region_join_ids",
     "require_numpy",
     "rpm_join_ids",
     "rpm_join_task",

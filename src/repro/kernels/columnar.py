@@ -114,6 +114,19 @@ class ColumnarRelation:
             float(np.fmax.reduce(self.yh, initial=-np.inf)),
         )
 
+    def rows(self, ids: Any) -> "ColumnarRelation":
+        """Rows *ids* as a private copy that remembers where they came from.
+
+        The copy's ``oid`` column is *ids* itself — row positions in this
+        relation, not object identifiers — so the id-pair kernels hand
+        back positions, which the caller decodes (or re-partitions)
+        against these columns.  Never flagged sorted: the kernels sort
+        and charge exactly as they do for a partition read from a file.
+        """
+        return ColumnarRelation(
+            ids, self.xl[ids], self.yl[ids], self.xh[ids], self.yh[ids]
+        )
+
     # ------------------------------------------------------------------
     # conversion back
     # ------------------------------------------------------------------

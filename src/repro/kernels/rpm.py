@@ -58,6 +58,76 @@ def point_partitions(np: Any, grid: TileGrid, x: Any, y: Any) -> Any:
     return tile_partitions(np, grid, tx, ty)
 
 
+def _owned_scan(
+    a_cols: ColumnarRelation,
+    b_cols: ColumnarRelation,
+    regions: Sequence[Tuple[TileGrid, int]],
+    bottom_left: bool,
+    counters: CpuCounters,
+    batch_candidates: int,
+    stripe_slice: Optional[Tuple[int, int]],
+) -> Tuple:
+    """Forward scan plus a chain of ownership tests over every batch.
+
+    The one loop behind :func:`rpm_join_ids` and :func:`region_join_ids`:
+    returns ``(rid, sid, detected, suppressed)``.  A detected pair is
+    kept iff its reference point — the RPM corner
+    ``(max xl, min yh)``, or the intersection's bottom-left corner
+    ``(max xl, max yl)`` with *bottom_left* — lies in partition ``pid``
+    of ``grid`` for *every* ``(grid, pid)`` of *regions*; an empty chain
+    keeps everything.  Charges the sorts and the scan, never the test:
+    the two callers price that differently.
+    """
+    np = require_numpy()
+    if a_cols.n == 0 or b_cols.n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, 0, 0
+    # Stripe-split sibling parts re-sort only because process isolation
+    # denies them part 0's arrays; the algorithmic sort is charged once.
+    charge_sort = stripe_slice is None or stripe_slice[0] == 0
+    if a_cols.sorted_by_xl:
+        a = a_cols
+    else:
+        if charge_sort:
+            _charge_batch_sort(counters, a_cols.n)
+        a = a_cols.sort_by_xl()
+    if b_cols.sorted_by_xl:
+        b = b_cols
+    else:
+        if charge_sort:
+            _charge_batch_sort(counters, b_cols.n)
+        b = b_cols.sort_by_xl()
+    rids = []
+    sids = []
+    detected = 0
+    kept = 0
+    for a_idx, b_idx in forward_scan_batches(
+        a, b, counters, batch_candidates, stripe_slice
+    ):
+        detected += int(a_idx.shape[0])
+        rid = a.oid[a_idx]
+        sid = b.oid[b_idx]
+        if regions:
+            ref_x = np.maximum(a.xl[a_idx], b.xl[b_idx])
+            if bottom_left:
+                ref_y = np.maximum(a.yl[a_idx], b.yl[b_idx])
+            else:
+                ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
+            mask = None
+            for grid, pid in regions:
+                owned = point_partitions(np, grid, ref_x, ref_y) == pid
+                mask = owned if mask is None else mask & owned
+            rid = rid[mask]
+            sid = sid[mask]
+        kept += int(rid.shape[0])
+        rids.append(rid)
+        sids.append(sid)
+    if rids:
+        return np.concatenate(rids), np.concatenate(sids), detected, detected - kept
+    empty = np.empty(0, dtype=np.int64)
+    return empty, empty, detected, detected - kept
+
+
 def rpm_join_ids(
     a_cols: ColumnarRelation,
     b_cols: ColumnarRelation,
@@ -83,45 +153,45 @@ def rpm_join_ids(
     part (see :func:`~repro.kernels.sweep.forward_scan_batches`); the
     parts concatenated in order are bit-identical to the full call.
     """
-    np = require_numpy()
-    if a_cols.n == 0 or b_cols.n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, 0
-    # Stripe-split sibling parts re-sort only because process isolation
-    # denies them part 0's arrays; the algorithmic sort is charged once.
-    charge_sort = stripe_slice is None or stripe_slice[0] == 0
-    if a_cols.sorted_by_xl:
-        a = a_cols
-    else:
-        if charge_sort:
-            _charge_batch_sort(counters, a_cols.n)
-        a = a_cols.sort_by_xl()
-    if b_cols.sorted_by_xl:
-        b = b_cols
-    else:
-        if charge_sort:
-            _charge_batch_sort(counters, b_cols.n)
-        b = b_cols.sort_by_xl()
-    rids = []
-    sids = []
-    suppressed = 0
-    detected = 0
-    for a_idx, b_idx in forward_scan_batches(
-        a, b, counters, batch_candidates, stripe_slice
-    ):
-        ref_x = np.maximum(a.xl[a_idx], b.xl[b_idx])
-        ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
-        owner = point_partitions(np, grid, ref_x, ref_y)
-        mask = owner == pid
-        detected += int(ref_x.shape[0])
-        rids.append(a.oid[a_idx][mask])
-        sids.append(b.oid[b_idx][mask])
-        suppressed += int(ref_x.shape[0]) - int(np.count_nonzero(mask))
+    rid, sid, detected, suppressed = _owned_scan(
+        a_cols, b_cols, ((grid, pid),), False, counters, batch_candidates,
+        stripe_slice,
+    )
     counters.batch_ops += BATCH_OPS_PER_RPM_TEST * detected
-    if rids:
-        return np.concatenate(rids), np.concatenate(sids), suppressed
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty, suppressed
+    return rid, sid, suppressed
+
+
+def region_join_ids(
+    a_cols: ColumnarRelation,
+    b_cols: ColumnarRelation,
+    regions: Sequence[Tuple[TileGrid, int]],
+    counters: CpuCounters,
+    bottom_left: bool = False,
+) -> Tuple:
+    """One partition-pair join under a *composed* region, array-wise.
+
+    A repartitioned sub-pair owns a pair iff the pair's reference point
+    lies in the parent partition AND in every sub-partition down the
+    recursion (Section 3.2.3): *regions* is that chain of
+    ``(grid, pid)`` ownership tests, ANDed over each forward-scan batch
+    so the pair never leaves numpy.  ``bottom_left`` selects the
+    two-layer fallback's corner instead of RPM's; an empty chain is the
+    no-test leaf of ``dedup="none"``/``"sort"``.  Returns
+    ``(rid, sid, suppressed)`` like :func:`rpm_join_ids`, pairs in batch
+    order.
+
+    Charged exactly as the per-pair path it replaces
+    (``sweep_numpy_join`` feeding a scalar region test): both sorts, the
+    scan's ``batch_ops``, and one ``refpoint_tests`` per detected pair
+    when there is a chain to test.
+    """
+    rid, sid, detected, suppressed = _owned_scan(
+        a_cols, b_cols, regions, bottom_left, counters,
+        DEFAULT_BATCH_CANDIDATES, None,
+    )
+    if regions:
+        counters.refpoint_tests += detected
+    return rid, sid, suppressed
 
 
 def rpm_join_task(
@@ -201,6 +271,7 @@ __all__ = [
     "BATCH_OPS_PER_RPM_TEST",
     "point_partitions",
     "point_tiles",
+    "region_join_ids",
     "rpm_join_ids",
     "rpm_join_task",
     "tile_partitions",

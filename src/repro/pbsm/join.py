@@ -21,11 +21,29 @@ The internal algorithm (list sweep, trie sweep, ...) is pluggable, which is
 how Figures 4/5/12 are driven.  Execution is exposed as a generator
 (:meth:`PBSM.iter_pairs`) so the operator layer can demonstrate the
 pipelining difference; :meth:`PBSM.run` simply drains it.
+
+Two engines share the phases, the recursion of Section 3.2.3 and every
+simulated charge.  The *tuple* engine (any internal algorithm; the paper's
+subject, and the only one without numpy) streams KPE tuples through the
+partition files.  The *columnar* engine (``internal="sweep_numpy"`` on the
+numpy backend, what :func:`repro.spatial_join` runs by default) partitions
+row ids over the inputs' five columns, gathers rows per partition pair
+into the id-pair kernels, and builds oid tuples only where pairs leave the
+generator — ``docs/kernels.md``, "Columnar sequential driver".
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.phases import (
     PHASE_DEDUP,
@@ -41,8 +59,9 @@ from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.backend import active_backend, numpy_enabled
-from repro.kernels.rpm import rpm_join_task
-from repro.kernels.twolayer import twolayer_join_task
+from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.rpm import region_join_ids, rpm_join_ids
+from repro.kernels.twolayer import twolayer_join_ids
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
@@ -52,10 +71,18 @@ from repro.pbsm.repartition import (
     choose_split,
     compose_region_test,
     split_partition,
+    split_partition_ids,
 )
 from repro.pbsm.twolayer import twolayer_partition_join
 
 DEDUP_MODES = ("rpm", "twolayer", "sort", "none")
+
+#: The region a partition pair owns, as a chain of ``(grid, pid)``
+#: ownership tests: one entry for a top-level partition (the union of its
+#: tiles), one more per repartitioning step — parent region AND
+#: sub-region.  The tuple engine folds it into a scalar predicate, the
+#: columnar engine ANDs it over whole batches of reference points.
+Region = Tuple[Tuple[TileGrid, int], ...]
 
 
 class PBSM:
@@ -176,8 +203,21 @@ class PBSM:
         if not left or not right:
             return
 
+        # ``sweep_numpy`` on the numpy backend never touches a KPE tuple:
+        # extent, partitioning, repartitioning and the leaves all read the
+        # five columns (already there for mapped inputs, built once
+        # otherwise) and the partition files hold row ids.
+        columns: Optional[_Columns] = None
+        rel_left: Any = left
+        rel_right: Any = right
+        if self.internal_name == "sweep_numpy" and numpy_enabled():
+            columns = _Columns.of(left, right)
+            rel_left = columns.left
+            rel_right = columns.right
+        emit = "records" if columns is None else "ids"
+
         kpe_bytes = self.cost_model.kpe_bytes
-        space = Space.of(left, right)
+        space = Space.of(rel_left, rel_right)
         n_partitions = estimate_partitions(
             len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
         )
@@ -200,10 +240,12 @@ class PBSM:
             ) as sp:
                 with disk.phase(PHASE_PARTITION):
                     left_files, n_left_written = partition_relation(
-                        left, grid, disk, kpe_bytes, cpu[PHASE_PARTITION], "R"
+                        rel_left, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
+                        "R", emit=emit,
                     )
                     right_files, n_right_written = partition_relation(
-                        right, grid, disk, kpe_bytes, cpu[PHASE_PARTITION], "S"
+                        rel_right, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
+                        "S", emit=emit,
                     )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
@@ -223,14 +265,14 @@ class PBSM:
             # --- phases 2+3: (re)partition & join --------------------------
             with tracer.span(PHASE_JOIN, cpu=cpu[PHASE_JOIN], disk=disk) as sp:
                 for pid in range(n_partitions):
-                    region = _top_region_test(grid, pid)
                     yield from self._join_pair(
                         left_files[pid],
                         right_files[pid],
-                        region,
+                        ((grid, pid),),
                         space,
                         candidate_writer,
-                        depth=0,
+                        0,
+                        columns,
                     )
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
@@ -252,12 +294,19 @@ class PBSM:
         self,
         file_left: PageFile,
         file_right: PageFile,
-        region: Callable[[float, float], bool],
+        region: Region,
         space: Space,
         candidate_writer: Any,
         depth: int,
+        columns: Optional["_Columns"],
     ) -> Iterator[Tuple[int, int]]:
-        """Join one pair of partitions, repartitioning if necessary."""
+        """Join one pair of partitions, repartitioning if necessary.
+
+        *columns* is ``None`` for the tuple engine (the files hold
+        records) and the inputs' columns for the columnar one (the files
+        hold row ids); it is passed down, never stored, so nothing keeps
+        the columns alive once the generator is done.
+        """
         stats = self._stats
         if file_left.n_records == 0 or file_right.n_records == 0:
             # An empty side produces nothing.  This must short-circuit
@@ -272,55 +321,48 @@ class PBSM:
         if not fits and splittable and depth < self.max_repartition_depth:
             stats.repartition_events += 1
             yield from self._repartition(
-                file_left, file_right, region, space, candidate_writer, depth
+                file_left, file_right, region, space, candidate_writer, depth,
+                columns,
             )
             return
         if not fits:
             stats.memory_overruns += 1
         if pair_bytes > stats.peak_memory_bytes:
             stats.peak_memory_bytes = pair_bytes
+        if columns is None:
+            yield from self._join_records(
+                file_left, file_right, region, candidate_writer
+            )
+        else:
+            yield from self._join_ids(
+                file_left, file_right, region, candidate_writer, columns
+            )
 
+    def _join_records(
+        self,
+        file_left: PageFile,
+        file_right: PageFile,
+        region: Region,
+        candidate_writer: Any,
+    ) -> Iterator[Tuple[int, int]]:
+        """The tuple engine's leaf: any internal algorithm, scalar dedup."""
         cpu = self._cpu[PHASE_JOIN]
         with self._disk.phase(PHASE_JOIN):
             records_left = file_left.read_all()
             records_right = file_right.read_all()
 
-        grid = getattr(region, "grid", None)
-        if self.dedup == "twolayer" and grid is not None:
+        if self.dedup == "twolayer" and len(region) == 1:
             # Pure avoidance: classify both sides over the partition's
             # tiles and run the cross-class mini-joins.  Nothing is
             # detected and then discarded, so there is no suppression to
             # count and no per-pair test to charge.
-            if self.internal_name == "sweep_numpy" and numpy_enabled():
-                pairs, _ = twolayer_join_task(
-                    records_left, records_right, grid, region.pid, cpu
-                )
-            else:
-                pairs = twolayer_partition_join(
-                    records_left,
-                    records_right,
-                    grid,
-                    region.pid,
-                    self.internal,
-                    cpu,
-                )
-            yield from pairs
-            return
-        if (
-            self.dedup == "rpm"
-            and self.internal_name == "sweep_numpy"
-            and grid is not None
-            and numpy_enabled()
-        ):
-            # Fully columnar partition join: candidate generation, y-test
-            # and RPM duplicate suppression all happen in batches.
-            pairs, suppressed = rpm_join_task(
-                records_left, records_right, grid, region.pid, cpu
+            grid, pid = region[0]
+            yield from twolayer_partition_join(
+                records_left, records_right, grid, pid, self.internal, cpu
             )
-            stats.duplicates_suppressed += suppressed
-            yield from pairs
             return
 
+        owns = _region_test(region)
         results: List[Tuple[int, int]] = []
         if self.dedup == "rpm":
             refpoint_tests = 0
@@ -335,14 +377,14 @@ class PBSM:
                 sy = s[4]
                 x = rx if rx >= sx else sx
                 y = ry if ry <= sy else sy
-                if region(x, y):
+                if owns(x, y):
                     results.append((r[0], s[0]))
                 else:
                     suppressed += 1
 
         elif self.dedup == "twolayer":
             # Only reached under a repartitioned (composed) region, which
-            # has no grid attribute, so per-tile avoidance cannot run.
+            # is not one grid's tiles, so per-tile avoidance cannot run.
             # The equivalent exactly-once rule — keep a pair iff the
             # intersection's *bottom-left* corner lies in this region —
             # applies instead, charged honestly as reference-point tests.
@@ -360,7 +402,7 @@ class PBSM:
                 sy = s[2]
                 x = rx if rx >= sx else sx
                 y = ry if ry >= sy else sy
-                if region(x, y):
+                if owns(x, y):
                     results.append((r[0], s[0]))
                 else:
                     suppressed += 1
@@ -384,17 +426,66 @@ class PBSM:
             self.internal(records_left, records_right, emit, cpu)
         if self.dedup in ("rpm", "twolayer"):
             cpu.refpoint_tests += refpoint_tests
-            stats.duplicates_suppressed += suppressed
+            self._stats.duplicates_suppressed += suppressed
         yield from results
+
+    def _join_ids(
+        self,
+        file_left: PageFile,
+        file_right: PageFile,
+        region: Region,
+        candidate_writer: Any,
+        columns: "_Columns",
+    ) -> Iterator[Tuple[int, int]]:
+        """The columnar engine's leaf: row gather, id-pair kernel, decode.
+
+        A top-level region is one grid's tiles, so RPM and two-layer
+        avoidance run their own kernels; a composed region (and the
+        test-free ``"none"``/``"sort"`` modes) runs the forward scan with
+        the ownership chain ANDed over each batch.  The kernels see row
+        positions as oids and the pairs are decoded through the inputs'
+        own oid objects, per partition pair, as the returned iterator is
+        drained (a plain iterator, not one more generator level per pair).
+        """
+        cpu = self._cpu[PHASE_JOIN]
+        with self._disk.phase(PHASE_JOIN):
+            a = columns.left.rows(file_left.read_view())
+            b = columns.right.rows(file_right.read_view())
+        tested = self.dedup in ("rpm", "twolayer")
+        if tested and len(region) == 1:
+            grid, pid = region[0]
+            join_ids = rpm_join_ids if self.dedup == "rpm" else twolayer_join_ids
+            rid, sid, suppressed = join_ids(a, b, grid, pid, cpu)
+        else:
+            rid, sid, suppressed = region_join_ids(
+                a,
+                b,
+                region if tested else (),
+                cpu,
+                bottom_left=self.dedup == "twolayer",
+            )
+        self._stats.duplicates_suppressed += suppressed
+        pairs = zip(
+            map(columns.left_oids.__getitem__, rid.tolist()),
+            map(columns.right_oids.__getitem__, sid.tolist()),
+        )
+        if self.dedup == "sort":
+            # The candidate-pair writes are part of the duplicate-removal
+            # overhead (Figure 3a).
+            with self._disk.phase(PHASE_DEDUP):
+                candidate_writer.write_many(pairs)
+            return iter(())
+        return pairs
 
     def _repartition(
         self,
         file_left: PageFile,
         file_right: PageFile,
-        region: Callable[[float, float], bool],
+        region: Region,
         space: Space,
         candidate_writer: Any,
         depth: int,
+        columns: Optional["_Columns"],
     ) -> Iterator[Tuple[int, int]]:
         """Split the larger partition and recurse on each sub-pair."""
         left_is_larger = file_left.n_bytes >= file_right.n_bytes
@@ -404,17 +495,24 @@ class PBSM:
             larger.n_bytes, smaller.n_bytes, self.memory_bytes, self.t_factor
         )
         cpu = self._cpu[PHASE_REPARTITION]
+        split_args = (
+            k,
+            space,
+            self._disk,
+            cpu,
+            self.tiles_per_partition,
+            self.tile_mapping,
+            f"{larger.name}.d{depth}",
+        )
         with self._disk.phase(PHASE_REPARTITION):
-            subfiles, subgrid = split_partition(
-                larger,
-                k,
-                space,
-                self._disk,
-                cpu,
-                self.tiles_per_partition,
-                self.tile_mapping,
-                name=f"{larger.name}.d{depth}",
-            )
+            if columns is None:
+                subfiles, subgrid = split_partition(larger, *split_args)
+            else:
+                subfiles, subgrid = split_partition_ids(
+                    larger,
+                    columns.left if left_is_larger else columns.right,
+                    *split_args,
+                )
         if max(f.n_records for f in subfiles) >= larger.n_records:
             # No progress: every record overlaps (nearly) every tile, so a
             # sub-partition is as large as its parent — e.g. all-identical
@@ -427,18 +525,18 @@ class PBSM:
                 space,
                 candidate_writer,
                 self.max_repartition_depth,
+                columns,
             )
             return
         for sub_pid, subfile in enumerate(subfiles):
-            sub_region = compose_region_test(region, subgrid, sub_pid)
-            if left_is_larger:
-                yield from self._join_pair(
-                    subfile, smaller, sub_region, space, candidate_writer, depth + 1
-                )
-            else:
-                yield from self._join_pair(
-                    smaller, subfile, sub_region, space, candidate_writer, depth + 1
-                )
+            # Parent region AND sub-region (Section 3.2.3).
+            sub_region = region + ((subgrid, sub_pid),)
+            sub_left = subfile if left_is_larger else smaller
+            sub_right = smaller if left_is_larger else subfile
+            yield from self._join_pair(
+                sub_left, sub_right, sub_region, space, candidate_writer,
+                depth + 1, columns,
+            )
 
     # ------------------------------------------------------------------
     # statistics
@@ -465,20 +563,47 @@ class PBSM:
         stats.sim_seconds_by_phase = by_phase
 
 
-def _top_region_test(grid: TileGrid, pid: int) -> Callable[[float, float], bool]:
-    """Region predicate of a top-level partition (the union of its tiles).
+class _Columns(NamedTuple):
+    """The columnar engine's inputs: both relations' columns and oids.
 
-    The grid and partition id are attached as attributes: a top-level
-    region is pure tile arithmetic, which is what lets the columnar RPM
-    kernel test whole candidate batches at once.  Composed repartition
-    regions carry no such attributes and always take the scalar path.
+    ``left_oids``/``right_oids`` are the inputs' *own* oid objects in row
+    order, which is what result pairs are built from: indexing an oid
+    column instead would allocate two fresh ints per result pair.
     """
 
-    def owns(x: float, y: float) -> bool:
+    left: ColumnarRelation
+    right: ColumnarRelation
+    left_oids: List[int]
+    right_oids: List[int]
+
+    @classmethod
+    def of(cls, left: Sequence[Tuple], right: Sequence[Tuple]) -> "_Columns":
+        return cls(
+            ColumnarRelation.from_kpes(left),
+            ColumnarRelation.from_kpes(right),
+            _oid_objects(left),
+            _oid_objects(right),
+        )
+
+
+def _oid_objects(kpes: Sequence[Tuple]) -> List[int]:
+    """Every record's oid, boxed once (a columnar input has no tuples)."""
+    columnar = getattr(kpes, "columnar", None)
+    if columnar is not None:
+        return columnar.oid.tolist()
+    return [k[0] for k in kpes]
+
+
+def _region_test(region: Region) -> Callable[[float, float], bool]:
+    """The scalar predicate of an ownership chain (tuple engine's form)."""
+    (grid, pid), *sub_regions = region
+
+    def top(x: float, y: float) -> bool:
         return grid.partition_of_point(x, y) == pid
 
-    owns.grid = grid
-    owns.pid = pid
+    owns: Callable[[float, float], bool] = top
+    for subgrid, sub_pid in sub_regions:
+        owns = compose_region_test(owns, subgrid, sub_pid)
     return owns
 
 

@@ -12,7 +12,7 @@ Reference-Point region test (parent region AND sub-region) suppresses.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
@@ -74,6 +74,44 @@ def split_partition(
     # the shared "smaller" side of several sub-pairs, and the recursion may
     # split it again for a later sub-pair; consuming it here would silently
     # drop those pairs.
+    return files, subgrid
+
+
+def split_partition_ids(
+    source: PageFile,
+    columns: Any,
+    k: int,
+    space: Space,
+    disk: SimulatedDisk,
+    counters: CpuCounters,
+    tiles_per_partition: int,
+    mapping: str,
+    name: str,
+) -> Tuple[List[PageFile], TileGrid]:
+    """:func:`split_partition` for a file of row ids into *columns*.
+
+    The columnar driver's partitions hold positions in the input's
+    :class:`~repro.kernels.columnar.ColumnarRelation`, not records: the
+    source's rows are gathered, partitioned by the id-emitting kernel,
+    and each sub-partition's local positions mapped back to input
+    positions (ascending, like the source).  One contiguous read, the
+    same buffered writes and structure ops as the records path — the
+    charges depend only on how many rows each sub-partition receives.
+    The source is left intact for the same reason as there.
+    """
+    subgrid = TileGrid.for_partitions(space, k, tiles_per_partition, mapping)
+    ids = source.read_view()
+    files, _ = partition_relation(
+        columns.rows(ids),
+        subgrid,
+        disk,
+        source.record_bytes,
+        counters,
+        name_prefix=name,
+        emit="ids",
+    )
+    for file in files:
+        file.records = ids[file.records]
     return files, subgrid
 
 

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.core.space import Space
+from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
+from repro.kernels.backend import numpy_enabled
+from repro.pbsm.grid import TileGrid
+from repro.pbsm.partitioner import partition_relation
 
 
 def small_disk(page_size=100, pt=5.0):
@@ -158,3 +163,28 @@ class TestPageWriter:
         f.clear()
         assert f.n_records == 0
         assert disk.total_units() == units
+
+    def test_clear_and_read_view_on_an_id_run(self):
+        # The columnar partitioner stores id runs as read-only int64
+        # views, which have no ``.clear()``; clearing must still work.
+        if not numpy_enabled():
+            pytest.skip("id runs are arrays only on the numpy backend")
+        disk = small_disk()
+        grid = TileGrid.for_partitions(Space(0.0, 0.0, 1.0, 1.0), 2, 4, "hash")
+        kpes = [(i, i / 10, i / 10, i / 10, i / 10) for i in range(10)]
+        files, _ = partition_relation(
+            kpes, grid, disk, 10, CpuCounters(), emit="ids"
+        )
+        file = max(files, key=lambda f: f.n_records)
+        assert not isinstance(file.records, list) and file.n_records > 0
+        requests = disk.total_counters().read_requests
+        view = file.read_view()
+        assert view is file.records  # no copy ...
+        assert disk.total_counters().read_requests == requests + 1  # ... one read
+        assert view.tolist() == file.read_all()
+        units = disk.total_units()
+        file.clear()
+        assert file.n_records == 0 and file.n_pages == 0
+        assert disk.total_units() == units
+        file.append_bulk([7])  # and the file is a plain list file again
+        assert file.read_all() == [7]

@@ -1,0 +1,398 @@
+"""The columnar sequential PBSM path against the tuple engine it shadows.
+
+``PBSM(internal="sweep_numpy")`` on the numpy backend runs on columns
+from input to output: id-emitting partitioner (also when repartitioning),
+a row gather per partition pair into the id-pair kernels, a composed
+repartition region evaluated array-wise as a chain of ``(grid, pid)``
+ownership tests, oid tuples only at the generator boundary.  It is what
+``spatial_join`` runs by default.  Everything observable must equal the
+tuple engine's answer (``internal="sweep_list"``) and brute force; the
+simulated accounting and the pair *order* must equal what the previous
+hybrid ``sweep_numpy`` path produced (``pbsm_columnar_pinned.json``,
+recorded from the parent commit by running :func:`observe` there).
+
+Numpy-free by construction (pure-Python data generators): without the
+numpy backend the columnar half skips and the rest still runs.
+"""
+
+import hashlib
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+
+import repro.pbsm.join as pbsm_join_module
+from repro import PBSM, spatial_join
+from repro.core.phases import PHASE_DEDUP, PHASE_JOIN, PHASE_PARTITION
+from repro.datasets.fileio import load_relation, save_relation
+from repro.datasets.synthetic import zipf_rects
+from repro.internal.brute import brute_force_pairs
+from repro.io.costmodel import mb
+from repro.io.pagefile import PageFile
+from repro.kernels.backend import numpy_enabled, python_backend
+from repro.obs import KIND_PHASE, KIND_RUN, Tracer
+from repro.pbsm.grid import TILE_MAPPINGS
+
+from tests.conftest import random_kpes
+from tests.test_boundary_ownership import (
+    SENTINELS_LEFT,
+    SENTINELS_RIGHT,
+    lattice_rects,
+)
+
+needs_numpy = pytest.mark.skipif(
+    not numpy_enabled(), reason="the columnar engine needs the numpy backend"
+)
+
+DEDUPS = ("rpm", "twolayer", "none", "sort")
+
+#: Budgets (bytes) for the 400-record workloads: no repartitioning, one
+#: level, several levels (``test_budgets_reach_their_depths`` checks).
+BUDGETS = {"depth0": 16_000, "depth1": 5_000, "deep": 1_500}
+
+PINNED = Path(__file__).with_name("pbsm_columnar_pinned.json")
+
+
+def points_and_slivers(n, seed, start_oid=0):
+    """Degenerate points plus full-width/full-height slivers.
+
+    Points sit on exactly one tile; a sliver overlaps a whole row or
+    column of tiles and is replicated into (nearly) every partition at
+    every repartitioning level.
+    """
+    out = []
+    for i, kpe in enumerate(random_kpes(n, seed, start_oid, max_edge=0.0)):
+        if i % 5 == 0:
+            out.append((kpe[0], 0.0, kpe[2], 1.0, kpe[2] + 1e-6))
+        elif i % 5 == 1:
+            out.append((kpe[0], kpe[1], 0.0, kpe[1] + 1e-6, 1.0))
+        else:
+            out.append(tuple(kpe))
+    return out
+
+
+def workload(name):
+    if name == "uniform":
+        return (
+            random_kpes(400, 11, 1_000, max_edge=0.06),
+            random_kpes(400, 22, 10_000, max_edge=0.06),
+        )
+    if name == "zipf":
+        return (
+            zipf_rects(400, 3, start_oid=1_000, tile_seed=7),
+            zipf_rects(400, 4, start_oid=10_000, tile_seed=7),
+        )
+    if name == "point+sliver":
+        return points_and_slivers(120, 5, 1_000), points_and_slivers(120, 6, 10_000)
+    if name == "identical":
+        # Unsplittable: every record overlaps every tile of every grid,
+        # so only the no-progress guard ends the recursion.
+        return (
+            [(1_000 + i, 0.2, 0.2, 0.6, 0.6) for i in range(60)],
+            [(10_000 + i, 0.2, 0.2, 0.6, 0.6) for i in range(60)],
+        )
+    raise ValueError(name)
+
+
+WORKLOADS = ("uniform", "zipf", "point+sliver", "identical")
+
+
+def run(left, right, memory, internal, dedup, mapping="hash"):
+    return PBSM(
+        memory, internal=internal, dedup=dedup, tile_mapping=mapping
+    ).run(left, right)
+
+
+def assert_matches_tuple_engine(left, right, memory, dedup, mapping="hash"):
+    columnar = run(left, right, memory, "sweep_numpy", dedup, mapping)
+    tuples = run(left, right, memory, "sweep_list", dedup, mapping)
+    # Same multiset as the tuple engine — for "none" that is the same
+    # duplicates, for every deduplicating mode it is multiplicity one.
+    assert Counter(columnar.pairs) == Counter(tuples.pairs)
+    assert set(columnar.pairs) == set(brute_force_pairs(left, right))
+    if dedup != "none":
+        assert len(columnar.pairs) == len(set(columnar.pairs))
+    for field in (
+        "repartition_events",
+        "replicas_created",
+        "records_partitioned",
+        "memory_overruns",
+        "peak_memory_bytes",
+        "duplicates_suppressed",
+        "duplicates_sorted_out",
+    ):
+        assert getattr(columnar.stats, field) == getattr(tuples.stats, field), field
+    # The simulated disk sees the same files either way.
+    assert columnar.stats.io_units_by_phase == tuples.stats.io_units_by_phase
+    return columnar
+
+
+# ----------------------------------------------------------------------
+# pair set, multiplicity and replication stats vs the tuple engine
+# ----------------------------------------------------------------------
+@needs_numpy
+class TestAgainstTupleEngine:
+    @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("dedup", DEDUPS)
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_list_inputs(self, name, dedup, budget, mapping):
+        left, right = workload(name)
+        assert_matches_tuple_engine(left, right, BUDGETS[budget], dedup, mapping)
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize("dedup", DEDUPS)
+    def test_mapped_inputs(self, dedup, budget, tmp_path):
+        left, right = workload("uniform")
+        save_relation(left, tmp_path / "l.rcd")
+        save_relation(right, tmp_path / "r.rcd")
+        mapped_left = load_relation(tmp_path / "l.rcd")
+        mapped_right = load_relation(tmp_path / "r.rcd")
+        try:
+            assert mapped_left.mapped and mapped_right.mapped
+            from_mapped = assert_matches_tuple_engine(
+                mapped_left, mapped_right, BUDGETS[budget], dedup
+            )
+            from_lists = run(left, right, BUDGETS[budget], "sweep_numpy", dedup)
+            # Same engine, same bytes: the representation is invisible.
+            assert from_mapped.pairs == from_lists.pairs
+            assert from_mapped.stats.cpu_by_phase == from_lists.stats.cpu_by_phase
+        finally:
+            mapped_left.store.close()
+            mapped_right.store.close()
+
+    @pytest.mark.parametrize("dedup", DEDUPS)
+    def test_one_empty_side(self, dedup):
+        left, _ = workload("uniform")
+        for a, b in ((left, []), ([], left)):
+            result = run(a, b, BUDGETS["deep"], "sweep_numpy", dedup)
+            assert result.pairs == []
+            assert result.stats.n_partitions == 0
+            assert result.stats.io_units_by_phase == {}
+
+    def test_budgets_reach_their_depths(self, monkeypatch):
+        names = []
+        split = pbsm_join_module.split_partition_ids
+
+        def spy(source, columns, k, space, disk, counters, tiles, mapping, name):
+            names.append(name)
+            return split(
+                source, columns, k, space, disk, counters, tiles, mapping, name
+            )
+
+        monkeypatch.setattr(pbsm_join_module, "split_partition_ids", spy)
+        left, right = workload("uniform")
+        depth = {}
+        for label, memory in BUDGETS.items():
+            names.clear()
+            run(left, right, memory, "sweep_numpy", "rpm")
+            # ``<file>.d<k>`` names the split made at recursion depth k.
+            depth[label] = max(
+                (int(n.rsplit(".d", 1)[1]) + 1 for n in names), default=0
+            )
+        assert depth["depth0"] == 0
+        assert depth["depth1"] == 1
+        assert depth["deep"] >= 2
+
+    def test_no_progress_guard_joins_the_pair_once(self):
+        left, right = workload("identical")
+        result = run(left, right, BUDGETS["deep"], "sweep_numpy", "rpm")
+        assert len(result.pairs) == 60 * 60
+        # One split attempt per top-level partition, then the guard.
+        assert result.stats.repartition_events == result.stats.n_partitions
+        assert result.stats.memory_overruns == result.stats.n_partitions
+
+    @settings(max_examples=25, deadline=None)
+    @given(left=lattice_rects(), right=lattice_rects(start_oid=1000))
+    def test_composed_regions_on_tile_edges(self, left, right):
+        # Corners on the 1/12 lattice coincide with tile edges of the
+        # grids the recursion builds; 300 bytes hold fifteen records, so
+        # ownership is decided by chains of sub-regions (the fixed-input
+        # test below shows such a budget does repartition, repeatedly).
+        left = left + SENTINELS_LEFT
+        right = right + SENTINELS_RIGHT
+        truth = sorted(brute_force_pairs(left, right))
+        for dedup in ("rpm", "twolayer", "sort"):
+            for mapping in TILE_MAPPINGS:
+                result = run(left, right, 300, "sweep_numpy", dedup, mapping)
+                assert sorted(result.pairs) == truth, (dedup, mapping)
+
+    def test_lattice_budget_composes_regions(self):
+        lattice = [i / 12 for i in range(13)]
+        rng = random.Random(12)
+
+        def rects(start_oid):
+            out = []
+            for i in range(40):
+                xl, xh = sorted(rng.choices(lattice, k=2))
+                yl, yh = sorted(rng.choices(lattice, k=2))
+                out.append((start_oid + i, xl, yl, xh, yh))
+            return out
+
+        left, right = rects(0), rects(1000)
+        for dedup in ("rpm", "twolayer"):
+            result = assert_matches_tuple_engine(left, right, 800, dedup)
+            assert result.stats.repartition_events > result.stats.n_partitions
+            assert result.stats.duplicates_suppressed > 0
+
+
+# ----------------------------------------------------------------------
+# byte-identity with the hybrid path this engine replaced
+# ----------------------------------------------------------------------
+def pinned_workload(name):
+    if name == "zipf3k":
+        return (
+            zipf_rects(3000, 3, tile_seed=7),
+            zipf_rects(3000, 4, start_oid=10**6, tile_seed=7),
+            mb(0.01),
+            "round_robin",
+        )
+    if name == "uniform2500":
+        return (
+            random_kpes(2500, 31, max_edge=0.03),
+            random_kpes(2500, 32, 10**6, max_edge=0.03),
+            mb(0.008),
+            "hash",
+        )
+    raise ValueError(name)
+
+
+PINNED_RUNS = (
+    ("zipf3k", "rpm"),
+    ("zipf3k", "sort"),
+    ("uniform2500", "twolayer"),
+    ("uniform2500", "none"),
+)
+
+
+def observe(name, dedup):
+    """What one pinned ``PBSM(internal="sweep_numpy")`` run lets out."""
+    left, right, memory, mapping = pinned_workload(name)
+    result = run(left, right, memory, "sweep_numpy", dedup, mapping)
+    stats = result.stats
+    return {
+        "n_pairs": len(result.pairs),
+        "pair_order_sha256": hashlib.sha256(
+            repr([(int(a), int(b)) for a, b in result.pairs]).encode()
+        ).hexdigest(),
+        "cpu_by_phase": stats.cpu_by_phase,
+        "io_units_by_phase": stats.io_units_by_phase,
+        "sim_seconds_by_phase": stats.sim_seconds_by_phase,
+        "repartition_events": stats.repartition_events,
+        "duplicates_suppressed": stats.duplicates_suppressed,
+        "duplicates_sorted_out": stats.duplicates_sorted_out,
+        "replicas_created": stats.replicas_created,
+        "memory_overruns": stats.memory_overruns,
+        "peak_memory_bytes": stats.peak_memory_bytes,
+    }
+
+
+@needs_numpy
+@pytest.mark.parametrize("name,dedup", PINNED_RUNS)
+def test_accounting_and_order_equal_the_parent_commit(name, dedup):
+    pinned = json.loads(PINNED.read_text())[f"{name}/{dedup}"]
+    assert pinned["repartition_events"] > 0  # the workloads do repartition
+    # Through JSON so both sides are plain dicts of the same float reprs.
+    assert json.loads(json.dumps(observe(name, dedup))) == pinned
+
+
+# ----------------------------------------------------------------------
+# streaming, object identity, spans, defaults
+# ----------------------------------------------------------------------
+@needs_numpy
+class TestGeneratorBoundary:
+    def test_first_rpm_pair_streams_before_the_last_read(self, monkeypatch):
+        reads = [0]
+        read_view = PageFile.read_view
+
+        def counting(self):
+            reads[0] += 1
+            return read_view(self)
+
+        monkeypatch.setattr(PageFile, "read_view", counting)
+        left, right = workload("uniform")
+        pairs = PBSM(BUDGETS["depth1"], internal="sweep_numpy").iter_pairs(
+            left, right
+        )
+        first = next(pairs)
+        reads_at_first_pair = reads[0]
+        rest = list(pairs)
+        assert reads_at_first_pair < reads[0]
+        assert len(rest) + 1 == len(brute_force_pairs(left, right))
+        assert first in set(brute_force_pairs(left, right))
+
+    def test_sort_dedup_yields_nothing_until_the_final_phase(self):
+        left, right = workload("uniform")
+        tracer = Tracer()
+        pairs = PBSM(
+            BUDGETS["depth1"], internal="sweep_numpy", dedup="sort", tracer=tracer
+        ).iter_pairs(left, right)
+        next(pairs)
+        phases = [s.name for s in tracer.spans_of_kind(KIND_PHASE)]
+        # Both earlier phases are closed by the time a pair comes out.
+        assert phases[:2] == [PHASE_PARTITION, PHASE_JOIN]
+        pairs.close()
+
+    def test_result_tuples_share_the_inputs_oid_objects(self):
+        # The memory bound rests on this: no fresh int per result pair.
+        left, right = workload("uniform")
+        left_oid = {k[0]: k[0] for k in left}
+        right_oid = {k[0]: k[0] for k in right}
+        for dedup in DEDUPS:
+            pairs = run(left, right, BUDGETS["deep"], "sweep_numpy", dedup).pairs
+            assert pairs
+            assert all(a is left_oid[a] and b is right_oid[b] for a, b in pairs)
+
+    @pytest.mark.parametrize("dedup", ("rpm", "sort"))
+    def test_same_spans_as_the_tuple_engine(self, dedup):
+        left, right = workload("uniform")
+        seen = {}
+        for internal in ("sweep_numpy", "sweep_list"):
+            tracer = Tracer()
+            result = PBSM(
+                BUDGETS["depth1"], internal=internal, dedup=dedup, tracer=tracer
+            ).run(left, right)
+            runs = tracer.spans_of_kind(KIND_RUN)
+            assert [s.name for s in runs] == ["pbsm"]
+            phases = tracer.spans_of_kind(KIND_PHASE)
+            seen[internal] = [s.name for s in phases]
+            # Trace <-> stats reconciliation: the same measurements.
+            assert result.stats.wall_seconds_by_phase == tracer.wall_by_phase()
+            for span in phases:
+                assert span.counters.get("io_units", 0) > 0, span.name
+        expected = [PHASE_PARTITION, PHASE_JOIN] + (
+            [PHASE_DEDUP] if dedup == "sort" else []
+        )
+        assert seen["sweep_numpy"] == seen["sweep_list"] == expected
+
+
+# ----------------------------------------------------------------------
+# the library default
+# ----------------------------------------------------------------------
+class TestSpatialJoinDefault:
+    def test_default_engine_follows_the_backend(self, small_pair):
+        left, right = small_pair
+        default = spatial_join(left, right, mb(0.5)).stats
+        if numpy_enabled():
+            assert default.algorithm == "PBSM(sweep_numpy,RPM)"
+            assert default.backend == "numpy"
+        else:
+            assert default.algorithm == "PBSM(sweep_list,RPM)"
+        # REPRO_DISABLE_NUMPY=1 is this switch, thrown at import.
+        with python_backend():
+            fallback = spatial_join(left, right, mb(0.5)).stats
+        assert fallback.algorithm == "PBSM(sweep_list,RPM)"
+        assert fallback.backend == ""
+
+    def test_explicit_internal_still_wins(self, small_pair):
+        left, right = small_pair
+        paper = spatial_join(left, right, mb(0.5), internal="sweep_list")
+        assert paper.stats.algorithm == "PBSM(sweep_list,RPM)"
+        assert sorted(paper.pairs) == sorted(spatial_join(left, right, mb(0.5)).pairs)
+
+    def test_driver_default_is_still_the_papers_engine(self, small_pair):
+        left, right = small_pair
+        assert PBSM(mb(0.5)).run(left, right).stats.algorithm == "PBSM(sweep_list,RPM)"

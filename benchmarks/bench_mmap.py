@@ -101,21 +101,11 @@ def run_mmap_bench() -> ExperimentResult:
 
     if shm_enabled():
         par_memory = spatial_join(
-            list(join_kpes),
-            list(join_kpes),
-            MEMORY,
-            method="pbsm",
-            workers=2,
-            shared_memory=True,
+            list(join_kpes), list(join_kpes), MEMORY, method="pbsm", workers=2
         )
         start = time.perf_counter()
         par_mapped = spatial_join(
-            join_mapped,
-            join_mapped,
-            MEMORY,
-            method="pbsm",
-            workers=2,
-            shared_memory=True,
+            join_mapped, join_mapped, MEMORY, method="pbsm", workers=2
         )
         par_seconds = time.perf_counter() - start
         # byte-identity is per engine (parallel emits in partition order)

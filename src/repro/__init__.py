@@ -61,7 +61,6 @@ def spatial_join(
     memory_bytes: int,
     method: str = "pbsm",
     workers: Optional[int] = None,
-    shared_memory: bool = False,
     tracer=None,
     **kwargs,
 ) -> JoinResult:
@@ -91,17 +90,14 @@ def spatial_join(
         When given (and > 1), execute the join-phase partition pairs on a
         real process pool via :class:`~repro.pbsm.ParallelPBSM` —
         supported for ``method="pbsm"`` and, as an enumeration hint, for
-        ``method="auto"`` (the planner then costs parallel candidates on
-        both transports against the sequential plans).  ``workers=1``
-        runs the same task decomposition in-process.  Result pairs are
-        identical to the sequential execution.
-    shared_memory:
-        With ``workers`` and ``method="pbsm"``: ship partition data to
-        the pool through one zero-copy shared-memory segment instead of
-        pickling record lists (see ``docs/kernels.md``).  Degrades to the
-        pickle transport when numpy or platform shared memory is missing
-        or ``REPRO_DISABLE_SHM`` is set; ``stats.shared_memory`` records
-        what actually ran.
+        ``method="auto"`` (the planner then costs parallel candidates
+        against the sequential plans).  Partition data reaches the pool
+        through one zero-copy shared-memory segment (``docs/kernels.md``);
+        when numpy or platform shared memory is missing, or
+        ``REPRO_DISABLE_SHM`` is set, the join runs on a thread pool
+        instead and ``stats.executor`` records what actually ran.
+        ``workers=1`` runs the same task decomposition in-process.
+        Result pairs are identical to the sequential execution.
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one
         ``spatial_join`` section wrapping the planner's ``plan`` span
@@ -139,8 +135,6 @@ def spatial_join(
             raise ValueError(
                 f"workers= requires method='pbsm' or 'auto', got method={method!r}"
             )
-        if shared_memory and workers is None:
-            raise ValueError("shared_memory=True requires workers=")
         if method == "pbsm" and (workers is not None or numpy_enabled()):
             # Columns all the way (docs/kernels.md); without numpy the
             # sequential default stays the paper's tuple engine.
@@ -148,11 +142,7 @@ def spatial_join(
         if workers is not None and method == "pbsm":
             kwargs.setdefault("executor", "process")
             result = ParallelPBSM(
-                memory_bytes,
-                workers,
-                shared_memory=shared_memory,
-                tracer=tracer,
-                **kwargs,
+                memory_bytes, workers, tracer=tracer, **kwargs
             ).run(left, right)
         elif method == "auto":
             from repro.planner.cache import DEFAULT_CACHE

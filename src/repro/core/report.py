@@ -20,8 +20,7 @@ def format_stats(stats: JoinStats, verbose: bool = False) -> str:
     if stats.backend:
         lines.append(f"backend            {stats.backend}")
     if stats.executor:
-        transport = " (shared memory)" if stats.shared_memory else ""
-        lines.append(f"executor           {stats.executor}{transport}")
+        lines.append(f"executor           {stats.executor}")
     lines.append(f"inputs             {stats.n_left:,} x {stats.n_right:,}")
     lines.append(f"results            {stats.n_results:,}")
     lines.append(f"selectivity        {stats.selectivity():.3e}")

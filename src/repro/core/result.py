@@ -21,12 +21,11 @@ class JoinStats:
     #: execution backend of the internal algorithm: "numpy" (columnar
     #: kernels), "python" (kernel fallback), or "" for classic tuple paths
     backend: str = ""
-    #: how partition joins were executed: "process" (multiprocess
-    #: fan-out), "simulated" (modelled parallelism), or "" for sequential
+    #: how partition joins were actually executed: "process" (fan-out
+    #: over a pool and a shared-memory segment), "thread" (also what a
+    #: process request degrades to without that segment), "simulated"
+    #: (modelled parallelism), or "" for sequential
     executor: str = ""
-    #: True when the process executor actually used the zero-copy
-    #: shared-memory transport (False when requested but degraded)
-    shared_memory: bool = False
     # --- cardinalities -------------------------------------------------
     n_left: int = 0
     n_right: int = 0
@@ -79,7 +78,7 @@ class JoinStats:
     #: out plus result blobs/manifests back; process executor only)
     ipc_bytes_shipped: int = 0
     #: parent-side wall seconds spent on transport work: payload
-    #: encode/decode, and for the shm transport the segment build
+    #: encode/decode and the segment build
     ipc_seconds: float = 0.0
     # --- end-to-end timing ----------------------------------------------
     #: wall seconds spent planning before execution (method="auto" only)

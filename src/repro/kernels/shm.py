@@ -1,9 +1,9 @@
 """Shared-memory columnar segments for zero-copy parallel execution.
 
-The multiprocess PBSM executor used to pickle the full replicated record
-lists into every join task and pickle Python pair lists back — IPC
-serialization, not the join kernel, dominated multiprocess wall time.
-This module is the transport that removes the copies: the parent packs
+A multiprocess PBSM executor that pickles the full replicated record
+lists into every join task and pickles Python pair lists back spends its
+wall time on IPC serialization, not on the join kernel.  This module is
+the transport without the copies: the parent packs
 both inputs' :class:`~repro.kernels.columnar.ColumnarRelation` columns
 (plus the CSR partition-index arrays) into **one**
 :mod:`multiprocessing.shared_memory` segment, workers attach by name and
@@ -29,7 +29,7 @@ zero-copy results.
 ``shm_enabled()`` gates the whole path: the numpy backend must be on,
 ``REPRO_DISABLE_SHM`` must be unset, and the platform must actually
 support POSIX shared memory (probed once). When the gate is closed the
-executor falls back to the legacy pickle transport, bit-for-bit.
+process executor runs the thread executor instead, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def shm_enabled() -> bool:
     """True when the zero-copy shared-memory executor may be used.
 
     Mirrors :func:`repro.kernels.backend.numpy_enabled`: one switch
-    (``REPRO_DISABLE_SHM``) flips every caller to the pickle fallback,
+    (``REPRO_DISABLE_SHM``) flips every caller to the thread fallback,
     which is how CI proves the degraded path stays byte-identical.
     """
     if os.environ.get("REPRO_DISABLE_SHM"):

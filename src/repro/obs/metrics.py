@@ -316,27 +316,18 @@ class MetricsRegistry:
                 **base,
             )
         if stats.ipc_bytes_shipped:
-            transport = "shm" if stats.shared_memory else "pickle"
             self.counter(
                 "repro_join_ipc_bytes_total",
-                "Bytes shipped across the process boundary per transport",
+                "Bytes shipped across the process boundary",
             )
             self.inc(
-                "repro_join_ipc_bytes_total",
-                stats.ipc_bytes_shipped,
-                transport=transport,
-                **base,
+                "repro_join_ipc_bytes_total", stats.ipc_bytes_shipped, **base
             )
             self.gauge(
                 "repro_join_ipc_seconds",
                 "Parent-side serialisation seconds of the last fan-out",
             )
-            self.set(
-                "repro_join_ipc_seconds",
-                stats.ipc_seconds,
-                transport=transport,
-                **base,
-            )
+            self.set("repro_join_ipc_seconds", stats.ipc_seconds, **base)
 
     def observe_trace(self, spans: Sequence[dict], **labels: str) -> None:
         """Record exported span dicts (see :func:`repro.obs.export.read_trace`)."""

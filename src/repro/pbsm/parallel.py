@@ -44,23 +44,18 @@ remaining tasks are packed.  Two knobs attack that:
   ``stats.scheduler_idle_seconds`` is the summed worker idle time the
   makespan hides.
 
-The process executor ships its data one of two ways:
-
-* the legacy **pickle transport**: each chunk payload carries the full
-  (replicated) record lists of its tasks, and pair lists come back the
-  same way.  The internal name and grid spec are installed once per
-  worker by a pool initializer, not re-pickled per chunk.
-* the **zero-copy shared-memory transport** (``shared_memory=True``):
-  both inputs are loaded once into a columnar
-  :class:`~repro.kernels.shm.SharedColumnarStore` segment together with
-  CSR partition-index arrays, a join task shrinks to five integers
-  ``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part), workers
-  attach by segment name in the pool initializer and gather their slices
-  straight out of the mapped pages, and result ``(rid, sid)`` id buffers
-  come back through a worker-created segment — only task tuples and
-  manifests ever cross the pipe.  Requires the numpy backend;
-  ``REPRO_DISABLE_SHM=1`` (or a platform without POSIX shared memory)
-  falls back to the pickle transport with byte-identical output.
+The process executor has one transport.  Both inputs are loaded once
+into a columnar :class:`~repro.kernels.shm.SharedColumnarStore` segment
+together with CSR partition-index arrays, a join task is five integers
+``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part), workers
+attach by segment name and gather their slices straight out of the
+mapped pages, and result ``(rid, sid)`` id buffers come back through a
+worker-created segment — only task tuples and manifests ever cross the
+pipe.  Where that segment cannot exist (``shm_enabled()`` is false:
+numpy missing, no POSIX shared memory, ``REPRO_DISABLE_SHM=1``)
+``executor="process"`` runs the thread executor on record tasks
+instead, with byte-identical output, one ``RuntimeWarning`` per process,
+and ``stats.executor`` reporting what actually ran.
 
 Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
 or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
@@ -147,13 +142,14 @@ STRIPE_SPLIT_MAX_PARTS = 16
 #: this on purpose).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
-#: ``(pid, records_left, records_right)`` — one partition-pair join task;
-#: a stripe-split part appends ``(part, n_parts)``.
+#: ``(pid, records_left, records_right)`` — one partition-pair join task
+#: of the simulated, in-process and thread executors; a stripe-split part
+#: appends ``(part, n_parts)``.
 JoinTask = Tuple[Any, ...]
 
-#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — the same task in shared-memory
-#: form: two CSR slices into the segment's partition-index arrays; a
-#: stripe-split part appends ``(part, n_parts)``.
+#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — the same task as the process
+#: executor ships it: two CSR slices into the segment's partition-index
+#: arrays; a stripe-split part appends ``(part, n_parts)``.
 ShmJoinTask = Tuple[Any, ...]
 
 #: ``(pid, part, pairs, suppressed, counters_dict, wall_seconds)`` — one
@@ -162,10 +158,6 @@ ShmJoinTask = Tuple[Any, ...]
 #: the worker, so per-task timing survives the process boundary instead
 #: of being dropped.
 TaskOutcome = Tuple[int, int, List[Tuple[int, int]], int, Dict[str, int], float]
-
-#: ``(worker_pid, chunk_wall_seconds, task_outcomes)`` — what one chunk of
-#: tasks reports back from a pool worker.
-ChunkOutcome = Tuple[int, float, List[TaskOutcome]]
 
 #: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
 #: decoded chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
@@ -192,7 +184,7 @@ def _grid_from_spec(spec: Tuple) -> TileGrid:
     return TileGrid(Space(xl, yl, xh, yh), nx, ny, n_partitions, mapping)
 
 
-def _worker_cap() -> int:
+def worker_cap() -> int:
     """The largest worker count the real executors will actually spawn."""
     cap = cpu_count() or 1
     try:
@@ -202,14 +194,15 @@ def _worker_cap() -> int:
     return cap
 
 
-#: Clamp messages already warned about in this process.  A serve loop
-#: constructs one ``ParallelPBSM`` per query; re-warning the same clamp on
-#: every request is noise, so each distinct message fires exactly once.
+#: Clamp and degrade messages already warned about in this process.  A
+#: serve loop constructs one ``ParallelPBSM`` per query; re-warning the
+#: same clamp on every request is noise, so each distinct message fires
+#: exactly once.
 _WARNED_CLAMPS: Set[str] = set()
 
 
 def _warn_clamp(message: str) -> None:
-    """Emit a clamp ``RuntimeWarning`` exactly once per process."""
+    """Emit a clamp or degrade ``RuntimeWarning`` exactly once per process."""
     if message in _WARNED_CLAMPS:
         return
     _WARNED_CLAMPS.add(message)
@@ -304,65 +297,33 @@ _POOL_DEDUP: str = "rpm"
 
 
 def _pool_init(
-    internal_name: str,
-    grid_spec: Tuple,
-    manifest: Optional[Any] = None,
-    dedup: str = "rpm",
+    internal_name: str, grid_spec: Tuple, manifest: Manifest, dedup: str
 ) -> None:
     """Process-pool initializer: rebuild per-worker state exactly once.
 
-    The internal-algorithm name, the grid and the dedup mode used to be
-    re-pickled into every chunk payload; all are installed here instead,
-    once per worker.  With a shared-memory *manifest* the worker also
-    attaches the input segment here, so chunk payloads shrink to bare
-    task tuples.
+    The internal-algorithm name, the grid and the dedup mode are
+    installed here, once per worker, and the worker attaches the input
+    segment — so chunk payloads are bare task tuples.
     """
     global _POOL_INTERNAL, _POOL_GRID, _POOL_STORE, _POOL_DEDUP
     _POOL_INTERNAL = internal_name
     _POOL_GRID = _grid_from_spec(grid_spec)
-    _POOL_STORE = (
-        SharedColumnarStore.attach(manifest) if manifest is not None else None
-    )
+    _POOL_STORE = SharedColumnarStore.attach(manifest)
     _POOL_DEDUP = dedup
 
 
-def _run_chunk(payload: bytes) -> bytes:
-    """Pickle-transport worker entry point: run one chunk of join tasks.
-
-    The payload is the pickled task list and the return value is the
-    pickled :data:`ChunkOutcome` — the parent pre-serialises and
-    post-deserialises both, so ``len()`` of what crosses the pool is an
-    exact measurement of the bytes this transport ships.  The worker
-    measures its own chunk wall time (and each task measures its own),
-    because the parent cannot observe time spent inside another process —
-    it only sees the fan-out's makespan.
-    """
-    assert _POOL_INTERNAL is not None and _POOL_GRID is not None
-    tasks: List[JoinTask] = pickle.loads(payload)
-    return _chunk_blob(_POOL_INTERNAL, _POOL_GRID, tasks, _POOL_DEDUP)
-
-
-def _chunk_blob(
-    internal_name: str, grid: TileGrid, tasks: List[JoinTask], dedup: str = "rpm"
-) -> bytes:
-    """Run one pickle-transport chunk and serialise its :data:`ChunkOutcome`."""
-    started = time.perf_counter()
-    outcomes = [_run_join_task(internal_name, grid, task, dedup) for task in tasks]
-    wall = time.perf_counter() - started
-    return pickle.dumps(
-        (os.getpid(), wall, outcomes), pickle.HIGHEST_PROTOCOL
-    )
-
-
 def _run_shm_chunk(payload: bytes) -> bytes:
-    """Shared-memory worker entry point: tasks are CSR slices, not records.
+    """Worker entry point of a per-run pool: tasks are CSR slices.
 
     Gathers each task's partition rows straight out of the attached
     segment, runs the columnar RPM kernel (or the scalar internal on a
     KPE round trip — same values either way), stores every task's
     ``(rid, sid)`` id buffers in a fresh worker-created segment, and
     ships back only the per-task metadata plus that segment's manifest.
-    The parent attaches, decodes in partition order and unlinks.
+    The parent attaches, decodes in partition order and unlinks.  The
+    worker measures its own chunk wall time (and each task its own),
+    because the parent cannot observe time spent inside another process —
+    it only sees the fan-out's makespan.
     """
     assert _POOL_INTERNAL is not None and _POOL_GRID is not None
     tasks: List[ShmJoinTask] = pickle.loads(payload)
@@ -378,7 +339,7 @@ def _shm_chunk_blob(
     tasks: List[ShmJoinTask],
     dedup: str = "rpm",
 ) -> bytes:
-    """Run one shared-memory chunk against *store* and serialise the blob."""
+    """Run one chunk against *store* and serialise the result blob."""
     np = require_numpy()
     started = time.perf_counter()
     metas = []
@@ -434,6 +395,12 @@ def _shm_chunk_blob(
     return blob
 
 
+def _unlink_result_blob(blob: bytes) -> None:
+    """Destroy the result segment a chunk *blob* names, undecoded."""
+    with SharedColumnarStore.attach(pickle.loads(blob)[3]) as results:
+        results.unlink()
+
+
 # ----------------------------------------------------------------------
 # dynamic-config execution (externally-owned persistent pools)
 # ----------------------------------------------------------------------
@@ -443,10 +410,10 @@ def _shm_chunk_blob(
 #: marks a per-query segment closed again when the chunk ends.
 StoreRef = Tuple[Manifest, Tuple[Tuple[str, str], ...], bool]
 
-#: ``(internal_name, grid_spec, store_refs | None, dedup)`` — the
-#: per-query configuration a dynamic chunk carries instead of relying on
-#: a pool initializer.  ``store_refs=None`` selects the pickle transport.
-PoolConfig = Tuple[str, Tuple, Optional[Tuple[StoreRef, ...]], str]
+#: ``(internal_name, grid_spec, store_refs, dedup)`` — the per-query
+#: configuration a dynamic chunk carries instead of relying on a pool
+#: initializer.
+PoolConfig = Tuple[str, Tuple, Tuple[StoreRef, ...], str]
 
 #: Long-lived attachments by segment name (pinned dataset segments);
 #: lives in the worker process for the lifetime of the persistent pool.
@@ -501,8 +468,6 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
     config, tasks = pickle.loads(payload)
     internal_name, grid_spec, refs, dedup = config
     grid = _grid_from_spec(grid_spec)
-    if refs is None:
-        return _chunk_blob(internal_name, grid, tasks, dedup)
     store, ephemeral = _dyn_store(refs)
     try:
         return _shm_chunk_blob(internal_name, grid, store, tasks, dedup)
@@ -631,11 +596,12 @@ class ParallelPBSM:
     ``"rpm"`` (per-pair reference-point test) or ``"twolayer"``
     (corner-class avoidance with zero per-pair work); the offline
     ``"sort"`` mode is rejected because it would serialise the join
-    behind a global sorting phase.  ``shared_memory=True`` switches the
-    process executor to the zero-copy transport; out-of-range worker
-    counts are clamped with a :class:`RuntimeWarning` (once per process
-    per distinct clamp) instead of raising or silently oversubscribing
-    the machine.
+    behind a global sorting phase.  The process executor ships CSR id
+    tasks over one shared-memory segment and runs the thread executor
+    where that segment cannot exist (module docstring); out-of-range
+    worker counts are clamped with a :class:`RuntimeWarning` (once per
+    process per distinct clamp) instead of raising or silently
+    oversubscribing the machine.
     """
 
     def __init__(
@@ -646,7 +612,6 @@ class ParallelPBSM:
         internal: str = "sweep_trie",
         executor: str = "simulated",
         scheduler: str = "stealing",
-        shared_memory: bool = False,
         dedup: str = "rpm",
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
@@ -676,7 +641,7 @@ class ParallelPBSM:
             _warn_clamp(f"workers={workers} is below 1; clamped to 1")
             workers = 1
         if executor in ("process", "thread"):
-            cap = _worker_cap()
+            cap = worker_cap()
             if workers > cap:
                 _warn_clamp(
                     f"workers={workers} exceeds the usable CPU count ({cap}); "
@@ -691,7 +656,6 @@ class ParallelPBSM:
         self.internal = internal_algorithm(internal)
         self.executor = executor
         self.scheduler = scheduler
-        self.shared_memory = shared_memory
         self.dedup = dedup
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
@@ -702,22 +666,23 @@ class ParallelPBSM:
         #: pool outlives every query.  The caller owns its lifecycle.
         self.pool = pool
         #: Manifests of pinned left/right dataset segments (columns under
-        #: the neutral ``D.*`` prefix).  With the shared-memory transport
-        #: and an external pool, the per-query segment then carries only
-        #: the CSR id arrays — the relation columns are never re-shipped.
+        #: the neutral ``D.*`` prefix).  With an external pool, the
+        #: per-query segment then carries only the CSR id arrays — the
+        #: relation columns are never re-shipped.
         self.pinned = pinned
 
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
-        # The zero-copy transport needs a real pool (workers > 1), the
-        # columnar backend, and working platform shared memory; anything
-        # else silently degrades to the pickle/in-process paths, which
-        # produce byte-identical output.
-        use_shm = (
-            self.shared_memory
-            and self.executor == "process"
-            and self.workers > 1
-            and shm_enabled()
-        )
+        executor = self.executor
+        if executor == "process" and self.workers > 1 and not shm_enabled():
+            _warn_clamp(
+                "executor='process' needs a shared-memory segment (numpy, "
+                "POSIX shared memory, REPRO_DISABLE_SHM unset); running the "
+                "thread executor instead"
+            )
+            executor = "thread"
+        # A real pool (workers > 1) works on CSR id tasks over the
+        # segment; every other path takes record tasks in this process.
+        use_shm = executor == "process" and self.workers > 1
         # RPM stays untagged (the historical spelling); avoidance is
         # surfaced so reports and traces show which scheme owned pairs.
         dedup_tag = "" if self.dedup == "rpm" else ",2L"
@@ -729,8 +694,7 @@ class ParallelPBSM:
             backend=(
                 active_backend() if self.internal_name == "sweep_numpy" else ""
             ),
-            executor=self.executor,
-            shared_memory=use_shm,
+            executor=executor,
             n_left=len(left),
             n_right=len(right),
             n_workers=self.workers,
@@ -739,7 +703,7 @@ class ParallelPBSM:
         pairs: List[Tuple[int, int]] = []
         if not left or not right:
             return JoinResult(pairs=pairs, stats=stats)
-        # The zero-copy path never touches a KPE tuple: grid extent,
+        # The process path never touches a KPE tuple: grid extent,
         # partitioning and the segment all read the five columns (already
         # there for mapped inputs, built once otherwise).
         rel_left: Any = ColumnarRelation.from_kpes(left) if use_shm else left
@@ -763,10 +727,9 @@ class ParallelPBSM:
             kind=KIND_RUN,
             internal=self.internal_name,
             dedup=self.dedup,
-            executor=self.executor,
+            executor=executor,
             scheduler=self.scheduler,
             workers=self.workers,
-            shared_memory=use_shm,
             backend=stats.backend or None,
         ):
             # --- sequential partitioning phase -----------------------------
@@ -854,7 +817,7 @@ class ParallelPBSM:
 
                 # --- execute the tasks -------------------------------------
                 if use_shm:
-                    outcomes = self._execute_shm(
+                    outcomes = self._execute_process(
                         tasks, grid, stats, rel_left, rel_right, ids_left, ids_right
                     )
                 else:
@@ -930,9 +893,7 @@ class ParallelPBSM:
         """
         if not tasks:
             return []
-        if self.executor == "process" and self.workers > 1:
-            outcomes = self._execute_process(tasks, grid, stats)
-        elif self.executor == "thread" and self.workers > 1:
+        if stats.executor == "thread" and self.workers > 1:
             outcomes = self._execute_thread(tasks, grid, stats)
         else:
             # Simulated mode and the workers=1 degenerate case share the
@@ -963,36 +924,47 @@ class ParallelPBSM:
         pool: Any,
         run_fn: Callable[[Any], Any],
         payloads: Sequence[Any],
+        discard: Optional[Callable[[Any], None]] = None,
     ) -> List[Any]:
         """Run *payloads* on *pool*, honouring the configured scheduler.
 
-        ``static`` maps the pre-packed chunks over the pool up front.
-        ``stealing`` keeps the (largest-first) payload queue in the
-        parent and submits the head to whichever worker slot frees up
-        first — completion-driven dispatch, the executor-level
-        realisation of idle workers stealing the next-largest task.
-        Results come back indexed by payload order either way.
+        ``static`` submits the pre-packed chunks up front.  ``stealing``
+        keeps the (largest-first) payload queue in the parent and
+        submits the head to whichever worker slot frees up first —
+        completion-driven dispatch, the executor-level realisation of
+        idle workers stealing the next-largest task.  Results come back
+        indexed by payload order either way.
+
+        When a chunk fails nothing more is submitted, the chunks already
+        submitted are waited out, every result that did come back goes
+        to *discard* (nobody else will ever see it), and the first error
+        is re-raised.
         """
-        if self.scheduler != "stealing":
-            return list(pool.map(run_fn, payloads))
         from concurrent.futures import FIRST_COMPLETED, wait
 
+        window = self.workers if self.scheduler == "stealing" else len(payloads)
         results: List[Any] = [None] * len(payloads)
         pending: Dict[Any, int] = {}
         next_idx = 0
-        while next_idx < len(payloads) and len(pending) < self.workers:
-            future = pool.submit(run_fn, payloads[next_idx])
-            pending[future] = next_idx
-            next_idx += 1
-        while pending:
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for future in done:
-                idx = pending.pop(future)
-                results[idx] = future.result()
-                if next_idx < len(payloads):
-                    queued = pool.submit(run_fn, payloads[next_idx])
-                    pending[queued] = next_idx
+        try:
+            while pending or next_idx < len(payloads):
+                while next_idx < len(payloads) and len(pending) < window:
+                    pending[pool.submit(run_fn, payloads[next_idx])] = next_idx
                     next_idx += 1
+                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
+                for future in done:
+                    results[pending[future]] = future.result()
+                    del pending[future]
+        except BaseException:
+            wait(set(pending))
+            for future, idx in pending.items():
+                if not future.cancelled() and future.exception() is None:
+                    results[idx] = future.result()
+            if discard is not None:
+                for result in results:
+                    if result is not None:
+                        discard(result)
+            raise
         return results
 
     def _units(self, tasks: List) -> List[List]:
@@ -1052,84 +1024,6 @@ class ParallelPBSM:
             - sum(busy_by_worker.values()),
         )
 
-    def _execute_process(
-        self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
-    ) -> List[TaskOutcome]:
-        """Fan the tasks out over a process pool via the pickle transport.
-
-        The parent pre-pickles every chunk payload and unpickles every
-        result blob itself, so ``stats.ipc_bytes_shipped`` counts the
-        exact bytes crossing the pool (re-pickling a ``bytes`` payload is
-        a memcpy) and ``stats.ipc_seconds`` is the measured
-        serialisation time the transport costs on top of the join work.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = self._units(tasks)
-        encode_started = time.perf_counter()
-        if self.pool is not None:
-            config: PoolConfig = (
-                self.internal_name,
-                _grid_spec(grid),
-                None,
-                self.dedup,
-            )
-            payloads = [
-                pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
-                for chunk in chunks
-            ]
-        else:
-            payloads = [
-                pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL) for chunk in chunks
-            ]
-        ipc_seconds = time.perf_counter() - encode_started
-        bytes_shipped = sum(len(p) for p in payloads)
-
-        started = time.perf_counter()
-        if self.pool is not None:
-            # Persistent pool: no spawn, no initializer — the config
-            # rides inside each chunk payload instead.
-            blobs = cast(
-                List[bytes], self._drain(self.pool, _run_dyn_chunk, payloads)
-            )
-        else:
-            with ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_pool_init,
-                initargs=(self.internal_name, _grid_spec(grid), None, self.dedup),
-            ) as pool:
-                blobs = cast(
-                    List[bytes], self._drain(pool, _run_chunk, payloads)
-                )
-        stats.join_makespan_seconds = time.perf_counter() - started
-
-        decode_started = time.perf_counter()
-        outcomes: List[TaskOutcome] = []
-        chunk_reports: List[ChunkReport] = []
-        executed_by: List[str] = []
-        for payload, blob in zip(payloads, blobs):
-            worker_pid, chunk_wall, task_outcomes = pickle.loads(blob)
-            bytes_shipped += len(blob)
-            outcomes.extend(task_outcomes)
-            executed_by.append(f"pid-{worker_pid}")
-            chunk_reports.append(
-                (
-                    f"pid-{worker_pid}",
-                    chunk_wall,
-                    task_outcomes,
-                    len(payload) + len(blob),
-                )
-            )
-        ipc_seconds += time.perf_counter() - decode_started
-        stats.ipc_bytes_shipped = bytes_shipped
-        stats.ipc_seconds = ipc_seconds
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(chunks), executed_by, self.workers
-            )
-        self._emit_pool_spans(stats, chunk_reports)
-        return outcomes
-
     def _execute_thread(
         self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
     ) -> List[TaskOutcome]:
@@ -1182,7 +1076,7 @@ class ParallelPBSM:
         self._emit_pool_spans(stats, chunk_reports)
         return outcomes
 
-    def _execute_shm(
+    def _execute_process(
         self,
         tasks: List[ShmJoinTask],
         grid: TileGrid,
@@ -1192,24 +1086,25 @@ class ParallelPBSM:
         ids_left: List[Any],
         ids_right: List[Any],
     ) -> List[TaskOutcome]:
-        """Fan the tasks out via the zero-copy shared-memory transport.
+        """Fan the tasks out over a process pool and one shared segment.
 
         Loads both inputs once into a columnar segment (plus the CSR id
         arrays: *ids_left*/*ids_right* are the per-task int64 id runs the
         partitioner emitted, in task order), ships five-integer tasks (seven
         with a stripe part), and decodes worker-returned ``(rid, sid)``
         id buffers in ``(pid, part)`` order — so the merged output is
-        byte-identical to the pickle transport and to sequential
+        byte-identical to the simulated executor and to sequential
         execution.  Segment build, payload encode and result decode all
         count into ``stats.ipc_seconds``; only the pipe traffic counts
-        into ``stats.ipc_bytes_shipped``.
+        into ``stats.ipc_bytes_shipped``.  When a chunk fails, the result
+        segments of the chunks that finished are unlinked before the
+        error propagates (workers create them untracked).
         """
         from concurrent.futures import ProcessPoolExecutor
 
         if not tasks:
             return []
         np = require_numpy()
-        stats.join_busy_seconds = 0.0
 
         encode_started = time.perf_counter()
         pinned_refs: List[StoreRef] = []
@@ -1254,7 +1149,9 @@ class ParallelPBSM:
             if self.pool is not None:
                 blobs = cast(
                     List[bytes],
-                    self._drain(self.pool, _run_dyn_chunk, payloads),
+                    self._drain(
+                        self.pool, _run_dyn_chunk, payloads, _unlink_result_blob
+                    ),
                 )
             else:
                 with ProcessPoolExecutor(
@@ -1268,7 +1165,10 @@ class ParallelPBSM:
                     ),
                 ) as pool:
                     blobs = cast(
-                        List[bytes], self._drain(pool, _run_shm_chunk, payloads)
+                        List[bytes],
+                        self._drain(
+                            pool, _run_shm_chunk, payloads, _unlink_result_blob
+                        ),
                     )
             stats.join_makespan_seconds = time.perf_counter() - started
 
@@ -1336,4 +1236,5 @@ __all__ = [
     "STRIPE_SPLIT_MIN_RECORDS",
     "lpt_schedule",
     "reset_clamp_warnings",
+    "worker_cap",
 ]

@@ -60,12 +60,8 @@ _TREE_INSERT_FACTOR = 1.4
 #: Mild residual skew after hashing tiles_per_partition tiles per partition.
 _SKEW_DAMPING = 0.5
 
-#: Measured pickle sizes for the legacy process transport: one KPE tuple
-#: inside a record list, and one (rid, sid) pair inside a result list.
-PICKLED_KPE_BYTES = 46.0
-PICKLED_PAIR_BYTES = 12.0
-#: Shared-memory transport per-task pipe traffic: a five-integer task
-#: tuple out, its share of per-chunk metadata and manifest back.
+#: Process-executor pipe traffic per task: a five-integer task tuple
+#: out, its share of per-chunk metadata and manifest back.
 SHM_TASK_BYTES = 64.0
 SHM_CHUNK_OVERHEAD_BYTES = 512.0
 
@@ -295,7 +291,6 @@ def estimate_pbsm(
     dedup: str = "rpm",
     tiles_per_partition: int = 4,
     workers: int = 1,
-    shared_memory: bool = False,
     executor: str = "process",
     scheduler: str = "stealing",
 ) -> CostEstimate:
@@ -306,9 +301,8 @@ def estimate_pbsm(
     joins and RPM tests shrink to the *makespan fraction* — the larger of
     the ideal ``1/speedup`` and the biggest task's share of the join work
     (skew: one mega-partition bounds the makespan no matter how the rest
-    is packed) — and an ``ipc`` term charges the transport: pickled
-    records and pair lists for the legacy transport, task tuples plus
-    manifests when ``shared_memory`` is on.
+    is packed) — and an ``ipc`` term charges what the process executor
+    puts on the pipe: task tuples out, metadata plus manifests back.
 
     ``executor`` and ``scheduler`` refine the model: the thread executor
     pays no spawn and no IPC but its speedup is Amdahl-bounded by
@@ -475,17 +469,10 @@ def estimate_pbsm(
             # One-shot pools fork a worker per slot; persistent pools
             # (serve) amortise this, but the planner prices the cold run.
             schedule_seconds += cost.pool_spawn_seconds * workers
-        if executor == "thread":
-            ipc_bytes = 0.0
-        elif shared_memory:
             n_chunks = min(n_partitions, workers * 4)
             ipc_bytes = (
                 SHM_TASK_BYTES * n_partitions
                 + SHM_CHUNK_OVERHEAD_BYTES * n_chunks
-            )
-        else:
-            ipc_bytes = (nl_part + nr_part) * PICKLED_KPE_BYTES + (
-                jp.est_results * PICKLED_PAIR_BYTES
             )
         ipc_seconds = cost.ipc_seconds_for(ipc_bytes)
 

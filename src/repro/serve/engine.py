@@ -29,7 +29,7 @@ from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel
 from repro.pbsm import ParallelPBSM
-from repro.pbsm.parallel import MAX_WORKERS_ENV, _worker_cap
+from repro.pbsm.parallel import MAX_WORKERS_ENV, worker_cap
 from repro.planner import PlannerCache, plan_join
 from repro.planner.plan import JoinPlan
 from repro.serve.registry import Dataset
@@ -56,7 +56,7 @@ class EngineHost:
     ) -> None:
         if memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
-        cap = _worker_cap()
+        cap = worker_cap()
         if workers > cap:
             # Same clamp ParallelPBSM applies; surfacing it here keeps
             # the plan enumeration and the pool size consistent.
@@ -134,9 +134,9 @@ class EngineHost:
 
         Sequential plans run through ``JoinPlan.execute`` unchanged.  A
         parallel *process* PBSM plan is rebuilt with ``pool=`` (no spawn)
-        and — when the chosen transport is shared memory and both
-        datasets are pinned — with ``pinned=`` manifests, so the
-        per-query segment carries only CSR id arrays.  A *thread* plan
+        and — when both datasets are pinned — with ``pinned=``
+        manifests, so the per-query segment carries only CSR id arrays.
+        A *thread* plan
         runs in-host: its whole point is skipping the process boundary,
         so it takes neither the pool nor pinned manifests.
         """
@@ -151,11 +151,7 @@ class EngineHost:
             workers = kwargs.pop("workers")
             kwargs.setdefault("executor", "process")
             pinned: Optional[Tuple[Any, Any]] = None
-            if (
-                kwargs.get("shared_memory")
-                and left.manifest is not None
-                and right.manifest is not None
-            ):
+            if left.manifest is not None and right.manifest is not None:
                 pinned = (left.manifest, right.manifest)
             driver = ParallelPBSM(
                 plan.memory_bytes,

@@ -4,8 +4,8 @@ Tsitsigkos & Mamoulis (PAPERS.md) locate the win of a long-running
 spatial-join service in *partition-once/query-many* amortisation.  The
 registry is the "once" half: a relation is loaded (from a file, a
 synthetic generator, or inline records) a single time, kept as the KPE
-list the planner and the sequential drivers consume, and — when the
-shared-memory transport is available — additionally *pinned* into a
+list the planner and the sequential drivers consume, and — when shared
+memory is available — additionally *pinned* into a
 long-lived :class:`~repro.kernels.shm.SharedColumnarStore` segment.
 
 Pinned columns live under the neutral ``D.*`` prefix because at pin time

@@ -457,7 +457,6 @@ class JoinServer:
                 "profile_spans": profiled,
                 "chosen": plan.chosen.describe(),
                 "algorithm": stats.algorithm,
-                "shared_memory": stats.shared_memory,
                 "duplicates_suppressed": stats.duplicates_suppressed,
             },
         )

@@ -278,16 +278,9 @@ class TestJoinIdentity:
         kpes, path = rcd_path
         rel = load_relation(path)
         memory = spatial_join(
-            list(kpes),
-            list(kpes),
-            mb(2.5),
-            method="pbsm",
-            workers=2,
-            shared_memory=True,
+            list(kpes), list(kpes), mb(2.5), method="pbsm", workers=2
         )
-        mapped = spatial_join(
-            rel, rel, mb(2.5), method="pbsm", workers=2, shared_memory=True
-        )
+        mapped = spatial_join(rel, rel, mb(2.5), method="pbsm", workers=2)
         assert mapped.pairs == memory.pairs
 
     def test_registry_pins_mapped_dataset_lazily(self, rcd_path):

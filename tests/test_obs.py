@@ -18,6 +18,7 @@ from repro.core.phases import ALL_PHASES, PHASE_JOIN, PHASE_PARTITION
 from repro.core.report import format_stats, stats_to_dict
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import mb
+from repro.kernels.shm import shm_enabled
 from repro.obs import (
     KIND_PHASE,
     KIND_PLAN,
@@ -535,4 +536,6 @@ class TestTraceCli:
         out = capsys.readouterr().out
         assert "join busy/makespan" in out
         spans = read_trace(trace_path)
-        assert len(worker_busy(spans)) >= 2
+        # Without a shared-memory segment the join runs on threads, and
+        # one thread may finish these small tasks before the next starts.
+        assert len(worker_busy(spans)) >= (2 if shm_enabled() else 1)

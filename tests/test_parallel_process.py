@@ -13,6 +13,7 @@ import pytest
 from repro.core.space import Space
 from repro.datasets import HAVE_GENERATORS
 from repro.io.costmodel import mb
+from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.parallel import (
     EXECUTORS,
@@ -52,7 +53,10 @@ class TestProcessExecutorParity:
         assert proc.pairs == sim.pairs
 
     def test_executor_recorded_in_stats(self):
-        assert run("process", 2).stats.executor == "process"
+        # What actually ran: without a shared-memory segment (no numpy,
+        # REPRO_DISABLE_SHM) a process request runs on threads.
+        ran = "process" if shm_enabled() else "thread"
+        assert run("process", 2).stats.executor == ran
         assert run("simulated", 2).stats.executor == "simulated"
 
 

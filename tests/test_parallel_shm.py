@@ -1,18 +1,22 @@
-"""The zero-copy shared-memory transport of ParallelPBSM.
+"""The process executor of ParallelPBSM over its shared-memory segment.
 
-Three claims are pinned here: (1) the shm executor's output is
-byte-identical to both the simulated executor and the legacy pickle
-transport, with identical simulated costs and counters; (2) the pipe
-traffic collapses — task tuples and manifests instead of pickled record
-lists — by well over the 10x the benchmarks demand; (3) every rung of
-the degradation ladder (``workers=1``, ``REPRO_DISABLE_SHM``, numpy
-gated off or absent) lands on a byte-identical fallback.  The store and
-CSR plumbing get their own unit tests.  Everything numpy-dependent
+Four claims are pinned here: (1) the process executor's output is
+byte-identical to the simulated executor, with identical simulated costs
+and counters; (2) the pipe carries task tuples and manifests — well
+under a tenth of what the pickled records alone would weigh; (3) every
+rung of the degradation ladder (``workers=1``, ``REPRO_DISABLE_SHM``,
+numpy gated off or absent) lands on a byte-identical fallback — the
+in-process loop for one worker, the thread executor otherwise — and says
+so once; (4) a failed chunk leaves no result segment behind.  The store
+and CSR plumbing get their own unit tests.  Everything numpy-dependent
 skips cleanly, so the no-numpy CI job runs this file too and exercises
 the missing-numpy degrade for real.
 """
 
+import os
 import pickle
+import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,9 +24,14 @@ from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
 from repro.kernels.backend import numpy_enabled, python_backend
-from repro.kernels.shm import SharedColumnarStore, columnar_arrays, shm_enabled
+from repro.kernels.shm import (
+    SEGMENT_PREFIX,
+    SharedColumnarStore,
+    columnar_arrays,
+    shm_enabled,
+)
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.parallel import ParallelPBSM
+from repro.pbsm.parallel import ParallelPBSM, reset_clamp_warnings
 from repro.pbsm.partitioner import partition_csr, partition_relation
 
 from tests.conftest import random_kpes
@@ -39,14 +48,8 @@ RIGHT = random_kpes(1200, seed=72, start_oid=10**6, max_edge=0.03)
 MEMORY = mb(0.05)
 
 
-def run(workers, *, executor="process", shared_memory=False, internal="sweep_numpy"):
-    join = ParallelPBSM(
-        MEMORY,
-        workers,
-        internal=internal,
-        executor=executor,
-        shared_memory=shared_memory,
-    )
+def run(workers, *, executor="process", internal="sweep_numpy"):
+    join = ParallelPBSM(MEMORY, workers, internal=internal, executor=executor)
     return join.run(LEFT, RIGHT)
 
 
@@ -149,110 +152,157 @@ class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
     def test_byte_identical_across_executors(self, internal):
         sim = run(2, executor="simulated", internal=internal)
-        pick = run(2, internal=internal)
-        shm = run(2, shared_memory=True, internal=internal)
-        assert shm.pairs == sim.pairs  # same pairs, same order
-        assert shm.pairs == pick.pairs
-        assert shm.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
-        assert shm.stats.cpu_by_phase == sim.stats.cpu_by_phase
-        assert shm.stats.io_units_by_phase == sim.stats.io_units_by_phase
-        assert shm.stats.sim_seconds == pytest.approx(sim.stats.sim_seconds)
+        proc = run(2, internal=internal)
+        assert proc.stats.executor == "process"
+        assert proc.pairs == sim.pairs  # same pairs, same order
+        assert proc.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
+        assert proc.stats.cpu_by_phase == sim.stats.cpu_by_phase
+        assert proc.stats.io_units_by_phase == sim.stats.io_units_by_phase
+        assert proc.stats.sim_seconds == pytest.approx(sim.stats.sim_seconds)
 
     def test_shm_ships_far_fewer_bytes(self):
-        pick = run(2)
-        shm = run(2, shared_memory=True)
-        assert shm.stats.shared_memory and not pick.stats.shared_memory
-        assert pick.stats.ipc_bytes_shipped > 0
-        assert shm.stats.ipc_bytes_shipped > 0
-        assert (
-            pick.stats.ipc_bytes_shipped
-            >= 10 * shm.stats.ipc_bytes_shipped
-        )
+        # The pickled inputs bound from below what shipping records to
+        # the workers would move (replicas and result pairs only add).
+        records_bytes = len(pickle.dumps((LEFT, RIGHT), pickle.HIGHEST_PROTOCOL))
+        shipped = run(2).stats.ipc_bytes_shipped
+        assert shipped > 0
+        assert records_bytes >= 10 * shipped
 
     def test_self_join_byte_identical(self):
         sim = ParallelPBSM(MEMORY, 2, internal="sweep_numpy").run(LEFT, LEFT)
-        shm = ParallelPBSM(
-            MEMORY,
+        proc = ParallelPBSM(
+            MEMORY, 2, internal="sweep_numpy", executor="process"
+        ).run(LEFT, LEFT)
+        assert proc.pairs == sim.pairs
+
+    def test_workers_1_spawns_no_pool_or_segment(self):
+        one = run(1)
+        two = run(2)
+        # Degenerate case: in-process loop, no pool, no segments, no IPC.
+        assert one.stats.ipc_bytes_shipped == 0
+        assert one.stats.worker_busy_seconds == {}
+        assert two.stats.ipc_bytes_shipped > 0
+        assert len(two.stats.worker_busy_seconds) >= 1
+
+
+# ----------------------------------------------------------------------
+# a failed chunk must not strand the other chunks' result segments
+# ----------------------------------------------------------------------
+class FailingPool:
+    """A ``pool=`` that runs chunks in this process and fails one of them."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+        self.submitted = 0
+
+    def submit(self, fn, payload):
+        self.submitted += 1
+        future = Future()
+        if self.submitted == self.fail_at:
+            future.set_exception(OSError(28, "No space left on device"))
+        else:
+            future.set_result(fn(payload))
+        return future
+
+
+def _segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
+
+
+@needs_shm
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestResultSegmentCustody:
+    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
+    def test_failed_chunk_leaks_no_result_segment(self, scheduler):
+        before = _segments()
+        pool = FailingPool(fail_at=3)
+        join = ParallelPBSM(
+            mb(0.006),  # 10 partitions: several chunks under either scheduler
             2,
             internal="sweep_numpy",
             executor="process",
-            shared_memory=True,
-        ).run(LEFT, LEFT)
-        assert shm.pairs == sim.pairs
-
-    def test_workers_1_spawns_no_pool_or_segment(self):
-        one = run(1, shared_memory=True)
-        two = run(2, shared_memory=True)
-        # Degenerate case: in-process loop, no pool, no segments, no IPC.
-        assert not one.stats.shared_memory
-        assert one.stats.ipc_bytes_shipped == 0
-        assert one.stats.worker_busy_seconds == {}
-        assert two.stats.shared_memory
+            scheduler=scheduler,
+            pool=pool,
+        )
+        with pytest.raises(OSError, match="No space left"):
+            join.run(LEFT, RIGHT)
+        assert pool.submitted >= 3  # chunks did finish before the failure
+        assert _segments() == before
 
 
 # ----------------------------------------------------------------------
 # degradation ladder
 # ----------------------------------------------------------------------
-class TestDegradation:
-    def test_disable_env_falls_back_to_pickle(self, monkeypatch):
-        # Works with or without numpy: the request degrades, the result
-        # must match the simulated executor bit for bit.
-        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        assert not shm_enabled()
-        internal = "sweep_numpy" if numpy_enabled() else "sweep_trie"
+def assert_degrades_to_thread():
+    """``executor="process"`` without a segment: thread executor, said once."""
+    assert not shm_enabled()
+    for internal in ("sweep_numpy", "sweep_trie"):
+        reset_clamp_warnings()
         sim = run(2, executor="simulated", internal=internal)
-        degraded = run(2, shared_memory=True, internal=internal)
-        assert degraded.pairs == sim.pairs
-        assert not degraded.stats.shared_memory
-        if numpy_enabled():
-            assert degraded.stats.ipc_bytes_shipped > 0  # pickle transport ran
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            degraded = [run(2, internal=internal), run(2, internal=internal)]
+        warned = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(warned) == 1 and "thread executor" in warned[0]
+        for result in degraded:
+            assert result.pairs == sim.pairs  # same pairs, same order
+            assert result.stats.cpu_by_phase == sim.stats.cpu_by_phase
+            assert (
+                result.stats.sim_seconds_by_phase == sim.stats.sim_seconds_by_phase
+            )
+            assert result.stats.executor == "thread"
+            assert result.stats.ipc_bytes_shipped == 0
+
+
+class TestDegradation:
+    def test_disable_env_degrades_to_thread(self, monkeypatch):
+        # Works with or without numpy.
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        assert_degrades_to_thread()
 
     @needs_numpy
     def test_numpy_gate_closes_shm(self):
         with python_backend():
-            assert not shm_enabled()
-            sim = run(2, executor="simulated", internal="sweep_trie")
-            degraded = run(2, shared_memory=True, internal="sweep_trie")
-        assert degraded.pairs == sim.pairs
-        assert not degraded.stats.shared_memory
+            assert_degrades_to_thread()
 
     def test_missing_numpy_degrades(self):
         # In the no-numpy CI job this runs for real; with numpy it is
-        # covered by the gate test above, so just pin the switch.
+        # covered by the gate test above.
         if not numpy_enabled():
-            assert not shm_enabled()
-            sim = run(2, executor="simulated", internal="sweep_trie")
-            degraded = run(2, shared_memory=True, internal="sweep_trie")
-            assert degraded.pairs == sim.pairs
-            assert not degraded.stats.shared_memory
+            assert_degrades_to_thread()
+
+    def test_workers_1_stays_in_process_silently(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        sim = run(1, executor="simulated", internal="sweep_trie")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = run(1, internal="sweep_trie")
+        assert one.pairs == sim.pairs
+        assert one.stats.executor == "process"
+        assert one.stats.worker_busy_seconds == {}  # no pool of any kind
 
 
 # ----------------------------------------------------------------------
 # API surface
 # ----------------------------------------------------------------------
 class TestApi:
-    def test_shared_memory_requires_workers(self):
-        from repro import spatial_join
-
-        with pytest.raises(ValueError, match="requires workers"):
-            spatial_join(LEFT, RIGHT, MEMORY, shared_memory=True)
-
     @needs_shm
     def test_spatial_join_shared_memory(self):
         from repro import spatial_join
 
-        plain = spatial_join(LEFT, RIGHT, MEMORY, workers=2)
-        shm = spatial_join(LEFT, RIGHT, MEMORY, workers=2, shared_memory=True)
-        assert shm.pairs == plain.pairs
-        assert shm.stats.shared_memory
+        sim = run(2, executor="simulated")
+        result = spatial_join(LEFT, RIGHT, MEMORY, workers=2)
+        assert result.pairs == sim.pairs
+        assert result.stats.executor == "process"
+        assert result.stats.ipc_bytes_shipped > 0
 
     @needs_shm
     def test_ipc_metrics_exported(self):
         from repro.obs import MetricsRegistry
 
-        shm = run(2, shared_memory=True)
         registry = MetricsRegistry()
-        registry.observe_join(shm.stats)
+        registry.observe_join(run(2).stats)
         text = registry.render()
         assert "repro_join_ipc_bytes_total" in text
-        assert 'transport="shm"' in text
+        assert "repro_join_ipc_seconds" in text
+        assert "transport=" not in text

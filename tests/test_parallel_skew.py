@@ -7,8 +7,7 @@ convention RPM uses at partition boundaries, applied at stripe
 boundaries), and the ``(pid, part)``-ordered merge reassembles exactly
 the sequential sequence.  These tests drive that claim with randomized
 Zipf-tile-occupancy workloads — the skew regime the scheduler exists
-for — across the executor x transport x scheduler x dedup cross
-product: under ``dedup="twolayer"`` splitting slices the mini-join
+for — across the executor x scheduler x dedup cross product: under ``dedup="twolayer"`` splitting slices the mini-join
 schedule instead of a single stripe plan, and the charge-once counter
 convention for split siblings must still sum to the unsplit totals.
 """
@@ -49,18 +48,25 @@ LEFT = zipf_rects(N_SPLIT, seed=101)
 RIGHT = zipf_rects(N_SPLIT, seed=202, start_oid=10**6)
 
 
-def run(executor, *, scheduler="stealing", shared_memory=False, workers=2,
-        dedup="rpm"):
+def run(executor, *, scheduler="stealing", workers=2, dedup="rpm"):
     join = ParallelPBSM(
         MEMORY,
         workers,
         internal="sweep_numpy",
         executor=executor,
         scheduler=scheduler,
-        shared_memory=shared_memory,
         dedup=dedup,
     )
     return join.run(LEFT, RIGHT)
+
+
+# The ids keep the suffix of the transport column these matrices had
+# while a pickle transport existed ("-True": over the shared segment), so
+# each row's history lines up across its removal.
+REAL_EXECUTORS = [
+    pytest.param("process", marks=needs_shm, id="process-True"),
+    pytest.param("thread", id="thread-False"),
+]
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +110,7 @@ class TestSplitTasks:
 
 
 # ----------------------------------------------------------------------
-# byte-identity under skew, every executor and transport
+# byte-identity under skew, every executor
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestSkewedByteIdentity:
@@ -151,16 +157,9 @@ class TestSkewedByteIdentity:
             == simulated.stats.duplicates_suppressed
         )
 
-    @pytest.mark.parametrize(
-        "executor,shared_memory",
-        [
-            ("process", False),
-            pytest.param("process", True, marks=needs_shm),
-            ("thread", False),
-        ],
-    )
-    def test_executors_byte_identical(self, simulated, executor, shared_memory):
-        real = run(executor, shared_memory=shared_memory)
+    @pytest.mark.parametrize("executor", REAL_EXECUTORS)
+    def test_executors_byte_identical(self, simulated, executor):
+        real = run(executor)
         assert real.pairs == simulated.pairs  # same pairs, same order
         assert not real.has_duplicates()
         assert (
@@ -183,7 +182,7 @@ class TestSkewedByteIdentity:
 # ----------------------------------------------------------------------
 @needs_numpy
 class TestTwolayerSkewMatrix:
-    """Executor x transport x scheduler, with two-layer duplicate avoidance.
+    """Executor x scheduler, with two-layer duplicate avoidance.
 
     Splitting a two-layer task slices the flattened mini-join sequence
     (straddling mini-joins continue as forward-scan stripe sub-slices),
@@ -234,27 +233,15 @@ class TestTwolayerSkewMatrix:
 
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     @pytest.mark.parametrize(
-        "executor,shared_memory",
-        [
-            ("simulated", False),
-            ("process", False),
-            pytest.param("process", True, marks=needs_shm),
-            ("thread", False),
-        ],
+        "executor",
+        [pytest.param("simulated", id="simulated-False")] + REAL_EXECUTORS,
     )
-    def test_matrix_byte_identical(
-        self, twolayer_static, executor, shared_memory, scheduler
-    ):
-        real = run(
-            executor,
-            scheduler=scheduler,
-            shared_memory=shared_memory,
-            dedup="twolayer",
-        )
+    def test_matrix_byte_identical(self, twolayer_static, executor, scheduler):
+        real = run(executor, scheduler=scheduler, dedup="twolayer")
         assert real.pairs == twolayer_static.pairs  # same pairs, same order
         assert not real.has_duplicates()
         # Charge-once: split stripe siblings (stealing) must sum to the
-        # unsplit (static) counter totals, on every executor/transport.
+        # unsplit (static) counter totals, on every executor.
         assert real.stats.cpu_by_phase == twolayer_static.stats.cpu_by_phase
 
 

@@ -7,9 +7,9 @@ numpy-free fallback.  Everything the rest of the engine can observe must
 be equal between the two: the id list of every partition file,
 ``records_written``, the charged ``structure_ops`` and every
 ``SimulatedDisk`` request/page counter — and, one level up, the pairs
-and ``JoinStats`` of a shared-memory ``ParallelPBSM`` run against the
-pickle transport and the simulated executor, which still partition
-through the records loop.
+and ``JoinStats`` of a process-executor ``ParallelPBSM`` run against the
+thread and the simulated executor, which still partition through the
+records loop.
 """
 
 import pickle
@@ -244,7 +244,7 @@ RIGHT = random_kpes(1200, seed=72, start_oid=10**6, max_edge=0.03)
 MEMORY = mb(0.006)  # 10 partitions
 
 #: ``sum(len(pickle.dumps(unit)))`` over the dispatch units of the
-#: LEFT x RIGHT shm join below, recorded on the commit before the
+#: LEFT x RIGHT process join below, recorded on the commit before the
 #: columnar partitioner (list-built CSR ids, plain-int task tuples).
 #: ``stats.ipc_bytes_shipped`` itself also counts segment names, which
 #: embed process ids and a per-process sequence number, so its task
@@ -254,8 +254,7 @@ PARENT_TASK_PAYLOAD_BYTES = {"static": 278, "stealing": 264}
 
 def shm_join(left, right, **kwargs):
     return ParallelPBSM(
-        MEMORY, 2, internal="sweep_numpy", executor="process",
-        shared_memory=True, **kwargs,
+        MEMORY, 2, internal="sweep_numpy", executor="process", **kwargs
     ).run(left, right)
 
 
@@ -264,17 +263,20 @@ class TestShmJoinUnchanged:
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     @pytest.mark.parametrize("dedup", ["rpm", "twolayer"])
     def test_equals_pickle_and_simulated(self, dedup, scheduler):
+        # (The records-loop references were the pickle transport and the
+        # simulated executor; the thread executor now stands where the
+        # pickle transport stood.)
         shm = shm_join(LEFT, RIGHT, dedup=dedup, scheduler=scheduler)
-        assert shm.stats.shared_memory
+        assert shm.stats.executor == "process"
         others = [
             ParallelPBSM(
                 MEMORY, 2, internal="sweep_numpy", executor=executor,
                 dedup=dedup, scheduler=scheduler,
             ).run(LEFT, RIGHT)
-            for executor in ("process", "simulated")
+            for executor in ("thread", "simulated")
         ]
         for other in others:
-            assert not other.stats.shared_memory
+            assert other.stats.ipc_bytes_shipped == 0  # record tasks, in-process
             assert shm.pairs == other.pairs  # order included
             for field in (
                 "cpu_by_phase",

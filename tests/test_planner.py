@@ -146,6 +146,35 @@ class TestEnumeration:
         only = enumerate_candidates(jp, 16_000, COST, methods=("sssj",))
         assert {c.method for c in only} == {"sssj"}
 
+    def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
+        # No transport axis: a process candidate exists exactly when its
+        # shared-memory segment can, a thread candidate exactly when the
+        # columnar backend can; with neither only sequential plans remain.
+        from repro.kernels.backend import numpy_enabled, python_backend
+        from repro.kernels.shm import shm_enabled
+
+        jp = profile_join(*small_pair)
+
+        def parallel_executors():
+            candidates = enumerate_candidates(jp, 16_000, COST, workers=2)
+            assert all("shared_memory" not in c.kwargs for c in candidates)
+            return {c.kwargs["executor"] for c in candidates if "workers" in c.kwargs}
+
+        expected = set()
+        if shm_enabled():
+            expected.add("process")
+        if numpy_enabled():
+            expected.add("thread")
+        assert parallel_executors() == expected
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        assert parallel_executors() == expected - {"process"}
+        with python_backend():
+            assert parallel_executors() == set()
+            sequential = enumerate_candidates(jp, 16_000, COST)
+            assert len(enumerate_candidates(jp, 16_000, COST, workers=2)) == len(
+                sequential
+            )
+
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)
         candidates = enumerate_candidates(jp, 16_000, COST)

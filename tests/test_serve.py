@@ -514,8 +514,8 @@ class TestServeShm:
         assert sweep_orphan_segments(include_live=True) == []
 
     def test_pool_and_pinned_execution_matches_sequential(self):
-        """Force the parallel shared-memory candidate through the
-        persistent pool + pinned-segment path and demand byte parity."""
+        """Force the parallel process candidate through the persistent
+        pool + pinned-segment path and demand byte parity."""
         engine = EngineHost(MEMORY, workers=2)
         registry = make_registry()
         try:
@@ -529,14 +529,15 @@ class TestServeShm:
                 for c in plan.candidates
                 if c.method == "pbsm"
                 and "workers" in c.kwargs
-                and c.kwargs.get("shared_memory")
+                and c.kwargs["executor"] == "process"
             ]
-            assert parallel, "planner enumerated no parallel shm candidate"
+            assert parallel, "planner enumerated no parallel process candidate"
             plan.chosen = parallel[0]
             result = engine.execute(plan, left, right)
             expected = spatial_join(LEFT, RIGHT, MEMORY, method="pbsm")
             assert sorted(result.pairs) == sorted(expected.pairs)
-            assert result.stats.shared_memory
+            assert result.stats.executor == "process"
+            assert result.stats.ipc_bytes_shipped > 0
         finally:
             engine.shutdown()
             registry.close()

@@ -69,14 +69,25 @@ def spatial_join(
     Parameters
     ----------
     left, right:
-        Sequences of KPE tuples ``(oid, xl, yl, xh, yh)``.
+        Sequences of KPE tuples ``(oid, xl, yl, xh, yh)``, or relations
+        that carry their columns: a mapped ``.rcd`` file
+        (:func:`repro.datasets.load_relation`) or a
+        :class:`~repro.kernels.columnar.ColumnarRelation`.  The columnar
+        engine and the planner read those in place; a tuple engine sees
+        them as lazy sequences of KPEs.
     memory_bytes:
         Main-memory budget for the join (see :func:`repro.io.mb`).
     method:
         "pbsm" (default — the paper's overall winner), "s3j", "sssj",
         "shj" (spatial hash join), "rtree" (index on both relations), or
         "auto" — let the cost-based planner profile the inputs and pick
-        algorithm, internal join and ``t``-factor itself.
+        algorithm, internal join and ``t``-factor itself.  On the numpy
+        backend the profile is computed from the inputs' columns
+        (``docs/planner.md``): columnar and mapped inputs are planned
+        without boxing a record, lists are converted once per call and
+        the chosen engine runs on the same columns.  A NaN or infinite
+        coordinate raises ``ValueError`` (side and row named) before
+        anything is planned.
 
         With the numpy backend enabled, "pbsm" defaults to
         ``internal="sweep_numpy"``: the columnar engine (row-id

@@ -16,7 +16,7 @@ cell) and the standard estimators built on it —
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.space import Space
 from repro.pbsm.estimator import estimate_partitions
@@ -45,9 +45,39 @@ class GridHistogram:
         space: Optional[Space] = None,
         resolution: int = 32,
     ) -> "GridHistogram":
-        """Histogram a relation by rectangle centre points."""
+        """Histogram a relation by rectangle centre points.
+
+        A relation that carries ``.columnar`` is binned array-wise on the
+        numpy backend: one centre-cell index, then ``np.bincount``, which
+        accumulates in row order exactly as the loop below does — the
+        cell lists come out bit-identical.
+        """
+        # Function-local: repro.kernels imports repro.pbsm, which is what
+        # this module is imported from at package start.
+        from repro.kernels.backend import get_numpy
+
         hist = cls(space if space is not None else Space.of(kpes), resolution)
         res = hist.resolution
+        np = get_numpy()
+        cols = getattr(kpes, "columnar", None)
+        if cols is not None and np is not None:
+            sp = hist.space
+
+            def axis_cells(lo: Any, hi: Any, origin: float, extent: float) -> Any:
+                # Clipping the scaled float before the cast equals the
+                # loop's min/max around int(): both truncate toward zero.
+                scaled = ((lo + hi) / 2.0 - origin) / extent * res
+                return np.clip(scaled, 0, res - 1).astype(np.int64)
+
+            cell = axis_cells(cols.yl, cols.yh, sp.yl, sp.height) * res + axis_cells(
+                cols.xl, cols.xh, sp.xl, sp.width
+            )
+            cells = res * res
+            hist.counts = np.bincount(cell, minlength=cells).astype(np.float64).tolist()
+            hist.sum_w = np.bincount(cell, cols.xh - cols.xl, cells).tolist()
+            hist.sum_h = np.bincount(cell, cols.yh - cols.yl, cells).tolist()
+            hist.n = len(cols)
+            return hist
         for k in kpes:
             cx = (k[1] + k[3]) / 2.0
             cy = (k[2] + k[4]) / 2.0

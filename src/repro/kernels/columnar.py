@@ -17,10 +17,14 @@ invisible to tuple-based code.
 from __future__ import annotations
 
 import itertools
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Iterator, List, Sequence, Tuple, Union
 
 from repro.core.rect import KPE
-from repro.kernels.backend import require_numpy
+from repro.kernels.backend import numpy_enabled, require_numpy
+
+#: Records materialised per chunk when iterating columns as tuples
+#: (bounds transient list size; a full ``[:]`` still works).
+_ITER_CHUNK = 65536
 
 
 class ColumnarRelation:
@@ -132,16 +136,38 @@ class ColumnarRelation:
     # ------------------------------------------------------------------
     def to_kpes(self) -> List[KPE]:
         """The relation as KPE named tuples (loss-free round trip)."""
-        return [
-            KPE(o, a, b, c, d)
-            for o, a, b, c, d in zip(
-                self.oid.tolist(),
-                self.xl.tolist(),
-                self.yl.tolist(),
-                self.xh.tolist(),
-                self.yh.tolist(),
-            )
-        ]
+        return self[:]
+
+    def __getitem__(self, index: Union[int, slice]) -> Any:
+        """Row *index* as a KPE, or the rows of a slice as a list of KPEs.
+
+        With ``len`` and iteration this makes the columns a lazy
+        ``Sequence[KPE]``: tuple-based code (scalar engines, validators)
+        sees an ordinary relation and pays conversion only for the
+        records it touches.
+        """
+        if isinstance(index, slice):
+            return [
+                KPE(o, a, b, c, d)
+                for o, a, b, c, d in zip(
+                    self.oid[index].tolist(),
+                    self.xl[index].tolist(),
+                    self.yl[index].tolist(),
+                    self.xh[index].tolist(),
+                    self.yh[index].tolist(),
+                )
+            ]
+        return KPE(
+            int(self.oid[index]),
+            float(self.xl[index]),
+            float(self.yl[index]),
+            float(self.xh[index]),
+            float(self.yh[index]),
+        )
+
+    def __iter__(self) -> Iterator[KPE]:
+        for start in range(0, len(self), _ITER_CHUNK):
+            yield from self[start : start + _ITER_CHUNK]
 
     # ------------------------------------------------------------------
     # kernel preconditions
@@ -165,3 +191,31 @@ class ColumnarRelation:
 def from_kpes(kpes: Sequence[Tuple]) -> ColumnarRelation:
     """Module-level alias of :meth:`ColumnarRelation.from_kpes`."""
     return ColumnarRelation.from_kpes(kpes)
+
+
+class ColumnedKpes(List[Tuple]):
+    """A KPE list that carries its own columns as ``.columnar``.
+
+    What :func:`with_columns` makes of a plain list: tuple engines keep
+    iterating the records, column-aware entry points (``from_kpes``,
+    ``Space.of``, the planner's statistics) find the columns already
+    built instead of converting the list again.
+    """
+
+    __slots__ = ("columnar",)
+
+    def __init__(self, kpes: Sequence[Tuple], columnar: ColumnarRelation) -> None:
+        super().__init__(kpes)
+        self.columnar = columnar
+
+
+def with_columns(kpes: Sequence[Tuple]) -> Sequence[Tuple]:
+    """*kpes* in a form that carries ``.columnar``, converting at most once.
+
+    Relations that already do (mapped, :class:`ColumnarRelation`,
+    :class:`ColumnedKpes`) come back as they are, and so does everything
+    when the numpy backend is off — callers then take their scalar path.
+    """
+    if not numpy_enabled() or getattr(kpes, "columnar", None) is not None:
+        return kpes
+    return ColumnedKpes(kpes, ColumnarRelation.from_kpes(kpes))

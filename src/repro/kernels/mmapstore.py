@@ -43,10 +43,6 @@ from repro.kernels.columnar import ColumnarRelation
 
 PathLike = Union[str, Path]
 
-#: Records materialised per chunk when iterating a mapped relation as
-#: tuples (bounds transient list size; full-file ``list()`` still works).
-_ITER_CHUNK = 65536
-
 
 def write_rcd(
     kpes: Sequence[Tuple],
@@ -280,35 +276,14 @@ class MappedRelation:
         return self.store.n
 
     def __getitem__(self, index: Union[int, slice]) -> Any:
-        col = self.columnar
-        if isinstance(index, slice):
-            return [
-                KPE(o, a, b, c, d)
-                for o, a, b, c, d in zip(
-                    col.oid[index].tolist(),
-                    col.xl[index].tolist(),
-                    col.yl[index].tolist(),
-                    col.xh[index].tolist(),
-                    col.yh[index].tolist(),
-                )
-            ]
-        return KPE(
-            int(col.oid[index]),
-            float(col.xl[index]),
-            float(col.yl[index]),
-            float(col.xh[index]),
-            float(col.yh[index]),
-        )
+        return self.columnar[index]
 
     def __iter__(self) -> Iterator[KPE]:
-        for start in range(0, len(self), _ITER_CHUNK):
-            chunk: List[KPE] = self[start : start + _ITER_CHUNK]
-            for kpe in chunk:
-                yield kpe
+        return iter(self.columnar)
 
     def to_kpes(self) -> List[KPE]:
         """The whole relation materialised as KPE tuples."""
-        return self[:]
+        return self.columnar.to_kpes()
 
     def __repr__(self) -> str:
         return (

@@ -17,16 +17,19 @@ deliberately happens outside the lock: two racing builders of the same
 fingerprint do redundant work once, but neither blocks every other
 thread's cache hit for the duration of a 100k-record profiling pass.
 
-Eviction is LRU: a plan-cache hit refreshes the entry's recency, and
-``put_plan`` on a full cache drops the least-recently-used plan — an
-insertion-order drop would evict the service's hottest query the moment
-``max_plans`` one-off queries had passed through.
+Eviction is LRU in all three maps: a hit refreshes the entry's recency,
+and an insertion into a full map drops the least-recently-used entry —
+an insertion-order drop would evict the service's hottest query the
+moment ``max_plans`` one-off queries had passed through.  Profiles and
+joint histograms (~100 KB each) are bounded at two per plan slot, the
+two sides of a join, so a long-lived ``repro serve`` holds a fixed
+amount of planner state however many relations pass through it.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.space import Space
 from repro.estimate import GridHistogram
@@ -37,16 +40,32 @@ from repro.planner.stats import (
 )
 
 
+def _lru_get(table: Dict[Any, Any], key: Any) -> Optional[Any]:
+    """``table[key]`` moved to the recency tail, or ``None`` on a miss."""
+    value = table.pop(key, None)
+    if value is not None:
+        table[key] = value
+    return value
+
+
+def _lru_put(table: Dict[Any, Any], key: Any, value: Any, limit: int) -> None:
+    """Insert at the recency tail, evicting from the head down to *limit*."""
+    table.pop(key, None)
+    while len(table) >= limit:
+        table.pop(next(iter(table)))
+    table[key] = value
+
+
 class PlannerCache:
     """Profile / histogram / plan cache with hit-miss accounting."""
 
     def __init__(self, max_plans: int = 128) -> None:
         self.max_plans = max_plans
         self._lock = threading.RLock()
+        #: In all three maps insertion order doubles as recency order
+        #: (dicts preserve it; a hit re-inserts its key at the end).
         self._profiles: Dict[str, RelationProfile] = {}
         self._histograms: Dict[Tuple, GridHistogram] = {}
-        #: insertion order doubles as recency order (dicts preserve it;
-        #: a hit re-inserts its key at the end).
         self._plans: Dict[Tuple, object] = {}
         self.profile_hits = 0
         self.profile_misses = 0
@@ -60,7 +79,7 @@ class PlannerCache:
         """Profile *kpes*, reusing the cached profile on a fingerprint hit."""
         fingerprint = relation_fingerprint(kpes)
         with self._lock:
-            cached = self._profiles.get(fingerprint)
+            cached = _lru_get(self._profiles, fingerprint)
             if cached is not None:
                 self.profile_hits += 1
                 return cached
@@ -69,7 +88,7 @@ class PlannerCache:
         # racing duplicate build is benign (last writer wins).
         profile = RelationProfile.build(kpes, fingerprint)
         with self._lock:
-            self._profiles[fingerprint] = profile
+            _lru_put(self._profiles, fingerprint, profile, 2 * self.max_plans)
         return profile
 
     def joint_histogram(
@@ -81,14 +100,14 @@ class PlannerCache:
         """Histogram of *kpes* over a joint space, cached per (relation, space)."""
         key = (fingerprint, space_key, PROFILE_RESOLUTION)
         with self._lock:
-            cached = self._histograms.get(key)
+            cached = _lru_get(self._histograms, key)
         if cached is not None:
             return cached
         hist = GridHistogram.build(
             kpes, Space(*space_key), PROFILE_RESOLUTION
         )
         with self._lock:
-            self._histograms[key] = hist
+            _lru_put(self._histograms, key, hist, 2 * self.max_plans)
         return hist
 
     # ------------------------------------------------------------------
@@ -105,22 +124,15 @@ class PlannerCache:
 
     def get_plan(self, key: Tuple) -> Optional[object]:
         with self._lock:
-            plan = self._plans.get(key)
+            plan = _lru_get(self._plans, key)
             if plan is not None:
                 self.plan_hits += 1
-                # LRU touch: move the key to the recency tail.
-                self._plans.pop(key)
-                self._plans[key] = plan
         return plan
 
     def put_plan(self, key: Tuple, plan: object) -> None:
         with self._lock:
             self.plan_misses += 1
-            self._plans.pop(key, None)
-            while len(self._plans) >= self.max_plans:
-                # Evict the least-recently-used entry (recency head).
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[key] = plan
+            _lru_put(self._plans, key, plan, self.max_plans)
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

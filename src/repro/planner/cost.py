@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.phases import (
     PHASE_BUILD,
@@ -194,7 +194,9 @@ def _grid_replication(
     )
 
 
-def _sampled_dup_factor(jp: JoinProfile, side: int, n_partitions: int) -> float:
+def _sampled_dup_factor(
+    jp: JoinProfile, side: int, n_partitions: int
+) -> Optional[float]:
     """Mean detections per result pair on a hashed ``side``² tile grid.
 
     A pair is detected in every partition holding copies of both
@@ -293,8 +295,13 @@ def estimate_pbsm(
     workers: int = 1,
     executor: str = "process",
     scheduler: str = "stealing",
+    dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
 ) -> CostEstimate:
     """Cost of ``PBSM(internal, dedup)`` under formula (1) with *t_factor*.
+
+    ``dup_factors`` is a memo an enumeration shares between its PBSM
+    candidates: the sampled-pair replay depends on the grid alone, and
+    most candidates of one join land on the same few grids.
 
     With ``workers > 1`` the estimate models ``ParallelPBSM``: the
     partition phase stays sequential (the Amdahl term), the in-memory
@@ -372,7 +379,13 @@ def estimate_pbsm(
     # Detections (results + duplicates): replayed on the sampled pairs
     # where possible, since on heavy-tailed extents the duplicate volume
     # dwarfs the result count and mean-based formulas cannot see it.
-    dup_factor = _sampled_dup_factor(jp, side, n_partitions)
+    if dup_factors is None:
+        dup_factors = {}
+    if (side, n_partitions) not in dup_factors:
+        dup_factors[side, n_partitions] = _sampled_dup_factor(
+            jp, side, n_partitions
+        )
+    dup_factor = dup_factors[side, n_partitions]
     if dup_factor is not None:
         detected = jp.est_results * dup_factor
     elif jp.hist_left is not None and jp.hist_right is not None:

@@ -104,6 +104,9 @@ def enumerate_candidates(
         return wanted is None or name in wanted
 
     candidates: List[PlanCandidate] = []
+    #: (side, n_partitions) -> sampled duplicate factor, replayed once per
+    #: distinct grid instead of once per PBSM candidate.
+    dup_factors: Dict[Tuple[int, int], Optional[float]] = {}
 
     if include("pbsm"):
         from repro.kernels.backend import numpy_enabled
@@ -125,6 +128,7 @@ def enumerate_candidates(
                                 internal=internal,
                                 t_factor=t,
                                 dedup=dedup,
+                                dup_factors=dup_factors,
                             ),
                         )
                     )
@@ -134,7 +138,12 @@ def enumerate_candidates(
                 "pbsm",
                 {"internal": "sweep_trie", "t_factor": 1.2, "dedup": "sort"},
                 estimate_pbsm(
-                    jp, memory_bytes, cost, internal="sweep_trie", dedup="sort"
+                    jp,
+                    memory_bytes,
+                    cost,
+                    internal="sweep_trie",
+                    dedup="sort",
+                    dup_factors=dup_factors,
                 ),
             )
         )
@@ -175,6 +184,7 @@ def enumerate_candidates(
                                     workers=workers,
                                     executor=executor,
                                     scheduler=scheduler,
+                                    dup_factors=dup_factors,
                                 ),
                             )
                         )

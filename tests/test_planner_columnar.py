@@ -1,0 +1,401 @@
+"""Columnar planner statistics against the scalar loops they replace.
+
+On the numpy backend ``profile_join`` computes every statistic from the
+relation's columns (``planner/stats.py``, ``GridHistogram.build``).  The
+per-record loops stay as the fallback and are the reference here: each
+input kind is profiled and planned once under ``python_backend()`` and
+once under ``numpy_backend()`` as a list, as a ``ColumnarRelation`` and
+as a mapped ``.rcd`` file.  The contexts force the backends, so the
+comparison is real under ``REPRO_DISABLE_NUMPY=1`` as well; numpy itself
+has to be importable (the dataset generators need it too).
+
+``planner_columnar_pinned.json`` holds the chosen plan and the candidate
+order of the ``bench_planner`` sweep and both benchmark datasets, recorded
+at the parent commit (per backend) with :func:`observe`.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+import repro.planner.cost as cost_module
+from repro import PlannerCache, mb, spatial_join
+from repro.bench.workloads import (
+    PLANNER_MEMORY_FRACTIONS,
+    PLANNER_PATTERNS,
+    memory_for_fraction,
+    planner_pair,
+)
+from repro.datasets import clustered_rects, polyline_mbrs, uniform_rects
+from repro.datasets.patterns import mixed_scale
+from repro.internal.brute import brute_force_pairs
+from repro.io.costmodel import CostModel
+from repro.kernels.backend import (
+    active_backend,
+    numpy_backend,
+    numpy_enabled,
+    python_backend,
+)
+from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.mmapstore import open_relation, write_rcd
+from repro.planner import (
+    CostEstimate,
+    PlanCandidate,
+    choose_candidate,
+    enumerate_candidates,
+    estimate_pbsm,
+    plan_join,
+    profile_join,
+    relation_fingerprint,
+)
+
+PINNED = Path(__file__).with_name("planner_columnar_pinned.json")
+MEMORY = mb(0.01)
+FORMS = ("list", "columnar", "mapped")
+
+
+def pair(generator, n, **kwargs):
+    return (
+        generator(n, seed=1, **kwargs),
+        generator(n, seed=2, start_oid=10**6, **kwargs),
+    )
+
+
+#: n = 3000 is past the 512-record sample and no multiple of it, so the
+#: stride-then-truncate of the sample is exercised.
+INPUTS = {
+    "uniform": lambda: pair(uniform_rects, 3000),
+    "clustered": lambda: pair(clustered_rects, 3000),
+    "mixed_scale": lambda: pair(mixed_scale, 2000),
+    "polyline_mbrs": lambda: pair(polyline_mbrs, 3000),
+    "empty": lambda: ([], uniform_rects(700, seed=2, start_oid=10**6)),
+    "single_record": lambda: (
+        [(7, 0.2, 0.2, 0.6, 0.6)],
+        uniform_rects(700, seed=2, start_oid=10**6),
+    ),
+    # every record the same point: the joint space has no extent at all
+    "zero_extent": lambda: (
+        [(i, 0.5, 0.5, 0.5, 0.5) for i in range(300)],
+        [(10**6 + i, 0.5, 0.5, 0.5, 0.5) for i in range(200)],
+    ),
+    "below_sample_size": lambda: pair(uniform_rects, 300, mean_edge=0.05),
+}
+
+
+def as_form(form, kpes, path):
+    """*kpes* as the planner may be handed it (under ``numpy_backend()``)."""
+    if form == "list":
+        return kpes
+    if form == "columnar":
+        return ColumnarRelation.from_kpes(kpes)
+    write_rcd(kpes, path)
+    return open_relation(path)
+
+
+def histogram_state(hist):
+    return (hist.space, hist.resolution, hist.n, hist.counts, hist.sum_w, hist.sum_h)
+
+
+def assert_same_statistics(got, ref):
+    for side in ("left", "right"):
+        g, r = getattr(got, side), getattr(ref, side)
+        assert (g.fingerprint, g.n, g.skew, g.space) == (r.fingerprint, r.n, r.skew, r.space)
+        for name in ("coverage", "avg_width", "avg_height", "avg_area"):
+            assert math.isclose(
+                getattr(g, name), getattr(r, name), rel_tol=1e-12, abs_tol=0.0
+            ), (side, name)
+    assert got.space == ref.space
+    assert histogram_state(got.hist_left) == histogram_state(ref.hist_left)
+    assert histogram_state(got.hist_right) == histogram_state(ref.hist_right)
+    assert got.sample_pairs == ref.sample_pairs
+    assert got.est_results == ref.est_results
+
+
+# ----------------------------------------------------------------------
+# parity with the scalar reference
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_statistics_and_plan_equal_the_scalar_reference(name, form, tmp_path):
+    left, right = INPUTS[name]()
+    with python_backend():
+        ref_profile = profile_join(left, right)
+    with numpy_backend():
+        got_left = as_form(form, left, tmp_path / "L.rcd")
+        got_right = as_form(form, right, tmp_path / "R.rcd")
+        got_profile = profile_join(got_left, got_right)
+        # The scalar run enumerates no sweep_numpy candidates, so the
+        # plan is compared with what the scalar statistics lead to.
+        from_ref = enumerate_candidates(ref_profile, MEMORY)
+        got_plan = plan_join(got_left, got_right, MEMORY, cache=PlannerCache())
+    assert_same_statistics(got_profile, ref_profile)
+    assert_same_statistics(got_plan.profile, ref_profile)
+    assert [c.describe() for c in got_plan.candidates] == [
+        c.describe() for c in from_ref
+    ]
+    assert got_plan.chosen.describe() == choose_candidate(from_ref).describe()
+
+
+@pytest.mark.parametrize("n", [0, 1, 40, 64, 65, 3000])
+def test_fingerprint_of_columns_equals_the_tuple_form(n, tmp_path):
+    kpes = uniform_rects(n, seed=5, start_oid=17)
+    with python_backend():
+        expected = relation_fingerprint(kpes)
+    with numpy_backend():
+        assert relation_fingerprint(ColumnarRelation.from_kpes(kpes)) == expected
+        assert relation_fingerprint(as_form("mapped", kpes, tmp_path / "x.rcd")) == expected
+        assert relation_fingerprint(kpes) == expected
+
+
+def test_columnar_inputs_plan_and_join_under_auto():
+    """``method="auto"`` used to index the relation and raise TypeError."""
+    # The chosen engine reads the columns (pbsm) or iterates tuples (shj).
+    for name, method in (("uniform", "pbsm"), ("clustered", "shj")):
+        left, right = INPUTS[name]()
+        expected = sorted(brute_force_pairs(left, right))
+        with numpy_backend():
+            result = spatial_join(
+                ColumnarRelation.from_kpes(left),
+                ColumnarRelation.from_kpes(right),
+                MEMORY,
+                method="auto",
+                cache=PlannerCache(),
+            )
+        assert result.plan.chosen.method == method
+        assert sorted(result.pairs) == expected
+
+
+# ----------------------------------------------------------------------
+# list inputs: converted once per call
+# ----------------------------------------------------------------------
+@pytest.fixture
+def conversions(monkeypatch):
+    """Counts the ``from_kpes`` calls that build columns from tuples."""
+    built = []
+    real = ColumnarRelation.from_kpes.__func__
+
+    def counting(cls, kpes):
+        if getattr(kpes, "columnar", None) is None:
+            built.append(len(kpes))
+        return real(cls, kpes)
+
+    monkeypatch.setattr(ColumnarRelation, "from_kpes", classmethod(counting))
+    return built
+
+
+def test_list_inputs_are_converted_once_per_call(conversions):
+    left, right = INPUTS["uniform"]()
+    with numpy_backend():
+        result = spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
+    assert "sweep_numpy" in result.plan.chosen.describe()
+    assert conversions == [len(left), len(right)]
+    assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))
+    # The plan travels on with the result: it must not pin the inputs.
+    assert result.plan.converted_inputs == ()
+
+
+def test_a_plan_executed_on_other_inputs_joins_those(conversions):
+    left, right = INPUTS["uniform"]()
+    other_left, other_right = INPUTS["below_sample_size"]()
+    with numpy_backend():
+        plan = plan_join(left, right, MEMORY)
+        result = plan.execute(other_left, other_right)
+    assert sorted(result.pairs) == sorted(brute_force_pairs(other_left, other_right))
+
+
+def test_a_cache_hit_converts_nothing_for_the_planner(conversions):
+    left, right = INPUTS["clustered"]()
+    cache = PlannerCache()
+    with numpy_backend():
+        plan_join(left, right, MEMORY, cache=cache)
+        del conversions[:]
+        hit = plan_join(left, right, MEMORY, cache=cache)
+    assert hit.from_cache and conversions == [] and hit.converted_inputs == ()
+
+
+# ----------------------------------------------------------------------
+# non-finite coordinates
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", [python_backend, numpy_backend])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_non_finite_coordinates_are_rejected_up_front(backend, bad, side):
+    left, right = INPUTS["below_sample_size"]()
+    target = left if side == "left" else right
+    oid = target[41][0]
+    target[41] = (oid, 0.1, bad, 0.2, 0.3)
+    target[99] = (target[99][0], bad, 0.1, 0.2, 0.3)
+    message = rf"{side} relation has a non-finite coordinate at row 41 \(oid={oid}\)"
+    with backend():
+        with pytest.raises(ValueError, match=message):
+            profile_join(left, right)
+        with pytest.raises(ValueError, match=message):
+            spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
+
+
+# ----------------------------------------------------------------------
+# the sampled duplicate factor: once per grid, same estimates
+# ----------------------------------------------------------------------
+def test_dup_factor_is_replayed_once_per_distinct_grid(monkeypatch):
+    left, right = INPUTS["uniform"]()
+    profile = profile_join(left, right)
+    assert profile.sample_pairs
+    keys = []
+    real = cost_module._sampled_dup_factor
+
+    def counting(jp, side, n_partitions):
+        keys.append((side, n_partitions))
+        return real(jp, side, n_partitions)
+
+    monkeypatch.setattr(cost_module, "_sampled_dup_factor", counting)
+    candidates = enumerate_candidates(profile, MEMORY, workers=2)
+    pbsm = [c for c in candidates if c.method == "pbsm"]
+    assert len(keys) == len(set(keys)) < len(pbsm)
+    for candidate in pbsm:
+        kwargs = dict(candidate.kwargs)
+        alone = estimate_pbsm(profile, MEMORY, CostModel(), **kwargs)
+        assert alone.total_seconds == candidate.estimate.total_seconds
+        assert alone.predicted == candidate.estimate.predicted
+
+
+# ----------------------------------------------------------------------
+# the cache holds a bounded amount of statistics
+# ----------------------------------------------------------------------
+def test_profiles_and_histograms_are_evicted_lru():
+    cache = PlannerCache(max_plans=2)  # room for 4 profiles / histograms
+    relations = [uniform_rects(50, seed=s, start_oid=1000 * s) for s in range(7)]
+    space = (0.0, 0.0, 2.0, 2.0)
+    for kpes in relations[:4]:
+        cache.relation_profile(kpes)
+        cache.joint_histogram(kpes, relation_fingerprint(kpes), space)
+    first = cache.relation_profile(relations[0])  # refresh the oldest
+    first_hist = cache.joint_histogram(relations[0], first.fingerprint, space)
+    for kpes in relations[4:]:
+        cache.relation_profile(kpes)
+        cache.joint_histogram(kpes, relation_fingerprint(kpes), space)
+    stats = cache.stats()
+    assert stats["profiles"] == 4 and stats["histograms"] == 4
+    assert (stats["profile_hits"], stats["profile_misses"]) == (1, 7)
+    # The refreshed entry outlived three insertions; the next-oldest did not.
+    assert cache.relation_profile(relations[0]) is first
+    assert cache.joint_histogram(relations[0], first.fingerprint, space) is first_hist
+    cache.relation_profile(relations[1])
+    stats = cache.stats()
+    assert (stats["profile_hits"], stats["profile_misses"]) == (2, 8)
+    assert stats["profiles"] == 4
+    cache.clear()
+    assert cache.stats()["profiles"] == cache.stats()["histograms"] == 0
+
+
+def test_planning_survives_a_cache_smaller_than_one_join():
+    left, right = INPUTS["below_sample_size"]()
+    cache = PlannerCache(max_plans=1)
+    cold = plan_join(left, right, MEMORY, cache=cache)
+    assert plan_join(left, right, MEMORY, cache=cache).from_cache
+    other = plan_join(right, left, MEMORY, cache=cache)
+    assert not other.from_cache and cache.stats()["plans"] == 1
+    assert cold.chosen.describe()
+
+
+# ----------------------------------------------------------------------
+# the same rectangles get the same plan in any record order
+# ----------------------------------------------------------------------
+def candidate(seconds, method="pbsm", **kwargs):
+    return PlanCandidate(method, kwargs, CostEstimate(0.0, seconds, 0.0))
+
+
+def test_an_rpm_plan_gives_way_to_its_twolayer_twin_inside_the_tie_band():
+    rpm = candidate(100.0, internal="sweep_numpy", t_factor=1.5, dedup="rpm")
+    other_t = candidate(100.1, internal="sweep_numpy", t_factor=1.2, dedup="twolayer")
+    twin = candidate(100.5, internal="sweep_numpy", t_factor=1.5, dedup="twolayer")
+    far_twin = candidate(101.0, internal="sweep_numpy", t_factor=1.5, dedup="twolayer")
+    shj = candidate(99.0, method="shj")
+    assert choose_candidate([rpm, other_t, twin]) is twin
+    assert choose_candidate([rpm, other_t, far_twin]) is rpm
+    assert choose_candidate([rpm, other_t]) is rpm
+    # Only the cheapest candidate is ever replaced, and only an RPM one.
+    assert choose_candidate([twin, rpm]) is twin
+    assert choose_candidate([shj, rpm, twin]) is shj
+
+
+def test_the_benchmark_join_gets_one_plan_in_any_record_order():
+    """uni30k sits on the RPM/two-layer crossover: on the cheapest-first
+    rule, record orders 2 and 6 of the benchmark flipped the plan to RPM."""
+    from benchmarks.e2e import specs
+
+    chosen = set()
+    rpm_is_cheapest = 0
+    for seed in (1, 2, 6):
+        left, right = specs.make_relations(specs.UNI30K, seed)
+        plan = plan_join(left, right, mb(specs.UNI30K.memory_mb))
+        chosen.add(plan.chosen.describe())
+        rpm_is_cheapest += plan.candidates[0].kwargs["dedup"] == "rpm"
+    assert len(chosen) == 1, chosen
+    if numpy_enabled():  # the scalar candidates tie elsewhere
+        assert rpm_is_cheapest == 2
+
+
+# ----------------------------------------------------------------------
+# plan drift against the parent commit
+# ----------------------------------------------------------------------
+def observe(left, right, memory):
+    plan = plan_join(left, right, memory)
+    return {
+        "chosen": plan.chosen.describe(),
+        "candidates": [c.describe() for c in plan.candidates],
+        "est_results": plan.profile.est_results,
+        "sample_pairs": len(plan.profile.sample_pairs),
+    }
+
+
+def pinned_workloads(dataset):
+    """``(name, left, right, memory)`` of one pinned dataset."""
+    if dataset in PLANNER_PATTERNS:  # the rows planner_sweep(4000) makes of it
+        left, right = planner_pair(dataset, 4000)
+        return [
+            (
+                f"sweep/{dataset}/m={fraction:.2f}",
+                left,
+                right,
+                memory_for_fraction(left, right, fraction),
+            )
+            for fraction in PLANNER_MEMORY_FRACTIONS
+        ]
+    from benchmarks.e2e import specs
+
+    spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]
+    left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
+    return [(f"e2e/{dataset}", left, right, mb(spec.memory_mb))]
+
+
+@pytest.mark.parametrize("dataset", [*PLANNER_PATTERNS, "tiger50k", "uni30k"])
+def test_plans_equal_the_parent_commit(dataset, tmp_path):
+    pinned = json.loads(PINNED.read_text())[active_backend()]
+    workloads = pinned_workloads(dataset)
+    assert workloads
+    forms = FORMS if numpy_enabled() else FORMS[:1]
+    _, left, right, _ = workloads[0]
+    for form in forms:
+        got_left = as_form(form, left, tmp_path / "L.rcd")
+        got_right = as_form(form, right, tmp_path / "R.rcd")
+        for name, _, _, memory in workloads:
+            assert observe(got_left, got_right, memory) == pinned[name], (name, form)
+
+
+# ----------------------------------------------------------------------
+# planning stays a small share of a mapped auto join
+# ----------------------------------------------------------------------
+@pytest.mark.skipif(not numpy_enabled(), reason="the scalar fallback profiles per record")
+def test_planning_is_a_small_share_of_a_mapped_auto_join(tmp_path):
+    left, right = pair(uniform_rects, 20_000)
+    mapped_left = as_form("mapped", left, tmp_path / "L.rcd")
+    mapped_right = as_form("mapped", right, tmp_path / "R.rcd")
+    result = spatial_join(
+        mapped_left, mapped_right, mb(0.04), method="auto", cache=PlannerCache()
+    )
+    stats = result.stats
+    assert not result.plan.from_cache
+    # 0.07 with column statistics, 0.74 with the per-record loops.
+    assert stats.planning_seconds <= 0.25 * stats.total_wall_seconds

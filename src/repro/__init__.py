@@ -107,7 +107,10 @@ def spatial_join(
         when numpy or platform shared memory is missing, or
         ``REPRO_DISABLE_SHM`` is set, the join runs on a thread pool
         instead and ``stats.executor`` records what actually ran.
-        ``workers=1`` runs the same task decomposition in-process.
+        ``workers=1`` loops in-process.  Every one of them runs the
+        same id tasks (over the inputs' columns when numpy is enabled,
+        so a NaN coordinate or an inverted MBR is rejected up front with
+        a ``ValueError`` naming the row).
         Result pairs are identical to the sequential execution.
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one

@@ -58,12 +58,11 @@ from repro.kernels.rpm import (
     point_tiles,
     region_join_ids,
     rpm_join_ids,
-    rpm_join_task,
     tile_partitions,
 )
 from repro.kernels.assign import partition_plan, tile_ranges
 from repro.kernels.shm import SharedColumnarStore, columnar_arrays, shm_enabled
-from repro.kernels.twolayer import twolayer_join_ids, twolayer_join_task
+from repro.kernels.twolayer import twolayer_join_ids
 
 __all__ = [
     "ColumnarRelation",
@@ -90,13 +89,11 @@ __all__ = [
     "region_join_ids",
     "require_numpy",
     "rpm_join_ids",
-    "rpm_join_task",
     "set_numpy_enabled",
     "sorted_columns",
     "sweep_numpy_join",
     "tile_partitions",
     "tile_ranges",
     "twolayer_join_ids",
-    "twolayer_join_task",
     "write_rcd",
 ]

@@ -127,8 +127,25 @@ class ColumnarRelation:
         against these columns.  Never flagged sorted: the kernels sort
         and charge exactly as they do for a partition read from a file.
         """
+        # Not ``take``: that would gather the oid column only to drop it.
         return ColumnarRelation(
             ids, self.xl[ids], self.yl[ids], self.xh[ids], self.yh[ids]
+        )
+
+    def take(self, index: Any, sorted_by_xl: bool = False) -> "ColumnarRelation":
+        """Rows *index* of all five columns, in *index* order.
+
+        An index array copies (numpy fancy indexing), so a kernel may
+        sort the result while these columns — mapped pages, a shared
+        segment — stay pristine; a slice yields views.
+        """
+        return ColumnarRelation(
+            self.oid[index],
+            self.xl[index],
+            self.yl[index],
+            self.xh[index],
+            self.yh[index],
+            sorted_by_xl,
         )
 
     # ------------------------------------------------------------------
@@ -177,20 +194,32 @@ class ColumnarRelation:
         np = require_numpy()
         if self.sorted_by_xl:
             return self
-        order = np.argsort(self.xl, kind="stable")
-        return ColumnarRelation(
-            self.oid[order],
-            self.xl[order],
-            self.yl[order],
-            self.xh[order],
-            self.yh[order],
-            sorted_by_xl=True,
-        )
+        return self.take(np.argsort(self.xl, kind="stable"), sorted_by_xl=True)
 
 
 def from_kpes(kpes: Sequence[Tuple]) -> ColumnarRelation:
     """Module-level alias of :meth:`ColumnarRelation.from_kpes`."""
     return ColumnarRelation.from_kpes(kpes)
+
+
+def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
+    """The columns of *kpes* for the columnar partitioner, MBRs validated.
+
+    A NaN coordinate or an inverted MBR (``xl > xh`` or ``yl > yh``) has
+    no tile range: the partitioner would die deep inside numpy or, worse,
+    join the row silently where it happens to stay inside one tile.
+    Infinite extents are fine (they clip to the border tiles).
+    """
+    cols = ColumnarRelation.from_kpes(kpes)
+    bad = ~((cols.xl <= cols.xh) & (cols.yl <= cols.yh))
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{side} relation has a NaN coordinate or an inverted MBR at "
+            f"row {row} (oid={int(cols.oid[row])}); the columnar engine "
+            "cannot partition it"
+        )
+    return cols
 
 
 class ColumnedKpes(List[Tuple]):

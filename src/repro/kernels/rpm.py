@@ -16,17 +16,15 @@ parity tests pin down on tile-boundary points.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
-from repro.internal.sweep_list import sweep_list_join
-from repro.kernels.backend import get_numpy, require_numpy
+from repro.kernels.backend import require_numpy
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
     _charge_batch_sort,
     forward_scan_batches,
-    sorted_columns,
 )
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
 
@@ -137,17 +135,14 @@ def rpm_join_ids(
     batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
     stripe_slice: Optional[Tuple[int, int]] = None,
 ) -> Tuple:
-    """Columnar core of :func:`rpm_join_task`: id buffers, no tuples.
+    """One partition-pair join with batched RPM ownership by *pid*.
 
     Runs the forward-scan kernel plus the batched RPM ownership test on
     two columnar relations and returns ``(rid, sid, suppressed)`` where
-    ``rid``/``sid`` are int64 oid arrays — the ``i``-th owned pair is
-    ``(rid[i], sid[i])``, in exactly the order :func:`rpm_join_task`
-    emits its tuples.  Unsorted inputs are sorted here with the same
-    stable argsort (and the same charged ``batch_ops``) as
-    :func:`~repro.kernels.sweep.sorted_columns`, so a caller gathering
-    rows straight out of a shared-memory segment charges identically to
-    one reading pickled record lists.
+    ``rid``/``sid`` are int64 arrays of the inputs' ``oid`` values — the
+    ``i``-th owned pair is ``(rid[i], sid[i])``.  Unsorted inputs are
+    sorted here with a stable argsort, charged like
+    :func:`~repro.kernels.sweep.sorted_columns` charges its own.
 
     ``stripe_slice=(part, n_parts)`` restricts the scan to its stripe
     part (see :func:`~repro.kernels.sweep.forward_scan_batches`); the
@@ -194,85 +189,11 @@ def region_join_ids(
     return rid, sid, suppressed
 
 
-def rpm_join_task(
-    records_left: Sequence[Tuple],
-    records_right: Sequence[Tuple],
-    grid: TileGrid,
-    pid: int,
-    counters: CpuCounters,
-    batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    stripe_slice: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[Tuple[int, int]], int]:
-    """One partition-pair join with batched RPM ownership by *pid*.
-
-    Returns ``(pairs, duplicates_suppressed)``; ``pairs`` holds
-    ``(left_oid, right_oid)`` tuples owned by partition *pid*.  Uses the
-    columnar kernel when the numpy backend is on, and an equivalent
-    per-pair path (list sweep + scalar RPM) otherwise — identical result
-    sets either way.  With ``stripe_slice=(part, n_parts)`` only that
-    stripe part of the scan runs; the numpy-free fallback cannot slice,
-    so it assigns the whole join to part 0 and leaves other parts empty.
-    """
-    np = get_numpy()
-    if np is None:
-        if stripe_slice is not None and stripe_slice[0] != 0:
-            return [], 0
-        return _python_rpm_join_task(records_left, records_right, grid, pid, counters)
-    if not records_left or not records_right:
-        return [], 0
-    if stripe_slice is None or stripe_slice[0] == 0:
-        a = sorted_columns(records_left, counters)
-        b = sorted_columns(records_right, counters)
-    else:
-        # Sibling parts re-sort identical arrays only because process
-        # isolation denies them part 0's copy; charge the sort once.
-        scratch = CpuCounters()
-        a = sorted_columns(records_left, scratch)
-        b = sorted_columns(records_right, scratch)
-    rid, sid, suppressed = rpm_join_ids(
-        a, b, grid, pid, counters, batch_candidates, stripe_slice
-    )
-    return list(zip(rid.tolist(), sid.tolist())), suppressed
-
-
-def _python_rpm_join_task(
-    records_left: Sequence[Tuple],
-    records_right: Sequence[Tuple],
-    grid: TileGrid,
-    pid: int,
-    counters: CpuCounters,
-) -> Tuple[List[Tuple[int, int]], int]:
-    """Fallback: list sweep + scalar RPM (classic per-element counting)."""
-    pairs: List[Tuple[int, int]] = []
-    suppressed = 0
-    refpoint_tests = 0
-    partition_of_point = grid.partition_of_point
-
-    def emit(r: Tuple, s: Tuple) -> None:
-        nonlocal suppressed, refpoint_tests
-        refpoint_tests += 1
-        rx = r[1]
-        sx = s[1]
-        ry = r[4]
-        sy = s[4]
-        x = rx if rx >= sx else sx
-        y = ry if ry <= sy else sy
-        if partition_of_point(x, y) == pid:
-            pairs.append((r[0], s[0]))
-        else:
-            suppressed += 1
-
-    sweep_list_join(records_left, records_right, emit, counters)
-    counters.refpoint_tests += refpoint_tests
-    return pairs, suppressed
-
-
 __all__ = [
     "BATCH_OPS_PER_RPM_TEST",
     "point_partitions",
     "point_tiles",
     "region_join_ids",
     "rpm_join_ids",
-    "rpm_join_task",
     "tile_partitions",
 ]

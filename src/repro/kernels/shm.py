@@ -6,9 +6,11 @@ wall time on IPC serialization, not on the join kernel.  This module is
 the transport without the copies: the parent packs
 both inputs' :class:`~repro.kernels.columnar.ColumnarRelation` columns
 (plus the CSR partition-index arrays) into **one**
-:mod:`multiprocessing.shared_memory` segment, workers attach by name and
-gather their partition slices directly out of the mapped pages, and only
-a few integers per task ever cross the pipe.
+:mod:`multiprocessing.shared_memory` segment, workers attach by name,
+view the mapped columns as relations again
+(:meth:`SharedColumnarStore.relation`) and ``take`` their partition
+slices directly out of the mapped pages, and only a few integers per
+task ever cross the pipe.
 
 Lifecycle (who unlinks)
 -----------------------
@@ -16,8 +18,8 @@ The parent is the owner: it creates the segment, keeps it registered
 with the ``resource_tracker`` (so a crashed parent still gets cleaned up
 at interpreter shutdown), and calls ``close()`` + ``unlink()`` when the
 fan-out completes — :class:`SharedColumnarStore` is a context manager
-exactly for that. Workers attach read-only in spirit (they only gather)
-and merely ``close()`` on exit — pool workers share the parent's
+exactly for that. Workers attach read-only in spirit (they only copy
+rows out) and merely ``close()`` on exit — pool workers share the parent's
 resource tracker, so attaching never double-books the segment and a
 worker exit never tears it down. Worker-*created* result segments
 invert the roles: the worker creates untracked and the parent attaches,
@@ -53,6 +55,9 @@ Manifest = Tuple[str, Tuple[Tuple[str, str, int, int], ...]]
 SEGMENT_PREFIX = "repro_shm_"
 
 _segment_seq = itertools.count()
+
+#: The five column names a relation occupies under its key prefix.
+COLUMNS = ("oid", "xl", "yl", "xh", "yh")
 
 #: Cached result of the one-time platform probe.
 _platform_probe: Optional[bool] = None
@@ -248,19 +253,15 @@ class SharedColumnarStore:
     def keys(self) -> Iterator[str]:
         return self._arrays.keys()
 
-    def gather(self, prefix: str, ids: Any) -> ColumnarRelation:
-        """Copy rows *ids* of the relation stored under *prefix* out.
+    def relation(self, prefix: str) -> ColumnarRelation:
+        """The relation stored under *prefix*, as views of the mapped columns.
 
-        ``ids`` may be any integer index array; fancy indexing copies, so
-        the returned :class:`ColumnarRelation` is private to the caller
-        (kernels may sort it) while the mapped columns stay pristine.
+        The inverse of :func:`columnar_arrays`.  Nothing is copied:
+        callers ``take`` the rows they need (a private copy kernels may
+        sort) and must drop the views before :meth:`close` can unmap.
         """
         return ColumnarRelation(
-            self._arrays[f"{prefix}.oid"][ids],
-            self._arrays[f"{prefix}.xl"][ids],
-            self._arrays[f"{prefix}.yl"][ids],
-            self._arrays[f"{prefix}.xh"][ids],
-            self._arrays[f"{prefix}.yh"][ids],
+            *(self._arrays[f"{prefix}.{col}"] for col in COLUMNS)
         )
 
     # ------------------------------------------------------------------
@@ -288,81 +289,6 @@ class SharedColumnarStore:
         self.close()
         if self._owner:
             self.unlink()
-
-
-class AliasedStore:
-    """A read-only prefix-renaming view over a store.
-
-    A dataset pinned by the serve registry stores its columns under the
-    neutral prefix ``"D"`` (``D.oid``, ``D.xl``, ...), because at pin
-    time nobody knows whether it will be the left or the right input of
-    a query.  ``AliasedStore(store, {"L": "D"})`` makes that pinned
-    segment answer to the join kernel's ``L.*`` keys without copying a
-    byte.  Only aliased prefixes resolve — un-aliased keys report as
-    missing, so a :class:`ChainedStore` keeps searching.
-    """
-
-    __slots__ = ("_store", "_aliases")
-
-    def __init__(self, store: Any, aliases: Dict[str, str]) -> None:
-        self._store = store
-        self._aliases = dict(aliases)
-
-    def _translate(self, key: str) -> Optional[str]:
-        head, sep, tail = key.partition(".")
-        if not sep:
-            return None
-        real = self._aliases.get(head)
-        if real is None:
-            return None
-        return f"{real}.{tail}"
-
-    def __getitem__(self, key: str) -> Any:
-        translated = self._translate(key)
-        if translated is None or translated not in self._store:
-            raise KeyError(key)
-        return self._store[translated]
-
-    def __contains__(self, key: str) -> bool:
-        translated = self._translate(key)
-        return translated is not None and translated in self._store
-
-
-class ChainedStore:
-    """Several stores presented as one key space (first match wins).
-
-    This is how a query over *pinned* datasets is assembled in a worker:
-    ``[AliasedStore(left_pin, {"L": "D"}), AliasedStore(right_pin,
-    {"R": "D"}), per_query_ids_store]`` — the big relation columns come
-    from long-lived pinned segments, only the small CSR id arrays from
-    the per-query segment.  Implements the same ``__getitem__`` /
-    ``gather`` surface as :class:`SharedColumnarStore`, so the join
-    kernels cannot tell the difference.
-    """
-
-    __slots__ = ("_stores",)
-
-    def __init__(self, stores: Any) -> None:
-        self._stores = list(stores)
-
-    def __getitem__(self, key: str) -> Any:
-        for store in self._stores:
-            if key in store:
-                return store[key]
-        raise KeyError(key)
-
-    def __contains__(self, key: str) -> bool:
-        return any(key in store for store in self._stores)
-
-    def gather(self, prefix: str, ids: Any) -> ColumnarRelation:
-        """Copy rows *ids* of the relation stored under *prefix* out."""
-        return ColumnarRelation(
-            self[f"{prefix}.oid"][ids],
-            self[f"{prefix}.xl"][ids],
-            self[f"{prefix}.yl"][ids],
-            self[f"{prefix}.xh"][ids],
-            self[f"{prefix}.yh"][ids],
-        )
 
 
 def sweep_orphan_segments(include_live: bool = False) -> List[str]:
@@ -406,18 +332,10 @@ def sweep_orphan_segments(include_live: bool = False) -> List[str]:
 
 def columnar_arrays(prefix: str, cols: ColumnarRelation) -> Dict[str, object]:
     """The five columns of *cols* keyed for a :class:`SharedColumnarStore`."""
-    return {
-        f"{prefix}.oid": cols.oid,
-        f"{prefix}.xl": cols.xl,
-        f"{prefix}.yl": cols.yl,
-        f"{prefix}.xh": cols.xh,
-        f"{prefix}.yh": cols.yh,
-    }
+    return {f"{prefix}.{col}": getattr(cols, col) for col in COLUMNS}
 
 
 __all__ = [
-    "AliasedStore",
-    "ChainedStore",
     "Manifest",
     "SEGMENT_PREFIX",
     "SharedColumnarStore",

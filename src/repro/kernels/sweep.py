@@ -419,9 +419,7 @@ def sweep_numpy_join(
     else:
         _charge_batch_sort(counters, a.n)
         order = np.argsort(a.xl, kind="stable")
-        a = ColumnarRelation(
-            a.oid[order], a.xl[order], a.yl[order], a.xh[order], a.yh[order], True
-        )
+        a = a.take(order, sorted_by_xl=True)
         left_sorted = [left[i] for i in order.tolist()]
     if getattr(right, "sorted_by_xl", False):
         b.sorted_by_xl = True
@@ -429,9 +427,7 @@ def sweep_numpy_join(
     else:
         _charge_batch_sort(counters, b.n)
         order = np.argsort(b.xl, kind="stable")
-        b = ColumnarRelation(
-            b.oid[order], b.xl[order], b.yl[order], b.xh[order], b.yh[order], True
-        )
+        b = b.take(order, sorted_by_xl=True)
         right_sorted = [right[i] for i in order.tolist()]
     for a_idx, b_idx in forward_scan_batches(a, b, counters, batch_candidates):
         for i, j in zip(a_idx.tolist(), b_idx.tolist()):

@@ -44,8 +44,7 @@ from bisect import bisect_left, bisect_right
 from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
-from repro.internal.sweep_list import sweep_list_join
-from repro.kernels.backend import get_numpy, require_numpy
+from repro.kernels.backend import require_numpy
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.kernels.sweep import (
@@ -53,10 +52,9 @@ from repro.kernels.sweep import (
     STRIPE_MIN_RECORDS,
     _charge_batch_sort,
     forward_scan_batches,
-    sorted_columns,
 )
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.twolayer import MINI_JOIN_SCHEDULE, twolayer_partition_join
+from repro.pbsm.twolayer import MINI_JOIN_SCHEDULE
 
 #: Array operations charged per input record for the vectorized tile
 #: ranges (two tile computations per corner pair, widths, replica counts).
@@ -113,18 +111,6 @@ def _classify(
     )
     _charge_batch_sort(counters, total)
     return orig[order], key[order]
-
-
-def _gather(rel: ColumnarRelation, orig: Any) -> ColumnarRelation:
-    """The grouped replica columns (xl-sorted inside every group)."""
-    return ColumnarRelation(
-        rel.oid[orig],
-        rel.xl[orig],
-        rel.yl[orig],
-        rel.xh[orig],
-        rel.yh[orig],
-        sorted_by_xl=True,
-    )
 
 
 def _mini_joins(
@@ -319,8 +305,9 @@ def twolayer_join_ids(
     layout_counters = counters if charge else CpuCounters()
     a_orig, a_key = _classify(np, a, grid, pid, layout_counters)
     b_orig, b_key = _classify(np, b, grid, pid, layout_counters)
-    ga = _gather(a, a_orig)
-    gb = _gather(b, b_orig)
+    # The grouped replica columns (xl-sorted inside every group).
+    ga = a.take(a_orig, sorted_by_xl=True)
+    gb = b.take(b_orig, sorted_by_xl=True)
     minis, weights = _mini_joins(np, a_key, b_key)
     if stripe_slice is None:
         todo: List[Tuple[int, Optional[Tuple[int, int]]]] = [
@@ -338,22 +325,8 @@ def twolayer_join_ids(
             # entirely to the first covering part; sibling parts would
             # yield nothing — skip before probing or slicing anything.
             continue
-        a_grp = ColumnarRelation(
-            ga.oid[a_lo:a_hi],
-            ga.xl[a_lo:a_hi],
-            ga.yl[a_lo:a_hi],
-            ga.xh[a_lo:a_hi],
-            ga.yh[a_lo:a_hi],
-            sorted_by_xl=True,
-        )
-        b_grp = ColumnarRelation(
-            gb.oid[b_lo:b_hi],
-            gb.xl[b_lo:b_hi],
-            gb.yl[b_lo:b_hi],
-            gb.xh[b_lo:b_hi],
-            gb.yh[b_lo:b_hi],
-            sorted_by_xl=True,
-        )
+        a_grp = ga.take(slice(a_lo, a_hi), sorted_by_xl=True)
+        b_grp = gb.take(slice(b_lo, b_hi), sorted_by_xl=True)
         if AXIS_PROBE_MIN_RECORDS <= total < STRIPE_MIN_RECORDS:
             a_grp, b_grp = _best_axis(np, a_grp, b_grp, counters)
         for a_idx, b_idx in forward_scan_batches(
@@ -367,54 +340,9 @@ def twolayer_join_ids(
     return empty, empty, 0
 
 
-def twolayer_join_task(
-    records_left: Sequence[Tuple],
-    records_right: Sequence[Tuple],
-    grid: TileGrid,
-    pid: int,
-    counters: CpuCounters,
-    batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    stripe_slice: Optional[Tuple[int, int]] = None,
-) -> Tuple[List[Tuple[int, int]], int]:
-    """One partition-pair join with two-layer avoidance, tuples in and out.
-
-    The ``(pairs, duplicates_suppressed)`` convention of
-    :func:`repro.kernels.rpm.rpm_join_task`; the second element is always
-    0.  Uses the columnar kernel when the numpy backend is on and the
-    scalar engine of :mod:`repro.pbsm.twolayer` (list sweep internals)
-    otherwise.  The scalar engine cannot slice a mini-join plan, so under
-    a stripe split it assigns the whole join to part 0 and leaves the
-    other parts empty — the merged result is identical either way.
-    """
-    np = get_numpy()
-    if np is None:
-        if stripe_slice is not None and stripe_slice[0] != 0:
-            return [], 0
-        return (
-            twolayer_partition_join(
-                records_left, records_right, grid, pid, sweep_list_join, counters
-            ),
-            0,
-        )
-    if not records_left or not records_right:
-        return [], 0
-    if stripe_slice is None or stripe_slice[0] == 0:
-        a = sorted_columns(records_left, counters)
-        b = sorted_columns(records_right, counters)
-    else:
-        scratch = CpuCounters()
-        a = sorted_columns(records_left, scratch)
-        b = sorted_columns(records_right, scratch)
-    rid, sid, _ = twolayer_join_ids(
-        a, b, grid, pid, counters, batch_candidates, stripe_slice
-    )
-    return list(zip(rid.tolist(), sid.tolist())), 0
-
-
 __all__ = [
     "AXIS_PROBE_MIN_RECORDS",
     "CLASSIFY_BATCH_OPS_PER_RECORD",
     "CLASSIFY_BATCH_OPS_PER_REPLICA",
     "twolayer_join_ids",
-    "twolayer_join_task",
 ]

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
+    Iterable,
     Iterator,
     List,
     NamedTuple,
@@ -59,7 +60,7 @@ from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.backend import active_backend, numpy_enabled
-from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.kernels.twolayer import twolayer_join_ids
 from repro.obs.trace import KIND_RUN, NULL_TRACER
@@ -210,7 +211,7 @@ class PBSM:
         columns: Optional[_Columns] = None
         rel_left: Any = left
         rel_right: Any = right
-        if self.internal_name == "sweep_numpy" and numpy_enabled():
+        if columnar_engine(self.internal_name):
             columns = _Columns.of(left, right)
             rel_left = columns.left
             rel_right = columns.right
@@ -329,153 +330,35 @@ class PBSM:
             stats.memory_overruns += 1
         if pair_bytes > stats.peak_memory_bytes:
             stats.peak_memory_bytes = pair_bytes
+        cpu = self._cpu[PHASE_JOIN]
+        pairs: Iterable[Tuple[int, int]]
         if columns is None:
-            yield from self._join_records(
-                file_left, file_right, region, candidate_writer
+            with self._disk.phase(PHASE_JOIN):
+                records_left = file_left.read_all()
+                records_right = file_right.read_all()
+            pairs, suppressed = tuple_leaf(
+                records_left, records_right, region, self.dedup, self.internal, cpu
             )
         else:
-            yield from self._join_ids(
-                file_left, file_right, region, candidate_writer, columns
+            with self._disk.phase(PHASE_JOIN):
+                a = columns.left.rows(file_left.read_view())
+                b = columns.right.rows(file_right.read_view())
+            rid, sid, suppressed = columnar_leaf(a, b, region, self.dedup, cpu)
+            # The kernels saw row positions as oids; the pairs are decoded
+            # through the inputs' own oid objects, per partition pair, as
+            # this plain iterator is drained (no generator level per pair).
+            pairs = zip(
+                map(columns.left_oids.__getitem__, rid.tolist()),
+                map(columns.right_oids.__getitem__, sid.tolist()),
             )
-
-    def _join_records(
-        self,
-        file_left: PageFile,
-        file_right: PageFile,
-        region: Region,
-        candidate_writer: Any,
-    ) -> Iterator[Tuple[int, int]]:
-        """The tuple engine's leaf: any internal algorithm, scalar dedup."""
-        cpu = self._cpu[PHASE_JOIN]
-        with self._disk.phase(PHASE_JOIN):
-            records_left = file_left.read_all()
-            records_right = file_right.read_all()
-
-        if self.dedup == "twolayer" and len(region) == 1:
-            # Pure avoidance: classify both sides over the partition's
-            # tiles and run the cross-class mini-joins.  Nothing is
-            # detected and then discarded, so there is no suppression to
-            # count and no per-pair test to charge.
-            grid, pid = region[0]
-            yield from twolayer_partition_join(
-                records_left, records_right, grid, pid, self.internal, cpu
-            )
-            return
-
-        owns = _region_test(region)
-        results: List[Tuple[int, int]] = []
-        if self.dedup == "rpm":
-            refpoint_tests = 0
-            suppressed = 0
-
-            def emit(r: Tuple, s: Tuple) -> None:
-                nonlocal refpoint_tests, suppressed
-                refpoint_tests += 1
-                rx = r[1]
-                sx = s[1]
-                ry = r[4]
-                sy = s[4]
-                x = rx if rx >= sx else sx
-                y = ry if ry <= sy else sy
-                if owns(x, y):
-                    results.append((r[0], s[0]))
-                else:
-                    suppressed += 1
-
-        elif self.dedup == "twolayer":
-            # Only reached under a repartitioned (composed) region, which
-            # is not one grid's tiles, so per-tile avoidance cannot run.
-            # The equivalent exactly-once rule — keep a pair iff the
-            # intersection's *bottom-left* corner lies in this region —
-            # applies instead, charged honestly as reference-point tests.
-            # Top-level partitions (the no-repartition case the paper
-            # benchmarks) never take this path.
-            refpoint_tests = 0
-            suppressed = 0
-
-            def emit(r: Tuple, s: Tuple) -> None:
-                nonlocal refpoint_tests, suppressed
-                refpoint_tests += 1
-                rx = r[1]
-                sx = s[1]
-                ry = r[2]
-                sy = s[2]
-                x = rx if rx >= sx else sx
-                y = ry if ry >= sy else sy
-                if owns(x, y):
-                    results.append((r[0], s[0]))
-                else:
-                    suppressed += 1
-
-        elif self.dedup == "sort":
-
-            def emit(r: Tuple, s: Tuple) -> None:
-                candidate_writer.write((r[0], s[0]))
-
-        else:  # "none": report everything, duplicates included
-
-            def emit(r: Tuple, s: Tuple) -> None:
-                results.append((r[0], s[0]))
-
-        if self.dedup == "sort":
-            # The candidate-pair writes emitted during the in-memory join
-            # are part of the duplicate-removal overhead (Figure 3a).
-            with self._disk.phase(PHASE_DEDUP):
-                self.internal(records_left, records_right, emit, cpu)
-        else:
-            self.internal(records_left, records_right, emit, cpu)
-        if self.dedup in ("rpm", "twolayer"):
-            cpu.refpoint_tests += refpoint_tests
-            self._stats.duplicates_suppressed += suppressed
-        yield from results
-
-    def _join_ids(
-        self,
-        file_left: PageFile,
-        file_right: PageFile,
-        region: Region,
-        candidate_writer: Any,
-        columns: "_Columns",
-    ) -> Iterator[Tuple[int, int]]:
-        """The columnar engine's leaf: row gather, id-pair kernel, decode.
-
-        A top-level region is one grid's tiles, so RPM and two-layer
-        avoidance run their own kernels; a composed region (and the
-        test-free ``"none"``/``"sort"`` modes) runs the forward scan with
-        the ownership chain ANDed over each batch.  The kernels see row
-        positions as oids and the pairs are decoded through the inputs'
-        own oid objects, per partition pair, as the returned iterator is
-        drained (a plain iterator, not one more generator level per pair).
-        """
-        cpu = self._cpu[PHASE_JOIN]
-        with self._disk.phase(PHASE_JOIN):
-            a = columns.left.rows(file_left.read_view())
-            b = columns.right.rows(file_right.read_view())
-        tested = self.dedup in ("rpm", "twolayer")
-        if tested and len(region) == 1:
-            grid, pid = region[0]
-            join_ids = rpm_join_ids if self.dedup == "rpm" else twolayer_join_ids
-            rid, sid, suppressed = join_ids(a, b, grid, pid, cpu)
-        else:
-            rid, sid, suppressed = region_join_ids(
-                a,
-                b,
-                region if tested else (),
-                cpu,
-                bottom_left=self.dedup == "twolayer",
-            )
-        self._stats.duplicates_suppressed += suppressed
-        pairs = zip(
-            map(columns.left_oids.__getitem__, rid.tolist()),
-            map(columns.right_oids.__getitem__, sid.tolist()),
-        )
+        stats.duplicates_suppressed += suppressed
         if self.dedup == "sort":
             # The candidate-pair writes are part of the duplicate-removal
             # overhead (Figure 3a).
             with self._disk.phase(PHASE_DEDUP):
                 candidate_writer.write_many(pairs)
-            return iter(())
-        return pairs
+        else:
+            yield from pairs
 
     def _repartition(
         self,
@@ -579,8 +462,8 @@ class _Columns(NamedTuple):
     @classmethod
     def of(cls, left: Sequence[Tuple], right: Sequence[Tuple]) -> "_Columns":
         return cls(
-            ColumnarRelation.from_kpes(left),
-            ColumnarRelation.from_kpes(right),
+            checked_columns(left, "left"),
+            checked_columns(right, "right"),
             _oid_objects(left),
             _oid_objects(right),
         )
@@ -592,6 +475,120 @@ def _oid_objects(kpes: Sequence[Tuple]) -> List[int]:
     if columnar is not None:
         return columnar.oid.tolist()
     return [k[0] for k in kpes]
+
+
+def columnar_engine(internal_name: str) -> bool:
+    """Whether a PBSM driver runs the columnar engine for this internal."""
+    return internal_name == "sweep_numpy" and numpy_enabled()
+
+
+def tuple_leaf(
+    records_left: Sequence[Tuple],
+    records_right: Sequence[Tuple],
+    region: Region,
+    dedup: str,
+    internal: Callable[..., None],
+    cpu: CpuCounters,
+) -> Tuple[List[Tuple[int, int]], int]:
+    """The tuple engine's leaf: any internal algorithm, scalar dedup.
+
+    Joins one partition pair's records under the ownership *region* and
+    returns ``(pairs, duplicates_suppressed)``; the test-free modes
+    (``"sort"``, ``"none"``) return every candidate.  Both PBSM drivers
+    end here whenever the columnar engine cannot run.
+    """
+    if dedup == "twolayer" and len(region) == 1:
+        # Pure avoidance: classify both sides over the partition's
+        # tiles and run the cross-class mini-joins.  Nothing is
+        # detected and then discarded, so there is no suppression to
+        # count and no per-pair test to charge.
+        grid, pid = region[0]
+        return (
+            twolayer_partition_join(
+                records_left, records_right, grid, pid, internal, cpu
+            ),
+            0,
+        )
+
+    results: List[Tuple[int, int]] = []
+    refpoint_tests = 0
+    suppressed = 0
+    if dedup == "rpm":
+        owns = _region_test(region)
+
+        def emit(r: Tuple, s: Tuple) -> None:
+            nonlocal refpoint_tests, suppressed
+            refpoint_tests += 1
+            rx = r[1]
+            sx = s[1]
+            ry = r[4]
+            sy = s[4]
+            x = rx if rx >= sx else sx
+            y = ry if ry <= sy else sy
+            if owns(x, y):
+                results.append((r[0], s[0]))
+            else:
+                suppressed += 1
+
+    elif dedup == "twolayer":
+        # Only reached under a repartitioned (composed) region, which
+        # is not one grid's tiles, so per-tile avoidance cannot run.
+        # The equivalent exactly-once rule — keep a pair iff the
+        # intersection's *bottom-left* corner lies in this region —
+        # applies instead, charged honestly as reference-point tests.
+        # Top-level partitions (the no-repartition case the paper
+        # benchmarks) never take this path.
+        owns = _region_test(region)
+
+        def emit(r: Tuple, s: Tuple) -> None:
+            nonlocal refpoint_tests, suppressed
+            refpoint_tests += 1
+            rx = r[1]
+            sx = s[1]
+            ry = r[2]
+            sy = s[2]
+            x = rx if rx >= sx else sx
+            y = ry if ry >= sy else sy
+            if owns(x, y):
+                results.append((r[0], s[0]))
+            else:
+                suppressed += 1
+
+    else:  # "sort"/"none": every candidate, duplicates included
+
+        def emit(r: Tuple, s: Tuple) -> None:
+            results.append((r[0], s[0]))
+
+    internal(records_left, records_right, emit, cpu)
+    cpu.refpoint_tests += refpoint_tests
+    return results, suppressed
+
+
+def columnar_leaf(
+    a: ColumnarRelation,
+    b: ColumnarRelation,
+    region: Region,
+    dedup: str,
+    cpu: CpuCounters,
+    stripe_slice: Optional[Tuple[int, int]] = None,
+) -> Tuple[Any, Any, int]:
+    """The columnar engine's leaf: one id-pair kernel per partition pair.
+
+    A top-level region is one grid's tiles, so RPM and two-layer
+    avoidance run their own kernels (optionally one *stripe_slice* of
+    them); a composed region (and the test-free ``"none"``/``"sort"``
+    modes) runs the forward scan with the ownership chain ANDed over each
+    batch.  Returns ``(rid, sid, suppressed)``: int64 arrays of whatever
+    the gathered ``oid`` columns hold.
+    """
+    tested = dedup in ("rpm", "twolayer")
+    if tested and len(region) == 1:
+        grid, pid = region[0]
+        join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
+        return join_ids(a, b, grid, pid, cpu, stripe_slice=stripe_slice)
+    return region_join_ids(
+        a, b, region if tested else (), cpu, bottom_left=dedup == "twolayer"
+    )
 
 
 def _region_test(region: Region) -> Callable[[float, float], bool]:

@@ -23,7 +23,7 @@ three executors over the same shared-nothing decomposition:
   :class:`concurrent.futures.ThreadPoolExecutor`.  The columnar kernel
   spends its time inside numpy, which releases the GIL, so threads scale
   on the vectorized path while costing no process spawn, no pickling and
-  no IPC at all — and they share pinned ``serve/`` segments for free.
+  no IPC at all: every thread gathers from the same columns.
 
 On skewed inputs one mega-partition sets the makespan no matter how the
 remaining tasks are packed.  Two knobs attack that:
@@ -44,18 +44,33 @@ remaining tasks are packed.  Two knobs attack that:
   ``stats.scheduler_idle_seconds`` is the summed worker idle time the
   makespan hides.
 
-The process executor has one transport.  Both inputs are loaded once
-into a columnar :class:`~repro.kernels.shm.SharedColumnarStore` segment
-together with CSR partition-index arrays, a join task is five integers
-``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part), workers
-attach by segment name and gather their slices straight out of the
-mapped pages, and result ``(rid, sid)`` id buffers come back through a
-worker-created segment — only task tuples and manifests ever cross the
-pipe.  Where that segment cannot exist (``shm_enabled()`` is false:
-numpy missing, no POSIX shared memory, ``REPRO_DISABLE_SHM=1``)
-``executor="process"`` runs the thread executor on record tasks
+A join task means one thing on every executor: the five integers
+``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part) — two CSR
+slices into the id runs the ``emit="ids"`` partitioner produced — run by
+one task loop (:func:`_run_tasks`) against one source form
+``(left, right, l_ids, r_ids)``.  The in-process executors (simulated,
+``workers=1``, thread) hold that source as plain objects.  The process
+executor loads both inputs' columns and the id arrays once into a
+:class:`~repro.kernels.shm.SharedColumnarStore` segment, workers attach
+by segment name, build the same source as views of the mapped pages and
+gather their slices straight out of them, and result ``(rid, sid)`` id
+buffers come back through a worker-created segment — only task tuples
+and manifests ever cross the pipe.  Where that segment cannot exist
+(``shm_enabled()`` is false: numpy missing, no POSIX shared memory,
+``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the thread executor
 instead, with byte-identical output, one ``RuntimeWarning`` per process,
 and ``stats.executor`` reporting what actually ran.
+
+A task ends in one of the two leaves sequential ``PBSM`` ends in
+(:func:`~repro.pbsm.join.columnar_leaf` for ``sweep_numpy`` on the numpy
+backend, :func:`~repro.pbsm.join.tuple_leaf` over materialised records
+otherwise), under the one-entry region ``((grid, pid),)``.  A per-run
+pool installs grid, dedup mode and source once per worker through its
+initializer (:func:`_pool_init`); an externally-owned persistent pool
+(``repro serve``) cannot, so there the configuration rides with every
+chunk (:func:`_run_dyn_chunk`).  The initializer entry stays because
+routing one-shot joins through the per-chunk configuration measured
+20-45 ms slower on a ~215 ms join (PR 15).
 
 Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
 or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
@@ -77,6 +92,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -98,23 +114,19 @@ from repro.kernels.backend import (
     numpy_enabled,
     require_numpy,
 )
-from repro.kernels.columnar import ColumnarRelation
-from repro.kernels.rpm import rpm_join_ids, rpm_join_task
+from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.shm import (
-    AliasedStore,
-    ChainedStore,
     Manifest,
     SharedColumnarStore,
     columnar_arrays,
     shm_enabled,
 )
-from repro.kernels.twolayer import twolayer_join_ids, twolayer_join_task
 from repro.obs.trace import KIND_RUN, KIND_TASK, KIND_WORKER, NULL_TRACER
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
+from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
 from repro.pbsm.partitioner import partition_relation
 from repro.pbsm.scheduler import SCHEDULERS, count_steals, lpt_schedule
-from repro.pbsm.twolayer import twolayer_partition_join
 
 EXECUTORS = ("simulated", "process", "thread")
 
@@ -142,21 +154,25 @@ STRIPE_SPLIT_MAX_PARTS = 16
 #: this on purpose).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
-#: ``(pid, records_left, records_right)`` — one partition-pair join task
-#: of the simulated, in-process and thread executors; a stripe-split part
-#: appends ``(part, n_parts)``.
-JoinTask = Tuple[Any, ...]
+#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — one partition-pair join task, on
+#: every executor: two CSR slices into the id runs of a :data:`TaskSource`;
+#: a stripe-split part appends ``(part, n_parts)``.  Plain ints only.
+IdTask = Tuple[int, ...]
 
-#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — the same task as the process
-#: executor ships it: two CSR slices into the segment's partition-index
-#: arrays; a stripe-split part appends ``(part, n_parts)``.
-ShmJoinTask = Tuple[Any, ...]
+#: ``(left, right, l_ids, r_ids)`` — what a task's slices index: per side,
+#: the relation and the id runs ``partition_relation(..., emit="ids")``
+#: produced, concatenated in task order.  The in-process executors hold
+#: plain objects (columns and id arrays for the columnar engine, the
+#: input sequences and id lists for the tuple engine); a pool worker
+#: builds the same four things over its attached segment(s).
+TaskSource = Tuple[Any, Any, Any, Any]
 
 #: ``(pid, part, pairs, suppressed, counters_dict, wall_seconds)`` — one
 #: task's outcome.  ``part`` is the stripe part (0 for unsplit tasks);
-#: merging sorts by ``(pid, part)``.  ``wall_seconds`` is measured inside
-#: the worker, so per-task timing survives the process boundary instead
-#: of being dropped.
+#: merging sorts by ``(pid, part)``.  ``wall_seconds`` is measured where
+#: the task ran, so per-task timing survives the process boundary instead
+#: of being dropped.  (Inside a pool worker ``pairs`` is still the
+#: ``(rid, sid)`` id-buffer pair bound for the result segment.)
 TaskOutcome = Tuple[int, int, List[Tuple[int, int]], int, Dict[str, int], float]
 
 #: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
@@ -214,86 +230,115 @@ def reset_clamp_warnings() -> None:
     _WARNED_CLAMPS.clear()
 
 
-def _task_stripe(task: Tuple) -> Optional[Tuple[int, int]]:
+def _task_stripe(task: IdTask) -> Optional[Tuple[int, int]]:
     """The ``(part, n_parts)`` stripe slice of a task, if it is split."""
-    if isinstance(task[1], int):  # shm form
-        return (task[5], task[6]) if len(task) > 5 else None
-    return (task[3], task[4]) if len(task) > 3 else None
+    return (task[5], task[6]) if len(task) > 5 else None
 
 
-def _run_join_task(
-    internal_name: str, grid: TileGrid, task: JoinTask, dedup: str = "rpm"
-) -> TaskOutcome:
-    """Execute one partition-pair join with online ownership by its pid.
+def _task_records(rel: Any, ids: Any) -> List[Tuple]:
+    """Rows *ids* of *rel* as records, for the tuple leaf."""
+    if isinstance(rel, ColumnarRelation):
+        # A pool worker's segment columns: the KPE round trip.
+        return rel.take(ids).to_kpes()
+    # The input sequence: the original tuple objects, in file order.
+    return [rel[i] for i in ids]
 
-    ``dedup`` selects the ownership scheme: ``"rpm"`` (reference-point
-    test) or ``"twolayer"`` (corner-class avoidance).  A stripe-split
-    task runs only its stripe part of the scan (the numpy sweep path);
-    scalar internals cannot slice, so for them the whole join belongs to
-    part 0 and every other part is empty — the merged result is
-    identical either way.
+
+def _id_buffers(pairs: List[Tuple[int, int]]) -> Tuple[Any, Any]:
+    """A pair list as the ``(rid, sid)`` int64 buffers a result segment holds."""
+    np = require_numpy()
+    return (
+        np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)),
+        np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)),
+    )
+
+
+def _run_tasks(
+    internal_name: str,
+    dedup: str,
+    grid: TileGrid,
+    source: TaskSource,
+    tasks: Sequence[IdTask],
+    as_ids: bool,
+) -> Iterator[TaskOutcome]:
+    """Execute join tasks against *source*, one outcome per task.
+
+    The one per-task loop of every executor: gather the task's two id
+    slices, run the engine's leaf under the one-entry region
+    ``((grid, pid),)`` — online ownership by partition id, ``"rpm"`` or
+    ``"twolayer"`` — and report pairs, suppression, counters and the
+    task's own wall time.  The columnar leaf runs ``sweep_numpy`` on the
+    numpy backend and can execute one stripe part of a split task; every
+    other internal takes the tuple leaf over materialised records (never
+    split).  *as_ids* leaves the pairs as two int64 id buffers (a pool
+    worker's result segment) instead of a list of oid tuples.
     """
-    pid, records_left, records_right = task[0], task[1], task[2]
-    stripe = _task_stripe(task)
-    part = stripe[0] if stripe is not None else 0
-    started = time.perf_counter()
-    counters = CpuCounters()
-    if internal_name == "sweep_numpy":
-        join_task = rpm_join_task if dedup == "rpm" else twolayer_join_task
-        pairs, suppressed = join_task(
-            records_left, records_right, grid, pid, counters, stripe_slice=stripe
-        )
-        wall = time.perf_counter() - started
-        return pid, part, pairs, suppressed, counters.as_dict(), wall
-
-    if stripe is not None and part != 0:
-        wall = time.perf_counter() - started
-        return pid, part, [], 0, counters.as_dict(), wall
-
-    if dedup == "twolayer":
-        pairs = twolayer_partition_join(
-            records_left,
-            records_right,
-            grid,
-            pid,
-            internal_algorithm(internal_name),
-            counters,
-        )
-        wall = time.perf_counter() - started
-        return pid, part, pairs, 0, counters.as_dict(), wall
-
-    pairs: List[Tuple[int, int]] = []
-    suppressed = 0
-    refpoint_tests = 0
-    partition_of_point = grid.partition_of_point
-
-    def emit(r: Tuple, s: Tuple) -> None:
-        nonlocal suppressed, refpoint_tests
-        refpoint_tests += 1
-        rx = r[1]
-        sx = s[1]
-        ry = r[4]
-        sy = s[4]
-        x = rx if rx >= sx else sx
-        y = ry if ry <= sy else sy
-        if partition_of_point(x, y) == pid:
-            pairs.append((r[0], s[0]))
+    left, right, l_ids, r_ids = source
+    columnar = columnar_engine(internal_name)
+    internal = internal_algorithm(internal_name)
+    for task in tasks:
+        pid, l_lo, l_hi, r_lo, r_hi = task[:5]
+        stripe = _task_stripe(task)
+        started = time.perf_counter()
+        counters = CpuCounters()
+        pairs: Any
+        if columnar:
+            rid, sid, suppressed = columnar_leaf(
+                left.take(l_ids[l_lo:l_hi]),
+                right.take(r_ids[r_lo:r_hi]),
+                ((grid, pid),),
+                dedup,
+                counters,
+                stripe,
+            )
+            pairs = (rid, sid) if as_ids else list(zip(rid.tolist(), sid.tolist()))
         else:
-            suppressed += 1
-
-    internal_algorithm(internal_name)(records_left, records_right, emit, counters)
-    counters.refpoint_tests += refpoint_tests
-    wall = time.perf_counter() - started
-    return pid, part, pairs, suppressed, counters.as_dict(), wall
+            pairs, suppressed = tuple_leaf(
+                _task_records(left, l_ids[l_lo:l_hi]),
+                _task_records(right, r_ids[r_lo:r_hi]),
+                ((grid, pid),),
+                dedup,
+                internal,
+                counters,
+            )
+            if as_ids:
+                pairs = _id_buffers(pairs)
+        yield (
+            pid,
+            stripe[0] if stripe is not None else 0,
+            pairs,
+            suppressed,
+            counters.as_dict(),
+            time.perf_counter() - started,
+        )
 
 
 # ----------------------------------------------------------------------
 # pool worker state (set once per worker by the initializer)
 # ----------------------------------------------------------------------
-_POOL_INTERNAL: Optional[str] = None
-_POOL_GRID: Optional[TileGrid] = None
+#: ``(internal_name, dedup, grid, source)`` — :func:`_run_tasks`' fixed
+#: arguments for the life of a per-run pool worker.
+_POOL_RUN: Optional[Tuple[str, str, TileGrid, TaskSource]] = None
+#: The attached input segment; held so the source's views stay mapped.
 _POOL_STORE: Optional[SharedColumnarStore] = None
-_POOL_DEDUP: str = "rpm"
+
+
+def _worker_source(
+    ids: SharedColumnarStore,
+    pinned: Optional[Tuple[SharedColumnarStore, SharedColumnarStore]] = None,
+) -> TaskSource:
+    """The :data:`TaskSource` a pool worker builds over its segment(s).
+
+    The id runs always live in the per-run segment *ids*; the relation
+    columns next to them (``L.*``/``R.*``) or, for registered datasets,
+    in the two *pinned* segments (``D.*`` — pinned before anyone knew
+    which side of a query they would be).  Views only, nothing copied.
+    """
+    if pinned is None:
+        left, right = ids.relation("L"), ids.relation("R")
+    else:
+        left, right = pinned[0].relation("D"), pinned[1].relation("D")
+    return left, right, ids["L.ids"], ids["R.ids"]
 
 
 def _pool_init(
@@ -305,77 +350,47 @@ def _pool_init(
     installed here, once per worker, and the worker attaches the input
     segment — so chunk payloads are bare task tuples.
     """
-    global _POOL_INTERNAL, _POOL_GRID, _POOL_STORE, _POOL_DEDUP
-    _POOL_INTERNAL = internal_name
-    _POOL_GRID = _grid_from_spec(grid_spec)
+    global _POOL_RUN, _POOL_STORE
     _POOL_STORE = SharedColumnarStore.attach(manifest)
-    _POOL_DEDUP = dedup
-
-
-def _run_shm_chunk(payload: bytes) -> bytes:
-    """Worker entry point of a per-run pool: tasks are CSR slices.
-
-    Gathers each task's partition rows straight out of the attached
-    segment, runs the columnar RPM kernel (or the scalar internal on a
-    KPE round trip — same values either way), stores every task's
-    ``(rid, sid)`` id buffers in a fresh worker-created segment, and
-    ships back only the per-task metadata plus that segment's manifest.
-    The parent attaches, decodes in partition order and unlinks.  The
-    worker measures its own chunk wall time (and each task its own),
-    because the parent cannot observe time spent inside another process —
-    it only sees the fan-out's makespan.
-    """
-    assert _POOL_INTERNAL is not None and _POOL_GRID is not None
-    tasks: List[ShmJoinTask] = pickle.loads(payload)
-    return _shm_chunk_blob(
-        _POOL_INTERNAL, _POOL_GRID, _POOL_STORE, tasks, _POOL_DEDUP
+    _POOL_RUN = (
+        internal_name,
+        dedup,
+        _grid_from_spec(grid_spec),
+        _worker_source(_POOL_STORE),
     )
 
 
-def _shm_chunk_blob(
+def _run_shm_chunk(payload: bytes) -> bytes:
+    """Worker entry point of a per-run pool: the payload is the task list."""
+    assert _POOL_RUN is not None
+    return _chunk_blob(*_POOL_RUN, pickle.loads(payload))
+
+
+def _chunk_blob(
     internal_name: str,
+    dedup: str,
     grid: TileGrid,
-    store: Any,
-    tasks: List[ShmJoinTask],
-    dedup: str = "rpm",
+    source: TaskSource,
+    tasks: List[IdTask],
 ) -> bytes:
-    """Run one chunk against *store* and serialise the result blob."""
-    np = require_numpy()
+    """Run one chunk in a pool worker and serialise the result blob.
+
+    Stores every task's ``(rid, sid)`` id buffers in a fresh
+    worker-created segment and ships back only the per-task metadata
+    plus that segment's manifest.  The parent attaches, decodes in
+    partition order and unlinks.  The worker measures its own chunk wall
+    time (and each task its own), because the parent cannot observe time
+    spent inside another process — it only sees the fan-out's makespan.
+    """
     started = time.perf_counter()
     metas = []
     out_arrays: Dict[str, object] = {}
-    for task in tasks:
-        pid, l_lo, l_hi, r_lo, r_hi = task[0], task[1], task[2], task[3], task[4]
-        stripe = _task_stripe(task)
-        part = stripe[0] if stripe is not None else 0
-        task_started = time.perf_counter()
-        counters = CpuCounters()
-        a = store.gather("L", store["L.ids"][l_lo:l_hi])
-        b = store.gather("R", store["R.ids"][r_lo:r_hi])
-        if internal_name == "sweep_numpy":
-            join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
-            rid, sid, suppressed = join_ids(
-                a, b, grid, pid, counters, stripe_slice=stripe
-            )
-            counter_dict = counters.as_dict()
-        else:
-            record_task: Tuple = (pid, a.to_kpes(), b.to_kpes())
-            if stripe is not None:
-                record_task = record_task + stripe
-            _, _, pairs, suppressed, counter_dict, _ = _run_join_task(
-                internal_name, grid, record_task, dedup
-            )
-            rid = np.fromiter(
-                (p[0] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
-            sid = np.fromiter(
-                (p[1] for p in pairs), dtype=np.int64, count=len(pairs)
-            )
+    for pid, part, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
+        internal_name, dedup, grid, source, tasks, as_ids=True
+    ):
         out_arrays[f"{pid}.{part}.rid"] = rid
         out_arrays[f"{pid}.{part}.sid"] = sid
-        metas.append(
-            (pid, part, suppressed, counter_dict, time.perf_counter() - task_started)
-        )
+        metas.append((pid, part, suppressed, counter_dict, task_wall))
     wall = time.perf_counter() - started
     # Untracked on purpose: the parent unlinks after decoding (a worker
     # crashing between here and there leaks the segment — see docs).  If
@@ -404,54 +419,31 @@ def _unlink_result_blob(blob: bytes) -> None:
 # ----------------------------------------------------------------------
 # dynamic-config execution (externally-owned persistent pools)
 # ----------------------------------------------------------------------
-#: ``(manifest, ((alias, real_prefix), ...), cache)`` — one store a
-#: dynamic chunk attaches.  ``cache=True`` marks a long-lived (pinned)
-#: segment the worker may keep attached across queries; ``cache=False``
-#: marks a per-query segment closed again when the chunk ends.
-StoreRef = Tuple[Manifest, Tuple[Tuple[str, str], ...], bool]
-
-#: ``(internal_name, grid_spec, store_refs, dedup)`` — the per-query
-#: configuration a dynamic chunk carries instead of relying on a pool
-#: initializer.
-PoolConfig = Tuple[str, Tuple, Tuple[StoreRef, ...], str]
+#: ``(internal_name, grid_spec, dedup, ids_manifest, pinned)`` — the
+#: per-query configuration a dynamic chunk carries instead of relying on
+#: a pool initializer.  *ids_manifest* names the per-query segment;
+#: *pinned* is ``None`` (that segment holds the columns too) or the
+#: ``(left, right)`` manifests of long-lived dataset segments.
+PoolConfig = Tuple[str, Tuple, str, Manifest, Optional[Tuple[Manifest, Manifest]]]
 
 #: Long-lived attachments by segment name (pinned dataset segments);
 #: lives in the worker process for the lifetime of the persistent pool.
 _DYN_ATTACHED: Dict[str, SharedColumnarStore] = {}
 
 
-def _dyn_store(
-    refs: Tuple[StoreRef, ...]
-) -> Tuple[Any, List[SharedColumnarStore]]:
-    """Assemble the chunk's store view from *refs*.
+def _pinned_store(manifest: Manifest) -> SharedColumnarStore:
+    """The worker's attachment of a pinned segment, mapped at most once.
 
-    Returns ``(store, ephemeral)`` where *ephemeral* are the attachments
-    the caller must close when the chunk is done (per-query segments);
-    cached attachments stay mapped for the next query over the same
+    Cached attachments stay mapped for the next query over the same
     pinned dataset — that is the amortisation a persistent pool buys.
     """
-    views: List[Any] = []
-    ephemeral: List[SharedColumnarStore] = []
-    for manifest, aliases, cache in refs:
-        name = manifest[0]
-        if cache:
-            attached = _DYN_ATTACHED.get(name)
-            if attached is None:
-                # Custody moves into the module-level cache: the segment
-                # stays mapped for the pool's lifetime by design.
-                attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
-                _DYN_ATTACHED[name] = attached
-        else:
-            # Custody moves into the returned `ephemeral` list; the
-            # chunk runner closes every entry in its finally block.
-            attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
-            ephemeral.append(attached)
-        views.append(
-            AliasedStore(attached, dict(aliases)) if aliases else attached
-        )
-    if len(views) == 1:
-        return views[0], ephemeral
-    return ChainedStore(views), ephemeral
+    attached = _DYN_ATTACHED.get(manifest[0])
+    if attached is None:
+        # Custody moves into the module-level cache: the segment stays
+        # mapped for the pool's lifetime by design.
+        attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
+        _DYN_ATTACHED[manifest[0]] = attached
+    return attached
 
 
 def _run_dyn_chunk(payload: bytes) -> bytes:
@@ -460,33 +452,51 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
     A persistent pool (``repro serve``) outlives any single query, so
     per-query state cannot be installed by a pool initializer — it rides
     along with every chunk instead: the payload is the pickled
-    ``(config, tasks)`` pair.  Grid rebuild is cheap; segment
-    attachments are cached by name (pinned datasets) or scoped to the
-    chunk (per-query id arrays), so repeated queries over registered
-    datasets touch the big columns without ever re-mapping them.
+    ``(config, tasks)`` pair.  Grid rebuild is cheap; pinned dataset
+    segments stay attached across queries, the per-query segment is
+    scoped to the chunk, so repeated queries over registered datasets
+    touch the big columns without ever re-mapping them.
     """
-    config, tasks = pickle.loads(payload)
-    internal_name, grid_spec, refs, dedup = config
-    grid = _grid_from_spec(grid_spec)
-    store, ephemeral = _dyn_store(refs)
+    (internal_name, grid_spec, dedup, ids_manifest, pinned), tasks = pickle.loads(
+        payload
+    )
+    ids = SharedColumnarStore.attach(ids_manifest)
     try:
-        return _shm_chunk_blob(internal_name, grid, store, tasks, dedup)
+        stores = None
+        if pinned is not None:
+            stores = (_pinned_store(pinned[0]), _pinned_store(pinned[1]))
+        return _chunk_blob(
+            internal_name,
+            dedup,
+            _grid_from_spec(grid_spec),
+            _worker_source(ids, stores),
+            tasks,
+        )
     finally:
-        for attached in ephemeral:
-            attached.close()
+        ids.close()
 
 
-def _task_size(task: Tuple) -> int:
-    """Joined record count of a task, in either task representation.
+def _concat_ids(runs: List[Any], as_list: bool) -> Any:
+    """One side's id runs, in task order, as the CSR ids the tasks slice.
+
+    Without numpy the per-record partitioner wrote lists already;
+    *as_list* boxes the columnar partitioner's int64 runs once, for the
+    tuple leaf that indexes an input sequence with them.
+    """
+    if not numpy_enabled():
+        return [i for run in runs for i in run]
+    ids = require_numpy().concatenate(runs)
+    return ids.tolist() if as_list else ids
+
+
+def _task_size(task: IdTask) -> int:
+    """Joined record count of a task.
 
     A stripe-split part is charged its share of the full task: the
     stripes divide the scan, so ``size / n_parts`` is the scheduling
     estimate (the stripe plan itself decides the exact distribution).
     """
-    if isinstance(task[1], int):
-        size = (task[2] - task[1]) + (task[4] - task[3])
-    else:
-        size = len(task[1]) + len(task[2])
+    size = (task[2] - task[1]) + (task[4] - task[3])
     stripe = _task_stripe(task)
     if stripe is not None:
         size = max(1, size // stripe[1])
@@ -596,9 +606,11 @@ class ParallelPBSM:
     ``"rpm"`` (per-pair reference-point test) or ``"twolayer"``
     (corner-class avoidance with zero per-pair work); the offline
     ``"sort"`` mode is rejected because it would serialise the join
-    behind a global sorting phase.  The process executor ships CSR id
-    tasks over one shared-memory segment and runs the thread executor
-    where that segment cannot exist (module docstring); out-of-range
+    behind a global sorting phase.  Every executor runs the same CSR id
+    tasks — over the inputs' columns when numpy is enabled, whatever the
+    internal algorithm; the process executor ships them over one
+    shared-memory segment and runs the thread executor where that
+    segment cannot exist (module docstring); out-of-range
     worker counts are clamped with a :class:`RuntimeWarning` (once per
     process per distinct clamp) instead of raising or silently
     oversubscribing the machine.
@@ -680,9 +692,10 @@ class ParallelPBSM:
                 "thread executor instead"
             )
             executor = "thread"
-        # A real pool (workers > 1) works on CSR id tasks over the
-        # segment; every other path takes record tasks in this process.
-        use_shm = executor == "process" and self.workers > 1
+        # A real pool (workers > 1) runs the tasks over the segment;
+        # every other executor runs them in this process.
+        use_pool = executor == "process" and self.workers > 1
+        columnar = columnar_engine(self.internal_name)
         # RPM stays untagged (the historical spelling); avoidance is
         # surfaced so reports and traces show which scheme owned pairs.
         dedup_tag = "" if self.dedup == "rpm" else ",2L"
@@ -703,11 +716,15 @@ class ParallelPBSM:
         pairs: List[Tuple[int, int]] = []
         if not left or not right:
             return JoinResult(pairs=pairs, stats=stats)
-        # The process path never touches a KPE tuple: grid extent,
-        # partitioning and the segment all read the five columns (already
-        # there for mapped inputs, built once otherwise).
-        rel_left: Any = ColumnarRelation.from_kpes(left) if use_shm else left
-        rel_right: Any = ColumnarRelation.from_kpes(right) if use_shm else right
+        # On the numpy backend grid extent, partitioning, the segment and
+        # the columnar leaf all read the five columns (already there for
+        # mapped inputs, built once otherwise); only the tuple leaf ever
+        # sees a record.
+        rel_left: Any = left
+        rel_right: Any = right
+        if numpy_enabled():
+            rel_left = checked_columns(left, "left")
+            rel_right = checked_columns(right, "right")
         cost = self.cost_model
         kpe_bytes = cost.kpe_bytes
         space = Space.of(rel_left, rel_right)
@@ -733,16 +750,15 @@ class ParallelPBSM:
             backend=stats.backend or None,
         ):
             # --- sequential partitioning phase -----------------------------
-            emit = "ids" if use_shm else "records"
             disk = SimulatedDisk(cost)
             part_cpu = CpuCounters()
             with tracer.span(PHASE_PARTITION, cpu=part_cpu, disk=disk) as sp:
                 with disk.phase(PHASE_PARTITION):
                     left_files, n_left_written = partition_relation(
-                        rel_left, grid, disk, kpe_bytes, part_cpu, "R", emit=emit
+                        rel_left, grid, disk, kpe_bytes, part_cpu, "R", emit="ids"
                     )
                     right_files, n_right_written = partition_relation(
-                        rel_right, grid, disk, kpe_bytes, part_cpu, "S", emit=emit
+                        rel_right, grid, disk, kpe_bytes, part_cpu, "S", emit="ids"
                     )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
@@ -755,15 +771,15 @@ class ParallelPBSM:
 
             with tracer.span(PHASE_JOIN) as sp:
                 # --- materialise the join tasks (reads are charged) --------
-                # Record tasks carry the records themselves; shm tasks
-                # carry CSR slices into the concatenated id arrays.  The
-                # files hold the same counts either way, so the charged
-                # reads are identical.
-                tasks: List = []
-                ids_left: List[Any] = []
-                ids_right: List[Any] = []
+                # A task is two CSR slices into the id runs, concatenated
+                # per side in task order; the two whole-file reads that
+                # fetch the runs are charged to the task.
+                tasks: List[IdTask] = []
+                runs_left: List[Any] = []
+                runs_right: List[Any] = []
                 n_ids_left = n_ids_right = 0
                 task_io_units: Dict[int, float] = {}
+                join_pages = 0
                 for pid in range(n_partitions):
                     file_left = left_files[pid]
                     file_right = right_files[pid]
@@ -776,52 +792,41 @@ class ParallelPBSM:
                         stats.peak_memory_bytes = pair_bytes
                     task_disk = SimulatedDisk(cost)
                     with task_disk.phase(PHASE_JOIN):
-                        if use_shm:
-                            # The id runs go into the segment as the int64
-                            # arrays they are; charge the two whole-file
-                            # reads.  The task tuple stays plain ints.
-                            task_disk.charge_read(file_left.n_pages)
-                            task_disk.charge_read(file_right.n_pages)
-                            l_lo, r_lo = n_ids_left, n_ids_right
-                            ids_left.append(file_left.records)
-                            ids_right.append(file_right.records)
-                            n_ids_left += file_left.n_records
-                            n_ids_right += file_right.n_records
-                            tasks.append(
-                                (pid, l_lo, n_ids_left, r_lo, n_ids_right)
-                            )
-                        else:
-                            # Rebind so the join-phase reads are charged to
-                            # this task (they used to land on the partition
-                            # disk's default phase, zeroing every task's
-                            # I/O share).
-                            file_left.disk = task_disk
-                            file_right.disk = task_disk
-                            tasks.append(
-                                (pid, file_left.read_all(), file_right.read_all())
-                            )
+                        task_disk.charge_read(file_left.n_pages)
+                        task_disk.charge_read(file_right.n_pages)
                     task_io_units[pid] = task_disk.total_units()
+                    join_pages += task_disk.pages_by_phase()[PHASE_JOIN]
+                    l_lo, r_lo = n_ids_left, n_ids_right
+                    runs_left.append(file_left.records)
+                    runs_right.append(file_right.records)
+                    n_ids_left += file_left.n_records
+                    n_ids_right += file_right.n_records
+                    tasks.append((pid, l_lo, n_ids_left, r_lo, n_ids_right))
 
                 # --- stripe-split oversized tasks --------------------------
                 # Only the stealing scheduler splits (static stays the
                 # unchanged baseline), and only the vectorized sweep can
                 # execute a stripe range.  Splitting never changes the
                 # output: parts merge back in (pid, part) order.
-                if (
-                    self.scheduler == "stealing"
-                    and self.workers > 1
-                    and self.internal_name == "sweep_numpy"
-                    and numpy_enabled()
-                ):
+                if self.scheduler == "stealing" and self.workers > 1 and columnar:
                     tasks = _split_tasks(tasks, self.workers)
 
                 # --- execute the tasks -------------------------------------
-                if use_shm:
-                    outcomes = self._execute_process(
-                        tasks, grid, stats, rel_left, rel_right, ids_left, ids_right
+                outcomes: List[TaskOutcome] = []
+                if tasks:
+                    # The tuple leaf, in this process, indexes the input
+                    # sequences themselves (plain-int ids); everything
+                    # else slices id arrays over the columns.
+                    from_inputs = not (columnar or use_pool)
+                    l_ids = _concat_ids(runs_left, as_list=from_inputs)
+                    r_ids = _concat_ids(runs_right, as_list=from_inputs)
+                    source: TaskSource = (
+                        (left, right, l_ids, r_ids)
+                        if from_inputs
+                        else (rel_left, rel_right, l_ids, r_ids)
                     )
-                else:
-                    outcomes = self._execute(tasks, grid, stats)
+                    execute = self._execute_process if use_pool else self._execute
+                    outcomes = execute(tasks, grid, stats, source)
 
                 # --- deterministic merge in (pid, part) order --------------
                 task_costs: List[float] = []
@@ -865,6 +870,7 @@ class ParallelPBSM:
                 PHASE_PARTITION: disk.total_units(),
                 PHASE_JOIN: join_units_total,
             }
+            stats.io_pages_by_phase = {**disk.pages_by_phase(), PHASE_JOIN: join_pages}
             stats.cpu_by_phase = {
                 PHASE_PARTITION: part_cpu.as_dict(),
                 PHASE_JOIN: join_cpu_total.as_dict(),
@@ -882,29 +888,29 @@ class ParallelPBSM:
     # task execution
     # ------------------------------------------------------------------
     def _execute(
-        self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
+        self,
+        tasks: List[IdTask],
+        grid: TileGrid,
+        stats: JoinStats,
+        source: TaskSource,
     ) -> List[TaskOutcome]:
-        """Run every join task under the configured executor.
+        """Run every join task in this process, looped or on threads.
 
         Besides the outcomes this fills in the parallel timing fields of
         *stats*: ``join_busy_seconds`` (sum of per-task wall seconds, as
         measured where the task ran) and ``join_makespan_seconds`` (the
         fan-out elapsed time observed here, in the parent).
         """
-        if not tasks:
-            return []
+        run_args = (self.internal_name, self.dedup, grid, source)
         if stats.executor == "thread" and self.workers > 1:
-            outcomes = self._execute_thread(tasks, grid, stats)
+            outcomes = self._execute_thread(tasks, stats, run_args)
         else:
             # Simulated mode and the workers=1 degenerate case share the
             # in-process loop; no pool is spawned.
             tracer = self.tracer
             started = time.perf_counter()
             outcomes = []
-            for task in tasks:
-                outcome = _run_join_task(
-                    self.internal_name, grid, task, self.dedup
-                )
+            for outcome in _run_tasks(*run_args, tasks, as_ids=False):
                 outcomes.append(outcome)
                 if tracer.recording:
                     tracer.add_span(
@@ -1025,28 +1031,27 @@ class ParallelPBSM:
         )
 
     def _execute_thread(
-        self, tasks: List[JoinTask], grid: TileGrid, stats: JoinStats
+        self,
+        tasks: List[IdTask],
+        stats: JoinStats,
+        run_args: Tuple[str, str, TileGrid, TaskSource],
     ) -> List[TaskOutcome]:
         """Fan the tasks out over a thread pool — no spawn, no pickling.
 
         The vectorized kernel releases the GIL inside numpy, so the scan
-        work genuinely overlaps; everything stays in one address space,
-        so ``ipc_bytes_shipped`` is rightfully zero and pinned segments
-        (or any caller-held arrays) are shared for free.  Worker labels
+        work genuinely overlaps; everything stays in one address space —
+        every thread gathers from the same columns and id arrays — so
+        ``ipc_bytes_shipped`` is rightfully zero.  Worker labels
         are thread names normalised to ``thread-N`` in first-appearance
         order.
         """
         from concurrent.futures import ThreadPoolExecutor
 
         units = self._units(tasks)
-        internal_name = self.internal_name
-        dedup = self.dedup
 
-        def run_unit(unit: List[JoinTask]) -> Tuple[str, float, List[TaskOutcome]]:
+        def run_unit(unit: List[IdTask]) -> Tuple[str, float, List[TaskOutcome]]:
             unit_started = time.perf_counter()
-            unit_outcomes = [
-                _run_join_task(internal_name, grid, task, dedup) for task in unit
-            ]
+            unit_outcomes = list(_run_tasks(*run_args, unit, as_ids=False))
             wall = time.perf_counter() - unit_started
             return threading.current_thread().name, wall, unit_outcomes
 
@@ -1078,22 +1083,19 @@ class ParallelPBSM:
 
     def _execute_process(
         self,
-        tasks: List[ShmJoinTask],
+        tasks: List[IdTask],
         grid: TileGrid,
         stats: JoinStats,
-        left: ColumnarRelation,
-        right: ColumnarRelation,
-        ids_left: List[Any],
-        ids_right: List[Any],
+        source: TaskSource,
     ) -> List[TaskOutcome]:
         """Fan the tasks out over a process pool and one shared segment.
 
-        Loads both inputs once into a columnar segment (plus the CSR id
-        arrays: *ids_left*/*ids_right* are the per-task int64 id runs the
-        partitioner emitted, in task order), ships five-integer tasks (seven
-        with a stripe part), and decodes worker-returned ``(rid, sid)``
+        Loads *source* once into a columnar segment (both inputs' columns
+        plus the two id arrays; with pinned datasets the id arrays only),
+        ships five-integer tasks (seven with a stripe part), and decodes
+        worker-returned ``(rid, sid)``
         id buffers in ``(pid, part)`` order — so the merged output is
-        byte-identical to the simulated executor and to sequential
+        byte-identical to the in-process executors and to sequential
         execution.  Segment build, payload encode and result decode all
         count into ``stats.ipc_seconds``; only the pipe traffic counts
         into ``stats.ipc_bytes_shipped``.  When a chunk fails, the result
@@ -1102,28 +1104,19 @@ class ParallelPBSM:
         """
         from concurrent.futures import ProcessPoolExecutor
 
-        if not tasks:
-            return []
-        np = require_numpy()
-
         encode_started = time.perf_counter()
-        pinned_refs: List[StoreRef] = []
+        left, right, l_ids, r_ids = source
+        # With an external pool the relation columns may already live in
+        # pinned registry segments; the per-query segment then carries
+        # only the CSR id arrays, so a query's segment-build cost is
+        # O(partitioned ids), not O(data).
+        pinned = self.pinned if self.pool is not None else None
         arrays: Dict[str, object] = {}
-        if self.pool is not None and self.pinned is not None:
-            # The relation columns already live in pinned registry
-            # segments; the per-query segment carries only the CSR id
-            # arrays, so a query's segment-build cost is O(partitioned
-            # ids), not O(data).
-            l_manifest, r_manifest = self.pinned
-            pinned_refs = [
-                (l_manifest, (("L", "D"),), True),
-                (r_manifest, (("R", "D"),), True),
-            ]
-        else:
+        if pinned is None:
             arrays = columnar_arrays("L", left)
             arrays.update(columnar_arrays("R", right))
-        arrays["L.ids"] = np.concatenate(ids_left)
-        arrays["R.ids"] = np.concatenate(ids_right)
+        arrays["L.ids"] = l_ids
+        arrays["R.ids"] = r_ids
         chunks = self._units(tasks)
 
         with SharedColumnarStore.create(arrays) as store:
@@ -1131,8 +1124,9 @@ class ParallelPBSM:
                 config: PoolConfig = (
                     self.internal_name,
                     _grid_spec(grid),
-                    tuple(pinned_refs) + ((store.manifest, (), False),),
                     self.dedup,
+                    store.manifest,
+                    pinned,
                 )
                 payloads = [
                     pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)

@@ -6,14 +6,16 @@ its rectangle overlaps.  Reading the input relation is free of charge (the
 paper's model); the partition writes are charged per buffer flush.
 
 ``emit="ids"`` writes each record's *position* in the input sequence
-instead of the record tuple itself — the shared-memory executor's
-partitioning mode.  The files, the flush pattern, the charged structure
+instead of the record tuple itself — the partitioning mode of the
+columnar sequential engine and of every ``ParallelPBSM`` executor
+(``emit="records"`` is the sequential tuple engine's).  The files, the
+flush pattern, the charged structure
 operations and the simulated record size are identical either way (the
 cost model charges ``record_bytes`` per record regardless of what Python
 object stands in for it), so the two modes are indistinguishable to the
 simulated-cost accounting.  Reading id-emitting files back per partition
-yields exactly the CSR form (offsets + record ids) the zero-copy workers
-slice; :func:`partition_csr` performs that concatenation.
+yields exactly the CSR form (offsets + record ids) the parallel join
+tasks slice; :func:`partition_csr` performs that concatenation.
 
 On the numpy backend ``emit="ids"`` runs no per-record loop at all: the
 CSR arrays come out of one columnar kernel and the charges are computed

@@ -68,10 +68,7 @@ def _strided_sample(kpes: Sequence[Tuple], size: int) -> Sequence[Tuple]:
 def _strided_columns(cols: ColumnarRelation, size: int) -> ColumnarRelation:
     """The rows :func:`_strided_sample` picks, as views of the columns."""
     step = max(1, len(cols) // size)
-    rows = slice(None, size * step, step)
-    return ColumnarRelation(
-        cols.oid[rows], cols.xl[rows], cols.yl[rows], cols.xh[rows], cols.yh[rows]
-    )
+    return cols.take(slice(None, size * step, step))
 
 
 def relation_fingerprint(kpes: Sequence[Tuple]) -> str:

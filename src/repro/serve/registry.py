@@ -10,8 +10,10 @@ long-lived :class:`~repro.kernels.shm.SharedColumnarStore` segment.
 
 Pinned columns live under the neutral ``D.*`` prefix because at pin time
 nobody knows whether the dataset will be the left or the right input of
-a query; per-query :class:`~repro.kernels.shm.AliasedStore` views rename
-``L``/``R`` onto ``D`` inside the workers.  A persistent worker that has
+a query; a query names its two pinned segments in order, and a worker
+reads each one's ``D.*`` columns as that side's relation
+(``SharedColumnarStore.relation("D")``) next to the id arrays of the
+per-query segment.  A persistent worker that has
 attached a pinned segment once keeps it mapped, so repeated queries over
 registered datasets never re-ship (or even re-map) the relation columns.
 

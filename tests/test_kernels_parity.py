@@ -17,19 +17,22 @@ from repro.core.rect import KPE
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
-from repro.kernels.backend import HAVE_NUMPY, python_backend
-from repro.kernels.rpm import (
-    _python_rpm_join_task,
-    point_tiles,
-    rpm_join_task,
-    tile_partitions,
-)
+from repro.kernels.backend import HAVE_NUMPY, numpy_enabled, python_backend
+from repro.internal.sweep_list import sweep_list_join
+from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.rpm import point_tiles, rpm_join_ids, tile_partitions
 from repro.kernels.sweep import STRIPE_MIN_RECORDS
+from repro.kernels.twolayer import twolayer_join_ids
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
+from repro.pbsm.join import tuple_leaf
+from repro.pbsm.twolayer import twolayer_partition_join
 
 from tests.conftest import random_kpes
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+needs_kernels = pytest.mark.skipif(
+    not numpy_enabled(), reason="the id-pair kernels need the numpy backend"
+)
 
 
 def run(name, left, right):
@@ -132,7 +135,8 @@ def test_property_lattice_parity(pair):
 
 
 # ----------------------------------------------------------------------
-# batched RPM vs scalar RPM, tile-boundary reference points included
+# batched ownership (RPM, two-layer) vs the scalar engines, tile-boundary
+# reference points included
 # ----------------------------------------------------------------------
 def rpm_grid():
     return TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4, mapping="hash")
@@ -156,23 +160,50 @@ def boundary_rects(start_oid):
     return out
 
 
-@needs_numpy
-class TestBatchedRPM:
+def batched(join_ids, left, right, grid, pid):
+    """One id-pair kernel on columns, as ``(pairs, suppressed)``."""
+    rid, sid, suppressed = join_ids(
+        ColumnarRelation.from_kpes(left),
+        ColumnarRelation.from_kpes(right),
+        grid,
+        pid,
+        CpuCounters(),
+    )
+    return list(zip(rid.tolist(), sid.tolist())), suppressed
+
+
+def scalar_rpm(left, right, grid, pid):
+    """The shared tuple leaf: list sweep + scalar RPM."""
+    return tuple_leaf(
+        left, right, ((grid, pid),), "rpm", sweep_list_join, CpuCounters()
+    )
+
+
+def scalar_twolayer(left, right, grid, pid):
+    pairs = twolayer_partition_join(
+        left, right, grid, pid, sweep_list_join, CpuCounters()
+    )
+    return pairs, 0
+
+
+class BatchedVsScalar:
+    """One id-pair kernel against the scalar engine it batches."""
+
+    join_ids = scalar = None
+
     def test_tile_boundary_ownership_matches_scalar(self):
+        join_ids, scalar = self.join_ids, self.scalar
         grid = rpm_grid()
         left = boundary_rects(0)
         right = boundary_rects(1000)
         for pid in range(grid.n_partitions):
-            got, got_sup = rpm_join_task(
-                left, right, grid, pid, CpuCounters()
-            )
-            want, want_sup = _python_rpm_join_task(
-                left, right, grid, pid, CpuCounters()
-            )
+            got, got_sup = batched(join_ids, left, right, grid, pid)
+            want, want_sup = scalar(left, right, grid, pid)
             assert sorted(got) == sorted(want)
             assert got_sup == want_sup
 
     def test_each_pair_owned_exactly_once(self):
+        join_ids = self.join_ids
         grid = rpm_grid()
         left = boundary_rects(0) + random_kpes(60, seed=3, max_edge=0.3)
         right = boundary_rects(1000) + random_kpes(
@@ -181,21 +212,31 @@ class TestBatchedRPM:
         truth = sorted(brute_force_pairs(left, right))
         owned = []
         for pid in range(grid.n_partitions):
-            pairs, _ = rpm_join_task(left, right, grid, pid, CpuCounters())
-            owned.extend(pairs)
+            owned.extend(batched(join_ids, left, right, grid, pid)[0])
         assert sorted(owned) == truth  # no pair missed, none duplicated
 
     def test_batched_matches_scalar_on_random_input(self):
+        join_ids, scalar = self.join_ids, self.scalar
         grid = rpm_grid()
         left = random_kpes(150, seed=5, max_edge=0.2)
         right = random_kpes(150, seed=6, start_oid=5000, max_edge=0.2)
         for pid in range(grid.n_partitions):
-            got, got_sup = rpm_join_task(left, right, grid, pid, CpuCounters())
-            want, want_sup = _python_rpm_join_task(
-                left, right, grid, pid, CpuCounters()
-            )
+            got, got_sup = batched(join_ids, left, right, grid, pid)
+            want, want_sup = scalar(left, right, grid, pid)
             assert sorted(got) == sorted(want)
             assert got_sup == want_sup
+
+
+@needs_kernels
+class TestBatchedRPM(BatchedVsScalar):
+    join_ids = staticmethod(rpm_join_ids)
+    scalar = staticmethod(scalar_rpm)
+
+
+@needs_kernels
+class TestBatchedTwolayer(BatchedVsScalar):
+    join_ids = staticmethod(twolayer_join_ids)
+    scalar = staticmethod(scalar_twolayer)
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.core.phases import PHASE_PARTITION
+from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
+from repro.core.space import Space
+from repro.core.stats import CpuCounters
 from repro.internal import brute_force_pairs
+from repro.io.costmodel import CostModel
+from repro.io.disk import SimulatedDisk
+from repro.pbsm import PBSM, TileGrid, partition_relation
 from repro.pbsm.parallel import ParallelPBSM, lpt_schedule
 
 from tests.conftest import random_kpes
@@ -84,3 +89,35 @@ class TestParallelPBSM:
         right = random_kpes(100, 86, start_oid=9_000)
         res = ParallelPBSM(10**8, workers=6).run(left, right)
         assert res.stats.n_partitions >= 6
+
+    @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
+    def test_io_pages_by_phase_filled_like_the_sequential_driver(self, internal):
+        left = random_kpes(900, 87, max_edge=0.03)
+        right = random_kpes(900, 88, start_oid=50_000, max_edge=0.03)
+        memory = 12_000  # four partitions, every pair fits
+        seq = PBSM(memory, internal=internal).run(left, right)
+        par = ParallelPBSM(memory, workers=2, internal=internal).run(left, right)
+        assert seq.stats.repartition_events == 0
+        assert par.stats.n_partitions == seq.stats.n_partitions
+        # Same grid, same files: the same pages written and read back.
+        assert par.stats.io_pages_by_phase == seq.stats.io_pages_by_phase
+        # Join pages are the task files' pages, nothing else.
+        cost = CostModel()
+        disk = SimulatedDisk(cost)
+        grid = TileGrid.for_partitions(
+            Space.of(left, right), par.stats.n_partitions, 4
+        )
+        files = [
+            partition_relation(
+                rel, grid, disk, cost.kpe_bytes, CpuCounters(), emit="ids"
+            )[0]
+            for rel in (left, right)
+        ]
+        assert par.stats.io_pages_by_phase[PHASE_JOIN] == sum(
+            fl.n_pages + fr.n_pages
+            for fl, fr in zip(*files)
+            if fl.n_records and fr.n_records
+        )
+        assert par.stats.io_pages_by_phase[PHASE_PARTITION] == sum(
+            disk.pages_by_phase().values()
+        )

@@ -116,10 +116,7 @@ class TestPlumbing:
             assert back.partition_of_point(x, y) == grid.partition_of_point(x, y)
 
     def test_chunk_tasks_cover_all_tasks_once(self):
-        tasks = [
-            (pid, [("l",)] * (pid + 1), [("r",)] * (pid + 1))
-            for pid in range(11)
-        ]
+        tasks = [(pid, 0, pid + 1, 0, pid + 1) for pid in range(11)]
         chunks = _chunk_tasks(tasks, 3)
         flat = [t for chunk in chunks for t in chunk]
         assert sorted(t[0] for t in flat) == list(range(11))
@@ -127,8 +124,8 @@ class TestPlumbing:
     def test_chunk_tasks_balances_by_records(self):
         # One giant task plus many small ones: LPT puts the giant task
         # alone in its chunk rather than stacking more onto it.
-        tasks = [(0, [("l",)] * 1000, [("r",)] * 1000)] + [
-            (pid, [("l",)], [("r",)]) for pid in range(1, 9)
+        tasks = [(0, 0, 1000, 0, 1000)] + [
+            (pid, 0, 1, 0, 1) for pid in range(1, 9)
         ]
         chunks = _chunk_tasks(tasks, 3)
         giant = next(c for c in chunks if any(t[0] == 0 for t in c))

@@ -83,12 +83,17 @@ class TestSharedColumnarStore:
 
         cols = ColumnarRelation.from_kpes(LEFT[:50])
         with SharedColumnarStore.create(columnar_arrays("L", cols)) as store:
-            sub = store.gather("L", np.array([3, 1, 3], dtype=np.int64))
+            mapped = store.relation("L")  # views of the segment, as a worker's
+            sub = mapped.take(np.array([3, 1, 3], dtype=np.int64))
             assert sub.oid.tolist() == [LEFT[3][0], LEFT[1][0], LEFT[3][0]]
-            # A gathered relation is private: mutating it must not write
-            # through to the mapped segment.
+            assert not sub.sorted_by_xl
+            # A gathered relation is private: a kernel sorting (or
+            # otherwise mutating) it must not write through to the mapped
+            # segment.
             sub.xl[:] = -1.0
             assert store["L.xl"][3] == LEFT[3][1]
+            assert mapped.take(slice(1, 4), sorted_by_xl=True).sorted_by_xl
+            del mapped, sub  # or close() cannot unmap
 
     def test_unlink_is_idempotent(self):
         import numpy as np

@@ -73,16 +73,17 @@ REAL_EXECUTORS = [
 # _split_tasks mechanics
 # ----------------------------------------------------------------------
 class TestSplitTasks:
-    def _record_task(self, pid, n):
-        return (pid, [("l",)] * n, [("r",)] * n)
+    def _task(self, pid, n):
+        """An id task joining *n* left with *n* right records."""
+        return (pid, 0, n, 0, n)
 
     def test_small_tasks_untouched(self):
-        tasks = [self._record_task(pid, 10) for pid in range(5)]
+        tasks = [self._task(pid, 10) for pid in range(5)]
         assert _split_tasks(tasks, 4) == tasks
 
     def test_hot_task_splits_cold_stay(self):
-        hot = self._record_task(0, STRIPE_SPLIT_MIN_RECORDS)
-        cold = [self._record_task(pid, 8) for pid in range(1, 6)]
+        hot = self._task(0, STRIPE_SPLIT_MIN_RECORDS)
+        cold = [self._task(pid, 8) for pid in range(1, 6)]
         out = _split_tasks([hot] + cold, 2)
         parts = [t for t in out if _task_key(t)[0] == 0]
         assert len(parts) >= 2
@@ -94,15 +95,15 @@ class TestSplitTasks:
     def test_lone_hot_task_still_splits_above_floor(self):
         # A single oversized task has nothing to compare against (its
         # own mean), but the absolute floor still splits it.
-        hot = self._record_task(0, 50 * STRIPE_SPLIT_MIN_RECORDS)
-        cold = [self._record_task(pid, 8) for pid in range(1, 4)]
+        hot = self._task(0, 50 * STRIPE_SPLIT_MIN_RECORDS)
+        cold = [self._task(pid, 8) for pid in range(1, 4)]
         out = _split_tasks([hot] + cold, 4)
         parts = [t for t in out if _task_key(t)[0] == 0]
         assert 2 <= len(parts) <= STRIPE_SPLIT_MAX_PARTS
 
     def test_split_sizes_shrink(self):
-        hot = self._record_task(0, STRIPE_SPLIT_MIN_RECORDS)
-        cold = [self._record_task(pid, 8) for pid in range(1, 6)]
+        hot = self._task(0, STRIPE_SPLIT_MIN_RECORDS)
+        cold = [self._task(pid, 8) for pid in range(1, 6)]
         base = _task_size(hot)
         for part_task in _split_tasks([hot] + cold, 2):
             if _task_key(part_task)[0] == 0:

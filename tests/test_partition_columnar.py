@@ -263,9 +263,9 @@ class TestShmJoinUnchanged:
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     @pytest.mark.parametrize("dedup", ["rpm", "twolayer"])
     def test_equals_pickle_and_simulated(self, dedup, scheduler):
-        # (The records-loop references were the pickle transport and the
-        # simulated executor; the thread executor now stands where the
-        # pickle transport stood.)
+        # (Every executor runs the same CSR id tasks; what the in-process
+        # executors used to be — the records-loop reference — is pinned
+        # in tests/parallel_pinned.json.)
         shm = shm_join(LEFT, RIGHT, dedup=dedup, scheduler=scheduler)
         assert shm.stats.executor == "process"
         others = [
@@ -276,7 +276,7 @@ class TestShmJoinUnchanged:
             for executor in ("thread", "simulated")
         ]
         for other in others:
-            assert other.stats.ipc_bytes_shipped == 0  # record tasks, in-process
+            assert other.stats.ipc_bytes_shipped == 0  # id tasks, in-process: no pipe
             assert shm.pairs == other.pairs  # order included
             for field in (
                 "cpu_by_phase",

@@ -33,8 +33,10 @@ from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
 from repro.io.pagefile import PageFile
 from repro.kernels.backend import numpy_enabled, python_backend
+from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
 from repro.pbsm.grid import TILE_MAPPINGS
+from repro.pbsm.parallel import ParallelPBSM
 
 from tests.conftest import random_kpes
 from tests.test_boundary_ownership import (
@@ -396,3 +398,68 @@ class TestSpatialJoinDefault:
     def test_driver_default_is_still_the_papers_engine(self, small_pair):
         left, right = small_pair
         assert PBSM(mb(0.5)).run(left, right).stats.algorithm == "PBSM(sweep_list,RPM)"
+
+
+# ----------------------------------------------------------------------
+# rows no tile range exists for are rejected where the columns are read
+# ----------------------------------------------------------------------
+def _parallel(executor):
+    def join(left, right):
+        return ParallelPBSM(
+            BUDGETS["depth0"], 2, internal="sweep_numpy", executor=executor
+        ).run(left, right)
+
+    return join
+
+
+COLUMN_READERS = [
+    pytest.param(
+        lambda a, b: run(a, b, BUDGETS["depth0"], "sweep_numpy", "rpm"), id="PBSM"
+    ),
+    pytest.param(
+        lambda a, b: spatial_join(a, b, BUDGETS["depth0"]), id="spatial_join"
+    ),
+    pytest.param(_parallel("simulated"), id="parallel-simulated"),
+    pytest.param(
+        _parallel("process"),
+        id="parallel-process",
+        marks=pytest.mark.skipif(not shm_enabled(), reason="needs shared memory"),
+    ),
+]
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@needs_numpy
+@pytest.mark.parametrize("join", COLUMN_READERS)
+class TestBadRowsRejected:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param((NAN, 0.4, 0.5, 0.5), id="nan-xl"),
+            pytest.param((0.4, 0.4, 0.5, NAN), id="nan-yh"),
+            pytest.param((0.45, 0.4, 0.44, 0.5), id="inverted-x-inside-one-tile"),
+            pytest.param((0.1, 0.9, 0.2, 0.1), id="inverted-y-across-tiles"),
+        ],
+    )
+    def test_nan_or_inverted_mbr_names_the_row(self, join, bad):
+        left, right = workload("uniform")
+        left = list(left)
+        left[7] = (left[7][0],) + bad
+        message = (
+            r"left relation has a NaN coordinate or an inverted MBR at row 7 "
+            rf"\(oid={left[7][0]}\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            join(left, right)
+        with pytest.raises(ValueError, match=message.replace("left", "right")):
+            join(right, left)
+
+    def test_infinite_extents_still_join(self, join):
+        left, right = workload("uniform")
+        left = list(left)
+        left[7] = (left[7][0], -INF, 0.4, INF, 0.5)
+        left[9] = left[9][:4] + (INF,)
+        result = join(left, right)
+        assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))

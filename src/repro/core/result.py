@@ -9,8 +9,10 @@ I/O and CPU shares, wall time, and redundancy/duplicate accounting.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from itertools import chain
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -129,7 +131,22 @@ class JoinStats:
         return self.n_results / denom
 
 
-@dataclass
+def pair_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[Any, Any]:
+    """Pairs unboxed into ``(left_oids, right_oids)``, two int64 arrays:
+    numpy arrays on the numpy backend, ``array('q')`` without."""
+    # Deferred: repro.kernels imports the drivers, which import this.
+    from repro.kernels.backend import get_numpy
+
+    rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+    np = get_numpy()
+    if np is None:
+        return array("q", (p[0] for p in rows)), array("q", (p[1] for p in rows))
+    table = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int64, count=2 * len(rows)
+    ).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
+
+
 class JoinResult:
     """The output of the filter step of a spatial join.
 
@@ -137,10 +154,57 @@ class JoinResult:
     conventions of the paper apply: a pair is reported for every pair of
     intersecting *records* (including an object with itself), because the
     filter step operates purely on KPEs.
+
+    A result is backed by one of two forms.  Every driver that produces
+    tuples hands its list to the constructor.  The columnar parallel
+    driver hands over the two int64 oid buffers its workers produced
+    (:meth:`from_arrays`, in merge order) and no tuple exists until a
+    caller asks for one: ``len(result)`` and :meth:`to_arrays` read the
+    buffers, and the first access to ``pairs`` decodes them into a real
+    ``list`` that is the single truth from then on (the buffers are
+    dropped, so ``result.pairs.append(...)`` and ``result.pairs = ...``
+    behave as on any list-backed result and memory holds one form).
     """
 
-    pairs: List[Tuple[int, int]]
-    stats: JoinStats
+    def __init__(self, pairs: List[Tuple[int, int]], stats: JoinStats) -> None:
+        self._pairs: Optional[List[Tuple[int, int]]] = pairs
+        self._oids: Optional[Tuple[Any, Any]] = None
+        self.stats = stats
+
+    @classmethod
+    def from_arrays(
+        cls, left_oids: Any, right_oids: Any, stats: JoinStats
+    ) -> "JoinResult":
+        """A result backed by two equally long int64 oid arrays."""
+        result = cls([], stats)
+        result._pairs = None
+        result._oids = (left_oids, right_oids)
+        return result
+
+    @property
+    def pairs(self) -> List[Tuple[int, int]]:
+        if self._pairs is None:
+            assert self._oids is not None
+            left_oids, right_oids = self._oids
+            self._pairs = list(zip(left_oids.tolist(), right_oids.tolist()))
+            self._oids = None
+        return self._pairs
+
+    @pairs.setter
+    def pairs(self, pairs: List[Tuple[int, int]]) -> None:
+        self._pairs = pairs
+        self._oids = None
+
+    def to_arrays(self) -> Tuple[Any, Any]:
+        """The result as ``(left_oids, right_oids)``, two int64 arrays.
+
+        The buffers themselves when the result is backed by them (do not
+        write to them); otherwise unboxed from the pair list on every
+        call (:func:`pair_columns`).
+        """
+        if self._oids is not None:
+            return self._oids
+        return pair_columns(self.pairs)
 
     def pair_set(self) -> set:
         """The result as a set — the canonical comparison form in tests."""
@@ -151,7 +215,12 @@ class JoinResult:
         return len(self.pairs) != len(set(self.pairs))
 
     def __len__(self) -> int:
+        if self._oids is not None:
+            return len(self._oids[0])
         return len(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"JoinResult({len(self):,} pairs, {self.stats.algorithm or 'no algorithm'})"
 
 
 def empty_result(algorithm: str, n_left: int = 0, n_right: int = 0) -> JoinResult:

@@ -53,9 +53,16 @@ one task loop (:func:`_run_tasks`) against one source form
 executor loads both inputs' columns and the id arrays once into a
 :class:`~repro.kernels.shm.SharedColumnarStore` segment, workers attach
 by segment name, build the same source as views of the mapped pages and
-gather their slices straight out of them, and result ``(rid, sid)`` id
+gather their slices straight out of them, and result ``(rid, sid)`` oid
 buffers come back through a worker-created segment — only task tuples
-and manifests ever cross the pipe.  Where that segment cannot exist
+and manifests ever cross the pipe.  The driver never boxes those
+buffers: the parent copies each task's two runs out of the result
+segment, the in-process executors keep the columnar leaf's arrays, and
+``run`` concatenates once in ``(pid, part)`` order into a buffer-backed
+:class:`~repro.core.result.JoinResult` — a tuple exists only once a
+caller reads ``result.pairs``.  (The tuple leaf in this process returns
+its pair list and the result stays list-backed.)  Where that segment
+cannot exist
 (``shm_enabled()`` is false: numpy missing, no POSIX shared memory,
 ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the thread executor
 instead, with byte-identical output, one ``RuntimeWarning`` per process,
@@ -102,7 +109,7 @@ from typing import (
 )
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
-from repro.core.result import JoinResult, JoinStats
+from repro.core.result import JoinResult, JoinStats, pair_columns
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
@@ -171,12 +178,13 @@ TaskSource = Tuple[Any, Any, Any, Any]
 #: task's outcome.  ``part`` is the stripe part (0 for unsplit tasks);
 #: merging sorts by ``(pid, part)``.  ``wall_seconds`` is measured where
 #: the task ran, so per-task timing survives the process boundary instead
-#: of being dropped.  (Inside a pool worker ``pairs`` is still the
-#: ``(rid, sid)`` id-buffer pair bound for the result segment.)
-TaskOutcome = Tuple[int, int, List[Tuple[int, int]], int, Dict[str, int], float]
+#: of being dropped.  ``pairs`` is the ``(rid, sid)`` pair of int64 oid
+#: buffers — except from the tuple leaf run in this process, whose list
+#: of oid tuples is kept as it is.
+TaskOutcome = Tuple[int, int, Any, int, Dict[str, int], float]
 
 #: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
-#: decoded chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
+#: finished chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
 ChunkReport = Tuple[str, float, List[TaskOutcome], int]
 
 
@@ -244,15 +252,6 @@ def _task_records(rel: Any, ids: Any) -> List[Tuple]:
     return [rel[i] for i in ids]
 
 
-def _id_buffers(pairs: List[Tuple[int, int]]) -> Tuple[Any, Any]:
-    """A pair list as the ``(rid, sid)`` int64 buffers a result segment holds."""
-    np = require_numpy()
-    return (
-        np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs)),
-        np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs)),
-    )
-
-
 def _run_tasks(
     internal_name: str,
     dedup: str,
@@ -270,8 +269,9 @@ def _run_tasks(
     task's own wall time.  The columnar leaf runs ``sweep_numpy`` on the
     numpy backend and can execute one stripe part of a split task; every
     other internal takes the tuple leaf over materialised records (never
-    split).  *as_ids* leaves the pairs as two int64 id buffers (a pool
-    worker's result segment) instead of a list of oid tuples.
+    split).  The columnar leaf's pairs stay the two int64 oid buffers it
+    returns; *as_ids* packs the tuple leaf's pair list into the same form
+    (a pool worker's result segment holds nothing else).
     """
     left, right, l_ids, r_ids = source
     columnar = columnar_engine(internal_name)
@@ -291,7 +291,7 @@ def _run_tasks(
                 counters,
                 stripe,
             )
-            pairs = (rid, sid) if as_ids else list(zip(rid.tolist(), sid.tolist()))
+            pairs = (rid, sid)
         else:
             pairs, suppressed = tuple_leaf(
                 _task_records(left, l_ids[l_lo:l_hi]),
@@ -302,7 +302,7 @@ def _run_tasks(
                 counters,
             )
             if as_ids:
-                pairs = _id_buffers(pairs)
+                pairs = pair_columns(pairs)
         yield (
             pid,
             stripe[0] if stripe is not None else 0,
@@ -377,8 +377,8 @@ def _chunk_blob(
 
     Stores every task's ``(rid, sid)`` id buffers in a fresh
     worker-created segment and ships back only the per-task metadata
-    plus that segment's manifest.  The parent attaches, decodes in
-    partition order and unlinks.  The worker measures its own chunk wall
+    plus that segment's manifest.  The parent attaches, copies the
+    buffers out and unlinks.  The worker measures its own chunk wall
     time (and each task its own), because the parent cannot observe time
     spent inside another process — it only sees the fan-out's makespan.
     """
@@ -392,7 +392,7 @@ def _chunk_blob(
         out_arrays[f"{pid}.{part}.sid"] = sid
         metas.append((pid, part, suppressed, counter_dict, task_wall))
     wall = time.perf_counter() - started
-    # Untracked on purpose: the parent unlinks after decoding (a worker
+    # Untracked on purpose: the parent unlinks after copying out (a worker
     # crashing between here and there leaks the segment — see docs).  If
     # the reply cannot even be serialised, unlink now: the parent will
     # never see the manifest, so nobody else can clean the segment up.
@@ -599,6 +599,12 @@ class ParallelPBSM:
     report the same simulated costs — the real executors additionally
     deliver wall-clock speedup on multicore hardware.
 
+    The result of the columnar engine (``sweep_numpy`` with numpy on), and
+    of any internal run on a process pool, is backed by the two int64 oid
+    buffers the tasks produced, merged in ``(pid, part)`` order and never
+    boxed by the driver: ``len(result)`` and ``result.to_arrays()`` read
+    them, ``result.pairs`` decodes them into a list on first access.
+
     ``scheduler`` selects the task-dispatch policy (``"stealing"``
     default, ``"static"`` for the classic up-front LPT chunking) and
     gates stripe splitting of oversized tasks — see the module
@@ -713,9 +719,8 @@ class ParallelPBSM:
             n_workers=self.workers,
             scheduler=self.scheduler,
         )
-        pairs: List[Tuple[int, int]] = []
         if not left or not right:
-            return JoinResult(pairs=pairs, stats=stats)
+            return JoinResult(pairs=[], stats=stats)
         # On the numpy backend grid extent, partitioning, the segment and
         # the columnar leaf all read the five columns (already there for
         # mapped inputs, built once otherwise); only the tuple leaf ever
@@ -836,10 +841,8 @@ class ParallelPBSM:
                 parts_per_pid: Dict[int, int] = {}
                 for outcome in outcomes:
                     parts_per_pid[outcome[0]] = parts_per_pid.get(outcome[0], 0) + 1
-                for pid, part, task_pairs, suppressed, counter_dict, _wall in (
-                    sorted(outcomes, key=lambda o: (o[0], o[1]))
-                ):
-                    pairs.extend(task_pairs)
+                outcomes.sort(key=lambda o: (o[0], o[1]))
+                for pid, _part, _pairs, suppressed, counter_dict, _wall in outcomes:
                     suppressed_total += suppressed
                     task_cpu = CpuCounters(**counter_dict)
                     # A split task's I/O (the partition files are read
@@ -861,11 +864,25 @@ class ParallelPBSM:
                             "ipc_seconds": stats.ipc_seconds,
                         }
                     )
+                # Only the tuple leaf run in this process hands back
+                # lists; every other outcome is two oid buffers, merged
+                # without boxing a pair.
+                if outcomes and (columnar or use_pool):
+                    np = require_numpy()
+                    result = JoinResult.from_arrays(
+                        np.concatenate([o[2][0] for o in outcomes], dtype=np.int64),
+                        np.concatenate([o[2][1] for o in outcomes], dtype=np.int64),
+                        stats,
+                    )
+                else:
+                    result = JoinResult(
+                        [pair for o in outcomes for pair in o[2]], stats
+                    )
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
             # --- LPT scheduling onto W workers --------------------------
             makespan, _loads = lpt_schedule(task_costs, self.workers)
-            stats.n_results = len(pairs)
+            stats.n_results = len(result)
             stats.io_units_by_phase = {
                 PHASE_PARTITION: disk.total_units(),
                 PHASE_JOIN: join_units_total,
@@ -882,7 +899,7 @@ class ParallelPBSM:
                 PHASE_PARTITION: partition_seconds,
                 PHASE_JOIN: makespan,
             }
-        return JoinResult(pairs=pairs, stats=stats)
+        return result
 
     # ------------------------------------------------------------------
     # task execution
@@ -1092,15 +1109,16 @@ class ParallelPBSM:
 
         Loads *source* once into a columnar segment (both inputs' columns
         plus the two id arrays; with pinned datasets the id arrays only),
-        ships five-integer tasks (seven with a stripe part), and decodes
-        worker-returned ``(rid, sid)``
-        id buffers in ``(pid, part)`` order — so the merged output is
-        byte-identical to the in-process executors and to sequential
-        execution.  Segment build, payload encode and result decode all
-        count into ``stats.ipc_seconds``; only the pipe traffic counts
-        into ``stats.ipc_bytes_shipped``.  When a chunk fails, the result
-        segments of the chunks that finished are unlinked before the
-        error propagates (workers create them untracked).
+        ships five-integer tasks (seven with a stripe part), and copies
+        each task's ``(rid, sid)`` oid buffers out of the worker-created
+        result segment as they are — ``run`` merges them in ``(pid,
+        part)`` order, so the output is byte-identical to the in-process
+        executors and to sequential execution.  Segment build, payload
+        encode and the copy-out all count into ``stats.ipc_seconds``;
+        only the pipe traffic counts into ``stats.ipc_bytes_shipped``.
+        When a chunk fails, the result segments of the chunks that
+        finished are unlinked before the error propagates (workers create
+        them untracked).
         """
         from concurrent.futures import ProcessPoolExecutor
 
@@ -1166,7 +1184,7 @@ class ParallelPBSM:
                     )
             stats.join_makespan_seconds = time.perf_counter() - started
 
-            decode_started = time.perf_counter()
+            copy_started = time.perf_counter()
             outcomes: List[TaskOutcome] = []
             chunk_reports: List[ChunkReport] = []
             executed_by: List[str] = []
@@ -1177,11 +1195,10 @@ class ParallelPBSM:
                 try:
                     task_outcomes: List[TaskOutcome] = []
                     for pid, part, suppressed, counter_dict, task_wall in metas:
-                        task_pairs = list(
-                            zip(
-                                results[f"{pid}.{part}.rid"].tolist(),
-                                results[f"{pid}.{part}.sid"].tolist(),
-                            )
+                        # Copies, so no view keeps the segment mapped.
+                        task_pairs = (
+                            results[f"{pid}.{part}.rid"].copy(),
+                            results[f"{pid}.{part}.sid"].copy(),
                         )
                         task_outcomes.append(
                             (
@@ -1206,7 +1223,7 @@ class ParallelPBSM:
                         len(payload) + len(blob),
                     )
                 )
-            ipc_seconds += time.perf_counter() - decode_started
+            ipc_seconds += time.perf_counter() - copy_started
         stats.ipc_bytes_shipped = bytes_shipped
         stats.ipc_seconds = ipc_seconds
         stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)

@@ -13,9 +13,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    PAIR_STRUCT,
+    PAIRS_I8,
     ProtocolError,
     decode_message,
     encode_message,
+    is_integer,
 )
 
 
@@ -72,6 +75,29 @@ class ServeClient:
             raise ConnectionError("server closed the connection")
         return decode_message(line)
 
+    async def _read_page_body(self, header: Dict[str, Any]) -> bytes:
+        """The raw pairs a binary page *header* announces.
+
+        The header is outside input: it is held to ``bytes == 16 * n``
+        and to the line limit before a single byte is awaited.
+        """
+        n, size = header.get("n"), header["bytes"]
+        if (
+            not is_integer(n)
+            or not is_integer(size)
+            or n < 0
+            or size != PAIR_STRUCT.size * n
+            or size > MAX_LINE_BYTES
+        ):
+            raise ProtocolError(
+                f"bad binary page header: n={n!r}, bytes={size!r} "
+                f"(want bytes == {PAIR_STRUCT.size} * n <= {MAX_LINE_BYTES})"
+            )
+        try:
+            return await self._reader.readexactly(size)
+        except asyncio.IncompleteReadError as exc:
+            raise ConnectionError("server closed the connection") from exc
+
     # ------------------------------------------------------------------
     # typed helpers
     # ------------------------------------------------------------------
@@ -94,12 +120,17 @@ class ServeClient:
 
         *pairs* is empty unless ``include_pairs=True``; the summary is
         the final message (or the error response, with ``ok=False``).
+        The request always says this client reads the binary page frame
+        (``protocol``: header line + raw ``<qq`` pairs, decoded here with
+        ``struct.iter_unpack``); JSON pages are understood as well, so a
+        server that ignores the key is served the same.
         """
         message: Dict[str, Any] = {
             "op": "join",
             "left": left,
             "right": right,
             "include_pairs": include_pairs,
+            "pairs_format": PAIRS_I8,
         }
         if memory_mb is not None:
             message["memory_mb"] = memory_mb
@@ -112,6 +143,11 @@ class ServeClient:
             response = await self._read_response()
             if not response.get("ok") or response.get("done"):
                 return response, pairs
+            if "bytes" in response:
+                pairs.extend(
+                    PAIR_STRUCT.iter_unpack(await self._read_page_body(response))
+                )
+                continue
             page = response.get("pairs")
             if page is None:
                 raise ProtocolError(

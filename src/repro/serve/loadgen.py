@@ -64,7 +64,7 @@ def _local_expected_checksum(topology: str, n: int, memory_mb: float) -> str:
     left = generator(n, seed=11, start_oid=0)
     right = generator(n, seed=23, start_oid=10_000_000)
     result = spatial_join(left, right, mb(memory_mb), method="pbsm")
-    return result_checksum(result.pairs)
+    return result_checksum(result.to_arrays())
 
 
 async def _register_cell(

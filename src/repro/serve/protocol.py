@@ -12,6 +12,16 @@ Every response carries ``"ok"``; error responses carry ``"error"``
 ``"page"``/``"pairs"``; the summary is the response with ``"done":
 true``.
 
+The binary page frame
+---------------------
+A ``join`` request that carries ``"pairs_format": "i8"`` says its sender
+can read pages as raw bytes.  Such a page is the JSON header line
+``{"ok":true,"query_id":q,"page":i,"n":n,"bytes":16*n}`` followed by
+exactly ``bytes`` bytes: the page's pairs row-major, each ``(left_oid,
+right_oid)`` as two little-endian int64 (the layout the checksum
+hashes).  A request without the key gets JSON pages; errors and the
+summary are JSON lines in either case.
+
 The checksum contract
 ---------------------
 :func:`result_checksum` is the *order-insensitive* fingerprint of a
@@ -25,11 +35,12 @@ equal checksums mean byte-identical sorted result sets.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
+import math
 import struct
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro.core.result import pair_columns
 from repro.kernels.backend import get_numpy
 
 #: Upper bound on one protocol line; the asyncio stream reader limit.
@@ -43,7 +54,23 @@ DEFAULT_PAGE_SIZE = 20_000
 #: Default TCP port of ``repro serve``.
 DEFAULT_PORT = 7207
 
-_PAIR_STRUCT = struct.Struct("<qq")
+#: Largest ``page_size`` a ``join`` may ask for.  A pair is at most 44
+#: bytes in a JSON page and 16 in a binary one, so a page of either
+#: frame always fits the stream reader's :data:`MAX_LINE_BYTES`.
+MAX_PAGE_SIZE = MAX_LINE_BYTES // 64
+
+#: Values of a ``join`` request's ``pairs_format``: JSON pages (what a
+#: request without the key gets) or the binary frame.
+PAIRS_JSON = "json"
+PAIRS_I8 = "i8"
+
+#: One pair on the binary frame, and in the checksum.
+PAIR_STRUCT = struct.Struct("<qq")
+
+#: ``(left_oids, right_oids)`` — a result as two equally long int64
+#: buffers (numpy arrays, or ``array('q')`` without numpy), the form
+#: ``JoinResult.to_arrays()`` returns.
+OidColumns = Tuple[Any, Any]
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -70,44 +97,169 @@ def error_response(error: str, message: str, **extra: Any) -> Dict[str, Any]:
     return {"ok": False, "error": error, "message": message, **extra}
 
 
-def result_checksum(pairs: Iterable[Tuple[int, int]]) -> str:
+def is_integer(value: object) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_columns(pairs: object) -> bool:
+    """Whether *pairs* is an :data:`OidColumns` and not a sequence of pairs."""
+    return (
+        isinstance(pairs, tuple)
+        and len(pairs) == 2
+        and all(hasattr(column, "tobytes") for column in pairs)
+    )
+
+
+def _sorted_table(np: Any, left: Any, right: Any) -> Any:
+    """The pairs of two int64 columns as one sorted ``(n, 2)`` ``<i8`` table.
+
+    Whenever the two oid ranges multiply to less than ``2**63`` a pair
+    packs into one int64 key ``(l - l_min) * span_r + (r - r_min)`` whose
+    order is the pairs' lexicographic order, and one ``ndarray.sort()``
+    over the keys replaces the two-key ``lexsort`` (an eighth of its
+    time on 350k pairs).  The spans are taken from the data; wider ranges
+    keep ``lexsort``.  Same table, hence the same digest, either way.
+    """
+    table = np.empty((len(left), 2), dtype="<i8")
+    if not len(left):
+        return table
+    l_min, r_min = int(left.min()), int(right.min())
+    span_l = int(left.max()) - l_min + 1
+    span_r = int(right.max()) - r_min + 1
+    if span_l * span_r < 2**63:
+        keys = (left - l_min) * span_r + (right - r_min)
+        keys.sort()
+        high, low = np.divmod(keys, span_r)
+        table[:, 0] = high + l_min
+        table[:, 1] = low + r_min
+    else:
+        order = np.lexsort((right, left))
+        table[:, 0] = left[order]
+        table[:, 1] = right[order]
+    return table
+
+
+def result_checksum(pairs: Union[Iterable[Tuple[int, int]], OidColumns]) -> str:
     """Order-insensitive SHA-256 fingerprint of a result-pair set.
 
-    On the numpy backend the pairs are sorted as two int64 columns and
-    hashed as one packed buffer — the same bytes, hence the same digest,
-    as the per-pair ``struct`` loop below.
+    *pairs* is an iterable of ``(left_oid, right_oid)`` pairs or the
+    :data:`OidColumns` of a result (``result.to_arrays()``), which are
+    read as they are — no tuple is boxed.  On the numpy backend the
+    pairs are sorted as int64 columns (:func:`_sorted_table`) and hashed
+    as one packed buffer — the same bytes, hence the same digest, as the
+    per-pair ``struct`` loop below.
     """
     np = get_numpy()
+    columns = _is_columns(pairs)
     if np is not None:
-        rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        table = np.fromiter(
-            itertools.chain.from_iterable(rows), dtype="<i8", count=2 * len(rows)
-        ).reshape(-1, 2)
-        order = np.lexsort((table[:, 1], table[:, 0]))
-        return hashlib.sha256(table[order]).hexdigest()  # C-contiguous buffer
+        left, right = pairs if columns else pair_columns(pairs)
+        table = _sorted_table(
+            np, np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        )
+        return hashlib.sha256(table).hexdigest()  # C-contiguous buffer
     digest = hashlib.sha256()
-    pack = _PAIR_STRUCT.pack
-    for left_oid, right_oid in sorted(pairs):
+    pack = PAIR_STRUCT.pack
+    for left_oid, right_oid in sorted(zip(*pairs) if columns else pairs):
         digest.update(pack(left_oid, right_oid))
     return digest.hexdigest()
 
 
 def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[List[int]]]:
-    """Result pairs as JSON-ready pages of at most *page_size* pairs."""
+    """Result pairs as JSON-ready pages of at most *page_size* pairs.
+
+    The reference form of a JSON page, for callers that hold a pair list
+    (the benchmark's replay, tests); the server cuts the same pages from
+    oid buffers with :func:`encode_pages`.
+    """
     if page_size <= 0:
         raise ValueError("page_size must be positive")
     for start in range(0, len(pairs), page_size):
         yield [[int(a), int(b)] for a, b in pairs[start : start + page_size]]
 
 
+def encode_pages(
+    columns: OidColumns, page_size: int, pairs_format: str, query_id: int
+) -> Iterator[bytes]:
+    """The page messages of one ``join`` result, each ready for the socket.
+
+    Pages are cut from the two oid buffers, in their order, and a pair
+    is boxed only where the frame needs it: a :data:`PAIRS_I8` page is
+    its header line plus the interleaved buffer slice, a JSON page is
+    byte for byte ``encode_message({..., "pairs": page})`` over
+    :func:`paginate` of the same pairs (``tolist()`` of the slice).
+    """
+    np = get_numpy()
+    left, right = columns
+    for index, start in enumerate(range(0, len(left), page_size)):
+        head = {"ok": True, "query_id": query_id, "page": index}
+        page = (left[start : start + page_size], right[start : start + page_size])
+        if pairs_format == PAIRS_I8:
+            if np is not None:
+                body = np.stack(page, axis=1).astype("<i8", copy=False).tobytes()
+            else:
+                body = b"".join(map(PAIR_STRUCT.pack, *page))
+            yield encode_message({**head, "n": len(page[0]), "bytes": len(body)}) + body
+        else:
+            if np is not None:
+                rows = np.stack(page, axis=1).tolist()
+            else:
+                rows = [list(pair) for pair in zip(*page)]
+            yield encode_message({**head, "pairs": rows})
+
+
+def join_options(
+    message: Dict[str, Any], default_page_size: int
+) -> Tuple[Optional[float], bool, int, str]:
+    """``(memory_mb, include_pairs, page_size, pairs_format)`` of a ``join``.
+
+    The optional fields of the request, defaults filled in (``memory_mb``
+    stays ``None`` when absent: the server's own budget applies).  Raises
+    :class:`ProtocolError` naming the field that no server could honour.
+    """
+    memory_mb = message.get("memory_mb")
+    if memory_mb is not None and not (
+        isinstance(memory_mb, (int, float))
+        and not isinstance(memory_mb, bool)
+        and 0 < memory_mb < math.inf  # false for NaN; exact for any int
+    ):
+        raise ProtocolError(
+            f"memory_mb must be a finite number > 0, got {memory_mb!r}"
+        )
+    include_pairs = message.get("include_pairs", False)
+    if not isinstance(include_pairs, bool):
+        raise ProtocolError(
+            f"include_pairs must be true or false, got {include_pairs!r}"
+        )
+    page_size = message.get("page_size", default_page_size)
+    if not is_integer(page_size) or not 1 <= page_size <= MAX_PAGE_SIZE:
+        raise ProtocolError(
+            f"page_size must be an integer in 1..{MAX_PAGE_SIZE}, got {page_size!r}"
+        )
+    pairs_format = message.get("pairs_format", PAIRS_JSON)
+    if pairs_format not in (PAIRS_JSON, PAIRS_I8):
+        raise ProtocolError(
+            f"pairs_format must be {PAIRS_JSON!r} or {PAIRS_I8!r}, got {pairs_format!r}"
+        )
+    return memory_mb, include_pairs, page_size, pairs_format
+
+
 __all__ = [
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_PORT",
     "MAX_LINE_BYTES",
+    "MAX_PAGE_SIZE",
+    "OidColumns",
+    "PAIRS_I8",
+    "PAIRS_JSON",
+    "PAIR_STRUCT",
     "ProtocolError",
     "decode_message",
     "encode_message",
+    "encode_pages",
     "error_response",
+    "is_integer",
+    "join_options",
     "paginate",
     "result_checksum",
 ]

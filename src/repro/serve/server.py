@@ -14,7 +14,14 @@ Request lifecycle of a ``join`` op::
       -> plan through the shared cache        EngineHost.plan
       -> budget check on the cost estimate    AdmissionController
       -> execute (persistent pool, pins)      EngineHost.execute
-      -> stream result pages + summary        protocol.paginate
+      -> checksum the result's oid buffers    protocol.result_checksum
+      -> stream result pages + summary        protocol.encode_pages
+
+The result of a join is handled as the two int64 oid buffers
+``JoinResult.to_arrays()`` returns and never through ``result.pairs``:
+a parallel plan's result is those buffers already, so a served join
+boxes no tuple (``protocol`` decides what a page looks like, and what
+the numpy-free fallback does).
 
 Every request gets its own :class:`~repro.obs.Tracer`; the finished span
 tree is retained for the last :data:`TRACE_KEEP` queries and served back
@@ -32,6 +39,7 @@ startup, so a SIGKILLed server never leaks segments past the next start.
 from __future__ import annotations
 
 import asyncio
+import logging
 import os
 import signal
 import time
@@ -51,14 +59,17 @@ from repro.serve.protocol import (
     ProtocolError,
     decode_message,
     encode_message,
+    encode_pages,
     error_response,
-    paginate,
+    join_options,
     result_checksum,
 )
 from repro.serve.registry import DatasetRegistry
 
 #: Finished query traces retained for the ``trace`` op.
 TRACE_KEEP = 64
+
+_LOG = logging.getLogger(__name__)
 
 
 class JoinServer:
@@ -373,6 +384,21 @@ class JoinServer:
     # ------------------------------------------------------------------
     # the join op
     # ------------------------------------------------------------------
+    async def _join_error(
+        self,
+        writer: asyncio.StreamWriter,
+        query_id: int,
+        error: str,
+        message: str,
+        **extra: Any,
+    ) -> None:
+        """Count a join that ends in an error response, and send it."""
+        self._queries_error += 1
+        self.metrics.inc("repro_serve_queries_total", 1, status="error")
+        await self._send(
+            writer, error_response(error, message, query_id=query_id, **extra)
+        )
+
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
         query_id = self._query_seq
@@ -381,20 +407,18 @@ class JoinServer:
             left = self.registry.get(str(message.get("left")))
             right = self.registry.get(str(message.get("right")))
         except KeyError as exc:
-            self._queries_error += 1
-            self.metrics.inc("repro_serve_queries_total", 1, status="error")
-            await self._send(
-                writer,
-                error_response("unknown_dataset", str(exc), query_id=query_id),
+            await self._join_error(writer, query_id, "unknown_dataset", str(exc))
+            return
+        try:
+            memory_mb, include_pairs, page_size, pairs_format = join_options(
+                message, self.page_size
             )
+        except ProtocolError as exc:
+            await self._join_error(writer, query_id, "bad_request", str(exc))
             return
         memory_bytes = (
-            mb(float(message["memory_mb"]))
-            if "memory_mb" in message
-            else self.engine.memory_bytes
+            mb(memory_mb) if memory_mb is not None else self.engine.memory_bytes
         )
-        include_pairs = bool(message.get("include_pairs", False))
-        page_size = int(message.get("page_size", self.page_size))
         tracer = Tracer()
 
         try:
@@ -406,6 +430,9 @@ class JoinServer:
                 result = await run_blocking(
                     self.engine.execute, plan, left, right, tracer
                 )
+            # The result stays two oid buffers from here to the socket.
+            columns = await run_blocking(result.to_arrays)
+            checksum = await run_blocking(result_checksum, columns)
         except AdmissionReject as exc:
             self._queries_rejected += 1
             self.metrics.inc("repro_serve_queries_total", 1, status="rejected")
@@ -419,19 +446,24 @@ class JoinServer:
                 ),
             )
             return
+        except Exception as exc:
+            # The engine failed this query (bad data behind a registered
+            # name, a dead pool worker, a bug); the connection and the
+            # server must outlive it.
+            _LOG.exception("join %d (%s x %s) failed", query_id, left.name, right.name)
+            await self._join_error(
+                writer,
+                query_id,
+                "join_failed",
+                f"{type(exc).__name__}: {exc}",
+                exception=type(exc).__name__,
+            )
+            return
 
-        checksum = await run_blocking(result_checksum, result.pairs)
         if include_pairs:
-            for page_index, page in enumerate(paginate(result.pairs, page_size)):
-                await self._send(
-                    writer,
-                    {
-                        "ok": True,
-                        "query_id": query_id,
-                        "page": page_index,
-                        "pairs": page,
-                    },
-                )
+            for frame in encode_pages(columns, page_size, pairs_format, query_id):
+                writer.write(frame)
+                await writer.drain()
 
         elapsed = time.perf_counter() - started
         stats = result.stats

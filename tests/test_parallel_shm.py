@@ -157,9 +157,19 @@ class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
     def test_byte_identical_across_executors(self, internal):
         sim = run(2, executor="simulated", internal=internal)
+        thread = run(2, executor="thread", internal=internal)
         proc = run(2, internal=internal)
         assert proc.stats.executor == "process"
-        assert proc.pairs == sim.pairs  # same pairs, same order
+        # The driver boxes no pair: oid buffers from the columnar leaf
+        # and from every pool worker, a list only from the tuple leaf
+        # run in this process.
+        columnar = internal == "sweep_numpy"
+        assert [r._pairs is None for r in (sim, thread, proc)] == [
+            columnar, columnar, True
+        ]
+        assert proc.stats.n_results == len(proc) == len(sim.pairs)
+        assert proc._pairs is None  # len() did not decode
+        assert proc.pairs == sim.pairs == thread.pairs  # same pairs, same order
         assert proc.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
         assert proc.stats.cpu_by_phase == sim.stats.cpu_by_phase
         assert proc.stats.io_units_by_phase == sim.stats.io_units_by_phase

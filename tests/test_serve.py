@@ -11,12 +11,16 @@ the `needs_shm`-gated tests at the bottom.
 from __future__ import annotations
 
 import asyncio
+import struct
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import spatial_join
-from repro.kernels.backend import numpy_enabled, python_backend
+from repro.core.result import pair_columns
+from repro.kernels.backend import get_numpy, numpy_enabled, python_backend
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -30,6 +34,7 @@ from repro.serve import (
 )
 from repro.serve.protocol import (
     ProtocolError,
+    _sorted_table,
     decode_message,
     encode_message,
     paginate,
@@ -74,6 +79,42 @@ def expected_checksum() -> str:
     return result_checksum(spatial_join(LEFT, RIGHT, MEMORY, method="pbsm").pairs)
 
 
+def struct_loop_checksum(pairs) -> str:
+    """The checksum contract written out: the reference of every path."""
+    import hashlib
+
+    digest = hashlib.sha256()
+    for pair in sorted(pairs):
+        digest.update(struct.pack("<qq", *pair))
+    return digest.hexdigest()
+
+
+class CountingNumpy:
+    """numpy, counting ``lexsort`` calls: which sort a checksum took."""
+
+    def __init__(self, np):
+        self._np = np
+        self.lexsorts = 0
+
+    def __getattr__(self, name):
+        return getattr(self._np, name)
+
+    def lexsort(self, keys):
+        self.lexsorts += 1
+        return self._np.lexsort(keys)
+
+
+#: Oids from narrow ranges (ties, duplicates, packable spans), from ranges
+#: whose spans multiply to about 2**63 (both sides of the packed-key
+#: limit), and from all of int64 (never packable).
+OIDS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(10**6, 10**6 + 50),
+    st.sampled_from([0, 1, 2**31 - 2, 2**31 - 1, 2**32 - 2, 2**32 - 1]),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
 # ----------------------------------------------------------------------
 # protocol primitives
 # ----------------------------------------------------------------------
@@ -115,11 +156,56 @@ class TestProtocol:
             ],
         }
         for name, pairs in cases.items():
+            reference = struct_loop_checksum(pairs)
             with python_backend():
-                reference = result_checksum(pairs)
+                assert result_checksum(pairs) == reference, name
+                assert result_checksum(pair_columns(pairs)) == reference, name
             assert result_checksum(pairs) == reference, name
             assert result_checksum(iter(pairs)) == reference, name
             assert result_checksum([list(p) for p in pairs]) == reference, name
+            assert result_checksum(pair_columns(pairs)) == reference, name
+
+    @given(pairs=st.lists(st.tuples(OIDS, OIDS), max_size=40))
+    def test_checksum_of_arrays_equals_the_struct_loop(self, pairs):
+        reference = struct_loop_checksum(pairs)
+        assert result_checksum(pair_columns(pairs)) == reference
+        assert result_checksum(pairs) == reference
+        assert result_checksum(pair_columns(pairs[::-1])) == reference
+
+    def test_two_pairs_are_pairs_and_two_buffers_are_columns(self):
+        pairs = ((1, 2), (3, 4))
+        assert result_checksum(pairs) == struct_loop_checksum(pairs)
+        columns = pair_columns(pairs)  # ([1, 3], [2, 4]): two buffers, not two pairs
+        assert result_checksum(columns) == struct_loop_checksum(pairs)
+        as_pairs = [tuple(column.tolist()) for column in columns]
+        assert result_checksum(as_pairs) == struct_loop_checksum([(1, 3), (2, 4)])
+
+    @needs_numpy
+    def test_packed_key_sort_up_to_the_int64_limit_and_lexsort_beyond(self):
+        """``span_l * span_r < 2**63`` sorts one packed key; the digest is
+        the struct loop's on both sides of the limit."""
+        np = get_numpy()
+        for span_l, span_r, lexsorts in [
+            (2**32, 2**31 - 1, 0),  # product just under 2**63: packed
+            (2**32, 2**31, 1),  # exactly 2**63: the key could overflow
+            (1, 2**63 - 1, 0),
+            (1, 2**64, 1),  # all of int64 on one side
+            (2**64, 2**64, 1),
+        ]:
+            for l_min, r_min in [(0, 0), (-(2**63), -(2**63)), (-7, 10**6)]:
+                l_max = min(l_min + span_l - 1, 2**63 - 1)
+                r_max = min(r_min + span_r - 1, 2**63 - 1)
+                if (l_max - l_min + 1, r_max - r_min + 1) != (span_l, span_r):
+                    continue  # this span does not fit int64 from this minimum
+                pairs = [
+                    (l_max, r_min), (l_min, r_max), (l_max, r_max), (l_min, r_min),
+                    (l_max, r_max), (l_min + span_l // 2, r_min + span_r // 2),
+                ]  # fmt: skip
+                counting = CountingNumpy(np)
+                table = _sorted_table(counting, *pair_columns(pairs))
+                assert counting.lexsorts == lexsorts, (span_l, span_r)
+                assert table.tolist() == [list(p) for p in sorted(pairs)]
+                assert result_checksum(pair_columns(pairs)) == struct_loop_checksum(pairs)
 
     def test_paginate_covers_everything_in_order(self):
         pairs = [(i, i + 1) for i in range(10)]

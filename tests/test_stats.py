@@ -1,11 +1,17 @@
 """Unit tests for CPU counters, phase timers, and join statistics."""
 
 import time
+from array import array
 
 import pytest
 
-from repro.core.result import JoinResult, JoinStats, empty_result
+from repro import S3J, SSSJ, ParallelPBSM, RTreeJoin, SpatialHashJoin
+from repro.core.result import JoinResult, JoinStats, empty_result, pair_columns
 from repro.core.stats import CpuCounters, PhaseTimer, merge_counters
+from repro.kernels.backend import python_backend
+from repro.verify import VerificationError, verify_result
+
+from .conftest import random_kpes
 
 
 class TestCpuCounters:
@@ -102,3 +108,102 @@ class TestJoinResult:
         assert r.stats.algorithm == "X"
         assert r.stats.n_left == 5
         assert r.stats.n_right == 6
+
+
+def column_lists(columns):
+    return [column.tolist() for column in columns]
+
+
+class TestBufferBackedResult:
+    """A result built from oid buffers boxes a tuple only behind ``.pairs``."""
+
+    PAIRS = [(1, 20), (3, 40), (1, 20), (-5, 2**40)]
+
+    def make(self):
+        return JoinResult.from_arrays(*pair_columns(self.PAIRS), JoinStats(algorithm="B"))
+
+    def test_len_and_to_arrays_do_not_decode(self):
+        result = self.make()
+        assert len(result) == 4
+        assert column_lists(result.to_arrays()) == [[1, 3, 1, -5], [20, 40, 20, 2**40]]
+        assert "4 pairs" in repr(result)
+        assert result._pairs is None  # still the buffers, no list built
+
+    def test_pairs_decodes_once_into_the_single_truth(self):
+        result = self.make()
+        pairs = result.pairs
+        assert pairs == self.PAIRS and type(pairs) is list
+        assert all(type(oid) is int for pair in pairs for oid in pair)
+        assert result.pairs is pairs  # the same list on every access
+        assert result._oids is None  # memory holds one form
+        assert result.has_duplicates()
+        assert result.pair_set() == {(1, 20), (3, 40), (-5, 2**40)}
+
+    def test_mutations_of_the_list_are_the_result(self):
+        result = self.make()
+        result.pairs.append((7, 70))
+        assert len(result) == 5
+        assert column_lists(result.to_arrays()) == [
+            [1, 3, 1, -5, 7],
+            [20, 40, 20, 2**40, 70],
+        ]
+        result.pairs = [(9, 90)]
+        assert len(result) == 1 and not result.has_duplicates()
+        assert column_lists(result.to_arrays()) == [[9], [90]]
+
+    def test_assignment_before_any_read_drops_the_buffers(self):
+        result = self.make()
+        result.pairs = []
+        assert len(result) == 0 and result.pairs == []
+        assert column_lists(result.to_arrays()) == [[], []]
+
+    def test_verify_sees_edits_of_a_buffer_backed_result(self):
+        left = random_kpes(60, seed=5, max_edge=0.2)
+        right = random_kpes(60, seed=6, start_oid=1000, max_edge=0.2)
+        listed = SSSJ(4096).run(left, right)
+        result = JoinResult.from_arrays(*listed.to_arrays(), listed.stats)
+        verify_result(result, left, right)
+        result.pairs.append(result.pairs[0])
+        with pytest.raises(VerificationError, match="duplicate"):
+            verify_result(result, left, right)
+        result.pairs = result.pairs[:-2]
+        with pytest.raises(VerificationError, match="mismatch"):
+            verify_result(result, left, right)
+
+
+class TestListBackedToArrays:
+    """``to_arrays()`` of every tuple-producing driver is ``zip(*pairs)``."""
+
+    LEFT = random_kpes(150, seed=41, max_edge=0.1)
+    RIGHT = random_kpes(150, seed=42, start_oid=10_000, max_edge=0.1)
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            S3J(4096),
+            SSSJ(4096),
+            SpatialHashJoin(4096),
+            RTreeJoin(4096),
+            ParallelPBSM(4096, 2, internal="sweep_trie"),
+        ],
+        ids=lambda driver: type(driver).__name__,
+    )
+    def test_equals_zip_of_pairs(self, driver):
+        result = driver.run(self.LEFT, self.RIGHT)
+        assert result._oids is None and len(result) > 0
+        assert column_lists(result.to_arrays()) == [
+            list(column) for column in zip(*result.pairs)
+        ]
+
+    def test_numpy_off_parallel_pbsm_is_list_backed(self):
+        with python_backend():
+            result = ParallelPBSM(4096, 2, internal="sweep_numpy").run(
+                self.LEFT, self.RIGHT
+            )
+            assert result._oids is None and len(result) > 0
+            columns = result.to_arrays()
+            assert all(isinstance(column, array) for column in columns)
+        assert column_lists(columns) == [list(c) for c in zip(*result.pairs)]
+
+    def test_empty_list_backed_result(self):
+        assert column_lists(empty_result("X").to_arrays()) == [[], []]

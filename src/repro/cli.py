@@ -174,14 +174,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
             )
             return 2
         kwargs["executor"] = args.executor
-    if args.scheduler:
-        if args.workers is None or args.method != "pbsm":
-            print(
-                "error: --scheduler requires --workers and --method pbsm",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["scheduler"] = args.scheduler
     tracer = None
     if args.trace:
         from repro.obs import Tracer
@@ -424,13 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("process", "thread"),
         help="with --workers: pool flavour — forked processes (default) "
         "or GIL-releasing threads over the columnar kernel",
-    )
-    join.add_argument(
-        "--scheduler",
-        default=None,
-        choices=("static", "stealing"),
-        help="with --workers: static LPT chunking or work stealing with "
-        "duplicate-free stripe splitting (default)",
     )
     join.add_argument("--out", default=None, help="write result pairs as CSV")
     join.add_argument(

@@ -52,17 +52,14 @@ def format_stats(stats: JoinStats, verbose: bool = False) -> str:
             f"{stats.join_makespan_seconds:.3f}s"
         )
     if stats.n_workers > 1 and stats.join_makespan_seconds:
-        scheduler = f" ({stats.scheduler})" if stats.scheduler else ""
         lines.append(
             f"worker utilization {stats.worker_utilization:.1%} "
-            f"over {stats.n_workers} workers{scheduler}"
+            f"over {stats.n_workers} workers"
         )
         if stats.scheduler_idle_seconds:
             lines.append(
                 f"scheduler idle     {stats.scheduler_idle_seconds:.3f}s"
             )
-        if stats.tasks_stolen:
-            lines.append(f"tasks stolen       {stats.tasks_stolen:,}")
     if stats.ipc_bytes_shipped:
         lines.append(
             f"ipc shipped        {stats.ipc_bytes_shipped:,} bytes "

@@ -67,11 +67,7 @@ class JoinStats:
     worker_busy_seconds: Dict[str, float] = field(default_factory=dict)
     #: worker count the parallel drivers ran with (0 for sequential)
     n_workers: int = 0
-    #: task-dispatch policy of the parallel join phase ("static" LPT
-    #: chunking or "stealing"; "" for sequential drivers)
-    scheduler: str = ""
-    #: dispatch units that ran on a different worker than static LPT
-    #: packing would have planned (stealing scheduler only)
+    #: always 0; the frozen ``benchmarks/e2e/layers.py`` still reads it
     tasks_stolen: int = 0
     #: worker-seconds the fan-out paid for but did not fill:
     #: makespan x workers - total busy (the skew penalty, made visible)

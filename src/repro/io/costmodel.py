@@ -66,10 +66,8 @@ class CostModel:
     #: (pickle encode + pipe + decode, ~500 MB/s end to end).  Prices the
     #: process executor's pipe traffic: task tuples out, manifests back.
     ipc_byte_seconds: float = 2.0e-9
-    #: Simulated seconds of parent-side overhead per dispatch unit
-    #: submitted to a pool (future bookkeeping, queue handoff).  Prices
-    #: the scheduler's granularity: stealing dispatches more, smaller
-    #: units than static chunking.
+    #: Simulated seconds of parent-side overhead per chunk submitted to
+    #: a pool (future bookkeeping, queue handoff).
     dispatch_seconds: float = 5.0e-4
     #: Simulated seconds to spawn one pool worker process (fork/exec +
     #: interpreter warm-up).  Charged by the process executor when no

@@ -50,7 +50,6 @@ from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
     forward_scan_batches,
     python_forward_scan,
-    sorted_columns,
     sweep_numpy_join,
 )
 from repro.kernels.rpm import (
@@ -90,7 +89,6 @@ __all__ = [
     "require_numpy",
     "rpm_join_ids",
     "set_numpy_enabled",
-    "sorted_columns",
     "sweep_numpy_join",
     "tile_partitions",
     "tile_ranges",

@@ -16,7 +16,7 @@ parity tests pin down on tile-boundary points.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
 from repro.kernels.backend import require_numpy
@@ -63,7 +63,6 @@ def _owned_scan(
     bottom_left: bool,
     counters: CpuCounters,
     batch_candidates: int,
-    stripe_slice: Optional[Tuple[int, int]],
 ) -> Tuple:
     """Forward scan plus a chain of ownership tests over every batch.
 
@@ -80,28 +79,21 @@ def _owned_scan(
     if a_cols.n == 0 or b_cols.n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0, 0
-    # Stripe-split sibling parts re-sort only because process isolation
-    # denies them part 0's arrays; the algorithmic sort is charged once.
-    charge_sort = stripe_slice is None or stripe_slice[0] == 0
     if a_cols.sorted_by_xl:
         a = a_cols
     else:
-        if charge_sort:
-            _charge_batch_sort(counters, a_cols.n)
+        _charge_batch_sort(counters, a_cols.n)
         a = a_cols.sort_by_xl()
     if b_cols.sorted_by_xl:
         b = b_cols
     else:
-        if charge_sort:
-            _charge_batch_sort(counters, b_cols.n)
+        _charge_batch_sort(counters, b_cols.n)
         b = b_cols.sort_by_xl()
     rids = []
     sids = []
     detected = 0
     kept = 0
-    for a_idx, b_idx in forward_scan_batches(
-        a, b, counters, batch_candidates, stripe_slice
-    ):
+    for a_idx, b_idx in forward_scan_batches(a, b, counters, batch_candidates):
         detected += int(a_idx.shape[0])
         rid = a.oid[a_idx]
         sid = b.oid[b_idx]
@@ -133,7 +125,6 @@ def rpm_join_ids(
     pid: int,
     counters: CpuCounters,
     batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    stripe_slice: Optional[Tuple[int, int]] = None,
 ) -> Tuple:
     """One partition-pair join with batched RPM ownership by *pid*.
 
@@ -141,16 +132,10 @@ def rpm_join_ids(
     two columnar relations and returns ``(rid, sid, suppressed)`` where
     ``rid``/``sid`` are int64 arrays of the inputs' ``oid`` values — the
     ``i``-th owned pair is ``(rid[i], sid[i])``.  Unsorted inputs are
-    sorted here with a stable argsort, charged like
-    :func:`~repro.kernels.sweep.sorted_columns` charges its own.
-
-    ``stripe_slice=(part, n_parts)`` restricts the scan to its stripe
-    part (see :func:`~repro.kernels.sweep.forward_scan_batches`); the
-    parts concatenated in order are bit-identical to the full call.
+    sorted here with a stable argsort, charged as one batch sort each.
     """
     rid, sid, detected, suppressed = _owned_scan(
-        a_cols, b_cols, ((grid, pid),), False, counters, batch_candidates,
-        stripe_slice,
+        a_cols, b_cols, ((grid, pid),), False, counters, batch_candidates
     )
     counters.batch_ops += BATCH_OPS_PER_RPM_TEST * detected
     return rid, sid, suppressed
@@ -181,8 +166,7 @@ def region_join_ids(
     when there is a chain to test.
     """
     rid, sid, detected, suppressed = _owned_scan(
-        a_cols, b_cols, regions, bottom_left, counters,
-        DEFAULT_BATCH_CANDIDATES, None,
+        a_cols, b_cols, regions, bottom_left, counters, DEFAULT_BATCH_CANDIDATES
     )
     if regions:
         counters.refpoint_tests += detected

@@ -71,22 +71,6 @@ def _charge_batch_sort(counters: CpuCounters, n: int) -> None:
         counters.batch_ops += n * max(1, math.ceil(math.log2(n)))
 
 
-def sorted_columns(
-    kpes: Sequence[Tuple], counters: CpuCounters
-) -> ColumnarRelation:
-    """Columnar copy of *kpes* sorted by ``xl``, with the sort charged.
-
-    Inputs flagged as already sorted (:class:`repro.io.extsort.XlSorted`)
-    skip both the argsort and its charge.
-    """
-    cols = ColumnarRelation.from_kpes(kpes)
-    if getattr(kpes, "sorted_by_xl", False):
-        cols.sorted_by_xl = True
-        return cols
-    _charge_batch_sort(counters, cols.n)
-    return cols.sort_by_xl()
-
-
 # ----------------------------------------------------------------------
 # the kernel proper
 # ----------------------------------------------------------------------
@@ -157,46 +141,6 @@ def _pass_batches(
             yield (probe_hit, anchor_hit) if swap else (anchor_hit, probe_hit)
 
 
-def _stripe_slice_range(
-    np: Any,
-    a: ColumnarRelation,
-    b: ColumnarRelation,
-    ylo: float,
-    inv_height: float,
-    k: int,
-    part: int,
-    n_parts: int,
-) -> range:
-    """The stripe subrange one split part executes, balanced by work.
-
-    Boundaries are drawn on the cumulative per-stripe replica counts, so
-    each part receives roughly ``1/n_parts`` of the *records*, not of the
-    stripe indices — under placement skew most stripes are nearly empty
-    and index-based slicing would hand one part all the work.  Computed
-    from the full inputs with the same arithmetic in every part, so the
-    parts always partition ``range(k)`` exactly.
-    """
-    counts = np.zeros(k + 1, dtype=np.int64)
-    for rel in (a, b):
-        slo = ((rel.yl - ylo) * inv_height).astype(np.int64)
-        np.clip(slo, 0, k - 1, out=slo)
-        shi = ((rel.yh - ylo) * inv_height).astype(np.int64)
-        np.clip(shi, 0, k - 1, out=shi)
-        np.add.at(counts, slo, 1)
-        np.add.at(counts, shi + 1, -1)
-    cum = np.cumsum(np.cumsum(counts[:-1]))
-    total = int(cum[-1])
-    lo = int(np.searchsorted(cum, (total * part) / n_parts, side="left"))
-    hi = (
-        k
-        if part + 1 == n_parts
-        else int(
-            np.searchsorted(cum, (total * (part + 1)) / n_parts, side="left")
-        )
-    )
-    return range(lo, hi)
-
-
 def _stripe_count(np: Any, a: ColumnarRelation, b: ColumnarRelation, span: float) -> int:
     """How many y stripes to use (1 = no striping).
 
@@ -218,8 +162,6 @@ def _stripe_count(np: Any, a: ColumnarRelation, b: ColumnarRelation, span: float
 def _stripe_layout(
     np: Any, rel: ColumnarRelation, ylo: float, inv_height: float, k: int,
     counters: CpuCounters,
-    stripes: Optional[range] = None,
-    charge: bool = True,
 ) -> Tuple:
     """Replicate *rel* into its overlapping y stripes.
 
@@ -227,38 +169,22 @@ def _stripe_layout(
     the indices (into *rel*, xl order preserved) of stripe ``s``'s
     records, and ``slo`` is each record's bottom stripe — the ownership
     key of the reference-point rule.
-
-    With a ``stripes`` restriction only the replicas landing in that
-    subrange are materialised and sorted — a stripe-split part never
-    pays for sibling parts' replicas.  ``slo`` (the ownership key) is
-    always computed over the full stripe set, so restricted and full
-    layouts agree on every record they share.  ``charge=False``
-    suppresses the plan's CPU charges: split parts recompute an
-    *identical* plan only because process isolation denies them the
-    part-0 arrays, so the algorithmic cost is charged once, to part 0.
     """
     slo = ((rel.yl - ylo) * inv_height).astype(np.int64)
     np.clip(slo, 0, k - 1, out=slo)
     shi = ((rel.yh - ylo) * inv_height).astype(np.int64)
     np.clip(shi, 0, k - 1, out=shi)
-    if stripes is None:
-        base = slo
-        counts = shi - slo + 1
-    else:
-        base = np.maximum(slo, stripes.start)
-        counts = np.maximum(np.minimum(shi, stripes.stop - 1) - base + 1, 0)
+    counts = shi - slo + 1
     total = int(counts.sum())
     orig = np.repeat(np.arange(rel.n), counts)
     offsets = np.cumsum(counts) - counts
-    stripe = np.arange(total) - np.repeat(offsets - base, counts)
+    stripe = np.arange(total) - np.repeat(offsets - slo, counts)
     # Stable sort groups replicas by stripe while preserving xl order
     # inside every stripe — each stripe is forward-scan ready as-is.
     order = np.argsort(stripe, kind="stable")
     bounds = np.searchsorted(stripe[order], np.arange(k + 1))
-    if charge:
-        full_total = int((shi - slo + 1).sum())
-        counters.batch_ops += 6 * rel.n + 2 * full_total
-        _charge_batch_sort(counters, full_total)
+    counters.batch_ops += 6 * rel.n + 2 * total
+    _charge_batch_sort(counters, total)
     return orig[order], bounds, slo
 
 
@@ -271,26 +197,12 @@ def _stripe_passes(
     inv_height: float,
     counters: CpuCounters,
     batch_candidates: int,
-    stripes: Optional[range] = None,
 ) -> Iterator[Tuple]:
-    """The striped scan: per stripe, both passes plus the ownership rule.
-
-    ``stripes`` restricts execution to a subrange of the ``k`` stripes
-    (parallel stripe splitting); the ownership keys are always computed
-    for the full stripe set so the ownership rule — and therefore the
-    emitted pair set — is independent of how stripes are sliced across
-    callers, while replica materialisation (and its CPU charge, levied
-    on the part holding stripe 0) is restricted to the slice.
-    """
-    charge = stripes is None or stripes.start == 0
-    a_orig, a_bounds, a_slo = _stripe_layout(
-        np, a, ylo, inv_height, k, counters, stripes, charge
-    )
-    b_orig, b_bounds, b_slo = _stripe_layout(
-        np, b, ylo, inv_height, k, counters, stripes, charge
-    )
+    """The striped scan: per stripe, both passes plus the ownership rule."""
+    a_orig, a_bounds, a_slo = _stripe_layout(np, a, ylo, inv_height, k, counters)
+    b_orig, b_bounds, b_slo = _stripe_layout(np, b, ylo, inv_height, k, counters)
     searchsorted = np.searchsorted
-    for s in stripes if stripes is not None else range(k):
+    for s in range(k):
         ai = a_orig[a_bounds[s] : a_bounds[s + 1]]
         bi = b_orig[b_bounds[s] : b_bounds[s + 1]]
         if ai.size == 0 or bi.size == 0:
@@ -325,7 +237,6 @@ def forward_scan_batches(
     b: ColumnarRelation,
     counters: CpuCounters,
     batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    stripe_slice: Optional[Tuple[int, int]] = None,
 ) -> Iterator[Tuple]:
     """All intersecting pairs of two xl-sorted columnar relations.
 
@@ -334,25 +245,12 @@ def forward_scan_batches(
     batch, exactly once.  Batch order is deterministic but otherwise an
     implementation detail (the striped path emits stripe-major).
     Charges batch-level counters only.
-
-    ``stripe_slice=(part, n_parts)`` runs only part ``part`` of the scan:
-    the stripe plan is computed exactly as in the full scan, then only a
-    contiguous, work-balanced subrange of the ``k`` stripes executes
-    (:func:`_stripe_slice_range`).  The union over all parts,
-    concatenated in part order, is bit-identical to the full scan — the
-    ownership rule depends only on the (shared) stripe layout, never on
-    the slicing.  When the input is too small to stripe (``k == 1``) the
-    whole scan belongs to part 0 and every other part is empty.
     """
     np = get_numpy()
     if np is None:  # pragma: no cover - callers gate on numpy_enabled()
         raise RuntimeError("forward_scan_batches requires the numpy backend")
     if not (a.sorted_by_xl and b.sorted_by_xl):
         raise ValueError("forward_scan_batches needs xl-sorted inputs")
-    if stripe_slice is not None:
-        part, n_parts = stripe_slice
-        if not 0 <= part < n_parts:
-            raise ValueError(f"stripe_slice part {part} outside [0, {n_parts})")
     if a.n == 0 or b.n == 0:
         return
     ylo = min(float(a.yl.min()), float(b.yl.min()))
@@ -360,19 +258,10 @@ def forward_scan_batches(
     span = yhi - ylo
     k = _stripe_count(np, a, b, span)
     if k > 1:
-        stripes: Optional[range] = None
-        if stripe_slice is not None:
-            stripes = _stripe_slice_range(
-                np, a, b, ylo, k / span, k, part, n_parts
-            )
-            if not stripes:
-                return
         yield from _stripe_passes(
-            np, a, b, k, ylo, k / span, counters, batch_candidates, stripes
+            np, a, b, k, ylo, k / span, counters, batch_candidates
         )
         return
-    if stripe_slice is not None and part != 0:
-        return  # unstriped scans belong entirely to part 0
     # Unstriped: pass 1 anchors in a; probes s with s.xl in [r.xl, r.xh].
     lo = np.searchsorted(b.xl, a.xl, side="left")
     hi = np.searchsorted(b.xl, a.xh, side="right")
@@ -501,6 +390,5 @@ __all__ = [
     "DEFAULT_BATCH_CANDIDATES",
     "forward_scan_batches",
     "python_forward_scan",
-    "sorted_columns",
     "sweep_numpy_join",
 ]

@@ -26,22 +26,11 @@ Pipeline per partition task:
    *transposed* when y-anchored windows are cheaper (:func:`_best_axis`)
    — unstriped, but with y-pruning intact, closing the coarse-grid gap
    against RPM's single striped per-tile scan.
-
-**Stripe splitting** composes with avoidance without touching ownership:
-a split part receives a contiguous, work-balanced range of the task's
-mini-join sequence (every part derives the identical plan from the
-identical inputs), and a mini-join straddling a part boundary is shared
-by handing each covering part a stripe sub-slice of that one scan —
-ownership stays the tile's, the stripes only restrict the sweep range,
-and concatenating the parts in order reproduces the unsplit output byte
-for byte.  The classification/layout work is charged once, to part 0,
-under the same charge-once convention as the RPM kernel's sorts.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Tuple
 
 from repro.core.stats import CpuCounters
 from repro.kernels.backend import require_numpy
@@ -113,21 +102,18 @@ def _classify(
     return orig[order], key[order]
 
 
-def _mini_joins(
-    np: Any, a_key: Any, b_key: Any
-) -> Tuple[List[MiniJoin], List[int]]:
-    """The task's mini-join sequence and per-mini-join work weights.
+def _mini_joins(np: Any, a_key: Any, b_key: Any) -> List[MiniJoin]:
+    """The task's mini-join sequence.
 
     Tiles run in ascending key (row-major) order, classes in schedule
-    order — the canonical order every split part reproduces.  Only
-    non-empty combinations on tiles present in both relations appear
-    (the owner tile of any pair holds replicas of both sides).
+    order.  Only non-empty combinations on tiles present in both
+    relations appear (the owner tile of any pair holds replicas of both
+    sides).
     """
     tiles = np.intersect1d(a_key // 4, b_key // 4)
     minis: List[MiniJoin] = []
-    weights: List[int] = []
     if tiles.size == 0:
-        return minis, weights
+        return minis
     probes = tiles[:, None] * 4 + np.arange(5)
     a_bounds = np.searchsorted(a_key, probes)
     b_bounds = np.searchsorted(b_key, probes)
@@ -139,58 +125,7 @@ def _mini_joins(
             b_hi = int(b_bounds[t, right_cls + 1])
             if a_hi > a_lo and b_hi > b_lo:
                 minis.append((a_lo, a_hi, b_lo, b_hi))
-                weights.append((a_hi - a_lo) + (b_hi - b_lo))
-    return minis, weights
-
-
-def _split_plan(
-    weights: Sequence[int], part: int, n_parts: int
-) -> List[Tuple[int, Optional[Tuple[int, int]]]]:
-    """Part *part*'s share of the mini-join sequence.
-
-    The cumulative work axis ``[0, total)`` is cut into ``n_parts`` equal
-    intervals; a part runs every mini-join whose work span intersects its
-    interval.  A mini-join covered by a single part runs whole
-    (``stripe_slice=None``); one straddling ``m`` parts is shared by
-    giving covering part ``j`` the stripe sub-slice ``(j, m)`` of that
-    one scan — the forward-scan kernel guarantees the sub-slices
-    concatenated in order are bit-identical to the full scan, so the
-    parts concatenated in part order reproduce the unsplit task exactly.
-
-    Every part computes the identical plan from the identical inputs
-    (pure integer/float arithmetic, no state), which is what makes the
-    split deterministic across processes.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    cum: List[int] = []
-    running = 0
-    for w in weights:
-        running += w
-        cum.append(running)
-    total = running
-    ranges: List[Tuple[int, int]] = []
-    for p in range(n_parts):
-        s = total * p / n_parts
-        e = float(total) if p + 1 == n_parts else total * (p + 1) / n_parts
-        lo = bisect_right(cum, s)
-        hi = min(bisect_left(cum, e), n - 1)
-        ranges.append((lo, hi))
-    first_cover = [0] * n
-    n_cover = [0] * n
-    for p, (lo, hi) in enumerate(ranges):
-        for i in range(lo, hi + 1):
-            if n_cover[i] == 0:
-                first_cover[i] = p
-            n_cover[i] += 1
-    lo, hi = ranges[part]
-    plan: List[Tuple[int, Optional[Tuple[int, int]]]] = []
-    for i in range(lo, hi + 1):
-        m = n_cover[i]
-        sub = (part - first_cover[i], m) if m > 1 else None
-        plan.append((i, sub))
-    return plan
+    return minis
 
 
 def _axis_candidates(
@@ -227,9 +162,7 @@ def _best_axis(
     runs *transposed* (x and y columns swapped, rows re-sorted by ``yl``)
     — still unstriped, but candidate windows now prune on y and the mask
     tests x, the same closed-rectangle predicate, so the pair set is
-    unchanged.  Pure arithmetic on the mini-join slices: every split
-    part reaches the identical decision, keeping split-vs-unsplit runs
-    byte-identical.
+    unchanged.
     """
     cand_x = _axis_candidates(np, a_grp.xl, a_grp.xh, b_grp.xl, b_grp.xh)
     order_a = np.argsort(a_grp.yl, kind="stable")
@@ -239,8 +172,7 @@ def _best_axis(
     b_yl = b_grp.yl[order_b]
     b_yh = b_grp.yh[order_b]
     cand_y = _axis_candidates(np, a_yl, a_yh, b_yl, b_yh)
-    # The eight probe searchsorteds plus the two small y argsorts —
-    # charged by the one part that executes this mini-join.
+    # The eight probe searchsorteds plus the two small y argsorts.
     counters.batch_ops += 4 * (a_grp.n + b_grp.n)
     _charge_batch_sort(counters, a_grp.n)
     _charge_batch_sort(counters, b_grp.n)
@@ -272,65 +204,43 @@ def twolayer_join_ids(
     pid: int,
     counters: CpuCounters,
     batch_candidates: int = DEFAULT_BATCH_CANDIDATES,
-    stripe_slice: Optional[Tuple[int, int]] = None,
 ) -> Tuple:
     """Columnar two-layer join of one partition pair: id buffers, no tuples.
 
     Returns ``(rid, sid, suppressed)`` in the calling convention of
     :func:`repro.kernels.rpm.rpm_join_ids`; ``suppressed`` is always 0 —
     avoidance never detects a pair it has to throw away.  Unsorted inputs
-    are sorted here with the same charge-once convention as the RPM
-    kernel; ``stripe_slice=(part, n_parts)`` runs only that part of the
-    mini-join plan (see :func:`_split_plan`).
+    are sorted here, charged like the RPM kernel's sorts.
     """
     np = require_numpy()
     if a_cols.n == 0 or b_cols.n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0
-    # Split sibling parts redo the sort/classification only because
-    # process isolation denies them part 0's arrays; charge once.
-    charge = stripe_slice is None or stripe_slice[0] == 0
     if a_cols.sorted_by_xl:
         a = a_cols
     else:
-        if charge:
-            _charge_batch_sort(counters, a_cols.n)
+        _charge_batch_sort(counters, a_cols.n)
         a = a_cols.sort_by_xl()
     if b_cols.sorted_by_xl:
         b = b_cols
     else:
-        if charge:
-            _charge_batch_sort(counters, b_cols.n)
+        _charge_batch_sort(counters, b_cols.n)
         b = b_cols.sort_by_xl()
-    layout_counters = counters if charge else CpuCounters()
-    a_orig, a_key = _classify(np, a, grid, pid, layout_counters)
-    b_orig, b_key = _classify(np, b, grid, pid, layout_counters)
+    a_orig, a_key = _classify(np, a, grid, pid, counters)
+    b_orig, b_key = _classify(np, b, grid, pid, counters)
     # The grouped replica columns (xl-sorted inside every group).
     ga = a.take(a_orig, sorted_by_xl=True)
     gb = b.take(b_orig, sorted_by_xl=True)
-    minis, weights = _mini_joins(np, a_key, b_key)
-    if stripe_slice is None:
-        todo: List[Tuple[int, Optional[Tuple[int, int]]]] = [
-            (i, None) for i in range(len(minis))
-        ]
-    else:
-        todo = _split_plan(weights, stripe_slice[0], stripe_slice[1])
     rids = []
     sids = []
-    for i, sub in todo:
-        a_lo, a_hi, b_lo, b_hi = minis[i]
+    for a_lo, a_hi, b_lo, b_hi in _mini_joins(np, a_key, b_key):
         total = (a_hi - a_lo) + (b_hi - b_lo)
-        if total < STRIPE_MIN_RECORDS and sub is not None and sub[0] != 0:
-            # Below the striping floor the scan is unstriped and belongs
-            # entirely to the first covering part; sibling parts would
-            # yield nothing — skip before probing or slicing anything.
-            continue
         a_grp = ga.take(slice(a_lo, a_hi), sorted_by_xl=True)
         b_grp = gb.take(slice(b_lo, b_hi), sorted_by_xl=True)
         if AXIS_PROBE_MIN_RECORDS <= total < STRIPE_MIN_RECORDS:
             a_grp, b_grp = _best_axis(np, a_grp, b_grp, counters)
         for a_idx, b_idx in forward_scan_batches(
-            a_grp, b_grp, counters, batch_candidates, sub
+            a_grp, b_grp, counters, batch_candidates
         ):
             rids.append(a_grp.oid[a_idx])
             sids.append(b_grp.oid[b_idx])

@@ -641,17 +641,15 @@ class ChargeOnce(Rule):
     """A scratch ``CpuCounters`` that participates in merging must merge
     exactly once on every path that created it.
 
-    The stripe-split convention (PR 7/8): sibling parts of a split
-    stripe sort *shared* inputs, so all but one charge their sort into a
-    throwaway ``scratch = CpuCounters()`` that is deliberately dropped —
-    and per-task counters are merged into the join total exactly once
-    per task.  Merge a scratch twice (e.g. once per loop iteration with
-    the counter hoisted out of the loop) and the simulator double-prices
-    the sort; skip the merge on one branch and the work goes missing
-    from EXPLAIN.  Both break the byte-identity of reported costs.
+    Per-task counters merge exactly once: every join task charges its
+    work into its own ``CpuCounters()`` and the driver adds each task's
+    counters to the join total once.  Merge a scratch twice (e.g. once
+    per loop iteration with the counter hoisted out of the loop) and the
+    simulator double-prices the work; skip the merge on one branch and
+    the work goes missing from EXPLAIN.  Both break the byte-identity of
+    reported costs.
 
-    Deliberately *never*-merged scratch counters (the discard pattern in
-    ``kernels/rpm.py`` / ``kernels/twolayer.py``) are exempt: the rule
+    Deliberately *never*-merged scratch counters are exempt: the rule
     only tracks counters the function merges somewhere.
     """
 
@@ -901,7 +899,7 @@ class ThreadExecutorShared(Rule):
     each other and with the dispatching thread.  A worker that writes
     ``self.anything`` (or a captured object's attribute, or a
     ``nonlocal``/``global`` name) unlocked is a data race the tests only
-    lose intermittently — the scheduler's own convention is that workers
+    lose intermittently — the driver's own convention is that workers
     communicate exclusively through their return values (see
     ``pbsm/parallel.py``), and this rule makes that convention checkable.
     """

@@ -282,7 +282,6 @@ class MetricsRegistry:
                 **base,
             )
         if stats.n_workers > 1 and stats.join_makespan_seconds:
-            scheduler = stats.scheduler or "static"
             self.gauge(
                 "repro_join_worker_utilization",
                 "Busy fraction of the paid worker-seconds "
@@ -291,7 +290,6 @@ class MetricsRegistry:
             self.set(
                 "repro_join_worker_utilization",
                 stats.worker_utilization,
-                scheduler=scheduler,
                 **base,
             )
             self.gauge(
@@ -301,18 +299,6 @@ class MetricsRegistry:
             self.set(
                 "repro_join_scheduler_idle_seconds",
                 stats.scheduler_idle_seconds,
-                scheduler=scheduler,
-                **base,
-            )
-            self.counter(
-                "repro_join_tasks_stolen_total",
-                "Dispatch units that ran on a different worker than "
-                "static LPT packing planned",
-            )
-            self.inc(
-                "repro_join_tasks_stolen_total",
-                stats.tasks_stolen,
-                scheduler=scheduler,
                 **base,
             )
         if stats.ipc_bytes_shipped:

@@ -8,17 +8,11 @@ from repro.pbsm.parallel import (
     EXECUTORS,
     PARALLEL_DEDUP_MODES,
     ParallelPBSM,
+    lpt_schedule,
     reset_clamp_warnings,
 )
 from repro.pbsm.partitioner import partition_csr, partition_relation
 from repro.pbsm.repartition import choose_split, compose_region_test, split_partition
-from repro.pbsm.scheduler import (
-    SCHEDULERS,
-    count_steals,
-    lpt_schedule,
-    static_makespan,
-    steal_schedule,
-)
 from repro.pbsm.twolayer import (
     CORNER_CLASSES,
     MINI_JOIN_SCHEDULE,
@@ -36,7 +30,6 @@ __all__ = [
     "PARALLEL_DEDUP_MODES",
     "PBSM",
     "ParallelPBSM",
-    "SCHEDULERS",
     "TILE_MAPPINGS",
     "TileGrid",
     "bottom_left_refpoint",
@@ -44,7 +37,6 @@ __all__ = [
     "choose_split",
     "compose_region_test",
     "corner_class",
-    "count_steals",
     "estimate_partitions",
     "lpt_schedule",
     "partition_csr",
@@ -53,7 +45,5 @@ __all__ = [
     "reset_clamp_warnings",
     "sort_based_dedup",
     "split_partition",
-    "static_makespan",
-    "steal_schedule",
     "twolayer_partition_join",
 ]

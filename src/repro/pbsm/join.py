@@ -570,22 +570,21 @@ def columnar_leaf(
     region: Region,
     dedup: str,
     cpu: CpuCounters,
-    stripe_slice: Optional[Tuple[int, int]] = None,
 ) -> Tuple[Any, Any, int]:
     """The columnar engine's leaf: one id-pair kernel per partition pair.
 
     A top-level region is one grid's tiles, so RPM and two-layer
-    avoidance run their own kernels (optionally one *stripe_slice* of
-    them); a composed region (and the test-free ``"none"``/``"sort"``
-    modes) runs the forward scan with the ownership chain ANDed over each
-    batch.  Returns ``(rid, sid, suppressed)``: int64 arrays of whatever
-    the gathered ``oid`` columns hold.
+    avoidance run their own kernels; a composed region (and the
+    test-free ``"none"``/``"sort"`` modes) runs the forward scan with the
+    ownership chain ANDed over each batch.  Returns
+    ``(rid, sid, suppressed)``: int64 arrays of whatever the gathered
+    ``oid`` columns hold.
     """
     tested = dedup in ("rpm", "twolayer")
     if tested and len(region) == 1:
         grid, pid = region[0]
         join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
-        return join_ids(a, b, grid, pid, cpu, stripe_slice=stripe_slice)
+        return join_ids(a, b, grid, pid, cpu)
     return region_join_ids(
         a, b, region if tested else (), cpu, bottom_left=dedup == "twolayer"
     )

@@ -25,29 +25,19 @@ three executors over the same shared-nothing decomposition:
   on the vectorized path while costing no process spawn, no pickling and
   no IPC at all: every thread gathers from the same columns.
 
-On skewed inputs one mega-partition sets the makespan no matter how the
-remaining tasks are packed.  Two knobs attack that:
-
-* **stripe splitting**: any task whose joined size dwarfs the mean is
-  split into sweep-axis stripe parts (``kernels/sweep.py`` computes the
-  stripe plan identically in every part and executes only the part's
-  stripe range), so the mega-partition's work spreads over many workers
-  while the concatenated output stays bit-identical to the sequential
-  scan;
-* the **scheduler**: ``scheduler="static"`` is the classic up-front LPT
-  packing into per-worker chunks; ``scheduler="stealing"`` (default)
-  keeps tasks in one largest-first queue and hands the next unit to
-  whichever worker frees up first (completion-driven dispatch — the
-  pool-level equivalent of idle workers stealing the next-largest task).
-  ``stats.tasks_stolen`` counts the units that ran on a different worker
-  than static LPT would have planned, and
-  ``stats.scheduler_idle_seconds`` is the summed worker idle time the
-  makespan hides.
+Load is balanced in the partitioning, as in the paper (Sec. 3.1): many
+more tiles than partitions, tiles hashed to partitions.  Dispatch is one
+policy on both real executors: the tasks are LPT-packed by joined size
+into ``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and
+the pool's own call queue hands the next chunk to whichever worker frees
+up.  A task is never split: every pair is owned by exactly one partition
+and found by that partition's one scan.  ``stats.scheduler_idle_seconds``
+is the summed worker idle time the makespan hides.
 
 A join task means one thing on every executor: the five integers
-``(pid, l_lo, l_hi, r_lo, r_hi)`` (seven with a stripe part) — two CSR
-slices into the id runs the ``emit="ids"`` partitioner produced — run by
-one task loop (:func:`_run_tasks`) against one source form
+``(pid, l_lo, l_hi, r_lo, r_hi)`` — two CSR slices into the id runs the
+``emit="ids"`` partitioner produced — run by one task loop
+(:func:`_run_tasks`) against one source form
 ``(left, right, l_ids, r_ids)``.  The in-process executors (simulated,
 ``workers=1``, thread) hold that source as plain objects.  The process
 executor loads both inputs' columns and the id arrays once into a
@@ -58,7 +48,7 @@ buffers come back through a worker-created segment — only task tuples
 and manifests ever cross the pipe.  The driver never boxes those
 buffers: the parent copies each task's two runs out of the result
 segment, the in-process executors keep the columnar leaf's arrays, and
-``run`` concatenates once in ``(pid, part)`` order into a buffer-backed
+``run`` concatenates once in ``pid`` order into a buffer-backed
 :class:`~repro.core.result.JoinResult` — a tuple exists only once a
 caller reads ``result.pairs``.  (The tuple leaf in this process returns
 its pair list and the result stays list-backed.)  Where that segment
@@ -82,8 +72,7 @@ routing one-shot joins through the per-chunk configuration measured
 Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
 or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
 which is what makes the parallel version correct without any cross-worker
-coordination: each result is owned by exactly one partition — and, under
-stripe splitting, by exactly one stripe part of that partition.  The
+coordination: each result is owned by exactly one partition.  The
 offline ``"sort"`` mode would serialise the join behind a global sorting
 phase, so it is rejected here rather than silently degraded.
 """
@@ -133,7 +122,6 @@ from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
 from repro.pbsm.partitioner import partition_relation
-from repro.pbsm.scheduler import SCHEDULERS, count_steals, lpt_schedule
 
 EXECUTORS = ("simulated", "process", "thread")
 
@@ -145,26 +133,15 @@ PARALLEL_DEDUP_MODES = ("rpm", "twolayer")
 #: that the up-front LPT packing cannot foresee.
 CHUNKS_PER_WORKER = 4
 
-#: A task is stripe-split when its joined size exceeds
-#: ``max(STRIPE_SPLIT_FACTOR * mean task size, STRIPE_SPLIT_MIN_RECORDS)``.
-STRIPE_SPLIT_FACTOR = 2.0
-
-#: Below this joined size splitting cannot amortise the duplicated
-#: stripe-layout work (2x the sweep kernel's own striping floor).
-STRIPE_SPLIT_MIN_RECORDS = 8192
-
-#: Upper bound on stripe parts per task.
-STRIPE_SPLIT_MAX_PARTS = 16
-
 #: Environment override raising the worker-count clamp beyond the usable
 #: CPU count (tests and benches on small machines oversubscribe through
 #: this on purpose).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
 #: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — one partition-pair join task, on
-#: every executor: two CSR slices into the id runs of a :data:`TaskSource`;
-#: a stripe-split part appends ``(part, n_parts)``.  Plain ints only.
-IdTask = Tuple[int, ...]
+#: every executor: two CSR slices into the id runs of a :data:`TaskSource`.
+#: Plain ints only.
+IdTask = Tuple[int, int, int, int, int]
 
 #: ``(left, right, l_ids, r_ids)`` — what a task's slices index: per side,
 #: the relation and the id runs ``partition_relation(..., emit="ids")``
@@ -174,14 +151,13 @@ IdTask = Tuple[int, ...]
 #: builds the same four things over its attached segment(s).
 TaskSource = Tuple[Any, Any, Any, Any]
 
-#: ``(pid, part, pairs, suppressed, counters_dict, wall_seconds)`` — one
-#: task's outcome.  ``part`` is the stripe part (0 for unsplit tasks);
-#: merging sorts by ``(pid, part)``.  ``wall_seconds`` is measured where
+#: ``(pid, pairs, suppressed, counters_dict, wall_seconds)`` — one task's
+#: outcome; merging sorts by ``pid``.  ``wall_seconds`` is measured where
 #: the task ran, so per-task timing survives the process boundary instead
 #: of being dropped.  ``pairs`` is the ``(rid, sid)`` pair of int64 oid
 #: buffers — except from the tuple leaf run in this process, whose list
 #: of oid tuples is kept as it is.
-TaskOutcome = Tuple[int, int, Any, int, Dict[str, int], float]
+TaskOutcome = Tuple[int, Any, int, Dict[str, int], float]
 
 #: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
 #: finished chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
@@ -238,11 +214,6 @@ def reset_clamp_warnings() -> None:
     _WARNED_CLAMPS.clear()
 
 
-def _task_stripe(task: IdTask) -> Optional[Tuple[int, int]]:
-    """The ``(part, n_parts)`` stripe slice of a task, if it is split."""
-    return (task[5], task[6]) if len(task) > 5 else None
-
-
 def _task_records(rel: Any, ids: Any) -> List[Tuple]:
     """Rows *ids* of *rel* as records, for the tuple leaf."""
     if isinstance(rel, ColumnarRelation):
@@ -267,18 +238,16 @@ def _run_tasks(
     ``((grid, pid),)`` — online ownership by partition id, ``"rpm"`` or
     ``"twolayer"`` — and report pairs, suppression, counters and the
     task's own wall time.  The columnar leaf runs ``sweep_numpy`` on the
-    numpy backend and can execute one stripe part of a split task; every
-    other internal takes the tuple leaf over materialised records (never
-    split).  The columnar leaf's pairs stay the two int64 oid buffers it
-    returns; *as_ids* packs the tuple leaf's pair list into the same form
-    (a pool worker's result segment holds nothing else).
+    numpy backend; every other internal takes the tuple leaf over
+    materialised records.  The columnar leaf's pairs stay the two int64
+    oid buffers it returns; *as_ids* packs the tuple leaf's pair list
+    into the same form (a pool worker's result segment holds nothing
+    else).
     """
     left, right, l_ids, r_ids = source
     columnar = columnar_engine(internal_name)
     internal = internal_algorithm(internal_name)
-    for task in tasks:
-        pid, l_lo, l_hi, r_lo, r_hi = task[:5]
-        stripe = _task_stripe(task)
+    for pid, l_lo, l_hi, r_lo, r_hi in tasks:
         started = time.perf_counter()
         counters = CpuCounters()
         pairs: Any
@@ -289,7 +258,6 @@ def _run_tasks(
                 ((grid, pid),),
                 dedup,
                 counters,
-                stripe,
             )
             pairs = (rid, sid)
         else:
@@ -305,7 +273,6 @@ def _run_tasks(
                 pairs = pair_columns(pairs)
         yield (
             pid,
-            stripe[0] if stripe is not None else 0,
             pairs,
             suppressed,
             counters.as_dict(),
@@ -385,12 +352,12 @@ def _chunk_blob(
     started = time.perf_counter()
     metas = []
     out_arrays: Dict[str, object] = {}
-    for pid, part, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
+    for pid, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
         internal_name, dedup, grid, source, tasks, as_ids=True
     ):
-        out_arrays[f"{pid}.{part}.rid"] = rid
-        out_arrays[f"{pid}.{part}.sid"] = sid
-        metas.append((pid, part, suppressed, counter_dict, task_wall))
+        out_arrays[f"{pid}.rid"] = rid
+        out_arrays[f"{pid}.sid"] = sid
+        metas.append((pid, suppressed, counter_dict, task_wall))
     wall = time.perf_counter() - started
     # Untracked on purpose: the parent unlinks after copying out (a worker
     # crashing between here and there leaks the segment — see docs).  If
@@ -490,61 +457,14 @@ def _concat_ids(runs: List[Any], as_list: bool) -> Any:
 
 
 def _task_size(task: IdTask) -> int:
-    """Joined record count of a task.
-
-    A stripe-split part is charged its share of the full task: the
-    stripes divide the scan, so ``size / n_parts`` is the scheduling
-    estimate (the stripe plan itself decides the exact distribution).
-    """
-    size = (task[2] - task[1]) + (task[4] - task[3])
-    stripe = _task_stripe(task)
-    if stripe is not None:
-        size = max(1, size // stripe[1])
-    return size
+    """Joined record count of a task."""
+    return (task[2] - task[1]) + (task[4] - task[3])
 
 
-def _task_key(task: Tuple) -> Tuple[int, int]:
-    """Deterministic ``(pid, part)`` identity of a task."""
-    stripe = _task_stripe(task)
-    return task[0], (stripe[0] if stripe is not None else 0)
-
-
-def _split_tasks(tasks: List, workers: int) -> List:
-    """Stripe-split oversized tasks so no single task dominates.
-
-    A task whose joined size exceeds ``STRIPE_SPLIT_FACTOR`` times the
-    mean (and the absolute floor) is replaced by ``n_parts`` stripe-part
-    tasks carrying the same data plus ``(part, n_parts)``.  Each part
-    recomputes the identical stripe plan and runs only its stripe range,
-    so concatenating the parts in order reproduces the unsplit output
-    bit for bit.
-    """
-    if not tasks:
-        return tasks
-    sizes = [_task_size(t) for t in tasks]
-    mean = sum(sizes) / len(sizes)
-    threshold = max(STRIPE_SPLIT_FACTOR * mean, float(STRIPE_SPLIT_MIN_RECORDS))
-    out: List = []
-    for task, size in zip(tasks, sizes):
-        if size <= threshold:
-            out.append(task)
-            continue
-        denom = max(mean, float(STRIPE_SPLIT_MIN_RECORDS))
-        n_parts = min(
-            STRIPE_SPLIT_MAX_PARTS,
-            max(2, workers, int(-(-size // denom))),
-        )
-        for part in range(n_parts):
-            out.append(task + (part, n_parts))
-    return out
-
-
-def _chunk_tasks(tasks: List, n_chunks: int) -> List[List]:
+def _chunk_tasks(tasks: List[IdTask], n_chunks: int) -> List[List[IdTask]]:
     """Pack tasks into *n_chunks* LPT-balanced chunks (by joined size)."""
-    sized = sorted(
-        tasks, key=lambda t: (-_task_size(t),) + _task_key(t)
-    )
-    chunks: List[List] = [[] for _ in range(n_chunks)]
+    sized = sorted(tasks, key=lambda t: (-_task_size(t), t[0]))
+    chunks: List[List[IdTask]] = [[] for _ in range(n_chunks)]
     loads = [0] * n_chunks
     for task in sized:
         idx = min(range(n_chunks), key=loads.__getitem__)
@@ -553,38 +473,17 @@ def _chunk_tasks(tasks: List, n_chunks: int) -> List[List]:
     return [chunk for chunk in chunks if chunk]
 
 
-def _steal_units(tasks: List, workers: int) -> List[List]:
-    """Largest-first dispatch units for the work-stealing scheduler.
+def lpt_schedule(task_costs: Sequence[float], workers: int) -> Tuple[float, List[float]]:
+    """Longest-processing-time-first scheduling.
 
-    Big tasks travel solo so the queue can hand them out one at a time;
-    small tasks are packed together until they reach the target unit
-    size, so dispatch overhead stays bounded.  Units come back sorted
-    largest-first — the dispatch order of the shared queue.
+    Returns ``(makespan, per-worker loads)``.  LPT is within 4/3 of the
+    optimal makespan — plenty for a speedup model.
     """
-    sized = sorted(tasks, key=lambda t: (-_task_size(t),) + _task_key(t))
-    total = sum(_task_size(t) for t in tasks)
-    target = max(1, total // max(1, workers * CHUNKS_PER_WORKER))
-    units: List[List] = []
-    current: List = []
-    current_size = 0
-    for task in sized:
-        size = _task_size(task)
-        if size >= target:
-            units.append([task])
-            continue
-        current.append(task)
-        current_size += size
-        if current_size >= target:
-            units.append(current)
-            current = []
-            current_size = 0
-    if current:
-        units.append(current)
-    return units
-
-
-def _unit_sizes(units: List[List]) -> List[float]:
-    return [float(sum(_task_size(t) for t in unit)) for unit in units]
+    loads = [0.0] * workers
+    for cost in sorted(task_costs, reverse=True):
+        idx = min(range(workers), key=loads.__getitem__)
+        loads[idx] += cost
+    return (max(loads) if loads else 0.0), loads
 
 
 class ParallelPBSM:
@@ -601,24 +500,20 @@ class ParallelPBSM:
 
     The result of the columnar engine (``sweep_numpy`` with numpy on), and
     of any internal run on a process pool, is backed by the two int64 oid
-    buffers the tasks produced, merged in ``(pid, part)`` order and never
-    boxed by the driver: ``len(result)`` and ``result.to_arrays()`` read
-    them, ``result.pairs`` decodes them into a list on first access.
+    buffers the tasks produced, merged in ``pid`` order and never boxed
+    by the driver: ``len(result)`` and ``result.to_arrays()`` read them,
+    ``result.pairs`` decodes them into a list on first access.
 
-    ``scheduler`` selects the task-dispatch policy (``"stealing"``
-    default, ``"static"`` for the classic up-front LPT chunking) and
-    gates stripe splitting of oversized tasks — see the module
-    docstring.  ``dedup`` selects the online ownership scheme —
-    ``"rpm"`` (per-pair reference-point test) or ``"twolayer"``
-    (corner-class avoidance with zero per-pair work); the offline
-    ``"sort"`` mode is rejected because it would serialise the join
-    behind a global sorting phase.  Every executor runs the same CSR id
-    tasks — over the inputs' columns when numpy is enabled, whatever the
-    internal algorithm; the process executor ships them over one
-    shared-memory segment and runs the thread executor where that
-    segment cannot exist (module docstring); out-of-range
-    worker counts are clamped with a :class:`RuntimeWarning` (once per
-    process per distinct clamp) instead of raising or silently
+    ``dedup`` selects the online ownership scheme — ``"rpm"`` (per-pair
+    reference-point test) or ``"twolayer"`` (corner-class avoidance with
+    zero per-pair work); the offline ``"sort"`` mode is rejected because
+    it would serialise the join behind a global sorting phase.  Every
+    executor runs the same CSR id tasks — over the inputs' columns when
+    numpy is enabled, whatever the internal algorithm; the process
+    executor ships them over one shared-memory segment and runs the
+    thread executor where that segment cannot exist (module docstring);
+    out-of-range worker counts are clamped with a :class:`RuntimeWarning`
+    (once per process per distinct clamp) instead of raising or silently
     oversubscribing the machine.
     """
 
@@ -629,7 +524,6 @@ class ParallelPBSM:
         *,
         internal: str = "sweep_trie",
         executor: str = "simulated",
-        scheduler: str = "stealing",
         dedup: str = "rpm",
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
@@ -651,10 +545,6 @@ class ParallelPBSM:
                 "the join behind a global sorting phase (use the sequential "
                 "PBSM driver for dedup='sort')"
             )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
-            )
         if workers < 1:
             _warn_clamp(f"workers={workers} is below 1; clamped to 1")
             workers = 1
@@ -673,7 +563,6 @@ class ParallelPBSM:
         self.internal_name = internal
         self.internal = internal_algorithm(internal)
         self.executor = executor
-        self.scheduler = scheduler
         self.dedup = dedup
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
@@ -717,7 +606,6 @@ class ParallelPBSM:
             n_left=len(left),
             n_right=len(right),
             n_workers=self.workers,
-            scheduler=self.scheduler,
         )
         if not left or not right:
             return JoinResult(pairs=[], stats=stats)
@@ -750,7 +638,6 @@ class ParallelPBSM:
             internal=self.internal_name,
             dedup=self.dedup,
             executor=executor,
-            scheduler=self.scheduler,
             workers=self.workers,
             backend=stats.backend or None,
         ):
@@ -808,14 +695,6 @@ class ParallelPBSM:
                     n_ids_right += file_right.n_records
                     tasks.append((pid, l_lo, n_ids_left, r_lo, n_ids_right))
 
-                # --- stripe-split oversized tasks --------------------------
-                # Only the stealing scheduler splits (static stays the
-                # unchanged baseline), and only the vectorized sweep can
-                # execute a stripe range.  Splitting never changes the
-                # output: parts merge back in (pid, part) order.
-                if self.scheduler == "stealing" and self.workers > 1 and columnar:
-                    tasks = _split_tasks(tasks, self.workers)
-
                 # --- execute the tasks -------------------------------------
                 outcomes: List[TaskOutcome] = []
                 if tasks:
@@ -833,22 +712,16 @@ class ParallelPBSM:
                     execute = self._execute_process if use_pool else self._execute
                     outcomes = execute(tasks, grid, stats, source)
 
-                # --- deterministic merge in (pid, part) order --------------
+                # --- deterministic merge in pid order ----------------------
                 task_costs: List[float] = []
                 join_cpu_total = CpuCounters()
                 join_units_total = 0.0
                 suppressed_total = 0
-                parts_per_pid: Dict[int, int] = {}
-                for outcome in outcomes:
-                    parts_per_pid[outcome[0]] = parts_per_pid.get(outcome[0], 0) + 1
-                outcomes.sort(key=lambda o: (o[0], o[1]))
-                for pid, _part, _pairs, suppressed, counter_dict, _wall in outcomes:
+                outcomes.sort(key=lambda o: o[0])
+                for pid, _pairs, suppressed, counter_dict, _wall in outcomes:
                     suppressed_total += suppressed
                     task_cpu = CpuCounters(**counter_dict)
-                    # A split task's I/O (the partition files are read
-                    # once, in the parent, before the fan-out) is
-                    # amortised evenly across the parts it feeds.
-                    units = task_io_units[pid] / parts_per_pid[pid]
+                    units = task_io_units[pid]
                     task_costs.append(
                         cost.io_seconds(units) + cost.cpu_seconds(task_cpu)
                     )
@@ -870,13 +743,13 @@ class ParallelPBSM:
                 if outcomes and (columnar or use_pool):
                     np = require_numpy()
                     result = JoinResult.from_arrays(
-                        np.concatenate([o[2][0] for o in outcomes], dtype=np.int64),
-                        np.concatenate([o[2][1] for o in outcomes], dtype=np.int64),
+                        np.concatenate([o[1][0] for o in outcomes], dtype=np.int64),
+                        np.concatenate([o[1][1] for o in outcomes], dtype=np.int64),
                         stats,
                     )
                 else:
                     result = JoinResult(
-                        [pair for o in outcomes for pair in o[2]], stats
+                        [pair for o in outcomes for pair in o[1]], stats
                     )
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
@@ -932,14 +805,13 @@ class ParallelPBSM:
                 if tracer.recording:
                     tracer.add_span(
                         "task",
-                        outcome[5],
+                        outcome[4],
                         kind=KIND_TASK,
-                        counters=outcome[4],
+                        counters=outcome[3],
                         pid=outcome[0],
-                        part=outcome[1],
                     )
             stats.join_makespan_seconds = time.perf_counter() - started
-        stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)
+        stats.join_busy_seconds = sum(outcome[4] for outcome in outcomes)
         return outcomes
 
     def _drain(
@@ -949,53 +821,31 @@ class ParallelPBSM:
         payloads: Sequence[Any],
         discard: Optional[Callable[[Any], None]] = None,
     ) -> List[Any]:
-        """Run *payloads* on *pool*, honouring the configured scheduler.
+        """Run *payloads* on *pool*; results come back in payload order.
 
-        ``static`` submits the pre-packed chunks up front.  ``stealing``
-        keeps the (largest-first) payload queue in the parent and
-        submits the head to whichever worker slot frees up first —
-        completion-driven dispatch, the executor-level realisation of
-        idle workers stealing the next-largest task.  Results come back
-        indexed by payload order either way.
+        Every payload is submitted up front: the pool's own call queue is
+        the shared work queue, handing the next chunk to whichever worker
+        frees up first.
 
         When a chunk fails nothing more is submitted, the chunks already
         submitted are waited out, every result that did come back goes
         to *discard* (nobody else will ever see it), and the first error
         is re-raised.
         """
-        from concurrent.futures import FIRST_COMPLETED, wait
+        from concurrent.futures import wait
 
-        window = self.workers if self.scheduler == "stealing" else len(payloads)
-        results: List[Any] = [None] * len(payloads)
-        pending: Dict[Any, int] = {}
-        next_idx = 0
+        futures: List[Any] = []
         try:
-            while pending or next_idx < len(payloads):
-                while next_idx < len(payloads) and len(pending) < window:
-                    pending[pool.submit(run_fn, payloads[next_idx])] = next_idx
-                    next_idx += 1
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                for future in done:
-                    results[pending[future]] = future.result()
-                    del pending[future]
+            for payload in payloads:
+                futures.append(pool.submit(run_fn, payload))
+            return [future.result() for future in futures]
         except BaseException:
-            wait(set(pending))
-            for future, idx in pending.items():
-                if not future.cancelled() and future.exception() is None:
-                    results[idx] = future.result()
+            wait(futures)
             if discard is not None:
-                for result in results:
-                    if result is not None:
-                        discard(result)
+                for future in futures:
+                    if not future.cancelled() and future.exception() is None:
+                        discard(future.result())
             raise
-        return results
-
-    def _units(self, tasks: List) -> List[List]:
-        """Dispatch units for one fan-out, per the configured scheduler."""
-        if self.scheduler == "stealing":
-            return _steal_units(tasks, self.workers)
-        n_chunks = min(len(tasks), self.workers * CHUNKS_PER_WORKER)
-        return _chunk_tasks(tasks, n_chunks)
 
     def _emit_pool_spans(
         self,
@@ -1027,9 +877,7 @@ class ParallelPBSM:
                     tasks=len(task_outcomes),
                     counters={"bytes_shipped": chunk_bytes},
                 )
-                for pid, part, _pairs, _suppressed, counter_dict, task_wall in (
-                    task_outcomes
-                ):
+                for pid, _pairs, _suppressed, counter_dict, task_wall in task_outcomes:
                     tracer.add_span(
                         "task",
                         task_wall,
@@ -1037,7 +885,6 @@ class ParallelPBSM:
                         parent_id=worker_span.span_id,
                         counters=counter_dict,
                         pid=pid,
-                        part=part,
                         worker=label,
                     )
         stats.worker_busy_seconds = busy_by_worker
@@ -1064,7 +911,7 @@ class ParallelPBSM:
         """
         from concurrent.futures import ThreadPoolExecutor
 
-        units = self._units(tasks)
+        units = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
 
         def run_unit(unit: List[IdTask]) -> Tuple[str, float, List[TaskOutcome]]:
             unit_started = time.perf_counter()
@@ -1085,16 +932,10 @@ class ParallelPBSM:
         outcomes: List[TaskOutcome] = []
         chunk_reports: List[ChunkReport] = []
         labels: Dict[str, str] = {}
-        executed_by: List[str] = []
         for thread_name, unit_wall, unit_outcomes in reports:
             label = labels.setdefault(thread_name, f"thread-{len(labels)}")
             outcomes.extend(unit_outcomes)
-            executed_by.append(label)
             chunk_reports.append((label, unit_wall, unit_outcomes, 0))
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(units), executed_by, self.workers
-            )
         self._emit_pool_spans(stats, chunk_reports)
         return outcomes
 
@@ -1109,11 +950,11 @@ class ParallelPBSM:
 
         Loads *source* once into a columnar segment (both inputs' columns
         plus the two id arrays; with pinned datasets the id arrays only),
-        ships five-integer tasks (seven with a stripe part), and copies
-        each task's ``(rid, sid)`` oid buffers out of the worker-created
-        result segment as they are — ``run`` merges them in ``(pid,
-        part)`` order, so the output is byte-identical to the in-process
-        executors and to sequential execution.  Segment build, payload
+        ships five-integer tasks, and copies each task's ``(rid, sid)``
+        oid buffers out of the worker-created result segment as they
+        are — ``run`` merges them in ``pid`` order, so the output is
+        byte-identical to the in-process executors and to sequential
+        execution.  Segment build, payload
         encode and the copy-out all count into ``stats.ipc_seconds``;
         only the pipe traffic counts into ``stats.ipc_bytes_shipped``.
         When a chunk fails, the result segments of the chunks that
@@ -1135,7 +976,7 @@ class ParallelPBSM:
             arrays.update(columnar_arrays("R", right))
         arrays["L.ids"] = l_ids
         arrays["R.ids"] = r_ids
-        chunks = self._units(tasks)
+        chunks = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
 
         with SharedColumnarStore.create(arrays) as store:
             if self.pool is not None:
@@ -1187,34 +1028,25 @@ class ParallelPBSM:
             copy_started = time.perf_counter()
             outcomes: List[TaskOutcome] = []
             chunk_reports: List[ChunkReport] = []
-            executed_by: List[str] = []
             for payload, blob in zip(payloads, blobs):
                 worker_pid, chunk_wall, metas, manifest = pickle.loads(blob)
                 bytes_shipped += len(blob)
                 results = SharedColumnarStore.attach(manifest)
                 try:
                     task_outcomes: List[TaskOutcome] = []
-                    for pid, part, suppressed, counter_dict, task_wall in metas:
+                    for pid, suppressed, counter_dict, task_wall in metas:
                         # Copies, so no view keeps the segment mapped.
                         task_pairs = (
-                            results[f"{pid}.{part}.rid"].copy(),
-                            results[f"{pid}.{part}.sid"].copy(),
+                            results[f"{pid}.rid"].copy(),
+                            results[f"{pid}.sid"].copy(),
                         )
                         task_outcomes.append(
-                            (
-                                pid,
-                                part,
-                                task_pairs,
-                                suppressed,
-                                counter_dict,
-                                task_wall,
-                            )
+                            (pid, task_pairs, suppressed, counter_dict, task_wall)
                         )
                 finally:
                     results.close()
                     results.unlink()
                 outcomes.extend(task_outcomes)
-                executed_by.append(f"pid-{worker_pid}")
                 chunk_reports.append(
                     (
                         f"pid-{worker_pid}",
@@ -1226,11 +1058,7 @@ class ParallelPBSM:
             ipc_seconds += time.perf_counter() - copy_started
         stats.ipc_bytes_shipped = bytes_shipped
         stats.ipc_seconds = ipc_seconds
-        stats.join_busy_seconds = sum(outcome[5] for outcome in outcomes)
-        if self.scheduler == "stealing":
-            stats.tasks_stolen = count_steals(
-                _unit_sizes(chunks), executed_by, self.workers
-            )
+        stats.join_busy_seconds = sum(outcome[4] for outcome in outcomes)
         self._emit_pool_spans(stats, chunk_reports)
         return outcomes
 
@@ -1241,10 +1069,6 @@ __all__ = [
     "MAX_WORKERS_ENV",
     "PARALLEL_DEDUP_MODES",
     "ParallelPBSM",
-    "SCHEDULERS",
-    "STRIPE_SPLIT_FACTOR",
-    "STRIPE_SPLIT_MAX_PARTS",
-    "STRIPE_SPLIT_MIN_RECORDS",
     "lpt_schedule",
     "reset_clamp_warnings",
     "worker_cap",

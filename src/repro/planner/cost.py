@@ -294,7 +294,6 @@ def estimate_pbsm(
     tiles_per_partition: int = 4,
     workers: int = 1,
     executor: str = "process",
-    scheduler: str = "stealing",
     dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
 ) -> CostEstimate:
     """Cost of ``PBSM(internal, dedup)`` under formula (1) with *t_factor*.
@@ -311,13 +310,11 @@ def estimate_pbsm(
     is packed) — and an ``ipc`` term charges what the process executor
     puts on the pipe: task tuples out, metadata plus manifests back.
 
-    ``executor`` and ``scheduler`` refine the model: the thread executor
-    pays no spawn and no IPC but its speedup is Amdahl-bounded by
-    ``cost.thread_parallel_fraction`` (the GIL-released share); the
-    stealing scheduler stripe-splits the dominant task (shrinking the
-    skew share, at a small duplicated-layout overhead) and pays per-unit
-    dispatch through ``cost.dispatch_seconds`` (a ``schedule`` breakdown
-    entry).
+    ``executor`` refines the model: the thread executor pays no spawn and
+    no IPC but its speedup is Amdahl-bounded by
+    ``cost.thread_parallel_fraction`` (the GIL-released share).  Both pay
+    per-chunk dispatch through ``cost.dispatch_seconds`` (a ``schedule``
+    breakdown entry).
     """
     nl, nr = jp.n_left, jp.n_right
     kb = cost.kpe_bytes
@@ -456,33 +453,17 @@ def estimate_pbsm(
             speedup = 1.0 / ((1.0 - f) + f / speedup)
         # The dominant task's share of the join work: residual skew
         # concentrates roughly that multiple of the mean in one
-        # partition, and that task alone bounds the static makespan.
+        # partition, and that task alone bounds the makespan.
         share = min(1.0, residual_skew / n_partitions)
-        n_units = float(min(n_partitions, workers * 4))
-        can_split = (
-            scheduler == "stealing"
-            and internal == "sweep_numpy"
-            and numpy_enabled()
-        )
-        if can_split:
-            # Stripe splitting divides the mega task; the parts add a
-            # duplicated stripe-layout pass each (O(records), charged as
-            # batch ops) and more dispatch units.
-            n_slices = min(16.0, max(1.0, share * n_partitions * workers))
-            share /= n_slices
-            n_units += n_slices
-            cpu_internal += cost.cpu_seconds_from_counts(
-                batch_ops=(n_slices - 1.0) * 8.0 * (a + b)
-            )
+        n_chunks = min(n_partitions, workers * 4)
         makespan_fraction = max(1.0 / speedup, share)
         cpu_internal *= makespan_fraction
         cpu_dedup *= makespan_fraction
-        schedule_seconds = cost.dispatch_seconds * n_units
+        schedule_seconds = cost.dispatch_seconds * n_chunks
         if executor != "thread":
             # One-shot pools fork a worker per slot; persistent pools
             # (serve) amortise this, but the planner prices the cold run.
             schedule_seconds += cost.pool_spawn_seconds * workers
-            n_chunks = min(n_partitions, workers * 4)
             ipc_bytes = (
                 SHM_TASK_BYTES * n_partitions
                 + SHM_CHUNK_OVERHEAD_BYTES * n_chunks

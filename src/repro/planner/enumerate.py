@@ -71,7 +71,6 @@ class PlanCandidate:
                 "t_factor": "t",
                 "strategy": "strategy",
                 "executor": "exec",
-                "scheduler": "sched",
             }.get(key, key)
             parts.append(f"{short}={value}")
         return f"{self.method}({', '.join(parts)})"
@@ -91,10 +90,9 @@ def enumerate_candidates(
     them); candidates are returned sorted by estimated total cost.  With
     ``workers > 1`` parallel PBSM configurations join the space — the
     process executor where its shared-memory segment can exist
-    (``shm_enabled()``) under both schedulers (static LPT vs work
-    stealing), and the thread executor when the columnar backend is on —
-    so executor and scheduler are costed decisions, not hardcoded
-    preferences.  Neither runs without numpy, so there only sequential
+    (``shm_enabled()``) and the thread executor when the columnar backend
+    is on — so the executor is a costed decision, not a hardcoded
+    preference.  Neither runs without numpy, so there only sequential
     plans are enumerated.
     """
     cost = cost_model or CostModel()
@@ -150,17 +148,12 @@ def enumerate_candidates(
         if workers > 1:
             from repro.kernels.shm import shm_enabled
 
-            # executor x scheduler: the process executor under both
-            # schedulers, plus the thread executor (stealing only — its
-            # whole point is skipping spawn and IPC, and the static
-            # baseline adds nothing there that process/static does not
-            # already cover).
-            configs: List[Tuple[str, str]] = []
+            executors: List[str] = []
             if shm_enabled():
-                configs += [("process", "static"), ("process", "stealing")]
+                executors.append("process")
             if numpy_enabled():
-                configs.append(("thread", "stealing"))
-            for executor, scheduler in configs:
+                executors.append("thread")
+            for executor in executors:
                 for t in t_grid:
                     for dedup in ("rpm", "twolayer"):
                         candidates.append(
@@ -171,7 +164,6 @@ def enumerate_candidates(
                                     "t_factor": t,
                                     "workers": workers,
                                     "executor": executor,
-                                    "scheduler": scheduler,
                                     "dedup": dedup,
                                 },
                                 estimate_pbsm(
@@ -183,7 +175,6 @@ def enumerate_candidates(
                                     dedup=dedup,
                                     workers=workers,
                                     executor=executor,
-                                    scheduler=scheduler,
                                     dup_factors=dup_factors,
                                 ),
                             )

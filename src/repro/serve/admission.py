@@ -21,6 +21,7 @@ the ``repro_serve_admission_rejects_total`` counter.
 from __future__ import annotations
 
 import asyncio
+import threading
 from typing import AsyncIterator, Callable, Optional
 
 from contextlib import asynccontextmanager
@@ -59,6 +60,9 @@ class AdmissionController:
         self._waiting = 0
         self.rejects_capacity = 0
         self.rejects_budget = 0
+        #: ``check_budget`` is the one method called off the loop, from the
+        #: worker thread a query plans and executes on.
+        self._budget_lock = threading.Lock()
 
     def _changed(self) -> None:
         if self.on_change is not None:
@@ -77,10 +81,15 @@ class AdmissionController:
 
     # ------------------------------------------------------------------
     def check_budget(self, estimated_seconds: float) -> None:
-        """Reject a planner estimate above the per-query cost budget."""
+        """Reject a planner estimate above the per-query cost budget.
+
+        Safe to call from any thread (everything else here belongs to the
+        event loop).
+        """
         budget = self.budget_seconds
         if budget is not None and estimated_seconds > budget:
-            self.rejects_budget += 1
+            with self._budget_lock:
+                self.rejects_budget += 1
             raise AdmissionReject(
                 "budget",
                 f"estimated cost {estimated_seconds:.3f}s exceeds the "

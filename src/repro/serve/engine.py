@@ -24,7 +24,10 @@ code (lint rule RPL007).
 
 from __future__ import annotations
 
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel
@@ -41,6 +44,25 @@ def _warm_worker(seconds: float) -> int:
     import os
 
     return os.getpid()
+
+
+def _spawn_pool(workers: int) -> Any:
+    """A new pool with every worker already running."""
+    # Make sure the parent's resource tracker exists *before* the
+    # workers fork: workers forked first would each spawn their
+    # own tracker, whose shared-memory registrations are never
+    # matched by the parent's unlinks (spurious leak warnings).
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except (ImportError, AttributeError):
+        pass  # platform without the tracker API; nothing to pre-start
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # Force every worker into existence now: the sleep outlasts
+    # task dispatch, so no single worker can drain the batch.
+    wait([pool.submit(_warm_worker, 0.05) for _ in range(workers)])
+    return pool
 
 
 class EngineHost:
@@ -66,6 +88,9 @@ class EngineHost:
         self.cache = cache if cache is not None else PlannerCache()
         self.cost_model = cost_model or CostModel()
         self.pool: Optional[Any] = None
+        #: Guards ``pool``: concurrent queries can fail on the same dead
+        #: pool, and only one of them may respawn it.
+        self._pool_lock = threading.Lock()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -77,27 +102,24 @@ class EngineHost:
             return
         self._started = True
         if self.workers > 1:
-            from concurrent.futures import ProcessPoolExecutor, wait
+            pool = _spawn_pool(self.workers)
+            with self._pool_lock:
+                self.pool = pool
 
-            # Make sure the parent's resource tracker exists *before* the
-            # workers fork: workers forked first would each spawn their
-            # own tracker, whose shared-memory registrations are never
-            # matched by the parent's unlinks (spurious leak warnings).
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except (ImportError, AttributeError):
-                pass  # platform without the tracker API; nothing to pre-start
-            self.pool = ProcessPoolExecutor(max_workers=self.workers)
-            # Force every worker into existence now: the sleep outlasts
-            # task dispatch, so no single worker can drain the batch.
-            wait([self.pool.submit(_warm_worker, 0.05) for _ in range(self.workers)])
+    def _replace_pool(self, dead: Any) -> None:
+        """Swap the broken pool *dead* for a fresh one (first caller wins)."""
+        workers = self.workers
+        with self._pool_lock:
+            if self.pool is not dead:
+                return  # already replaced, or the host is shutting down
+            dead.shutdown(wait=False)
+            self.pool = _spawn_pool(workers)
 
     def shutdown(self) -> None:
         """Tear the pool down (idempotent; blocking)."""
-        pool = self.pool
-        self.pool = None
+        with self._pool_lock:
+            pool = self.pool
+            self.pool = None
         self._started = False
         if pool is not None:
             pool.shutdown(wait=True)
@@ -139,14 +161,21 @@ class EngineHost:
         A *thread* plan
         runs in-host: its whole point is skipping the process boundary,
         so it takes neither the pool nor pinned manifests.
+
+        A pool whose worker died is broken for good
+        (:class:`~concurrent.futures.process.BrokenProcessPool`): the
+        query that finds out still fails, but not before the pool is
+        replaced, so the next one runs.
         """
         chosen = plan.chosen
         kwargs = dict(chosen.kwargs)
+        with self._pool_lock:
+            pool = self.pool
         if (
             chosen.method == "pbsm"
             and "workers" in kwargs
             and kwargs.get("executor", "process") == "process"
-            and self.pool is not None
+            and pool is not None
         ):
             workers = kwargs.pop("workers")
             kwargs.setdefault("executor", "process")
@@ -158,11 +187,15 @@ class EngineHost:
                 workers,
                 cost_model=plan.cost_model,
                 tracer=tracer,
-                pool=self.pool,
+                pool=pool,
                 pinned=pinned,
                 **kwargs,
             )
-            result = driver.run(left.kpes, right.kpes)
+            try:
+                result = driver.run(left.kpes, right.kpes)
+            except BrokenProcessPool:
+                self._replace_pool(pool)
+                raise
         else:
             result = plan.execute(left.kpes, right.kpes, tracer=tracer)
         # result -> plan only.  A plan -> result back reference would

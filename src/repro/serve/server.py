@@ -17,6 +17,9 @@ Request lifecycle of a ``join`` op::
       -> checksum the result's oid buffers    protocol.result_checksum
       -> stream result pages + summary        protocol.encode_pages
 
+Plan to checksum is one blocking call (``JoinServer._answer``), so a
+query's engine work stays on one worker thread.
+
 The result of a join is handled as the two int64 oid buffers
 ``JoinResult.to_arrays()`` returns and never through ``result.pairs``:
 a parallel plan's result is those buffers already, so a served join
@@ -64,7 +67,7 @@ from repro.serve.protocol import (
     join_options,
     result_checksum,
 )
-from repro.serve.registry import DatasetRegistry
+from repro.serve.registry import Dataset, DatasetRegistry
 
 #: Finished query traces retained for the ``trace`` op.
 TRACE_KEEP = 64
@@ -399,6 +402,25 @@ class JoinServer:
             writer, error_response(error, message, query_id=query_id, **extra)
         )
 
+    def _answer(
+        self, left: Dataset, right: Dataset, memory_bytes: int, tracer: Tracer
+    ) -> Tuple[Any, Any, Any, str]:
+        """Plan, budget-check, execute and checksum one join (blocking).
+
+        One ``run_blocking`` call per query on purpose.  A pool thread
+        counts as idle only after its future's callbacks have run, so a
+        hop submitted from the previous hop's completion often finds no
+        idle thread and starts another; each extra thread is one more
+        malloc arena keeping result-sized buffers — 5 to 16 MB of peak
+        RSS that differ from one server start to the next.
+        """
+        plan = self.engine.plan(left, right, memory_bytes, tracer)
+        self.admission.check_budget(plan.chosen.estimate.total_seconds)
+        result = self.engine.execute(plan, left, right, tracer)
+        # The result stays two oid buffers from here to the socket.
+        columns = result.to_arrays()
+        return plan, result, columns, result_checksum(columns)
+
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
         query_id = self._query_seq
@@ -423,16 +445,9 @@ class JoinServer:
 
         try:
             async with self.admission.slot():
-                plan = await run_blocking(
-                    self.engine.plan, left, right, memory_bytes, tracer
+                plan, result, columns, checksum = await run_blocking(
+                    self._answer, left, right, memory_bytes, tracer
                 )
-                self.admission.check_budget(plan.chosen.estimate.total_seconds)
-                result = await run_blocking(
-                    self.engine.execute, plan, left, right, tracer
-                )
-            # The result stays two oid buffers from here to the socket.
-            columns = await run_blocking(result.to_arrays)
-            checksum = await run_blocking(result_checksum, columns)
         except AdmissionReject as exc:
             self._queries_rejected += 1
             self.metrics.inc("repro_serve_queries_total", 1, status="rejected")

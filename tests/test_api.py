@@ -28,6 +28,11 @@ class TestSpatialJoin:
         )
         assert res.stats.algorithm == "PBSM(sweep_trie,PD)"
 
+    def test_scheduler_option_is_gone(self, small_pair):
+        left, right = small_pair
+        with pytest.raises(TypeError):
+            spatial_join(left, right, 8192, workers=2, scheduler="stealing")
+
     def test_version_exported(self):
         assert repro.__version__
 

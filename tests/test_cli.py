@@ -147,8 +147,6 @@ class TestJoin:
                 "twolayer",
                 "--workers",
                 "2",
-                "--scheduler",
-                "stealing",
                 "--memory-mb",
                 "0.05",
             ]
@@ -179,12 +177,18 @@ class TestJoin:
         assert "--dedup sort" in err
         assert "--workers" in err
 
+    def test_scheduler_flag_is_gone(self, tmp_path, capsys):
+        left, right = self._two_relations(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["join", str(left), str(right), "--workers", "2", "--scheduler", "static"]
+            )
+        assert exit_info.value.code == 2  # argparse: unrecognized argument
+        assert "--scheduler" in capsys.readouterr().err
+
+    # ("extra1": the id this row had next to a ``--scheduler`` row.)
     @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--scheduler", "stealing"],
-            ["--executor", "thread"],
-        ],
+        "extra", [pytest.param(["--executor", "thread"], id="extra1")]
     )
     def test_dedup_sort_fails_fast_with_any_parallel_flag(
         self, tmp_path, capsys, extra

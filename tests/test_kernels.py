@@ -5,7 +5,6 @@ import pytest
 from repro.core.rect import KPE
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
-from repro.io.extsort import XlSorted
 from repro.kernels.backend import (
     HAVE_NUMPY,
     active_backend,
@@ -23,7 +22,6 @@ from repro.kernels.sweep import (
     _stripe_layout,
     forward_scan_batches,
     python_forward_scan,
-    sorted_columns,
     sweep_numpy_join,
 )
 
@@ -44,6 +42,10 @@ def _numpy_path_on():
     """
     with numpy_backend():
         yield
+
+
+def xl_sorted(kpes):
+    return ColumnarRelation.from_kpes(kpes).sort_by_xl()
 
 
 def collect(fn, left, right):
@@ -105,19 +107,6 @@ class TestColumnarRelation:
         assert cols.oid.tolist() == list(range(10))
         assert cols.sorted_by_xl
 
-    def test_sorted_columns_trusts_flagged_inputs(self):
-        kpes = XlSorted(sorted(random_kpes(50, seed=1), key=lambda k: k[1]))
-        counters = CpuCounters()
-        cols = sorted_columns(kpes, counters)
-        assert cols.sorted_by_xl
-        assert counters.batch_ops == 0  # no argsort charged
-
-    def test_sorted_columns_charges_the_sort(self):
-        counters = CpuCounters()
-        cols = sorted_columns(random_kpes(50, seed=2), counters)
-        assert cols.sorted_by_xl
-        assert counters.batch_ops > 0
-
 
 @needs_numpy
 class TestForwardScanBatches:
@@ -130,16 +119,14 @@ class TestForwardScanBatches:
         counters = CpuCounters()
         empty = ColumnarRelation.from_kpes([])
         empty.sorted_by_xl = True
-        full = sorted_columns(random_kpes(10, seed=4), counters)
+        full = xl_sorted(random_kpes(10, seed=4))
         assert list(forward_scan_batches(empty, full, counters)) == []
         assert list(forward_scan_batches(full, empty, counters)) == []
 
     def test_small_batch_candidates_same_pairs(self):
         counters = CpuCounters()
-        a = sorted_columns(random_kpes(300, seed=5, max_edge=0.1), counters)
-        b = sorted_columns(
-            random_kpes(300, seed=6, start_oid=1000, max_edge=0.1), counters
-        )
+        a = xl_sorted(random_kpes(300, seed=5, max_edge=0.1))
+        b = xl_sorted(random_kpes(300, seed=6, start_oid=1000, max_edge=0.1))
         big = set()
         for ai, bi in forward_scan_batches(a, b, counters):
             big.update(zip(ai.tolist(), bi.tolist()))
@@ -149,11 +136,8 @@ class TestForwardScanBatches:
         assert small == big
 
     def test_batch_ops_charged(self):
-        counters = CpuCounters()
-        a = sorted_columns(random_kpes(200, seed=7, max_edge=0.2), counters)
-        b = sorted_columns(
-            random_kpes(200, seed=8, start_oid=1000, max_edge=0.2), counters
-        )
+        a = xl_sorted(random_kpes(200, seed=7, max_edge=0.2))
+        b = xl_sorted(random_kpes(200, seed=8, start_oid=1000, max_edge=0.2))
         counters = CpuCounters()
         list(forward_scan_batches(a, b, counters))
         assert counters.batch_ops > 0
@@ -164,29 +148,26 @@ class TestForwardScanBatches:
 class TestStriping:
     def test_small_inputs_use_one_stripe(self):
         np = require_numpy()
-        counters = CpuCounters()
-        a = sorted_columns(random_kpes(100, seed=1), counters)
-        b = sorted_columns(random_kpes(100, seed=2), counters)
+        a = xl_sorted(random_kpes(100, seed=1))
+        b = xl_sorted(random_kpes(100, seed=2))
         assert _stripe_count(np, a, b, 1.0) == 1
 
     def test_large_inputs_stripe(self):
         np = require_numpy()
-        counters = CpuCounters()
         n = STRIPE_MIN_RECORDS
-        a = sorted_columns(random_kpes(n, seed=3, max_edge=0.01), counters)
-        b = sorted_columns(random_kpes(n, seed=4, max_edge=0.01), counters)
+        a = xl_sorted(random_kpes(n, seed=3, max_edge=0.01))
+        b = xl_sorted(random_kpes(n, seed=4, max_edge=0.01))
         assert _stripe_count(np, a, b, 1.0) > 1
 
     def test_tall_rectangles_cap_replication(self):
         np = require_numpy()
-        counters = CpuCounters()
         # Rectangles spanning most of the y axis: striping would replicate
         # every record into every stripe, so the cap must kick in.
         tall = [
             KPE(i, i / 10_000.0, 0.0, i / 10_000.0 + 0.001, 0.9)
             for i in range(STRIPE_MIN_RECORDS)
         ]
-        cols = sorted_columns(tall, counters)
+        cols = xl_sorted(tall)
         assert _stripe_count(np, cols, cols, 1.0) == 1
 
     def test_stripe_layout_covers_every_overlapped_stripe(self):
@@ -197,7 +178,7 @@ class TestStriping:
             KPE(1, 0.0, 0.15, 1.0, 0.38),  # stripes 1..3
             KPE(2, 0.0, 0.95, 1.0, 1.0),   # clipped into the last stripe
         ]
-        cols = sorted_columns(kpes, counters)
+        cols = xl_sorted(kpes)
         k = 10
         orig, bounds, slo = _stripe_layout(np, cols, 0.0, k / 1.0, k, counters)
         assert slo.tolist() == [0, 1, 9]

@@ -762,7 +762,7 @@ class TestThreadExecutorShared:
         assert "self.completed" in findings[0].message
 
     def test_worker_passed_alongside_pool_var_flagged(self):
-        # The scheduler's own dispatch shape: self._drain(pool, work, ...)
+        # The parallel driver's own dispatch shape: self._drain(pool, work, ...)
         bad = (
             "from concurrent.futures import ThreadPoolExecutor\n"
             "class Engine:\n"

@@ -526,6 +526,31 @@ class TestTraceCli:
         assert self.run_cli("trace", str(bad)) == 1
         assert "invalid trace" in capsys.readouterr().err
 
+    def test_thread_join_on_zipf_data_validates_and_matches_the_process_csv(
+        self, tmp_path, capsys
+    ):
+        from repro.datasets.fileio import save_relation
+        from repro.datasets.synthetic import zipf_rects
+
+        lp, rp = str(tmp_path / "l.csv"), str(tmp_path / "r.csv")
+        save_relation(zipf_rects(6000, seed=5), lp)
+        save_relation(zipf_rects(6000, seed=5, start_oid=10**6), rp)
+        trace_path = tmp_path / "thread.jsonl"
+        outs = {name: tmp_path / f"{name}.csv" for name in ("thread", "process")}
+        assert self.run_cli(
+            "join", lp, rp, "--workers", "2", "--memory-mb", "0.25",
+            "--executor", "thread", "--trace", str(trace_path),
+            "--out", str(outs["thread"]),
+        ) == 0
+        assert self.run_cli("trace", str(trace_path), "--validate-only") == 0
+        assert "schema valid" in capsys.readouterr().out
+        assert self.run_cli(
+            "join", lp, rp, "--workers", "2", "--memory-mb", "0.25",
+            "--out", str(outs["process"]),
+        ) == 0
+        assert outs["thread"].read_bytes() == outs["process"].read_bytes()
+        assert outs["thread"].stat().st_size > 0
+
     def test_workers_trace_has_worker_spans(self, relations, tmp_path, capsys):
         lp, rp = relations
         trace_path = tmp_path / "tw.jsonl"

@@ -5,7 +5,7 @@ parallel parity test until all executors moved onto CSR id tasks; since
 then those tests compare one task runner with itself.  What keeps the
 move honest is ``parallel_pinned.json``: :func:`observe` recorded from
 ``executor="simulated"`` on the last commit that still had record tasks
-(51ad48e), over workloads x dedup x internal x scheduler x workers, once
+(51ad48e), over workloads x dedup x internal x workers, once
 with numpy on (section ``"numpy"``) and once gated off (``"python"``).
 Every executor that can run must reproduce its entry — ordered pairs,
 suppression, replication and memory stats, simulated accounting — and
@@ -17,6 +17,10 @@ numpy gated off ``internal="sweep_numpy"`` now resolves through the
 registry fallback (``python_forward_scan``) exactly as sequential
 ``PBSM`` does, where the deleted hybrids had a private ``sweep_list``
 fallback — same pair set and suppression, different order and counters.
+
+The recording also had a ``scheduler`` dimension.  Its ``stealing`` half
+went with the option; the ``static`` half is what remains, values
+untouched — only ``/static`` was dropped from the keys.
 
 Re-record (only the keys containing every given fragment)::
 
@@ -49,7 +53,6 @@ PINNED = Path(__file__).with_name("parallel_pinned.json")
 WORKLOADS = ("uniform", "zipf", "point+sliver", "self", "empty")
 DEDUPS = ("rpm", "twolayer")
 INTERNALS = ("sweep_numpy", "sweep_trie", "sweep_list")
-SCHEDULERS = ("static", "stealing")
 WORKERS = (1, 2, 3)
 SECTIONS = ("numpy", "python")
 
@@ -64,9 +67,8 @@ def workload(name):
             12_000,
         )
     if name == "zipf":
-        # test_parallel_skew's generator and seeds, at the smallest size
-        # whose hot partition still crosses the stripe-split floor (and
-        # that brute force can still check).
+        # test_parallel_skew's generator and seeds, at a size brute
+        # force can still check.
         return (
             zipf_rects(6000, seed=101, alpha=1.6),
             zipf_rects(6000, seed=202, alpha=1.6, start_oid=10**6),
@@ -100,14 +102,13 @@ def section_backend(section):
     return python_backend() if section == "python" else nullcontext()
 
 
-def run(name, dedup, internal, scheduler, workers, executor="simulated"):
+def run(name, dedup, internal, workers, executor="simulated"):
     left, right, memory = workload(name)
     return ParallelPBSM(
         memory,
         workers,
         internal=internal,
         executor=executor,
-        scheduler=scheduler,
         dedup=dedup,
     ).run(left, right)
 
@@ -166,15 +167,15 @@ def test_every_executor_reproduces_the_pinned_run(
         pytest.skip("the numpy section needs the numpy backend")
     reference = reference_pairs(name)
     with section_backend(section):
-        for scheduler, workers in itertools.product(SCHEDULERS, WORKERS):
-            key = f"{section}/{name}/{dedup}/{internal}/{scheduler}/W{workers}"
+        for workers in WORKERS:
+            key = f"{section}/{name}/{dedup}/{internal}/W{workers}"
             for executor, disable_shm in executors(section):
                 if workers == 1 and executor != "simulated":
                     continue  # one worker never fans out: the same loop
                 with monkeypatch.context() as env:
                     if disable_shm:
                         env.setenv("REPRO_DISABLE_SHM", "1")
-                    result = run(name, dedup, internal, scheduler, workers, executor)
+                    result = run(name, dedup, internal, workers, executor)
                 assert result.stats.executor == (
                     "thread" if disable_shm else executor
                 )
@@ -186,26 +187,13 @@ def test_every_executor_reproduces_the_pinned_run(
                     assert sorted(result.pairs) == reference, key
 
 
-def test_the_zipf_workload_is_stripe_split(pinned):
-    """Or the split half of the matrix pins nothing."""
-    if not numpy_enabled():
-        pytest.skip("only the vectorized sweep can run a stripe part")
-    for dedup in DEDUPS:
-        split = pinned[f"numpy/zipf/{dedup}/sweep_numpy/stealing/W2"]
-        whole = pinned[f"numpy/zipf/{dedup}/sweep_numpy/static/W2"]
-        assert split["pair_order_sha256"] == whole["pair_order_sha256"]
-        assert split["sim_seconds_by_phase"] != whole["sim_seconds_by_phase"]
-
-
 def record(*fragments):
     """Replace the entries whose key has every fragment with fresh runs."""
     entries = load_pinned() if PINNED.exists() else {}
     for section in SECTIONS:
         with section_backend(section):
-            for combo in itertools.product(
-                WORKLOADS, DEDUPS, INTERNALS, SCHEDULERS, WORKERS
-            ):
-                key = "/".join((section,) + combo[:4]) + f"/W{combo[4]}"
+            for combo in itertools.product(WORKLOADS, DEDUPS, INTERNALS, WORKERS):
+                key = "/".join((section,) + combo[:3]) + f"/W{combo[3]}"
                 if all(fragment in key for fragment in fragments):
                     entries[key] = json.loads(json.dumps(observe(run(*combo))))
     first_key = {}

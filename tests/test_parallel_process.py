@@ -75,8 +75,9 @@ class TestGracefulDegrade:
         assert set(EXECUTORS) == {"simulated", "process", "thread"}
 
     def test_invalid_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelPBSM(MEMORY, 2, scheduler="fifo")
+        # There is one dispatch policy and no option that names it.
+        with pytest.raises(TypeError):
+            ParallelPBSM(MEMORY, 2, scheduler="static")
 
     def test_invalid_workers_clamped_low(self):
         with pytest.warns(RuntimeWarning, match="below 1"):

@@ -227,16 +227,14 @@ def _segments():
 @needs_shm
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
 class TestResultSegmentCustody:
-    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
-    def test_failed_chunk_leaks_no_result_segment(self, scheduler):
+    def test_failed_chunk_leaks_no_result_segment(self):
         before = _segments()
         pool = FailingPool(fail_at=3)
         join = ParallelPBSM(
-            mb(0.006),  # 10 partitions: several chunks under either scheduler
+            mb(0.006),  # 10 partitions: several chunks
             2,
             internal="sweep_numpy",
             executor="process",
-            scheduler=scheduler,
             pool=pool,
         )
         with pytest.raises(OSError, match="No space left"):

@@ -28,7 +28,8 @@ from repro.io.disk import SimulatedDisk
 from repro.kernels.backend import numpy_enabled, python_backend
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TILE_MAPPINGS, TileGrid
-from repro.pbsm.parallel import ParallelPBSM
+from repro.pbsm import parallel
+from repro.pbsm.parallel import ParallelPBSM, _chunk_tasks
 from repro.pbsm.partitioner import partition_relation
 
 from tests.conftest import random_kpes
@@ -243,13 +244,16 @@ LEFT = random_kpes(1200, seed=71, max_edge=0.03)
 RIGHT = random_kpes(1200, seed=72, start_oid=10**6, max_edge=0.03)
 MEMORY = mb(0.006)  # 10 partitions
 
-#: ``sum(len(pickle.dumps(unit)))`` over the dispatch units of the
+#: ``sum(len(pickle.dumps(chunk)))`` over the LPT chunks of the
 #: LEFT x RIGHT process join below, recorded on the commit before the
 #: columnar partitioner (list-built CSR ids, plain-int task tuples).
 #: ``stats.ipc_bytes_shipped`` itself also counts segment names, which
 #: embed process ids and a per-process sequence number, so its task
 #: payload share is the part that can be pinned across processes.
-PARENT_TASK_PAYLOAD_BYTES = {"static": 278, "stealing": 264}
+#: (Keyed, like the ids of the tests below, by the name the one dispatch
+#: policy had while a second one existed: the floor list allows only a
+#: few renames.)
+PARENT_TASK_PAYLOAD_BYTES = {"static": 278}
 
 
 def shm_join(left, right, **kwargs):
@@ -260,18 +264,22 @@ def shm_join(left, right, **kwargs):
 
 @needs_shm
 class TestShmJoinUnchanged:
-    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
-    @pytest.mark.parametrize("dedup", ["rpm", "twolayer"])
-    def test_equals_pickle_and_simulated(self, dedup, scheduler):
+    @pytest.mark.parametrize(
+        "dedup",
+        [
+            pytest.param("rpm", id="rpm-static"),
+            pytest.param("twolayer", id="twolayer-static"),
+        ],
+    )
+    def test_equals_pickle_and_simulated(self, dedup):
         # (Every executor runs the same CSR id tasks; what the in-process
         # executors used to be — the records-loop reference — is pinned
         # in tests/parallel_pinned.json.)
-        shm = shm_join(LEFT, RIGHT, dedup=dedup, scheduler=scheduler)
+        shm = shm_join(LEFT, RIGHT, dedup=dedup)
         assert shm.stats.executor == "process"
         others = [
             ParallelPBSM(
-                MEMORY, 2, internal="sweep_numpy", executor=executor,
-                dedup=dedup, scheduler=scheduler,
+                MEMORY, 2, internal="sweep_numpy", executor=executor, dedup=dedup
             ).run(LEFT, RIGHT)
             for executor in ("thread", "simulated")
         ]
@@ -301,21 +309,21 @@ class TestShmJoinUnchanged:
         assert mapped.stats.cpu_by_phase == listed.stats.cpu_by_phase
         assert mapped.stats.io_units_by_phase == listed.stats.io_units_by_phase
 
-    @pytest.mark.parametrize("scheduler", ["static", "stealing"])
-    def test_task_payload_bytes_equal_the_parent_commit(self, scheduler, monkeypatch):
+    @pytest.mark.parametrize("policy", ["static"])
+    def test_task_payload_bytes_equal_the_parent_commit(self, policy, monkeypatch):
         shipped = []
-        original = ParallelPBSM._units
 
-        def recording_units(self, tasks):
-            units = original(self, tasks)
-            shipped.extend(units)
-            return units
+        def recording_chunks(tasks, n_chunks):
+            chunks = _chunk_tasks(tasks, n_chunks)
+            shipped.extend(chunks)
+            return chunks
 
-        monkeypatch.setattr(ParallelPBSM, "_units", recording_units)
-        result = shm_join(LEFT, RIGHT, scheduler=scheduler)
+        monkeypatch.setattr(parallel, "_chunk_tasks", recording_chunks)
+        result = shm_join(LEFT, RIGHT)
         assert shipped and result.stats.ipc_bytes_shipped > 0
-        for unit in shipped:
-            for task in unit:
+        for chunk in shipped:
+            for task in chunk:
+                assert len(task) == 5, task
                 assert all(type(field) is int for field in task), task
-        payload = sum(len(pickle.dumps(u, pickle.HIGHEST_PROTOCOL)) for u in shipped)
-        assert payload == PARENT_TASK_PAYLOAD_BYTES[scheduler]
+        payload = sum(len(pickle.dumps(c, pickle.HIGHEST_PROTOCOL)) for c in shipped)
+        assert payload == PARENT_TASK_PAYLOAD_BYTES[policy]

@@ -147,18 +147,27 @@ class TestEnumeration:
         assert {c.method for c in only} == {"sssj"}
 
     def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
-        # No transport axis: a process candidate exists exactly when its
-        # shared-memory segment can, a thread candidate exactly when the
-        # columnar backend can; with neither only sequential plans remain.
+        # No transport and no scheduler axis: a process candidate exists
+        # exactly when its shared-memory segment can, a thread candidate
+        # exactly when the columnar backend can (each x t x dedup); with
+        # neither only sequential plans remain.
         from repro.kernels.backend import numpy_enabled, python_backend
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)
+        per_executor = len(DEFAULT_T_GRID) * 2
 
         def parallel_executors():
             candidates = enumerate_candidates(jp, 16_000, COST, workers=2)
-            assert all("shared_memory" not in c.kwargs for c in candidates)
-            return {c.kwargs["executor"] for c in candidates if "workers" in c.kwargs}
+            for c in candidates:
+                assert "shared_memory" not in c.kwargs
+                assert "scheduler" not in c.kwargs
+                assert "sched=" not in c.describe()
+            parallel = [c.kwargs["executor"] for c in candidates if "workers" in c.kwargs]
+            sequential = enumerate_candidates(jp, 16_000, COST)
+            assert len(candidates) == len(sequential) + len(parallel)
+            assert all(parallel.count(e) == per_executor for e in set(parallel))
+            return set(parallel)
 
         expected = set()
         if shm_enabled():
@@ -170,10 +179,8 @@ class TestEnumeration:
         assert parallel_executors() == expected - {"process"}
         with python_backend():
             assert parallel_executors() == set()
-            sequential = enumerate_candidates(jp, 16_000, COST)
-            assert len(enumerate_candidates(jp, 16_000, COST, workers=2)) == len(
-                sequential
-            )
+        with pytest.raises(TypeError):
+            estimate_pbsm(jp, 16_000, COST, workers=2, scheduler="static")
 
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)

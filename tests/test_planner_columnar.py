@@ -40,6 +40,7 @@ from repro.kernels.backend import (
 )
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.mmapstore import open_relation, write_rcd
+from repro.kernels.shm import shm_enabled
 from repro.planner import (
     CostEstimate,
     PlanCandidate,
@@ -335,6 +336,36 @@ def test_the_benchmark_join_gets_one_plan_in_any_record_order():
     assert len(chosen) == 1, chosen
     if numpy_enabled():  # the scalar candidates tie elsewhere
         assert rpm_is_cheapest == 2
+
+
+@pytest.mark.skipif(not shm_enabled(), reason="prices the process executor")
+@pytest.mark.parametrize(
+    "dataset, chosen, total_seconds",
+    [
+        (
+            "tiger50k",
+            "pbsm(dedup=rpm, exec=process, internal=sweep_numpy, t=1.0, workers=2)",
+            4.604474695605719,
+        ),
+        (
+            "uni30k",
+            "pbsm(dedup=twolayer, exec=process, internal=sweep_numpy, t=1.0, workers=2)",
+            3.698772985329846,
+        ),
+    ],
+)
+def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, total_seconds):
+    """What ``EngineHost.plan(workers=2)`` chose while a ``scheduler`` axis
+    existed was its ``sched=static`` candidate; the same plan at the same
+    estimate must win now that 42 candidates are left of the 48."""
+    from benchmarks.e2e import specs
+
+    spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]
+    left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
+    plan = plan_join(left, right, mb(spec.memory_mb), workers=2)
+    assert len(plan.candidates) == 42
+    assert plan.chosen.describe() == chosen
+    assert plan.chosen.estimate.total_seconds == total_seconds
 
 
 # ----------------------------------------------------------------------

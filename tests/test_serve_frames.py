@@ -16,6 +16,9 @@ from __future__ import annotations
 
 import asyncio
 import os
+import signal
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -24,6 +27,7 @@ from repro import spatial_join
 from repro.core.result import pair_columns
 from repro.kernels.shm import SEGMENT_PREFIX
 from repro.serve import DatasetRegistry, EngineHost, ServeClient, result_checksum
+from repro.serve.engine import _warm_worker
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     MAX_PAGE_SIZE,
@@ -259,6 +263,61 @@ class TestServedResultStaysBuffers:
 
 
 # ----------------------------------------------------------------------
+# a query's engine work is one blocking call, so one worker thread
+# ----------------------------------------------------------------------
+class ThreadRecordingEngine(EngineHost):
+    """An engine host that notes which thread planned and executed."""
+
+    def __init__(self):
+        super().__init__(MEMORY, workers=1)
+        self.threads = []
+
+    def plan(self, *args, **kwargs):
+        self.threads.append(("plan", threading.get_ident()))
+        return super().plan(*args, **kwargs)
+
+    def execute(self, *args, **kwargs):
+        self.threads.append(("execute", threading.get_ident()))
+        return super().execute(*args, **kwargs)
+
+
+class TestOneThreadPerQuery:
+    def test_plan_execute_and_checksum_share_a_thread(self, monkeypatch):
+        """Back-to-back hops each raced the thread pool's idle accounting
+        and landed on one to three threads: the served benchmark's peak
+        RSS then depended on how many malloc arenas held a result."""
+        import repro.serve.server as server_module
+
+        engine = ThreadRecordingEngine()
+
+        def recording_checksum(columns):
+            engine.threads.append(("checksum", threading.get_ident()))
+            return result_checksum(columns)
+
+        monkeypatch.setattr(server_module, "result_checksum", recording_checksum)
+
+        async def scenario():
+            server = await _started_server(engine=engine)
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    for _ in range(4):
+                        summary, _ = await asyncio.wait_for(
+                            client.join("L", "R", include_pairs=True), TIMEOUT
+                        )
+                        assert summary["checksum"] == expected_checksum()
+            finally:
+                await server.stop()
+            return threading.get_ident()
+
+        loop_thread = run(scenario())
+        steps = [step for step, _ in engine.threads]
+        assert steps == ["plan", "execute", "checksum"] * 4
+        for query in range(4):
+            idents = {ident for _, ident in engine.threads[3 * query : 3 * query + 3]}
+            assert len(idents) == 1 and loop_thread not in idents
+
+
+# ----------------------------------------------------------------------
 # bugfix: a request no server could honour is a bad_request, not a crash
 # ----------------------------------------------------------------------
 class TestJoinRequestValidation:
@@ -377,6 +436,54 @@ class TestJoinFailure:
         assert stats["queries"] == {"ok": 1, "rejected": 0, "error": 1}
         assert stats["admission"]["inflight"] == 0  # the slot was released
         assert 'repro_serve_queries_total{status="error"} 1' in metrics
+        assert shm_segments() == set()
+
+    @needs_shm
+    def test_a_killed_worker_fails_one_query_and_the_pool_is_rebuilt(self):
+        """A real worker death, not a raised stand-in: the pool it leaves
+        behind is broken for good, so the host must replace it."""
+        engine = ForcedPlanEngine("process")
+
+        def kill_an_idle_worker():
+            pool = engine.pool
+            pids = {
+                f.result(TIMEOUT) for f in [pool.submit(_warm_worker, 0.05) for _ in range(2)]
+            }
+            assert len(pids) == 2
+            os.kill(min(pids), signal.SIGKILL)
+            # The pool finds out on its own thread; wait until it has, so
+            # the failing query cannot start a chunk that is then killed.
+            deadline = time.monotonic() + TIMEOUT
+            while time.monotonic() < deadline:
+                try:
+                    pool.submit(_warm_worker, 0.0).result(TIMEOUT)
+                except BrokenProcessPool:
+                    return pool
+                time.sleep(0.01)
+            raise AssertionError("the pool never noticed its worker died")
+
+        async def scenario():
+            server = await _started_server(engine=engine)
+            try:
+                if engine.pool is None:
+                    pytest.skip("worker cap forced workers=1 on this box")
+                async with await ServeClient.connect(port=server.port) as client:
+                    dead = kill_an_idle_worker()
+                    failed, _ = await asyncio.wait_for(client.join("L", "R"), TIMEOUT)
+                    after, _ = await asyncio.wait_for(client.join("L", "R"), TIMEOUT)
+                    stats = await client.stats()
+                assert engine.pool is not dead
+            finally:
+                await server.stop()
+            return failed, after, stats
+
+        failed, after, stats = run(scenario())
+        assert not failed["ok"] and failed["error"] == "join_failed"
+        assert failed["exception"] == "BrokenProcessPool"
+        assert after["done"] and after["checksum"] == expected_checksum()
+        assert [r.stats.executor for r in engine.results] == ["process"]
+        assert stats["queries"] == {"ok": 1, "rejected": 0, "error": 1}
+        assert stats["admission"]["inflight"] == 0
         assert shm_segments() == set()
 
     def test_checksum_failure_is_answered_too(self, monkeypatch):

@@ -257,7 +257,7 @@ class TestAxisHeuristic:
     x-anchored scan over wide-flat rectangles expands nearly the full
     cross product.  The heuristic transposes those scans to y-anchored
     windows — unstriped, y-pruning intact — without changing a single
-    emitted pair or the split/counter invariants.
+    emitted pair.
     """
 
     def coarse_setup(self):
@@ -275,22 +275,14 @@ class TestAxisHeuristic:
         grid = TileGrid(SPACE, 2, 2, 4)
         return ColumnarRelation.from_kpes(kpes), kpes, grid
 
-    def run_all_partitions(self, cols, grid, stripe_slice=None, n_parts=None):
+    def run_all_partitions(self, cols, grid):
         from repro.kernels.twolayer import twolayer_join_ids
 
         counters = CpuCounters()
         pairs = []
         for pid in range(4):
-            if n_parts is None:
-                rid, sid, _ = twolayer_join_ids(cols, cols, grid, pid, counters)
-                pairs.extend(zip(rid.tolist(), sid.tolist()))
-            else:
-                for part in range(n_parts):
-                    rid, sid, _ = twolayer_join_ids(
-                        cols, cols, grid, pid, counters,
-                        stripe_slice=(part, n_parts),
-                    )
-                    pairs.extend(zip(rid.tolist(), sid.tolist()))
+            rid, sid, _ = twolayer_join_ids(cols, cols, grid, pid, counters)
+            pairs.extend(zip(rid.tolist(), sid.tolist()))
         return pairs, counters
 
     def test_transposed_scans_reduce_batch_ops(self):
@@ -322,16 +314,6 @@ class TestAxisHeuristic:
                 )
             )
         assert sorted(kernel_pairs) == sorted(scalar)
-
-    def test_split_parts_byte_identical_and_charged_once(self):
-        cols, _, grid = self.coarse_setup()
-        full, c_full = self.run_all_partitions(cols, grid)
-        split, c_split = self.run_all_partitions(cols, grid, n_parts=3)
-        # concatenated in part order the split run reproduces the
-        # unsplit output exactly, and the probe/sort/scan charges are
-        # levied once across siblings
-        assert split == full
-        assert c_split.batch_ops == c_full.batch_ops
 
     def test_probe_skipped_below_minimum(self):
         import random

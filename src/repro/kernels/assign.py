@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple, Union
 
-from repro.kernels.backend import get_numpy, require_numpy
+from repro.kernels.backend import require_numpy
+from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.pbsm.grid import TileGrid
 
 #: A record's destination: one partition id, or a tuple of several.
@@ -34,8 +35,9 @@ PartitionPlanEntry = Union[int, Tuple[int, ...]]
 def tile_ranges(np: Any, grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
     """Clipped tile-index ranges ``(txl, tyl, txh, tyh)`` of every record.
 
-    Replays ``TileGrid.tile_of_point`` on the low and high corners in
-    float64/int64 so the ranges are bit-identical to the scalar path.
+    ``point_tiles`` (the one vectorized replay of
+    ``TileGrid.tile_of_point``) on the low and high corners, so the
+    ranges are bit-identical to the scalar path.
     Inputs that carry ``.columnar`` (a mapped relation, a
     ``ColumnarRelation``) are read from those columns directly; only
     plain tuple sequences are converted.
@@ -46,17 +48,8 @@ def tile_ranges(np: Any, grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
     else:
         table = np.asarray(kpes, dtype=np.float64)
         xl, yl, xh, yh = table[:, 1], table[:, 2], table[:, 3], table[:, 4]
-    space = grid.space
-    nx = grid.nx
-    ny = grid.ny
-    txl = ((xl - space.xl) / space.width * nx).astype(np.int64)
-    tyl = ((yl - space.yl) / space.height * ny).astype(np.int64)
-    txh = ((xh - space.xl) / space.width * nx).astype(np.int64)
-    tyh = ((yh - space.yl) / space.height * ny).astype(np.int64)
-    np.clip(txl, 0, nx - 1, out=txl)
-    np.clip(txh, 0, nx - 1, out=txh)
-    np.clip(tyl, 0, ny - 1, out=tyl)
-    np.clip(tyh, 0, ny - 1, out=tyh)
+    txl, tyl = point_tiles(np, grid, xl, yl)
+    txh, tyh = point_tiles(np, grid, xh, yh)
     return txl, tyl, txh, tyh
 
 
@@ -71,15 +64,11 @@ def partition_plan(
     Raises :class:`RuntimeError` if the numpy backend is disabled — the
     caller is expected to gate on ``numpy_enabled()``.
     """
-    np = get_numpy()
-    if np is None:
-        raise RuntimeError("partition_plan requires the numpy backend")
+    np = require_numpy()
     if not kpes:
         return []
     txl, tyl, txh, tyh = tile_ranges(np, grid, kpes)
     single = (txl == txh) & (tyl == tyh)
-    from repro.kernels.rpm import tile_partitions
-
     plan: List[PartitionPlanEntry] = tile_partitions(np, grid, txl, tyl).tolist()
     multi = np.flatnonzero(~single)
     if multi.size:
@@ -115,8 +104,6 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
     the partitioner's ``records_written``.
     """
     np = require_numpy()
-    from repro.kernels.rpm import tile_partitions
-
     n = len(kpes)
     n_partitions = grid.n_partitions
     if n == 0:

@@ -75,14 +75,17 @@ class ColumnarRelation:
                 np.empty(0, dtype=np.int64),
                 *(np.empty(0, dtype=np.float64) for _ in range(4)),
             )
-        # One flat fromiter for the coordinates (markedly faster than
-        # np.asarray on a list of tuples); oids are converted separately
-        # so integer identifiers stay exact.
+        # One flat fromiter for everything (markedly faster than
+        # np.asarray on a list of tuples).  Below 2**53 float64 holds an
+        # integer oid exactly; only beyond it are the tuples walked again.
         flat = np.fromiter(
             itertools.chain.from_iterable(kpes), dtype=np.float64, count=5 * n
         )
         table = flat.reshape(n, 5)
-        oid = np.fromiter((k[0] for k in kpes), dtype=np.int64, count=n)
+        if (np.abs(table[:, 0]) < 2.0**53).all():
+            oid = table[:, 0].astype(np.int64)
+        else:
+            oid = np.fromiter((k[0] for k in kpes), dtype=np.int64, count=n)
         return cls(
             oid,
             np.ascontiguousarray(table[:, 1]),
@@ -208,7 +211,8 @@ def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
     A NaN coordinate or an inverted MBR (``xl > xh`` or ``yl > yh``) has
     no tile range: the partitioner would die deep inside numpy or, worse,
     join the row silently where it happens to stay inside one tile.
-    Infinite extents are fine (they clip to the border tiles).
+    Infinite extents are fine: they clamp to the border tiles and are
+    never y-striped (joined against brute force in ``tests/``).
     """
     cols = ColumnarRelation.from_kpes(kpes)
     bad = ~((cols.xl <= cols.xh) & (cols.yl <= cols.yh))

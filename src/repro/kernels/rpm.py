@@ -16,7 +16,7 @@ parity tests pin down on tile-boundary points.
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
 from repro.kernels.backend import require_numpy
@@ -24,6 +24,7 @@ from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
     _charge_batch_sort,
+    clamped_index,
     forward_scan_batches,
 )
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
@@ -32,14 +33,22 @@ from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
 #: (two refpoint selects, two tile computations, hash, compare).
 BATCH_OPS_PER_RPM_TEST = 6
 
+#: Detected pairs collected before one ownership test runs over them: a
+#: striped scan yields a few hundred per stripe pass, and the test is ~25
+#: array calls whatever the batch size.
+OWNERSHIP_BATCH_PAIRS = 1 << 14
+
 
 def point_tiles(np: Any, grid: TileGrid, x: Any, y: Any) -> Tuple[Any, Any]:
-    """Vectorized ``TileGrid.tile_of_point`` over coordinate arrays."""
+    """Vectorized ``TileGrid.tile_of_point`` over coordinate arrays.
+
+    An infinite coordinate lands on a border tile and a NaN — ``inf - inf``
+    or ``inf / inf`` in an unbounded space — on tile 0 (:func:`clamped_index`).
+    """
     space = grid.space
-    tx = ((x - space.xl) / space.width * grid.nx).astype(np.int64)
-    ty = ((y - space.yl) / space.height * grid.ny).astype(np.int64)
-    np.clip(tx, 0, grid.nx - 1, out=tx)
-    np.clip(ty, 0, grid.ny - 1, out=ty)
+    with np.errstate(invalid="ignore", over="ignore"):
+        tx = clamped_index(np, (x - space.xl) / space.width * grid.nx, grid.nx)
+        ty = clamped_index(np, (y - space.yl) / space.height * grid.ny, grid.ny)
     return tx, ty
 
 
@@ -64,20 +73,21 @@ def _owned_scan(
     counters: CpuCounters,
     batch_candidates: int,
 ) -> Tuple:
-    """Forward scan plus a chain of ownership tests over every batch.
+    """Forward scan plus a chain of ownership tests over the detected pairs.
 
     The one loop behind :func:`rpm_join_ids` and :func:`region_join_ids`:
     returns ``(rid, sid, detected, suppressed)``.  A detected pair is
-    kept iff its reference point — the RPM corner
-    ``(max xl, min yh)``, or the intersection's bottom-left corner
-    ``(max xl, max yl)`` with *bottom_left* — lies in partition ``pid``
-    of ``grid`` for *every* ``(grid, pid)`` of *regions*; an empty chain
-    keeps everything.  Charges the sorts and the scan, never the test:
-    the two callers price that differently.
+    kept iff its reference point — the RPM corner ``(max xl, min yh)``,
+    or the intersection's bottom-left corner ``(max xl, max yl)`` with
+    *bottom_left* — lies in partition ``pid`` of ``grid`` for *every*
+    ``(grid, pid)`` of *regions*; an empty chain keeps everything.  The
+    test runs once per ``OWNERSHIP_BATCH_PAIRS`` detections, not once per
+    scan batch.  Charges the sorts and the scan, never the test: the two
+    callers price that differently.
     """
     np = require_numpy()
+    empty = np.empty(0, dtype=np.int64)
     if a_cols.n == 0 or b_cols.n == 0:
-        empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0, 0
     if a_cols.sorted_by_xl:
         a = a_cols
@@ -93,7 +103,8 @@ def _owned_scan(
     sids = []
     detected = 0
     kept = 0
-    for a_idx, b_idx in forward_scan_batches(a, b, counters, batch_candidates):
+    batches = forward_scan_batches(a, b, counters, batch_candidates)
+    for a_idx, b_idx in _coalesced(np, batches, OWNERSHIP_BATCH_PAIRS):
         detected += int(a_idx.shape[0])
         rid = a.oid[a_idx]
         sid = b.oid[b_idx]
@@ -112,10 +123,33 @@ def _owned_scan(
         kept += int(rid.shape[0])
         rids.append(rid)
         sids.append(sid)
-    if rids:
-        return np.concatenate(rids), np.concatenate(sids), detected, detected - kept
-    empty = np.empty(0, dtype=np.int64)
-    return empty, empty, detected, detected - kept
+    if not rids:
+        return empty, empty, 0, 0
+    return np.concatenate(rids), np.concatenate(sids), detected, detected - kept
+
+
+def _coalesced(np: Any, batches: Iterable[Tuple], minimum: int) -> Iterator[Tuple]:
+    """Regroup ``(a_idx, b_idx)`` batches into ones of at least *minimum* pairs.
+
+    Pair order is kept (only the last batch may be smaller), so a mask
+    over a regrouped batch selects what masks over its parts select.
+    """
+    parts: List[Tuple] = []
+    size = 0
+    for batch in batches:
+        parts.append(batch)
+        size += batch[0].shape[0]
+        if size >= minimum:
+            yield _concatenated(np, parts)
+            parts, size = [], 0
+    if parts:
+        yield _concatenated(np, parts)
+
+
+def _concatenated(np: Any, parts: List[Tuple]) -> Tuple:
+    if len(parts) == 1:  # nothing to copy, however large the batch
+        return parts[0]
+    return tuple(np.concatenate(side) for side in zip(*parts))
 
 
 def rpm_join_ids(

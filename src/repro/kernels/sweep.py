@@ -71,6 +71,19 @@ def _charge_batch_sort(counters: CpuCounters, n: int) -> None:
         counters.batch_ops += n * max(1, math.ceil(math.log2(n)))
 
 
+def clamped_index(np: Any, scaled: Any, n: int) -> Any:
+    """Float positions *scaled* as int64 cell indices clamped into ``[0, n)``.
+
+    Clamped in float, then cast: the same index as cast-then-clip for
+    every castable value (a negative fraction truncates to 0 either way),
+    but defined where that cast is not (and warns) — a NaN is dropped by
+    ``fmax`` (cell 0), an infinity or a value beyond int64 hits a border.
+    """
+    clamped = np.fmax(scaled, 0.0)
+    np.fmin(clamped, n - 1, out=clamped)
+    return clamped.astype(np.int64)
+
+
 # ----------------------------------------------------------------------
 # the kernel proper
 # ----------------------------------------------------------------------
@@ -149,8 +162,8 @@ def _stripe_count(np: Any, a: ColumnarRelation, b: ColumnarRelation, span: float
     spanning many stripes do not blow up the working set.
     """
     n = a.n + b.n
-    if n < STRIPE_MIN_RECORDS or span <= 0.0:
-        return 1
+    if n < STRIPE_MIN_RECORDS or not 0.0 < span < math.inf:
+        return 1  # (an infinite or NaN extent has no stripe height)
     height_sum = float((a.yh - a.yl).sum() + (b.yh - b.yl).sum())
     mean_height = height_sum / n
     k = n // STRIPE_RECORDS
@@ -170,10 +183,9 @@ def _stripe_layout(
     records, and ``slo`` is each record's bottom stripe — the ownership
     key of the reference-point rule.
     """
-    slo = ((rel.yl - ylo) * inv_height).astype(np.int64)
-    np.clip(slo, 0, k - 1, out=slo)
-    shi = ((rel.yh - ylo) * inv_height).astype(np.int64)
-    np.clip(shi, 0, k - 1, out=shi)
+    with np.errstate(invalid="ignore"):  # 0 * inf: a span next to zero
+        slo = clamped_index(np, (rel.yl - ylo) * inv_height, k)
+        shi = clamped_index(np, (rel.yh - ylo) * inv_height, k)
     counts = shi - slo + 1
     total = int(counts.sum())
     orig = np.repeat(np.arange(rel.n), counts)

@@ -18,9 +18,12 @@ Implements both variants the paper compares:
   stream like RPM's.
 
 The internal algorithm (list sweep, trie sweep, ...) is pluggable, which is
-how Figures 4/5/12 are driven.  Execution is exposed as a generator
-(:meth:`PBSM.iter_pairs`) so the operator layer can demonstrate the
-pipelining difference; :meth:`PBSM.run` simply drains it.
+how Figures 4/5/12 are driven.  The recursion of Section 3.2.3 hands out
+*leaves* — partition pairs that are joined as they are — to one loop that
+produces each leaf's pairs in one piece: :meth:`PBSM.run` extends its list
+leaf by leaf, and :meth:`PBSM.iter_pairs` yields from each leaf before the
+next is read, so the operator layer can demonstrate the pipelining
+difference.
 
 Two engines share the phases, the recursion of Section 3.2.3 and every
 simulated charge.  The *tuple* engine (any internal algorithm; the paper's
@@ -28,8 +31,8 @@ subject, and the only one without numpy) streams KPE tuples through the
 partition files.  The *columnar* engine (``internal="sweep_numpy"`` on the
 numpy backend, what :func:`repro.spatial_join` runs by default) partitions
 row ids over the inputs' five columns, gathers rows per partition pair
-into the id-pair kernels, and builds oid tuples only where pairs leave the
-generator — ``docs/kernels.md``, "Columnar sequential driver".
+into the id-pair kernels, and builds a leaf's oid tuples with one gather
+per side — ``docs/kernels.md``, "Columnar sequential driver".
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 from typing import (
     Any,
     Callable,
+    Dict,
     Iterable,
     Iterator,
     List,
@@ -59,7 +63,7 @@ from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import active_backend, numpy_enabled
+from repro.kernels.backend import active_backend, numpy_enabled, require_numpy
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.kernels.twolayer import twolayer_join_ids
@@ -144,8 +148,9 @@ class PBSM:
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
         """Execute the join and return all result pairs plus statistics."""
         stats = self._new_stats(left, right)
-        pairs = list(self._generate(left, right, stats))
-        self._finalize_stats(stats)
+        pairs: List[Tuple[int, int]] = []
+        for leaf_pairs in self._join_leaves(left, right, stats):
+            pairs.extend(leaf_pairs)
         stats.n_results = len(pairs)
         return JoinResult(pairs=pairs, stats=stats)
 
@@ -157,15 +162,15 @@ class PBSM:
     ) -> Iterator[Tuple[int, int]]:
         """Yield result pairs as the join produces them.
 
-        With ``dedup="rpm"`` pairs stream out during the join phase; with
-        ``dedup="sort"`` nothing is yielded until the final sorting phase
-        has completed — the behaviour the paper's pipelining argument is
-        about.  ``stats`` (if given) is populated when the iterator is
-        exhausted.
+        With ``dedup="rpm"`` a leaf's pairs stream out before the next
+        leaf is read; with ``dedup="sort"`` nothing is yielded until the
+        final sorting phase has completed — the behaviour the paper's
+        pipelining argument is about.  ``stats`` (if given) is populated
+        when the iterator is exhausted.
         """
         own_stats = stats if stats is not None else self._new_stats(left, right)
-        yield from self._generate(left, right, own_stats)
-        self._finalize_stats(own_stats)
+        for leaf_pairs in self._join_leaves(left, right, own_stats):
+            yield from leaf_pairs
 
     # ------------------------------------------------------------------
     # execution
@@ -185,12 +190,20 @@ class PBSM:
             n_right=len(right),
         )
 
-    def _generate(
+    def _join_leaves(
         self,
         left: Sequence[Tuple],
         right: Sequence[Tuple],
         stats: JoinStats,
-    ) -> Iterator[Tuple[int, int]]:
+    ) -> Iterator[Iterable[Tuple[int, int]]]:
+        """Run the phases; yield each leaf's result pairs as one iterable.
+
+        The one loop both :meth:`run` and :meth:`iter_pairs` drain: no
+        generator is resumed per pair.  Everything a run accumulates
+        (disk, counters, *stats*) is local to this generator — never an
+        attribute of the driver — so iterators open on one driver share
+        nothing, and *stats* is complete once it is exhausted.
+        """
         disk = SimulatedDisk(self.cost_model)
         cpu = {
             PHASE_PARTITION: CpuCounters(),
@@ -198,10 +211,8 @@ class PBSM:
             PHASE_JOIN: CpuCounters(),
             PHASE_DEDUP: CpuCounters(),
         }
-        self._disk = disk
-        self._cpu = cpu
-        self._stats = stats
         if not left or not right:
+            self._finalize_stats(stats, disk, cpu)
             return
 
         # ``sweep_numpy`` on the numpy backend never touches a KPE tuple:
@@ -258,27 +269,54 @@ class PBSM:
             candidate_file: Optional[PageFile] = None
             candidate_writer = None
             if self.dedup == "sort":
-                candidate_file = PageFile(
-                    disk, self.cost_model.result_bytes, "cands"
-                )
+                candidate_file = PageFile(disk, self.cost_model.result_bytes, "cands")
                 candidate_writer = candidate_file.writer(buffer_pages=1)
 
             # --- phases 2+3: (re)partition & join --------------------------
-            with tracer.span(PHASE_JOIN, cpu=cpu[PHASE_JOIN], disk=disk) as sp:
-                for pid in range(n_partitions):
-                    yield from self._join_pair(
-                        left_files[pid],
-                        right_files[pid],
-                        ((grid, pid),),
-                        space,
-                        candidate_writer,
-                        0,
-                        columns,
-                    )
+            # Top-level pairs stacked so that partition 0 is looked at first.
+            pending: List[Tuple[PageFile, PageFile, Region, int]] = [
+                (left_files[pid], right_files[pid], ((grid, pid),), 0)
+                for pid in reversed(range(n_partitions))
+            ]
+            join_cpu = cpu[PHASE_JOIN]
+            with tracer.span(PHASE_JOIN, cpu=join_cpu, disk=disk) as sp:
+                for file_left, file_right, region in self._leaves(
+                    pending, space, columns, disk, cpu[PHASE_REPARTITION], stats
+                ):
+                    pairs: Iterable[Tuple[int, int]]
+                    if columns is None:
+                        with disk.phase(PHASE_JOIN):
+                            records_left = file_left.read_all()
+                            records_right = file_right.read_all()
+                        pairs, suppressed = tuple_leaf(
+                            records_left, records_right, region, self.dedup,
+                            self.internal, join_cpu,
+                        )
+                    else:
+                        with disk.phase(PHASE_JOIN):
+                            a = columns.left.rows(file_left.read_view())
+                            b = columns.right.rows(file_right.read_view())
+                        rid, sid, suppressed = columnar_leaf(
+                            a, b, region, self.dedup, join_cpu
+                        )
+                        # The kernels saw row positions as oids: one gather
+                        # per side through the inputs' own oid objects.
+                        pairs = zip(
+                            columns.left_oids[rid].tolist(),
+                            columns.right_oids[sid].tolist(),
+                        )
+                    stats.duplicates_suppressed += suppressed
+                    if candidate_writer is None:
+                        yield pairs
+                    else:
+                        # The candidate-pair writes are part of the
+                        # duplicate-removal overhead (Figure 3a).
+                        with disk.phase(PHASE_DEDUP):
+                            candidate_writer.write_many(pairs)
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
             # --- phase 4: sort-based duplicate removal ---------------------
-            if self.dedup == "sort":
+            if candidate_writer is not None:
                 with tracer.span(
                     PHASE_DEDUP, cpu=cpu[PHASE_DEDUP], disk=disk
                 ) as sp:
@@ -289,144 +327,92 @@ class PBSM:
                         )
                     stats.duplicates_sorted_out = removed
                 stats.wall_seconds_by_phase[PHASE_DEDUP] = sp.wall_seconds
-                yield from unique
+                yield unique
+        self._finalize_stats(stats, disk, cpu)
 
-    def _join_pair(
+    def _leaves(
         self,
-        file_left: PageFile,
-        file_right: PageFile,
-        region: Region,
+        pending: List[Tuple[PageFile, PageFile, Region, int]],
         space: Space,
-        candidate_writer: Any,
-        depth: int,
         columns: Optional["_Columns"],
-    ) -> Iterator[Tuple[int, int]]:
-        """Join one pair of partitions, repartitioning if necessary.
+        disk: SimulatedDisk,
+        cpu: CpuCounters,
+        stats: JoinStats,
+    ) -> Iterator[Tuple[PageFile, PageFile, Region]]:
+        """The recursion of Section 3.2.3: yield the pairs to join as they are.
 
-        *columns* is ``None`` for the tuple engine (the files hold
-        records) and the inputs' columns for the columnar one (the files
-        hold row ids); it is passed down, never stored, so nothing keeps
-        the columns alive once the generator is done.
+        *pending* is the stack of ``(file_left, file_right, region,
+        depth)`` still to look at, next one last.  A pair over the budget
+        is replaced by its sub-pairs — the larger side split by a finer
+        grid, each sub-partition against the whole other side; every
+        other non-empty pair is a leaf ``(file_left, file_right, region)``,
+        in the order a depth-first recursion joins them.  *columns* is
+        ``None`` for the tuple engine (the files hold records) and the
+        inputs' columns for the columnar one (row ids); an argument like
+        the rest of the run's state, never stored, so nothing keeps it
+        alive once the generator is done.
         """
-        stats = self._stats
-        if file_left.n_records == 0 or file_right.n_records == 0:
-            # An empty side produces nothing.  This must short-circuit
-            # *before* the memory check: otherwise an over-budget partner
-            # would be repartitioned once per empty sub-partition,
-            # exploding the recursion on unsplittable (e.g. all-identical)
-            # inputs.
-            return
-        pair_bytes = file_left.n_bytes + file_right.n_bytes
-        fits = pair_bytes <= self.memory_bytes
-        splittable = max(file_left.n_records, file_right.n_records) > 2
-        if not fits and splittable and depth < self.max_repartition_depth:
+        while pending:
+            file_left, file_right, region, depth = pending.pop()
+            if file_left.n_records == 0 or file_right.n_records == 0:
+                # An empty side produces nothing.  This must short-circuit
+                # *before* the memory check: otherwise an over-budget partner
+                # would be repartitioned once per empty sub-partition,
+                # exploding the recursion on unsplittable (e.g. all-identical)
+                # inputs.
+                continue
+            pair_bytes = file_left.n_bytes + file_right.n_bytes
+            fits = pair_bytes <= self.memory_bytes
+            splittable = max(file_left.n_records, file_right.n_records) > 2
+            if fits or not splittable or depth >= self.max_repartition_depth:
+                if not fits:
+                    stats.memory_overruns += 1
+                if pair_bytes > stats.peak_memory_bytes:
+                    stats.peak_memory_bytes = pair_bytes
+                yield file_left, file_right, region
+                continue
+            # Split the larger partition; each sub-partition meets the other.
             stats.repartition_events += 1
-            yield from self._repartition(
-                file_left, file_right, region, space, candidate_writer, depth,
-                columns,
+            left_is_larger = file_left.n_bytes >= file_right.n_bytes
+            larger = file_left if left_is_larger else file_right
+            smaller = file_right if left_is_larger else file_left
+            k = choose_split(
+                larger.n_bytes, smaller.n_bytes, self.memory_bytes, self.t_factor
             )
-            return
-        if not fits:
-            stats.memory_overruns += 1
-        if pair_bytes > stats.peak_memory_bytes:
-            stats.peak_memory_bytes = pair_bytes
-        cpu = self._cpu[PHASE_JOIN]
-        pairs: Iterable[Tuple[int, int]]
-        if columns is None:
-            with self._disk.phase(PHASE_JOIN):
-                records_left = file_left.read_all()
-                records_right = file_right.read_all()
-            pairs, suppressed = tuple_leaf(
-                records_left, records_right, region, self.dedup, self.internal, cpu
+            split_args = (
+                k, space, disk, cpu, self.tiles_per_partition, self.tile_mapping,
+                f"{larger.name}.d{depth}",
             )
-        else:
-            with self._disk.phase(PHASE_JOIN):
-                a = columns.left.rows(file_left.read_view())
-                b = columns.right.rows(file_right.read_view())
-            rid, sid, suppressed = columnar_leaf(a, b, region, self.dedup, cpu)
-            # The kernels saw row positions as oids; the pairs are decoded
-            # through the inputs' own oid objects, per partition pair, as
-            # this plain iterator is drained (no generator level per pair).
-            pairs = zip(
-                map(columns.left_oids.__getitem__, rid.tolist()),
-                map(columns.right_oids.__getitem__, sid.tolist()),
-            )
-        stats.duplicates_suppressed += suppressed
-        if self.dedup == "sort":
-            # The candidate-pair writes are part of the duplicate-removal
-            # overhead (Figure 3a).
-            with self._disk.phase(PHASE_DEDUP):
-                candidate_writer.write_many(pairs)
-        else:
-            yield from pairs
-
-    def _repartition(
-        self,
-        file_left: PageFile,
-        file_right: PageFile,
-        region: Region,
-        space: Space,
-        candidate_writer: Any,
-        depth: int,
-        columns: Optional["_Columns"],
-    ) -> Iterator[Tuple[int, int]]:
-        """Split the larger partition and recurse on each sub-pair."""
-        left_is_larger = file_left.n_bytes >= file_right.n_bytes
-        larger = file_left if left_is_larger else file_right
-        smaller = file_right if left_is_larger else file_left
-        k = choose_split(
-            larger.n_bytes, smaller.n_bytes, self.memory_bytes, self.t_factor
-        )
-        cpu = self._cpu[PHASE_REPARTITION]
-        split_args = (
-            k,
-            space,
-            self._disk,
-            cpu,
-            self.tiles_per_partition,
-            self.tile_mapping,
-            f"{larger.name}.d{depth}",
-        )
-        with self._disk.phase(PHASE_REPARTITION):
-            if columns is None:
-                subfiles, subgrid = split_partition(larger, *split_args)
-            else:
-                subfiles, subgrid = split_partition_ids(
-                    larger,
-                    columns.left if left_is_larger else columns.right,
-                    *split_args,
+            with disk.phase(PHASE_REPARTITION):
+                if columns is None:
+                    subfiles, subgrid = split_partition(larger, *split_args)
+                else:
+                    subfiles, subgrid = split_partition_ids(
+                        larger,
+                        columns.left if left_is_larger else columns.right,
+                        *split_args,
+                    )
+            if max(f.n_records for f in subfiles) >= larger.n_records:
+                # No progress: every record overlaps (nearly) every tile, so a
+                # sub-partition is as large as its parent — e.g. all-identical
+                # rectangles.  Recursing would multiply work without shrinking
+                # anything; join the original pair directly instead.
+                pending.append(
+                    (file_left, file_right, region, self.max_repartition_depth)
                 )
-        if max(f.n_records for f in subfiles) >= larger.n_records:
-            # No progress: every record overlaps (nearly) every tile, so a
-            # sub-partition is as large as its parent — e.g. all-identical
-            # rectangles.  Recursing would multiply work without shrinking
-            # anything; join the original pair directly instead.
-            yield from self._join_pair(
-                file_left,
-                file_right,
-                region,
-                space,
-                candidate_writer,
-                self.max_repartition_depth,
-                columns,
-            )
-            return
-        for sub_pid, subfile in enumerate(subfiles):
-            # Parent region AND sub-region (Section 3.2.3).
-            sub_region = region + ((subgrid, sub_pid),)
-            sub_left = subfile if left_is_larger else smaller
-            sub_right = smaller if left_is_larger else subfile
-            yield from self._join_pair(
-                sub_left, sub_right, sub_region, space, candidate_writer,
-                depth + 1, columns,
-            )
+                continue
+            for sub_pid in reversed(range(len(subfiles))):
+                sub = subfiles[sub_pid]
+                sides = (sub, smaller) if left_is_larger else (smaller, sub)
+                # Parent region AND sub-region (Section 3.2.3).
+                pending.append((*sides, region + ((subgrid, sub_pid),), depth + 1))
 
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def _finalize_stats(self, stats: JoinStats) -> None:
-        disk = self._disk
-        cpu = self._cpu
+    def _finalize_stats(
+        self, stats: JoinStats, disk: SimulatedDisk, cpu: Dict[str, CpuCounters]
+    ) -> None:
         cost = self.cost_model
         stats.io_units_by_phase = disk.units_by_phase()
         stats.io_pages_by_phase = disk.pages_by_phase()
@@ -449,15 +435,17 @@ class PBSM:
 class _Columns(NamedTuple):
     """The columnar engine's inputs: both relations' columns and oids.
 
-    ``left_oids``/``right_oids`` are the inputs' *own* oid objects in row
-    order, which is what result pairs are built from: indexing an oid
-    column instead would allocate two fresh ints per result pair.
+    ``left_oids``/``right_oids`` are numpy *object* arrays of the inputs'
+    *own* oid objects in row order, which is what result pairs are built
+    from (``oids[rid].tolist()``, one gather per leaf and side): indexing
+    an int64 oid column instead would allocate two fresh ints per result
+    pair.
     """
 
     left: ColumnarRelation
     right: ColumnarRelation
-    left_oids: List[int]
-    right_oids: List[int]
+    left_oids: Any
+    right_oids: Any
 
     @classmethod
     def of(cls, left: Sequence[Tuple], right: Sequence[Tuple]) -> "_Columns":
@@ -469,12 +457,13 @@ class _Columns(NamedTuple):
         )
 
 
-def _oid_objects(kpes: Sequence[Tuple]) -> List[int]:
+def _oid_objects(kpes: Sequence[Tuple]) -> Any:
     """Every record's oid, boxed once (a columnar input has no tuples)."""
     columnar = getattr(kpes, "columnar", None)
     if columnar is not None:
-        return columnar.oid.tolist()
-    return [k[0] for k in kpes]
+        return columnar.oid.astype(object)
+    np = require_numpy()
+    return np.fromiter((k[0] for k in kpes), dtype=object, count=len(kpes))
 
 
 def columnar_engine(internal_name: str) -> bool:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.rect import KPE
+from repro.kernels.shm import SEGMENT_PREFIX, _segment_creator_pid
 
 # Let the process-pool tests exercise real multi-worker fan-out even on
 # single-core CI boxes, where ParallelPBSM would otherwise clamp to 1.
@@ -38,6 +39,73 @@ def _fresh_clamp_warnings():
 
     reset_clamp_warnings()
     yield
+
+
+class OwnShmSegments:
+    """The ``repro_shm_*`` segments this test's process tree has left behind.
+
+    ``/dev/shm`` is the host's: a benchmark or a second pytest next door
+    creates and unlinks segments of its own all the time, so asserting
+    on every name there fails for reasons that are not this test's.  A
+    segment name carries its creator's pid
+    (``repro_shm_<pid>_<seq>_<hex>``); calling the helper returns the
+    names that appeared since the test began *and* were created by this
+    process or one of its descendants.  Pool workers are recorded as
+    they are started (a worker is usually gone by the time a test
+    looks); any other descendant — a ``repro serve`` child and its
+    workers — is recorded by each call made while it is alive.
+    """
+
+    def __init__(self) -> None:
+        self.before = self._names()
+        self.pids = {os.getpid()}
+
+    @staticmethod
+    def _names():
+        if not os.path.isdir("/dev/shm"):
+            return set()
+        return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
+
+    def record_descendants(self) -> None:
+        """Add every live process below a recorded one (Linux ``/proc``)."""
+        parent_of = {}
+        for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+            if entry.isdigit():
+                try:
+                    with open(f"/proc/{entry}/stat") as stat:
+                        # "pid (comm) state ppid ...": comm may hold spaces.
+                        parent_of[int(entry)] = int(stat.read().rsplit(")", 1)[1].split()[1])
+                except (OSError, ValueError, IndexError):
+                    continue  # exited while we were reading
+        grew = True
+        while grew:
+            found = {pid for pid, parent in parent_of.items() if parent in self.pids}
+            grew = not found <= self.pids
+            self.pids |= found
+
+    def __call__(self):
+        self.record_descendants()
+        return {
+            name
+            for name in self._names() - self.before
+            if _segment_creator_pid(name) in self.pids
+        }
+
+
+@pytest.fixture
+def own_shm_segments(monkeypatch):
+    """An :class:`OwnShmSegments` snapshot taken as the test begins."""
+    from multiprocessing.process import BaseProcess
+
+    segments = OwnShmSegments()
+    start = BaseProcess.start
+
+    def recording_start(process):
+        start(process)
+        segments.pids.add(process.pid)
+
+    monkeypatch.setattr(BaseProcess, "start", recording_start)
+    return segments
 
 
 def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):

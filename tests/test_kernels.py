@@ -95,6 +95,17 @@ class TestColumnarRelation:
         cols = ColumnarRelation.from_kpes(kpes)
         assert cols.oid.tolist() == [2**40 + i for i in range(5)]
 
+    def test_oids_beyond_float64s_exact_integers_stay_exact(self):
+        # The coordinates' float64 pass carries oids below 2**53 exactly;
+        # one oid at or past it sends the whole column through int64.
+        oids = [2**53 - 1, -(2**53) + 1, 2**53, 2**53 + 1, -(2**62) - 1, 2**63 - 1, 7]
+        for some in (oids[:2], oids, oids[2:3]):
+            cols = ColumnarRelation.from_kpes([KPE(o, 0.1, 0.2, 0.3, 0.4) for o in some])
+            assert cols.oid.dtype == "int64" and cols.oid.tolist() == some
+        for not_an_oid, error in ((float("nan"), ValueError), (2**63, OverflowError)):
+            with pytest.raises(error):
+                ColumnarRelation.from_kpes([KPE(not_an_oid, 0.1, 0.2, 0.3, 0.4)])
+
     def test_empty_relation(self):
         cols = ColumnarRelation.from_kpes([])
         assert cols.n == 0 and len(cols) == 0

@@ -9,6 +9,8 @@ between scalar and vectorized tile arithmetic would silently drop or
 duplicate pairs.
 """
 
+import warnings
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,8 @@ from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
 from repro.kernels.backend import HAVE_NUMPY, numpy_enabled, python_backend
 from repro.internal.sweep_list import sweep_list_join
 from repro.kernels.columnar import ColumnarRelation
+import repro.kernels.rpm as rpm_module
+from repro.kernels.assign import tile_ranges
 from repro.kernels.rpm import point_tiles, rpm_join_ids, tile_partitions
 from repro.kernels.sweep import STRIPE_MIN_RECORDS
 from repro.kernels.twolayer import twolayer_join_ids
@@ -240,6 +244,106 @@ class TestBatchedTwolayer(BatchedVsScalar):
 
 
 # ----------------------------------------------------------------------
+# the ownership test runs per OWNERSHIP_BATCH_PAIRS detections: how the
+# scan's batches are regrouped must be invisible
+# ----------------------------------------------------------------------
+def owned_scan(monkeypatch, batch_pairs, left, right, regions, bottom_left, batch_candidates):
+    monkeypatch.setattr(rpm_module, "OWNERSHIP_BATCH_PAIRS", batch_pairs)
+    counters = CpuCounters()
+    rid, sid, detected, suppressed = rpm_module._owned_scan(
+        ColumnarRelation.from_kpes(left),
+        ColumnarRelation.from_kpes(right),
+        regions,
+        bottom_left,
+        counters,
+        batch_candidates,
+    )
+    return rid.tolist(), sid.tolist(), detected, suppressed, counters.as_dict()
+
+
+def assert_regrouping_is_invisible(monkeypatch, *scan_args):
+    per_scan_batch = owned_scan(monkeypatch, 1, *scan_args)
+    whole_scan = owned_scan(monkeypatch, 2**62, *scan_args)
+    default = owned_scan(monkeypatch, rpm_module.OWNERSHIP_BATCH_PAIRS, *scan_args)
+    assert per_scan_batch == whole_scan == default
+    return default
+
+
+@needs_kernels
+class TestOwnershipBatching:
+    SUBGRID = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 3, 3, 2, mapping="round_robin")
+
+    def test_striped_scan(self, monkeypatch):
+        n = STRIPE_MIN_RECORDS // 2 + 50
+        left = random_kpes(n, seed=21, max_edge=0.07)
+        right = random_kpes(n, seed=22, start_oid=10**6, max_edge=0.07)
+        tests = []
+        point_partitions = rpm_module.point_partitions
+
+        def counting(np, grid, x, y):
+            tests.append(len(x))
+            return point_partitions(np, grid, x, y)
+
+        monkeypatch.setattr(rpm_module, "point_partitions", counting)
+        grid = rpm_grid()
+        scan_args = (left, right, ((grid, 1),), False, 1 << 22)
+        results = {}
+        sizes = {}
+        for batch_pairs in (1, 2**62, rpm_module.OWNERSHIP_BATCH_PAIRS):
+            tests.clear()
+            results[batch_pairs] = owned_scan(monkeypatch, batch_pairs, *scan_args)
+            sizes[batch_pairs] = list(tests)
+        per_pass, whole, default = results.values()
+        assert per_pass == whole == default
+        rid, sid, detected, suppressed, _ = default
+        assert 0 < suppressed < detected == len(rid) + suppressed
+        want, want_suppressed = scalar_rpm(left, right, grid, 1)
+        assert sorted(zip(rid, sid)) == sorted(want) and suppressed == want_suppressed
+        # One test per stripe pass, one per scan, one per 16k detections.
+        per_pass, whole, default = sizes.values()
+        assert len(per_pass) > 10 and sum(per_pass) == detected
+        assert whole == [detected]
+        assert default[0] >= 1 << 14 > default[1] and sum(default) == detected
+
+    @pytest.mark.parametrize("bottom_left", (False, True))
+    def test_unstriped_and_composed_region(self, bottom_left, monkeypatch):
+        left = random_kpes(300, seed=23, max_edge=0.2)
+        right = random_kpes(300, seed=24, start_oid=10**6, max_edge=0.2)
+        grid = rpm_grid()
+        kept = set()
+        for regions in (
+            (),
+            ((grid, 2),),
+            ((grid, 2), (self.SUBGRID, 0)),
+            ((grid, 2), (self.SUBGRID, 1)),
+        ):
+            # 64 candidates a batch: dozens of scan batches.
+            rid, sid, detected, suppressed, _ = assert_regrouping_is_invisible(
+                monkeypatch, left, right, regions, bottom_left, 64
+            )
+            assert detected == len(brute_force_pairs(left, right))
+            if len(regions) == 2:
+                kept |= set(zip(rid, sid))
+            elif regions:
+                owned_by_parent = set(zip(rid, sid))
+        # The sub-regions split the parent's pairs between them.
+        assert kept == owned_by_parent
+
+    @given(pair=touching_kpes(), batch_candidates=st.integers(1, 9))
+    def test_property_regrouping_on_ties_and_tile_edges(self, pair, batch_candidates):
+        # Lattice corners: xl ties everywhere, reference points on the
+        # 4x4 grid's tile edges; a few candidates per scan batch.
+        left, right = pair
+        grid = rpm_grid()
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            for regions in (((grid, 0),), ((grid, 3), (self.SUBGRID, 1))):
+                for bottom_left in (False, True):
+                    assert_regrouping_is_invisible(
+                        monkeypatch, left, right, regions, bottom_left, batch_candidates
+                    )
+
+
+# ----------------------------------------------------------------------
 # vectorized tile arithmetic vs TileGrid, point by point
 # ----------------------------------------------------------------------
 def adversarial_points(grid):
@@ -261,6 +365,10 @@ def adversarial_points(grid):
     # Far outside the space, so the int64 cast sees negative / >= n values.
     xs |= {space.xl - 0.5, space.xh + 0.5}
     ys |= {space.yl - 0.5, space.yh + 0.5}
+    # A negative fraction of a tile (truncates to tile 0, not -1), and
+    # finite positions beyond +-2**63 tiles, which no int64 cast survives.
+    xs |= {space.xl - space.width / grid.nx / 2, space.xl + 1e25, space.xl - 1e25}
+    ys |= {space.yl - space.height / grid.ny / 2, space.yl + 1e25, space.yl - 1e25}
     return list(itertools.product(sorted(xs), sorted(ys)))
 
 
@@ -291,6 +399,44 @@ class TestGridKernelParity:
             want_tile = grid.tile_of_point(px, py)
             assert (int(tx[i]), int(ty[i])) == want_tile, (px, py)
             assert int(owner[i]) == grid.partition_of_point(px, py), (px, py)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}-{g.mapping}")
+    def test_tile_ranges_are_point_tiles_of_both_corners(self, grid):
+        import numpy as np
+
+        points = adversarial_points(grid)
+        kpes = [
+            (i, min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
+            for i, ((ax, ay), (bx, by)) in enumerate(zip(points, reversed(points)))
+        ]
+        ranges = tile_ranges(np, grid, kpes)
+        table = np.asarray(kpes, dtype=np.float64)
+        columns = ColumnarRelation(np.arange(len(kpes)), *table.T[1:])
+        from_columns = tile_ranges(np, grid, columns)
+        for got, same in zip(ranges, from_columns):
+            assert got.tolist() == same.tolist()
+        for i, kpe in enumerate(kpes):
+            low = grid.tile_of_point(kpe[1], kpe[2])
+            high = grid.tile_of_point(kpe[3], kpe[4])
+            assert tuple(int(r[i]) for r in ranges) == low + high, kpe
+
+    def test_non_finite_points_clamp_without_a_cast_warning(self):
+        import numpy as np
+
+        inf = float("inf")
+        x = np.array([-inf, inf, float("nan"), 0.3])
+        y = np.array([inf, -inf, 0.3, float("nan")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bounded = TileGrid(Space(-2.0, 1.0, 6.0, 3.0), 5, 3, 7)
+            tx, ty = point_tiles(np, bounded, x, y)
+            # Border tiles for the infinities, tile 0 for a NaN.
+            assert tx.tolist() == [0, 4, 0, 1] and ty.tolist() == [2, 0, 0, 0]
+            # An unbounded axis has one tile's worth of arithmetic: every
+            # position on it, finite or not, is NaN or 0 -> tile 0.
+            unbounded = TileGrid(Space(-inf, 1.0, inf, inf), 5, 3, 7)
+            tx, ty = point_tiles(np, unbounded, x, np.array([1.0, 7.0, inf, 2.0]))
+            assert tx.tolist() == [0, 0, 0, 0] and ty.tolist() == [0, 0, 0, 0]
 
     def test_hash_constants_single_source(self):
         # The kernel replays the scalar hash; both must read the shared

@@ -220,15 +220,10 @@ class FailingPool:
         return future
 
 
-def _segments():
-    return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
-
-
 @needs_shm
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
 class TestResultSegmentCustody:
-    def test_failed_chunk_leaks_no_result_segment(self):
-        before = _segments()
+    def test_failed_chunk_leaks_no_result_segment(self, own_shm_segments):
         pool = FailingPool(fail_at=3)
         join = ParallelPBSM(
             mb(0.006),  # 10 partitions: several chunks
@@ -240,7 +235,42 @@ class TestResultSegmentCustody:
         with pytest.raises(OSError, match="No space left"):
             join.run(LEFT, RIGHT)
         assert pool.submitted >= 3  # chunks did finish before the failure
-        assert _segments() == before
+        assert own_shm_segments() == set()
+
+
+def _leave_a_segment():
+    """Child process: create a segment-named file and exit without unlinking."""
+    open(f"/dev/shm/{SEGMENT_PREFIX}{os.getpid()}_0_leaked", "wb").close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+class TestOwnShmSegments:
+    """The leak check the tests above use sees this process tree only."""
+
+    def test_reports_own_and_dead_childrens_segments_not_the_neighbours(
+        self, own_shm_segments
+    ):
+        import multiprocessing
+
+        assert own_shm_segments() == set()
+        own = f"{SEGMENT_PREFIX}{os.getpid()}_0_own"
+        # pid 1 is alive and no descendant of a test run.
+        foreign = f"{SEGMENT_PREFIX}1_0_foreign"
+        child = multiprocessing.get_context("spawn").Process(target=_leave_a_segment)
+        created = [own, foreign]
+        try:
+            for name in created:
+                open(f"/dev/shm/{name}", "wb").close()
+            child.start()
+            child.join(20.0)
+            assert child.exitcode == 0
+            created.append(f"{SEGMENT_PREFIX}{child.pid}_0_leaked")
+            assert own_shm_segments() == {own, created[-1]}
+        finally:
+            for name in created:
+                if os.path.exists(f"/dev/shm/{name}"):
+                    os.unlink(f"/dev/shm/{name}")
+        assert own_shm_segments() == set()
 
 
 # ----------------------------------------------------------------------

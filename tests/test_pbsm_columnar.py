@@ -9,15 +9,22 @@ ownership tests, oid tuples only at the generator boundary.  It is what
 tuple engine's answer (``internal="sweep_list"``) and brute force; the
 simulated accounting and the pair *order* must equal what the previous
 hybrid ``sweep_numpy`` path produced (``pbsm_columnar_pinned.json``,
-recorded from the parent commit by running :func:`observe` there).
+recorded from the parent commit by running :func:`observe` there).  The
+driver hands out whole leaves, not pairs (``TestLeafBatching``): the pair
+order of both engines is pinned to the per-pair generator's
+(``pbsm_leaf_order_pinned.json``, :func:`ordered_hash` of ``run`` at the
+commit before leaf batching).
 
 Numpy-free by construction (pure-Python data generators): without the
 numpy backend the columnar half skips and the rest still runs.
 """
 
+import functools
 import hashlib
 import json
 import random
+import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -33,6 +40,7 @@ from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
 from repro.io.pagefile import PageFile
 from repro.kernels.backend import numpy_enabled, python_backend
+from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
 from repro.pbsm.grid import TILE_MAPPINGS
@@ -56,6 +64,7 @@ DEDUPS = ("rpm", "twolayer", "none", "sort")
 BUDGETS = {"depth0": 16_000, "depth1": 5_000, "deep": 1_500}
 
 PINNED = Path(__file__).with_name("pbsm_columnar_pinned.json")
+ORDER_PINNED = Path(__file__).with_name("pbsm_leaf_order_pinned.json")
 
 
 def points_and_slivers(n, seed, start_oid=0):
@@ -270,6 +279,10 @@ PINNED_RUNS = (
 )
 
 
+def ordered_hash(pairs):
+    return hashlib.sha256(repr([(int(a), int(b)) for a, b in pairs]).encode()).hexdigest()
+
+
 def observe(name, dedup):
     """What one pinned ``PBSM(internal="sweep_numpy")`` run lets out."""
     left, right, memory, mapping = pinned_workload(name)
@@ -277,9 +290,7 @@ def observe(name, dedup):
     stats = result.stats
     return {
         "n_pairs": len(result.pairs),
-        "pair_order_sha256": hashlib.sha256(
-            repr([(int(a), int(b)) for a, b in result.pairs]).encode()
-        ).hexdigest(),
+        "pair_order_sha256": ordered_hash(result.pairs),
         "cpu_by_phase": stats.cpu_by_phase,
         "io_units_by_phase": stats.io_units_by_phase,
         "sim_seconds_by_phase": stats.sim_seconds_by_phase,
@@ -299,6 +310,126 @@ def test_accounting_and_order_equal_the_parent_commit(name, dedup):
     assert pinned["repartition_events"] > 0  # the workloads do repartition
     # Through JSON so both sides are plain dicts of the same float reprs.
     assert json.loads(json.dumps(observe(name, dedup))) == pinned
+
+
+# ----------------------------------------------------------------------
+# the recursion hands out leaves; pairs move a leaf at a time
+# ----------------------------------------------------------------------
+def engine_param(internal):
+    marks = [needs_numpy] if internal == "sweep_numpy" else []
+    return pytest.param(internal, marks=marks)
+
+
+ENGINES = [engine_param("sweep_list"), engine_param("sweep_numpy")]
+
+#: No repartitioning, one level, several levels, the no-progress fallback.
+ORDER_RUNS = (
+    ("uniform", "depth0"),
+    ("uniform", "depth1"),
+    ("uniform", "deep"),
+    ("identical", "deep"),
+)
+
+
+def count_leaves(monkeypatch, internal):
+    """Count the engine's leaf calls; ``sizes[i]`` is what leaf *i* returned."""
+    name = "columnar_leaf" if internal == "sweep_numpy" else "tuple_leaf"
+    leaf = getattr(pbsm_join_module, name)
+    sizes = []
+
+    def counting(*args):
+        out = leaf(*args)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(pbsm_join_module, name, counting)
+    return sizes
+
+
+class TestLeafBatching:
+    @pytest.mark.parametrize("internal", ENGINES)
+    @pytest.mark.parametrize("dedup", DEDUPS)
+    @pytest.mark.parametrize("name,budget", ORDER_RUNS)
+    def test_iter_pairs_is_run_in_the_per_pair_generators_order(
+        self, name, budget, dedup, internal
+    ):
+        left, right = workload(name)
+        driver = PBSM(BUDGETS[budget], internal=internal, dedup=dedup)
+        ran = driver.run(left, right).pairs
+        assert list(driver.iter_pairs(left, right)) == ran
+        pinned = json.loads(ORDER_PINNED.read_text())
+        assert ordered_hash(ran) == pinned[f"{name}/{budget}/{dedup}/{internal}"]
+
+    @pytest.mark.parametrize("internal", ENGINES)
+    def test_first_rpm_pair_leaves_after_one_leaf_first_sort_pair_after_all(
+        self, internal, monkeypatch
+    ):
+        sizes = count_leaves(monkeypatch, internal)
+        left, right = workload("uniform")
+        for dedup in ("rpm", "sort"):
+            driver = PBSM(BUDGETS["depth1"], internal=internal, dedup=dedup)
+            driver.run(left, right)
+            per_leaf = list(sizes)
+            first_with_pairs = next(i for i, n in enumerate(per_leaf) if n)
+            assert first_with_pairs + 1 < len(per_leaf)
+            sizes.clear()
+            pairs = driver.iter_pairs(left, right)
+            next(pairs)
+            leaves_run = first_with_pairs + 1 if dedup == "rpm" else len(per_leaf)
+            assert len(sizes) == leaves_run, dedup
+            pairs.close()
+            sizes.clear()
+
+    @pytest.mark.parametrize("internal", ENGINES)
+    def test_run_resumes_the_driver_per_leaf_not_per_pair(self, internal, monkeypatch):
+        sizes = count_leaves(monkeypatch, internal)
+        left = random_kpes(2500, 31, max_edge=0.05)
+        right = random_kpes(2500, 32, 10**6, max_edge=0.05)
+        driver = PBSM(mb(0.008), internal=internal)
+        driver_code = {
+            f.__code__ for f in vars(PBSM).values() if hasattr(f, "__code__")
+        }
+        calls = [0]
+
+        def profile(frame, event, arg):
+            # A generator resume is a "call" of its code object.
+            if event == "call" and frame.f_code in driver_code:
+                calls[0] += 1
+
+        sys.setprofile(profile)
+        try:
+            result = driver.run(left, right)
+        finally:
+            sys.setprofile(None)
+        assert len(result.pairs) > 10_000
+        assert len(sizes) > 20
+        # run + stats + the two generators' resumes: a handful per leaf.
+        assert calls[0] <= 3 * len(sizes) + 10
+
+    @needs_numpy
+    @pytest.mark.parametrize("form", ("mapped", "columnar"))
+    def test_columnar_inputs_box_each_oid_once(self, form, tmp_path):
+        # No KPE tuples to share oids with: one int per row, reused by
+        # every pair the row is in, never one per pair.
+        left, right = workload("uniform")
+        if form == "mapped":
+            save_relation(left, tmp_path / "l.rcd")
+            save_relation(right, tmp_path / "r.rcd")
+            col_left = load_relation(tmp_path / "l.rcd")
+            col_right = load_relation(tmp_path / "r.rcd")
+        else:
+            col_left = ColumnarRelation.from_kpes(left)
+            col_right = ColumnarRelation.from_kpes(right)
+        try:
+            for dedup in DEDUPS:
+                pairs = run(col_left, col_right, BUDGETS["deep"], "sweep_numpy", dedup).pairs
+                assert len(pairs) > max(len(left), len(right))
+                assert len({id(a) for a, _ in pairs}) <= len(left)
+                assert len({id(b) for _, b in pairs}) <= len(right)
+        finally:
+            if form == "mapped":
+                col_left.store.close()
+                col_right.store.close()
 
 
 # ----------------------------------------------------------------------
@@ -463,3 +594,53 @@ class TestBadRowsRejected:
         left[9] = left[9][:4] + (INF,)
         result = join(left, right)
         assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))
+
+
+#: One leaf of this many records stripes its y axis (``STRIPE_MIN_RECORDS``),
+#: which an infinite y extent used to kill (``int(nan)`` stripes).
+N_STRIPED = 2100
+
+
+@functools.lru_cache(maxsize=None)
+def striped_workload():
+    left = random_kpes(N_STRIPED, 51, max_edge=0.02)
+    right = random_kpes(N_STRIPED, 52, 10**6, max_edge=0.02)
+    return left, right, brute_force_pairs(left, right)
+
+
+INFINITE_ROWS = [
+    pytest.param(lambda k: (k[0], 0.4, -INF, 0.5, INF), id="y-infinite"),
+    pytest.param(lambda k: tuple(k[:4]) + (INF,), id="yh-infinite"),
+    pytest.param(lambda k: (k[0], -INF, 0.4, INF, 0.5), id="x-infinite"),
+    pytest.param(lambda k: (k[0], -INF, -INF, INF, INF), id="all-infinite"),
+]
+
+INFINITE_JOINS = [
+    pytest.param(
+        lambda a, b, m: PBSM(m, internal="sweep_numpy").run(a, b), id="PBSM"
+    ),
+    pytest.param(lambda a, b, m: spatial_join(a, b, m), id="spatial_join"),
+    pytest.param(
+        lambda a, b, m: ParallelPBSM(
+            m, 2, internal="sweep_numpy", executor="simulated"
+        ).run(a, b),
+        id="parallel-simulated",
+    ),
+]
+
+
+@needs_numpy
+@pytest.mark.parametrize("join", INFINITE_JOINS)
+@pytest.mark.parametrize("memory_mb", (2.5, 0.05, 0.01))
+@pytest.mark.parametrize("infinite", INFINITE_ROWS)
+def test_infinite_extents_join_exactly_at_every_budget(infinite, memory_mb, join):
+    # One striped leaf, a few partitions, repartitioning.
+    left, right, finite_truth = striped_workload()
+    left = list(left)
+    left[7] = infinite(left[7])
+    truth = [p for p in finite_truth if p[0] != left[7][0]]
+    truth += brute_force_pairs([left[7]], right)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = join(left, right, mb(memory_mb))
+    assert sorted(result.pairs) == sorted(truth)

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.phases import PHASE_DEDUP, PHASE_JOIN, PHASE_PARTITION
 from repro.core.rect import KPE
+from repro.core.result import JoinStats
 from repro.internal import brute_force_pairs
 from repro.io.costmodel import mb
+from repro.kernels.backend import numpy_enabled
 from repro.pbsm import PBSM, pbsm_join
 
 from tests.conftest import random_kpes
@@ -154,6 +156,65 @@ class TestStatistics:
         low_t = PBSM(memory, t_factor=1.0).run(rel_a, rel_b)
         high_t = PBSM(memory, t_factor=1.3).run(rel_a, rel_b)
         assert high_t.stats.repartition_events <= low_t.stats.repartition_events
+
+
+class TestSharedDriver:
+    """A run's state lives in its generator, never on the driver: what two
+    ``SpatialJoinOp``s over one ``PBSM`` instance rely on."""
+
+    ENGINES = [
+        "sweep_list",
+        pytest.param(
+            "sweep_numpy",
+            marks=pytest.mark.skipif(
+                not numpy_enabled(), reason="the columnar engine needs numpy"
+            ),
+        ),
+    ]
+
+    @staticmethod
+    def workload():
+        return (
+            random_kpes(600, 41, max_edge=0.04),
+            random_kpes(600, 42, start_oid=9000, max_edge=0.04),
+        )
+
+    @pytest.mark.parametrize("internal", ENGINES)
+    def test_interleaved_iterators_each_equal_a_lone_run(self, internal):
+        left, right = self.workload()
+        driver = PBSM(2048, internal=internal)
+        alone = driver.run(left, right)
+        assert alone.stats.repartition_events > 0
+        assert alone.stats.duplicates_suppressed > 0
+        stats = [JoinStats(), JoinStats()]
+        iterators = [driver.iter_pairs(left, right, s) for s in stats]
+        pairs = [[], []]
+        live = [0, 1]
+        while live:  # one next() each, in turn
+            for i in list(live):
+                try:
+                    pairs[i].append(next(iterators[i]))
+                except StopIteration:
+                    live.remove(i)
+        for got, seen in zip(pairs, stats):
+            assert got == alone.pairs
+            for field in (
+                "duplicates_suppressed",
+                "repartition_events",
+                "cpu_by_phase",
+                "io_units_by_phase",
+            ):
+                assert getattr(seen, field) == getattr(alone.stats, field), field
+
+    @pytest.mark.parametrize("internal", ENGINES)
+    def test_abandoned_iterator_leaves_nothing_on_the_driver(self, internal):
+        left, right = self.workload()
+        driver = PBSM(2048, internal=internal)
+        before = dict(vars(driver))
+        pairs = driver.iter_pairs(left, right)
+        next(pairs)
+        pairs.close()
+        assert vars(driver) == before
 
 
 class TestTileMappings:

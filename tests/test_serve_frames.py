@@ -25,7 +25,6 @@ import pytest
 
 from repro import spatial_join
 from repro.core.result import pair_columns
-from repro.kernels.shm import SEGMENT_PREFIX
 from repro.serve import DatasetRegistry, EngineHost, ServeClient, result_checksum
 from repro.serve.engine import _warm_worker
 from repro.serve.protocol import (
@@ -55,12 +54,6 @@ EXPECTED = spatial_join(LEFT, RIGHT, MEMORY, method="pbsm")
 
 #: Every wait on a peer in this file is bounded.
 TIMEOUT = 20.0
-
-
-def shm_segments():
-    if not os.path.isdir("/dev/shm"):
-        return set()
-    return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
 
 
 class RecordingEngine(EngineHost):
@@ -227,7 +220,7 @@ class ForcedPlanEngine(RecordingEngine):
 @needs_shm
 class TestServedResultStaysBuffers:
     @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_no_pair_list_with_or_without_include_pairs(self, executor):
+    def test_no_pair_list_with_or_without_include_pairs(self, executor, own_shm_segments):
         engine = ForcedPlanEngine(executor)
 
         async def scenario():
@@ -259,7 +252,7 @@ class TestServedResultStaysBuffers:
             tuple(pair) for line, _ in as_json[:-1] for pair in decode_message(line)["pairs"]
         ]
         assert json_pairs == pairs
-        assert shm_segments() == set()
+        assert own_shm_segments() == set()
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +397,9 @@ class TestJoinFailure:
         [RuntimeError("kernel exploded"), BrokenProcessPool("a worker died")],
         ids=lambda exc: type(exc).__name__,
     )
-    def test_engine_exception_is_a_typed_error_and_the_next_query_runs(self, failure):
+    def test_engine_exception_is_a_typed_error_and_the_next_query_runs(
+        self, failure, own_shm_segments
+    ):
         async def scenario():
             server = await _started_server()
             real_execute = server.engine.execute
@@ -436,10 +431,10 @@ class TestJoinFailure:
         assert stats["queries"] == {"ok": 1, "rejected": 0, "error": 1}
         assert stats["admission"]["inflight"] == 0  # the slot was released
         assert 'repro_serve_queries_total{status="error"} 1' in metrics
-        assert shm_segments() == set()
+        assert own_shm_segments() == set()
 
     @needs_shm
-    def test_a_killed_worker_fails_one_query_and_the_pool_is_rebuilt(self):
+    def test_a_killed_worker_fails_one_query_and_the_pool_is_rebuilt(self, own_shm_segments):
         """A real worker death, not a raised stand-in: the pool it leaves
         behind is broken for good, so the host must replace it."""
         engine = ForcedPlanEngine("process")
@@ -484,7 +479,7 @@ class TestJoinFailure:
         assert [r.stats.executor for r in engine.results] == ["process"]
         assert stats["queries"] == {"ok": 1, "rejected": 0, "error": 1}
         assert stats["admission"]["inflight"] == 0
-        assert shm_segments() == set()
+        assert own_shm_segments() == set()
 
     def test_checksum_failure_is_answered_too(self, monkeypatch):
         import repro.serve.server as server_module
@@ -508,7 +503,7 @@ class TestJoinFailure:
         assert failed["error"] == "join_failed" and failed["exception"] == "MemoryError"
         assert after["done"] and after["checksum"] == expected_checksum()
 
-    def test_nan_row_behind_a_registered_name(self):
+    def test_nan_row_behind_a_registered_name(self, own_shm_segments):
         """Registered by records, found when the query is planned: the
         client gets the planner's reason, the next query its result."""
         bad = list(LEFT)
@@ -532,7 +527,7 @@ class TestJoinFailure:
         assert failed["error"] == "join_failed" and failed["exception"] == "ValueError"
         assert "non-finite coordinate at row 17" in failed["message"]
         assert after["done"] and after["checksum"] == expected_checksum()
-        assert shm_segments() == set()
+        assert own_shm_segments() == set()
 
 
 # ----------------------------------------------------------------------

@@ -81,7 +81,9 @@ def spatial_join(
         "pbsm" (default — the paper's overall winner), "s3j", "sssj",
         "shj" (spatial hash join), "rtree" (index on both relations), or
         "auto" — let the cost-based planner profile the inputs and pick
-        algorithm, internal join and ``t``-factor itself.  On the numpy
+        algorithm, internal join and ``t``-factor itself (its PBSM plans
+        handle duplicates with the Reference Point Method;
+        ``dedup="twolayer"`` is never planned, only asked for).  On the numpy
         backend the profile is computed from the inputs' columns
         (``docs/planner.md``): columnar and mapped inputs are planned
         without boxing a record, lists are converted once per call and

@@ -147,7 +147,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     if args.method == "auto" and kwargs:
         print(
             "note: --internal/--dedup are ignored with --method auto "
-            "(the planner chooses them)",
+            "(the planner chooses the internal join and runs rpm)",
             file=sys.stderr,
         )
         kwargs = {}

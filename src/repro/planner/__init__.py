@@ -10,10 +10,9 @@ shape.  This subsystem automates the choice:
 2. :mod:`repro.planner.cost` prices every configuration with the same
    :class:`~repro.io.costmodel.CostModel` the simulator charges;
 3. :mod:`repro.planner.enumerate` spans the candidate space;
-4. :mod:`repro.planner.plan` picks the winner (the cheapest, with one
-   tie rule: :func:`choose_candidate`), executes it through the
-   ordinary drivers, and renders EXPLAIN output with estimated-vs-actual
-   counters.
+4. :mod:`repro.planner.plan` picks the cheapest, executes it through
+   the ordinary drivers, and renders EXPLAIN output with
+   estimated-vs-actual counters.
 
 Entry points: ``spatial_join(..., method="auto")``, :func:`plan_join`,
 and the CLI's ``python -m repro explain LEFT RIGHT``.
@@ -35,7 +34,7 @@ from repro.planner.enumerate import (
     PlanCandidate,
     enumerate_candidates,
 )
-from repro.planner.plan import JoinPlan, choose_candidate, plan_join
+from repro.planner.plan import JoinPlan, plan_join
 from repro.planner.stats import (
     JoinProfile,
     RelationProfile,
@@ -54,7 +53,6 @@ __all__ = [
     "PlannerCache",
     "RelationProfile",
     "S3J_STRATEGIES",
-    "choose_candidate",
     "enumerate_candidates",
     "estimate_pbsm",
     "estimate_rtree",

@@ -40,12 +40,7 @@ from repro.io.costmodel import CostModel
 from repro.kernels.backend import numpy_enabled
 from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST
 from repro.kernels.sweep import BATCH_OPS_PER_CANDIDATE
-from repro.kernels.twolayer import (
-    CLASSIFY_BATCH_OPS_PER_RECORD,
-    CLASSIFY_BATCH_OPS_PER_REPLICA,
-)
 from repro.pbsm.estimator import estimate_partitions
-from repro.pbsm.twolayer import CLASSIFY_OPS_PER_REPLICA, CLASSIFY_OPS_PER_VISIT
 from repro.planner.stats import JoinProfile
 from repro.sfc.locational import DEFAULT_MAX_LEVEL
 
@@ -410,24 +405,6 @@ def estimate_pbsm(
             )
         else:
             cpu_dedup = cost.cpu_seconds_from_counts(refpoint_tests=detected)
-    elif dedup == "twolayer":
-        # Corner-class avoidance pays nothing per pair — the whole dedup
-        # charge is the per-replica classification (two comparisons, and
-        # on the kernel path a (tile, class) argsort), so at matched
-        # grids it undercuts RPM whenever detected pairs outnumber
-        # replicas, which replication-bounded grids guarantee.
-        replicas = nl_part + nr_part
-        if internal == "sweep_numpy" and numpy_enabled():
-            cpu_dedup = cost.cpu_seconds_from_counts(
-                batch_ops=CLASSIFY_BATCH_OPS_PER_RECORD * (nl + nr)
-                + CLASSIFY_BATCH_OPS_PER_REPLICA * replicas
-                + replicas * _lg(replicas)
-            )
-        else:
-            cpu_dedup = cost.cpu_seconds_from_counts(
-                structure_ops=(CLASSIFY_OPS_PER_VISIT + CLASSIFY_OPS_PER_REPLICA)
-                * replicas
-            )
     elif dedup == "sort":
         result_pages = cost.pages_for(int(detected), cost.result_bytes)
         # write candidates (one-page buffers), then a sort pass (read,

@@ -4,15 +4,21 @@ The planner's search space is deliberately the cross product the paper's
 experiments explore by hand:
 
 * PBSM x {sweep_list, sweep_trie, sweep_tree} x a ``t``-factor grid
-  (Fig. 4/5 x Sec. 3.2.3) x {rpm, twolayer} duplicate handling, plus one
-  sort-based-dedup configuration so EXPLAIN can show *why* the online
-  schemes win (Fig. 3);
+  (Fig. 4/5 x Sec. 3.2.3), every one with the Reference Point Method,
+  plus one sort-based-dedup configuration so EXPLAIN can show *why* the
+  online scheme wins (Fig. 3);
 * S3J x its assignment/dedup strategies (original vs. size-replicated vs.
   hybrid — Fig. 10/11);
 * SHJ and SSSJ as the one-pass baselines;
 * the R-tree join, enumerated only when building two indexes is
   plausible (both inputs within a few memory budgets — an index is never
   "free" for a one-shot join).
+
+Duplicate handling is not a dimension of the space: the cost model
+cannot tell RPM from two-layer corner classes (within 0.9 %) and on the
+clock two-layer won no measured cell
+(``benchmarks/results/BENCH_dedup_wall.json``), so it stays an explicit
+``dedup=`` option of the drivers that the planner never proposes.
 """
 
 from __future__ import annotations
@@ -114,22 +120,20 @@ def enumerate_candidates(
         )
         for internal in internals:
             for t in t_grid:
-                for dedup in ("rpm", "twolayer"):
-                    candidates.append(
-                        PlanCandidate(
-                            "pbsm",
-                            {"internal": internal, "t_factor": t, "dedup": dedup},
-                            estimate_pbsm(
-                                jp,
-                                memory_bytes,
-                                cost,
-                                internal=internal,
-                                t_factor=t,
-                                dedup=dedup,
-                                dup_factors=dup_factors,
-                            ),
-                        )
+                candidates.append(
+                    PlanCandidate(
+                        "pbsm",
+                        {"internal": internal, "t_factor": t, "dedup": "rpm"},
+                        estimate_pbsm(
+                            jp,
+                            memory_bytes,
+                            cost,
+                            internal=internal,
+                            t_factor=t,
+                            dup_factors=dup_factors,
+                        ),
                     )
+                )
         # The original PBSM (final sorting phase) as a reference point.
         candidates.append(
             PlanCandidate(
@@ -155,30 +159,28 @@ def enumerate_candidates(
                 executors.append("thread")
             for executor in executors:
                 for t in t_grid:
-                    for dedup in ("rpm", "twolayer"):
-                        candidates.append(
-                            PlanCandidate(
-                                "pbsm",
-                                {
-                                    "internal": PBSM_KERNEL_INTERNAL,
-                                    "t_factor": t,
-                                    "workers": workers,
-                                    "executor": executor,
-                                    "dedup": dedup,
-                                },
-                                estimate_pbsm(
-                                    jp,
-                                    memory_bytes,
-                                    cost,
-                                    internal=PBSM_KERNEL_INTERNAL,
-                                    t_factor=t,
-                                    dedup=dedup,
-                                    workers=workers,
-                                    executor=executor,
-                                    dup_factors=dup_factors,
-                                ),
-                            )
+                    candidates.append(
+                        PlanCandidate(
+                            "pbsm",
+                            {
+                                "internal": PBSM_KERNEL_INTERNAL,
+                                "t_factor": t,
+                                "workers": workers,
+                                "executor": executor,
+                                "dedup": "rpm",
+                            },
+                            estimate_pbsm(
+                                jp,
+                                memory_bytes,
+                                cost,
+                                internal=PBSM_KERNEL_INTERNAL,
+                                t_factor=t,
+                                workers=workers,
+                                executor=executor,
+                                dup_factors=dup_factors,
+                            ),
                         )
+                    )
 
     if include("s3j"):
         for strategy in S3J_STRATEGIES:

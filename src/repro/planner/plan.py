@@ -31,38 +31,6 @@ from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
 
 
-#: Share of the cheapest candidate's cost within which an RPM plan and its
-#: two-layer twin count as tied (``choose_candidate``).
-DEDUP_TIE_BAND = 0.0075
-
-
-def choose_candidate(candidates: Sequence[PlanCandidate]) -> PlanCandidate:
-    """The cheapest candidate, or its two-layer twin on a near tie.
-
-    RPM's dedup charge scales with the detected pairs, and those are
-    extrapolated from the ~100 hits of the strided pair sample, so the
-    *order* of the records moves it: over 40 shuffles of one 30k x 30k
-    uniform join RPM's lead over the same plan with ``dedup="twolayer"``
-    ranged from -0.9 % to +0.4 % of the plan's cost, the winner changed
-    on one order in four, and the join's wall time swung by 15 % between
-    runs over the same data.  The two-layer charge is a function of the
-    record and replica counts alone.  So an RPM plan has to beat its twin
-    by more than the sample can move it; inside the band the estimate
-    that does not depend on the sample wins, and the same rectangles get
-    the same plan in any order.  Ranking and estimates are untouched.
-    """
-    best = candidates[0]
-    if best.method == "pbsm" and best.kwargs.get("dedup") == "rpm":
-        twin = {**best.kwargs, "dedup": "twolayer"}
-        limit = best.estimate.total_seconds * (1.0 + DEDUP_TIE_BAND)
-        for candidate in candidates[1:]:
-            if candidate.estimate.total_seconds > limit:
-                break
-            if candidate.method == "pbsm" and candidate.kwargs == twin:
-                return candidate
-    return best
-
-
 def _run_candidate(
     candidate: PlanCandidate,
     left: Sequence[Tuple],
@@ -292,12 +260,11 @@ def plan_join(
 ) -> JoinPlan:
     """Choose the cheapest plan for joining *left* and *right*.
 
-    With a *cache*, repeated planning of the same inputs and budget
-    returns a copy of the cached :class:`JoinPlan` without re-profiling
-    (the candidates and profile are shared, the per-call fields —
-    ``from_cache``, ``planning_seconds``, ``inputs_mapped``,
-    ``last_result`` — are the caller's own).  Planning
-    is traced as one ``plan`` span (with ``profile`` and ``enumerate``
+    With a *cache*, repeated planning of the same inputs, budget and
+    cost model returns a copy of the cached :class:`JoinPlan` without
+    re-profiling (the candidates and profile are shared, the per-call
+    fields — ``from_cache``, ``planning_seconds``, ``inputs_mapped``,
+    ``last_result`` — are the caller's own).  Planning is traced as one ``plan`` span (with ``profile`` and ``enumerate``
     child sections on a fresh enumeration); ``planning_seconds`` is that
     span's wall time.  ``workers > 1`` adds parallel PBSM candidates to
     the enumeration.
@@ -323,6 +290,7 @@ def plan_join(
                     tuple(t_grid),
                     tuple(methods) if methods is not None else None,
                     workers,
+                    cost,
                 ),
             )
             cached = cast(Optional[JoinPlan], cache.get_plan(key))
@@ -343,7 +311,7 @@ def plan_join(
                 raise ValueError(
                     "no candidate plans enumerated (check `methods`)"
                 )
-            chosen = choose_candidate(candidates)
+            chosen = candidates[0]
             plan_span.set_tag("chosen", chosen.describe())
 
     if cached is not None:

@@ -254,6 +254,31 @@ class TestJoin:
         assert "ignored with --method auto" in captured.err
         assert "JOIN PLAN" in captured.out
 
+    def test_join_auto_with_dedup_twolayer_says_so_and_runs_rpm(
+        self, tmp_path, capsys
+    ):
+        # Two-layer is an explicit option of the fixed methods only: the
+        # planner proposes no such plan, so auto neither runs nor lists one.
+        paths = [str(tmp_path / "a.npy"), str(tmp_path / "b.npy")]
+        for seed, path in enumerate(paths, start=1):
+            main(
+                ["generate", "--pattern", "uniform", "--n", "3000"]
+                + ["--seed", str(seed), "--start-oid", str(seed * 10**6), path]
+            )
+        capsys.readouterr()
+        assert main(
+            ["join", *paths, "--method", "auto", "--dedup", "twolayer"]
+            + ["--memory-mb", "0.03", "--verbose"]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "--internal/--dedup are ignored with --method auto" in captured.err
+        assert ",RPM)" in captured.out and "duplicates (RPM)" in captured.out
+        assert "twolayer" not in captured.out and ",2L" not in captured.out
+        assert main(["explain", *paths, "--memory-mb", "0.03", "--execute"]) == 0
+        out = capsys.readouterr().out
+        assert "dedup=rpm" in out and "dedup=sort" in out
+        assert "twolayer" not in out
+
 
 class TestExplain:
     def _two_relations(self, tmp_path):

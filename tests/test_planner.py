@@ -149,13 +149,13 @@ class TestEnumeration:
     def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
         # No transport and no scheduler axis: a process candidate exists
         # exactly when its shared-memory segment can, a thread candidate
-        # exactly when the columnar backend can (each x t x dedup); with
-        # neither only sequential plans remain.
+        # exactly when the columnar backend can (one per t); with neither
+        # only sequential plans remain.
         from repro.kernels.backend import numpy_enabled, python_backend
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)
-        per_executor = len(DEFAULT_T_GRID) * 2
+        per_executor = len(DEFAULT_T_GRID)
 
         def parallel_executors():
             candidates = enumerate_candidates(jp, 16_000, COST, workers=2)
@@ -181,6 +181,30 @@ class TestEnumeration:
             assert parallel_executors() == set()
         with pytest.raises(TypeError):
             estimate_pbsm(jp, 16_000, COST, workers=2, scheduler="static")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicate_handling_is_not_enumerated(self, small_pair, workers):
+        """Every PBSM candidate runs RPM; the one sort-based reference
+        stays so EXPLAIN shows why an online scheme wins (Fig. 3)."""
+        from repro.kernels.backend import numpy_enabled, python_backend
+        from repro.kernels.shm import shm_enabled
+
+        jp = profile_join(*small_pair)
+
+        def dedups():
+            candidates = enumerate_candidates(jp, 16_000, COST, workers=workers)
+            return [c.kwargs["dedup"] for c in candidates if c.method == "pbsm"]
+
+        with python_backend():
+            scalar = dedups()
+        for schemes in (dedups(), scalar):
+            assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
+        if numpy_enabled() and shm_enabled():
+            # 4 internals x 3 t + sort (+ 2 executors x 3 t), s3j x 3, shj,
+            # sssj; the R-tree join comes and goes with the memory budget.
+            candidates = enumerate_candidates(jp, 16_000, COST, workers=workers)
+            counted = [c for c in candidates if c.method != "rtree"]
+            assert len(counted) == {1: 18, 2: 24}[workers]
 
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)
@@ -249,6 +273,32 @@ class TestPlannerCache:
         plan_join(left, right, 16_000, cache=cache)
         other = plan_join(left, right, 64_000, cache=cache)
         assert not other.from_cache
+
+    def test_cost_model_is_part_of_the_key(self):
+        """A caller with other coefficients must get its own plan, priced
+        with its own model, not the first caller's."""
+        left = uniform_rects(3000, seed=1, mean_edge=0.01)
+        right = uniform_rects(3000, seed=2, start_oid=10**6, mean_edge=0.01)
+        slow_disk = CostModel(page_transfer_seconds=0.2)
+        cache = PlannerCache()
+        default = plan_join(left, right, mb(0.02), cache=cache)
+        other = plan_join(left, right, mb(0.02), cache=cache, cost_model=slow_disk)
+        assert not default.from_cache and not other.from_cache
+        assert cache.stats()["plan_misses"] == 2
+        assert default.cost_model == CostModel() and other.cost_model is slow_disk
+        assert default.chosen.describe() != other.chosen.describe()
+        fresh = plan_join(left, right, mb(0.02), cost_model=slow_disk)
+        assert other.chosen.describe() == fresh.chosen.describe()
+        assert other.chosen.estimate == fresh.chosen.estimate
+        # An equal model is the same key, as is the default spelled out.
+        again = plan_join(
+            left, right, mb(0.02), cache=cache,
+            cost_model=CostModel(page_transfer_seconds=0.2),
+        )
+        assert again.from_cache and again.chosen is other.chosen
+        assert plan_join(
+            left, right, mb(0.02), cache=cache, cost_model=CostModel()
+        ).chosen is default.chosen
 
     def test_plan_eviction_bounds_the_cache(self, small_pair):
         left, right = small_pair
@@ -335,6 +385,23 @@ class TestAutoMethod:
         for method in JOIN_METHODS:
             fixed = spatial_join(left, right, memory, method=method)
             assert _pair_set(fixed) == expected, (name, method)
+
+    def test_auto_runs_the_reference_point_method(self):
+        """The benchmark's uni30k shape at 3k records, PBSM plans only (at
+        this size SSSJ is cheaper): the two-layer twin used to win here."""
+        from benchmarks.e2e import specs
+        from repro.internal.brute import brute_force_pairs
+
+        spec = specs.UNI30K.scaled(3_000)
+        left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
+        result = spatial_join(
+            left, right, mb(spec.memory_mb), method="auto",
+            methods=("pbsm",), cache=PlannerCache(),
+        )
+        assert result.plan.chosen.kwargs["dedup"] == "rpm"
+        assert ",2L" not in result.stats.algorithm
+        assert result.stats.duplicates_suppressed > 0
+        assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))
 
     def test_auto_attaches_plan(self, small_pair):
         left, right = small_pair

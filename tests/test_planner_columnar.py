@@ -42,9 +42,6 @@ from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.mmapstore import open_relation, write_rcd
 from repro.kernels.shm import shm_enabled
 from repro.planner import (
-    CostEstimate,
-    PlanCandidate,
-    choose_candidate,
     enumerate_candidates,
     estimate_pbsm,
     plan_join,
@@ -136,7 +133,7 @@ def test_statistics_and_plan_equal_the_scalar_reference(name, form, tmp_path):
     assert [c.describe() for c in got_plan.candidates] == [
         c.describe() for c in from_ref
     ]
-    assert got_plan.chosen.describe() == choose_candidate(from_ref).describe()
+    assert got_plan.chosen.describe() == from_ref[0].describe()
 
 
 @pytest.mark.parametrize("n", [0, 1, 40, 64, 65, 3000])
@@ -303,39 +300,24 @@ def test_planning_survives_a_cache_smaller_than_one_join():
 # ----------------------------------------------------------------------
 # the same rectangles get the same plan in any record order
 # ----------------------------------------------------------------------
-def candidate(seconds, method="pbsm", **kwargs):
-    return PlanCandidate(method, kwargs, CostEstimate(0.0, seconds, 0.0))
-
-
-def test_an_rpm_plan_gives_way_to_its_twolayer_twin_inside_the_tie_band():
-    rpm = candidate(100.0, internal="sweep_numpy", t_factor=1.5, dedup="rpm")
-    other_t = candidate(100.1, internal="sweep_numpy", t_factor=1.2, dedup="twolayer")
-    twin = candidate(100.5, internal="sweep_numpy", t_factor=1.5, dedup="twolayer")
-    far_twin = candidate(101.0, internal="sweep_numpy", t_factor=1.5, dedup="twolayer")
-    shj = candidate(99.0, method="shj")
-    assert choose_candidate([rpm, other_t, twin]) is twin
-    assert choose_candidate([rpm, other_t, far_twin]) is rpm
-    assert choose_candidate([rpm, other_t]) is rpm
-    # Only the cheapest candidate is ever replaced, and only an RPM one.
-    assert choose_candidate([twin, rpm]) is twin
-    assert choose_candidate([shj, rpm, twin]) is shj
-
-
 def test_the_benchmark_join_gets_one_plan_in_any_record_order():
-    """uni30k sits on the RPM/two-layer crossover: on the cheapest-first
-    rule, record orders 2 and 6 of the benchmark flipped the plan to RPM."""
+    """The plan is the cheapest candidate, nothing else.
+
+    While two-layer was enumerated next to RPM the pair sat within 0.02 %
+    of each other and the order of the records picked the winner; with one
+    duplicate scheme the runner-up is a different ``t`` or executor, 1 % or
+    more behind, and forty record orders of both benchmark shapes agree."""
     from benchmarks.e2e import specs
 
-    chosen = set()
-    rpm_is_cheapest = 0
-    for seed in (1, 2, 6):
-        left, right = specs.make_relations(specs.UNI30K, seed)
-        plan = plan_join(left, right, mb(specs.UNI30K.memory_mb))
-        chosen.add(plan.chosen.describe())
-        rpm_is_cheapest += plan.candidates[0].kwargs["dedup"] == "rpm"
-    assert len(chosen) == 1, chosen
-    if numpy_enabled():  # the scalar candidates tie elsewhere
-        assert rpm_is_cheapest == 2
+    for spec in (specs.UNI30K.scaled(5_000), specs.TIGER50K.scaled(5_000)):
+        chosen = {1: set(), 2: set()}
+        for seed in range(1, 41):
+            left, right = specs.make_relations(spec, seed)
+            for workers in chosen:
+                plan = plan_join(left, right, mb(spec.memory_mb), workers=workers)
+                assert plan.chosen is plan.candidates[0]
+                chosen[workers].add(plan.chosen.describe())
+        assert all(len(plans) == 1 for plans in chosen.values()), (spec.name, chosen)
 
 
 @pytest.mark.skipif(not shm_enabled(), reason="prices the process executor")
@@ -349,21 +331,22 @@ def test_the_benchmark_join_gets_one_plan_in_any_record_order():
         ),
         (
             "uni30k",
-            "pbsm(dedup=twolayer, exec=process, internal=sweep_numpy, t=1.0, workers=2)",
-            3.698772985329846,
+            "pbsm(dedup=rpm, exec=process, internal=sweep_numpy, t=1.0, workers=2)",
+            3.70197257139314,
         ),
     ],
 )
 def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, total_seconds):
-    """What ``EngineHost.plan(workers=2)`` chose while a ``scheduler`` axis
-    existed was its ``sched=static`` candidate; the same plan at the same
-    estimate must win now that 42 candidates are left of the 48."""
+    """What ``EngineHost.plan(workers=2)`` chooses is the cheapest RPM
+    candidate of the parent, at the parent's estimate, now that 24
+    candidates are left of the 42 (uni30k's two-layer twin, 0.09 % cheaper
+    in simulated seconds and 1.1x slower on the clock, is not proposed)."""
     from benchmarks.e2e import specs
 
     spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]
     left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
     plan = plan_join(left, right, mb(spec.memory_mb), workers=2)
-    assert len(plan.candidates) == 42
+    assert len(plan.candidates) == 24
     assert plan.chosen.describe() == chosen
     assert plan.chosen.estimate.total_seconds == total_seconds
 

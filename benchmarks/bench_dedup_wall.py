@@ -47,7 +47,6 @@ import pytest
 
 from repro.bench.render import ExperimentResult
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM, ParallelPBSM
 
@@ -272,7 +271,6 @@ def run_dedup_wall():
     return result, samples_ms
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs the columnar kernel")
 @pytest.mark.benchmark(group="ablations")
 def test_dedup_on_the_clock(benchmark):
     result, samples_ms = benchmark.pedantic(run_dedup_wall, rounds=1, iterations=1)

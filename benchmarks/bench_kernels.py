@@ -25,9 +25,8 @@ from repro.core.stats import CpuCounters
 from repro.datasets import uniform_rects
 from repro.internal import INTERNAL_ALGORITHMS
 from repro.io.costmodel import mb
-from repro.kernels.backend import cpu_count, numpy_enabled
 from repro.obs import KIND_SECTION, NULL_TRACER, Tracer
-from repro.pbsm.parallel import ParallelPBSM
+from repro.pbsm.parallel import ParallelPBSM, cpu_count
 
 from benchmarks.conftest import column, record
 
@@ -178,8 +177,7 @@ def test_kernel_speedup(benchmark):
         ),
     )
     assert len(set(pairs)) == 1  # identical result count
-    if numpy_enabled():
-        assert speedups[-1] >= MIN_KERNEL_SPEEDUP
+    assert speedups[-1] >= MIN_KERNEL_SPEEDUP
 
 
 @pytest.mark.benchmark(group="kernels")
@@ -199,5 +197,5 @@ def test_process_pbsm_speedup(benchmark):
     )
     # The >=2x claim needs real cores; a single-CPU container can only
     # document the overhead, which the JSON records either way.
-    if cpu_count() >= PROCESS_WORKERS and numpy_enabled():
+    if cpu_count() >= PROCESS_WORKERS:
         assert speedups[-1] >= MIN_PROCESS_SPEEDUP

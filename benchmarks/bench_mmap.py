@@ -25,8 +25,8 @@ from repro.bench.render import ExperimentResult
 from repro.datasets import uniform_rects
 from repro.datasets.fileio import load_relation, save_relation
 from repro.io.costmodel import mb
-from repro.kernels.backend import cpu_count, numpy_enabled
 from repro.kernels.shm import shm_enabled
+from repro.pbsm.parallel import cpu_count
 
 from benchmarks.conftest import column, record
 
@@ -148,8 +148,6 @@ def run_mmap_bench() -> ExperimentResult:
 
 @pytest.mark.benchmark(group="mmap")
 def test_mmap_reopen_amortization(benchmark):
-    if not numpy_enabled():
-        pytest.skip("mapped stores need numpy")
     result = benchmark.pedantic(run_mmap_bench, rounds=1, iterations=1)
     stages = column(result, "stage")
     seconds = column(result, "seconds")

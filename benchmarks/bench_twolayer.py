@@ -23,7 +23,6 @@ from repro.bench.render import ExperimentResult
 from repro.core.phases import PHASE_DEDUP, PHASE_JOIN
 from repro.datasets.synthetic import uniform_rects, zipf_rects
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm import PBSM
 
 from benchmarks.conftest import column, record
@@ -117,7 +116,6 @@ def run_twolayer_bench() -> ExperimentResult:
     )
 
 
-@pytest.mark.skipif(not numpy_enabled(), reason="needs the columnar kernel")
 @pytest.mark.benchmark(group="ablations")
 def test_twolayer_vs_rpm_vs_sort(benchmark):
     result = benchmark.pedantic(run_twolayer_bench, rounds=1, iterations=1)

@@ -9,7 +9,7 @@ substrate is a simulator, not the authors' SPARCstation.
 Each recorded experiment is persisted twice: the aligned text table
 (``results/<name>.txt``, unchanged) and a machine-readable
 ``results/BENCH_<name>.json`` carrying the same rows plus the execution
-environment (backend, CPU count, Python version) and any bench-specific
+environment (CPU count, Python version) and any bench-specific
 metadata (workload, wall seconds, pairs/sec) passed through ``record``.
 
 Run with::
@@ -26,7 +26,7 @@ import os
 import platform
 from pathlib import Path
 
-from repro.kernels.backend import active_backend, cpu_count
+from repro.pbsm.parallel import cpu_count
 
 # Benches deliberately oversubscribe small boxes to show pool scaling.
 os.environ.setdefault("REPRO_MAX_WORKERS", "4")
@@ -37,7 +37,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def environment() -> dict:
     """The execution environment every BENCH_*.json records."""
     return {
-        "backend": active_backend(),
         "cpu_count": cpu_count(),
         "python": platform.python_version(),
         "platform": platform.system().lower(),

@@ -36,7 +36,6 @@ from repro.core import (
 from repro.estimate import GridHistogram
 from repro.internal import INTERNAL_ALGORITHMS, internal_algorithm
 from repro.io import CostModel, SimulatedDisk, mb
-from repro.kernels.backend import numpy_enabled
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.pbsm import PBSM, ParallelPBSM, pbsm_join
 from repro.planner import JoinPlan, PlannerCache, plan_join
@@ -83,22 +82,20 @@ def spatial_join(
         "auto" — let the cost-based planner profile the inputs and pick
         algorithm, internal join and ``t``-factor itself (its PBSM plans
         handle duplicates with the Reference Point Method;
-        ``dedup="twolayer"`` is never planned, only asked for).  On the numpy
-        backend the profile is computed from the inputs' columns
+        ``dedup="twolayer"`` is never planned, only asked for).  The
+        profile is computed from the inputs' columns
         (``docs/planner.md``): columnar and mapped inputs are planned
         without boxing a record, lists are converted once per call and
         the chosen engine runs on the same columns.  A NaN or infinite
         coordinate raises ``ValueError`` (side and row named) before
         anything is planned.
 
-        With the numpy backend enabled, "pbsm" defaults to
-        ``internal="sweep_numpy"``: the columnar engine (row-id
-        partitions, id-pair kernels, repartitioned pairs included; see
-        ``docs/kernels.md``), which reports the same pairs several times
-        faster.  Pass ``internal="sweep_list"`` (or "sweep_trie", ...)
-        for the paper's tuple engine — what :class:`~repro.pbsm.PBSM`
-        itself defaults to, and what runs when numpy is missing or
-        ``REPRO_DISABLE_NUMPY=1``.
+        "pbsm" defaults to ``internal="sweep_numpy"``: the columnar
+        engine (row-id partitions, id-pair kernels, repartitioned pairs
+        included; see ``docs/kernels.md``), which reports the same pairs
+        several times faster.  Pass ``internal="sweep_list"`` (or
+        "sweep_trie", ...) for the paper's tuple engine — what
+        :class:`~repro.pbsm.PBSM` itself defaults to.
     workers:
         When given (and > 1), execute the join-phase partition pairs on a
         real process pool via :class:`~repro.pbsm.ParallelPBSM` —
@@ -106,13 +103,13 @@ def spatial_join(
         ``method="auto"`` (the planner then costs parallel candidates
         against the sequential plans).  Partition data reaches the pool
         through one zero-copy shared-memory segment (``docs/kernels.md``);
-        when numpy or platform shared memory is missing, or
+        when platform shared memory is missing or
         ``REPRO_DISABLE_SHM`` is set, the join runs on a thread pool
         instead and ``stats.executor`` records what actually ran.
         ``workers=1`` loops in-process.  Every one of them runs the
-        same id tasks (over the inputs' columns when numpy is enabled,
-        so a NaN coordinate or an inverted MBR is rejected up front with
-        a ``ValueError`` naming the row).
+        same id tasks over the inputs' columns, so a NaN coordinate or
+        an inverted MBR is rejected up front with a ``ValueError``
+        naming the row.
         Result pairs are identical to the sequential execution.
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one
@@ -151,9 +148,8 @@ def spatial_join(
             raise ValueError(
                 f"workers= requires method='pbsm' or 'auto', got method={method!r}"
             )
-        if method == "pbsm" and (workers is not None or numpy_enabled()):
-            # Columns all the way (docs/kernels.md); without numpy the
-            # sequential default stays the paper's tuple engine.
+        if method == "pbsm":
+            # Columns all the way (docs/kernels.md).
             kwargs.setdefault("internal", "sweep_numpy")
         if workers is not None and method == "pbsm":
             kwargs.setdefault("executor", "process")

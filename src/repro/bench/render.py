@@ -39,7 +39,7 @@ class ExperimentResult:
         }
 
     def to_json(self, **extra) -> str:
-        """JSON rendering; *extra* keys (workload, backend, ...) ride along."""
+        """JSON rendering; *extra* keys (workload, machine, ...) ride along."""
         import json
 
         payload = self.as_dict()

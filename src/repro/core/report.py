@@ -17,8 +17,6 @@ def format_stats(stats: JoinStats, verbose: bool = False) -> str:
     """Render join statistics as an aligned multi-line report."""
     lines: List[str] = []
     lines.append(f"algorithm          {stats.algorithm}")
-    if stats.backend:
-        lines.append(f"backend            {stats.backend}")
     if stats.executor:
         lines.append(f"executor           {stats.executor}")
     lines.append(f"inputs             {stats.n_left:,} x {stats.n_right:,}")

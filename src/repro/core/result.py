@@ -9,10 +9,11 @@ I/O and CPU shares, wall time, and redundancy/duplicate accounting.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass
@@ -20,9 +21,6 @@ class JoinStats:
     """Everything measured during one join execution."""
 
     algorithm: str = ""
-    #: execution backend of the internal algorithm: "numpy" (columnar
-    #: kernels), "python" (kernel fallback), or "" for classic tuple paths
-    backend: str = ""
     #: how partition joins were actually executed: "process" (fan-out
     #: over a pool and a shared-memory segment), "thread" (also what a
     #: process request degrades to without that segment), "simulated"
@@ -128,15 +126,8 @@ class JoinStats:
 
 
 def pair_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[Any, Any]:
-    """Pairs unboxed into ``(left_oids, right_oids)``, two int64 arrays:
-    numpy arrays on the numpy backend, ``array('q')`` without."""
-    # Deferred: repro.kernels imports the drivers, which import this.
-    from repro.kernels.backend import get_numpy
-
+    """Pairs unboxed into ``(left_oids, right_oids)``, two int64 arrays."""
     rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-    np = get_numpy()
-    if np is None:
-        return array("q", (p[0] for p in rows)), array("q", (p[1] for p in rows))
     table = np.fromiter(
         chain.from_iterable(rows), dtype=np.int64, count=2 * len(rows)
     ).reshape(-1, 2)

@@ -1,79 +1,67 @@
-"""Dataset substrate: synthetic TIGER-like generators, transforms, catalog.
+"""Dataset substrate: synthetic TIGER-like generators, transforms, catalog."""
 
-The generators and file I/O need numpy (the ``[perf]`` extra); the
-statistics helpers do not.  Importing this package without numpy keeps
-the numpy-free surface available — exactly what :mod:`repro.planner`
-profiling relies on — and ``HAVE_GENERATORS`` records whether the rest
-loaded.
-"""
-
+from repro.datasets.catalog import (
+    CAL_EXTRA_FACTOR,
+    DEFAULT_SCALE,
+    JOINS,
+    JoinSpec,
+    PAPER_CARDINALITY,
+    PAPER_COVERAGE,
+    PAPER_JOIN_RESULTS,
+    clear_cache,
+    dataset,
+    dataset_cardinality,
+    join_inputs,
+    la_pair,
+)
+from repro.datasets.fileio import (
+    load_relation,
+    read_csv,
+    read_npy,
+    save_relation,
+    write_csv,
+    write_npy,
+)
+from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
 from repro.datasets.stats import DatasetSummary, coverage, selectivity, summarize
-from repro.datasets.synthetic import zipf_rects
+from repro.datasets.synthetic import (
+    clustered_rects,
+    polyline_mbrs,
+    uniform_rects,
+    zipf_rects,
+)
+from repro.datasets.transform import scale_edges, scale_to_coverage
 
 __all__ = [
+    "CAL_EXTRA_FACTOR",
+    "DEFAULT_SCALE",
     "DatasetSummary",
-    "HAVE_GENERATORS",
+    "JOINS",
+    "JoinSpec",
+    "PAPER_CARDINALITY",
+    "PAPER_COVERAGE",
+    "PAPER_JOIN_RESULTS",
+    "clear_cache",
+    "clustered_rects",
     "coverage",
+    "dataset",
+    "dataset_cardinality",
+    "join_inputs",
+    "la_pair",
+    "load_relation",
+    "manhattan_grid",
+    "mixed_scale",
+    "polyline_mbrs",
+    "radial_city",
+    "read_csv",
+    "read_npy",
+    "save_relation",
+    "scale_edges",
+    "scale_to_coverage",
     "selectivity",
     "summarize",
+    "uniform_rects",
+    "write_csv",
+    "write_npy",
     "zipf_rects",
 ]
-
-try:
-    from repro.datasets.catalog import (
-        CAL_EXTRA_FACTOR,
-        DEFAULT_SCALE,
-        JOINS,
-        JoinSpec,
-        PAPER_CARDINALITY,
-        PAPER_COVERAGE,
-        PAPER_JOIN_RESULTS,
-        clear_cache,
-        dataset,
-        dataset_cardinality,
-        join_inputs,
-        la_pair,
-    )
-    from repro.datasets.fileio import (
-        load_relation,
-        read_csv,
-        read_npy,
-        save_relation,
-        write_csv,
-        write_npy,
-    )
-    from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
-    from repro.datasets.synthetic import clustered_rects, polyline_mbrs, uniform_rects
-    from repro.datasets.transform import scale_edges, scale_to_coverage
-
-    HAVE_GENERATORS = True
-    __all__ += [
-        "CAL_EXTRA_FACTOR",
-        "DEFAULT_SCALE",
-        "JOINS",
-        "JoinSpec",
-        "PAPER_CARDINALITY",
-        "PAPER_COVERAGE",
-        "PAPER_JOIN_RESULTS",
-        "clear_cache",
-        "clustered_rects",
-        "dataset",
-        "dataset_cardinality",
-        "join_inputs",
-        "la_pair",
-        "load_relation",
-        "manhattan_grid",
-        "mixed_scale",
-        "polyline_mbrs",
-        "radial_city",
-        "read_csv",
-        "read_npy",
-        "save_relation",
-        "scale_edges",
-        "scale_to_coverage",
-        "uniform_rects",
-        "write_csv",
-        "write_npy",
-    ]
-except ImportError:  # pragma: no cover - the no-numpy environment
-    HAVE_GENERATORS = False

@@ -24,8 +24,15 @@ import csv
 from pathlib import Path
 from typing import List, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.rect import KPE, valid_kpe
-from repro.kernels.backend import numpy_enabled, require_numpy_module
+from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.mmapstore import open_relation, write_rcd
+
+#: float64 holds every integer up to this magnitude exactly — the range
+#: of oids the ``.npy`` format (one float64 table) can carry.
+NPY_MAX_OID = 2**53
 
 PathLike = Union[str, Path]
 
@@ -71,20 +78,36 @@ def read_csv(path: PathLike) -> List[KPE]:
 
 
 def write_npy(kpes: Sequence[Tuple], path: PathLike) -> None:
-    """Write a relation as an ``(n, 5)`` float64 .npy array."""
-    np = require_numpy_module()
-    array = np.array(
-        [[k[0], k[1], k[2], k[3], k[4]] for k in kpes], dtype=np.float64
-    ).reshape(len(kpes), 5)
-    np.save(path, array)
+    """Write a relation as an ``(n, 5)`` float64 .npy array.
+
+    Raises ``ValueError`` for an oid beyond ``2**53``: the float64 oid
+    column would round it onto a neighbour and the loaded relation would
+    hold two records with one oid.  ``.rcd`` and ``.csv`` carry any int64.
+    """
+    cols = ColumnarRelation.from_kpes(kpes)
+    bad = (cols.oid > NPY_MAX_OID) | (cols.oid < -NPY_MAX_OID)
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{path}: oid {int(cols.oid[row])} at row {row} is beyond 2**53 "
+            "and does not survive the .npy float64 table; use .rcd or .csv"
+        )
+    np.save(path, np.column_stack((cols.oid, cols.xl, cols.yl, cols.xh, cols.yh)))
 
 
 def read_npy(path: PathLike) -> List[KPE]:
     """Read a relation from an ``(n, 5)`` .npy array."""
-    np = require_numpy_module()
     array = np.load(path)
     if array.ndim != 2 or array.shape[1] != 5:
         raise ValueError(f"{path}: expected an (n, 5) array, got {array.shape}")
+    oid = array[:, 0]
+    bad = ~((np.abs(oid) <= NPY_MAX_OID) & (oid == np.floor(oid)))
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{path}: row {row} has oid {oid[row]!r}, not an integer a "
+            "float64 holds exactly"
+        )
     kpes: List[KPE] = []
     for row in array:
         kpe = KPE(int(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]))
@@ -99,9 +122,7 @@ def load_relation(path: PathLike) -> Sequence[KPE]:
 
     ``.csv``/``.npy`` return a fully parsed ``List[KPE]``.  ``.rcd``
     returns a zero-copy :class:`~repro.kernels.mmapstore.MappedRelation`
-    (an O(ms) open) when the numpy backend is enabled, or falls back to
-    the pure-Python struct reader (same records, same order) when it is
-    not — so the format round-trips under ``REPRO_DISABLE_NUMPY``.
+    (an O(ms) open).
     """
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
@@ -109,13 +130,7 @@ def load_relation(path: PathLike) -> Sequence[KPE]:
     if suffix == ".npy":
         return read_npy(path)
     if suffix == ".rcd":
-        if numpy_enabled():
-            from repro.kernels.mmapstore import open_relation
-
-            return open_relation(path)
-        from repro.io.rcd import read_rcd_python
-
-        return read_rcd_python(path)
+        return open_relation(path)
     raise ValueError(
         f"unsupported relation format {suffix!r} (use .csv, .npy or .rcd)"
     )
@@ -129,14 +144,7 @@ def save_relation(kpes: Sequence[Tuple], path: PathLike) -> None:
     elif suffix == ".npy":
         write_npy(kpes, path)
     elif suffix == ".rcd":
-        if numpy_enabled():
-            from repro.kernels.mmapstore import write_rcd
-
-            write_rcd(kpes, path)
-        else:
-            from repro.io.rcd import write_rcd_python
-
-            write_rcd_python(kpes, path)
+        write_rcd(kpes, path)
     else:
         raise ValueError(
             f"unsupported relation format {suffix!r} (use .csv, .npy or .rcd)"

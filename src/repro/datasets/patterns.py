@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from typing import List
 
+import numpy as np
+
 from repro.core.rect import KPE
-from repro.kernels.backend import require_numpy_module
 
 
 def manhattan_grid(
@@ -32,7 +33,6 @@ def manhattan_grid(
     """
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     kpes: List[KPE] = []
     oid = start_oid
@@ -73,7 +73,6 @@ def radial_city(
     """Density decaying exponentially with distance from a city centre."""
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     radius = rng.exponential(1.0 / decay, n)
     angle = rng.uniform(0.0, 2 * np.pi, n)
@@ -108,7 +107,6 @@ def mixed_scale(
     """
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     is_large = rng.random(n) < large_fraction
     edges_w = np.where(

@@ -20,8 +20,9 @@ import math
 import random
 from typing import Any, List, Optional
 
+import numpy as np
+
 from repro.core.rect import KPE
-from repro.kernels.backend import require_numpy_module
 
 
 def zipf_rects(
@@ -34,7 +35,7 @@ def zipf_rects(
     start_oid: int = 0,
     tile_seed: Optional[int] = None,
 ) -> List[KPE]:
-    """Rectangles with Zipf-distributed tile occupancy (pure python).
+    """Rectangles with Zipf-distributed tile occupancy.
 
     The unit square is cut into ``grid x grid`` tiles; tile *k* (in a
     seed-shuffled order, so the hot tiles land in different places for
@@ -49,9 +50,6 @@ def zipf_rects(
     randomness: two relations generated with different ``seed`` but the
     same ``tile_seed`` put their hot spots in the same places, which is
     what makes their join (not just each input) skewed.
-
-    Deliberately numpy-free (``random.Random`` only): the skewed
-    property-based tests must run in the fallback environment too.
     """
     if n <= 0:
         return []
@@ -111,7 +109,6 @@ def polyline_mbrs(
     """
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     n_lines = max(1, -(-n // steps_per_line))
 
@@ -162,7 +159,6 @@ def uniform_rects(
     """
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     y = rng.random(n)
@@ -187,7 +183,6 @@ def clustered_rects(
     """Gaussian-clustered rectangles (highly skewed placement)."""
     if n <= 0:
         return []
-    np = require_numpy_module()
     rng = np.random.default_rng(seed)
     centres = rng.random((clusters, 2))
     which = rng.integers(0, clusters, n)
@@ -204,7 +199,6 @@ def clustered_rects(
 
 def _reflect_unit(values: Any) -> Any:
     """Fold arbitrary reals into [0, 1] by reflection at the borders."""
-    np = require_numpy_module()
     folded = np.mod(values, 2.0)
     return np.where(folded > 1.0, 2.0 - folded, folded)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.space import Space
 from repro.pbsm.estimator import estimate_partitions
 
@@ -47,20 +49,15 @@ class GridHistogram:
     ) -> "GridHistogram":
         """Histogram a relation by rectangle centre points.
 
-        A relation that carries ``.columnar`` is binned array-wise on the
-        numpy backend: one centre-cell index, then ``np.bincount``, which
-        accumulates in row order exactly as the loop below does — the
-        cell lists come out bit-identical.
+        A relation that carries ``.columnar`` is binned array-wise: one
+        centre-cell index, then ``np.bincount``, which accumulates in row
+        order exactly as the loop below does — the cell lists come out
+        bit-identical.
         """
-        # Function-local: repro.kernels imports repro.pbsm, which is what
-        # this module is imported from at package start.
-        from repro.kernels.backend import get_numpy
-
         hist = cls(space if space is not None else Space.of(kpes), resolution)
         res = hist.resolution
-        np = get_numpy()
         cols = getattr(kpes, "columnar", None)
-        if cols is not None and np is not None:
+        if cols is not None:
             sp = hist.space
 
             def axis_cells(lo: Any, hi: Any, origin: float, extent: float) -> Any:

@@ -23,8 +23,7 @@ from repro.kernels.sweep import sweep_numpy_join
 
 #: name -> algorithm; the keys are the names used throughout benchmarks,
 #: figures and EXPERIMENTS.md.  ``sweep_numpy`` is the columnar
-#: forward-scan kernel; without numpy it transparently runs its
-#: pure-Python fallback with identical results.
+#: forward-scan kernel.
 INTERNAL_ALGORITHMS: Dict[str, Callable] = {
     "nested_loops": nested_loops_join,
     "sweep_list": sweep_list_join,

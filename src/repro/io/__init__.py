@@ -18,8 +18,6 @@ from repro.io.rcd import (
     RcdFormatError,
     RcdHeader,
     read_header,
-    read_rcd_python,
-    write_rcd_python,
 )
 
 __all__ = [
@@ -42,8 +40,6 @@ __all__ = [
     "external_sort",
     "mb",
     "read_header",
-    "read_rcd_python",
     "sort_in_memory",
     "sorted_dedup",
-    "write_rcd_python",
 ]

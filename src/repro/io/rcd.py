@@ -34,12 +34,10 @@ header read plus memory mapping — O(ms) regardless of cardinality — and
 the mapped columns feed the join kernels without a single Python tuple
 being built (see :mod:`repro.kernels.mmapstore`).
 
-This module is deliberately numpy-free at import time: the header codec
-and the struct-based reader/writer below are the pure-Python fallback
-that keeps the format round-tripping when the columnar backend is
-disabled (``REPRO_DISABLE_NUMPY`` or numpy absent).  The vectorized
-writer/mapper lives in :mod:`repro.kernels.mmapstore`; both sides
-produce and accept byte-identical files.
+This module is the format definition and the header codec; the one
+writer (:func:`~repro.kernels.mmapstore.write_rcd`) and the one reader
+(:class:`~repro.kernels.mmapstore.MappedColumnarStore`) live in
+:mod:`repro.kernels.mmapstore`.
 
 Row order is preserved exactly as given to the builder, which is what
 makes joins from a mapped store byte-identical to joins over the
@@ -52,9 +50,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
-
-from repro.core.rect import KPE, valid_kpe
+from typing import List, Sequence, Tuple, Union
 
 PathLike = Union[str, Path]
 
@@ -83,10 +79,6 @@ RCD_COLUMNS: Tuple[Tuple[str, str], ...] = (
 
 _FIXED_HEADER = struct.Struct("<8sHHIq4d32sH")
 _COLUMN_ENTRY = struct.Struct("<4s4sqq")
-
-#: Records converted per struct batch by the pure-Python codec (bounds
-#: the transient ``struct.pack``/``unpack`` argument tuples).
-_STRUCT_CHUNK = 65536
 
 
 class RcdFormatError(ValueError):
@@ -296,102 +288,6 @@ def dataset_fingerprint(kpes: Sequence[Tuple]) -> str:
     return relation_fingerprint(kpes)
 
 
-def _extent_of(kpes: Sequence[Tuple]) -> Tuple[float, float, float, float]:
-    if not len(kpes):
-        return (0.0, 0.0, 0.0, 0.0)
-    first = kpes[0]
-    xl, yl, xh, yh = first[1], first[2], first[3], first[4]
-    for k in kpes:
-        if k[1] < xl:
-            xl = k[1]
-        if k[2] < yl:
-            yl = k[2]
-        if k[3] > xh:
-            xh = k[3]
-        if k[4] > yh:
-            yh = k[4]
-    return (xl, yl, xh, yh)
-
-
-def _chunks(n: int) -> Iterator[Tuple[int, int]]:
-    for start in range(0, n, _STRUCT_CHUNK):
-        yield start, min(start + _STRUCT_CHUNK, n)
-
-
-def write_rcd_python(
-    kpes: Sequence[Tuple],
-    path: PathLike,
-    fingerprint: Optional[str] = None,
-) -> RcdHeader:
-    """Write *kpes* as an ``.rcd`` file with :mod:`struct` only.
-
-    The pure-Python builder: byte-identical output to the vectorized
-    writer in :mod:`repro.kernels.mmapstore` (the parity tests pin this
-    down), so a dataset built without numpy is mapped zero-copy by any
-    numpy-enabled process later.  Validates every record on the way in —
-    the read side trusts the file.
-    """
-    n = len(kpes)
-    for k in kpes:
-        if not valid_kpe(k):
-            raise ValueError(f"invalid MBR {tuple(k)} cannot be built")
-    if fingerprint is None:
-        fingerprint = dataset_fingerprint(kpes)
-    sorted_by_xl = all(
-        kpes[i][1] <= kpes[i + 1][1] for i in range(n - 1)
-    )
-    header_blob = pack_header(n, _extent_of(kpes), fingerprint, sorted_by_xl)
-    with open(path, "wb") as handle:
-        handle.write(header_blob)
-        for lo, hi in _chunks(n):
-            m = hi - lo
-            handle.write(
-                struct.pack(f"<{m}q", *(int(kpes[i][0]) for i in range(lo, hi)))
-            )
-        for field in (1, 2, 3, 4):
-            for lo, hi in _chunks(n):
-                m = hi - lo
-                handle.write(
-                    struct.pack(
-                        f"<{m}d",
-                        *(float(kpes[i][field]) for i in range(lo, hi)),
-                    )
-                )
-    return parse_header(header_blob, path)
-
-
-def read_rcd_python(path: PathLike) -> List[KPE]:
-    """Read an ``.rcd`` file into KPE tuples with :mod:`struct` only.
-
-    The no-numpy fallback reader: same records, same order as the mapped
-    open.  Loads the full columns (there is nothing to map them with),
-    so it pays O(n) — the format still round-trips, it just cannot be
-    O(ms) without the mapping machinery.
-    """
-    header = read_header(path)
-    n = header.n
-    columns: List[List[float]] = []
-    with open(path, "rb") as handle:
-        for name, _dtype, offset, nbytes in header.columns:
-            handle.seek(offset)
-            blob = handle.read(nbytes)
-            if len(blob) != nbytes:
-                raise RcdFormatError(
-                    f"{path}: column {name} truncated mid-read"
-                )
-            code = "q" if name == "oid" else "d"
-            values: List[float] = []
-            for lo, hi in _chunks(n):
-                values.extend(
-                    struct.unpack_from(f"<{hi - lo}{code}", blob, 8 * lo)
-                )
-            columns.append(values)
-    oid, xl, yl, xh, yh = columns
-    return [
-        KPE(int(oid[i]), xl[i], yl[i], xh[i], yh[i]) for i in range(n)
-    ]
-
-
 __all__ = [
     "FLAG_SORTED_BY_XL",
     "RCD_COLUMNS",
@@ -404,6 +300,4 @@ __all__ = [
     "pack_header",
     "parse_header",
     "read_header",
-    "read_rcd_python",
-    "write_rcd_python",
 ]

@@ -8,8 +8,7 @@ files is kept as the system's interchange format; this package adds a
   arrays (``oid`` int64, ``xl/yl/xh/yh`` float64) with loss-free
   converters from/to KPE tuples;
 * :mod:`repro.kernels.sweep` — the vectorized forward-scan plane sweep
-  (registered as internal algorithm ``"sweep_numpy"``) plus its
-  pure-Python fallback with identical results;
+  (registered as internal algorithm ``"sweep_numpy"``);
 * :mod:`repro.kernels.rpm` — batched Reference Point Method: refpoints
   and partition ownership of whole candidate batches in a handful of
   array operations;
@@ -22,23 +21,10 @@ files is kept as the system's interchange format; this package adds a
   stores over ``.rcd`` dataset files (build once, join many): a
   relation opens in O(ms) as live read-only columns.
 
-Everything degrades gracefully without numpy (or with
-``REPRO_DISABLE_NUMPY=1``): same result sets, classic per-element
-counters, Python speed.  :func:`numpy_enabled` / :func:`active_backend`
-are the single switch the drivers consult.
+numpy is a dependency of the package: every module here imports it at
+the top and there is one implementation of each kernel.
 """
 
-from repro.kernels.backend import (
-    HAVE_NUMPY,
-    active_backend,
-    cpu_count,
-    get_numpy,
-    numpy_backend,
-    numpy_enabled,
-    python_backend,
-    require_numpy,
-    set_numpy_enabled,
-)
 from repro.kernels.columnar import ColumnarRelation, from_kpes
 from repro.kernels.mmapstore import (
     MappedColumnarStore,
@@ -49,7 +35,6 @@ from repro.kernels.mmapstore import (
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
     forward_scan_batches,
-    python_forward_scan,
     sweep_numpy_join,
 )
 from repro.kernels.rpm import (
@@ -66,29 +51,19 @@ from repro.kernels.twolayer import twolayer_join_ids
 __all__ = [
     "ColumnarRelation",
     "DEFAULT_BATCH_CANDIDATES",
-    "HAVE_NUMPY",
     "MappedColumnarStore",
     "MappedRelation",
     "SharedColumnarStore",
     "columnar_arrays",
     "shm_enabled",
-    "active_backend",
-    "cpu_count",
     "forward_scan_batches",
     "from_kpes",
-    "get_numpy",
-    "numpy_backend",
-    "numpy_enabled",
     "open_relation",
     "partition_plan",
     "point_partitions",
     "point_tiles",
-    "python_backend",
-    "python_forward_scan",
     "region_join_ids",
-    "require_numpy",
     "rpm_join_ids",
-    "set_numpy_enabled",
     "sweep_numpy_join",
     "tile_partitions",
     "tile_ranges",

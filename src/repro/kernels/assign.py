@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence, Tuple, Union
 
-from repro.kernels.backend import require_numpy
+import numpy as np
+
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.pbsm.grid import TileGrid
 
@@ -32,7 +33,7 @@ from repro.pbsm.grid import TileGrid
 PartitionPlanEntry = Union[int, Tuple[int, ...]]
 
 
-def tile_ranges(np: Any, grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
+def tile_ranges(grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
     """Clipped tile-index ranges ``(txl, tyl, txh, tyh)`` of every record.
 
     ``point_tiles`` (the one vectorized replay of
@@ -48,8 +49,8 @@ def tile_ranges(np: Any, grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
     else:
         table = np.asarray(kpes, dtype=np.float64)
         xl, yl, xh, yh = table[:, 1], table[:, 2], table[:, 3], table[:, 4]
-    txl, tyl = point_tiles(np, grid, xl, yl)
-    txh, tyh = point_tiles(np, grid, xh, yh)
+    txl, tyl = point_tiles(grid, xl, yl)
+    txh, tyh = point_tiles(grid, xh, yh)
     return txl, tyl, txh, tyh
 
 
@@ -61,15 +62,12 @@ def partition_plan(
     Returns a list aligned with *kpes*: an ``int`` partition id for
     single-tile records, a tuple of distinct ids for multi-tile records
     (same ids, same iteration order as ``TileGrid.partitions_for_rect``).
-    Raises :class:`RuntimeError` if the numpy backend is disabled — the
-    caller is expected to gate on ``numpy_enabled()``.
     """
-    np = require_numpy()
     if not kpes:
         return []
-    txl, tyl, txh, tyh = tile_ranges(np, grid, kpes)
+    txl, tyl, txh, tyh = tile_ranges(grid, kpes)
     single = (txl == txh) & (tyl == tyh)
-    plan: List[PartitionPlanEntry] = tile_partitions(np, grid, txl, tyl).tolist()
+    plan: List[PartitionPlanEntry] = tile_partitions(grid, txl, tyl).tolist()
     multi = np.flatnonzero(~single)
     if multi.size:
         txl_l = txl.tolist()
@@ -103,18 +101,17 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
     sort that orders everything.  Both arrays are int64; ``len(ids)`` is
     the partitioner's ``records_written``.
     """
-    np = require_numpy()
     n = len(kpes)
     n_partitions = grid.n_partitions
     if n == 0:
         return np.zeros(n_partitions + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    txl, tyl, txh, tyh = tile_ranges(np, grid, kpes)
+    txl, tyl, txh, tyh = tile_ranges(grid, kpes)
     width = txh - txl + 1
     tiles = width * (tyh - tyl + 1)
     record = np.arange(n, dtype=np.int64)
     # (partition, record) packed into one sortable key: partition-major,
     # so sorted keys *are* the CSR layout.
-    keys = tile_partitions(np, grid, txl, tyl) * n + record
+    keys = tile_partitions(grid, txl, tyl) * n + record
     multi = np.flatnonzero(tiles > 1)
     if multi.size:
         counts = tiles[multi]
@@ -127,7 +124,7 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
         tx = txl[rec] + k % width[rec]
         ty = tyl[rec] + k // width[rec]
         keys = np.concatenate(
-            (keys[tiles == 1], tile_partitions(np, grid, tx, ty) * n + rec)
+            (keys[tiles == 1], tile_partitions(grid, tx, ty) * n + rec)
         )
     keys.sort()
     if multi.size:

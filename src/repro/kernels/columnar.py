@@ -19,8 +19,9 @@ from __future__ import annotations
 import itertools
 from typing import Any, Iterator, List, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.rect import KPE
-from repro.kernels.backend import numpy_enabled, require_numpy
 
 #: Records materialised per chunk when iterating columns as tuples
 #: (bounds transient list size; a full ``[:]`` still works).
@@ -68,7 +69,6 @@ class ColumnarRelation:
         columnar = getattr(kpes, "columnar", None)
         if isinstance(columnar, cls):
             return columnar
-        np = require_numpy()
         n = len(kpes)
         if n == 0:
             return cls(
@@ -113,7 +113,6 @@ class ColumnarRelation:
         ``<``/``>`` comparison there); an empty relation yields the
         loop's untouched ``(inf, inf, -inf, -inf)``.
         """
-        np = require_numpy()
         return (
             float(np.fmin.reduce(self.xl, initial=np.inf)),
             float(np.fmin.reduce(self.yl, initial=np.inf)),
@@ -194,7 +193,6 @@ class ColumnarRelation:
     # ------------------------------------------------------------------
     def sort_by_xl(self) -> "ColumnarRelation":
         """A copy ordered by ``xl`` (stable, so equal keys keep input order)."""
-        np = require_numpy()
         if self.sorted_by_xl:
             return self
         return self.take(np.argsort(self.xl, kind="stable"), sorted_by_xl=True)
@@ -246,9 +244,8 @@ def with_columns(kpes: Sequence[Tuple]) -> Sequence[Tuple]:
     """*kpes* in a form that carries ``.columnar``, converting at most once.
 
     Relations that already do (mapped, :class:`ColumnarRelation`,
-    :class:`ColumnedKpes`) come back as they are, and so does everything
-    when the numpy backend is off — callers then take their scalar path.
+    :class:`ColumnedKpes`) come back as they are.
     """
-    if not numpy_enabled() or getattr(kpes, "columnar", None) is not None:
+    if getattr(kpes, "columnar", None) is not None:
         return kpes
     return ColumnedKpes(kpes, ColumnarRelation.from_kpes(kpes))

@@ -1,8 +1,7 @@
 """Zero-copy memory-mapped columnar stores over ``.rcd`` files.
 
-:mod:`repro.io.rcd` defines the on-disk format and its pure-Python
-codec; this module is the fast half: a vectorized builder
-(:func:`write_rcd`, byte-identical output to the struct writer) and
+:mod:`repro.io.rcd` defines the on-disk format and its header codec;
+this module is the data half: the builder (:func:`write_rcd`) and
 :class:`MappedColumnarStore`, which opens a built file as *live columnar
 arrays* via ``np.memmap`` — a header read plus one mapping, O(ms)
 regardless of cardinality, no per-record Python work at all.
@@ -30,6 +29,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.rect import KPE
 from repro.io.rcd import (
     RcdHeader,
@@ -38,7 +39,6 @@ from repro.io.rcd import (
     parse_header,
     read_header,
 )
-from repro.kernels.backend import require_numpy
 from repro.kernels.columnar import ColumnarRelation
 
 PathLike = Union[str, Path]
@@ -51,13 +51,11 @@ def write_rcd(
 ) -> RcdHeader:
     """Build *kpes* into an ``.rcd`` file with vectorized validation.
 
-    Byte-identical output to :func:`repro.io.rcd.write_rcd_python` (the
-    parity tests pin this): same header, same little-endian column
-    payload, same detected ``sorted_by_xl`` flag.  Row order is
+    The header of :func:`repro.io.rcd.pack_header`, then the five
+    little-endian columns; ``sorted_by_xl`` is detected.  Row order is
     preserved exactly, which is what keeps joins from the mapped store
     byte-identical to joins over the original sequence.
     """
-    np = require_numpy()
     col = ColumnarRelation.from_kpes(kpes)
     n = col.n
     if n:
@@ -123,7 +121,6 @@ class MappedColumnarStore:
     @classmethod
     def open(cls, path: PathLike) -> "MappedColumnarStore":
         """Map *path*, validating the header (raises ``RcdFormatError``)."""
-        np = require_numpy()
         header = read_header(path)
         total = header.header_bytes + header.data_bytes
         if header.n:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.stats import CpuCounters
-from repro.kernels.backend import require_numpy
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
@@ -39,7 +40,7 @@ BATCH_OPS_PER_RPM_TEST = 6
 OWNERSHIP_BATCH_PAIRS = 1 << 14
 
 
-def point_tiles(np: Any, grid: TileGrid, x: Any, y: Any) -> Tuple[Any, Any]:
+def point_tiles(grid: TileGrid, x: Any, y: Any) -> Tuple[Any, Any]:
     """Vectorized ``TileGrid.tile_of_point`` over coordinate arrays.
 
     An infinite coordinate lands on a border tile and a NaN — ``inf - inf``
@@ -47,22 +48,22 @@ def point_tiles(np: Any, grid: TileGrid, x: Any, y: Any) -> Tuple[Any, Any]:
     """
     space = grid.space
     with np.errstate(invalid="ignore", over="ignore"):
-        tx = clamped_index(np, (x - space.xl) / space.width * grid.nx, grid.nx)
-        ty = clamped_index(np, (y - space.yl) / space.height * grid.ny, grid.ny)
+        tx = clamped_index((x - space.xl) / space.width * grid.nx, grid.nx)
+        ty = clamped_index((y - space.yl) / space.height * grid.ny, grid.ny)
     return tx, ty
 
 
-def tile_partitions(np: Any, grid: TileGrid, tx: Any, ty: Any) -> Any:
+def tile_partitions(grid: TileGrid, tx: Any, ty: Any) -> Any:
     """Vectorized ``TileGrid.partition_of_tile`` over tile-index arrays."""
     if grid.mapping == "hash":
         return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions
     return (ty * grid.nx + tx) % grid.n_partitions
 
 
-def point_partitions(np: Any, grid: TileGrid, x: Any, y: Any) -> Any:
+def point_partitions(grid: TileGrid, x: Any, y: Any) -> Any:
     """Vectorized ``TileGrid.partition_of_point`` (RPM's region lookup)."""
-    tx, ty = point_tiles(np, grid, x, y)
-    return tile_partitions(np, grid, tx, ty)
+    tx, ty = point_tiles(grid, x, y)
+    return tile_partitions(grid, tx, ty)
 
 
 def _owned_scan(
@@ -85,7 +86,6 @@ def _owned_scan(
     scan batch.  Charges the sorts and the scan, never the test: the two
     callers price that differently.
     """
-    np = require_numpy()
     empty = np.empty(0, dtype=np.int64)
     if a_cols.n == 0 or b_cols.n == 0:
         return empty, empty, 0, 0
@@ -104,7 +104,7 @@ def _owned_scan(
     detected = 0
     kept = 0
     batches = forward_scan_batches(a, b, counters, batch_candidates)
-    for a_idx, b_idx in _coalesced(np, batches, OWNERSHIP_BATCH_PAIRS):
+    for a_idx, b_idx in _coalesced(batches, OWNERSHIP_BATCH_PAIRS):
         detected += int(a_idx.shape[0])
         rid = a.oid[a_idx]
         sid = b.oid[b_idx]
@@ -116,7 +116,7 @@ def _owned_scan(
                 ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
             mask = None
             for grid, pid in regions:
-                owned = point_partitions(np, grid, ref_x, ref_y) == pid
+                owned = point_partitions(grid, ref_x, ref_y) == pid
                 mask = owned if mask is None else mask & owned
             rid = rid[mask]
             sid = sid[mask]
@@ -128,7 +128,7 @@ def _owned_scan(
     return np.concatenate(rids), np.concatenate(sids), detected, detected - kept
 
 
-def _coalesced(np: Any, batches: Iterable[Tuple], minimum: int) -> Iterator[Tuple]:
+def _coalesced(batches: Iterable[Tuple], minimum: int) -> Iterator[Tuple]:
     """Regroup ``(a_idx, b_idx)`` batches into ones of at least *minimum* pairs.
 
     Pair order is kept (only the last batch may be smaller), so a mask
@@ -140,13 +140,13 @@ def _coalesced(np: Any, batches: Iterable[Tuple], minimum: int) -> Iterator[Tupl
         parts.append(batch)
         size += batch[0].shape[0]
         if size >= minimum:
-            yield _concatenated(np, parts)
+            yield _concatenated(parts)
             parts, size = [], 0
     if parts:
-        yield _concatenated(np, parts)
+        yield _concatenated(parts)
 
 
-def _concatenated(np: Any, parts: List[Tuple]) -> Tuple:
+def _concatenated(parts: List[Tuple]) -> Tuple:
     if len(parts) == 1:  # nothing to copy, however large the batch
         return parts[0]
     return tuple(np.concatenate(side) for side in zip(*parts))

@@ -28,10 +28,10 @@ its result segment and the parent unlinking it — that segment leaks
 until reboot, which ``docs/architecture.md`` documents as the price of
 zero-copy results.
 
-``shm_enabled()`` gates the whole path: the numpy backend must be on,
-``REPRO_DISABLE_SHM`` must be unset, and the platform must actually
-support POSIX shared memory (probed once). When the gate is closed the
-process executor runs the thread executor instead, bit-for-bit.
+``shm_enabled()`` gates the whole path: ``REPRO_DISABLE_SHM`` must be
+unset and the platform must actually support POSIX shared memory
+(probed once). When the gate is closed the process executor runs the
+thread executor instead, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ import os
 import secrets
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from repro.kernels.backend import numpy_enabled, require_numpy
+import numpy as np
+
 from repro.kernels.columnar import ColumnarRelation
 
 #: ``(segment_name, ((key, dtype_str, length, byte_offset), ...))`` — a
@@ -123,13 +124,13 @@ def _platform_has_shm() -> bool:
 def shm_enabled() -> bool:
     """True when the zero-copy shared-memory executor may be used.
 
-    Mirrors :func:`repro.kernels.backend.numpy_enabled`: one switch
-    (``REPRO_DISABLE_SHM``) flips every caller to the thread fallback,
-    which is how CI proves the degraded path stays byte-identical.
+    One switch (``REPRO_DISABLE_SHM``) flips every caller to the thread
+    fallback, which is how CI proves the degraded path stays
+    byte-identical.
     """
     if os.environ.get("REPRO_DISABLE_SHM"):
         return False
-    return numpy_enabled() and _platform_has_shm()
+    return _platform_has_shm()
 
 
 def _untrack(segment: Any) -> None:
@@ -186,7 +187,6 @@ class SharedColumnarStore:
         the resource tracker — the worker-side result transport, where
         the *parent* unlinks after decoding.
         """
-        np = require_numpy()
         entries = []
         offset = 0
         packed = {}
@@ -211,7 +211,6 @@ class SharedColumnarStore:
     @classmethod
     def attach(cls, manifest: Manifest) -> "SharedColumnarStore":
         """Map an existing segment described by *manifest* (non-owner)."""
-        np = require_numpy()
         name, entries = manifest
         # Attaching re-registers the name with the resource tracker
         # shared by the whole process tree (harmless set.add); whoever

@@ -26,13 +26,8 @@ stripe they overlap, each stripe runs the (now much smaller) forward
 scan, and a reference-point rule keeps a pair only in the first stripe
 both rectangles overlap (``max`` of their bottom stripes), so results
 stay exact and duplicate-free.  Striping changes the order in which
-pairs are produced (stripe-major), never the set.
-
-The pure-Python fallback (:func:`python_forward_scan`) runs the
-unstriped two passes with two cursors over sorted lists, producing the
-identical pair *set* — only the order and the counters differ: the
-kernel charges batch-level ``batch_ops``, the fallback charges classic
-per-element counts.
+pairs are produced (stripe-major), never the set.  The kernel charges
+batch-level ``batch_ops`` only.
 """
 
 from __future__ import annotations
@@ -40,9 +35,10 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.stats import CpuCounters
-from repro.io.extsort import BY_XL, ensure_sorted_by_xl
-from repro.kernels.backend import get_numpy
+from repro.io.extsort import BY_XL
 from repro.kernels.columnar import ColumnarRelation
 
 #: Maximum candidate pairs expanded per batch (bounds peak memory: five
@@ -71,7 +67,7 @@ def _charge_batch_sort(counters: CpuCounters, n: int) -> None:
         counters.batch_ops += n * max(1, math.ceil(math.log2(n)))
 
 
-def clamped_index(np: Any, scaled: Any, n: int) -> Any:
+def clamped_index(scaled: Any, n: int) -> Any:
     """Float positions *scaled* as int64 cell indices clamped into ``[0, n)``.
 
     Clamped in float, then cast: the same index as cast-then-clip for
@@ -88,7 +84,6 @@ def clamped_index(np: Any, scaled: Any, n: int) -> Any:
 # the kernel proper
 # ----------------------------------------------------------------------
 def _pass_batches(
-    np: Any,
     anchor_yl: Any,
     anchor_yh: Any,
     probe_yl: Any,
@@ -154,7 +149,7 @@ def _pass_batches(
             yield (probe_hit, anchor_hit) if swap else (anchor_hit, probe_hit)
 
 
-def _stripe_count(np: Any, a: ColumnarRelation, b: ColumnarRelation, span: float) -> int:
+def _stripe_count(a: ColumnarRelation, b: ColumnarRelation, span: float) -> int:
     """How many y stripes to use (1 = no striping).
 
     Bounded three ways: enough records per stripe to amortise the
@@ -173,7 +168,7 @@ def _stripe_count(np: Any, a: ColumnarRelation, b: ColumnarRelation, span: float
 
 
 def _stripe_layout(
-    np: Any, rel: ColumnarRelation, ylo: float, inv_height: float, k: int,
+    rel: ColumnarRelation, ylo: float, inv_height: float, k: int,
     counters: CpuCounters,
 ) -> Tuple:
     """Replicate *rel* into its overlapping y stripes.
@@ -184,8 +179,8 @@ def _stripe_layout(
     key of the reference-point rule.
     """
     with np.errstate(invalid="ignore"):  # 0 * inf: a span next to zero
-        slo = clamped_index(np, (rel.yl - ylo) * inv_height, k)
-        shi = clamped_index(np, (rel.yh - ylo) * inv_height, k)
+        slo = clamped_index((rel.yl - ylo) * inv_height, k)
+        shi = clamped_index((rel.yh - ylo) * inv_height, k)
     counts = shi - slo + 1
     total = int(counts.sum())
     orig = np.repeat(np.arange(rel.n), counts)
@@ -201,7 +196,6 @@ def _stripe_layout(
 
 
 def _stripe_passes(
-    np: Any,
     a: ColumnarRelation,
     b: ColumnarRelation,
     k: int,
@@ -211,8 +205,8 @@ def _stripe_passes(
     batch_candidates: int,
 ) -> Iterator[Tuple]:
     """The striped scan: per stripe, both passes plus the ownership rule."""
-    a_orig, a_bounds, a_slo = _stripe_layout(np, a, ylo, inv_height, k, counters)
-    b_orig, b_bounds, b_slo = _stripe_layout(np, b, ylo, inv_height, k, counters)
+    a_orig, a_bounds, a_slo = _stripe_layout(a, ylo, inv_height, k, counters)
+    b_orig, b_bounds, b_slo = _stripe_layout(b, ylo, inv_height, k, counters)
     searchsorted = np.searchsorted
     for s in range(k):
         ai = a_orig[a_bounds[s] : a_bounds[s + 1]]
@@ -231,14 +225,14 @@ def _stripe_passes(
         lo = searchsorted(b_xl, a_xl, side="left")
         hi = searchsorted(b_xl, a.xh[ai], side="right")
         for a_hit, b_hit in _pass_batches(
-            np, a_yl, a_yh, b_yl, b_yh, lo, hi, counters, batch_candidates,
+            a_yl, a_yh, b_yl, b_yh, lo, hi, counters, batch_candidates,
             False, a_s, b_s, s,
         ):
             yield ai[a_hit], bi[b_hit]
         lo = searchsorted(a_xl, b_xl, side="right")
         hi = searchsorted(a_xl, b.xh[bi], side="right")
         for a_hit, b_hit in _pass_batches(
-            np, b_yl, b_yh, a_yl, a_yh, lo, hi, counters, batch_candidates,
+            b_yl, b_yh, a_yl, a_yh, lo, hi, counters, batch_candidates,
             True, b_s, a_s, s,
         ):
             yield ai[a_hit], bi[b_hit]
@@ -258,9 +252,6 @@ def forward_scan_batches(
     implementation detail (the striped path emits stripe-major).
     Charges batch-level counters only.
     """
-    np = get_numpy()
-    if np is None:  # pragma: no cover - callers gate on numpy_enabled()
-        raise RuntimeError("forward_scan_batches requires the numpy backend")
     if not (a.sorted_by_xl and b.sorted_by_xl):
         raise ValueError("forward_scan_batches needs xl-sorted inputs")
     if a.n == 0 or b.n == 0:
@@ -268,29 +259,27 @@ def forward_scan_batches(
     ylo = min(float(a.yl.min()), float(b.yl.min()))
     yhi = max(float(a.yh.max()), float(b.yh.max()))
     span = yhi - ylo
-    k = _stripe_count(np, a, b, span)
+    k = _stripe_count(a, b, span)
     if k > 1:
-        yield from _stripe_passes(
-            np, a, b, k, ylo, k / span, counters, batch_candidates
-        )
+        yield from _stripe_passes(a, b, k, ylo, k / span, counters, batch_candidates)
         return
     # Unstriped: pass 1 anchors in a; probes s with s.xl in [r.xl, r.xh].
     lo = np.searchsorted(b.xl, a.xl, side="left")
     hi = np.searchsorted(b.xl, a.xh, side="right")
     counters.batch_ops += 2 * a.n + 2 * b.n  # the four searchsorted sweeps
     yield from _pass_batches(
-        np, a.yl, a.yh, b.yl, b.yh, lo, hi, counters, batch_candidates, False
+        a.yl, a.yh, b.yl, b.yh, lo, hi, counters, batch_candidates, False
     )
     # Pass 2: anchors in b; probes r with r.xl in (s.xl, s.xh].
     lo = np.searchsorted(a.xl, b.xl, side="right")
     hi = np.searchsorted(a.xl, b.xh, side="right")
     yield from _pass_batches(
-        np, b.yl, b.yh, a.yl, a.yh, lo, hi, counters, batch_candidates, True
+        b.yl, b.yh, a.yl, a.yh, lo, hi, counters, batch_candidates, True
     )
 
 
 # ----------------------------------------------------------------------
-# registry adapter + pure-Python fallback
+# registry adapter
 # ----------------------------------------------------------------------
 def sweep_numpy_join(
     left: Sequence[Tuple],
@@ -303,13 +292,8 @@ def sweep_numpy_join(
 
     Same calling convention as every other internal algorithm; detected
     pairs are computed in vectorized batches and only the *results* cross
-    back into Python for ``emit``.  Falls back to the pure-Python forward
-    scan (identical result set) when the numpy backend is off.
+    back into Python for ``emit``.
     """
-    np = get_numpy()
-    if np is None:
-        python_forward_scan(left, right, emit, counters)
-        return
     if not left or not right:
         return
     a = ColumnarRelation.from_kpes(left)
@@ -335,72 +319,10 @@ def sweep_numpy_join(
             emit(left_sorted[i], right_sorted[j])
 
 
-def python_forward_scan(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    emit: Callable[[Tuple, Tuple], None],
-    counters: CpuCounters,
-) -> None:
-    """Two-pass forward scan on plain lists — the no-numpy fallback.
-
-    Emits the same pair *set* as the vectorized kernel (which stripes, so
-    its order differs).  Charges classic per-element counters (it
-    *executes* per element).
-    """
-    if not left or not right:
-        return
-    sorted_left = ensure_sorted_by_xl(left, counters)
-    sorted_right = ensure_sorted_by_xl(right, counters)
-    tests = 0
-    structure_ops = 2 * (len(sorted_left) + len(sorted_right))
-    n_right = len(sorted_right)
-    n_left = len(sorted_left)
-
-    # Pass 1: anchors r; probes s with s.xl in [r.xl, r.xh].
-    cursor = 0
-    for r in sorted_left:
-        rxl = r[1]
-        rxh = r[3]
-        ryl = r[2]
-        ryh = r[4]
-        while cursor < n_right and sorted_right[cursor][1] < rxl:
-            cursor += 1
-        j = cursor
-        while j < n_right:
-            s = sorted_right[j]
-            if s[1] > rxh:
-                break
-            tests += 1
-            if s[2] <= ryh and ryl <= s[4]:
-                emit(r, s)
-            j += 1
-    # Pass 2: anchors s; probes r with r.xl in (s.xl, s.xh].
-    cursor = 0
-    for s in sorted_right:
-        sxl = s[1]
-        sxh = s[3]
-        syl = s[2]
-        syh = s[4]
-        while cursor < n_left and sorted_left[cursor][1] <= sxl:
-            cursor += 1
-        i = cursor
-        while i < n_left:
-            r = sorted_left[i]
-            if r[1] > sxh:
-                break
-            tests += 1
-            if r[2] <= syh and syl <= r[4]:
-                emit(r, s)
-            i += 1
-    counters.intersection_tests += tests
-    counters.structure_ops += structure_ops
-
-
 __all__ = [
     "BATCH_OPS_PER_CANDIDATE",
     "BY_XL",
     "DEFAULT_BATCH_CANDIDATES",
     "forward_scan_batches",
-    "python_forward_scan",
     "sweep_numpy_join",
 ]

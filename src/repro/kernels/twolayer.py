@@ -32,8 +32,9 @@ from __future__ import annotations
 
 from typing import Any, List, Tuple
 
+import numpy as np
+
 from repro.core.stats import CpuCounters
-from repro.kernels.backend import require_numpy
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.kernels.sweep import (
@@ -63,7 +64,6 @@ MiniJoin = Tuple[int, int, int, int]
 
 
 def _classify(
-    np: Any,
     rel: ColumnarRelation,
     grid: TileGrid,
     pid: int,
@@ -76,8 +76,8 @@ def _classify(
     stable grouping sort keeps the ``xl`` order of *rel* inside every
     group, so slices of the gathered columns are forward-scan ready.
     """
-    txl, tyl = point_tiles(np, grid, rel.xl, rel.yl)
-    txh, tyh = point_tiles(np, grid, rel.xh, rel.yh)
+    txl, tyl = point_tiles(grid, rel.xl, rel.yl)
+    txh, tyh = point_tiles(grid, rel.xh, rel.yh)
     widths = txh - txl + 1
     counts = widths * (tyh - tyl + 1)
     total = int(counts.sum())
@@ -87,7 +87,7 @@ def _classify(
     w = widths[orig]
     tx = txl[orig] + flat % w
     ty = tyl[orig] + flat // w
-    keep = tile_partitions(np, grid, tx, ty) == pid
+    keep = tile_partitions(grid, tx, ty) == pid
     orig = orig[keep]
     tx = tx[keep]
     ty = ty[keep]
@@ -102,7 +102,7 @@ def _classify(
     return orig[order], key[order]
 
 
-def _mini_joins(np: Any, a_key: Any, b_key: Any) -> List[MiniJoin]:
+def _mini_joins(a_key: Any, b_key: Any) -> List[MiniJoin]:
     """The task's mini-join sequence.
 
     Tiles run in ascending key (row-major) order, classes in schedule
@@ -129,7 +129,7 @@ def _mini_joins(np: Any, a_key: Any, b_key: Any) -> List[MiniJoin]:
 
 
 def _axis_candidates(
-    np: Any, a_low: Any, a_high: Any, b_low: Any, b_high: Any
+    a_low: Any, a_high: Any, b_low: Any, b_high: Any
 ) -> int:
     """Candidate pairs a forward scan anchored on this axis would expand.
 
@@ -146,7 +146,6 @@ def _axis_candidates(
 
 
 def _best_axis(
-    np: Any,
     a_grp: ColumnarRelation,
     b_grp: ColumnarRelation,
     counters: CpuCounters,
@@ -164,14 +163,14 @@ def _best_axis(
     tests x, the same closed-rectangle predicate, so the pair set is
     unchanged.
     """
-    cand_x = _axis_candidates(np, a_grp.xl, a_grp.xh, b_grp.xl, b_grp.xh)
+    cand_x = _axis_candidates(a_grp.xl, a_grp.xh, b_grp.xl, b_grp.xh)
     order_a = np.argsort(a_grp.yl, kind="stable")
     order_b = np.argsort(b_grp.yl, kind="stable")
     a_yl = a_grp.yl[order_a]
     a_yh = a_grp.yh[order_a]
     b_yl = b_grp.yl[order_b]
     b_yh = b_grp.yh[order_b]
-    cand_y = _axis_candidates(np, a_yl, a_yh, b_yl, b_yh)
+    cand_y = _axis_candidates(a_yl, a_yh, b_yl, b_yh)
     # The eight probe searchsorteds plus the two small y argsorts.
     counters.batch_ops += 4 * (a_grp.n + b_grp.n)
     _charge_batch_sort(counters, a_grp.n)
@@ -212,7 +211,6 @@ def twolayer_join_ids(
     avoidance never detects a pair it has to throw away.  Unsorted inputs
     are sorted here, charged like the RPM kernel's sorts.
     """
-    np = require_numpy()
     if a_cols.n == 0 or b_cols.n == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty, 0
@@ -226,19 +224,19 @@ def twolayer_join_ids(
     else:
         _charge_batch_sort(counters, b_cols.n)
         b = b_cols.sort_by_xl()
-    a_orig, a_key = _classify(np, a, grid, pid, counters)
-    b_orig, b_key = _classify(np, b, grid, pid, counters)
+    a_orig, a_key = _classify(a, grid, pid, counters)
+    b_orig, b_key = _classify(b, grid, pid, counters)
     # The grouped replica columns (xl-sorted inside every group).
     ga = a.take(a_orig, sorted_by_xl=True)
     gb = b.take(b_orig, sorted_by_xl=True)
     rids = []
     sids = []
-    for a_lo, a_hi, b_lo, b_hi in _mini_joins(np, a_key, b_key):
+    for a_lo, a_hi, b_lo, b_hi in _mini_joins(a_key, b_key):
         total = (a_hi - a_lo) + (b_hi - b_lo)
         a_grp = ga.take(slice(a_lo, a_hi), sorted_by_xl=True)
         b_grp = gb.take(slice(b_lo, b_hi), sorted_by_xl=True)
         if AXIS_PROBE_MIN_RECORDS <= total < STRIPE_MIN_RECORDS:
-            a_grp, b_grp = _best_axis(np, a_grp, b_grp, counters)
+            a_grp, b_grp = _best_axis(a_grp, b_grp, counters)
         for a_idx, b_idx in forward_scan_batches(
             a_grp, b_grp, counters, batch_candidates
         ):

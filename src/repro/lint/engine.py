@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 SYNTAX_RULE_ID = "RPL000"
 
 #: The comment marker that suppresses findings on its line, e.g.
-#: ``x = 1  # repro-lint: disable=RPL003`` or ``disable=RPL001,RPL006``.
+#: ``x = 1  # repro-lint: disable=RPL003`` or ``disable=RPL002,RPL006``.
 DISABLE_MARKER = "repro-lint:"
 
 
@@ -82,7 +82,7 @@ class ModuleInfo:
 class Rule:
     """Base class: one mechanically checkable invariant."""
 
-    #: e.g. "RPL001"; every concrete rule overrides this.
+    #: e.g. "RPL002"; every concrete rule overrides this.
     rule_id: str = ""
     #: One-line summary shown by ``--list-rules``.
     title: str = ""

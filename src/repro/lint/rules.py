@@ -5,7 +5,7 @@ hand; ``docs/static_analysis.md`` tells the full story per rule.  Rules
 carry their own minimal good/bad fixtures so the engine (and the test
 suite) can prove each one fires exactly when it should.
 
-RPL001–RPL007 live here and match per statement; the flow-sensitive
+RPL002–RPL007 live here and match per statement; the flow-sensitive
 rules RPL008–RPL012 (CFG + dataflow) live in
 :mod:`repro.lint.flowrules` and are merged into :data:`ALL_RULES` below.
 """
@@ -25,63 +25,6 @@ from repro.lint.astutil import (
 )
 from repro.lint.engine import Finding, ModuleInfo, Rule
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y
-
-
-# ----------------------------------------------------------------------
-# RPL001 — the numpy gate
-# ----------------------------------------------------------------------
-class NumpyImportGate(Rule):
-    """Top-level ``import numpy`` is only legal inside ``repro/kernels/``.
-
-    Everything else must go through :mod:`repro.kernels.backend` (or a
-    function-local import) so a numpy-free interpreter can import every
-    module and the no-numpy CI job stays honest.
-    """
-
-    rule_id = "RPL001"
-    title = "no top-level numpy import outside repro.kernels"
-
-    fixture_bad = (
-        "import numpy as np\n"
-        "def centers(n):\n"
-        "    return np.zeros(n)\n"
-    )
-    fixture_good = (
-        "def centers(n):\n"
-        "    from repro.kernels.backend import require_numpy\n"
-        "    np = require_numpy()\n"
-        "    return np.zeros(n)\n"
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        if "/kernels/" in "/" + module.relpath:
-            return
-        for node in _walk_scope(module.tree.body):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy" or alias.name.startswith("numpy."):
-                        yield self.finding(
-                            module,
-                            node,
-                            "top-level numpy import outside repro.kernels; "
-                            "go through repro.kernels.backend (or import "
-                            "inside the function) so numpy-free interpreters "
-                            "can import this module",
-                        )
-                        break
-            elif isinstance(node, ast.ImportFrom):
-                mod = node.module or ""
-                if node.level == 0 and (
-                    mod == "numpy" or mod.startswith("numpy.")
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        "top-level numpy import outside repro.kernels; "
-                        "go through repro.kernels.backend (or import inside "
-                        "the function) so numpy-free interpreters can import "
-                        "this module",
-                    )
 
 
 # ----------------------------------------------------------------------
@@ -735,7 +678,6 @@ from repro.lint.flowrules import FLOW_RULES  # noqa: E402  (after the classes)
 
 #: Every shipped rule, in rule-id order.
 ALL_RULES: Tuple[Rule, ...] = (
-    NumpyImportGate(),
     PhaseLiteral(),
     TileHashDrift(),
     ShmLifecycle(),

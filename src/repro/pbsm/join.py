@@ -26,10 +26,10 @@ next is read, so the operator layer can demonstrate the pipelining
 difference.
 
 Two engines share the phases, the recursion of Section 3.2.3 and every
-simulated charge.  The *tuple* engine (any internal algorithm; the paper's
-subject, and the only one without numpy) streams KPE tuples through the
-partition files.  The *columnar* engine (``internal="sweep_numpy"`` on the
-numpy backend, what :func:`repro.spatial_join` runs by default) partitions
+simulated charge.  The *tuple* engine (any other internal algorithm; the
+paper's subject) streams KPE tuples through the partition files.  The
+*columnar* engine (``internal="sweep_numpy"``, what
+:func:`repro.spatial_join` runs by default) partitions
 row ids over the inputs' five columns, gathers rows per partition pair
 into the id-pair kernels, and builds a leaf's oid tuples with one gather
 per side — ``docs/kernels.md``, "Columnar sequential driver".
@@ -50,6 +50,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.phases import (
     PHASE_DEDUP,
     PHASE_JOIN,
@@ -63,7 +65,6 @@ from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import active_backend, numpy_enabled, require_numpy
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.kernels.twolayer import twolayer_join_ids
@@ -182,10 +183,8 @@ class PBSM:
             "sort": "PD",
             "none": "nodedup",
         }[self.dedup]
-        backend = active_backend() if self.internal_name == "sweep_numpy" else ""
         return JoinStats(
             algorithm=f"PBSM({self.internal_name},{dedup_tag})",
-            backend=backend,
             n_left=len(left),
             n_right=len(right),
         )
@@ -215,7 +214,7 @@ class PBSM:
             self._finalize_stats(stats, disk, cpu)
             return
 
-        # ``sweep_numpy`` on the numpy backend never touches a KPE tuple:
+        # ``sweep_numpy`` never touches a KPE tuple:
         # extent, partitioning, repartitioning and the leaves all read the
         # five columns (already there for mapped inputs, built once
         # otherwise) and the partition files hold row ids.
@@ -244,7 +243,6 @@ class PBSM:
             kind=KIND_RUN,
             internal=self.internal_name,
             dedup=self.dedup,
-            backend=stats.backend or None,
         ):
             # --- phase 1: partitioning -----------------------------------
             with tracer.span(
@@ -462,13 +460,12 @@ def _oid_objects(kpes: Sequence[Tuple]) -> Any:
     columnar = getattr(kpes, "columnar", None)
     if columnar is not None:
         return columnar.oid.astype(object)
-    np = require_numpy()
     return np.fromiter((k[0] for k in kpes), dtype=object, count=len(kpes))
 
 
 def columnar_engine(internal_name: str) -> bool:
     """Whether a PBSM driver runs the columnar engine for this internal."""
-    return internal_name == "sweep_numpy" and numpy_enabled()
+    return internal_name == "sweep_numpy"
 
 
 def tuple_leaf(
@@ -484,7 +481,7 @@ def tuple_leaf(
     Joins one partition pair's records under the ownership *region* and
     returns ``(pairs, duplicates_suppressed)``; the test-free modes
     (``"sort"``, ``"none"``) return every candidate.  Both PBSM drivers
-    end here whenever the columnar engine cannot run.
+    end here for every internal but ``sweep_numpy``.
     """
     if dedup == "twolayer" and len(region) == 1:
         # Pure avoidance: classify both sides over the partition's

@@ -53,14 +53,14 @@ segment, the in-process executors keep the columnar leaf's arrays, and
 caller reads ``result.pairs``.  (The tuple leaf in this process returns
 its pair list and the result stays list-backed.)  Where that segment
 cannot exist
-(``shm_enabled()`` is false: numpy missing, no POSIX shared memory,
+(``shm_enabled()`` is false: no POSIX shared memory or
 ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the thread executor
 instead, with byte-identical output, one ``RuntimeWarning`` per process,
 and ``stats.executor`` reporting what actually ran.
 
 A task ends in one of the two leaves sequential ``PBSM`` ends in
-(:func:`~repro.pbsm.join.columnar_leaf` for ``sweep_numpy`` on the numpy
-backend, :func:`~repro.pbsm.join.tuple_leaf` over materialised records
+(:func:`~repro.pbsm.join.columnar_leaf` for ``sweep_numpy``,
+:func:`~repro.pbsm.join.tuple_leaf` over materialised records
 otherwise), under the one-entry region ``((grid, pid),)``.  A per-run
 pool installs grid, dedup mode and source once per worker through its
 initializer (:func:`_pool_init`); an externally-owned persistent pool
@@ -97,6 +97,8 @@ from typing import (
     cast,
 )
 
+import numpy as np
+
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
 from repro.core.result import JoinResult, JoinStats, pair_columns
 from repro.core.space import Space
@@ -104,12 +106,6 @@ from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
-from repro.kernels.backend import (
-    active_backend,
-    cpu_count,
-    numpy_enabled,
-    require_numpy,
-)
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.shm import (
     Manifest,
@@ -184,9 +180,17 @@ def _grid_from_spec(spec: Tuple) -> TileGrid:
     return TileGrid(Space(xl, yl, xh, yh), nx, ny, n_partitions, mapping)
 
 
+def cpu_count() -> int:
+    """Usable CPU count (affinity-aware where the platform supports it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def worker_cap() -> int:
     """The largest worker count the real executors will actually spawn."""
-    cap = cpu_count() or 1
+    cap = cpu_count()
     try:
         cap = max(cap, int(os.environ.get(MAX_WORKERS_ENV, "")))
     except (TypeError, ValueError):
@@ -237,12 +241,11 @@ def _run_tasks(
     slices, run the engine's leaf under the one-entry region
     ``((grid, pid),)`` — online ownership by partition id, ``"rpm"`` or
     ``"twolayer"`` — and report pairs, suppression, counters and the
-    task's own wall time.  The columnar leaf runs ``sweep_numpy`` on the
-    numpy backend; every other internal takes the tuple leaf over
-    materialised records.  The columnar leaf's pairs stay the two int64
-    oid buffers it returns; *as_ids* packs the tuple leaf's pair list
-    into the same form (a pool worker's result segment holds nothing
-    else).
+    task's own wall time.  The columnar leaf runs ``sweep_numpy``; every
+    other internal takes the tuple leaf over materialised records.  The
+    columnar leaf's pairs stay the two int64 oid buffers it returns;
+    *as_ids* packs the tuple leaf's pair list into the same form (a pool
+    worker's result segment holds nothing else).
     """
     left, right, l_ids, r_ids = source
     columnar = columnar_engine(internal_name)
@@ -446,13 +449,10 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
 def _concat_ids(runs: List[Any], as_list: bool) -> Any:
     """One side's id runs, in task order, as the CSR ids the tasks slice.
 
-    Without numpy the per-record partitioner wrote lists already;
-    *as_list* boxes the columnar partitioner's int64 runs once, for the
-    tuple leaf that indexes an input sequence with them.
+    *as_list* boxes the partitioner's int64 runs once, for the tuple
+    leaf that indexes an input sequence with them.
     """
-    if not numpy_enabled():
-        return [i for run in runs for i in run]
-    ids = require_numpy().concatenate(runs)
+    ids = np.concatenate(runs)
     return ids.tolist() if as_list else ids
 
 
@@ -498,7 +498,7 @@ class ParallelPBSM:
     report the same simulated costs — the real executors additionally
     deliver wall-clock speedup on multicore hardware.
 
-    The result of the columnar engine (``sweep_numpy`` with numpy on), and
+    The result of the columnar engine (``sweep_numpy``), and
     of any internal run on a process pool, is backed by the two int64 oid
     buffers the tasks produced, merged in ``pid`` order and never boxed
     by the driver: ``len(result)`` and ``result.to_arrays()`` read them,
@@ -508,8 +508,8 @@ class ParallelPBSM:
     reference-point test) or ``"twolayer"`` (corner-class avoidance with
     zero per-pair work); the offline ``"sort"`` mode is rejected because
     it would serialise the join behind a global sorting phase.  Every
-    executor runs the same CSR id tasks — over the inputs' columns when
-    numpy is enabled, whatever the internal algorithm; the process
+    executor runs the same CSR id tasks over the inputs' columns,
+    whatever the internal algorithm; the process
     executor ships them over one shared-memory segment and runs the
     thread executor where that segment cannot exist (module docstring);
     out-of-range worker counts are clamped with a :class:`RuntimeWarning`
@@ -582,8 +582,8 @@ class ParallelPBSM:
         executor = self.executor
         if executor == "process" and self.workers > 1 and not shm_enabled():
             _warn_clamp(
-                "executor='process' needs a shared-memory segment (numpy, "
-                "POSIX shared memory, REPRO_DISABLE_SHM unset); running the "
+                "executor='process' needs a shared-memory segment (POSIX "
+                "shared memory, REPRO_DISABLE_SHM unset); running the "
                 "thread executor instead"
             )
             executor = "thread"
@@ -599,9 +599,6 @@ class ParallelPBSM:
                 f"ParallelPBSM({self.internal_name}{dedup_tag},"
                 f"W={self.workers})"
             ),
-            backend=(
-                active_backend() if self.internal_name == "sweep_numpy" else ""
-            ),
             executor=executor,
             n_left=len(left),
             n_right=len(right),
@@ -609,15 +606,11 @@ class ParallelPBSM:
         )
         if not left or not right:
             return JoinResult(pairs=[], stats=stats)
-        # On the numpy backend grid extent, partitioning, the segment and
-        # the columnar leaf all read the five columns (already there for
-        # mapped inputs, built once otherwise); only the tuple leaf ever
-        # sees a record.
-        rel_left: Any = left
-        rel_right: Any = right
-        if numpy_enabled():
-            rel_left = checked_columns(left, "left")
-            rel_right = checked_columns(right, "right")
+        # Grid extent, partitioning, the segment and the columnar leaf all
+        # read the five columns (already there for mapped inputs, built
+        # once otherwise); only the tuple leaf ever sees a record.
+        rel_left = checked_columns(left, "left")
+        rel_right = checked_columns(right, "right")
         cost = self.cost_model
         kpe_bytes = cost.kpe_bytes
         space = Space.of(rel_left, rel_right)
@@ -639,7 +632,6 @@ class ParallelPBSM:
             dedup=self.dedup,
             executor=executor,
             workers=self.workers,
-            backend=stats.backend or None,
         ):
             # --- sequential partitioning phase -----------------------------
             disk = SimulatedDisk(cost)
@@ -741,7 +733,6 @@ class ParallelPBSM:
                 # lists; every other outcome is two oid buffers, merged
                 # without boxing a pair.
                 if outcomes and (columnar or use_pool):
-                    np = require_numpy()
                     result = JoinResult.from_arrays(
                         np.concatenate([o[1][0] for o in outcomes], dtype=np.int64),
                         np.concatenate([o[1][1] for o in outcomes], dtype=np.int64),

@@ -17,10 +17,9 @@ simulated-cost accounting.  Reading id-emitting files back per partition
 yields exactly the CSR form (offsets + record ids) the parallel join
 tasks slice; :func:`partition_csr` performs that concatenation.
 
-On the numpy backend ``emit="ids"`` runs no per-record loop at all: the
-CSR arrays come out of one columnar kernel and the charges are computed
-from the per-partition counts (:func:`_partition_ids`).  The loop below
-is then only the numpy-free fallback for that mode.
+``emit="ids"`` runs no per-record loop at all: the CSR arrays come out
+of one columnar kernel and the charges are computed from the
+per-partition counts (:func:`_partition_ids`).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from typing import List, Sequence, Tuple
 from repro.core.stats import CpuCounters
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm.grid import TileGrid
 
 #: Below this size the columnar tile-assignment's fixed overhead loses to
@@ -62,8 +60,7 @@ def partition_relation(
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"emit must be one of {EMIT_MODES}, got {emit!r}")
-    as_ids = emit == "ids"
-    if as_ids and numpy_enabled():
+    if emit == "ids":
         return _partition_ids(
             kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages
         )
@@ -74,7 +71,7 @@ def partition_relation(
     writers = [f.writer(buffer_pages=buffer_pages) for f in files]
     written = 0
     structure_ops = 0
-    if numpy_enabled() and len(kpes) >= _VECTOR_MIN_RECORDS:
+    if len(kpes) >= _VECTOR_MIN_RECORDS:
         # Columnar fast path: destinations of the whole relation in a few
         # array operations.  Write order and charged structure ops are
         # identical to the scalar loop — wall clock is the only change.
@@ -92,12 +89,11 @@ def partition_relation(
                 written += len(dest)
     else:
         partitions_for_rect = grid.partitions_for_rect
-        for i, kpe in enumerate(kpes):
-            item = i if as_ids else kpe
+        for kpe in kpes:
             pids = partitions_for_rect(kpe)
             structure_ops += len(pids) + 1
             for pid in pids:
-                writers[pid].write(item)
+                writers[pid].write(kpe)
             written += len(pids)
     for writer in writers:
         writer.close()
@@ -114,7 +110,7 @@ def _partition_ids(
     name_prefix: str,
     buffer_pages: int,
 ) -> Tuple[List[PageFile], int]:
-    """``emit="ids"`` on the columnar backend: one kernel, charged by count.
+    """``emit="ids"``: one kernel, charged by count.
 
     ``kernels.assign.partition_ids`` yields every partition's id run at
     once; each file takes its run as a read-only int64 array (a view into

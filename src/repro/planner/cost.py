@@ -37,7 +37,6 @@ from repro.core.phases import (
 )
 from repro.internal.interval_trie import DEFAULT_MAX_DEPTH
 from repro.io.costmodel import CostModel
-from repro.kernels.backend import numpy_enabled
 from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST
 from repro.kernels.sweep import BATCH_OPS_PER_CANDIDATE
 from repro.pbsm.estimator import estimate_partitions
@@ -146,20 +145,13 @@ def _sweep_cpu(
         # count — same arrival/active-set model as the list sweep, but
         # each candidate costs a batch-level array op, not a scalar test.
         candidates = (a * active_b + b * active_a) * clustering
-        if numpy_enabled():
-            batch = (
-                a * _lg(a)
-                + b * _lg(b)  # vectorized argsorts
-                + 2.0 * n  # the four searchsorted sweeps
-                + BATCH_OPS_PER_CANDIDATE * candidates
-            )
-            return cost.cpu_seconds_from_counts(batch_ops=batch)
-        # numpy off: the python forward scan runs per element.
-        return cost.cpu_seconds_from_counts(
-            intersection_tests=candidates + detected,
-            comparisons=comparisons,
-            structure_ops=n * _SWEEP_OVERHEAD,
+        batch = (
+            a * _lg(a)
+            + b * _lg(b)  # vectorized argsorts
+            + 2.0 * n  # the four searchsorted sweeps
+            + BATCH_OPS_PER_CANDIDATE * candidates
         )
+        return cost.cpu_seconds_from_counts(batch_ops=batch)
     else:
         raise ValueError(f"no cost model for internal algorithm {internal!r}")
     return cost.cpu_seconds_from_counts(
@@ -398,7 +390,7 @@ def estimate_pbsm(
     io_dedup = 0.0
     cpu_dedup = 0.0
     if dedup == "rpm":
-        if internal == "sweep_numpy" and numpy_enabled():
+        if internal == "sweep_numpy":
             # The kernel path tests whole candidate batches at once.
             cpu_dedup = cost.cpu_seconds_from_counts(
                 batch_ops=BATCH_OPS_PER_RPM_TEST * detected

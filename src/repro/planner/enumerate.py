@@ -42,11 +42,14 @@ DEFAULT_T_GRID: Tuple[float, ...] = (1.0, 1.2, 1.5)
 
 #: PBSM internal algorithms worth enumerating (nested loops never wins
 #: at partition scale — Fig. 4).
-PBSM_INTERNALS: Tuple[str, ...] = ("sweep_list", "sweep_trie", "sweep_tree")
+PBSM_INTERNALS: Tuple[str, ...] = (
+    "sweep_list",
+    "sweep_trie",
+    "sweep_tree",
+    "sweep_numpy",
+)
 
-#: Enumerated in addition when the columnar backend is available; with
-#: numpy disabled its python fallback is strictly dominated by
-#: ``sweep_list``, so enumerating it would only add noise.
+#: The internal every parallel PBSM candidate runs (the columnar engine).
 PBSM_KERNEL_INTERNAL = "sweep_numpy"
 
 #: S3J assignment strategies (its duplicate-handling axis).
@@ -95,11 +98,9 @@ def enumerate_candidates(
     ``methods`` restricts the enumerated join methods (default: all of
     them); candidates are returned sorted by estimated total cost.  With
     ``workers > 1`` parallel PBSM configurations join the space — the
-    process executor where its shared-memory segment can exist
-    (``shm_enabled()``) and the thread executor when the columnar backend
-    is on — so the executor is a costed decision, not a hardcoded
-    preference.  Neither runs without numpy, so there only sequential
-    plans are enumerated.
+    thread executor, and the process executor where its shared-memory
+    segment can exist (``shm_enabled()``) — so the executor is a costed
+    decision, not a hardcoded preference.
     """
     cost = cost_model or CostModel()
     wanted = set(methods) if methods is not None else None
@@ -113,12 +114,7 @@ def enumerate_candidates(
     dup_factors: Dict[Tuple[int, int], Optional[float]] = {}
 
     if include("pbsm"):
-        from repro.kernels.backend import numpy_enabled
-
-        internals = PBSM_INTERNALS + (
-            (PBSM_KERNEL_INTERNAL,) if numpy_enabled() else ()
-        )
-        for internal in internals:
+        for internal in PBSM_INTERNALS:
             for t in t_grid:
                 candidates.append(
                     PlanCandidate(
@@ -152,11 +148,7 @@ def enumerate_candidates(
         if workers > 1:
             from repro.kernels.shm import shm_enabled
 
-            executors: List[str] = []
-            if shm_enabled():
-                executors.append("process")
-            if numpy_enabled():
-                executors.append("thread")
+            executors = ("process", "thread") if shm_enabled() else ("thread",)
             for executor in executors:
                 for t in t_grid:
                     candidates.append(

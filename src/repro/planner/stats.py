@@ -12,27 +12,27 @@ profiling pass entirely (the planner's analogue of a DBMS catalog):
   Minkowski-sum estimate of the result cardinality (Table 2's selectivity,
   predicted instead of measured).
 
-On the numpy backend every statistic is an array operation over the
-relation's five columns (``.columnar``: mapped and columnar inputs are
-read in place, lists are converted once by :func:`profile_join`); the
-per-record loops are the fallback without numpy and the reference the
-parity tests compare against.  Histograms, sampled pairs and fingerprints
-are bit-identical between the two; the float means differ by summation
-order only (pairwise against sequential, a few ulps).
+Every statistic is an array operation over the relation's five columns
+(``.columnar``: mapped and columnar inputs are read in place, lists are
+converted once by :func:`profile_join`).  The per-record definitions in
+:mod:`repro.datasets.stats` are the reference the tests compare against:
+histograms, sampled pairs and fingerprints are bit-identical, the float
+means differ by summation order only (pairwise against sequential, a few
+ulps).
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.space import Space
-from repro.datasets.stats import average_area, average_edges, coverage, density_skew
+from repro.datasets.stats import density_skew
 from repro.estimate import GridHistogram
-from repro.kernels.backend import numpy_enabled, require_numpy
 from repro.kernels.columnar import ColumnarRelation, with_columns
 from repro.obs.trace import KIND_SECTION, NULL_TRACER
 
@@ -51,22 +51,8 @@ _SELECTIVITY_SAMPLE = 512
 _MIN_SAMPLED_PAIRS = 8
 
 
-def _columns(kpes: Sequence[Tuple]) -> Optional[ColumnarRelation]:
-    """The columns *kpes* carries, when the numpy backend may read them."""
-    return getattr(kpes, "columnar", None) if numpy_enabled() else None
-
-
-def _strided_sample(kpes: Sequence[Tuple], size: int) -> Sequence[Tuple]:
-    """Every ``n/size``-th record — deterministic, order-insensitive enough."""
-    n = len(kpes)
-    if n <= size:
-        return kpes
-    step = max(1, n // size)
-    return kpes[::step][:size]
-
-
 def _strided_columns(cols: ColumnarRelation, size: int) -> ColumnarRelation:
-    """The rows :func:`_strided_sample` picks, as views of the columns."""
+    """Every ``n/size``-th row (at most *size*), as views of the columns."""
     step = max(1, len(cols) // size)
     return cols.take(slice(None, size * step, step))
 
@@ -107,39 +93,22 @@ def relation_fingerprint(kpes: Sequence[Tuple]) -> str:
 def _require_finite(kpes: Sequence[Tuple], side: str) -> None:
     """Reject NaN/±inf coordinates before they reach the cell arithmetic.
 
-    The scalar histogram would fail deep inside ``int(nan)`` and the
-    columnar one would bin the record into an arbitrary cell; either way
-    the planner has no meaningful extent to plan over.
+    The histogram would bin the record into an arbitrary cell and the
+    planner would have no meaningful extent to plan over.
     """
-    cols = _columns(kpes)
-    if cols is not None:
-        np = require_numpy()
-        bad = ~(
-            np.isfinite(cols.xl)
-            & np.isfinite(cols.yl)
-            & np.isfinite(cols.xh)
-            & np.isfinite(cols.yh)
-        )
-        if not bad.any():
-            return
-        row = int(np.flatnonzero(bad)[0])
-        oid = int(cols.oid[row])
-    else:
-        for row, k in enumerate(kpes):
-            if not (
-                math.isfinite(k[1])
-                and math.isfinite(k[2])
-                and math.isfinite(k[3])
-                and math.isfinite(k[4])
-            ):
-                oid = int(k[0])
-                break
-        else:
-            return
-    raise ValueError(
-        f"{side} relation has a non-finite coordinate at row {row} "
-        f"(oid={oid}); the planner cannot profile it"
+    cols = ColumnarRelation.from_kpes(kpes)
+    bad = ~(
+        np.isfinite(cols.xl)
+        & np.isfinite(cols.yl)
+        & np.isfinite(cols.xh)
+        & np.isfinite(cols.yh)
     )
+    if bad.any():
+        row = int(bad.argmax())
+        raise ValueError(
+            f"{side} relation has a non-finite coordinate at row {row} "
+            f"(oid={int(cols.oid[row])}); the planner cannot profile it"
+        )
 
 
 @dataclass(frozen=True)
@@ -172,28 +141,19 @@ class RelationProfile:
         if n == 0:
             return cls(fingerprint, 0, 0.0, 0.0, 0.0, 0.0, 1.0, (0.0, 0.0, 1.0, 1.0))
         space = Space.of(kpes)
-        cols = _columns(kpes)
-        if cols is not None:
-            w = cols.xh - cols.xl
-            h = cols.yh - cols.yl
-            avg_w = float(w.sum()) / n
-            avg_h = float(h.sum()) / n
-            total_area = float((w * h).sum())
-            avg_area = total_area / n
-            mbr_area = (space.xh - space.xl) * (space.yh - space.yl)
-            cover = total_area / mbr_area if mbr_area > 0.0 else 0.0
-        else:
-            avg_w, avg_h = average_edges(kpes)
-            avg_area = average_area(kpes)
-            cover = coverage(kpes)
+        cols = ColumnarRelation.from_kpes(kpes)
+        w = cols.xh - cols.xl
+        h = cols.yh - cols.yl
+        total_area = float((w * h).sum())
+        mbr_area = (space.xh - space.xl) * (space.yh - space.yl)
         hist = GridHistogram.build(kpes, space, PROFILE_RESOLUTION)
         return cls(
             fingerprint=fingerprint,
             n=n,
-            coverage=cover,
-            avg_width=avg_w,
-            avg_height=avg_h,
-            avg_area=avg_area,
+            coverage=total_area / mbr_area if mbr_area > 0.0 else 0.0,
+            avg_width=float(w.sum()) / n,
+            avg_height=float(h.sum()) / n,
+            avg_area=total_area / n,
             skew=density_skew(hist.counts),
             space=(space.xl, space.yl, space.xh, space.yh),
         )
@@ -309,31 +269,20 @@ def _sample_pairs(
     """Intersecting ``(r, s)`` pairs among the strided samples, in
     sample order, and the number of sample pairs tested.
 
-    With columns on both sides the 512 x 512 tests are one broadcast
-    mask and only the hits are paired up as KPE tuples.
+    The 512 x 512 tests are one broadcast mask and only the hits are
+    paired up as KPE tuples.
     """
-    cols_l, cols_r = _columns(left), _columns(right)
-    if cols_l is not None and cols_r is not None:
-        sl = _strided_columns(cols_l, _SELECTIVITY_SAMPLE)
-        sr = _strided_columns(cols_r, _SELECTIVITY_SAMPLE)
-        hit = (
-            (sl.xl[:, None] <= sr.xh)
-            & (sr.xl <= sl.xh[:, None])
-            & (sl.yl[:, None] <= sr.yh)
-            & (sr.yl <= sl.yh[:, None])
-        )
-        hit_l, hit_r = hit.nonzero()  # row-major: the double loop's order
-        rows_l, rows_r = sl.to_kpes(), sr.to_kpes()
-        pairs = tuple(
-            (rows_l[i], rows_r[j]) for i, j in zip(hit_l.tolist(), hit_r.tolist())
-        )
-        return pairs, len(sl) * len(sr)
-    sample_l = _strided_sample(left, _SELECTIVITY_SAMPLE)
-    sample_r = _strided_sample(right, _SELECTIVITY_SAMPLE)
-    pairs = tuple(
-        (r, s)
-        for r in sample_l
-        for s in sample_r
-        if r[1] <= s[3] and s[1] <= r[3] and r[2] <= s[4] and s[2] <= r[4]
+    sl = _strided_columns(ColumnarRelation.from_kpes(left), _SELECTIVITY_SAMPLE)
+    sr = _strided_columns(ColumnarRelation.from_kpes(right), _SELECTIVITY_SAMPLE)
+    hit = (
+        (sl.xl[:, None] <= sr.xh)
+        & (sr.xl <= sl.xh[:, None])
+        & (sl.yl[:, None] <= sr.yh)
+        & (sr.yl <= sl.yh[:, None])
     )
-    return pairs, len(sample_l) * len(sample_r)
+    hit_l, hit_r = hit.nonzero()  # row-major: left sample outer, right inner
+    rows_l, rows_r = sl.to_kpes(), sr.to_kpes()
+    pairs = tuple(
+        (rows_l[i], rows_r[j]) for i, j in zip(hit_l.tolist(), hit_r.tolist())
+    )
+    return pairs, len(sl) * len(sr)

@@ -2,8 +2,8 @@
 
 A thin line-protocol wrapper: connect, send one-line JSON requests,
 collect the responses (including a ``join``'s page stream).  This is
-what the load harness and the tests speak; it has no engine dependency
-at all, so it imports (and runs) on a numpy-free interpreter.
+what the load harness and the tests speak; it has no engine
+dependency at all.
 """
 
 from __future__ import annotations

@@ -40,8 +40,9 @@ import math
 import struct
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.core.result import pair_columns
-from repro.kernels.backend import get_numpy
 
 #: Upper bound on one protocol line; the asyncio stream reader limit.
 #: Large enough for a register-by-records request of a few hundred
@@ -68,8 +69,7 @@ PAIRS_I8 = "i8"
 PAIR_STRUCT = struct.Struct("<qq")
 
 #: ``(left_oids, right_oids)`` — a result as two equally long int64
-#: buffers (numpy arrays, or ``array('q')`` without numpy), the form
-#: ``JoinResult.to_arrays()`` returns.
+#: buffers (numpy arrays), the form ``JoinResult.to_arrays()`` returns.
 OidColumns = Tuple[Any, Any]
 
 
@@ -111,7 +111,7 @@ def _is_columns(pairs: object) -> bool:
     )
 
 
-def _sorted_table(np: Any, left: Any, right: Any) -> Any:
+def _sorted_table(left: Any, right: Any) -> Any:
     """The pairs of two int64 columns as one sorted ``(n, 2)`` ``<i8`` table.
 
     Whenever the two oid ranges multiply to less than ``2**63`` a pair
@@ -145,24 +145,15 @@ def result_checksum(pairs: Union[Iterable[Tuple[int, int]], OidColumns]) -> str:
 
     *pairs* is an iterable of ``(left_oid, right_oid)`` pairs or the
     :data:`OidColumns` of a result (``result.to_arrays()``), which are
-    read as they are — no tuple is boxed.  On the numpy backend the
-    pairs are sorted as int64 columns (:func:`_sorted_table`) and hashed
-    as one packed buffer — the same bytes, hence the same digest, as the
-    per-pair ``struct`` loop below.
+    read as they are — no tuple is boxed.  The pairs are sorted as int64
+    columns (:func:`_sorted_table`) and hashed as one packed buffer: the
+    bytes of :data:`PAIR_STRUCT` over every pair in sorted order.
     """
-    np = get_numpy()
-    columns = _is_columns(pairs)
-    if np is not None:
-        left, right = pairs if columns else pair_columns(pairs)
-        table = _sorted_table(
-            np, np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
-        )
-        return hashlib.sha256(table).hexdigest()  # C-contiguous buffer
-    digest = hashlib.sha256()
-    pack = PAIR_STRUCT.pack
-    for left_oid, right_oid in sorted(zip(*pairs) if columns else pairs):
-        digest.update(pack(left_oid, right_oid))
-    return digest.hexdigest()
+    left, right = pairs if _is_columns(pairs) else pair_columns(pairs)
+    table = _sorted_table(
+        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    )
+    return hashlib.sha256(table).hexdigest()  # C-contiguous buffer
 
 
 def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[List[int]]]:
@@ -189,23 +180,17 @@ def encode_pages(
     byte for byte ``encode_message({..., "pairs": page})`` over
     :func:`paginate` of the same pairs (``tolist()`` of the slice).
     """
-    np = get_numpy()
     left, right = columns
     for index, start in enumerate(range(0, len(left), page_size)):
         head = {"ok": True, "query_id": query_id, "page": index}
-        page = (left[start : start + page_size], right[start : start + page_size])
+        page = np.stack(
+            (left[start : start + page_size], right[start : start + page_size]), axis=1
+        )
         if pairs_format == PAIRS_I8:
-            if np is not None:
-                body = np.stack(page, axis=1).astype("<i8", copy=False).tobytes()
-            else:
-                body = b"".join(map(PAIR_STRUCT.pack, *page))
-            yield encode_message({**head, "n": len(page[0]), "bytes": len(body)}) + body
+            body = page.astype("<i8", copy=False).tobytes()
+            yield encode_message({**head, "n": len(page), "bytes": len(body)}) + body
         else:
-            if np is not None:
-                rows = np.stack(page, axis=1).tolist()
-            else:
-                rows = [list(pair) for pair in zip(*page)]
-            yield encode_message({**head, "pairs": rows})
+            yield encode_message({**head, "pairs": page.tolist()})
 
 
 def join_options(

@@ -78,7 +78,7 @@ class DatasetRegistry:
     def __init__(self, pin: bool = True) -> None:
         #: pin datasets into shared-memory segments when the platform
         #: allows it; ``pin=False`` keeps everything as plain KPE lists
-        #: (the no-numpy / no-shm configuration).
+        #: (the no-shm configuration).
         self.pin = pin
         self._lock = threading.Lock()
         self._datasets: Dict[str, Dataset] = {}

@@ -23,8 +23,7 @@ query's engine work stays on one worker thread.
 The result of a join is handled as the two int64 oid buffers
 ``JoinResult.to_arrays()`` returns and never through ``result.pairs``:
 a parallel plan's result is those buffers already, so a served join
-boxes no tuple (``protocol`` decides what a page looks like, and what
-the numpy-free fallback does).
+boxes no tuple (``protocol`` decides what a page looks like).
 
 Every request gets its own :class:`~repro.obs.Tracer`; the finished span
 tree is retained for the last :data:`TRACE_KEEP` queries and served back

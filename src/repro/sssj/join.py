@@ -27,7 +27,6 @@ from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.extsort import BY_XL, XlSorted, sort_in_memory
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import active_backend
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 
 
@@ -58,9 +57,6 @@ class SSSJ:
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
         stats = JoinStats(
             algorithm=f"SSSJ({self.internal_name})",
-            backend=(
-                active_backend() if self.internal_name == "sweep_numpy" else ""
-            ),
             n_left=len(left),
             n_right=len(right),
         )

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro import datasets
 from repro.core.rect import KPE
 from repro.kernels.shm import SEGMENT_PREFIX, _segment_creator_pid
 
@@ -109,7 +110,7 @@ def own_shm_segments(monkeypatch):
 
 
 def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):
-    """Plain-random KPEs with a plain `random.Random` (no numpy)."""
+    """Plain-random KPEs with a plain `random.Random`."""
     rng = random.Random(seed)
     out = []
     for i in range(n):
@@ -129,23 +130,9 @@ def small_pair():
     return left, right
 
 
-def _generators():
-    """The numpy-backed dataset generators, or a skip without numpy.
-
-    Imported lazily so a no-numpy environment can still collect and run
-    everything that does not need them.
-    """
-    import repro.datasets as datasets
-
-    if not datasets.HAVE_GENERATORS:
-        pytest.skip("dataset generators need numpy (the [perf] extra)")
-    return datasets
-
-
 @pytest.fixture
 def clustered_pair():
     """Skewed relations (cluster hot spots)."""
-    datasets = _generators()
     left = datasets.clustered_rects(300, seed=5)
     right = datasets.clustered_rects(300, seed=6, start_oid=10_000)
     return left, right
@@ -154,7 +141,6 @@ def clustered_pair():
 @pytest.fixture
 def uniform_pair():
     """Unskewed relations from the numpy generator."""
-    datasets = _generators()
     left = datasets.uniform_rects(250, seed=3, mean_edge=0.02)
     right = datasets.uniform_rects(250, seed=4, mean_edge=0.02, start_oid=10_000)
     return left, right

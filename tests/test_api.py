@@ -1,11 +1,18 @@
 """Tests for the top-level public API."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro
-from repro import JOIN_METHODS, spatial_join
+import repro.datasets
+import repro.kernels
+from repro import JOIN_METHODS, JoinStats, spatial_join
 from repro.internal import brute_force_pairs
-
 
 
 class TestSpatialJoin:
@@ -32,6 +39,33 @@ class TestSpatialJoin:
         left, right = small_pair
         with pytest.raises(TypeError):
             spatial_join(left, right, 8192, workers=2, scheduler="stealing")
+
+    def test_backend_gate_is_gone(self):
+        """One backend: no switch selects another, in any of its spellings."""
+        script = (
+            "from repro import spatial_join\n"
+            "from tests.conftest import random_kpes\n"
+            "stats = spatial_join(random_kpes(200, 11), random_kpes(200, 22, 10_000), 8192).stats\n"
+            "print(stats.algorithm)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        gated = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), "REPRO_DISABLE_NUMPY": "1"},
+        )
+        assert gated.returncode == 0, gated.stderr
+        assert gated.stdout.split() == ["PBSM(sweep_numpy,RPM)"]
+        for name in (
+            "HAVE_NUMPY", "active_backend", "cpu_count", "get_numpy", "numpy_backend",
+            "numpy_enabled", "python_backend", "python_forward_scan", "require_numpy",
+            "set_numpy_enabled", "backend",
+        ):  # fmt: skip
+            assert not hasattr(repro.kernels, name), name
+        assert not hasattr(repro.datasets, "HAVE_GENERATORS")
+        assert "backend" not in {field.name for field in dataclasses.fields(JoinStats)}
 
     def test_version_exported(self):
         assert repro.__version__

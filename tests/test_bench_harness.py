@@ -1,5 +1,7 @@
 """Tests for the experiment harness: rendering, workloads, registry, CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.bench import (
@@ -130,3 +132,14 @@ class TestBenchCli:
         assert bench_main(["ablation_t_factor", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "x: t in" in out
+
+
+# ----------------------------------------------------------------------
+# the paper's numbers: committed figure tables, reproduced byte for byte
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name", ["table2", "fig3", "fig6", "table3"])
+def test_paper_figure_equals_the_committed_table(name):
+    """Simulated costs and counters are deterministic: an engine change
+    that moves a paper number shows up here, not in a by-hand diff."""
+    committed = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / f"{name}.txt"
+    assert EXPERIMENTS[name]().to_text() + "\n" == committed.read_text()

@@ -22,7 +22,6 @@ from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm import PBSM, TileGrid
 from repro.pbsm.twolayer import (
     bottom_left_refpoint,
@@ -60,15 +59,9 @@ def engine_pair_sets(left, right):
     """Every (engine, dedup) combination's pair set, labelled."""
     out = {}
     for dedup in ("rpm", "sort", "twolayer"):
-        out[f"list/{dedup}"] = PBSM(
-            mb(0.05), internal="sweep_list", dedup=dedup, tiles_per_partition=16
-        ).run(left, right).pair_set()
-        if numpy_enabled():
-            out[f"kernel/{dedup}"] = PBSM(
-                mb(0.05),
-                internal="sweep_numpy",
-                dedup=dedup,
-                tiles_per_partition=16,
+        for label, internal in (("list", "sweep_list"), ("kernel", "sweep_numpy")):
+            out[f"{label}/{dedup}"] = PBSM(
+                mb(0.05), internal=internal, dedup=dedup, tiles_per_partition=16
             ).run(left, right).pair_set()
     out["s3j"] = S3J(mb(0.05)).run(left, right).pair_set()
     return out

@@ -69,6 +69,36 @@ class TestNpyRoundTrip:
         with pytest.raises(ValueError, match="expected an"):
             read_npy(path)
 
+    def test_oids_a_float64_cannot_hold_are_refused(self, tmp_path):
+        """The table is float64: 2**53 + 1 would load back as 2**53, two
+        records would share one oid and a self-join would report that
+        pair four times.  ``.rcd`` and ``.csv`` carry the same input."""
+        import numpy as np
+
+        from repro import spatial_join
+
+        kpes = [KPE(2**53 + 1, 0.1, 0.1, 0.2, 0.2), KPE(2**53, 0.5, 0.5, 0.6, 0.6)]
+        for name in ("big.rcd", "big.csv"):
+            save_relation(kpes, tmp_path / name)
+            loaded = load_relation(tmp_path / name)
+            assert list(loaded) == kpes
+            result = spatial_join(loaded, loaded, 1 << 20)
+            assert sorted(result.pairs) == [(2**53, 2**53), (2**53 + 1, 2**53 + 1)]
+        for oid in (2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)):
+            rows = [kpes[1], KPE(7, 0.3, 0.3, 0.4, 0.4), KPE(oid, 0.1, 0.1, 0.2, 0.2)]
+            with pytest.raises(ValueError, match=rf"oid {oid} at row 2 "):
+                save_relation(rows, tmp_path / "big.npy")
+            assert not (tmp_path / "big.npy").exists()
+        edge = [KPE(2**53, 0.1, 0.1, 0.2, 0.2), KPE(-(2**53), 0.5, 0.5, 0.6, 0.6)]
+        write_npy(edge, tmp_path / "edge.npy")
+        assert read_npy(tmp_path / "edge.npy") == edge
+        # A table someone else wrote: a fractional or non-finite oid is
+        # rejected by row, never truncated into a neighbour's.
+        for bad in (7.5, 2.0**53 + 2, np.nan, np.inf):
+            np.save(tmp_path / "odd.npy", np.array([[1, 0, 0, 1, 1], [bad, 0, 0, 1, 1]]))
+            with pytest.raises(ValueError, match="row 1 has oid"):
+                read_npy(tmp_path / "odd.npy")
+
 
 class TestDispatch:
     def test_by_extension(self, tmp_path):

@@ -4,45 +4,18 @@ import pytest
 
 from repro.core.rect import KPE
 from repro.core.stats import CpuCounters
+from repro.internal import sweep_list_join
 from repro.io.costmodel import CostModel
-from repro.kernels.backend import (
-    HAVE_NUMPY,
-    active_backend,
-    cpu_count,
-    get_numpy,
-    numpy_backend,
-    numpy_enabled,
-    python_backend,
-    require_numpy,
-)
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
     STRIPE_MIN_RECORDS,
     _stripe_count,
     _stripe_layout,
     forward_scan_batches,
-    python_forward_scan,
     sweep_numpy_join,
 )
 
 from tests.conftest import random_kpes
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-
-
-@pytest.fixture(autouse=True)
-def _numpy_path_on():
-    """Force the numpy gate on for these kernel-internal unit tests.
-
-    REPRO_DISABLE_NUMPY exists to exercise *driver-level* fallbacks; the
-    tests here poke the vectorized internals directly, so they re-enable
-    the gate (a no-op when numpy is genuinely absent).  Tests that want
-    the fallback enter ``python_backend()`` themselves — nested contexts
-    override this fixture.
-    """
-    with numpy_backend():
-        yield
-
 
 def xl_sorted(kpes):
     return ColumnarRelation.from_kpes(kpes).sort_by_xl()
@@ -55,35 +28,6 @@ def collect(fn, left, right):
     return pairs, counters
 
 
-class TestBackendGate:
-    def test_python_backend_context(self):
-        with python_backend():
-            assert not numpy_enabled()
-            assert active_backend() == "python"
-            assert get_numpy() is None
-
-    def test_numpy_backend_context(self):
-        with numpy_backend():
-            assert numpy_enabled() == HAVE_NUMPY
-            if HAVE_NUMPY:
-                assert active_backend() == "numpy"
-
-    def test_require_numpy_raises_when_disabled(self):
-        with python_backend():
-            with pytest.raises(RuntimeError):
-                require_numpy()
-
-    def test_gate_restored_after_context(self):
-        before = numpy_enabled()
-        with python_backend():
-            pass
-        assert numpy_enabled() == before
-
-    def test_cpu_count_positive(self):
-        assert cpu_count() >= 1
-
-
-@needs_numpy
 class TestColumnarRelation:
     def test_round_trip_is_loss_free(self):
         kpes = random_kpes(100, seed=9)
@@ -119,7 +63,6 @@ class TestColumnarRelation:
         assert cols.sorted_by_xl
 
 
-@needs_numpy
 class TestForwardScanBatches:
     def test_rejects_unsorted_inputs(self):
         cols = ColumnarRelation.from_kpes(random_kpes(10, seed=3))
@@ -155,23 +98,19 @@ class TestForwardScanBatches:
         assert counters.intersection_tests == 0  # batch currency only
 
 
-@needs_numpy
 class TestStriping:
     def test_small_inputs_use_one_stripe(self):
-        np = require_numpy()
         a = xl_sorted(random_kpes(100, seed=1))
         b = xl_sorted(random_kpes(100, seed=2))
-        assert _stripe_count(np, a, b, 1.0) == 1
+        assert _stripe_count(a, b, 1.0) == 1
 
     def test_large_inputs_stripe(self):
-        np = require_numpy()
         n = STRIPE_MIN_RECORDS
         a = xl_sorted(random_kpes(n, seed=3, max_edge=0.01))
         b = xl_sorted(random_kpes(n, seed=4, max_edge=0.01))
-        assert _stripe_count(np, a, b, 1.0) > 1
+        assert _stripe_count(a, b, 1.0) > 1
 
     def test_tall_rectangles_cap_replication(self):
-        np = require_numpy()
         # Rectangles spanning most of the y axis: striping would replicate
         # every record into every stripe, so the cap must kick in.
         tall = [
@@ -179,10 +118,9 @@ class TestStriping:
             for i in range(STRIPE_MIN_RECORDS)
         ]
         cols = xl_sorted(tall)
-        assert _stripe_count(np, cols, cols, 1.0) == 1
+        assert _stripe_count(cols, cols, 1.0) == 1
 
     def test_stripe_layout_covers_every_overlapped_stripe(self):
-        np = require_numpy()
         counters = CpuCounters()
         kpes = [
             KPE(0, 0.0, 0.05, 1.0, 0.05),  # stripe 0 only
@@ -191,7 +129,7 @@ class TestStriping:
         ]
         cols = xl_sorted(kpes)
         k = 10
-        orig, bounds, slo = _stripe_layout(np, cols, 0.0, k / 1.0, k, counters)
+        orig, bounds, slo = _stripe_layout(cols, 0.0, k / 1.0, k, counters)
         assert slo.tolist() == [0, 1, 9]
         members = {
             s: orig[bounds[s] : bounds[s + 1]].tolist() for s in range(k)
@@ -203,31 +141,14 @@ class TestStriping:
 
     def test_striped_and_unstriped_agree(self):
         # Past STRIPE_MIN_RECORDS the kernel stripes; the pair set must
-        # match the plain python scan bit for bit.
+        # match the paper's list sweep bit for bit.
         n = STRIPE_MIN_RECORDS
         left = random_kpes(n, seed=5, max_edge=0.01)
         right = random_kpes(n, seed=6, start_oid=10**6, max_edge=0.01)
         got, counters = collect(sweep_numpy_join, left, right)
-        want, _ = collect(python_forward_scan, left, right)
+        want, _ = collect(sweep_list_join, left, right)
         assert sorted(got) == sorted(want)
         assert counters.batch_ops > 0
-
-
-class TestPythonFallback:
-    def test_fallback_used_when_backend_off(self):
-        left = random_kpes(80, seed=11, max_edge=0.1)
-        right = random_kpes(80, seed=12, start_oid=500, max_edge=0.1)
-        with python_backend():
-            pairs, counters = collect(sweep_numpy_join, left, right)
-        assert counters.intersection_tests > 0
-        assert counters.batch_ops == 0
-        want, _ = collect(python_forward_scan, left, right)
-        assert pairs == want
-
-    def test_empty_inputs(self):
-        with python_backend():
-            pairs, _ = collect(sweep_numpy_join, [], random_kpes(5, seed=1))
-        assert pairs == []
 
 
 class TestCostModelCurrency:
@@ -251,6 +172,7 @@ class TestCostModelCurrency:
 
 class TestPlannerIntegration:
     def test_sweep_numpy_enumerated_only_with_numpy(self):
+        """numpy is a dependency: the kernel internal is always a candidate."""
         from repro.planner.enumerate import enumerate_candidates
         from repro.planner.stats import profile_join
 
@@ -258,20 +180,9 @@ class TestPlannerIntegration:
             random_kpes(300, seed=31, max_edge=0.05),
             random_kpes(300, seed=32, start_oid=10**4, max_edge=0.05),
         )
-
-        def names(cands):
-            return {
-                c.kwargs.get("internal")
-                for c in cands
-                if c.method == "pbsm"
-            }
-
-        with python_backend():
-            assert "sweep_numpy" not in names(
-                enumerate_candidates(jp, 10**6)
-            )
-        if HAVE_NUMPY:
-            with numpy_backend():
-                assert "sweep_numpy" in names(
-                    enumerate_candidates(jp, 10**6)
-                )
+        internals = {
+            c.kwargs.get("internal")
+            for c in enumerate_candidates(jp, 10**6)
+            if c.method == "pbsm"
+        }
+        assert "sweep_numpy" in internals

@@ -19,7 +19,6 @@ from repro.core.rect import KPE
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
-from repro.kernels.backend import HAVE_NUMPY, numpy_enabled, python_backend
 from repro.internal.sweep_list import sweep_list_join
 from repro.kernels.columnar import ColumnarRelation
 import repro.kernels.rpm as rpm_module
@@ -32,12 +31,6 @@ from repro.pbsm.join import tuple_leaf
 from repro.pbsm.twolayer import twolayer_partition_join
 
 from tests.conftest import random_kpes
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-needs_kernels = pytest.mark.skipif(
-    not numpy_enabled(), reason="the id-pair kernels need the numpy backend"
-)
-
 
 def run(name, left, right):
     counters = CpuCounters()
@@ -63,7 +56,6 @@ def make_inputs(kind, n, seed, start_oid=0):
     return mixed_scale(n, seed=seed, start_oid=start_oid)
 
 
-@needs_numpy
 @pytest.mark.parametrize("kind", ["uniform", "clustered", "skewed"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_seeded_distributions_match(kind, seed):
@@ -74,7 +66,6 @@ def test_seeded_distributions_match(kind, seed):
     assert sorted(run("sweep_list", left, right)) == truth
 
 
-@needs_numpy
 @pytest.mark.parametrize("kind", ["uniform", "clustered"])
 def test_striped_regime_matches_list_sweep(kind):
     # Inputs large enough that the kernel's y-striping engages.
@@ -86,15 +77,6 @@ def test_striped_regime_matches_list_sweep(kind):
     )
 
 
-def test_python_fallback_matches_list_sweep():
-    left = random_kpes(300, seed=17, max_edge=0.08)
-    right = random_kpes(300, seed=18, start_oid=10**4, max_edge=0.08)
-    with python_backend():
-        got = run("sweep_numpy", left, right)
-    assert sorted(got) == sorted(run("sweep_list", left, right))
-
-
-@needs_numpy
 def test_touch_only_rectangles_count():
     # Shared edges and corners intersect (closed rectangles); the
     # searchsorted sides must treat the boundaries inclusively.
@@ -110,8 +92,6 @@ def test_touch_only_rectangles_count():
     ]
     truth = sorted(brute_force_pairs(left, right))
     assert sorted(run("sweep_numpy", left, right)) == truth
-    with python_backend():
-        assert sorted(run("sweep_numpy", left, right)) == truth
 
 
 @st.composite
@@ -129,7 +109,6 @@ def touching_kpes(draw):
     return left, right
 
 
-@needs_numpy
 @given(touching_kpes())
 def test_property_lattice_parity(pair):
     left, right = pair
@@ -231,13 +210,11 @@ class BatchedVsScalar:
             assert got_sup == want_sup
 
 
-@needs_kernels
 class TestBatchedRPM(BatchedVsScalar):
     join_ids = staticmethod(rpm_join_ids)
     scalar = staticmethod(scalar_rpm)
 
 
-@needs_kernels
 class TestBatchedTwolayer(BatchedVsScalar):
     join_ids = staticmethod(twolayer_join_ids)
     scalar = staticmethod(scalar_twolayer)
@@ -269,7 +246,6 @@ def assert_regrouping_is_invisible(monkeypatch, *scan_args):
     return default
 
 
-@needs_kernels
 class TestOwnershipBatching:
     SUBGRID = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 3, 3, 2, mapping="round_robin")
 
@@ -280,9 +256,9 @@ class TestOwnershipBatching:
         tests = []
         point_partitions = rpm_module.point_partitions
 
-        def counting(np, grid, x, y):
+        def counting(grid, x, y):
             tests.append(len(x))
-            return point_partitions(np, grid, x, y)
+            return point_partitions(grid, x, y)
 
         monkeypatch.setattr(rpm_module, "point_partitions", counting)
         grid = rpm_grid()
@@ -372,7 +348,6 @@ def adversarial_points(grid):
     return list(itertools.product(sorted(xs), sorted(ys)))
 
 
-@needs_numpy
 class TestGridKernelParity:
     """Pin ``point_tiles``/``tile_partitions`` to the scalar ``TileGrid``."""
 
@@ -393,8 +368,8 @@ class TestGridKernelParity:
         points = adversarial_points(grid)
         x = np.array([p[0] for p in points])
         y = np.array([p[1] for p in points])
-        tx, ty = point_tiles(np, grid, x, y)
-        owner = tile_partitions(np, grid, tx, ty)
+        tx, ty = point_tiles(grid, x, y)
+        owner = tile_partitions(grid, tx, ty)
         for i, (px, py) in enumerate(points):
             want_tile = grid.tile_of_point(px, py)
             assert (int(tx[i]), int(ty[i])) == want_tile, (px, py)
@@ -409,10 +384,10 @@ class TestGridKernelParity:
             (i, min(ax, bx), min(ay, by), max(ax, bx), max(ay, by))
             for i, ((ax, ay), (bx, by)) in enumerate(zip(points, reversed(points)))
         ]
-        ranges = tile_ranges(np, grid, kpes)
+        ranges = tile_ranges(grid, kpes)
         table = np.asarray(kpes, dtype=np.float64)
         columns = ColumnarRelation(np.arange(len(kpes)), *table.T[1:])
-        from_columns = tile_ranges(np, grid, columns)
+        from_columns = tile_ranges(grid, columns)
         for got, same in zip(ranges, from_columns):
             assert got.tolist() == same.tolist()
         for i, kpe in enumerate(kpes):
@@ -429,13 +404,13 @@ class TestGridKernelParity:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             bounded = TileGrid(Space(-2.0, 1.0, 6.0, 3.0), 5, 3, 7)
-            tx, ty = point_tiles(np, bounded, x, y)
+            tx, ty = point_tiles(bounded, x, y)
             # Border tiles for the infinities, tile 0 for a NaN.
             assert tx.tolist() == [0, 4, 0, 1] and ty.tolist() == [2, 0, 0, 0]
             # An unbounded axis has one tile's worth of arithmetic: every
             # position on it, finite or not, is NaN or 0 -> tile 0.
             unbounded = TileGrid(Space(-inf, 1.0, inf, inf), 5, 3, 7)
-            tx, ty = point_tiles(np, unbounded, x, np.array([1.0, 7.0, inf, 2.0]))
+            tx, ty = point_tiles(unbounded, x, np.array([1.0, 7.0, inf, 2.0]))
             assert tx.tolist() == [0, 0, 0, 0] and ty.tolist() == [0, 0, 0, 0]
 
     def test_hash_constants_single_source(self):
@@ -462,6 +437,6 @@ class TestGridKernelParity:
                 assert grid.partition_of_tile(tx, ty) == want
         txs = np.arange(grid.nx).repeat(grid.ny)
         tys = np.tile(np.arange(grid.ny), grid.nx)
-        owners = tile_partitions(np, grid, txs, tys)
+        owners = tile_partitions(grid, txs, tys)
         for tx, ty, got in zip(txs.tolist(), tys.tolist(), owners.tolist()):
             assert got == grid.partition_of_tile(tx, ty)

@@ -42,9 +42,8 @@ def lint_one(source, rule_id, path="module.py"):
 # rule catalogue and embedded fixtures
 # ----------------------------------------------------------------------
 class TestCatalogue:
-    def test_twelve_rules_shipped(self):
+    def test_eleven_rules_shipped(self):
         assert [r.rule_id for r in ALL_RULES] == [
-            "RPL001",
             "RPL002",
             "RPL003",
             "RPL004",
@@ -66,74 +65,6 @@ class TestCatalogue:
 
     def test_self_test_passes(self):
         assert self_test() == []
-
-
-# ----------------------------------------------------------------------
-# RPL001 — numpy gate
-# ----------------------------------------------------------------------
-class TestNumpyGate:
-    def test_flags_top_level_import(self):
-        bad = "import numpy as np\nX = np.zeros(3)\n"
-        assert rules_of(lint_one(bad, "RPL001")) == ["RPL001"]
-
-    def test_flags_from_import(self):
-        bad = "from numpy import zeros\n"
-        assert rules_of(lint_one(bad, "RPL001")) == ["RPL001"]
-
-    def test_flags_submodule_import(self):
-        bad = "import numpy.linalg\n"
-        assert rules_of(lint_one(bad, "RPL001")) == ["RPL001"]
-
-    def test_allows_function_local_import(self):
-        good = "def f():\n    import numpy as np\n    return np.zeros(3)\n"
-        assert lint_one(good, "RPL001") == []
-
-    def test_allows_kernels_package(self):
-        bad = "import numpy as np\n"
-        path = "src/repro/kernels/fast.py"
-        assert lint_one(bad, "RPL001", path=path) == []
-
-    def test_backend_gate_is_the_sanctioned_route(self):
-        good = (
-            "from repro.kernels.backend import require_numpy_module\n"
-            "def gen(n):\n"
-            "    np = require_numpy_module()\n"
-            "    return np.zeros(n)\n"
-        )
-        assert lint_one(good, "RPL001") == []
-
-    def test_numpy_free_interpreter_can_import_everything(self):
-        """The invariant RPL001 exists to protect, checked for real."""
-        script = (
-            "import builtins, importlib, pkgutil, sys\n"
-            "real = builtins.__import__\n"
-            "def guard(name, *a, **k):\n"
-            "    if name == 'numpy' or name.startswith('numpy.'):\n"
-            "        raise ImportError('numpy blocked by test')\n"
-            "    return real(name, *a, **k)\n"
-            "builtins.__import__ = guard\n"
-            "sys.modules.pop('numpy', None)\n"
-            "import repro\n"
-            "bad = []\n"
-            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
-            "    try:\n"
-            "        importlib.import_module(m.name)\n"
-            "    except ImportError as exc:\n"
-            "        if 'numpy blocked' in str(exc):\n"
-            "            bad.append(m.name)\n"
-            "print(','.join(bad))\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "", (
-            f"modules that import numpy at import time: {proc.stdout}"
-        )
 
 
 # ----------------------------------------------------------------------
@@ -845,7 +776,7 @@ class TestEngine:
 
     def test_suppression_accepts_lists(self):
         src = (
-            "import numpy  # repro-lint: disable=RPL001,RPL003\n"
+            "T = S.io_units_by_phase[\"join\"]  # repro-lint: disable=RPL002,RPL003\n"
             "H = 19349663  # repro-lint: disable=all\n"
         )
         assert lint_source(src) == []
@@ -880,23 +811,23 @@ class TestEngine:
     def test_compound_header_comment_does_not_blanket_the_block(self):
         # Expansion applies to *simple* statements only; a disable on an
         # `if` header must not silence findings inside the block.
-        src = "if True:  # repro-lint: disable=RPL001\n    import numpy\n"
-        assert rules_of(lint_source(src)) == ["RPL001"]
+        src = "if True:  # repro-lint: disable=RPL002\n    T = S.io_units_by_phase[\"join\"]\n"
+        assert rules_of(lint_source(src)) == ["RPL002"]
 
     def test_syntax_error_reported_as_rpl000(self):
         findings = lint_source("def broken(:\n")
         assert rules_of(findings) == [SYNTAX_RULE_ID]
 
     def test_findings_render_as_path_line_col(self):
-        findings = lint_one("import numpy\n", "RPL001", path="pkg/mod.py")
-        assert findings[0].render().startswith("pkg/mod.py:1:0: RPL001 ")
+        findings = lint_one("T = S.io_units_by_phase[\"join\"]\n", "RPL002", path="pkg/mod.py")
+        assert findings[0].render().startswith("pkg/mod.py:1:24: RPL002 ")
 
     def test_run_lint_on_directory(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        (tmp_path / "bad.py").write_text("import numpy\n")
+        (tmp_path / "bad.py").write_text("T = S.io_units_by_phase[\"join\"]\n")
         (tmp_path / "__pycache__").mkdir()
-        (tmp_path / "__pycache__" / "sneaky.py").write_text("import numpy\n")
-        findings = run_lint([tmp_path], rules=[RULES_BY_ID["RPL001"]])
+        (tmp_path / "__pycache__" / "sneaky.py").write_text("T = S.io_units_by_phase[\"join\"]\n")
+        findings = run_lint([tmp_path], rules=[RULES_BY_ID["RPL002"]])
         assert [Path(f.path).name for f in findings] == ["bad.py"]
 
     def test_missing_path_raises(self):
@@ -924,18 +855,18 @@ class TestCli:
 
     def test_violations_exit_1(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("import numpy\n")
+        bad.write_text("T = S.io_units_by_phase[\"join\"]\n")
         proc = self.run_cli(str(bad))
         assert proc.returncode == 1
-        assert "RPL001" in proc.stdout
+        assert "RPL002" in proc.stdout
         assert "disable=RPLxxx" in proc.stderr
 
     def test_select_limits_rules(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("import numpy\nH = 73856093\n")
+        bad.write_text("T = S.io_units_by_phase[\"join\"]\nH = 73856093\n")
         proc = self.run_cli("--select", "RPL003", str(bad))
         assert proc.returncode == 1
-        assert "RPL003" in proc.stdout and "RPL001" not in proc.stdout
+        assert "RPL003" in proc.stdout and "RPL002" not in proc.stdout
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         proc = self.run_cli("--select", "RPL999", str(tmp_path))
@@ -963,7 +894,7 @@ class TestCli:
 class TestCiIntegration:
     run_cli = TestCli.run_cli
 
-    BAD = "import numpy\nH = 73856093\n"
+    BAD = "T = S.io_units_by_phase[\"join\"]\nH = 73856093\n"
 
     def test_sarif_output_structure(self, tmp_path):
         import json
@@ -983,7 +914,7 @@ class TestCiIntegration:
         shipped = {r["id"] for r in driver["rules"]}
         assert {r.rule_id for r in ALL_RULES} <= shipped
         results = run["results"]
-        assert sorted(r["ruleId"] for r in results) == ["RPL001", "RPL003"]
+        assert sorted(r["ruleId"] for r in results) == ["RPL002", "RPL003"]
         loc = results[0]["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"].endswith("bad.py")
         assert loc["region"]["startLine"] in (1, 2)
@@ -1016,7 +947,7 @@ class TestCiIntegration:
         proc = self.run_cli("--baseline", str(baseline), str(bad))
         assert proc.returncode == 1
         assert proc.stdout.count("RPL003") == 1
-        assert "RPL001" not in proc.stdout
+        assert "RPL002" not in proc.stdout
 
     def test_checked_in_baseline_is_empty(self):
         """Satellite 2's contract: the repo lints clean with no
@@ -1056,11 +987,11 @@ class TestCiIntegration:
         cache = tmp_path / "cache.json"
         self.run_cli("--cache", str(cache), str(src))
 
-        src.write_text("import numpy\n")
+        src.write_text("T = S.io_units_by_phase[\"join\"]\n")
         proc = self.run_cli("--cache", str(cache), str(src))
         assert proc.returncode == 1
         assert "1 miss(es)" in proc.stderr
-        assert "RPL001" in proc.stdout
+        assert "RPL002" in proc.stdout
 
     def test_cached_findings_still_honour_suppressions(self, tmp_path):
         src = tmp_path / "mod.py"

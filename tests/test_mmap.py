@@ -1,8 +1,8 @@
 """The ``.rcd`` persistent columnar format and its mapped stores.
 
 Covers the format robustness contract (corrupt/truncated/mismatched
-headers rejected with clear errors, read-only mapping semantics, numpy
-and struct writers byte-identical), the zero-copy open path
+headers rejected with clear errors, read-only mapping semantics, the
+writer's exact bytes), the zero-copy open path
 (``MappedRelation`` as a drop-in relation sequence, stored fingerprints
 hitting the planner caches), and end-to-end join byte-identity from
 mapped stores across the sequential and parallel (shm) engines.
@@ -14,7 +14,7 @@ import pytest
 
 from repro import spatial_join
 from repro.core.rect import KPE
-from repro.datasets import clustered_rects, uniform_rects
+from repro.datasets import uniform_rects
 from repro.datasets.fileio import load_relation, save_relation
 from repro.io.costmodel import CostModel, mb
 from repro.io.rcd import (
@@ -23,14 +23,8 @@ from repro.io.rcd import (
     RcdFormatError,
     pack_header,
     read_header,
-    read_rcd_python,
-    write_rcd_python,
 )
-from repro.kernels.backend import numpy_enabled, python_backend
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="mapped stores need numpy"
-)
+from repro.planner.stats import relation_fingerprint
 
 
 @pytest.fixture
@@ -93,8 +87,6 @@ class TestFormatRobustness:
         inverted = [KPE(1, 0.5, 0.5, 0.1, 0.6)]  # xh < xl
         with pytest.raises(ValueError, match="invalid MBR"):
             save_relation(inverted, tmp_path / "inv.rcd")
-        with pytest.raises(ValueError, match="invalid MBR"):
-            write_rcd_python(inverted, tmp_path / "inv2.rcd")
 
     def test_header_roundtrip_and_extent(self, rcd_path):
         kpes, path = rcd_path
@@ -114,47 +106,39 @@ class TestFormatRobustness:
 
 
 # ----------------------------------------------------------------------
-# struct fallback vs numpy writer/reader
+# the writer, byte for byte
 # ----------------------------------------------------------------------
-class TestBackendParity:
-    @needs_numpy
-    def test_writers_byte_identical(self, tmp_path):
-        kpes = clustered_rects(1500, seed=3)
-        a = tmp_path / "numpy.rcd"
-        b = tmp_path / "struct.rcd"
-        save_relation(kpes, a)
-        write_rcd_python(kpes, b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_python_reader_roundtrip(self, tmp_path):
-        kpes = uniform_rects(500, seed=4)
-        path = tmp_path / "p.rcd"
-        write_rcd_python(kpes, path)
-        assert read_rcd_python(path) == list(kpes)
-
-    @needs_numpy
-    def test_no_numpy_fallback_matches_mapped_read(self, rcd_path):
-        kpes, path = rcd_path
-        mapped = load_relation(path)
-        assert getattr(mapped, "mapped", False)
-        with python_backend():
-            fallback = load_relation(path)
-        assert isinstance(fallback, list)
-        assert fallback == list(mapped) == list(kpes)
-
-    def test_no_numpy_build_roundtrip(self, tmp_path):
-        kpes = uniform_rects(400, seed=9)
-        path = tmp_path / "nn.rcd"
-        with python_backend():
-            save_relation(kpes, path)
-            back = load_relation(path)
-        assert back == list(kpes)
+def test_a_small_file_is_exactly_these_bytes(tmp_path):
+    """Header, column table and the five little-endian columns of two rows."""
+    kpes = [KPE(7, 0.5, 0.25, 0.75, 1.0), KPE(-3, 0.125, 0.5, 0.25, 2.0)]
+    path = tmp_path / "two.rcd"
+    save_relation(kpes, path)
+    fingerprint = relation_fingerprint(kpes)
+    head = struct.pack(
+        "<8sHHIq4d32sH",
+        b"REPRORCD", 1, 0, 4096, 2,  # flags 0: xl descends
+        0.125, 0.25, 0.75, 2.0,
+        fingerprint.encode("ascii"), 5,
+    )  # fmt: skip
+    table = b"".join(
+        struct.pack("<4s4sqq", name, dtype, 4096 + 16 * index, 16)
+        for index, (name, dtype) in enumerate(
+            [(b"oid", b"<i8"), (b"xl", b"<f8"), (b"yl", b"<f8"), (b"xh", b"<f8"), (b"yh", b"<f8")]
+        )
+    )
+    columns = struct.pack("<2q", 7, -3) + struct.pack(
+        "<8d", 0.5, 0.125, 0.25, 0.5, 0.75, 0.25, 1.0, 2.0
+    )
+    blob = path.read_bytes()
+    assert blob[: len(head) + len(table)] == head + table
+    assert blob[len(head) + len(table) : 4096] == b"\x00" * (4096 - len(head) - len(table))
+    assert blob[4096:] == columns
+    assert list(load_relation(path)) == kpes
 
 
 # ----------------------------------------------------------------------
 # mapped store semantics
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestMappedStore:
     def test_read_only_mapping_writes_fail_loudly(self, rcd_path):
         from repro.kernels.mmapstore import MappedColumnarStore
@@ -214,7 +198,6 @@ class TestMappedStore:
 # ----------------------------------------------------------------------
 # planner integration
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestPlannerIntegration:
     def test_stored_fingerprint_matches_in_memory(self, rcd_path):
         from repro.planner.stats import relation_fingerprint
@@ -265,7 +248,6 @@ class TestPlannerIntegration:
 # ----------------------------------------------------------------------
 # join byte-identity from mapped stores
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestJoinIdentity:
     def test_sequential_join_identical(self, rcd_path):
         kpes, path = rcd_path

@@ -7,7 +7,6 @@ from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
 
@@ -167,8 +166,6 @@ class TestPageWriter:
     def test_clear_and_read_view_on_an_id_run(self):
         # The columnar partitioner stores id runs as read-only int64
         # views, which have no ``.clear()``; clearing must still work.
-        if not numpy_enabled():
-            pytest.skip("id runs are arrays only on the numpy backend")
         disk = small_disk()
         grid = TileGrid.for_partitions(Space(0.0, 0.0, 1.0, 1.0), 2, 4, "hash")
         kpes = [(i, i / 10, i / 10, i / 10, i / 10) for i in range(10)]

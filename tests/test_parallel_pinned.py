@@ -5,33 +5,27 @@ parallel parity test until all executors moved onto CSR id tasks; since
 then those tests compare one task runner with itself.  What keeps the
 move honest is ``parallel_pinned.json``: :func:`observe` recorded from
 ``executor="simulated"`` on the last commit that still had record tasks
-(51ad48e), over workloads x dedup x internal x workers, once
-with numpy on (section ``"numpy"``) and once gated off (``"python"``).
-Every executor that can run must reproduce its entry — ordered pairs,
-suppression, replication and memory stats, simulated accounting — and
-every entry's pair multiset must equal brute force and the sequential
-tuple engine, the two references the task runner cannot reach.
+(51ad48e), over workloads x dedup x internal x workers.  Every executor
+that can run must reproduce its entry — ordered pairs, suppression,
+replication and memory stats, simulated accounting — and every entry's
+pair multiset must equal brute force and the sequential tuple engine,
+the two references the task runner cannot reach.
 
-One configuration was re-recorded after the move, on purpose: with
-numpy gated off ``internal="sweep_numpy"`` now resolves through the
-registry fallback (``python_forward_scan``) exactly as sequential
-``PBSM`` does, where the deleted hybrids had a private ``sweep_list``
-fallback — same pair set and suppression, different order and counters.
-
-The recording also had a ``scheduler`` dimension.  Its ``stealing`` half
-went with the option; the ``static`` half is what remains, values
-untouched — only ``/static`` was dropped from the keys.
+The recording also had a ``scheduler`` dimension and a ``python``
+section (the run with numpy gated off).  The ``stealing`` half and the
+``python`` section went with their options; what remains is the
+``static`` half of the ``numpy`` section, values untouched — only
+``/static`` was dropped from the keys, and the ``numpy/`` prefix stays.
 
 Re-record (only the keys containing every given fragment)::
 
-    PYTHONPATH=src python -m tests.test_parallel_pinned python/ /sweep_numpy/
+    PYTHONPATH=src python -m tests.test_parallel_pinned /zipf/ /sweep_numpy/
 """
 
 import hashlib
 import itertools
 import json
 import sys
-from contextlib import nullcontext
 from functools import lru_cache
 from pathlib import Path
 
@@ -41,7 +35,6 @@ from repro import PBSM
 from repro.datasets.synthetic import zipf_rects
 from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled, python_backend
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.parallel import ParallelPBSM
 
@@ -54,7 +47,8 @@ WORKLOADS = ("uniform", "zipf", "point+sliver", "self", "empty")
 DEDUPS = ("rpm", "twolayer")
 INTERNALS = ("sweep_numpy", "sweep_trie", "sweep_list")
 WORKERS = (1, 2, 3)
-SECTIONS = ("numpy", "python")
+#: Key prefix (and test id) of every entry: the one section left.
+SECTION = "numpy"
 
 
 @lru_cache(maxsize=None)
@@ -98,10 +92,6 @@ def reference_pairs(name):
     return brute
 
 
-def section_backend(section):
-    return python_backend() if section == "python" else nullcontext()
-
-
 def run(name, dedup, internal, workers, executor="simulated"):
     left, right, memory = workload(name)
     return ParallelPBSM(
@@ -142,11 +132,11 @@ def load_pinned():
     return entries
 
 
-def executors(section):
-    """``(executor, disable_shm)`` for every executor that can run in *section*."""
+def executors():
+    """``(executor, disable_shm)`` for every executor that can run here."""
     # Without a segment the process executor runs the thread executor.
     runnable = [("simulated", False), ("thread", False), ("process", True)]
-    if section == "numpy" and shm_enabled():
+    if shm_enabled():
         runnable.append(("process", False))
     return runnable
 
@@ -159,43 +149,36 @@ def pinned():
 @pytest.mark.parametrize("internal", INTERNALS)
 @pytest.mark.parametrize("dedup", DEDUPS)
 @pytest.mark.parametrize("name", WORKLOADS)
-@pytest.mark.parametrize("section", SECTIONS)
+@pytest.mark.parametrize("section", [SECTION])
 def test_every_executor_reproduces_the_pinned_run(
     section, name, dedup, internal, pinned, monkeypatch
 ):
-    if section == "numpy" and not numpy_enabled():
-        pytest.skip("the numpy section needs the numpy backend")
     reference = reference_pairs(name)
-    with section_backend(section):
-        for workers in WORKERS:
-            key = f"{section}/{name}/{dedup}/{internal}/W{workers}"
-            for executor, disable_shm in executors(section):
-                if workers == 1 and executor != "simulated":
-                    continue  # one worker never fans out: the same loop
-                with monkeypatch.context() as env:
-                    if disable_shm:
-                        env.setenv("REPRO_DISABLE_SHM", "1")
-                    result = run(name, dedup, internal, workers, executor)
-                assert result.stats.executor == (
-                    "thread" if disable_shm else executor
-                )
-                # Through JSON so both sides are plain dicts of the same
-                # float reprs.
-                observed = json.loads(json.dumps(observe(result)))
-                assert observed == pinned[key], (key, executor, disable_shm)
-                if executor == "simulated":
-                    assert sorted(result.pairs) == reference, key
+    for workers in WORKERS:
+        key = f"{section}/{name}/{dedup}/{internal}/W{workers}"
+        for executor, disable_shm in executors():
+            if workers == 1 and executor != "simulated":
+                continue  # one worker never fans out: the same loop
+            with monkeypatch.context() as env:
+                if disable_shm:
+                    env.setenv("REPRO_DISABLE_SHM", "1")
+                result = run(name, dedup, internal, workers, executor)
+            assert result.stats.executor == ("thread" if disable_shm else executor)
+            # Through JSON so both sides are plain dicts of the same
+            # float reprs.
+            observed = json.loads(json.dumps(observe(result)))
+            assert observed == pinned[key], (key, executor, disable_shm)
+            if executor == "simulated":
+                assert sorted(result.pairs) == reference, key
 
 
 def record(*fragments):
     """Replace the entries whose key has every fragment with fresh runs."""
     entries = load_pinned() if PINNED.exists() else {}
-    for section in SECTIONS:
-        with section_backend(section):
-            for combo in itertools.product(WORKLOADS, DEDUPS, INTERNALS, WORKERS):
-                key = "/".join((section,) + combo[:3]) + f"/W{combo[3]}"
-                if all(fragment in key for fragment in fragments):
-                    entries[key] = json.loads(json.dumps(observe(run(*combo))))
+    for combo in itertools.product(WORKLOADS, DEDUPS, INTERNALS, WORKERS):
+        key = "/".join((SECTION,) + combo[:3]) + f"/W{combo[3]}"
+        if all(fragment in key for fragment in fragments):
+            entries[key] = json.loads(json.dumps(observe(run(*combo))))
     first_key = {}
     lines = []
     for key in sorted(entries):

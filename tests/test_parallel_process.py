@@ -11,13 +11,13 @@ the plumbing (picklable grid specs, LPT chunking, counter merge).
 import pytest
 
 from repro.core.space import Space
-from repro.datasets import HAVE_GENERATORS
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.parallel import (
     EXECUTORS,
     ParallelPBSM,
+    cpu_count,
     _chunk_tasks,
     _grid_from_spec,
     _grid_spec,
@@ -53,8 +53,8 @@ class TestProcessExecutorParity:
         assert proc.pairs == sim.pairs
 
     def test_executor_recorded_in_stats(self):
-        # What actually ran: without a shared-memory segment (no numpy,
-        # REPRO_DISABLE_SHM) a process request runs on threads.
+        # What actually ran: without a shared-memory segment
+        # (REPRO_DISABLE_SHM) a process request runs on threads.
         ran = "process" if shm_enabled() else "thread"
         assert run("process", 2).stats.executor == ran
         assert run("simulated", 2).stats.executor == "simulated"
@@ -103,6 +103,9 @@ class TestGracefulDegrade:
 
 
 class TestPlumbing:
+    def test_cpu_count_positive(self):
+        assert cpu_count() >= 1
+
     def test_grid_spec_round_trip(self):
         grid = TileGrid(Space(0.0, 0.0, 2.0, 1.0), 8, 4, 5, mapping="hash")
         back = _grid_from_spec(_grid_spec(grid))
@@ -149,7 +152,6 @@ class TestSpatialJoinWorkers:
         with pytest.raises(ValueError):
             spatial_join(LEFT, RIGHT, MEMORY, method="sssj", workers=2)
 
-    @pytest.mark.skipif(not HAVE_GENERATORS, reason="CSV I/O needs numpy")
     def test_cli_workers_flag(self, tmp_path, capsys):
         from repro.cli import main
         from repro.datasets import save_relation
@@ -175,7 +177,6 @@ class TestSpatialJoinWorkers:
         out = capsys.readouterr().out
         assert "executor" in out
 
-    @pytest.mark.skipif(not HAVE_GENERATORS, reason="CSV I/O needs numpy")
     def test_cli_workers_requires_pbsm(self, tmp_path):
         from repro.cli import main
         from repro.datasets import save_relation

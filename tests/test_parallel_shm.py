@@ -23,7 +23,6 @@ import pytest
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
-from repro.kernels.backend import numpy_enabled, python_backend
 from repro.kernels.shm import (
     SEGMENT_PREFIX,
     SharedColumnarStore,
@@ -36,11 +35,8 @@ from repro.pbsm.partitioner import partition_csr, partition_relation
 
 from tests.conftest import random_kpes
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="columnar kernels need numpy"
-)
 needs_shm = pytest.mark.skipif(
-    not shm_enabled(), reason="needs numpy and platform shared memory"
+    not shm_enabled(), reason="needs platform shared memory"
 )
 
 LEFT = random_kpes(1200, seed=71, max_edge=0.03)
@@ -299,20 +295,8 @@ def assert_degrades_to_thread():
 
 class TestDegradation:
     def test_disable_env_degrades_to_thread(self, monkeypatch):
-        # Works with or without numpy.
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         assert_degrades_to_thread()
-
-    @needs_numpy
-    def test_numpy_gate_closes_shm(self):
-        with python_backend():
-            assert_degrades_to_thread()
-
-    def test_missing_numpy_degrades(self):
-        # In the no-numpy CI job this runs for real; with numpy it is
-        # covered by the gate test above.
-        if not numpy_enabled():
-            assert_degrades_to_thread()
 
     def test_workers_1_stays_in_process_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")

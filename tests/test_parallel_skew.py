@@ -17,16 +17,12 @@ from hypothesis import strategies as st
 from repro.core.phases import PHASE_JOIN
 from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM
 from repro.pbsm.parallel import ParallelPBSM
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="columnar kernels need numpy"
-)
 needs_shm = pytest.mark.skipif(
-    not shm_enabled(), reason="needs numpy and platform shared memory"
+    not shm_enabled(), reason="needs platform shared memory"
 )
 
 MEMORY = mb(0.25)
@@ -62,7 +58,6 @@ REAL_EXECUTORS = [
 # ----------------------------------------------------------------------
 # byte-identity under skew, every executor
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSkewedByteIdentity:
     @pytest.fixture(scope="class")
     def sequential(self):
@@ -101,7 +96,6 @@ class TestSkewedByteIdentity:
 # ----------------------------------------------------------------------
 # the same matrix under dedup="twolayer" (corner-class avoidance)
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestTwolayerSkewMatrix:
     """Every executor, with two-layer duplicate avoidance.
 
@@ -146,7 +140,6 @@ class TestTwolayerSkewMatrix:
 # ----------------------------------------------------------------------
 # randomized property: duplicate-freedom survives any Zipf workload
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestZipfProperty:
     @settings(max_examples=8, deadline=None)
     @given(

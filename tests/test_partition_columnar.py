@@ -1,10 +1,11 @@
 """The columnar ``emit="ids"`` partitioner against the scalar loop it replaced.
 
-``partition_relation(..., emit="ids")`` on the numpy backend is one
-kernel (``kernels.assign.partition_ids``) plus charges computed from the
-per-partition counts; the per-record loop survives only as the
-numpy-free fallback.  Everything the rest of the engine can observe must
-be equal between the two: the id list of every partition file,
+``partition_relation(..., emit="ids")`` is one kernel
+(``kernels.assign.partition_ids``) plus charges computed from the
+per-partition counts; the per-record loop it replaced is
+:func:`scalar_partition_ids` here, spelt with ``partitions_for_rect``
+and one ``PageWriter`` per partition.  Everything the rest of the engine
+can observe must be equal between the two: the id list of every partition file,
 ``records_written``, the charged ``structure_ops`` and every
 ``SimulatedDisk`` request/page counter — and, one level up, the pairs
 and ``JoinStats`` of a process-executor ``ParallelPBSM`` run against the
@@ -25,7 +26,7 @@ from repro.datasets.fileio import load_relation, save_relation
 from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
-from repro.kernels.backend import numpy_enabled, python_backend
+from repro.io.pagefile import PageFile
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TILE_MAPPINGS, TileGrid
 from repro.pbsm import parallel
@@ -35,33 +36,46 @@ from repro.pbsm.partitioner import partition_relation
 from tests.conftest import random_kpes
 from tests.test_boundary_ownership import lattice_rects
 
-pytestmark = pytest.mark.skipif(
-    not numpy_enabled(), reason="the columnar partitioner needs numpy"
-)
 needs_shm = pytest.mark.skipif(
-    not shm_enabled(), reason="needs numpy and platform shared memory"
+    not shm_enabled(), reason="needs platform shared memory"
 )
 
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
+
+
+def scalar_partition_ids(kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages):
+    """The per-record loop: every row id into every partition it overlaps."""
+    files = [
+        PageFile(disk, record_bytes, f"{name_prefix}.{pid}")
+        for pid in range(grid.n_partitions)
+    ]
+    writers = [file.writer(buffer_pages=buffer_pages) for file in files]
+    written = 0
+    for i, kpe in enumerate(kpes):
+        pids = grid.partitions_for_rect(kpe)
+        counters.structure_ops += len(pids) + 1
+        for pid in pids:
+            writers[pid].write(i)
+        written += len(pids)
+    for writer in writers:
+        writer.close()
+    return files, written
 
 
 def partition_ids_observed(kpes, grid, *, scalar, buffer_pages=1):
     """Everything observable about one ``emit="ids"`` partitioning."""
     disk = SimulatedDisk(CostModel())
     counters = CpuCounters()
-
-    def go():
-        with disk.phase(PHASE_PARTITION):
-            return partition_relation(
+    with disk.phase(PHASE_PARTITION):
+        if scalar:
+            files, written = scalar_partition_ids(
+                kpes, grid, disk, 20, counters, "P", buffer_pages
+            )
+        else:
+            files, written = partition_relation(
                 kpes, grid, disk, 20, counters, "P",
                 buffer_pages=buffer_pages, emit="ids",
-            )
-
-    if scalar:
-        with python_backend():
-            files, written = go()
-    else:
-        files, written = go()
+            )  # fmt: skip
     per_file = [file.read_all() for file in files]
     for ids in per_file:
         assert all(type(i) is int for i in ids)

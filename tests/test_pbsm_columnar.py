@@ -1,7 +1,6 @@
 """The columnar sequential PBSM path against the tuple engine it shadows.
 
-``PBSM(internal="sweep_numpy")`` on the numpy backend runs on columns
-from input to output: id-emitting partitioner (also when repartitioning),
+``PBSM(internal="sweep_numpy")`` runs on columns from input to output: id-emitting partitioner (also when repartitioning),
 a row gather per partition pair into the id-pair kernels, a composed
 repartition region evaluated array-wise as a chain of ``(grid, pid)``
 ownership tests, oid tuples only at the generator boundary.  It is what
@@ -14,9 +13,6 @@ driver hands out whole leaves, not pairs (``TestLeafBatching``): the pair
 order of both engines is pinned to the per-pair generator's
 (``pbsm_leaf_order_pinned.json``, :func:`ordered_hash` of ``run`` at the
 commit before leaf batching).
-
-Numpy-free by construction (pure-Python data generators): without the
-numpy backend the columnar half skips and the rest still runs.
 """
 
 import functools
@@ -39,7 +35,6 @@ from repro.datasets.synthetic import zipf_rects
 from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
 from repro.io.pagefile import PageFile
-from repro.kernels.backend import numpy_enabled, python_backend
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
@@ -51,10 +46,6 @@ from tests.test_boundary_ownership import (
     SENTINELS_LEFT,
     SENTINELS_RIGHT,
     lattice_rects,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="the columnar engine needs the numpy backend"
 )
 
 DEDUPS = ("rpm", "twolayer", "none", "sort")
@@ -144,7 +135,6 @@ def assert_matches_tuple_engine(left, right, memory, dedup, mapping="hash"):
 # ----------------------------------------------------------------------
 # pair set, multiplicity and replication stats vs the tuple engine
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestAgainstTupleEngine:
     @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
@@ -303,7 +293,6 @@ def observe(name, dedup):
     }
 
 
-@needs_numpy
 @pytest.mark.parametrize("name,dedup", PINNED_RUNS)
 def test_accounting_and_order_equal_the_parent_commit(name, dedup):
     pinned = json.loads(PINNED.read_text())[f"{name}/{dedup}"]
@@ -315,12 +304,7 @@ def test_accounting_and_order_equal_the_parent_commit(name, dedup):
 # ----------------------------------------------------------------------
 # the recursion hands out leaves; pairs move a leaf at a time
 # ----------------------------------------------------------------------
-def engine_param(internal):
-    marks = [needs_numpy] if internal == "sweep_numpy" else []
-    return pytest.param(internal, marks=marks)
-
-
-ENGINES = [engine_param("sweep_list"), engine_param("sweep_numpy")]
+ENGINES = ["sweep_list", "sweep_numpy"]
 
 #: No repartitioning, one level, several levels, the no-progress fallback.
 ORDER_RUNS = (
@@ -406,7 +390,6 @@ class TestLeafBatching:
         # run + stats + the two generators' resumes: a handful per leaf.
         assert calls[0] <= 3 * len(sizes) + 10
 
-    @needs_numpy
     @pytest.mark.parametrize("form", ("mapped", "columnar"))
     def test_columnar_inputs_box_each_oid_once(self, form, tmp_path):
         # No KPE tuples to share oids with: one int per row, reused by
@@ -435,7 +418,6 @@ class TestLeafBatching:
 # ----------------------------------------------------------------------
 # streaming, object identity, spans, defaults
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestGeneratorBoundary:
     def test_first_rpm_pair_streams_before_the_last_read(self, monkeypatch):
         reads = [0]
@@ -506,20 +488,6 @@ class TestGeneratorBoundary:
 # the library default
 # ----------------------------------------------------------------------
 class TestSpatialJoinDefault:
-    def test_default_engine_follows_the_backend(self, small_pair):
-        left, right = small_pair
-        default = spatial_join(left, right, mb(0.5)).stats
-        if numpy_enabled():
-            assert default.algorithm == "PBSM(sweep_numpy,RPM)"
-            assert default.backend == "numpy"
-        else:
-            assert default.algorithm == "PBSM(sweep_list,RPM)"
-        # REPRO_DISABLE_NUMPY=1 is this switch, thrown at import.
-        with python_backend():
-            fallback = spatial_join(left, right, mb(0.5)).stats
-        assert fallback.algorithm == "PBSM(sweep_list,RPM)"
-        assert fallback.backend == ""
-
     def test_explicit_internal_still_wins(self, small_pair):
         left, right = small_pair
         paper = spatial_join(left, right, mb(0.5), internal="sweep_list")
@@ -562,7 +530,6 @@ NAN = float("nan")
 INF = float("inf")
 
 
-@needs_numpy
 @pytest.mark.parametrize("join", COLUMN_READERS)
 class TestBadRowsRejected:
     @pytest.mark.parametrize(
@@ -629,7 +596,6 @@ INFINITE_JOINS = [
 ]
 
 
-@needs_numpy
 @pytest.mark.parametrize("join", INFINITE_JOINS)
 @pytest.mark.parametrize("memory_mb", (2.5, 0.05, 0.01))
 @pytest.mark.parametrize("infinite", INFINITE_ROWS)

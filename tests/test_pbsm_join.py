@@ -7,7 +7,6 @@ from repro.core.rect import KPE
 from repro.core.result import JoinStats
 from repro.internal import brute_force_pairs
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm import PBSM, pbsm_join
 
 from tests.conftest import random_kpes
@@ -162,15 +161,7 @@ class TestSharedDriver:
     """A run's state lives in its generator, never on the driver: what two
     ``SpatialJoinOp``s over one ``PBSM`` instance rely on."""
 
-    ENGINES = [
-        "sweep_list",
-        pytest.param(
-            "sweep_numpy",
-            marks=pytest.mark.skipif(
-                not numpy_enabled(), reason="the columnar engine needs numpy"
-            ),
-        ),
-    ]
+    ENGINES = ["sweep_list", "sweep_numpy"]
 
     @staticmethod
     def workload():

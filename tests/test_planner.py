@@ -147,11 +147,9 @@ class TestEnumeration:
         assert {c.method for c in only} == {"sssj"}
 
     def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
-        # No transport and no scheduler axis: a process candidate exists
-        # exactly when its shared-memory segment can, a thread candidate
-        # exactly when the columnar backend can (one per t); with neither
-        # only sequential plans remain.
-        from repro.kernels.backend import numpy_enabled, python_backend
+        # No transport and no scheduler axis: a thread candidate per t,
+        # and a process candidate exactly when its shared-memory segment
+        # can exist.
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)
@@ -169,16 +167,10 @@ class TestEnumeration:
             assert all(parallel.count(e) == per_executor for e in set(parallel))
             return set(parallel)
 
-        expected = set()
-        if shm_enabled():
-            expected.add("process")
-        if numpy_enabled():
-            expected.add("thread")
+        expected = {"process", "thread"} if shm_enabled() else {"thread"}
         assert parallel_executors() == expected
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        assert parallel_executors() == expected - {"process"}
-        with python_backend():
-            assert parallel_executors() == set()
+        assert parallel_executors() == {"thread"}
         with pytest.raises(TypeError):
             estimate_pbsm(jp, 16_000, COST, workers=2, scheduler="static")
 
@@ -186,23 +178,15 @@ class TestEnumeration:
     def test_duplicate_handling_is_not_enumerated(self, small_pair, workers):
         """Every PBSM candidate runs RPM; the one sort-based reference
         stays so EXPLAIN shows why an online scheme wins (Fig. 3)."""
-        from repro.kernels.backend import numpy_enabled, python_backend
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)
-
-        def dedups():
-            candidates = enumerate_candidates(jp, 16_000, COST, workers=workers)
-            return [c.kwargs["dedup"] for c in candidates if c.method == "pbsm"]
-
-        with python_backend():
-            scalar = dedups()
-        for schemes in (dedups(), scalar):
-            assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
-        if numpy_enabled() and shm_enabled():
+        candidates = enumerate_candidates(jp, 16_000, COST, workers=workers)
+        schemes = [c.kwargs["dedup"] for c in candidates if c.method == "pbsm"]
+        assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
+        if shm_enabled():
             # 4 internals x 3 t + sort (+ 2 executors x 3 t), s3j x 3, shj,
             # sssj; the R-tree join comes and goes with the memory budget.
-            candidates = enumerate_candidates(jp, 16_000, COST, workers=workers)
             counted = [c for c in candidates if c.method != "rtree"]
             assert len(counted) == {1: 18, 2: 24}[workers]
 

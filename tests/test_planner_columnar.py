@@ -1,17 +1,16 @@
-"""Columnar planner statistics against the scalar loops they replace.
+"""Columnar planner statistics against their per-record definitions.
 
-On the numpy backend ``profile_join`` computes every statistic from the
-relation's columns (``planner/stats.py``, ``GridHistogram.build``).  The
-per-record loops stay as the fallback and are the reference here: each
-input kind is profiled and planned once under ``python_backend()`` and
-once under ``numpy_backend()`` as a list, as a ``ColumnarRelation`` and
-as a mapped ``.rcd`` file.  The contexts force the backends, so the
-comparison is real under ``REPRO_DISABLE_NUMPY=1`` as well; numpy itself
-has to be importable (the dataset generators need it too).
+``profile_join`` computes every statistic from the relation's columns
+(``planner/stats.py``, ``GridHistogram.build``).  The reference here is
+:func:`scalar_profile`: the same statistics from the per-record loops
+that define them (``repro.datasets.stats``, ``GridHistogram.build`` and
+``Space.of`` on a plain list, a double loop over the strided samples).
+Each input kind is profiled and planned as a list, as a
+``ColumnarRelation`` and as a mapped ``.rcd`` file.
 
 ``planner_columnar_pinned.json`` holds the chosen plan and the candidate
 order of the ``bench_planner`` sweep and both benchmark datasets, recorded
-at the parent commit (per backend) with :func:`observe`.
+at the parent commit with :func:`observe` (under the one key ``numpy``).
 """
 
 import json
@@ -28,16 +27,13 @@ from repro.bench.workloads import (
     memory_for_fraction,
     planner_pair,
 )
+from repro.core.space import Space
 from repro.datasets import clustered_rects, polyline_mbrs, uniform_rects
 from repro.datasets.patterns import mixed_scale
+from repro.datasets.stats import average_area, average_edges, coverage, density_skew
+from repro.estimate import GridHistogram
 from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import CostModel
-from repro.kernels.backend import (
-    active_backend,
-    numpy_backend,
-    numpy_enabled,
-    python_backend,
-)
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.mmapstore import open_relation, write_rcd
 from repro.kernels.shm import shm_enabled
@@ -47,6 +43,13 @@ from repro.planner import (
     plan_join,
     profile_join,
     relation_fingerprint,
+)
+from repro.planner.stats import (
+    _MIN_SAMPLED_PAIRS,
+    _SELECTIVITY_SAMPLE,
+    PROFILE_RESOLUTION,
+    JoinProfile,
+    RelationProfile,
 )
 
 PINNED = Path(__file__).with_name("planner_columnar_pinned.json")
@@ -83,13 +86,58 @@ INPUTS = {
 
 
 def as_form(form, kpes, path):
-    """*kpes* as the planner may be handed it (under ``numpy_backend()``)."""
+    """*kpes* as the planner may be handed it."""
     if form == "list":
         return kpes
     if form == "columnar":
         return ColumnarRelation.from_kpes(kpes)
     write_rcd(kpes, path)
     return open_relation(path)
+
+
+def scalar_relation_profile(kpes):
+    """``RelationProfile.build`` from the per-record definitions."""
+    fingerprint = relation_fingerprint(kpes)
+    if not kpes:
+        return RelationProfile(fingerprint, 0, 0.0, 0.0, 0.0, 0.0, 1.0, (0.0, 0.0, 1.0, 1.0))
+    space = Space.of(kpes)
+    avg_w, avg_h = average_edges(kpes)
+    hist = GridHistogram.build(kpes, space, PROFILE_RESOLUTION)  # a list: the loop
+    return RelationProfile(
+        fingerprint, len(kpes), coverage(kpes), avg_w, avg_h, average_area(kpes),
+        density_skew(hist.counts), (space.xl, space.yl, space.xh, space.yh),
+    )  # fmt: skip
+
+
+def strided_sample(kpes, size=_SELECTIVITY_SAMPLE):
+    return kpes if len(kpes) <= size else kpes[:: len(kpes) // size][:size]
+
+
+def scalar_profile(left, right):
+    """``profile_join`` of two lists, every statistic a per-record loop."""
+    space = Space.of(left, right)
+    hist_l = GridHistogram.build(left, space, PROFILE_RESOLUTION)
+    hist_r = GridHistogram.build(right, space, PROFILE_RESOLUTION)
+    sample_l, sample_r = strided_sample(left), strided_sample(right)
+    pairs = tuple(
+        (r, s)
+        for r in sample_l
+        for s in sample_r
+        if r[1] <= s[3] and s[1] <= r[3] and r[2] <= s[4] and s[2] <= r[4]
+    )
+    if len(pairs) >= _MIN_SAMPLED_PAIRS:
+        est = len(pairs) * ((len(left) * len(right)) / (len(sample_l) * len(sample_r)))
+    else:
+        est = hist_l.estimate_join_results(hist_r)
+    return JoinProfile(
+        left=scalar_relation_profile(left),
+        right=scalar_relation_profile(right),
+        space=(space.xl, space.yl, space.xh, space.yh),
+        est_results=est,
+        hist_left=hist_l,
+        hist_right=hist_r,
+        sample_pairs=pairs,
+    )
 
 
 def histogram_state(hist):
@@ -118,16 +166,13 @@ def assert_same_statistics(got, ref):
 @pytest.mark.parametrize("name", sorted(INPUTS))
 def test_statistics_and_plan_equal_the_scalar_reference(name, form, tmp_path):
     left, right = INPUTS[name]()
-    with python_backend():
-        ref_profile = profile_join(left, right)
-    with numpy_backend():
-        got_left = as_form(form, left, tmp_path / "L.rcd")
-        got_right = as_form(form, right, tmp_path / "R.rcd")
-        got_profile = profile_join(got_left, got_right)
-        # The scalar run enumerates no sweep_numpy candidates, so the
-        # plan is compared with what the scalar statistics lead to.
-        from_ref = enumerate_candidates(ref_profile, MEMORY)
-        got_plan = plan_join(got_left, got_right, MEMORY, cache=PlannerCache())
+    ref_profile = scalar_profile(left, right)
+    got_left = as_form(form, left, tmp_path / "L.rcd")
+    got_right = as_form(form, right, tmp_path / "R.rcd")
+    got_profile = profile_join(got_left, got_right)
+    # The plan is compared with what the scalar statistics lead to.
+    from_ref = enumerate_candidates(ref_profile, MEMORY)
+    got_plan = plan_join(got_left, got_right, MEMORY, cache=PlannerCache())
     assert_same_statistics(got_profile, ref_profile)
     assert_same_statistics(got_plan.profile, ref_profile)
     assert [c.describe() for c in got_plan.candidates] == [
@@ -139,12 +184,9 @@ def test_statistics_and_plan_equal_the_scalar_reference(name, form, tmp_path):
 @pytest.mark.parametrize("n", [0, 1, 40, 64, 65, 3000])
 def test_fingerprint_of_columns_equals_the_tuple_form(n, tmp_path):
     kpes = uniform_rects(n, seed=5, start_oid=17)
-    with python_backend():
-        expected = relation_fingerprint(kpes)
-    with numpy_backend():
-        assert relation_fingerprint(ColumnarRelation.from_kpes(kpes)) == expected
-        assert relation_fingerprint(as_form("mapped", kpes, tmp_path / "x.rcd")) == expected
-        assert relation_fingerprint(kpes) == expected
+    expected = relation_fingerprint(kpes)
+    assert relation_fingerprint(ColumnarRelation.from_kpes(kpes)) == expected
+    assert relation_fingerprint(as_form("mapped", kpes, tmp_path / "x.rcd")) == expected
 
 
 def test_columnar_inputs_plan_and_join_under_auto():
@@ -153,14 +195,13 @@ def test_columnar_inputs_plan_and_join_under_auto():
     for name, method in (("uniform", "pbsm"), ("clustered", "shj")):
         left, right = INPUTS[name]()
         expected = sorted(brute_force_pairs(left, right))
-        with numpy_backend():
-            result = spatial_join(
-                ColumnarRelation.from_kpes(left),
-                ColumnarRelation.from_kpes(right),
-                MEMORY,
-                method="auto",
-                cache=PlannerCache(),
-            )
+        result = spatial_join(
+            ColumnarRelation.from_kpes(left),
+            ColumnarRelation.from_kpes(right),
+            MEMORY,
+            method="auto",
+            cache=PlannerCache(),
+        )
         assert result.plan.chosen.method == method
         assert sorted(result.pairs) == expected
 
@@ -185,8 +226,7 @@ def conversions(monkeypatch):
 
 def test_list_inputs_are_converted_once_per_call(conversions):
     left, right = INPUTS["uniform"]()
-    with numpy_backend():
-        result = spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
+    result = spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
     assert "sweep_numpy" in result.plan.chosen.describe()
     assert conversions == [len(left), len(right)]
     assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))
@@ -197,40 +237,45 @@ def test_list_inputs_are_converted_once_per_call(conversions):
 def test_a_plan_executed_on_other_inputs_joins_those(conversions):
     left, right = INPUTS["uniform"]()
     other_left, other_right = INPUTS["below_sample_size"]()
-    with numpy_backend():
-        plan = plan_join(left, right, MEMORY)
-        result = plan.execute(other_left, other_right)
+    plan = plan_join(left, right, MEMORY)
+    result = plan.execute(other_left, other_right)
     assert sorted(result.pairs) == sorted(brute_force_pairs(other_left, other_right))
 
 
 def test_a_cache_hit_converts_nothing_for_the_planner(conversions):
     left, right = INPUTS["clustered"]()
     cache = PlannerCache()
-    with numpy_backend():
-        plan_join(left, right, MEMORY, cache=cache)
-        del conversions[:]
-        hit = plan_join(left, right, MEMORY, cache=cache)
+    plan_join(left, right, MEMORY, cache=cache)
+    del conversions[:]
+    hit = plan_join(left, right, MEMORY, cache=cache)
     assert hit.from_cache and conversions == [] and hit.converted_inputs == ()
 
 
 # ----------------------------------------------------------------------
 # non-finite coordinates
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", [python_backend, numpy_backend])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# The ids keep the suffix of the backend column this matrix had while a
+# scalar twin of the check existed, so each row's history lines up.
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param(math.nan, id="nan-numpy_backend"),
+        pytest.param(math.inf, id="inf-numpy_backend"),
+        pytest.param(-math.inf, id="-inf-numpy_backend"),
+    ],
+)
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_non_finite_coordinates_are_rejected_up_front(backend, bad, side):
+def test_non_finite_coordinates_are_rejected_up_front(bad, side):
     left, right = INPUTS["below_sample_size"]()
     target = left if side == "left" else right
     oid = target[41][0]
     target[41] = (oid, 0.1, bad, 0.2, 0.3)
     target[99] = (target[99][0], bad, 0.1, 0.2, 0.3)
     message = rf"{side} relation has a non-finite coordinate at row 41 \(oid={oid}\)"
-    with backend():
-        with pytest.raises(ValueError, match=message):
-            profile_join(left, right)
-        with pytest.raises(ValueError, match=message):
-            spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
+    with pytest.raises(ValueError, match=message):
+        profile_join(left, right)
+    with pytest.raises(ValueError, match=message):
+        spatial_join(left, right, MEMORY, method="auto", cache=PlannerCache())
 
 
 # ----------------------------------------------------------------------
@@ -386,12 +431,11 @@ def pinned_workloads(dataset):
 
 @pytest.mark.parametrize("dataset", [*PLANNER_PATTERNS, "tiger50k", "uni30k"])
 def test_plans_equal_the_parent_commit(dataset, tmp_path):
-    pinned = json.loads(PINNED.read_text())[active_backend()]
+    pinned = json.loads(PINNED.read_text())["numpy"]
     workloads = pinned_workloads(dataset)
     assert workloads
-    forms = FORMS if numpy_enabled() else FORMS[:1]
     _, left, right, _ = workloads[0]
-    for form in forms:
+    for form in FORMS:
         got_left = as_form(form, left, tmp_path / "L.rcd")
         got_right = as_form(form, right, tmp_path / "R.rcd")
         for name, _, _, memory in workloads:
@@ -401,7 +445,6 @@ def test_plans_equal_the_parent_commit(dataset, tmp_path):
 # ----------------------------------------------------------------------
 # planning stays a small share of a mapped auto join
 # ----------------------------------------------------------------------
-@pytest.mark.skipif(not numpy_enabled(), reason="the scalar fallback profiles per record")
 def test_planning_is_a_small_share_of_a_mapped_auto_join(tmp_path):
     left, right = pair(uniform_rects, 20_000)
     mapped_left = as_form("mapped", left, tmp_path / "L.rcd")

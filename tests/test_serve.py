@@ -2,10 +2,9 @@
 
 Everything here runs in-process: a real `JoinServer` on an ephemeral
 port, spoken to by the real `ServeClient`.  The default configuration
-(`workers=1`, datasets registered from inline records) needs neither
-numpy nor platform shared memory, so the suite also covers the no-numpy
-CI job; pinning and the persistent-pool execution path are exercised by
-the `needs_shm`-gated tests at the bottom.
+(`workers=1`, datasets registered from inline records) needs no
+platform shared memory; pinning and the persistent-pool execution path
+are exercised by the `needs_shm`-gated tests at the bottom.
 """
 
 from __future__ import annotations
@@ -14,13 +13,13 @@ import asyncio
 import struct
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro import spatial_join
 from repro.core.result import pair_columns
-from repro.kernels.backend import get_numpy, numpy_enabled, python_backend
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -32,6 +31,7 @@ from repro.serve import (
     ServeClient,
     result_checksum,
 )
+import repro.serve.protocol as protocol_module
 from repro.serve.protocol import (
     ProtocolError,
     _sorted_table,
@@ -42,11 +42,8 @@ from repro.serve.protocol import (
 
 from .conftest import random_kpes
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="needs numpy (the [perf] extra)"
-)
 needs_shm = pytest.mark.skipif(
-    not shm_enabled(), reason="needs numpy and platform shared memory"
+    not shm_enabled(), reason="needs platform shared memory"
 )
 
 MEMORY = 1 << 20  # 1 MiB: forces real partitioning on the test relations
@@ -139,7 +136,7 @@ class TestProtocol:
         assert result_checksum(pairs) != result_checksum(pairs[:2])
 
     def test_checksum_columnar_digest_equals_the_struct_loop(self):
-        """The numpy path hashes the same bytes as the per-pair loop."""
+        """The packed buffer hashes the same bytes as a per-pair loop."""
         import random
 
         rng = random.Random(7)
@@ -157,9 +154,6 @@ class TestProtocol:
         }
         for name, pairs in cases.items():
             reference = struct_loop_checksum(pairs)
-            with python_backend():
-                assert result_checksum(pairs) == reference, name
-                assert result_checksum(pair_columns(pairs)) == reference, name
             assert result_checksum(pairs) == reference, name
             assert result_checksum(iter(pairs)) == reference, name
             assert result_checksum([list(p) for p in pairs]) == reference, name
@@ -180,11 +174,9 @@ class TestProtocol:
         as_pairs = [tuple(column.tolist()) for column in columns]
         assert result_checksum(as_pairs) == struct_loop_checksum([(1, 3), (2, 4)])
 
-    @needs_numpy
-    def test_packed_key_sort_up_to_the_int64_limit_and_lexsort_beyond(self):
+    def test_packed_key_sort_up_to_the_int64_limit_and_lexsort_beyond(self, monkeypatch):
         """``span_l * span_r < 2**63`` sorts one packed key; the digest is
         the struct loop's on both sides of the limit."""
-        np = get_numpy()
         for span_l, span_r, lexsorts in [
             (2**32, 2**31 - 1, 0),  # product just under 2**63: packed
             (2**32, 2**31, 1),  # exactly 2**63: the key could overflow
@@ -202,7 +194,9 @@ class TestProtocol:
                     (l_max, r_max), (l_min + span_l // 2, r_min + span_r // 2),
                 ]  # fmt: skip
                 counting = CountingNumpy(np)
-                table = _sorted_table(counting, *pair_columns(pairs))
+                with monkeypatch.context() as patched:
+                    patched.setattr(protocol_module, "np", counting)
+                    table = _sorted_table(*pair_columns(pairs))
                 assert counting.lexsorts == lexsorts, (span_l, span_r)
                 assert table.tolist() == [list(p) for p in sorted(pairs)]
                 assert result_checksum(pair_columns(pairs)) == struct_loop_checksum(pairs)
@@ -638,9 +632,8 @@ class TestServeShm:
         script = (
             "import sys\n"
             "sys.path.insert(0, 'src')\n"
-            "from repro.kernels.backend import require_numpy\n"
+            "import numpy as np\n"
             "from repro.kernels.shm import SharedColumnarStore\n"
-            "np = require_numpy()\n"
             "store = SharedColumnarStore.create({'x': np.arange(4)}, track=False)\n"
             "print(store.name)\n"
         )

@@ -1,14 +1,12 @@
 """Unit tests for CPU counters, phase timers, and join statistics."""
 
 import time
-from array import array
 
 import pytest
 
 from repro import S3J, SSSJ, ParallelPBSM, RTreeJoin, SpatialHashJoin
 from repro.core.result import JoinResult, JoinStats, empty_result, pair_columns
 from repro.core.stats import CpuCounters, PhaseTimer, merge_counters
-from repro.kernels.backend import python_backend
 from repro.verify import VerificationError, verify_result
 
 from .conftest import random_kpes
@@ -194,16 +192,6 @@ class TestListBackedToArrays:
         assert column_lists(result.to_arrays()) == [
             list(column) for column in zip(*result.pairs)
         ]
-
-    def test_numpy_off_parallel_pbsm_is_list_backed(self):
-        with python_backend():
-            result = ParallelPBSM(4096, 2, internal="sweep_numpy").run(
-                self.LEFT, self.RIGHT
-            )
-            assert result._oids is None and len(result) > 0
-            columns = result.to_arrays()
-            assert all(isinstance(column, array) for column in columns)
-        assert column_lists(columns) == [list(c) for c in zip(*result.pairs)]
 
     def test_empty_list_backed_result(self):
         assert column_lists(empty_result("X").to_arrays()) == [[], []]

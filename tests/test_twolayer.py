@@ -16,7 +16,6 @@ from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
 from repro.io.costmodel import mb
-from repro.kernels.backend import numpy_enabled
 from repro.pbsm import PBSM, TileGrid
 from repro.pbsm.twolayer import (
     CLASS_A,
@@ -28,10 +27,6 @@ from repro.pbsm.twolayer import (
     classify_tiles,
     corner_class,
     twolayer_partition_join,
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_enabled(), reason="columnar kernels need numpy"
 )
 
 SPACE = Space(0.0, 0.0, 1.0, 1.0)
@@ -222,7 +217,6 @@ class TestDriverIntegration:
         assert result.pair_set() == rpm.pair_set()
         assert not result.has_duplicates()
 
-    @needs_numpy
     def test_kernel_path_matches_scalar(self, small_pair):
         left, right = small_pair
         scalar = PBSM(mb(0.25), internal="sweep_list", dedup="twolayer").run(
@@ -234,7 +228,6 @@ class TestDriverIntegration:
         assert kernel.pair_set() == scalar.pair_set()
         assert not kernel.has_duplicates()
 
-    @needs_numpy
     def test_kernel_charges_batch_ops_only(self, small_pair):
         left, right = small_pair
         result = PBSM(mb(1.0), internal="sweep_numpy", dedup="twolayer").run(
@@ -248,7 +241,6 @@ class TestDriverIntegration:
 # ----------------------------------------------------------------------
 # per-mini-join sweep-axis heuristic (coarse grids below the stripe floor)
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestAxisHeuristic:
     """Sub-floor mini-joins probe both sweep axes and may run transposed.
 

@@ -185,7 +185,10 @@ class SharedColumnarStore:
 
         With ``track=False`` the segment is immediately unregistered from
         the resource tracker — the worker-side result transport, where
-        the *parent* unlinks after decoding.
+        the *parent* unlinks after decoding.  If anything fails between
+        allocating and returning (a ``KeyboardInterrupt`` mid-copy
+        included), the segment is closed and unlinked before the
+        exception propagates: nobody else knows its name yet.
         """
         entries = []
         offset = 0
@@ -195,33 +198,50 @@ class SharedColumnarStore:
             packed[key] = arr
             entries.append((key, arr.dtype.str, int(arr.shape[0]), offset))
             offset += int(arr.nbytes)
+        views: Dict[str, Any] = {}
         segment = _shared_memory_module().SharedMemory(
             name=_new_segment_name(), create=True, size=max(offset, 1)
         )
-        if not track:
-            _untrack(segment)
-        views = {}
-        for key, dtype, n, off in entries:
-            view = np.ndarray((n,), dtype=dtype, buffer=segment.buf, offset=off)
-            view[:] = packed[key]
-            views[key] = view
-        manifest: Manifest = (segment.name, tuple(entries))
-        return cls(segment, views, manifest, owner=True)
+        try:
+            if not track:
+                _untrack(segment)
+            for key, dtype, n, off in entries:
+                views[key] = np.ndarray(
+                    (n,), dtype=dtype, buffer=segment.buf, offset=off
+                )
+                views[key][:] = packed[key]
+            manifest: Manifest = (segment.name, tuple(entries))
+            return cls(segment, views, manifest, owner=True)
+        except BaseException:
+            views.clear()  # drop the exported views so close() can unmap
+            segment.close()
+            segment.unlink()
+            raise
 
     @classmethod
     def attach(cls, manifest: Manifest) -> "SharedColumnarStore":
-        """Map an existing segment described by *manifest* (non-owner)."""
+        """Map an existing segment described by *manifest* (non-owner).
+
+        A manifest the segment cannot hold closes the handle again
+        before the exception propagates.
+        """
         name, entries = manifest
+        views: Dict[str, Any] = {}
         # Attaching re-registers the name with the resource tracker
         # shared by the whole process tree (harmless set.add); whoever
         # ends up calling unlink() performs the single matching
         # unregister, so no extra untrack here.
         segment = _shared_memory_module().SharedMemory(name=name)
-        views = {
-            key: np.ndarray((n,), dtype=dtype, buffer=segment.buf, offset=off)
-            for key, dtype, n, off in entries
-        }
-        return cls(segment, views, manifest, owner=False)
+        try:
+            for key, dtype, n, off in entries:
+                views[key] = np.ndarray(
+                    (n,), dtype=dtype, buffer=segment.buf, offset=off
+                )
+            return cls(segment, views, manifest, owner=False)
+        except BaseException:
+            views.clear()  # drop the exported views so close() can unmap
+            segment.close()
+            raise
 
     # ------------------------------------------------------------------
     # access

@@ -2,13 +2,8 @@
 
 Exit status: 0 when clean, 1 when any finding (or unparsable file) was
 reported, 2 on usage errors.  This is what the CI ``lint`` job runs and
-what the test suite's self-check asserts on.
-
-Beyond plain text output, the CLI speaks the CI integration dialects:
-``--format sarif`` (GitHub code-scanning annotations), ``--baseline`` /
-``--write-baseline`` (grandfathered-finding burn-down), and ``--cache``
-(content-hash incremental re-runs; prints ``cache: N hit(s), ...`` on
-stderr so CI can assert the cache was exercised).
+what the test suite's self-check asserts on.  Findings print one per
+line as ``path:line:col: RPLxxx message``.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.engine import Finding, run_lint, self_test
+from repro.lint.engine import run_lint, self_test
 from repro.lint.rules import ALL_RULES, RULES_BY_ID
 
 
@@ -46,37 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--self-test",
         action="store_true",
         help="check every rule against its own good/bad fixtures",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "sarif"),
-        default="text",
-        dest="output_format",
-        help="finding output format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="write the report to FILE instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract grandfathered findings recorded in FILE",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="write the current findings to FILE as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="incremental cache file keyed by file content hash",
     )
     return parser
 
@@ -110,55 +74,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             parser.error(f"unknown rule id(s): {', '.join(unknown)}")
         rules = [RULES_BY_ID[r] for r in wanted]
 
-    cache = None
-    if args.cache:
-        from repro.lint.cache import LintCache
-
-        cache = LintCache(args.cache, rules)
-
     try:
-        findings = run_lint(args.paths, rules, cache=cache)
+        findings = run_lint(args.paths, rules)
     except FileNotFoundError as exc:
         parser.error(str(exc))
 
-    if cache is not None:
-        cache.save()
-        print(cache.stats(), file=sys.stderr)
-
-    if args.write_baseline:
-        from repro.lint.baseline import write_baseline
-
-        write_baseline(findings, args.write_baseline)
-        print(
-            f"baseline: {len(findings)} finding(s) written to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    grandfathered = 0
-    if args.baseline:
-        from repro.lint.baseline import apply_baseline, load_baseline
-
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            parser.error(f"cannot read baseline {args.baseline}: {exc}")
-        findings, grandfathered = apply_baseline(findings, baseline)
-
-    report = _render(findings, rules, args.output_format)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as sink:
-            sink.write(report)
-    elif report:
-        print(report, end="" if report.endswith("\n") else "\n")
-
-    if grandfathered:
-        print(
-            f"{grandfathered} grandfathered finding(s) suppressed by baseline "
-            f"{args.baseline}",
-            file=sys.stderr,
-        )
+    for finding in findings:
+        print(finding.render())
     if findings:
         print(
             f"{len(findings)} finding(s); suppress a line with "
@@ -167,18 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 1
     return 0
-
-
-def _render(
-    findings: Sequence[Finding],
-    rules: Sequence[object],
-    output_format: str,
-) -> str:
-    if output_format == "sarif":
-        from repro.lint.sarif import render_sarif
-
-        return render_sarif(findings, rules) + "\n"  # type: ignore[arg-type]
-    return "".join(f.render() + "\n" for f in findings)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,13 @@
 """Shared AST helpers for the repro-lint rules.
 
-These used to live in :mod:`repro.lint.rules`; they moved here when the
-flow-sensitive rules (:mod:`repro.lint.flowrules`) arrived, so both rule
-modules can share one vocabulary for names, scopes and the shm-segment
-acquisition shapes without a circular import.
+One vocabulary for names, scopes and the shm-segment acquisition shapes,
+shared by :mod:`repro.lint.rules` and :mod:`repro.lint.flowrules`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 #: Function-like nodes that open a new scope of their own.
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -56,14 +54,6 @@ def walk_scope(stmts: Sequence[ast.stmt]) -> Iterator[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def scopes(tree: ast.Module) -> Iterator[Tuple[ast.AST, Sequence[ast.stmt]]]:
-    """The module body plus every function body, each as one scope."""
-    yield tree, tree.body
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node, node.body
-
-
 def function_scopes(tree: ast.Module) -> Iterator[FunctionNode]:
     """Every function definition in the module (the flow-rule unit)."""
     for node in ast.walk(tree):
@@ -81,8 +71,7 @@ def is_shm_acquisition(node: ast.AST) -> bool:
     Either a direct ``SharedMemory(...)`` constructor call or a
     ``<...>Store.create(...)`` / ``<...>Store.attach(...)`` classmethod —
     the two ways this repository ever obtains a segment handle (see
-    ``kernels/shm.py``).  Shared by RPL004 (syntactic custody) and
-    RPL008 (path-sensitive custody).
+    ``kernels/shm.py``).  What RPL008 tracks.
     """
     if not isinstance(node, ast.Call):
         return False
@@ -103,7 +92,6 @@ __all__ = [
     "in_path",
     "is_shm_acquisition",
     "root_name",
-    "scopes",
     "tail_name",
     "walk_scope",
 ]

@@ -119,12 +119,6 @@ class CFG:
             if node.stmt is not None:
                 yield node
 
-    def node_for(self, stmt: ast.stmt) -> Optional[CFGNode]:
-        for node in self.nodes.values():
-            if node.stmt is stmt:
-                return node
-        return None
-
     def reachable(self) -> Set[int]:
         """Node ids reachable from the entry node."""
         seen: Set[int] = set()

@@ -3,16 +3,16 @@
 This is a *project-specific* static-analysis pass: every rule encodes a
 cross-module invariant this repository has already been burned by (see
 ``docs/static_analysis.md``).  General style is ruff's job; repro-lint
-checks the things a generic linter cannot know — that phase names come
-from :mod:`repro.core.phases`, that tile-hash arithmetic is never
-re-derived, that shared-memory segments are lifecycle-paired, that every
-CPU counter is priced by the cost model.
+checks the things a generic linter cannot know — that a shared-memory
+segment is released on every path, raising ones included, that a lock
+guards an attribute everywhere it is touched, that a scratch CPU counter
+merges exactly once, that a coroutine never blocks on the engine.  It
+reads sources only and imports nothing outside the standard library.
 
 Architecture
 ------------
-* :class:`Rule` — one invariant.  A rule sees either one parsed module
-  (:meth:`Rule.check_module`) or the whole analyzed file set at once
-  (:meth:`Rule.check_project`, for cross-module currency checks).
+* :class:`Rule` — one invariant, checked one parsed module at a time
+  (:meth:`Rule.check_module`).
 * :class:`ModuleInfo` — a parsed file: AST plus the per-line suppression
   table built from ``# repro-lint: disable=RPLxxx`` comments.
 * :func:`run_lint` — the entry point used by ``python -m repro.lint``
@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple, Union
 SYNTAX_RULE_ID = "RPL000"
 
 #: The comment marker that suppresses findings on its line, e.g.
-#: ``x = 1  # repro-lint: disable=RPL003`` or ``disable=RPL002,RPL006``.
+#: ``x = 1  # repro-lint: disable=RPL011`` or ``disable=RPL007,RPL011``.
 DISABLE_MARKER = "repro-lint:"
 
 
@@ -92,11 +92,7 @@ class Rule:
     fixture_good: str = ""
 
     def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        """Findings for one module (most rules live here)."""
-        return ()
-
-    def check_project(self, modules: Sequence[ModuleInfo]) -> Iterable[Finding]:
-        """Findings needing the whole file set (cross-module currency)."""
+        """Findings for one module."""
         return ()
 
     # ------------------------------------------------------------------
@@ -166,7 +162,7 @@ def _expand_disabled(
 
     Tokenize reports a comment's *physical* line, but a finding on a
     multi-line statement is reported at the statement's first line —
-    so ``# repro-lint: disable=RPL004`` on the continuation line of a
+    so ``# repro-lint: disable=RPL008`` on the continuation line of a
     three-line ``attach(...)`` call used to suppress nothing.  For each
     commented line, find the innermost simple statement whose
     ``lineno..end_lineno`` extent contains it and apply the disable set
@@ -233,7 +229,11 @@ def parse_source(
 
 
 def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
-    """Every ``.py`` file under *paths*, skipping caches and hidden dirs."""
+    """Every ``.py`` file under *paths*, skipping caches and hidden dirs.
+
+    Only the part of a path *below* the given root is filtered: a root
+    reached through ``..`` or a hidden parent (``~/.work/src``) is linted.
+    """
     for raw in paths:
         root = Path(raw)
         if root.is_file():
@@ -243,7 +243,7 @@ def iter_python_files(paths: Sequence[Union[str, Path]]) -> Iterator[Path]:
         if not root.is_dir():
             raise FileNotFoundError(f"no such file or directory: {root}")
         for candidate in sorted(root.rglob("*.py")):
-            parts = candidate.parts
+            parts = candidate.relative_to(root).parts
             if any(p == "__pycache__" or p.startswith(".") for p in parts):
                 continue
             yield candidate
@@ -269,73 +269,34 @@ def _load_modules(
 # ----------------------------------------------------------------------
 # running
 # ----------------------------------------------------------------------
-def _module_findings(module: ModuleInfo, rules: Sequence[Rule]) -> List[Finding]:
-    """Per-module rule findings, suppression-filtered (the cacheable unit)."""
-    findings: List[Finding] = []
-    for rule in rules:
-        for f in rule.check_module(module):
-            if not module.is_suppressed(f.rule, f.line):
-                findings.append(f)
-    return findings
-
-
-def _project_findings(
-    modules: Sequence[ModuleInfo], rules: Sequence[Rule]
-) -> List[Finding]:
-    """Cross-module rule findings; never cached (they see every file)."""
-    by_path = {module.path: module for module in modules}
-    findings: List[Finding] = []
-    for rule in rules:
-        for f in rule.check_project(modules):
-            module = by_path.get(f.path)
-            if module is not None and module.is_suppressed(f.rule, f.line):
-                continue
-            findings.append(f)
-    return findings
-
-
 def _apply_rules(
     modules: Sequence[ModuleInfo], rules: Sequence[Rule]
 ) -> List[Finding]:
-    findings: List[Finding] = []
-    for module in modules:
-        findings.extend(_module_findings(module, rules))
-    findings.extend(_project_findings(modules, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    """Every rule over every module, suppression-filtered."""
+    return [
+        f
+        for module in modules
+        for rule in rules
+        for f in rule.check_module(module)
+        if not module.is_suppressed(f.rule, f.line)
+    ]
+
+
+def _ordered(findings: List[Finding]) -> List[Finding]:
+    return sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
 
 
 def run_lint(
     paths: Sequence[Union[str, Path]],
     rules: Union[Sequence[Rule], None] = None,
-    cache: "Union[object, None]" = None,
 ) -> List[Finding]:
-    """Lint every Python file under *paths* with *rules* (default: all).
-
-    With *cache* (a :class:`repro.lint.cache.LintCache`), unchanged
-    files reuse their stored per-module findings; project-wide rules
-    always re-run.  The caller persists the cache with ``cache.save()``.
-    """
+    """Lint every Python file under *paths* with *rules* (default: all)."""
     if rules is None:
         from repro.lint.rules import ALL_RULES
 
         rules = ALL_RULES
     modules, findings = _load_modules(paths)
-    if cache is None:
-        findings.extend(_apply_rules(modules, rules))
-    else:
-        from repro.lint.cache import content_key
-
-        for module in modules:
-            key = content_key(module.relpath, module.source)
-            cached = cache.lookup(key)  # type: ignore[attr-defined]
-            if cached is None:
-                cached = _module_findings(module, rules)
-                cache.store(key, cached)  # type: ignore[attr-defined]
-            findings.extend(cached)
-        findings.extend(_project_findings(modules, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+    return _ordered(findings + _apply_rules(modules, rules))
 
 
 def lint_source(
@@ -352,7 +313,7 @@ def lint_source(
     if error is not None:
         return [error]
     assert module is not None
-    return _apply_rules([module], rules)
+    return _ordered(_apply_rules([module], rules))
 
 
 def self_test(rules: Union[Sequence[Rule], None] = None) -> List[str]:

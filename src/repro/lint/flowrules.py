@@ -221,15 +221,19 @@ class _HeldAnalysis(ForwardAnalysis[FrozenSet[str]]):
 # ----------------------------------------------------------------------
 # RPL008 — segment custody on all paths
 # ----------------------------------------------------------------------
+#: Statements that evaluate nothing, so cannot raise while a handle is held.
+_CANNOT_RAISE = (ast.Pass, ast.Break, ast.Continue, ast.Global, ast.Nonlocal)
+
+
 class SegmentCustodyPaths(Rule):
     """A shm segment handle must reach release or an ownership escape on
-    *every* CFG path — not merely somewhere in the function.
+    *every* path — the ones where a statement raises included.
 
-    RPL004 checks custody syntactically: a ``finally`` that closes the
-    binding anywhere in the scope satisfies it, even when an early
-    ``return`` two lines above the ``try`` skips that ``finally``
-    entirely.  That exact shape leaked pinned segments until reboot in
-    early drafts of the serve registry — the runtime answer is the
+    A ``finally`` that closes the binding somewhere in the function is
+    not enough: an early ``return`` two lines above the ``try`` skips it
+    (that shape leaked pinned segments until reboot in early drafts of
+    the serve registry), and so does any statement between the
+    acquisition and the ``try`` that raises.  The runtime answer is the
     ``sweep_orphan_segments`` reaper (``kernels/shm.py``); this rule is
     its static twin, catching the leak before it ships.
 
@@ -237,8 +241,11 @@ class SegmentCustodyPaths(Rule):
     to a local name.  Custody on a path ends when the handle is closed or
     unlinked, returned/yielded, stored into an attribute/subscript,
     passed to a call, captured by a nested scope, aliased, or declared
-    global.  If the function exit is reachable with the handle still
-    held, the acquisition is flagged.
+    global.  The acquisition is flagged if the function exit is
+    reachable with the handle still held, or if a statement outside any
+    ``try`` can raise while it is held (the CFG gives such a statement no
+    exception edge, so the rule checks it directly).  The statement that
+    releases or hands off the handle is exempt for that handle.
     """
 
     rule_id = "RPL008"
@@ -327,19 +334,48 @@ class SegmentCustodyPaths(Rule):
         analysis = _HeldAnalysis(acquires, self._release_methods)
         result = run_forward(cfg, analysis)
         leaked = result.at_exit(cfg)
-        for var in sorted(leaked):
+        raising = self._raises_while_held(fn, cfg, analysis, result.in_states)
+        for var in sorted(leaked | set(raising)):
             site = first_site.get(var)
             if site is None:
                 continue
+            if var in leaked:
+                how = f"a path through {fn.name}() reaches the exit"
+            else:
+                how = f"line {raising[var]} runs outside any try and can raise"
             yield self.finding(
                 module,
                 site,
-                f"segment bound to {var!r} can leak: a path through "
-                f"{fn.name}() reaches the exit without close()/unlink() or "
-                "an ownership transfer — move the acquisition inside the "
-                "try, use a context manager, or release before the early "
-                "exit (runtime twin: sweep_orphan_segments)",
+                f"segment bound to {var!r} can leak: {how} without "
+                "close()/unlink() or an ownership transfer — use a context "
+                "manager, or a try that releases it on every exit, "
+                "starting right after the acquisition (runtime twin: "
+                "sweep_orphan_segments)",
             )
+
+    @staticmethod
+    def _raises_while_held(
+        fn: FunctionNode,
+        cfg: CFG,
+        analysis: _HeldAnalysis,
+        in_states: Dict[int, FrozenSet[str]],
+    ) -> Dict[str, int]:
+        """var -> first line outside any ``try`` that can raise holding it."""
+        in_try = {
+            id(sub)
+            for node in walk_scope(fn.body)
+            if isinstance(node, ast.Try)
+            for sub in ast.walk(node)
+        }
+        out: Dict[str, int] = {}
+        for node in sorted(cfg.statement_nodes(), key=lambda n: n.lineno):
+            if id(node.stmt) in in_try or isinstance(node.stmt, _CANNOT_RAISE):
+                continue
+            held = in_states.get(node.nid, frozenset())
+            # What the statement itself releases or hands off is exempt.
+            for var in held & analysis.transfer(node, held):
+                out.setdefault(var, node.lineno)
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -657,7 +693,6 @@ class ChargeOnce(Rule):
     title = "scratch CpuCounters merged exactly once per creating path"
 
     fixture_bad = (
-        "from repro.core.stats import CpuCounters\n"
         "def run(parts, total):\n"
         "    task_cpu = CpuCounters()\n"
         "    for part in parts:\n"
@@ -665,7 +700,6 @@ class ChargeOnce(Rule):
         "        total.add(task_cpu)\n"
     )
     fixture_good = (
-        "from repro.core.stats import CpuCounters\n"
         "def run(parts, total):\n"
         "    for part in parts:\n"
         "        task_cpu = CpuCounters()\n"

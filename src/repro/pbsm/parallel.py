@@ -411,7 +411,7 @@ def _pinned_store(manifest: Manifest) -> SharedColumnarStore:
     if attached is None:
         # Custody moves into the module-level cache: the segment stays
         # mapped for the pool's lifetime by design.
-        attached = SharedColumnarStore.attach(manifest)  # repro-lint: disable=RPL004
+        attached = SharedColumnarStore.attach(manifest)
         _DYN_ATTACHED[manifest[0]] = attached
     return attached
 

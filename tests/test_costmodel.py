@@ -1,5 +1,8 @@
 """Unit tests for the I/O + CPU cost model."""
 
+import dataclasses
+import inspect
+
 import pytest
 
 from repro.core.stats import CpuCounters
@@ -82,6 +85,22 @@ class TestCpuCost:
             + cost.zcode_op_seconds
         )
         assert cost.cpu_seconds(c) == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            f.name
+            for f in dataclasses.fields(CpuCounters)
+            # Result tallies, not operations: never priced by design.
+            if f.name not in ("results_reported", "duplicates_suppressed")
+        ],
+    )
+    def test_every_operation_counter_is_priced_and_estimable(self, name):
+        """A counter the model does not price under-prices every join in
+        the simulator; one the planner cannot pass in, in EXPLAIN."""
+        cost = CostModel()
+        assert cost.cpu_seconds(CpuCounters(**{name: 1})) > 0
+        assert name in inspect.signature(cost.cpu_seconds_from_counts).parameters
 
 
 class TestHelpers:

@@ -416,14 +416,31 @@ class TestGridKernelParity:
     def test_hash_constants_single_source(self):
         # The kernel replays the scalar hash; both must read the shared
         # constants, and those must be the documented odd multipliers.
+        import re
+        from pathlib import Path
+
         import repro.kernels.rpm as rpm_mod
         import repro.pbsm.grid as grid_mod
 
         # This is the single sanctioned restatement of the multiplier
         # values: the test that pins them.
-        assert (TILE_HASH_X, TILE_HASH_Y) == (73856093, 19349663)  # repro-lint: disable=RPL003
+        assert (TILE_HASH_X, TILE_HASH_Y) == (73856093, 19349663)
         assert rpm_mod.TILE_HASH_X is grid_mod.TILE_HASH_X
         assert rpm_mod.TILE_HASH_Y is grid_mod.TILE_HASH_Y
+        # Nowhere else: a re-typed multiplier can drift from grid.py and
+        # turn duplicate suppression into result loss.
+        root = Path(__file__).resolve().parent.parent
+        exempt = {Path(__file__).resolve(), Path(grid_mod.__file__).resolve()}
+        literal = re.compile(r"\b(73856093|19349663)\b")
+        retyped = [
+            f"{path.relative_to(root)}:{n}"
+            for path in sorted(root.rglob("*.py"))
+            if not any(p.startswith(".") for p in path.relative_to(root).parts)
+            and path.resolve() not in exempt
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if literal.search(line)
+        ]
+        assert retyped == []
 
     def test_partition_of_tile_uses_shared_constants(self):
         # Guards against either side drifting back to inline literals:
@@ -433,7 +450,7 @@ class TestGridKernelParity:
         grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 8, 8, 5, mapping="hash")
         for tx in range(grid.nx):
             for ty in range(grid.ny):
-                want = ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions  # repro-lint: disable=RPL003
+                want = ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions
                 assert grid.partition_of_tile(tx, ty) == want
         txs = np.arange(grid.nx).repeat(grid.ny)
         tys = np.tile(np.arange(grid.ny), grid.nx)

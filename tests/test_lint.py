@@ -8,9 +8,11 @@ its own blind spot; (2) the engine mechanics — suppression comments,
 syntax-error reporting, rule selection, file discovery, CLI exit codes;
 (3) the repository itself: ``python -m repro.lint src benchmarks tests``
 must exit 0, which is the self-check CI runs and the reason the rules
-exist at all.
+exist at all.  The retired rules' invariants are tested where they now
+live (``docs/static_analysis.md``, "Retired rules").
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +31,11 @@ from repro.lint.engine import SYNTAX_RULE_ID
 REPO_ROOT = Path(__file__).resolve().parent.parent
 LINT_TARGETS = ["src", "benchmarks", "tests"]
 
+# Short violations of two rules, for the engine and CLI mechanics: a
+# discarded span (RPL011) and a blocking call in a coroutine (RPL007).
+SPAN = 'tracer.span("boot")'
+BLOCKING = "async def handle(a, b):\n    return spatial_join(a, b)\n"
+
 
 def rules_of(findings):
     return sorted({f.rule for f in findings})
@@ -42,13 +49,8 @@ def lint_one(source, rule_id, path="module.py"):
 # rule catalogue and embedded fixtures
 # ----------------------------------------------------------------------
 class TestCatalogue:
-    def test_eleven_rules_shipped(self):
+    def test_six_rules_shipped(self):
         assert [r.rule_id for r in ALL_RULES] == [
-            "RPL002",
-            "RPL003",
-            "RPL004",
-            "RPL005",
-            "RPL006",
             "RPL007",
             "RPL008",
             "RPL009",
@@ -56,6 +58,19 @@ class TestCatalogue:
             "RPL011",
             "RPL012",
         ]
+
+    def test_lint_imports_nothing_else_from_repro(self):
+        for path in (REPO_ROOT / "src/repro/lint").glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.module:
+                    module = node.module
+                elif isinstance(node, ast.Import):
+                    module = node.names[0].name
+                else:
+                    continue
+                assert module.split(".")[0] != "repro" or module.startswith(
+                    "repro.lint"
+                ), f"{path.name} imports {module}"
 
     def test_every_rule_has_title_and_fixtures(self):
         for rule in ALL_RULES:
@@ -65,255 +80,6 @@ class TestCatalogue:
 
     def test_self_test_passes(self):
         assert self_test() == []
-
-
-# ----------------------------------------------------------------------
-# RPL002 — phase literals
-# ----------------------------------------------------------------------
-class TestPhaseLiteral:
-    def test_flags_by_phase_subscript(self):
-        bad = 'def f(stats):\n    return stats.cpu_by_phase["join"]\n'
-        assert rules_of(lint_one(bad, "RPL002")) == ["RPL002"]
-
-    def test_flags_by_phase_get(self):
-        bad = 'def f(s):\n    return s.io_units_by_phase.get("repartition", 0)\n'
-        assert rules_of(lint_one(bad, "RPL002")) == ["RPL002"]
-
-    def test_flags_phase_keyword(self):
-        bad = 'def f(timer):\n    timer.charge(1.0, phase="dedup")\n'
-        assert rules_of(lint_one(bad, "RPL002")) == ["RPL002"]
-
-    def test_flags_comparison_against_phase(self):
-        bad = 'def f(span):\n    return span.phase == "sort"\n'
-        assert rules_of(lint_one(bad, "RPL002")) == ["RPL002"]
-
-    def test_flags_local_call_with_phase_param(self):
-        bad = (
-            "def charge(counters, phase):\n"
-            "    return phase\n"
-            "def f(counters):\n"
-            '    return charge(counters, "partition")\n'
-        )
-        assert rules_of(lint_one(bad, "RPL002")) == ["RPL002"]
-
-    def test_constant_from_core_phases_is_clean(self):
-        good = (
-            "from repro.core.phases import PHASE_JOIN\n"
-            "def f(stats):\n"
-            "    return stats.cpu_by_phase[PHASE_JOIN]\n"
-        )
-        assert lint_one(good, "RPL002") == []
-
-    def test_non_phase_context_stays_legal(self):
-        # argparse choices, dict keys of unrelated maps: "join" is a fine
-        # word outside a phase position (this is cli.py's situation).
-        good = (
-            "def build(sub):\n"
-            '    sub.add_parser("join")\n'
-            '    return {"mode": "sort"}\n'
-        )
-        assert lint_one(good, "RPL002") == []
-
-    def test_core_phases_itself_exempt(self):
-        good = 'PHASE_JOIN = "join"\n'
-        assert lint_one(good, "RPL002", path="src/repro/core/phases.py") == []
-
-
-# ----------------------------------------------------------------------
-# RPL003 — tile-hash drift
-# ----------------------------------------------------------------------
-class TestTileHashDrift:
-    def test_flags_retyped_multiplier(self):
-        bad = "H = 73856093\n"
-        assert rules_of(lint_one(bad, "RPL003")) == ["RPL003"]
-
-    def test_flags_shadow_constant(self):
-        bad = "from repro.pbsm.grid import TILE_HASH_X as _x\nTILE_HASH_X = _x\n"
-        assert rules_of(lint_one(bad, "RPL003")) == ["RPL003"]
-
-    def test_flags_rederived_hash_expression(self):
-        bad = (
-            "from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y\n"
-            "def owner(tx, ty, n):\n"
-            "    return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % n\n"
-        )
-        assert rules_of(lint_one(bad, "RPL003")) == ["RPL003"]
-
-    def test_grid_definition_site_exempt(self):
-        source = "TILE_HASH_X = 73856093\nTILE_HASH_Y = 19349663\n"
-        assert lint_one(source, "RPL003", path="src/repro/pbsm/grid.py") == []
-
-    def test_rpm_replay_site_may_hash_but_not_retype(self):
-        replay = (
-            "from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y\n"
-            "def owners(tx, ty, n):\n"
-            "    return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % n\n"
-        )
-        path = "src/repro/kernels/rpm.py"
-        assert lint_one(replay, "RPL003", path=path) == []
-        retyped = "def owners(tx, ty, n):\n    return ((tx * 73856093) ^ (ty * 19349663)) % n\n"
-        assert rules_of(lint_one(retyped, "RPL003", path=path)) == ["RPL003"]
-
-    def test_calling_the_grid_api_is_clean(self):
-        good = "def owner(grid, tx, ty):\n    return grid.partition_of_tile(tx, ty)\n"
-        assert lint_one(good, "RPL003") == []
-
-
-# ----------------------------------------------------------------------
-# RPL004 — shm lifecycle
-# ----------------------------------------------------------------------
-class TestShmLifecycle:
-    BAD = (
-        "from multiprocessing.shared_memory import SharedMemory\n"
-        "def leak():\n"
-        "    seg = SharedMemory(create=True, size=8)\n"
-        "    seg.buf[0] = 1\n"
-        "    seg.close()\n"  # not on the exception path
-    )
-
-    def test_flags_unprotected_binding(self):
-        assert rules_of(lint_one(self.BAD, "RPL004")) == ["RPL004"]
-
-    def test_with_statement_is_custody(self):
-        good = (
-            "def f(store_cls, arrays):\n"
-            "    with store_cls.create(arrays) as store:\n"
-            "        return store.manifest\n"
-        )
-        # `store_cls.create` is not a Store receiver, so make it explicit:
-        good = good.replace("store_cls", "SharedColumnarStore")
-        assert lint_one(good, "RPL004") == []
-
-    def test_try_finally_is_custody(self):
-        good = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def f():\n"
-            "    seg = SharedMemory(create=True, size=8)\n"
-            "    try:\n"
-            "        seg.buf[0] = 1\n"
-            "    finally:\n"
-            "        seg.close()\n"
-            "        seg.unlink()\n"
-        )
-        assert lint_one(good, "RPL004") == []
-
-    def test_ownership_escape_via_return_is_custody(self):
-        good = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "def open_segment():\n"
-            "    seg = SharedMemory(create=True, size=8)\n"
-            "    return seg\n"
-        )
-        assert lint_one(good, "RPL004") == []
-
-    def test_global_pool_state_is_custody(self):
-        good = (
-            "_SEG = None\n"
-            "def _pool_init(manifest):\n"
-            "    global _SEG\n"
-            "    _SEG = SharedColumnarStore.attach(manifest)\n"
-        )
-        assert lint_one(good, "RPL004") == []
-
-    def test_attribute_assignment_is_custody(self):
-        good = (
-            "from multiprocessing.shared_memory import SharedMemory\n"
-            "class Holder:\n"
-            "    def open(self):\n"
-            "        self.seg = SharedMemory(create=True, size=8)\n"
-        )
-        assert lint_one(good, "RPL004") == []
-
-
-# ----------------------------------------------------------------------
-# RPL005 — counter currency
-# ----------------------------------------------------------------------
-class TestCounterCurrency:
-    def _project(self, extra_counter="", extra_param="", extra_price=""):
-        return (
-            "from dataclasses import dataclass\n"
-            "@dataclass\n"
-            "class CpuCounters:\n"
-            "    intersection_tests: int = 0\n"
-            f"{extra_counter}"
-            "@dataclass\n"
-            "class CostModel:\n"
-            "    test_op_seconds: float = 2.0e-6\n"
-            "    def cpu_seconds(self, counters):\n"
-            "        return (counters.intersection_tests * self.test_op_seconds\n"
-            f"{extra_price}"
-            "        )\n"
-            "    def cpu_seconds_from_counts(self, *, intersection_tests=0.0"
-            f"{extra_param}):\n"
-            "        return intersection_tests * self.test_op_seconds\n"
-            "def format_stats(stats):\n"
-            "    return str(stats.cpu_by_phase)\n"
-        )
-
-    def test_unpriced_counter_flagged_twice(self):
-        src = self._project(extra_counter="    shiny_ops: int = 0\n")
-        findings = lint_one(src, "RPL005")
-        assert rules_of(findings) == ["RPL005"]
-        messages = " ".join(f.message for f in findings)
-        assert "not priced" in messages
-        assert "cpu_seconds_from_counts" in messages
-
-    def test_fully_wired_counter_is_clean(self):
-        src = self._project(
-            extra_counter="    shiny_ops: int = 0\n",
-            extra_price="            + counters.shiny_ops * self.test_op_seconds\n",
-            extra_param=", shiny_ops=0.0",
-        )
-        assert lint_one(src, "RPL005") == []
-
-    def test_result_tallies_exempt(self):
-        src = self._project(extra_counter="    results_reported: int = 0\n")
-        assert lint_one(src, "RPL005") == []
-
-    def test_silent_when_classes_absent(self):
-        assert lint_one("x = 1\n", "RPL005") == []
-
-    def test_real_codebase_is_current(self):
-        findings = run_lint(
-            [
-                REPO_ROOT / "src/repro/core/stats.py",
-                REPO_ROOT / "src/repro/io/costmodel.py",
-                REPO_ROOT / "src/repro/core/report.py",
-            ],
-            rules=[RULES_BY_ID["RPL005"]],
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
-# RPL006 — silent broad except
-# ----------------------------------------------------------------------
-class TestSilentExcept:
-    def test_flags_swallowing_handler(self):
-        bad = "try:\n    x = 1\nexcept Exception:\n    pass\n"
-        assert rules_of(lint_one(bad, "RPL006")) == ["RPL006"]
-
-    def test_flags_bare_except(self):
-        bad = "try:\n    x = 1\nexcept:\n    x = 2\n"
-        assert rules_of(lint_one(bad, "RPL006")) == ["RPL006"]
-
-    def test_reraise_is_fine(self):
-        good = "try:\n    x = 1\nexcept Exception:\n    raise\n"
-        assert lint_one(good, "RPL006") == []
-
-    def test_logging_is_fine(self):
-        good = (
-            "import logging\n"
-            "try:\n"
-            "    x = 1\n"
-            "except Exception as exc:\n"
-            "    logging.warning('op failed: %s', exc)\n"
-        )
-        assert lint_one(good, "RPL006") == []
-
-    def test_narrow_types_are_fine(self):
-        good = "try:\n    x = 1\nexcept (OSError, ValueError):\n    x = 2\n"
-        assert lint_one(good, "RPL006") == []
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +141,8 @@ class TestAsyncBlockingCall:
 # RPL008 — segment custody on all paths
 # ----------------------------------------------------------------------
 class TestSegmentCustodyPaths:
-    # The acceptance shape: custody exists *somewhere* (try/finally), so
-    # RPL004 is satisfied — but an early return above the try leaks.
+    # Custody exists *somewhere* (try/finally), but an early return
+    # above the try skips it.
     BRANCH_LEAK = (
         "from multiprocessing.shared_memory import SharedMemory\n"
         "def probe(flag):\n"
@@ -396,9 +162,95 @@ class TestSegmentCustodyPaths:
         assert rules_of(findings) == ["RPL008"]
         assert findings[0].line == 3  # the acquisition site
 
-    def test_rpl004_is_blind_to_the_branch_leak(self):
-        """The reason RPL008 exists: the syntactic rule passes this."""
-        assert lint_one(self.BRANCH_LEAK, "RPL004") == []
+    # A statement outside any try raises with the segment held: no CFG
+    # edge reaches the exit, yet the segment leaks.
+    RAISE_LEAK = (
+        "from multiprocessing.shared_memory import SharedMemory\n"
+        "def leak():\n"
+        "    seg = SharedMemory(create=True, size=8)\n"
+        "    seg.buf[0] = 1\n"
+        "    seg.close()\n"
+    )
+
+    def test_statement_raising_outside_a_try_flagged(self):
+        findings = lint_one(self.RAISE_LEAK, "RPL008")
+        assert rules_of(findings) == ["RPL008"]
+        assert findings[0].line == 3
+        assert "line 4 runs outside any try" in findings[0].message
+
+    # The shape of SharedColumnarStore.create before its fix: untrack and
+    # copy between the allocation and the hand-off to the constructor.
+    CREATE = (
+        "def create(cls, track):\n"
+        "    segment = SharedMemory(create=True, size=8)\n"
+        "{body}"
+    )
+    UNGUARDED = (
+        "    if not track:\n"
+        "        untrack(segment)\n"
+        "    segment.buf[0] = 1\n"
+        "    return cls(segment)\n"
+    )
+    GUARDED = (
+        "    try:\n"
+        "        if not track:\n"
+        "            untrack(segment)\n"
+        "        segment.buf[0] = 1\n"
+        "        return cls(segment)\n"
+        "    except BaseException:\n"
+        "        segment.close()\n"
+        "        segment.unlink()\n"
+        "        raise\n"
+    )
+
+    def test_raise_between_allocation_and_hand_off_flagged(self):
+        bad = self.CREATE.format(body=self.UNGUARDED)
+        assert rules_of(lint_one(bad, "RPL008")) == ["RPL008"]
+        good = self.CREATE.format(body=self.GUARDED)
+        assert lint_one(good, "RPL008") == []
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(
+                "def f(arrays):\n"
+                "    with SharedColumnarStore.create(arrays) as store:\n"
+                "        return store.manifest\n",
+                id="with",
+            ),
+            pytest.param(
+                "def f():\n"
+                "    seg = SharedMemory(create=True, size=8)\n"
+                "    try:\n"
+                "        seg.buf[0] = 1\n"
+                "    finally:\n"
+                "        seg.close()\n"
+                "        seg.unlink()\n",
+                id="try-finally",
+            ),
+            pytest.param(
+                "def open_segment():\n"
+                "    seg = SharedMemory(create=True, size=8)\n"
+                "    return seg\n",
+                id="return",
+            ),
+            pytest.param(
+                "_SEG = None\n"
+                "def _pool_init(manifest):\n"
+                "    global _SEG\n"
+                "    _SEG = SharedColumnarStore.attach(manifest)\n",
+                id="global",
+            ),
+            pytest.param(
+                "class Holder:\n"
+                "    def open(self):\n"
+                "        self.seg = SharedMemory(create=True, size=8)\n",
+                id="attribute",
+            ),
+        ],
+    )
+    def test_custody_shape_is_clean(self, source):
+        assert lint_one(source, "RPL008") == []
 
     def test_exception_path_leak_flagged(self):
         bad = (
@@ -767,17 +619,18 @@ class TestThreadExecutorShared:
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_suppression_comment_silences_one_rule(self):
-        src = "H = 73856093  # repro-lint: disable=RPL003\n"
+        src = f"{SPAN}  # repro-lint: disable=RPL011\n"
         assert lint_source(src) == []
 
     def test_suppression_is_rule_specific(self):
-        src = "H = 73856093  # repro-lint: disable=RPL006\n"
-        assert rules_of(lint_source(src)) == ["RPL003"]
+        src = f"{SPAN}  # repro-lint: disable=RPL007\n"
+        assert rules_of(lint_source(src)) == ["RPL011"]
 
     def test_suppression_accepts_lists(self):
         src = (
-            "T = S.io_units_by_phase[\"join\"]  # repro-lint: disable=RPL002,RPL003\n"
-            "H = 19349663  # repro-lint: disable=all\n"
+            f"{SPAN}  # repro-lint: disable=RPL007,RPL011\n"
+            "async def handle(a, b):\n"
+            "    return spatial_join(a, b)  # repro-lint: disable=all\n"
         )
         assert lint_source(src) == []
 
@@ -789,7 +642,7 @@ class TestEngine:
             "from multiprocessing.shared_memory import SharedMemory\n"
             "def probe():\n"
             "    seg = SharedMemory(\n"
-            "        create=True,  # repro-lint: disable=RPL004,RPL008\n"
+            "        create=True,  # repro-lint: disable=RPL008\n"
             "        size=8,\n"
             "    )\n"
             "    seg.buf[0] = 1\n"
@@ -801,34 +654,48 @@ class TestEngine:
             "from multiprocessing.shared_memory import SharedMemory\n"
             "def probe():\n"
             "    seg = SharedMemory(\n"
-            "        create=True,  # repro-lint: disable=RPL006\n"
+            "        create=True,  # repro-lint: disable=RPL007\n"
             "        size=8,\n"
             "    )\n"
             "    seg.buf[0] = 1\n"
         )
-        assert rules_of(lint_source(src)) == ["RPL004", "RPL008"]
+        assert rules_of(lint_source(src)) == ["RPL008"]
 
     def test_compound_header_comment_does_not_blanket_the_block(self):
         # Expansion applies to *simple* statements only; a disable on an
         # `if` header must not silence findings inside the block.
-        src = "if True:  # repro-lint: disable=RPL002\n    T = S.io_units_by_phase[\"join\"]\n"
-        assert rules_of(lint_source(src)) == ["RPL002"]
+        src = f"if True:  # repro-lint: disable=RPL011\n    {SPAN}\n"
+        assert rules_of(lint_source(src)) == ["RPL011"]
 
     def test_syntax_error_reported_as_rpl000(self):
         findings = lint_source("def broken(:\n")
         assert rules_of(findings) == [SYNTAX_RULE_ID]
 
     def test_findings_render_as_path_line_col(self):
-        findings = lint_one("T = S.io_units_by_phase[\"join\"]\n", "RPL002", path="pkg/mod.py")
-        assert findings[0].render().startswith("pkg/mod.py:1:24: RPL002 ")
+        findings = lint_one(BLOCKING, "RPL007", path="pkg/mod.py")
+        assert findings[0].render().startswith("pkg/mod.py:2:11: RPL007 ")
 
     def test_run_lint_on_directory(self, tmp_path):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        (tmp_path / "bad.py").write_text("T = S.io_units_by_phase[\"join\"]\n")
+        (tmp_path / "bad.py").write_text(SPAN)
         (tmp_path / "__pycache__").mkdir()
-        (tmp_path / "__pycache__" / "sneaky.py").write_text("T = S.io_units_by_phase[\"join\"]\n")
-        findings = run_lint([tmp_path], rules=[RULES_BY_ID["RPL002"]])
+        (tmp_path / "__pycache__" / "sneaky.py").write_text(SPAN)
+        (tmp_path / ".hidden").mkdir()
+        (tmp_path / ".hidden" / "sneaky.py").write_text(SPAN)
+        findings = run_lint([tmp_path], rules=[RULES_BY_ID["RPL011"]])
         assert [Path(f.path).name for f in findings] == ["bad.py"]
+
+    def test_root_under_a_dot_path_is_linted(self, tmp_path, monkeypatch):
+        # Only the part below the given root is filtered: a checkout in
+        # ~/.work, or `../src` given from tests/, is not a hidden dir.
+        src = tmp_path / ".work" / "src"
+        src.mkdir(parents=True)
+        (src / "bad.py").write_text(SPAN)
+        (tmp_path / ".work" / "tests").mkdir()
+        monkeypatch.chdir(tmp_path / ".work" / "tests")
+        for root in (src, "../src"):
+            findings = run_lint([root], rules=[RULES_BY_ID["RPL011"]])
+            assert [Path(f.path).name for f in findings] == ["bad.py"]
 
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
@@ -855,18 +722,18 @@ class TestCli:
 
     def test_violations_exit_1(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("T = S.io_units_by_phase[\"join\"]\n")
+        bad.write_text(SPAN)
         proc = self.run_cli(str(bad))
         assert proc.returncode == 1
-        assert "RPL002" in proc.stdout
+        assert "RPL011" in proc.stdout
         assert "disable=RPLxxx" in proc.stderr
 
     def test_select_limits_rules(self, tmp_path):
         bad = tmp_path / "bad.py"
-        bad.write_text("T = S.io_units_by_phase[\"join\"]\nH = 73856093\n")
-        proc = self.run_cli("--select", "RPL003", str(bad))
+        bad.write_text(f"{SPAN}\n{BLOCKING}")
+        proc = self.run_cli("--select", "RPL007", str(bad))
         assert proc.returncode == 1
-        assert "RPL003" in proc.stdout and "RPL002" not in proc.stdout
+        assert "RPL007" in proc.stdout and "RPL011" not in proc.stdout
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         proc = self.run_cli("--select", "RPL999", str(tmp_path))
@@ -879,123 +746,11 @@ class TestCli:
     def test_list_rules(self):
         proc = self.run_cli("--list-rules")
         assert proc.returncode == 0
-        for rule in ALL_RULES:
-            assert rule.rule_id in proc.stdout
+        assert [line.split()[0] for line in proc.stdout.splitlines()] == [
+            rule.rule_id for rule in ALL_RULES
+        ]
 
     def test_self_test_flag(self):
         proc = self.run_cli("--self-test")
         assert proc.returncode == 0
         assert "self-test ok" in proc.stdout
-
-
-# ----------------------------------------------------------------------
-# SARIF output, baseline burn-down, incremental cache
-# ----------------------------------------------------------------------
-class TestCiIntegration:
-    run_cli = TestCli.run_cli
-
-    BAD = "T = S.io_units_by_phase[\"join\"]\nH = 73856093\n"
-
-    def test_sarif_output_structure(self, tmp_path):
-        import json
-
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        out = tmp_path / "lint.sarif"
-        proc = self.run_cli(
-            "--format", "sarif", "--output", str(out), str(bad)
-        )
-        assert proc.returncode == 1  # findings still fail the run
-        doc = json.loads(out.read_text())
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        shipped = {r["id"] for r in driver["rules"]}
-        assert {r.rule_id for r in ALL_RULES} <= shipped
-        results = run["results"]
-        assert sorted(r["ruleId"] for r in results) == ["RPL002", "RPL003"]
-        loc = results[0]["locations"][0]["physicalLocation"]
-        assert loc["artifactLocation"]["uri"].endswith("bad.py")
-        assert loc["region"]["startLine"] in (1, 2)
-
-    def test_clean_run_emits_valid_empty_sarif(self, tmp_path):
-        import json
-
-        ok = tmp_path / "ok.py"
-        ok.write_text("x = 1\n")
-        proc = self.run_cli("--format", "sarif", str(ok))
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        assert doc["runs"][0]["results"] == []
-
-    def test_write_then_apply_baseline(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        proc = self.run_cli("--write-baseline", str(baseline), str(bad))
-        assert proc.returncode == 0
-        assert "2 finding(s) written" in proc.stderr
-
-        # grandfathered findings no longer fail the run ...
-        proc = self.run_cli("--baseline", str(baseline), str(bad))
-        assert proc.returncode == 0
-        assert "2 grandfathered" in proc.stderr
-
-        # ... but a *new* finding does, and is the only one reported.
-        bad.write_text(self.BAD + "Y = 19349663\n")
-        proc = self.run_cli("--baseline", str(baseline), str(bad))
-        assert proc.returncode == 1
-        assert proc.stdout.count("RPL003") == 1
-        assert "RPL002" not in proc.stdout
-
-    def test_checked_in_baseline_is_empty(self):
-        """Satellite 2's contract: the repo lints clean with no
-        grandfathered findings left to burn down."""
-        import json
-
-        doc = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert doc["findings"] == []
-
-    def test_unreadable_baseline_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("x = 1\n")
-        missing = tmp_path / "nope.json"
-        proc = self.run_cli("--baseline", str(missing), str(bad))
-        assert proc.returncode == 2
-
-    def test_cache_hits_on_unchanged_files(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self.BAD)
-        (tmp_path / "ok.py").write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-
-        first = self.run_cli("--cache", str(cache), str(tmp_path))
-        assert first.returncode == 1
-        assert "cache: 0 hit(s), 2 miss(es)" in first.stderr
-
-        second = self.run_cli("--cache", str(cache), str(tmp_path))
-        assert second.returncode == 1
-        assert "cache: 2 hit(s), 0 miss(es)" in second.stderr
-        assert sorted(second.stdout.splitlines()) == sorted(
-            first.stdout.splitlines()
-        )
-
-    def test_cache_invalidated_by_content_change(self, tmp_path):
-        src = tmp_path / "mod.py"
-        src.write_text("x = 1\n")
-        cache = tmp_path / "cache.json"
-        self.run_cli("--cache", str(cache), str(src))
-
-        src.write_text("T = S.io_units_by_phase[\"join\"]\n")
-        proc = self.run_cli("--cache", str(cache), str(src))
-        assert proc.returncode == 1
-        assert "1 miss(es)" in proc.stderr
-        assert "RPL002" in proc.stdout
-
-    def test_cached_findings_still_honour_suppressions(self, tmp_path):
-        src = tmp_path / "mod.py"
-        src.write_text("H = 73856093  # repro-lint: disable=RPL003\n")
-        cache = tmp_path / "cache.json"
-        assert self.run_cli("--cache", str(cache), str(src)).returncode == 0
-        assert self.run_cli("--cache", str(cache), str(src)).returncode == 0

@@ -10,9 +10,12 @@ off (the :data:`NULL_TRACER` default).
 """
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro.core.phases as phases_module
 from repro import spatial_join
 from repro.core.phases import ALL_PHASES, PHASE_JOIN, PHASE_PARTITION
 from repro.core.report import format_stats, stats_to_dict
@@ -340,6 +343,72 @@ class TestDriverReconciliation:
             s for s in tracer.spans_of_kind(KIND_PHASE) if s.name == PHASE_JOIN
         ][0]
         assert join_span.counters.get("io_units", 0) > 0
+
+
+# ----------------------------------------------------------------------
+# phase names come from repro.core.phases, never from a literal
+# ----------------------------------------------------------------------
+_NAME = "(?:" + "|".join(map(re.escape, ALL_PHASES)) + ")"
+_QUOTED = f"[\"']{_NAME}[\"']"
+#: A phase name written as a string literal where a phase key goes:
+#: ``x_by_phase["join"]`` and its ``.get/.setdefault/.pop``, ``phase=``,
+#: a comparison with a ``*phase`` name, ``.phase("join")``.
+PHASE_LITERAL = re.compile(
+    "|".join(
+        (
+            rf"_by_phase(?:\[|\.(?:get|setdefault|pop)\()\s*{_QUOTED}",
+            rf"\bphase\s*=\s*{_QUOTED}",
+            rf"phase\s*[=!]=\s*{_QUOTED}",
+            rf"{_QUOTED}\s*[=!]=\s*[\w.]*phase\b",
+            rf"\.phase\(\s*{_QUOTED}",
+        )
+    )
+)
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestPhaseLiteral:
+    """A literal phase key can drift from the one every driver writes."""
+
+    def test_no_phase_literal_in_a_phase_position(self):
+        # This file holds the shapes below; phases.py defines the names.
+        exempt = {Path(__file__).resolve(), Path(phases_module.__file__).resolve()}
+        hits = [
+            f"{path.relative_to(REPO_ROOT)}:{n}"
+            for top in ("src", "benchmarks", "tests")
+            for path in sorted((REPO_ROOT / top).rglob("*.py"))
+            if path.resolve() not in exempt
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if PHASE_LITERAL.search(line)
+        ]
+        assert hits == []
+
+    def test_flags_by_phase_subscript(self):
+        assert PHASE_LITERAL.search('return stats.cpu_by_phase["join"]')
+
+    def test_flags_by_phase_get(self):
+        assert PHASE_LITERAL.search("s.io_units_by_phase.get('repartition', 0)")
+        assert PHASE_LITERAL.search('s.wall_seconds_by_phase.setdefault("sort", 0.0)')
+
+    def test_flags_phase_keyword(self):
+        assert PHASE_LITERAL.search('timer.charge(1.0, phase="dedup")')
+
+    def test_flags_comparison_against_phase(self):
+        assert PHASE_LITERAL.search('return span.phase == "sort"')
+        assert PHASE_LITERAL.search('if "build" != current_phase:')
+
+    def test_flags_phase_method(self):
+        assert PHASE_LITERAL.search('with tracer.phase("partition"):')
+
+    def test_constant_from_core_phases_is_clean(self):
+        assert not PHASE_LITERAL.search("return stats.cpu_by_phase[PHASE_JOIN]")
+
+    def test_non_phase_context_stays_legal(self):
+        # argparse choices, keys of unrelated maps: "join" is a fine word
+        # outside a phase position (cli.py's situation).
+        assert not PHASE_LITERAL.search('sub.add_parser("join")')
+        assert not PHASE_LITERAL.search('return {"mode": "sort"}')
+        assert not PHASE_LITERAL.search('tracer.span("join")')
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,50 @@ class TestSharedColumnarStore:
         with SharedColumnarStore.create({"x": np.empty(0, dtype=np.int64)}) as store:
             assert store["x"].shape == (0,)
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+    def test_a_create_that_fails_after_allocating_unlinks_its_segment(
+        self, own_shm_segments, monkeypatch
+    ):
+        import numpy as np
+
+        import repro.kernels.shm as shm
+
+        untrack = shm._untrack
+
+        def interrupted(segment):
+            untrack(segment)
+            raise KeyboardInterrupt  # as if during the column copy
+
+        # Untracked, as a worker's result segment: nothing else reclaims it.
+        monkeypatch.setattr(shm, "_untrack", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            SharedColumnarStore.create({"a": np.arange(1000)}, track=False)
+        assert own_shm_segments() == set()
+
+    def test_an_attach_that_fails_after_mapping_closes_its_handle(self, monkeypatch):
+        import numpy as np
+
+        import repro.kernels.shm as shm
+
+        opened = []
+
+        class RecordingSharedMemory(shm._shared_memory_module().SharedMemory):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(
+            shm,
+            "_shared_memory_module",
+            lambda: type("M", (), {"SharedMemory": RecordingSharedMemory}),
+        )
+        with SharedColumnarStore.create({"a": np.arange(4)}) as store:
+            name, entries = store.manifest
+            too_long = ((key, dtype, n * 1000, off) for key, dtype, n, off in entries)
+            with pytest.raises(TypeError):  # the view runs past the segment
+                SharedColumnarStore.attach((name, tuple(too_long)))
+            assert opened[1].buf is None  # closed: no mapping left behind
+
 
 # ----------------------------------------------------------------------
 # CSR partition indices

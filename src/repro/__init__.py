@@ -98,14 +98,18 @@ def spatial_join(
         :class:`~repro.pbsm.PBSM` itself defaults to.
     workers:
         When given (and > 1), execute the join-phase partition pairs on a
-        real process pool via :class:`~repro.pbsm.ParallelPBSM` —
+        warm process pool via :class:`~repro.pbsm.ParallelPBSM` —
         supported for ``method="pbsm"`` and, as an enumeration hint, for
         ``method="auto"`` (the planner then costs parallel candidates
-        against the sequential plans).  Partition data reaches the pool
-        through one zero-copy shared-memory segment (``docs/kernels.md``);
-        when platform shared memory is missing or
-        ``REPRO_DISABLE_SHM`` is set, the join runs on a thread pool
-        instead and ``stats.executor`` records what actually ran.
+        against the sequential plans).  The pool is one process-wide
+        instance (:data:`repro.pbsm.parallel.LIBRARY_POOL`), spawned by
+        the first such call, reused by the next ones (respawned for
+        another worker count or after a worker died) and shut down at
+        exit.  Partition data reaches it through one zero-copy
+        shared-memory segment (``docs/kernels.md``); when platform shared
+        memory is missing or ``REPRO_DISABLE_SHM`` is set, the join runs
+        the in-process loop instead (one ``RuntimeWarning``) and
+        ``stats.executor`` records what actually ran (``"simulated"``).
         ``workers=1`` loops in-process.  Every one of them runs the
         same id tasks over the inputs' columns, so a NaN coordinate or
         an inverted MBR is rejected up front with a ``ValueError``

@@ -166,14 +166,6 @@ def _cmd_join(args: argparse.Namespace) -> int:
             )
             return 2
         kwargs["workers"] = args.workers
-    if args.executor:
-        if args.workers is None or args.method != "pbsm":
-            print(
-                "error: --executor requires --workers and --method pbsm",
-                file=sys.stderr,
-            )
-            return 2
-        kwargs["executor"] = args.executor
     tracer = None
     if args.trace:
         from repro.obs import Tracer
@@ -408,14 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="run the PBSM join phase on a process pool with N workers",
-    )
-    join.add_argument(
-        "--executor",
-        default=None,
-        choices=("process", "thread"),
-        help="with --workers: pool flavour — forked processes (default) "
-        "or GIL-releasing threads over the columnar kernel",
+        help="run the PBSM join phase on a warm process pool of N workers",
     )
     join.add_argument("--out", default=None, help="write result pairs as CSV")
     join.add_argument(

@@ -22,9 +22,9 @@ class JoinStats:
 
     algorithm: str = ""
     #: how partition joins were actually executed: "process" (fan-out
-    #: over a pool and a shared-memory segment), "thread" (also what a
-    #: process request degrades to without that segment), "simulated"
-    #: (modelled parallelism), or "" for sequential
+    #: over a warm pool and a shared-memory segment), "simulated" (the
+    #: in-process loop with modelled parallelism, also what a process
+    #: request runs without that segment), or "" for sequential
     executor: str = ""
     # --- cardinalities -------------------------------------------------
     n_left: int = 0

@@ -70,13 +70,9 @@ class CostModel:
     #: a pool (future bookkeeping, queue handoff).
     dispatch_seconds: float = 5.0e-4
     #: Simulated seconds to spawn one pool worker process (fork/exec +
-    #: interpreter warm-up).  Charged by the process executor when no
-    #: persistent pool is available; the thread executor never pays it.
+    #: interpreter warm-up).  The planner charges it to every parallel
+    #: candidate: it prices the cold run, before any pool is warm.
     pool_spawn_seconds: float = 1.5e-2
-    #: Fraction of the vectorized join work that runs with the GIL
-    #: released (inside numpy).  Bounds the thread executor's speedup by
-    #: Amdahl: ``1 / ((1 - f) + f / workers)``.
-    thread_parallel_fraction: float = 0.6
     #: Simulated seconds to open a memory-mapped ``.rcd`` dataset: a
     #: header read plus one mmap, independent of cardinality.  The
     #: flat-vs-linear contrast with :attr:`parse_record_seconds` is what

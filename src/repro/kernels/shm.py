@@ -31,7 +31,7 @@ zero-copy results.
 ``shm_enabled()`` gates the whole path: ``REPRO_DISABLE_SHM`` must be
 unset and the platform must actually support POSIX shared memory
 (probed once). When the gate is closed the process executor runs the
-thread executor instead, bit-for-bit.
+in-process task loop instead, bit-for-bit.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _platform_has_shm() -> bool:
 def shm_enabled() -> bool:
     """True when the zero-copy shared-memory executor may be used.
 
-    One switch (``REPRO_DISABLE_SHM``) flips every caller to the thread
-    fallback, which is how CI proves the degraded path stays
+    One switch (``REPRO_DISABLE_SHM``) flips every caller to the
+    in-process loop, which is how CI proves the degraded path stays
     byte-identical.
     """
     if os.environ.get("REPRO_DISABLE_SHM"):

@@ -10,7 +10,7 @@ or import the API (what ``tests/test_lint.py`` does)::
 
     from repro.lint import lint_source, run_lint, ALL_RULES
 
-RPL007 is a per-statement pattern rule; RPL008–RPL012 are
+RPL007 is a per-statement pattern rule; RPL008–RPL011 are
 flow-sensitive (CFG + forward dataflow, see :mod:`repro.lint.cfg` and
 :mod:`repro.lint.dataflow`).  Each rule encodes an invariant a past PR
 fixed by hand; see ``docs/static_analysis.md`` for the rule catalogue,

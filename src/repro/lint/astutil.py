@@ -34,15 +34,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def root_name(node: ast.AST) -> Optional[str]:
-    """First segment of a Name/Attribute/Subscript chain (``a.b[c].d`` -> ``"a"``)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript)):
-        node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def walk_scope(stmts: Sequence[ast.stmt]) -> Iterator[ast.AST]:
     """Walk statements without descending into nested function scopes."""
     stack: List[ast.AST] = list(stmts)
@@ -91,7 +82,6 @@ __all__ = [
     "function_scopes",
     "in_path",
     "is_shm_acquisition",
-    "root_name",
     "tail_name",
     "walk_scope",
 ]

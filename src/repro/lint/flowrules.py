@@ -1,4 +1,4 @@
-"""The flow-sensitive repro-lint rules (RPL008–RPL012).
+"""The flow-sensitive repro-lint rules (RPL008–RPL011).
 
 Where :mod:`repro.lint.rules` pattern-matches single statements, the
 rules here reason about *paths*: they build a CFG per function
@@ -33,7 +33,6 @@ from repro.lint.astutil import (
     function_scopes,
     in_path,
     is_shm_acquisition,
-    root_name,
     tail_name,
     walk_scope,
 )
@@ -921,257 +920,10 @@ class SpanPairing(Rule):
             )
 
 
-# ----------------------------------------------------------------------
-# RPL012 — thread-dispatched functions must not mutate shared state
-# ----------------------------------------------------------------------
-class ThreadExecutorShared(Rule):
-    """Callables dispatched to a ``ThreadPoolExecutor`` must not write
-    ``self``/closure attributes or rebind outer names without a lock.
-
-    The thread executor exists because the numpy kernels release the
-    GIL, which means worker callables *really do* run concurrently with
-    each other and with the dispatching thread.  A worker that writes
-    ``self.anything`` (or a captured object's attribute, or a
-    ``nonlocal``/``global`` name) unlocked is a data race the tests only
-    lose intermittently — the driver's own convention is that workers
-    communicate exclusively through their return values (see
-    ``pbsm/parallel.py``), and this rule makes that convention checkable.
-    """
-
-    rule_id = "RPL012"
-    title = "thread-pool workers write shared state only under a lock"
-
-    fixture_bad = (
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class Engine:\n"
-        "    def run(self, units):\n"
-        "        def work(unit):\n"
-        "            self.completed = unit\n"
-        "            return unit\n"
-        "        with ThreadPoolExecutor(max_workers=2) as pool:\n"
-        "            return list(pool.map(work, units))\n"
-    )
-    fixture_good = (
-        "import threading\n"
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "class Engine:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.completed = 0\n"
-        "    def run(self, units):\n"
-        "        def work(unit):\n"
-        "            with self._lock:\n"
-        "                self.completed += 1\n"
-        "            return unit\n"
-        "        with ThreadPoolExecutor(max_workers=2) as pool:\n"
-        "            return list(pool.map(work, units))\n"
-    )
-
-    def check_module(self, module: ModuleInfo) -> Iterable[Finding]:
-        for fn in function_scopes(module.tree):
-            yield from self._check_function(module, fn)
-
-    def _check_function(
-        self, module: ModuleInfo, fn: FunctionNode
-    ) -> Iterator[Finding]:
-        pool_vars = self._pool_vars(fn)
-        if not pool_vars:
-            return
-        local_defs: Dict[str, FunctionNode] = {}
-        for node in ast.walk(fn):
-            if node is fn:
-                continue
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                local_defs[node.name] = node
-        workers = self._worker_defs(fn, pool_vars, local_defs)
-        for worker in workers:
-            yield from self._check_worker(module, worker)
-
-    @staticmethod
-    def _pool_vars(fn: FunctionNode) -> Set[str]:
-        pools: Set[str] = set()
-        for node in walk_scope(fn.body):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-                and tail_name(node.value.func) == "ThreadPoolExecutor"
-            ):
-                pools.add(node.targets[0].id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if (
-                        isinstance(item.context_expr, ast.Call)
-                        and tail_name(item.context_expr.func)
-                        == "ThreadPoolExecutor"
-                        and isinstance(item.optional_vars, ast.Name)
-                    ):
-                        pools.add(item.optional_vars.id)
-        return pools
-
-    @staticmethod
-    def _worker_defs(
-        fn: FunctionNode,
-        pool_vars: Set[str],
-        local_defs: Dict[str, FunctionNode],
-    ) -> List[FunctionNode]:
-        workers: List[FunctionNode] = []
-        seen: Set[int] = set()
-        for node in walk_scope(fn.body):
-            if not isinstance(node, ast.Call):
-                continue
-            dispatches = False
-            if (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in pool_vars
-            ):
-                dispatches = True  # pool.submit(f, ...) / pool.map(f, ...)
-            elif any(
-                isinstance(arg, ast.Name) and arg.id in pool_vars
-                for arg in node.args
-            ):
-                dispatches = True  # self._drain(pool, f, ...) style
-            if not dispatches:
-                continue
-            for arg in node.args:
-                if isinstance(arg, ast.Name) and arg.id in local_defs:
-                    worker = local_defs[arg.id]
-                    if id(worker) not in seen:
-                        seen.add(id(worker))
-                        workers.append(worker)
-        return workers
-
-    def _check_worker(
-        self, module: ModuleInfo, worker: FunctionNode
-    ) -> Iterator[Finding]:
-        local_names = self._local_names(worker)
-        shared_decls: Set[str] = set()
-        for node in walk_scope(worker.body):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                shared_decls.update(node.names)
-
-        def visit(
-            stmts: Sequence[ast.stmt], locked: bool
-        ) -> Iterator[Finding]:
-            for stmt in stmts:
-                inner = locked
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        name = dotted_name(item.context_expr) or ""
-                        if "lock" in name.lower():
-                            inner = True
-                if isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
-                    continue
-                if not locked:
-                    yield from self._stmt_violations(
-                        module, worker, stmt, local_names, shared_decls
-                    )
-                for field_name in ("body", "orelse", "finalbody"):
-                    child = getattr(stmt, field_name, None)
-                    if child:
-                        yield from visit(child, inner)
-                for handler in getattr(stmt, "handlers", []) or []:
-                    yield from visit(handler.body, inner)
-                for case in getattr(stmt, "cases", []) or []:
-                    yield from visit(case.body, inner)
-
-        yield from visit(worker.body, False)
-
-    def _stmt_violations(
-        self,
-        module: ModuleInfo,
-        worker: FunctionNode,
-        stmt: ast.stmt,
-        local_names: Set[str],
-        shared_decls: Set[str],
-    ) -> Iterator[Finding]:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            flat: List[ast.expr] = (
-                list(target.elts)
-                if isinstance(target, (ast.Tuple, ast.List))
-                else [target]
-            )
-            for tgt in flat:
-                if isinstance(tgt, ast.Attribute):
-                    root = root_name(tgt)
-                    if root is not None and (
-                        root == "self" or root not in local_names
-                    ):
-                        yield self.finding(
-                            module,
-                            tgt,
-                            f"thread-pool worker {worker.name}() writes "
-                            f"shared attribute {root}.{tgt.attr} without a "
-                            "lock; workers must communicate via return "
-                            "values or take a lock (GIL-releasing kernels "
-                            "really do run this concurrently)",
-                        )
-                elif isinstance(tgt, ast.Name) and tgt.id in shared_decls:
-                    yield self.finding(
-                        module,
-                        tgt,
-                        f"thread-pool worker {worker.name}() rebinds "
-                        f"{tgt.id!r} declared global/nonlocal without a "
-                        "lock; workers must communicate via return values",
-                    )
-
-    @staticmethod
-    def _local_names(worker: FunctionNode) -> Set[str]:
-        args = worker.args
-        names: Set[str] = {
-            a.arg
-            for a in (
-                args.posonlyargs
-                + args.args
-                + args.kwonlyargs
-                + ([args.vararg] if args.vararg else [])
-                + ([args.kwarg] if args.kwarg else [])
-            )
-        }
-        shared: Set[str] = set()
-        for node in walk_scope(worker.body):
-            if isinstance(node, (ast.Global, ast.Nonlocal)):
-                shared.update(node.names)
-        for node in walk_scope(worker.body):
-            if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            names.add(sub.id)
-            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                if isinstance(node.target, ast.Name):
-                    names.add(node.target.id)
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                for sub in ast.walk(node.target):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-            elif isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if item.optional_vars is not None:
-                        for sub in ast.walk(item.optional_vars):
-                            if isinstance(sub, ast.Name):
-                                names.add(sub.id)
-            elif isinstance(node, ast.comprehension):
-                for sub in ast.walk(node.target):
-                    if isinstance(sub, ast.Name):
-                        names.add(sub.id)
-        return names - shared
-
-
 #: The flow-sensitive rules, in rule-id order (merged into ALL_RULES).
 FLOW_RULES: Tuple[Rule, ...] = (
     SegmentCustodyPaths(),
     LockDiscipline(),
     ChargeOnce(),
     SpanPairing(),
-    ThreadExecutorShared(),
 )

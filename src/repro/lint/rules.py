@@ -6,10 +6,10 @@ carry their own minimal good/bad fixtures so the engine (and the test
 suite) can prove each one fires exactly when it should.
 
 RPL007 lives here and matches per statement; the flow-sensitive rules
-RPL008–RPL012 (CFG + dataflow) live in :mod:`repro.lint.flowrules`.
+RPL008–RPL011 (CFG + dataflow) live in :mod:`repro.lint.flowrules`.
 :data:`ALL_RULES` is both, in rule-id order.  The rules RPL001–RPL006
-are retired; ``docs/static_analysis.md`` names the check that replaced
-each one.
+and RPL012 are retired; ``docs/static_analysis.md`` names the check that
+replaced each one, or the code whose deletion retired it.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 The paper's related work points to parallel spatial join processing
 [BKS 96, Pat 98]; PBSM parallelises naturally because partition pairs are
 independent once partitioning has replicated the data.  This module offers
-three executors over the same shared-nothing decomposition:
+two executors over the same shared-nothing decomposition:
 
 * ``executor="simulated"`` — the analytic model: the partitioning phase is
   a single sequential scan, after which the P partition-pair join tasks —
@@ -13,61 +13,59 @@ three executors over the same shared-nothing decomposition:
   speedup curve flattens exactly where the paper's decomposition
   predicts: the sequential partitioning fraction and the largest single
   partition bound the achievable speedup (Amdahl).
-* ``executor="process"`` — the same task decomposition, actually executed:
-  the join tasks are fanned out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Results are merged
-  in partition order, so the output is byte-identical to the sequential
-  execution.  With ``workers=1`` the fan-out degrades gracefully to an
-  in-process loop (no pool is spawned).
-* ``executor="thread"`` — the same fan-out over a
-  :class:`concurrent.futures.ThreadPoolExecutor`.  The columnar kernel
-  spends its time inside numpy, which releases the GIL, so threads scale
-  on the vectorized path while costing no process spawn, no pickling and
-  no IPC at all: every thread gathers from the same columns.
+* ``executor="process"`` — the same task decomposition, actually executed
+  on a warm, persistent process pool (:class:`WarmPool`).  Results are
+  merged in partition order, so the output is byte-identical to the
+  sequential execution.  With ``workers=1`` the fan-out degrades
+  gracefully to the in-process loop (no pool is used).
+
+One pool entry point serves every real fan-out: chunks carry their
+per-query configuration and go to :func:`_run_dyn_chunk`.  ``repro
+serve``'s :class:`~repro.serve.engine.EngineHost` owns one
+:class:`WarmPool` and hands its pool in through ``pool=``; everything
+else (``spatial_join(workers=N)``, ``method="auto"`` parallel plans,
+``repro join --workers``) borrows :data:`LIBRARY_POOL`, one lazily
+spawned process-wide instance (``benchmarks/results/BENCH_executors.json``:
+a pool spawned per run lost to the warm pool in every cell, and a thread
+pool beat the better of the warm pool and the in-process loop in none).
 
 Load is balanced in the partitioning, as in the paper (Sec. 3.1): many
 more tiles than partitions, tiles hashed to partitions.  Dispatch is one
-policy on both real executors: the tasks are LPT-packed by joined size
-into ``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and
-the pool's own call queue hands the next chunk to whichever worker frees
-up.  A task is never split: every pair is owned by exactly one partition
-and found by that partition's one scan.  ``stats.scheduler_idle_seconds``
-is the summed worker idle time the makespan hides.
+policy: the tasks are LPT-packed by joined size into
+``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and the
+pool's own call queue hands the next chunk to whichever worker frees up.
+A task is never split: every pair is owned by exactly one partition and
+found by that partition's one scan.  ``stats.scheduler_idle_seconds`` is
+the summed worker idle time the makespan hides.
 
 A join task means one thing on every executor: the five integers
 ``(pid, l_lo, l_hi, r_lo, r_hi)`` — two CSR slices into the id runs the
 ``emit="ids"`` partitioner produced — run by one task loop
 (:func:`_run_tasks`) against one source form
-``(left, right, l_ids, r_ids)``.  The in-process executors (simulated,
-``workers=1``, thread) hold that source as plain objects.  The process
+``(left, right, l_ids, r_ids)``.  The in-process loop (simulated,
+``workers=1``) holds that source as plain objects.  The process
 executor loads both inputs' columns and the id arrays once into a
 :class:`~repro.kernels.shm.SharedColumnarStore` segment, workers attach
 by segment name, build the same source as views of the mapped pages and
 gather their slices straight out of them, and result ``(rid, sid)`` oid
-buffers come back through a worker-created segment — only task tuples
-and manifests ever cross the pipe.  The driver never boxes those
-buffers: the parent copies each task's two runs out of the result
-segment, the in-process executors keep the columnar leaf's arrays, and
-``run`` concatenates once in ``pid`` order into a buffer-backed
-:class:`~repro.core.result.JoinResult` — a tuple exists only once a
-caller reads ``result.pairs``.  (The tuple leaf in this process returns
-its pair list and the result stays list-backed.)  Where that segment
-cannot exist
-(``shm_enabled()`` is false: no POSIX shared memory or
-``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the thread executor
-instead, with byte-identical output, one ``RuntimeWarning`` per process,
-and ``stats.executor`` reporting what actually ran.
+buffers come back through a worker-created segment — only task tuples,
+the query's configuration and manifests ever cross the pipe.  The driver
+never boxes those buffers: the parent copies each task's two runs out of
+the result segment, the in-process loop keeps the columnar leaf's
+arrays, and ``run`` concatenates once in ``pid`` order into a
+buffer-backed :class:`~repro.core.result.JoinResult` — a tuple exists
+only once a caller reads ``result.pairs``.  (The tuple leaf in this
+process returns its pair list and the result stays list-backed.)  Where
+that segment cannot exist (``shm_enabled()`` is false: no POSIX shared
+memory or ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the
+in-process loop instead, with byte-identical output, one
+``RuntimeWarning`` per process, and ``stats.executor`` reporting what
+actually ran (``"simulated"``).
 
 A task ends in one of the two leaves sequential ``PBSM`` ends in
 (:func:`~repro.pbsm.join.columnar_leaf` for ``sweep_numpy``,
 :func:`~repro.pbsm.join.tuple_leaf` over materialised records
-otherwise), under the one-entry region ``((grid, pid),)``.  A per-run
-pool installs grid, dedup mode and source once per worker through its
-initializer (:func:`_pool_init`); an externally-owned persistent pool
-(``repro serve``) cannot, so there the configuration rides with every
-chunk (:func:`_run_dyn_chunk`).  The initializer entry stays because
-routing one-shot joins through the per-chunk configuration measured
-20-45 ms slower on a ~215 ms join (PR 15).
+otherwise), under the one-entry region ``((grid, pid),)``.
 
 Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
 or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
@@ -79,6 +77,7 @@ phase, so it is rejected here rather than silently degraded.
 
 from __future__ import annotations
 
+import atexit
 import os
 import pickle
 import threading
@@ -86,7 +85,6 @@ import time
 import warnings
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -94,7 +92,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    cast,
 )
 
 import numpy as np
@@ -119,7 +116,7 @@ from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
 from repro.pbsm.partitioner import partition_relation
 
-EXECUTORS = ("simulated", "process", "thread")
+EXECUTORS = ("simulated", "process")
 
 #: Dedup modes the parallel driver supports: both are *online* (each pair
 #: is owned by exactly one task), so no cross-worker phase is needed.
@@ -284,15 +281,8 @@ def _run_tasks(
 
 
 # ----------------------------------------------------------------------
-# pool worker state (set once per worker by the initializer)
+# the pool worker's side: one entry point, configuration in every chunk
 # ----------------------------------------------------------------------
-#: ``(internal_name, dedup, grid, source)`` — :func:`_run_tasks`' fixed
-#: arguments for the life of a per-run pool worker.
-_POOL_RUN: Optional[Tuple[str, str, TileGrid, TaskSource]] = None
-#: The attached input segment; held so the source's views stay mapped.
-_POOL_STORE: Optional[SharedColumnarStore] = None
-
-
 def _worker_source(
     ids: SharedColumnarStore,
     pinned: Optional[Tuple[SharedColumnarStore, SharedColumnarStore]] = None,
@@ -309,31 +299,6 @@ def _worker_source(
     else:
         left, right = pinned[0].relation("D"), pinned[1].relation("D")
     return left, right, ids["L.ids"], ids["R.ids"]
-
-
-def _pool_init(
-    internal_name: str, grid_spec: Tuple, manifest: Manifest, dedup: str
-) -> None:
-    """Process-pool initializer: rebuild per-worker state exactly once.
-
-    The internal-algorithm name, the grid and the dedup mode are
-    installed here, once per worker, and the worker attaches the input
-    segment — so chunk payloads are bare task tuples.
-    """
-    global _POOL_RUN, _POOL_STORE
-    _POOL_STORE = SharedColumnarStore.attach(manifest)
-    _POOL_RUN = (
-        internal_name,
-        dedup,
-        _grid_from_spec(grid_spec),
-        _worker_source(_POOL_STORE),
-    )
-
-
-def _run_shm_chunk(payload: bytes) -> bytes:
-    """Worker entry point of a per-run pool: the payload is the task list."""
-    assert _POOL_RUN is not None
-    return _chunk_blob(*_POOL_RUN, pickle.loads(payload))
 
 
 def _chunk_blob(
@@ -386,12 +351,9 @@ def _unlink_result_blob(blob: bytes) -> None:
         results.unlink()
 
 
-# ----------------------------------------------------------------------
-# dynamic-config execution (externally-owned persistent pools)
-# ----------------------------------------------------------------------
 #: ``(internal_name, grid_spec, dedup, ids_manifest, pinned)`` — the
-#: per-query configuration a dynamic chunk carries instead of relying on
-#: a pool initializer.  *ids_manifest* names the per-query segment;
+#: per-query configuration every chunk carries (a warm pool outlives
+#: every query).  *ids_manifest* names the per-query segment;
 #: *pinned* is ``None`` (that segment holds the columns too) or the
 #: ``(left, right)`` manifests of long-lived dataset segments.
 PoolConfig = Tuple[str, Tuple, str, Manifest, Optional[Tuple[Manifest, Manifest]]]
@@ -417,12 +379,12 @@ def _pinned_store(manifest: Manifest) -> SharedColumnarStore:
 
 
 def _run_dyn_chunk(payload: bytes) -> bytes:
-    """Worker entry point for pools without a per-query initializer.
+    """The pool worker's entry point, on every real fan-out.
 
-    A persistent pool (``repro serve``) outlives any single query, so
-    per-query state cannot be installed by a pool initializer — it rides
-    along with every chunk instead: the payload is the pickled
-    ``(config, tasks)`` pair.  Grid rebuild is cheap; pinned dataset
+    A warm pool outlives any single query, so the query's configuration
+    rides along with every chunk: the payload is the pickled
+    ``(config, tasks)`` pair (:data:`PoolConfig`).  Grid rebuild is
+    cheap; pinned dataset
     segments stay attached across queries, the per-query segment is
     scoped to the chunk, so repeated queries over registered datasets
     touch the big columns without ever re-mapping them.
@@ -444,6 +406,94 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
         )
     finally:
         ids.close()
+
+
+# ----------------------------------------------------------------------
+# the warm pool: one spawn / replace / shutdown for server and library
+# ----------------------------------------------------------------------
+def _warm_worker(seconds: float) -> int:
+    """Pool warm-up task: occupy a worker long enough to force spawning."""
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _spawn_pool(workers: int) -> Any:
+    """A new process pool with every worker already running."""
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    # Make sure the parent's resource tracker exists *before* the
+    # workers fork: workers forked first would each spawn their
+    # own tracker, whose shared-memory registrations are never
+    # matched by the parent's unlinks (spurious leak warnings).
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except (ImportError, AttributeError):
+        pass  # platform without the tracker API; nothing to pre-start
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # Force every worker into existence now: the sleep outlasts
+    # task dispatch, so no single worker can drain the batch.
+    wait([pool.submit(_warm_worker, 0.05) for _ in range(workers)])
+    return pool
+
+
+class WarmPool:
+    """A persistent process pool behind one lock.
+
+    ``get`` spawns the pool on first use (every worker running before it
+    returns) and respawns it when asked for another worker count.  A pool
+    whose worker died is broken for good
+    (:class:`~concurrent.futures.process.BrokenProcessPool`): the caller
+    that finds out hands it to ``replace``, and of several callers failing
+    on the same dead pool only the first spawns its successor.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.pool: Optional[Any] = None
+        self.workers = 0
+
+    def get(self, workers: int) -> Any:
+        """The pool, with *workers* workers (blocking while it spawns)."""
+        with self._lock:
+            old = None
+            if self.pool is None or self.workers != workers:
+                old, self.pool = self.pool, _spawn_pool(workers)
+                self.workers = workers
+            pool = self.pool
+        if old is not None:
+            old.shutdown(wait=True)
+        return pool
+
+    def replace(self, dead: Any) -> None:
+        """Swap the broken pool *dead* for a fresh one (first caller wins)."""
+        with self._lock:
+            if self.pool is not dead:
+                return  # already replaced, or shut down meanwhile
+            dead.shutdown(wait=False)
+            self.pool = _spawn_pool(self.workers)
+
+    def shutdown(self) -> None:
+        """Tear the pool down (idempotent; blocking)."""
+        with self._lock:
+            pool, self.pool = self.pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
+
+    def _forget(self) -> None:
+        """In a forked child: the parent's pool and lock are not ours."""
+        self._lock = threading.Lock()
+        self.pool = None
+
+
+#: The process-wide pool every ``ParallelPBSM`` without ``pool=`` borrows:
+#: spawned on the first real fan-out, shut down at exit, and forgotten in
+#: a forked child (whose first fan-out spawns its own).
+LIBRARY_POOL = WarmPool()
+atexit.register(LIBRARY_POOL.shutdown)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=LIBRARY_POOL._forget)
 
 
 def _concat_ids(runs: List[Any], as_list: bool) -> Any:
@@ -486,17 +536,42 @@ def lpt_schedule(task_costs: Sequence[float], workers: int) -> Tuple[float, List
     return (max(loads) if loads else 0.0), loads
 
 
+def _drain(pool: Any, payloads: Sequence[bytes]) -> List[bytes]:
+    """Run chunk *payloads* on *pool*; result blobs come back in order.
+
+    Every payload is submitted up front: the pool's own call queue is the
+    shared work queue, handing the next chunk to whichever worker frees
+    up first.
+
+    When a chunk fails nothing more is submitted, the chunks already
+    submitted are waited out, the result segment of every chunk that did
+    finish is unlinked (nobody else will ever see its blob), and the
+    first error is re-raised.
+    """
+    from concurrent.futures import wait
+
+    futures: List[Any] = []
+    try:
+        for payload in payloads:
+            futures.append(pool.submit(_run_dyn_chunk, payload))
+        return [future.result() for future in futures]
+    except BaseException:
+        wait(futures)
+        for future in futures:
+            if not future.cancelled() and future.exception() is None:
+                _unlink_result_blob(future.result())
+        raise
+
+
 class ParallelPBSM:
     """PBSM with the join phase spread over *workers* workers.
 
     ``executor="simulated"`` runs sequentially and *models* the parallel
     runtime; ``executor="process"`` actually fans the join tasks out over
-    a process pool and ``executor="thread"`` over a thread pool (numpy
-    releases the GIL inside the vectorized kernel, so threads scale on
-    the ``sweep_numpy`` path with zero spawn or pickling cost).  All
-    executors produce identical result pairs in identical order, and all
-    report the same simulated costs — the real executors additionally
-    deliver wall-clock speedup on multicore hardware.
+    a warm process pool — *pool* if given (its owner manages it), the
+    process-wide :data:`LIBRARY_POOL` otherwise.  Both executors produce
+    identical result pairs in identical order and report the same
+    simulated costs.
 
     The result of the columnar engine (``sweep_numpy``), and
     of any internal run on a process pool, is backed by the two int64 oid
@@ -511,7 +586,7 @@ class ParallelPBSM:
     executor runs the same CSR id tasks over the inputs' columns,
     whatever the internal algorithm; the process
     executor ships them over one shared-memory segment and runs the
-    thread executor where that segment cannot exist (module docstring);
+    in-process loop where that segment cannot exist (module docstring);
     out-of-range worker counts are clamped with a :class:`RuntimeWarning`
     (once per process per distinct clamp) instead of raising or silently
     oversubscribing the machine.
@@ -548,7 +623,7 @@ class ParallelPBSM:
         if workers < 1:
             _warn_clamp(f"workers={workers} is below 1; clamped to 1")
             workers = 1
-        if executor in ("process", "thread"):
+        if executor == "process":
             cap = worker_cap()
             if workers > cap:
                 _warn_clamp(
@@ -567,10 +642,9 @@ class ParallelPBSM:
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
-        #: An externally-owned (persistent) process pool.  When set, the
-        #: fan-out submits dynamic-config chunks to it instead of
-        #: spawning a pool per run — the ``repro serve`` path, where the
-        #: pool outlives every query.  The caller owns its lifecycle.
+        #: An externally-owned warm process pool (``repro serve``'s); the
+        #: caller owns its lifecycle.  ``None`` borrows
+        #: :data:`LIBRARY_POOL`.
         self.pool = pool
         #: Manifests of pinned left/right dataset segments (columns under
         #: the neutral ``D.*`` prefix).  With an external pool, the
@@ -584,11 +658,11 @@ class ParallelPBSM:
             _warn_clamp(
                 "executor='process' needs a shared-memory segment (POSIX "
                 "shared memory, REPRO_DISABLE_SHM unset); running the "
-                "thread executor instead"
+                "in-process loop instead"
             )
-            executor = "thread"
+            executor = "simulated"
         # A real pool (workers > 1) runs the tasks over the segment;
-        # every other executor runs them in this process.
+        # everything else runs them in this process.
         use_pool = executor == "process" and self.workers > 1
         columnar = columnar_engine(self.internal_name)
         # RPM stays untagged (the historical spelling); avoidance is
@@ -775,68 +849,32 @@ class ParallelPBSM:
         stats: JoinStats,
         source: TaskSource,
     ) -> List[TaskOutcome]:
-        """Run every join task in this process, looped or on threads.
+        """Run every join task in this process, in one loop.
 
-        Besides the outcomes this fills in the parallel timing fields of
-        *stats*: ``join_busy_seconds`` (sum of per-task wall seconds, as
-        measured where the task ran) and ``join_makespan_seconds`` (the
-        fan-out elapsed time observed here, in the parent).
+        Simulated mode, ``workers=1`` and a process request without a
+        shared-memory segment share it; no pool is used.  Besides the
+        outcomes this fills in the parallel timing fields of *stats*:
+        ``join_busy_seconds`` (sum of per-task wall seconds) and
+        ``join_makespan_seconds`` (the loop's elapsed time).
         """
-        run_args = (self.internal_name, self.dedup, grid, source)
-        if stats.executor == "thread" and self.workers > 1:
-            outcomes = self._execute_thread(tasks, stats, run_args)
-        else:
-            # Simulated mode and the workers=1 degenerate case share the
-            # in-process loop; no pool is spawned.
-            tracer = self.tracer
-            started = time.perf_counter()
-            outcomes = []
-            for outcome in _run_tasks(*run_args, tasks, as_ids=False):
-                outcomes.append(outcome)
-                if tracer.recording:
-                    tracer.add_span(
-                        "task",
-                        outcome[4],
-                        kind=KIND_TASK,
-                        counters=outcome[3],
-                        pid=outcome[0],
-                    )
-            stats.join_makespan_seconds = time.perf_counter() - started
+        tracer = self.tracer
+        started = time.perf_counter()
+        outcomes = []
+        for outcome in _run_tasks(
+            self.internal_name, self.dedup, grid, source, tasks, as_ids=False
+        ):
+            outcomes.append(outcome)
+            if tracer.recording:
+                tracer.add_span(
+                    "task",
+                    outcome[4],
+                    kind=KIND_TASK,
+                    counters=outcome[3],
+                    pid=outcome[0],
+                )
+        stats.join_makespan_seconds = time.perf_counter() - started
         stats.join_busy_seconds = sum(outcome[4] for outcome in outcomes)
         return outcomes
-
-    def _drain(
-        self,
-        pool: Any,
-        run_fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        discard: Optional[Callable[[Any], None]] = None,
-    ) -> List[Any]:
-        """Run *payloads* on *pool*; results come back in payload order.
-
-        Every payload is submitted up front: the pool's own call queue is
-        the shared work queue, handing the next chunk to whichever worker
-        frees up first.
-
-        When a chunk fails nothing more is submitted, the chunks already
-        submitted are waited out, every result that did come back goes
-        to *discard* (nobody else will ever see it), and the first error
-        is re-raised.
-        """
-        from concurrent.futures import wait
-
-        futures: List[Any] = []
-        try:
-            for payload in payloads:
-                futures.append(pool.submit(run_fn, payload))
-            return [future.result() for future in futures]
-        except BaseException:
-            wait(futures)
-            if discard is not None:
-                for future in futures:
-                    if not future.cancelled() and future.exception() is None:
-                        discard(future.result())
-            raise
 
     def _emit_pool_spans(
         self,
@@ -885,51 +923,6 @@ class ParallelPBSM:
             - sum(busy_by_worker.values()),
         )
 
-    def _execute_thread(
-        self,
-        tasks: List[IdTask],
-        stats: JoinStats,
-        run_args: Tuple[str, str, TileGrid, TaskSource],
-    ) -> List[TaskOutcome]:
-        """Fan the tasks out over a thread pool — no spawn, no pickling.
-
-        The vectorized kernel releases the GIL inside numpy, so the scan
-        work genuinely overlaps; everything stays in one address space —
-        every thread gathers from the same columns and id arrays — so
-        ``ipc_bytes_shipped`` is rightfully zero.  Worker labels
-        are thread names normalised to ``thread-N`` in first-appearance
-        order.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        units = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
-
-        def run_unit(unit: List[IdTask]) -> Tuple[str, float, List[TaskOutcome]]:
-            unit_started = time.perf_counter()
-            unit_outcomes = list(_run_tasks(*run_args, unit, as_ids=False))
-            wall = time.perf_counter() - unit_started
-            return threading.current_thread().name, wall, unit_outcomes
-
-        started = time.perf_counter()
-        with ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-join"
-        ) as pool:
-            reports = cast(
-                List[Tuple[str, float, List[TaskOutcome]]],
-                self._drain(pool, run_unit, units),
-            )
-        stats.join_makespan_seconds = time.perf_counter() - started
-
-        outcomes: List[TaskOutcome] = []
-        chunk_reports: List[ChunkReport] = []
-        labels: Dict[str, str] = {}
-        for thread_name, unit_wall, unit_outcomes in reports:
-            label = labels.setdefault(thread_name, f"thread-{len(labels)}")
-            outcomes.extend(unit_outcomes)
-            chunk_reports.append((label, unit_wall, unit_outcomes, 0))
-        self._emit_pool_spans(stats, chunk_reports)
-        return outcomes
-
     def _execute_process(
         self,
         tasks: List[IdTask],
@@ -937,14 +930,14 @@ class ParallelPBSM:
         stats: JoinStats,
         source: TaskSource,
     ) -> List[TaskOutcome]:
-        """Fan the tasks out over a process pool and one shared segment.
+        """Fan the tasks out over the warm pool and one shared segment.
 
         Loads *source* once into a columnar segment (both inputs' columns
         plus the two id arrays; with pinned datasets the id arrays only),
         ships five-integer tasks, and copies each task's ``(rid, sid)``
         oid buffers out of the worker-created result segment as they
         are — ``run`` merges them in ``pid`` order, so the output is
-        byte-identical to the in-process executors and to sequential
+        byte-identical to the in-process loop and to sequential
         execution.  Segment build, payload
         encode and the copy-out all count into ``stats.ipc_seconds``;
         only the pipe traffic counts into ``stats.ipc_bytes_shipped``.
@@ -952,7 +945,7 @@ class ParallelPBSM:
         finished are unlinked before the error propagates (workers create
         them untracked).
         """
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         encode_started = time.perf_counter()
         left, right, l_ids, r_ids = source
@@ -970,50 +963,31 @@ class ParallelPBSM:
         chunks = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
 
         with SharedColumnarStore.create(arrays) as store:
-            if self.pool is not None:
-                config: PoolConfig = (
-                    self.internal_name,
-                    _grid_spec(grid),
-                    self.dedup,
-                    store.manifest,
-                    pinned,
-                )
-                payloads = [
-                    pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
-                    for chunk in chunks
-                ]
-            else:
-                payloads = [
-                    pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL)
-                    for chunk in chunks
-                ]
+            config: PoolConfig = (
+                self.internal_name,
+                _grid_spec(grid),
+                self.dedup,
+                store.manifest,
+                pinned,
+            )
+            payloads = [
+                pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
+                for chunk in chunks
+            ]
             bytes_shipped = sum(len(p) for p in payloads)
             ipc_seconds = time.perf_counter() - encode_started
+            pool = self.pool
+            if pool is None:
+                pool = LIBRARY_POOL.get(self.workers)
             started = time.perf_counter()
-            if self.pool is not None:
-                blobs = cast(
-                    List[bytes],
-                    self._drain(
-                        self.pool, _run_dyn_chunk, payloads, _unlink_result_blob
-                    ),
-                )
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_pool_init,
-                    initargs=(
-                        self.internal_name,
-                        _grid_spec(grid),
-                        store.manifest,
-                        self.dedup,
-                    ),
-                ) as pool:
-                    blobs = cast(
-                        List[bytes],
-                        self._drain(
-                            pool, _run_shm_chunk, payloads, _unlink_result_blob
-                        ),
-                    )
+            try:
+                blobs = _drain(pool, payloads)
+            except BrokenProcessPool:
+                # A worker died; the library's pool is ours to replace
+                # (an external pool's owner replaces its own).
+                if self.pool is None:
+                    LIBRARY_POOL.replace(pool)
+                raise
             stats.join_makespan_seconds = time.perf_counter() - started
 
             copy_started = time.perf_counter()
@@ -1057,9 +1031,11 @@ class ParallelPBSM:
 __all__ = [
     "CHUNKS_PER_WORKER",
     "EXECUTORS",
+    "LIBRARY_POOL",
     "MAX_WORKERS_ENV",
     "PARALLEL_DEDUP_MODES",
     "ParallelPBSM",
+    "WarmPool",
     "lpt_schedule",
     "reset_clamp_warnings",
     "worker_cap",

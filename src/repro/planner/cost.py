@@ -280,7 +280,6 @@ def estimate_pbsm(
     dedup: str = "rpm",
     tiles_per_partition: int = 4,
     workers: int = 1,
-    executor: str = "process",
     dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
 ) -> CostEstimate:
     """Cost of ``PBSM(internal, dedup)`` under formula (1) with *t_factor*.
@@ -296,12 +295,8 @@ def estimate_pbsm(
     (skew: one mega-partition bounds the makespan no matter how the rest
     is packed) — and an ``ipc`` term charges what the process executor
     puts on the pipe: task tuples out, metadata plus manifests back.
-
-    ``executor`` refines the model: the thread executor pays no spawn and
-    no IPC but its speedup is Amdahl-bounded by
-    ``cost.thread_parallel_fraction`` (the GIL-released share).  Both pay
-    per-chunk dispatch through ``cost.dispatch_seconds`` (a ``schedule``
-    breakdown entry).
+    Per-chunk dispatch (``cost.dispatch_seconds``) and the pool's spawn
+    (``cost.pool_spawn_seconds``) make up a ``schedule`` breakdown entry.
     """
     nl, nr = jp.n_left, jp.n_right
     kb = cost.kpe_bytes
@@ -416,10 +411,6 @@ def estimate_pbsm(
         io_repartition = 0.0
         cpu_repartition = 0.0
         speedup = float(min(workers, n_partitions))
-        if executor == "thread":
-            # GIL-released fraction bounds the thread speedup (Amdahl).
-            f = cost.thread_parallel_fraction
-            speedup = 1.0 / ((1.0 - f) + f / speedup)
         # The dominant task's share of the join work: residual skew
         # concentrates roughly that multiple of the mean in one
         # partition, and that task alone bounds the makespan.
@@ -428,15 +419,14 @@ def estimate_pbsm(
         makespan_fraction = max(1.0 / speedup, share)
         cpu_internal *= makespan_fraction
         cpu_dedup *= makespan_fraction
-        schedule_seconds = cost.dispatch_seconds * n_chunks
-        if executor != "thread":
-            # One-shot pools fork a worker per slot; persistent pools
-            # (serve) amortise this, but the planner prices the cold run.
-            schedule_seconds += cost.pool_spawn_seconds * workers
-            ipc_bytes = (
-                SHM_TASK_BYTES * n_partitions
-                + SHM_CHUNK_OVERHEAD_BYTES * n_chunks
-            )
+        # A cold pool forks a worker per slot; a warm one has paid this
+        # already, but the planner prices the cold run.
+        schedule_seconds = (
+            cost.dispatch_seconds * n_chunks + cost.pool_spawn_seconds * workers
+        )
+        ipc_bytes = (
+            SHM_TASK_BYTES * n_partitions + SHM_CHUNK_OVERHEAD_BYTES * n_chunks
+        )
         ipc_seconds = cost.ipc_seconds_for(ipc_bytes)
 
     io_units = io_partition + io_join + io_repartition + io_dedup

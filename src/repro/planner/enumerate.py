@@ -97,10 +97,10 @@ def enumerate_candidates(
 
     ``methods`` restricts the enumerated join methods (default: all of
     them); candidates are returned sorted by estimated total cost.  With
-    ``workers > 1`` parallel PBSM configurations join the space — the
-    thread executor, and the process executor where its shared-memory
-    segment can exist (``shm_enabled()``) — so the executor is a costed
-    decision, not a hardcoded preference.
+    ``workers > 1`` the process executor's parallel PBSM configurations
+    join the space where its shared-memory segment can exist
+    (``shm_enabled()``; without it ``executor="process"`` would run the
+    in-process loop, which the sequential candidates already cover).
     """
     cost = cost_model or CostModel()
     wanted = set(methods) if methods is not None else None
@@ -145,34 +145,31 @@ def enumerate_candidates(
                 ),
             )
         )
-        if workers > 1:
-            from repro.kernels.shm import shm_enabled
+        from repro.kernels.shm import shm_enabled
 
-            executors = ("process", "thread") if shm_enabled() else ("thread",)
-            for executor in executors:
-                for t in t_grid:
-                    candidates.append(
-                        PlanCandidate(
-                            "pbsm",
-                            {
-                                "internal": PBSM_KERNEL_INTERNAL,
-                                "t_factor": t,
-                                "workers": workers,
-                                "executor": executor,
-                                "dedup": "rpm",
-                            },
-                            estimate_pbsm(
-                                jp,
-                                memory_bytes,
-                                cost,
-                                internal=PBSM_KERNEL_INTERNAL,
-                                t_factor=t,
-                                workers=workers,
-                                executor=executor,
-                                dup_factors=dup_factors,
-                            ),
-                        )
+        if workers > 1 and shm_enabled():
+            for t in t_grid:
+                candidates.append(
+                    PlanCandidate(
+                        "pbsm",
+                        {
+                            "internal": PBSM_KERNEL_INTERNAL,
+                            "t_factor": t,
+                            "workers": workers,
+                            "executor": "process",
+                            "dedup": "rpm",
+                        },
+                        estimate_pbsm(
+                            jp,
+                            memory_bytes,
+                            cost,
+                            internal=PBSM_KERNEL_INTERNAL,
+                            t_factor=t,
+                            workers=workers,
+                            dup_factors=dup_factors,
+                        ),
                     )
+                )
 
     if include("s3j"):
         for strategy in S3J_STRATEGIES:

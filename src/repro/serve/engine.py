@@ -4,8 +4,9 @@ A one-shot join pays worker-pool spawn, dataset serialisation and plan
 enumeration on every call; the whole point of ``repro serve`` is to pay
 each of those once.  :class:`EngineHost` owns the amortised pieces:
 
-* a **persistent** :class:`~concurrent.futures.ProcessPoolExecutor`,
-  created at startup and handed to every
+* a **persistent** process pool (a :class:`~repro.pbsm.parallel.WarmPool`,
+  the same holder the library's ``spatial_join(workers=N)`` borrows
+  from), spawned at startup and handed to every
   :class:`~repro.pbsm.ParallelPBSM` fan-out via its ``pool=`` hook — no
   query ever spawns processes;
 * the shared :class:`~repro.planner.PlannerCache` (thread-safe, LRU), so
@@ -24,45 +25,15 @@ code (lint rule RPL007).
 
 from __future__ import annotations
 
-import threading
-import time
-from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel
 from repro.pbsm import ParallelPBSM
-from repro.pbsm.parallel import MAX_WORKERS_ENV, worker_cap
+from repro.pbsm.parallel import MAX_WORKERS_ENV, WarmPool, worker_cap
 from repro.planner import PlannerCache, plan_join
 from repro.planner.plan import JoinPlan
 from repro.serve.registry import Dataset
-
-
-def _warm_worker(seconds: float) -> int:
-    """Pool warm-up task: occupy a worker long enough to force spawning."""
-    time.sleep(seconds)
-    import os
-
-    return os.getpid()
-
-
-def _spawn_pool(workers: int) -> Any:
-    """A new pool with every worker already running."""
-    # Make sure the parent's resource tracker exists *before* the
-    # workers fork: workers forked first would each spawn their
-    # own tracker, whose shared-memory registrations are never
-    # matched by the parent's unlinks (spurious leak warnings).
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except (ImportError, AttributeError):
-        pass  # platform without the tracker API; nothing to pre-start
-    pool = ProcessPoolExecutor(max_workers=workers)
-    # Force every worker into existence now: the sleep outlasts
-    # task dispatch, so no single worker can drain the batch.
-    wait([pool.submit(_warm_worker, 0.05) for _ in range(workers)])
-    return pool
 
 
 class EngineHost:
@@ -87,42 +58,24 @@ class EngineHost:
         self.workers = max(1, workers)
         self.cache = cache if cache is not None else PlannerCache()
         self.cost_model = cost_model or CostModel()
-        self.pool: Optional[Any] = None
-        #: Guards ``pool``: concurrent queries can fail on the same dead
-        #: pool, and only one of them may respawn it.
-        self._pool_lock = threading.Lock()
-        self._started = False
+        self._pools = WarmPool()
+
+    @property
+    def pool(self) -> Optional[Any]:
+        """The persistent pool (``None`` before ``start`` or with one worker)."""
+        return self._pools.pool
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Spawn the persistent pool (idempotent; blocking)."""
-        if self._started:
-            return
-        self._started = True
         if self.workers > 1:
-            pool = _spawn_pool(self.workers)
-            with self._pool_lock:
-                self.pool = pool
-
-    def _replace_pool(self, dead: Any) -> None:
-        """Swap the broken pool *dead* for a fresh one (first caller wins)."""
-        workers = self.workers
-        with self._pool_lock:
-            if self.pool is not dead:
-                return  # already replaced, or the host is shutting down
-            dead.shutdown(wait=False)
-            self.pool = _spawn_pool(workers)
+            self._pools.get(self.workers)
 
     def shutdown(self) -> None:
         """Tear the pool down (idempotent; blocking)."""
-        with self._pool_lock:
-            pool = self.pool
-            self.pool = None
-        self._started = False
-        if pool is not None:
-            pool.shutdown(wait=True)
+        self._pools.shutdown()
 
     # ------------------------------------------------------------------
     # planning and execution (blocking; reach via run_blocking)
@@ -155,12 +108,9 @@ class EngineHost:
         """Execute *plan*, routing parallel PBSM through the persistent pool.
 
         Sequential plans run through ``JoinPlan.execute`` unchanged.  A
-        parallel *process* PBSM plan is rebuilt with ``pool=`` (no spawn)
-        and — when both datasets are pinned — with ``pinned=``
-        manifests, so the per-query segment carries only CSR id arrays.
-        A *thread* plan
-        runs in-host: its whole point is skipping the process boundary,
-        so it takes neither the pool nor pinned manifests.
+        parallel PBSM plan is rebuilt with ``pool=`` (no spawn) and —
+        when both datasets are pinned — with ``pinned=`` manifests, so
+        the per-query segment carries only CSR id arrays.
 
         A pool whose worker died is broken for good
         (:class:`~concurrent.futures.process.BrokenProcessPool`): the
@@ -169,14 +119,8 @@ class EngineHost:
         """
         chosen = plan.chosen
         kwargs = dict(chosen.kwargs)
-        with self._pool_lock:
-            pool = self.pool
-        if (
-            chosen.method == "pbsm"
-            and "workers" in kwargs
-            and kwargs.get("executor", "process") == "process"
-            and pool is not None
-        ):
+        pool = self.pool
+        if chosen.method == "pbsm" and "workers" in kwargs and pool is not None:
             workers = kwargs.pop("workers")
             kwargs.setdefault("executor", "process")
             pinned: Optional[Tuple[Any, Any]] = None
@@ -194,7 +138,7 @@ class EngineHost:
             try:
                 result = driver.run(left.kpes, right.kpes)
             except BrokenProcessPool:
-                self._replace_pool(pool)
+                self._pools.replace(pool)
                 raise
         else:
             result = plan.execute(left.kpes, right.kpes, tracer=tracer)

@@ -186,33 +186,6 @@ class TestJoin:
         assert exit_info.value.code == 2  # argparse: unrecognized argument
         assert "--scheduler" in capsys.readouterr().err
 
-    # ("extra1": the id this row had next to a ``--scheduler`` row.)
-    @pytest.mark.parametrize(
-        "extra", [pytest.param(["--executor", "thread"], id="extra1")]
-    )
-    def test_dedup_sort_fails_fast_with_any_parallel_flag(
-        self, tmp_path, capsys, extra
-    ):
-        left, right = self._two_relations(tmp_path)
-        capsys.readouterr()
-        assert main(
-            [
-                "join",
-                str(left),
-                str(right),
-                "--method",
-                "pbsm",
-                "--dedup",
-                "sort",
-                "--workers",
-                "2",
-                *extra,
-                "--memory-mb",
-                "0.05",
-            ]
-        ) == 2
-        assert "--dedup sort" in capsys.readouterr().err
-
     def test_self_join_relative_vs_resolved_path(self, tmp_path, capsys, monkeypatch):
         left, _ = self._two_relations(tmp_path)
         monkeypatch.chdir(tmp_path)

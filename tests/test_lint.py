@@ -49,14 +49,13 @@ def lint_one(source, rule_id, path="module.py"):
 # rule catalogue and embedded fixtures
 # ----------------------------------------------------------------------
 class TestCatalogue:
-    def test_six_rules_shipped(self):
+    def test_five_rules_shipped(self):
         assert [r.rule_id for r in ALL_RULES] == [
             "RPL007",
             "RPL008",
             "RPL009",
             "RPL010",
             "RPL011",
-            "RPL012",
         ]
 
     def test_lint_imports_nothing_else_from_repro(self):
@@ -236,7 +235,7 @@ class TestSegmentCustodyPaths:
             ),
             pytest.param(
                 "_SEG = None\n"
-                "def _pool_init(manifest):\n"
+                "def _attach_once(manifest):\n"
                 "    global _SEG\n"
                 "    _SEG = SharedColumnarStore.attach(manifest)\n",
                 id="global",
@@ -523,95 +522,6 @@ class TestSpanPairing:
     def test_module_level_span_checked(self):
         bad = 'import tracer\ntracer.span("boot")\n'
         assert rules_of(lint_one(bad, "RPL011")) == ["RPL011"]
-
-
-# ----------------------------------------------------------------------
-# RPL012 — thread-pool workers and shared state
-# ----------------------------------------------------------------------
-class TestThreadExecutorShared:
-    def test_unlocked_self_write_in_mapped_worker_flagged(self):
-        bad = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "class Engine:\n"
-            "    def run(self, units):\n"
-            "        def work(unit):\n"
-            "            self.completed += 1\n"
-            "            return unit\n"
-            "        with ThreadPoolExecutor(max_workers=2) as pool:\n"
-            "            return list(pool.map(work, units))\n"
-        )
-        findings = lint_one(bad, "RPL012")
-        assert rules_of(findings) == ["RPL012"]
-        assert "self.completed" in findings[0].message
-
-    def test_worker_passed_alongside_pool_var_flagged(self):
-        # The parallel driver's own dispatch shape: self._drain(pool, work, ...)
-        bad = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "class Engine:\n"
-            "    def run(self, units):\n"
-            "        def work(unit):\n"
-            "            self.completed = unit\n"
-            "            return unit\n"
-            "        pool = ThreadPoolExecutor(max_workers=2)\n"
-            "        return self._drain(pool, work, units)\n"
-        )
-        assert rules_of(lint_one(bad, "RPL012")) == ["RPL012"]
-
-    def test_locked_write_is_clean(self):
-        good = (
-            "import threading\n"
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "class Engine:\n"
-            "    def run(self, units):\n"
-            "        def work(unit):\n"
-            "            with self._lock:\n"
-            "                self.completed += 1\n"
-            "            return unit\n"
-            "        with ThreadPoolExecutor(max_workers=2) as pool:\n"
-            "            return list(pool.map(work, units))\n"
-        )
-        assert lint_one(good, "RPL012") == []
-
-    def test_return_value_worker_is_clean(self):
-        good = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "def run(units):\n"
-            "    def work(unit):\n"
-            "        total = unit * 2\n"
-            "        return total\n"
-            "    with ThreadPoolExecutor(max_workers=2) as pool:\n"
-            "        return list(pool.map(work, units))\n"
-        )
-        assert lint_one(good, "RPL012") == []
-
-    def test_process_pool_workers_not_in_scope(self):
-        # Process workers get their own address space; writes are local.
-        good = (
-            "from concurrent.futures import ProcessPoolExecutor\n"
-            "class Engine:\n"
-            "    def run(self, units):\n"
-            "        def work(unit):\n"
-            "            self.completed = unit\n"
-            "            return unit\n"
-            "        with ProcessPoolExecutor(max_workers=2) as pool:\n"
-            "            return list(pool.map(work, units))\n"
-        )
-        assert lint_one(good, "RPL012") == []
-
-    def test_nonlocal_rebind_flagged(self):
-        bad = (
-            "from concurrent.futures import ThreadPoolExecutor\n"
-            "def run(units):\n"
-            "    done = 0\n"
-            "    def work(unit):\n"
-            "        nonlocal done\n"
-            "        done = done + 1\n"
-            "        return unit\n"
-            "    with ThreadPoolExecutor(max_workers=2) as pool:\n"
-            "        return list(pool.map(work, units))\n"
-        )
-        assert rules_of(lint_one(bad, "RPL012")) == ["RPL012"]
 
 
 # ----------------------------------------------------------------------

@@ -134,8 +134,8 @@ def load_pinned():
 
 def executors():
     """``(executor, disable_shm)`` for every executor that can run here."""
-    # Without a segment the process executor runs the thread executor.
-    runnable = [("simulated", False), ("thread", False), ("process", True)]
+    # Without a segment the process executor runs the in-process loop.
+    runnable = [("simulated", False), ("process", True)]
     if shm_enabled():
         runnable.append(("process", False))
     return runnable
@@ -163,7 +163,9 @@ def test_every_executor_reproduces_the_pinned_run(
                 if disable_shm:
                     env.setenv("REPRO_DISABLE_SHM", "1")
                 result = run(name, dedup, internal, workers, executor)
-            assert result.stats.executor == ("thread" if disable_shm else executor)
+            assert result.stats.executor == (
+                "simulated" if disable_shm else executor
+            )
             # Through JSON so both sides are plain dicts of the same
             # float reprs.
             observed = json.loads(json.dumps(observe(result)))

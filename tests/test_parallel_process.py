@@ -54,8 +54,8 @@ class TestProcessExecutorParity:
 
     def test_executor_recorded_in_stats(self):
         # What actually ran: without a shared-memory segment
-        # (REPRO_DISABLE_SHM) a process request runs on threads.
-        ran = "process" if shm_enabled() else "thread"
+        # (REPRO_DISABLE_SHM) a process request runs the in-process loop.
+        ran = "process" if shm_enabled() else "simulated"
         assert run("process", 2).stats.executor == ran
         assert run("simulated", 2).stats.executor == "simulated"
 
@@ -70,9 +70,10 @@ class TestGracefulDegrade:
         assert one_proc.stats.cpu_by_phase == one_sim.stats.cpu_by_phase
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelPBSM(MEMORY, 2, executor="threads")
-        assert set(EXECUTORS) == {"simulated", "process", "thread"}
+        for name in ("threads", "thread"):  # the thread pool is gone
+            with pytest.raises(ValueError):
+                ParallelPBSM(MEMORY, 2, executor=name)
+        assert EXECUTORS == ("simulated", "process")
 
     def test_invalid_scheduler_rejected(self):
         # There is one dispatch policy and no option that names it.

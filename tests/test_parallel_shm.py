@@ -2,15 +2,13 @@
 
 Four claims are pinned here: (1) the process executor's output is
 byte-identical to the simulated executor, with identical simulated costs
-and counters; (2) the pipe carries task tuples and manifests — well
-under a tenth of what the pickled records alone would weigh; (3) every
-rung of the degradation ladder (``workers=1``, ``REPRO_DISABLE_SHM``,
-numpy gated off or absent) lands on a byte-identical fallback — the
-in-process loop for one worker, the thread executor otherwise — and says
-so once; (4) a failed chunk leaves no result segment behind.  The store
-and CSR plumbing get their own unit tests.  Everything numpy-dependent
-skips cleanly, so the no-numpy CI job runs this file too and exercises
-the missing-numpy degrade for real.
+and counters; (2) the pipe carries task tuples, the query's
+configuration and manifests — well under a tenth of what the pickled
+records alone would weigh; (3) both rungs of the degradation ladder
+(``workers=1``, ``REPRO_DISABLE_SHM``) land on the byte-identical
+in-process loop, the second saying so once; (4) a failed chunk leaves
+no result segment behind.  The store and CSR plumbing get their own
+unit tests.
 """
 
 import os
@@ -197,19 +195,15 @@ class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
     def test_byte_identical_across_executors(self, internal):
         sim = run(2, executor="simulated", internal=internal)
-        thread = run(2, executor="thread", internal=internal)
         proc = run(2, internal=internal)
         assert proc.stats.executor == "process"
         # The driver boxes no pair: oid buffers from the columnar leaf
         # and from every pool worker, a list only from the tuple leaf
         # run in this process.
-        columnar = internal == "sweep_numpy"
-        assert [r._pairs is None for r in (sim, thread, proc)] == [
-            columnar, columnar, True
-        ]
+        assert (sim._pairs is None) == (internal == "sweep_numpy")
         assert proc.stats.n_results == len(proc) == len(sim.pairs)
         assert proc._pairs is None  # len() did not decode
-        assert proc.pairs == sim.pairs == thread.pairs  # same pairs, same order
+        assert proc.pairs == sim.pairs  # same pairs, same order
         assert proc.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
         assert proc.stats.cpu_by_phase == sim.stats.cpu_by_phase
         assert proc.stats.io_units_by_phase == sim.stats.io_units_by_phase
@@ -316,8 +310,8 @@ class TestOwnShmSegments:
 # ----------------------------------------------------------------------
 # degradation ladder
 # ----------------------------------------------------------------------
-def assert_degrades_to_thread():
-    """``executor="process"`` without a segment: thread executor, said once."""
+def assert_degrades_to_the_loop():
+    """``executor="process"`` without a segment: the in-process loop, said once."""
     assert not shm_enabled()
     for internal in ("sweep_numpy", "sweep_trie"):
         reset_clamp_warnings()
@@ -326,21 +320,22 @@ def assert_degrades_to_thread():
             warnings.simplefilter("always")
             degraded = [run(2, internal=internal), run(2, internal=internal)]
         warned = [str(w.message) for w in caught if w.category is RuntimeWarning]
-        assert len(warned) == 1 and "thread executor" in warned[0]
+        assert len(warned) == 1 and "in-process loop" in warned[0]
         for result in degraded:
             assert result.pairs == sim.pairs  # same pairs, same order
             assert result.stats.cpu_by_phase == sim.stats.cpu_by_phase
             assert (
                 result.stats.sim_seconds_by_phase == sim.stats.sim_seconds_by_phase
             )
-            assert result.stats.executor == "thread"
+            assert result.stats.executor == "simulated"
             assert result.stats.ipc_bytes_shipped == 0
+            assert result.stats.worker_busy_seconds == {}  # no pool of any kind
 
 
 class TestDegradation:
-    def test_disable_env_degrades_to_thread(self, monkeypatch):
+    def test_disable_env_degrades_to_the_loop(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        assert_degrades_to_thread()
+        assert_degrades_to_the_loop()
 
     def test_workers_1_stays_in_process_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")

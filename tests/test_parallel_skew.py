@@ -51,7 +51,6 @@ def run(executor, *, workers=2, dedup="rpm"):
 # row's history lines up across their removal.
 REAL_EXECUTORS = [
     pytest.param("process", marks=needs_shm, id="process-True"),
-    pytest.param("thread", id="thread-False"),
 ]
 
 
@@ -82,10 +81,11 @@ class TestSkewedByteIdentity:
         )
         assert real.stats.cpu_by_phase == simulated.stats.cpu_by_phase
 
-    def test_thread_scheduler_stats_populated(self):
-        result = run("thread")
+    @needs_shm
+    def test_process_scheduler_stats_populated(self):
+        result = run("process")
         stats = result.stats
-        assert stats.executor == "thread"
+        assert stats.executor == "process"
         assert stats.n_workers == 2
         assert stats.join_busy_seconds > 0.0
         assert stats.join_makespan_seconds > 0.0
@@ -127,7 +127,6 @@ class TestTwolayerSkewMatrix:
         [
             pytest.param("simulated", id="simulated-False-static"),
             pytest.param("process", marks=needs_shm, id="process-True-static"),
-            pytest.param("thread", id="thread-False-static"),
         ],
     )
     def test_matrix_byte_identical(self, twolayer_static, executor):

@@ -9,8 +9,7 @@ can observe must be equal between the two: the id list of every partition file,
 ``records_written``, the charged ``structure_ops`` and every
 ``SimulatedDisk`` request/page counter — and, one level up, the pairs
 and ``JoinStats`` of a process-executor ``ParallelPBSM`` run against the
-thread and the simulated executor, which still partition through the
-records loop.
+simulated executor's in-process loop.
 """
 
 import pickle
@@ -291,26 +290,22 @@ class TestShmJoinUnchanged:
         # in tests/parallel_pinned.json.)
         shm = shm_join(LEFT, RIGHT, dedup=dedup)
         assert shm.stats.executor == "process"
-        others = [
-            ParallelPBSM(
-                MEMORY, 2, internal="sweep_numpy", executor=executor, dedup=dedup
-            ).run(LEFT, RIGHT)
-            for executor in ("thread", "simulated")
-        ]
-        for other in others:
-            assert other.stats.ipc_bytes_shipped == 0  # id tasks, in-process: no pipe
-            assert shm.pairs == other.pairs  # order included
-            for field in (
-                "cpu_by_phase",
-                "io_units_by_phase",
-                "sim_seconds_by_phase",
-                "records_partitioned",
-                "replicas_created",
-                "duplicates_suppressed",
-                "n_partitions",
-                "peak_memory_bytes",
-            ):
-                assert getattr(shm.stats, field) == getattr(other.stats, field), field
+        other = ParallelPBSM(
+            MEMORY, 2, internal="sweep_numpy", executor="simulated", dedup=dedup
+        ).run(LEFT, RIGHT)
+        assert other.stats.ipc_bytes_shipped == 0  # id tasks, in-process: no pipe
+        assert shm.pairs == other.pairs  # order included
+        for field in (
+            "cpu_by_phase",
+            "io_units_by_phase",
+            "sim_seconds_by_phase",
+            "records_partitioned",
+            "replicas_created",
+            "duplicates_suppressed",
+            "n_partitions",
+            "peak_memory_bytes",
+        ):
+            assert getattr(shm.stats, field) == getattr(other.stats, field), field
 
     def test_mapped_inputs_equal_in_memory_inputs(self, tmp_path):
         paths = []

@@ -147,9 +147,9 @@ class TestEnumeration:
         assert {c.method for c in only} == {"sssj"}
 
     def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
-        # No transport and no scheduler axis: a thread candidate per t,
-        # and a process candidate exactly when its shared-memory segment
-        # can exist.
+        # No transport, scheduler or thread axis: a process candidate per
+        # t exactly when its shared-memory segment can exist (without it
+        # the process executor would run the in-process loop).
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)
@@ -167,10 +167,10 @@ class TestEnumeration:
             assert all(parallel.count(e) == per_executor for e in set(parallel))
             return set(parallel)
 
-        expected = {"process", "thread"} if shm_enabled() else {"thread"}
+        expected = {"process"} if shm_enabled() else set()
         assert parallel_executors() == expected
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
-        assert parallel_executors() == {"thread"}
+        assert parallel_executors() == set()
         with pytest.raises(TypeError):
             estimate_pbsm(jp, 16_000, COST, workers=2, scheduler="static")
 
@@ -185,10 +185,10 @@ class TestEnumeration:
         schemes = [c.kwargs["dedup"] for c in candidates if c.method == "pbsm"]
         assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
         if shm_enabled():
-            # 4 internals x 3 t + sort (+ 2 executors x 3 t), s3j x 3, shj,
+            # 4 internals x 3 t + sort (+ process x 3 t), s3j x 3, shj,
             # sssj; the R-tree join comes and goes with the memory budget.
             counted = [c for c in candidates if c.method != "rtree"]
-            assert len(counted) == {1: 18, 2: 24}[workers]
+            assert len(counted) == {1: 18, 2: 21}[workers]
 
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)

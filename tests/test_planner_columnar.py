@@ -298,6 +298,7 @@ def test_dup_factor_is_replayed_once_per_distinct_grid(monkeypatch):
     assert len(keys) == len(set(keys)) < len(pbsm)
     for candidate in pbsm:
         kwargs = dict(candidate.kwargs)
+        kwargs.pop("executor", None)  # one real executor: not a cost input
         alone = estimate_pbsm(profile, MEMORY, CostModel(), **kwargs)
         assert alone.total_seconds == candidate.estimate.total_seconds
         assert alone.predicted == candidate.estimate.predicted
@@ -383,15 +384,16 @@ def test_the_benchmark_join_gets_one_plan_in_any_record_order():
 )
 def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, total_seconds):
     """What ``EngineHost.plan(workers=2)`` chooses is the cheapest RPM
-    candidate of the parent, at the parent's estimate, now that 24
+    candidate of the parent, at the parent's estimate, now that 21
     candidates are left of the 42 (uni30k's two-layer twin, 0.09 % cheaper
-    in simulated seconds and 1.1x slower on the clock, is not proposed)."""
+    in simulated seconds and 1.1x slower on the clock, is not proposed,
+    nor are the thread executor's three)."""
     from benchmarks.e2e import specs
 
     spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]
     left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
     plan = plan_join(left, right, mb(spec.memory_mb), workers=2)
-    assert len(plan.candidates) == 24
+    assert len(plan.candidates) == 21
     assert plan.chosen.describe() == chosen
     assert plan.chosen.estimate.total_seconds == total_seconds
 

@@ -26,7 +26,7 @@ import pytest
 from repro import spatial_join
 from repro.core.result import pair_columns
 from repro.serve import DatasetRegistry, EngineHost, ServeClient, result_checksum
-from repro.serve.engine import _warm_worker
+from repro.pbsm.parallel import _warm_worker
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
     MAX_PAGE_SIZE,
@@ -197,12 +197,11 @@ class TestFramesOverTheWire:
 # one form on the served path: oid buffers, never result.pairs
 # ----------------------------------------------------------------------
 class ForcedPlanEngine(RecordingEngine):
-    """A recording host that runs the parallel ``sweep_numpy`` candidate
-    of one executor, whatever the planner would have chosen."""
+    """A recording host that runs the parallel ``sweep_numpy`` candidate,
+    whatever the planner would have chosen."""
 
-    def __init__(self, executor):
+    def __init__(self):
         super().__init__(workers=2)
-        self.executor = executor
 
     def plan(self, *args, **kwargs):
         plan = super().plan(*args, **kwargs)
@@ -211,7 +210,6 @@ class ForcedPlanEngine(RecordingEngine):
             for c in plan.candidates
             if c.method == "pbsm"
             and c.kwargs.get("workers") == 2
-            and c.kwargs["executor"] == self.executor
             and c.kwargs["internal"] == "sweep_numpy"
         )
         return plan
@@ -219,9 +217,8 @@ class ForcedPlanEngine(RecordingEngine):
 
 @needs_shm
 class TestServedResultStaysBuffers:
-    @pytest.mark.parametrize("executor", ["process", "thread"])
-    def test_no_pair_list_with_or_without_include_pairs(self, executor, own_shm_segments):
-        engine = ForcedPlanEngine(executor)
+    def test_no_pair_list_with_or_without_include_pairs(self, own_shm_segments):
+        engine = ForcedPlanEngine()
 
         async def scenario():
             server = await _started_server(engine=engine)
@@ -240,7 +237,7 @@ class TestServedResultStaysBuffers:
 
         hot, streamed, pairs, as_json = run(scenario())
         assert len(engine.results) == 3
-        assert all(r.stats.executor == executor for r in engine.results)
+        assert all(r.stats.executor == "process" for r in engine.results)
         # Checksummed, paginated in both frames, summarised — and no
         # tuple was ever built server-side.
         assert all(r._pairs is None for r in engine.results)
@@ -437,7 +434,7 @@ class TestJoinFailure:
     def test_a_killed_worker_fails_one_query_and_the_pool_is_rebuilt(self, own_shm_segments):
         """A real worker death, not a raised stand-in: the pool it leaves
         behind is broken for good, so the host must replace it."""
-        engine = ForcedPlanEngine("process")
+        engine = ForcedPlanEngine()
 
         def kill_an_idle_worker():
             pool = engine.pool

@@ -14,7 +14,7 @@ engine, for all four schemes:
   (uniform and zipf, mb(1.0), 64 tiles per partition);
 * through three drivers: the sequential ``PBSM(sweep_numpy)``, the
   in-process id-task loop (``ParallelPBSM(executor="simulated")`` with
-  ``result.pairs`` decoded) and a warm 2-worker process pool (the
+  ``result.pairs`` decoded) and the warm 2-worker process pool (the
   ``repro serve`` path, which never builds the pair list, so
   ``len(result)`` is what is read).  The id-task drivers run the two
   online schemes only: they reject ``sort``, and ``none`` has no owner
@@ -37,11 +37,9 @@ record; ``dedup="twolayer"`` stays an explicit option.
 
 import cProfile
 import gc
-import multiprocessing
 import pstats
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
 
 import pytest
 
@@ -49,6 +47,7 @@ from repro.bench.render import ExperimentResult
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM, ParallelPBSM
+from repro.pbsm.parallel import LIBRARY_POOL
 
 from benchmarks import bench_twolayer
 from benchmarks.conftest import record
@@ -85,7 +84,7 @@ def datasets():
     return out
 
 
-def make_join(driver, dedup, memory, tpp, pool):
+def make_join(driver, dedup, memory, tpp):
     """``call(left, right) -> (n_reported, result)``: run the join and read
     its result as the driver's callers do (what a repetition times)."""
     if driver == "sequential":
@@ -100,7 +99,6 @@ def make_join(driver, dedup, memory, tpp, pool):
             dedup=dedup,
             tiles_per_partition=tpp,
             executor="simulated" if driver == "id_tasks" else "process",
-            pool=pool if driver == "warm_pool" else None,
         )
 
     def call(left, right):
@@ -111,14 +109,14 @@ def make_join(driver, dedup, memory, tpp, pool):
     return call
 
 
-def time_cell(driver, schemes, left, right, memory, tpp, pool, reference):
+def time_cell(driver, schemes, left, right, memory, tpp, reference):
     """``dedup -> [ms per repetition]`` and ``dedup -> (reported, removed)``.
 
     Every scheme's warm-up run is checked against *reference*, the
     dataset's pair set (taken from the first run when ``None``); it is
     returned so one set a dataset is all that stays alive while timing.
     """
-    calls = {d: make_join(driver, d, memory, tpp, pool) for d in schemes}
+    calls = {d: make_join(driver, d, memory, tpp) for d in schemes}
     checked = {}
     for dedup, call in calls.items():
         n, result = call(left, right)
@@ -194,21 +192,18 @@ def kernel_split():
 def run_dedup_wall():
     rows = []
     samples_ms = {}
-    pool = None
-    if shm_enabled():
-        pool = ProcessPoolExecutor(
-            max_workers=WORKERS, mp_context=multiprocessing.get_context("spawn")
-        )
-        wait([pool.submit(time.sleep, 0.05) for _ in range(WORKERS)])
+    pooled = shm_enabled()
+    if pooled:
+        LIBRARY_POOL.start(WORKERS)
     try:
         for name, (left, right, memory, tpp) in datasets().items():
             reference = None
             for driver in DRIVERS:
-                if driver == "warm_pool" and pool is None:
+                if driver == "warm_pool" and not pooled:
                     continue
                 schemes = DEDUPS if driver == "sequential" else ONLINE
                 samples, checked, reference = time_cell(
-                    driver, schemes, left, right, memory, tpp, pool, reference
+                    driver, schemes, left, right, memory, tpp, reference
                 )
                 for dedup in schemes:
                     n, dups = checked[dedup]
@@ -232,8 +227,7 @@ def run_dedup_wall():
                         )
                     )
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+        LIBRARY_POOL.shutdown()
     result = ExperimentResult(
         exp_id="Ablation A12",
         title=(

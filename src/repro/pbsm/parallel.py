@@ -20,14 +20,13 @@ two executors over the same shared-nothing decomposition:
   gracefully to the in-process loop (no pool is used).
 
 One pool entry point serves every real fan-out: chunks carry their
-per-query configuration and go to :func:`_run_dyn_chunk`.  ``repro
-serve``'s :class:`~repro.serve.engine.EngineHost` owns one
-:class:`WarmPool` and hands its pool in through ``pool=``; everything
-else (``spatial_join(workers=N)``, ``method="auto"`` parallel plans,
-``repro join --workers``) borrows :data:`LIBRARY_POOL`, one lazily
-spawned process-wide instance (``benchmarks/results/BENCH_executors.json``:
-a pool spawned per run lost to the warm pool in every cell, and a thread
-pool beat the better of the warm pool and the in-process loop in none).
+per-query configuration and go to :func:`_run_dyn_chunk`, on
+:data:`LIBRARY_POOL`, the one lazily spawned warm pool of the process —
+``spatial_join(workers=N)``, ``method="auto"`` parallel plans, ``repro
+join --workers`` and ``repro serve`` alike
+(``benchmarks/results/BENCH_executors.json``: a pool spawned per run lost
+to the warm pool in every cell, and a thread pool beat the better of the
+warm pool and the in-process loop in none).
 
 Load is balanced in the partitioning, as in the paper (Sec. 3.1): many
 more tiles than partitions, tiles hashed to partitions.  Dispatch is one
@@ -83,6 +82,7 @@ import pickle
 import threading
 import time
 import warnings
+from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
@@ -439,57 +439,89 @@ def _spawn_pool(workers: int) -> Any:
 
 
 class WarmPool:
-    """A persistent process pool behind one lock.
+    """A persistent process pool behind one lock, lent out per fan-out.
 
-    ``get`` spawns the pool on first use (every worker running before it
-    returns) and respawns it when asked for another worker count.  A pool
-    whose worker died is broken for good
-    (:class:`~concurrent.futures.process.BrokenProcessPool`): the caller
-    that finds out hands it to ``replace``, and of several callers failing
-    on the same dead pool only the first spawns its successor.
+    ``borrow`` spawns the pool on first use (every worker running before
+    it is lent) and respawns it when asked for another worker count.  A
+    pool that stops being current — respawned, replaced or shut down — is
+    closed once its last borrower has given it back, so no fan-out ever
+    loses its pool between two submits.  A pool whose worker died is
+    broken for good (:class:`~concurrent.futures.process.BrokenProcessPool`):
+    the borrower that finds out spawns its successor before re-raising,
+    and of several borrowers failing on the same dead pool only the first
+    does.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.pool: Optional[Any] = None
         self.workers = 0
+        #: Open loans per pool (entries drop at zero).
+        self._loans: Dict[Any, int] = {}
 
-    def get(self, workers: int) -> Any:
-        """The pool, with *workers* workers (blocking while it spawns)."""
+    def _swap(self, pool: Optional[Any], workers: int) -> Optional[Any]:
+        """Make *pool* current (lock held); the old one if nobody holds it."""
+        old, self.pool, self.workers = self.pool, pool, workers
+        return None if old is None or old in self._loans else old
+
+    @contextmanager
+    def borrow(self, workers: int) -> Iterator[Any]:
+        """The pool with *workers* workers, for one fan-out (blocking
+        while it spawns)."""
+        from concurrent.futures.process import BrokenProcessPool
+
         with self._lock:
-            old = None
+            idle = None
             if self.pool is None or self.workers != workers:
-                old, self.pool = self.pool, _spawn_pool(workers)
-                self.workers = workers
+                idle = self._swap(_spawn_pool(workers), workers)
             pool = self.pool
-        if old is not None:
-            old.shutdown(wait=True)
-        return pool
+            self._loans[pool] = self._loans.get(pool, 0) + 1
+        if idle is not None:
+            idle.shutdown(wait=True)
+        try:
+            yield pool
+        except BrokenProcessPool:
+            with self._lock:
+                if self.pool is pool:  # first caller wins
+                    self._swap(_spawn_pool(workers), workers)
+            raise
+        finally:
+            with self._lock:
+                self._loans[pool] -= 1
+                retired = not self._loans[pool] and pool is not self.pool
+                if not self._loans[pool]:
+                    del self._loans[pool]
+            if retired:
+                pool.shutdown(wait=True)
 
-    def replace(self, dead: Any) -> None:
-        """Swap the broken pool *dead* for a fresh one (first caller wins)."""
-        with self._lock:
-            if self.pool is not dead:
-                return  # already replaced, or shut down meanwhile
-            dead.shutdown(wait=False)
-            self.pool = _spawn_pool(self.workers)
+    def start(self, workers: int) -> None:
+        """Make the pool current with *workers* workers, spawning it now
+        if need be (blocking)."""
+        with self.borrow(workers):
+            pass
 
     def shutdown(self) -> None:
-        """Tear the pool down (idempotent; blocking)."""
+        """Close the pool (idempotent; blocking).  One still lent out is
+        closed by its last borrower; the next ``borrow`` spawns anew."""
         with self._lock:
-            pool, self.pool = self.pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            idle = self._swap(None, 0)
+        if idle is not None:
+            idle.shutdown(wait=True)
 
     def _forget(self) -> None:
         """In a forked child: the parent's pool and lock are not ours."""
         self._lock = threading.Lock()
         self.pool = None
+        self.workers = 0
+        self._loans = {}
 
 
-#: The process-wide pool every ``ParallelPBSM`` without ``pool=`` borrows:
-#: spawned on the first real fan-out, shut down at exit, and forgotten in
-#: a forked child (whose first fan-out spawns its own).
+#: The one warm pool of the process: every real fan-out borrows it —
+#: ``spatial_join(workers=N)``, ``method="auto"`` parallel plans,
+#: ``repro join --workers`` and ``repro serve``'s
+#: :class:`~repro.serve.engine.EngineHost`.  Spawned on the first fan-out
+#: (or at server start), shut down at exit, and forgotten in a forked
+#: child (whose first fan-out spawns its own).
 LIBRARY_POOL = WarmPool()
 atexit.register(LIBRARY_POOL.shutdown)
 if hasattr(os, "register_at_fork"):
@@ -568,8 +600,7 @@ class ParallelPBSM:
 
     ``executor="simulated"`` runs sequentially and *models* the parallel
     runtime; ``executor="process"`` actually fans the join tasks out over
-    a warm process pool — *pool* if given (its owner manages it), the
-    process-wide :data:`LIBRARY_POOL` otherwise.  Both executors produce
+    the process-wide warm pool :data:`LIBRARY_POOL`.  Both executors produce
     identical result pairs in identical order and report the same
     simulated costs.
 
@@ -604,7 +635,6 @@ class ParallelPBSM:
         tiles_per_partition: int = 4,
         cost_model: Optional[CostModel] = None,
         tracer: Optional[Any] = None,
-        pool: Optional[Any] = None,
         pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> None:
         if memory_bytes <= 0:
@@ -642,14 +672,10 @@ class ParallelPBSM:
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
-        #: An externally-owned warm process pool (``repro serve``'s); the
-        #: caller owns its lifecycle.  ``None`` borrows
-        #: :data:`LIBRARY_POOL`.
-        self.pool = pool
         #: Manifests of pinned left/right dataset segments (columns under
-        #: the neutral ``D.*`` prefix).  With an external pool, the
-        #: per-query segment then carries only the CSR id arrays — the
-        #: relation columns are never re-shipped.
+        #: the neutral ``D.*`` prefix, ``repro serve``'s registry).  On the
+        #: pool, the per-query segment then carries only the CSR id arrays
+        #: — the relation columns are never re-shipped.
         self.pinned = pinned
 
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
@@ -943,19 +969,17 @@ class ParallelPBSM:
         only the pipe traffic counts into ``stats.ipc_bytes_shipped``.
         When a chunk fails, the result segments of the chunks that
         finished are unlinked before the error propagates (workers create
-        them untracked).
+        them untracked); a dead worker's pool is replaced on the way out
+        (:meth:`WarmPool.borrow`).
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         encode_started = time.perf_counter()
         left, right, l_ids, r_ids = source
-        # With an external pool the relation columns may already live in
-        # pinned registry segments; the per-query segment then carries
-        # only the CSR id arrays, so a query's segment-build cost is
-        # O(partitioned ids), not O(data).
-        pinned = self.pinned if self.pool is not None else None
+        # The relation columns may already live in pinned registry
+        # segments; the per-query segment then carries only the CSR id
+        # arrays, so a query's segment-build cost is O(partitioned ids),
+        # not O(data).
         arrays: Dict[str, object] = {}
-        if pinned is None:
+        if self.pinned is None:
             arrays = columnar_arrays("L", left)
             arrays.update(columnar_arrays("R", right))
         arrays["L.ids"] = l_ids
@@ -968,7 +992,7 @@ class ParallelPBSM:
                 _grid_spec(grid),
                 self.dedup,
                 store.manifest,
-                pinned,
+                self.pinned,
             )
             payloads = [
                 pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
@@ -976,19 +1000,10 @@ class ParallelPBSM:
             ]
             bytes_shipped = sum(len(p) for p in payloads)
             ipc_seconds = time.perf_counter() - encode_started
-            pool = self.pool
-            if pool is None:
-                pool = LIBRARY_POOL.get(self.workers)
-            started = time.perf_counter()
-            try:
+            with LIBRARY_POOL.borrow(self.workers) as pool:
+                started = time.perf_counter()
                 blobs = _drain(pool, payloads)
-            except BrokenProcessPool:
-                # A worker died; the library's pool is ours to replace
-                # (an external pool's owner replaces its own).
-                if self.pool is None:
-                    LIBRARY_POOL.replace(pool)
-                raise
-            stats.join_makespan_seconds = time.perf_counter() - started
+                stats.join_makespan_seconds = time.perf_counter() - started
 
             copy_started = time.perf_counter()
             outcomes: List[TaskOutcome] = []

@@ -4,11 +4,11 @@ A one-shot join pays worker-pool spawn, dataset serialisation and plan
 enumeration on every call; the whole point of ``repro serve`` is to pay
 each of those once.  :class:`EngineHost` owns the amortised pieces:
 
-* a **persistent** process pool (a :class:`~repro.pbsm.parallel.WarmPool`,
-  the same holder the library's ``spatial_join(workers=N)`` borrows
-  from), spawned at startup and handed to every
-  :class:`~repro.pbsm.ParallelPBSM` fan-out via its ``pool=`` hook — no
-  query ever spawns processes;
+* the **persistent** process pool — the process's one warm pool,
+  :data:`~repro.pbsm.parallel.LIBRARY_POOL`, which every
+  :class:`~repro.pbsm.ParallelPBSM` fan-out borrows (the library's
+  ``spatial_join(workers=N)`` too) — spawned at startup, so no query
+  ever spawns processes;
 * the shared :class:`~repro.planner.PlannerCache` (thread-safe, LRU), so
   the second occurrence of any distinct query re-uses its plan with zero
   re-profiling;
@@ -25,12 +25,11 @@ code (lint rule RPL007).
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel
 from repro.pbsm import ParallelPBSM
-from repro.pbsm.parallel import MAX_WORKERS_ENV, WarmPool, worker_cap
+from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, worker_cap
 from repro.planner import PlannerCache, plan_join
 from repro.planner.plan import JoinPlan
 from repro.serve.registry import Dataset
@@ -58,24 +57,33 @@ class EngineHost:
         self.workers = max(1, workers)
         self.cache = cache if cache is not None else PlannerCache()
         self.cost_model = cost_model or CostModel()
-        self._pools = WarmPool()
 
     @property
     def pool(self) -> Optional[Any]:
-        """The persistent pool (``None`` before ``start`` or with one worker)."""
-        return self._pools.pool
+        """The warm pool this host's fan-outs run on (``None`` with one
+        worker, or while no pool of the host's size is running)."""
+        if self.workers > 1 and LIBRARY_POOL.workers == self.workers:
+            return LIBRARY_POOL.pool
+        return None
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the persistent pool (idempotent; blocking)."""
+        """Spawn the warm pool (idempotent; blocking)."""
         if self.workers > 1:
-            self._pools.get(self.workers)
+            LIBRARY_POOL.start(self.workers)
 
     def shutdown(self) -> None:
-        """Tear the pool down (idempotent; blocking)."""
-        self._pools.shutdown()
+        """Close the warm pool (idempotent; blocking).
+
+        A stopped server leaves no worker process behind, and the
+        workers' mappings of the registry's pinned segments go with them.
+        A fan-out still running keeps its pool until it is done; the
+        next one spawns a fresh pool.
+        """
+        if self.workers > 1:
+            LIBRARY_POOL.shutdown()
 
     # ------------------------------------------------------------------
     # planning and execution (blocking; reach via run_blocking)
@@ -105,22 +113,19 @@ class EngineHost:
         right: Dataset,
         tracer: Optional[Any] = None,
     ) -> Any:
-        """Execute *plan*, routing parallel PBSM through the persistent pool.
+        """Execute *plan*, routing parallel PBSM through the pinned segments.
 
         Sequential plans run through ``JoinPlan.execute`` unchanged.  A
-        parallel PBSM plan is rebuilt with ``pool=`` (no spawn) and —
-        when both datasets are pinned — with ``pinned=`` manifests, so
-        the per-query segment carries only CSR id arrays.
-
-        A pool whose worker died is broken for good
-        (:class:`~concurrent.futures.process.BrokenProcessPool`): the
-        query that finds out still fails, but not before the pool is
-        replaced, so the next one runs.
+        parallel PBSM plan is rebuilt — when both datasets are pinned —
+        with ``pinned=`` manifests, so the per-query segment carries only
+        CSR id arrays.  Its fan-out borrows the warm pool; a query that
+        finds a worker dead still fails, but the pool is replaced on the
+        way out (:meth:`~repro.pbsm.parallel.WarmPool.borrow`), so the
+        next one runs.
         """
         chosen = plan.chosen
         kwargs = dict(chosen.kwargs)
-        pool = self.pool
-        if chosen.method == "pbsm" and "workers" in kwargs and pool is not None:
+        if chosen.method == "pbsm" and "workers" in kwargs:
             workers = kwargs.pop("workers")
             kwargs.setdefault("executor", "process")
             pinned: Optional[Tuple[Any, Any]] = None
@@ -131,15 +136,10 @@ class EngineHost:
                 workers,
                 cost_model=plan.cost_model,
                 tracer=tracer,
-                pool=pool,
                 pinned=pinned,
                 **kwargs,
             )
-            try:
-                result = driver.run(left.kpes, right.kpes)
-            except BrokenProcessPool:
-                self._pools.replace(pool)
-                raise
+            result = driver.run(left.kpes, right.kpes)
         else:
             result = plan.execute(left.kpes, right.kpes, tracer=tracer)
         # result -> plan only.  A plan -> result back reference would

@@ -2,16 +2,18 @@
 
 ``spatial_join(workers=N)`` borrows :data:`repro.pbsm.parallel.LIBRARY_POOL`
 instead of spawning a pool per call.  Pinned here: consecutive joins run
-on the same worker processes; a killed worker fails one call and the
-next call runs on a fresh pool with byte-identical pairs; a process that
-used the pool exits promptly without leaking a segment; and a forked
-child gets a pool of its own instead of the parent's.
+on the same worker processes; joins asking for different worker counts
+at once all finish; a killed worker fails one call and the next call
+runs on a fresh pool with byte-identical pairs; a process that used the
+pool exits promptly without leaking a segment; and a forked child gets
+a pool of its own instead of the parent's.
 """
 
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -23,7 +25,13 @@ from repro import spatial_join
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_WORKER, Tracer
-from repro.pbsm.parallel import LIBRARY_POOL, ParallelPBSM, _warm_worker
+from repro.pbsm import parallel
+from repro.pbsm.parallel import (
+    LIBRARY_POOL,
+    MAX_WORKERS_ENV,
+    ParallelPBSM,
+    _warm_worker,
+)
 
 from tests.conftest import random_kpes
 
@@ -38,14 +46,14 @@ TIMEOUT = 10.0
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def pooled_join(tracer=None):
-    result = spatial_join(LEFT, RIGHT, MEMORY, workers=2, tracer=tracer)
+def pooled_join(tracer=None, workers=2):
+    result = spatial_join(LEFT, RIGHT, MEMORY, workers=workers, tracer=tracer)
     assert result.stats.executor == "process"
     return result
 
 
-def expected_arrays():
-    result = ParallelPBSM(MEMORY, 2, internal="sweep_numpy").run(LEFT, RIGHT)
+def expected_arrays(workers=2):
+    result = ParallelPBSM(MEMORY, workers, internal="sweep_numpy").run(LEFT, RIGHT)
     return result.to_arrays()
 
 
@@ -76,6 +84,38 @@ def test_consecutive_joins_run_on_the_same_workers():
     pooled_join(second)
     assert LIBRARY_POOL.pool is pool
     assert worker_pids(first) | worker_pids(second) <= pool_pids(pool)
+
+
+def test_joins_asking_for_two_worker_counts_at_once_all_finish(monkeypatch):
+    """Each call respawns the pool at its own size; the pool a running
+    call holds is closed only once that call has given it back."""
+    monkeypatch.setenv(MAX_WORKERS_ENV, "3")
+    drain = parallel._drain
+
+    def slow_drain(pool, payloads):
+        time.sleep(0.2)  # a stall between taking the pool and submitting
+        return drain(pool, payloads)
+
+    monkeypatch.setattr(parallel, "_drain", slow_drain)
+    expected = {workers: expected_arrays(workers) for workers in (2, 3)}
+    start = threading.Barrier(2)
+    failures = []
+
+    def joins(workers):
+        try:
+            start.wait(TIMEOUT)
+            for _ in range(4):
+                assert_same_pairs(pooled_join(workers=workers), expected[workers])
+        except BaseException as exc:  # reported by the main thread
+            failures.append((workers, exc))
+
+    threads = [threading.Thread(target=joins, args=(w,)) for w in (2, 3)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(6 * TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 def test_a_killed_worker_fails_one_call_and_the_next_one_runs(own_shm_segments):

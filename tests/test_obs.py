@@ -627,11 +627,19 @@ class TestTraceCli:
         assert outs["loop"].read_bytes() == outs["process"].read_bytes()
         assert outs["loop"].stat().st_size > 0
 
-    def test_workers_trace_has_worker_spans(self, relations, tmp_path, capsys):
-        lp, rp = relations
+    def test_workers_trace_has_worker_spans(self, tmp_path, capsys):
+        from repro.datasets.fileio import save_relation
+
+        # Seven chunks of a few ms each.  On the 400-record relations (two
+        # chunks of well under a ms) one warm worker can take both before
+        # the other wakes up: 34 of 300 runs on a 2-vCPU machine, against
+        # 0 of 1000 at this size.
+        lp, rp = str(tmp_path / "l.csv"), str(tmp_path / "r.csv")
+        save_relation(random_kpes(3000, seed=41, max_edge=0.05), lp)
+        save_relation(random_kpes(3000, seed=42, start_oid=10_000, max_edge=0.05), rp)
         trace_path = tmp_path / "tw.jsonl"
         assert self.run_cli(
-            "join", lp, rp, "--workers", "2", "--memory-mb", "0.25",
+            "join", lp, rp, "--workers", "2", "--memory-mb", "0.02",
             "--trace", str(trace_path), "--verbose",
         ) == 0
         out = capsys.readouterr().out
@@ -642,7 +650,6 @@ class TestTraceCli:
             # The in-process loop ran: it has no worker to report.
             assert workers == []
             return
-        # One span per chunk; which warm worker takes which chunk is the
-        # pool's call, and on tasks this small one may take them all.
-        assert len(workers) >= 2
+        # Both warm workers ran chunks, and each is named by its pid.
+        assert len(worker_busy(spans)) >= 2
         assert all(label.startswith("pid-") for label in worker_busy(spans))

@@ -11,6 +11,7 @@ no result segment behind.  The store and CSR plumbing get their own
 unit tests.
 """
 
+import contextlib
 import os
 import pickle
 import warnings
@@ -28,7 +29,7 @@ from repro.kernels.shm import (
     shm_enabled,
 )
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.parallel import ParallelPBSM, reset_clamp_warnings
+from repro.pbsm.parallel import LIBRARY_POOL, ParallelPBSM, reset_clamp_warnings
 from repro.pbsm.partitioner import partition_csr, partition_relation
 
 from tests.conftest import random_kpes
@@ -238,7 +239,7 @@ class TestShmExecutorParity:
 # a failed chunk must not strand the other chunks' result segments
 # ----------------------------------------------------------------------
 class FailingPool:
-    """A ``pool=`` that runs chunks in this process and fails one of them."""
+    """A stand-in pool that runs chunks in this process and fails one."""
 
     def __init__(self, fail_at):
         self.fail_at = fail_at
@@ -257,14 +258,16 @@ class FailingPool:
 @needs_shm
 @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
 class TestResultSegmentCustody:
-    def test_failed_chunk_leaks_no_result_segment(self, own_shm_segments):
+    def test_failed_chunk_leaks_no_result_segment(self, own_shm_segments, monkeypatch):
         pool = FailingPool(fail_at=3)
+        monkeypatch.setattr(
+            LIBRARY_POOL, "borrow", lambda workers: contextlib.nullcontext(pool)
+        )
         join = ParallelPBSM(
             mb(0.006),  # 10 partitions: several chunks
             2,
             internal="sweep_numpy",
             executor="process",
-            pool=pool,
         )
         with pytest.raises(OSError, match="No space left"):
             join.run(LEFT, RIGHT)

@@ -17,7 +17,8 @@ operations and offers two consumers of them:
 Both preserve the partitioner's exact semantics: per-partition record
 order, replica counts, and the structure-op accounting all match the
 scalar path, so simulated costs are identical — the win is wall clock
-only.
+only.  (The columnar engine asks ``partition_ids`` for the same runs in
+``xl`` order, which no charge depends on.)
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Any, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.kernels.columnar import ColumnarRelation, xl_order
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.pbsm.grid import TileGrid
 
@@ -88,11 +90,14 @@ def partition_plan(
     return plan
 
 
-def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
+def partition_ids(
+    kpes: Sequence[Tuple], grid: TileGrid, by_xl: bool = False
+) -> Tuple[Any, Any]:
     """The id-emitting partition phase as one kernel: CSR ``(offsets, ids)``.
 
     Partition ``pid`` receives the input positions
-    ``ids[offsets[pid]:offsets[pid + 1]]`` in ascending order — every
+    ``ids[offsets[pid]:offsets[pid + 1]]``, by default in ascending
+    order — every
     record once per *distinct* partition owning a tile it overlaps,
     which is exactly what the scalar loop appends to partition file
     ``pid``.  Single-tile records resolve array-wise; multi-tile records
@@ -100,15 +105,30 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
     collapsed to distinct ``(partition, record)`` pairs after the one
     sort that orders everything.  Both arrays are int64; ``len(ids)`` is
     the partitioner's ``records_written``.
+
+    *by_xl* (the columnar engine's partitioning) orders every run by
+    ``(xl, position)`` instead: records are keyed by their rank in the
+    input's one stable ``xl`` order, so each run is what a stable
+    ``xl`` sort of the ascending run would give, and a leaf need not
+    sort.  An input flagged ``sorted_by_xl`` is its own order.
     """
     n = len(kpes)
     n_partitions = grid.n_partitions
     if n == 0:
         return np.zeros(n_partitions + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    order = None
+    if by_xl:
+        kpes = ColumnarRelation.from_kpes(kpes)
+        if not kpes.sorted_by_xl:
+            order = xl_order(kpes.xl)
     txl, tyl, txh, tyh = tile_ranges(grid, kpes)
     width = txh - txl + 1
     tiles = width * (tyh - tyl + 1)
-    record = np.arange(n, dtype=np.int64)
+    if order is None:
+        record = np.arange(n, dtype=np.int64)
+    else:
+        record = np.empty(n, dtype=np.int64)
+        record[order] = np.arange(n, dtype=np.int64)
     # (partition, record) packed into one sortable key: partition-major,
     # so sorted keys *are* the CSR layout.
     keys = tile_partitions(grid, txl, tyl) * n + record
@@ -124,7 +144,7 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
         tx = txl[rec] + k % width[rec]
         ty = tyl[rec] + k // width[rec]
         keys = np.concatenate(
-            (keys[tiles == 1], tile_partitions(grid, tx, ty) * n + rec)
+            (keys[tiles == 1], tile_partitions(grid, tx, ty) * n + record[rec])
         )
     keys.sort()
     if multi.size:
@@ -135,7 +155,8 @@ def partition_ids(kpes: Sequence[Tuple], grid: TileGrid) -> Tuple[Any, Any]:
     offsets = np.searchsorted(
         keys, np.arange(n_partitions + 1, dtype=np.int64) * n
     )
-    return offsets, keys % n
+    ids = keys % n
+    return offsets, ids if order is None else order[ids]
 
 
 __all__ = ["PartitionPlanEntry", "partition_ids", "partition_plan", "tile_ranges"]

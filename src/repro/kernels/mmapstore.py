@@ -143,10 +143,11 @@ class MappedColumnarStore:
     def relation(self) -> ColumnarRelation:
         """The mapped columns as a :class:`ColumnarRelation` (zero-copy).
 
-        ``sorted_by_xl`` carries the flag detected at build time, so
-        pre-sorted datasets additionally skip the kernels' x-sorts.
-        The columns are read-only; kernels that need mutable rows copy
-        (``sort_by_xl`` already does).
+        ``sorted_by_xl`` carries the flag detected at build time, so a
+        pre-sorted dataset skips the columnar partitioner's one ``xl``
+        order (``partition_ids(..., by_xl=True)``) — the only x-sort a
+        join runs per input.  The columns are read-only; kernels that
+        need mutable rows copy (``sort_by_xl`` already does).
         """
         self._require_open()
         return ColumnarRelation(
@@ -241,7 +242,8 @@ class MappedRelation:
       (zero-copy into every kernel and the shm packer);
     * ``fingerprint`` — ``relation_fingerprint`` returns it directly, so
       planner profile/plan caches hit without re-sampling;
-    * ``sorted_by_xl`` — the sweep kernel skips its argsort when set.
+    * ``sorted_by_xl`` — the columnar partitioner and ``sweep_numpy``
+      skip their ``xl`` sort when set.
     """
 
     __slots__ = ("store", "columnar")

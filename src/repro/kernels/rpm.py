@@ -165,8 +165,10 @@ def rpm_join_ids(
     Runs the forward-scan kernel plus the batched RPM ownership test on
     two columnar relations and returns ``(rid, sid, suppressed)`` where
     ``rid``/``sid`` are int64 arrays of the inputs' ``oid`` values — the
-    ``i``-th owned pair is ``(rid[i], sid[i])``.  Unsorted inputs are
-    sorted here with a stable argsort, charged as one batch sort each.
+    ``i``-th owned pair is ``(rid[i], sid[i])``.  Inputs not flagged
+    ``sorted_by_xl`` are sorted here (stable, ``xl_order``), charged as
+    one batch sort each; the PBSM drivers' leaves arrive sorted and
+    charge that sort in ``pbsm.join.columnar_leaf`` instead.
     """
     rid, sid, detected, suppressed = _owned_scan(
         a_cols, b_cols, ((grid, pid),), False, counters, batch_candidates

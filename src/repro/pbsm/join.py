@@ -67,6 +67,7 @@ from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
+from repro.kernels.sweep import _charge_batch_sort
 from repro.kernels.twolayer import twolayer_join_ids
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
@@ -226,6 +227,9 @@ class PBSM:
             rel_left = columns.left
             rel_right = columns.right
         emit = "records" if columns is None else "ids"
+        # The columnar leaf's inputs arrive xl-sorted (one order per input,
+        # here); the tuple leaf's internals emit in file order.
+        by_xl = columns is not None
 
         kpe_bytes = self.cost_model.kpe_bytes
         space = Space.of(rel_left, rel_right)
@@ -251,11 +255,11 @@ class PBSM:
                 with disk.phase(PHASE_PARTITION):
                     left_files, n_left_written = partition_relation(
                         rel_left, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
-                        "R", emit=emit,
+                        "R", emit=emit, by_xl=by_xl,
                     )
                     right_files, n_right_written = partition_relation(
                         rel_right, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
-                        "S", emit=emit,
+                        "S", emit=emit, by_xl=by_xl,
                     )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
@@ -292,8 +296,8 @@ class PBSM:
                         )
                     else:
                         with disk.phase(PHASE_JOIN):
-                            a = columns.left.rows(file_left.read_view())
-                            b = columns.right.rows(file_right.read_view())
+                            a = columns.left.rows(file_left.read_view(), sorted_by_xl=True)
+                            b = columns.right.rows(file_right.read_view(), sorted_by_xl=True)
                         rid, sid, suppressed = columnar_leaf(
                             a, b, region, self.dedup, join_cpu
                         )
@@ -565,7 +569,16 @@ def columnar_leaf(
     ownership chain ANDed over each batch.  Returns
     ``(rid, sid, suppressed)``: int64 arrays of whatever the gathered
     ``oid`` columns hold.
+
+    Both PBSM drivers hand it rows already in ``xl`` order (flagged
+    ``sorted_by_xl``: ``partition_ids(..., by_xl=True)``), so no kernel
+    sorts here.  The paper sorts every partition pair, and its simulated
+    seconds are this engine's currency too, so a sort per arriving-sorted
+    side is still charged — what the kernel's own sort charged.
     """
+    for side in (a, b):
+        if side.sorted_by_xl:
+            _charge_batch_sort(cpu, side.n)
     tested = dedup in ("rpm", "twolayer")
     if tested and len(region) == 1:
         grid, pid = region[0]

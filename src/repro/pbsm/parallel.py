@@ -252,9 +252,10 @@ def _run_tasks(
         counters = CpuCounters()
         pairs: Any
         if columnar:
+            # The columnar engine's id runs are in xl order (``by_xl``).
             rid, sid, suppressed = columnar_leaf(
-                left.take(l_ids[l_lo:l_hi]),
-                right.take(r_ids[r_lo:r_hi]),
+                left.take(l_ids[l_lo:l_hi], sorted_by_xl=True),
+                right.take(r_ids[r_lo:r_hi], sorted_by_xl=True),
                 ((grid, pid),),
                 dedup,
                 counters,
@@ -739,10 +740,12 @@ class ParallelPBSM:
             with tracer.span(PHASE_PARTITION, cpu=part_cpu, disk=disk) as sp:
                 with disk.phase(PHASE_PARTITION):
                     left_files, n_left_written = partition_relation(
-                        rel_left, grid, disk, kpe_bytes, part_cpu, "R", emit="ids"
+                        rel_left, grid, disk, kpe_bytes, part_cpu, "R",
+                        emit="ids", by_xl=columnar,
                     )
                     right_files, n_right_written = partition_relation(
-                        rel_right, grid, disk, kpe_bytes, part_cpu, "S", emit="ids"
+                        rel_right, grid, disk, kpe_bytes, part_cpu, "S",
+                        emit="ids", by_xl=columnar,
                     )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (

@@ -49,6 +49,7 @@ def partition_relation(
     name_prefix: str = "part",
     buffer_pages: int = 1,
     emit: str = "records",
+    by_xl: bool = False,
 ) -> Tuple[List[PageFile], int]:
     """Distribute *kpes* over ``grid.n_partitions`` partition files.
 
@@ -56,13 +57,16 @@ def partition_relation(
     every inserted copy (so ``records_written - len(kpes)`` is the number
     of replicas, the redundancy PBSM trades for partition independence).
     With ``emit="ids"`` each file holds input positions instead of record
-    tuples — same write order, same charged costs.
+    tuples — same write order, same charged costs; *by_xl* (the columnar
+    engine's) writes each file's positions in ``(xl, position)`` order
+    instead, at the same charges (``kernels.assign.partition_ids``).
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"emit must be one of {EMIT_MODES}, got {emit!r}")
     if emit == "ids":
         return _partition_ids(
-            kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages
+            kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages,
+            by_xl,
         )
     files = [
         PageFile(disk, record_bytes, f"{name_prefix}.{pid}")
@@ -109,6 +113,7 @@ def _partition_ids(
     counters: CpuCounters,
     name_prefix: str,
     buffer_pages: int,
+    by_xl: bool,
 ) -> Tuple[List[PageFile], int]:
     """``emit="ids"``: one kernel, charged by count.
 
@@ -127,7 +132,7 @@ def _partition_ids(
 
     if buffer_pages < 1:
         raise ValueError("buffer_pages must be >= 1")
-    offsets, ids = partition_ids(kpes, grid)
+    offsets, ids = partition_ids(kpes, grid, by_xl)
     ids.flags.writeable = False
     buffer_records = buffer_pages * disk.cost.records_per_page(record_bytes)
     files: List[PageFile] = []

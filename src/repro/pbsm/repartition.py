@@ -91,13 +91,15 @@ def split_partition_ids(
     """:func:`split_partition` for a file of row ids into *columns*.
 
     The columnar driver's partitions hold positions in the input's
-    :class:`~repro.kernels.columnar.ColumnarRelation`, not records: the
-    source's rows are gathered, partitioned by the id-emitting kernel,
-    and each sub-partition's local positions mapped back to input
-    positions (ascending, like the source).  One contiguous read, the
-    same buffered writes and structure ops as the records path — the
-    charges depend only on how many rows each sub-partition receives.
-    The source is left intact for the same reason as there.
+    :class:`~repro.kernels.columnar.ColumnarRelation`, not records, in
+    ``(xl, position)`` order: the source's rows are gathered,
+    partitioned by the id-emitting kernel, and each sub-partition's
+    local positions — ascending, so in the source's order — mapped back
+    to input positions, again in ``(xl, position)`` order with nothing
+    sorted.  One contiguous read, the same buffered writes and
+    structure ops as the records path — the charges depend only on how
+    many rows each sub-partition receives.  The source is left intact
+    for the same reason as there.
     """
     subgrid = TileGrid.for_partitions(space, k, tiles_per_partition, mapping)
     ids = source.read_view()

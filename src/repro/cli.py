@@ -122,6 +122,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print(f"coverage:  {summary.coverage:.4f}")
     print(f"avg width: {summary.avg_width:.6f}")
     print(f"avg height:{summary.avg_height:.6f}")
+    if getattr(kpes, "mapped", False):
+        print(f"layout:    mapped .rcd, sorted_by_xl={'yes' if kpes.sorted_by_xl else 'no'}")
     return 0
 
 

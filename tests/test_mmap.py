@@ -296,6 +296,17 @@ class TestCliBuild:
         assert "fingerprint:" in text
         assert out.exists()
         assert main(["info", str(out)]) == 0
+        assert "sorted_by_xl=no" in capsys.readouterr().out
+
+    def test_info_reports_a_sorted_header(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "sorted.rcd"
+        args = ["build", str(out), "--pattern", "uniform", "--n", "500", "--sort"]
+        assert main(args) == 0
+        capsys.readouterr()
+        assert main(["info", str(out)]) == 0
+        assert "sorted_by_xl=yes" in capsys.readouterr().out
 
     def test_build_from_file(self, tmp_path, capsys):
         from repro.cli import main

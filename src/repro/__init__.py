@@ -81,8 +81,7 @@ def spatial_join(
         "shj" (spatial hash join), "rtree" (index on both relations), or
         "auto" — let the cost-based planner profile the inputs and pick
         algorithm, internal join and ``t``-factor itself (its PBSM plans
-        handle duplicates with the Reference Point Method;
-        ``dedup="twolayer"`` is never planned, only asked for).  The
+        handle duplicates with the Reference Point Method).  The
         profile is computed from the inputs' columns
         (``docs/planner.md``): columnar and mapped inputs are planned
         without boxing a record, lists are converted once per call and
@@ -123,11 +122,10 @@ def spatial_join(
         time themselves, so the stats below are always populated.
     kwargs:
         Forwarded to the driver (e.g. ``internal="sweep_trie"``,
-        ``dedup="rpm"``/``"twolayer"``/``"sort"``, ``replicate=True``,
-        ``curve="peano"``).  With ``workers``, ``dedup`` must be an
-        online scheme (``"rpm"`` or ``"twolayer"`` — corner-class
-        duplicate avoidance, see ``docs/duplicates.md``);
-        :class:`~repro.pbsm.ParallelPBSM` rejects ``dedup="sort"``.
+        ``dedup="rpm"``/``"sort"``, ``replicate=True``,
+        ``curve="peano"``).  With ``workers`` the join always runs the
+        Reference Point Method (``docs/duplicates.md``): ``dedup="rpm"``
+        is accepted and any other ``dedup`` raises ``ValueError``.
         With ``method="auto"``: forwarded to
         :func:`repro.planner.plan_join` (e.g. ``cache=...``,
         ``t_grid=...``, ``methods=...``).
@@ -156,6 +154,11 @@ def spatial_join(
             # Columns all the way (docs/kernels.md).
             kwargs.setdefault("internal", "sweep_numpy")
         if workers is not None and method == "pbsm":
+            if kwargs.pop("dedup", "rpm") != "rpm":
+                raise ValueError(
+                    "workers= runs the Reference Point Method only: the "
+                    "offline sorting phase would serialise the parallel join"
+                )
             kwargs.setdefault("executor", "process")
             result = ParallelPBSM(
                 memory_bytes, workers, tracer=tracer, **kwargs

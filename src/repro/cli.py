@@ -162,8 +162,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
             print(
                 "error: --dedup sort cannot run with --workers: the "
                 "offline sorting phase would serialise the parallel "
-                "join (use --dedup rpm or --dedup twolayer, or drop "
-                "--workers)",
+                "join (use --dedup rpm, or drop --workers)",
                 file=sys.stderr,
             )
             return 2
@@ -393,10 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument(
         "--dedup",
         default=None,
-        choices=("rpm", "twolayer", "sort"),
-        help="duplicate handling: rpm reference-point tests, twolayer "
-        "corner-class avoidance (zero per-pair work), sort offline "
-        "removal (sequential only)",
+        choices=("rpm", "sort"),
+        help="duplicate handling: rpm online reference-point tests, sort "
+        "offline removal (sequential only)",
     )
     join.add_argument(
         "--workers",

@@ -4,8 +4,8 @@ Every join today re-parses its inputs (CSV field splitting, ``.npy``
 row validation) and rebuilds columnar arrays from Python tuples — for
 TIGER-scale relations (CAL_ST ≈ 1.9M MBRs) that ingest dominates
 end-to-end time and has to be paid again by every process that touches
-the data.  Both Tsitsigkos & Mamoulis ("Parallel In-Memory Evaluation
-of Spatial Joins") and the two-layer partitioning line of work assume a
+the data.  Tsitsigkos & Mamoulis ("Parallel In-Memory Evaluation of
+Spatial Joins") and the partitioning work that followed assume a
 preprocessed binary format whose build cost is amortised across many
 joins; ``.rcd`` ("repro columnar dataset") is that format here.
 

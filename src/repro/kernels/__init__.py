@@ -15,8 +15,8 @@ files is kept as the system's interchange format; this package adds a
 * :mod:`repro.kernels.assign` — vectorized tile assignment for the PBSM
   partitioning phase;
 * :mod:`repro.kernels.twolayer` — batched two-layer corner-class
-  duplicate avoidance: class assignment as two comparisons per replica
-  and class-partitioned slices feeding the forward-scan internals;
+  duplicate avoidance, which no driver runs (kept for the frozen
+  benchmark replay only);
 * :mod:`repro.kernels.mmapstore` — zero-copy memory-mapped columnar
   stores over ``.rcd`` dataset files (build once, join many): a
   relation opens in O(ms) as live read-only columns.

@@ -70,7 +70,6 @@ def _owned_scan(
     a_cols: ColumnarRelation,
     b_cols: ColumnarRelation,
     regions: Sequence[Tuple[TileGrid, int]],
-    bottom_left: bool,
     counters: CpuCounters,
     batch_candidates: int,
 ) -> Tuple:
@@ -78,13 +77,12 @@ def _owned_scan(
 
     The one loop behind :func:`rpm_join_ids` and :func:`region_join_ids`:
     returns ``(rid, sid, detected, suppressed)``.  A detected pair is
-    kept iff its reference point — the RPM corner ``(max xl, min yh)``,
-    or the intersection's bottom-left corner ``(max xl, max yl)`` with
-    *bottom_left* — lies in partition ``pid`` of ``grid`` for *every*
-    ``(grid, pid)`` of *regions*; an empty chain keeps everything.  The
-    test runs once per ``OWNERSHIP_BATCH_PAIRS`` detections, not once per
-    scan batch.  Charges the sorts and the scan, never the test: the two
-    callers price that differently.
+    kept iff its reference point ``(max xl, min yh)`` lies in partition
+    ``pid`` of ``grid`` for *every* ``(grid, pid)`` of *regions*; an
+    empty chain keeps everything.  The test runs once per
+    ``OWNERSHIP_BATCH_PAIRS`` detections, not once per scan batch.
+    Charges the sorts and the scan, never the test: the two callers
+    price that differently.
     """
     empty = np.empty(0, dtype=np.int64)
     if a_cols.n == 0 or b_cols.n == 0:
@@ -110,10 +108,7 @@ def _owned_scan(
         sid = b.oid[b_idx]
         if regions:
             ref_x = np.maximum(a.xl[a_idx], b.xl[b_idx])
-            if bottom_left:
-                ref_y = np.maximum(a.yl[a_idx], b.yl[b_idx])
-            else:
-                ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
+            ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
             mask = None
             for grid, pid in regions:
                 owned = point_partitions(grid, ref_x, ref_y) == pid
@@ -171,7 +166,7 @@ def rpm_join_ids(
     charge that sort in ``pbsm.join.columnar_leaf`` instead.
     """
     rid, sid, detected, suppressed = _owned_scan(
-        a_cols, b_cols, ((grid, pid),), False, counters, batch_candidates
+        a_cols, b_cols, ((grid, pid),), counters, batch_candidates
     )
     counters.batch_ops += BATCH_OPS_PER_RPM_TEST * detected
     return rid, sid, suppressed
@@ -182,7 +177,6 @@ def region_join_ids(
     b_cols: ColumnarRelation,
     regions: Sequence[Tuple[TileGrid, int]],
     counters: CpuCounters,
-    bottom_left: bool = False,
 ) -> Tuple:
     """One partition-pair join under a *composed* region, array-wise.
 
@@ -190,9 +184,8 @@ def region_join_ids(
     lies in the parent partition AND in every sub-partition down the
     recursion (Section 3.2.3): *regions* is that chain of
     ``(grid, pid)`` ownership tests, ANDed over each forward-scan batch
-    so the pair never leaves numpy.  ``bottom_left`` selects the
-    two-layer fallback's corner instead of RPM's; an empty chain is the
-    no-test leaf of ``dedup="none"``/``"sort"``.  Returns
+    so the pair never leaves numpy.  An empty chain is the no-test leaf
+    of ``dedup="none"``/``"sort"``.  Returns
     ``(rid, sid, suppressed)`` like :func:`rpm_join_ids`, pairs in batch
     order.
 
@@ -202,7 +195,7 @@ def region_join_ids(
     when there is a chain to test.
     """
     rid, sid, detected, suppressed = _owned_scan(
-        a_cols, b_cols, regions, bottom_left, counters, DEFAULT_BATCH_CANDIDATES
+        a_cols, b_cols, regions, counters, DEFAULT_BATCH_CANDIDATES
     )
     if regions:
         counters.refpoint_tests += detected

@@ -1,12 +1,35 @@
-"""Vectorized two-layer corner-class duplicate avoidance.
+"""Vectorized two-layer corner-class duplicate avoidance (retired).
 
-The columnar counterpart of :mod:`repro.pbsm.twolayer`: class assignment
-is two array comparisons per replica over the tile arrays, and the nine
-cross-class mini-joins are class-partitioned *slices* fed straight into
-the existing forward-scan kernel — no reference-point test, no dedup
-sort, nothing per pair.
+No driver runs this kernel: ``PBSM``, ``ParallelPBSM``, ``spatial_join``
+and ``repro join`` handle duplicates with the Reference Point Method (or
+the paper's final sort) only, because two-layer avoidance won no cell of
+``benchmarks/results/BENCH_dedup_wall.json``.  It stays for one caller,
+the frozen benchmark's traced replay (``benchmarks/e2e/layers.py``), which
+times it as ``twolayer.join_ids_ms``.
 
-Pipeline per partition task:
+Two-layer space-oriented partitioning (Tsitsigkos et al.) classifies
+every replica, inside each tile, by where its *low* corners fall —
+
+* class **A** — both low corners inside the tile (its home tile),
+* class **B** — the x-low corner is in a tile to the left,
+* class **C** — the y-low corner is in a tile below,
+* class **D** — both low corners outside (left *and* below),
+
+and then runs only the cross-class mini-joins of
+:data:`MINI_JOIN_SCHEDULE`.  The schedule is exactly the set of class
+combinations for which the intersection's bottom-left corner
+``(max(r.xl, s.xl), max(r.yl, s.yl))`` lies in the tile: per axis, the
+clamped tile index is monotone, so ``tile_x(max(r.xl, s.xl)) == tx`` iff
+at least one of the two rectangles has its x-low corner inside the
+tile's x-slab (class A or C), and symmetrically for y.  Enumerating the
+sixteen ordered class pairs under ``(r.ax or s.ax) and (r.ay or s.ay)``
+leaves nine combinations — each intersecting pair surfaces in *exactly
+one* mini-join of *exactly one* tile, with no reference-point test and
+no sort.
+
+Class assignment is two array comparisons per replica over the tile
+arrays, and the nine mini-joins are class-partitioned *slices* fed
+straight into the forward-scan kernel.  Pipeline per partition task:
 
 1. sort both inputs by ``xl`` (charged once, exactly like the RPM kernel);
 2. replay the tile arithmetic of :class:`repro.pbsm.grid.TileGrid` with
@@ -20,7 +43,7 @@ Pipeline per partition task:
    ``xl`` order inside each group, so every group is forward-scan ready
    as a plain slice;
 4. per tile present on both sides, run the nine mini-joins of
-   :data:`~repro.pbsm.twolayer.MINI_JOIN_SCHEDULE` through
+   :data:`MINI_JOIN_SCHEDULE` through
    :func:`~repro.kernels.sweep.forward_scan_batches`; a mini-join below
    the striping floor additionally probes both sweep axes and runs
    *transposed* when y-anchored windows are cheaper (:func:`_best_axis`)
@@ -44,7 +67,24 @@ from repro.kernels.sweep import (
     forward_scan_batches,
 )
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.twolayer import MINI_JOIN_SCHEDULE
+
+#: Corner classes, indexed by ``(x_low_outside) + 2 * (y_low_outside)``.
+CLASS_A, CLASS_B, CLASS_C, CLASS_D = 0, 1, 2, 3
+
+#: The nine ordered ``(left_class, right_class)`` mini-joins whose pairs
+#: are owned by the tile (see the module docstring for the derivation).
+#: Grouped A-side first so the common case (A x everything) runs first.
+MINI_JOIN_SCHEDULE: Tuple[Tuple[int, int], ...] = (
+    (CLASS_A, CLASS_A),
+    (CLASS_A, CLASS_B),
+    (CLASS_A, CLASS_C),
+    (CLASS_A, CLASS_D),
+    (CLASS_B, CLASS_A),
+    (CLASS_B, CLASS_C),
+    (CLASS_C, CLASS_A),
+    (CLASS_C, CLASS_B),
+    (CLASS_D, CLASS_A),
+)
 
 #: Array operations charged per input record for the vectorized tile
 #: ranges (two tile computations per corner pair, widths, replica counts).

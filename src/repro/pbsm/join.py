@@ -10,12 +10,6 @@ Implements both variants the paper compares:
   its reference point lies in the region of the partition being processed
   (at most six extra comparisons), so results stream out of the join phase
   and no final phase exists.
-* ``dedup="twolayer"`` — duplicate *avoidance* (Tsitsigkos et al.'s
-  two-layer corner classes, :mod:`repro.pbsm.twolayer`): per tile, both
-  inputs are classified by where their low corners fall and only the nine
-  cross-class mini-joins run, so every result is produced exactly once by
-  construction — zero reference-point tests, zero sorting, and results
-  stream like RPM's.
 
 The internal algorithm (list sweep, trie sweep, ...) is pluggable, which is
 how Figures 4/5/12 are driven.  The recursion of Section 3.2.3 hands out
@@ -68,7 +62,6 @@ from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.kernels.sweep import _charge_batch_sort
-from repro.kernels.twolayer import twolayer_join_ids
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
@@ -80,9 +73,8 @@ from repro.pbsm.repartition import (
     split_partition,
     split_partition_ids,
 )
-from repro.pbsm.twolayer import twolayer_partition_join
 
-DEDUP_MODES = ("rpm", "twolayer", "sort", "none")
+DEDUP_MODES = ("rpm", "sort", "none")
 
 #: The region a partition pair owns, as a chain of ``(grid, pid)``
 #: ownership tests: one entry for a top-level partition (the union of its
@@ -101,13 +93,12 @@ class PBSM:
         The main-memory budget M of formula (1); partition pairs must fit
         into it.
     internal:
-        Registry name of the in-memory join algorithm ("sweep_list",
-        "sweep_trie", "nested_loops", "sweep_tree").
+        Registry name of the in-memory join algorithm: "sweep_list",
+        "sweep_trie", "nested_loops", "sweep_tree" (the tuple engine), or
+        "sweep_numpy" (the columnar engine).
     dedup:
-        "rpm" (online reference-point method), "twolayer" (corner-class
-        duplicate avoidance — no per-pair work at all), "sort" (original
-        final sorting phase), or "none" (emit duplicates — for analysis
-        only).
+        "rpm" (online reference-point method), "sort" (original final
+        sorting phase), or "none" (emit duplicates — for analysis only).
     t_factor:
         Safety factor on formula (1) (Section 3.2.3); 1.0 = original.
     tiles_per_partition / tile_mapping:
@@ -180,7 +171,6 @@ class PBSM:
     def _new_stats(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinStats:
         dedup_tag = {
             "rpm": "RPM",
-            "twolayer": "2L",
             "sort": "PD",
             "none": "nodedup",
         }[self.dedup]
@@ -487,19 +477,6 @@ def tuple_leaf(
     (``"sort"``, ``"none"``) return every candidate.  Both PBSM drivers
     end here for every internal but ``sweep_numpy``.
     """
-    if dedup == "twolayer" and len(region) == 1:
-        # Pure avoidance: classify both sides over the partition's
-        # tiles and run the cross-class mini-joins.  Nothing is
-        # detected and then discarded, so there is no suppression to
-        # count and no per-pair test to charge.
-        grid, pid = region[0]
-        return (
-            twolayer_partition_join(
-                records_left, records_right, grid, pid, internal, cpu
-            ),
-            0,
-        )
-
     results: List[Tuple[int, int]] = []
     refpoint_tests = 0
     suppressed = 0
@@ -515,30 +492,6 @@ def tuple_leaf(
             sy = s[4]
             x = rx if rx >= sx else sx
             y = ry if ry <= sy else sy
-            if owns(x, y):
-                results.append((r[0], s[0]))
-            else:
-                suppressed += 1
-
-    elif dedup == "twolayer":
-        # Only reached under a repartitioned (composed) region, which
-        # is not one grid's tiles, so per-tile avoidance cannot run.
-        # The equivalent exactly-once rule — keep a pair iff the
-        # intersection's *bottom-left* corner lies in this region —
-        # applies instead, charged honestly as reference-point tests.
-        # Top-level partitions (the no-repartition case the paper
-        # benchmarks) never take this path.
-        owns = _region_test(region)
-
-        def emit(r: Tuple, s: Tuple) -> None:
-            nonlocal refpoint_tests, suppressed
-            refpoint_tests += 1
-            rx = r[1]
-            sx = s[1]
-            ry = r[2]
-            sy = s[2]
-            x = rx if rx >= sx else sx
-            y = ry if ry >= sy else sy
             if owns(x, y):
                 results.append((r[0], s[0]))
             else:
@@ -563,8 +516,8 @@ def columnar_leaf(
 ) -> Tuple[Any, Any, int]:
     """The columnar engine's leaf: one id-pair kernel per partition pair.
 
-    A top-level region is one grid's tiles, so RPM and two-layer
-    avoidance run their own kernels; a composed region (and the
+    RPM under a top-level region (one grid's tiles) runs
+    :func:`~repro.kernels.rpm.rpm_join_ids`; a composed region (and the
     test-free ``"none"``/``"sort"`` modes) runs the forward scan with the
     ownership chain ANDed over each batch.  Returns
     ``(rid, sid, suppressed)``: int64 arrays of whatever the gathered
@@ -579,14 +532,11 @@ def columnar_leaf(
     for side in (a, b):
         if side.sorted_by_xl:
             _charge_batch_sort(cpu, side.n)
-    tested = dedup in ("rpm", "twolayer")
+    tested = dedup == "rpm"
     if tested and len(region) == 1:
         grid, pid = region[0]
-        join_ids = rpm_join_ids if dedup == "rpm" else twolayer_join_ids
-        return join_ids(a, b, grid, pid, cpu)
-    return region_join_ids(
-        a, b, region if tested else (), cpu, bottom_left=dedup == "twolayer"
-    )
+        return rpm_join_ids(a, b, grid, pid, cpu)
+    return region_join_ids(a, b, region if tested else (), cpu)
 
 
 def _region_test(region: Region) -> Callable[[float, float], bool]:

@@ -66,12 +66,11 @@ A task ends in one of the two leaves sequential ``PBSM`` ends in
 :func:`~repro.pbsm.join.tuple_leaf` over materialised records
 otherwise), under the one-entry region ``((grid, pid),)``.
 
-Duplicate handling is online — ``dedup="rpm"`` (the reference-point test)
-or ``dedup="twolayer"`` (corner-class avoidance, zero per-pair work) —
-which is what makes the parallel version correct without any cross-worker
-coordination: each result is owned by exactly one partition.  The
-offline ``"sort"`` mode would serialise the join behind a global sorting
-phase, so it is rejected here rather than silently degraded.
+Duplicate handling is always the Reference Point Method, which is what
+makes the parallel version correct without any cross-worker coordination:
+each result is owned by exactly one partition.  The offline sort would
+serialise the join behind a global sorting phase, so there is no
+``dedup`` option here.
 """
 
 from __future__ import annotations
@@ -117,10 +116,6 @@ from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
 from repro.pbsm.partitioner import partition_relation
 
 EXECUTORS = ("simulated", "process")
-
-#: Dedup modes the parallel driver supports: both are *online* (each pair
-#: is owned by exactly one task), so no cross-worker phase is needed.
-PARALLEL_DEDUP_MODES = ("rpm", "twolayer")
 
 #: Chunks submitted per worker in process mode; >1 smooths load imbalance
 #: that the up-front LPT packing cannot foresee.
@@ -226,7 +221,6 @@ def _task_records(rel: Any, ids: Any) -> List[Tuple]:
 
 def _run_tasks(
     internal_name: str,
-    dedup: str,
     grid: TileGrid,
     source: TaskSource,
     tasks: Sequence[IdTask],
@@ -235,9 +229,8 @@ def _run_tasks(
     """Execute join tasks against *source*, one outcome per task.
 
     The one per-task loop of every executor: gather the task's two id
-    slices, run the engine's leaf under the one-entry region
-    ``((grid, pid),)`` — online ownership by partition id, ``"rpm"`` or
-    ``"twolayer"`` — and report pairs, suppression, counters and the
+    slices, run the engine's RPM leaf under the one-entry region
+    ``((grid, pid),)`` and report pairs, suppression, counters and the
     task's own wall time.  The columnar leaf runs ``sweep_numpy``; every
     other internal takes the tuple leaf over materialised records.  The
     columnar leaf's pairs stay the two int64 oid buffers it returns;
@@ -257,7 +250,7 @@ def _run_tasks(
                 left.take(l_ids[l_lo:l_hi], sorted_by_xl=True),
                 right.take(r_ids[r_lo:r_hi], sorted_by_xl=True),
                 ((grid, pid),),
-                dedup,
+                "rpm",
                 counters,
             )
             pairs = (rid, sid)
@@ -266,7 +259,7 @@ def _run_tasks(
                 _task_records(left, l_ids[l_lo:l_hi]),
                 _task_records(right, r_ids[r_lo:r_hi]),
                 ((grid, pid),),
-                dedup,
+                "rpm",
                 internal,
                 counters,
             )
@@ -304,7 +297,6 @@ def _worker_source(
 
 def _chunk_blob(
     internal_name: str,
-    dedup: str,
     grid: TileGrid,
     source: TaskSource,
     tasks: List[IdTask],
@@ -322,7 +314,7 @@ def _chunk_blob(
     metas = []
     out_arrays: Dict[str, object] = {}
     for pid, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
-        internal_name, dedup, grid, source, tasks, as_ids=True
+        internal_name, grid, source, tasks, as_ids=True
     ):
         out_arrays[f"{pid}.rid"] = rid
         out_arrays[f"{pid}.sid"] = sid
@@ -352,12 +344,12 @@ def _unlink_result_blob(blob: bytes) -> None:
         results.unlink()
 
 
-#: ``(internal_name, grid_spec, dedup, ids_manifest, pinned)`` — the
-#: per-query configuration every chunk carries (a warm pool outlives
-#: every query).  *ids_manifest* names the per-query segment;
-#: *pinned* is ``None`` (that segment holds the columns too) or the
-#: ``(left, right)`` manifests of long-lived dataset segments.
-PoolConfig = Tuple[str, Tuple, str, Manifest, Optional[Tuple[Manifest, Manifest]]]
+#: ``(internal_name, grid_spec, ids_manifest, pinned)`` — the per-query
+#: configuration every chunk carries (a warm pool outlives every query).
+#: *ids_manifest* names the per-query segment; *pinned* is ``None`` (that
+#: segment holds the columns too) or the ``(left, right)`` manifests of
+#: long-lived dataset segments.
+PoolConfig = Tuple[str, Tuple, Manifest, Optional[Tuple[Manifest, Manifest]]]
 
 #: Long-lived attachments by segment name (pinned dataset segments);
 #: lives in the worker process for the lifetime of the persistent pool.
@@ -390,9 +382,7 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
     scoped to the chunk, so repeated queries over registered datasets
     touch the big columns without ever re-mapping them.
     """
-    (internal_name, grid_spec, dedup, ids_manifest, pinned), tasks = pickle.loads(
-        payload
-    )
+    (internal_name, grid_spec, ids_manifest, pinned), tasks = pickle.loads(payload)
     ids = SharedColumnarStore.attach(ids_manifest)
     try:
         stores = None
@@ -400,7 +390,6 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
             stores = (_pinned_store(pinned[0]), _pinned_store(pinned[1]))
         return _chunk_blob(
             internal_name,
-            dedup,
             _grid_from_spec(grid_spec),
             _worker_source(ids, stores),
             tasks,
@@ -611,14 +600,12 @@ class ParallelPBSM:
     by the driver: ``len(result)`` and ``result.to_arrays()`` read them,
     ``result.pairs`` decodes them into a list on first access.
 
-    ``dedup`` selects the online ownership scheme — ``"rpm"`` (per-pair
-    reference-point test) or ``"twolayer"`` (corner-class avoidance with
-    zero per-pair work); the offline ``"sort"`` mode is rejected because
-    it would serialise the join behind a global sorting phase.  Every
-    executor runs the same CSR id tasks over the inputs' columns,
-    whatever the internal algorithm; the process
-    executor ships them over one shared-memory segment and runs the
-    in-process loop where that segment cannot exist (module docstring);
+    Duplicates are always handled by the Reference Point Method (there
+    is no ``dedup`` option: the offline sort would serialise the join
+    behind a global sorting phase).  Every executor runs the same CSR id
+    tasks over the inputs' columns, whatever the internal algorithm; the
+    process executor ships them over one shared-memory segment and runs
+    the in-process loop where that segment cannot exist (module docstring);
     out-of-range worker counts are clamped with a :class:`RuntimeWarning`
     (once per process per distinct clamp) instead of raising or silently
     oversubscribing the machine.
@@ -631,7 +618,6 @@ class ParallelPBSM:
         *,
         internal: str = "sweep_trie",
         executor: str = "simulated",
-        dedup: str = "rpm",
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
         cost_model: Optional[CostModel] = None,
@@ -643,13 +629,6 @@ class ParallelPBSM:
         if executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
-            )
-        if dedup not in PARALLEL_DEDUP_MODES:
-            raise ValueError(
-                f"ParallelPBSM dedup must be one of {PARALLEL_DEDUP_MODES}, "
-                f"got {dedup!r}: offline sort-based removal would serialise "
-                "the join behind a global sorting phase (use the sequential "
-                "PBSM driver for dedup='sort')"
             )
         if workers < 1:
             _warn_clamp(f"workers={workers} is below 1; clamped to 1")
@@ -669,7 +648,6 @@ class ParallelPBSM:
         self.internal_name = internal
         self.internal = internal_algorithm(internal)
         self.executor = executor
-        self.dedup = dedup
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
@@ -692,14 +670,8 @@ class ParallelPBSM:
         # everything else runs them in this process.
         use_pool = executor == "process" and self.workers > 1
         columnar = columnar_engine(self.internal_name)
-        # RPM stays untagged (the historical spelling); avoidance is
-        # surfaced so reports and traces show which scheme owned pairs.
-        dedup_tag = "" if self.dedup == "rpm" else ",2L"
         stats = JoinStats(
-            algorithm=(
-                f"ParallelPBSM({self.internal_name}{dedup_tag},"
-                f"W={self.workers})"
-            ),
+            algorithm=f"ParallelPBSM({self.internal_name},W={self.workers})",
             executor=executor,
             n_left=len(left),
             n_right=len(right),
@@ -730,7 +702,6 @@ class ParallelPBSM:
             "parallel_pbsm",
             kind=KIND_RUN,
             internal=self.internal_name,
-            dedup=self.dedup,
             executor=executor,
             workers=self.workers,
         ):
@@ -890,7 +861,7 @@ class ParallelPBSM:
         started = time.perf_counter()
         outcomes = []
         for outcome in _run_tasks(
-            self.internal_name, self.dedup, grid, source, tasks, as_ids=False
+            self.internal_name, grid, source, tasks, as_ids=False
         ):
             outcomes.append(outcome)
             if tracer.recording:
@@ -993,7 +964,6 @@ class ParallelPBSM:
             config: PoolConfig = (
                 self.internal_name,
                 _grid_spec(grid),
-                self.dedup,
                 store.manifest,
                 self.pinned,
             )
@@ -1051,7 +1021,6 @@ __all__ = [
     "EXECUTORS",
     "LIBRARY_POOL",
     "MAX_WORKERS_ENV",
-    "PARALLEL_DEDUP_MODES",
     "ParallelPBSM",
     "WarmPool",
     "lpt_schedule",

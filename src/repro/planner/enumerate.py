@@ -14,11 +14,10 @@ experiments explore by hand:
   plausible (both inputs within a few memory budgets — an index is never
   "free" for a one-shot join).
 
-Duplicate handling is not a dimension of the space: the cost model
-cannot tell RPM from two-layer corner classes (within 0.9 %) and on the
-clock two-layer won no measured cell
-(``benchmarks/results/BENCH_dedup_wall.json``), so it stays an explicit
-``dedup=`` option of the drivers that the planner never proposes.
+Duplicate handling is not a dimension of the space: every PBSM plan
+runs the Reference Point Method, and the one sort-based plan is there as
+the paper's reference.  The parallel candidates carry no ``dedup`` key
+at all: :class:`~repro.pbsm.ParallelPBSM` always runs RPM.
 """
 
 from __future__ import annotations
@@ -157,7 +156,6 @@ def enumerate_candidates(
                             "t_factor": t,
                             "workers": workers,
                             "executor": "process",
-                            "dedup": "rpm",
                         },
                         estimate_pbsm(
                             jp,

@@ -35,6 +35,20 @@ class TestSpatialJoin:
         )
         assert res.stats.algorithm == "PBSM(sweep_trie,PD)"
 
+    def test_workers_run_rpm_only(self, small_pair):
+        left, right = small_pair
+        parallel = spatial_join(
+            left, right, 8192, workers=2, executor="simulated", dedup="rpm"
+        )
+        assert sorted(parallel.pairs) == sorted(brute_force_pairs(left, right))
+        for dedup in ("sort", "twolayer"):
+            with pytest.raises(ValueError, match="Reference Point Method only"):
+                spatial_join(left, right, 8192, workers=2, dedup=dedup)
+        with pytest.raises(TypeError):
+            repro.ParallelPBSM(8192, 2, dedup="rpm")
+        with pytest.raises(ValueError, match="dedup must be one of"):
+            repro.PBSM(8192, dedup="twolayer")
+
     def test_scheduler_option_is_gone(self, small_pair):
         left, right = small_pair
         with pytest.raises(TypeError):

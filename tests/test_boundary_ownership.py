@@ -5,13 +5,14 @@ semantics: a reference point (or a corner class) computed for a corner
 sitting *exactly on* a tile edge must land in exactly one tile under the
 same half-open convention everywhere — the scalar ``reference_point``,
 the batched ``kernels/rpm.py`` path, and the two-layer corner classifier
-all against ``TILE_HASH_X/Y``'s clamped integer-cell arithmetic in
-``pbsm/grid.py``.  These property tests construct rectangles on a
-coordinate lattice that contains every tile edge of the grids in play
-(plus the grid min/max edges, via sentinel point MBRs pinning the data
-space), so intersection corners fall on edges constantly rather than
-almost never, and assert three-way pair-set parity (rpm / sort /
-twolayer) across the list engine, the columnar kernel path and S3J.
+of ``kernels/twolayer.py`` all against ``TILE_HASH_X/Y``'s clamped
+integer-cell arithmetic in ``pbsm/grid.py``.  These property tests
+construct rectangles on a coordinate lattice that contains every tile
+edge of the grids in play (plus the grid min/max edges, via sentinel
+point MBRs pinning the data space), so intersection corners fall on
+edges constantly rather than almost never, and assert pair-set parity
+(rpm / sort) across the list engine, the columnar kernel path and S3J,
+and exactly-once ownership of the two-layer kernel.
 """
 
 import pytest
@@ -19,15 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.space import Space
-from repro.core.stats import CpuCounters
-from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
+from repro.internal import brute_force_pairs
 from repro.io.costmodel import mb
 from repro.pbsm import PBSM, TileGrid
-from repro.pbsm.twolayer import (
-    bottom_left_refpoint,
-    twolayer_partition_join,
-)
 from repro.s3j import S3J
+
+from tests.test_twolayer import assert_exactly_once
 
 # Every tile edge of a 1x1, 2x2, 3x3, 4x4 or 6x6 grid over [0, 1]^2 is a
 # multiple of 1/12 — drawing corners from this lattice makes
@@ -58,7 +56,7 @@ def lattice_rects(draw, start_oid=0):
 def engine_pair_sets(left, right):
     """Every (engine, dedup) combination's pair set, labelled."""
     out = {}
-    for dedup in ("rpm", "sort", "twolayer"):
+    for dedup in ("rpm", "sort"):
         for label, internal in (("list", "sweep_list"), ("kernel", "sweep_numpy")):
             out[f"{label}/{dedup}"] = PBSM(
                 mb(0.05), internal=internal, dedup=dedup, tiles_per_partition=16
@@ -88,21 +86,13 @@ class TestBoundaryExactParity:
         self, left, right, nx, n_partitions
     ):
         # Summed over all partitions of an explicit grid, the two-layer
-        # mini-joins must emit every intersecting pair exactly once —
-        # no per-pair filtering exists to catch a double report.
+        # kernel's mini-joins must emit every intersecting pair exactly
+        # once — no per-pair filtering exists to catch a double report.
+        # Sentinel points sit on the grid's min/max edges.
         if nx * nx < n_partitions:
             n_partitions = nx * nx
         grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), nx, nx, n_partitions)
-        internal = INTERNAL_ALGORITHMS["sweep_list"]
-        emitted = []
-        for pid in range(n_partitions):
-            emitted.extend(
-                twolayer_partition_join(
-                    left, right, grid, pid, internal, CpuCounters()
-                )
-            )
-        truth = brute_force_pairs(left, right)
-        assert sorted(emitted) == sorted(truth)
+        assert_exactly_once(left + SENTINELS_LEFT, right + SENTINELS_RIGHT, grid)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -121,7 +111,6 @@ class TestBoundaryExactParity:
         r = (1, xl, yl, min(1.0, xl + w), min(1.0, yl + h))
         s = (2, xl, yl, min(1.0, xl + 0.25), min(1.0, yl + 0.25))
         grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), nx, nx, 1)
-        x, y = bottom_left_refpoint(r, s)
-        owner = grid.tile_of_point(x, y)
+        owner = grid.tile_of_point(max(r[1], s[1]), max(r[2], s[2]))
         assert owner in set(grid.tiles_for_rect(r))
         assert owner in set(grid.tiles_for_rect(s))

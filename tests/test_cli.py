@@ -115,7 +115,8 @@ class TestJoin:
         )
         assert "PBSM(sweep_trie,PD)" in capsys.readouterr().out
 
-    def test_dedup_twolayer_sequential(self, tmp_path, capsys):
+    def test_dedup_rpm_with_workers_runs(self, tmp_path, capsys):
+        # ParallelPBSM always runs RPM: the flag is accepted, not forwarded.
         left, right = self._two_relations(tmp_path)
         capsys.readouterr()
         assert main(
@@ -123,37 +124,15 @@ class TestJoin:
                 "join",
                 str(left),
                 str(right),
-                "--method",
-                "pbsm",
                 "--dedup",
-                "twolayer",
-                "--memory-mb",
-                "0.05",
-            ]
-        ) == 0
-        assert ",2L)" in capsys.readouterr().out
-
-    def test_dedup_twolayer_parallel_full_stack(self, tmp_path, capsys):
-        left, right = self._two_relations(tmp_path)
-        capsys.readouterr()
-        assert main(
-            [
-                "join",
-                str(left),
-                str(right),
-                "--method",
-                "pbsm",
-                "--dedup",
-                "twolayer",
+                "rpm",
                 "--workers",
                 "2",
                 "--memory-mb",
                 "0.05",
             ]
         ) == 0
-        out = capsys.readouterr().out
-        assert "ParallelPBSM(" in out
-        assert ",2L," in out
+        assert "ParallelPBSM(sweep_numpy,W=2)" in capsys.readouterr().out
 
     def test_dedup_sort_with_workers_fails_fast(self, tmp_path, capsys):
         left, right = self._two_relations(tmp_path)
@@ -176,6 +155,7 @@ class TestJoin:
         err = capsys.readouterr().err
         assert "--dedup sort" in err
         assert "--workers" in err
+        assert "twolayer" not in err
 
     def test_scheduler_flag_is_gone(self, tmp_path, capsys):
         left, right = self._two_relations(tmp_path)
@@ -227,30 +207,16 @@ class TestJoin:
         assert "ignored with --method auto" in captured.err
         assert "JOIN PLAN" in captured.out
 
-    def test_join_auto_with_dedup_twolayer_says_so_and_runs_rpm(
-        self, tmp_path, capsys
-    ):
-        # Two-layer is an explicit option of the fixed methods only: the
-        # planner proposes no such plan, so auto neither runs nor lists one.
-        paths = [str(tmp_path / "a.npy"), str(tmp_path / "b.npy")]
-        for seed, path in enumerate(paths, start=1):
-            main(
-                ["generate", "--pattern", "uniform", "--n", "3000"]
-                + ["--seed", str(seed), "--start-oid", str(seed * 10**6), path]
-            )
+    def test_join_auto_with_dedup_twolayer_exits_2(self, tmp_path, capsys):
+        left, right = self._two_relations(tmp_path)
         capsys.readouterr()
-        assert main(
-            ["join", *paths, "--method", "auto", "--dedup", "twolayer"]
-            + ["--memory-mb", "0.03", "--verbose"]
-        ) == 0
-        captured = capsys.readouterr()
-        assert "--internal/--dedup are ignored with --method auto" in captured.err
-        assert ",RPM)" in captured.out and "duplicates (RPM)" in captured.out
-        assert "twolayer" not in captured.out and ",2L" not in captured.out
-        assert main(["explain", *paths, "--memory-mb", "0.03", "--execute"]) == 0
-        out = capsys.readouterr().out
-        assert "dedup=rpm" in out and "dedup=sort" in out
-        assert "twolayer" not in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                ["join", str(left), str(right), "--method", "auto"]
+                + ["--dedup", "twolayer"]
+            )
+        assert exit_info.value.code == 2  # argparse: invalid choice
+        assert "invalid choice: 'twolayer'" in capsys.readouterr().err
 
 
 class TestExplain:

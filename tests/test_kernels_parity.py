@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.rect import KPE
+from repro.core.rect import KPE, intersects
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
@@ -28,7 +28,6 @@ from repro.kernels.sweep import STRIPE_MIN_RECORDS
 from repro.kernels.twolayer import twolayer_join_ids
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
 from repro.pbsm.join import tuple_leaf
-from repro.pbsm.twolayer import twolayer_partition_join
 
 from tests.conftest import random_kpes
 
@@ -118,7 +117,7 @@ def test_property_lattice_parity(pair):
 
 
 # ----------------------------------------------------------------------
-# batched ownership (RPM, two-layer) vs the scalar engines, tile-boundary
+# batched ownership (RPM, two-layer) vs scalar references, tile-boundary
 # reference points included
 # ----------------------------------------------------------------------
 def rpm_grid():
@@ -163,14 +162,20 @@ def scalar_rpm(left, right, grid, pid):
 
 
 def scalar_twolayer(left, right, grid, pid):
-    pairs = twolayer_partition_join(
-        left, right, grid, pid, sweep_list_join, CpuCounters()
-    )
+    """Brute force, each pair kept by the partition of its intersection's
+    bottom-left corner: the one tile whose mini-joins emit it."""
+    pairs = [
+        (r[0], s[0])
+        for r in left
+        for s in right
+        if intersects(r, s)
+        and grid.partition_of_point(max(r[1], s[1]), max(r[2], s[2])) == pid
+    ]
     return pairs, 0
 
 
 class BatchedVsScalar:
-    """One id-pair kernel against the scalar engine it batches."""
+    """One id-pair kernel against its scalar ownership rule."""
 
     join_ids = scalar = None
 
@@ -224,14 +229,13 @@ class TestBatchedTwolayer(BatchedVsScalar):
 # the ownership test runs per OWNERSHIP_BATCH_PAIRS detections: how the
 # scan's batches are regrouped must be invisible
 # ----------------------------------------------------------------------
-def owned_scan(monkeypatch, batch_pairs, left, right, regions, bottom_left, batch_candidates):
+def owned_scan(monkeypatch, batch_pairs, left, right, regions, batch_candidates):
     monkeypatch.setattr(rpm_module, "OWNERSHIP_BATCH_PAIRS", batch_pairs)
     counters = CpuCounters()
     rid, sid, detected, suppressed = rpm_module._owned_scan(
         ColumnarRelation.from_kpes(left),
         ColumnarRelation.from_kpes(right),
         regions,
-        bottom_left,
         counters,
         batch_candidates,
     )
@@ -262,7 +266,7 @@ class TestOwnershipBatching:
 
         monkeypatch.setattr(rpm_module, "point_partitions", counting)
         grid = rpm_grid()
-        scan_args = (left, right, ((grid, 1),), False, 1 << 22)
+        scan_args = (left, right, ((grid, 1),), 1 << 22)
         results = {}
         sizes = {}
         for batch_pairs in (1, 2**62, rpm_module.OWNERSHIP_BATCH_PAIRS):
@@ -281,8 +285,7 @@ class TestOwnershipBatching:
         assert whole == [detected]
         assert default[0] >= 1 << 14 > default[1] and sum(default) == detected
 
-    @pytest.mark.parametrize("bottom_left", (False, True))
-    def test_unstriped_and_composed_region(self, bottom_left, monkeypatch):
+    def test_unstriped_and_composed_region(self, monkeypatch):
         left = random_kpes(300, seed=23, max_edge=0.2)
         right = random_kpes(300, seed=24, start_oid=10**6, max_edge=0.2)
         grid = rpm_grid()
@@ -295,7 +298,7 @@ class TestOwnershipBatching:
         ):
             # 64 candidates a batch: dozens of scan batches.
             rid, sid, detected, suppressed, _ = assert_regrouping_is_invisible(
-                monkeypatch, left, right, regions, bottom_left, 64
+                monkeypatch, left, right, regions, 64
             )
             assert detected == len(brute_force_pairs(left, right))
             if len(regions) == 2:
@@ -313,10 +316,9 @@ class TestOwnershipBatching:
         grid = rpm_grid()
         with pytest.MonkeyPatch.context() as monkeypatch:
             for regions in (((grid, 0),), ((grid, 3), (self.SUBGRID, 1))):
-                for bottom_left in (False, True):
-                    assert_regrouping_is_invisible(
-                        monkeypatch, left, right, regions, bottom_left, batch_candidates
-                    )
+                assert_regrouping_is_invisible(
+                    monkeypatch, left, right, regions, batch_candidates
+                )
 
 
 # ----------------------------------------------------------------------

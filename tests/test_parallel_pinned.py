@@ -16,6 +16,8 @@ section (the run with numpy gated off).  The ``stealing`` half and the
 ``python`` section went with their options; what remains is the
 ``static`` half of the ``numpy`` section, values untouched — only
 ``/static`` was dropped from the keys, and the ``numpy/`` prefix stays.
+The ``twolayer`` half went with ``dedup="twolayer"``; the ``/rpm/`` part
+of the keys stays.
 
 Re-record (only the keys containing every given fragment)::
 
@@ -44,7 +46,9 @@ from tests.test_pbsm_columnar import points_and_slivers
 PINNED = Path(__file__).with_name("parallel_pinned.json")
 
 WORKLOADS = ("uniform", "zipf", "point+sliver", "self", "empty")
-DEDUPS = ("rpm", "twolayer")
+#: Key part (and test id) of every entry: the one dedup mode left, the
+#: only one ``ParallelPBSM`` runs.
+DEDUP = "rpm"
 INTERNALS = ("sweep_numpy", "sweep_trie", "sweep_list")
 WORKERS = (1, 2, 3)
 #: Key prefix (and test id) of every entry: the one section left.
@@ -92,15 +96,11 @@ def reference_pairs(name):
     return brute
 
 
-def run(name, dedup, internal, workers, executor="simulated"):
+def run(name, internal, workers, executor="simulated"):
     left, right, memory = workload(name)
-    return ParallelPBSM(
-        memory,
-        workers,
-        internal=internal,
-        executor=executor,
-        dedup=dedup,
-    ).run(left, right)
+    return ParallelPBSM(memory, workers, internal=internal, executor=executor).run(
+        left, right
+    )
 
 
 def observe(result):
@@ -147,7 +147,7 @@ def pinned():
 
 
 @pytest.mark.parametrize("internal", INTERNALS)
-@pytest.mark.parametrize("dedup", DEDUPS)
+@pytest.mark.parametrize("dedup", [DEDUP])
 @pytest.mark.parametrize("name", WORKLOADS)
 @pytest.mark.parametrize("section", [SECTION])
 def test_every_executor_reproduces_the_pinned_run(
@@ -162,7 +162,7 @@ def test_every_executor_reproduces_the_pinned_run(
             with monkeypatch.context() as env:
                 if disable_shm:
                     env.setenv("REPRO_DISABLE_SHM", "1")
-                result = run(name, dedup, internal, workers, executor)
+                result = run(name, internal, workers, executor)
             assert result.stats.executor == (
                 "simulated" if disable_shm else executor
             )
@@ -177,10 +177,10 @@ def test_every_executor_reproduces_the_pinned_run(
 def record(*fragments):
     """Replace the entries whose key has every fragment with fresh runs."""
     entries = load_pinned() if PINNED.exists() else {}
-    for combo in itertools.product(WORKLOADS, DEDUPS, INTERNALS, WORKERS):
-        key = "/".join((SECTION,) + combo[:3]) + f"/W{combo[3]}"
+    for name, internal, workers in itertools.product(WORKLOADS, INTERNALS, WORKERS):
+        key = f"{SECTION}/{name}/{DEDUP}/{internal}/W{workers}"
         if all(fragment in key for fragment in fragments):
-            entries[key] = json.loads(json.dumps(observe(run(*combo))))
+            entries[key] = json.loads(json.dumps(observe(run(name, internal, workers))))
     first_key = {}
     lines = []
     for key in sorted(entries):

@@ -5,16 +5,13 @@ Nothing about the output may depend on that: every pair is owned by
 exactly one partition, and the ``pid``-ordered merge reassembles the
 same sequence whichever executor ran the tasks and in whatever order
 the chunks finished.  These tests drive that claim with randomized
-Zipf workloads across the executor x dedup cross product; under
-``dedup="twolayer"`` the scheme's own invariants (zero reference-point
-tests, zero removals) must hold as well.
+Zipf workloads on every executor.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.phases import PHASE_JOIN
 from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
@@ -34,14 +31,8 @@ LEFT = zipf_rects(N_SIDE, seed=101)
 RIGHT = zipf_rects(N_SIDE, seed=202, start_oid=10**6)
 
 
-def run(executor, *, workers=2, dedup="rpm"):
-    join = ParallelPBSM(
-        MEMORY,
-        workers,
-        internal="sweep_numpy",
-        executor=executor,
-        dedup=dedup,
-    )
+def run(executor, *, workers=2):
+    join = ParallelPBSM(MEMORY, workers, internal="sweep_numpy", executor=executor)
     return join.run(LEFT, RIGHT)
 
 
@@ -94,49 +85,6 @@ class TestSkewedByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# the same matrix under dedup="twolayer" (corner-class avoidance)
-# ----------------------------------------------------------------------
-class TestTwolayerSkewMatrix:
-    """Every executor, with two-layer duplicate avoidance.
-
-    On top of byte-identity the matrix asserts the scheme's own
-    invariants: zero reference-point tests, zero sort removals, and the
-    same counters on every executor.
-    """
-
-    @pytest.fixture(scope="class")
-    def twolayer_static(self):
-        return run("simulated", dedup="twolayer")
-
-    def test_pair_set_matches_rpm(self, twolayer_static, sequential_rpm):
-        assert not twolayer_static.has_duplicates()
-        assert twolayer_static.pair_set() == sequential_rpm.pair_set()
-
-    @pytest.fixture(scope="class")
-    def sequential_rpm(self):
-        return PBSM(MEMORY, internal="sweep_numpy", dedup="rpm").run(LEFT, RIGHT)
-
-    def test_zero_dedup_work(self, twolayer_static):
-        join_cpu = twolayer_static.stats.cpu_by_phase[PHASE_JOIN]
-        assert join_cpu["refpoint_tests"] == 0
-        assert twolayer_static.stats.duplicates_suppressed == 0
-        assert twolayer_static.stats.duplicates_sorted_out == 0
-
-    @pytest.mark.parametrize(
-        "executor",
-        [
-            pytest.param("simulated", id="simulated-False-static"),
-            pytest.param("process", marks=needs_shm, id="process-True-static"),
-        ],
-    )
-    def test_matrix_byte_identical(self, twolayer_static, executor):
-        real = run(executor, dedup="twolayer")
-        assert real.pairs == twolayer_static.pairs  # same pairs, same order
-        assert not real.has_duplicates()
-        assert real.stats.cpu_by_phase == twolayer_static.stats.cpu_by_phase
-
-
-# ----------------------------------------------------------------------
 # randomized property: duplicate-freedom survives any Zipf workload
 # ----------------------------------------------------------------------
 class TestZipfProperty:
@@ -146,18 +94,13 @@ class TestZipfProperty:
         alpha=st.floats(min_value=0.8, max_value=2.0),
         n=st.integers(min_value=2_000, max_value=9_000),
         workers=st.integers(min_value=2, max_value=4),
-        dedup=st.sampled_from(("rpm", "twolayer")),
     )
-    def test_parallel_equals_sequential(self, seed, alpha, n, workers, dedup):
+    def test_parallel_equals_sequential(self, seed, alpha, n, workers):
         left = zipf_rects(n, seed=seed, alpha=alpha)
         right = zipf_rects(n, seed=seed + 1, alpha=alpha, start_oid=10**6)
         seq = PBSM(MEMORY, internal="sweep_numpy", dedup="rpm").run(left, right)
         par = ParallelPBSM(
-            MEMORY,
-            workers,
-            internal="sweep_numpy",
-            executor="simulated",
-            dedup=dedup,
+            MEMORY, workers, internal="sweep_numpy", executor="simulated"
         ).run(left, right)
         assert not par.has_duplicates()
         assert par.pair_set() == seq.pair_set()

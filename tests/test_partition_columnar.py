@@ -269,29 +269,25 @@ MEMORY = mb(0.006)  # 10 partitions
 PARENT_TASK_PAYLOAD_BYTES = {"static": 278}
 
 
-def shm_join(left, right, **kwargs):
-    return ParallelPBSM(
-        MEMORY, 2, internal="sweep_numpy", executor="process", **kwargs
-    ).run(left, right)
+def shm_join(left, right):
+    return ParallelPBSM(MEMORY, 2, internal="sweep_numpy", executor="process").run(
+        left, right
+    )
 
 
 @needs_shm
 class TestShmJoinUnchanged:
-    @pytest.mark.parametrize(
-        "dedup",
-        [
-            pytest.param("rpm", id="rpm-static"),
-            pytest.param("twolayer", id="twolayer-static"),
-        ],
-    )
-    def test_equals_pickle_and_simulated(self, dedup):
+    # The id keeps the name this row had while ParallelPBSM took a dedup
+    # mode and a dispatch policy.
+    @pytest.mark.parametrize("row", ["rpm-static"])
+    def test_equals_pickle_and_simulated(self, row):
         # (Every executor runs the same CSR id tasks; what the in-process
         # executors used to be — the records-loop reference — is pinned
         # in tests/parallel_pinned.json.)
-        shm = shm_join(LEFT, RIGHT, dedup=dedup)
+        shm = shm_join(LEFT, RIGHT)
         assert shm.stats.executor == "process"
         other = ParallelPBSM(
-            MEMORY, 2, internal="sweep_numpy", executor="simulated", dedup=dedup
+            MEMORY, 2, internal="sweep_numpy", executor="simulated"
         ).run(LEFT, RIGHT)
         assert other.stats.ipc_bytes_shipped == 0  # id tasks, in-process: no pipe
         assert shm.pairs == other.pairs  # order included

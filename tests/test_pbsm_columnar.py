@@ -48,7 +48,7 @@ from tests.test_boundary_ownership import (
     lattice_rects,
 )
 
-DEDUPS = ("rpm", "twolayer", "none", "sort")
+DEDUPS = ("rpm", "none", "sort")
 
 #: Budgets (bytes) for the 400-record workloads: no repartitioning, one
 #: level, several levels (``test_budgets_reach_their_depths`` checks).
@@ -216,7 +216,7 @@ class TestAgainstTupleEngine:
         left = left + SENTINELS_LEFT
         right = right + SENTINELS_RIGHT
         truth = sorted(brute_force_pairs(left, right))
-        for dedup in ("rpm", "twolayer", "sort"):
+        for dedup in ("rpm", "sort"):
             for mapping in TILE_MAPPINGS:
                 result = run(left, right, 300, "sweep_numpy", dedup, mapping)
                 assert sorted(result.pairs) == truth, (dedup, mapping)
@@ -234,10 +234,9 @@ class TestAgainstTupleEngine:
             return out
 
         left, right = rects(0), rects(1000)
-        for dedup in ("rpm", "twolayer"):
-            result = assert_matches_tuple_engine(left, right, 800, dedup)
-            assert result.stats.repartition_events > result.stats.n_partitions
-            assert result.stats.duplicates_suppressed > 0
+        result = assert_matches_tuple_engine(left, right, 800, "rpm")
+        assert result.stats.repartition_events > result.stats.n_partitions
+        assert result.stats.duplicates_suppressed > 0
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +263,6 @@ def pinned_workload(name):
 PINNED_RUNS = (
     ("zipf3k", "rpm"),
     ("zipf3k", "sort"),
-    ("uniform2500", "twolayer"),
     ("uniform2500", "none"),
 )
 

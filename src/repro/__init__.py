@@ -109,7 +109,7 @@ def spatial_join(
         memory is missing or ``REPRO_DISABLE_SHM`` is set, the join runs
         the in-process loop instead (one ``RuntimeWarning``) and
         ``stats.executor`` records what actually ran (``"simulated"``).
-        ``workers=1`` loops in-process.  Every one of them runs the
+        ``workers=1`` loops in-process (``"simulated"`` too).  Every one of them runs the
         same id tasks over the inputs' columns, so a NaN coordinate or
         an inverted MBR is rejected up front with a ``ValueError``
         naming the row.

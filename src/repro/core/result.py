@@ -24,7 +24,8 @@ class JoinStats:
     #: how partition joins were actually executed: "process" (fan-out
     #: over a warm pool and a shared-memory segment), "simulated" (the
     #: in-process loop with modelled parallelism, also what a process
-    #: request runs without that segment), or "" for sequential
+    #: request runs with one worker or without that segment), or "" for
+    #: sequential
     executor: str = ""
     # --- cardinalities -------------------------------------------------
     n_left: int = 0

@@ -19,10 +19,17 @@ order, replica counts, and the structure-op accounting all match the
 scalar path, so simulated costs are identical — the win is wall clock
 only.  (The columnar engine asks ``partition_ids`` for the same runs in
 ``xl`` order, which no charge depends on.)
+
+A relation whose five columns are all read-only (a mapped ``.rcd``, a
+registry dataset) keeps what ``partition_ids`` computed for it, per grid:
+a server joining the same pinned datasets under the same budget
+partitions each of them once (``docs/kernels.md``, "Partition memo").
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import Any, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -33,6 +40,14 @@ from repro.pbsm.grid import TileGrid
 
 #: A record's destination: one partition id, or a tuple of several.
 PartitionPlanEntry = Union[int, Tuple[int, ...]]
+
+#: Grids whose partitioning one read-only relation keeps, least recently
+#: used dropped first.
+PARTITION_MEMO_GRIDS = 4
+
+#: Guards every relation's memo; held for lookups and inserts, never
+#: while a partitioning is computed.
+_MEMO_LOCK = threading.Lock()
 
 
 def tile_ranges(grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
@@ -111,7 +126,49 @@ def partition_ids(
     input's one stable ``xl`` order, so each run is what a stable
     ``xl`` sort of the ascending run would give, and a leaf need not
     sort.  An input flagged ``sorted_by_xl`` is its own order.
+
+    On a relation whose five columns are all read-only (its
+    ``.columnar`` is :attr:`~repro.kernels.columnar.ColumnarRelation.read_only`)
+    the result is kept on that relation, keyed by ``(grid.spec, by_xl)``,
+    for at most :data:`PARTITION_MEMO_GRIDS` grids: a repeated call
+    returns the same two arrays, read-only, without recomputing them.
+    Writeable columns may change between calls and are never memoized.
     """
+    rel = getattr(kpes, "columnar", None)
+    if rel is None or not rel.read_only:
+        return _partition_ids(kpes, grid, by_xl)
+    key = (grid.spec, by_xl)
+    with _MEMO_LOCK:
+        memo = rel.partition_memo
+        hit = memo.get(key) if memo is not None else None
+        if hit is not None:
+            memo.move_to_end(key)
+            return hit
+    offsets, ids = _partition_ids(rel, grid, by_xl)
+    offsets.flags.writeable = False
+    ids.flags.writeable = False
+    with _MEMO_LOCK:
+        if rel.partition_memo is None:
+            rel.partition_memo = OrderedDict()
+        memo = rel.partition_memo
+        memo[key] = (offsets, ids)
+        while len(memo) > PARTITION_MEMO_GRIDS:
+            memo.popitem(last=False)
+    return offsets, ids
+
+
+def partition_memoized(kpes: Sequence[Tuple], grid: TileGrid, by_xl: bool) -> bool:
+    """Whether ``partition_ids(kpes, grid, by_xl)`` would be a memo hit now."""
+    rel = getattr(kpes, "columnar", None)
+    memo = getattr(rel, "partition_memo", None)
+    with _MEMO_LOCK:
+        return memo is not None and (grid.spec, by_xl) in memo
+
+
+def _partition_ids(
+    kpes: Sequence[Tuple], grid: TileGrid, by_xl: bool
+) -> Tuple[Any, Any]:
+    """:func:`partition_ids` computed, never memoized."""
     n = len(kpes)
     n_partitions = grid.n_partitions
     if n == 0:
@@ -159,4 +216,11 @@ def partition_ids(
     return offsets, ids if order is None else order[ids]
 
 
-__all__ = ["PartitionPlanEntry", "partition_ids", "partition_plan", "tile_ranges"]
+__all__ = [
+    "PARTITION_MEMO_GRIDS",
+    "PartitionPlanEntry",
+    "partition_ids",
+    "partition_memoized",
+    "partition_plan",
+    "tile_ranges",
+]

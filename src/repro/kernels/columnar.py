@@ -33,9 +33,11 @@ class ColumnarRelation:
 
     ``sorted_by_xl`` records whether the rows are known to be in
     ascending ``xl`` order — the precondition of the forward-scan kernel.
+    ``partition_memo`` is where ``kernels.assign.partition_ids`` keeps its
+    partitionings of a :attr:`read_only` relation (``None`` until then).
     """
 
-    __slots__ = ("oid", "xl", "yl", "xh", "yh", "sorted_by_xl")
+    __slots__ = ("oid", "xl", "yl", "xh", "yh", "sorted_by_xl", "partition_memo")
 
     def __init__(
         self,
@@ -52,6 +54,7 @@ class ColumnarRelation:
         self.xh = xh
         self.yh = yh
         self.sorted_by_xl = sorted_by_xl
+        self.partition_memo: Any = None
 
     # ------------------------------------------------------------------
     # construction
@@ -104,6 +107,25 @@ class ColumnarRelation:
     @property
     def columnar(self) -> "ColumnarRelation":
         """Itself: the attribute column-aware entry points probe a relation for."""
+        return self
+
+    @property
+    def read_only(self) -> bool:
+        """Whether none of the five columns accepts writes.
+
+        Such a relation (a mapped ``.rcd``, a registry dataset) promises
+        that its rows never change, which is what lets the partitioner
+        keep results computed from them.
+        """
+        return not any(
+            column.flags.writeable
+            for column in (self.oid, self.xl, self.yl, self.xh, self.yh)
+        )
+
+    def freeze(self) -> "ColumnarRelation":
+        """Make the five columns read-only (in place) and return ``self``."""
+        for column in (self.oid, self.xl, self.yl, self.xh, self.yh):
+            column.flags.writeable = False
         return self
 
     def extent(self) -> Tuple[float, float, float, float]:

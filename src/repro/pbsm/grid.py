@@ -72,6 +72,27 @@ class TileGrid:
         side = max(1, math.ceil(math.sqrt(nt)))
         return cls(space, side, side, n_partitions, mapping)
 
+    @property
+    def spec(self) -> Tuple:
+        """Plain values that determine the grid: a hashable key, and what a
+        pool worker rebuilds it from (:meth:`from_spec`)."""
+        space = self.space
+        return (
+            space.xl,
+            space.yl,
+            space.xh,
+            space.yh,
+            self.nx,
+            self.ny,
+            self.n_partitions,
+            self.mapping,
+        )
+
+    @classmethod
+    def from_spec(cls, spec: Tuple) -> "TileGrid":
+        xl, yl, xh, yh, nx, ny, n_partitions, mapping = spec
+        return cls(Space(xl, yl, xh, yh), nx, ny, n_partitions, mapping)
+
     # ------------------------------------------------------------------
     # tile arithmetic
     # ------------------------------------------------------------------

@@ -66,7 +66,7 @@ from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.partitioner import partition_relation
+from repro.pbsm.partitioner import partition_inputs
 from repro.pbsm.repartition import (
     choose_split,
     compose_region_test,
@@ -243,18 +243,13 @@ class PBSM:
                 PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
             ) as sp:
                 with disk.phase(PHASE_PARTITION):
-                    left_files, n_left_written = partition_relation(
-                        rel_left, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
-                        "R", emit=emit, by_xl=by_xl,
+                    left_files, right_files, written, reused = partition_inputs(
+                        rel_left, rel_right, grid, disk, kpe_bytes,
+                        cpu[PHASE_PARTITION], emit, by_xl,
                     )
-                    right_files, n_right_written = partition_relation(
-                        rel_right, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
-                        "S", emit=emit, by_xl=by_xl,
-                    )
-                stats.records_partitioned = n_left_written + n_right_written
-                stats.replicas_created = (
-                    stats.records_partitioned - len(left) - len(right)
-                )
+                sp.add_counters({"partitions_reused": reused})
+                stats.records_partitioned = written
+                stats.replicas_created = written - len(left) - len(right)
             stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- candidate sink -------------------------------------------

@@ -17,7 +17,8 @@ two executors over the same shared-nothing decomposition:
   on a warm, persistent process pool (:class:`WarmPool`).  Results are
   merged in partition order, so the output is byte-identical to the
   sequential execution.  With ``workers=1`` the fan-out degrades
-  gracefully to the in-process loop (no pool is used).
+  gracefully to the in-process loop (no pool is used, and
+  ``stats.executor`` says ``"simulated"``).
 
 One pool entry point serves every real fan-out: chunks carry their
 per-query configuration and go to :func:`_run_dyn_chunk`, on
@@ -113,7 +114,7 @@ from repro.obs.trace import KIND_RUN, KIND_TASK, KIND_WORKER, NULL_TRACER
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
-from repro.pbsm.partitioner import partition_relation
+from repro.pbsm.partitioner import partition_inputs
 
 EXECUTORS = ("simulated", "process")
 
@@ -147,29 +148,11 @@ TaskSource = Tuple[Any, Any, Any, Any]
 #: of oid tuples is kept as it is.
 TaskOutcome = Tuple[int, Any, int, Dict[str, int], float]
 
-#: ``(worker_label, chunk_wall, task_outcomes, chunk_bytes)`` — one
-#: finished chunk as :meth:`ParallelPBSM._emit_pool_spans` consumes it.
-ChunkReport = Tuple[str, float, List[TaskOutcome], int]
-
-
-def _grid_spec(grid: TileGrid) -> Tuple:
-    """A picklable description from which a worker can rebuild the grid."""
-    space = grid.space
-    return (
-        space.xl,
-        space.yl,
-        space.xh,
-        space.yh,
-        grid.nx,
-        grid.ny,
-        grid.n_partitions,
-        grid.mapping,
-    )
-
-
-def _grid_from_spec(spec: Tuple) -> TileGrid:
-    xl, yl, xh, yh, nx, ny, n_partitions, mapping = spec
-    return TileGrid(Space(xl, yl, xh, yh), nx, ny, n_partitions, mapping)
+#: ``(worker_label, cpu, chunk_wall, cpu_seconds, task_outcomes,
+#: chunk_bytes)`` — one finished chunk as
+#: :meth:`ParallelPBSM._emit_pool_spans` consumes it; *cpu* is the CPU the
+#: worker is pinned to (``None``: unpinned).
+ChunkReport = Tuple[str, Optional[int], float, float, List[TaskOutcome], int]
 
 
 def cpu_count() -> int:
@@ -309,8 +292,12 @@ def _chunk_blob(
     buffers out and unlinks.  The worker measures its own chunk wall
     time (and each task its own), because the parent cannot observe time
     spent inside another process — it only sees the fan-out's makespan.
+    The chunk's CPU seconds and the CPU the worker is pinned to ride
+    along: a chunk whose wall time is about twice its CPU time shared
+    its core.
     """
     started = time.perf_counter()
+    cpu_started = time.process_time()
     metas = []
     out_arrays: Dict[str, object] = {}
     for pid, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
@@ -320,6 +307,7 @@ def _chunk_blob(
         out_arrays[f"{pid}.sid"] = sid
         metas.append((pid, suppressed, counter_dict, task_wall))
     wall = time.perf_counter() - started
+    cpu_seconds = time.process_time() - cpu_started
     # Untracked on purpose: the parent unlinks after copying out (a worker
     # crashing between here and there leaks the segment — see docs).  If
     # the reply cannot even be serialised, unlink now: the parent will
@@ -327,7 +315,7 @@ def _chunk_blob(
     results = SharedColumnarStore.create(out_arrays, track=False)
     try:
         blob = pickle.dumps(
-            (os.getpid(), wall, metas, results.manifest),
+            (os.getpid(), _PINNED_CPU, wall, cpu_seconds, metas, results.manifest),
             pickle.HIGHEST_PROTOCOL,
         )
     except BaseException:
@@ -340,7 +328,7 @@ def _chunk_blob(
 
 def _unlink_result_blob(blob: bytes) -> None:
     """Destroy the result segment a chunk *blob* names, undecoded."""
-    with SharedColumnarStore.attach(pickle.loads(blob)[3]) as results:
+    with SharedColumnarStore.attach(pickle.loads(blob)[-1]) as results:
         results.unlink()
 
 
@@ -390,7 +378,7 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
             stores = (_pinned_store(pinned[0]), _pinned_store(pinned[1]))
         return _chunk_blob(
             internal_name,
-            _grid_from_spec(grid_spec),
+            TileGrid.from_spec(grid_spec),
             _worker_source(ids, stores),
             tasks,
         )
@@ -407,8 +395,42 @@ def _warm_worker(seconds: float) -> int:
     return os.getpid()
 
 
+#: In a pool worker: the one CPU :func:`_pin_worker` pinned it to
+#: (``None`` when unpinned, and in every other process).
+_PINNED_CPU: Optional[int] = None
+
+
+def _pin_worker(slots: Any, cpus: Tuple[int, ...]) -> None:
+    """Pool initializer: pin the worker to the next CPU of *cpus*.
+
+    *slots* is a queue holding each worker index ``0 .. W-1`` once;
+    worker ``i`` takes ``cpus[i % len(cpus)]``.  (A queue rather than a
+    shared ``multiprocessing.Value``: that one imports
+    ``multiprocessing.sharedctypes``, ~0.35 MB more RSS in the server and
+    in every worker.)  Where the platform cannot pin, the worker stays
+    unpinned: an initializer that raises breaks the pool.
+    """
+    global _PINNED_CPU
+    index = slots.get()
+    if not cpus:
+        return
+    cpu = cpus[index % len(cpus)]
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError, ValueError):
+        return
+    _PINNED_CPU = cpu
+
+
 def _spawn_pool(workers: int) -> Any:
-    """A new process pool with every worker already running."""
+    """A new process pool with every worker already running.
+
+    Each worker is pinned to its own CPU of this process's affinity set
+    (:func:`_pin_worker`, round robin when there are fewer CPUs than
+    workers).  Two unpinned workers were seen sharing one vCPU, each at
+    half speed, for whole chunks at a time.
+    """
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, wait
 
     # Make sure the parent's resource tracker exists *before* the
@@ -421,7 +443,16 @@ def _spawn_pool(workers: int) -> Any:
         resource_tracker.ensure_running()
     except (ImportError, AttributeError):
         pass  # platform without the tracker API; nothing to pre-start
-    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        cpus = tuple(sorted(os.sched_getaffinity(0)))
+    except (AttributeError, OSError):
+        cpus = ()
+    slots = multiprocessing.SimpleQueue()
+    for index in range(workers):
+        slots.put(index)
+    pool = ProcessPoolExecutor(
+        max_workers=workers, initializer=_pin_worker, initargs=(slots, cpus)
+    )
     # Force every worker into existence now: the sleep outlasts
     # task dispatch, so no single worker can drain the batch.
     wait([pool.submit(_warm_worker, 0.05) for _ in range(workers)])
@@ -659,16 +690,18 @@ class ParallelPBSM:
 
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
         executor = self.executor
-        if executor == "process" and self.workers > 1 and not shm_enabled():
+        if executor == "process" and self.workers == 1:
+            executor = "simulated"  # one worker never fans out
+        elif executor == "process" and not shm_enabled():
             _warn_clamp(
                 "executor='process' needs a shared-memory segment (POSIX "
                 "shared memory, REPRO_DISABLE_SHM unset); running the "
                 "in-process loop instead"
             )
             executor = "simulated"
-        # A real pool (workers > 1) runs the tasks over the segment;
-        # everything else runs them in this process.
-        use_pool = executor == "process" and self.workers > 1
+        # A real pool runs the tasks over the segment; "simulated" is the
+        # in-process loop, and ``stats.executor`` says which one ran.
+        use_pool = executor == "process"
         columnar = columnar_engine(self.internal_name)
         stats = JoinStats(
             algorithm=f"ParallelPBSM({self.internal_name},W={self.workers})",
@@ -710,18 +743,13 @@ class ParallelPBSM:
             part_cpu = CpuCounters()
             with tracer.span(PHASE_PARTITION, cpu=part_cpu, disk=disk) as sp:
                 with disk.phase(PHASE_PARTITION):
-                    left_files, n_left_written = partition_relation(
-                        rel_left, grid, disk, kpe_bytes, part_cpu, "R",
-                        emit="ids", by_xl=columnar,
+                    left_files, right_files, written, reused = partition_inputs(
+                        rel_left, rel_right, grid, disk, kpe_bytes, part_cpu,
+                        "ids", columnar,
                     )
-                    right_files, n_right_written = partition_relation(
-                        rel_right, grid, disk, kpe_bytes, part_cpu, "S",
-                        emit="ids", by_xl=columnar,
-                    )
-                stats.records_partitioned = n_left_written + n_right_written
-                stats.replicas_created = (
-                    stats.records_partitioned - len(left) - len(right)
-                )
+                sp.add_counters({"partitions_reused": reused})
+                stats.records_partitioned = written
+                stats.replicas_created = written - len(left) - len(right)
                 partition_seconds = cost.io_seconds(
                     disk.total_units()
                 ) + cost.cpu_seconds(part_cpu)
@@ -883,18 +911,18 @@ class ParallelPBSM:
     ) -> None:
         """Worker/task spans and per-worker busy totals for one fan-out.
 
-        ``chunk_reports`` rows are ``(worker_label, chunk_wall,
-        task_outcomes, chunk_bytes)``; ``chunk_bytes`` (payload out plus
-        result blob in) lands on the worker span as a ``bytes_shipped``
-        counter, so traces attribute the IPC volume next to the time.
+        ``chunk_reports`` rows are :data:`ChunkReport`; ``chunk_bytes``
+        (payload out plus result blob in) lands on the worker span as a
+        ``bytes_shipped`` counter, so traces attribute the IPC volume next
+        to the time, and the chunk's ``cpu_seconds`` counter and ``cpu``
+        tag show whether the worker had its core to itself.
         Also derives ``scheduler_idle_seconds`` — the worker-seconds the
         fan-out paid for but did not fill (``makespan x W - busy``).
         """
         tracer = self.tracer
         busy_by_worker: Dict[str, float] = {}
-        for chunk_idx, (label, chunk_wall, task_outcomes, chunk_bytes) in (
-            enumerate(chunk_reports)
-        ):
+        for chunk_idx, report in enumerate(chunk_reports):
+            label, cpu, chunk_wall, cpu_seconds, task_outcomes, chunk_bytes = report
             busy_by_worker[label] = busy_by_worker.get(label, 0.0) + chunk_wall
             if tracer.recording:
                 worker_span = tracer.add_span(
@@ -902,9 +930,13 @@ class ParallelPBSM:
                     chunk_wall,
                     kind=KIND_WORKER,
                     worker=label,
+                    cpu=cpu,
                     chunk=chunk_idx,
                     tasks=len(task_outcomes),
-                    counters={"bytes_shipped": chunk_bytes},
+                    counters={
+                        "bytes_shipped": chunk_bytes,
+                        "cpu_seconds": cpu_seconds,
+                    },
                 )
                 for pid, _pairs, _suppressed, counter_dict, task_wall in task_outcomes:
                     tracer.add_span(
@@ -963,7 +995,7 @@ class ParallelPBSM:
         with SharedColumnarStore.create(arrays) as store:
             config: PoolConfig = (
                 self.internal_name,
-                _grid_spec(grid),
+                grid.spec,
                 store.manifest,
                 self.pinned,
             )
@@ -982,7 +1014,9 @@ class ParallelPBSM:
             outcomes: List[TaskOutcome] = []
             chunk_reports: List[ChunkReport] = []
             for payload, blob in zip(payloads, blobs):
-                worker_pid, chunk_wall, metas, manifest = pickle.loads(blob)
+                worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = (
+                    pickle.loads(blob)
+                )
                 bytes_shipped += len(blob)
                 results = SharedColumnarStore.attach(manifest)
                 try:
@@ -1003,7 +1037,9 @@ class ParallelPBSM:
                 chunk_reports.append(
                     (
                         f"pid-{worker_pid}",
+                        cpu,
                         chunk_wall,
+                        cpu_seconds,
                         task_outcomes,
                         len(payload) + len(blob),
                     )

@@ -19,7 +19,10 @@ tasks slice; :func:`partition_csr` performs that concatenation.
 
 ``emit="ids"`` runs no per-record loop at all: the CSR arrays come out
 of one columnar kernel and the charges are computed from the
-per-partition counts (:func:`_partition_ids`).
+per-partition counts (:func:`_partition_ids`).  That kernel keeps its
+result on a read-only relation, so re-partitioning one for the same
+grid is a lookup — still charged in full, run lengths being all the
+charges read.
 """
 
 from __future__ import annotations
@@ -103,6 +106,40 @@ def partition_relation(
         writer.close()
     counters.structure_ops += structure_ops
     return files, written
+
+
+def partition_inputs(
+    left: Sequence[Tuple],
+    right: Sequence[Tuple],
+    grid: TileGrid,
+    disk: SimulatedDisk,
+    record_bytes: int,
+    counters: CpuCounters,
+    emit: str,
+    by_xl: bool,
+) -> Tuple[List[PageFile], List[PageFile], int, int]:
+    """A join's partitioning phase: both inputs into files ``R.*``/``S.*``.
+
+    Returns ``(left_files, right_files, records_written, reused)``, where
+    *reused* counts the sides (0, 1 or 2) whose id runs came out of the
+    partition memo of a read-only relation (``kernels.assign``) instead
+    of being computed; the charges are the same either way.
+    """
+    from repro.kernels.assign import partition_memoized
+
+    reused = 0
+    sides: List[Tuple[List[PageFile], int]] = []
+    for kpes, prefix in ((left, "R"), (right, "S")):
+        if emit == "ids":
+            reused += partition_memoized(kpes, grid, by_xl)
+        sides.append(
+            partition_relation(
+                kpes, grid, disk, record_bytes, counters, prefix,
+                emit=emit, by_xl=by_xl,
+            )
+        )
+    (left_files, n_left), (right_files, n_right) = sides
+    return left_files, right_files, n_left + n_right, reused
 
 
 def _partition_ids(

@@ -3,10 +3,12 @@
 Tsitsigkos & Mamoulis (PAPERS.md) locate the win of a long-running
 spatial-join service in *partition-once/query-many* amortisation.  The
 registry is the "once" half: a relation is loaded (from a file, a
-synthetic generator, or inline records) a single time, kept as the KPE
-list the planner and the sequential drivers consume, and — when shared
-memory is available — additionally *pinned* into a
-long-lived :class:`~repro.kernels.shm.SharedColumnarStore` segment.
+synthetic generator, or inline records) a single time, kept with
+read-only columns the planner and both drivers consume — so each
+dataset's partitioning per grid is computed once too
+(``kernels.assign.partition_ids``) — and, when shared memory is
+available, additionally *pinned* into a long-lived
+:class:`~repro.kernels.shm.SharedColumnarStore` segment.
 
 Pinned columns live under the neutral ``D.*`` prefix because at pin time
 nobody knows whether the dataset will be the left or the right input of
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.datasets.fileio import load_relation
+from repro.kernels.columnar import ColumnarRelation, ColumnedKpes
 from repro.kernels.shm import (
     Manifest,
     SharedColumnarStore,
@@ -43,7 +46,11 @@ class Dataset:
     """One registered relation: records in memory, optionally a pinned segment."""
 
     name: str
-    kpes: List[Tuple]
+    #: The records as every query reads them: a mapped ``.rcd`` relation,
+    #: or a record list carrying read-only columns (``.columnar``, a
+    #: :class:`~repro.kernels.columnar.ColumnedKpes`).  Either way the
+    #: columns never change, so partitionings computed from them are kept.
+    kpes: Sequence[Tuple]
     #: human-readable provenance ("file:...", "pattern:...", "records")
     source: str
     store: Optional[SharedColumnarStore] = field(default=None, repr=False)
@@ -110,18 +117,16 @@ class DatasetRegistry:
         # Mapped relations (``.rcd`` files) stay lazy: listifying one
         # would parse every record into tuples — the exact cost the
         # format exists to avoid.  Pinning below copies straight from
-        # the file mapping into the segment instead.
-        if getattr(kpes, "columnar", None) is not None:
-            records = kpes
-        else:
-            records = list(kpes)
-        entry = Dataset(name=name, kpes=records, source=source)
+        # the file mapping into the segment instead.  Records get their
+        # columns built once, here, instead of on every query.
+        columns = getattr(kpes, "columnar", None)
+        if columns is None:
+            listed = list(kpes)
+            columns = ColumnarRelation.from_kpes(listed).freeze()
+            kpes = ColumnedKpes(listed, columns)
+        entry = Dataset(name=name, kpes=kpes, source=source)
         if self.pin and shm_enabled() and entry.kpes:
-            from repro.kernels.columnar import ColumnarRelation
-
-            entry.store = SharedColumnarStore.create(
-                columnar_arrays("D", ColumnarRelation.from_kpes(entry.kpes))
-            )
+            entry.store = SharedColumnarStore.create(columnar_arrays("D", columns))
         with self._lock:
             raced = self._datasets.get(name)
             if raced is not None:

@@ -6,7 +6,10 @@ on the same worker processes; joins asking for different worker counts
 at once all finish; a killed worker fails one call and the next call
 runs on a fresh pool with byte-identical pairs; a process that used the
 pool exits promptly without leaking a segment; and a forked child gets
-a pool of its own instead of the parent's.
+a pool of its own instead of the parent's.  Every pool — the first, one
+respawned after a worker died, a forked child's — pins each worker to
+one CPU of its own, and every worker span says which CPU and how much
+CPU time its chunk took.
 """
 
 import os
@@ -77,6 +80,28 @@ def pool_pids(pool):
     return pids
 
 
+def worker_affinity(seconds):
+    """Pool task: this worker's pid and CPU set, after a warm-up sleep."""
+    time.sleep(seconds)
+    return os.getpid(), sorted(os.sched_getaffinity(0))
+
+
+def assert_pinned(pool, workers=2):
+    """Each worker of a warm *pool* runs on one CPU, all of them distinct
+    where this process has a CPU per worker."""
+    futures = [pool.submit(worker_affinity, 0.1) for _ in range(workers)]
+    affinity = dict(future.result(TIMEOUT) for future in futures)
+    assert len(affinity) == workers
+    assert all(len(cpus) == 1 for cpus in affinity.values()), affinity
+    if len(os.sched_getaffinity(0)) >= workers:
+        assert len({cpus[0] for cpus in affinity.values()}) == workers, affinity
+
+
+pinning = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity"
+)
+
+
 def test_consecutive_joins_run_on_the_same_workers():
     first, second = Tracer(), Tracer()
     pooled_join(first)
@@ -84,6 +109,24 @@ def test_consecutive_joins_run_on_the_same_workers():
     pooled_join(second)
     assert LIBRARY_POOL.pool is pool
     assert worker_pids(first) | worker_pids(second) <= pool_pids(pool)
+
+
+@pinning
+def test_every_worker_is_pinned_to_a_cpu_of_its_own():
+    pooled_join()
+    assert_pinned(LIBRARY_POOL.pool)
+
+
+@pinning
+def test_worker_spans_carry_their_cpu_and_cpu_time():
+    tracer = Tracer()
+    pooled_join(tracer)
+    spans = tracer.spans_of_kind(KIND_WORKER)
+    assert spans
+    parent_cpus = os.sched_getaffinity(0)
+    for span in spans:
+        assert span.tags["cpu"] in parent_cpus
+        assert 0.0 < span.counters["cpu_seconds"]
 
 
 def test_joins_asking_for_two_worker_counts_at_once_all_finish(monkeypatch):
@@ -138,6 +181,8 @@ def test_a_killed_worker_fails_one_call_and_the_next_one_runs(own_shm_segments):
     assert LIBRARY_POOL.pool is not dead
     assert_same_pairs(pooled_join(), expected)
     assert own_shm_segments() == set()
+    if hasattr(os, "sched_setaffinity"):
+        assert_pinned(LIBRARY_POOL.pool)  # the respawned pool too
 
 
 CHILD = """
@@ -187,6 +232,8 @@ def test_a_forked_child_runs_its_own_pool():
             child_tracer = Tracer()
             assert_same_pairs(pooled_join(child_tracer), expected)
             assert not worker_pids(child_tracer) & parent_workers
+            if hasattr(os, "sched_setaffinity"):
+                assert_pinned(LIBRARY_POOL.pool)
             LIBRARY_POOL.shutdown()
             code = 0
         finally:

@@ -347,7 +347,7 @@ class TestDegradation:
             warnings.simplefilter("error")
             one = run(1, internal="sweep_trie")
         assert one.pairs == sim.pairs
-        assert one.stats.executor == "process"
+        assert one.stats.executor == "simulated"  # what ran: the loop
         assert one.stats.worker_busy_seconds == {}  # no pool of any kind
 
 

@@ -21,7 +21,9 @@ fan-out completes — :class:`SharedColumnarStore` is a context manager
 exactly for that. Workers attach read-only in spirit (they only copy
 rows out) and merely ``close()`` on exit — pool workers share the parent's
 resource tracker, so attaching never double-books the segment and a
-worker exit never tears it down. Worker-*created* result segments
+worker exit never tears it down (a forked worker starts with the
+tracker's lock unheld, whatever the parent's other threads were doing).
+Worker-*created* result segments
 invert the roles: the worker creates untracked and the parent attaches,
 decodes and unlinks. The one crash window is a worker dying between creating
 its result segment and the parent unlinking it — that segment leaks
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import os
 import secrets
+import sys
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -150,6 +153,29 @@ def _untrack(segment: Any) -> None:
         resource_tracker.unregister(segment._name, "shared_memory")
     except (ImportError, AttributeError, OSError):
         pass
+
+
+def _unlock_tracker_in_child() -> None:
+    """After ``fork``, in the child: the resource tracker's lock is free.
+
+    ``fork`` copies the tracker's lock in whatever state it is in.  When
+    another thread of the parent was inside a tracker call at that moment
+    (creating, attaching or unlinking a segment), the child's copy stays
+    held by a thread the child does not have, and the child's first
+    create or attach blocks forever: a warm-pool worker forked while a
+    second thread of the parent starts its own query never returns its
+    chunk.  The child runs one thread, so an unheld lock is the true
+    state.  Nothing to do before anything imported the tracker.
+    """
+    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(tracker_module, "_resource_tracker", None)
+    reinit = getattr(getattr(tracker, "_lock", None), "_at_fork_reinit", None)
+    if reinit is not None:
+        reinit()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_unlock_tracker_in_child)
 
 
 class SharedColumnarStore:

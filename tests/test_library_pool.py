@@ -5,8 +5,10 @@ instead of spawning a pool per call.  Pinned here: consecutive joins run
 on the same worker processes; joins asking for different worker counts
 at once all finish; a killed worker fails one call and the next call
 runs on a fresh pool with byte-identical pairs; a process that used the
-pool exits promptly without leaking a segment; and a forked child gets
-a pool of its own instead of the parent's.  Every pool — the first, one
+pool exits promptly without leaking a segment; a forked child gets
+a pool of its own instead of the parent's; and a child forked while
+another thread is inside the resource tracker still attaches a
+segment.  Every pool — the first, one
 respawned after a worker died, a forked child's — pins each worker to
 one CPU of its own, and every worker span says which CPU and how much
 CPU time its chunk took.
@@ -26,7 +28,7 @@ import pytest
 
 from repro import spatial_join
 from repro.io.costmodel import mb
-from repro.kernels.shm import shm_enabled
+from repro.kernels.shm import SharedColumnarStore, shm_enabled
 from repro.obs import KIND_WORKER, Tracer
 from repro.pbsm import parallel
 from repro.pbsm.parallel import (
@@ -238,16 +240,54 @@ def test_a_forked_child_runs_its_own_pool():
             code = 0
         finally:
             os._exit(code)
+    assert child_exit_code(pid, "the forked child's join") == 0
+    # ... and the parent's pool is still the one it had.
+    assert worker_pids(tracer) <= pool_pids(LIBRARY_POOL.pool)
+
+
+def test_a_child_forked_while_another_thread_is_in_the_tracker_attaches():
+    """``fork`` copies the resource tracker's lock as it is.  A pool
+    worker forked while another thread creates, attaches or unlinks a
+    segment must still attach one (it used to block on the copy forever,
+    and the join waiting for its chunk with it)."""
+    from multiprocessing import resource_tracker
+
+    resource_tracker.ensure_running()
+    held, release = threading.Event(), threading.Event()
+
+    def hold_the_tracker_lock():
+        with resource_tracker._resource_tracker._lock:
+            held.set()
+            release.wait(TIMEOUT)
+
+    with SharedColumnarStore.create({"x": np.arange(5)}) as store:
+        holder = threading.Thread(target=hold_the_tracker_lock)
+        holder.start()
+        try:
+            assert held.wait(TIMEOUT)
+            pid = os.fork()
+            if pid == 0:  # the child: report through the exit code only
+                code = 1
+                try:
+                    with SharedColumnarStore.attach(store.manifest) as attached:
+                        code = 0 if attached["x"].tolist() == [0, 1, 2, 3, 4] else 1
+                finally:
+                    os._exit(code)
+        finally:
+            release.set()
+            holder.join(TIMEOUT)
+        assert child_exit_code(pid, "the forked child's attach") == 0
+
+
+def child_exit_code(pid, what):
+    """The exit code of forked child *pid*; killed and failed after TIMEOUT."""
     deadline = time.monotonic() + TIMEOUT
     while True:
         done, status = os.waitpid(pid, os.WNOHANG)
         if done:
-            break
+            return os.waitstatus_to_exitcode(status)
         if time.monotonic() > deadline:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child's join did not finish")
+            pytest.fail(f"{what} did not finish")
         time.sleep(0.02)
-    assert os.waitstatus_to_exitcode(status) == 0
-    # ... and the parent's pool is still the one it had.
-    assert worker_pids(tracer) <= pool_pids(LIBRARY_POOL.pool)

@@ -16,7 +16,6 @@ invisible to tuple-based code.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -27,6 +26,11 @@ from repro.core.rect import KPE
 #: (bounds transient list size; a full ``[:]`` still works).
 _ITER_CHUNK = 65536
 
+#: One KPE tuple as :meth:`ColumnarRelation.from_kpes` reads it.
+_KPE_RECORD = np.dtype(
+    [("oid", object), ("xl", "<f8"), ("yl", "<f8"), ("xh", "<f8"), ("yh", "<f8")]
+)
+
 
 class ColumnarRelation:
     """A relation of KPEs as five parallel numpy columns.
@@ -35,9 +39,18 @@ class ColumnarRelation:
     ascending ``xl`` order — the precondition of the forward-scan kernel.
     ``partition_memo`` is where ``kernels.assign.partition_ids`` keeps its
     partitionings of a :attr:`read_only` relation (``None`` until then).
+    ``oid_objects`` is, for columns built by :meth:`from_kpes`, an object
+    array of the tuples' own oid objects in row order — what the
+    columnar PBSM driver builds result pairs from — and ``None``
+    otherwise.  It stays in this process and on this relation: pickling
+    drops it, :meth:`rows` and :meth:`take` do not carry it, and shared
+    memory holds the five columns only.
     """
 
-    __slots__ = ("oid", "xl", "yl", "xh", "yh", "sorted_by_xl", "partition_memo")
+    __slots__ = (
+        "oid", "xl", "yl", "xh", "yh", "sorted_by_xl", "partition_memo",
+        "oid_objects",
+    )  # fmt: skip
 
     def __init__(
         self,
@@ -55,6 +68,19 @@ class ColumnarRelation:
         self.yh = yh
         self.sorted_by_xl = sorted_by_xl
         self.partition_memo: Any = None
+        self.oid_objects: Any = None
+
+    def __getstate__(self) -> Any:
+        return {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "oid_objects"
+        }
+
+    def __setstate__(self, state: Any) -> None:
+        self.oid_objects = None
+        for slot, value in state.items():
+            setattr(self, slot, value)
 
     # ------------------------------------------------------------------
     # construction
@@ -78,24 +104,21 @@ class ColumnarRelation:
                 np.empty(0, dtype=np.int64),
                 *(np.empty(0, dtype=np.float64) for _ in range(4)),
             )
-        # One flat fromiter for everything (markedly faster than
-        # np.asarray on a list of tuples).  Below 2**53 float64 holds an
-        # integer oid exactly; only beyond it are the tuples walked again.
-        flat = np.fromiter(
-            itertools.chain.from_iterable(kpes), dtype=np.float64, count=5 * n
+        # One pass over the tuples: the oid objects themselves in an
+        # object field, the coordinates as float64.  The int64 oid column
+        # is a cast of the objects, exact at any size (and an oid beyond
+        # int64 raises ``OverflowError`` there).
+        table = np.fromiter(kpes, dtype=_KPE_RECORD, count=n)
+        oid_objects = np.ascontiguousarray(table["oid"])
+        cols = cls(
+            oid_objects.astype(np.int64),
+            np.ascontiguousarray(table["xl"]),
+            np.ascontiguousarray(table["yl"]),
+            np.ascontiguousarray(table["xh"]),
+            np.ascontiguousarray(table["yh"]),
         )
-        table = flat.reshape(n, 5)
-        if (np.abs(table[:, 0]) < 2.0**53).all():
-            oid = table[:, 0].astype(np.int64)
-        else:
-            oid = np.fromiter((k[0] for k in kpes), dtype=np.int64, count=n)
-        return cls(
-            oid,
-            np.ascontiguousarray(table[:, 1]),
-            np.ascontiguousarray(table[:, 2]),
-            np.ascontiguousarray(table[:, 3]),
-            np.ascontiguousarray(table[:, 4]),
-        )
+        cols.oid_objects = oid_objects
+        return cols
 
     @property
     def n(self) -> int:

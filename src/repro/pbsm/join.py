@@ -44,8 +44,6 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
 from repro.core.phases import (
     PHASE_DEDUP,
     PHASE_JOIN,
@@ -68,6 +66,7 @@ from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_inputs
 from repro.pbsm.repartition import (
+    MAX_REPARTITION_DEPTH,
     choose_split,
     compose_region_test,
     split_partition,
@@ -117,7 +116,7 @@ class PBSM:
         tiles_per_partition: int = 4,
         tile_mapping: str = "hash",
         cost_model: Optional[CostModel] = None,
-        max_repartition_depth: int = 8,
+        max_repartition_depth: int = MAX_REPARTITION_DEPTH,
         tracer: Optional[Any] = None,
     ) -> None:
         if memory_bytes <= 0:
@@ -436,20 +435,19 @@ class _Columns(NamedTuple):
 
     @classmethod
     def of(cls, left: Sequence[Tuple], right: Sequence[Tuple]) -> "_Columns":
+        cols_left = checked_columns(left, "left")
+        cols_right = checked_columns(right, "right")
         return cls(
-            checked_columns(left, "left"),
-            checked_columns(right, "right"),
-            _oid_objects(left),
-            _oid_objects(right),
+            cols_left, cols_right, _oid_objects(cols_left), _oid_objects(cols_right)
         )
 
 
-def _oid_objects(kpes: Sequence[Tuple]) -> Any:
-    """Every record's oid, boxed once (a columnar input has no tuples)."""
-    columnar = getattr(kpes, "columnar", None)
-    if columnar is not None:
-        return columnar.oid.astype(object)
-    return np.fromiter((k[0] for k in kpes), dtype=object, count=len(kpes))
+def _oid_objects(cols: ColumnarRelation) -> Any:
+    """Every record's oid object: the tuples' own where the columns were
+    read from tuples, else boxed once (a columnar input has no tuples)."""
+    if cols.oid_objects is not None:
+        return cols.oid_objects
+    return cols.oid.astype(object)
 
 
 def columnar_engine(internal_name: str) -> bool:

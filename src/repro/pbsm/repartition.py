@@ -24,6 +24,9 @@ from repro.pbsm.partitioner import partition_relation
 #: Upper bound on the fan-out of one repartitioning step.
 MAX_SPLIT = 64
 
+#: How deep the recursion splits before a pair is joined over budget.
+MAX_REPARTITION_DEPTH = 8
+
 
 def choose_split(
     larger_bytes: int, smaller_bytes: int, memory_bytes: int, t_factor: float

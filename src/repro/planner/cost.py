@@ -11,7 +11,9 @@ directly comparable.
 The formulas encode the paper's findings rather than curve-fits:
 
 * formula (1) + ``t`` gives PBSM's partition count (clamped, Sec. 3.2.3),
-  and a low ``t`` is charged an expected-repartitioning penalty;
+  and every partition pair the candidate's own tile grid overfills is
+  charged the repartitioning the driver will do for it (the overflow
+  model, :func:`repartition_overflow`);
 * the list-vs-trie crossover of Fig. 4 emerges from the sweep-line
   active-set model: the list sweep pays ``O(active)`` per step, the trie
   pays ``O(depth)`` — so the trie wins once partitions are large or
@@ -23,9 +25,12 @@ The formulas encode the paper's findings rather than curve-fits:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.phases import (
     PHASE_BUILD,
@@ -35,11 +40,14 @@ from repro.core.phases import (
     PHASE_REPARTITION,
     PHASE_SORT,
 )
+from repro.core.space import Space
 from repro.internal.interval_trie import DEFAULT_MAX_DEPTH
 from repro.io.costmodel import CostModel
-from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST
+from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST, tile_partitions
 from repro.kernels.sweep import BATCH_OPS_PER_CANDIDATE
 from repro.pbsm.estimator import estimate_partitions
+from repro.pbsm.grid import TileGrid
+from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split
 from repro.planner.stats import JoinProfile
 from repro.sfc.locational import DEFAULT_MAX_LEVEL
 
@@ -53,6 +61,11 @@ _TRIE_NODE_FACTOR = 2.0
 _TREE_INSERT_FACTOR = 1.4
 #: Mild residual skew after hashing tiles_per_partition tiles per partition.
 _SKEW_DAMPING = 0.5
+#: A modelled (sub-)partition expecting fewer records than this is empty.
+_EMPTY_RECORDS = 0.5
+#: Splits the overflow model follows before it joins what is left as is:
+#: bounds planning time on inputs whose recursion would not shrink.
+_MAX_MODELLED_SPLITS = 1024
 
 #: Process-executor pipe traffic per task: a five-integer task tuple
 #: out, its share of per-chunk metadata and manifest back.
@@ -60,8 +73,18 @@ SHM_TASK_BYTES = 64.0
 SHM_CHUNK_OVERHEAD_BYTES = 512.0
 
 
-def _lg(x: float) -> float:
+def _lg(x: Any) -> Any:
+    """``log2(x)``, 1.0 at and below 2; elementwise over an array."""
+    if isinstance(x, np.ndarray):
+        return np.where(x > 2.0, np.log2(np.maximum(x, 2.0)), 1.0)
     return math.log2(x) if x > 2.0 else 1.0
+
+
+def _clip(x: Any, lo: float = -math.inf, hi: float = math.inf) -> Any:
+    """*x* clipped to ``[lo, hi]``; elementwise over an array."""
+    if isinstance(x, np.ndarray):
+        return np.clip(x, lo, hi)
+    return min(hi, max(lo, x))
 
 
 @dataclass(frozen=True)
@@ -105,21 +128,22 @@ def _estimate(
 # ----------------------------------------------------------------------
 def _sweep_cpu(
     cost: CostModel,
-    a: float,
-    b: float,
-    active_a: float,
-    active_b: float,
-    detected: float,
+    a: Any,
+    b: Any,
+    active_a: Any,
+    active_b: Any,
+    detected: Any,
     internal: str,
     clustering: float = 1.0,
-) -> float:
+) -> Any:
     """CPU seconds of one in-memory sweep join over ``a`` x ``b`` records.
 
     ``active_*`` are the expected sweep-line set sizes of each side; the
     internal algorithms differ only in what a probe against the active set
     costs (Sec. 3.2.2).  ``clustering`` scales the list sweep's probe
     traffic: arrivals concentrate where the active sets are longest, a
-    correlation the constant-density model misses.
+    correlation the constant-density model misses.  Given arrays of
+    joins (the overflow model's leaves), it prices each.
     """
     n = a + b
     comparisons = a * _lg(a) + b * _lg(b)  # the two sorts
@@ -128,12 +152,12 @@ def _sweep_cpu(
         structure = visits
         tests = _LIST_TEST_FRACTION * visits + detected
     elif internal == "sweep_trie":
-        depth = min(DEFAULT_MAX_DEPTH, _lg(max(active_a + active_b, 2.0)) + 2.0)
+        depth = _clip(_lg(_clip(active_a + active_b, 2.0)) + 2.0, hi=DEFAULT_MAX_DEPTH)
         structure = n * depth * _TRIE_NODE_FACTOR + detected
         tests = detected * 2.0 + n
     elif internal == "sweep_tree":
-        depth = min(DEFAULT_MAX_DEPTH, _lg(max(active_a + active_b, 2.0)) + 2.0)
-        node_len = max(1.0, (active_a + active_b) / max(depth, 1.0))
+        depth = _clip(_lg(_clip(active_a + active_b, 2.0)) + 2.0, hi=DEFAULT_MAX_DEPTH)
+        node_len = _clip((active_a + active_b) / _clip(depth, 1.0), 1.0)
         structure = n * depth * _TRIE_NODE_FACTOR * _TREE_INSERT_FACTOR + detected
         comparisons += n * _lg(node_len) + detected
         tests = detected * 2.0 + n
@@ -200,27 +224,27 @@ def _sampled_dup_factor(
     xl0, yl0, xh0, yh0 = jp.space
     width = (xh0 - xl0) or 1.0
     height = (yh0 - yl0) or 1.0
-    last = side - 1
+    # Columns rxl ryl rxh ryh sxl syl sxh syh, then each record's tile
+    # range: the clamped truncation of the scalar tile arithmetic.
+    coords = np.array([r[1:5] + s[1:5] for r, s in pairs], dtype=np.float64)
+    origin = np.array([xl0, yl0] * 4)
+    extent = np.array([width, height] * 4)
+    tiles = np.clip((coords - origin) / extent * side, 0, side - 1).astype(np.int64)
+    rxl, ryl, rxh, ryh, sxl, syl, sxh, syh = tiles.T
+    k_r = (rxh - rxl + 1) * (ryh - ryl + 1)
+    k_s = (sxh - sxl + 1) * (syh - syl + 1)
+    shared = (np.minimum(rxh, sxh) - np.maximum(rxl, sxl) + 1) * (
+        np.minimum(ryh, syh) - np.maximum(ryl, syl) + 1
+    )
     total = 0.0
-    for r, s in pairs:
-        rxl = min(last, max(0, int((r[1] - xl0) / width * side)))
-        rxh = min(last, max(0, int((r[3] - xl0) / width * side)))
-        ryl = min(last, max(0, int((r[2] - yl0) / height * side)))
-        ryh = min(last, max(0, int((r[4] - yl0) / height * side)))
-        sxl = min(last, max(0, int((s[1] - xl0) / width * side)))
-        sxh = min(last, max(0, int((s[3] - xl0) / width * side)))
-        syl = min(last, max(0, int((s[2] - yl0) / height * side)))
-        syh = min(last, max(0, int((s[4] - yl0) / height * side)))
-        k_r = (rxh - rxl + 1) * (ryh - ryl + 1)
-        k_s = (sxh - sxl + 1) * (syh - syl + 1)
-        shared = (min(rxh, sxh) - max(rxl, sxl) + 1) * (
-            min(ryh, syh) - max(ryl, syl) + 1
-        )
-        total += shared + (k_r - shared) * (k_s - shared) / n_partitions
+    # Summed in sample order, one pair at a time, as ever: the estimates
+    # of every candidate depend on these bits.
+    for term in (shared + (k_r - shared) * (k_s - shared) / n_partitions).tolist():
+        total += term
     return total / len(pairs)
 
 
-def _bucket_occupancy(jp: JoinProfile, side: int) -> Tuple[float, float]:
+def _bucket_occupancy(jp: JoinProfile, side: int) -> Tuple[int, int, float]:
     """SHJ bucket occupancy from the joint-space histograms.
 
     Returns ``(occupied, co_occupied, retention)`` for a ``side``² grid:
@@ -243,29 +267,252 @@ def _bucket_occupancy(jp: JoinProfile, side: int) -> Tuple[float, float]:
     if hl is None or hr is None or hl.n == 0 or hr.n == 0:
         return side * side, side * side, 1.0
     res = hl.resolution
-    build_buckets = set()
-    co_buckets = set()
-    retained = 0.0
-    for iy in range(res):
-        for ix in range(res):
-            bucket = (
-                min(side - 1, iy * side // res),
-                min(side - 1, ix * side // res),
+    build = np.asarray(hl.counts).reshape(res, res) > 0.0
+    probe = np.asarray(hr.counts).reshape(res, res)
+    row = np.minimum(side - 1, np.arange(res) * side // res)
+    bucket = row[:, None] * side + row[None, :]
+    # A probe cell is retained when the build side occupies it or one of
+    # its 8 neighbours.
+    padded = np.pad(build, 1)
+    near = np.zeros_like(build)
+    for dy in range(3):
+        for dx in range(3):
+            near |= padded[dy : dy + res, dx : dx + res]
+    kept = (probe > 0.0) & near
+    occupied = int(np.count_nonzero(np.bincount(bucket[build], minlength=side * side)))
+    co_occupied = int(np.count_nonzero(np.bincount(bucket[kept], minlength=side * side)))
+    retained = float(probe[kept].sum())
+    return max(1, occupied), max(1, co_occupied), retained / hr.n
+
+
+# ----------------------------------------------------------------------
+# PBSM repartitioning: the overflow model
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Overflow:
+    """The repartitioning one grid will need, as ``PBSM._leaves`` charges it.
+
+    ``pairs`` counts the top-level partition pairs over the budget and
+    ``events`` every split down the recursion.  ``split_io`` and
+    ``split_ops`` are the splits' page-transfer units (one read of the
+    split side, one-page-buffered writes of its sub-partitions) and
+    structure ops; ``join_io`` is what reading the leaves adds to the
+    join phase over reading the split pairs once.  ``replaced`` holds
+    the rows ``a, b, detected`` (left records, right records, detected
+    pairs) of every split top-level pair, ``leaves`` the rows ``a, b,
+    detected, composed`` of every pair joined in their place;
+    ``composed`` is 1.0 for a leaf under a sub-region's ownership chain
+    (``PBSM._leaves`` keeps the top-level region only where a split made
+    no progress).
+    """
+
+    pairs: int = 0
+    events: int = 0
+    split_io: float = 0.0
+    split_ops: float = 0.0
+    join_io: float = 0.0
+    replaced: Any = field(default_factory=lambda: np.zeros((3, 0)))
+    leaves: Any = field(default_factory=lambda: np.zeros((4, 0)))
+
+
+@functools.lru_cache(maxsize=64)
+def _axis_pieces(cells: int, tiles: int) -> Tuple[Any, Any, Any]:
+    """One axis of the joint space cut at every cell and every tile border.
+
+    Returns each piece's histogram cell, its share of that cell and its
+    midpoint, in unit coordinates.  Within a piece the histogram's
+    density is flat and the grid's tile is one, so a piece's records
+    all go to one tile of this grid — and, its midpoint being inside a
+    tile of any coarser grid, (nearly) all to one tile of a sub-grid.
+    A border shared by a cell and a tile leaves a piece of width 0,
+    which carries nothing.  Cached: the arrays depend on the two counts
+    only, and are read-only.
+    """
+    edges = np.sort(
+        np.concatenate((np.arange(cells + 1) / cells, np.arange(tiles + 1) / tiles))
+    )
+    mid = (edges[:-1] + edges[1:]) / 2.0
+    cell = np.minimum((mid * cells).astype(np.int64), cells - 1)
+    pieces = (cell, np.diff(edges) * cells, mid)
+    for array in pieces:
+        array.flags.writeable = False
+    return pieces
+
+
+def _piece_partitions(grid: TileGrid, mid_x: Any, mid_y: Any) -> Any:
+    """The partition of *grid* owning every piece (row-major, y outer)."""
+    tx = np.minimum((mid_x * grid.nx).astype(np.int64), grid.nx - 1)
+    ty = np.minimum((mid_y * grid.ny).astype(np.int64), grid.ny - 1)
+    return tile_partitions(grid, tx[None, :], ty[:, None]).ravel()
+
+
+def repartition_overflow(
+    jp: JoinProfile,
+    n_partitions: int,
+    tiles_per_partition: int,
+    copies: Tuple[float, float],
+    detected: float,
+    memory_bytes: int,
+    cost: CostModel,
+    t_factor: float,
+) -> Overflow:
+    """Replay ``PBSM._leaves`` on the candidate's grid, loads from histograms.
+
+    The grid is the driver's: ``TileGrid.for_partitions`` over the joint
+    space with *n_partitions* and *tiles_per_partition*.  Each side's
+    32 x 32 centre-point histogram is cut into pieces along the cell and
+    tile borders; a piece's records (its cell's count times its share of
+    the cell) all belong to one tile, so the driver's hash
+    (``kernels.rpm.tile_partitions``) gives every partition its load,
+    scaled by *copies* to the side's replicated size.  Every pair over
+    *memory_bytes* is then split as the driver splits it: the larger side
+    into ``choose_split``'s k sub-partitions on a sub-grid of the same
+    space, each against the whole other side, one more level for every
+    sub-pair still over the budget, no further where a split cannot
+    shrink its largest sub-partition or past the depth limit.  A
+    sub-grid re-replicates the split side by its own
+    :func:`_grid_replication`.  *detected* is spread over partitions and
+    sub-partitions by where both sides' densities meet.
+    """
+    hl, hr = jp.hist_left, jp.hist_right
+    if hl is None or hr is None or hl.n == 0 or hr.n == 0:
+        return Overflow()
+    space = Space(*jp.space)
+    grid = TileGrid.for_partitions(space, n_partitions, tiles_per_partition)
+    res = hl.resolution
+    cell_x, share_x, mid_x = _axis_pieces(res, grid.nx)
+    cell_y, share_y, mid_y = _axis_pieces(res, grid.ny)
+    cell = (cell_y[:, None] * res + cell_x[None, :]).ravel()
+    share = np.outer(share_y, share_x).ravel()
+    masses = (np.asarray(hl.counts)[cell] * share, np.asarray(hr.counts)[cell] * share)
+
+    kb = cost.kpe_bytes
+    part = _piece_partitions(grid, mid_x, mid_y)
+    loads_l = np.bincount(part, masses[0], n_partitions) * copies[0]
+    loads_r = np.bincount(part, masses[1], n_partitions) * copies[1]
+    over = (
+        (loads_l >= _EMPTY_RECORDS)
+        & (loads_r >= _EMPTY_RECORDS)
+        & ((loads_l + loads_r) * kb > memory_bytes)
+    )
+    if not over.any():
+        return Overflow()
+    # Results come from where both densities meet: per piece, the
+    # product of its two densities times its area, which is the product
+    # of its two masses over its share of the cell.
+    inv_share = np.divide(1.0, share, out=np.zeros_like(share), where=share > 0.0)
+    weights = np.bincount(part, masses[0] * masses[1] * inv_share, n_partitions)
+    total_weight = float(weights.sum())
+
+    #: k -> each piece's sub-partition and both sides' copies on that sub-grid
+    subgrids: Dict[int, Tuple[Any, List[float]]] = {}
+
+    def subgrid(k: int) -> Tuple[Any, List[float]]:
+        if k not in subgrids:
+            sub = TileGrid.for_partitions(space, k, tiles_per_partition)
+            subgrids[k] = (
+                _piece_partitions(sub, mid_x, mid_y),
+                [
+                    min(float(k), _grid_replication(p, space.width, space.height, sub.nx))
+                    for p in (jp.left, jp.right)
+                ],
             )
-            if hl.counts[iy * res + ix]:
-                build_buckets.add(bucket)
-            count = hr.counts[iy * res + ix]
-            if not count:
+        return subgrids[k]
+
+    per_page = cost.records_per_page(kb)
+
+    def pages(n: float) -> int:
+        # Pages of a file expecting *n* records.
+        return -(-int(n + 0.5) // per_page)
+
+    def read_io(a: float, b: float) -> float:
+        # A pair's two sides, read in one request each (``read_view``).
+        return cost.request_units(pages(a)) + cost.request_units(pages(b))
+
+    events = 0
+    split_io = 0.0
+    split_ops = 0.0
+    join_io = 0.0
+    replaced: List[Tuple[float, float, float]] = []
+    leaves: List[Tuple[float, float, float, bool]] = []
+
+    def leaf(a: float, b: float, d: float, composed: bool) -> None:
+        nonlocal join_io
+        leaves.append((a, b, d, composed))
+        join_io += read_io(a, b)
+
+    def joined_as_is(a: float, b: float, depth: int) -> bool:
+        # ``PBSM._leaves``'s test, plus the model's own bound on splits.
+        return (
+            (a + b) * kb <= memory_bytes
+            or max(a, b) <= 2.0
+            or depth >= MAX_REPARTITION_DEPTH
+            or events >= _MAX_MODELLED_SPLITS
+        )
+
+    for pid in np.flatnonzero(over).tolist():
+        a, b = float(loads_l[pid]), float(loads_r[pid])
+        if total_weight > 0.0:
+            d = detected * float(weights[pid]) / total_weight
+        else:
+            d = detected / n_partitions
+        replaced.append((a, b, d))
+        join_io -= read_io(a, b)
+        # The pair's pieces: every array below is indexed like ``mine``.
+        mine = np.flatnonzero(part == pid)
+        inv = inv_share[mine]
+        stack = [(masses[0][mine], masses[1][mine], a, b, d, 0)]
+        while stack:
+            mass_l, mass_r, a, b, d, depth = stack.pop()
+            if joined_as_is(a, b, depth):
+                leaf(a, b, d, depth > 0)
                 continue
-            hit = any(
-                hl.counts[yy * res + xx]
-                for yy in range(max(0, iy - 1), min(res, iy + 2))
-                for xx in range(max(0, ix - 1), min(res, ix + 2))
-            )
-            if hit:
-                retained += count
-                co_buckets.add(bucket)
-    return max(1, len(build_buckets)), max(1, len(co_buckets)), retained / hr.n
+            events += 1
+            side = 0 if a >= b else 1
+            big, small = (a, b) if side == 0 else (b, a)
+            big_mass = mass_l if side == 0 else mass_r
+            k = choose_split(big * kb, small * kb, memory_bytes, t_factor)
+            sub_part, sub_copies = subgrid(k)
+            sub_part = sub_part[mine]
+            raw = np.bincount(sub_part, big_mass, k).tolist()
+            scale = big * sub_copies[side] / sum(raw)
+            loads = [n * scale for n in raw]
+            # One read of the split side, one-page-buffered writes.
+            split_io += cost.request_units(pages(big)) + sum(
+                pages(n) for n in loads
+            ) * (1.0 + cost.pt_ratio)
+            split_ops += sum(loads) + big
+            if max(loads) >= big:
+                # No progress: the driver joins the pair as it is.
+                leaf(a, b, d, depth > 0)
+                continue
+            meet = np.bincount(sub_part, mass_l * mass_r * inv, k).tolist()
+            total_meet = sum(meet)
+            if total_meet > 0.0:
+                shares = [m * (d * sub_copies[side] / total_meet) for m in meet]
+            else:
+                shares = [n * (d / big) for n in loads]
+            for j, (n, d_j) in enumerate(zip(loads, shares)):
+                if n < _EMPTY_RECORDS:
+                    continue
+                sub_a, sub_b = (n, b) if side == 0 else (a, n)
+                if joined_as_is(sub_a, sub_b, depth + 1):
+                    leaf(sub_a, sub_b, d_j, True)
+                    continue
+                sub_mass = big_mass * (sub_part == j)
+                if side == 0:
+                    stack.append((sub_mass, mass_r, n, b, d_j, depth + 1))
+                else:
+                    stack.append((mass_l, sub_mass, a, n, d_j, depth + 1))
+    return Overflow(
+        pairs=len(replaced),
+        events=events,
+        split_io=split_io,
+        split_ops=split_ops,
+        join_io=join_io,
+        replaced=np.array(replaced, dtype=np.float64).reshape(-1, 3).T,
+        leaves=np.array(leaves, dtype=np.float64).reshape(-1, 4).T,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -281,12 +528,15 @@ def estimate_pbsm(
     tiles_per_partition: int = 4,
     workers: int = 1,
     dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
+    overflows: Optional[Dict[Tuple[int, int, float], Overflow]] = None,
 ) -> CostEstimate:
     """Cost of ``PBSM(internal, dedup)`` under formula (1) with *t_factor*.
 
-    ``dup_factors`` is a memo an enumeration shares between its PBSM
-    candidates: the sampled-pair replay depends on the grid alone, and
-    most candidates of one join land on the same few grids.
+    ``dup_factors`` and ``overflows`` are memos an enumeration shares
+    between its PBSM candidates (one profile, budget and cost model):
+    the sampled-pair replay depends on the grid alone, the overflow
+    model on the grid and ``t`` (``choose_split`` reads it), and most
+    candidates of one join land on the same few grids.
 
     With ``workers > 1`` the estimate models ``ParallelPBSM``: the
     partition phase stays sequential (the Amdahl term), the in-memory
@@ -332,19 +582,8 @@ def estimate_pbsm(
     # Join phase: each partition file is read back in one request.
     io_join = pages + 2 * n_partitions * cost.pt_ratio
 
-    # Expected repartitioning (the t-factor's raison d'etre): the fraction
-    # of partition pairs whose joint size exceeds M, with residual skew
-    # after tile hashing.  Overflowing partitions are split, re-written
-    # and re-read recursively.
-    mean_pair_bytes = (nl_part + nr_part) * kb / n_partitions
     skew = max(jp.left.skew, jp.right.skew)
     residual_skew = 1.0 + (skew - 1.0) * _SKEW_DAMPING / tiles_per_partition
-    overflow = (mean_pair_bytes * residual_skew / memory_bytes - 0.8) / 0.4
-    overflow = min(1.0, max(0.0, overflow))
-    io_repartition = overflow * (pages * 3.0 + 2 * n_partitions * cost.pt_ratio)
-    cpu_repartition = cost.cpu_seconds_from_counts(
-        structure_ops=overflow * 1.5 * (nl_part + nr_part)
-    )
 
     # Internal joins: per-partition sweep with expected active-set sizes.
     # A record is active while the sweep line crosses its own x-extent, so
@@ -382,13 +621,67 @@ def estimate_pbsm(
         clustering=residual_skew,
     )
 
+    # Repartitioning (Sec. 3.2.3): every pair the overflow model finds
+    # over M is priced as the driver runs it — its splits, then its
+    # leaves joined in its place (the unsplit side read and swept once
+    # per sub-pair) instead of the pair itself.  ParallelPBSM does not
+    # repartition (it records overruns), so its candidates skip this.
+    io_repartition = 0.0
+    cpu_repartition = 0.0
+    composed = 0.0  # detections tested under a sub-region's chain
+    overflow = Overflow()
+    if workers == 1:
+        if overflows is None:
+            overflows = {}
+        key = (side, n_partitions, t_factor)
+        if key not in overflows:
+            overflows[key] = repartition_overflow(
+                jp,
+                n_partitions,
+                tiles_per_partition,
+                (copies_l, copies_r),
+                detected,
+                memory_bytes,
+                cost,
+                t_factor,
+            )
+        overflow = overflows[key]
+        io_repartition = overflow.split_io
+        cpu_repartition = cost.cpu_seconds_from_counts(
+            structure_ops=overflow.split_ops
+        )
+
+        def pair_cpu(n_l: Any, n_r: Any, pair_detected: Any) -> Any:
+            return _sweep_cpu(
+                cost,
+                n_l,
+                n_r,
+                np.minimum(n_l, n_l * jp.left.avg_width / width + 1.0),
+                np.minimum(n_r, n_r * jp.right.avg_width / width + 1.0),
+                pair_detected,
+                internal,
+                clustering=residual_skew,
+            )
+
+        io_join += overflow.join_io
+        if overflow.pairs:
+            leaf_l, leaf_r, leaf_detected, in_sub = overflow.leaves
+            cpu_internal += float(
+                pair_cpu(leaf_l, leaf_r, leaf_detected).sum()
+                - pair_cpu(*overflow.replaced).sum()
+            )
+            detected += float(leaf_detected.sum() - overflow.replaced[2].sum())
+            composed = float(leaf_detected[in_sub > 0.0].sum())
+
     io_dedup = 0.0
     cpu_dedup = 0.0
     if dedup == "rpm":
         if internal == "sweep_numpy":
-            # The kernel path tests whole candidate batches at once.
+            # The kernel path tests whole candidate batches at once; under
+            # a sub-region's chain it pays one refpoint test per pair.
             cpu_dedup = cost.cpu_seconds_from_counts(
-                batch_ops=BATCH_OPS_PER_RPM_TEST * detected
+                batch_ops=BATCH_OPS_PER_RPM_TEST * (detected - composed),
+                refpoint_tests=composed,
             )
         else:
             cpu_dedup = cost.cpu_seconds_from_counts(refpoint_tests=detected)
@@ -405,11 +698,8 @@ def estimate_pbsm(
     ipc_bytes = 0.0
     schedule_seconds = 0.0
     if workers > 1:
-        # ParallelPBSM does not repartition (it records overruns), and the
-        # join/dedup work shrinks to the makespan fraction; the
+        # The join/dedup work shrinks to the makespan fraction; the
         # sequential partition phase is left untouched (Amdahl).
-        io_repartition = 0.0
-        cpu_repartition = 0.0
         speedup = float(min(workers, n_partitions))
         # The dominant task's share of the join work: residual skew
         # concentrates roughly that multiple of the mean in one
@@ -452,10 +742,12 @@ def estimate_pbsm(
         "est_results": jp.est_results,
         "detected_pairs": detected,
         "replication_rate": (nl_part + nr_part) / max(1, nl + nr),
-        "overflow_fraction": overflow,
     }
     if workers > 1:
         predicted["ipc_bytes"] = ipc_bytes
+    else:
+        predicted["overflow_pairs"] = float(overflow.pairs)
+        predicted["repartitions"] = float(overflow.events)
     return _estimate(cost, io_units, cpu_seconds, breakdown, predicted)
 
 

@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.io.costmodel import CostModel
 from repro.planner.cost import (
     CostEstimate,
+    Overflow,
     estimate_pbsm,
     estimate_rtree,
     estimate_s3j,
@@ -37,7 +38,9 @@ from repro.planner.cost import (
 from repro.planner.stats import JoinProfile
 
 #: The ``t``-factor grid enumerated for PBSM (1.0 = original formula (1)).
-DEFAULT_T_GRID: Tuple[float, ...] = (1.0, 1.2, 1.5)
+#: It reaches the ``t`` at which no partition pair of the sweep and
+#: benchmark joins overflows any more (docs/planner.md, "Accuracy").
+DEFAULT_T_GRID: Tuple[float, ...] = (1.0, 1.2, 1.5, 2.0, 3.0)
 
 #: PBSM internal algorithms worth enumerating (nested loops never wins
 #: at partition scale — Fig. 4).
@@ -111,6 +114,9 @@ def enumerate_candidates(
     #: (side, n_partitions) -> sampled duplicate factor, replayed once per
     #: distinct grid instead of once per PBSM candidate.
     dup_factors: Dict[Tuple[int, int], Optional[float]] = {}
+    #: (side, n_partitions, t) -> the overflow model's replay, once per
+    #: distinct grid and t instead of once per PBSM candidate.
+    overflows: Dict[Tuple[int, int, float], Overflow] = {}
 
     if include("pbsm"):
         for internal in PBSM_INTERNALS:
@@ -126,6 +132,7 @@ def enumerate_candidates(
                             internal=internal,
                             t_factor=t,
                             dup_factors=dup_factors,
+                            overflows=overflows,
                         ),
                     )
                 )
@@ -141,6 +148,7 @@ def enumerate_candidates(
                     internal="sweep_trie",
                     dedup="sort",
                     dup_factors=dup_factors,
+                    overflows=overflows,
                 ),
             )
         )

@@ -205,6 +205,10 @@ class JoinPlan:
             lines.append(
                 row("partitions", predicted.get("n_partitions", 0.0), stats.n_partitions)
             )
+        if "repartitions" in predicted:
+            lines.append(
+                row("repartitions", predicted["repartitions"], stats.repartition_events)
+            )
         if stats.records_partitioned:
             lines.append(
                 row(

@@ -114,29 +114,37 @@ def _is_columns(pairs: object) -> bool:
 def _sorted_table(left: Any, right: Any) -> Any:
     """The pairs of two int64 columns as one sorted ``(n, 2)`` ``<i8`` table.
 
-    Whenever the two oid ranges multiply to less than ``2**63`` a pair
-    packs into one int64 key ``(l - l_min) * span_r + (r - r_min)`` whose
-    order is the pairs' lexicographic order, and one ``ndarray.sort()``
-    over the keys replaces the two-key ``lexsort`` (an eighth of its
-    time on 350k pairs).  The spans are taken from the data; wider ranges
-    keep ``lexsort``.  Same table, hence the same digest, either way.
+    A pair packs into one key ``(l - l_min) << bits | (r - r_min)``,
+    ``bits`` wide enough for the right oids' span, whose order is the
+    pairs' lexicographic order: one ``ndarray.sort()`` over the keys
+    replaces the two-key ``lexsort``, and a shift and a mask unpack them.
+    The keys are ``uint32`` when every key stays below ``2**32`` (half the
+    bytes to sort) and int64 below ``2**63``; wider ranges keep
+    ``lexsort``.  The spans are taken from the data.  Same table, hence
+    the same digest, whichever way.
     """
     table = np.empty((len(left), 2), dtype="<i8")
     if not len(left):
         return table
     l_min, r_min = int(left.min()), int(right.min())
-    span_l = int(left.max()) - l_min + 1
-    span_r = int(right.max()) - r_min + 1
-    if span_l * span_r < 2**63:
-        keys = (left - l_min) * span_r + (right - r_min)
-        keys.sort()
-        high, low = np.divmod(keys, span_r)
-        table[:, 0] = high + l_min
-        table[:, 1] = low + r_min
+    r_span = int(right.max()) - r_min
+    bits = r_span.bit_length()
+    top = (int(left.max()) - l_min) << bits | r_span
+    if top < 2**32:
+        key_type: Any = np.uint32
+    elif top < 2**63:
+        key_type = np.int64
     else:
         order = np.lexsort((right, left))
         table[:, 0] = left[order]
         table[:, 1] = right[order]
+        return table
+    keys = (left - l_min).astype(key_type) << bits | (right - r_min).astype(key_type)
+    keys.sort()
+    table[:, 0] = keys >> bits
+    table[:, 1] = keys & ((1 << bits) - 1)
+    table[:, 0] += l_min
+    table[:, 1] += r_min
     return table
 
 

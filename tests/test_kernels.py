@@ -1,5 +1,8 @@
 """Unit tests for the columnar kernel package (repro.kernels)."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.core.rect import KPE
@@ -40,8 +43,8 @@ class TestColumnarRelation:
         assert cols.oid.tolist() == [2**40 + i for i in range(5)]
 
     def test_oids_beyond_float64s_exact_integers_stay_exact(self):
-        # The coordinates' float64 pass carries oids below 2**53 exactly;
-        # one oid at or past it sends the whole column through int64.
+        # The int64 column is a cast of the oid objects, not of a float64
+        # pass: exact on either side of 2**53.
         oids = [2**53 - 1, -(2**53) + 1, 2**53, 2**53 + 1, -(2**62) - 1, 2**63 - 1, 7]
         for some in (oids[:2], oids, oids[2:3]):
             cols = ColumnarRelation.from_kpes([KPE(o, 0.1, 0.2, 0.3, 0.4) for o in some])
@@ -49,6 +52,26 @@ class TestColumnarRelation:
         for not_an_oid, error in ((float("nan"), ValueError), (2**63, OverflowError)):
             with pytest.raises(error):
                 ColumnarRelation.from_kpes([KPE(not_an_oid, 0.1, 0.2, 0.3, 0.4)])
+
+    def test_numpy_integer_oids_round_trip(self):
+        oids = [np.int64(2**62), np.int32(-3), np.uint8(200), np.int64(-(2**63))]
+        kpes = [KPE(o, 0.1, 0.2, 0.3, 0.4) for o in oids]
+        cols = ColumnarRelation.from_kpes(kpes)
+        assert cols.oid.dtype == "int64" and cols.oid.tolist() == [int(o) for o in oids]
+        assert [k.oid for k in cols.to_kpes()] == [int(o) for o in oids]
+
+    def test_the_tuples_oid_objects_stay_on_the_relation_only(self):
+        kpes = [KPE(2**53 + i, 0.1 * i, 0.2, 0.3 * i, 0.4) for i in range(6)]
+        cols = ColumnarRelation.from_kpes(kpes)
+        assert all(o is k[0] for o, k in zip(cols.oid_objects.tolist(), kpes))
+        # Derived relations, pickles and mapped/shared columns carry none.
+        assert cols.rows(np.arange(3)).oid_objects is None
+        assert cols.take(np.arange(3)).oid_objects is None
+        assert cols.sort_by_xl().oid_objects is None
+        copy = pickle.loads(pickle.dumps(cols))
+        assert copy.oid_objects is None and copy.oid.tolist() == cols.oid.tolist()
+        assert copy.xl.tolist() == cols.xl.tolist()
+        assert ColumnarRelation.from_kpes(cols) is cols
 
     def test_empty_relation(self):
         cols = ColumnarRelation.from_kpes([])

@@ -190,10 +190,12 @@ class TestEnumeration:
         assert all("dedup" not in c.kwargs for c in parallel)
         assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
         if shm_enabled():
-            # 4 internals x 3 t + sort (+ process x 3 t), s3j x 3, shj,
-            # sssj; the R-tree join comes and goes with the memory budget.
+            # 4 internals x the t grid + sort (+ process x the t grid),
+            # s3j x 3, shj, sssj; the R-tree join comes and goes with the
+            # memory budget.
+            per_t = {1: 4, 2: 5}[workers]
             counted = [c for c in candidates if c.method != "rtree"]
-            assert len(counted) == {1: 18, 2: 21}[workers]
+            assert len(counted) == per_t * len(DEFAULT_T_GRID) + 1 + 3 + 2
 
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)

@@ -87,13 +87,16 @@ def struct_loop_checksum(pairs) -> str:
 
 
 class CountingNumpy:
-    """numpy, counting ``lexsort`` calls: which sort a checksum took."""
+    """numpy, counting ``lexsort`` calls and noting the names looked up:
+    which sort, over which key type, a checksum took."""
 
     def __init__(self, np):
         self._np = np
         self.lexsorts = 0
+        self.names = set()
 
     def __getattr__(self, name):
+        self.names.add(name)
         return getattr(self._np, name)
 
     def lexsort(self, keys):
@@ -110,6 +113,31 @@ OIDS = st.one_of(
     st.sampled_from([0, 1, 2**31 - 2, 2**31 - 1, 2**32 - 2, 2**32 - 1]),
     st.integers(-(2**63), 2**63 - 1),
 )
+
+#: Oid spans at and around the packed key's two widths: the largest key
+#: stays below 2**32 (uint32) or 2**63 (int64) or it does not (lexsort).
+SPANS = st.sampled_from([
+    1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1,
+    2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64,
+])  # fmt: skip
+
+
+@st.composite
+def packable_pairs(draw):
+    """0 to 12 pairs whose sides span a drawn ``SPANS`` range each, ends
+    included, any sign, plus repeats of some of them."""
+    n = draw(st.integers(0, 12))
+    sides = []
+    for _ in range(2):
+        span = draw(SPANS)
+        low = draw(st.integers(-(2**63), 2**63 - span))
+        high = low + span - 1
+        oid = st.one_of(st.sampled_from([low, high]), st.integers(low, high))
+        sides.append(draw(st.lists(oid, min_size=n, max_size=n)))
+    pairs = list(zip(*sides))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return pairs
 
 
 # ----------------------------------------------------------------------
@@ -175,14 +203,22 @@ class TestProtocol:
         assert result_checksum(as_pairs) == struct_loop_checksum([(1, 3), (2, 4)])
 
     def test_packed_key_sort_up_to_the_int64_limit_and_lexsort_beyond(self, monkeypatch):
-        """``span_l * span_r < 2**63`` sorts one packed key; the digest is
-        the struct loop's on both sides of the limit."""
-        for span_l, span_r, lexsorts in [
-            (2**32, 2**31 - 1, 0),  # product just under 2**63: packed
-            (2**32, 2**31, 1),  # exactly 2**63: the key could overflow
-            (1, 2**63 - 1, 0),
-            (1, 2**64, 1),  # all of int64 on one side
-            (2**64, 2**64, 1),
+        """A pair packs into ``(l - l_min) << bits | (r - r_min)``: uint32
+        keys when the largest stays below ``2**32``, int64 below ``2**63``,
+        ``lexsort`` beyond; the digest is the struct loop's on every side
+        of both limits."""
+        for span_l, span_r, keys in [
+            (2**16, 2**16, "uint32"),  # largest key 2**32 - 1
+            (2**16 + 1, 2**16, "int64"),  # 2**32: past uint32
+            (2**16, 2**16 + 1, "int64"),  # 17 bits for the right span
+            (1, 2**32, "uint32"),
+            (2, 2**32, "int64"),
+            (2**32, 2**31, "int64"),  # largest key 2**63 - 1
+            (2**32 + 1, 2**31, "lexsort"),  # 2**63: the key could overflow
+            (2**32, 2**31 + 1, "lexsort"),  # 32 bits for the right span
+            (1, 2**63 - 1, "int64"),
+            (1, 2**64, "lexsort"),  # all of int64 on one side
+            (2**64, 2**64, "lexsort"),
         ]:
             for l_min, r_min in [(0, 0), (-(2**63), -(2**63)), (-7, 10**6)]:
                 l_max = min(l_min + span_l - 1, 2**63 - 1)
@@ -197,9 +233,19 @@ class TestProtocol:
                 with monkeypatch.context() as patched:
                     patched.setattr(protocol_module, "np", counting)
                     table = _sorted_table(*pair_columns(pairs))
-                assert counting.lexsorts == lexsorts, (span_l, span_r)
+                took = {"uint32", "int64"} & counting.names
+                took |= {"lexsort"} if counting.lexsorts else set()
+                assert took == {keys}, (span_l, span_r, took)
                 assert table.tolist() == [list(p) for p in sorted(pairs)]
                 assert result_checksum(pair_columns(pairs)) == struct_loop_checksum(pairs)
+
+    @given(pairs=packable_pairs())
+    def test_sorted_table_equals_the_lexsort_reference(self, pairs):
+        left, right = pair_columns(pairs)
+        order = np.lexsort((right, left))
+        expected = np.stack([left[order], right[order]], axis=1).reshape(-1, 2)
+        table = _sorted_table(left, right)
+        assert table.dtype == "<i8" and table.tolist() == expected.tolist()
 
     def test_paginate_covers_everything_in_order(self):
         pairs = [(i, i + 1) for i in range(10)]

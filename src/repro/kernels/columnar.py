@@ -282,7 +282,7 @@ def from_kpes(kpes: Sequence[Tuple]) -> ColumnarRelation:
 
 
 def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
-    """The columns of *kpes* for the columnar partitioner, MBRs validated.
+    """The columns of *kpes* for the PBSM partitioner, MBRs validated.
 
     A NaN coordinate or an inverted MBR (``xl > xh`` or ``yl > yh``) has
     no tile range: the partitioner would die deep inside numpy or, worse,
@@ -296,8 +296,7 @@ def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
         row = int(bad.argmax())
         raise ValueError(
             f"{side} relation has a NaN coordinate or an inverted MBR at "
-            f"row {row} (oid={int(cols.oid[row])}); the columnar engine "
-            "cannot partition it"
+            f"row {row} (oid={int(cols.oid[row])}); PBSM cannot partition it"
         )
     return cols
 

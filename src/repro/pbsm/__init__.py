@@ -11,7 +11,7 @@ from repro.pbsm.parallel import (
     reset_clamp_warnings,
 )
 from repro.pbsm.partitioner import partition_csr, partition_relation
-from repro.pbsm.repartition import choose_split, compose_region_test, split_partition
+from repro.pbsm.repartition import choose_split, compose_region_test
 
 __all__ = [
     "DEDUP_MODES",
@@ -29,5 +29,4 @@ __all__ = [
     "pbsm_join",
     "reset_clamp_warnings",
     "sort_based_dedup",
-    "split_partition",
 ]

@@ -19,18 +19,24 @@ leaf by leaf, and :meth:`PBSM.iter_pairs` yields from each leaf before the
 next is read, so the operator layer can demonstrate the pipelining
 difference.
 
-Two engines share the phases, the recursion of Section 3.2.3 and every
-simulated charge.  The *tuple* engine (any other internal algorithm; the
-paper's subject) streams KPE tuples through the partition files.  The
-*columnar* engine (``internal="sweep_numpy"``, what
-:func:`repro.spatial_join` runs by default) partitions
-row ids over the inputs' five columns, gathers rows per partition pair
-into the id-pair kernels, and builds a leaf's oid tuples with one gather
-per side — ``docs/kernels.md``, "Columnar sequential driver".
+:meth:`PBSM._join_leaves` is the one PBSM pipeline.  Both engines read
+the inputs' five columns (already there for mapped inputs, built once
+and validated otherwise) for the extent, the partitioning and every
+repartitioning step, and their partition files hold row ids.  A leaf
+(:func:`join_leaf`) ends in the *tuple* engine's :func:`tuple_leaf` (any
+internal but ``sweep_numpy``; the paper's subject), over the input's own
+records gathered by id, or in the *columnar* engine's
+:func:`columnar_leaf` (``internal="sweep_numpy"``, what
+:func:`repro.spatial_join` runs by default), whose row positions become
+oid tuples with one gather per side — ``docs/kernels.md``, "Columnar
+sequential driver".  :class:`~repro.pbsm.parallel.ParallelPBSM` is this
+pipeline with repartitioning off, its leaves optionally run on a process
+pool.
 """
 
 from __future__ import annotations
 
+import time
 from typing import (
     Any,
     Callable,
@@ -57,19 +63,19 @@ from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
+from repro.kernels.assign import partition_memoized
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.kernels.sweep import _charge_batch_sort
-from repro.obs.trace import KIND_RUN, NULL_TRACER
+from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.partitioner import partition_inputs
+from repro.pbsm.partitioner import partition_relation
 from repro.pbsm.repartition import (
     MAX_REPARTITION_DEPTH,
     choose_split,
     compose_region_test,
-    split_partition,
     split_partition_ids,
 )
 
@@ -81,6 +87,14 @@ DEDUP_MODES = ("rpm", "sort", "none")
 #: sub-region.  The tuple engine folds it into a scalar predicate, the
 #: columnar engine ANDs it over whole batches of reference points.
 Region = Tuple[Tuple[TileGrid, int], ...]
+
+#: A leaf the recursion hands out: ``(file_left, file_right, region)``.
+Leaf = Tuple[PageFile, PageFile, Region]
+
+#: ``(pairs, suppressed, counters, wall_seconds)`` — one joined leaf: what
+#: :func:`join_leaf` returned, and the leaf's own counters and wall time,
+#: measured where it ran.
+LeafOutcome = Tuple[Any, int, CpuCounters, float]
 
 
 class PBSM:
@@ -184,14 +198,18 @@ class PBSM:
         left: Sequence[Tuple],
         right: Sequence[Tuple],
         stats: JoinStats,
-    ) -> Iterator[Iterable[Tuple[int, int]]]:
-        """Run the phases; yield each leaf's result pairs as one iterable.
+    ) -> Iterator[Any]:
+        """Run the phases; yield each leaf's output as one piece.
 
-        The one loop both :meth:`run` and :meth:`iter_pairs` drain: no
-        generator is resumed per pair.  Everything a run accumulates
-        (disk, counters, *stats*) is local to this generator — never an
-        attribute of the driver — so iterators open on one driver share
-        nothing, and *stats* is complete once it is exhausted.
+        The one PBSM pipeline: :meth:`run` and :meth:`iter_pairs` drain
+        it, and so does :class:`~repro.pbsm.parallel.ParallelPBSM`, which
+        changes where leaves run (:meth:`_run_leaves`), what a columnar
+        leaf's output is (:meth:`_decode`) and how the run is accounted
+        (:meth:`_finalize_stats`).  No generator is resumed per pair.
+        Everything a run accumulates (disk, counters, *stats*) is local
+        to this generator — never an attribute of the driver — so
+        iterators open on one driver share nothing, and *stats* is
+        complete once it is exhausted.
         """
         disk = SimulatedDisk(self.cost_model)
         cpu = {
@@ -200,31 +218,29 @@ class PBSM:
             PHASE_JOIN: CpuCounters(),
             PHASE_DEDUP: CpuCounters(),
         }
+        #: ``(pages read, counters, wall seconds)`` per leaf, in join order.
+        leaf_costs: List[Tuple[int, CpuCounters, float]] = []
         if not left or not right:
-            self._finalize_stats(stats, disk, cpu)
+            self._finalize_stats(stats, disk, cpu, leaf_costs)
             return
 
-        # ``sweep_numpy`` never touches a KPE tuple:
-        # extent, partitioning, repartitioning and the leaves all read the
-        # five columns (already there for mapped inputs, built once
-        # otherwise) and the partition files hold row ids.
-        columns: Optional[_Columns] = None
-        rel_left: Any = left
-        rel_right: Any = right
-        if columnar_engine(self.internal_name):
-            columns = _Columns.of(left, right)
-            rel_left = columns.left
-            rel_right = columns.right
-        emit = "records" if columns is None else "ids"
+        columns = _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
         # The columnar leaf's inputs arrive xl-sorted (one order per input,
-        # here); the tuple leaf's internals emit in file order.
-        by_xl = columns is not None
+        # here); the tuple leaf gathers the input's own records, in input
+        # order.
+        columnar = columnar_engine(self.internal_name)
+        source = (columns.left, columns.right) if columnar else (left, right)
+        # The tuple leaf's pairs are oid tuples already.
+        output = self._decode(columns) if columnar else _as_is
 
         kpe_bytes = self.cost_model.kpe_bytes
-        space = Space.of(rel_left, rel_right)
+        space = Space.of(columns.left, columns.right)
         n_partitions = estimate_partitions(
             len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
         )
+        # A parallel run wants at least one task per worker (a sequential
+        # one has no workers).
+        n_partitions = max(n_partitions, stats.n_workers)
         grid = TileGrid.for_partitions(
             space, n_partitions, self.tiles_per_partition, self.tile_mapping
         )
@@ -236,19 +252,31 @@ class PBSM:
             kind=KIND_RUN,
             internal=self.internal_name,
             dedup=self.dedup,
+            executor=stats.executor or None,
+            workers=stats.n_workers or None,
         ):
             # --- phase 1: partitioning -----------------------------------
             with tracer.span(
                 PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
             ) as sp:
+                # Both inputs' id runs into files ``R.*``/``S.*``;
+                # *reused* counts the sides whose runs came out of a
+                # read-only relation's partition memo (same charges).
+                reused = 0
+                sides: List[Tuple[List[PageFile], int]] = []
                 with disk.phase(PHASE_PARTITION):
-                    left_files, right_files, written, reused = partition_inputs(
-                        rel_left, rel_right, grid, disk, kpe_bytes,
-                        cpu[PHASE_PARTITION], emit, by_xl,
-                    )
+                    for cols, prefix in ((columns.left, "R"), (columns.right, "S")):
+                        reused += partition_memoized(cols, grid, columnar)
+                        sides.append(
+                            partition_relation(
+                                cols, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
+                                prefix, emit="ids", by_xl=columnar,
+                            )
+                        )
+                (left_files, n_left), (right_files, n_right) = sides
                 sp.add_counters({"partitions_reused": reused})
-                stats.records_partitioned = written
-                stats.replicas_created = written - len(left) - len(right)
+                stats.records_partitioned = n_left + n_right
+                stats.replicas_created = n_left + n_right - len(left) - len(right)
             stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- candidate sink -------------------------------------------
@@ -266,39 +294,31 @@ class PBSM:
             ]
             join_cpu = cpu[PHASE_JOIN]
             with tracer.span(PHASE_JOIN, cpu=join_cpu, disk=disk) as sp:
-                for file_left, file_right, region in self._leaves(
+                leaves = self._leaves(
                     pending, space, columns, disk, cpu[PHASE_REPARTITION], stats
+                )
+                for (file_left, file_right, _), outcome in self._run_leaves(
+                    leaves, source, columns, disk, stats
                 ):
-                    pairs: Iterable[Tuple[int, int]]
-                    if columns is None:
-                        with disk.phase(PHASE_JOIN):
-                            records_left = file_left.read_all()
-                            records_right = file_right.read_all()
-                        pairs, suppressed = tuple_leaf(
-                            records_left, records_right, region, self.dedup,
-                            self.internal, join_cpu,
-                        )
-                    else:
-                        with disk.phase(PHASE_JOIN):
-                            a = columns.left.rows(file_left.read_view(), sorted_by_xl=True)
-                            b = columns.right.rows(file_right.read_view(), sorted_by_xl=True)
-                        rid, sid, suppressed = columnar_leaf(
-                            a, b, region, self.dedup, join_cpu
-                        )
-                        # The kernels saw row positions as oids: one gather
-                        # per side through the inputs' own oid objects.
-                        pairs = zip(
-                            columns.left_oids[rid].tolist(),
-                            columns.right_oids[sid].tolist(),
-                        )
+                    pairs, suppressed, counters, wall = outcome
+                    join_cpu.add(counters)
                     stats.duplicates_suppressed += suppressed
+                    leaf_costs.append(
+                        (file_left.n_pages + file_right.n_pages, counters, wall)
+                    )
                     if candidate_writer is None:
-                        yield pairs
+                        yield output(pairs)
                     else:
                         # The candidate-pair writes are part of the
                         # duplicate-removal overhead (Figure 3a).
                         with disk.phase(PHASE_DEDUP):
-                            candidate_writer.write_many(pairs)
+                            candidate_writer.write_many(output(pairs))
+                sp.add_counters(
+                    {
+                        "bytes_shipped": stats.ipc_bytes_shipped,
+                        "ipc_seconds": stats.ipc_seconds,
+                    }
+                )
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
             # --- phase 4: sort-based duplicate removal ---------------------
@@ -314,17 +334,17 @@ class PBSM:
                     stats.duplicates_sorted_out = removed
                 stats.wall_seconds_by_phase[PHASE_DEDUP] = sp.wall_seconds
                 yield unique
-        self._finalize_stats(stats, disk, cpu)
+        self._finalize_stats(stats, disk, cpu, leaf_costs)
 
     def _leaves(
         self,
         pending: List[Tuple[PageFile, PageFile, Region, int]],
         space: Space,
-        columns: Optional["_Columns"],
+        columns: "_Columns",
         disk: SimulatedDisk,
         cpu: CpuCounters,
         stats: JoinStats,
-    ) -> Iterator[Tuple[PageFile, PageFile, Region]]:
+    ) -> Iterator[Leaf]:
         """The recursion of Section 3.2.3: yield the pairs to join as they are.
 
         *pending* is the stack of ``(file_left, file_right, region,
@@ -332,11 +352,11 @@ class PBSM:
         is replaced by its sub-pairs — the larger side split by a finer
         grid, each sub-partition against the whole other side; every
         other non-empty pair is a leaf ``(file_left, file_right, region)``,
-        in the order a depth-first recursion joins them.  *columns* is
-        ``None`` for the tuple engine (the files hold records) and the
-        inputs' columns for the columnar one (row ids); an argument like
-        the rest of the run's state, never stored, so nothing keeps it
-        alive once the generator is done.
+        in the order a depth-first recursion joins them.  The files hold
+        row ids into *columns*; an argument like the rest of the run's
+        state, never stored, so nothing keeps it alive once the generator
+        is done.  With ``max_repartition_depth=0`` every non-empty
+        top-level pair is a leaf, in ``pid`` order.
         """
         while pending:
             file_left, file_right, region, depth = pending.pop()
@@ -365,19 +385,13 @@ class PBSM:
             k = choose_split(
                 larger.n_bytes, smaller.n_bytes, self.memory_bytes, self.t_factor
             )
-            split_args = (
-                k, space, disk, cpu, self.tiles_per_partition, self.tile_mapping,
-                f"{larger.name}.d{depth}",
-            )
             with disk.phase(PHASE_REPARTITION):
-                if columns is None:
-                    subfiles, subgrid = split_partition(larger, *split_args)
-                else:
-                    subfiles, subgrid = split_partition_ids(
-                        larger,
-                        columns.left if left_is_larger else columns.right,
-                        *split_args,
-                    )
+                subfiles, subgrid = split_partition_ids(
+                    larger,
+                    columns.left if left_is_larger else columns.right,
+                    k, space, disk, cpu, self.tiles_per_partition,
+                    self.tile_mapping, f"{larger.name}.d{depth}",
+                )
             if max(f.n_records for f in subfiles) >= larger.n_records:
                 # No progress: every record overlaps (nearly) every tile, so a
                 # sub-partition is as large as its parent — e.g. all-identical
@@ -393,11 +407,57 @@ class PBSM:
                 # Parent region AND sub-region (Section 3.2.3).
                 pending.append((*sides, region + ((subgrid, sub_pid),), depth + 1))
 
+    def _run_leaves(
+        self,
+        leaves: Iterable[Leaf],
+        source: Tuple[Any, Any],
+        columns: "_Columns",
+        disk: SimulatedDisk,
+        stats: JoinStats,
+    ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
+        """Join each leaf in this process as the recursion hands it out.
+
+        *source* is what :func:`join_leaf` gathers from (the columns for
+        the columnar engine, the inputs for the tuple engine).  Every
+        leaf gets a ``task`` span when the tracer records.
+        """
+        tracer = self.tracer
+        for leaf in leaves:
+            file_left, file_right, region = leaf
+            l_ids, r_ids = read_leaf(disk, file_left, file_right)
+            started = time.perf_counter()
+            counters = CpuCounters()
+            pairs, suppressed = join_leaf(
+                self.internal_name, *source, l_ids, r_ids, region, self.dedup,
+                counters,
+            )
+            wall = time.perf_counter() - started
+            if tracer.recording:
+                tracer.add_span(
+                    "task", wall, kind=KIND_TASK, counters=counters.as_dict(),
+                    pid=region[0][1],
+                )
+            yield leaf, (pairs, suppressed, counters, wall)
+
+    def _decode(self, columns: "_Columns") -> Callable[[Any], Iterable[Tuple[int, int]]]:
+        """How a columnar leaf's row positions leave :meth:`_join_leaves`:
+        as oid tuples, through the inputs' own oid objects, one gather per
+        side."""
+        left_oids = _oid_objects(columns.left)
+        right_oids = _oid_objects(columns.right)
+        return lambda pairs: zip(
+            left_oids[pairs[0]].tolist(), right_oids[pairs[1]].tolist()
+        )
+
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
     def _finalize_stats(
-        self, stats: JoinStats, disk: SimulatedDisk, cpu: Dict[str, CpuCounters]
+        self,
+        stats: JoinStats,
+        disk: SimulatedDisk,
+        cpu: Dict[str, CpuCounters],
+        leaf_costs: List[Tuple[int, CpuCounters, float]],
     ) -> None:
         cost = self.cost_model
         stats.io_units_by_phase = disk.units_by_phase()
@@ -419,32 +479,22 @@ class PBSM:
 
 
 class _Columns(NamedTuple):
-    """The columnar engine's inputs: both relations' columns and oids.
-
-    ``left_oids``/``right_oids`` are numpy *object* arrays of the inputs'
-    *own* oid objects in row order, which is what result pairs are built
-    from (``oids[rid].tolist()``, one gather per leaf and side): indexing
-    an int64 oid column instead would allocate two fresh ints per result
-    pair.
-    """
+    """Both inputs' columns, validated (:func:`checked_columns`)."""
 
     left: ColumnarRelation
     right: ColumnarRelation
-    left_oids: Any
-    right_oids: Any
 
-    @classmethod
-    def of(cls, left: Sequence[Tuple], right: Sequence[Tuple]) -> "_Columns":
-        cols_left = checked_columns(left, "left")
-        cols_right = checked_columns(right, "right")
-        return cls(
-            cols_left, cols_right, _oid_objects(cols_left), _oid_objects(cols_right)
-        )
+
+def _as_is(pairs: Any) -> Any:
+    return pairs
 
 
 def _oid_objects(cols: ColumnarRelation) -> Any:
-    """Every record's oid object: the tuples' own where the columns were
-    read from tuples, else boxed once (a columnar input has no tuples)."""
+    """Every record's oid object in row order: the tuples' own where the
+    columns were read from tuples, else boxed once (a columnar input has
+    no tuples).  Result pairs are built from it (``oids[rid].tolist()``):
+    indexing the int64 oid column instead would allocate two fresh ints
+    per result pair."""
     if cols.oid_objects is not None:
         return cols.oid_objects
     return cols.oid.astype(object)
@@ -453,6 +503,55 @@ def _oid_objects(cols: ColumnarRelation) -> Any:
 def columnar_engine(internal_name: str) -> bool:
     """Whether a PBSM driver runs the columnar engine for this internal."""
     return internal_name == "sweep_numpy"
+
+
+def read_leaf(disk: SimulatedDisk, file_left: PageFile, file_right: PageFile) -> Tuple[Any, Any]:
+    """A leaf's two id runs, each read with one charged request."""
+    with disk.phase(PHASE_JOIN):
+        return file_left.read_view(), file_right.read_view()
+
+
+def join_leaf(
+    internal_name: str,
+    left: Any,
+    right: Any,
+    l_ids: Any,
+    r_ids: Any,
+    region: Region,
+    dedup: str,
+    cpu: CpuCounters,
+) -> Tuple[Any, int]:
+    """Join rows *l_ids* of *left* with rows *r_ids* of *right*: one leaf.
+
+    The one place a leaf picks its engine, in this process and in a pool
+    worker alike.  ``sweep_numpy`` runs :func:`columnar_leaf` over the
+    rows of two :class:`ColumnarRelation` (the ids are in ``xl`` order:
+    ``partition_ids(..., by_xl=True)``) and returns ``((rid, sid),
+    suppressed)`` — int64 row *positions*, not oids.  Every other
+    internal runs :func:`tuple_leaf` over the rows' records and returns
+    ``(pairs, suppressed)``, a list of oid tuples.
+    """
+    if columnar_engine(internal_name):
+        rid, sid, suppressed = columnar_leaf(
+            left.rows(l_ids, sorted_by_xl=True),
+            right.rows(r_ids, sorted_by_xl=True),
+            region, dedup, cpu,
+        )
+        return (rid, sid), suppressed
+    return tuple_leaf(
+        _leaf_records(left, l_ids),
+        _leaf_records(right, r_ids),
+        region, dedup, internal_algorithm(internal_name), cpu,
+    )
+
+
+def _leaf_records(rel: Any, ids: Any) -> List[Tuple]:
+    """Rows *ids* of *rel* as records, in id order, for the tuple leaf."""
+    if isinstance(rel, ColumnarRelation):
+        # Columns without tuples (a pool worker's segment): the KPE round trip.
+        return rel.take(ids).to_kpes()
+    # The input sequence: its own tuple objects.
+    return [rel[i] for i in ids.tolist()]
 
 
 def tuple_leaf(
@@ -467,8 +566,7 @@ def tuple_leaf(
 
     Joins one partition pair's records under the ownership *region* and
     returns ``(pairs, duplicates_suppressed)``; the test-free modes
-    (``"sort"``, ``"none"``) return every candidate.  Both PBSM drivers
-    end here for every internal but ``sweep_numpy``.
+    (``"sort"``, ``"none"``) return every candidate.
     """
     results: List[Tuple[int, int]] = []
     refpoint_tests = 0
@@ -516,7 +614,7 @@ def columnar_leaf(
     ``(rid, sid, suppressed)``: int64 arrays of whatever the gathered
     ``oid`` columns hold.
 
-    Both PBSM drivers hand it rows already in ``xl`` order (flagged
+    :func:`join_leaf` hands it rows already in ``xl`` order (flagged
     ``sorted_by_xl``: ``partition_ids(..., by_xl=True)``), so no kernel
     sorts here.  The paper sorts every partition pair, and its simulated
     seconds are this engine's currency too, so a sort per arriving-sorted

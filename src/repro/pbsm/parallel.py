@@ -38,34 +38,24 @@ A task is never split: every pair is owned by exactly one partition and
 found by that partition's one scan.  ``stats.scheduler_idle_seconds`` is
 the summed worker idle time the makespan hides.
 
-A join task means one thing on every executor: the five integers
-``(pid, l_lo, l_hi, r_lo, r_hi)`` — two CSR slices into the id runs the
-``emit="ids"`` partitioner produced — run by one task loop
-(:func:`_run_tasks`) against one source form
-``(left, right, l_ids, r_ids)``.  The in-process loop (simulated,
-``workers=1``) holds that source as plain objects.  The process
-executor loads both inputs' columns and the id arrays once into a
-:class:`~repro.kernels.shm.SharedColumnarStore` segment, workers attach
-by segment name, build the same source as views of the mapped pages and
-gather their slices straight out of them, and result ``(rid, sid)`` oid
-buffers come back through a worker-created segment — only task tuples,
-the query's configuration and manifests ever cross the pipe.  The driver
-never boxes those buffers: the parent copies each task's two runs out of
-the result segment, the in-process loop keeps the columnar leaf's
-arrays, and ``run`` concatenates once in ``pid`` order into a
-buffer-backed :class:`~repro.core.result.JoinResult` — a tuple exists
-only once a caller reads ``result.pairs``.  (The tuple leaf in this
-process returns its pair list and the result stays list-backed.)  Where
-that segment cannot exist (``shm_enabled()`` is false: no POSIX shared
-memory or ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the
-in-process loop instead, with byte-identical output, one
-``RuntimeWarning`` per process, and ``stats.executor`` reporting what
-actually ran (``"simulated"``).
-
-A task ends in one of the two leaves sequential ``PBSM`` ends in
-(:func:`~repro.pbsm.join.columnar_leaf` for ``sweep_numpy``,
-:func:`~repro.pbsm.join.tuple_leaf` over materialised records
-otherwise), under the one-entry region ``((grid, pid),)``.
+``ParallelPBSM`` is :class:`~repro.pbsm.join.PBSM`'s pipeline with
+repartitioning off: its partitioning, its leaves (every non-empty
+top-level pair, in ``pid`` order), its leaf dispatch
+(:func:`~repro.pbsm.join.join_leaf`) and its in-process loop.  Only two
+things are its own: the parallel accounting, and the process executor.
+That one turns the leaves into tasks — ``(pid, l_lo, l_hi, r_lo,
+r_hi)``, two CSR slices into the id runs concatenated in ``pid`` order —
+loads the columns and the id arrays once into a
+:class:`~repro.kernels.shm.SharedColumnarStore` segment that workers
+attach by name, and gets each task's ``(rid, sid)`` buffers back through
+a worker-created segment: only task tuples, the query's configuration
+and manifests cross the pipe.  The driver never boxes a pair: the result
+is :meth:`~repro.core.result.JoinResult.from_arrays` over buffers merged
+in ``pid`` order (only the tuple leaf run in this process returns, and
+keeps, a list).  Where the segment cannot exist (no POSIX shared memory,
+or ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process
+loop, with byte-identical output, one ``RuntimeWarning`` per process,
+and ``stats.executor`` reporting ``"simulated"``.
 
 Duplicate handling is always the Reference Point Method, which is what
 makes the parallel version correct without any cross-worker coordination:
@@ -85,7 +75,9 @@ import warnings
 from contextlib import contextmanager
 from typing import (
     Any,
+    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -98,23 +90,25 @@ import numpy as np
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
 from repro.core.result import JoinResult, JoinStats, pair_columns
-from repro.core.space import Space
 from repro.core.stats import CpuCounters
-from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
-from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.kernels.shm import (
     Manifest,
     SharedColumnarStore,
     columnar_arrays,
     shm_enabled,
 )
-from repro.obs.trace import KIND_RUN, KIND_TASK, KIND_WORKER, NULL_TRACER
-from repro.pbsm.estimator import estimate_partitions
+from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.join import columnar_engine, columnar_leaf, tuple_leaf
-from repro.pbsm.partitioner import partition_inputs
+from repro.pbsm.join import (
+    PBSM,
+    Leaf,
+    LeafOutcome,
+    columnar_engine,
+    join_leaf,
+    read_leaf,
+)
 
 EXECUTORS = ("simulated", "process")
 
@@ -127,32 +121,28 @@ CHUNKS_PER_WORKER = 4
 #: this on purpose).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
-#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — one partition-pair join task, on
-#: every executor: two CSR slices into the id runs of a :data:`TaskSource`.
-#: Plain ints only.
+#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — one partition-pair join task of
+#: the process executor: two CSR slices into the id runs of a
+#: :data:`TaskSource`.  Plain ints only.
 IdTask = Tuple[int, int, int, int, int]
 
-#: ``(left, right, l_ids, r_ids)`` — what a task's slices index: per side,
-#: the relation and the id runs ``partition_relation(..., emit="ids")``
-#: produced, concatenated in task order.  The in-process executors hold
-#: plain objects (columns and id arrays for the columnar engine, the
-#: input sequences and id lists for the tuple engine); a pool worker
-#: builds the same four things over its attached segment(s).
+#: ``(left, right, l_ids, r_ids)`` — what a task's slices index, as a
+#: pool worker builds it over its attached segment(s) (:func:`_run_dyn_chunk`):
+#: per side, the relation's columns and the leaves' id runs, concatenated
+#: in task order.
 TaskSource = Tuple[Any, Any, Any, Any]
 
-#: ``(pid, pairs, suppressed, counters_dict, wall_seconds)`` — one task's
-#: outcome; merging sorts by ``pid``.  ``wall_seconds`` is measured where
-#: the task ran, so per-task timing survives the process boundary instead
-#: of being dropped.  ``pairs`` is the ``(rid, sid)`` pair of int64 oid
-#: buffers — except from the tuple leaf run in this process, whose list
-#: of oid tuples is kept as it is.
-TaskOutcome = Tuple[int, Any, int, Dict[str, int], float]
+#: ``(pid, suppressed, counters_dict, wall_seconds)`` — what a worker
+#: reports per task next to the task's ``(rid, sid)`` buffers in its
+#: result segment.  ``wall_seconds`` is measured where the task ran, so
+#: per-task timing survives the process boundary instead of being dropped.
+TaskMeta = Tuple[int, int, Dict[str, int], float]
 
-#: ``(worker_label, cpu, chunk_wall, cpu_seconds, task_outcomes,
+#: ``(worker_label, cpu, chunk_wall, cpu_seconds, task_metas,
 #: chunk_bytes)`` — one finished chunk as
 #: :meth:`ParallelPBSM._emit_pool_spans` consumes it; *cpu* is the CPU the
 #: worker is pinned to (``None``: unpinned).
-ChunkReport = Tuple[str, Optional[int], float, float, List[TaskOutcome], int]
+ChunkReport = Tuple[str, Optional[int], float, float, List[TaskMeta], int]
 
 
 def cpu_count() -> int:
@@ -193,91 +183,9 @@ def reset_clamp_warnings() -> None:
     _WARNED_CLAMPS.clear()
 
 
-def _task_records(rel: Any, ids: Any) -> List[Tuple]:
-    """Rows *ids* of *rel* as records, for the tuple leaf."""
-    if isinstance(rel, ColumnarRelation):
-        # A pool worker's segment columns: the KPE round trip.
-        return rel.take(ids).to_kpes()
-    # The input sequence: the original tuple objects, in file order.
-    return [rel[i] for i in ids]
-
-
-def _run_tasks(
-    internal_name: str,
-    grid: TileGrid,
-    source: TaskSource,
-    tasks: Sequence[IdTask],
-    as_ids: bool,
-) -> Iterator[TaskOutcome]:
-    """Execute join tasks against *source*, one outcome per task.
-
-    The one per-task loop of every executor: gather the task's two id
-    slices, run the engine's RPM leaf under the one-entry region
-    ``((grid, pid),)`` and report pairs, suppression, counters and the
-    task's own wall time.  The columnar leaf runs ``sweep_numpy``; every
-    other internal takes the tuple leaf over materialised records.  The
-    columnar leaf's pairs stay the two int64 oid buffers it returns;
-    *as_ids* packs the tuple leaf's pair list into the same form (a pool
-    worker's result segment holds nothing else).
-    """
-    left, right, l_ids, r_ids = source
-    columnar = columnar_engine(internal_name)
-    internal = internal_algorithm(internal_name)
-    for pid, l_lo, l_hi, r_lo, r_hi in tasks:
-        started = time.perf_counter()
-        counters = CpuCounters()
-        pairs: Any
-        if columnar:
-            # The columnar engine's id runs are in xl order (``by_xl``).
-            rid, sid, suppressed = columnar_leaf(
-                left.take(l_ids[l_lo:l_hi], sorted_by_xl=True),
-                right.take(r_ids[r_lo:r_hi], sorted_by_xl=True),
-                ((grid, pid),),
-                "rpm",
-                counters,
-            )
-            pairs = (rid, sid)
-        else:
-            pairs, suppressed = tuple_leaf(
-                _task_records(left, l_ids[l_lo:l_hi]),
-                _task_records(right, r_ids[r_lo:r_hi]),
-                ((grid, pid),),
-                "rpm",
-                internal,
-                counters,
-            )
-            if as_ids:
-                pairs = pair_columns(pairs)
-        yield (
-            pid,
-            pairs,
-            suppressed,
-            counters.as_dict(),
-            time.perf_counter() - started,
-        )
-
-
 # ----------------------------------------------------------------------
 # the pool worker's side: one entry point, configuration in every chunk
 # ----------------------------------------------------------------------
-def _worker_source(
-    ids: SharedColumnarStore,
-    pinned: Optional[Tuple[SharedColumnarStore, SharedColumnarStore]] = None,
-) -> TaskSource:
-    """The :data:`TaskSource` a pool worker builds over its segment(s).
-
-    The id runs always live in the per-run segment *ids*; the relation
-    columns next to them (``L.*``/``R.*``) or, for registered datasets,
-    in the two *pinned* segments (``D.*`` — pinned before anyone knew
-    which side of a query they would be).  Views only, nothing copied.
-    """
-    if pinned is None:
-        left, right = ids.relation("L"), ids.relation("R")
-    else:
-        left, right = pinned[0].relation("D"), pinned[1].relation("D")
-    return left, right, ids["L.ids"], ids["R.ids"]
-
-
 def _chunk_blob(
     internal_name: str,
     grid: TileGrid,
@@ -298,14 +206,24 @@ def _chunk_blob(
     """
     started = time.perf_counter()
     cpu_started = time.process_time()
-    metas = []
+    left, right, l_ids, r_ids = source
+    metas: List[TaskMeta] = []
     out_arrays: Dict[str, object] = {}
-    for pid, (rid, sid), suppressed, counter_dict, task_wall in _run_tasks(
-        internal_name, grid, source, tasks, as_ids=True
-    ):
+    for pid, l_lo, l_hi, r_lo, r_hi in tasks:
+        task_started = time.perf_counter()
+        counters = CpuCounters()
+        pairs, suppressed = join_leaf(
+            internal_name, left, right, l_ids[l_lo:l_hi], r_ids[r_lo:r_hi],
+            ((grid, pid),), "rpm", counters,
+        )
+        # The segment holds int64 buffers only: the columnar leaf's row
+        # positions as they are, the tuple leaf's oid tuples unboxed.
+        rid, sid = pairs if columnar_engine(internal_name) else pair_columns(pairs)
         out_arrays[f"{pid}.rid"] = rid
         out_arrays[f"{pid}.sid"] = sid
-        metas.append((pid, suppressed, counter_dict, task_wall))
+        metas.append(
+            (pid, suppressed, counters.as_dict(), time.perf_counter() - task_started)
+        )
     wall = time.perf_counter() - started
     cpu_seconds = time.process_time() - cpu_started
     # Untracked on purpose: the parent unlinks after copying out (a worker
@@ -373,15 +291,17 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
     (internal_name, grid_spec, ids_manifest, pinned), tasks = pickle.loads(payload)
     ids = SharedColumnarStore.attach(ids_manifest)
     try:
-        stores = None
-        if pinned is not None:
-            stores = (_pinned_store(pinned[0]), _pinned_store(pinned[1]))
-        return _chunk_blob(
-            internal_name,
-            TileGrid.from_spec(grid_spec),
-            _worker_source(ids, stores),
-            tasks,
-        )
+        # The id runs always live in the per-query segment; the relation
+        # columns next to them (``L.*``/``R.*``) or, for registered
+        # datasets, in the two pinned segments (``D.*`` — pinned before
+        # anyone knew which side of a query they would be).  Views only.
+        if pinned is None:
+            left, right = ids.relation("L"), ids.relation("R")
+        else:
+            left = _pinned_store(pinned[0]).relation("D")
+            right = _pinned_store(pinned[1]).relation("D")
+        source = (left, right, ids["L.ids"], ids["R.ids"])
+        return _chunk_blob(internal_name, TileGrid.from_spec(grid_spec), source, tasks)
     finally:
         ids.close()
 
@@ -549,16 +469,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=LIBRARY_POOL._forget)
 
 
-def _concat_ids(runs: List[Any], as_list: bool) -> Any:
-    """One side's id runs, in task order, as the CSR ids the tasks slice.
-
-    *as_list* boxes the partitioner's int64 runs once, for the tuple
-    leaf that indexes an input sequence with them.
-    """
-    ids = np.concatenate(runs)
-    return ids.tolist() if as_list else ids
-
-
 def _task_size(task: IdTask) -> int:
     """Joined record count of a task."""
     return (task[2] - task[1]) + (task[4] - task[3])
@@ -616,14 +526,17 @@ def _drain(pool: Any, payloads: Sequence[bytes]) -> List[bytes]:
         raise
 
 
-class ParallelPBSM:
+class ParallelPBSM(PBSM):
     """PBSM with the join phase spread over *workers* workers.
 
-    ``executor="simulated"`` runs sequentially and *models* the parallel
-    runtime; ``executor="process"`` actually fans the join tasks out over
-    the process-wide warm pool :data:`LIBRARY_POOL`.  Both executors produce
-    identical result pairs in identical order and report the same
-    simulated costs.
+    :class:`PBSM`'s pipeline with repartitioning off: ``dedup="rpm"``,
+    ``max_repartition_depth=0`` and at least one partition per worker, so
+    every non-empty top-level partition pair is one task.
+    ``executor="simulated"`` runs the tasks in PBSM's in-process loop and
+    *models* the parallel runtime; ``executor="process"`` actually fans
+    them out over the process-wide warm pool :data:`LIBRARY_POOL`.  Both
+    executors produce identical result pairs in identical order and
+    report the same simulated costs.
 
     The result of the columnar engine (``sweep_numpy``), and
     of any internal run on a process pool, is backed by the two int64 oid
@@ -633,12 +546,11 @@ class ParallelPBSM:
 
     Duplicates are always handled by the Reference Point Method (there
     is no ``dedup`` option: the offline sort would serialise the join
-    behind a global sorting phase).  Every executor runs the same CSR id
-    tasks over the inputs' columns, whatever the internal algorithm; the
-    process executor ships them over one shared-memory segment and runs
-    the in-process loop where that segment cannot exist (module docstring);
-    out-of-range worker counts are clamped with a :class:`RuntimeWarning`
-    (once per process per distinct clamp) instead of raising or silently
+    behind a global sorting phase).  The process executor ships the
+    tasks over one shared-memory segment and runs the in-process loop
+    where that segment cannot exist (module docstring); out-of-range
+    worker counts are clamped with a :class:`RuntimeWarning` (once per
+    process per distinct clamp) instead of raising or silently
     oversubscribing the machine.
     """
 
@@ -655,8 +567,16 @@ class ParallelPBSM:
         tracer: Optional[Any] = None,
         pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> None:
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        super().__init__(
+            memory_bytes,
+            internal=internal,
+            dedup="rpm",
+            t_factor=t_factor,
+            tiles_per_partition=tiles_per_partition,
+            cost_model=cost_model,
+            max_repartition_depth=0,
+            tracer=tracer,
+        )
         if executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, got {executor!r}"
@@ -673,15 +593,8 @@ class ParallelPBSM:
                     "oversubscription)"
                 )
                 workers = cap
-        self.memory_bytes = memory_bytes
         self.workers = workers
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.internal_name = internal
-        self.internal = internal_algorithm(internal)
         self.executor = executor
-        self.t_factor = t_factor
-        self.tiles_per_partition = tiles_per_partition
-        self.cost_model = cost_model or CostModel()
         #: Manifests of pinned left/right dataset segments (columns under
         #: the neutral ``D.*`` prefix, ``repro serve``'s registry).  On the
         #: pool, the per-query segment then carries only the CSR id arrays
@@ -699,10 +612,7 @@ class ParallelPBSM:
                 "in-process loop instead"
             )
             executor = "simulated"
-        # A real pool runs the tasks over the segment; "simulated" is the
-        # in-process loop, and ``stats.executor`` says which one ran.
-        use_pool = executor == "process"
-        columnar = columnar_engine(self.internal_name)
+        # ``stats.executor`` says which one runs the leaves (_run_leaves).
         stats = JoinStats(
             algorithm=f"ParallelPBSM({self.internal_name},W={self.workers})",
             executor=executor,
@@ -710,200 +620,93 @@ class ParallelPBSM:
             n_right=len(right),
             n_workers=self.workers,
         )
-        if not left or not right:
-            return JoinResult(pairs=[], stats=stats)
-        # Grid extent, partitioning, the segment and the columnar leaf all
-        # read the five columns (already there for mapped inputs, built
-        # once otherwise); only the tuple leaf ever sees a record.
-        rel_left = checked_columns(left, "left")
-        rel_right = checked_columns(right, "right")
-        cost = self.cost_model
-        kpe_bytes = cost.kpe_bytes
-        space = Space.of(rel_left, rel_right)
-        n_partitions = estimate_partitions(
-            len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
-        )
-        # At least one task per worker, or parallelism is wasted.
-        n_partitions = max(n_partitions, self.workers)
-        grid = TileGrid.for_partitions(
-            space, n_partitions, self.tiles_per_partition
-        )
-        stats.n_partitions = n_partitions
-
-        tracer = self.tracer
-        with tracer.span(
-            "parallel_pbsm",
-            kind=KIND_RUN,
-            internal=self.internal_name,
-            executor=executor,
-            workers=self.workers,
-        ):
-            # --- sequential partitioning phase -----------------------------
-            disk = SimulatedDisk(cost)
-            part_cpu = CpuCounters()
-            with tracer.span(PHASE_PARTITION, cpu=part_cpu, disk=disk) as sp:
-                with disk.phase(PHASE_PARTITION):
-                    left_files, right_files, written, reused = partition_inputs(
-                        rel_left, rel_right, grid, disk, kpe_bytes, part_cpu,
-                        "ids", columnar,
-                    )
-                sp.add_counters({"partitions_reused": reused})
-                stats.records_partitioned = written
-                stats.replicas_created = written - len(left) - len(right)
-                partition_seconds = cost.io_seconds(
-                    disk.total_units()
-                ) + cost.cpu_seconds(part_cpu)
-            stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
-
-            with tracer.span(PHASE_JOIN) as sp:
-                # --- materialise the join tasks (reads are charged) --------
-                # A task is two CSR slices into the id runs, concatenated
-                # per side in task order; the two whole-file reads that
-                # fetch the runs are charged to the task.
-                tasks: List[IdTask] = []
-                runs_left: List[Any] = []
-                runs_right: List[Any] = []
-                n_ids_left = n_ids_right = 0
-                task_io_units: Dict[int, float] = {}
-                join_pages = 0
-                for pid in range(n_partitions):
-                    file_left = left_files[pid]
-                    file_right = right_files[pid]
-                    if not file_left.n_records or not file_right.n_records:
-                        continue
-                    pair_bytes = file_left.n_bytes + file_right.n_bytes
-                    if pair_bytes > self.memory_bytes:
-                        stats.memory_overruns += 1
-                    if pair_bytes > stats.peak_memory_bytes:
-                        stats.peak_memory_bytes = pair_bytes
-                    task_disk = SimulatedDisk(cost)
-                    with task_disk.phase(PHASE_JOIN):
-                        task_disk.charge_read(file_left.n_pages)
-                        task_disk.charge_read(file_right.n_pages)
-                    task_io_units[pid] = task_disk.total_units()
-                    join_pages += task_disk.pages_by_phase()[PHASE_JOIN]
-                    l_lo, r_lo = n_ids_left, n_ids_right
-                    runs_left.append(file_left.records)
-                    runs_right.append(file_right.records)
-                    n_ids_left += file_left.n_records
-                    n_ids_right += file_right.n_records
-                    tasks.append((pid, l_lo, n_ids_left, r_lo, n_ids_right))
-
-                # --- execute the tasks -------------------------------------
-                outcomes: List[TaskOutcome] = []
-                if tasks:
-                    # The tuple leaf, in this process, indexes the input
-                    # sequences themselves (plain-int ids); everything
-                    # else slices id arrays over the columns.
-                    from_inputs = not (columnar or use_pool)
-                    l_ids = _concat_ids(runs_left, as_list=from_inputs)
-                    r_ids = _concat_ids(runs_right, as_list=from_inputs)
-                    source: TaskSource = (
-                        (left, right, l_ids, r_ids)
-                        if from_inputs
-                        else (rel_left, rel_right, l_ids, r_ids)
-                    )
-                    execute = self._execute_process if use_pool else self._execute
-                    outcomes = execute(tasks, grid, stats, source)
-
-                # --- deterministic merge in pid order ----------------------
-                task_costs: List[float] = []
-                join_cpu_total = CpuCounters()
-                join_units_total = 0.0
-                suppressed_total = 0
-                outcomes.sort(key=lambda o: o[0])
-                for pid, _pairs, suppressed, counter_dict, _wall in outcomes:
-                    suppressed_total += suppressed
-                    task_cpu = CpuCounters(**counter_dict)
-                    units = task_io_units[pid]
-                    task_costs.append(
-                        cost.io_seconds(units) + cost.cpu_seconds(task_cpu)
-                    )
-                    join_cpu_total.add(task_cpu)
-                    join_units_total += units
-                stats.duplicates_suppressed = suppressed_total
-                sp.add_counters(join_cpu_total.as_dict())
-                sp.add_counters({"io_units": join_units_total})
-                if stats.ipc_bytes_shipped or stats.ipc_seconds:
-                    sp.add_counters(
-                        {
-                            "bytes_shipped": stats.ipc_bytes_shipped,
-                            "ipc_seconds": stats.ipc_seconds,
-                        }
-                    )
-                # Only the tuple leaf run in this process hands back
-                # lists; every other outcome is two oid buffers, merged
-                # without boxing a pair.
-                if outcomes and (columnar or use_pool):
-                    result = JoinResult.from_arrays(
-                        np.concatenate([o[1][0] for o in outcomes], dtype=np.int64),
-                        np.concatenate([o[1][1] for o in outcomes], dtype=np.int64),
-                        stats,
-                    )
-                else:
-                    result = JoinResult(
-                        [pair for o in outcomes for pair in o[1]], stats
-                    )
-            stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
-
-            # --- LPT scheduling onto W workers --------------------------
-            makespan, _loads = lpt_schedule(task_costs, self.workers)
-            stats.n_results = len(result)
-            stats.io_units_by_phase = {
-                PHASE_PARTITION: disk.total_units(),
-                PHASE_JOIN: join_units_total,
-            }
-            stats.io_pages_by_phase = {**disk.pages_by_phase(), PHASE_JOIN: join_pages}
-            stats.cpu_by_phase = {
-                PHASE_PARTITION: part_cpu.as_dict(),
-                PHASE_JOIN: join_cpu_total.as_dict(),
-            }
-            # The *parallel* simulated runtime:
-            stats.sim_io_seconds = cost.io_seconds(disk.total_units())
-            stats.sim_cpu_seconds = makespan  # join tasks dominated by makespan
-            stats.sim_seconds_by_phase = {
-                PHASE_PARTITION: partition_seconds,
-                PHASE_JOIN: makespan,
-            }
+        outputs = list(self._join_leaves(left, right, stats))
+        # Only the tuple leaf run in this process hands back lists; every
+        # other output is two oid buffers, merged without boxing a pair.
+        if outputs and (columnar_engine(self.internal_name) or executor == "process"):
+            result = JoinResult.from_arrays(
+                np.concatenate([o[0] for o in outputs], dtype=np.int64),
+                np.concatenate([o[1] for o in outputs], dtype=np.int64),
+                stats,
+            )
+        else:
+            result = JoinResult([pair for o in outputs for pair in o], stats)
+        stats.n_results = len(result)
         return result
 
+    def iter_pairs(self, *args: Any, **kwargs: Any) -> Iterator[Tuple[int, int]]:
+        """Not offered: the tasks' buffers are merged whole (:meth:`run`)."""
+        raise NotImplementedError("ParallelPBSM merges its result whole; use run()")
+
     # ------------------------------------------------------------------
-    # task execution
+    # PBSM's pipeline, configured
     # ------------------------------------------------------------------
-    def _execute(
+    def _decode(self, columns: Any) -> Callable[[Any], Any]:
+        """A columnar task's row positions as its two int64 oid buffers."""
+        left_oids, right_oids = columns.left.oid, columns.right.oid
+        return lambda pairs: (left_oids[pairs[0]], right_oids[pairs[1]])
+
+    def _run_leaves(
         self,
-        tasks: List[IdTask],
-        grid: TileGrid,
+        leaves: Iterable[Leaf],
+        source: Tuple[Any, Any],
+        columns: Any,
+        disk: SimulatedDisk,
         stats: JoinStats,
-        source: TaskSource,
-    ) -> List[TaskOutcome]:
-        """Run every join task in this process, in one loop.
+    ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
+        if stats.executor != "process":
+            return super()._run_leaves(leaves, source, columns, disk, stats)
+        return self._execute_process(list(leaves), columns, disk, stats)
 
-        Simulated mode, ``workers=1`` and a process request without a
-        shared-memory segment share it; no pool is used.  Besides the
-        outcomes this fills in the parallel timing fields of *stats*:
-        ``join_busy_seconds`` (sum of per-task wall seconds) and
-        ``join_makespan_seconds`` (the loop's elapsed time).
+    def _finalize_stats(
+        self,
+        stats: JoinStats,
+        disk: SimulatedDisk,
+        cpu: Dict[str, CpuCounters],
+        leaf_costs: List[Tuple[int, CpuCounters, float]],
+    ) -> None:
+        """The *parallel* simulated runtime: the sequential partitioning
+        phase plus the LPT makespan of the tasks on W workers.
+
+        A task's cost is its two reads (one request each) plus its CPU
+        counters, summed in ``pid`` order — the order every recorded
+        figure was summed in.
         """
-        tracer = self.tracer
-        started = time.perf_counter()
-        outcomes = []
-        for outcome in _run_tasks(
-            self.internal_name, grid, source, tasks, as_ids=False
-        ):
-            outcomes.append(outcome)
-            if tracer.recording:
-                tracer.add_span(
-                    "task",
-                    outcome[4],
-                    kind=KIND_TASK,
-                    counters=outcome[3],
-                    pid=outcome[0],
-                )
-        stats.join_makespan_seconds = time.perf_counter() - started
-        stats.join_busy_seconds = sum(outcome[4] for outcome in outcomes)
-        return outcomes
+        if not stats.n_partitions:
+            return  # an empty side: nothing ran
+        cost = self.cost_model
+        task_units = [cost.pt_ratio * 2 + pages for pages, _, _ in leaf_costs]
+        task_costs = [
+            cost.io_seconds(units) + cost.cpu_seconds(counters)
+            for units, (_, counters, _) in zip(task_units, leaf_costs)
+        ]
+        makespan, _loads = lpt_schedule(task_costs, self.workers)
+        partition_units = disk.units_by_phase()[PHASE_PARTITION]
+        pages = disk.pages_by_phase()
+        stats.io_units_by_phase = {
+            PHASE_PARTITION: partition_units,
+            PHASE_JOIN: sum(task_units, 0.0),
+        }
+        stats.io_pages_by_phase = {**pages, PHASE_JOIN: pages.get(PHASE_JOIN, 0)}
+        stats.cpu_by_phase = {
+            PHASE_PARTITION: cpu[PHASE_PARTITION].as_dict(),
+            PHASE_JOIN: cpu[PHASE_JOIN].as_dict(),
+        }
+        stats.sim_io_seconds = cost.io_seconds(partition_units)
+        stats.sim_cpu_seconds = makespan  # join tasks dominated by makespan
+        stats.sim_seconds_by_phase = {
+            PHASE_PARTITION: stats.sim_io_seconds
+            + cost.cpu_seconds(cpu[PHASE_PARTITION]),
+            PHASE_JOIN: makespan,
+        }
+        stats.join_busy_seconds = sum(wall for _, _, wall in leaf_costs)
+        if stats.executor != "process":
+            # In process, the tasks' elapsed time is the join phase's.
+            stats.join_makespan_seconds = stats.wall_seconds_by_phase[PHASE_JOIN]
 
+    # ------------------------------------------------------------------
+    # the process executor
+    # ------------------------------------------------------------------
     def _emit_pool_spans(
         self,
         stats: JoinStats,
@@ -922,7 +725,7 @@ class ParallelPBSM:
         tracer = self.tracer
         busy_by_worker: Dict[str, float] = {}
         for chunk_idx, report in enumerate(chunk_reports):
-            label, cpu, chunk_wall, cpu_seconds, task_outcomes, chunk_bytes = report
+            label, cpu, chunk_wall, cpu_seconds, metas, chunk_bytes = report
             busy_by_worker[label] = busy_by_worker.get(label, 0.0) + chunk_wall
             if tracer.recording:
                 worker_span = tracer.add_span(
@@ -932,13 +735,13 @@ class ParallelPBSM:
                     worker=label,
                     cpu=cpu,
                     chunk=chunk_idx,
-                    tasks=len(task_outcomes),
+                    tasks=len(metas),
                     counters={
                         "bytes_shipped": chunk_bytes,
                         "cpu_seconds": cpu_seconds,
                     },
                 )
-                for pid, _pairs, _suppressed, counter_dict, task_wall in task_outcomes:
+                for pid, _suppressed, counter_dict, task_wall in metas:
                     tracer.add_span(
                         "task",
                         task_wall,
@@ -957,39 +760,54 @@ class ParallelPBSM:
 
     def _execute_process(
         self,
-        tasks: List[IdTask],
-        grid: TileGrid,
+        leaves: List[Leaf],
+        columns: Any,
+        disk: SimulatedDisk,
         stats: JoinStats,
-        source: TaskSource,
-    ) -> List[TaskOutcome]:
-        """Fan the tasks out over the warm pool and one shared segment.
+    ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
+        """Fan the leaves out as tasks over the warm pool and one segment.
 
-        Loads *source* once into a columnar segment (both inputs' columns
-        plus the two id arrays; with pinned datasets the id arrays only),
-        ships five-integer tasks, and copies each task's ``(rid, sid)``
-        oid buffers out of the worker-created result segment as they
-        are — ``run`` merges them in ``pid`` order, so the output is
-        byte-identical to the in-process loop and to sequential
-        execution.  Segment build, payload
-        encode and the copy-out all count into ``stats.ipc_seconds``;
-        only the pipe traffic counts into ``stats.ipc_bytes_shipped``.
-        When a chunk fails, the result segments of the chunks that
-        finished are unlinked before the error propagates (workers create
-        them untracked); a dead worker's pool is replaced on the way out
-        (:meth:`WarmPool.borrow`).
+        Reads every leaf's two id runs (charged like the in-process
+        loop's reads), concatenates them per side in ``pid`` order, loads
+        the columns plus those two id arrays once into a segment (with
+        pinned datasets the id arrays only), ships five-integer tasks,
+        and copies each task's ``(rid, sid)`` buffers out of the
+        worker-created result segment as they are — the pipeline merges
+        them in ``pid`` order, so the output is byte-identical to the
+        in-process loop.  Segment build, payload encode and the copy-out
+        all count into ``stats.ipc_seconds``; only the pipe traffic
+        counts into ``stats.ipc_bytes_shipped``.  When a chunk fails, the
+        result segments of the chunks that finished are unlinked before
+        the error propagates (workers create them untracked); a dead
+        worker's pool is replaced on the way out (:meth:`WarmPool.borrow`).
         """
+        if not leaves:
+            return
+        tasks: List[IdTask] = []
+        runs_left: List[Any] = []
+        runs_right: List[Any] = []
+        n_left = n_right = 0
+        for file_left, file_right, region in leaves:
+            run_left, run_right = read_leaf(disk, file_left, file_right)
+            runs_left.append(run_left)
+            runs_right.append(run_right)
+            l_lo, r_lo = n_left, n_right
+            n_left += len(run_left)
+            n_right += len(run_right)
+            tasks.append((region[0][1], l_lo, n_left, r_lo, n_right))
+        grid = leaves[0][2][0][0]
+
         encode_started = time.perf_counter()
-        left, right, l_ids, r_ids = source
         # The relation columns may already live in pinned registry
         # segments; the per-query segment then carries only the CSR id
         # arrays, so a query's segment-build cost is O(partitioned ids),
         # not O(data).
         arrays: Dict[str, object] = {}
         if self.pinned is None:
-            arrays = columnar_arrays("L", left)
-            arrays.update(columnar_arrays("R", right))
-        arrays["L.ids"] = l_ids
-        arrays["R.ids"] = r_ids
+            arrays = columnar_arrays("L", columns.left)
+            arrays.update(columnar_arrays("R", columns.right))
+        arrays["L.ids"] = np.concatenate(runs_left)
+        arrays["R.ids"] = np.concatenate(runs_right)
         chunks = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
 
         with SharedColumnarStore.create(arrays) as store:
@@ -1011,7 +829,7 @@ class ParallelPBSM:
                 stats.join_makespan_seconds = time.perf_counter() - started
 
             copy_started = time.perf_counter()
-            outcomes: List[TaskOutcome] = []
+            outcomes: Dict[int, LeafOutcome] = {}
             chunk_reports: List[ChunkReport] = []
             for payload, blob in zip(payloads, blobs):
                 worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = (
@@ -1020,36 +838,36 @@ class ParallelPBSM:
                 bytes_shipped += len(blob)
                 results = SharedColumnarStore.attach(manifest)
                 try:
-                    task_outcomes: List[TaskOutcome] = []
                     for pid, suppressed, counter_dict, task_wall in metas:
                         # Copies, so no view keeps the segment mapped.
                         task_pairs = (
                             results[f"{pid}.rid"].copy(),
                             results[f"{pid}.sid"].copy(),
                         )
-                        task_outcomes.append(
-                            (pid, task_pairs, suppressed, counter_dict, task_wall)
+                        outcomes[pid] = (
+                            task_pairs, suppressed, CpuCounters(**counter_dict),
+                            task_wall,
                         )
                 finally:
                     results.close()
                     results.unlink()
-                outcomes.extend(task_outcomes)
                 chunk_reports.append(
                     (
                         f"pid-{worker_pid}",
                         cpu,
                         chunk_wall,
                         cpu_seconds,
-                        task_outcomes,
+                        metas,
                         len(payload) + len(blob),
                     )
                 )
             ipc_seconds += time.perf_counter() - copy_started
         stats.ipc_bytes_shipped = bytes_shipped
         stats.ipc_seconds = ipc_seconds
-        stats.join_busy_seconds = sum(outcome[4] for outcome in outcomes)
         self._emit_pool_spans(stats, chunk_reports)
-        return outcomes
+        # One at a time, so no task's buffers outlive their decoding.
+        for leaf in leaves:
+            yield leaf, outcomes.pop(leaf[2][0][1])
 
 
 __all__ = [

@@ -6,16 +6,17 @@ its rectangle overlaps.  Reading the input relation is free of charge (the
 paper's model); the partition writes are charged per buffer flush.
 
 ``emit="ids"`` writes each record's *position* in the input sequence
-instead of the record tuple itself — the partitioning mode of the
-columnar sequential engine and of every ``ParallelPBSM`` executor
-(``emit="records"`` is the sequential tuple engine's).  The files, the
-flush pattern, the charged structure
-operations and the simulated record size are identical either way (the
-cost model charges ``record_bytes`` per record regardless of what Python
-object stands in for it), so the two modes are indistinguishable to the
-simulated-cost accounting.  Reading id-emitting files back per partition
-yields exactly the CSR form (offsets + record ids) the parallel join
-tasks slice; :func:`partition_csr` performs that concatenation.
+instead of the record tuple itself — the partitioning mode of both PBSM
+engines, sequential and parallel.  The files,
+the flush pattern, the charged structure operations and the simulated
+record size are identical either way (the cost model charges
+``record_bytes`` per record regardless of what Python object stands in
+for it), so the two modes are indistinguishable to the simulated-cost
+accounting.  ``emit="records"`` stays for the frozen layer replay of
+``benchmarks/e2e`` (``layers.py``), which times it.  Reading id-emitting
+files back per partition yields exactly the CSR form (offsets + record
+ids) the parallel join tasks slice; :func:`partition_csr` performs that
+concatenation.
 
 ``emit="ids"`` runs no per-record loop at all: the CSR arrays come out
 of one columnar kernel and the charges are computed from the
@@ -59,10 +60,13 @@ def partition_relation(
     Returns ``(files, records_written)`` where ``records_written`` counts
     every inserted copy (so ``records_written - len(kpes)`` is the number
     of replicas, the redundancy PBSM trades for partition independence).
-    With ``emit="ids"`` each file holds input positions instead of record
-    tuples — same write order, same charged costs; *by_xl* (the columnar
-    engine's) writes each file's positions in ``(xl, position)`` order
-    instead, at the same charges (``kernels.assign.partition_ids``).
+    With ``emit="ids"`` (what the PBSM drivers run) each file holds input
+    positions instead of record tuples — same write order, same charged
+    costs; *by_xl* (the columnar engine's) writes each file's positions
+    in ``(xl, position)`` order instead, at the same charges
+    (``kernels.assign.partition_ids``).  ``emit="records"`` is kept for
+    ``benchmarks/e2e/layers.py``, whose frozen replay (traced runs and
+    CI's ``e2e-smoke``) still partitions records.
     """
     if emit not in EMIT_MODES:
         raise ValueError(f"emit must be one of {EMIT_MODES}, got {emit!r}")
@@ -106,40 +110,6 @@ def partition_relation(
         writer.close()
     counters.structure_ops += structure_ops
     return files, written
-
-
-def partition_inputs(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    grid: TileGrid,
-    disk: SimulatedDisk,
-    record_bytes: int,
-    counters: CpuCounters,
-    emit: str,
-    by_xl: bool,
-) -> Tuple[List[PageFile], List[PageFile], int, int]:
-    """A join's partitioning phase: both inputs into files ``R.*``/``S.*``.
-
-    Returns ``(left_files, right_files, records_written, reused)``, where
-    *reused* counts the sides (0, 1 or 2) whose id runs came out of the
-    partition memo of a read-only relation (``kernels.assign``) instead
-    of being computed; the charges are the same either way.
-    """
-    from repro.kernels.assign import partition_memoized
-
-    reused = 0
-    sides: List[Tuple[List[PageFile], int]] = []
-    for kpes, prefix in ((left, "R"), (right, "S")):
-        if emit == "ids":
-            reused += partition_memoized(kpes, grid, by_xl)
-        sides.append(
-            partition_relation(
-                kpes, grid, disk, record_bytes, counters, prefix,
-                emit=emit, by_xl=by_xl,
-            )
-        )
-    (left_files, n_left), (right_files, n_right) = sides
-    return left_files, right_files, n_left + n_right, reused
 
 
 def _partition_ids(

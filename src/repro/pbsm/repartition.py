@@ -46,40 +46,6 @@ def choose_split(
     return max(2, min(MAX_SPLIT, k))
 
 
-def split_partition(
-    source: PageFile,
-    k: int,
-    space: Space,
-    disk: SimulatedDisk,
-    counters: CpuCounters,
-    tiles_per_partition: int,
-    mapping: str,
-    name: str,
-) -> Tuple[List[PageFile], TileGrid]:
-    """Re-partition *source* into *k* sub-partitions with a finer grid.
-
-    The source is read back with one contiguous request; the sub-partition
-    writes go through one-page buffers like the initial partitioning.
-    Returns the sub-partition files and the sub-grid (whose point map the
-    composed RPM region test uses).
-    """
-    subgrid = TileGrid.for_partitions(space, k, tiles_per_partition, mapping)
-    records = source.read_all()
-    files, _ = partition_relation(
-        records,
-        subgrid,
-        disk,
-        source.record_bytes,
-        counters,
-        name_prefix=name,
-    )
-    # Note: the source file is deliberately NOT cleared.  A partition can be
-    # the shared "smaller" side of several sub-pairs, and the recursion may
-    # split it again for a later sub-pair; consuming it here would silently
-    # drop those pairs.
-    return files, subgrid
-
-
 def split_partition_ids(
     source: PageFile,
     columns: Any,
@@ -91,18 +57,24 @@ def split_partition_ids(
     mapping: str,
     name: str,
 ) -> Tuple[List[PageFile], TileGrid]:
-    """:func:`split_partition` for a file of row ids into *columns*.
+    """Re-partition *source* into *k* sub-partitions with a finer grid.
 
-    The columnar driver's partitions hold positions in the input's
-    :class:`~repro.kernels.columnar.ColumnarRelation`, not records, in
-    ``(xl, position)`` order: the source's rows are gathered,
-    partitioned by the id-emitting kernel, and each sub-partition's
-    local positions — ascending, so in the source's order — mapped back
-    to input positions, again in ``(xl, position)`` order with nothing
-    sorted.  One contiguous read, the same buffered writes and
-    structure ops as the records path — the charges depend only on how
-    many rows each sub-partition receives.  The source is left intact
-    for the same reason as there.
+    The partitions of both PBSM engines hold positions in the input's
+    :class:`~repro.kernels.columnar.ColumnarRelation` *columns*, not
+    records: the source's rows are gathered, partitioned by the
+    id-emitting kernel, and each sub-partition's local positions —
+    ascending, so in the source's order (``(xl, position)`` for the
+    columnar engine, ``position`` for the tuple engine) — mapped back to
+    input positions, with nothing sorted.  The source is read back with
+    one contiguous request; the sub-partition writes are charged like
+    the initial partitioning's one-page buffers, by how many rows each
+    sub-partition receives.  Returns the sub-partition files and the
+    sub-grid (whose point map the composed RPM region test uses).
+
+    The source is deliberately left intact: a partition can be the
+    shared "smaller" side of several sub-pairs, and the recursion may
+    split it again for a later sub-pair; consuming it here would
+    silently drop those pairs.
     """
     subgrid = TileGrid.for_partitions(space, k, tiles_per_partition, mapping)
     ids = source.read_view()

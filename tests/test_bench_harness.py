@@ -137,9 +137,36 @@ class TestBenchCli:
 # ----------------------------------------------------------------------
 # the paper's numbers: committed figure tables, reproduced byte for byte
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name", ["table2", "fig3", "fig6", "table3"])
+RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
+
+
+@pytest.mark.parametrize(
+    "name",
+    # The two ablations drive the tuple engine's repartitioning along
+    # the ``t`` and tiles axes.
+    ["table2", "fig3", "fig6", "table3", "ablation_t_factor", "ablation_ntiles"],
+)
 def test_paper_figure_equals_the_committed_table(name):
     """Simulated costs and counters are deterministic: an engine change
     that moves a paper number shows up here, not in a by-hand diff."""
-    committed = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / f"{name}.txt"
-    assert EXPERIMENTS[name]().to_text() + "\n" == committed.read_text()
+    assert EXPERIMENTS[name]().to_text() + "\n" == (RESULTS / f"{name}.txt").read_text()
+
+
+class TestCheck:
+    def test_passes_on_the_committed_tables(self, capsys):
+        assert bench_main(["table1", "table2", "--check", str(RESULTS)]) == 0
+        out, err = capsys.readouterr()
+        assert "2 of 2 tables match" in out
+        # The wall-time footer stays off stdout.
+        assert "completed in" not in out
+        assert "[table1 completed in" in err
+
+    def test_fails_with_a_diff_on_a_doctored_copy(self, tmp_path, capsys):
+        doctored = (RESULTS / "table1.txt").read_text().replace("12,897", "12,898", 1)
+        (tmp_path / "table1.txt").write_text(doctored)
+        assert bench_main(["table1", "table2", "--check", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "-   LA_RR  12,898" in out
+        assert "+   LA_RR  12,897" in out
+        assert f"missing: {tmp_path / 'table2.txt'}" in out
+        assert "differ: table1, table2" in out

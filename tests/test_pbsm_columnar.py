@@ -500,19 +500,27 @@ class TestSpatialJoinDefault:
 # ----------------------------------------------------------------------
 # rows no tile range exists for are rejected where the columns are read
 # ----------------------------------------------------------------------
-def _parallel(executor):
+def _parallel(executor, internal="sweep_numpy"):
     def join(left, right):
         return ParallelPBSM(
-            BUDGETS["depth0"], 2, internal="sweep_numpy", executor=executor
+            BUDGETS["depth0"], 2, internal=internal, executor=executor
         ).run(left, right)
 
     return join
 
 
+def _sequential(internal):
+    def join(left, right):
+        return run(left, right, BUDGETS["depth0"], internal, "rpm")
+
+    return join
+
+
+#: Both classes build and check the columns for every internal.
+TUPLE_INTERNALS = ("sweep_list", "sweep_trie", "sweep_tree", "nested_loops")
+
 COLUMN_READERS = [
-    pytest.param(
-        lambda a, b: run(a, b, BUDGETS["depth0"], "sweep_numpy", "rpm"), id="PBSM"
-    ),
+    pytest.param(_sequential("sweep_numpy"), id="PBSM"),
     pytest.param(
         lambda a, b: spatial_join(a, b, BUDGETS["depth0"]), id="spatial_join"
     ),
@@ -524,12 +532,24 @@ COLUMN_READERS = [
     ),
 ]
 
+#: The tuple engine reads the same checked columns.  (Its scalar
+#: ownership test has no clamp for an infinite reference point, so the
+#: infinite-extent test stays with the column readers above.)
+TUPLE_READERS = [
+    *(pytest.param(_sequential(name), id=f"PBSM-{name}") for name in TUPLE_INTERNALS),
+    *(
+        pytest.param(_parallel("simulated", name), id=f"parallel-simulated-{name}")
+        for name in TUPLE_INTERNALS
+    ),
+]
+
+
 NAN = float("nan")
 INF = float("inf")
 
 
-@pytest.mark.parametrize("join", COLUMN_READERS)
 class TestBadRowsRejected:
+    @pytest.mark.parametrize("join", COLUMN_READERS + TUPLE_READERS)
     @pytest.mark.parametrize(
         "bad",
         [
@@ -552,6 +572,7 @@ class TestBadRowsRejected:
         with pytest.raises(ValueError, match=message.replace("left", "right")):
             join(right, left)
 
+    @pytest.mark.parametrize("join", COLUMN_READERS)
     def test_infinite_extents_still_join(self, join):
         left, right = workload("uniform")
         left = list(left)

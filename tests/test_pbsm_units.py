@@ -1,5 +1,6 @@
 """Unit tests for PBSM's estimator, partitioner, repartitioning and dedup."""
 
+import numpy as np
 import pytest
 
 from repro.core.rect import KPE, SIZEOF_KPE
@@ -12,7 +13,8 @@ from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
-from repro.pbsm.repartition import choose_split, compose_region_test, split_partition
+from repro.kernels.columnar import ColumnarRelation
+from repro.pbsm.repartition import choose_split, compose_region_test, split_partition_ids
 
 from tests.conftest import random_kpes
 
@@ -105,28 +107,38 @@ class TestChooseSplit:
         assert k >= 2
 
 
-class TestSplitPartition:
+def id_source(disk, kpes):
+    """A partition file of row ids into *kpes*'s columns, as the drivers write it."""
+    source = PageFile(disk, SIZEOF_KPE, "src")
+    source.records = np.arange(len(kpes), dtype=np.int64)
+    return source, ColumnarRelation.from_kpes(kpes)
+
+
+class TestSplitPartitionIds:
     def test_split_preserves_records_with_replication(self):
         disk = SimulatedDisk(CostModel(page_size=200))
-        source = PageFile(disk, SIZEOF_KPE, "src")
         kpes = random_kpes(80, 9, max_edge=0.1)
-        source.records.extend(kpes)
+        source, columns = id_source(disk, kpes)
         counters = CpuCounters()
-        files, subgrid = split_partition(
-            source, 4, UNIT, disk, counters, 4, "hash", "sub"
+        files, subgrid = split_partition_ids(
+            source, columns, 4, UNIT, disk, counters, 4, "hash", "sub"
         )
-        stored = {k[0] for f in files for k in f.records}
+        stored = {int(columns.oid[i]) for f in files for i in f.records}
         assert stored == {k.oid for k in kpes}
+        # Every record once per distinct sub-partition its rectangle meets.
+        assert sum(f.n_records for f in files) == sum(
+            len(subgrid.partitions_for_rect(k)) for k in kpes
+        )
         assert sum(f.n_records for f in files) >= len(kpes)
         # source must remain intact (it may be joined against again)
-        assert source.n_records == len(kpes)
+        assert source.records.tolist() == list(range(len(kpes)))
 
     def test_split_charges_read_and_writes(self):
         disk = SimulatedDisk(CostModel(page_size=200))
-        source = PageFile(disk, SIZEOF_KPE, "src")
-        source.records.extend(random_kpes(50, 10))
-        disk.reset()
-        split_partition(source, 2, UNIT, disk, CpuCounters(), 4, "hash", "sub")
+        source, columns = id_source(disk, random_kpes(50, 10))
+        split_partition_ids(
+            source, columns, 2, UNIT, disk, CpuCounters(), 4, "hash", "sub"
+        )
         total = disk.total_counters()
         assert total.pages_read > 0
         assert total.pages_written > 0

@@ -17,7 +17,6 @@ import repro.kernels.assign
 import repro.kernels.columnar
 import repro.kernels.sweep
 import repro.pbsm.join
-import repro.pbsm.parallel
 from repro import PBSM
 from repro.core.space import Space
 from repro.datasets.fileio import load_relation, save_relation
@@ -120,19 +119,19 @@ def orders(monkeypatch):
 def leaves(monkeypatch, orders):
     """Per ``columnar_leaf`` call: the ``xl_order`` calls it made."""
     per_leaf = []
-    for module in (repro.pbsm.join, repro.pbsm.parallel):
-        leaf = module.columnar_leaf
+    # ``join_leaf`` is the one caller, for both drivers.
+    leaf = repro.pbsm.join.columnar_leaf
 
-        def spying(a, b, *args, _leaf=leaf):
-            for side in (a, b):
-                assert side.sorted_by_xl
-                assert np.all(side.xl[:-1] <= side.xl[1:])
-            before = len(orders)
-            out = _leaf(a, b, *args)
-            per_leaf.append(len(orders) - before)
-            return out
+    def spying(a, b, *args):
+        for side in (a, b):
+            assert side.sorted_by_xl
+            assert np.all(side.xl[:-1] <= side.xl[1:])
+        before = len(orders)
+        out = leaf(a, b, *args)
+        per_leaf.append(len(orders) - before)
+        return out
 
-        monkeypatch.setattr(module, "columnar_leaf", spying)
+    monkeypatch.setattr(repro.pbsm.join, "columnar_leaf", spying)
     return per_leaf
 
 

@@ -144,8 +144,8 @@ class JoinResult:
     filter step operates purely on KPEs.
 
     A result is backed by one of two forms.  Every driver that produces
-    tuples hands its list to the constructor.  The columnar parallel
-    driver hands over the two int64 oid buffers its workers produced
+    tuples hands its list to the constructor.  The parallel driver
+    hands over the two int64 oid buffers its leaves produced
     (:meth:`from_arrays`, in merge order) and no tuple exists until a
     caller asks for one: ``len(result)`` and :meth:`to_arrays` read the
     buffers, and the first access to ``pairs`` decodes them into a real

@@ -66,6 +66,26 @@ def point_partitions(grid: TileGrid, x: Any, y: Any) -> Any:
     return tile_partitions(grid, tx, ty)
 
 
+def owned_mask(
+    a: ColumnarRelation,
+    b: ColumnarRelation,
+    a_idx: Any,
+    b_idx: Any,
+    regions: Sequence[Tuple[TileGrid, int]],
+) -> Any:
+    """RPM's one ownership test, for both PBSM engines: which detected
+    pairs ``(a[a_idx[i]], b[b_idx[i]])`` have their reference point
+    ``(max xl, min yh)`` in partition ``pid`` of ``grid`` for *every*
+    ``(grid, pid)`` of the non-empty *regions* chain (Section 3.2.3)."""
+    ref_x = np.maximum(a.xl[a_idx], b.xl[b_idx])
+    ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
+    mask = None
+    for grid, pid in regions:
+        owned = point_partitions(grid, ref_x, ref_y) == pid
+        mask = owned if mask is None else mask & owned
+    return mask
+
+
 def _owned_scan(
     a_cols: ColumnarRelation,
     b_cols: ColumnarRelation,
@@ -77,9 +97,8 @@ def _owned_scan(
 
     The one loop behind :func:`rpm_join_ids` and :func:`region_join_ids`:
     returns ``(rid, sid, detected, suppressed)``.  A detected pair is
-    kept iff its reference point ``(max xl, min yh)`` lies in partition
-    ``pid`` of ``grid`` for *every* ``(grid, pid)`` of *regions*; an
-    empty chain keeps everything.  The test runs once per
+    kept iff *regions* owns it (:func:`owned_mask`); an empty chain
+    keeps everything.  The test runs once per
     ``OWNERSHIP_BATCH_PAIRS`` detections, not once per scan batch.
     Charges the sorts and the scan, never the test: the two callers
     price that differently.
@@ -104,17 +123,12 @@ def _owned_scan(
     batches = forward_scan_batches(a, b, counters, batch_candidates)
     for a_idx, b_idx in _coalesced(batches, OWNERSHIP_BATCH_PAIRS):
         detected += int(a_idx.shape[0])
+        if regions:
+            mask = owned_mask(a, b, a_idx, b_idx, regions)
+            a_idx = a_idx[mask]
+            b_idx = b_idx[mask]
         rid = a.oid[a_idx]
         sid = b.oid[b_idx]
-        if regions:
-            ref_x = np.maximum(a.xl[a_idx], b.xl[b_idx])
-            ref_y = np.minimum(a.yh[a_idx], b.yh[b_idx])
-            mask = None
-            for grid, pid in regions:
-                owned = point_partitions(grid, ref_x, ref_y) == pid
-                mask = owned if mask is None else mask & owned
-            rid = rid[mask]
-            sid = sid[mask]
         kept += int(rid.shape[0])
         rids.append(rid)
         sids.append(sid)
@@ -204,6 +218,7 @@ def region_join_ids(
 
 __all__ = [
     "BATCH_OPS_PER_RPM_TEST",
+    "owned_mask",
     "point_partitions",
     "point_tiles",
     "region_join_ids",

@@ -11,7 +11,7 @@ from repro.pbsm.parallel import (
     reset_clamp_warnings,
 )
 from repro.pbsm.partitioner import partition_csr, partition_relation
-from repro.pbsm.repartition import choose_split, compose_region_test
+from repro.pbsm.repartition import choose_split
 
 __all__ = [
     "DEDUP_MODES",
@@ -21,7 +21,6 @@ __all__ = [
     "TILE_MAPPINGS",
     "TileGrid",
     "choose_split",
-    "compose_region_test",
     "estimate_partitions",
     "lpt_schedule",
     "partition_csr",

@@ -22,13 +22,14 @@ difference.
 :meth:`PBSM._join_leaves` is the one PBSM pipeline.  Both engines read
 the inputs' five columns (already there for mapped inputs, built once
 and validated otherwise) for the extent, the partitioning and every
-repartitioning step, and their partition files hold row ids.  A leaf
-(:func:`join_leaf`) ends in the *tuple* engine's :func:`tuple_leaf` (any
-internal but ``sweep_numpy``; the paper's subject), over the input's own
-records gathered by id, or in the *columnar* engine's
-:func:`columnar_leaf` (``internal="sweep_numpy"``, what
-:func:`repro.spatial_join` runs by default), whose row positions become
-oid tuples with one gather per side — ``docs/kernels.md``, "Columnar
+repartitioning step, and their partition files hold row ids.  The engine
+is only the kernel a leaf (:func:`join_leaf`) runs: the *tuple* engine's
+:func:`tuple_leaf` (any internal but ``sweep_numpy``; the paper's
+subject) over records gathered from the columns, or the *columnar*
+engine's :func:`columnar_leaf` (``internal="sweep_numpy"``, what
+:func:`repro.spatial_join` runs by default).  Both return row positions
+after one batched ownership test, which the driver turns into oid tuples
+with one gather per side — ``docs/kernels.md``, "Columnar
 sequential driver".  :class:`~repro.pbsm.parallel.ParallelPBSM` is this
 pipeline with repartitioning off, its leaves optionally run on a process
 pool.
@@ -50,6 +51,8 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.phases import (
     PHASE_DEDUP,
     PHASE_JOIN,
@@ -65,35 +68,30 @@ from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.assign import partition_memoized
 from repro.kernels.columnar import ColumnarRelation, checked_columns
-from repro.kernels.rpm import region_join_ids, rpm_join_ids
+from repro.kernels.rpm import owned_mask, region_join_ids, rpm_join_ids
 from repro.kernels.sweep import _charge_batch_sort
 from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
-from repro.pbsm.repartition import (
-    MAX_REPARTITION_DEPTH,
-    choose_split,
-    compose_region_test,
-    split_partition_ids,
-)
+from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split, split_partition_ids
 
 DEDUP_MODES = ("rpm", "sort", "none")
 
 #: The region a partition pair owns, as a chain of ``(grid, pid)``
 #: ownership tests: one entry for a top-level partition (the union of its
 #: tiles), one more per repartitioning step — parent region AND
-#: sub-region.  The tuple engine folds it into a scalar predicate, the
-#: columnar engine ANDs it over whole batches of reference points.
+#: sub-region.  Both engines AND it over whole batches of reference
+#: points (:func:`~repro.kernels.rpm.owned_mask`).
 Region = Tuple[Tuple[TileGrid, int], ...]
 
 #: A leaf the recursion hands out: ``(file_left, file_right, region)``.
 Leaf = Tuple[PageFile, PageFile, Region]
 
 #: ``(pairs, suppressed, counters, wall_seconds)`` — one joined leaf: what
-#: :func:`join_leaf` returned, and the leaf's own counters and wall time,
-#: measured where it ran.
+#: :func:`join_leaf` returned (*pairs* is ``(rid, sid)``), and the leaf's
+#: own counters and wall time, measured where it ran.
 LeafOutcome = Tuple[Any, int, CpuCounters, float]
 
 
@@ -225,13 +223,10 @@ class PBSM:
             return
 
         columns = _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
-        # The columnar leaf's inputs arrive xl-sorted (one order per input,
-        # here); the tuple leaf gathers the input's own records, in input
-        # order.
+        # The columnar leaf's id runs arrive xl-sorted, the tuple leaf's
+        # in input order.
         columnar = columnar_engine(self.internal_name)
-        source = (columns.left, columns.right) if columnar else (left, right)
-        # The tuple leaf's pairs are oid tuples already.
-        output = self._decode(columns) if columnar else _as_is
+        output = self._decode(columns)
 
         kpe_bytes = self.cost_model.kpe_bytes
         space = Space.of(columns.left, columns.right)
@@ -298,7 +293,7 @@ class PBSM:
                     pending, space, columns, disk, cpu[PHASE_REPARTITION], stats
                 )
                 for (file_left, file_right, _), outcome in self._run_leaves(
-                    leaves, source, columns, disk, stats
+                    leaves, columns, disk, stats
                 ):
                     pairs, suppressed, counters, wall = outcome
                     join_cpu.add(counters)
@@ -410,16 +405,13 @@ class PBSM:
     def _run_leaves(
         self,
         leaves: Iterable[Leaf],
-        source: Tuple[Any, Any],
         columns: "_Columns",
         disk: SimulatedDisk,
         stats: JoinStats,
     ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
         """Join each leaf in this process as the recursion hands it out.
 
-        *source* is what :func:`join_leaf` gathers from (the columns for
-        the columnar engine, the inputs for the tuple engine).  Every
-        leaf gets a ``task`` span when the tracer records.
+        Every leaf gets a ``task`` span when the tracer records.
         """
         tracer = self.tracer
         for leaf in leaves:
@@ -428,8 +420,8 @@ class PBSM:
             started = time.perf_counter()
             counters = CpuCounters()
             pairs, suppressed = join_leaf(
-                self.internal_name, *source, l_ids, r_ids, region, self.dedup,
-                counters,
+                self.internal_name, columns.left, columns.right, l_ids, r_ids,
+                region, self.dedup, counters,
             )
             wall = time.perf_counter() - started
             if tracer.recording:
@@ -440,8 +432,8 @@ class PBSM:
             yield leaf, (pairs, suppressed, counters, wall)
 
     def _decode(self, columns: "_Columns") -> Callable[[Any], Iterable[Tuple[int, int]]]:
-        """How a columnar leaf's row positions leave :meth:`_join_leaves`:
-        as oid tuples, through the inputs' own oid objects, one gather per
+        """How a leaf's row positions leave :meth:`_join_leaves`: as oid
+        tuples, through the inputs' own oid objects, one gather per
         side."""
         left_oids = _oid_objects(columns.left)
         right_oids = _oid_objects(columns.right)
@@ -485,10 +477,6 @@ class _Columns(NamedTuple):
     right: ColumnarRelation
 
 
-def _as_is(pairs: Any) -> Any:
-    return pairs
-
-
 def _oid_objects(cols: ColumnarRelation) -> Any:
     """Every record's oid object in row order: the tuples' own where the
     columns were read from tuples, else boxed once (a columnar input has
@@ -513,134 +501,108 @@ def read_leaf(disk: SimulatedDisk, file_left: PageFile, file_right: PageFile) ->
 
 def join_leaf(
     internal_name: str,
-    left: Any,
-    right: Any,
+    left: ColumnarRelation,
+    right: ColumnarRelation,
     l_ids: Any,
     r_ids: Any,
     region: Region,
     dedup: str,
     cpu: CpuCounters,
-) -> Tuple[Any, int]:
+) -> Tuple[Tuple[Any, Any], int]:
     """Join rows *l_ids* of *left* with rows *r_ids* of *right*: one leaf.
 
     The one place a leaf picks its engine, in this process and in a pool
-    worker alike.  ``sweep_numpy`` runs :func:`columnar_leaf` over the
-    rows of two :class:`ColumnarRelation` (the ids are in ``xl`` order:
-    ``partition_ids(..., by_xl=True)``) and returns ``((rid, sid),
-    suppressed)`` — int64 row *positions*, not oids.  Every other
-    internal runs :func:`tuple_leaf` over the rows' records and returns
-    ``(pairs, suppressed)``, a list of oid tuples.
+    worker alike: ``sweep_numpy`` runs :func:`columnar_leaf`, every other
+    internal :func:`tuple_leaf`.  Both take the same inputs and return
+    the same ``((rid, sid), suppressed)``: int64 row *positions* into
+    *left* and *right*, not oids, which the driver decodes.
     """
     if columnar_engine(internal_name):
-        rid, sid, suppressed = columnar_leaf(
-            left.rows(l_ids, sorted_by_xl=True),
-            right.rows(r_ids, sorted_by_xl=True),
-            region, dedup, cpu,
-        )
-        return (rid, sid), suppressed
+        return columnar_leaf(left, right, l_ids, r_ids, region, dedup, cpu)
     return tuple_leaf(
-        _leaf_records(left, l_ids),
-        _leaf_records(right, r_ids),
-        region, dedup, internal_algorithm(internal_name), cpu,
+        left, right, l_ids, r_ids, region, dedup,
+        internal_algorithm(internal_name), cpu,
     )
 
 
-def _leaf_records(rel: Any, ids: Any) -> List[Tuple]:
-    """Rows *ids* of *rel* as records, in id order, for the tuple leaf."""
-    if isinstance(rel, ColumnarRelation):
-        # Columns without tuples (a pool worker's segment): the KPE round trip.
-        return rel.take(ids).to_kpes()
-    # The input sequence: its own tuple objects.
-    return [rel[i] for i in ids.tolist()]
+def _leaf_records(cols: ColumnarRelation, ids: Any) -> List[Tuple]:
+    """Rows *ids* of *cols* as ``(oid, xl, yl, xh, yh, row)`` records, in
+    id order: the internals read a KPE's five fields, the sixth is where
+    the record came from."""
+    fields = (cols.oid, cols.xl, cols.yl, cols.xh, cols.yh)
+    return list(zip(*(field[ids].tolist() for field in fields), ids.tolist()))
 
 
 def tuple_leaf(
-    records_left: Sequence[Tuple],
-    records_right: Sequence[Tuple],
+    left: ColumnarRelation,
+    right: ColumnarRelation,
+    l_ids: Any,
+    r_ids: Any,
     region: Region,
     dedup: str,
     internal: Callable[..., None],
     cpu: CpuCounters,
-) -> Tuple[List[Tuple[int, int]], int]:
-    """The tuple engine's leaf: any internal algorithm, scalar dedup.
+) -> Tuple[Tuple[Any, Any], int]:
+    """The tuple engine's leaf: any internal algorithm over records.
 
-    Joins one partition pair's records under the ownership *region* and
-    returns ``(pairs, duplicates_suppressed)``; the test-free modes
-    (``"sort"``, ``"none"``) return every candidate.
+    The internal's ``emit`` only collects the candidates' rows; under
+    RPM one batched test (:func:`~repro.kernels.rpm.owned_mask`) then
+    keeps the pairs *region* owns, charged one ``refpoint_tests`` per
+    candidate.  The test-free modes (``"sort"``, ``"none"``) return every
+    candidate.  Returns ``((rid, sid), suppressed)`` like
+    :func:`columnar_leaf`, pairs in the internal's emit order.
     """
-    results: List[Tuple[int, int]] = []
-    refpoint_tests = 0
-    suppressed = 0
-    if dedup == "rpm":
-        owns = _region_test(region)
+    rids: List[int] = []
+    sids: List[int] = []
 
-        def emit(r: Tuple, s: Tuple) -> None:
-            nonlocal refpoint_tests, suppressed
-            refpoint_tests += 1
-            rx = r[1]
-            sx = s[1]
-            ry = r[4]
-            sy = s[4]
-            x = rx if rx >= sx else sx
-            y = ry if ry <= sy else sy
-            if owns(x, y):
-                results.append((r[0], s[0]))
-            else:
-                suppressed += 1
+    def emit(r: Tuple, s: Tuple) -> None:
+        rids.append(r[5])
+        sids.append(s[5])
 
-    else:  # "sort"/"none": every candidate, duplicates included
-
-        def emit(r: Tuple, s: Tuple) -> None:
-            results.append((r[0], s[0]))
-
-    internal(records_left, records_right, emit, cpu)
-    cpu.refpoint_tests += refpoint_tests
-    return results, suppressed
+    internal(_leaf_records(left, l_ids), _leaf_records(right, r_ids), emit, cpu)
+    rid = np.array(rids, dtype=np.int64)
+    sid = np.array(sids, dtype=np.int64)
+    if dedup != "rpm":
+        return (rid, sid), 0
+    cpu.refpoint_tests += len(rids)
+    owned = owned_mask(left, right, rid, sid, region)
+    return (rid[owned], sid[owned]), len(rids) - int(owned.sum())
 
 
 def columnar_leaf(
-    a: ColumnarRelation,
-    b: ColumnarRelation,
+    left: ColumnarRelation,
+    right: ColumnarRelation,
+    l_ids: Any,
+    r_ids: Any,
     region: Region,
     dedup: str,
     cpu: CpuCounters,
-) -> Tuple[Any, Any, int]:
+) -> Tuple[Tuple[Any, Any], int]:
     """The columnar engine's leaf: one id-pair kernel per partition pair.
 
     RPM under a top-level region (one grid's tiles) runs
     :func:`~repro.kernels.rpm.rpm_join_ids`; a composed region (and the
     test-free ``"none"``/``"sort"`` modes) runs the forward scan with the
-    ownership chain ANDed over each batch.  Returns
-    ``(rid, sid, suppressed)``: int64 arrays of whatever the gathered
-    ``oid`` columns hold.
+    ownership chain ANDed over each batch.
 
-    :func:`join_leaf` hands it rows already in ``xl`` order (flagged
-    ``sorted_by_xl``: ``partition_ids(..., by_xl=True)``), so no kernel
-    sorts here.  The paper sorts every partition pair, and its simulated
-    seconds are this engine's currency too, so a sort per arriving-sorted
-    side is still charged — what the kernel's own sort charged.
+    The id runs arrive in ``xl`` order (``partition_ids(..., by_xl=True)``),
+    so the gathered rows are flagged ``sorted_by_xl`` and no kernel sorts
+    here.  The paper sorts every partition pair, and its simulated
+    seconds are this engine's currency too, so a sort per side is still
+    charged — what the kernel's own sort charged.
     """
-    for side in (a, b):
-        if side.sorted_by_xl:
-            _charge_batch_sort(cpu, side.n)
-    tested = dedup == "rpm"
-    if tested and len(region) == 1:
+    a = left.rows(l_ids, sorted_by_xl=True)
+    b = right.rows(r_ids, sorted_by_xl=True)
+    _charge_batch_sort(cpu, a.n)
+    _charge_batch_sort(cpu, b.n)
+    if dedup == "rpm" and len(region) == 1:
         grid, pid = region[0]
-        return rpm_join_ids(a, b, grid, pid, cpu)
-    return region_join_ids(a, b, region if tested else (), cpu)
-
-
-def _region_test(region: Region) -> Callable[[float, float], bool]:
-    """The scalar predicate of an ownership chain (tuple engine's form)."""
-    (grid, pid), *sub_regions = region
-
-    def top(x: float, y: float) -> bool:
-        return grid.partition_of_point(x, y) == pid
-
-    owns: Callable[[float, float], bool] = top
-    for subgrid, sub_pid in sub_regions:
-        owns = compose_region_test(owns, subgrid, sub_pid)
-    return owns
+        rid, sid, suppressed = rpm_join_ids(a, b, grid, pid, cpu)
+    else:
+        rid, sid, suppressed = region_join_ids(
+            a, b, region if dedup == "rpm" else (), cpu
+        )
+    return (rid, sid), suppressed
 
 
 def pbsm_join(

@@ -51,9 +51,9 @@ attach by name, and gets each task's ``(rid, sid)`` buffers back through
 a worker-created segment: only task tuples, the query's configuration
 and manifests cross the pipe.  The driver never boxes a pair: the result
 is :meth:`~repro.core.result.JoinResult.from_arrays` over buffers merged
-in ``pid`` order (only the tuple leaf run in this process returns, and
-keeps, a list).  Where the segment cannot exist (no POSIX shared memory,
-or ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process
+in ``pid`` order, whichever engine and executor ran the leaves.  Where
+the segment cannot exist (no POSIX shared memory, or
+``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process
 loop, with byte-identical output, one ``RuntimeWarning`` per process,
 and ``stats.executor`` reporting ``"simulated"``.
 
@@ -89,7 +89,7 @@ from typing import (
 import numpy as np
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
-from repro.core.result import JoinResult, JoinStats, pair_columns
+from repro.core.result import JoinResult, JoinStats
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
@@ -101,14 +101,7 @@ from repro.kernels.shm import (
 )
 from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.join import (
-    PBSM,
-    Leaf,
-    LeafOutcome,
-    columnar_engine,
-    join_leaf,
-    read_leaf,
-)
+from repro.pbsm.join import PBSM, Leaf, LeafOutcome, join_leaf, read_leaf
 
 EXECUTORS = ("simulated", "process")
 
@@ -212,13 +205,10 @@ def _chunk_blob(
     for pid, l_lo, l_hi, r_lo, r_hi in tasks:
         task_started = time.perf_counter()
         counters = CpuCounters()
-        pairs, suppressed = join_leaf(
+        (rid, sid), suppressed = join_leaf(
             internal_name, left, right, l_ids[l_lo:l_hi], r_ids[r_lo:r_hi],
             ((grid, pid),), "rpm", counters,
         )
-        # The segment holds int64 buffers only: the columnar leaf's row
-        # positions as they are, the tuple leaf's oid tuples unboxed.
-        rid, sid = pairs if columnar_engine(internal_name) else pair_columns(pairs)
         out_arrays[f"{pid}.rid"] = rid
         out_arrays[f"{pid}.sid"] = sid
         metas.append(
@@ -538,10 +528,9 @@ class ParallelPBSM(PBSM):
     executors produce identical result pairs in identical order and
     report the same simulated costs.
 
-    The result of the columnar engine (``sweep_numpy``), and
-    of any internal run on a process pool, is backed by the two int64 oid
-    buffers the tasks produced, merged in ``pid`` order and never boxed
-    by the driver: ``len(result)`` and ``result.to_arrays()`` read them,
+    The result is backed by the two int64 oid buffers the tasks
+    produced, merged in ``pid`` order and never boxed by the driver:
+    ``len(result)`` and ``result.to_arrays()`` read them,
     ``result.pairs`` decodes them into a list on first access.
 
     Duplicates are always handled by the Reference Point Method (there
@@ -620,17 +609,15 @@ class ParallelPBSM(PBSM):
             n_right=len(right),
             n_workers=self.workers,
         )
+        # Every leaf's output is two oid buffers, merged without boxing a
+        # pair; *empty* covers a run without leaves.
         outputs = list(self._join_leaves(left, right, stats))
-        # Only the tuple leaf run in this process hands back lists; every
-        # other output is two oid buffers, merged without boxing a pair.
-        if outputs and (columnar_engine(self.internal_name) or executor == "process"):
-            result = JoinResult.from_arrays(
-                np.concatenate([o[0] for o in outputs], dtype=np.int64),
-                np.concatenate([o[1] for o in outputs], dtype=np.int64),
-                stats,
-            )
-        else:
-            result = JoinResult([pair for o in outputs for pair in o], stats)
+        empty = np.empty(0, dtype=np.int64)
+        result = JoinResult.from_arrays(
+            np.concatenate([empty, *(o[0] for o in outputs)]),
+            np.concatenate([empty, *(o[1] for o in outputs)]),
+            stats,
+        )
         stats.n_results = len(result)
         return result
 
@@ -642,20 +629,19 @@ class ParallelPBSM(PBSM):
     # PBSM's pipeline, configured
     # ------------------------------------------------------------------
     def _decode(self, columns: Any) -> Callable[[Any], Any]:
-        """A columnar task's row positions as its two int64 oid buffers."""
+        """A leaf's row positions as its two int64 oid buffers."""
         left_oids, right_oids = columns.left.oid, columns.right.oid
         return lambda pairs: (left_oids[pairs[0]], right_oids[pairs[1]])
 
     def _run_leaves(
         self,
         leaves: Iterable[Leaf],
-        source: Tuple[Any, Any],
         columns: Any,
         disk: SimulatedDisk,
         stats: JoinStats,
     ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
         if stats.executor != "process":
-            return super()._run_leaves(leaves, source, columns, disk, stats)
+            return super()._run_leaves(leaves, columns, disk, stats)
         return self._execute_process(list(leaves), columns, disk, stats)
 
     def _finalize_stats(

@@ -12,7 +12,7 @@ Reference-Point region test (parent region AND sub-region) suppresses.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Tuple
+from typing import Any, List, Tuple
 
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
@@ -91,15 +91,3 @@ def split_partition_ids(
         file.records = ids[file.records]
     return files, subgrid
 
-
-def compose_region_test(
-    parent: Callable[[float, float], bool],
-    subgrid: TileGrid,
-    sub_pid: int,
-) -> Callable[[float, float], bool]:
-    """Region predicate for a sub-partition: inside parent AND sub-region."""
-
-    def owns(x: float, y: float) -> bool:
-        return parent(x, y) and subgrid.partition_of_point(x, y) == sub_pid
-
-    return owns

@@ -16,10 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.rect import KPE, intersects
+from repro.core.refpoint import reference_point
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
-from repro.internal.sweep_list import sweep_list_join
 from repro.kernels.columnar import ColumnarRelation
 import repro.kernels.rpm as rpm_module
 from repro.kernels.assign import tile_ranges
@@ -27,7 +27,6 @@ from repro.kernels.rpm import point_tiles, rpm_join_ids, tile_partitions
 from repro.kernels.sweep import STRIPE_MIN_RECORDS
 from repro.kernels.twolayer import twolayer_join_ids
 from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
-from repro.pbsm.join import tuple_leaf
 
 from tests.conftest import random_kpes
 
@@ -155,10 +154,15 @@ def batched(join_ids, left, right, grid, pid):
 
 
 def scalar_rpm(left, right, grid, pid):
-    """The shared tuple leaf: list sweep + scalar RPM."""
-    return tuple_leaf(
-        left, right, ((grid, pid),), "rpm", sweep_list_join, CpuCounters()
-    )
+    """Brute force, each pair kept by the partition of its reference point
+    (the paper's scalar definitions); every other pair is suppressed."""
+    candidates = [(r, s) for r in left for s in right if intersects(r, s)]
+    pairs = [
+        (r[0], s[0])
+        for r, s in candidates
+        if grid.partition_of_point(*reference_point(r, s)) == pid
+    ]
+    return pairs, len(candidates) - len(pairs)
 
 
 def scalar_twolayer(left, right, grid, pid):

@@ -198,10 +198,9 @@ class TestShmExecutorParity:
         sim = run(2, executor="simulated", internal=internal)
         proc = run(2, internal=internal)
         assert proc.stats.executor == "process"
-        # The driver boxes no pair: oid buffers from the columnar leaf
-        # and from every pool worker, a list only from the tuple leaf
-        # run in this process.
-        assert (sim._pairs is None) == (internal == "sweep_numpy")
+        # The driver boxes no pair: every leaf returns row positions, in
+        # this process and in a pool worker, decoded into oid buffers.
+        assert sim._pairs is None
         assert proc.stats.n_results == len(proc) == len(sim.pairs)
         assert proc._pairs is None  # len() did not decode
         assert proc.pairs == sim.pairs  # same pairs, same order

@@ -314,14 +314,15 @@ ORDER_RUNS = (
 
 
 def count_leaves(monkeypatch, internal):
-    """Count the engine's leaf calls; ``sizes[i]`` is what leaf *i* returned."""
+    """Count the engine's leaf calls; ``sizes[i]`` is how many pairs leaf
+    *i* returned (both leaves return ``((rid, sid), suppressed)``)."""
     name = "columnar_leaf" if internal == "sweep_numpy" else "tuple_leaf"
     leaf = getattr(pbsm_join_module, name)
     sizes = []
 
     def counting(*args):
         out = leaf(*args)
-        sizes.append(len(out[0]))
+        sizes.append(len(out[0][0]))
         return out
 
     monkeypatch.setattr(pbsm_join_module, name, counting)
@@ -532,9 +533,8 @@ COLUMN_READERS = [
     ),
 ]
 
-#: The tuple engine reads the same checked columns.  (Its scalar
-#: ownership test has no clamp for an infinite reference point, so the
-#: infinite-extent test stays with the column readers above.)
+#: The tuple engine reads the same checked columns, and runs the same
+#: batched ownership test.
 TUPLE_READERS = [
     *(pytest.param(_sequential(name), id=f"PBSM-{name}") for name in TUPLE_INTERNALS),
     *(
@@ -572,7 +572,7 @@ class TestBadRowsRejected:
         with pytest.raises(ValueError, match=message.replace("left", "right")):
             join(right, left)
 
-    @pytest.mark.parametrize("join", COLUMN_READERS)
+    @pytest.mark.parametrize("join", COLUMN_READERS + TUPLE_READERS)
     def test_infinite_extents_still_join(self, join):
         left, right = workload("uniform")
         left = list(left)
@@ -606,6 +606,10 @@ INFINITE_JOINS = [
         lambda a, b, m: PBSM(m, internal="sweep_numpy").run(a, b), id="PBSM"
     ),
     pytest.param(lambda a, b, m: spatial_join(a, b, m), id="spatial_join"),
+    # The tuple engine's leaf under the same budgets and composed regions.
+    pytest.param(
+        lambda a, b, m: PBSM(m, internal="sweep_list").run(a, b), id="PBSM-sweep_list"
+    ),
     pytest.param(
         lambda a, b, m: ParallelPBSM(
             m, 2, internal="sweep_numpy", executor="simulated"

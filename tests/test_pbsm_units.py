@@ -14,7 +14,7 @@ from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
 from repro.kernels.columnar import ColumnarRelation
-from repro.pbsm.repartition import choose_split, compose_region_test, split_partition_ids
+from repro.pbsm.repartition import choose_split, split_partition_ids
 
 from tests.conftest import random_kpes
 
@@ -142,24 +142,6 @@ class TestSplitPartitionIds:
         total = disk.total_counters()
         assert total.pages_read > 0
         assert total.pages_written > 0
-
-
-class TestComposeRegionTest:
-    def test_conjunction(self):
-        grid = TileGrid(UNIT, 4, 4, 4)
-        parent_hits = []
-
-        def parent(x, y):
-            parent_hits.append((x, y))
-            return x < 0.5
-
-        pid = grid.partition_of_point(0.2, 0.2)
-        owns = compose_region_test(parent, grid, pid)
-        assert owns(0.2, 0.2)
-        assert not owns(0.9, 0.2)  # fails parent
-        other_pid = (pid + 1) % 4
-        owns_other = compose_region_test(parent, grid, other_pid)
-        assert not owns_other(0.2, 0.2)  # fails subgrid
 
 
 class TestSortBasedDedup:

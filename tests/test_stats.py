@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import S3J, SSSJ, ParallelPBSM, RTreeJoin, SpatialHashJoin
+from repro import PBSM, S3J, SSSJ, RTreeJoin, SpatialHashJoin
 from repro.core.result import JoinResult, JoinStats, empty_result, pair_columns
 from repro.core.stats import CpuCounters
 from repro.verify import VerificationError, verify_result
@@ -156,7 +156,7 @@ class TestListBackedToArrays:
             SSSJ(4096),
             SpatialHashJoin(4096),
             RTreeJoin(4096),
-            ParallelPBSM(4096, 2, internal="sweep_trie"),
+            PBSM(4096, internal="sweep_trie"),
         ],
         ids=lambda driver: type(driver).__name__,
     )

@@ -122,12 +122,12 @@ def leaves(monkeypatch, orders):
     # ``join_leaf`` is the one caller, for both drivers.
     leaf = repro.pbsm.join.columnar_leaf
 
-    def spying(a, b, *args):
-        for side in (a, b):
-            assert side.sorted_by_xl
-            assert np.all(side.xl[:-1] <= side.xl[1:])
+    def spying(left, right, l_ids, r_ids, *args):
+        for cols, ids in ((left, l_ids), (right, r_ids)):
+            xl = cols.xl[ids]
+            assert np.all(xl[:-1] <= xl[1:])
         before = len(orders)
-        out = leaf(a, b, *args)
+        out = leaf(left, right, l_ids, r_ids, *args)
         per_leaf.append(len(orders) - before)
         return out
 

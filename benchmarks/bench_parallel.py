@@ -9,48 +9,14 @@ sequential partitioning phase and the largest single partition.
 
 import pytest
 
-from repro.core.phases import PHASE_PARTITION
-from repro.bench.render import ExperimentResult
-from repro.bench.workloads import la_join, memory_for_fraction
-from repro.pbsm.parallel import ParallelPBSM
+from repro.bench.experiments import run_ablation_parallel
 
 from benchmarks.conftest import column, record
 
 
-def run_parallel_speedup() -> ExperimentResult:
-    left, right = la_join("J2")
-    memory = memory_for_fraction(left, right, 0.1)
-    base = None
-    rows = []
-    for workers in (1, 2, 4, 8, 16):
-        result = ParallelPBSM(memory, workers=workers).run(left, right)
-        total = sum(result.stats.sim_seconds_by_phase.values())
-        if base is None:
-            base = total
-        rows.append(
-            (
-                workers,
-                round(total, 2),
-                round(base / total, 2),
-                round(result.stats.sim_seconds_by_phase[PHASE_PARTITION], 2),
-                result.stats.n_results,
-            )
-        )
-    return ExperimentResult(
-        exp_id="Ablation A7",
-        title="Parallel PBSM speedup over simulated workers (J2)",
-        columns=["workers", "total_sec", "speedup", "partition_sec", "results"],
-        rows=rows,
-        paper_claim=(
-            "partition pairs are independent under RPM; speedup bounded by "
-            "the sequential partitioning phase (Amdahl)"
-        ),
-    )
-
-
 @pytest.mark.benchmark(group="ablations")
 def test_parallel_speedup(benchmark):
-    result = benchmark.pedantic(run_parallel_speedup, rounds=1, iterations=1)
+    result = benchmark.pedantic(run_ablation_parallel, rounds=1, iterations=1)
     record("ablation_parallel", result)
     speedups = column(result, "speedup")
     totals = column(result, "total_sec")

@@ -55,9 +55,7 @@ def point_tiles(grid: TileGrid, x: Any, y: Any) -> Tuple[Any, Any]:
 
 def tile_partitions(grid: TileGrid, tx: Any, ty: Any) -> Any:
     """Vectorized ``TileGrid.partition_of_tile`` over tile-index arrays."""
-    if grid.mapping == "hash":
-        return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions
-    return (ty * grid.nx + tx) % grid.n_partitions
+    return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions
 
 
 def point_partitions(grid: TileGrid, x: Any, y: Any) -> Any:
@@ -199,7 +197,7 @@ def region_join_ids(
     recursion (Section 3.2.3): *regions* is that chain of
     ``(grid, pid)`` ownership tests, ANDed over each forward-scan batch
     so the pair never leaves numpy.  An empty chain is the no-test leaf
-    of ``dedup="none"``/``"sort"``.  Returns
+    of ``dedup="sort"``.  Returns
     ``(rid, sid, suppressed)`` like :func:`rpm_join_ids`, pairs in batch
     order.
 

@@ -2,7 +2,7 @@
 
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
-from repro.pbsm.grid import TILE_MAPPINGS, TileGrid
+from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import DEDUP_MODES, PBSM, pbsm_join
 from repro.pbsm.parallel import (
     EXECUTORS,
@@ -18,7 +18,6 @@ __all__ = [
     "EXECUTORS",
     "PBSM",
     "ParallelPBSM",
-    "TILE_MAPPINGS",
     "TileGrid",
     "choose_split",
     "estimate_partitions",

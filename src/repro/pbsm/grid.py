@@ -1,14 +1,15 @@
-"""PBSM's equidistant tile grid and tile-to-partition mapping.
+"""PBSM's equidistant tile grid and its tile-to-partition hash.
 
 PBSM overlays the data space with ``NT >= P`` tiles and assigns each tile
 to one of ``P`` partitions; a KPE is inserted into every partition owning a
 tile its rectangle overlaps (hence the replication).  Assigning *multiple*
-tiles to each partition — via a hash, as Patel & DeWitt suggest — spreads
-skewed data nearly uniformly over the partitions.
+tiles to each partition by a hash, as Patel & DeWitt suggest (Section
+3.1), spreads skewed data nearly uniformly over the partitions; the hash
+is the only mapping.
 
 The same grid arithmetic provides the Reference Point Method's region test:
 ``partition_of_point`` maps a point to the partition owning its (unique,
-half-open) tile.
+half-open, border-clamped) tile.
 """
 
 from __future__ import annotations
@@ -18,10 +19,7 @@ from typing import Iterator, Set, Tuple
 
 from repro.core.space import Space
 
-#: Supported tile-to-partition mappings.
-TILE_MAPPINGS = ("hash", "round_robin")
-
-#: Odd multipliers for the "hash" tile-to-partition mapping.  The scalar
+#: Odd multipliers for the tile-to-partition hash.  The scalar
 #: arithmetic here and the vectorized replay in
 #: :mod:`repro.kernels.rpm` must hash identically, so both import these.
 TILE_HASH_X = 73856093
@@ -29,9 +27,10 @@ TILE_HASH_Y = 19349663
 
 
 class TileGrid:
-    """An ``nx x ny`` equidistant grid with a tile-to-partition mapping."""
+    """An ``nx x ny`` equidistant grid whose tiles hash to ``n_partitions``
+    partitions."""
 
-    __slots__ = ("space", "nx", "ny", "n_partitions", "mapping")
+    __slots__ = ("space", "nx", "ny", "n_partitions")
 
     def __init__(
         self,
@@ -39,7 +38,6 @@ class TileGrid:
         nx: int,
         ny: int,
         n_partitions: int,
-        mapping: str = "hash",
     ) -> None:
         if nx < 1 or ny < 1:
             raise ValueError(f"grid must have at least one tile, got {nx}x{ny}")
@@ -49,15 +47,10 @@ class TileGrid:
             raise ValueError(
                 f"{nx * ny} tiles cannot cover {n_partitions} partitions (NT >= P)"
             )
-        if mapping not in TILE_MAPPINGS:
-            raise ValueError(
-                f"unknown tile mapping {mapping!r}; choose from {TILE_MAPPINGS}"
-            )
         self.space = space
         self.nx = nx
         self.ny = ny
         self.n_partitions = n_partitions
-        self.mapping = mapping
 
     @classmethod
     def for_partitions(
@@ -65,12 +58,11 @@ class TileGrid:
         space: Space,
         n_partitions: int,
         tiles_per_partition: int = 4,
-        mapping: str = "hash",
     ) -> "TileGrid":
         """Build a near-square grid with ``NT ~= P * tiles_per_partition``."""
         nt = max(n_partitions, n_partitions * tiles_per_partition)
         side = max(1, math.ceil(math.sqrt(nt)))
-        return cls(space, side, side, n_partitions, mapping)
+        return cls(space, side, side, n_partitions)
 
     @property
     def spec(self) -> Tuple:
@@ -85,38 +77,28 @@ class TileGrid:
             self.nx,
             self.ny,
             self.n_partitions,
-            self.mapping,
         )
 
     @classmethod
     def from_spec(cls, spec: Tuple) -> "TileGrid":
-        xl, yl, xh, yh, nx, ny, n_partitions, mapping = spec
-        return cls(Space(xl, yl, xh, yh), nx, ny, n_partitions, mapping)
+        xl, yl, xh, yh, nx, ny, n_partitions = spec
+        return cls(Space(xl, yl, xh, yh), nx, ny, n_partitions)
 
     # ------------------------------------------------------------------
     # tile arithmetic
     # ------------------------------------------------------------------
     def tile_of_point(self, x: float, y: float) -> Tuple[int, int]:
         """The unique (half-open, border-clamped) tile owning a point."""
-        tx = int(self.space.norm_x(x) * self.nx)
-        ty = int(self.space.norm_y(y) * self.ny)
-        if tx >= self.nx:
-            tx = self.nx - 1
-        elif tx < 0:
-            tx = 0
-        if ty >= self.ny:
-            ty = self.ny - 1
-        elif ty < 0:
-            ty = 0
-        return tx, ty
+        return (
+            _clamped_cell(self.space.norm_x(x) * self.nx, self.nx),
+            _clamped_cell(self.space.norm_y(y) * self.ny, self.ny),
+        )
 
     def partition_of_tile(self, tx: int, ty: int) -> int:
         """The partition a tile is assigned to."""
-        if self.mapping == "hash":
-            # Two odd multipliers decorrelate rows and columns so clustered
-            # tiles spread over all partitions (Patel & DeWitt's intent).
-            return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % self.n_partitions
-        return (ty * self.nx + tx) % self.n_partitions
+        # Two odd multipliers decorrelate rows and columns so clustered
+        # tiles spread over all partitions (Patel & DeWitt's intent).
+        return ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % self.n_partitions
 
     def partition_of_point(self, x: float, y: float) -> int:
         """RPM's region test: the partition owning the point's tile."""
@@ -146,3 +128,15 @@ class TileGrid:
 
     def tile_count(self) -> int:
         return self.nx * self.ny
+
+
+def _clamped_cell(scaled: float, n: int) -> int:
+    """A float position as a cell index in ``[0, n)``: the scalar
+    :func:`repro.kernels.sweep.clamped_index`, clamped before the cast.
+    A NaN (``inf / inf`` in an unbounded space) lands in cell 0, an
+    infinity on the border."""
+    if not scaled > 0.0:
+        return 0
+    if scaled >= n - 1:
+        return n - 1
+    return int(scaled)

@@ -77,7 +77,7 @@ from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split, split_partition_ids
 
-DEDUP_MODES = ("rpm", "sort", "none")
+DEDUP_MODES = ("rpm", "sort")
 
 #: The region a partition pair owns, as a chain of ``(grid, pid)``
 #: ownership tests: one entry for a top-level partition (the union of its
@@ -108,14 +108,13 @@ class PBSM:
         "sweep_trie", "nested_loops", "sweep_tree" (the tuple engine), or
         "sweep_numpy" (the columnar engine).
     dedup:
-        "rpm" (online reference-point method), "sort" (original final
-        sorting phase), or "none" (emit duplicates — for analysis only).
+        "rpm" (online reference-point method) or "sort" (original final
+        sorting phase).
     t_factor:
         Safety factor on formula (1) (Section 3.2.3); 1.0 = original.
-    tiles_per_partition / tile_mapping:
-        Grid shape: NT ~= P * tiles_per_partition tiles, assigned to
-        partitions by "hash" (default, as suggested by Patel & DeWitt) or
-        "round_robin".
+    tiles_per_partition:
+        Grid shape: NT ~= P * tiles_per_partition tiles, hashed to
+        partitions as Patel & DeWitt suggest (:class:`TileGrid`).
     """
 
     def __init__(
@@ -126,7 +125,6 @@ class PBSM:
         dedup: str = "rpm",
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
-        tile_mapping: str = "hash",
         cost_model: Optional[CostModel] = None,
         max_repartition_depth: int = MAX_REPARTITION_DEPTH,
         tracer: Optional[Any] = None,
@@ -142,7 +140,6 @@ class PBSM:
         self.dedup = dedup
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
-        self.tile_mapping = tile_mapping
         self.cost_model = cost_model or CostModel()
         self.max_repartition_depth = max_repartition_depth
 
@@ -180,11 +177,7 @@ class PBSM:
     # execution
     # ------------------------------------------------------------------
     def _new_stats(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinStats:
-        dedup_tag = {
-            "rpm": "RPM",
-            "sort": "PD",
-            "none": "nodedup",
-        }[self.dedup]
+        dedup_tag = {"rpm": "RPM", "sort": "PD"}[self.dedup]
         return JoinStats(
             algorithm=f"PBSM({self.internal_name},{dedup_tag})",
             n_left=len(left),
@@ -236,9 +229,7 @@ class PBSM:
         # A parallel run wants at least one task per worker (a sequential
         # one has no workers).
         n_partitions = max(n_partitions, stats.n_workers)
-        grid = TileGrid.for_partitions(
-            space, n_partitions, self.tiles_per_partition, self.tile_mapping
-        )
+        grid = TileGrid.for_partitions(space, n_partitions, self.tiles_per_partition)
         stats.n_partitions = n_partitions
 
         tracer = self.tracer
@@ -385,7 +376,7 @@ class PBSM:
                     larger,
                     columns.left if left_is_larger else columns.right,
                     k, space, disk, cpu, self.tiles_per_partition,
-                    self.tile_mapping, f"{larger.name}.d{depth}",
+                    f"{larger.name}.d{depth}",
                 )
             if max(f.n_records for f in subfiles) >= larger.n_records:
                 # No progress: every record overlaps (nearly) every tile, so a
@@ -548,8 +539,7 @@ def tuple_leaf(
     The internal's ``emit`` only collects the candidates' rows; under
     RPM one batched test (:func:`~repro.kernels.rpm.owned_mask`) then
     keeps the pairs *region* owns, charged one ``refpoint_tests`` per
-    candidate.  The test-free modes (``"sort"``, ``"none"``) return every
-    candidate.  Returns ``((rid, sid), suppressed)`` like
+    candidate.  The test-free ``"sort"`` mode returns every candidate.  Returns ``((rid, sid), suppressed)`` like
     :func:`columnar_leaf`, pairs in the internal's emit order.
     """
     rids: List[int] = []
@@ -582,8 +572,8 @@ def columnar_leaf(
 
     RPM under a top-level region (one grid's tiles) runs
     :func:`~repro.kernels.rpm.rpm_join_ids`; a composed region (and the
-    test-free ``"none"``/``"sort"`` modes) runs the forward scan with the
-    ownership chain ANDed over each batch.
+    test-free ``"sort"`` mode) runs the forward scan with the ownership
+    chain ANDed over each batch.
 
     The id runs arrive in ``xl`` order (``partition_ids(..., by_xl=True)``),
     so the gathered rows are flagged ``sorted_by_xl`` and no kernel sorts

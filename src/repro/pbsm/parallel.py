@@ -551,7 +551,6 @@ class ParallelPBSM(PBSM):
         internal: str = "sweep_trie",
         executor: str = "simulated",
         t_factor: float = 1.2,
-        tiles_per_partition: int = 4,
         cost_model: Optional[CostModel] = None,
         tracer: Optional[Any] = None,
         pinned: Optional[Tuple[Manifest, Manifest]] = None,
@@ -561,7 +560,6 @@ class ParallelPBSM(PBSM):
             internal=internal,
             dedup="rpm",
             t_factor=t_factor,
-            tiles_per_partition=tiles_per_partition,
             cost_model=cost_model,
             max_repartition_depth=0,
             tracer=tracer,

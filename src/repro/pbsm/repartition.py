@@ -54,7 +54,6 @@ def split_partition_ids(
     disk: SimulatedDisk,
     counters: CpuCounters,
     tiles_per_partition: int,
-    mapping: str,
     name: str,
 ) -> Tuple[List[PageFile], TileGrid]:
     """Re-partition *source* into *k* sub-partitions with a finer grid.
@@ -76,7 +75,7 @@ def split_partition_ids(
     split it again for a later sub-pair; consuming it here would
     silently drop those pairs.
     """
-    subgrid = TileGrid.for_partitions(space, k, tiles_per_partition, mapping)
+    subgrid = TileGrid.for_partitions(space, k, tiles_per_partition)
     ids = source.read_view()
     files, _ = partition_relation(
         columns.rows(ids),

@@ -109,6 +109,11 @@ def own_shm_segments(monkeypatch):
     return segments
 
 
+#: Ends a test id in ``-hash``, the name of PBSM's tile-to-partition
+#: mapping: ids recorded while a second mapping existed keep their shape.
+HASH_ID = pytest.mark.parametrize((), [pytest.param(id="hash")])
+
+
 def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):
     """Plain-random KPEs with a plain `random.Random`."""
     rng = random.Random(seed)

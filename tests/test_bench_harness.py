@@ -142,9 +142,17 @@ RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 @pytest.mark.parametrize(
     "name",
-    # The two ablations drive the tuple engine's repartitioning along
-    # the ``t`` and tiles axes.
-    ["table2", "fig3", "fig6", "table3", "ablation_t_factor", "ablation_ntiles"],
+    # Two ablations drive the tuple engine's repartitioning along the
+    # ``t`` and tiles axes; the third, ParallelPBSM's accounting.
+    [
+        "table2",
+        "fig3",
+        "fig6",
+        "table3",
+        "ablation_t_factor",
+        "ablation_ntiles",
+        "ablation_parallel",
+    ],
 )
 def test_paper_figure_equals_the_committed_table(name):
     """Simulated costs and counters are deterministic: an engine change

@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.space import Space
-from repro.internal import brute_force_pairs
+from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
 from repro.io.costmodel import mb
-from repro.pbsm import PBSM, TileGrid
+from repro.pbsm import DEDUP_MODES, PBSM, ParallelPBSM, TileGrid
 from repro.s3j import S3J
 
 from tests.test_twolayer import assert_exactly_once
@@ -54,14 +54,22 @@ def lattice_rects(draw, start_oid=0):
 
 
 def engine_pair_sets(left, right):
-    """Every (engine, dedup) combination's pair set, labelled."""
+    """Every surviving PBSM configuration's result pairs, labelled: each
+    internal under each dedup mode, in one partition and under a budget
+    of fifteen records (several partitions, repartitioned, so ownership
+    is decided by chains of sub-regions), and the parallel driver (RPM
+    only)."""
     out = {}
-    for dedup in ("rpm", "sort"):
-        for label, internal in (("list", "sweep_list"), ("kernel", "sweep_numpy")):
-            out[f"{label}/{dedup}"] = PBSM(
-                mb(0.05), internal=internal, dedup=dedup, tiles_per_partition=16
-            ).run(left, right).pair_set()
-    out["s3j"] = S3J(mb(0.05)).run(left, right).pair_set()
+    for dedup in DEDUP_MODES:
+        for internal in INTERNAL_ALGORITHMS:
+            for budget in (mb(0.05), 300):
+                out[f"{internal}/{dedup}/{budget}"] = PBSM(
+                    budget, internal=internal, dedup=dedup, tiles_per_partition=16
+                ).run(left, right).pairs
+    out["parallel/rpm"] = ParallelPBSM(mb(0.05), 2, executor="simulated").run(
+        left, right
+    ).pairs
+    out["s3j"] = S3J(mb(0.05)).run(left, right).pairs
     return out
 
 
@@ -71,9 +79,10 @@ class TestBoundaryExactParity:
     def test_three_way_parity_on_tile_edges(self, left, right):
         left = left + SENTINELS_LEFT
         right = right + SENTINELS_RIGHT
-        truth = set(brute_force_pairs(left, right))
+        truth = sorted(brute_force_pairs(left, right))
         for name, pairs in engine_pair_sets(left, right).items():
-            assert pairs == truth, f"{name} diverges from brute force"
+            # Exactly once: brute force's pairs, none repeated.
+            assert sorted(pairs) == truth, f"{name} diverges from brute force"
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -30,6 +30,9 @@ from repro.pbsm.grid import TILE_HASH_X, TILE_HASH_Y, TileGrid
 
 from tests.conftest import random_kpes
 
+INF = float("inf")
+
+
 def run(name, left, right):
     counters = CpuCounters()
     pairs = []
@@ -120,7 +123,7 @@ def test_property_lattice_parity(pair):
 # reference points included
 # ----------------------------------------------------------------------
 def rpm_grid():
-    return TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4, mapping="hash")
+    return TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4)
 
 
 def boundary_rects(start_oid):
@@ -255,7 +258,7 @@ def assert_regrouping_is_invisible(monkeypatch, *scan_args):
 
 
 class TestOwnershipBatching:
-    SUBGRID = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 3, 3, 2, mapping="round_robin")
+    SUBGRID = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 3, 3, 2)
 
     def test_striped_scan(self, monkeypatch):
         n = STRIPE_MIN_RECORDS // 2 + 50
@@ -334,7 +337,10 @@ def adversarial_points(grid):
     Every interior tile edge, every tile corner, the space border (where
     the scalar path clamps ``tx == nx`` back to ``nx - 1``), points
     epsilon-close to an edge on either side, and points outside the space
-    entirely (both paths must clamp them to the border tiles).
+    entirely, infinitely far included (both paths must clamp them to the
+    border tiles).  Over an unbounded space the tile edges themselves are
+    ``NaN`` or infinite, and so is every scaled coordinate on the
+    unbounded axis: both paths put a ``NaN`` in tile 0.
     """
     import itertools
 
@@ -351,6 +357,8 @@ def adversarial_points(grid):
     # finite positions beyond +-2**63 tiles, which no int64 cast survives.
     xs |= {space.xl - space.width / grid.nx / 2, space.xl + 1e25, space.xl - 1e25}
     ys |= {space.yl - space.height / grid.ny / 2, space.yl + 1e25, space.yl - 1e25}
+    xs |= {-INF, INF, 0.5}
+    ys |= {-INF, INF, 0.5}
     return list(itertools.product(sorted(xs), sorted(ys)))
 
 
@@ -358,16 +366,20 @@ class TestGridKernelParity:
     """Pin ``point_tiles``/``tile_partitions`` to the scalar ``TileGrid``."""
 
     GRIDS = [
-        TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4, mapping="hash"),
-        TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4, mapping="round_robin"),
+        pytest.param(TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4), id="4x4-hash"),
         # Non-square grid over a non-unit, offset space: norm_x/norm_y
-        # scaling and the row-major round-robin index diverge from the
-        # square case if either side hardcodes symmetry.
-        TileGrid(Space(-2.0, 1.0, 6.0, 3.0), 5, 3, 7, mapping="hash"),
-        TileGrid(Space(-2.0, 1.0, 6.0, 3.0), 5, 3, 7, mapping="round_robin"),
+        # scaling diverges from the square case if either side hardcodes
+        # symmetry.
+        pytest.param(TileGrid(Space(-2.0, 1.0, 6.0, 3.0), 5, 3, 7), id="5x3-hash"),
+        # Unbounded spaces: infinite width (or height) makes every scaled
+        # coordinate on that axis NaN or infinite.
+        pytest.param(
+            TileGrid.for_partitions(Space(-INF, 0.0, 1.0, 1.0), 5), id="5x5-x-unbounded"
+        ),
+        pytest.param(TileGrid(Space(-INF, -INF, INF, INF), 3, 2, 5), id="3x2-unbounded"),
     ]
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}-{g.mapping}")
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_boundary_points_tile_and_partition_parity(self, grid):
         import numpy as np
 
@@ -381,7 +393,7 @@ class TestGridKernelParity:
             assert (int(tx[i]), int(ty[i])) == want_tile, (px, py)
             assert int(owner[i]) == grid.partition_of_point(px, py), (px, py)
 
-    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.nx}x{g.ny}-{g.mapping}")
+    @pytest.mark.parametrize("grid", GRIDS)
     def test_tile_ranges_are_point_tiles_of_both_corners(self, grid):
         import numpy as np
 
@@ -453,7 +465,7 @@ class TestGridKernelParity:
         # recompute the mapping from the shared constants directly.
         import numpy as np
 
-        grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 8, 8, 5, mapping="hash")
+        grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 8, 8, 5)
         for tx in range(grid.nx):
             for ty in range(grid.ny):
                 want = ((tx * TILE_HASH_X) ^ (ty * TILE_HASH_Y)) % grid.n_partitions

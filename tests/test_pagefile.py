@@ -167,7 +167,7 @@ class TestPageWriter:
         # The columnar partitioner stores id runs as read-only int64
         # views, which have no ``.clear()``; clearing must still work.
         disk = small_disk()
-        grid = TileGrid.for_partitions(Space(0.0, 0.0, 1.0, 1.0), 2, 4, "hash")
+        grid = TileGrid.for_partitions(Space(0.0, 0.0, 1.0, 1.0), 2, 4)
         kpes = [(i, i / 10, i / 10, i / 10, i / 10) for i in range(10)]
         files, _ = partition_relation(
             kpes, grid, disk, 10, CpuCounters(), emit="ids"

@@ -106,11 +106,11 @@ class TestPlumbing:
         assert cpu_count() >= 1
 
     def test_grid_spec_round_trip(self):
-        grid = TileGrid(Space(0.0, 0.0, 2.0, 1.0), 8, 4, 5, mapping="hash")
+        grid = TileGrid(Space(0.0, 0.0, 2.0, 1.0), 8, 4, 5)
         back = TileGrid.from_spec(grid.spec)
         assert back.nx == grid.nx and back.ny == grid.ny
         assert back.n_partitions == grid.n_partitions
-        assert back.mapping == grid.mapping
+        assert back.spec == grid.spec and len(grid.spec) == 7
         assert (
             back.space.xl, back.space.yl, back.space.xh, back.space.yh
         ) == (0.0, 0.0, 2.0, 1.0)

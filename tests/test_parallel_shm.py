@@ -158,7 +158,7 @@ class TestCsrPartitioning:
     def _partition(self, emit):
         from repro.core.space import Space
 
-        grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4, mapping="hash")
+        grid = TileGrid(Space(0.0, 0.0, 1.0, 1.0), 4, 4, 4)
         disk = SimulatedDisk(CostModel())
         files, written = partition_relation(
             LEFT[:200], grid, disk, 20, CpuCounters(), "L", emit=emit

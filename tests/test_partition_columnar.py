@@ -27,12 +27,12 @@ from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.shm import shm_enabled
-from repro.pbsm.grid import TILE_MAPPINGS, TileGrid
+from repro.pbsm.grid import TileGrid
 from repro.pbsm import parallel
 from repro.pbsm.parallel import ParallelPBSM, _chunk_tasks
 from repro.pbsm.partitioner import partition_relation
 
-from tests.conftest import random_kpes
+from tests.conftest import HASH_ID, random_kpes
 from tests.test_boundary_ownership import lattice_rects
 
 needs_shm = pytest.mark.skipif(
@@ -137,27 +137,27 @@ WORKLOADS = {
 
 
 class TestVectorEqualsScalar:
-    @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
+    @HASH_ID
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_in_memory(self, name, mapping):
+    def test_in_memory(self, name):
         make, nx, n_partitions = WORKLOADS[name]
-        grid = TileGrid(UNIT, nx, nx, n_partitions, mapping)
+        grid = TileGrid(UNIT, nx, nx, n_partitions)
         seen = assert_vector_equals_scalar(make(), grid)
         if name == "all_multi_tile":
             assert seen["written"] > 2 * 300
         if name == "empty_partitions":
             assert sum(1 for ids in seen["ids"] if not ids) >= n_partitions - 2
 
-    @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
+    @HASH_ID
     @pytest.mark.parametrize("name", ["uniform", "all_multi_tile", "points_and_slivers"])
-    def test_rcd_mapped(self, name, mapping, tmp_path):
+    def test_rcd_mapped(self, name, tmp_path):
         make, nx, n_partitions = WORKLOADS[name]
         kpes = make()
         path = tmp_path / "rel.rcd"
         save_relation(kpes, path)
         mapped = load_relation(path)
         assert getattr(mapped, "columnar", None) is not None
-        grid = TileGrid(UNIT, nx, nx, n_partitions, mapping)
+        grid = TileGrid(UNIT, nx, nx, n_partitions)
         from_mapped = assert_vector_equals_scalar(mapped, grid)
         assert from_mapped == partition_ids_observed(kpes, grid, scalar=False)
 
@@ -185,10 +185,9 @@ class TestVectorEqualsScalar:
         rects=lattice_rects(),
         nx=st.sampled_from([1, 2, 3, 4, 6]),
         n_partitions=st.sampled_from([1, 2, 4, 5]),
-        mapping=st.sampled_from(TILE_MAPPINGS),
     )
-    def test_corners_exactly_on_tile_edges(self, rects, nx, n_partitions, mapping):
-        grid = TileGrid(UNIT, nx, nx, min(n_partitions, nx * nx), mapping)
+    def test_corners_exactly_on_tile_edges(self, rects, nx, n_partitions):
+        grid = TileGrid(UNIT, nx, nx, min(n_partitions, nx * nx))
         assert_vector_equals_scalar(rects, grid)
 
 

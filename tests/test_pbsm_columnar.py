@@ -8,7 +8,9 @@ ownership tests, oid tuples only at the generator boundary.  It is what
 tuple engine's answer (``internal="sweep_list"``) and brute force; the
 simulated accounting and the pair *order* must equal what the previous
 hybrid ``sweep_numpy`` path produced (``pbsm_columnar_pinned.json``,
-recorded from the parent commit by running :func:`observe` there).  The
+recorded by running :func:`observe` at the commit before each change it
+guards; the ``zipf3k`` entries at the one before the round-robin tile
+mapping was deleted, under the hash mapping).  The
 driver hands out whole leaves, not pairs (``TestLeafBatching``): the pair
 order of both engines is pinned to the per-pair generator's
 (``pbsm_leaf_order_pinned.json``, :func:`ordered_hash` of ``run`` at the
@@ -38,17 +40,16 @@ from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
-from repro.pbsm.grid import TILE_MAPPINGS
 from repro.pbsm.parallel import ParallelPBSM
 
-from tests.conftest import random_kpes
+from tests.conftest import HASH_ID, random_kpes
 from tests.test_boundary_ownership import (
     SENTINELS_LEFT,
     SENTINELS_RIGHT,
     lattice_rects,
 )
 
-DEDUPS = ("rpm", "none", "sort")
+DEDUPS = ("rpm", "sort")
 
 #: Budgets (bytes) for the 400-record workloads: no repartitioning, one
 #: level, several levels (``test_budgets_reach_their_depths`` checks).
@@ -102,21 +103,17 @@ def workload(name):
 WORKLOADS = ("uniform", "zipf", "point+sliver", "identical")
 
 
-def run(left, right, memory, internal, dedup, mapping="hash"):
-    return PBSM(
-        memory, internal=internal, dedup=dedup, tile_mapping=mapping
-    ).run(left, right)
+def run(left, right, memory, internal, dedup):
+    return PBSM(memory, internal=internal, dedup=dedup).run(left, right)
 
 
-def assert_matches_tuple_engine(left, right, memory, dedup, mapping="hash"):
-    columnar = run(left, right, memory, "sweep_numpy", dedup, mapping)
-    tuples = run(left, right, memory, "sweep_list", dedup, mapping)
-    # Same multiset as the tuple engine — for "none" that is the same
-    # duplicates, for every deduplicating mode it is multiplicity one.
+def assert_matches_tuple_engine(left, right, memory, dedup):
+    columnar = run(left, right, memory, "sweep_numpy", dedup)
+    tuples = run(left, right, memory, "sweep_list", dedup)
+    # Same multiset as the tuple engine: brute force's pairs, each once.
     assert Counter(columnar.pairs) == Counter(tuples.pairs)
     assert set(columnar.pairs) == set(brute_force_pairs(left, right))
-    if dedup != "none":
-        assert len(columnar.pairs) == len(set(columnar.pairs))
+    assert len(columnar.pairs) == len(set(columnar.pairs))
     for field in (
         "repartition_events",
         "replicas_created",
@@ -136,13 +133,13 @@ def assert_matches_tuple_engine(left, right, memory, dedup, mapping="hash"):
 # pair set, multiplicity and replication stats vs the tuple engine
 # ----------------------------------------------------------------------
 class TestAgainstTupleEngine:
-    @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
+    @HASH_ID
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("dedup", DEDUPS)
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_list_inputs(self, name, dedup, budget, mapping):
+    def test_list_inputs(self, name, dedup, budget):
         left, right = workload(name)
-        assert_matches_tuple_engine(left, right, BUDGETS[budget], dedup, mapping)
+        assert_matches_tuple_engine(left, right, BUDGETS[budget], dedup)
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
     @pytest.mark.parametrize("dedup", DEDUPS)
@@ -178,11 +175,9 @@ class TestAgainstTupleEngine:
         names = []
         split = pbsm_join_module.split_partition_ids
 
-        def spy(source, columns, k, space, disk, counters, tiles, mapping, name):
+        def spy(source, columns, k, space, disk, counters, tiles, name):
             names.append(name)
-            return split(
-                source, columns, k, space, disk, counters, tiles, mapping, name
-            )
+            return split(source, columns, k, space, disk, counters, tiles, name)
 
         monkeypatch.setattr(pbsm_join_module, "split_partition_ids", spy)
         left, right = workload("uniform")
@@ -216,10 +211,9 @@ class TestAgainstTupleEngine:
         left = left + SENTINELS_LEFT
         right = right + SENTINELS_RIGHT
         truth = sorted(brute_force_pairs(left, right))
-        for dedup in ("rpm", "sort"):
-            for mapping in TILE_MAPPINGS:
-                result = run(left, right, 300, "sweep_numpy", dedup, mapping)
-                assert sorted(result.pairs) == truth, (dedup, mapping)
+        for dedup in DEDUPS:
+            result = run(left, right, 300, "sweep_numpy", dedup)
+            assert sorted(result.pairs) == truth, dedup
 
     def test_lattice_budget_composes_regions(self):
         lattice = [i / 12 for i in range(13)]
@@ -248,14 +242,6 @@ def pinned_workload(name):
             zipf_rects(3000, 3, tile_seed=7),
             zipf_rects(3000, 4, start_oid=10**6, tile_seed=7),
             mb(0.01),
-            "round_robin",
-        )
-    if name == "uniform2500":
-        return (
-            random_kpes(2500, 31, max_edge=0.03),
-            random_kpes(2500, 32, 10**6, max_edge=0.03),
-            mb(0.008),
-            "hash",
         )
     raise ValueError(name)
 
@@ -263,7 +249,6 @@ def pinned_workload(name):
 PINNED_RUNS = (
     ("zipf3k", "rpm"),
     ("zipf3k", "sort"),
-    ("uniform2500", "none"),
 )
 
 
@@ -273,8 +258,8 @@ def ordered_hash(pairs):
 
 def observe(name, dedup):
     """What one pinned ``PBSM(internal="sweep_numpy")`` run lets out."""
-    left, right, memory, mapping = pinned_workload(name)
-    result = run(left, right, memory, "sweep_numpy", dedup, mapping)
+    left, right, memory = pinned_workload(name)
+    result = run(left, right, memory, "sweep_numpy", dedup)
     stats = result.stats
     return {
         "n_pairs": len(result.pairs),

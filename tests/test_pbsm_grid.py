@@ -8,6 +8,8 @@ from repro.core.rect import KPE
 from repro.core.space import Space
 from repro.pbsm.grid import TileGrid
 
+from tests.conftest import HASH_ID
+
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
 
@@ -19,10 +21,6 @@ class TestConstruction:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             TileGrid(UNIT, 0, 1, 1)
-
-    def test_rejects_unknown_mapping(self):
-        with pytest.raises(ValueError):
-            TileGrid(UNIT, 4, 4, 4, mapping="random")
 
     def test_for_partitions_guarantees_nt_ge_p(self):
         for p in (1, 2, 3, 7, 100):
@@ -64,16 +62,16 @@ class TestTileArithmetic:
 
 
 class TestPartitionMapping:
-    @pytest.mark.parametrize("mapping", ["hash", "round_robin"])
-    def test_partition_ids_in_range(self, mapping):
-        grid = TileGrid(UNIT, 8, 8, 5, mapping=mapping)
+    @HASH_ID
+    def test_partition_ids_in_range(self):
+        grid = TileGrid(UNIT, 8, 8, 5)
         for tx in range(8):
             for ty in range(8):
                 assert 0 <= grid.partition_of_tile(tx, ty) < 5
 
-    @pytest.mark.parametrize("mapping", ["hash", "round_robin"])
-    def test_every_partition_gets_tiles(self, mapping):
-        grid = TileGrid(UNIT, 8, 8, 5, mapping=mapping)
+    @HASH_ID
+    def test_every_partition_gets_tiles(self):
+        grid = TileGrid(UNIT, 8, 8, 5)
         owners = {
             grid.partition_of_tile(tx, ty) for tx in range(8) for ty in range(8)
         }

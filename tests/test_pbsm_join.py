@@ -20,8 +20,11 @@ class TestConfiguration:
             PBSM(0)
 
     def test_rejects_unknown_dedup(self):
-        with pytest.raises(ValueError):
-            PBSM(1000, dedup="magic")
+        # Duplicates are removed online (RPM) or by the final sort; no
+        # mode keeps them.
+        for dedup in ("magic", "none"):
+            with pytest.raises(ValueError, match=r"\('rpm', 'sort'\)"):
+                PBSM(1000, dedup=dedup)
 
     def test_rejects_unknown_internal(self):
         with pytest.raises(ValueError):
@@ -80,14 +83,6 @@ class TestEdgeCases:
         right = [KPE(2, 0.5, 0.5, 0.95, 0.95)]
         res = PBSM(1000).run(left, right)
         assert res.pairs == [(1, 2)]
-
-    def test_rpm_none_mode_reports_duplicates(self, small_pair):
-        """dedup='none' is the analysis mode: duplicates stay visible."""
-        left, right = small_pair
-        res_none = PBSM(2048, dedup="none").run(left, right)
-        truth = set(brute_force_pairs(left, right))
-        assert res_none.pair_set() == truth
-        assert len(res_none.pairs) >= len(truth)
 
 
 class TestStatistics:
@@ -206,15 +201,6 @@ class TestSharedDriver:
         next(pairs)
         pairs.close()
         assert vars(driver) == before
-
-
-class TestTileMappings:
-    @pytest.mark.parametrize("mapping", ["hash", "round_robin"])
-    def test_both_mappings_correct(self, mapping, small_pair):
-        left, right = small_pair
-        res = PBSM(2048, tile_mapping=mapping).run(left, right)
-        assert res.pair_set() == set(brute_force_pairs(left, right))
-        assert not res.has_duplicates()
 
 
 class TestConvenienceApi:

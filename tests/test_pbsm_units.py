@@ -121,7 +121,7 @@ class TestSplitPartitionIds:
         source, columns = id_source(disk, kpes)
         counters = CpuCounters()
         files, subgrid = split_partition_ids(
-            source, columns, 4, UNIT, disk, counters, 4, "hash", "sub"
+            source, columns, 4, UNIT, disk, counters, 4, "sub"
         )
         stored = {int(columns.oid[i]) for f in files for i in f.records}
         assert stored == {k.oid for k in kpes}
@@ -137,7 +137,7 @@ class TestSplitPartitionIds:
         disk = SimulatedDisk(CostModel(page_size=200))
         source, columns = id_source(disk, random_kpes(50, 10))
         split_partition_ids(
-            source, columns, 2, UNIT, disk, CpuCounters(), 4, "hash", "sub"
+            source, columns, 2, UNIT, disk, CpuCounters(), 4, "sub"
         )
         total = disk.total_counters()
         assert total.pages_read > 0

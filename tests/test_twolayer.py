@@ -28,8 +28,8 @@ from repro.pbsm import TileGrid
 SPACE = Space(0.0, 0.0, 1.0, 1.0)
 
 
-def grid4(n_partitions=1, mapping="hash"):
-    return TileGrid(SPACE, 4, 4, n_partitions, mapping)
+def grid4(n_partitions=1):
+    return TileGrid(SPACE, 4, 4, n_partitions)
 
 
 def owned_pairs(left, right, grid, counters=None):
@@ -107,10 +107,16 @@ class TestCornerClass:
 # ownership points on degenerate geometry
 # ----------------------------------------------------------------------
 class TestDegenerateOwnership:
-    #: One partition per tile, so the emitting partition names the tile.
-    GRID = grid4(16, mapping="round_robin")
+    #: One partition per tile, so the emitting partition names the tile:
+    #: the hash is a bijection on 2x2 tiles with four partitions (on 4x4
+    #: with sixteen it is not).
+    GRID = TileGrid(SPACE, 2, 2, 4)
 
     def test_refpoint_and_bottom_left_inside_both_for_points(self):
+        owners = {
+            self.GRID.partition_of_tile(tx, ty) for tx in range(2) for ty in range(2)
+        }
+        assert owners == set(range(4))
         # A point MBR intersecting a rectangle: RPM's reference point and
         # the intersection's bottom-left corner (the kernel's owner) are
         # both the point itself.

@@ -23,10 +23,10 @@ from repro.datasets.fileio import load_relation, save_relation
 from repro.io.costmodel import mb
 from repro.kernels.assign import partition_ids
 from repro.kernels.columnar import ColumnarRelation, xl_order
-from repro.pbsm.grid import TILE_MAPPINGS, TileGrid
+from repro.pbsm.grid import TileGrid
 from repro.pbsm.parallel import ParallelPBSM
 
-from tests.conftest import random_kpes
+from tests.conftest import HASH_ID, random_kpes
 
 NAN = float("nan")
 INF = float("inf")
@@ -81,10 +81,10 @@ def hostile_relations(draw):
 
 
 class TestPartitionIdsByXl:
-    @pytest.mark.parametrize("mapping", TILE_MAPPINGS)
+    @HASH_ID
     @given(rel=hostile_relations(), n_partitions=st.integers(1, 5))
-    def test_same_runs_in_xl_order(self, mapping, rel, n_partitions):
-        grid = TileGrid.for_partitions(UNIT, n_partitions, 4, mapping)
+    def test_same_runs_in_xl_order(self, rel, n_partitions):
+        grid = TileGrid.for_partitions(UNIT, n_partitions)
         offsets, ids = partition_ids(rel, grid)
         xl_offsets, xl_ids = partition_ids(rel, grid, by_xl=True)
         # Same offsets, hence the same records_written (len(ids)).

@@ -24,7 +24,6 @@ from typing import Optional, Sequence, Tuple
 
 from repro.core import (
     KPE,
-    distance_join,
     CpuCounters,
     JoinResult,
     JoinStats,
@@ -43,10 +42,9 @@ from repro.io import CostModel, SimulatedDisk, mb
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.planner import JoinPlan, PlannerCache, plan_join
 from repro.rtree import RTree, RTreeJoin, rtree_join
-from repro.s3j import S3J, quadtree_join, s3j_join
+from repro.s3j import S3J, s3j_join
 from repro.shj import SpatialHashJoin, spatial_hash_join
 from repro.sssj import SSSJ, sssj_join
-from repro.verify import VerificationError, results_consistent, verify_driver, verify_result
 
 __version__ = "1.0.0"
 
@@ -220,23 +218,17 @@ __all__ = [
     "SpatialHashJoin",
     "SimulatedDisk",
     "Tracer",
-    "VerificationError",
     "Space",
-    "distance_join",
     "internal_algorithm",
     "intersects",
     "make_kpe",
     "mb",
     "pbsm_join",
     "plan_join",
-    "quadtree_join",
     "reference_point",
     "rtree_join",
     "s3j_join",
     "spatial_hash_join",
     "spatial_join",
-    "results_consistent",
     "sssj_join",
-    "verify_driver",
-    "verify_result",
 ]

@@ -52,6 +52,16 @@ PATTERNS = {
 }
 
 
+def _load(path: str):
+    """``load_relation(path)``, or ``None`` after an ``error:`` line on
+    stderr when the file cannot be read or parsed."""
+    try:
+        return load_relation(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot load {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     generator = PATTERNS[args.pattern]
     kpes = generator(args.n, seed=args.seed, start_oid=args.start_oid)
@@ -79,7 +89,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
         )
         return 2
     if args.source is not None:
-        kpes = load_relation(args.source)
+        kpes = _load(args.source)
+        if kpes is None:
+            return 2
         origin = args.source
     else:
         kpes = PATTERNS[args.pattern](
@@ -115,7 +127,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    kpes = load_relation(args.relation)
+    kpes = _load(args.relation)
+    if kpes is None:
+        return 2
     summary = summarize(Path(args.relation).name, kpes)
     print(f"relation:  {summary.name}")
     print(f"records:   {summary.n_mbrs:,}")
@@ -128,19 +142,26 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _load_pair(left_path: str, right_path: str):
-    """Load both relations, reusing one load for a self-join.
+    """Load both relations, reusing one load for a self-join; ``None``
+    when either cannot be loaded (see :func:`_load`).
 
     Paths are compared resolved, so ``./a.npy`` vs ``a.npy`` (or a
     symlink) still load the relation once.
     """
-    left = load_relation(left_path)
+    left = _load(left_path)
+    if left is None:
+        return None
     if Path(right_path).resolve() == Path(left_path).resolve():
         return left, left
-    return left, load_relation(right_path)
+    right = _load(right_path)
+    return None if right is None else (left, right)
 
 
 def _cmd_join(args: argparse.Namespace) -> int:
-    left, right = _load_pair(args.left, args.right)
+    pair = _load_pair(args.left, args.right)
+    if pair is None:
+        return 2
+    left, right = pair
     kwargs = {}
     if args.internal:
         kwargs["internal"] = args.internal
@@ -242,13 +263,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # purpose; honor the explicit worker count unless the operator
         # already set the cap themselves.
         os.environ.setdefault(MAX_WORKERS_ENV, str(args.workers))
-    registry = DatasetRegistry(pin=not args.no_pin)
+    # Load every file before registering (and pinning) any of them, so
+    # an unreadable one exits before a segment is created.
+    datasets = []
     for spec in args.dataset or ():
         name, sep, path = spec.partition("=")
         if not sep or not name or not path:
             print(f"error: --dataset wants NAME=PATH, got {spec!r}", file=sys.stderr)
             return 2
-        registry.register_file(name, path)
+        kpes = _load(path)
+        if kpes is None:
+            return 2
+        datasets.append((name, path, kpes))
+    registry = DatasetRegistry(pin=not args.no_pin)
+    for name, path, kpes in datasets:
+        registry.register(name, kpes, source=f"file:{path}")
         print(f"registered dataset {name!r} from {path}")
     engine = EngineHost(mb(args.memory_mb), workers=args.workers)
     admission = AdmissionController(
@@ -327,7 +356,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.planner import plan_join
     from repro.planner.cache import DEFAULT_CACHE
 
-    left, right = _load_pair(args.left, args.right)
+    pair = _load_pair(args.left, args.right)
+    if pair is None:
+        return 2
+    left, right = pair
     plan = plan_join(left, right, mb(args.memory_mb), cache=DEFAULT_CACHE)
     if args.execute:
         plan.execute(left, right)

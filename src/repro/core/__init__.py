@@ -22,7 +22,6 @@ from repro.core.rect import (
     rect_contains_point,
     valid_kpe,
 )
-from repro.core.distance import distance_join, expand_for_distance, mbr_distance
 from repro.core.phases import (
     ALL_PHASES,
     PHASE_BUILD,
@@ -57,13 +56,10 @@ __all__ = [
     "JoinStats",
     "Space",
     "area",
-    "distance_join",
-    "expand_for_distance",
     "format_stats",
     "intersection",
     "intersects",
     "make_kpe",
-    "mbr_distance",
     "mbr_of",
     "rect_contains_point",
     "reference_point",

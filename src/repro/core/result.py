@@ -1,6 +1,6 @@
 """Join results and per-run statistics.
 
-Every join driver (PBSM, S3J, SSSJ, quadtree, brute force) returns a
+Every join driver (PBSM, S3J, SSSJ, SHJ, the R-tree join) returns a
 :class:`JoinResult`: the result pairs of the *filter step* plus a
 :class:`JoinStats` record detailed enough to regenerate every figure of the
 paper — per-phase I/O, CPU operation counts, simulated runtime split into

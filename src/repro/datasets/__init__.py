@@ -8,7 +8,6 @@ from repro.datasets.catalog import (
     PAPER_CARDINALITY,
     PAPER_COVERAGE,
     PAPER_JOIN_RESULTS,
-    clear_cache,
     dataset,
     dataset_cardinality,
     join_inputs,
@@ -41,7 +40,6 @@ __all__ = [
     "PAPER_CARDINALITY",
     "PAPER_COVERAGE",
     "PAPER_JOIN_RESULTS",
-    "clear_cache",
     "clustered_rects",
     "coverage",
     "dataset",

@@ -136,8 +136,3 @@ def join_inputs(
 def la_pair(p: float, scale: Optional[float] = None) -> Tuple[List[KPE], List[KPE]]:
     """The Figure 13 workload: (LA_RR(p), LA_ST(p))."""
     return dataset("LA_RR", scale, p), dataset("LA_ST", scale, p)
-
-
-def clear_cache() -> None:
-    """Drop memoised datasets (tests that vary scale use this)."""
-    _CACHE.clear()

@@ -1,14 +1,6 @@
-"""Statistics and estimation: grid histograms, join selectivity, formula
-(1) for intermediate results (the Section 3.2.3 scenario)."""
+"""Statistics and estimation: grid histograms and join selectivity (the
+Section 3.2.3 scenario)."""
 
-from repro.estimate.histogram import (
-    GridHistogram,
-    choose_join_order,
-    estimate_partitions_for_intermediate,
-)
+from repro.estimate.histogram import GridHistogram
 
-__all__ = [
-    "GridHistogram",
-    "choose_join_order",
-    "estimate_partitions_for_intermediate",
-]
+__all__ = ["GridHistogram"]

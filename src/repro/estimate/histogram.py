@@ -3,25 +3,20 @@
 Section 3.2.3: "computing the number of partitions is generally difficult
 when the input relations do not refer to base relations of the underlying
 DBMS.  Then, the DBMS has to provide statistics about the intermediate
-results of operators."  This module supplies those statistics: a compact
+results of operators."  This module supplies such statistics: a compact
 grid histogram per relation (record count and average edge lengths per
-cell) and the standard estimators built on it —
-
-* expected join result count (the planner's fallback estimate, Table
-  2-style sanity checks and a greedy join-order heuristic),
-* expected cardinality/size of a join's *output* viewed as a new spatial
-  relation (what formula (1) needs for intermediate inputs).
+cell) and two estimators on it, the expected join result count and the
+expected pair detections on a tile grid.  The planner prices its
+candidates with both.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.space import Space
-from repro.pbsm.estimator import estimate_partitions
 
 
 class GridHistogram:
@@ -99,11 +94,6 @@ class GridHistogram:
             return 0.0, 0.0
         return self.sum_w[cell] / count, self.sum_h[cell] / count
 
-    def total_mean_edges(self) -> Tuple[float, float]:
-        if self.n == 0:
-            return 0.0, 0.0
-        return sum(self.sum_w) / self.n, sum(self.sum_h) / self.n
-
     # ------------------------------------------------------------------
     # estimators
     # ------------------------------------------------------------------
@@ -177,73 +167,3 @@ class GridHistogram:
             copies = (1.0 + ov_w / tile_w) * (1.0 + ov_h / tile_h)
             expected += n1 * n2 * probability * copies
         return expected
-
-    def estimate_join_output(
-        self, other: "GridHistogram"
-    ) -> Tuple[float, float, float]:
-        """(cardinality, mean width, mean height) of the join output.
-
-        The output of a filter-step join, viewed as a spatial relation of
-        intersection MBRs, has edges bounded by the smaller input edge —
-        estimated as ``min`` of the per-relation means.  This is what a
-        downstream operator (e.g. the next join of a multiway plan) needs
-        to run formula (1).
-        """
-        cardinality = self.estimate_join_results(other)
-        w1, h1 = self.total_mean_edges()
-        w2, h2 = other.total_mean_edges()
-        return cardinality, min(w1, w2), min(h1, h2)
-
-
-def estimate_partitions_for_intermediate(
-    hist_left: GridHistogram,
-    hist_right: GridHistogram,
-    next_input_cardinality: int,
-    kpe_bytes: int,
-    memory_bytes: int,
-    t_factor: float = 1.2,
-) -> int:
-    """Formula (1) for a join whose *left* input is itself a join output.
-
-    The DBMS-statistics scenario of Section 3.2.3: the left input's
-    cardinality is not known but estimated from the histograms of the two
-    relations that produce it.
-    """
-    estimated_left = int(math.ceil(hist_left.estimate_join_results(hist_right)))
-    return estimate_partitions(
-        estimated_left, next_input_cardinality, kpe_bytes, memory_bytes, t_factor
-    )
-
-
-def choose_join_order(
-    histograms: List[GridHistogram],
-) -> List[int]:
-    """Greedy multiway join ordering by estimated pairwise output size.
-
-    Starts with the pair of relations with the smallest estimated result,
-    then repeatedly appends the relation with the smallest estimated
-    result against the most recently joined relation.  A deliberately
-    simple System-R-flavoured heuristic.
-    """
-    n = len(histograms)
-    if n < 2:
-        return list(range(n))
-    best_pair = None
-    best_value = math.inf
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = histograms[i].estimate_join_results(histograms[j])
-            if value < best_value:
-                best_value = value
-                best_pair = (i, j)
-    order = list(best_pair)
-    remaining = [i for i in range(n) if i not in order]
-    while remaining:
-        last = order[-1]
-        nxt = min(
-            remaining,
-            key=lambda i: histograms[last].estimate_join_results(histograms[i]),
-        )
-        order.append(nxt)
-        remaining.remove(nxt)
-    return order

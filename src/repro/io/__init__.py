@@ -6,7 +6,6 @@ implements that model as a deterministic simulation — see DESIGN.md for the
 substitution rationale (original: Seagate 2 GB disk with direct I/O).
 """
 
-from repro.io.codec import KpeCodec, LevelEntryCodec, PackedPageFile, PairCodec
 from repro.io.costmodel import CostModel, DEFAULT_COST_MODEL, mb
 from repro.io.disk import IoCounters, SimulatedDisk
 from repro.io.extsort import external_sort, sort_in_memory, sorted_dedup
@@ -21,10 +20,6 @@ from repro.io.rcd import (
 
 __all__ = [
     "CostModel",
-    "KpeCodec",
-    "LevelEntryCodec",
-    "PackedPageFile",
-    "PairCodec",
     "DEFAULT_COST_MODEL",
     "IoCounters",
     "PageFile",

@@ -6,13 +6,9 @@ synchronized traversal.  This package provides that comparison class so
 the library covers all three availability-of-index classes the paper's
 introduction enumerates.
 
-The tree here is a classic R-tree with two construction paths:
-
-* **STR bulk loading** (sort-tile-recursive) — the natural choice when an
-  index is built solely to execute a join;
-* **one-by-one insertion** with the least-enlargement descent and a
-  midpoint-split — enough to model a pre-existing, incrementally built
-  index.
+The tree here is a classic R-tree built by **STR bulk loading**
+(sort-tile-recursive), the natural choice when an index is built solely
+to execute a join.
 
 Nodes hold at most ``fanout`` entries; a node is one disk page in the I/O
 accounting of :class:`repro.rtree.join.RTreeJoin`.
@@ -21,7 +17,7 @@ accounting of :class:`repro.rtree.join.RTreeJoin`.
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 
 class RTreeNode:
@@ -38,9 +34,6 @@ class RTreeNode:
         self.xh = -math.inf
         self.yh = -math.inf
         self.page_id = -1
-
-    def mbr(self) -> Tuple[float, float, float, float]:
-        return (self.xl, self.yl, self.xh, self.yh)
 
     def extend(self, xl: float, yl: float, xh: float, yh: float) -> None:
         if xl < self.xl:
@@ -64,7 +57,7 @@ class RTreeNode:
 
 
 class RTree:
-    """An R-tree over KPEs with STR bulk loading and dynamic insertion."""
+    """An R-tree over KPEs, built by STR bulk loading."""
 
     def __init__(self, fanout: int = 64):
         if fanout < 4:
@@ -122,73 +115,6 @@ class RTree:
                 parents.append(parent)
             nodes = parents
         return nodes[0]
-
-    def insert(self, kpe: Tuple) -> None:
-        """Insert one KPE (least-enlargement descent, midpoint split)."""
-        self.size += 1
-        split = self._insert_into(self.root, kpe)
-        if split is not None:
-            new_root = RTreeNode(is_leaf=False)
-            new_root.entries = [self.root, split]
-            new_root.recompute_mbr()
-            self.root = new_root
-        self._next_page = 0  # page ids are stale after mutation
-        self._assign_page_ids()
-
-    def _insert_into(self, node: RTreeNode, kpe: Tuple) -> Optional[RTreeNode]:
-        node.extend(kpe[1], kpe[2], kpe[3], kpe[4])
-        if node.is_leaf:
-            node.entries.append(kpe)
-            if len(node.entries) > self.fanout:
-                return self._split(node)
-            return None
-        child = self._choose_child(node, kpe)
-        split = self._insert_into(child, kpe)
-        if split is not None:
-            node.entries.append(split)
-            if len(node.entries) > self.fanout:
-                return self._split(node)
-        return None
-
-    @staticmethod
-    def _choose_child(node: RTreeNode, kpe: Tuple) -> RTreeNode:
-        best = None
-        best_cost = math.inf
-        for child in node.entries:
-            xl = kpe[1] if kpe[1] < child.xl else child.xl
-            yl = kpe[2] if kpe[2] < child.yl else child.yl
-            xh = kpe[3] if kpe[3] > child.xh else child.xh
-            yh = kpe[4] if kpe[4] > child.yh else child.yh
-            enlargement = (xh - xl) * (yh - yl) - (child.xh - child.xl) * (
-                child.yh - child.yl
-            )
-            if enlargement < best_cost:
-                best_cost = enlargement
-                best = child
-        return best
-
-    def _split(self, node: RTreeNode) -> RTreeNode:
-        """Split an overfull node along its longer MBR axis at the median."""
-        if node.is_leaf:
-            key = (
-                (lambda k: k[1] + k[3])
-                if (node.xh - node.xl) >= (node.yh - node.yl)
-                else (lambda k: k[2] + k[4])
-            )
-        else:
-            key = (
-                (lambda c: c.xl + c.xh)
-                if (node.xh - node.xl) >= (node.yh - node.yl)
-                else (lambda c: c.yl + c.yh)
-            )
-        ordered = sorted(node.entries, key=key)
-        half = len(ordered) // 2
-        sibling = RTreeNode(is_leaf=node.is_leaf)
-        node.entries = ordered[:half]
-        sibling.entries = ordered[half:]
-        node.recompute_mbr()
-        sibling.recompute_mbr()
-        return sibling
 
     # ------------------------------------------------------------------
     # inspection

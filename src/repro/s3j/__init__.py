@@ -7,12 +7,10 @@ from repro.s3j.levelfile import (
     sort_level_files,
 )
 from repro.s3j.levels import assign_original, assign_replicated, level_histogram
-from repro.s3j.quadtree import MxCifQuadtree, quadtree_join
 from repro.s3j.scan import CellPartition, ScanStats, partition_stream, scan_pairs
 
 __all__ = [
     "CellPartition",
-    "MxCifQuadtree",
     "S3J",
     "ScanStats",
     "assign_original",
@@ -20,7 +18,6 @@ __all__ = [
     "build_level_files",
     "level_histogram",
     "partition_stream",
-    "quadtree_join",
     "record_bytes_for_level",
     "s3j_join",
     "scan_pairs",

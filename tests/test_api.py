@@ -1,7 +1,9 @@
 """Tests for the top-level public API."""
 
 import dataclasses
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -85,8 +87,14 @@ class TestSpatialJoin:
         assert repro.__version__
 
     def test_all_exports_resolve(self):
-        for name in repro.__all__:
-            assert hasattr(repro, name), name
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        for package in packages:
+            for name in getattr(package, "__all__", ()):
+                assert hasattr(package, name), f"{package.__name__}.{name}"
 
     def test_mb_helper(self):
         assert repro.mb(1) == 2**20

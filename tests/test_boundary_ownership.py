@@ -29,8 +29,10 @@ from tests.test_twolayer import assert_exactly_once
 
 # Every tile edge of a 1x1, 2x2, 3x3, 4x4 or 6x6 grid over [0, 1]^2 is a
 # multiple of 1/12 — drawing corners from this lattice makes
-# exactly-on-edge intersections the common case, not a fluke.
-LATTICE = [i / 12.0 for i in range(13)]
+# exactly-on-edge intersections the common case, not a fluke.  -0.0
+# compares equal to 0.0 but hashes to its own bit pattern, so corners on
+# the grid's min edge come in both signs.
+LATTICE = [-0.0] + [i / 12.0 for i in range(13)]
 
 #: Sentinel point MBRs pinning the data space to [0, 1]^2 so tile edges
 #: stay at lattice positions; the corner points also exercise the grid

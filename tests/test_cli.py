@@ -250,3 +250,36 @@ class TestExplain:
         out = capsys.readouterr().out
         assert "estimated vs. actual" in out
         assert "phase estimate" in out
+
+
+def _write_bad_relation(tmp_path, case):
+    """One unreadable relation file per case (``missing`` writes nothing)."""
+    if case == "missing":
+        return tmp_path / "missing.csv"
+    if case == "truncated_rcd":
+        path = tmp_path / "cut.rcd"
+        main(["generate", "--n", "50", str(path)])
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        return path
+    path = tmp_path / f"{case}.csv"
+    row = "1,0.1" if case == "two_fields" else "1,nan,0.1,0.2,0.2"
+    path.write_text(f"oid,xl,yl,xh,yh\n{row}\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["join", "info"])
+@pytest.mark.parametrize("case", ["missing", "truncated_rcd", "two_fields", "nan"])
+def test_unreadable_relation_exits_2_without_traceback(tmp_path, capsys, case, command):
+    bad = _write_bad_relation(tmp_path, case)
+    if command == "join":
+        good = tmp_path / "good.npy"
+        main(["generate", "--n", "50", str(good)])
+        argv = ["join", str(bad), str(good)]
+    else:
+        argv = ["info", str(bad)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err
+    assert "Traceback" not in err

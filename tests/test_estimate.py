@@ -4,13 +4,8 @@ import pytest
 
 from repro.core.space import Space
 from repro.datasets import clustered_rects, uniform_rects
-from repro.estimate import (
-    GridHistogram,
-    choose_join_order,
-    estimate_partitions_for_intermediate,
-)
+from repro.estimate import GridHistogram
 from repro.internal import brute_force_pairs
-from repro.pbsm.estimator import estimate_partitions
 
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
@@ -25,7 +20,7 @@ class TestHistogramConstruction:
     def test_empty_relation(self):
         hist = GridHistogram.build([], UNIT)
         assert hist.n == 0
-        assert hist.total_mean_edges() == (0.0, 0.0)
+        assert all(hist.mean_edges(c) == (0.0, 0.0) for c in range(len(hist.counts)))
 
     def test_resolution_validation(self):
         with pytest.raises(ValueError):
@@ -34,7 +29,7 @@ class TestHistogramConstruction:
     def test_mean_edges_match_data(self):
         kpes = uniform_rects(400, 2, mean_edge=0.02)
         hist = GridHistogram.build(kpes, UNIT, resolution=8)
-        w, h = hist.total_mean_edges()
+        w = sum(hist.sum_w) / hist.n
         true_w = sum(k.xh - k.xl for k in kpes) / len(kpes)
         assert w == pytest.approx(true_w, rel=1e-9)
 
@@ -70,50 +65,3 @@ class TestJoinEstimation:
         b = GridHistogram(UNIT, 16)
         with pytest.raises(ValueError):
             a.estimate_join_results(b)
-
-    def test_join_output_stats(self):
-        left = uniform_rects(400, 8, mean_edge=0.03)
-        right = uniform_rects(400, 9, mean_edge=0.01, start_oid=10_000)
-        hist_left = GridHistogram.build(left, UNIT, 8)
-        hist_right = GridHistogram.build(right, UNIT, 8)
-        cardinality, w, h = hist_left.estimate_join_output(hist_right)
-        assert cardinality > 0
-        # output MBRs cannot exceed the smaller input's mean edges
-        assert w <= hist_left.total_mean_edges()[0]
-        assert w == pytest.approx(
-            min(hist_left.total_mean_edges()[0], hist_right.total_mean_edges()[0])
-        )
-
-
-class TestIntermediateFormulaOne:
-    def test_matches_formula_on_estimated_cardinality(self):
-        left = uniform_rects(600, 10, mean_edge=0.03)
-        right = uniform_rects(600, 11, mean_edge=0.03, start_oid=10_000)
-        hist_left = GridHistogram.build(left, UNIT, 8)
-        hist_right = GridHistogram.build(right, UNIT, 8)
-        estimated = int(-(-hist_left.estimate_join_results(hist_right) // 1))
-        expected = estimate_partitions(estimated, 1000, 20, 65536, 1.2)
-        got = estimate_partitions_for_intermediate(
-            hist_left, hist_right, 1000, 20, 65536, 1.2
-        )
-        assert got == expected
-
-
-class TestJoinOrder:
-    def test_prefers_small_results_first(self):
-        # two dense overlapping relations and one nearly disjoint one
-        dense_a = uniform_rects(400, 12, mean_edge=0.05)
-        dense_b = uniform_rects(400, 13, mean_edge=0.05, start_oid=10_000)
-        sparse = uniform_rects(50, 14, mean_edge=0.001, start_oid=20_000)
-        hists = [
-            GridHistogram.build(rel, UNIT, 8) for rel in (dense_a, dense_b, sparse)
-        ]
-        order = choose_join_order(hists)
-        assert len(order) == 3
-        assert sorted(order) == [0, 1, 2]
-        # the sparse relation participates in the cheapest first pair
-        assert 2 in order[:2]
-
-    def test_short_inputs(self):
-        assert choose_join_order([]) == []
-        assert choose_join_order([GridHistogram(UNIT, 4)]) == [0]

@@ -1,4 +1,4 @@
-"""Tests for relation file I/O, the pattern generators, and the codecs."""
+"""Tests for relation file I/O and the pattern generators."""
 
 import math
 
@@ -14,9 +14,6 @@ from repro.datasets.fileio import (
     write_npy,
 )
 from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
-from repro.io.codec import KpeCodec, LevelEntryCodec, PackedPageFile, PairCodec
-from repro.io.costmodel import CostModel
-from repro.io.disk import SimulatedDisk
 
 from tests.conftest import random_kpes
 
@@ -160,67 +157,3 @@ class TestPatternShapes:
         widths = [k.xh - k.xl for k in kpes]
         assert max(widths) > 0.1
         assert sorted(widths)[len(widths) // 2] < 0.01
-
-
-class TestCodecs:
-    def test_kpe_codec_round_trip_float32(self):
-        kpe = KPE(42, 0.125, 0.25, 0.5, 0.75)  # exact float32 values
-        assert KpeCodec.decode(KpeCodec.encode(kpe)) == kpe
-        assert len(KpeCodec.encode(kpe)) == 20
-
-    def test_kpe_codec_float32_precision_contract(self):
-        kpe = KPE(1, 0.1, 0.2, 0.3, 0.4)
-        decoded = KpeCodec.decode(KpeCodec.encode(kpe))
-        assert decoded.oid == 1
-        for a, b in zip(decoded[1:], kpe[1:]):
-            assert a == pytest.approx(b, abs=1e-7)
-
-    def test_pair_codec(self):
-        assert PairCodec.decode(PairCodec.encode((7, 9))) == (7, 9)
-        assert len(PairCodec.encode((0, 0))) == 8
-
-    def test_level_entry_codec_sizes_match_levelfile(self):
-        from repro.s3j.levelfile import record_bytes_for_level
-
-        for level in range(0, 13):
-            codec = LevelEntryCodec(level)
-            assert codec.record_bytes == record_bytes_for_level(level)
-
-    def test_level_entry_round_trip(self):
-        codec = LevelEntryCodec(5)
-        entry = (987, KPE(3, 0.25, 0.5, 0.75, 1.0))
-        code, kpe = codec.decode(codec.encode(entry))
-        assert code == 987
-        assert kpe == entry[1]
-
-    def test_level_entry_code_range_checked(self):
-        codec = LevelEntryCodec(2)
-        with pytest.raises(ValueError):
-            codec.encode((1 << 4, KPE(1, 0, 0, 1, 1)))
-
-
-class TestPackedPageFile:
-    def test_round_trip_and_page_count(self):
-        disk = SimulatedDisk(CostModel(page_size=100))  # 5 KPEs per page
-        f = PackedPageFile(disk, KpeCodec, "packed")
-        kpes = [KPE(i, 0.0, 0.0, 0.5, 0.5) for i in range(12)]
-        f.append_bulk(kpes)
-        assert f.n_records == 12
-        assert f.n_pages == 3
-        assert f.read_all() == kpes
-
-    def test_io_charged(self):
-        disk = SimulatedDisk(CostModel(page_size=100))
-        f = PackedPageFile(disk, PairCodec)
-        f.append_bulk([(i, i) for i in range(100)])
-        f.read_all()
-        counters = disk.total_counters()
-        assert counters.pages_written > 0
-        assert counters.pages_read == counters.pages_written
-
-    def test_bytes_are_real(self):
-        disk = SimulatedDisk(CostModel(page_size=100))
-        f = PackedPageFile(disk, KpeCodec)
-        f.append_bulk([KPE(1, 0.0, 0.0, 1.0, 1.0)])
-        assert f.n_bytes == 20
-        assert isinstance(f.pages[0], bytearray)

@@ -2,15 +2,13 @@
 
 The core drivers already have property suites (test_properties.py); this
 file extends the same any-input-matches-brute-force guarantee to the
-R-tree join, the spatial hash join, the parallel PBSM and the distance
-join.
+R-tree join, the spatial hash join and the parallel PBSM.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.distance import distance_join, mbr_distance
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
 from repro.pbsm.parallel import ParallelPBSM, lpt_schedule
@@ -67,19 +65,3 @@ class TestParallelUnderHypothesis:
         if tasks:
             assert makespan >= max(tasks) - 1e-12
             assert makespan >= sum(tasks) / workers - 1e-9
-
-
-class TestDistanceJoinUnderHypothesis:
-    @given(relation_pair(max_size=12), st.floats(0, 0.3, allow_nan=False))
-    @settings(max_examples=25)
-    def test_any_input_any_eps(self, pair, eps):
-        left, right = pair
-        res = distance_join(left, right, eps, 2048)
-        expected = {
-            (a.oid, b.oid)
-            for a in left
-            for b in right
-            if mbr_distance(a, b) <= eps
-        }
-        assert res.pair_set() == expected
-        assert not res.has_duplicates()

@@ -1,64 +1,17 @@
 """Property tests for the I/O substrate.
 
-Page files and codecs under arbitrary contents; the external sort under
+Page files under arbitrary contents; the external sort under
 arbitrary memory budgets.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.rect import KPE
 from repro.core.stats import CpuCounters
-from repro.io.codec import KpeCodec, LevelEntryCodec, PackedPageFile, PairCodec
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.extsort import external_sort
 from repro.io.pagefile import PageFile
-
-
-rects = st.builds(
-    lambda oid, x1, y1, x2, y2: KPE(
-        oid, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)
-    ),
-    st.integers(0, 2**31 - 1),
-    st.floats(0, 1, allow_nan=False, width=32),
-    st.floats(0, 1, allow_nan=False, width=32),
-    st.floats(0, 1, allow_nan=False, width=32),
-    st.floats(0, 1, allow_nan=False, width=32),
-)
-
-
-class TestCodecProperties:
-    @given(rects)
-    def test_kpe_codec_roundtrip(self, kpe):
-        decoded = KpeCodec.decode(KpeCodec.encode(kpe))
-        assert decoded.oid == kpe.oid
-        for a, b in zip(decoded[1:], kpe[1:]):
-            assert a == pytest.approx(b, abs=1e-6)
-
-    @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
-    def test_pair_codec_roundtrip(self, a, b):
-        assert PairCodec.decode(PairCodec.encode((a, b))) == (a, b)
-
-    @given(st.integers(1, 14), st.data())
-    def test_level_entry_roundtrip(self, level, data):
-        codec = LevelEntryCodec(level)
-        code = data.draw(st.integers(0, (1 << (2 * level)) - 1))
-        kpe = KPE(5, 0.25, 0.5, 0.75, 1.0)
-        got_code, got_kpe = codec.decode(codec.encode((code, kpe)))
-        assert got_code == code
-        assert got_kpe == kpe
-
-    @given(st.lists(rects, max_size=60), st.integers(40, 400))
-    def test_packed_pagefile_roundtrip(self, kpes, page_size):
-        disk = SimulatedDisk(CostModel(page_size=page_size))
-        f = PackedPageFile(disk, KpeCodec)
-        f.append_bulk(kpes)
-        decoded = f.read_all()
-        assert len(decoded) == len(kpes)
-        for got, want in zip(decoded, kpes):
-            assert got.oid == want.oid
 
 
 class TestPageFileProperties:

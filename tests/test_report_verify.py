@@ -1,14 +1,6 @@
-"""Tests for the stats report formatter and verification utilities."""
+"""Tests for the stats report formatter."""
 
-import pytest
-
-from repro import (
-    PBSM,
-    VerificationError,
-    results_consistent,
-    verify_driver,
-    verify_result,
-)
+from repro import PBSM
 from repro.core.report import format_stats
 from repro.core.result import JoinStats
 
@@ -48,46 +40,3 @@ class TestFormatStats:
         assert "duplicates (sort)  5" in text
         assert "memory overruns    2" in text
         assert "duplicates (RPM)" not in text
-
-
-class TestVerify:
-    def test_accepts_correct_result(self, small_pair):
-        left, right = small_pair
-        result = verify_driver(PBSM(2048), left, right)
-        assert len(result) > 0
-
-    def test_rejects_missing_pair(self, small_pair):
-        left, right = small_pair
-        result = PBSM(2048).run(left, right)
-        result.pairs.pop()
-        with pytest.raises(VerificationError, match="mismatch"):
-            verify_result(result, left, right)
-
-    def test_rejects_extra_pair(self, small_pair):
-        left, right = small_pair
-        result = PBSM(2048).run(left, right)
-        result.pairs.append((-1, -2))
-        with pytest.raises(VerificationError, match="mismatch"):
-            verify_result(result, left, right)
-
-    def test_rejects_duplicates(self, small_pair):
-        left, right = small_pair
-        result = PBSM(2048).run(left, right)
-        result.pairs.append(result.pairs[0])
-        with pytest.raises(VerificationError, match="duplicate"):
-            verify_result(result, left, right)
-
-    def test_duplicate_check_can_be_disabled(self, small_pair):
-        left, right = small_pair
-        result = PBSM(2048).run(left, right)
-        result.pairs.append(result.pairs[0])
-        verify_result(result, left, right, check_duplicates=False)
-
-    def test_results_consistent(self, small_pair):
-        left, right = small_pair
-        a = PBSM(2048).run(left, right)
-        b = PBSM(4096, internal="sweep_trie").run(left, right)
-        assert results_consistent(a, b)
-        b.pairs.pop()
-        assert not results_consistent(a, b)
-        assert results_consistent()

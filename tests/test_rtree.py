@@ -51,38 +51,6 @@ class TestBulkLoad:
             RTree(fanout=2)
 
 
-class TestInsertion:
-    def test_insert_preserves_entries(self):
-        tree = RTree(fanout=8)
-        kpes = random_kpes(200, 5)
-        for k in kpes:
-            tree.insert(k)
-        assert tree.size == 200
-        assert sorted(k.oid for k in tree.iter_kpes()) == sorted(
-            k.oid for k in kpes
-        )
-
-    def test_insert_fanout_respected(self):
-        tree = RTree(fanout=6)
-        for k in random_kpes(150, 6):
-            tree.insert(k)
-        for node in tree.iter_nodes():
-            assert len(node.entries) <= 6
-
-    def test_search_after_insert(self):
-        tree = RTree(fanout=8)
-        kpes = random_kpes(150, 7, max_edge=0.05)
-        for k in kpes:
-            tree.insert(k)
-        found = tree.search(0.3, 0.3, 0.6, 0.6)
-        expected = [
-            k
-            for k in kpes
-            if k.xl <= 0.6 and 0.3 <= k.xh and k.yl <= 0.6 and 0.3 <= k.yh
-        ]
-        assert sorted(k.oid for k in found) == sorted(k.oid for k in expected)
-
-
 class TestSearch:
     def test_window_query_matches_scan(self):
         kpes = random_kpes(400, 8, max_edge=0.08)

@@ -114,7 +114,9 @@ def spatial_join(
         same id tasks over the inputs' columns, so a NaN coordinate or
         an inverted MBR is rejected up front with a ``ValueError``
         naming the row.
-        Result pairs are identical to the sequential execution.
+        The result holds the same pairs as the sequential execution, in
+        partition order rather than the sequential leaf order (compare
+        them sorted).
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one
         ``spatial_join`` section wrapping the planner's ``plan`` span
@@ -135,7 +137,14 @@ def spatial_join(
     -------
     JoinResult
         All ``(left_oid, right_oid)`` pairs whose MBRs intersect, each
-        exactly once, plus execution statistics —
+        exactly once, plus execution statistics.  A PBSM result under
+        the Reference Point Method (the default, and every ``workers``
+        run) keeps two int64 arrays:
+        ``len(result)`` and ``result.to_arrays()`` box nothing, and
+        ``result.pairs`` is a read-only sequence that builds the tuples
+        only while it is iterated — not a ``list`` (no ``append``; use
+        ``list(result.pairs)`` for one).  Other methods and
+        ``dedup="sort"`` return a ``list``.
         ``stats.total_wall_seconds`` covers this whole call (planning
         included; ``stats.planning_seconds`` isolates the planner's
         share).  For ``method="auto"`` the chosen

@@ -9,9 +9,19 @@ I/O and CPU shares, wall time, and redundancy/duplicate accounting.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -135,6 +145,110 @@ def pair_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[Any, Any]:
     return table[:, 0], table[:, 1]
 
 
+#: Pairs a :class:`PairRows` decodes at a time while it is iterated: the
+#: bound on the ``tolist()`` lists alive at once.
+DECODE_CHUNK = 16_384
+
+
+class RowOids(NamedTuple):
+    """One input's oids, indexed by row position."""
+
+    #: the int64 oid column (what ``to_arrays`` gathers from)
+    column: Any
+    #: the oid objects in row order, an object array: a list input's own
+    #: (its tuples hold the very same ones); ``None`` for an input without
+    #: tuples, whose column :func:`oid_objects` boxes while pairs are read
+    objects: Any = None
+
+
+def oid_objects(side: RowOids) -> Any:
+    """Every row's oid object: *side*'s own, else its int64 column boxed
+    (``astype(object)``; a columnar input has no tuples).  The one place
+    a result boxes oids.  Pairs are built from it (``oids[rid].tolist()``):
+    indexing the int64 column instead would allocate two fresh ints per
+    pair."""
+    if side.objects is not None:
+        return side.objects
+    return side.column.astype(object)
+
+
+class PairRows(Sequence):
+    """Result pairs held as two int64 arrays and decoded while read.
+
+    A read-only sequence of ``(left_oid, right_oid)`` tuples: ``len``,
+    iteration, int and slice indexing (a slice is a ``list``), ``in``
+    and ``==`` with any sequence, in both directions; unhashable.  With
+    *sides* the arrays are row positions, decoded through each input's
+    oids (:class:`RowOids`); without, they are the oids themselves.
+
+    Iteration decodes :data:`DECODE_CHUNK` pairs at a time into one
+    ``zip`` each, so ``for l, r in pairs`` allocates no tuple per pair:
+    ``zip`` reuses its result tuple once the loop has dropped it.  An
+    input without oid objects has its column boxed once per iteration
+    (:func:`oid_objects`), and the boxes go when the iteration does;
+    indexing reads the column without boxing it.
+    """
+
+    __slots__ = ("_arrays", "_sides")
+
+    def __init__(
+        self, arrays: Tuple[Any, Any], sides: Optional[Tuple[RowOids, RowOids]]
+    ) -> None:
+        self._arrays = arrays
+        self._sides = sides
+
+    def oids(self) -> Tuple[Any, Any]:
+        """The pairs as two int64 oid arrays: the buffers themselves
+        without *sides*, else gathered from the oid columns."""
+        if self._sides is None:
+            return self._arrays
+        left, right = self._sides
+        return left.column[self._arrays[0]], right.column[self._arrays[1]]
+
+    def _decode(
+        self, index: slice, through: Optional[Tuple[Any, Any]] = None
+    ) -> Iterator[Tuple[Any, Any]]:
+        """Pairs *index* as oid tuples, row positions looked up in
+        *through* (each side's :func:`oid_objects`), or else in each
+        side's oid objects or column."""
+        rid, sid = self._arrays[0][index], self._arrays[1][index]
+        if self._sides is not None:
+            left, right = through or [
+                side.column if side.objects is None else side.objects
+                for side in self._sides
+            ]
+            rid, sid = left[rid], right[sid]
+        return zip(rid.tolist(), sid.tolist())
+
+    def __len__(self) -> int:
+        return len(self._arrays[0])
+
+    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
+        through = None
+        if self._sides is not None:
+            through = (oid_objects(self._sides[0]), oid_objects(self._sides[1]))
+        return chain.from_iterable(
+            self._decode(slice(lo, lo + DECODE_CHUNK), through)
+            for lo in range(0, len(self), DECODE_CHUNK)
+        )
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return list(self._decode(index))
+        position = range(len(self))[index]  # IndexError / TypeError as a list
+        return next(self._decode(slice(position, position + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"<{len(self):,} pairs, decoded on read>"
+
+
 class JoinResult:
     """The output of the filter step of a spatial join.
 
@@ -143,39 +257,50 @@ class JoinResult:
     intersecting *records* (including an object with itself), because the
     filter step operates purely on KPEs.
 
-    A result is backed by one of two forms.  Every driver that produces
-    tuples hands its list to the constructor.  The parallel driver
-    hands over the two int64 oid buffers its leaves produced
-    (:meth:`from_arrays`, in merge order) and no tuple exists until a
-    caller asks for one: ``len(result)`` and :meth:`to_arrays` read the
-    buffers, and the first access to ``pairs`` decodes them into a real
-    ``list`` that is the single truth from then on (the buffers are
-    dropped, so ``result.pairs.append(...)`` and ``result.pairs = ...``
-    behave as on any list-backed result and memory holds one form).
+    A result is backed by one of two forms.  The paper's engines (S3J,
+    SSSJ, SHJ, the R-tree join) and PBSM's ``dedup="sort"`` hand their
+    ``list`` of tuples to the constructor, and ``pairs`` is that list.
+    PBSM under the Reference Point Method keeps the leaves' int64 row
+    positions, and :class:`~repro.pbsm.parallel.ParallelPBSM` the two
+    int64 oid buffers they decode to (:meth:`from_arrays`, with and
+    without *sides*).  No tuple of those exists until a caller iterates
+    ``pairs``: a read-only :class:`PairRows` that decodes them chunk by
+    chunk, every time it is read.  ``len(result)`` and :meth:`to_arrays`
+    read the buffers.  Such ``pairs`` is not a ``list`` — no ``append``
+    or ``sort`` (``sorted(result.pairs)`` and ``list(result.pairs)``
+    work), and two reads need not return the same object — but
+    assigning ``result.pairs = [...]`` makes any result list-backed.
+    A row-backed result keeps each input's int64 oid column (and a list
+    input's oid object array, 8 B a row each) alive for as long as it
+    lives; boxes a columnar input's oids need live only while ``pairs``
+    is iterated.
     """
 
     def __init__(self, pairs: List[Tuple[int, int]], stats: JoinStats) -> None:
         self._pairs: Optional[List[Tuple[int, int]]] = pairs
-        self._oids: Optional[Tuple[Any, Any]] = None
+        self._oids: Optional[PairRows] = None
         self.stats = stats
 
     @classmethod
     def from_arrays(
-        cls, left_oids: Any, right_oids: Any, stats: JoinStats
+        cls,
+        left: Any,
+        right: Any,
+        stats: JoinStats,
+        sides: Optional[Tuple[RowOids, RowOids]] = None,
     ) -> "JoinResult":
-        """A result backed by two equally long int64 oid arrays."""
+        """A result backed by two equally long int64 arrays: the oids, or
+        with *sides* row positions that decode through them."""
         result = cls([], stats)
         result._pairs = None
-        result._oids = (left_oids, right_oids)
+        result._oids = PairRows((left, right), sides)
         return result
 
     @property
-    def pairs(self) -> List[Tuple[int, int]]:
-        if self._pairs is None:
-            assert self._oids is not None
-            left_oids, right_oids = self._oids
-            self._pairs = list(zip(left_oids.tolist(), right_oids.tolist()))
-            self._oids = None
+    def pairs(self) -> Sequence[Tuple[int, int]]:
+        if self._oids is not None:
+            return self._oids
+        assert self._pairs is not None
         return self._pairs
 
     @pairs.setter
@@ -186,12 +311,13 @@ class JoinResult:
     def to_arrays(self) -> Tuple[Any, Any]:
         """The result as ``(left_oids, right_oids)``, two int64 arrays.
 
-        The buffers themselves when the result is backed by them (do not
-        write to them); otherwise unboxed from the pair list on every
-        call (:func:`pair_columns`).
+        The oid buffers themselves when the result is backed by them (do
+        not write to them); gathered from the inputs' oid columns when it
+        holds row positions; otherwise unboxed from the pair list on
+        every call (:func:`pair_columns`).
         """
         if self._oids is not None:
-            return self._oids
+            return self._oids.oids()
         return pair_columns(self.pairs)
 
     def pair_set(self) -> set:
@@ -203,8 +329,6 @@ class JoinResult:
         return len(self.pairs) != len(set(self.pairs))
 
     def __len__(self) -> int:
-        if self._oids is not None:
-            return len(self._oids[0])
         return len(self.pairs)
 
     def __repr__(self) -> str:

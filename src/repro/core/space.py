@@ -101,3 +101,17 @@ class Space:
 
     def __hash__(self) -> int:
         return hash((self.xl, self.yl, self.xh, self.yh))
+
+
+def clamped_cell(scaled: float, n: int) -> int:
+    """A float position as a cell index in ``[0, n)``: the scalar
+    :func:`repro.kernels.sweep.clamped_index`, clamped before the cast.
+    A NaN (``inf / inf`` in an unbounded space) lands in cell 0, an
+    infinity on the border; every finite position gets the cell that
+    cast-then-clip gives it.  The one cell cast of every scalar grid
+    (PBSM's tiles, S3J's levels, SHJ's buckets)."""
+    if not scaled > 0.0:
+        return 0
+    if scaled >= n - 1:
+        return n - 1
+    return int(scaled)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Set, Tuple
 
-from repro.core.space import Space
+from repro.core.space import Space, clamped_cell
 
 #: Odd multipliers for the tile-to-partition hash.  The scalar
 #: arithmetic here and the vectorized replay in
@@ -90,8 +90,8 @@ class TileGrid:
     def tile_of_point(self, x: float, y: float) -> Tuple[int, int]:
         """The unique (half-open, border-clamped) tile owning a point."""
         return (
-            _clamped_cell(self.space.norm_x(x) * self.nx, self.nx),
-            _clamped_cell(self.space.norm_y(y) * self.ny, self.ny),
+            clamped_cell(self.space.norm_x(x) * self.nx, self.nx),
+            clamped_cell(self.space.norm_y(y) * self.ny, self.ny),
         )
 
     def partition_of_tile(self, tx: int, ty: int) -> int:
@@ -129,14 +129,3 @@ class TileGrid:
     def tile_count(self) -> int:
         return self.nx * self.ny
 
-
-def _clamped_cell(scaled: float, n: int) -> int:
-    """A float position as a cell index in ``[0, n)``: the scalar
-    :func:`repro.kernels.sweep.clamped_index`, clamped before the cast.
-    A NaN (``inf / inf`` in an unbounded space) lands in cell 0, an
-    infinity on the border."""
-    if not scaled > 0.0:
-        return 0
-    if scaled >= n - 1:
-        return n - 1
-    return int(scaled)

@@ -14,10 +14,10 @@ Implements both variants the paper compares:
 The internal algorithm (list sweep, trie sweep, ...) is pluggable, which is
 how Figures 4/5/12 are driven.  The recursion of Section 3.2.3 hands out
 *leaves* — partition pairs that are joined as they are — to one loop that
-produces each leaf's pairs in one piece: :meth:`PBSM.run` extends its list
-leaf by leaf, and :meth:`PBSM.iter_pairs` yields from each leaf before the
-next is read, so the operator layer can demonstrate the pipelining
-difference.
+produces each leaf's pairs in one piece: :meth:`PBSM.run` concatenates
+the leaves' row positions once and boxes no pair, and
+:meth:`PBSM.iter_pairs` yields from each leaf before the next is read, so
+the operator layer can demonstrate the pipelining difference.
 
 :meth:`PBSM._join_leaves` is the one PBSM pipeline.  Both engines read
 the inputs' five columns (already there for mapped inputs, built once
@@ -28,8 +28,9 @@ is only the kernel a leaf (:func:`join_leaf`) runs: the *tuple* engine's
 subject) over records gathered from the columns, or the *columnar*
 engine's :func:`columnar_leaf` (``internal="sweep_numpy"``, what
 :func:`repro.spatial_join` runs by default).  Both return row positions
-after one batched ownership test, which the driver turns into oid tuples
-with one gather per side — ``docs/kernels.md``, "Columnar
+after one batched ownership test; the result keeps them, and
+``result.pairs`` turns them into oid tuples through the inputs' own oid
+objects only while it is read — ``docs/kernels.md``, "Columnar
 sequential driver".  :class:`~repro.pbsm.parallel.ParallelPBSM` is this
 pipeline with repartitioning off, its leaves optionally run on a process
 pool.
@@ -59,7 +60,7 @@ from repro.core.phases import (
     PHASE_PARTITION,
     PHASE_REPARTITION,
 )
-from repro.core.result import JoinResult, JoinStats
+from repro.core.result import JoinResult, JoinStats, PairRows, RowOids, oid_objects
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
@@ -147,13 +148,27 @@ class PBSM:
     # public API
     # ------------------------------------------------------------------
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
-        """Execute the join and return all result pairs plus statistics."""
+        """Execute the join and return all result pairs plus statistics.
+
+        Under ``dedup="rpm"`` the result holds the leaves' row positions,
+        concatenated once: ``result.pairs`` is a read-only sequence that
+        decodes them through the inputs' own oid objects while it is
+        iterated (:class:`~repro.core.result.PairRows`; no ``append``),
+        and ``len(result)`` and ``result.to_arrays()`` box nothing.
+        Under ``"sort"`` it is the sorted-out ``list``.
+        """
         stats = self._new_stats(left, right)
-        pairs: List[Tuple[int, int]] = []
-        for leaf_pairs in self._join_leaves(left, right, stats):
-            pairs.extend(leaf_pairs)
-        stats.n_results = len(pairs)
-        return JoinResult(pairs=pairs, stats=stats)
+        columns = _columns(left, right)
+        pieces = self._join_leaves(columns, stats)
+        if self.dedup == "sort":
+            pairs: List[Tuple[int, int]] = []
+            for unique in pieces:
+                pairs.extend(unique)
+            result = JoinResult(pairs=pairs, stats=stats)
+        else:
+            result = self._result(columns, pieces, stats)
+        stats.n_results = len(result)
+        return result
 
     def iter_pairs(
         self,
@@ -170,7 +185,12 @@ class PBSM:
         when the iterator is exhausted.
         """
         own_stats = stats if stats is not None else self._new_stats(left, right)
-        for leaf_pairs in self._join_leaves(left, right, own_stats):
+        columns = _columns(left, right)
+        pieces = self._join_leaves(columns, own_stats)
+        if columns is not None and self.dedup == "rpm":
+            sides = _row_oids(columns, boxed=True)
+            pieces = (PairRows(piece, sides) for piece in pieces)
+        for leaf_pairs in pieces:
             yield from leaf_pairs
 
     # ------------------------------------------------------------------
@@ -184,18 +204,31 @@ class PBSM:
             n_right=len(right),
         )
 
+    def _result(
+        self,
+        columns: Optional["_Columns"],
+        pieces: Iterable[Tuple[Any, Any]],
+        stats: JoinStats,
+    ) -> JoinResult:
+        """The RPM result: the leaves' ``(rid, sid)`` *pieces* concatenated
+        once, decoded through the inputs' oids on read."""
+        sides = None if columns is None else _row_oids(columns)
+        return JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
+
     def _join_leaves(
         self,
-        left: Sequence[Tuple],
-        right: Sequence[Tuple],
+        columns: Optional["_Columns"],
         stats: JoinStats,
     ) -> Iterator[Any]:
-        """Run the phases; yield each leaf's output as one piece.
+        """Run the phases over *columns* (``None``: an empty side).
 
-        The one PBSM pipeline: :meth:`run` and :meth:`iter_pairs` drain
-        it, and so does :class:`~repro.pbsm.parallel.ParallelPBSM`, which
-        changes where leaves run (:meth:`_run_leaves`), what a columnar
-        leaf's output is (:meth:`_decode`) and how the run is accounted
+        Under ``dedup="rpm"`` yields each leaf's ``(rid, sid)`` row
+        positions as one piece; under ``"sort"`` one list of oid tuples,
+        the duplicate-free result of the final phase.  The one PBSM
+        pipeline: :meth:`run` and :meth:`iter_pairs` drain it, and so
+        does :class:`~repro.pbsm.parallel.ParallelPBSM`, which changes
+        where leaves run (:meth:`_run_leaves`), what its result holds
+        (:meth:`_result`) and how the run is accounted
         (:meth:`_finalize_stats`).  No generator is resumed per pair.
         Everything a run accumulates (disk, counters, *stats*) is local
         to this generator — never an attribute of the driver — so
@@ -211,20 +244,19 @@ class PBSM:
         }
         #: ``(pages read, counters, wall seconds)`` per leaf, in join order.
         leaf_costs: List[Tuple[int, CpuCounters, float]] = []
-        if not left or not right:
+        if columns is None:
             self._finalize_stats(stats, disk, cpu, leaf_costs)
             return
 
-        columns = _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
         # The columnar leaf's id runs arrive xl-sorted, the tuple leaf's
         # in input order.
         columnar = columnar_engine(self.internal_name)
-        output = self._decode(columns)
 
         kpe_bytes = self.cost_model.kpe_bytes
         space = Space.of(columns.left, columns.right)
         n_partitions = estimate_partitions(
-            len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
+            len(columns.left), len(columns.right), kpe_bytes, self.memory_bytes,
+            self.t_factor,
         )
         # A parallel run wants at least one task per worker (a sequential
         # one has no workers).
@@ -262,7 +294,9 @@ class PBSM:
                 (left_files, n_left), (right_files, n_right) = sides
                 sp.add_counters({"partitions_reused": reused})
                 stats.records_partitioned = n_left + n_right
-                stats.replicas_created = n_left + n_right - len(left) - len(right)
+                stats.replicas_created = (
+                    n_left + n_right - len(columns.left) - len(columns.right)
+                )
             stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- candidate sink -------------------------------------------
@@ -271,6 +305,7 @@ class PBSM:
             if self.dedup == "sort":
                 candidate_file = PageFile(disk, self.cost_model.result_bytes, "cands")
                 candidate_writer = candidate_file.writer(buffer_pages=1)
+                sides = _row_oids(columns, boxed=True)
 
             # --- phases 2+3: (re)partition & join --------------------------
             # Top-level pairs stacked so that partition 0 is looked at first.
@@ -293,12 +328,12 @@ class PBSM:
                         (file_left.n_pages + file_right.n_pages, counters, wall)
                     )
                     if candidate_writer is None:
-                        yield output(pairs)
+                        yield pairs
                     else:
                         # The candidate-pair writes are part of the
                         # duplicate-removal overhead (Figure 3a).
                         with disk.phase(PHASE_DEDUP):
-                            candidate_writer.write_many(output(pairs))
+                            candidate_writer.write_many(PairRows(pairs, sides))
                 sp.add_counters(
                     {
                         "bytes_shipped": stats.ipc_bytes_shipped,
@@ -422,16 +457,6 @@ class PBSM:
                 )
             yield leaf, (pairs, suppressed, counters, wall)
 
-    def _decode(self, columns: "_Columns") -> Callable[[Any], Iterable[Tuple[int, int]]]:
-        """How a leaf's row positions leave :meth:`_join_leaves`: as oid
-        tuples, through the inputs' own oid objects, one gather per
-        side."""
-        left_oids = _oid_objects(columns.left)
-        right_oids = _oid_objects(columns.right)
-        return lambda pairs: zip(
-            left_oids[pairs[0]].tolist(), right_oids[pairs[1]].tolist()
-        )
-
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
@@ -468,15 +493,36 @@ class _Columns(NamedTuple):
     right: ColumnarRelation
 
 
-def _oid_objects(cols: ColumnarRelation) -> Any:
-    """Every record's oid object in row order: the tuples' own where the
-    columns were read from tuples, else boxed once (a columnar input has
-    no tuples).  Result pairs are built from it (``oids[rid].tolist()``):
-    indexing the int64 oid column instead would allocate two fresh ints
-    per result pair."""
-    if cols.oid_objects is not None:
-        return cols.oid_objects
-    return cols.oid.astype(object)
+def _columns(left: Sequence[Tuple], right: Sequence[Tuple]) -> Optional[_Columns]:
+    """Both inputs' validated columns; ``None`` when a side is empty
+    (nothing is joined, so nothing is validated)."""
+    if not left or not right:
+        return None
+    return _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
+
+
+def concat_rows(pieces: Iterable[Tuple[Any, Any]]) -> Tuple[Any, Any]:
+    """The leaves' ``(rid, sid)`` pieces, each side concatenated once in
+    leaf order."""
+    rids: List[Any] = []
+    sids: List[Any] = []
+    for rid, sid in pieces:
+        rids.append(rid)
+        sids.append(sid)
+    empty = np.empty(0, dtype=np.int64)
+    return np.concatenate([empty, *rids]), np.concatenate([empty, *sids])
+
+
+def _row_oids(columns: _Columns, boxed: bool = False) -> Tuple[RowOids, RowOids]:
+    """Each input's oid column and oid objects: what row positions decode
+    through (:class:`~repro.core.result.PairRows`).  *boxed* boxes a
+    columnar input's column now, once for a run that decodes leaf by
+    leaf, rather than on every read of a result."""
+    left, right = (RowOids(cols.oid, cols.oid_objects) for cols in columns)
+    if boxed:
+        left = RowOids(left.column, oid_objects(left))
+        right = RowOids(right.column, oid_objects(right))
+    return left, right
 
 
 def columnar_engine(internal_name: str) -> bool:

@@ -75,7 +75,6 @@ import warnings
 from contextlib import contextmanager
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -101,7 +100,14 @@ from repro.kernels.shm import (
 )
 from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.join import PBSM, Leaf, LeafOutcome, join_leaf, read_leaf
+from repro.pbsm.join import (
+    PBSM,
+    Leaf,
+    LeafOutcome,
+    concat_rows,
+    join_leaf,
+    read_leaf,
+)
 
 EXECUTORS = ("simulated", "process")
 
@@ -163,12 +169,13 @@ def worker_cap() -> int:
 _WARNED_CLAMPS: Set[str] = set()
 
 
-def _warn_clamp(message: str) -> None:
-    """Emit a clamp or degrade ``RuntimeWarning`` exactly once per process."""
+def _warn_clamp(message: str, stacklevel: int = 3) -> None:
+    """Emit a clamp or degrade ``RuntimeWarning`` exactly once per process,
+    attributed *stacklevel* frames up (the caller of the public method)."""
     if message in _WARNED_CLAMPS:
         return
     _WARNED_CLAMPS.add(message)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
+    warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
 
 
 def reset_clamp_warnings() -> None:
@@ -530,8 +537,9 @@ class ParallelPBSM(PBSM):
 
     The result is backed by the two int64 oid buffers the tasks
     produced, merged in ``pid`` order and never boxed by the driver:
-    ``len(result)`` and ``result.to_arrays()`` read them,
-    ``result.pairs`` decodes them into a list on first access.
+    ``len(result)`` and ``result.to_arrays()`` read them, and
+    ``result.pairs`` is a read-only sequence that decodes them while it
+    is iterated (:class:`~repro.core.result.PairRows`), not a list.
 
     Duplicates are always handled by the Reference Point Method (there
     is no ``dedup`` option: the offline sort would serialise the join
@@ -588,7 +596,9 @@ class ParallelPBSM(PBSM):
         #: — the relation columns are never re-shipped.
         self.pinned = pinned
 
-    def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
+    def _new_stats(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinStats:
+        """The run's stats, ``stats.executor`` saying which executor runs
+        the leaves (:meth:`_run_leaves`)."""
         executor = self.executor
         if executor == "process" and self.workers == 1:
             executor = "simulated"  # one worker never fans out
@@ -596,28 +606,17 @@ class ParallelPBSM(PBSM):
             _warn_clamp(
                 "executor='process' needs a shared-memory segment (POSIX "
                 "shared memory, REPRO_DISABLE_SHM unset); running the "
-                "in-process loop instead"
+                "in-process loop instead",
+                stacklevel=4,  # _new_stats <- run <- the caller
             )
             executor = "simulated"
-        # ``stats.executor`` says which one runs the leaves (_run_leaves).
-        stats = JoinStats(
+        return JoinStats(
             algorithm=f"ParallelPBSM({self.internal_name},W={self.workers})",
             executor=executor,
             n_left=len(left),
             n_right=len(right),
             n_workers=self.workers,
         )
-        # Every leaf's output is two oid buffers, merged without boxing a
-        # pair; *empty* covers a run without leaves.
-        outputs = list(self._join_leaves(left, right, stats))
-        empty = np.empty(0, dtype=np.int64)
-        result = JoinResult.from_arrays(
-            np.concatenate([empty, *(o[0] for o in outputs)]),
-            np.concatenate([empty, *(o[1] for o in outputs)]),
-            stats,
-        )
-        stats.n_results = len(result)
-        return result
 
     def iter_pairs(self, *args: Any, **kwargs: Any) -> Iterator[Tuple[int, int]]:
         """Not offered: the tasks' buffers are merged whole (:meth:`run`)."""
@@ -626,10 +625,16 @@ class ParallelPBSM(PBSM):
     # ------------------------------------------------------------------
     # PBSM's pipeline, configured
     # ------------------------------------------------------------------
-    def _decode(self, columns: Any) -> Callable[[Any], Any]:
-        """A leaf's row positions as its two int64 oid buffers."""
-        left_oids, right_oids = columns.left.oid, columns.right.oid
-        return lambda pairs: (left_oids[pairs[0]], right_oids[pairs[1]])
+    def _result(
+        self, columns: Any, pieces: Iterable[Tuple[Any, Any]], stats: JoinStats
+    ) -> JoinResult:
+        """The leaves' row positions as two int64 oid buffers, gathered a
+        leaf at a time and concatenated once: the result is those
+        buffers, and ``to_arrays()`` hands them over uncopied."""
+        if columns is not None:
+            left, right = columns.left.oid, columns.right.oid
+            pieces = ((left[rid], right[sid]) for rid, sid in pieces)
+        return JoinResult.from_arrays(*concat_rows(pieces), stats)
 
     def _run_leaves(
         self,

@@ -416,9 +416,10 @@ class JoinServer:
         plan = self.engine.plan(left, right, memory_bytes, tracer)
         self.admission.check_budget(plan.chosen.estimate.total_seconds)
         result = self.engine.execute(plan, left, right, tracer)
-        # The result stays two oid buffers from here to the socket.
+        # The result is two oid buffers from here to the socket, and only
+        # those: a sequential plan's row positions go with *result*.
         columns = result.to_arrays()
-        return plan, result, columns, result_checksum(columns)
+        return plan, result.stats, columns, result_checksum(columns)
 
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
@@ -444,7 +445,7 @@ class JoinServer:
 
         try:
             async with self.admission.slot():
-                plan, result, columns, checksum = await run_blocking(
+                plan, stats, columns, checksum = await run_blocking(
                     self._answer, left, right, memory_bytes, tracer
                 )
         except AdmissionReject as exc:
@@ -480,7 +481,6 @@ class JoinServer:
                 await writer.drain()
 
         elapsed = time.perf_counter() - started
-        stats = result.stats
         self._queries_ok += 1
         self._traces[query_id] = [span.to_dict() for span in tracer.spans]
         while len(self._traces) > TRACE_KEEP:

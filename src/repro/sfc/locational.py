@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Tuple
 
-from repro.core.space import Space
+from repro.core.space import Space, clamped_cell
 from repro.sfc.hilbert import hilbert_decode, hilbert_encode
 from repro.sfc.zorder import z_decode, z_encode
 
@@ -80,20 +80,12 @@ def point_cell(space: Space, x: float, y: float, level: int) -> Tuple[int, int]:
     """The unique cell of the level-*level* grid owning point ``(x, y)``.
 
     Cells are half-open; points on the far border of the space are clamped
-    into the last cell so the map stays total on the closed space.
+    into the last cell so the map stays total on the closed space, and an
+    infinite coordinate (or the NaN it normalises to in an unbounded
+    space) gets a border cell (:func:`~repro.core.space.clamped_cell`).
     """
     n = 1 << level
-    ix = int(space.norm_x(x) * n)
-    iy = int(space.norm_y(y) * n)
-    if ix >= n:
-        ix = n - 1
-    elif ix < 0:
-        ix = 0
-    if iy >= n:
-        iy = n - 1
-    elif iy < 0:
-        iy = 0
-    return ix, iy
+    return clamped_cell(space.norm_x(x) * n, n), clamped_cell(space.norm_y(y) * n, n)
 
 
 def mxcif_level(space: Space, kpe: Tuple, max_level: int) -> int:

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
 from repro.core.result import JoinResult, JoinStats
-from repro.core.space import Space
+from repro.core.space import Space, clamped_cell
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
@@ -101,8 +101,8 @@ class SpatialHashJoin:
                     for k in left:
                         cx = (k[1] + k[3]) / 2.0
                         cy = (k[2] + k[4]) / 2.0
-                        bx = min(side - 1, max(0, int(space.norm_x(cx) * side)))
-                        by = min(side - 1, max(0, int(space.norm_y(cy) * side)))
+                        bx = clamped_cell(space.norm_x(cx) * side, side)
+                        by = clamped_cell(space.norm_y(cy) * side, side)
                         bucket = by * side + bx
                         writers[bucket].write(k)
                         counters.structure_ops += 1

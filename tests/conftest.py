@@ -128,6 +128,23 @@ def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):
 
 
 @pytest.fixture
+def pair_decodes(monkeypatch):
+    """The index slices every ``PairRows._decode`` call from here on was
+    given: a buffer- or row-backed ``result.pairs`` turned into tuples."""
+    from repro.core.result import PairRows
+
+    calls = []
+    decode = PairRows._decode
+
+    def spy(self, index, *args):
+        calls.append(index)
+        return decode(self, index, *args)
+
+    monkeypatch.setattr(PairRows, "_decode", spy)
+    return calls
+
+
+@pytest.fixture
 def small_pair():
     """Two small random relations with a few hundred result pairs."""
     left = random_kpes(200, seed=11, max_edge=0.06)

@@ -194,15 +194,15 @@ class TestCsrPartitioning:
 @needs_shm
 class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
-    def test_byte_identical_across_executors(self, internal):
+    def test_byte_identical_across_executors(self, internal, pair_decodes):
         sim = run(2, executor="simulated", internal=internal)
         proc = run(2, internal=internal)
         assert proc.stats.executor == "process"
         # The driver boxes no pair: every leaf returns row positions, in
         # this process and in a pool worker, decoded into oid buffers.
-        assert sim._pairs is None
+        assert sim._pairs is None and proc._pairs is None  # buffer-backed
         assert proc.stats.n_results == len(proc) == len(sim.pairs)
-        assert proc._pairs is None  # len() did not decode
+        assert pair_decodes == []  # run and len() did not decode
         assert proc.pairs == sim.pairs  # same pairs, same order
         assert proc.stats.duplicates_suppressed == sim.stats.duplicates_suppressed
         assert proc.stats.cpu_by_phase == sim.stats.cpu_by_phase

@@ -601,6 +601,14 @@ INFINITE_JOINS = [
         ).run(a, b),
         id="parallel-simulated",
     ),
+    # The other engines, through the library entry point.
+    *(
+        pytest.param(
+            lambda a, b, m, method=method: spatial_join(a, b, m, method=method),
+            id=f"spatial_join-{method}",
+        )
+        for method in ("s3j", "sssj", "shj", "rtree")
+    ),
 ]
 
 

@@ -217,7 +217,9 @@ class ForcedPlanEngine(RecordingEngine):
 
 @needs_shm
 class TestServedResultStaysBuffers:
-    def test_no_pair_list_with_or_without_include_pairs(self, own_shm_segments):
+    def test_no_pair_list_with_or_without_include_pairs(
+        self, own_shm_segments, pair_decodes
+    ):
         engine = ForcedPlanEngine()
 
         async def scenario():
@@ -241,6 +243,7 @@ class TestServedResultStaysBuffers:
         # Checksummed, paginated in both frames, summarised — and no
         # tuple was ever built server-side.
         assert all(r._pairs is None for r in engine.results)
+        assert pair_decodes == []
         assert hot["checksum"] == streamed["checksum"] == expected_checksum()
         assert hot["n_results"] == len(pairs) == len(EXPECTED.pairs)
         assert pairs == engine.results[1].pairs  # the merge order, on the wire

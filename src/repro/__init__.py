@@ -115,8 +115,8 @@ def spatial_join(
         an inverted MBR is rejected up front with a ``ValueError``
         naming the row.
         The result holds the same pairs as the sequential execution, in
-        partition order rather than the sequential leaf order (compare
-        them sorted).
+        the same leaf order whenever both runs use the same number of
+        partitions (a parallel run uses at least one per worker).
     tracer:
         A :class:`~repro.obs.Tracer` to record spans on: one
         ``spatial_join`` section wrapping the planner's ``plan`` span

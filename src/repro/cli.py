@@ -39,7 +39,7 @@ from repro.datasets import (
 )
 from repro.datasets.fileio import load_relation, save_relation
 from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
-from repro.io.costmodel import mb
+from repro.io.costmodel import is_memory_mb, mb
 
 PATTERNS = {
     "tiger": polyline_mbrs,
@@ -60,6 +60,17 @@ def _load(path: str):
     except (OSError, ValueError) as exc:
         print(f"error: cannot load {path}: {exc}", file=sys.stderr)
         return None
+
+
+def _memory_mb(text: str) -> float:
+    """``--memory-mb`` under the join protocol's rule (:func:`is_memory_mb`):
+    a bad value is a usage error (exit 2), not a traceback."""
+    value = float(text)  # argparse turns a ValueError into a usage error
+    if not is_memory_mb(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0 (at least one byte), got {text!r}"
+        )
+    return value
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -419,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("left")
     join.add_argument("right")
     join.add_argument("--method", choices=SPATIAL_JOIN_METHODS, default="pbsm")
-    join.add_argument("--memory-mb", type=float, default=2.5)
+    join.add_argument("--memory-mb", type=_memory_mb, default=2.5)
     join.add_argument("--internal", default=None, help="internal algorithm name")
     join.add_argument(
         "--dedup",
@@ -474,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("left")
     explain.add_argument("right")
-    explain.add_argument("--memory-mb", type=float, default=2.5)
+    explain.add_argument("--memory-mb", type=_memory_mb, default=2.5)
     explain.add_argument(
         "--execute",
         action="store_true",
@@ -496,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--unix-socket", default=None, help="serve on a unix socket instead of TCP"
     )
-    serve.add_argument("--memory-mb", type=float, default=2.5)
+    serve.add_argument("--memory-mb", type=_memory_mb, default=2.5)
     serve.add_argument(
         "--workers",
         type=int,
@@ -552,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument(
         "--repeats", type=int, default=3, help="queries per client per cell"
     )
-    load.add_argument("--memory-mb", type=float, default=2.5)
+    load.add_argument("--memory-mb", type=_memory_mb, default=2.5)
     load.add_argument(
         "--out", default=None, metavar="PATH", help="write BENCH_serve.json here"
     )

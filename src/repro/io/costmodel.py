@@ -16,7 +16,9 @@ reported in these simulated seconds (plus wall clock for reference); the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.rect import SIZEOF_KPE
 from repro.core.stats import CpuCounters
@@ -188,3 +190,21 @@ DEFAULT_COST_MODEL = CostModel()
 def mb(n: float) -> int:
     """Megabytes to bytes, for readable memory-budget literals."""
     return int(n * 1024 * 1024)
+
+
+def require_positive(name: str, value: Any) -> None:
+    """Raise ``ValueError`` unless *value* > 0, NaN included (``nan <= 0``
+    is false): every driver's memory budget and PBSM's ``t_factor``."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def is_memory_mb(value: Any) -> bool:
+    """Whether *value* is a number (not a bool) that :func:`mb` turns into
+    a finite budget of at least one byte: the CLI's ``--memory-mb`` and
+    the join protocol's ``memory_mb`` rule."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and 1 <= value * 1024 * 1024 < math.inf  # false for NaN; exact for any int
+    )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import warnings
 
+from repro.io.costmodel import require_positive
+
 
 def estimate_partitions(
     n_left: int,
@@ -33,10 +35,8 @@ def estimate_partitions(
     to one-record partitions is the finest split that can ever help;
     memory pressure beyond that is repartitioning's problem.
     """
-    if memory_bytes <= 0:
-        raise ValueError("memory budget must be positive")
-    if t_factor <= 0:
-        raise ValueError("t_factor must be positive")
+    require_positive("memory_bytes", memory_bytes)
+    require_positive("t_factor", t_factor)
     total_records = n_left + n_right
     total_bytes = total_records * kpe_bytes
     raw = t_factor * total_bytes / memory_bytes

@@ -32,8 +32,8 @@ after one batched ownership test; the result keeps them, and
 ``result.pairs`` turns them into oid tuples through the inputs' own oid
 objects only while it is read — ``docs/kernels.md``, "Columnar
 sequential driver".  :class:`~repro.pbsm.parallel.ParallelPBSM` is this
-pipeline with repartitioning off, its leaves optionally run on a process
-pool.
+pipeline, repartitioning included, plus where its leaves run (optionally
+on a process pool) and how the join phase is accounted.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from repro.core.result import JoinResult, JoinStats, PairRows, RowOids, oid_obje
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.assign import partition_memoized
@@ -127,11 +127,9 @@ class PBSM:
         t_factor: float = 1.2,
         tiles_per_partition: int = 4,
         cost_model: Optional[CostModel] = None,
-        max_repartition_depth: int = MAX_REPARTITION_DEPTH,
         tracer: Optional[Any] = None,
     ) -> None:
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        require_positive("memory_bytes", memory_bytes)
         if dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
         self.memory_bytes = memory_bytes
@@ -142,7 +140,6 @@ class PBSM:
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
-        self.max_repartition_depth = max_repartition_depth
 
     # ------------------------------------------------------------------
     # public API
@@ -376,8 +373,8 @@ class PBSM:
         in the order a depth-first recursion joins them.  The files hold
         row ids into *columns*; an argument like the rest of the run's
         state, never stored, so nothing keeps it alive once the generator
-        is done.  With ``max_repartition_depth=0`` every non-empty
-        top-level pair is a leaf, in ``pid`` order.
+        is done.  Past ``MAX_REPARTITION_DEPTH`` splits a pair is joined
+        over the budget (counted in ``stats.memory_overruns``).
         """
         while pending:
             file_left, file_right, region, depth = pending.pop()
@@ -391,7 +388,7 @@ class PBSM:
             pair_bytes = file_left.n_bytes + file_right.n_bytes
             fits = pair_bytes <= self.memory_bytes
             splittable = max(file_left.n_records, file_right.n_records) > 2
-            if fits or not splittable or depth >= self.max_repartition_depth:
+            if fits or not splittable or depth >= MAX_REPARTITION_DEPTH:
                 if not fits:
                     stats.memory_overruns += 1
                 if pair_bytes > stats.peak_memory_bytes:
@@ -418,9 +415,7 @@ class PBSM:
                 # sub-partition is as large as its parent — e.g. all-identical
                 # rectangles.  Recursing would multiply work without shrinking
                 # anything; join the original pair directly instead.
-                pending.append(
-                    (file_left, file_right, region, self.max_repartition_depth)
-                )
+                pending.append((file_left, file_right, region, MAX_REPARTITION_DEPTH))
                 continue
             for sub_pid in reversed(range(len(subfiles))):
                 sub = subfiles[sub_pid]

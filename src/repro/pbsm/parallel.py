@@ -5,18 +5,18 @@ The paper's related work points to parallel spatial join processing
 independent once partitioning has replicated the data.  This module offers
 two executors over the same shared-nothing decomposition:
 
-* ``executor="simulated"`` — the analytic model: the partitioning phase is
-  a single sequential scan, after which the P partition-pair join tasks —
-  each with its own measured I/O + CPU cost — are scheduled onto W
-  workers with the LPT (longest processing time first) heuristic.  The
-  simulated total runtime is ``partition_phase + makespan``, so the
-  speedup curve flattens exactly where the paper's decomposition
-  predicts: the sequential partitioning fraction and the largest single
-  partition bound the achievable speedup (Amdahl).
+* ``executor="simulated"`` — the analytic model: the partitioning and
+  repartitioning phases run sequentially, after which the leaves' join
+  tasks — each with its own measured I/O + CPU cost — are scheduled onto
+  W workers with the LPT (longest processing time first) heuristic.  The
+  simulated total runtime is ``partition + repartition + makespan``, so
+  the speedup curve flattens exactly where the paper's decomposition
+  predicts: the sequential fraction and the largest single leaf bound
+  the achievable speedup (Amdahl).
 * ``executor="process"`` — the same task decomposition, actually executed
   on a warm, persistent process pool (:class:`WarmPool`).  Results are
-  merged in partition order, so the output is byte-identical to the
-  sequential execution.  With ``workers=1`` the fan-out degrades
+  merged in leaf order, so the output is byte-identical to the
+  in-process loop.  With ``workers=1`` the fan-out degrades
   gracefully to the in-process loop (no pool is used, and
   ``stats.executor`` says ``"simulated"``).
 
@@ -34,34 +34,30 @@ more tiles than partitions, tiles hashed to partitions.  Dispatch is one
 policy: the tasks are LPT-packed by joined size into
 ``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and the
 pool's own call queue hands the next chunk to whichever worker frees up.
-A task is never split: every pair is owned by exactly one partition and
-found by that partition's one scan.  ``stats.scheduler_idle_seconds`` is
+A task is never split: every pair is owned by exactly one leaf's region
+and found by that leaf's one scan.  ``stats.scheduler_idle_seconds`` is
 the summed worker idle time the makespan hides.
 
-``ParallelPBSM`` is :class:`~repro.pbsm.join.PBSM`'s pipeline with
-repartitioning off: its partitioning, its leaves (every non-empty
-top-level pair, in ``pid`` order), its leaf dispatch
-(:func:`~repro.pbsm.join.join_leaf`) and its in-process loop.  Only two
-things are its own: the parallel accounting, and the process executor.
-That one turns the leaves into tasks — ``(pid, l_lo, l_hi, r_lo,
-r_hi)``, two CSR slices into the id runs concatenated in ``pid`` order —
-loads the columns and the id arrays once into a
+``ParallelPBSM`` is :class:`~repro.pbsm.join.PBSM` plus where its
+leaves run: PBSM's partitioning, its repartitioning recursion (a pair
+over the budget is split, Sec. 3.2.3, the same leaves in the same
+order), its leaf dispatch (:func:`~repro.pbsm.join.join_leaf`), its
+in-process loop and its accounting, with the join phase charged as the
+LPT makespan of the leaves.  Only the process executor is its own.  It
+turns the leaves into tasks — ``(leaf, l_lo, l_hi, r_lo, r_hi)``, the
+leaf's index and two CSR slices into the id runs concatenated in leaf
+order — loads the columns and the id arrays once into a
 :class:`~repro.kernels.shm.SharedColumnarStore` segment that workers
 attach by name, and gets each task's ``(rid, sid)`` buffers back through
 a worker-created segment: only task tuples, the query's configuration
-and manifests cross the pipe.  The driver never boxes a pair: the result
-is :meth:`~repro.core.result.JoinResult.from_arrays` over buffers merged
-in ``pid`` order, whichever engine and executor ran the leaves.  Where
+(the grids and each leaf's ownership chain among them) and manifests
+cross the pipe.  The driver never boxes a pair: the result is
+:meth:`~repro.core.result.JoinResult.from_arrays` over buffers merged in
+leaf order, whichever engine and executor ran the leaves.  Where
 the segment cannot exist (no POSIX shared memory, or
 ``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process
 loop, with byte-identical output, one ``RuntimeWarning`` per process,
 and ``stats.executor`` reporting ``"simulated"``.
-
-Duplicate handling is always the Reference Point Method, which is what
-makes the parallel version correct without any cross-worker coordination:
-each result is owned by exactly one partition.  The offline sort would
-serialise the join behind a global sorting phase, so there is no
-``dedup`` option here.
 """
 
 from __future__ import annotations
@@ -87,7 +83,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
+from repro.core.phases import PHASE_JOIN
 from repro.core.result import JoinResult, JoinStats
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
@@ -104,6 +100,7 @@ from repro.pbsm.join import (
     PBSM,
     Leaf,
     LeafOutcome,
+    Region,
     concat_rows,
     join_leaf,
     read_leaf,
@@ -120,9 +117,10 @@ CHUNKS_PER_WORKER = 4
 #: this on purpose).
 MAX_WORKERS_ENV = "REPRO_MAX_WORKERS"
 
-#: ``(pid, l_lo, l_hi, r_lo, r_hi)`` — one partition-pair join task of
-#: the process executor: two CSR slices into the id runs of a
-#: :data:`TaskSource`.  Plain ints only.
+#: ``(leaf, l_lo, l_hi, r_lo, r_hi)`` — one leaf's join task of the
+#: process executor: the leaf's index in join order (its region is
+#: ``PoolConfig``'s chain *leaf*) and two CSR slices into the id runs of
+#: a :data:`TaskSource`.  Plain ints only.
 IdTask = Tuple[int, int, int, int, int]
 
 #: ``(left, right, l_ids, r_ids)`` — what a task's slices index, as a
@@ -131,7 +129,7 @@ IdTask = Tuple[int, int, int, int, int]
 #: in task order.
 TaskSource = Tuple[Any, Any, Any, Any]
 
-#: ``(pid, suppressed, counters_dict, wall_seconds)`` — what a worker
+#: ``(leaf, suppressed, counters_dict, wall_seconds)`` — what a worker
 #: reports per task next to the task's ``(rid, sid)`` buffers in its
 #: result segment.  ``wall_seconds`` is measured where the task ran, so
 #: per-task timing survives the process boundary instead of being dropped.
@@ -188,7 +186,7 @@ def reset_clamp_warnings() -> None:
 # ----------------------------------------------------------------------
 def _chunk_blob(
     internal_name: str,
-    grid: TileGrid,
+    regions: Sequence[Region],
     source: TaskSource,
     tasks: List[IdTask],
 ) -> bytes:
@@ -209,17 +207,17 @@ def _chunk_blob(
     left, right, l_ids, r_ids = source
     metas: List[TaskMeta] = []
     out_arrays: Dict[str, object] = {}
-    for pid, l_lo, l_hi, r_lo, r_hi in tasks:
+    for leaf, l_lo, l_hi, r_lo, r_hi in tasks:
         task_started = time.perf_counter()
         counters = CpuCounters()
         (rid, sid), suppressed = join_leaf(
             internal_name, left, right, l_ids[l_lo:l_hi], r_ids[r_lo:r_hi],
-            ((grid, pid),), "rpm", counters,
+            regions[leaf], "rpm", counters,
         )
-        out_arrays[f"{pid}.rid"] = rid
-        out_arrays[f"{pid}.sid"] = sid
+        out_arrays[f"{leaf}.rid"] = rid
+        out_arrays[f"{leaf}.sid"] = sid
         metas.append(
-            (pid, suppressed, counters.as_dict(), time.perf_counter() - task_started)
+            (leaf, suppressed, counters.as_dict(), time.perf_counter() - task_started)
         )
     wall = time.perf_counter() - started
     cpu_seconds = time.process_time() - cpu_started
@@ -247,12 +245,15 @@ def _unlink_result_blob(blob: bytes) -> None:
         results.unlink()
 
 
-#: ``(internal_name, grid_spec, ids_manifest, pinned)`` — the per-query
-#: configuration every chunk carries (a warm pool outlives every query).
-#: *ids_manifest* names the per-query segment; *pinned* is ``None`` (that
-#: segment holds the columns too) or the ``(left, right)`` manifests of
-#: long-lived dataset segments.
-PoolConfig = Tuple[str, Tuple, Manifest, Optional[Tuple[Manifest, Manifest]]]
+#: ``(internal_name, grid_specs, chains, ids_manifest, pinned)`` — the
+#: per-query configuration every chunk carries (a warm pool outlives
+#: every query).  *grid_specs* are the query's grids (the top-level one
+#: and every repartitioning step's), *chains* each leaf's region as
+#: ``(grid_index, pid)`` pairs, in leaf order.  *ids_manifest* names the
+#: per-query segment; *pinned* is ``None`` (that segment holds the
+#: columns too) or the ``(left, right)`` manifests of long-lived dataset
+#: segments.
+PoolConfig = Tuple[str, Tuple, Tuple, Manifest, Optional[Tuple[Manifest, Manifest]]]
 
 #: Long-lived attachments by segment name (pinned dataset segments);
 #: lives in the worker process for the lifetime of the persistent pool.
@@ -279,13 +280,17 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
 
     A warm pool outlives any single query, so the query's configuration
     rides along with every chunk: the payload is the pickled
-    ``(config, tasks)`` pair (:data:`PoolConfig`).  Grid rebuild is
-    cheap; pinned dataset
+    ``(config, tasks)`` pair (:data:`PoolConfig`).  Rebuilding the grids
+    and the leaves' regions is cheap; pinned dataset
     segments stay attached across queries, the per-query segment is
     scoped to the chunk, so repeated queries over registered datasets
     touch the big columns without ever re-mapping them.
     """
-    (internal_name, grid_spec, ids_manifest, pinned), tasks = pickle.loads(payload)
+    (internal_name, grid_specs, chains, ids_manifest, pinned), tasks = pickle.loads(
+        payload
+    )
+    grids = [TileGrid.from_spec(spec) for spec in grid_specs]
+    regions = [tuple((grids[g], pid) for g, pid in chain) for chain in chains]
     ids = SharedColumnarStore.attach(ids_manifest)
     try:
         # The id runs always live in the per-query segment; the relation
@@ -298,7 +303,7 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
             left = _pinned_store(pinned[0]).relation("D")
             right = _pinned_store(pinned[1]).relation("D")
         source = (left, right, ids["L.ids"], ids["R.ids"])
-        return _chunk_blob(internal_name, TileGrid.from_spec(grid_spec), source, tasks)
+        return _chunk_blob(internal_name, regions, source, tasks)
     finally:
         ids.close()
 
@@ -526,29 +531,21 @@ def _drain(pool: Any, payloads: Sequence[bytes]) -> List[bytes]:
 class ParallelPBSM(PBSM):
     """PBSM with the join phase spread over *workers* workers.
 
-    :class:`PBSM`'s pipeline with repartitioning off: ``dedup="rpm"``,
-    ``max_repartition_depth=0`` and at least one partition per worker, so
-    every non-empty top-level partition pair is one task.
-    ``executor="simulated"`` runs the tasks in PBSM's in-process loop and
-    *models* the parallel runtime; ``executor="process"`` actually fans
-    them out over the process-wide warm pool :data:`LIBRARY_POOL`.  Both
-    executors produce identical result pairs in identical order and
-    report the same simulated costs.
+    :class:`PBSM` plus where its leaves run (module docstring):
+    ``dedup="rpm"``, at least one partition per worker, and every leaf
+    :class:`PBSM` would join is one task.  ``executor="simulated"`` runs
+    them in PBSM's in-process loop and *models* the parallel runtime;
+    ``executor="process"`` fans them out over :data:`LIBRARY_POOL`, with
+    identical pairs in identical order and the same simulated costs.
 
-    The result is backed by the two int64 oid buffers the tasks
-    produced, merged in ``pid`` order and never boxed by the driver:
-    ``len(result)`` and ``result.to_arrays()`` read them, and
-    ``result.pairs`` is a read-only sequence that decodes them while it
-    is iterated (:class:`~repro.core.result.PairRows`), not a list.
-
-    Duplicates are always handled by the Reference Point Method (there
-    is no ``dedup`` option: the offline sort would serialise the join
-    behind a global sorting phase).  The process executor ships the
-    tasks over one shared-memory segment and runs the in-process loop
-    where that segment cannot exist (module docstring); out-of-range
-    worker counts are clamped with a :class:`RuntimeWarning` (once per
-    process per distinct clamp) instead of raising or silently
-    oversubscribing the machine.
+    The result is the two int64 oid buffers the tasks produced, never
+    boxed by the driver (``result.pairs`` decodes them while it is
+    iterated, :class:`~repro.core.result.PairRows`).  There is no
+    ``dedup`` option: under RPM each result is owned by one leaf, so
+    workers never coordinate, and the offline sort would serialise the
+    join behind a global sorting phase.  Out-of-range worker counts are
+    clamped with a :class:`RuntimeWarning` (once per process per
+    distinct clamp) instead of raising or oversubscribing the machine.
     """
 
     def __init__(
@@ -569,7 +566,6 @@ class ParallelPBSM(PBSM):
             dedup="rpm",
             t_factor=t_factor,
             cost_model=cost_model,
-            max_repartition_depth=0,
             tracer=tracer,
         )
         if executor not in EXECUTORS:
@@ -618,10 +614,6 @@ class ParallelPBSM(PBSM):
             n_workers=self.workers,
         )
 
-    def iter_pairs(self, *args: Any, **kwargs: Any) -> Iterator[Tuple[int, int]]:
-        """Not offered: the tasks' buffers are merged whole (:meth:`run`)."""
-        raise NotImplementedError("ParallelPBSM merges its result whole; use run()")
-
     # ------------------------------------------------------------------
     # PBSM's pipeline, configured
     # ------------------------------------------------------------------
@@ -654,40 +646,23 @@ class ParallelPBSM(PBSM):
         cpu: Dict[str, CpuCounters],
         leaf_costs: List[Tuple[int, CpuCounters, float]],
     ) -> None:
-        """The *parallel* simulated runtime: the sequential partitioning
-        phase plus the LPT makespan of the tasks on W workers.
-
-        A task's cost is its two reads (one request each) plus its CPU
-        counters, summed in ``pid`` order — the order every recorded
-        figure was summed in.
-        """
+        """:class:`PBSM`'s accounting, the join phase run on W workers: its
+        simulated seconds are the LPT makespan of the leaves, each costing
+        its two reads (one request each) plus its CPU counters.  With one
+        worker every figure is :class:`PBSM`'s (up to rounding)."""
         if not stats.n_partitions:
             return  # an empty side: nothing ran
+        super()._finalize_stats(stats, disk, cpu, leaf_costs)
         cost = self.cost_model
-        task_units = [cost.pt_ratio * 2 + pages for pages, _, _ in leaf_costs]
         task_costs = [
-            cost.io_seconds(units) + cost.cpu_seconds(counters)
-            for units, (_, counters, _) in zip(task_units, leaf_costs)
+            cost.io_seconds(cost.pt_ratio * 2 + pages) + cost.cpu_seconds(counters)
+            for pages, counters, _ in leaf_costs
         ]
         makespan, _loads = lpt_schedule(task_costs, self.workers)
-        partition_units = disk.units_by_phase()[PHASE_PARTITION]
-        pages = disk.pages_by_phase()
-        stats.io_units_by_phase = {
-            PHASE_PARTITION: partition_units,
-            PHASE_JOIN: sum(task_units, 0.0),
-        }
-        stats.io_pages_by_phase = {**pages, PHASE_JOIN: pages.get(PHASE_JOIN, 0)}
-        stats.cpu_by_phase = {
-            PHASE_PARTITION: cpu[PHASE_PARTITION].as_dict(),
-            PHASE_JOIN: cpu[PHASE_JOIN].as_dict(),
-        }
-        stats.sim_io_seconds = cost.io_seconds(partition_units)
-        stats.sim_cpu_seconds = makespan  # join tasks dominated by makespan
-        stats.sim_seconds_by_phase = {
-            PHASE_PARTITION: stats.sim_io_seconds
-            + cost.cpu_seconds(cpu[PHASE_PARTITION]),
-            PHASE_JOIN: makespan,
-        }
+        stats.sim_seconds_by_phase[PHASE_JOIN] = makespan
+        # The makespan mixes the leaves' reads and CPU; it counts as CPU.
+        stats.sim_io_seconds -= cost.io_seconds(stats.io_units_by_phase.get(PHASE_JOIN, 0.0))
+        stats.sim_cpu_seconds = sum(stats.sim_seconds_by_phase.values()) - stats.sim_io_seconds
         stats.join_busy_seconds = sum(wall for _, _, wall in leaf_costs)
         if stats.executor != "process":
             # In process, the tasks' elapsed time is the join phase's.
@@ -700,6 +675,7 @@ class ParallelPBSM(PBSM):
         self,
         stats: JoinStats,
         chunk_reports: List[ChunkReport],
+        leaves: List[Leaf],
     ) -> None:
         """Worker/task spans and per-worker busy totals for one fan-out.
 
@@ -730,14 +706,14 @@ class ParallelPBSM(PBSM):
                         "cpu_seconds": cpu_seconds,
                     },
                 )
-                for pid, _suppressed, counter_dict, task_wall in metas:
+                for leaf, _suppressed, counter_dict, task_wall in metas:
                     tracer.add_span(
                         "task",
                         task_wall,
                         kind=KIND_TASK,
                         parent_id=worker_span.span_id,
                         counters=counter_dict,
-                        pid=pid,
+                        pid=leaves[leaf][2][0][1],
                         worker=label,
                     )
         stats.worker_busy_seconds = busy_by_worker
@@ -757,13 +733,13 @@ class ParallelPBSM(PBSM):
         """Fan the leaves out as tasks over the warm pool and one segment.
 
         Reads every leaf's two id runs (charged like the in-process
-        loop's reads), concatenates them per side in ``pid`` order, loads
+        loop's reads), concatenates them per side in leaf order, loads
         the columns plus those two id arrays once into a segment (with
-        pinned datasets the id arrays only), ships five-integer tasks,
-        and copies each task's ``(rid, sid)`` buffers out of the
-        worker-created result segment as they are — the pipeline merges
-        them in ``pid`` order, so the output is byte-identical to the
-        in-process loop.  Segment build, payload encode and the copy-out
+        pinned datasets the id arrays only), ships five-integer tasks
+        next to the grids and each leaf's ownership chain, and copies
+        each task's ``(rid, sid)`` buffers out of the worker-created
+        result segment as they are — the pipeline merges them in leaf
+        order, so the output is byte-identical to the in-process loop.  Segment build, payload encode and the copy-out
         all count into ``stats.ipc_seconds``; only the pipe traffic
         counts into ``stats.ipc_bytes_shipped``.  When a chunk fails, the
         result segments of the chunks that finished are unlinked before
@@ -775,16 +751,20 @@ class ParallelPBSM(PBSM):
         tasks: List[IdTask] = []
         runs_left: List[Any] = []
         runs_right: List[Any] = []
+        #: grid spec -> its index in the config's ``grid_specs``
+        grid_index: Dict[Tuple, int] = {}
+        chains: List[Tuple[Tuple[int, int], ...]] = []
         n_left = n_right = 0
-        for file_left, file_right, region in leaves:
+        for leaf, (file_left, file_right, region) in enumerate(leaves):
             run_left, run_right = read_leaf(disk, file_left, file_right)
             runs_left.append(run_left)
             runs_right.append(run_right)
             l_lo, r_lo = n_left, n_right
             n_left += len(run_left)
             n_right += len(run_right)
-            tasks.append((region[0][1], l_lo, n_left, r_lo, n_right))
-        grid = leaves[0][2][0][0]
+            tasks.append((leaf, l_lo, n_left, r_lo, n_right))
+            chain = ((grid_index.setdefault(g.spec, len(grid_index)), pid) for g, pid in region)
+            chains.append(tuple(chain))
 
         encode_started = time.perf_counter()
         # The relation columns may already live in pinned registry
@@ -802,7 +782,8 @@ class ParallelPBSM(PBSM):
         with SharedColumnarStore.create(arrays) as store:
             config: PoolConfig = (
                 self.internal_name,
-                grid.spec,
+                tuple(grid_index),
+                tuple(chains),
                 store.manifest,
                 self.pinned,
             )
@@ -827,13 +808,13 @@ class ParallelPBSM(PBSM):
                 bytes_shipped += len(blob)
                 results = SharedColumnarStore.attach(manifest)
                 try:
-                    for pid, suppressed, counter_dict, task_wall in metas:
+                    for leaf, suppressed, counter_dict, task_wall in metas:
                         # Copies, so no view keeps the segment mapped.
                         task_pairs = (
-                            results[f"{pid}.rid"].copy(),
-                            results[f"{pid}.sid"].copy(),
+                            results[f"{leaf}.rid"].copy(),
+                            results[f"{leaf}.sid"].copy(),
                         )
-                        outcomes[pid] = (
+                        outcomes[leaf] = (
                             task_pairs, suppressed, CpuCounters(**counter_dict),
                             task_wall,
                         )
@@ -853,10 +834,10 @@ class ParallelPBSM(PBSM):
             ipc_seconds += time.perf_counter() - copy_started
         stats.ipc_bytes_shipped = bytes_shipped
         stats.ipc_seconds = ipc_seconds
-        self._emit_pool_spans(stats, chunk_reports)
+        self._emit_pool_spans(stats, chunk_reports, leaves)
         # One at a time, so no task's buffers outlive their decoding.
-        for leaf in leaves:
-            yield leaf, outcomes.pop(leaf[2][0][1])
+        for index, leaf in enumerate(leaves):
+            yield leaf, outcomes.pop(index)
 
 
 __all__ = [

@@ -538,8 +538,9 @@ def estimate_pbsm(
     model on the grid and ``t`` (``choose_split`` reads it), and most
     candidates of one join land on the same few grids.
 
-    With ``workers > 1`` the estimate models ``ParallelPBSM``: the
-    partition phase stays sequential (the Amdahl term), the in-memory
+    With ``workers > 1`` the estimate models ``ParallelPBSM``, which is
+    ``PBSM`` plus where its leaves run: the partition and repartition
+    phases stay sequential (the Amdahl term), the in-memory
     joins and RPM tests shrink to the *makespan fraction* — the larger of
     the ideal ``1/speedup`` and the biggest task's share of the join work
     (skew: one mega-partition bounds the makespan no matter how the rest
@@ -624,54 +625,48 @@ def estimate_pbsm(
     # Repartitioning (Sec. 3.2.3): every pair the overflow model finds
     # over M is priced as the driver runs it — its splits, then its
     # leaves joined in its place (the unsplit side read and swept once
-    # per sub-pair) instead of the pair itself.  ParallelPBSM does not
-    # repartition (it records overruns), so its candidates skip this.
-    io_repartition = 0.0
-    cpu_repartition = 0.0
-    composed = 0.0  # detections tested under a sub-region's chain
-    overflow = Overflow()
-    if workers == 1:
-        if overflows is None:
-            overflows = {}
-        key = (side, n_partitions, t_factor)
-        if key not in overflows:
-            overflows[key] = repartition_overflow(
-                jp,
-                n_partitions,
-                tiles_per_partition,
-                (copies_l, copies_r),
-                detected,
-                memory_bytes,
-                cost,
-                t_factor,
-            )
-        overflow = overflows[key]
-        io_repartition = overflow.split_io
-        cpu_repartition = cost.cpu_seconds_from_counts(
-            structure_ops=overflow.split_ops
+    # per sub-pair) instead of the pair itself.  ParallelPBSM runs the
+    # same recursion, so its candidates are priced the same way.
+    if overflows is None:
+        overflows = {}
+    key = (side, n_partitions, t_factor)
+    if key not in overflows:
+        overflows[key] = repartition_overflow(
+            jp,
+            n_partitions,
+            tiles_per_partition,
+            (copies_l, copies_r),
+            detected,
+            memory_bytes,
+            cost,
+            t_factor,
+        )
+    overflow = overflows[key]
+    io_repartition = overflow.split_io
+    cpu_repartition = cost.cpu_seconds_from_counts(structure_ops=overflow.split_ops)
+
+    def pair_cpu(n_l: Any, n_r: Any, pair_detected: Any) -> Any:
+        return _sweep_cpu(
+            cost,
+            n_l,
+            n_r,
+            np.minimum(n_l, n_l * jp.left.avg_width / width + 1.0),
+            np.minimum(n_r, n_r * jp.right.avg_width / width + 1.0),
+            pair_detected,
+            internal,
+            clustering=residual_skew,
         )
 
-        def pair_cpu(n_l: Any, n_r: Any, pair_detected: Any) -> Any:
-            return _sweep_cpu(
-                cost,
-                n_l,
-                n_r,
-                np.minimum(n_l, n_l * jp.left.avg_width / width + 1.0),
-                np.minimum(n_r, n_r * jp.right.avg_width / width + 1.0),
-                pair_detected,
-                internal,
-                clustering=residual_skew,
-            )
-
-        io_join += overflow.join_io
-        if overflow.pairs:
-            leaf_l, leaf_r, leaf_detected, in_sub = overflow.leaves
-            cpu_internal += float(
-                pair_cpu(leaf_l, leaf_r, leaf_detected).sum()
-                - pair_cpu(*overflow.replaced).sum()
-            )
-            detected += float(leaf_detected.sum() - overflow.replaced[2].sum())
-            composed = float(leaf_detected[in_sub > 0.0].sum())
+    io_join += overflow.join_io
+    composed = 0.0  # detections tested under a sub-region's chain
+    if overflow.pairs:
+        leaf_l, leaf_r, leaf_detected, in_sub = overflow.leaves
+        cpu_internal += float(
+            pair_cpu(leaf_l, leaf_r, leaf_detected).sum()
+            - pair_cpu(*overflow.replaced).sum()
+        )
+        detected += float(leaf_detected.sum() - overflow.replaced[2].sum())
+        composed = float(leaf_detected[in_sub > 0.0].sum())
 
     io_dedup = 0.0
     cpu_dedup = 0.0
@@ -699,7 +694,8 @@ def estimate_pbsm(
     schedule_seconds = 0.0
     if workers > 1:
         # The join/dedup work shrinks to the makespan fraction; the
-        # sequential partition phase is left untouched (Amdahl).
+        # sequential partition and repartition phases are left untouched
+        # (Amdahl).
         speedup = float(min(workers, n_partitions))
         # The dominant task's share of the join work: residual skew
         # concentrates roughly that multiple of the mean in one
@@ -742,12 +738,11 @@ def estimate_pbsm(
         "est_results": jp.est_results,
         "detected_pairs": detected,
         "replication_rate": (nl_part + nr_part) / max(1, nl + nr),
+        "overflow_pairs": float(overflow.pairs),
+        "repartitions": float(overflow.events),
     }
     if workers > 1:
         predicted["ipc_bytes"] = ipc_bytes
-    else:
-        predicted["overflow_pairs"] = float(overflow.pairs)
-        predicted["repartitions"] = float(overflow.events)
     return _estimate(cost, io_units, cpu_seconds, breakdown, predicted)
 
 

@@ -173,6 +173,7 @@ def enumerate_candidates(
                             t_factor=t,
                             workers=workers,
                             dup_factors=dup_factors,
+                            overflows=overflows,
                         ),
                     )
                 )

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, List, Optional, Sequence, Tuple, cast
 
 from repro.core.result import JoinResult
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.kernels.columnar import with_columns
 from repro.obs.trace import KIND_PLAN, KIND_SECTION, NULL_TRACER
 from repro.pbsm import PBSM, ParallelPBSM
@@ -273,8 +273,7 @@ def plan_join(
     span's wall time.  ``workers > 1`` adds parallel PBSM candidates to
     the enumeration.
     """
-    if memory_bytes <= 0:
-        raise ValueError("memory_bytes must be positive")
+    require_positive("memory_bytes", memory_bytes)
     cost = cost_model or CostModel()
     tracer = tracer if tracer is not None else NULL_TRACER
     inputs_mapped = (

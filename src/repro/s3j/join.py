@@ -26,7 +26,7 @@ from repro.core.result import JoinResult, JoinStats
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import SimulatedDisk
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.s3j.levelfile import build_level_files, sort_level_files
@@ -83,8 +83,7 @@ class S3J:
         strategy: Optional[str] = None,
         tracer=None,
     ):
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        require_positive("memory_bytes", memory_bytes)
         if max_level < 1:
             raise ValueError("max_level must be at least 1")
         self.memory_bytes = memory_bytes

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.pbsm import ParallelPBSM
 from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, worker_cap
 from repro.planner import PlannerCache, plan_join
@@ -46,8 +46,7 @@ class EngineHost:
         cache: Optional[PlannerCache] = None,
         cost_model: Optional[CostModel] = None,
     ) -> None:
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        require_positive("memory_bytes", memory_bytes)
         cap = worker_cap()
         if workers > cap:
             # Same clamp ParallelPBSM applies; surfacing it here keeps

@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.result import pair_columns
+from repro.io.costmodel import is_memory_mb
 
 #: Upper bound on one protocol line; the asyncio stream reader limit.
 #: Large enough for a register-by-records request of a few hundred
@@ -211,13 +211,9 @@ def join_options(
     :class:`ProtocolError` naming the field that no server could honour.
     """
     memory_mb = message.get("memory_mb")
-    if memory_mb is not None and not (
-        isinstance(memory_mb, (int, float))
-        and not isinstance(memory_mb, bool)
-        and 0 < memory_mb < math.inf  # false for NaN; exact for any int
-    ):
+    if memory_mb is not None and not is_memory_mb(memory_mb):
         raise ProtocolError(
-            f"memory_mb must be a finite number > 0, got {memory_mb!r}"
+            f"memory_mb must be a finite number > 0 (at least one byte), got {memory_mb!r}"
         )
     include_pairs = message.get("include_pairs", False)
     if not isinstance(include_pairs, bool):

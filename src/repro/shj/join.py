@@ -26,7 +26,7 @@ from repro.core.result import JoinResult, JoinStats
 from repro.core.space import Space, clamped_cell
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.obs.trace import KIND_RUN, NULL_TRACER
@@ -45,8 +45,7 @@ class SpatialHashJoin:
         cost_model: Optional[CostModel] = None,
         tracer=None,
     ):
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        require_positive("memory_bytes", memory_bytes)
         self.memory_bytes = memory_bytes
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.internal_name = internal

@@ -23,7 +23,7 @@ from repro.core.phases import PHASE_JOIN, PHASE_SORT
 from repro.core.result import JoinResult, JoinStats
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
-from repro.io.costmodel import CostModel
+from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import SimulatedDisk
 from repro.io.extsort import BY_XL, XlSorted, sort_in_memory
 from repro.io.pagefile import PageFile
@@ -41,8 +41,7 @@ class SSSJ:
         cost_model: Optional[CostModel] = None,
         tracer=None,
     ):
-        if memory_bytes <= 0:
-            raise ValueError("memory_bytes must be positive")
+        require_positive("memory_bytes", memory_bytes)
         if internal not in ("sweep_list", "sweep_trie", "sweep_tree", "sweep_numpy"):
             raise ValueError(
                 "SSSJ needs a sweep-based internal algorithm, got "

@@ -283,3 +283,21 @@ def test_unreadable_relation_exits_2_without_traceback(tmp_path, capsys, case, c
     err = capsys.readouterr().err
     assert str(bad) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["join", "explain", "serve", "load"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "1e-9", "1e308"])
+def test_a_bad_memory_mb_is_a_usage_error(capsys, command, value):
+    """Parsed by the join protocol's ``memory_mb`` rule: exit 2, no traceback."""
+    argv = {
+        "join": ["join", "a.npy", "b.npy"],
+        "explain": ["explain", "a.npy", "b.npy"],
+        "serve": ["serve"],
+        "load": ["load"],
+    }[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--memory-mb", value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --memory-mb: must be a finite number > 0 (at least one byte)" in err
+    assert "Traceback" not in err

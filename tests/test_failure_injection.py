@@ -5,7 +5,9 @@ than the ones they were designed for: memory too small for any partition
 pair, pathological replication, coordinate extremes.
 """
 
+import pytest
 
+from repro import spatial_join
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
 from repro.pbsm import PBSM
@@ -35,14 +37,35 @@ class TestHostileMemoryBudgets:
         res = SSSJ(128).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))
 
-    def test_pbsm_depth_limit_terminates(self):
+    def test_pbsm_depth_limit_terminates(self, monkeypatch):
         """Unsplittable partitions (all rectangles identical) must not
         recurse forever."""
+        monkeypatch.setattr("repro.pbsm.join.MAX_REPARTITION_DEPTH", 4)
         left = [KPE(i, 0.5, 0.5, 0.51, 0.51) for i in range(200)]
         right = [KPE(1000 + i, 0.5, 0.5, 0.51, 0.51) for i in range(200)]
-        res = PBSM(256, max_repartition_depth=4).run(left, right)
+        res = PBSM(256).run(left, right)
         assert len(res) == 200 * 200
         assert res.stats.memory_overruns > 0
+
+    @pytest.mark.parametrize("method", ["pbsm", "s3j", "sssj", "shj", "auto"])
+    def test_a_nan_budget_is_refused(self, method):
+        """``nan <= 0`` is false: the budget check must not let NaN by."""
+        left = random_kpes(40, 7)
+        right = random_kpes(40, 8, start_oid=9000)
+        with pytest.raises(ValueError, match="memory_bytes must be positive, got nan"):
+            spatial_join(left, right, float("nan"), method=method)
+
+    def test_a_nan_budget_is_refused_by_the_engine_host(self):
+        from repro.serve.engine import EngineHost
+
+        with pytest.raises(ValueError, match="memory_bytes must be positive, got nan"):
+            EngineHost(float("nan"))
+
+    def test_a_nan_t_factor_is_refused(self):
+        left = random_kpes(40, 7)
+        right = random_kpes(40, 8, start_oid=9000)
+        with pytest.raises(ValueError, match="t_factor must be positive, got nan"):
+            PBSM(4096, t_factor=float("nan")).run(left, right)
 
 
 class TestCoordinateExtremes:

@@ -1,5 +1,7 @@
 """Tests for the simulated parallel PBSM and LPT scheduling."""
 
+from functools import lru_cache
+
 import pytest
 
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
@@ -8,10 +10,12 @@ from repro.core.stats import CpuCounters
 from repro.internal import brute_force_pairs
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
+from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM, TileGrid, partition_relation
 from repro.pbsm.parallel import ParallelPBSM, lpt_schedule
 
 from tests.conftest import random_kpes
+from tests.test_planner_overflow import IDS, WORKLOADS
 
 
 class TestLptSchedule:
@@ -84,6 +88,18 @@ class TestParallelPBSM:
             many.stats.sim_seconds_by_phase[PHASE_PARTITION]
         )
 
+    @pytest.mark.parametrize("executor", ["simulated", "process"])
+    def test_iter_pairs_streams_the_run_s_pairs(self, executor):
+        """PBSM's ``iter_pairs``, leaf by leaf, on either executor."""
+        if executor == "process" and not shm_enabled():
+            pytest.skip("needs POSIX shared memory")
+        left = random_kpes(900, 89, max_edge=0.03)
+        right = random_kpes(900, 90, start_oid=50_000, max_edge=0.03)
+        join = ParallelPBSM(6_000, 2, internal="sweep_numpy", executor=executor)
+        result = join.run(left, right)
+        assert result.stats.repartition_events > 0
+        assert list(join.iter_pairs(left, right)) == list(result.pairs)
+
     def test_at_least_one_task_per_worker(self):
         left = random_kpes(100, 85)
         right = random_kpes(100, 86, start_oid=9_000)
@@ -121,3 +137,56 @@ class TestParallelPBSM:
         assert par.stats.io_pages_by_phase[PHASE_PARTITION] == sum(
             disk.pages_by_phase().values()
         )
+
+
+@lru_cache(maxsize=None)
+def sequential(name, internal):
+    """``PBSM``'s run of the named overflow workload."""
+    _, left, right, memory = WORKLOADS[IDS.index(name)]
+    return PBSM(memory, internal=internal).run(left, right)
+
+
+class TestSameRecursionAsPBSM:
+    """``ParallelPBSM`` is ``PBSM`` plus where its leaves run: on the
+    planner's overflow workloads (most of them over the budget) it
+    repartitions the same pairs, reports the same overruns and, with one
+    worker, charges the same I/O and the same simulated total."""
+
+    @pytest.mark.parametrize(
+        "workers, executor",
+        [
+            (1, "simulated"),
+            (2, "simulated"),
+            pytest.param(
+                2,
+                "process",
+                marks=pytest.mark.skipif(
+                    not shm_enabled(), reason="needs POSIX shared memory"
+                ),
+            ),
+        ],
+        ids=["W1-simulated", "W2-simulated", "W2-process"],
+    )
+    @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
+    @pytest.mark.parametrize("name", IDS)
+    def test_matches_pbsm(self, name, internal, workers, executor):
+        _, left, right, memory = WORKLOADS[IDS.index(name)]
+        seq = sequential(name, internal)
+        par = ParallelPBSM(
+            memory, workers, internal=internal, executor=executor
+        ).run(left, right)
+        assert par.stats.executor == executor
+        assert par.pair_set() == seq.pair_set()
+        assert not par.has_duplicates()
+        if par.stats.n_partitions == seq.stats.n_partitions:
+            assert par.stats.repartition_events == seq.stats.repartition_events
+            assert par.stats.memory_overruns == seq.stats.memory_overruns
+            # The same leaves in the same order: the same pair order.
+            for got, want in zip(par.to_arrays(), seq.to_arrays()):
+                assert got.tolist() == want.tolist()
+        if workers == 1:
+            assert par.stats.io_units_by_phase == seq.stats.io_units_by_phase
+            assert sum(par.stats.sim_seconds_by_phase.values()) == pytest.approx(
+                sum(seq.stats.sim_seconds_by_phase.values())
+            )
+            assert par.stats.sim_seconds == pytest.approx(seq.stats.sim_seconds)

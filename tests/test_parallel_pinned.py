@@ -19,6 +19,12 @@ section (the run with numpy gated off).  The ``stealing`` half and the
 The ``twolayer`` half went with ``dedup="twolayer"``; the ``/rpm/`` part
 of the keys stays.
 
+Every non-empty entry was re-recorded once, on purpose, when
+``ParallelPBSM`` became ``PBSM`` plus where its leaves run: it
+repartitions pairs over the budget and reports PBSM's four-phase
+accounting (the join phase as the leaves' LPT makespan).  The ``empty``
+entries did not change.
+
 Re-record (only the keys containing every given fragment)::
 
     PYTHONPATH=src python -m tests.test_parallel_pinned /zipf/ /sweep_numpy/

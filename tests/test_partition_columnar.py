@@ -264,8 +264,10 @@ MEMORY = mb(0.006)  # 10 partitions
 #: payload share is the part that can be pinned across processes.
 #: (Keyed, like the ids of the tests below, by the name the one dispatch
 #: policy had while a second one existed: the floor list allows only a
-#: few renames.)
-PARENT_TASK_PAYLOAD_BYTES = {"static": 278}
+#: few renames.)  That commit shipped 278 bytes: one task per partition
+#: pair, 10 tasks.  ``ParallelPBSM`` has repartitioned since: this join's
+#: 7 repartitioning steps turn it into 17 leaves, so 17 five-int tasks.
+PARENT_TASK_PAYLOAD_BYTES = {"static": 403}
 
 
 def shm_join(left, right):

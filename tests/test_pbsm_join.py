@@ -68,12 +68,13 @@ class TestEdgeCases:
         assert res.pair_set() == truth
         assert not res.has_duplicates()
 
-    def test_all_identical_rectangles(self):
+    def test_all_identical_rectangles(self, monkeypatch):
         """Degenerate: replication cannot separate them; the repartition
         depth limit must stop the recursion and still produce the result."""
+        monkeypatch.setattr("repro.pbsm.join.MAX_REPARTITION_DEPTH", 3)
         left = [KPE(i, 0.45, 0.45, 0.55, 0.55) for i in range(60)]
         right = [KPE(100 + i, 0.5, 0.5, 0.6, 0.6) for i in range(60)]
-        res = PBSM(512, dedup="rpm", max_repartition_depth=3).run(left, right)
+        res = PBSM(512, dedup="rpm").run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))
         assert not res.has_duplicates()
         assert res.stats.memory_overruns > 0

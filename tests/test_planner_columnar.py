@@ -379,13 +379,13 @@ def test_the_benchmark_join_gets_one_plan_in_any_record_order():
     [
         (
             "tiger50k",
-            "pbsm(exec=process, internal=sweep_numpy, t=1.0, workers=2)",
-            4.604474695605719,
+            "pbsm(exec=process, internal=sweep_numpy, t=2.0, workers=2)",
+            4.822823964504288,
         ),
         (
             "uni30k",
-            "pbsm(exec=process, internal=sweep_numpy, t=1.0, workers=2)",
-            3.70197257139314,
+            "pbsm(exec=process, internal=sweep_numpy, t=3.0, workers=2)",
+            5.487193437420711,
         ),
     ],
     ids=["tiger50k", "uni30k"],
@@ -396,8 +396,12 @@ def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, tot
     (uni30k's two-layer twin, 0.09 % cheaper in simulated seconds and 1.1x
     slower on the clock, is not proposed, nor are the thread executor's
     three).  The ``t`` grid's two larger values add a process and four
-    sequential candidates; parallel estimates ignore the overflow model,
-    so neither the choice nor its estimate moves."""
+    sequential candidates.  The parent chose ``t=1.0`` for both (4.60 and
+    3.70 simulated seconds) while parallel estimates ignored the overflow
+    model; ``ParallelPBSM`` repartitions now and its candidates are priced
+    with that model, so the cheapest process plan is the smallest ``t``
+    at which no pair is predicted to overflow: ``t=2.0`` (16 partitions)
+    and ``t=3.0`` (58)."""
     from benchmarks.e2e import specs
 
     spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]

@@ -35,6 +35,7 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     encode_pages,
+    join_options,
     paginate,
 )
 
@@ -369,6 +370,12 @@ class TestJoinRequestValidation:
         assert (
             f'repro_serve_queries_total{{status="error"}} {len(self.BAD_FIELDS)}' in metrics
         )
+
+    @pytest.mark.parametrize("memory_mb", [1e-9, 1e308])
+    def test_a_budget_mb_cannot_turn_into_bytes_is_refused(self, memory_mb):
+        """Below one byte ``mb()`` gives 0, past float range it overflows."""
+        with pytest.raises(ProtocolError, match="memory_mb must be"):
+            join_options({"memory_mb": memory_mb}, 100)
 
     def test_limits_of_the_accepted_range(self):
         async def scenario():

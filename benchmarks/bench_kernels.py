@@ -1,6 +1,6 @@
 """Bench A8: real multiprocess PBSM.
 
-``ParallelPBSM(executor="process")`` actually speeds the join phase up on
+``PBSM(workers=W, executor="process")`` actually speeds the join phase up on
 multicore hardware while producing byte-identical results.  The multicore
 assertion is gated on the machine's CPU count — on a single core the
 fan-out can only add IPC overhead, which the recorded JSON still
@@ -18,7 +18,8 @@ from repro.bench.render import ExperimentResult
 from repro.datasets import uniform_rects
 from repro.io.costmodel import mb
 from repro.obs import KIND_SECTION, NULL_TRACER, Tracer
-from repro.pbsm.parallel import ParallelPBSM, cpu_count
+from repro.pbsm import PBSM
+from repro.pbsm.parallel import cpu_count
 
 from benchmarks.conftest import column, record
 
@@ -51,8 +52,8 @@ def run_process_pbsm_bench(tracer=None) -> ExperimentResult:
     )
     for executor, workers in configs:
         live_trace = tracer if (executor, workers) == configs[-1] else None
-        join = ParallelPBSM(
-            memory, workers, internal="sweep_numpy", executor=executor,
+        join = PBSM(
+            memory, workers=workers, internal="sweep_numpy", executor=executor,
             tracer=live_trace,
         )
         start = time.perf_counter()
@@ -81,7 +82,7 @@ def run_process_pbsm_bench(tracer=None) -> ExperimentResult:
         )
     return ExperimentResult(
         exp_id="Ablation A8b",
-        title="ParallelPBSM: process executor vs sequential (sweep_numpy)",
+        title="PBSM(workers=): process executor vs sequential (sweep_numpy)",
         columns=["executor", "pairs", "wall_sec", "speedup"],
         rows=rows,
         paper_claim=(

@@ -5,7 +5,8 @@ The paper's related work cites parallel spatial join processing
 result is owned by exactly one partition, hence one worker).  The speedup
 curve must rise with workers and flatten at the Amdahl bound set by the
 sequential partitioning and repartitioning phases and the largest single
-leaf.
+leaf.  Each row is ``PBSM(internal="sweep_trie", workers=W,
+executor="simulated")``; the ``W=1`` row is the sequential run.
 """
 
 import pytest

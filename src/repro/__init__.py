@@ -35,7 +35,7 @@ from repro.core import (
 
 # pbsm before internal: repro.internal pulls in the kernels, which import
 # repro.pbsm.grid, whose package imports repro.internal back.
-from repro.pbsm import PBSM, ParallelPBSM, pbsm_join
+from repro.pbsm import PBSM, pbsm_join
 from repro.estimate import GridHistogram
 from repro.internal import INTERNAL_ALGORITHMS, internal_algorithm
 from repro.io import CostModel, SimulatedDisk, mb
@@ -98,8 +98,9 @@ def spatial_join(
         :class:`~repro.pbsm.PBSM` itself defaults to.
     workers:
         When given (and > 1), execute the join-phase partition pairs on a
-        warm process pool via :class:`~repro.pbsm.ParallelPBSM` —
-        supported for ``method="pbsm"`` and, as an enumeration hint, for
+        warm process pool (``PBSM(workers=N)``, whose ``executor``
+        defaults to ``"process"``) — supported for ``method="pbsm"``
+        and, as an enumeration hint, for
         ``method="auto"`` (the planner then costs parallel candidates
         against the sequential plans).  The pool is one process-wide
         instance (:data:`repro.pbsm.parallel.LIBRARY_POOL`), spawned by
@@ -110,8 +111,8 @@ def spatial_join(
         memory is missing or ``REPRO_DISABLE_SHM`` is set, the join runs
         the in-process loop instead (one ``RuntimeWarning``) and
         ``stats.executor`` records what actually ran (``"simulated"``).
-        ``workers=1`` loops in-process (``"simulated"`` too).  Every one of them runs the
-        same id tasks over the inputs' columns, so a NaN coordinate or
+        ``workers=1`` is the sequential join.  Every one of them runs the
+        same leaves over the inputs' columns, so a NaN coordinate or
         an inverted MBR is rejected up front with a ``ValueError``
         naming the row.
         The result holds the same pairs as the sequential execution, in
@@ -126,9 +127,9 @@ def spatial_join(
     kwargs:
         Forwarded to the driver (e.g. ``internal="sweep_trie"``,
         ``dedup="rpm"``/``"sort"``, ``replicate=True``,
-        ``curve="peano"``).  With ``workers`` the join always runs the
-        Reference Point Method (``docs/duplicates.md``): ``dedup="rpm"``
-        is accepted and any other ``dedup`` raises ``ValueError``.
+        ``curve="peano"``).  With ``workers > 1`` the join always runs
+        the Reference Point Method (``docs/duplicates.md``): ``PBSM``
+        accepts ``dedup="rpm"`` and raises ``ValueError`` for any other.
         With ``method="auto"``: forwarded to
         :func:`repro.planner.plan_join` (e.g. ``cache=...``,
         ``t_grid=...``, ``methods=...``).
@@ -156,35 +157,24 @@ def spatial_join(
     with tracer.span(
         "spatial_join", kind=KIND_SECTION, method=method, workers=workers
     ) as sp:
-        if workers is not None and method not in ("pbsm", "auto"):
-            raise ValueError(
-                f"workers= requires method='pbsm' or 'auto', got method={method!r}"
-            )
+        if workers is not None:
+            if method not in ("pbsm", "auto"):
+                raise ValueError(
+                    f"workers= requires method='pbsm' or 'auto', got method={method!r}"
+                )
+            kwargs["workers"] = workers
         if method == "pbsm":
             # Columns all the way (docs/kernels.md).
             kwargs.setdefault("internal", "sweep_numpy")
-        if workers is not None and method == "pbsm":
-            if kwargs.pop("dedup", "rpm") != "rpm":
-                raise ValueError(
-                    "workers= runs the Reference Point Method only: the "
-                    "offline sorting phase would serialise the parallel join"
-                )
-            kwargs.setdefault("executor", "process")
-            result = ParallelPBSM(
-                memory_bytes, workers, tracer=tracer, **kwargs
-            ).run(left, right)
+            result = PBSM(memory_bytes, tracer=tracer, **kwargs).run(left, right)
         elif method == "auto":
             from repro.planner.cache import DEFAULT_CACHE
 
             kwargs.setdefault("cache", DEFAULT_CACHE)
-            if workers is not None:
-                kwargs["workers"] = workers
             plan = plan_join(left, right, memory_bytes, tracer=tracer, **kwargs)
             result = plan.execute(left, right, tracer=tracer)
             result.plan = plan
             result.stats.planning_seconds = plan.planning_seconds
-        elif method == "pbsm":
-            result = PBSM(memory_bytes, tracer=tracer, **kwargs).run(left, right)
         elif method == "s3j":
             result = S3J(memory_bytes, tracer=tracer, **kwargs).run(left, right)
         elif method == "sssj":
@@ -217,7 +207,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "PBSM",
-    "ParallelPBSM",
     "PlannerCache",
     "RTree",
     "RTreeJoin",

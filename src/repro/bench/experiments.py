@@ -44,7 +44,7 @@ from repro.datasets import (
 )
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
-from repro.pbsm import PBSM, ParallelPBSM
+from repro.pbsm import PBSM
 from repro.s3j import S3J
 
 _COST = CostModel()
@@ -582,7 +582,9 @@ def run_ablation_parallel() -> ExperimentResult:
     base = None
     rows = []
     for workers in (1, 2, 4, 8, 16):
-        result = ParallelPBSM(memory, workers=workers).run(left, right)
+        result = PBSM(
+            memory, internal="sweep_trie", workers=workers, executor="simulated"
+        ).run(left, right)
         stats = result.stats
         total = sum(stats.sim_seconds_by_phase.values())
         if base is None:

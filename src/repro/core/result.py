@@ -177,9 +177,9 @@ class PairRows(Sequence):
 
     A read-only sequence of ``(left_oid, right_oid)`` tuples: ``len``,
     iteration, int and slice indexing (a slice is a ``list``), ``in``
-    and ``==`` with any sequence, in both directions; unhashable.  With
-    *sides* the arrays are row positions, decoded through each input's
-    oids (:class:`RowOids`); without, they are the oids themselves.
+    and ``==`` with any sequence, in both directions; unhashable.  The
+    arrays are row positions, decoded through each input's oids
+    (*sides*, :class:`RowOids`).
 
     Iteration decodes :data:`DECODE_CHUNK` pairs at a time into one
     ``zip`` each, so ``for l, r in pairs`` allocates no tuple per pair:
@@ -191,17 +191,13 @@ class PairRows(Sequence):
 
     __slots__ = ("_arrays", "_sides")
 
-    def __init__(
-        self, arrays: Tuple[Any, Any], sides: Optional[Tuple[RowOids, RowOids]]
-    ) -> None:
+    def __init__(self, arrays: Tuple[Any, Any], sides: Tuple[RowOids, RowOids]) -> None:
         self._arrays = arrays
         self._sides = sides
 
     def oids(self) -> Tuple[Any, Any]:
-        """The pairs as two int64 oid arrays: the buffers themselves
-        without *sides*, else gathered from the oid columns."""
-        if self._sides is None:
-            return self._arrays
+        """The pairs as two int64 oid arrays, gathered from the oid
+        columns."""
         left, right = self._sides
         return left.column[self._arrays[0]], right.column[self._arrays[1]]
 
@@ -211,22 +207,18 @@ class PairRows(Sequence):
         """Pairs *index* as oid tuples, row positions looked up in
         *through* (each side's :func:`oid_objects`), or else in each
         side's oid objects or column."""
-        rid, sid = self._arrays[0][index], self._arrays[1][index]
-        if self._sides is not None:
-            left, right = through or [
-                side.column if side.objects is None else side.objects
-                for side in self._sides
-            ]
-            rid, sid = left[rid], right[sid]
+        left, right = through or [
+            side.column if side.objects is None else side.objects
+            for side in self._sides
+        ]
+        rid, sid = left[self._arrays[0][index]], right[self._arrays[1][index]]
         return zip(rid.tolist(), sid.tolist())
 
     def __len__(self) -> int:
         return len(self._arrays[0])
 
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
-        through = None
-        if self._sides is not None:
-            through = (oid_objects(self._sides[0]), oid_objects(self._sides[1]))
+        through = (oid_objects(self._sides[0]), oid_objects(self._sides[1]))
         return chain.from_iterable(
             self._decode(slice(lo, lo + DECODE_CHUNK), through)
             for lo in range(0, len(self), DECODE_CHUNK)
@@ -260,16 +252,15 @@ class JoinResult:
     A result is backed by one of two forms.  The paper's engines (S3J,
     SSSJ, SHJ, the R-tree join) and PBSM's ``dedup="sort"`` hand their
     ``list`` of tuples to the constructor, and ``pairs`` is that list.
-    PBSM under the Reference Point Method keeps the leaves' int64 row
-    positions, and :class:`~repro.pbsm.parallel.ParallelPBSM` the two
-    int64 oid buffers they decode to (:meth:`from_arrays`, with and
-    without *sides*).  No tuple of those exists until a caller iterates
-    ``pairs``: a read-only :class:`PairRows` that decodes them chunk by
-    chunk, every time it is read.  ``len(result)`` and :meth:`to_arrays`
-    read the buffers.  Such ``pairs`` is not a ``list`` — no ``append``
-    or ``sort`` (``sorted(result.pairs)`` and ``list(result.pairs)``
-    work), and two reads need not return the same object — but
-    assigning ``result.pairs = [...]`` makes any result list-backed.
+    PBSM under the Reference Point Method, at any worker count, keeps
+    the leaves' int64 row positions (:meth:`from_arrays`).  No tuple of
+    those exists until a caller iterates ``pairs``: a read-only
+    :class:`PairRows` that decodes them chunk by chunk, every time it is
+    read.  ``len(result)`` and :meth:`to_arrays` read the buffers.  Such
+    ``pairs`` is not a ``list`` — no ``append`` or ``sort``
+    (``sorted(result.pairs)`` and ``list(result.pairs)`` work), and two
+    reads need not return the same object — but assigning
+    ``result.pairs = [...]`` makes any result list-backed.
     A row-backed result keeps each input's int64 oid column (and a list
     input's oid object array, 8 B a row each) alive for as long as it
     lives; boxes a columnar input's oids need live only while ``pairs``
@@ -287,10 +278,10 @@ class JoinResult:
         left: Any,
         right: Any,
         stats: JoinStats,
-        sides: Optional[Tuple[RowOids, RowOids]] = None,
+        sides: Tuple[RowOids, RowOids],
     ) -> "JoinResult":
-        """A result backed by two equally long int64 arrays: the oids, or
-        with *sides* row positions that decode through them."""
+        """A result backed by two equally long int64 arrays of row
+        positions, decoded through *sides*."""
         result = cls([], stats)
         result._pairs = None
         result._oids = PairRows((left, right), sides)
@@ -311,10 +302,9 @@ class JoinResult:
     def to_arrays(self) -> Tuple[Any, Any]:
         """The result as ``(left_oids, right_oids)``, two int64 arrays.
 
-        The oid buffers themselves when the result is backed by them (do
-        not write to them); gathered from the inputs' oid columns when it
-        holds row positions; otherwise unboxed from the pair list on
-        every call (:func:`pair_columns`).
+        Gathered from the inputs' oid columns when the result holds row
+        positions; otherwise unboxed from the pair list on every call
+        (:func:`pair_columns`).
         """
         if self._oids is not None:
             return self._oids.oids()

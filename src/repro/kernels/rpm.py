@@ -175,7 +175,7 @@ def rpm_join_ids(
     ``i``-th owned pair is ``(rid[i], sid[i])``.  Inputs not flagged
     ``sorted_by_xl`` are sorted here (stable, ``xl_order``), charged as
     one batch sort each; the PBSM drivers' leaves arrive sorted and
-    charge that sort in ``pbsm.join.columnar_leaf`` instead.
+    charge that sort in ``pbsm.leaf.columnar_leaf`` instead.
     """
     rid, sid, detected, suppressed = _owned_scan(
         a_cols, b_cols, ((grid, pid),), counters, batch_candidates

@@ -1,8 +1,9 @@
 """Vectorized two-layer corner-class duplicate avoidance (retired).
 
-No driver runs this kernel: ``PBSM``, ``ParallelPBSM``, ``spatial_join``
-and ``repro join`` handle duplicates with the Reference Point Method (or
-the paper's final sort) only, because two-layer avoidance won no cell of
+No driver runs this kernel: ``PBSM`` (at any worker count),
+``spatial_join`` and ``repro join`` handle duplicates with the Reference
+Point Method (or the paper's final sort) only, because two-layer
+avoidance won no cell of
 ``benchmarks/results/BENCH_dedup_wall.json``.  It stays for one caller,
 the frozen benchmark's traced replay (``benchmarks/e2e/layers.py``), which
 times it as ``twolayer.join_ids_ms``.

@@ -4,12 +4,7 @@ from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import DEDUP_MODES, PBSM, pbsm_join
-from repro.pbsm.parallel import (
-    EXECUTORS,
-    ParallelPBSM,
-    lpt_schedule,
-    reset_clamp_warnings,
-)
+from repro.pbsm.parallel import EXECUTORS, lpt_schedule, reset_clamp_warnings
 from repro.pbsm.partitioner import partition_csr, partition_relation
 from repro.pbsm.repartition import choose_split
 
@@ -17,7 +12,6 @@ __all__ = [
     "DEDUP_MODES",
     "EXECUTORS",
     "PBSM",
-    "ParallelPBSM",
     "TileGrid",
     "choose_split",
     "estimate_partitions",

@@ -23,17 +23,22 @@ the operator layer can demonstrate the pipelining difference.
 the inputs' five columns (already there for mapped inputs, built once
 and validated otherwise) for the extent, the partitioning and every
 repartitioning step, and their partition files hold row ids.  The engine
-is only the kernel a leaf (:func:`join_leaf`) runs: the *tuple* engine's
-:func:`tuple_leaf` (any internal but ``sweep_numpy``; the paper's
-subject) over records gathered from the columns, or the *columnar*
-engine's :func:`columnar_leaf` (``internal="sweep_numpy"``, what
-:func:`repro.spatial_join` runs by default).  Both return row positions
-after one batched ownership test; the result keeps them, and
-``result.pairs`` turns them into oid tuples through the inputs' own oid
-objects only while it is read — ``docs/kernels.md``, "Columnar
-sequential driver".  :class:`~repro.pbsm.parallel.ParallelPBSM` is this
-pipeline, repartitioning included, plus where its leaves run (optionally
-on a process pool) and how the join phase is accounted.
+is only the kernel a leaf (:func:`~repro.pbsm.leaf.join_leaf`) runs: the
+*tuple* engine's :func:`~repro.pbsm.leaf.tuple_leaf` (any internal but
+``sweep_numpy``; the paper's subject) over records gathered from the
+columns, or the *columnar* engine's :func:`~repro.pbsm.leaf.columnar_leaf`
+(``internal="sweep_numpy"``, what :func:`repro.spatial_join` runs by
+default).  Both return row positions after one batched ownership test;
+the result keeps them, and ``result.pairs`` turns them into oid tuples
+through the inputs' own oid objects only while it is read —
+``docs/kernels.md``, "Columnar sequential driver".
+
+``workers=W > 1`` changes only where the leaves run and how the join
+phase is accounted: the same recursion hands out the same leaves in the
+same order, ``executor="process"`` joins them on the warm pool
+(:mod:`repro.pbsm.parallel`), ``"simulated"`` in the in-process loop,
+and on either the join phase is charged as the leaves' LPT makespan on
+W workers.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from __future__ import annotations
 import time
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -69,31 +73,30 @@ from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.assign import partition_memoized
 from repro.kernels.columnar import ColumnarRelation, checked_columns
-from repro.kernels.rpm import owned_mask, region_join_ids, rpm_join_ids
-from repro.kernels.sweep import _charge_batch_sort
+from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
+from repro.pbsm.leaf import (
+    Leaf,
+    LeafOutcome,
+    Region,
+    columnar_engine,
+    join_leaf,
+    read_leaf,
+)
+from repro.pbsm.parallel import (
+    EXECUTORS,
+    clamp_workers,
+    execute_process,
+    fan_out_executor,
+    lpt_schedule,
+)
 from repro.pbsm.partitioner import partition_relation
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split, split_partition_ids
 
 DEDUP_MODES = ("rpm", "sort")
-
-#: The region a partition pair owns, as a chain of ``(grid, pid)``
-#: ownership tests: one entry for a top-level partition (the union of its
-#: tiles), one more per repartitioning step — parent region AND
-#: sub-region.  Both engines AND it over whole batches of reference
-#: points (:func:`~repro.kernels.rpm.owned_mask`).
-Region = Tuple[Tuple[TileGrid, int], ...]
-
-#: A leaf the recursion hands out: ``(file_left, file_right, region)``.
-Leaf = Tuple[PageFile, PageFile, Region]
-
-#: ``(pairs, suppressed, counters, wall_seconds)`` — one joined leaf: what
-#: :func:`join_leaf` returned (*pairs* is ``(rid, sid)``), and the leaf's
-#: own counters and wall time, measured where it ran.
-LeafOutcome = Tuple[Any, int, CpuCounters, float]
 
 
 class PBSM:
@@ -116,6 +119,24 @@ class PBSM:
     tiles_per_partition:
         Grid shape: NT ~= P * tiles_per_partition tiles, hashed to
         partitions as Patel & DeWitt suggest (:class:`TileGrid`).
+    workers:
+        Workers the leaves are spread over.  With more than one the run
+        has at least one partition per worker, the join phase is charged
+        as the leaves' LPT makespan on W workers, and only RPM runs:
+        each result is owned by one leaf, so workers never coordinate,
+        while the offline sort would serialise the join behind a global
+        sorting phase.  Out-of-range counts are clamped with a
+        :class:`RuntimeWarning` (:func:`~repro.pbsm.parallel.clamp_workers`).
+    executor:
+        Where the leaves of a ``workers > 1`` run are joined: "process"
+        (the warm pool, :mod:`repro.pbsm.parallel`) or "simulated" (the
+        in-process loop).  Both give the same pairs in the same order
+        and the same simulated costs.
+    pinned:
+        Manifests of pinned left/right dataset segments (columns under
+        the neutral ``D.*`` prefix, ``repro serve``'s registry).  On the
+        pool, the per-query segment then carries only the CSR id arrays
+        — the relation columns are never re-shipped.
     """
 
     def __init__(
@@ -128,10 +149,20 @@ class PBSM:
         tiles_per_partition: int = 4,
         cost_model: Optional[CostModel] = None,
         tracer: Optional[Any] = None,
+        workers: int = 1,
+        executor: str = "process",
+        pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> None:
         require_positive("memory_bytes", memory_bytes)
+        if workers > 1 and dedup != "rpm":
+            raise ValueError(
+                "workers= runs the Reference Point Method only: the "
+                "offline sorting phase would serialise the parallel join"
+            )
         if dedup not in DEDUP_MODES:
             raise ValueError(f"dedup must be one of {DEDUP_MODES}, got {dedup!r}")
+        if executor not in EXECUTORS:
+            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         self.memory_bytes = memory_bytes
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.internal_name = internal
@@ -140,6 +171,9 @@ class PBSM:
         self.t_factor = t_factor
         self.tiles_per_partition = tiles_per_partition
         self.cost_model = cost_model or CostModel()
+        self.workers = clamp_workers(workers, executor)
+        self.executor = executor
+        self.pinned = pinned
 
     # ------------------------------------------------------------------
     # public API
@@ -148,11 +182,11 @@ class PBSM:
         """Execute the join and return all result pairs plus statistics.
 
         Under ``dedup="rpm"`` the result holds the leaves' row positions,
-        concatenated once: ``result.pairs`` is a read-only sequence that
-        decodes them through the inputs' own oid objects while it is
-        iterated (:class:`~repro.core.result.PairRows`; no ``append``),
-        and ``len(result)`` and ``result.to_arrays()`` box nothing.
-        Under ``"sort"`` it is the sorted-out ``list``.
+        concatenated once, on every executor: ``result.pairs`` is a
+        read-only sequence that decodes them through the inputs' own oid
+        objects while it is iterated (:class:`~repro.core.result.PairRows`;
+        no ``append``), and ``len(result)`` and ``result.to_arrays()``
+        box nothing.  Under ``"sort"`` it is the sorted-out ``list``.
         """
         stats = self._new_stats(left, right)
         columns = _columns(left, right)
@@ -163,7 +197,8 @@ class PBSM:
                 pairs.extend(unique)
             result = JoinResult(pairs=pairs, stats=stats)
         else:
-            result = self._result(columns, pieces, stats)
+            sides = _NO_ROWS if columns is None else _row_oids(columns)
+            result = JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
         stats.n_results = len(result)
         return result
 
@@ -181,9 +216,10 @@ class PBSM:
         pipelining argument is about.  ``stats`` (if given) is populated
         when the iterator is exhausted.
         """
-        own_stats = stats if stats is not None else self._new_stats(left, right)
+        if stats is None:
+            stats = self._new_stats(left, right)
         columns = _columns(left, right)
-        pieces = self._join_leaves(columns, own_stats)
+        pieces = self._join_leaves(columns, stats)
         if columns is not None and self.dedup == "rpm":
             sides = _row_oids(columns, boxed=True)
             pieces = (PairRows(piece, sides) for piece in pieces)
@@ -194,23 +230,19 @@ class PBSM:
     # execution
     # ------------------------------------------------------------------
     def _new_stats(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinStats:
-        dedup_tag = {"rpm": "RPM", "sort": "PD"}[self.dedup]
-        return JoinStats(
-            algorithm=f"PBSM({self.internal_name},{dedup_tag})",
+        """A run's stats; with ``workers > 1``, ``stats.executor`` says
+        which executor joins the leaves (:meth:`_run_leaves`)."""
+        tag = {"rpm": "RPM", "sort": "PD"}[self.dedup]
+        stats = JoinStats(
+            algorithm=f"PBSM({self.internal_name},{tag})",
             n_left=len(left),
             n_right=len(right),
         )
-
-    def _result(
-        self,
-        columns: Optional["_Columns"],
-        pieces: Iterable[Tuple[Any, Any]],
-        stats: JoinStats,
-    ) -> JoinResult:
-        """The RPM result: the leaves' ``(rid, sid)`` *pieces* concatenated
-        once, decoded through the inputs' oids on read."""
-        sides = None if columns is None else _row_oids(columns)
-        return JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
+        if self.workers > 1:
+            stats.algorithm = f"PBSM({self.internal_name},{tag},W={self.workers})"
+            stats.executor = fan_out_executor(self.executor)
+            stats.n_workers = self.workers
+        return stats
 
     def _join_leaves(
         self,
@@ -222,15 +254,12 @@ class PBSM:
         Under ``dedup="rpm"`` yields each leaf's ``(rid, sid)`` row
         positions as one piece; under ``"sort"`` one list of oid tuples,
         the duplicate-free result of the final phase.  The one PBSM
-        pipeline: :meth:`run` and :meth:`iter_pairs` drain it, and so
-        does :class:`~repro.pbsm.parallel.ParallelPBSM`, which changes
-        where leaves run (:meth:`_run_leaves`), what its result holds
-        (:meth:`_result`) and how the run is accounted
-        (:meth:`_finalize_stats`).  No generator is resumed per pair.
+        pipeline: :meth:`run` and :meth:`iter_pairs` drain it, whatever
+        the worker count.  No generator is resumed per pair.
         Everything a run accumulates (disk, counters, *stats*) is local
         to this generator — never an attribute of the driver — so
         iterators open on one driver share nothing, and *stats* is
-        complete once it is exhausted.
+        complete once it is exhausted (:meth:`_finalize_stats`).
         """
         disk = SimulatedDisk(self.cost_model)
         cpu = {
@@ -255,9 +284,8 @@ class PBSM:
             len(columns.left), len(columns.right), kpe_bytes, self.memory_bytes,
             self.t_factor,
         )
-        # A parallel run wants at least one task per worker (a sequential
-        # one has no workers).
-        n_partitions = max(n_partitions, stats.n_workers)
+        # At least one task per worker.
+        n_partitions = max(n_partitions, self.workers)
         grid = TileGrid.for_partitions(space, n_partitions, self.tiles_per_partition)
         stats.n_partitions = n_partitions
 
@@ -429,12 +457,18 @@ class PBSM:
         columns: "_Columns",
         disk: SimulatedDisk,
         stats: JoinStats,
-    ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
-        """Join each leaf in this process as the recursion hands it out.
-
-        Every leaf gets a ``task`` span when the tracer records.
-        """
+    ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
+        """Join each leaf: on the warm pool when the leaves really fan out
+        (``stats.executor == "process"``, all of them at once), else in
+        this process as the recursion hands it out, every leaf with a
+        ``task`` span when the tracer records."""
         tracer = self.tracer
+        if stats.executor == "process":
+            yield from execute_process(
+                list(leaves), columns, disk, stats, self.internal_name,
+                self.pinned, tracer,
+            )
+            return
         for leaf in leaves:
             file_left, file_right, region = leaf
             l_ids, r_ids = read_leaf(disk, file_left, file_right)
@@ -452,9 +486,7 @@ class PBSM:
                 )
             yield leaf, (pairs, suppressed, counters, wall)
 
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
+
     def _finalize_stats(
         self,
         stats: JoinStats,
@@ -462,8 +494,14 @@ class PBSM:
         cpu: Dict[str, CpuCounters],
         leaf_costs: List[Tuple[int, CpuCounters, float]],
     ) -> None:
+        """The one accounting rule, an empty side included (zero-filled
+        phases): each phase is charged its counters and its I/O, except
+        that with ``workers > 1`` the join phase is the LPT makespan of
+        the leaves on W workers, each leaf costing its two reads (one
+        request each) plus its CPU counters.  The makespan mixes the
+        leaves' reads and CPU; it counts as CPU."""
         cost = self.cost_model
-        stats.io_units_by_phase = disk.units_by_phase()
+        stats.io_units_by_phase = units = disk.units_by_phase()
         stats.io_pages_by_phase = disk.pages_by_phase()
         stats.cpu_by_phase = {
             phase: counters.as_dict() for phase, counters in cpu.items()
@@ -472,13 +510,25 @@ class PBSM:
         stats.sim_cpu_seconds = sum(
             cost.cpu_seconds(counters) for counters in cpu.values()
         )
-        by_phase = {}
-        units = stats.io_units_by_phase
-        for phase, counters in cpu.items():
-            by_phase[phase] = cost.cpu_seconds(counters) + cost.io_seconds(
-                units.get(phase, 0.0)
+        stats.sim_seconds_by_phase = {
+            phase: cost.cpu_seconds(counters) + cost.io_seconds(units.get(phase, 0.0))
+            for phase, counters in cpu.items()
+        }
+        if self.workers > 1:
+            makespan, _loads = lpt_schedule(
+                [
+                    cost.io_seconds(cost.pt_ratio * 2 + pages) + cost.cpu_seconds(counters)
+                    for pages, counters, _ in leaf_costs
+                ],
+                self.workers,
             )
-        stats.sim_seconds_by_phase = by_phase
+            stats.sim_seconds_by_phase[PHASE_JOIN] = makespan
+            stats.sim_io_seconds -= cost.io_seconds(units.get(PHASE_JOIN, 0.0))
+            stats.sim_cpu_seconds = sum(stats.sim_seconds_by_phase.values()) - stats.sim_io_seconds
+            stats.join_busy_seconds = sum((wall for _, _, wall in leaf_costs), 0.0)
+            if stats.executor != "process":
+                # In process, the tasks' elapsed time is the join phase's.
+                stats.join_makespan_seconds = stats.wall_seconds_by_phase.get(PHASE_JOIN, 0.0)
 
 
 class _Columns(NamedTuple):
@@ -508,6 +558,10 @@ def concat_rows(pieces: Iterable[Tuple[Any, Any]]) -> Tuple[Any, Any]:
     return np.concatenate([empty, *rids]), np.concatenate([empty, *sids])
 
 
+#: What an empty side's row positions decode through: no rows.
+_NO_ROWS = (RowOids(np.empty(0, dtype=np.int64)), RowOids(np.empty(0, dtype=np.int64)))
+
+
 def _row_oids(columns: _Columns, boxed: bool = False) -> Tuple[RowOids, RowOids]:
     """Each input's oid column and oid objects: what row positions decode
     through (:class:`~repro.core.result.PairRows`).  *boxed* boxes a
@@ -518,122 +572,6 @@ def _row_oids(columns: _Columns, boxed: bool = False) -> Tuple[RowOids, RowOids]
         left = RowOids(left.column, oid_objects(left))
         right = RowOids(right.column, oid_objects(right))
     return left, right
-
-
-def columnar_engine(internal_name: str) -> bool:
-    """Whether a PBSM driver runs the columnar engine for this internal."""
-    return internal_name == "sweep_numpy"
-
-
-def read_leaf(disk: SimulatedDisk, file_left: PageFile, file_right: PageFile) -> Tuple[Any, Any]:
-    """A leaf's two id runs, each read with one charged request."""
-    with disk.phase(PHASE_JOIN):
-        return file_left.read_view(), file_right.read_view()
-
-
-def join_leaf(
-    internal_name: str,
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    l_ids: Any,
-    r_ids: Any,
-    region: Region,
-    dedup: str,
-    cpu: CpuCounters,
-) -> Tuple[Tuple[Any, Any], int]:
-    """Join rows *l_ids* of *left* with rows *r_ids* of *right*: one leaf.
-
-    The one place a leaf picks its engine, in this process and in a pool
-    worker alike: ``sweep_numpy`` runs :func:`columnar_leaf`, every other
-    internal :func:`tuple_leaf`.  Both take the same inputs and return
-    the same ``((rid, sid), suppressed)``: int64 row *positions* into
-    *left* and *right*, not oids, which the driver decodes.
-    """
-    if columnar_engine(internal_name):
-        return columnar_leaf(left, right, l_ids, r_ids, region, dedup, cpu)
-    return tuple_leaf(
-        left, right, l_ids, r_ids, region, dedup,
-        internal_algorithm(internal_name), cpu,
-    )
-
-
-def _leaf_records(cols: ColumnarRelation, ids: Any) -> List[Tuple]:
-    """Rows *ids* of *cols* as ``(oid, xl, yl, xh, yh, row)`` records, in
-    id order: the internals read a KPE's five fields, the sixth is where
-    the record came from."""
-    fields = (cols.oid, cols.xl, cols.yl, cols.xh, cols.yh)
-    return list(zip(*(field[ids].tolist() for field in fields), ids.tolist()))
-
-
-def tuple_leaf(
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    l_ids: Any,
-    r_ids: Any,
-    region: Region,
-    dedup: str,
-    internal: Callable[..., None],
-    cpu: CpuCounters,
-) -> Tuple[Tuple[Any, Any], int]:
-    """The tuple engine's leaf: any internal algorithm over records.
-
-    The internal's ``emit`` only collects the candidates' rows; under
-    RPM one batched test (:func:`~repro.kernels.rpm.owned_mask`) then
-    keeps the pairs *region* owns, charged one ``refpoint_tests`` per
-    candidate.  The test-free ``"sort"`` mode returns every candidate.  Returns ``((rid, sid), suppressed)`` like
-    :func:`columnar_leaf`, pairs in the internal's emit order.
-    """
-    rids: List[int] = []
-    sids: List[int] = []
-
-    def emit(r: Tuple, s: Tuple) -> None:
-        rids.append(r[5])
-        sids.append(s[5])
-
-    internal(_leaf_records(left, l_ids), _leaf_records(right, r_ids), emit, cpu)
-    rid = np.array(rids, dtype=np.int64)
-    sid = np.array(sids, dtype=np.int64)
-    if dedup != "rpm":
-        return (rid, sid), 0
-    cpu.refpoint_tests += len(rids)
-    owned = owned_mask(left, right, rid, sid, region)
-    return (rid[owned], sid[owned]), len(rids) - int(owned.sum())
-
-
-def columnar_leaf(
-    left: ColumnarRelation,
-    right: ColumnarRelation,
-    l_ids: Any,
-    r_ids: Any,
-    region: Region,
-    dedup: str,
-    cpu: CpuCounters,
-) -> Tuple[Tuple[Any, Any], int]:
-    """The columnar engine's leaf: one id-pair kernel per partition pair.
-
-    RPM under a top-level region (one grid's tiles) runs
-    :func:`~repro.kernels.rpm.rpm_join_ids`; a composed region (and the
-    test-free ``"sort"`` mode) runs the forward scan with the ownership
-    chain ANDed over each batch.
-
-    The id runs arrive in ``xl`` order (``partition_ids(..., by_xl=True)``),
-    so the gathered rows are flagged ``sorted_by_xl`` and no kernel sorts
-    here.  The paper sorts every partition pair, and its simulated
-    seconds are this engine's currency too, so a sort per side is still
-    charged — what the kernel's own sort charged.
-    """
-    a = left.rows(l_ids, sorted_by_xl=True)
-    b = right.rows(r_ids, sorted_by_xl=True)
-    _charge_batch_sort(cpu, a.n)
-    _charge_batch_sort(cpu, b.n)
-    if dedup == "rpm" and len(region) == 1:
-        grid, pid = region[0]
-        rid, sid, suppressed = rpm_join_ids(a, b, grid, pid, cpu)
-    else:
-        rid, sid, suppressed = region_join_ids(
-            a, b, region if dedup == "rpm" else (), cpu
-        )
-    return (rid, sid), suppressed
 
 
 def pbsm_join(

@@ -1,63 +1,41 @@
-"""Parallel PBSM: simulated multi-worker model and real multiprocess fan-out.
+"""The pool side of a parallel PBSM run: the warm pool and the process fan-out.
 
-The paper's related work points to parallel spatial join processing
-[BKS 96, Pat 98]; PBSM parallelises naturally because partition pairs are
-independent once partitioning has replicated the data.  This module offers
-two executors over the same shared-nothing decomposition:
+:class:`~repro.pbsm.join.PBSM` with ``workers > 1`` spreads its leaves
+over W workers.  The paper's related work points to parallel spatial
+join processing [BKS 96, Pat 98]: under RPM every result is owned by
+exactly one leaf, so workers never coordinate.  ``executor="simulated"``
+runs the leaves in PBSM's in-process loop and charges the join phase as
+their LPT makespan (:func:`lpt_schedule`); ``executor="process"`` runs
+them here, through :func:`execute_process`:
 
-* ``executor="simulated"`` — the analytic model: the partitioning and
-  repartitioning phases run sequentially, after which the leaves' join
-  tasks — each with its own measured I/O + CPU cost — are scheduled onto
-  W workers with the LPT (longest processing time first) heuristic.  The
-  simulated total runtime is ``partition + repartition + makespan``, so
-  the speedup curve flattens exactly where the paper's decomposition
-  predicts: the sequential fraction and the largest single leaf bound
-  the achievable speedup (Amdahl).
-* ``executor="process"`` — the same task decomposition, actually executed
-  on a warm, persistent process pool (:class:`WarmPool`).  Results are
-  merged in leaf order, so the output is byte-identical to the
-  in-process loop.  With ``workers=1`` the fan-out degrades
-  gracefully to the in-process loop (no pool is used, and
-  ``stats.executor`` says ``"simulated"``).
-
-One pool entry point serves every real fan-out: chunks carry their
-per-query configuration and go to :func:`_run_dyn_chunk`, on
-:data:`LIBRARY_POOL`, the one lazily spawned warm pool of the process —
-``spatial_join(workers=N)``, ``method="auto"`` parallel plans, ``repro
-join --workers`` and ``repro serve`` alike
-(``benchmarks/results/BENCH_executors.json``: a pool spawned per run lost
-to the warm pool in every cell, and a thread pool beat the better of the
-warm pool and the in-process loop in none).
+* It turns the leaves into tasks — ``(leaf, l_lo, l_hi, r_lo, r_hi)``,
+  the leaf's index and two CSR slices into the id runs concatenated in
+  leaf order — and loads the columns and the id arrays once into a
+  :class:`~repro.kernels.shm.SharedColumnarStore` segment that workers
+  attach by name (with pinned datasets, the id arrays only).
+* Each task's ``(rid, sid)`` row positions come back through a
+  worker-created segment: only task tuples, the query's configuration
+  (the grids and each leaf's ownership chain among them) and manifests
+  cross the pipe.  The driver merges them in leaf order, so the output
+  is byte-identical to the in-process loop.
+* One pool entry point serves every fan-out: chunks carry their
+  per-query configuration and go to :func:`_run_dyn_chunk`, on
+  :data:`LIBRARY_POOL`, the one lazily spawned warm pool of the process
+  (``benchmarks/results/BENCH_executors.json``: a pool spawned per run
+  lost to the warm pool in every cell, and a thread pool beat the better
+  of the warm pool and the in-process loop in none).
+* Dispatch is one policy: the tasks are LPT-packed by joined size into
+  ``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and
+  the pool's own call queue hands the next chunk to whichever worker
+  frees up.  A task is never split.  ``stats.scheduler_idle_seconds`` is
+  the summed worker idle time the makespan hides.
 
 Load is balanced in the partitioning, as in the paper (Sec. 3.1): many
-more tiles than partitions, tiles hashed to partitions.  Dispatch is one
-policy: the tasks are LPT-packed by joined size into
-``workers x CHUNKS_PER_WORKER`` chunks, all submitted up front, and the
-pool's own call queue hands the next chunk to whichever worker frees up.
-A task is never split: every pair is owned by exactly one leaf's region
-and found by that leaf's one scan.  ``stats.scheduler_idle_seconds`` is
-the summed worker idle time the makespan hides.
-
-``ParallelPBSM`` is :class:`~repro.pbsm.join.PBSM` plus where its
-leaves run: PBSM's partitioning, its repartitioning recursion (a pair
-over the budget is split, Sec. 3.2.3, the same leaves in the same
-order), its leaf dispatch (:func:`~repro.pbsm.join.join_leaf`), its
-in-process loop and its accounting, with the join phase charged as the
-LPT makespan of the leaves.  Only the process executor is its own.  It
-turns the leaves into tasks — ``(leaf, l_lo, l_hi, r_lo, r_hi)``, the
-leaf's index and two CSR slices into the id runs concatenated in leaf
-order — loads the columns and the id arrays once into a
-:class:`~repro.kernels.shm.SharedColumnarStore` segment that workers
-attach by name, and gets each task's ``(rid, sid)`` buffers back through
-a worker-created segment: only task tuples, the query's configuration
-(the grids and each leaf's ownership chain among them) and manifests
-cross the pipe.  The driver never boxes a pair: the result is
-:meth:`~repro.core.result.JoinResult.from_arrays` over buffers merged in
-leaf order, whichever engine and executor ran the leaves.  Where
-the segment cannot exist (no POSIX shared memory, or
-``REPRO_DISABLE_SHM=1``) ``executor="process"`` runs the in-process
-loop, with byte-identical output, one ``RuntimeWarning`` per process,
-and ``stats.executor`` reporting ``"simulated"``.
+more tiles than partitions, tiles hashed to partitions.  Out-of-range
+worker counts are clamped (:func:`clamp_workers`).  Where the segment
+cannot exist (no POSIX shared memory, or ``REPRO_DISABLE_SHM=1``)
+``executor="process"`` runs the in-process loop, with byte-identical
+output and one ``RuntimeWarning`` per process (:func:`fan_out_executor`).
 """
 
 from __future__ import annotations
@@ -72,7 +50,6 @@ from contextlib import contextmanager
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -83,10 +60,8 @@ from typing import (
 
 import numpy as np
 
-from repro.core.phases import PHASE_JOIN
-from repro.core.result import JoinResult, JoinStats
+from repro.core.result import JoinStats
 from repro.core.stats import CpuCounters
-from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.kernels.shm import (
     Manifest,
@@ -96,15 +71,7 @@ from repro.kernels.shm import (
 )
 from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.join import (
-    PBSM,
-    Leaf,
-    LeafOutcome,
-    Region,
-    concat_rows,
-    join_leaf,
-    read_leaf,
-)
+from repro.pbsm.leaf import Leaf, LeafOutcome, Region, join_leaf, read_leaf
 
 EXECUTORS = ("simulated", "process")
 
@@ -137,7 +104,7 @@ TaskMeta = Tuple[int, int, Dict[str, int], float]
 
 #: ``(worker_label, cpu, chunk_wall, cpu_seconds, task_metas,
 #: chunk_bytes)`` — one finished chunk as
-#: :meth:`ParallelPBSM._emit_pool_spans` consumes it; *cpu* is the CPU the
+#: :func:`_emit_pool_spans` consumes it; *cpu* is the CPU the
 #: worker is pinned to (``None``: unpinned).
 ChunkReport = Tuple[str, Optional[int], float, float, List[TaskMeta], int]
 
@@ -161,7 +128,7 @@ def worker_cap() -> int:
 
 
 #: Clamp and degrade messages already warned about in this process.  A
-#: serve loop constructs one ``ParallelPBSM`` per query; re-warning the
+#: serve loop constructs one ``PBSM`` per query; re-warning the
 #: same clamp on every request is noise, so each distinct message fires
 #: exactly once.
 _WARNED_CLAMPS: Set[str] = set()
@@ -179,6 +146,40 @@ def _warn_clamp(message: str, stacklevel: int = 3) -> None:
 def reset_clamp_warnings() -> None:
     """Forget previously-warned clamps (tests asserting on the warning)."""
     _WARNED_CLAMPS.clear()
+
+
+def clamp_workers(workers: int, executor: str) -> int:
+    """*workers* clamped to at least 1 and, for the process executor, to
+    :func:`worker_cap`, with a :class:`RuntimeWarning` (once per process
+    per distinct clamp) instead of raising or oversubscribing."""
+    if workers < 1:
+        _warn_clamp(f"workers={workers} is below 1; clamped to 1", stacklevel=4)
+        return 1
+    cap = worker_cap()
+    if executor == "process" and workers > cap:
+        _warn_clamp(
+            f"workers={workers} exceeds the usable CPU count ({cap}); "
+            f"clamped to {cap} (set {MAX_WORKERS_ENV} to allow "
+            "oversubscription)",
+            stacklevel=4,
+        )
+        return cap
+    return workers
+
+
+def fan_out_executor(executor: str) -> str:
+    """The executor that runs a fan-out asked of *executor*: ``"process"``
+    needs a shared-memory segment, and without one the in-process loop
+    runs (``"simulated"``, one :class:`RuntimeWarning` per process)."""
+    if executor == "process" and not shm_enabled():
+        _warn_clamp(
+            "executor='process' needs a shared-memory segment (POSIX "
+            "shared memory, REPRO_DISABLE_SHM unset); running the "
+            "in-process loop instead",
+            stacklevel=5,  # fan_out_executor <- _new_stats <- run <- the caller
+        )
+        return "simulated"
+    return executor
 
 
 # ----------------------------------------------------------------------
@@ -528,316 +529,178 @@ def _drain(pool: Any, payloads: Sequence[bytes]) -> List[bytes]:
         raise
 
 
-class ParallelPBSM(PBSM):
-    """PBSM with the join phase spread over *workers* workers.
+def _emit_pool_spans(
+    tracer: Any,
+    stats: JoinStats,
+    chunk_reports: List[ChunkReport],
+    leaves: List[Leaf],
+) -> None:
+    """Worker/task spans and per-worker busy totals for one fan-out.
 
-    :class:`PBSM` plus where its leaves run (module docstring):
-    ``dedup="rpm"``, at least one partition per worker, and every leaf
-    :class:`PBSM` would join is one task.  ``executor="simulated"`` runs
-    them in PBSM's in-process loop and *models* the parallel runtime;
-    ``executor="process"`` fans them out over :data:`LIBRARY_POOL`, with
-    identical pairs in identical order and the same simulated costs.
-
-    The result is the two int64 oid buffers the tasks produced, never
-    boxed by the driver (``result.pairs`` decodes them while it is
-    iterated, :class:`~repro.core.result.PairRows`).  There is no
-    ``dedup`` option: under RPM each result is owned by one leaf, so
-    workers never coordinate, and the offline sort would serialise the
-    join behind a global sorting phase.  Out-of-range worker counts are
-    clamped with a :class:`RuntimeWarning` (once per process per
-    distinct clamp) instead of raising or oversubscribing the machine.
+    ``chunk_reports`` rows are :data:`ChunkReport`; ``chunk_bytes``
+    (payload out plus result blob in) lands on the worker span as a
+    ``bytes_shipped`` counter, so traces attribute the IPC volume next
+    to the time, and the chunk's ``cpu_seconds`` counter and ``cpu``
+    tag show whether the worker had its core to itself.
+    Also derives ``scheduler_idle_seconds`` — the worker-seconds the
+    fan-out paid for but did not fill (``makespan x W - busy``).
     """
-
-    def __init__(
-        self,
-        memory_bytes: int,
-        workers: int = 4,
-        *,
-        internal: str = "sweep_trie",
-        executor: str = "simulated",
-        t_factor: float = 1.2,
-        cost_model: Optional[CostModel] = None,
-        tracer: Optional[Any] = None,
-        pinned: Optional[Tuple[Manifest, Manifest]] = None,
-    ) -> None:
-        super().__init__(
-            memory_bytes,
-            internal=internal,
-            dedup="rpm",
-            t_factor=t_factor,
-            cost_model=cost_model,
-            tracer=tracer,
-        )
-        if executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, got {executor!r}"
+    busy_by_worker: Dict[str, float] = {}
+    for chunk_idx, report in enumerate(chunk_reports):
+        label, cpu, chunk_wall, cpu_seconds, metas, chunk_bytes = report
+        busy_by_worker[label] = busy_by_worker.get(label, 0.0) + chunk_wall
+        if tracer.recording:
+            worker_span = tracer.add_span(
+                "worker",
+                chunk_wall,
+                kind=KIND_WORKER,
+                worker=label,
+                cpu=cpu,
+                chunk=chunk_idx,
+                tasks=len(metas),
+                counters={
+                    "bytes_shipped": chunk_bytes,
+                    "cpu_seconds": cpu_seconds,
+                },
             )
-        if workers < 1:
-            _warn_clamp(f"workers={workers} is below 1; clamped to 1")
-            workers = 1
-        if executor == "process":
-            cap = worker_cap()
-            if workers > cap:
-                _warn_clamp(
-                    f"workers={workers} exceeds the usable CPU count ({cap}); "
-                    f"clamped to {cap} (set {MAX_WORKERS_ENV} to allow "
-                    "oversubscription)"
-                )
-                workers = cap
-        self.workers = workers
-        self.executor = executor
-        #: Manifests of pinned left/right dataset segments (columns under
-        #: the neutral ``D.*`` prefix, ``repro serve``'s registry).  On the
-        #: pool, the per-query segment then carries only the CSR id arrays
-        #: — the relation columns are never re-shipped.
-        self.pinned = pinned
-
-    def _new_stats(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinStats:
-        """The run's stats, ``stats.executor`` saying which executor runs
-        the leaves (:meth:`_run_leaves`)."""
-        executor = self.executor
-        if executor == "process" and self.workers == 1:
-            executor = "simulated"  # one worker never fans out
-        elif executor == "process" and not shm_enabled():
-            _warn_clamp(
-                "executor='process' needs a shared-memory segment (POSIX "
-                "shared memory, REPRO_DISABLE_SHM unset); running the "
-                "in-process loop instead",
-                stacklevel=4,  # _new_stats <- run <- the caller
-            )
-            executor = "simulated"
-        return JoinStats(
-            algorithm=f"ParallelPBSM({self.internal_name},W={self.workers})",
-            executor=executor,
-            n_left=len(left),
-            n_right=len(right),
-            n_workers=self.workers,
-        )
-
-    # ------------------------------------------------------------------
-    # PBSM's pipeline, configured
-    # ------------------------------------------------------------------
-    def _result(
-        self, columns: Any, pieces: Iterable[Tuple[Any, Any]], stats: JoinStats
-    ) -> JoinResult:
-        """The leaves' row positions as two int64 oid buffers, gathered a
-        leaf at a time and concatenated once: the result is those
-        buffers, and ``to_arrays()`` hands them over uncopied."""
-        if columns is not None:
-            left, right = columns.left.oid, columns.right.oid
-            pieces = ((left[rid], right[sid]) for rid, sid in pieces)
-        return JoinResult.from_arrays(*concat_rows(pieces), stats)
-
-    def _run_leaves(
-        self,
-        leaves: Iterable[Leaf],
-        columns: Any,
-        disk: SimulatedDisk,
-        stats: JoinStats,
-    ) -> Iterable[Tuple[Leaf, LeafOutcome]]:
-        if stats.executor != "process":
-            return super()._run_leaves(leaves, columns, disk, stats)
-        return self._execute_process(list(leaves), columns, disk, stats)
-
-    def _finalize_stats(
-        self,
-        stats: JoinStats,
-        disk: SimulatedDisk,
-        cpu: Dict[str, CpuCounters],
-        leaf_costs: List[Tuple[int, CpuCounters, float]],
-    ) -> None:
-        """:class:`PBSM`'s accounting, the join phase run on W workers: its
-        simulated seconds are the LPT makespan of the leaves, each costing
-        its two reads (one request each) plus its CPU counters.  With one
-        worker every figure is :class:`PBSM`'s (up to rounding)."""
-        if not stats.n_partitions:
-            return  # an empty side: nothing ran
-        super()._finalize_stats(stats, disk, cpu, leaf_costs)
-        cost = self.cost_model
-        task_costs = [
-            cost.io_seconds(cost.pt_ratio * 2 + pages) + cost.cpu_seconds(counters)
-            for pages, counters, _ in leaf_costs
-        ]
-        makespan, _loads = lpt_schedule(task_costs, self.workers)
-        stats.sim_seconds_by_phase[PHASE_JOIN] = makespan
-        # The makespan mixes the leaves' reads and CPU; it counts as CPU.
-        stats.sim_io_seconds -= cost.io_seconds(stats.io_units_by_phase.get(PHASE_JOIN, 0.0))
-        stats.sim_cpu_seconds = sum(stats.sim_seconds_by_phase.values()) - stats.sim_io_seconds
-        stats.join_busy_seconds = sum(wall for _, _, wall in leaf_costs)
-        if stats.executor != "process":
-            # In process, the tasks' elapsed time is the join phase's.
-            stats.join_makespan_seconds = stats.wall_seconds_by_phase[PHASE_JOIN]
-
-    # ------------------------------------------------------------------
-    # the process executor
-    # ------------------------------------------------------------------
-    def _emit_pool_spans(
-        self,
-        stats: JoinStats,
-        chunk_reports: List[ChunkReport],
-        leaves: List[Leaf],
-    ) -> None:
-        """Worker/task spans and per-worker busy totals for one fan-out.
-
-        ``chunk_reports`` rows are :data:`ChunkReport`; ``chunk_bytes``
-        (payload out plus result blob in) lands on the worker span as a
-        ``bytes_shipped`` counter, so traces attribute the IPC volume next
-        to the time, and the chunk's ``cpu_seconds`` counter and ``cpu``
-        tag show whether the worker had its core to itself.
-        Also derives ``scheduler_idle_seconds`` — the worker-seconds the
-        fan-out paid for but did not fill (``makespan x W - busy``).
-        """
-        tracer = self.tracer
-        busy_by_worker: Dict[str, float] = {}
-        for chunk_idx, report in enumerate(chunk_reports):
-            label, cpu, chunk_wall, cpu_seconds, metas, chunk_bytes = report
-            busy_by_worker[label] = busy_by_worker.get(label, 0.0) + chunk_wall
-            if tracer.recording:
-                worker_span = tracer.add_span(
-                    "worker",
-                    chunk_wall,
-                    kind=KIND_WORKER,
+            for leaf, _suppressed, counter_dict, task_wall in metas:
+                tracer.add_span(
+                    "task",
+                    task_wall,
+                    kind=KIND_TASK,
+                    parent_id=worker_span.span_id,
+                    counters=counter_dict,
+                    pid=leaves[leaf][2][0][1],
                     worker=label,
-                    cpu=cpu,
-                    chunk=chunk_idx,
-                    tasks=len(metas),
-                    counters={
-                        "bytes_shipped": chunk_bytes,
-                        "cpu_seconds": cpu_seconds,
-                    },
                 )
-                for leaf, _suppressed, counter_dict, task_wall in metas:
-                    tracer.add_span(
-                        "task",
-                        task_wall,
-                        kind=KIND_TASK,
-                        parent_id=worker_span.span_id,
-                        counters=counter_dict,
-                        pid=leaves[leaf][2][0][1],
-                        worker=label,
-                    )
-        stats.worker_busy_seconds = busy_by_worker
-        stats.scheduler_idle_seconds = max(
-            0.0,
-            stats.join_makespan_seconds * self.workers
-            - sum(busy_by_worker.values()),
+    stats.worker_busy_seconds = busy_by_worker
+    stats.scheduler_idle_seconds = max(
+        0.0,
+        stats.join_makespan_seconds * stats.n_workers
+        - sum(busy_by_worker.values()),
+    )
+
+
+def execute_process(
+    leaves: List[Leaf],
+    columns: Any,
+    disk: SimulatedDisk,
+    stats: JoinStats,
+    internal_name: str,
+    pinned: Optional[Tuple[Manifest, Manifest]],
+    tracer: Any,
+) -> Iterator[Tuple[Leaf, LeafOutcome]]:
+    """Fan the leaves out as tasks over the warm pool and one segment.
+
+    Reads every leaf's two id runs (charged like the in-process
+    loop's reads), concatenates them per side in leaf order, loads
+    the columns plus those two id arrays once into a segment (with
+    *pinned* datasets the id arrays only), ships five-integer tasks
+    next to the grids and each leaf's ownership chain, and copies
+    each task's ``(rid, sid)`` buffers out of the worker-created
+    result segment as they are — the driver merges them in leaf
+    order, so the output is byte-identical to the in-process loop.
+
+    Segment build, payload encode and the copy-out all count into
+    ``stats.ipc_seconds``; only the pipe traffic counts into
+    ``stats.ipc_bytes_shipped``.  When a chunk fails, the result
+    segments of the chunks that finished are unlinked before the error
+    propagates (workers create them untracked); a dead worker's pool is
+    replaced on the way out (:meth:`WarmPool.borrow`).
+    """
+    if not leaves:
+        return
+    workers = stats.n_workers
+    tasks: List[IdTask] = []
+    runs_left: List[Any] = []
+    runs_right: List[Any] = []
+    #: grid spec -> its index in the config's ``grid_specs``
+    grid_index: Dict[Tuple, int] = {}
+    chains: List[Tuple[Tuple[int, int], ...]] = []
+    n_left = n_right = 0
+    for leaf, (file_left, file_right, region) in enumerate(leaves):
+        run_left, run_right = read_leaf(disk, file_left, file_right)
+        runs_left.append(run_left)
+        runs_right.append(run_right)
+        l_lo, r_lo = n_left, n_right
+        n_left += len(run_left)
+        n_right += len(run_right)
+        tasks.append((leaf, l_lo, n_left, r_lo, n_right))
+        chain = ((grid_index.setdefault(g.spec, len(grid_index)), pid) for g, pid in region)
+        chains.append(tuple(chain))
+
+    encode_started = time.perf_counter()
+    # The relation columns may already live in pinned registry
+    # segments; the per-query segment then carries only the CSR id
+    # arrays, so a query's segment-build cost is O(partitioned ids),
+    # not O(data).
+    arrays: Dict[str, object] = {}
+    if pinned is None:
+        arrays = columnar_arrays("L", columns.left)
+        arrays.update(columnar_arrays("R", columns.right))
+    arrays["L.ids"] = np.concatenate(runs_left)
+    arrays["R.ids"] = np.concatenate(runs_right)
+    chunks = _chunk_tasks(tasks, workers * CHUNKS_PER_WORKER)
+
+    with SharedColumnarStore.create(arrays) as store:
+        config: PoolConfig = (
+            internal_name,
+            tuple(grid_index),
+            tuple(chains),
+            store.manifest,
+            pinned,
         )
+        payloads = [
+            pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
+            for chunk in chunks
+        ]
+        bytes_shipped = sum(len(p) for p in payloads)
+        ipc_seconds = time.perf_counter() - encode_started
+        with LIBRARY_POOL.borrow(workers) as pool:
+            started = time.perf_counter()
+            blobs = _drain(pool, payloads)
+            stats.join_makespan_seconds = time.perf_counter() - started
 
-    def _execute_process(
-        self,
-        leaves: List[Leaf],
-        columns: Any,
-        disk: SimulatedDisk,
-        stats: JoinStats,
-    ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
-        """Fan the leaves out as tasks over the warm pool and one segment.
-
-        Reads every leaf's two id runs (charged like the in-process
-        loop's reads), concatenates them per side in leaf order, loads
-        the columns plus those two id arrays once into a segment (with
-        pinned datasets the id arrays only), ships five-integer tasks
-        next to the grids and each leaf's ownership chain, and copies
-        each task's ``(rid, sid)`` buffers out of the worker-created
-        result segment as they are — the pipeline merges them in leaf
-        order, so the output is byte-identical to the in-process loop.  Segment build, payload encode and the copy-out
-        all count into ``stats.ipc_seconds``; only the pipe traffic
-        counts into ``stats.ipc_bytes_shipped``.  When a chunk fails, the
-        result segments of the chunks that finished are unlinked before
-        the error propagates (workers create them untracked); a dead
-        worker's pool is replaced on the way out (:meth:`WarmPool.borrow`).
-        """
-        if not leaves:
-            return
-        tasks: List[IdTask] = []
-        runs_left: List[Any] = []
-        runs_right: List[Any] = []
-        #: grid spec -> its index in the config's ``grid_specs``
-        grid_index: Dict[Tuple, int] = {}
-        chains: List[Tuple[Tuple[int, int], ...]] = []
-        n_left = n_right = 0
-        for leaf, (file_left, file_right, region) in enumerate(leaves):
-            run_left, run_right = read_leaf(disk, file_left, file_right)
-            runs_left.append(run_left)
-            runs_right.append(run_right)
-            l_lo, r_lo = n_left, n_right
-            n_left += len(run_left)
-            n_right += len(run_right)
-            tasks.append((leaf, l_lo, n_left, r_lo, n_right))
-            chain = ((grid_index.setdefault(g.spec, len(grid_index)), pid) for g, pid in region)
-            chains.append(tuple(chain))
-
-        encode_started = time.perf_counter()
-        # The relation columns may already live in pinned registry
-        # segments; the per-query segment then carries only the CSR id
-        # arrays, so a query's segment-build cost is O(partitioned ids),
-        # not O(data).
-        arrays: Dict[str, object] = {}
-        if self.pinned is None:
-            arrays = columnar_arrays("L", columns.left)
-            arrays.update(columnar_arrays("R", columns.right))
-        arrays["L.ids"] = np.concatenate(runs_left)
-        arrays["R.ids"] = np.concatenate(runs_right)
-        chunks = _chunk_tasks(tasks, self.workers * CHUNKS_PER_WORKER)
-
-        with SharedColumnarStore.create(arrays) as store:
-            config: PoolConfig = (
-                self.internal_name,
-                tuple(grid_index),
-                tuple(chains),
-                store.manifest,
-                self.pinned,
+        copy_started = time.perf_counter()
+        outcomes: Dict[int, LeafOutcome] = {}
+        chunk_reports: List[ChunkReport] = []
+        for payload, blob in zip(payloads, blobs):
+            worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = (
+                pickle.loads(blob)
             )
-            payloads = [
-                pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)
-                for chunk in chunks
-            ]
-            bytes_shipped = sum(len(p) for p in payloads)
-            ipc_seconds = time.perf_counter() - encode_started
-            with LIBRARY_POOL.borrow(self.workers) as pool:
-                started = time.perf_counter()
-                blobs = _drain(pool, payloads)
-                stats.join_makespan_seconds = time.perf_counter() - started
-
-            copy_started = time.perf_counter()
-            outcomes: Dict[int, LeafOutcome] = {}
-            chunk_reports: List[ChunkReport] = []
-            for payload, blob in zip(payloads, blobs):
-                worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = (
-                    pickle.loads(blob)
-                )
-                bytes_shipped += len(blob)
-                results = SharedColumnarStore.attach(manifest)
-                try:
-                    for leaf, suppressed, counter_dict, task_wall in metas:
-                        # Copies, so no view keeps the segment mapped.
-                        task_pairs = (
-                            results[f"{leaf}.rid"].copy(),
-                            results[f"{leaf}.sid"].copy(),
-                        )
-                        outcomes[leaf] = (
-                            task_pairs, suppressed, CpuCounters(**counter_dict),
-                            task_wall,
-                        )
-                finally:
-                    results.close()
-                    results.unlink()
-                chunk_reports.append(
-                    (
-                        f"pid-{worker_pid}",
-                        cpu,
-                        chunk_wall,
-                        cpu_seconds,
-                        metas,
-                        len(payload) + len(blob),
+            bytes_shipped += len(blob)
+            results = SharedColumnarStore.attach(manifest)
+            try:
+                for leaf, suppressed, counter_dict, task_wall in metas:
+                    # Copies, so no view keeps the segment mapped.
+                    task_pairs = (
+                        results[f"{leaf}.rid"].copy(),
+                        results[f"{leaf}.sid"].copy(),
                     )
+                    outcomes[leaf] = (
+                        task_pairs, suppressed, CpuCounters(**counter_dict),
+                        task_wall,
+                    )
+            finally:
+                results.close()
+                results.unlink()
+            chunk_reports.append(
+                (
+                    f"pid-{worker_pid}",
+                    cpu,
+                    chunk_wall,
+                    cpu_seconds,
+                    metas,
+                    len(payload) + len(blob),
                 )
-            ipc_seconds += time.perf_counter() - copy_started
-        stats.ipc_bytes_shipped = bytes_shipped
-        stats.ipc_seconds = ipc_seconds
-        self._emit_pool_spans(stats, chunk_reports, leaves)
-        # One at a time, so no task's buffers outlive their decoding.
-        for index, leaf in enumerate(leaves):
-            yield leaf, outcomes.pop(index)
+            )
+        ipc_seconds += time.perf_counter() - copy_started
+    stats.ipc_bytes_shipped = bytes_shipped
+    stats.ipc_seconds = ipc_seconds
+    _emit_pool_spans(tracer, stats, chunk_reports, leaves)
+    # One at a time, so no task's buffers outlive their decoding.
+    for index, leaf in enumerate(leaves):
+        yield leaf, outcomes.pop(index)
 
 
 __all__ = [
@@ -845,8 +708,10 @@ __all__ = [
     "EXECUTORS",
     "LIBRARY_POOL",
     "MAX_WORKERS_ENV",
-    "ParallelPBSM",
     "WarmPool",
+    "clamp_workers",
+    "execute_process",
+    "fan_out_executor",
     "lpt_schedule",
     "reset_clamp_warnings",
     "worker_cap",

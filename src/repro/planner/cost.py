@@ -538,8 +538,8 @@ def estimate_pbsm(
     model on the grid and ``t`` (``choose_split`` reads it), and most
     candidates of one join land on the same few grids.
 
-    With ``workers > 1`` the estimate models ``ParallelPBSM``, which is
-    ``PBSM`` plus where its leaves run: the partition and repartition
+    With ``workers > 1`` the estimate models ``PBSM(workers=W)``, which
+    changes only where the leaves run: the partition and repartition
     phases stay sequential (the Amdahl term), the in-memory
     joins and RPM tests shrink to the *makespan fraction* — the larger of
     the ideal ``1/speedup`` and the biggest task's share of the join work
@@ -556,7 +556,7 @@ def estimate_pbsm(
 
     n_partitions = estimate_partitions(nl, nr, kb, memory_bytes, t_factor)
     if workers > 1:
-        # ParallelPBSM guarantees at least one task per worker.
+        # PBSM(workers=W) guarantees at least one task per worker.
         n_partitions = max(n_partitions, workers)
     side = max(1, math.ceil(math.sqrt(n_partitions * tiles_per_partition)))
 
@@ -625,7 +625,7 @@ def estimate_pbsm(
     # Repartitioning (Sec. 3.2.3): every pair the overflow model finds
     # over M is priced as the driver runs it — its splits, then its
     # leaves joined in its place (the unsplit side read and swept once
-    # per sub-pair) instead of the pair itself.  ParallelPBSM runs the
+    # per sub-pair) instead of the pair itself.  A parallel run has the
     # same recursion, so its candidates are priced the same way.
     if overflows is None:
         overflows = {}

@@ -17,7 +17,7 @@ experiments explore by hand:
 Duplicate handling is not a dimension of the space: every PBSM plan
 runs the Reference Point Method, and the one sort-based plan is there as
 the paper's reference.  The parallel candidates carry no ``dedup`` key
-at all: :class:`~repro.pbsm.ParallelPBSM` always runs RPM.
+at all: ``PBSM(workers=W)`` runs RPM only.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ from typing import Any, List, Optional, Sequence, Tuple, cast
 from repro.core.result import JoinResult
 from repro.io.costmodel import CostModel, require_positive
 from repro.kernels.columnar import with_columns
+from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_PLAN, KIND_SECTION, NULL_TRACER
-from repro.pbsm import PBSM, ParallelPBSM
+from repro.pbsm import PBSM
 from repro.planner.cache import PlannerCache
 from repro.planner.enumerate import (
     DEFAULT_T_GRID,
@@ -38,6 +39,7 @@ def _run_candidate(
     memory_bytes: int,
     cost_model: Optional[CostModel],
     tracer: Optional[Any] = None,
+    pinned: Optional[Tuple[Manifest, Manifest]] = None,
 ) -> JoinResult:
     """Execute one candidate through its driver."""
     kwargs = dict(candidate.kwargs)
@@ -47,13 +49,7 @@ def _run_candidate(
         kwargs["tracer"] = tracer
     method = candidate.method
     if method == "pbsm":
-        if "workers" in kwargs:
-            workers = kwargs.pop("workers")
-            kwargs.setdefault("executor", "process")
-            return ParallelPBSM(memory_bytes, workers, **kwargs).run(
-                left, right
-            )
-        return PBSM(memory_bytes, **kwargs).run(left, right)
+        return PBSM(memory_bytes, pinned=pinned, **kwargs).run(left, right)
     if method == "s3j":
         return S3J(memory_bytes, **kwargs).run(left, right)
     if method == "sssj":
@@ -94,8 +90,10 @@ class JoinPlan:
         left: Sequence[Tuple],
         right: Sequence[Tuple],
         tracer: Optional[Any] = None,
+        pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> JoinResult:
-        """Run the chosen candidate and remember the measured statistics."""
+        """Run the chosen candidate and remember the measured statistics
+        (*pinned*: the inputs' pinned dataset segments, ``PBSM(pinned=)``)."""
         left, right = self._columned(left), self._columned(right)
         self.converted_inputs = ()  # one use: a kept plan must not pin them
         result = _run_candidate(
@@ -105,6 +103,7 @@ class JoinPlan:
             self.memory_bytes,
             self.cost_model,
             tracer=tracer,
+            pinned=pinned,
         )
         self.last_result = result
         return result

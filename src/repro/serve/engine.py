@@ -6,15 +6,15 @@ each of those once.  :class:`EngineHost` owns the amortised pieces:
 
 * the **persistent** process pool — the process's one warm pool,
   :data:`~repro.pbsm.parallel.LIBRARY_POOL`, which every
-  :class:`~repro.pbsm.ParallelPBSM` fan-out borrows (the library's
+  ``PBSM(workers=N)`` fan-out borrows (the library's
   ``spatial_join(workers=N)`` too) — spawned at startup, so no query
   ever spawns processes;
 * the shared :class:`~repro.planner.PlannerCache` (thread-safe, LRU), so
   the second occurrence of any distinct query re-uses its plan with zero
   re-profiling;
-* the plumbing that routes a chosen parallel plan through the **pinned**
-  dataset segments of the registry (workers attach each pinned segment
-  once and keep it mapped — see ``pbsm/parallel.py``).
+* the **pinned** dataset segments of the registry, which every plan
+  runs with (workers attach each pinned segment once and keep it
+  mapped — see ``pbsm/parallel.py``).
 
 ``plan`` and ``execute`` are deliberately separate calls: the server
 needs the plan's cost estimate *between* them to apply the admission
@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel, require_positive
-from repro.pbsm import ParallelPBSM
 from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, worker_cap
 from repro.planner import PlannerCache, plan_join
 from repro.planner.plan import JoinPlan
@@ -49,7 +48,7 @@ class EngineHost:
         require_positive("memory_bytes", memory_bytes)
         cap = worker_cap()
         if workers > cap:
-            # Same clamp ParallelPBSM applies; surfacing it here keeps
+            # Same clamp PBSM applies; surfacing it here keeps
             # the plan enumeration and the pool size consistent.
             workers = cap
         self.memory_bytes = memory_bytes
@@ -112,35 +111,19 @@ class EngineHost:
         right: Dataset,
         tracer: Optional[Any] = None,
     ) -> Any:
-        """Execute *plan*, routing parallel PBSM through the pinned segments.
+        """Execute *plan* with the datasets' pinned segments, when both
+        have one (``JoinPlan.execute``).
 
-        Sequential plans run through ``JoinPlan.execute`` unchanged.  A
-        parallel PBSM plan is rebuilt — when both datasets are pinned —
-        with ``pinned=`` manifests, so the per-query segment carries only
-        CSR id arrays.  Its fan-out borrows the warm pool; a query that
+        A parallel PBSM plan's per-query segment then carries only CSR
+        id arrays.  Its fan-out borrows the warm pool; a query that
         finds a worker dead still fails, but the pool is replaced on the
         way out (:meth:`~repro.pbsm.parallel.WarmPool.borrow`), so the
         next one runs.
         """
-        chosen = plan.chosen
-        kwargs = dict(chosen.kwargs)
-        if chosen.method == "pbsm" and "workers" in kwargs:
-            workers = kwargs.pop("workers")
-            kwargs.setdefault("executor", "process")
-            pinned: Optional[Tuple[Any, Any]] = None
-            if left.manifest is not None and right.manifest is not None:
-                pinned = (left.manifest, right.manifest)
-            driver = ParallelPBSM(
-                plan.memory_bytes,
-                workers,
-                cost_model=plan.cost_model,
-                tracer=tracer,
-                pinned=pinned,
-                **kwargs,
-            )
-            result = driver.run(left.kpes, right.kpes)
-        else:
-            result = plan.execute(left.kpes, right.kpes, tracer=tracer)
+        pinned: Optional[Tuple[Any, Any]] = None
+        if left.manifest is not None and right.manifest is not None:
+            pinned = (left.manifest, right.manifest)
+        result = plan.execute(left.kpes, right.kpes, tracer=tracer, pinned=pinned)
         # result -> plan only.  A plan -> result back reference would
         # close a cycle, and a served pair list would then wait for the
         # cyclic collector instead of being freed when the handler drops

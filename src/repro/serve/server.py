@@ -417,7 +417,7 @@ class JoinServer:
         self.admission.check_budget(plan.chosen.estimate.total_seconds)
         result = self.engine.execute(plan, left, right, tracer)
         # The result is two oid buffers from here to the socket, and only
-        # those: a sequential plan's row positions go with *result*.
+        # those: the row positions go with *result*.
         columns = result.to_arrays()
         return plan, result.stats, columns, result_checksum(columns)
 

@@ -13,7 +13,7 @@ from repro.core.rect import KPE
 from repro.kernels.shm import SEGMENT_PREFIX, _segment_creator_pid
 
 # Let the process-pool tests exercise real multi-worker fan-out even on
-# single-core CI boxes, where ParallelPBSM would otherwise clamp to 1.
+# single-core CI boxes, where PBSM(workers=) would otherwise clamp to 1.
 os.environ.setdefault("REPRO_MAX_WORKERS", "4")
 
 # A moderate default so the full suite stays fast; CI-style deep runs can
@@ -130,7 +130,7 @@ def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):
 @pytest.fixture
 def pair_decodes(monkeypatch):
     """The index slices every ``PairRows._decode`` call from here on was
-    given: a buffer- or row-backed ``result.pairs`` turned into tuples."""
+    given: a row-backed ``result.pairs`` turned into tuples."""
     from repro.core.result import PairRows
 
     calls = []

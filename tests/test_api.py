@@ -46,8 +46,8 @@ class TestSpatialJoin:
         for dedup in ("sort", "twolayer"):
             with pytest.raises(ValueError, match="Reference Point Method only"):
                 spatial_join(left, right, 8192, workers=2, dedup=dedup)
-        with pytest.raises(TypeError):
-            repro.ParallelPBSM(8192, 2, dedup="rpm")
+        with pytest.raises(ValueError, match="Reference Point Method only"):
+            repro.PBSM(8192, workers=2, dedup="sort")
         with pytest.raises(ValueError, match="dedup must be one of"):
             repro.PBSM(8192, dedup="twolayer")
 

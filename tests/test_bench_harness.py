@@ -143,7 +143,7 @@ RESULTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 @pytest.mark.parametrize(
     "name",
     # Two ablations drive the tuple engine's repartitioning along the
-    # ``t`` and tiles axes; the third, ParallelPBSM's accounting.
+    # ``t`` and tiles axes; the third, ``PBSM(workers=)``'s accounting.
     [
         "table2",
         "fig3",

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.space import Space
 from repro.internal import INTERNAL_ALGORITHMS, brute_force_pairs
 from repro.io.costmodel import mb
-from repro.pbsm import DEDUP_MODES, PBSM, ParallelPBSM, TileGrid
+from repro.pbsm import DEDUP_MODES, PBSM, TileGrid
 from repro.s3j import S3J
 
 from tests.test_twolayer import assert_exactly_once
@@ -68,9 +68,9 @@ def engine_pair_sets(left, right):
                 out[f"{internal}/{dedup}/{budget}"] = PBSM(
                     budget, internal=internal, dedup=dedup, tiles_per_partition=16
                 ).run(left, right).pairs
-    out["parallel/rpm"] = ParallelPBSM(mb(0.05), 2, executor="simulated").run(
-        left, right
-    ).pairs
+    out["parallel/rpm"] = PBSM(
+        mb(0.05), internal="sweep_trie", workers=2, executor="simulated"
+    ).run(left, right).pairs
     out["s3j"] = S3J(mb(0.05)).run(left, right).pairs
     return out
 

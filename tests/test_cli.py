@@ -116,7 +116,7 @@ class TestJoin:
         assert "PBSM(sweep_trie,PD)" in capsys.readouterr().out
 
     def test_dedup_rpm_with_workers_runs(self, tmp_path, capsys):
-        # ParallelPBSM always runs RPM: the flag is accepted, not forwarded.
+        # A parallel run always runs RPM: the flag is accepted.
         left, right = self._two_relations(tmp_path)
         capsys.readouterr()
         assert main(
@@ -132,7 +132,7 @@ class TestJoin:
                 "0.05",
             ]
         ) == 0
-        assert "ParallelPBSM(sweep_numpy,W=2)" in capsys.readouterr().out
+        assert "PBSM(sweep_numpy,RPM,W=2)" in capsys.readouterr().out
 
     def test_dedup_sort_with_workers_fails_fast(self, tmp_path, capsys):
         left, right = self._two_relations(tmp_path)

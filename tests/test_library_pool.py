@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import spatial_join
+from repro import PBSM, spatial_join
 from repro.io.costmodel import mb
 from repro.kernels.shm import SharedColumnarStore, shm_enabled
 from repro.obs import KIND_WORKER, Tracer
@@ -34,7 +34,6 @@ from repro.pbsm import parallel
 from repro.pbsm.parallel import (
     LIBRARY_POOL,
     MAX_WORKERS_ENV,
-    ParallelPBSM,
     _warm_worker,
 )
 
@@ -58,7 +57,9 @@ def pooled_join(tracer=None, workers=2):
 
 
 def expected_arrays(workers=2):
-    result = ParallelPBSM(MEMORY, workers, internal="sweep_numpy").run(LEFT, RIGHT)
+    result = PBSM(
+        MEMORY, workers=workers, internal="sweep_numpy", executor="simulated"
+    ).run(LEFT, RIGHT)
     return result.to_arrays()
 
 

@@ -41,7 +41,7 @@ from repro.obs import (
     validate_span_dict,
     worker_busy,
 )
-from repro.pbsm import PBSM, ParallelPBSM
+from repro.pbsm import PBSM
 from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
@@ -418,7 +418,10 @@ class TestParallelTiming:
     def test_in_process_busy_and_makespan(self, small_pair):
         left, right = small_pair
         tracer = Tracer()
-        join = ParallelPBSM(mb(0.25), 2, executor="simulated", tracer=tracer)
+        join = PBSM(
+            mb(0.25), internal="sweep_trie", workers=2, executor="simulated",
+            tracer=tracer,
+        )
         result = join.run(left, right)
         stats = result.stats
         assert stats.join_busy_seconds > 0
@@ -436,7 +439,10 @@ class TestParallelTiming:
         left = random_kpes(600, seed=31, max_edge=0.05)
         right = random_kpes(600, seed=32, start_oid=10_000, max_edge=0.05)
         tracer = Tracer()
-        join = ParallelPBSM(mb(0.25), workers, executor="process", tracer=tracer)
+        join = PBSM(
+            mb(0.25), internal="sweep_trie", workers=workers, executor="process",
+            tracer=tracer,
+        )
         result = join.run(left, right)
         stats = result.stats
 
@@ -461,15 +467,13 @@ class TestParallelTiming:
             worker_wall
         )
         # And the results still match the sequential execution.
-        sequential = ParallelPBSM(mb(0.25), 1, executor="simulated").run(
-            left, right
-        )
+        sequential = PBSM(mb(0.25), internal="sweep_trie").run(left, right)
         assert set(result.pairs) == set(sequential.pairs)
 
     def test_process_mode_untraced_still_accounts_time(self):
         left = random_kpes(300, seed=33, max_edge=0.05)
         right = random_kpes(300, seed=34, start_oid=10_000, max_edge=0.05)
-        join = ParallelPBSM(mb(0.25), 2, executor="process")
+        join = PBSM(mb(0.25), internal="sweep_trie", workers=2)
         stats = join.run(left, right).stats
         assert stats.join_busy_seconds > 0
         assert stats.join_makespan_seconds > 0

@@ -1,4 +1,4 @@
-"""Tests for the simulated parallel PBSM and LPT scheduling."""
+"""Tests for PBSM with ``workers > 1`` and LPT scheduling."""
 
 from functools import lru_cache
 
@@ -12,7 +12,7 @@ from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM, TileGrid, partition_relation
-from repro.pbsm.parallel import ParallelPBSM, lpt_schedule
+from repro.pbsm.parallel import lpt_schedule
 
 from tests.conftest import random_kpes
 from tests.test_planner_overflow import IDS, WORKLOADS
@@ -52,27 +52,32 @@ class TestLptSchedule:
 class TestParallelPBSM:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ParallelPBSM(0)
+            PBSM(0, workers=4, executor="simulated")
         # Out-of-range worker counts clamp with a warning, not an error.
         with pytest.warns(RuntimeWarning, match="clamped to 1"):
-            assert ParallelPBSM(1024, workers=0).workers == 1
+            assert PBSM(1024, workers=0, executor="simulated").workers == 1
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_matches_brute_force(self, workers, small_pair):
         left, right = small_pair
-        res = ParallelPBSM(2048, workers=workers).run(left, right)
+        res = PBSM(
+            2048, internal="sweep_trie", workers=workers, executor="simulated"
+        ).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))
         assert not res.has_duplicates()
 
     def test_empty_inputs(self):
-        assert len(ParallelPBSM(1024).run([], random_kpes(5, 1))) == 0
+        empty = PBSM(1024, internal="sweep_trie", workers=4, executor="simulated")
+        assert len(empty.run([], random_kpes(5, 1))) == 0
 
     def test_speedup_with_more_workers(self):
         left = random_kpes(1500, 81, max_edge=0.02)
         right = random_kpes(1500, 82, start_oid=50_000, max_edge=0.02)
         memory = 3000 * 20 // 8
-        seq = ParallelPBSM(memory, workers=1).run(left, right)
-        par = ParallelPBSM(memory, workers=8).run(left, right)
+        seq = PBSM(memory, internal="sweep_trie").run(left, right)
+        par = PBSM(
+            memory, internal="sweep_trie", workers=8, executor="simulated"
+        ).run(left, right)
         seq_total = sum(seq.stats.sim_seconds_by_phase.values())
         par_total = sum(par.stats.sim_seconds_by_phase.values())
         assert par_total < seq_total
@@ -82,8 +87,10 @@ class TestParallelPBSM:
         worker count."""
         left = random_kpes(800, 83, max_edge=0.03)
         right = random_kpes(800, 84, start_oid=50_000, max_edge=0.03)
-        one = ParallelPBSM(4096, workers=1).run(left, right)
-        many = ParallelPBSM(4096, workers=8).run(left, right)
+        one = PBSM(4096, internal="sweep_trie").run(left, right)
+        many = PBSM(
+            4096, internal="sweep_trie", workers=8, executor="simulated"
+        ).run(left, right)
         assert one.stats.sim_seconds_by_phase[PHASE_PARTITION] == pytest.approx(
             many.stats.sim_seconds_by_phase[PHASE_PARTITION]
         )
@@ -95,7 +102,7 @@ class TestParallelPBSM:
             pytest.skip("needs POSIX shared memory")
         left = random_kpes(900, 89, max_edge=0.03)
         right = random_kpes(900, 90, start_oid=50_000, max_edge=0.03)
-        join = ParallelPBSM(6_000, 2, internal="sweep_numpy", executor=executor)
+        join = PBSM(6_000, workers=2, internal="sweep_numpy", executor=executor)
         result = join.run(left, right)
         assert result.stats.repartition_events > 0
         assert list(join.iter_pairs(left, right)) == list(result.pairs)
@@ -103,7 +110,9 @@ class TestParallelPBSM:
     def test_at_least_one_task_per_worker(self):
         left = random_kpes(100, 85)
         right = random_kpes(100, 86, start_oid=9_000)
-        res = ParallelPBSM(10**8, workers=6).run(left, right)
+        res = PBSM(
+            10**8, internal="sweep_trie", workers=6, executor="simulated"
+        ).run(left, right)
         assert res.stats.n_partitions >= 6
 
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
@@ -112,7 +121,9 @@ class TestParallelPBSM:
         right = random_kpes(900, 88, start_oid=50_000, max_edge=0.03)
         memory = 12_000  # four partitions, every pair fits
         seq = PBSM(memory, internal=internal).run(left, right)
-        par = ParallelPBSM(memory, workers=2, internal=internal).run(left, right)
+        par = PBSM(
+            memory, workers=2, internal=internal, executor="simulated"
+        ).run(left, right)
         assert seq.stats.repartition_events == 0
         assert par.stats.n_partitions == seq.stats.n_partitions
         # Same grid, same files: the same pages written and read back.
@@ -147,10 +158,10 @@ def sequential(name, internal):
 
 
 class TestSameRecursionAsPBSM:
-    """``ParallelPBSM`` is ``PBSM`` plus where its leaves run: on the
+    """``PBSM(workers=W)`` only changes where the leaves run: on the
     planner's overflow workloads (most of them over the budget) it
     repartitions the same pairs, reports the same overruns and, with one
-    worker, charges the same I/O and the same simulated total."""
+    worker, is the sequential run itself."""
 
     @pytest.mark.parametrize(
         "workers, executor",
@@ -172,10 +183,11 @@ class TestSameRecursionAsPBSM:
     def test_matches_pbsm(self, name, internal, workers, executor):
         _, left, right, memory = WORKLOADS[IDS.index(name)]
         seq = sequential(name, internal)
-        par = ParallelPBSM(
-            memory, workers, internal=internal, executor=executor
+        par = PBSM(
+            memory, workers=workers, internal=internal, executor=executor
         ).run(left, right)
-        assert par.stats.executor == executor
+        # One worker never fans out: the sequential run, which has none.
+        assert par.stats.executor == (executor if workers > 1 else "")
         assert par.pair_set() == seq.pair_set()
         assert not par.has_duplicates()
         if par.stats.n_partitions == seq.stats.n_partitions:
@@ -185,8 +197,7 @@ class TestSameRecursionAsPBSM:
             for got, want in zip(par.to_arrays(), seq.to_arrays()):
                 assert got.tolist() == want.tolist()
         if workers == 1:
+            assert par.stats.algorithm == seq.stats.algorithm
             assert par.stats.io_units_by_phase == seq.stats.io_units_by_phase
-            assert sum(par.stats.sim_seconds_by_phase.values()) == pytest.approx(
-                sum(seq.stats.sim_seconds_by_phase.values())
-            )
-            assert par.stats.sim_seconds == pytest.approx(seq.stats.sim_seconds)
+            assert par.stats.sim_seconds_by_phase == seq.stats.sim_seconds_by_phase
+            assert par.stats.sim_seconds == seq.stats.sim_seconds

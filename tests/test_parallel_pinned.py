@@ -1,4 +1,4 @@
-"""Every ``ParallelPBSM`` executor against the reference it used to be measured by.
+"""Every ``PBSM(workers=)`` executor against the reference it used to be measured by.
 
 The simulated executor's record-task loop was the reference of every
 parallel parity test until all executors moved onto CSR id tasks; since
@@ -19,11 +19,18 @@ section (the run with numpy gated off).  The ``stealing`` half and the
 The ``twolayer`` half went with ``dedup="twolayer"``; the ``/rpm/`` part
 of the keys stays.
 
-Every non-empty entry was re-recorded once, on purpose, when
-``ParallelPBSM`` became ``PBSM`` plus where its leaves run: it
+Every non-empty entry was re-recorded once, on purpose, when the
+parallel driver became ``PBSM`` plus where its leaves run: it
 repartitions pairs over the budget and reports PBSM's four-phase
 accounting (the join phase as the leaves' LPT makespan).  The ``empty``
-entries did not change.
+entries did not change then.
+
+Two groups were re-recorded, on purpose, when that driver folded into
+``PBSM(workers=)``: every ``W1`` entry is now the sequential ``PBSM``
+run (one worker never fans out; seven of the twelve non-empty ones
+moved in the last bits of the join phase's simulated seconds, pairs and
+counters unchanged), and every ``empty`` entry holds PBSM's zero-filled
+phases.  The ``W2``/``W3`` entries did not change.
 
 Re-record (only the keys containing every given fragment)::
 
@@ -44,7 +51,6 @@ from repro.datasets.synthetic import zipf_rects
 from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
-from repro.pbsm.parallel import ParallelPBSM
 
 from tests.conftest import random_kpes
 from tests.test_pbsm_columnar import points_and_slivers
@@ -53,7 +59,7 @@ PINNED = Path(__file__).with_name("parallel_pinned.json")
 
 WORKLOADS = ("uniform", "zipf", "point+sliver", "self", "empty")
 #: Key part (and test id) of every entry: the one dedup mode left, the
-#: only one ``ParallelPBSM`` runs.
+#: only one ``PBSM`` runs with ``workers > 1``.
 DEDUP = "rpm"
 INTERNALS = ("sweep_numpy", "sweep_trie", "sweep_list")
 WORKERS = (1, 2, 3)
@@ -104,9 +110,9 @@ def reference_pairs(name):
 
 def run(name, internal, workers, executor="simulated"):
     left, right, memory = workload(name)
-    return ParallelPBSM(memory, workers, internal=internal, executor=executor).run(
-        left, right
-    )
+    return PBSM(
+        memory, internal=internal, workers=workers, executor=executor
+    ).run(left, right)
 
 
 def observe(result):
@@ -169,15 +175,22 @@ def test_every_executor_reproduces_the_pinned_run(
                 if disable_shm:
                     env.setenv("REPRO_DISABLE_SHM", "1")
                 result = run(name, internal, workers, executor)
-            assert result.stats.executor == (
-                "simulated" if disable_shm else executor
-            )
+            if workers == 1:
+                assert result.stats.executor == ""  # the sequential run
+            else:
+                assert result.stats.executor == (
+                    "simulated" if disable_shm else executor
+                )
             # Through JSON so both sides are plain dicts of the same
             # float reprs.
             observed = json.loads(json.dumps(observe(result)))
             assert observed == pinned[key], (key, executor, disable_shm)
             if executor == "simulated":
                 assert sorted(result.pairs) == reference, key
+        if workers == 1:
+            left, right, memory = workload(name)
+            sequential = PBSM(memory, internal=internal).run(left, right)
+            assert json.loads(json.dumps(observe(sequential))) == pinned[key], key
 
 
 def record(*fragments):

@@ -1,4 +1,4 @@
-"""The process executor of ParallelPBSM: identical results, real fan-out.
+"""The process executor of ``PBSM(workers=)``: identical results, real fan-out.
 
 The RPM contract is what makes this safe: partition pairs share no state,
 each worker reports only pairs whose reference point it owns, and the
@@ -14,9 +14,9 @@ from repro.core.space import Space
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
+from repro.pbsm import PBSM
 from repro.pbsm.parallel import (
     EXECUTORS,
-    ParallelPBSM,
     cpu_count,
     _chunk_tasks,
 )
@@ -29,8 +29,8 @@ MEMORY = mb(0.05)
 
 
 def run(executor, workers, internal="sweep_trie", left=LEFT, right=RIGHT):
-    join = ParallelPBSM(
-        MEMORY, workers, internal=internal, executor=executor
+    join = PBSM(
+        MEMORY, workers=workers, internal=internal, executor=executor
     )
     return join.run(left, right)
 
@@ -70,35 +70,35 @@ class TestGracefulDegrade:
     def test_invalid_executor_rejected(self):
         for name in ("threads", "thread"):  # the thread pool is gone
             with pytest.raises(ValueError):
-                ParallelPBSM(MEMORY, 2, executor=name)
+                PBSM(MEMORY, workers=2, executor=name)
         assert EXECUTORS == ("simulated", "process")
 
     def test_invalid_scheduler_rejected(self):
         # There is one dispatch policy and no option that names it.
         with pytest.raises(TypeError):
-            ParallelPBSM(MEMORY, 2, scheduler="static")
+            PBSM(MEMORY, workers=2, scheduler="static")
 
     def test_invalid_workers_clamped_low(self):
         with pytest.warns(RuntimeWarning, match="below 1"):
-            pbsm = ParallelPBSM(MEMORY, 0)
+            pbsm = PBSM(MEMORY, workers=0, executor="simulated")
         assert pbsm.workers == 1
         with pytest.warns(RuntimeWarning, match="below 1"):
-            assert ParallelPBSM(MEMORY, -3, executor="process").workers == 1
+            assert PBSM(MEMORY, workers=-3, executor="process").workers == 1
 
     def test_oversized_workers_clamped_for_process(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "4")
         with pytest.warns(RuntimeWarning, match="clamped to 4"):
-            pbsm = ParallelPBSM(MEMORY, 99, executor="process")
+            pbsm = PBSM(MEMORY, workers=99, executor="process")
         assert pbsm.workers == 4
         # The env override widens the clamp (oversubscription on purpose).
         monkeypatch.setenv("REPRO_MAX_WORKERS", "8")
         with pytest.warns(RuntimeWarning, match="clamped to 8"):
-            assert ParallelPBSM(MEMORY, 99, executor="process").workers == 8
+            assert PBSM(MEMORY, workers=99, executor="process").workers == 8
 
     def test_simulated_workers_not_capped(self):
         # The simulated executor models hypothetical hardware; a worker
         # count beyond this machine's cores is the whole point.
-        assert ParallelPBSM(MEMORY, 64, executor="simulated").workers == 64
+        assert PBSM(MEMORY, workers=64, executor="simulated").workers == 64
 
 
 class TestPlumbing:
@@ -140,11 +140,10 @@ class TestSpatialJoinWorkers:
         from repro import spatial_join
 
         plain = spatial_join(LEFT, RIGHT, MEMORY, method="pbsm", workers=1)
-        # One worker never fans out: the in-process loop ran, and says so.
-        assert plain.stats.executor == "simulated"
-        assert plain.stats.algorithm.startswith("ParallelPBSM")
-        # workers defaults the internal algorithm to the kernel.
-        assert "sweep_numpy" in plain.stats.algorithm
+        # One worker never fans out: the sequential run, and says so.
+        assert plain.stats.executor == ""
+        # workers keeps the internal algorithm's default: the kernel.
+        assert plain.stats.algorithm == "PBSM(sweep_numpy,RPM)"
 
     def test_workers_rejected_for_other_methods(self):
         from repro import spatial_join
@@ -168,14 +167,14 @@ class TestSpatialJoinWorkers:
                 "--method",
                 "pbsm",
                 "--workers",
-                "1",
+                "2",
                 "--memory-mb",
                 "0.05",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "executor" in out
+        assert "executor" in out and "PBSM(sweep_numpy,RPM,W=2)" in out
 
     def test_cli_workers_requires_pbsm(self, tmp_path):
         from repro.cli import main

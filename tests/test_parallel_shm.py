@@ -1,12 +1,12 @@
-"""The process executor of ParallelPBSM over its shared-memory segment.
+"""The process executor of ``PBSM(workers=)`` over its shared-memory segment.
 
 Four claims are pinned here: (1) the process executor's output is
 byte-identical to the simulated executor, with identical simulated costs
 and counters; (2) the pipe carries task tuples, the query's
 configuration and manifests — well under a tenth of what the pickled
 records alone would weigh; (3) both rungs of the degradation ladder
-(``workers=1``, ``REPRO_DISABLE_SHM``) land on the byte-identical
-in-process loop, the second saying so once; (4) a failed chunk leaves
+(``workers=1``, ``REPRO_DISABLE_SHM``) land on a byte-identical
+in-process run, the second saying so once; (4) a failed chunk leaves
 no result segment behind.  The store and CSR plumbing get their own
 unit tests.
 """
@@ -29,7 +29,8 @@ from repro.kernels.shm import (
     shm_enabled,
 )
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.parallel import LIBRARY_POOL, ParallelPBSM, reset_clamp_warnings
+from repro.pbsm import PBSM
+from repro.pbsm.parallel import LIBRARY_POOL, reset_clamp_warnings
 from repro.pbsm.partitioner import partition_csr, partition_relation
 
 from tests.conftest import random_kpes
@@ -44,7 +45,7 @@ MEMORY = mb(0.05)
 
 
 def run(workers, *, executor="process", internal="sweep_numpy"):
-    join = ParallelPBSM(MEMORY, workers, internal=internal, executor=executor)
+    join = PBSM(MEMORY, workers=workers, internal=internal, executor=executor)
     return join.run(LEFT, RIGHT)
 
 
@@ -218,9 +219,11 @@ class TestShmExecutorParity:
         assert records_bytes >= 10 * shipped
 
     def test_self_join_byte_identical(self):
-        sim = ParallelPBSM(MEMORY, 2, internal="sweep_numpy").run(LEFT, LEFT)
-        proc = ParallelPBSM(
-            MEMORY, 2, internal="sweep_numpy", executor="process"
+        sim = PBSM(
+            MEMORY, workers=2, internal="sweep_numpy", executor="simulated"
+        ).run(LEFT, LEFT)
+        proc = PBSM(
+            MEMORY, workers=2, internal="sweep_numpy", executor="process"
         ).run(LEFT, LEFT)
         assert proc.pairs == sim.pairs
 
@@ -262,9 +265,9 @@ class TestResultSegmentCustody:
         monkeypatch.setattr(
             LIBRARY_POOL, "borrow", lambda workers: contextlib.nullcontext(pool)
         )
-        join = ParallelPBSM(
+        join = PBSM(
             mb(0.006),  # 10 partitions: several chunks
-            2,
+            workers=2,
             internal="sweep_numpy",
             executor="process",
         )
@@ -346,7 +349,7 @@ class TestDegradation:
             warnings.simplefilter("error")
             one = run(1, internal="sweep_trie")
         assert one.pairs == sim.pairs
-        assert one.stats.executor == "simulated"  # what ran: the loop
+        assert one.stats.executor == ""  # what ran: the sequential run
         assert one.stats.worker_busy_seconds == {}  # no pool of any kind
 
 

@@ -16,7 +16,6 @@ from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM
-from repro.pbsm.parallel import ParallelPBSM
 
 needs_shm = pytest.mark.skipif(
     not shm_enabled(), reason="needs platform shared memory"
@@ -32,7 +31,7 @@ RIGHT = zipf_rects(N_SIDE, seed=202, start_oid=10**6)
 
 
 def run(executor, *, workers=2):
-    join = ParallelPBSM(MEMORY, workers, internal="sweep_numpy", executor=executor)
+    join = PBSM(MEMORY, workers=workers, internal="sweep_numpy", executor=executor)
     return join.run(LEFT, RIGHT)
 
 
@@ -99,8 +98,8 @@ class TestZipfProperty:
         left = zipf_rects(n, seed=seed, alpha=alpha)
         right = zipf_rects(n, seed=seed + 1, alpha=alpha, start_oid=10**6)
         seq = PBSM(MEMORY, internal="sweep_numpy", dedup="rpm").run(left, right)
-        par = ParallelPBSM(
-            MEMORY, workers, internal="sweep_numpy", executor="simulated"
+        par = PBSM(
+            MEMORY, workers=workers, internal="sweep_numpy", executor="simulated"
         ).run(left, right)
         assert not par.has_duplicates()
         assert par.pair_set() == seq.pair_set()

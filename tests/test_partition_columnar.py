@@ -8,7 +8,7 @@ and one ``PageWriter`` per partition.  Everything the rest of the engine
 can observe must be equal between the two: the id list of every partition file,
 ``records_written``, the charged ``structure_ops`` and every
 ``SimulatedDisk`` request/page counter — and, one level up, the pairs
-and ``JoinStats`` of a process-executor ``ParallelPBSM`` run against the
+and ``JoinStats`` of a process-executor ``PBSM(workers=2)`` run against the
 simulated executor's in-process loop.
 """
 
@@ -29,7 +29,8 @@ from repro.io.pagefile import PageFile
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm import parallel
-from repro.pbsm.parallel import ParallelPBSM, _chunk_tasks
+from repro.pbsm.join import PBSM
+from repro.pbsm.parallel import _chunk_tasks
 from repro.pbsm.partitioner import partition_relation
 
 from tests.conftest import HASH_ID, random_kpes
@@ -265,21 +266,21 @@ MEMORY = mb(0.006)  # 10 partitions
 #: (Keyed, like the ids of the tests below, by the name the one dispatch
 #: policy had while a second one existed: the floor list allows only a
 #: few renames.)  That commit shipped 278 bytes: one task per partition
-#: pair, 10 tasks.  ``ParallelPBSM`` has repartitioned since: this join's
+#: pair, 10 tasks.  The parallel run has repartitioned since: this join's
 #: 7 repartitioning steps turn it into 17 leaves, so 17 five-int tasks.
 PARENT_TASK_PAYLOAD_BYTES = {"static": 403}
 
 
 def shm_join(left, right):
-    return ParallelPBSM(MEMORY, 2, internal="sweep_numpy", executor="process").run(
+    return PBSM(MEMORY, workers=2, internal="sweep_numpy", executor="process").run(
         left, right
     )
 
 
 @needs_shm
 class TestShmJoinUnchanged:
-    # The id keeps the name this row had while ParallelPBSM took a dedup
-    # mode and a dispatch policy.
+    # The id keeps the name this row had while the parallel driver took a
+    # dedup mode and a dispatch policy.
     @pytest.mark.parametrize("row", ["rpm-static"])
     def test_equals_pickle_and_simulated(self, row):
         # (Every executor runs the same CSR id tasks; what the in-process
@@ -287,8 +288,8 @@ class TestShmJoinUnchanged:
         # in tests/parallel_pinned.json.)
         shm = shm_join(LEFT, RIGHT)
         assert shm.stats.executor == "process"
-        other = ParallelPBSM(
-            MEMORY, 2, internal="sweep_numpy", executor="simulated"
+        other = PBSM(
+            MEMORY, workers=2, internal="sweep_numpy", executor="simulated"
         ).run(LEFT, RIGHT)
         assert other.stats.ipc_bytes_shipped == 0  # id tasks, in-process: no pipe
         assert shm.pairs == other.pairs  # order included

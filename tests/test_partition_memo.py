@@ -31,7 +31,6 @@ from repro.kernels.columnar import ColumnarRelation, xl_order
 from repro.kernels.shm import shm_enabled
 from repro.obs import Tracer
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.parallel import ParallelPBSM
 from repro.serve.engine import EngineHost
 from repro.serve.registry import DatasetRegistry
 
@@ -138,21 +137,26 @@ class TestHitEqualsMiss:
         runs, tracers = [], []
         for _ in range(2):
             tracer = Tracer()
-            driver = ParallelPBSM(
-                mb(0.05), 2, internal="sweep_numpy", executor="process",
+            driver = PBSM(
+                mb(0.05), workers=2, internal="sweep_numpy", executor="process",
                 tracer=tracer, pinned=(left.manifest, right.manifest),
             )
             runs.append(driver.run(left.kpes, right.kpes))
             tracers.append(tracer)
         assert runs[0].stats.executor == "process"
         assert [partitions_reused(t) for t in tracers] == [0, 2]
-        loop = ParallelPBSM(mb(0.05), 2, internal="sweep_numpy").run(LEFT, RIGHT)
+        loop = PBSM(
+            mb(0.05), workers=2, internal="sweep_numpy", executor="simulated"
+        ).run(LEFT, RIGHT)
         assert observe(runs[0]) == observe(runs[1]) == observe(loop)
 
     def test_a_self_join_reuses_its_own_partitioning(self, rcd_pair):
         left, _ = rcd_pair
         tracer = Tracer()
-        ParallelPBSM(mb(0.05), 2, internal="sweep_numpy", tracer=tracer).run(left, left)
+        PBSM(
+            mb(0.05), workers=2, internal="sweep_numpy", executor="simulated",
+            tracer=tracer,
+        ).run(left, left)
         assert partitions_reused(tracer) == 1  # the right side is the left's
 
 
@@ -256,7 +260,11 @@ class TestConcurrentJoins:
             time.sleep(0.2)  # both threads miss before either inserts
             return compute(*args)
 
-        reference = observe(ParallelPBSM(mb(0.05), 2, internal="sweep_numpy").run(LEFT, RIGHT))
+        reference = observe(
+            PBSM(
+                mb(0.05), workers=2, internal="sweep_numpy", executor="simulated"
+            ).run(LEFT, RIGHT)
+        )
         monkeypatch.setattr(repro.kernels.assign, "_partition_ids", slow_compute)
         start = threading.Barrier(2)
         observed, failures = [], []
@@ -265,8 +273,8 @@ class TestConcurrentJoins:
             try:
                 start.wait(10)
                 for _ in range(3):
-                    driver = ParallelPBSM(
-                        mb(0.05), 2, internal="sweep_numpy",
+                    driver = PBSM(
+                        mb(0.05), workers=2, internal="sweep_numpy",
                         executor="process" if left.pinned else "simulated",
                         pinned=(left.manifest, right.manifest) if left.pinned else None,
                     )

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 
 import repro.pbsm.join as pbsm_join_module
+import repro.pbsm.leaf as pbsm_leaf_module
 from repro import PBSM, spatial_join
 from repro.core.phases import PHASE_DEDUP, PHASE_JOIN, PHASE_PARTITION
 from repro.datasets.fileio import load_relation, save_relation
@@ -40,7 +41,6 @@ from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
-from repro.pbsm.parallel import ParallelPBSM
 
 from tests.conftest import HASH_ID, random_kpes
 from tests.test_boundary_ownership import (
@@ -302,7 +302,7 @@ def count_leaves(monkeypatch, internal):
     """Count the engine's leaf calls; ``sizes[i]`` is how many pairs leaf
     *i* returned (both leaves return ``((rid, sid), suppressed)``)."""
     name = "columnar_leaf" if internal == "sweep_numpy" else "tuple_leaf"
-    leaf = getattr(pbsm_join_module, name)
+    leaf = getattr(pbsm_leaf_module, name)
     sizes = []
 
     def counting(*args):
@@ -310,7 +310,7 @@ def count_leaves(monkeypatch, internal):
         sizes.append(len(out[0][0]))
         return out
 
-    monkeypatch.setattr(pbsm_join_module, name, counting)
+    monkeypatch.setattr(pbsm_leaf_module, name, counting)
     return sizes
 
 
@@ -488,8 +488,8 @@ class TestSpatialJoinDefault:
 # ----------------------------------------------------------------------
 def _parallel(executor, internal="sweep_numpy"):
     def join(left, right):
-        return ParallelPBSM(
-            BUDGETS["depth0"], 2, internal=internal, executor=executor
+        return PBSM(
+            BUDGETS["depth0"], workers=2, internal=internal, executor=executor
         ).run(left, right)
 
     return join
@@ -596,8 +596,8 @@ INFINITE_JOINS = [
         lambda a, b, m: PBSM(m, internal="sweep_list").run(a, b), id="PBSM-sweep_list"
     ),
     pytest.param(
-        lambda a, b, m: ParallelPBSM(
-            m, 2, internal="sweep_numpy", executor="simulated"
+        lambda a, b, m: PBSM(
+            m, workers=2, internal="sweep_numpy", executor="simulated"
         ).run(a, b),
         id="parallel-simulated",
     ),

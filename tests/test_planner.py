@@ -178,7 +178,8 @@ class TestEnumeration:
     def test_duplicate_handling_is_not_enumerated(self, small_pair, workers):
         """Every PBSM candidate runs RPM; the one sort-based reference
         stays so EXPLAIN shows why an online scheme wins (Fig. 3).  A
-        parallel candidate carries no ``dedup``: ParallelPBSM runs RPM."""
+        parallel candidate carries no ``dedup``: ``PBSM(workers=)`` runs
+        RPM only."""
         from repro.kernels.shm import shm_enabled
 
         jp = profile_join(*small_pair)

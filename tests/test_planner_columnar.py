@@ -398,7 +398,7 @@ def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, tot
     three).  The ``t`` grid's two larger values add a process and four
     sequential candidates.  The parent chose ``t=1.0`` for both (4.60 and
     3.70 simulated seconds) while parallel estimates ignored the overflow
-    model; ``ParallelPBSM`` repartitions now and its candidates are priced
+    model; parallel runs repartition now and their candidates are priced
     with that model, so the cheapest process plan is the smallest ``t``
     at which no pair is predicted to overflow: ``t=2.0`` (16 partitions)
     and ``t=3.0`` (58)."""

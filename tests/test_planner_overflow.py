@@ -6,7 +6,7 @@ the profile's 32 x 32 histograms, then ``PBSM._leaves``'s recursion
 replayed on them.  These tests hold it to the driver: the pairs over the
 budget on the real grid (``partition_ids``), the repartition events and
 simulated seconds of executed joins, and the parallel estimates, which
-run the same model since ``ParallelPBSM`` repartitions like ``PBSM``
+run the same model since parallel runs repartition like sequential ones
 (``planner_parallel_pinned.json``, recorded by :func:`record`).
 
 Re-record the parallel estimates::
@@ -115,7 +115,7 @@ def parallel_estimates(name, left, right, memory):
 @pytest.mark.parametrize("name, left, right, memory", WORKLOADS, ids=IDS)
 def test_parallel_estimates_equal_the_parent_commit(name, left, right, memory):
     """A parallel candidate is priced with the overflow model like a
-    sequential one (``ParallelPBSM`` repartitions too), so it predicts
+    sequential one (a parallel run repartitions too), so it predicts
     overflowing pairs and repartitions; every number of its estimate as
     recorded (re-recorded when the overflow model reached parallel
     candidates; the parent commit's figures before that)."""

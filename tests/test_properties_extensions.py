@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
-from repro.pbsm.parallel import ParallelPBSM, lpt_schedule
+from repro.pbsm import PBSM
+from repro.pbsm.parallel import lpt_schedule
 from repro.rtree import RTreeJoin
 from repro.shj import SpatialHashJoin
 
@@ -54,7 +55,9 @@ class TestParallelUnderHypothesis:
     @settings(max_examples=25)
     def test_any_input_any_workers(self, pair, workers):
         left, right = pair
-        res = ParallelPBSM(1024, workers=workers).run(left, right)
+        res = PBSM(
+            1024, internal="sweep_trie", workers=workers, executor="simulated"
+        ).run(left, right)
         assert sorted(res.pairs) == sorted(brute_force_pairs(left, right))
 
     @given(st.lists(st.floats(0, 100, allow_nan=False), max_size=30), st.integers(1, 8))

@@ -5,13 +5,15 @@ import pickle
 import tracemalloc
 from collections.abc import Sequence
 
+import numpy as np
 import pytest
 
 import repro.core.result as core_result
 from repro import PBSM, S3J, SSSJ, RTreeJoin, SpatialHashJoin
-from repro.core.result import JoinResult, JoinStats, empty_result, pair_columns
+from repro.core.result import JoinResult, JoinStats, RowOids, empty_result, pair_columns
 from repro.core.stats import CpuCounters
 from repro.datasets import load_relation, save_relation
+from repro.kernels.shm import shm_enabled
 from repro.internal import brute_force_pairs
 
 from .conftest import random_kpes
@@ -93,13 +95,23 @@ def column_lists(columns):
     return [column.tolist() for column in columns]
 
 
+def rows_result(left_oids, right_oids, stats):
+    """A result holding row positions into each side's distinct oids."""
+    sides, rows = [], []
+    for oids in (left_oids, right_oids):
+        column, row = np.unique(oids, return_inverse=True)
+        sides.append(RowOids(column))
+        rows.append(row.astype(np.int64))
+    return JoinResult.from_arrays(*rows, stats, tuple(sides))
+
+
 class TestBufferBackedResult:
-    """A result built from oid buffers boxes a tuple only behind ``.pairs``."""
+    """A result built from row buffers boxes a tuple only behind ``.pairs``."""
 
     PAIRS = [(1, 20), (3, 40), (1, 20), (-5, 2**40)]
 
     def make(self):
-        return JoinResult.from_arrays(*pair_columns(self.PAIRS), JoinStats(algorithm="B"))
+        return rows_result(*pair_columns(self.PAIRS), JoinStats(algorithm="B"))
 
     def test_len_and_to_arrays_do_not_decode(self, pair_decodes):
         result = self.make()
@@ -142,7 +154,7 @@ class TestBufferBackedResult:
         left = random_kpes(60, seed=5, max_edge=0.2)
         right = random_kpes(60, seed=6, start_oid=1000, max_edge=0.2)
         listed = SSSJ(4096).run(left, right)
-        result = JoinResult.from_arrays(*listed.to_arrays(), listed.stats)
+        result = rows_result(*listed.to_arrays(), listed.stats)
         truth = set(brute_force_pairs(left, right))
         assert result.pair_set() == truth and not result.has_duplicates()
         result.pairs = [*result.pairs, result.pairs[0]]
@@ -241,9 +253,25 @@ class TestRowBackedPbsmResult:
         assert len(listed) == len(result)
         assert iterated < listed_peak / 2, (iterated, listed_peak)
 
-    @pytest.mark.parametrize("internal", ENGINES)
-    def test_pairs_behave_like_the_list_they_decode_to(self, internal):
-        result = PBSM(2**16, internal=internal).run(self.LEFT[:500], self.RIGHT[:500])
+    @pytest.mark.parametrize(
+        "internal, workers",
+        [
+            *((internal, 1) for internal in ENGINES),
+            # The process executor's result holds row positions too.
+            pytest.param(
+                "sweep_numpy",
+                2,
+                marks=pytest.mark.skipif(
+                    not shm_enabled(), reason="needs POSIX shared memory"
+                ),
+            ),
+        ],
+        ids=[*ENGINES, "process"],
+    )
+    def test_pairs_behave_like_the_list_they_decode_to(self, internal, workers):
+        result = PBSM(2**16, internal=internal, workers=workers).run(
+            self.LEFT[:500], self.RIGHT[:500]
+        )
         pairs, listed = result.pairs, list(result.pairs)
         assert len(pairs) == len(listed) == len(result) > 10
         assert pairs[0] == listed[0] and pairs[-1] == listed[-1]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import repro.kernels.assign
 import repro.kernels.columnar
 import repro.kernels.sweep
-import repro.pbsm.join
+import repro.pbsm.leaf
 from repro import PBSM
 from repro.core.space import Space
 from repro.datasets.fileio import load_relation, save_relation
@@ -24,7 +24,6 @@ from repro.io.costmodel import mb
 from repro.kernels.assign import partition_ids
 from repro.kernels.columnar import ColumnarRelation, xl_order
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.parallel import ParallelPBSM
 
 from tests.conftest import HASH_ID, random_kpes
 
@@ -120,7 +119,7 @@ def leaves(monkeypatch, orders):
     """Per ``columnar_leaf`` call: the ``xl_order`` calls it made."""
     per_leaf = []
     # ``join_leaf`` is the one caller, for both drivers.
-    leaf = repro.pbsm.join.columnar_leaf
+    leaf = repro.pbsm.leaf.columnar_leaf
 
     def spying(left, right, l_ids, r_ids, *args):
         for cols, ids in ((left, l_ids), (right, r_ids)):
@@ -131,7 +130,7 @@ def leaves(monkeypatch, orders):
         per_leaf.append(len(orders) - before)
         return out
 
-    monkeypatch.setattr(repro.pbsm.join, "columnar_leaf", spying)
+    monkeypatch.setattr(repro.pbsm.leaf, "columnar_leaf", spying)
     return per_leaf
 
 
@@ -148,8 +147,8 @@ class TestNoLeafSorts:
         assert set(leaves) == {0}
 
     def test_parallel_in_process_loop(self, orders, leaves):
-        result = ParallelPBSM(
-            mb(0.05), 2, internal="sweep_numpy", executor="simulated"
+        result = PBSM(
+            mb(0.05), workers=2, internal="sweep_numpy", executor="simulated"
         ).run(LEFT, RIGHT)
         assert result.stats.executor == "simulated"
         assert len(leaves) > 1
@@ -166,8 +165,8 @@ class TestNoLeafSorts:
         try:
             assert left.sorted_by_xl and right.sorted_by_xl
             mapped = PBSM(mb(0.008), internal="sweep_numpy").run(left, right)
-            parallel = ParallelPBSM(
-                mb(0.05), 2, internal="sweep_numpy", executor="simulated"
+            parallel = PBSM(
+                mb(0.05), workers=2, internal="sweep_numpy", executor="simulated"
             ).run(left, right)
             assert orders == []
             assert leaves and set(leaves) == {0}

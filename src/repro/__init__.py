@@ -81,8 +81,8 @@ def spatial_join(
         "pbsm" (default — the paper's overall winner), "s3j", "sssj",
         "shj" (spatial hash join), "rtree" (index on both relations), or
         "auto" — let the cost-based planner profile the inputs and pick
-        algorithm, internal join and ``t``-factor itself (its PBSM plans
-        handle duplicates with the Reference Point Method).  The
+        the join method and its ``t``-factor or strategy itself (its PBSM
+        plans run the columnar engine under the Reference Point Method).  The
         profile is computed from the inputs' columns
         (``docs/planner.md``): columnar and mapped inputs are planned
         without boxing a record, lists are converted once per call and
@@ -131,8 +131,9 @@ def spatial_join(
         the Reference Point Method (``docs/duplicates.md``): ``PBSM``
         accepts ``dedup="rpm"`` and raises ``ValueError`` for any other.
         With ``method="auto"``: forwarded to
-        :func:`repro.planner.plan_join` (e.g. ``cache=...``,
-        ``t_grid=...``, ``methods=...``).
+        :func:`repro.planner.plan_join` (``cache=...``,
+        ``cost_model=...``); the planner chooses the method and its
+        knobs, so it takes no driver keyword.
 
     Returns
     -------

@@ -286,7 +286,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if kpes is None:
             return 2
         datasets.append((name, path, kpes))
-    registry = DatasetRegistry(pin=not args.no_pin)
+    registry = DatasetRegistry()
     for name, path, kpes in datasets:
         registry.register(name, kpes, source=f"file:{path}")
         print(f"registered dataset {name!r} from {path}")
@@ -534,11 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         metavar="NAME=PATH",
         help="pre-register a relation file (repeatable)",
-    )
-    serve.add_argument(
-        "--no-pin",
-        action="store_true",
-        help="keep datasets as plain lists (no shared-memory pinning)",
     )
     serve.set_defaults(func=_cmd_serve)
 

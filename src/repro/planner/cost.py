@@ -1,4 +1,4 @@
-"""Analytic cost estimates for every join method the planner considers.
+"""Analytic cost estimates for every join method the planner enumerates.
 
 Each estimator mirrors the phase structure of its driver (partition /
 sort / join / dedup), predicts the *operation counts* those phases charge
@@ -14,13 +14,17 @@ The formulas encode the paper's findings rather than curve-fits:
   and every partition pair the candidate's own tile grid overfills is
   charged the repartitioning the driver will do for it (the overflow
   model, :func:`repartition_overflow`);
-* the list-vs-trie crossover of Fig. 4 emerges from the sweep-line
-  active-set model: the list sweep pays ``O(active)`` per step, the trie
-  pays ``O(depth)`` — so the trie wins once partitions are large or
-  selective, and loses on small/sparse partitions;
+* sweep costs follow the sweep-line active-set model: the list sweep
+  (SHJ, SSSJ) pays ``O(active)`` scalar tests per step, PBSM's forward
+  scan one batch-level array op per x-overlap candidate;
 * S3J's original assignment pays the deep-sink penalty of Sec. 4.3
   (boundary-straddling rectangles join against entire root paths), which
   replication removes at the price of up-to-four copies.
+
+Every estimator prices its driver as the planner runs it (PBSM on the
+columnar engine under RPM, SHJ and SSSJ with the list sweep, S3J at its
+default level depth and buffers), so no estimator takes a parameter the
+enumeration never varies.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.phases import (
-    PHASE_BUILD,
     PHASE_DEDUP,
     PHASE_JOIN,
     PHASE_PARTITION,
@@ -41,7 +44,6 @@ from repro.core.phases import (
     PHASE_SORT,
 )
 from repro.core.space import Space
-from repro.internal.interval_trie import DEFAULT_MAX_DEPTH
 from repro.io.costmodel import CostModel
 from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST, tile_partitions
 from repro.kernels.sweep import BATCH_OPS_PER_CANDIDATE
@@ -55,10 +57,6 @@ from repro.sfc.locational import DEFAULT_MAX_LEVEL
 _SWEEP_OVERHEAD = 2.0
 #: Fraction of active-list visits that survive expiry and pay a y-test.
 _LIST_TEST_FRACTION = 0.8
-#: Per-record trie bookkeeping: insert path + probe path (node visits).
-_TRIE_NODE_FACTOR = 2.0
-#: Interval-tree extra: sorted insertion into node entry lists.
-_TREE_INSERT_FACTOR = 1.4
 #: Mild residual skew after hashing tiles_per_partition tiles per partition.
 _SKEW_DAMPING = 0.5
 #: A modelled (sub-)partition expecting fewer records than this is empty.
@@ -66,6 +64,10 @@ _EMPTY_RECORDS = 0.5
 #: Splits the overflow model follows before it joins what is left as is:
 #: bounds planning time on inputs whose recursion would not shrink.
 _MAX_MODELLED_SPLITS = 1024
+#: SHJ's bucket-count safety factor (``SpatialHashJoin``'s default).
+_SHJ_T_FACTOR = 1.2
+#: S3J's level-file write buffers, in pages (``S3J``'s default).
+_S3J_IO_BUFFER_PAGES = 4
 
 #: Process-executor pipe traffic per task: a five-integer task tuple
 #: out, its share of per-chunk metadata and manifest back.
@@ -78,13 +80,6 @@ def _lg(x: Any) -> Any:
     if isinstance(x, np.ndarray):
         return np.where(x > 2.0, np.log2(np.maximum(x, 2.0)), 1.0)
     return math.log2(x) if x > 2.0 else 1.0
-
-
-def _clip(x: Any, lo: float = -math.inf, hi: float = math.inf) -> Any:
-    """*x* clipped to ``[lo, hi]``; elementwise over an array."""
-    if isinstance(x, np.ndarray):
-        return np.clip(x, lo, hi)
-    return min(hi, max(lo, x))
 
 
 @dataclass(frozen=True)
@@ -126,63 +121,45 @@ def _estimate(
 # ----------------------------------------------------------------------
 # shared sub-models
 # ----------------------------------------------------------------------
-def _sweep_cpu(
-    cost: CostModel,
-    a: Any,
-    b: Any,
-    active_a: Any,
-    active_b: Any,
-    detected: Any,
-    internal: str,
-    clustering: float = 1.0,
+def _list_sweep_cpu(
+    cost: CostModel, a: Any, b: Any, active_a: Any, active_b: Any, detected: Any
 ) -> Any:
-    """CPU seconds of one in-memory sweep join over ``a`` x ``b`` records.
+    """CPU seconds of one list-sweep join over ``a`` x ``b`` records.
 
-    ``active_*`` are the expected sweep-line set sizes of each side; the
-    internal algorithms differ only in what a probe against the active set
-    costs (Sec. 3.2.2).  ``clustering`` scales the list sweep's probe
-    traffic: arrivals concentrate where the active sets are longest, a
-    correlation the constant-density model misses.  Given arrays of
-    joins (the overflow model's leaves), it prices each.
+    ``active_*`` are the expected sweep-line set sizes of each side; a
+    probe visits the other side's active list (Sec. 3.2.2).
     """
     n = a + b
-    comparisons = a * _lg(a) + b * _lg(b)  # the two sorts
-    if internal == "sweep_list":
-        visits = (a * active_b + b * active_a) * clustering + n * _SWEEP_OVERHEAD
-        structure = visits
-        tests = _LIST_TEST_FRACTION * visits + detected
-    elif internal == "sweep_trie":
-        depth = _clip(_lg(_clip(active_a + active_b, 2.0)) + 2.0, hi=DEFAULT_MAX_DEPTH)
-        structure = n * depth * _TRIE_NODE_FACTOR + detected
-        tests = detected * 2.0 + n
-    elif internal == "sweep_tree":
-        depth = _clip(_lg(_clip(active_a + active_b, 2.0)) + 2.0, hi=DEFAULT_MAX_DEPTH)
-        node_len = _clip((active_a + active_b) / _clip(depth, 1.0), 1.0)
-        structure = n * depth * _TRIE_NODE_FACTOR * _TREE_INSERT_FACTOR + detected
-        comparisons += n * _lg(node_len) + detected
-        tests = detected * 2.0 + n
-    elif internal == "nested_loops":
-        structure = n
-        tests = a * b
-    elif internal == "sweep_numpy":
-        # Forward-scan kernel: the candidate volume is the x-overlap pair
-        # count — same arrival/active-set model as the list sweep, but
-        # each candidate costs a batch-level array op, not a scalar test.
-        candidates = (a * active_b + b * active_a) * clustering
-        batch = (
-            a * _lg(a)
-            + b * _lg(b)  # vectorized argsorts
-            + 2.0 * n  # the four searchsorted sweeps
-            + BATCH_OPS_PER_CANDIDATE * candidates
-        )
-        return cost.cpu_seconds_from_counts(batch_ops=batch)
-    else:
-        raise ValueError(f"no cost model for internal algorithm {internal!r}")
+    visits = a * active_b + b * active_a + n * _SWEEP_OVERHEAD
     return cost.cpu_seconds_from_counts(
-        intersection_tests=tests,
-        comparisons=comparisons,
-        structure_ops=structure,
+        intersection_tests=_LIST_TEST_FRACTION * visits + detected,
+        comparisons=a * _lg(a) + b * _lg(b),  # the two sorts
+        structure_ops=visits,
     )
+
+
+def _forward_scan_cpu(
+    cost: CostModel, a: Any, b: Any, active_a: Any, active_b: Any, clustering: float
+) -> Any:
+    """CPU seconds of one forward-scan join (``kernels.sweep``) over
+    ``a`` x ``b`` records.
+
+    The candidate volume is the x-overlap pair count (the list sweep's
+    arrival/active-set model), but each candidate costs a batch-level
+    array op, not a scalar test.  ``clustering`` scales it: arrivals
+    concentrate where the active sets are longest, a correlation the
+    constant-density model misses.  Given arrays of joins (the overflow
+    model's leaves), it prices each.
+    """
+    n = a + b
+    candidates = (a * active_b + b * active_a) * clustering
+    batch = (
+        a * _lg(a)
+        + b * _lg(b)  # vectorized argsorts
+        + 2.0 * n  # the four searchsorted sweeps
+        + BATCH_OPS_PER_CANDIDATE * candidates
+    )
+    return cost.cpu_seconds_from_counts(batch_ops=batch)
 
 
 def _grid_replication(
@@ -522,15 +499,14 @@ def estimate_pbsm(
     jp: JoinProfile,
     memory_bytes: int,
     cost: CostModel,
-    internal: str = "sweep_trie",
     t_factor: float = 1.2,
-    dedup: str = "rpm",
     tiles_per_partition: int = 4,
     workers: int = 1,
     dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
     overflows: Optional[Dict[Tuple[int, int, float], Overflow]] = None,
 ) -> CostEstimate:
-    """Cost of ``PBSM(internal, dedup)`` under formula (1) with *t_factor*.
+    """Cost of ``PBSM(internal="sweep_numpy")`` (the columnar engine under
+    the Reference Point Method) with formula (1) and *t_factor*.
 
     ``dup_factors`` and ``overflows`` are memos an enumeration shares
     between its PBSM candidates (one profile, budget and cost model):
@@ -611,15 +587,8 @@ def estimate_pbsm(
         detected = jp.hist_left.estimate_detected_pairs(jp.hist_right, side)
     else:
         detected = jp.est_results * (copies_l + copies_r) / 2.0
-    cpu_internal = n_partitions * _sweep_cpu(
-        cost,
-        a,
-        b,
-        active_a,
-        active_b,
-        detected / n_partitions,
-        internal,
-        clustering=residual_skew,
+    cpu_internal = n_partitions * _forward_scan_cpu(
+        cost, a, b, active_a, active_b, residual_skew
     )
 
     # Repartitioning (Sec. 3.2.3): every pair the overflow model finds
@@ -645,49 +614,33 @@ def estimate_pbsm(
     io_repartition = overflow.split_io
     cpu_repartition = cost.cpu_seconds_from_counts(structure_ops=overflow.split_ops)
 
-    def pair_cpu(n_l: Any, n_r: Any, pair_detected: Any) -> Any:
-        return _sweep_cpu(
+    def pair_cpu(n_l: Any, n_r: Any) -> Any:
+        return _forward_scan_cpu(
             cost,
             n_l,
             n_r,
             np.minimum(n_l, n_l * jp.left.avg_width / width + 1.0),
             np.minimum(n_r, n_r * jp.right.avg_width / width + 1.0),
-            pair_detected,
-            internal,
-            clustering=residual_skew,
+            residual_skew,
         )
 
     io_join += overflow.join_io
     composed = 0.0  # detections tested under a sub-region's chain
     if overflow.pairs:
         leaf_l, leaf_r, leaf_detected, in_sub = overflow.leaves
+        replaced_l, replaced_r, replaced_detected = overflow.replaced
         cpu_internal += float(
-            pair_cpu(leaf_l, leaf_r, leaf_detected).sum()
-            - pair_cpu(*overflow.replaced).sum()
+            pair_cpu(leaf_l, leaf_r).sum() - pair_cpu(replaced_l, replaced_r).sum()
         )
-        detected += float(leaf_detected.sum() - overflow.replaced[2].sum())
+        detected += float(leaf_detected.sum() - replaced_detected.sum())
         composed = float(leaf_detected[in_sub > 0.0].sum())
 
-    io_dedup = 0.0
-    cpu_dedup = 0.0
-    if dedup == "rpm":
-        if internal == "sweep_numpy":
-            # The kernel path tests whole candidate batches at once; under
-            # a sub-region's chain it pays one refpoint test per pair.
-            cpu_dedup = cost.cpu_seconds_from_counts(
-                batch_ops=BATCH_OPS_PER_RPM_TEST * (detected - composed),
-                refpoint_tests=composed,
-            )
-        else:
-            cpu_dedup = cost.cpu_seconds_from_counts(refpoint_tests=detected)
-    elif dedup == "sort":
-        result_pages = cost.pages_for(int(detected), cost.result_bytes)
-        # write candidates (one-page buffers), then a sort pass (read,
-        # write runs, read runs).
-        io_dedup = result_pages * (1.0 + cost.pt_ratio) + 3.0 * result_pages
-        cpu_dedup = cost.cpu_seconds_from_counts(
-            comparisons=detected * _lg(detected)
-        )
+    # The kernel path tests whole candidate batches at once; under a
+    # sub-region's chain it pays one refpoint test per pair.
+    cpu_dedup = cost.cpu_seconds_from_counts(
+        batch_ops=BATCH_OPS_PER_RPM_TEST * (detected - composed),
+        refpoint_tests=composed,
+    )
 
     ipc_seconds = 0.0
     ipc_bytes = 0.0
@@ -715,7 +668,7 @@ def estimate_pbsm(
         )
         ipc_seconds = cost.ipc_seconds_for(ipc_bytes)
 
-    io_units = io_partition + io_join + io_repartition + io_dedup
+    io_units = io_partition + io_join + io_repartition
     cpu_seconds = (
         cpu_partition
         + cpu_internal
@@ -728,7 +681,7 @@ def estimate_pbsm(
         PHASE_PARTITION: cost.io_seconds(io_partition) + cpu_partition,
         PHASE_REPARTITION: cost.io_seconds(io_repartition) + cpu_repartition,
         PHASE_JOIN: cost.io_seconds(io_join) + cpu_internal,
-        PHASE_DEDUP: cost.io_seconds(io_dedup) + cpu_dedup,
+        PHASE_DEDUP: cpu_dedup,
     }
     if workers > 1:
         breakdown["ipc"] = ipc_seconds
@@ -754,8 +707,6 @@ def estimate_s3j(
     memory_bytes: int,
     cost: CostModel,
     strategy: str = "size",
-    max_level: int = DEFAULT_MAX_LEVEL,
-    io_buffer_pages: int = 4,
 ) -> CostEstimate:
     """Cost of S3J under an assignment strategy ("size"/"original"/"hybrid")."""
     nl, nr = jp.n_left, jp.n_right
@@ -771,7 +722,7 @@ def estimate_s3j(
         (jp.left.avg_height + jp.right.avg_height) / 2.0 / height,
         1e-9,
     )
-    size_level = min(max_level, max(0, int(math.log2(1.0 / avg_edge))))
+    size_level = min(DEFAULT_MAX_LEVEL, max(0, int(math.log2(1.0 / avg_edge))))
     # Probability that a rectangle straddles a cell border at its size
     # level (and, without replication, sinks toward the root).
     straddle = min(1.0, avg_edge * (2**size_level) * 2.0)
@@ -795,7 +746,7 @@ def estimate_s3j(
     cpu_partition = cost.cpu_seconds_from_counts(
         code_computations=n_repl + n, structure_ops=n_repl
     )
-    io_partition = pages + pages / io_buffer_pages * cost.pt_ratio
+    io_partition = pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio
 
     # Sorting each level file by locational code; external when a level
     # file exceeds the budget (runs written and merged back once).
@@ -803,13 +754,13 @@ def estimate_s3j(
         comparisons=n_repl * _lg(n_repl), heap_ops=n_repl * 0.5
     )
     external = 2.0 if n_repl * kb > memory_bytes else 0.0
-    io_sort = external * (pages + pages / io_buffer_pages * cost.pt_ratio)
+    io_sort = external * (pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio)
 
     # Synchronized scan: heap traffic per cell partition, then per-pair
     # internal joins.  Without replication, straddling rectangles sink
     # ``sink``-deep and are joined against every partition on their root
     # path — the order-of-magnitude CPU penalty of Fig. 10/11.
-    io_scan = pages + pages / io_buffer_pages * cost.pt_ratio
+    io_scan = pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio
     heap = n_repl * 3.0
     detected = jp.est_results * max(1.0, copies * 0.75)
     path_partners = 1.0 + sink * size_level * 2.0
@@ -849,8 +800,6 @@ def estimate_shj(
     jp: JoinProfile,
     memory_bytes: int,
     cost: CostModel,
-    internal: str = "sweep_list",
-    t_factor: float = 1.2,
 ) -> CostEstimate:
     """Cost of the spatial hash join (build by centre, probe replicated)."""
     nl, nr = jp.n_left, jp.n_right
@@ -858,7 +807,7 @@ def estimate_shj(
     width = jp.space[2] - jp.space[0] or 1.0
     height = jp.space[3] - jp.space[1] or 1.0
 
-    n_buckets = estimate_partitions(nl, nr, kb, memory_bytes, t_factor)
+    n_buckets = estimate_partitions(nl, nr, kb, memory_bytes, _SHJ_T_FACTOR)
     side = max(1, math.ceil(math.sqrt(n_buckets)))
     n_buckets = side * side
 
@@ -915,8 +864,8 @@ def estimate_shj(
     active_a = min(a, a * jp.left.avg_width / cell_w) + 1.0
     active_b = min(b, b * jp.right.avg_width / cell_w) + 1.0
     detected = jp.est_results * 1.05
-    cpu_internal = co_occupied * _sweep_cpu(
-        cost, a, b, active_a, active_b, detected / co_occupied, internal
+    cpu_internal = co_occupied * _list_sweep_cpu(
+        cost, a, b, active_a, active_b, detected / co_occupied
     )
 
     io_units = io_partition + io_join
@@ -941,7 +890,6 @@ def estimate_sssj(
     jp: JoinProfile,
     memory_bytes: int,
     cost: CostModel,
-    internal: str = "sweep_list",
 ) -> CostEstimate:
     """Cost of SSSJ: external sort by xl, then one whole-input sweep."""
     nl, nr = jp.n_left, jp.n_right
@@ -964,8 +912,8 @@ def estimate_sssj(
     # whole-space x-overlap dictates — SSSJ's weakness on high coverage.
     active_l = min(float(nl), nl * jp.left.avg_width / width + 1.0)
     active_r = min(float(nr), nr * jp.right.avg_width / width + 1.0)
-    cpu_join = _sweep_cpu(
-        cost, float(nl), float(nr), active_l, active_r, jp.est_results, internal
+    cpu_join = _list_sweep_cpu(
+        cost, float(nl), float(nr), active_l, active_r, jp.est_results
     )
 
     io_units = io_sort
@@ -973,51 +921,6 @@ def estimate_sssj(
     breakdown = {
         PHASE_SORT: cost.io_seconds(io_sort) + cpu_sort,
         PHASE_JOIN: cpu_join,
-    }
-    predicted = {
-        "est_results": jp.est_results,
-        "detected_pairs": jp.est_results,
-        "replication_rate": 1.0,
-    }
-    return _estimate(cost, io_units, cpu_seconds, breakdown, predicted)
-
-
-# ----------------------------------------------------------------------
-# R-tree join
-# ----------------------------------------------------------------------
-def estimate_rtree(
-    jp: JoinProfile,
-    memory_bytes: int,
-    cost: CostModel,
-    fanout: int = 64,
-) -> CostEstimate:
-    """Cost of bulk-loading R-trees on both inputs and joining them."""
-    nl, nr = jp.n_left, jp.n_right
-
-    nodes_l = max(1.0, nl / fanout * 1.1)
-    nodes_r = max(1.0, nr / fanout * 1.1)
-    cpu_build = cost.cpu_seconds_from_counts(
-        comparisons=nl * _lg(nl) + nr * _lg(nr),
-        structure_ops=(nl + nr) + (nodes_l + nodes_r) * fanout * 0.1,
-    )
-    io_build = (nodes_l + nodes_r) + 2 * cost.pt_ratio
-
-    # Node-pair traversal: overlapping node pairs scale with the result;
-    # every visited node pays one page read.
-    overlap_pairs = max(nodes_l, nodes_r) + jp.est_results / fanout
-    visited_nodes = min(nodes_l + nodes_r, overlap_pairs * 2.0)
-    io_join = visited_nodes + visited_nodes * cost.pt_ratio
-    leaf_tests = overlap_pairs * fanout * 1.5 + jp.est_results
-    cpu_join = cost.cpu_seconds_from_counts(
-        intersection_tests=leaf_tests + overlap_pairs * fanout * 0.5,
-        structure_ops=overlap_pairs,
-    )
-
-    io_units = io_build + io_join
-    cpu_seconds = cpu_build + cpu_join
-    breakdown = {
-        PHASE_BUILD: cost.io_seconds(io_build) + cpu_build,
-        PHASE_JOIN: cost.io_seconds(io_join) + cpu_join,
     }
     predicted = {
         "est_results": jp.est_results,

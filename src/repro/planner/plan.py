@@ -20,13 +20,8 @@ from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_PLAN, KIND_SECTION, NULL_TRACER
 from repro.pbsm import PBSM
 from repro.planner.cache import PlannerCache
-from repro.planner.enumerate import (
-    DEFAULT_T_GRID,
-    PlanCandidate,
-    enumerate_candidates,
-)
+from repro.planner.enumerate import PlanCandidate, enumerate_candidates
 from repro.planner.stats import JoinProfile, profile_join, relation_fingerprint
-from repro.rtree import RTreeJoin
 from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
@@ -56,8 +51,6 @@ def _run_candidate(
         return SSSJ(memory_bytes, **kwargs).run(left, right)
     if method == "shj":
         return SpatialHashJoin(memory_bytes, **kwargs).run(left, right)
-    if method == "rtree":
-        return RTreeJoin(**kwargs).run(left, right)
     raise ValueError(f"planner cannot execute method {candidate.method!r}")
 
 
@@ -256,8 +249,6 @@ def plan_join(
     *,
     cache: Optional[PlannerCache] = None,
     cost_model: Optional[CostModel] = None,
-    t_grid: Sequence[float] = DEFAULT_T_GRID,
-    methods: Optional[Sequence[str]] = None,
     workers: int = 1,
     tracer: Optional[Any] = None,
 ) -> JoinPlan:
@@ -288,12 +279,7 @@ def plan_join(
                 relation_fingerprint(left),
                 relation_fingerprint(right),
                 memory_bytes,
-                (
-                    tuple(t_grid),
-                    tuple(methods) if methods is not None else None,
-                    workers,
-                    cost,
-                ),
+                (workers, cost),
             )
             cached = cast(Optional[JoinPlan], cache.get_plan(key))
         plan_span.set_tag("from_cache", cached is not None)
@@ -301,18 +287,7 @@ def plan_join(
             columned = (with_columns(left), with_columns(right))
             jp = profile_join(*columned, cache, tracer=tracer)
             with tracer.span("enumerate", kind=KIND_SECTION):
-                candidates = enumerate_candidates(
-                    jp,
-                    memory_bytes,
-                    cost,
-                    t_grid=t_grid,
-                    methods=methods,
-                    workers=workers,
-                )
-            if not candidates:
-                raise ValueError(
-                    "no candidate plans enumerated (check `methods`)"
-                )
+                candidates = enumerate_candidates(jp, memory_bytes, cost, workers)
             chosen = candidates[0]
             plan_span.set_tag("chosen", chosen.describe())
 

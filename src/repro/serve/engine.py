@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Any, Optional, Tuple
 
 from repro.io.costmodel import CostModel, require_positive
-from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, worker_cap
+from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, clamp_workers
 from repro.planner import PlannerCache, plan_join
 from repro.planner.plan import JoinPlan
 from repro.serve.registry import Dataset
@@ -46,13 +46,10 @@ class EngineHost:
         cost_model: Optional[CostModel] = None,
     ) -> None:
         require_positive("memory_bytes", memory_bytes)
-        cap = worker_cap()
-        if workers > cap:
-            # Same clamp PBSM applies; surfacing it here keeps
-            # the plan enumeration and the pool size consistent.
-            workers = cap
         self.memory_bytes = memory_bytes
-        self.workers = max(1, workers)
+        # PBSM's clamp (and its one warning), applied here so the plan
+        # enumeration and the pool size agree.
+        self.workers = clamp_workers(workers, "process")
         self.cache = cache if cache is not None else PlannerCache()
         self.cost_model = cost_model or CostModel()
 

@@ -82,11 +82,10 @@ class Dataset:
 class DatasetRegistry:
     """Named datasets shared by every query of a server process."""
 
-    def __init__(self, pin: bool = True) -> None:
-        #: pin datasets into shared-memory segments when the platform
-        #: allows it; ``pin=False`` keeps everything as plain KPE lists
-        #: (the no-shm configuration).
-        self.pin = pin
+    def __init__(self) -> None:
+        # Datasets are pinned into shared-memory segments wherever the
+        # platform allows it (``shm_enabled()``; ``REPRO_DISABLE_SHM=1``
+        # keeps them unpinned).
         self._lock = threading.Lock()
         self._datasets: Dict[str, Dataset] = {}
 
@@ -125,7 +124,7 @@ class DatasetRegistry:
             columns = ColumnarRelation.from_kpes(listed).freeze()
             kpes = ColumnedKpes(listed, columns)
         entry = Dataset(name=name, kpes=kpes, source=source)
-        if self.pin and shm_enabled() and entry.kpes:
+        if shm_enabled() and entry.kpes:
             entry.store = SharedColumnarStore.create(columnar_arrays("D", columns))
         with self._lock:
             raced = self._datasets.get(name)

@@ -270,7 +270,7 @@ class TestJoinIdentity:
         from repro.serve import DatasetRegistry
 
         _, path = rcd_path
-        registry = DatasetRegistry(pin=True)
+        registry = DatasetRegistry()
         try:
             entry = registry.register_file("u", str(path))
             # the registry must NOT listify (re-parse) the mapping

@@ -131,20 +131,36 @@ class TestCostRanking:
 
 class TestEnumeration:
     def test_candidates_cover_methods_and_sort_by_cost(self, small_pair):
-        jp = profile_join(*small_pair)
-        candidates = enumerate_candidates(jp, 16_000, COST)
-        methods = {c.method for c in candidates}
-        assert {"pbsm", "s3j", "sssj", "shj"} <= methods
+        """The candidates the planner can choose, and no other: columnar
+        RPM PBSM x the t grid, S3J x 3, SHJ and SSSJ.  No R-tree join even
+        at a budget holding both inputs (where one used to be priced)."""
+        left, right = small_pair
+        jp = profile_join(left, right)
+        memory = (len(left) + len(right)) * COST.kpe_bytes
+        candidates = enumerate_candidates(jp, memory, COST)
+        assert {c.method for c in candidates} == {"pbsm", "s3j", "sssj", "shj"}
+        assert len(candidates) == len(DEFAULT_T_GRID) + 3 + 2 == 10
         totals = [c.estimate.total_seconds for c in candidates]
         assert totals == sorted(totals)
-        # The PBSM family spans the full internal x t grid.
-        pbsm = [c for c in candidates if c.method == "pbsm"]
-        assert len(pbsm) >= 3 * len(DEFAULT_T_GRID)
+        pbsm = sorted(
+            (c.kwargs for c in candidates if c.method == "pbsm"),
+            key=lambda kwargs: kwargs["t_factor"],
+        )
+        assert pbsm == [
+            {"internal": "sweep_numpy", "t_factor": t, "dedup": "rpm"}
+            for t in DEFAULT_T_GRID
+        ]
 
     def test_methods_filter(self, small_pair):
-        jp = profile_join(*small_pair)
-        only = enumerate_candidates(jp, 16_000, COST, methods=("sssj",))
-        assert {c.method for c in only} == {"sssj"}
+        """There is no method or ``t`` filter: the planner enumerates what
+        it can choose, and a caller asking for either gets a TypeError."""
+        left, right = small_pair
+        jp = profile_join(left, right)
+        for knob in ({"methods": ("sssj",)}, {"t_grid": (1.2,)}):
+            with pytest.raises(TypeError):
+                enumerate_candidates(jp, 16_000, COST, **knob)
+            with pytest.raises(TypeError):
+                plan_join(left, right, 16_000, **knob)
 
     def test_parallel_candidates_follow_what_can_run(self, small_pair, monkeypatch):
         # No transport, scheduler or thread axis: a process candidate per
@@ -176,8 +192,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_duplicate_handling_is_not_enumerated(self, small_pair, workers):
-        """Every PBSM candidate runs RPM; the one sort-based reference
-        stays so EXPLAIN shows why an online scheme wins (Fig. 3).  A
+        """Every PBSM candidate runs RPM; there is no sort-based
+        reference (``repro.bench fig3`` reproduces that comparison).  A
         parallel candidate carries no ``dedup``: ``PBSM(workers=)`` runs
         RPM only."""
         from repro.kernels.shm import shm_enabled
@@ -189,14 +205,13 @@ class TestEnumeration:
         ]
         parallel = [c for c in candidates if "workers" in c.kwargs]
         assert all("dedup" not in c.kwargs for c in parallel)
-        assert set(schemes) == {"rpm", "sort"} and schemes.count("sort") == 1
+        assert set(schemes) == {"rpm"}
+        assert not [c for c in candidates if c.kwargs.get("dedup") == "sort"]
         if shm_enabled():
-            # 4 internals x the t grid + sort (+ process x the t grid),
-            # s3j x 3, shj, sssj; the R-tree join comes and goes with the
-            # memory budget.
-            per_t = {1: 4, 2: 5}[workers]
-            counted = [c for c in candidates if c.method != "rtree"]
-            assert len(counted) == per_t * len(DEFAULT_T_GRID) + 1 + 3 + 2
+            # sweep_numpy x the t grid (+ process x the t grid), s3j x 3,
+            # shj, sssj.
+            per_t = {1: 1, 2: 2}[workers]
+            assert len(candidates) == per_t * len(DEFAULT_T_GRID) + 3 + 2
 
     def test_describe_is_readable(self, small_pair):
         jp = profile_join(*small_pair)
@@ -379,18 +394,18 @@ class TestAutoMethod:
             assert _pair_set(fixed) == expected, (name, method)
 
     def test_auto_runs_the_reference_point_method(self):
-        """The benchmark's uni30k shape at 3k records, PBSM plans only (at
-        this size SSSJ is cheaper): the two-layer twin used to win here."""
+        """The benchmark's uni30k shape at 3k records, its cheapest PBSM
+        plan executed (at this size SSSJ is cheaper): the two-layer twin
+        used to win here."""
         from benchmarks.e2e import specs
         from repro.internal.brute import brute_force_pairs
 
         spec = specs.UNI30K.scaled(3_000)
         left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
-        result = spatial_join(
-            left, right, mb(spec.memory_mb), method="auto",
-            methods=("pbsm",), cache=PlannerCache(),
-        )
-        assert result.plan.chosen.kwargs["dedup"] == "rpm"
+        plan = plan_join(left, right, mb(spec.memory_mb), cache=PlannerCache())
+        plan.chosen = next(c for c in plan.candidates if c.method == "pbsm")
+        assert plan.chosen.kwargs["dedup"] == "rpm"
+        result = plan.execute(left, right)
         assert result.stats.duplicates_suppressed > 0
         assert sorted(result.pairs) == sorted(brute_force_pairs(left, right))
 

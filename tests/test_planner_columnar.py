@@ -304,9 +304,13 @@ def test_dup_factor_is_replayed_once_per_distinct_grid(monkeypatch):
     pbsm = [c for c in candidates if c.method == "pbsm"]
     assert len(keys) == len(set(keys)) < len(pbsm)
     for candidate in pbsm:
-        kwargs = dict(candidate.kwargs)
-        kwargs.pop("executor", None)  # one real executor: not a cost input
-        alone = estimate_pbsm(profile, MEMORY, CostModel(), **kwargs)
+        alone = estimate_pbsm(
+            profile,
+            MEMORY,
+            CostModel(),
+            t_factor=candidate.kwargs["t_factor"],
+            workers=candidate.kwargs.get("workers", 1),
+        )
         assert alone.total_seconds == candidate.estimate.total_seconds
         assert alone.predicted == candidate.estimate.predicted
 
@@ -392,11 +396,12 @@ def test_the_benchmark_join_gets_one_plan_in_any_record_order():
 )
 def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, total_seconds):
     """What ``EngineHost.plan(workers=2)`` chooses is the cheapest RPM
-    candidate of the parent, at the parent's estimate, among 31 candidates
-    (uni30k's two-layer twin, 0.09 % cheaper in simulated seconds and 1.1x
-    slower on the clock, is not proposed, nor are the thread executor's
-    three).  The ``t`` grid's two larger values add a process and four
-    sequential candidates.  The parent chose ``t=1.0`` for both (4.60 and
+    candidate of the parent, at the parent's estimate, among 15 candidates:
+    columnar PBSM x ``t`` sequentially and on the process executor, S3J x
+    3, SHJ and SSSJ (uni30k's two-layer twin, 0.09 % cheaper in simulated
+    seconds and 1.1x slower on the clock, is not proposed, nor are the
+    thread executor's three, nor the tuple-internal, sort and R-tree
+    candidates that never won).  The parent chose ``t=1.0`` for both (4.60 and
     3.70 simulated seconds) while parallel estimates ignored the overflow
     model; parallel runs repartition now and their candidates are priced
     with that model, so the cheapest process plan is the smallest ``t``
@@ -407,7 +412,7 @@ def test_the_served_plans_are_the_static_ones_of_the_parent(dataset, chosen, tot
     spec = {"tiger50k": specs.TIGER50K, "uni30k": specs.UNI30K}[dataset]
     left, right = specs.make_relations(spec, specs.DEFAULT_SEED)
     plan = plan_join(left, right, mb(spec.memory_mb), workers=2)
-    assert len(plan.candidates) == 31
+    assert len(plan.candidates) == 15
     assert plan.chosen.describe() == chosen
     assert plan.chosen.estimate.total_seconds == total_seconds
 

@@ -93,9 +93,9 @@ def test_overflowing_pairs_match_the_driver_grid(name, left, right, memory):
         sizes = pair_sizes(left, right, memory, t) * kb
         surely = int((sizes > memory * (1 + NEAR)).sum())
         maybe = int((sizes > memory * (1 - NEAR)).sum())
-        predicted = estimate_pbsm(
-            profile, memory, CostModel(), internal="sweep_numpy", t_factor=t
-        ).predicted["overflow_pairs"]
+        predicted = estimate_pbsm(profile, memory, CostModel(), t_factor=t).predicted[
+            "overflow_pairs"
+        ]
         low = surely - max(1, 0.25 * surely)
         high = maybe + max(1, 0.25 * maybe)
         assert low <= predicted <= high, (t, predicted, surely, maybe)
@@ -105,9 +105,7 @@ def parallel_estimates(name, left, right, memory):
     """``{key: estimate}``, one W=2 process candidate per ``t``."""
     profile = profile_join(left, right)
     return {
-        f"{name}/t={t}": estimate_pbsm(
-            profile, memory, CostModel(), internal="sweep_numpy", t_factor=t, workers=2
-        )
+        f"{name}/t={t}": estimate_pbsm(profile, memory, CostModel(), t_factor=t, workers=2)
         for t in DEFAULT_T_GRID
     }
 
@@ -223,7 +221,8 @@ def test_the_model_runs_once_per_grid_and_t(monkeypatch):
     assert len(keys) == len(set(keys)) == len(DEFAULT_T_GRID)
     for candidate in candidates:
         if candidate.method == "pbsm" and "workers" not in candidate.kwargs:
-            alone = estimate_pbsm(profile, MEMORY, CostModel(), **candidate.kwargs)
+            t = candidate.kwargs["t_factor"]
+            alone = estimate_pbsm(profile, MEMORY, CostModel(), t_factor=t)
             assert alone.total_seconds == candidate.estimate.total_seconds
             assert alone.predicted == candidate.estimate.predicted
 
@@ -231,7 +230,10 @@ def test_the_model_runs_once_per_grid_and_t(monkeypatch):
 def test_explain_shows_repartitions_estimated_against_actual():
     left = uniform_rects(3000, seed=1)
     right = uniform_rects(3000, seed=2, start_oid=10**6)
-    plan = plan_join(left, right, mb(0.005), methods=("pbsm",), t_grid=(1.2,))
+    plan = plan_join(left, right, mb(0.005))
+    plan.chosen = next(
+        c for c in plan.candidates if c.method == "pbsm" and c.kwargs["t_factor"] == 1.2
+    )
     assert plan.chosen.describe() == "pbsm(dedup=rpm, internal=sweep_numpy, t=1.2)"
     actual = plan.execute(left, right).stats.repartition_events
     (line,) = [x for x in plan.explain().splitlines() if "repartitions" in x]
@@ -253,9 +255,7 @@ def test_estimates_track_executed_seconds_and_the_cheapest_t(dataset):
     profile = profile_join(left, right)
     executed = {}
     for t in DEFAULT_T_GRID:
-        estimate = estimate_pbsm(
-            profile, memory, CostModel(), internal="sweep_numpy", t_factor=t
-        )
+        estimate = estimate_pbsm(profile, memory, CostModel(), t_factor=t)
         result = PBSM(memory, internal="sweep_numpy", t_factor=t).run(left, right)
         executed[t] = result.stats.sim_seconds
         assert 0.7 <= estimate.total_seconds / executed[t] <= 1.43, t

@@ -367,8 +367,9 @@ class TestRegistry:
         registry.close()
         assert not entry.pinned  # close() unlinks and clears the pin
 
-    def test_pin_disabled_registry_never_pins(self):
-        registry = DatasetRegistry(pin=False)
+    def test_pin_disabled_registry_never_pins(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
+        registry = DatasetRegistry()
         entry = registry.register("L", LEFT)
         assert not entry.pinned
         registry.close()
@@ -378,6 +379,23 @@ class TestRegistry:
         registry.register("L", LEFT)
         registry.close()
         registry.close()
+
+
+# ----------------------------------------------------------------------
+# the engine host
+# ----------------------------------------------------------------------
+class TestEngineHost:
+    def test_workers_are_clamped_with_the_librarys_warning(self):
+        """A served clamp warns once, as ``PBSM``'s does; ``repro serve
+        --workers N`` raises the cap to N first, so the CLI never clamps."""
+        from repro.pbsm.parallel import reset_clamp_warnings, worker_cap
+
+        reset_clamp_warnings()
+        cap = worker_cap()
+        with pytest.warns(RuntimeWarning, match="exceeds the usable CPU count"):
+            assert EngineHost(MEMORY, workers=cap + 1).workers == cap
+        with pytest.warns(RuntimeWarning, match="below 1"):
+            assert EngineHost(MEMORY, workers=0).workers == 1
 
 
 # ----------------------------------------------------------------------

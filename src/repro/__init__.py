@@ -35,16 +35,16 @@ from repro.core import (
 
 # pbsm before internal: repro.internal pulls in the kernels, which import
 # repro.pbsm.grid, whose package imports repro.internal back.
-from repro.pbsm import PBSM, pbsm_join
+from repro.pbsm import PBSM
 from repro.estimate import GridHistogram
 from repro.internal import INTERNAL_ALGORITHMS, internal_algorithm
 from repro.io import CostModel, SimulatedDisk, mb
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.planner import JoinPlan, PlannerCache, plan_join
-from repro.rtree import RTree, RTreeJoin, rtree_join
-from repro.s3j import S3J, s3j_join
-from repro.shj import SpatialHashJoin, spatial_hash_join
-from repro.sssj import SSSJ, sssj_join
+from repro.rtree import RTree, RTreeJoin
+from repro.s3j import S3J
+from repro.shj import SpatialHashJoin
+from repro.sssj import SSSJ
 
 __version__ = "1.0.0"
 
@@ -222,12 +222,7 @@ __all__ = [
     "intersects",
     "make_kpe",
     "mb",
-    "pbsm_join",
     "plan_join",
     "reference_point",
-    "rtree_join",
-    "s3j_join",
-    "spatial_hash_join",
     "spatial_join",
-    "sssj_join",
 ]

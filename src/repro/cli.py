@@ -24,8 +24,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, Optional
 
 from repro import SPATIAL_JOIN_METHODS, spatial_join
 from repro.core.report import format_stats, stats_to_dict
@@ -70,6 +72,38 @@ def _memory_mb(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0 (at least one byte), got {text!r}"
         )
+    return value
+
+
+def _int_in(low: int, high: Optional[int] = None) -> Callable[[str], int]:
+    """An argparse type for an integer in ``low..high`` (no upper bound
+    when *high* is ``None``): a bad value is a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value: Optional[int] = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            bound = f"in {low}..{high}" if high is not None else f">= {low}"
+            raise argparse.ArgumentTypeError(f"must be an integer {bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _page_size(text: str) -> int:
+    """``--page-size`` under the join protocol's ``page_size`` rule."""
+    from repro.serve.protocol import MAX_PAGE_SIZE
+
+    return _int_in(1, MAX_PAGE_SIZE)(text)
+
+
+def _budget_seconds(text: str) -> float:
+    """``--budget-seconds``: finite and >= 0 (NaN would admit every query)."""
+    value = float(text)  # argparse turns a ValueError into a usage error
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -515,19 +549,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent worker-pool size (1 = in-process execution)",
     )
     serve.add_argument(
-        "--max-inflight", type=int, default=4, help="concurrent executing queries"
+        "--max-inflight", type=_int_in(1), default=4, help="concurrent executing queries"
     )
     serve.add_argument(
-        "--max-queue", type=int, default=16, help="queries allowed to wait"
+        "--max-queue", type=_int_in(0), default=16, help="queries allowed to wait"
     )
     serve.add_argument(
         "--budget-seconds",
-        type=float,
+        type=_budget_seconds,
         default=None,
         help="reject queries whose cost estimate exceeds this (simulated s)",
     )
     serve.add_argument(
-        "--page-size", type=int, default=20_000, help="result pairs per page"
+        "--page-size", type=_page_size, default=20_000, help="result pairs per page"
     )
     serve.add_argument(
         "--dataset",

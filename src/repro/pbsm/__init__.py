@@ -3,7 +3,7 @@
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.join import DEDUP_MODES, PBSM, pbsm_join
+from repro.pbsm.join import DEDUP_MODES, PBSM
 from repro.pbsm.parallel import EXECUTORS, lpt_schedule, reset_clamp_warnings
 from repro.pbsm.partitioner import partition_csr, partition_relation
 from repro.pbsm.repartition import choose_split
@@ -18,7 +18,6 @@ __all__ = [
     "lpt_schedule",
     "partition_csr",
     "partition_relation",
-    "pbsm_join",
     "reset_clamp_warnings",
     "sort_based_dedup",
 ]

@@ -25,6 +25,10 @@ from repro.core.space import Space, clamped_cell
 TILE_HASH_X = 73856093
 TILE_HASH_Y = 19349663
 
+#: Tiles per partition, ``NT ~= P * TILES_PER_PARTITION``: the default grid
+#: of every PBSM run and the one the planner prices.
+TILES_PER_PARTITION = 4
+
 
 class TileGrid:
     """An ``nx x ny`` equidistant grid whose tiles hash to ``n_partitions``
@@ -57,7 +61,7 @@ class TileGrid:
         cls,
         space: Space,
         n_partitions: int,
-        tiles_per_partition: int = 4,
+        tiles_per_partition: int = TILES_PER_PARTITION,
     ) -> "TileGrid":
         """Build a near-square grid with ``NT ~= P * tiles_per_partition``."""
         nt = max(n_partitions, n_partitions * tiles_per_partition)

@@ -77,7 +77,7 @@ from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
-from repro.pbsm.grid import TileGrid
+from repro.pbsm.grid import TILES_PER_PARTITION, TileGrid
 from repro.pbsm.leaf import (
     Leaf,
     LeafOutcome,
@@ -146,7 +146,7 @@ class PBSM:
         internal: str = "sweep_list",
         dedup: str = "rpm",
         t_factor: float = 1.2,
-        tiles_per_partition: int = 4,
+        tiles_per_partition: int = TILES_PER_PARTITION,
         cost_model: Optional[CostModel] = None,
         tracer: Optional[Any] = None,
         workers: int = 1,
@@ -572,13 +572,3 @@ def _row_oids(columns: _Columns, boxed: bool = False) -> Tuple[RowOids, RowOids]
         left = RowOids(left.column, oid_objects(left))
         right = RowOids(right.column, oid_objects(right))
     return left, right
-
-
-def pbsm_join(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    memory_bytes: int,
-    **kwargs: Any,
-) -> JoinResult:
-    """Convenience one-call PBSM join (see :class:`PBSM` for options)."""
-    return PBSM(memory_bytes, **kwargs).run(left, right)

@@ -477,15 +477,28 @@ def _task_size(task: IdTask) -> int:
     return (task[2] - task[1]) + (task[4] - task[3])
 
 
+def _lpt(costs: Sequence[float], bins: int) -> Tuple[List[int], List[float]]:
+    """The LPT greedy: each cost, in the order given (heaviest first),
+    goes into the least-loaded of *bins* bins, the lowest index on a tie.
+
+    Returns the bin of each cost and the bins' final loads.
+    """
+    loads = [0.0] * bins
+    placed: List[int] = []
+    for cost in costs:
+        idx = min(range(bins), key=loads.__getitem__)
+        placed.append(idx)
+        loads[idx] += cost
+    return placed, loads
+
+
 def _chunk_tasks(tasks: List[IdTask], n_chunks: int) -> List[List[IdTask]]:
     """Pack tasks into *n_chunks* LPT-balanced chunks (by joined size)."""
     sized = sorted(tasks, key=lambda t: (-_task_size(t), t[0]))
     chunks: List[List[IdTask]] = [[] for _ in range(n_chunks)]
-    loads = [0] * n_chunks
-    for task in sized:
-        idx = min(range(n_chunks), key=loads.__getitem__)
+    placed, _loads = _lpt([_task_size(task) for task in sized], n_chunks)
+    for task, idx in zip(sized, placed):
         chunks[idx].append(task)
-        loads[idx] += _task_size(task)
     return [chunk for chunk in chunks if chunk]
 
 
@@ -495,10 +508,7 @@ def lpt_schedule(task_costs: Sequence[float], workers: int) -> Tuple[float, List
     Returns ``(makespan, per-worker loads)``.  LPT is within 4/3 of the
     optimal makespan — plenty for a speedup model.
     """
-    loads = [0.0] * workers
-    for cost in sorted(task_costs, reverse=True):
-        idx = min(range(workers), key=loads.__getitem__)
-        loads[idx] += cost
+    _placed, loads = _lpt(sorted(task_costs, reverse=True), workers)
     return (max(loads) if loads else 0.0), loads
 
 

@@ -48,7 +48,7 @@ from repro.io.costmodel import CostModel
 from repro.kernels.rpm import BATCH_OPS_PER_RPM_TEST, tile_partitions
 from repro.kernels.sweep import BATCH_OPS_PER_CANDIDATE
 from repro.pbsm.estimator import estimate_partitions
-from repro.pbsm.grid import TileGrid
+from repro.pbsm.grid import TILES_PER_PARTITION, TileGrid
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split
 from repro.planner.stats import JoinProfile
 from repro.sfc.locational import DEFAULT_MAX_LEVEL
@@ -57,7 +57,7 @@ from repro.sfc.locational import DEFAULT_MAX_LEVEL
 _SWEEP_OVERHEAD = 2.0
 #: Fraction of active-list visits that survive expiry and pay a y-test.
 _LIST_TEST_FRACTION = 0.8
-#: Mild residual skew after hashing tiles_per_partition tiles per partition.
+#: Mild residual skew after hashing TILES_PER_PARTITION tiles per partition.
 _SKEW_DAMPING = 0.5
 #: A modelled (sub-)partition expecting fewer records than this is empty.
 _EMPTY_RECORDS = 0.5
@@ -500,13 +500,13 @@ def estimate_pbsm(
     memory_bytes: int,
     cost: CostModel,
     t_factor: float = 1.2,
-    tiles_per_partition: int = 4,
     workers: int = 1,
     dup_factors: Optional[Dict[Tuple[int, int], Optional[float]]] = None,
     overflows: Optional[Dict[Tuple[int, int, float], Overflow]] = None,
 ) -> CostEstimate:
     """Cost of ``PBSM(internal="sweep_numpy")`` (the columnar engine under
-    the Reference Point Method) with formula (1) and *t_factor*.
+    the Reference Point Method) on its default grid
+    (:data:`~repro.pbsm.grid.TILES_PER_PARTITION`) with formula (1) and *t_factor*.
 
     ``dup_factors`` and ``overflows`` are memos an enumeration shares
     between its PBSM candidates (one profile, budget and cost model):
@@ -534,7 +534,7 @@ def estimate_pbsm(
     if workers > 1:
         # PBSM(workers=W) guarantees at least one task per worker.
         n_partitions = max(n_partitions, workers)
-    side = max(1, math.ceil(math.sqrt(n_partitions * tiles_per_partition)))
+    side = max(1, math.ceil(math.sqrt(n_partitions * TILES_PER_PARTITION)))
 
     copies_l = min(
         float(n_partitions), _grid_replication(jp.left, width, height, side)
@@ -560,7 +560,7 @@ def estimate_pbsm(
     io_join = pages + 2 * n_partitions * cost.pt_ratio
 
     skew = max(jp.left.skew, jp.right.skew)
-    residual_skew = 1.0 + (skew - 1.0) * _SKEW_DAMPING / tiles_per_partition
+    residual_skew = 1.0 + (skew - 1.0) * _SKEW_DAMPING / TILES_PER_PARTITION
 
     # Internal joins: per-partition sweep with expected active-set sizes.
     # A record is active while the sweep line crosses its own x-extent, so
@@ -603,7 +603,7 @@ def estimate_pbsm(
         overflows[key] = repartition_overflow(
             jp,
             n_partitions,
-            tiles_per_partition,
+            TILES_PER_PARTITION,
             (copies_l, copies_r),
             detected,
             memory_bytes,

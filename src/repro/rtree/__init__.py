@@ -4,12 +4,11 @@ The index-on-both-relations class of the paper's availability-of-index
 taxonomy (``method="rtree"``).
 """
 
-from repro.rtree.join import RTreeJoin, rtree_join
+from repro.rtree.join import RTreeJoin
 from repro.rtree.tree import RTree, RTreeNode
 
 __all__ = [
     "RTree",
     "RTreeJoin",
     "RTreeNode",
-    "rtree_join",
 ]

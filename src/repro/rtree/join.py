@@ -197,13 +197,3 @@ class RTreeJoin:
 
 def _overlaps(a: RTreeNode, b: RTreeNode) -> bool:
     return a.xl <= b.xh and b.xl <= a.xh and a.yl <= b.yh and b.yl <= a.yh
-
-
-def rtree_join(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    fanout: int = 64,
-    **kwargs,
-) -> JoinResult:
-    """Convenience one-call R-tree join."""
-    return RTreeJoin(fanout, **kwargs).run(left, right)

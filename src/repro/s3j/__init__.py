@@ -1,6 +1,6 @@
 """Size Separation Spatial Join (S3J) and the paper's replication variant."""
 
-from repro.s3j.join import S3J, s3j_join
+from repro.s3j.join import S3J
 from repro.s3j.levelfile import (
     build_level_files,
     record_bytes_for_level,
@@ -19,7 +19,6 @@ __all__ = [
     "level_histogram",
     "partition_stream",
     "record_bytes_for_level",
-    "s3j_join",
     "scan_pairs",
     "sort_level_files",
 ]

@@ -311,13 +311,3 @@ class S3J:
                 cost.io_seconds(units.get(phase, 0.0))
             )
         stats.sim_seconds_by_phase = by_phase
-
-
-def s3j_join(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    memory_bytes: int,
-    **kwargs,
-) -> JoinResult:
-    """Convenience one-call S3J join (see :class:`S3J` for options)."""
-    return S3J(memory_bytes, **kwargs).run(left, right)

@@ -21,6 +21,7 @@ the ``repro_serve_admission_rejects_total`` counter.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from typing import AsyncIterator, Callable, Optional
 
@@ -49,6 +50,10 @@ class AdmissionController:
             raise ValueError("max_inflight must be >= 1")
         if max_queue < 0:
             raise ValueError("max_queue must be >= 0")
+        if budget_seconds is not None and not (
+            math.isfinite(budget_seconds) and budget_seconds >= 0
+        ):
+            raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds!r}")
         self.max_inflight = max_inflight
         self.max_queue = max_queue
         self.budget_seconds = budget_seconds

@@ -102,9 +102,6 @@ class JoinServer:
         self._stopped: Optional[asyncio.Event] = None
         self._started_at = 0.0
         self._query_seq = 0
-        self._queries_ok = 0
-        self._queries_rejected = 0
-        self._queries_error = 0
         self._traces: "OrderedDict[int, list]" = OrderedDict()
         self._declare_metrics()
         self._ops: Dict[str, Callable[[dict, asyncio.StreamWriter], Awaitable[None]]] = {
@@ -335,9 +332,8 @@ class JoinServer:
                 "ok": True,
                 "uptime_seconds": time.monotonic() - self._started_at,
                 "queries": {
-                    "ok": self._queries_ok,
-                    "rejected": self._queries_rejected,
-                    "error": self._queries_error,
+                    status: int(self.metrics.get("repro_serve_queries_total", status=status))
+                    for status in ("ok", "rejected", "error")
                 },
                 "admission": {
                     "inflight": admission.inflight,
@@ -395,7 +391,6 @@ class JoinServer:
         **extra: Any,
     ) -> None:
         """Count a join that ends in an error response, and send it."""
-        self._queries_error += 1
         self.metrics.inc("repro_serve_queries_total", 1, status="error")
         await self._send(
             writer, error_response(error, message, query_id=query_id, **extra)
@@ -449,7 +444,6 @@ class JoinServer:
                     self._answer, left, right, memory_bytes, tracer
                 )
         except AdmissionReject as exc:
-            self._queries_rejected += 1
             self.metrics.inc("repro_serve_queries_total", 1, status="rejected")
             self.metrics.inc(
                 "repro_serve_admission_rejects_total", 1, reason=exc.reason
@@ -481,7 +475,6 @@ class JoinServer:
                 await writer.drain()
 
         elapsed = time.perf_counter() - started
-        self._queries_ok += 1
         self._traces[query_id] = [span.to_dict() for span in tracer.spans]
         while len(self._traces) > TRACE_KEEP:
             self._traces.popitem(last=False)

@@ -1,5 +1,5 @@
 """Spatial Hash Join [LR 96]: replication on one relation only."""
 
-from repro.shj.join import SpatialHashJoin, spatial_hash_join
+from repro.shj.join import SpatialHashJoin
 
-__all__ = ["SpatialHashJoin", "spatial_hash_join"]
+__all__ = ["SpatialHashJoin"]

@@ -188,13 +188,3 @@ class SpatialHashJoin:
             + cost.io_seconds(units.get(phase, 0.0))
             for phase, counters in cpu.items()
         }
-
-
-def spatial_hash_join(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    memory_bytes: int,
-    **kwargs,
-) -> JoinResult:
-    """Convenience one-call spatial hash join (left = build side)."""
-    return SpatialHashJoin(memory_bytes, **kwargs).run(left, right)

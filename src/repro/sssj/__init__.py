@@ -1,5 +1,5 @@
 """Scalable Sweeping-Based Spatial Join (comparison baseline)."""
 
-from repro.sssj.join import SSSJ, sssj_join
+from repro.sssj.join import SSSJ
 
-__all__ = ["SSSJ", "sssj_join"]
+__all__ = ["SSSJ"]

@@ -157,13 +157,3 @@ class SSSJ:
             + cost.io_seconds(units.get(phase, 0.0))
             for phase, counters in cpu.items()
         }
-
-
-def sssj_join(
-    left: Sequence[Tuple],
-    right: Sequence[Tuple],
-    memory_bytes: int,
-    **kwargs,
-) -> JoinResult:
-    """Convenience one-call SSSJ join."""
-    return SSSJ(memory_bytes, **kwargs).run(left, right)

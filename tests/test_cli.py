@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets.fileio import load_relation, read_csv
 
 
@@ -301,3 +301,39 @@ def test_a_bad_memory_mb_is_a_usage_error(capsys, command, value):
     err = capsys.readouterr().err
     assert "argument --memory-mb: must be a finite number > 0 (at least one byte)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--page-size", "0"),
+        ("--page-size", "1048577"),
+        ("--page-size", "x"),
+        ("--max-inflight", "0"),
+        ("--max-queue", "-1"),
+        ("--budget-seconds", "nan"),
+        ("--budget-seconds", "inf"),
+        ("--budget-seconds", "-1"),
+    ],
+)
+def test_serve_refuses_a_flag_it_cannot_honour(capsys, flag, value):
+    """Refused at parse time, before the server starts: exit 2, no traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(["serve", flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be" in err
+    assert "Traceback" not in err
+
+
+def test_serve_refuses_a_bad_flag_before_pinning_a_dataset(tmp_path, capsys, own_shm_segments):
+    """A bad flag exits before ``--dataset`` is loaded, so nothing is left pinned."""
+    rel = tmp_path / "a.npy"
+    main(["generate", "--n", "50", str(rel)])
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", "--dataset", f"a={rel}", "--max-inflight", "0"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-inflight: must be" in err
+    assert "Traceback" not in err
+    assert own_shm_segments() == set()

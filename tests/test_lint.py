@@ -6,30 +6,31 @@ fixtures (via the engine self-test) and independent fixtures written
 here, so a rule cannot "pass" by testing itself against a stale copy of
 its own blind spot; (2) the engine mechanics — suppression comments,
 syntax-error reporting, rule selection, file discovery, CLI exit codes;
-(3) the repository itself: ``python -m repro.lint src benchmarks tests``
-must exit 0, which is the self-check CI runs and the reason the rules
-exist at all.  The retired rules' invariants are tested where they now
+(3) the repository itself: ``python -m tools.repro_lint src benchmarks
+tests examples tools`` must exit 0, which is the self-check CI runs and
+the reason the rules exist at all.  The retired rules' invariants are tested where they now
 live (``docs/static_analysis.md``, "Retired rules").
 """
 
 import ast
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.lint import (
+from tools.repro_lint import (
     ALL_RULES,
     RULES_BY_ID,
     lint_source,
     run_lint,
     self_test,
 )
-from repro.lint.engine import SYNTAX_RULE_ID
+from tools.repro_lint.engine import SYNTAX_RULE_ID
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_TARGETS = ["src", "benchmarks", "tests"]
+LINT_TARGETS = ["src", "benchmarks", "tests", "examples", "tools"]
 
 # Short violations of two rules, for the engine and CLI mechanics: a
 # discarded span (RPL011) and a blocking call in a coroutine (RPL007).
@@ -43,6 +44,15 @@ def rules_of(findings):
 
 def lint_one(source, rule_id, path="module.py"):
     return lint_source(source, path=path, rules=[RULES_BY_ID[rule_id]])
+
+
+def imported_modules(path):
+    """Every module name *path* imports by its absolute name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            yield node.module
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
 
 
 # ----------------------------------------------------------------------
@@ -59,17 +69,16 @@ class TestCatalogue:
         ]
 
     def test_lint_imports_nothing_else_from_repro(self):
-        for path in (REPO_ROOT / "src/repro/lint").glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.ImportFrom) and node.module:
-                    module = node.module
-                elif isinstance(node, ast.Import):
-                    module = node.names[0].name
-                else:
-                    continue
-                assert module.split(".")[0] != "repro" or module.startswith(
-                    "repro.lint"
-                ), f"{path.name} imports {module}"
+        for path in (REPO_ROOT / "tools/repro_lint").glob("*.py"):
+            for module in imported_modules(path):
+                assert module.split(".")[0] != "repro", f"{path.name} imports {module}"
+
+    def test_package_ships_no_tooling(self):
+        """The linter lives outside ``src/``: ``repro`` neither contains nor imports it."""
+        assert importlib.util.find_spec("repro.lint") is None
+        for path in (REPO_ROOT / "src/repro").rglob("*.py"):
+            for module in imported_modules(path):
+                assert module.split(".")[0] != "tools", f"{path} imports {module}"
 
     def test_every_rule_has_title_and_fixtures(self):
         for rule in ALL_RULES:
@@ -618,11 +627,11 @@ class TestEngine:
 class TestCli:
     def run_cli(self, *argv, cwd=REPO_ROOT):
         return subprocess.run(
-            [sys.executable, "-m", "repro.lint", *argv],
+            [sys.executable, "-m", "tools.repro_lint", *argv],
             capture_output=True,
             text=True,
             cwd=cwd,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": str(REPO_ROOT), "PATH": "/usr/bin:/bin"},
         )
 
     def test_repository_is_clean(self):

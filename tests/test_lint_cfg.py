@@ -18,8 +18,8 @@ import textwrap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.lint.cfg import build_cfg
-from repro.lint.dataflow import make_analysis, run_forward
+from tools.repro_lint.cfg import build_cfg
+from tools.repro_lint.dataflow import make_analysis, run_forward
 
 
 def cfg_of(source):

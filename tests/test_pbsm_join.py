@@ -7,7 +7,7 @@ from repro.core.rect import KPE
 from repro.core.result import JoinStats
 from repro.internal import brute_force_pairs
 from repro.io.costmodel import mb
-from repro.pbsm import PBSM, pbsm_join
+from repro.pbsm import PBSM
 
 from tests.conftest import random_kpes
 
@@ -207,5 +207,5 @@ class TestSharedDriver:
 class TestConvenienceApi:
     def test_pbsm_join(self, small_pair):
         left, right = small_pair
-        res = pbsm_join(left, right, memory_bytes=4096, internal="sweep_trie")
+        res = PBSM(4096, internal="sweep_trie").run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.phases import PHASE_BUILD, PHASE_JOIN
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
-from repro.rtree import RTree, RTreeJoin, rtree_join
+from repro.rtree import RTree, RTreeJoin
 
 from tests.conftest import random_kpes
 
@@ -122,7 +122,7 @@ class TestRTreeJoin:
 
     def test_convenience(self, small_pair):
         left, right = small_pair
-        res = rtree_join(left, right, fanout=32)
+        res = RTreeJoin(fanout=32).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))
 
     def test_identical_rectangles(self):

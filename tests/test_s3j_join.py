@@ -5,7 +5,7 @@ import pytest
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION, PHASE_SORT
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
-from repro.s3j import S3J, s3j_join
+from repro.s3j import S3J
 
 from tests.conftest import random_kpes
 
@@ -160,5 +160,5 @@ class TestStatistics:
 class TestConvenienceApi:
     def test_s3j_join(self, small_pair):
         left, right = small_pair
-        res = s3j_join(left, right, memory_bytes=8192, replicate=False)
+        res = S3J(8192, replicate=False).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))

@@ -312,6 +312,9 @@ class TestAdmission:
             AdmissionController(max_inflight=0)
         with pytest.raises(ValueError):
             AdmissionController(max_queue=-1)
+        for budget in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="budget_seconds"):
+                AdmissionController(budget_seconds=budget)
 
     def test_on_change_keeps_gauges_current(self):
         seen = []

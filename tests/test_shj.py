@@ -5,7 +5,7 @@ import pytest
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
 from repro.core.rect import KPE
 from repro.internal import brute_force_pairs
-from repro.shj import SpatialHashJoin, spatial_hash_join
+from repro.shj import SpatialHashJoin
 
 from tests.conftest import random_kpes
 
@@ -77,7 +77,7 @@ class TestEdgeCases:
 
     def test_convenience(self, small_pair):
         left, right = small_pair
-        res = spatial_hash_join(left, right, memory_bytes=2048)
+        res = SpatialHashJoin(2048).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))
 
     def test_io_phases_recorded(self, small_pair):

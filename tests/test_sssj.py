@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.phases import PHASE_SORT
 from repro.internal import brute_force_pairs
-from repro.sssj import SSSJ, sssj_join
+from repro.sssj import SSSJ
 
 from tests.conftest import random_kpes
 
@@ -55,5 +55,5 @@ class TestBehaviour:
 
     def test_convenience(self, small_pair):
         left, right = small_pair
-        res = sssj_join(left, right, memory_bytes=8192)
+        res = SSSJ(8192).run(left, right)
         assert res.pair_set() == set(brute_force_pairs(left, right))

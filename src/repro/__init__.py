@@ -39,6 +39,7 @@ from repro.pbsm import PBSM
 from repro.estimate import GridHistogram
 from repro.internal import INTERNAL_ALGORITHMS, internal_algorithm
 from repro.io import CostModel, SimulatedDisk, mb
+from repro.kernels.columnar import ColumnarRelation
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.planner import JoinPlan, PlannerCache, plan_join
 from repro.rtree import RTree, RTreeJoin
@@ -69,12 +70,11 @@ def spatial_join(
     Parameters
     ----------
     left, right:
-        Sequences of KPE tuples ``(oid, xl, yl, xh, yh)``, or relations
-        that carry their columns: a mapped ``.rcd`` file
-        (:func:`repro.datasets.load_relation`) or a
-        :class:`~repro.kernels.columnar.ColumnarRelation`.  The columnar
-        engine and the planner read those in place; a tuple engine sees
-        them as lazy sequences of KPEs.
+        Sequences of KPE tuples ``(oid, xl, yl, xh, yh)``, or a
+        :class:`~repro.kernels.columnar.ColumnarRelation` — what
+        :func:`repro.datasets.load_relation` opens an ``.rcd`` file as.
+        The columnar engine and the planner read one in place; a tuple
+        engine sees it as a lazy sequence of KPEs.
     memory_bytes:
         Main-memory budget for the join (see :func:`repro.io.mb`).
     method:
@@ -172,6 +172,9 @@ def spatial_join(
             from repro.planner.cache import DEFAULT_CACHE
 
             kwargs.setdefault("cache", DEFAULT_CACHE)
+            # Each list converted once: the plan is made and run on these.
+            left = ColumnarRelation.from_kpes(left)
+            right = ColumnarRelation.from_kpes(right)
             plan = plan_join(left, right, memory_bytes, tracer=tracer, **kwargs)
             result = plan.execute(left, right, tracer=tracer)
             result.plan = plan

@@ -40,9 +40,9 @@ class Space:
         """The joint MBR of one or more relations of KPEs.
 
         An all-empty input yields the unit square so downstream grid maths
-        stays well defined.  A relation that carries ``.columnar`` (a
-        mapped relation, a ``ColumnarRelation``) contributes its column
-        minima/maxima instead of being iterated tuple by tuple.
+        stays well defined.  A ``ColumnarRelation`` (an opened ``.rcd``
+        file among them) contributes its column minima/maxima instead of
+        being iterated tuple by tuple.
         """
         import math
 

@@ -31,6 +31,19 @@ from repro.datasets.synthetic import (
 )
 from repro.datasets.transform import scale_edges, scale_to_coverage
 
+#: The synthetic generators by name: ``repro generate --pattern``,
+#: ``repro build --pattern``, the service's ``register`` op and the load
+#: harness.
+PATTERNS = {
+    "tiger": polyline_mbrs,
+    "uniform": uniform_rects,
+    "clustered": clustered_rects,
+    "manhattan": manhattan_grid,
+    "radial": radial_city,
+    "mixed": mixed_scale,
+    "zipf": zipf_rects,
+}
+
 __all__ = [
     "CAL_EXTRA_FACTOR",
     "DEFAULT_SCALE",
@@ -40,6 +53,7 @@ __all__ = [
     "PAPER_CARDINALITY",
     "PAPER_COVERAGE",
     "PAPER_JOIN_RESULTS",
+    "PATTERNS",
     "clustered_rects",
     "coverage",
     "dataset",

@@ -8,12 +8,13 @@ Three formats:
   large generated datasets;
 * **RCD** — the memory-mapped columnar dataset format
   (docs/datasets.md): built once via ``repro build`` or
-  :func:`save_relation`, then opened zero-copy in O(ms) as a
-  :class:`~repro.kernels.mmapstore.MappedRelation` instead of being
-  parsed into tuples.
+  :func:`save_relation`, then opened zero-copy in O(ms) as a read-only
+  :class:`~repro.kernels.columnar.ColumnarRelation` over the file pages
+  instead of being parsed into tuples.
 
 The CSV and NPY loaders validate records and reject inverted or
-non-finite MBRs rather than ingesting silently broken geometry; RCD
+non-finite MBRs rather than ingesting silently broken geometry (the
+file rule of :func:`~repro.kernels.columnar.invalid_row`); RCD
 validates at *build* time and trusts its own header-checked files on
 open — that asymmetry is the entire point of the format.
 """
@@ -26,8 +27,8 @@ from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.rect import KPE, valid_kpe
-from repro.kernels.columnar import ColumnarRelation
+from repro.core.rect import KPE
+from repro.kernels.columnar import ColumnarRelation, invalid_row
 from repro.kernels.mmapstore import open_relation, write_rcd
 
 #: float64 holds every integer up to this magnitude exactly — the range
@@ -50,8 +51,13 @@ def write_csv(kpes: Sequence[Tuple], path: PathLike, header: bool = True) -> Non
 
 
 def read_csv(path: PathLike) -> List[KPE]:
-    """Read a relation from CSV (header auto-detected)."""
+    """Read a relation from CSV (header auto-detected).
+
+    Parsed line by line, so a malformed line is named by its number;
+    the MBRs are then validated over the columns.
+    """
     kpes: List[KPE] = []
+    line_nos: List[int] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         for line_no, row in enumerate(reader, start=1):
@@ -71,9 +77,13 @@ def read_csv(path: PathLike) -> List[KPE]:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            if not valid_kpe(kpe):
-                raise ValueError(f"{path}:{line_no}: invalid MBR {tuple(kpe)}")
             kpes.append(kpe)
+            line_nos.append(line_no)
+    # Coordinates only: a CSV oid may be any integer.
+    coords = np.array([kpe[1:] for kpe in kpes], dtype=np.float64).reshape(-1, 4)
+    row = invalid_row(ColumnarRelation(None, *coords.T), finite=True)
+    if row is not None:
+        raise ValueError(f"{path}:{line_nos[row]}: invalid MBR {tuple(kpes[row])}")
     return kpes
 
 
@@ -108,12 +118,13 @@ def read_npy(path: PathLike) -> List[KPE]:
             f"{path}: row {row} has oid {oid[row]!r}, not an integer a "
             "float64 holds exactly"
         )
-    kpes: List[KPE] = []
-    for row in array:
-        kpe = KPE(int(row[0]), float(row[1]), float(row[2]), float(row[3]), float(row[4]))
-        if not valid_kpe(kpe):
-            raise ValueError(f"{path}: invalid MBR {tuple(kpe)}")
-        kpes.append(kpe)
+    array = array.astype(np.float64, copy=False)
+    kpes = [
+        KPE(int(o), xl, yl, xh, yh) for o, xl, yl, xh, yh in array.tolist()
+    ]
+    row = invalid_row(ColumnarRelation(*array.T), finite=True)
+    if row is not None:
+        raise ValueError(f"{path}: invalid MBR {tuple(kpes[row])}")
     return kpes
 
 
@@ -121,8 +132,9 @@ def load_relation(path: PathLike) -> Sequence[KPE]:
     """Load a relation, dispatching on the file extension.
 
     ``.csv``/``.npy`` return a fully parsed ``List[KPE]``.  ``.rcd``
-    returns a zero-copy :class:`~repro.kernels.mmapstore.MappedRelation`
-    (an O(ms) open).
+    returns a zero-copy, read-only
+    :class:`~repro.kernels.columnar.ColumnarRelation` over the file
+    pages (an O(ms) open; ``.store`` is the mapping).
     """
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":

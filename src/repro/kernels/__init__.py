@@ -28,7 +28,6 @@ the top and there is one implementation of each kernel.
 from repro.kernels.columnar import ColumnarRelation, from_kpes
 from repro.kernels.mmapstore import (
     MappedColumnarStore,
-    MappedRelation,
     open_relation,
     write_rcd,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ColumnarRelation",
     "DEFAULT_BATCH_CANDIDATES",
     "MappedColumnarStore",
-    "MappedRelation",
     "SharedColumnarStore",
     "columnar_arrays",
     "shm_enabled",

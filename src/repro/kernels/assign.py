@@ -56,9 +56,8 @@ def tile_ranges(grid: TileGrid, kpes: Sequence[Tuple]) -> Any:
     ``point_tiles`` (the one vectorized replay of
     ``TileGrid.tile_of_point``) on the low and high corners, so the
     ranges are bit-identical to the scalar path.
-    Inputs that carry ``.columnar`` (a mapped relation, a
-    ``ColumnarRelation``) are read from those columns directly; only
-    plain tuple sequences are converted.
+    A ``ColumnarRelation`` (an opened ``.rcd`` file among them) is read
+    from its columns directly; only plain tuple sequences are converted.
     """
     cols = getattr(kpes, "columnar", None)
     if cols is not None:

@@ -16,7 +16,7 @@ invisible to tuple-based code.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,15 +42,29 @@ class ColumnarRelation:
     ``oid_objects`` is, for columns built by :meth:`from_kpes`, an object
     array of the tuples' own oid objects in row order — what the
     columnar PBSM driver builds result pairs from — and ``None``
-    otherwise.  It stays in this process and on this relation: pickling
-    drops it, :meth:`rows` and :meth:`take` do not carry it, and shared
-    memory holds the five columns only.
+    otherwise.
+
+    A relation opened from an ``.rcd`` file
+    (:meth:`~repro.kernels.mmapstore.MappedColumnarStore.relation`)
+    carries its ``store`` (the mapping; ``None`` otherwise, and
+    :attr:`mapped` says which) and the header's content ``fingerprint``,
+    which the planner's caches key on without touching a record.  A
+    registry dataset pinned into shared memory names its ``segment``:
+    ``(manifest, prefix)``, the columns a pool worker reads instead of a
+    per-query copy.
+
+    ``oid_objects``, ``store`` and ``segment`` stay in this process and
+    on this relation: pickling drops them, :meth:`rows` and :meth:`take`
+    do not carry them, and shared memory holds the five columns only.
     """
 
     __slots__ = (
         "oid", "xl", "yl", "xh", "yh", "sorted_by_xl", "partition_memo",
-        "oid_objects",
+        "oid_objects", "store", "fingerprint", "segment",
     )  # fmt: skip
+
+    #: The slots pickling drops (process-local state).
+    _LOCAL = ("oid_objects", "store", "segment")
 
     def __init__(
         self,
@@ -69,16 +83,20 @@ class ColumnarRelation:
         self.sorted_by_xl = sorted_by_xl
         self.partition_memo: Any = None
         self.oid_objects: Any = None
+        self.store: Any = None
+        self.fingerprint: Optional[str] = None
+        self.segment: Any = None
 
     def __getstate__(self) -> Any:
         return {
             slot: getattr(self, slot)
             for slot in self.__slots__
-            if slot != "oid_objects"
+            if slot not in self._LOCAL
         }
 
     def __setstate__(self, state: Any) -> None:
-        self.oid_objects = None
+        for slot in self._LOCAL:
+            setattr(self, slot, None)
         for slot, value in state.items():
             setattr(self, slot, value)
 
@@ -89,15 +107,12 @@ class ColumnarRelation:
     def from_kpes(cls, kpes: Sequence[Tuple]) -> "ColumnarRelation":
         """Build columns from a sequence of KPE tuples.
 
-        Relations that already carry columns — a
-        :class:`~repro.kernels.mmapstore.MappedRelation` over an ``.rcd``
-        file — short-circuit to them: no per-tuple conversion, the
-        kernels (and the shm packer, and serve's pinning) consume the
-        mapped arrays directly.
+        A :class:`ColumnarRelation` (an opened ``.rcd`` file among them)
+        comes back as it is: no per-tuple conversion, the kernels (and
+        the shm packer, and serve's pinning) read its arrays directly.
         """
-        columnar = getattr(kpes, "columnar", None)
-        if isinstance(columnar, cls):
-            return columnar
+        if isinstance(kpes, cls):
+            return kpes
         n = len(kpes)
         if n == 0:
             return cls(
@@ -131,6 +146,12 @@ class ColumnarRelation:
     def columnar(self) -> "ColumnarRelation":
         """Itself: the attribute column-aware entry points probe a relation for."""
         return self
+
+    @property
+    def mapped(self) -> bool:
+        """Whether the columns are the pages of an ``.rcd`` file (EXPLAIN
+        prices ingest with it)."""
+        return self.store is not None
 
     @property
     def read_only(self) -> bool:
@@ -281,6 +302,27 @@ def from_kpes(kpes: Sequence[Tuple]) -> ColumnarRelation:
     return ColumnarRelation.from_kpes(kpes)
 
 
+def invalid_row(
+    cols: ColumnarRelation, *, finite: bool, ordered: bool = True
+) -> Optional[int]:
+    """The first row that breaks an MBR rule, or ``None``.
+
+    *ordered* asks for ``xl <= xh`` and ``yl <= yh`` (a NaN coordinate
+    fails it), *finite* for no ±inf or NaN.  The file rule (loaders,
+    ``.rcd`` build) is both; the engine's (:func:`checked_columns`)
+    allows ±inf; the planner's asks for finite coordinates only.
+    """
+    ok: Any = True
+    if ordered:
+        ok = (cols.xl <= cols.xh) & (cols.yl <= cols.yh)
+    if finite:
+        for column in (cols.xl, cols.yl, cols.xh, cols.yh):
+            ok = ok & np.isfinite(column)
+    if np.all(ok):
+        return None
+    return int(np.argmin(ok))
+
+
 def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
     """The columns of *kpes* for the PBSM partitioner, MBRs validated.
 
@@ -291,38 +333,11 @@ def checked_columns(kpes: Sequence[Tuple], side: str) -> ColumnarRelation:
     never y-striped (joined against brute force in ``tests/``).
     """
     cols = ColumnarRelation.from_kpes(kpes)
-    bad = ~((cols.xl <= cols.xh) & (cols.yl <= cols.yh))
-    if bad.any():
-        row = int(bad.argmax())
+    row = invalid_row(cols, finite=False)
+    if row is not None:
         raise ValueError(
             f"{side} relation has a NaN coordinate or an inverted MBR at "
             f"row {row} (oid={int(cols.oid[row])}); PBSM cannot partition it"
         )
     return cols
 
-
-class ColumnedKpes(List[Tuple]):
-    """A KPE list that carries its own columns as ``.columnar``.
-
-    What :func:`with_columns` makes of a plain list: tuple engines keep
-    iterating the records, column-aware entry points (``from_kpes``,
-    ``Space.of``, the planner's statistics) find the columns already
-    built instead of converting the list again.
-    """
-
-    __slots__ = ("columnar",)
-
-    def __init__(self, kpes: Sequence[Tuple], columnar: ColumnarRelation) -> None:
-        super().__init__(kpes)
-        self.columnar = columnar
-
-
-def with_columns(kpes: Sequence[Tuple]) -> Sequence[Tuple]:
-    """*kpes* in a form that carries ``.columnar``, converting at most once.
-
-    Relations that already do (mapped, :class:`ColumnarRelation`,
-    :class:`ColumnedKpes`) come back as they are.
-    """
-    if getattr(kpes, "columnar", None) is not None:
-        return kpes
-    return ColumnedKpes(kpes, ColumnarRelation.from_kpes(kpes))

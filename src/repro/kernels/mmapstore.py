@@ -6,17 +6,15 @@ this module is the data half: the builder (:func:`write_rcd`) and
 arrays* via ``np.memmap`` — a header read plus one mapping, O(ms)
 regardless of cardinality, no per-record Python work at all.
 
-Two wrappers make the mapping invisible to the rest of the stack:
-
-* :meth:`MappedColumnarStore.relation` is a
-  :class:`~repro.kernels.columnar.ColumnarRelation` whose columns *are*
-  the file pages — ``ColumnarRelation.from_kpes`` short-circuits on it,
-  so every kernel, the parallel shm packer, and serve's dataset pinning
-  consume the mapping with zero copies and zero tuple building;
-* :class:`MappedRelation` is a lazy ``Sequence[KPE]`` facade over the
-  store, so tuple-based code paths (scalar engines, profilers,
-  validators) see an ordinary relation and only pay conversion for the
-  records they actually touch.
+:meth:`MappedColumnarStore.relation` (what :func:`open_relation` and
+``load_relation("x.rcd")`` return) is a
+:class:`~repro.kernels.columnar.ColumnarRelation` whose columns *are*
+the file pages, carrying its store and the header's fingerprint and
+``sorted_by_xl`` flag: every kernel, the parallel shm packer and serve's
+dataset pinning consume the mapping with zero copies and zero tuple
+building, and tuple-based code paths (scalar engines, validators) read
+it as a lazy ``Sequence[KPE]`` that only converts the records they
+touch.
 
 The mapping is strictly read-only: the ``memmap`` is opened ``mode="r"``
 and every column view inherits ``writeable=False``, so an accidental
@@ -27,11 +25,10 @@ in-place mutation of what looks like a scratch array raises
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.rect import KPE
 from repro.io.rcd import (
     RcdHeader,
     dataset_fingerprint,
@@ -39,7 +36,7 @@ from repro.io.rcd import (
     parse_header,
     read_header,
 )
-from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.columnar import ColumnarRelation, invalid_row
 
 PathLike = Union[str, Path]
 
@@ -58,21 +55,12 @@ def write_rcd(
     """
     col = ColumnarRelation.from_kpes(kpes)
     n = col.n
-    if n:
-        finite = (
-            np.isfinite(col.xl)
-            & np.isfinite(col.yl)
-            & np.isfinite(col.xh)
-            & np.isfinite(col.yh)
+    index = invalid_row(col, finite=True)
+    if index is not None:
+        raise ValueError(
+            f"invalid MBR at row {index} "
+            f"(oid={int(col.oid[index])}) cannot be built"
         )
-        ordered = (col.xl <= col.xh) & (col.yl <= col.yh)
-        bad = ~(finite & ordered)
-        if bool(bad.any()):
-            index = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"invalid MBR at row {index} "
-                f"(oid={int(col.oid[index])}) cannot be built"
-            )
     if fingerprint is None:
         fingerprint = getattr(kpes, "fingerprint", None) or dataset_fingerprint(
             kpes
@@ -146,11 +134,13 @@ class MappedColumnarStore:
         ``sorted_by_xl`` carries the flag detected at build time, so a
         pre-sorted dataset skips the columnar partitioner's one ``xl``
         order (``partition_ids(..., by_xl=True)``) — the only x-sort a
-        join runs per input.  The columns are read-only; kernels that
-        need mutable rows copy (``sort_by_xl`` already does).
+        join runs per input.  ``fingerprint`` is the header's, so the
+        planner's caches hit without re-sampling, and ``store`` is this
+        store.  The columns are read-only; kernels that need mutable
+        rows copy (``sort_by_xl`` already does).
         """
         self._require_open()
-        return ColumnarRelation(
+        relation = ColumnarRelation(
             self._columns["oid"],
             self._columns["xl"],
             self._columns["yl"],
@@ -158,6 +148,9 @@ class MappedColumnarStore:
             self._columns["yh"],
             sorted_by_xl=self.header.sorted_by_xl,
         )
+        relation.store = self
+        relation.fingerprint = self.header.fingerprint
+        return relation
 
     def column(self, name: str) -> Any:
         """One mapped column by name (read-only array)."""
@@ -175,18 +168,9 @@ class MappedColumnarStore:
         return self.header.n
 
     @property
-    def fingerprint(self) -> str:
-        """The content fingerprint stored at build time (planner cache key)."""
-        return self.header.fingerprint
-
-    @property
     def extent(self) -> Tuple[float, float, float, float]:
         """The dataset MBR recorded in the header."""
         return self.header.extent
-
-    @property
-    def sorted_by_xl(self) -> bool:
-        return self.header.sorted_by_xl
 
     @property
     def nbytes(self) -> int:
@@ -225,80 +209,18 @@ class MappedColumnarStore:
         state = "closed" if self.closed else "open"
         return (
             f"MappedColumnarStore({str(self.path)!r}, n={self.n}, "
-            f"fingerprint={self.fingerprint!r}, {state})"
+            f"fingerprint={self.header.fingerprint!r}, {state})"
         )
 
 
-class MappedRelation:
-    """A mapped store presented as a lazy ``Sequence[KPE]``.
-
-    Drop-in wherever a relation sequence is accepted today: ``len()``,
-    indexing (ints and slices, KPE tuples out), and iteration all work —
-    but nothing is materialised up front.  Columnar consumers bypass the
-    facade entirely via three attributes the rest of the stack already
-    probes with ``getattr``:
-
-    * ``columnar`` — ``ColumnarRelation.from_kpes`` returns it directly
-      (zero-copy into every kernel and the shm packer);
-    * ``fingerprint`` — ``relation_fingerprint`` returns it directly, so
-      planner profile/plan caches hit without re-sampling;
-    * ``sorted_by_xl`` — the columnar partitioner and ``sweep_numpy``
-      skip their ``xl`` sort when set.
-    """
-
-    __slots__ = ("store", "columnar")
-
-    #: Marks this relation as file-backed (EXPLAIN prices ingest with it).
-    mapped = True
-
-    def __init__(self, store: MappedColumnarStore) -> None:
-        self.store = store
-        self.columnar = store.relation()
-
-    @classmethod
-    def open(cls, path: PathLike) -> "MappedRelation":
-        return cls(MappedColumnarStore.open(path))
-
-    @property
-    def fingerprint(self) -> str:
-        return self.store.fingerprint
-
-    @property
-    def sorted_by_xl(self) -> bool:
-        return self.store.sorted_by_xl
-
-    @property
-    def path(self) -> Path:
-        return self.store.path
-
-    def __len__(self) -> int:
-        return self.store.n
-
-    def __getitem__(self, index: Union[int, slice]) -> Any:
-        return self.columnar[index]
-
-    def __iter__(self) -> Iterator[KPE]:
-        return iter(self.columnar)
-
-    def to_kpes(self) -> List[KPE]:
-        """The whole relation materialised as KPE tuples."""
-        return self.columnar.to_kpes()
-
-    def __repr__(self) -> str:
-        return (
-            f"MappedRelation({str(self.store.path)!r}, n={len(self)}, "
-            f"sorted_by_xl={self.sorted_by_xl})"
-        )
-
-
-def open_relation(path: PathLike) -> MappedRelation:
-    """Open an ``.rcd`` file as a join-ready :class:`MappedRelation`."""
-    return MappedRelation.open(path)
+def open_relation(path: PathLike) -> ColumnarRelation:
+    """Open an ``.rcd`` file as a join-ready, read-only
+    :class:`ColumnarRelation` (its ``store`` is the mapping)."""
+    return MappedColumnarStore.open(path).relation()
 
 
 __all__ = [
     "MappedColumnarStore",
-    "MappedRelation",
     "open_relation",
     "write_rcd",
 ]

@@ -73,7 +73,6 @@ from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
 from repro.kernels.assign import partition_memoized
 from repro.kernels.columnar import ColumnarRelation, checked_columns
-from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
 from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
@@ -131,12 +130,10 @@ class PBSM:
         Where the leaves of a ``workers > 1`` run are joined: "process"
         (the warm pool, :mod:`repro.pbsm.parallel`) or "simulated" (the
         in-process loop).  Both give the same pairs in the same order
-        and the same simulated costs.
-    pinned:
-        Manifests of pinned left/right dataset segments (columns under
-        the neutral ``D.*`` prefix, ``repro serve``'s registry).  On the
-        pool, the per-query segment then carries only the CSR id arrays
-        — the relation columns are never re-shipped.
+        and the same simulated costs.  An input relation that names a
+        shared-memory ``segment`` (a registry dataset of ``repro
+        serve``) is read there by the pool, so the per-query segment
+        carries only its CSR id array.
     """
 
     def __init__(
@@ -151,7 +148,6 @@ class PBSM:
         tracer: Optional[Any] = None,
         workers: int = 1,
         executor: str = "process",
-        pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> None:
         require_positive("memory_bytes", memory_bytes)
         if workers > 1 and dedup != "rpm":
@@ -173,7 +169,6 @@ class PBSM:
         self.cost_model = cost_model or CostModel()
         self.workers = clamp_workers(workers, executor)
         self.executor = executor
-        self.pinned = pinned
 
     # ------------------------------------------------------------------
     # public API
@@ -465,8 +460,7 @@ class PBSM:
         tracer = self.tracer
         if stats.executor == "process":
             yield from execute_process(
-                list(leaves), columns, disk, stats, self.internal_name,
-                self.pinned, tracer,
+                list(leaves), columns, disk, stats, self.internal_name, tracer
             )
             return
         for leaf in leaves:

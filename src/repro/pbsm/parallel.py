@@ -12,7 +12,8 @@ them here, through :func:`execute_process`:
   the leaf's index and two CSR slices into the id runs concatenated in
   leaf order — and loads the columns and the id arrays once into a
   :class:`~repro.kernels.shm.SharedColumnarStore` segment that workers
-  attach by name (with pinned datasets, the id arrays only).
+  attach by name (the id arrays only for a side whose relation names a
+  pinned ``segment``, a registry dataset's).
 * Each task's ``(rid, sid)`` row positions come back through a
   worker-created segment: only task tuples, the query's configuration
   (the grids and each leaf's ownership chain among them) and manifests
@@ -246,15 +247,17 @@ def _unlink_result_blob(blob: bytes) -> None:
         results.unlink()
 
 
-#: ``(internal_name, grid_specs, chains, ids_manifest, pinned)`` — the
+#: Where a side's columns live: ``(manifest, prefix)`` of a long-lived
+#: pinned segment, or ``(None, prefix)`` in the per-query segment.
+Side = Tuple[Optional[Manifest], str]
+
+#: ``(internal_name, grid_specs, chains, ids_manifest, sides)`` — the
 #: per-query configuration every chunk carries (a warm pool outlives
 #: every query).  *grid_specs* are the query's grids (the top-level one
 #: and every repartitioning step's), *chains* each leaf's region as
 #: ``(grid_index, pid)`` pairs, in leaf order.  *ids_manifest* names the
-#: per-query segment; *pinned* is ``None`` (that segment holds the
-#: columns too) or the ``(left, right)`` manifests of long-lived dataset
-#: segments.
-PoolConfig = Tuple[str, Tuple, Tuple, Manifest, Optional[Tuple[Manifest, Manifest]]]
+#: per-query segment; *sides* the left and right :data:`Side`.
+PoolConfig = Tuple[str, Tuple, Tuple, Manifest, Tuple[Side, Side]]
 
 #: Long-lived attachments by segment name (pinned dataset segments);
 #: lives in the worker process for the lifetime of the persistent pool.
@@ -287,22 +290,21 @@ def _run_dyn_chunk(payload: bytes) -> bytes:
     scoped to the chunk, so repeated queries over registered datasets
     touch the big columns without ever re-mapping them.
     """
-    (internal_name, grid_specs, chains, ids_manifest, pinned), tasks = pickle.loads(
+    (internal_name, grid_specs, chains, ids_manifest, sides), tasks = pickle.loads(
         payload
     )
     grids = [TileGrid.from_spec(spec) for spec in grid_specs]
     regions = [tuple((grids[g], pid) for g, pid in chain) for chain in chains]
     ids = SharedColumnarStore.attach(ids_manifest)
     try:
-        # The id runs always live in the per-query segment; the relation
-        # columns next to them (``L.*``/``R.*``) or, for registered
-        # datasets, in the two pinned segments (``D.*`` — pinned before
-        # anyone knew which side of a query they would be).  Views only.
-        if pinned is None:
-            left, right = ids.relation("L"), ids.relation("R")
-        else:
-            left = _pinned_store(pinned[0]).relation("D")
-            right = _pinned_store(pinned[1]).relation("D")
+        # The id runs always live in the per-query segment; each side's
+        # columns next to them (``L.*``/``R.*``) or, for a registered
+        # dataset, in its pinned segment (``D.*`` — pinned before anyone
+        # knew which side of a query it would be).  Views only.
+        left, right = (
+            (ids if manifest is None else _pinned_store(manifest)).relation(prefix)
+            for manifest, prefix in sides
+        )
         source = (left, right, ids["L.ids"], ids["R.ids"])
         return _chunk_blob(internal_name, regions, source, tasks)
     finally:
@@ -597,19 +599,19 @@ def execute_process(
     disk: SimulatedDisk,
     stats: JoinStats,
     internal_name: str,
-    pinned: Optional[Tuple[Manifest, Manifest]],
     tracer: Any,
 ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
     """Fan the leaves out as tasks over the warm pool and one segment.
 
     Reads every leaf's two id runs (charged like the in-process
     loop's reads), concatenates them per side in leaf order, loads
-    the columns plus those two id arrays once into a segment (with
-    *pinned* datasets the id arrays only), ships five-integer tasks
-    next to the grids and each leaf's ownership chain, and copies
-    each task's ``(rid, sid)`` buffers out of the worker-created
-    result segment as they are — the driver merges them in leaf
-    order, so the output is byte-identical to the in-process loop.
+    those two id arrays once into a segment, next to the columns of
+    each side whose relation names no pinned ``segment``, ships
+    five-integer tasks next to the grids and each leaf's ownership
+    chain, and copies each task's ``(rid, sid)`` buffers out of the
+    worker-created result segment as they are — the driver merges them
+    in leaf order, so the output is byte-identical to the in-process
+    loop.
 
     Segment build, payload encode and the copy-out all count into
     ``stats.ipc_seconds``; only the pipe traffic counts into
@@ -640,14 +642,16 @@ def execute_process(
         chains.append(tuple(chain))
 
     encode_started = time.perf_counter()
-    # The relation columns may already live in pinned registry
-    # segments; the per-query segment then carries only the CSR id
+    # A side's columns may already live in a pinned registry segment;
+    # with both pinned, the per-query segment carries only the CSR id
     # arrays, so a query's segment-build cost is O(partitioned ids),
     # not O(data).
     arrays: Dict[str, object] = {}
-    if pinned is None:
-        arrays = columnar_arrays("L", columns.left)
-        arrays.update(columnar_arrays("R", columns.right))
+    sides: List[Side] = []
+    for cols, prefix in ((columns.left, "L"), (columns.right, "R")):
+        if cols.segment is None:
+            arrays.update(columnar_arrays(prefix, cols))
+        sides.append(cols.segment or (None, prefix))
     arrays["L.ids"] = np.concatenate(runs_left)
     arrays["R.ids"] = np.concatenate(runs_right)
     chunks = _chunk_tasks(tasks, workers * CHUNKS_PER_WORKER)
@@ -658,7 +662,7 @@ def execute_process(
             tuple(grid_index),
             tuple(chains),
             store.manifest,
-            pinned,
+            (sides[0], sides[1]),
         )
         payloads = [
             pickle.dumps((config, chunk), pickle.HIGHEST_PROTOCOL)

@@ -15,8 +15,6 @@ from typing import Any, List, Optional, Sequence, Tuple, cast
 
 from repro.core.result import JoinResult
 from repro.io.costmodel import CostModel, require_positive
-from repro.kernels.columnar import with_columns
-from repro.kernels.shm import Manifest
 from repro.obs.trace import KIND_PLAN, KIND_SECTION, NULL_TRACER
 from repro.pbsm import PBSM
 from repro.planner.cache import PlannerCache
@@ -34,7 +32,6 @@ def _run_candidate(
     memory_bytes: int,
     cost_model: Optional[CostModel],
     tracer: Optional[Any] = None,
-    pinned: Optional[Tuple[Manifest, Manifest]] = None,
 ) -> JoinResult:
     """Execute one candidate through its driver."""
     kwargs = dict(candidate.kwargs)
@@ -44,7 +41,7 @@ def _run_candidate(
         kwargs["tracer"] = tracer
     method = candidate.method
     if method == "pbsm":
-        return PBSM(memory_bytes, pinned=pinned, **kwargs).run(left, right)
+        return PBSM(memory_bytes, **kwargs).run(left, right)
     if method == "s3j":
         return S3J(memory_bytes, **kwargs).run(left, right)
     if method == "sssj":
@@ -70,12 +67,6 @@ class JoinPlan:
     #: ingest line of EXPLAIN prices mmap-open vs re-parse from this.
     inputs_mapped: Tuple[bool, bool] = (False, False)
     last_result: Optional[JoinResult] = field(default=None, repr=False)
-    #: per call: ``(given, column-carrying)`` for each list input the cold
-    #: profiling pass converted, so ``execute`` on the same lists runs on
-    #: the columns already built instead of converting a second time.
-    converted_inputs: Tuple[Tuple[Any, Any], ...] = field(
-        default=(), repr=False, compare=False
-    )
 
     # ------------------------------------------------------------------
     def execute(
@@ -83,12 +74,8 @@ class JoinPlan:
         left: Sequence[Tuple],
         right: Sequence[Tuple],
         tracer: Optional[Any] = None,
-        pinned: Optional[Tuple[Manifest, Manifest]] = None,
     ) -> JoinResult:
-        """Run the chosen candidate and remember the measured statistics
-        (*pinned*: the inputs' pinned dataset segments, ``PBSM(pinned=)``)."""
-        left, right = self._columned(left), self._columned(right)
-        self.converted_inputs = ()  # one use: a kept plan must not pin them
+        """Run the chosen candidate and remember the measured statistics."""
         result = _run_candidate(
             self.chosen,
             left,
@@ -96,16 +83,9 @@ class JoinPlan:
             self.memory_bytes,
             self.cost_model,
             tracer=tracer,
-            pinned=pinned,
         )
         self.last_result = result
         return result
-
-    def _columned(self, kpes: Sequence[Tuple]) -> Sequence[Tuple]:
-        for given, columned in self.converted_inputs:
-            if kpes is given:
-                return columned
-        return kpes
 
     # ------------------------------------------------------------------
     def explain(self, verbose: bool = False) -> str:
@@ -284,8 +264,7 @@ def plan_join(
             cached = cast(Optional[JoinPlan], cache.get_plan(key))
         plan_span.set_tag("from_cache", cached is not None)
         if cached is None:
-            columned = (with_columns(left), with_columns(right))
-            jp = profile_join(*columned, cache, tracer=tracer)
+            jp = profile_join(left, right, cache, tracer=tracer)
             with tracer.span("enumerate", kind=KIND_SECTION):
                 candidates = enumerate_candidates(jp, memory_bytes, cost, workers)
             chosen = candidates[0]
@@ -318,9 +297,4 @@ def plan_join(
         # The cache keeps its own copy, so executing the returned plan
         # does not park the result inside the cache either.
         cache.put_plan(key, replace(plan))
-    plan.converted_inputs = tuple(
-        (given, made)
-        for given, made in zip((left, right), columned)
-        if made is not given
-    )
     return plan

@@ -28,12 +28,10 @@ import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.space import Space
 from repro.datasets.stats import density_skew
 from repro.estimate import GridHistogram
-from repro.kernels.columnar import ColumnarRelation, with_columns
+from repro.kernels.columnar import ColumnarRelation, invalid_row
 from repro.obs.trace import KIND_SECTION, NULL_TRACER
 
 #: Histogram resolution used for profiling.  Coarse on purpose: profiling
@@ -97,14 +95,8 @@ def _require_finite(kpes: Sequence[Tuple], side: str) -> None:
     planner would have no meaningful extent to plan over.
     """
     cols = ColumnarRelation.from_kpes(kpes)
-    bad = ~(
-        np.isfinite(cols.xl)
-        & np.isfinite(cols.yl)
-        & np.isfinite(cols.xh)
-        & np.isfinite(cols.yh)
-    )
-    if bad.any():
-        row = int(bad.argmax())
+    row = invalid_row(cols, finite=True, ordered=False)
+    if row is not None:
         raise ValueError(
             f"{side} relation has a non-finite coordinate at row {row} "
             f"(oid={int(cols.oid[row])}); the planner cannot profile it"
@@ -221,8 +213,8 @@ def _profile_join_inner(
     cache: Optional["object"],
 ) -> dict:
     # Lists are converted here, once; everything below reads the columns.
-    left = with_columns(left)
-    right = with_columns(right)
+    left = ColumnarRelation.from_kpes(left)
+    right = ColumnarRelation.from_kpes(right)
     _require_finite(left, "left")
     _require_finite(right, "right")
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 import math
-import threading
 from typing import AsyncIterator, Callable, Optional
 
 from contextlib import asynccontextmanager
@@ -63,11 +62,6 @@ class AdmissionController:
         self._slots = asyncio.Semaphore(max_inflight)
         self._inflight = 0
         self._waiting = 0
-        self.rejects_capacity = 0
-        self.rejects_budget = 0
-        #: ``check_budget`` is the one method called off the loop, from the
-        #: worker thread a query plans and executes on.
-        self._budget_lock = threading.Lock()
 
     def _changed(self) -> None:
         if self.on_change is not None:
@@ -93,8 +87,6 @@ class AdmissionController:
         """
         budget = self.budget_seconds
         if budget is not None and estimated_seconds > budget:
-            with self._budget_lock:
-                self.rejects_budget += 1
             raise AdmissionReject(
                 "budget",
                 f"estimated cost {estimated_seconds:.3f}s exceeds the "
@@ -105,7 +97,6 @@ class AdmissionController:
     async def slot(self) -> AsyncIterator[None]:
         """Hold one execution slot; reject instead of over-queueing."""
         if self._inflight >= self.max_inflight and self._waiting >= self.max_queue:
-            self.rejects_capacity += 1
             raise AdmissionReject(
                 "capacity",
                 f"{self._inflight} queries in flight and {self._waiting} "

@@ -13,8 +13,9 @@ each of those once.  :class:`EngineHost` owns the amortised pieces:
   the second occurrence of any distinct query re-uses its plan with zero
   re-profiling;
 * the **pinned** dataset segments of the registry, which every plan
-  runs with (workers attach each pinned segment once and keep it
-  mapped — see ``pbsm/parallel.py``).
+  over registered datasets reads (each dataset's relation names its
+  segment; workers attach it once and keep it mapped — see
+  ``pbsm/parallel.py``).
 
 ``plan`` and ``execute`` are deliberately separate calls: the server
 needs the plan's cost estimate *between* them to apply the admission
@@ -25,7 +26,7 @@ code (lint rule RPL007).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.io.costmodel import CostModel, require_positive
 from repro.pbsm.parallel import LIBRARY_POOL, MAX_WORKERS_ENV, clamp_workers
@@ -108,19 +109,16 @@ class EngineHost:
         right: Dataset,
         tracer: Optional[Any] = None,
     ) -> Any:
-        """Execute *plan* with the datasets' pinned segments, when both
-        have one (``JoinPlan.execute``).
+        """Execute *plan* over the two datasets (``JoinPlan.execute``).
 
-        A parallel PBSM plan's per-query segment then carries only CSR
-        id arrays.  Its fan-out borrows the warm pool; a query that
-        finds a worker dead still fails, but the pool is replaced on the
-        way out (:meth:`~repro.pbsm.parallel.WarmPool.borrow`), so the
-        next one runs.
+        A parallel PBSM plan over pinned datasets reads their segments,
+        so its per-query segment carries only CSR id arrays.  Its
+        fan-out borrows the warm pool; a query that finds a worker dead
+        still fails, but the pool is replaced on the way out
+        (:meth:`~repro.pbsm.parallel.WarmPool.borrow`), so the next one
+        runs.
         """
-        pinned: Optional[Tuple[Any, Any]] = None
-        if left.manifest is not None and right.manifest is not None:
-            pinned = (left.manifest, right.manifest)
-        result = plan.execute(left.kpes, right.kpes, tracer=tracer, pinned=pinned)
+        result = plan.execute(left.kpes, right.kpes, tracer=tracer)
         # result -> plan only.  A plan -> result back reference would
         # close a cycle, and a served pair list would then wait for the
         # cyclic collector instead of being freed when the handler drops

@@ -58,7 +58,7 @@ def _dataset_names(topology: str, n: int) -> Tuple[str, str]:
 def _local_expected_checksum(topology: str, n: int, memory_mb: float) -> str:
     """Sequential-engine ground truth for one cell's query."""
     from repro import spatial_join
-    from repro.cli import PATTERNS
+    from repro.datasets import PATTERNS
 
     generator = PATTERNS[topology]
     left = generator(n, seed=11, start_oid=0)

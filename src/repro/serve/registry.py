@@ -12,8 +12,9 @@ available, additionally *pinned* into a long-lived
 
 Pinned columns live under the neutral ``D.*`` prefix because at pin time
 nobody knows whether the dataset will be the left or the right input of
-a query; a query names its two pinned segments in order, and a worker
-reads each one's ``D.*`` columns as that side's relation
+a query.  The dataset's relation names its segment
+(``ColumnarRelation.segment``), a query hands each side's name to the
+pool, and a worker reads those ``D.*`` columns as that side's relation
 (``SharedColumnarStore.relation("D")``) next to the id arrays of the
 per-query segment.  A persistent worker that has
 attached a pinned segment once keeps it mapped, so repeated queries over
@@ -31,26 +32,23 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.datasets import PATTERNS
 from repro.datasets.fileio import load_relation
-from repro.kernels.columnar import ColumnarRelation, ColumnedKpes
-from repro.kernels.shm import (
-    Manifest,
-    SharedColumnarStore,
-    columnar_arrays,
-    shm_enabled,
-)
+from repro.kernels.columnar import ColumnarRelation
+from repro.kernels.shm import SharedColumnarStore, columnar_arrays, shm_enabled
 
 
 @dataclass
 class Dataset:
-    """One registered relation: records in memory, optionally a pinned segment."""
+    """One registered relation: its columns, optionally a pinned segment."""
 
     name: str
-    #: The records as every query reads them: a mapped ``.rcd`` relation,
-    #: or a record list carrying read-only columns (``.columnar``, a
-    #: :class:`~repro.kernels.columnar.ColumnedKpes`).  Either way the
-    #: columns never change, so partitionings computed from them are kept.
-    kpes: Sequence[Tuple]
+    #: The relation every query reads: a mapped ``.rcd`` file, or the
+    #: read-only columns of the records registered (built once, keeping
+    #: their oid objects).  Either way the columns never change, so
+    #: partitionings computed from them are kept.  While pinned it
+    #: names its segment (``kpes.segment``).
+    kpes: ColumnarRelation
     #: human-readable provenance ("file:...", "pattern:...", "records")
     source: str
     store: Optional[SharedColumnarStore] = field(default=None, repr=False)
@@ -62,10 +60,6 @@ class Dataset:
     @property
     def pinned(self) -> bool:
         return self.store is not None
-
-    @property
-    def manifest(self) -> Optional[Manifest]:
-        return self.store.manifest if self.store is not None else None
 
     def describe(self) -> Dict[str, object]:
         """JSON-ready summary for the ``datasets`` protocol op."""
@@ -106,37 +100,32 @@ class DatasetRegistry:
             raise ValueError("dataset name must be non-empty")
         with self._lock:
             existing = self._datasets.get(name)
-            if existing is not None:
-                if existing.source != source:
-                    raise ValueError(
-                        f"dataset {name!r} already registered from "
-                        f"{existing.source!r}, refusing {source!r}"
-                    )
-                return existing
-        # Mapped relations (``.rcd`` files) stay lazy: listifying one
+        if existing is not None:
+            return _same_source(existing, source)
+        # Mapped relations (``.rcd`` files) stay as they are: boxing one
         # would parse every record into tuples — the exact cost the
         # format exists to avoid.  Pinning below copies straight from
         # the file mapping into the segment instead.  Records get their
         # columns built once, here, instead of on every query.
-        columns = getattr(kpes, "columnar", None)
-        if columns is None:
-            listed = list(kpes)
-            columns = ColumnarRelation.from_kpes(listed).freeze()
-            kpes = ColumnedKpes(listed, columns)
-        entry = Dataset(name=name, kpes=kpes, source=source)
-        if shm_enabled() and entry.kpes:
-            entry.store = SharedColumnarStore.create(columnar_arrays("D", columns))
+        relation = ColumnarRelation.from_kpes(kpes)
+        if relation is not kpes:
+            relation.freeze()
+        entry = Dataset(name=name, kpes=relation, source=source)
+        if shm_enabled() and len(relation):
+            entry.store = SharedColumnarStore.create(columnar_arrays("D", relation))
         with self._lock:
             raced = self._datasets.get(name)
-            if raced is not None:
-                # Another thread pinned the same name first; drop ours.
+            if raced is None:
+                self._datasets[name] = entry
                 if entry.store is not None:
-                    entry.store.close()
-                    entry.store.unlink()
-                    entry.store = None
-                return raced
-            self._datasets[name] = entry
-        return entry
+                    relation.segment = (entry.store.manifest, "D")
+                return entry
+        # Another thread registered the same name first; drop ours.
+        if entry.store is not None:
+            entry.store.close()
+            entry.store.unlink()
+            entry.store = None
+        return _same_source(raced, source)
 
     def register_file(self, name: str, path: str) -> Dataset:
         """Load a relation file (.csv/.npy/.rcd) and register it.
@@ -161,8 +150,6 @@ class DatasetRegistry:
         generates the same pattern locally holds byte-identical records —
         the load harness verifies checksums against exactly this.
         """
-        from repro.cli import PATTERNS
-
         generator = PATTERNS.get(pattern)
         if generator is None:
             raise ValueError(
@@ -208,9 +195,20 @@ class DatasetRegistry:
             entries = list(self._datasets.values())
         for entry in entries:
             if entry.store is not None:
+                entry.kpes.segment = None
                 entry.store.close()
                 entry.store.unlink()
                 entry.store = None
+
+
+def _same_source(existing: Dataset, source: str) -> Dataset:
+    """*existing*, when it was registered from *source*; else raise."""
+    if existing.source != source:
+        raise ValueError(
+            f"dataset {existing.name!r} already registered from "
+            f"{existing.source!r}, refusing {source!r}"
+        )
+    return existing
 
 
 __all__ = ["Dataset", "DatasetRegistry"]

@@ -341,8 +341,14 @@ class JoinServer:
                     "max_inflight": admission.max_inflight,
                     "max_queue": admission.max_queue,
                     "budget_seconds": admission.budget_seconds,
-                    "rejects_capacity": admission.rejects_capacity,
-                    "rejects_budget": admission.rejects_budget,
+                    **{
+                        f"rejects_{reason}": int(
+                            self.metrics.get(
+                                "repro_serve_admission_rejects_total", reason=reason
+                            )
+                        )
+                        for reason in ("capacity", "budget")
+                    },
                 },
                 "plan_cache": self.engine.cache.stats(),
                 "datasets": self.registry.names(),

@@ -50,6 +50,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError):
             read_csv(path)
 
+    def test_the_first_invalid_mbr_is_named_by_its_line(self, tmp_path):
+        """The column check names the same line, in the same words, as a
+        per-line check would: blank lines and the header count."""
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "oid,xl,yl,xh,yh\n1,0.1,0.1,0.2,0.2\n\n"
+            "2,0.1,inf,0.2,0.3\n3,0.9,0.1,0.2,0.5\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_csv(path)
+        assert str(err.value) == f"{path}:4: invalid MBR (2, 0.1, inf, 0.2, 0.3)"
+
 
 class TestNpyRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -57,6 +69,16 @@ class TestNpyRoundTrip:
         path = tmp_path / "rel.npy"
         write_npy(kpes, path)
         assert read_npy(path) == kpes
+
+    def test_the_first_invalid_mbr_is_named(self, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "bad.npy"
+        rows = [[1, 0.1, 0.1, 0.2, 0.2], [2, 0.5, 0.1, 0.2, 0.3], [3, 0.1, math.nan, 0.2, 0.3]]
+        np.save(path, np.array(rows))
+        with pytest.raises(ValueError) as err:
+            read_npy(path)
+        assert str(err.value) == f"{path}: invalid MBR (2, 0.5, 0.1, 0.2, 0.3)"
 
     def test_wrong_shape_rejected(self, tmp_path):
         import numpy as np

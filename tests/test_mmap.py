@@ -3,8 +3,9 @@
 Covers the format robustness contract (corrupt/truncated/mismatched
 headers rejected with clear errors, read-only mapping semantics, the
 writer's exact bytes), the zero-copy open path
-(``MappedRelation`` as a drop-in relation sequence, stored fingerprints
-hitting the planner caches), and end-to-end join byte-identity from
+(an opened file is a read-only ``ColumnarRelation`` that is also a
+drop-in relation sequence, stored fingerprints hitting the planner
+caches), and end-to-end join byte-identity from
 mapped stores across the sequential and parallel (shm) engines.
 """
 
@@ -187,6 +188,26 @@ class TestMappedStore:
         rel = load_relation(path)
         assert ColumnarRelation.from_kpes(rel) is rel.columnar
 
+    def test_an_open_file_is_a_read_only_columnar_relation(self, rcd_path):
+        import pickle
+
+        from repro.kernels.columnar import ColumnarRelation
+        from repro.kernels.mmapstore import MappedColumnarStore
+
+        _, path = rcd_path
+        rel = load_relation(path)
+        assert type(rel) is ColumnarRelation
+        assert rel.read_only and rel.mapped
+        assert isinstance(rel.store, MappedColumnarStore)
+        assert rel.fingerprint == read_header(path).fingerprint
+        # The mapping stays in this process, as the oid objects do.
+        copy = pickle.loads(pickle.dumps(rel))
+        assert copy.store is None and not copy.mapped
+        assert copy.fingerprint == rel.fingerprint and copy.to_kpes() == rel.to_kpes()
+        rel.store.close()
+        assert rel.store.closed
+        assert not ColumnarRelation.from_kpes(list(rel)).mapped
+
     def test_empty_relation_roundtrip(self, tmp_path):
         path = tmp_path / "empty.rcd"
         save_relation([], path)
@@ -221,6 +242,23 @@ class TestPlannerIntegration:
         assert not first.from_cache
         again = plan_join(list(kpes), list(kpes), mb(2.5), cache=cache)
         assert again.from_cache
+
+    def test_repeated_opens_plan_from_the_cache_without_profiling(
+        self, rcd_path, monkeypatch
+    ):
+        from repro.planner import plan_join
+        from repro.planner.cache import PlannerCache
+        from repro.planner.stats import RelationProfile
+
+        _, path = rcd_path
+        cache = PlannerCache()
+        plan_join(load_relation(path), load_relation(path), mb(2.5), cache=cache)
+        profiled = []
+        monkeypatch.setattr(
+            RelationProfile, "build", classmethod(lambda cls, *a: profiled.append(a))
+        )
+        again = plan_join(load_relation(path), load_relation(path), mb(2.5), cache=cache)
+        assert again.from_cache and profiled == []
 
     def test_explain_prices_mapped_ingest(self, rcd_path):
         from repro.planner import plan_join
@@ -266,7 +304,7 @@ class TestJoinIdentity:
         assert mapped.pairs == memory.pairs
 
     def test_registry_pins_mapped_dataset_lazily(self, rcd_path):
-        from repro.kernels.mmapstore import MappedRelation
+        from repro.kernels.columnar import ColumnarRelation
         from repro.serve import DatasetRegistry
 
         _, path = rcd_path
@@ -274,7 +312,7 @@ class TestJoinIdentity:
         try:
             entry = registry.register_file("u", str(path))
             # the registry must NOT listify (re-parse) the mapping
-            assert isinstance(entry.kpes, MappedRelation)
+            assert isinstance(entry.kpes, ColumnarRelation) and entry.kpes.mapped
             assert entry.n == len(entry.kpes)
         finally:
             registry.close()

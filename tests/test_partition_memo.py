@@ -139,7 +139,7 @@ class TestHitEqualsMiss:
             tracer = Tracer()
             driver = PBSM(
                 mb(0.05), workers=2, internal="sweep_numpy", executor="process",
-                tracer=tracer, pinned=(left.manifest, right.manifest),
+                tracer=tracer,
             )
             runs.append(driver.run(left.kpes, right.kpes))
             tracers.append(tracer)
@@ -276,7 +276,6 @@ class TestConcurrentJoins:
                     driver = PBSM(
                         mb(0.05), workers=2, internal="sweep_numpy",
                         executor="process" if left.pinned else "simulated",
-                        pinned=(left.manifest, right.manifest) if left.pinned else None,
                     )
                     observed.append(observe(driver.run(left.kpes, right.kpes)))
             except BaseException as exc:  # reported by the main thread

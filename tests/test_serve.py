@@ -270,7 +270,6 @@ class TestAdmission:
                     async with ctrl.slot():
                         pass
                 assert err.value.reason == "capacity"
-            assert ctrl.rejects_capacity == 1
             assert ctrl.inflight == 0
 
         run(scenario())
@@ -292,7 +291,6 @@ class TestAdmission:
 
             await asyncio.gather(holder(), waiter())
             assert order == ["first", "second"]
-            assert ctrl.rejects_capacity == 0
 
         run(scenario())
 
@@ -302,7 +300,6 @@ class TestAdmission:
         with pytest.raises(AdmissionReject) as err:
             ctrl.check_budget(0.6)
         assert err.value.reason == "budget"
-        assert ctrl.rejects_budget == 1
 
     def test_no_budget_means_no_budget_rejects(self):
         AdmissionController().check_budget(1e9)
@@ -357,9 +354,82 @@ class TestRegistry:
             registry.register("L", LEFT, source="file:other.csv")
         registry.close()
 
+    def test_a_racing_register_from_another_source_conflicts(self, monkeypatch):
+        """The name is taken between the registry's two lock sections (while
+        the columns are built and pinned): the loser must not be handed the
+        winner's data."""
+        import repro.serve.registry as registry_module
+
+        registry = DatasetRegistry()
+        real = registry_module.shm_enabled
+        steps = []
+
+        def racing_step():
+            steps.append(None)
+            if len(steps) == 1:
+                registry.register("L", RIGHT, source="file:other.csv")
+            return real()
+
+        monkeypatch.setattr(registry_module, "shm_enabled", racing_step)
+        try:
+            with pytest.raises(ValueError, match="already registered from 'file:other.csv'"):
+                registry.register("L", LEFT, source="records")
+            assert registry.get("L").source == "file:other.csv"
+            assert registry.get("L").n == len(RIGHT)
+        finally:
+            registry.close()
+
+    def test_a_racing_register_from_the_same_source_returns_the_winner(
+        self, monkeypatch
+    ):
+        import repro.serve.registry as registry_module
+
+        registry = DatasetRegistry()
+        real = registry_module.shm_enabled
+        steps, winners = [], []
+
+        def racing_step():
+            steps.append(None)
+            if len(steps) == 1:
+                winners.append(registry.register("L", LEFT))
+            return real()
+
+        monkeypatch.setattr(registry_module, "shm_enabled", racing_step)
+        try:
+            assert registry.register("L", LEFT) is winners[0]
+        finally:
+            registry.close()
+
     def test_unknown_dataset_raises(self):
         with pytest.raises(KeyError):
             DatasetRegistry().get("missing")
+
+    def test_the_service_runs_without_the_cli(self):
+        """``repro.serve`` registers a synthetic dataset without importing
+        ``repro.cli`` (argparse and every paper engine)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "import repro.serve\n"
+            "registry = repro.serve.DatasetRegistry()\n"
+            "registry.register_synthetic('u', 'uniform', 200)\n"
+            "registry.close()\n"
+            "print('repro.cli' in sys.modules)\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        ran = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert ran.returncode == 0, ran.stderr
+        assert ran.stdout.split() == ["False"]
 
     def test_pinning_follows_platform_support(self):
         registry = DatasetRegistry()
@@ -367,8 +437,25 @@ class TestRegistry:
         assert entry.pinned == shm_enabled()
         describe = entry.describe()
         assert describe["pinned"] == entry.pinned
+        # The relation names its segment while pinned.
+        assert (entry.kpes.segment is not None) == entry.pinned
+        if entry.pinned:
+            assert entry.kpes.segment == (entry.store.manifest, "D")
         registry.close()
         assert not entry.pinned  # close() unlinks and clears the pin
+        assert entry.kpes.segment is None
+
+    def test_records_are_kept_as_frozen_columns_with_their_oids(self):
+        from repro.kernels.columnar import ColumnarRelation
+
+        registry = DatasetRegistry()
+        try:
+            entry = registry.register("L", LEFT)
+            assert type(entry.kpes) is ColumnarRelation and entry.kpes.read_only
+            assert entry.kpes.oid_objects.tolist() == [k[0] for k in LEFT]
+            assert entry.kpes.to_kpes() == [tuple(k) for k in LEFT]
+        finally:
+            registry.close()
 
     def test_pin_disabled_registry_never_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
@@ -388,6 +475,47 @@ class TestRegistry:
 # the engine host
 # ----------------------------------------------------------------------
 class TestEngineHost:
+    @pytest.mark.skipif(not shm_enabled(), reason="needs platform shared memory")
+    def test_a_query_over_pinned_datasets_ships_only_the_id_arrays(
+        self, monkeypatch
+    ):
+        """Each side's relation names its pinned segment, so the query's
+        own segment holds the id runs only; a side that names none ships
+        its columns as well."""
+        from repro.kernels.shm import SharedColumnarStore
+        from repro.pbsm import PBSM
+
+        registry = make_registry()
+        real = SharedColumnarStore.create.__func__
+        created = []
+
+        def recording(cls, arrays, *args, **kwargs):
+            created.append(sorted(arrays))
+            return real(cls, arrays, *args, **kwargs)
+
+        try:
+            left, right = registry.get("L").kpes, registry.get("R").kpes
+            monkeypatch.setattr(SharedColumnarStore, "create", classmethod(recording))
+            driver = PBSM(MEMORY, workers=2, internal="sweep_numpy", executor="process")
+            pinned = driver.run(left, right)
+            assert pinned.stats.executor == "process"
+            assert created[-1] == ["L.ids", "R.ids"]
+            half = driver.run(left, RIGHT)
+            assert created[-1] == ["L.ids", "R.ids", "R.oid", "R.xh", "R.xl", "R.yh", "R.yl"]
+            assert list(half.pairs) == list(pinned.pairs)
+        finally:
+            registry.close()
+
+    def test_the_pin_is_no_option(self):
+        from repro.pbsm import PBSM
+        from repro.planner import plan_join
+
+        with pytest.raises(TypeError):
+            PBSM(MEMORY, pinned=None)
+        plan = plan_join(LEFT, RIGHT, MEMORY)
+        with pytest.raises(TypeError):
+            plan.execute(LEFT, RIGHT, pinned=None)
+
     def test_workers_are_clamped_with_the_librarys_warning(self):
         """A served clamp warns once, as ``PBSM``'s does; ``repro serve
         --workers N`` raises the cap to N first, so the CLI never clamps."""

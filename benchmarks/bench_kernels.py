@@ -1,4 +1,10 @@
-"""Bench A8: real multiprocess PBSM.
+"""Kernel benches: the leaf scan, and Bench A8, real multiprocess PBSM.
+
+The leaf scan times the forward-scan kernel with RPM ownership on the
+leaves a sequential columnar PBSM run joins, without the end-to-end
+harness: the leaves are captured once, then replayed through
+``rpm_join_ids`` / ``region_join_ids``.  Its counts are exact and pinned,
+at full scale and at the smoke scale CI runs.
 
 ``PBSM(workers=W, executor="process")`` actually speeds the join phase up on
 multicore hardware while producing byte-identical results.  The multicore
@@ -6,17 +12,23 @@ assertion is gated on the machine's CPU count — on a single core the
 fan-out can only add IPC overhead, which the recorded JSON still
 documents honestly.
 
-Unlike the figure benches this asserts *wall clock*, not simulated
-seconds: the executor changes no simulated cost, only real speed.
+Unlike the figure benches these assert *wall clock* (or exact counts),
+not simulated seconds: the kernels change no simulated cost, only real
+speed.
 """
 
+import statistics
 import time
 
 import pytest
 
+import repro.kernels.sweep as sweep_module
+import repro.pbsm.leaf as leaf_module
+from repro import CpuCounters
 from repro.bench.render import ExperimentResult
-from repro.datasets import uniform_rects
+from repro.datasets import polyline_mbrs, uniform_rects
 from repro.io.costmodel import mb
+from repro.kernels.rpm import region_join_ids, rpm_join_ids
 from repro.obs import KIND_SECTION, NULL_TRACER, Tracer
 from repro.pbsm import PBSM
 from repro.pbsm.parallel import cpu_count
@@ -29,6 +41,136 @@ MEAN_EDGE = 0.002
 
 MIN_PROCESS_SPEEDUP = 2.0
 PROCESS_WORKERS = 4
+
+#: The geometry of the ``benchmarks/e2e`` datasets (same generators and
+#: seeds, unshuffled), at the PBSM ``t`` their auto plans
+#: pick: ``(name, generator, records per side, generator kwargs, t,
+#: memory MB)``.  tiger50k's leaves stripe, uni30k's do not.
+SCAN_DATASETS = (
+    ("tiger50k", polyline_mbrs, 50_000, {}, 1.2, 0.25),
+    ("uni30k", uniform_rects, 30_000, {"mean_edge": 0.01}, 3.0, 0.06),
+)
+#: Records per side at smoke scale; memory budgets scale along.
+SCAN_SMOKE_RECORDS = 2_000
+SCAN_REPS = 5
+SCAN_COUNTS = ["leaves", "candidates", "detected", "kept", "batch_ops"]
+#: The exact counts per dataset, per scale (records per side or None).
+SCAN_PINNED = {
+    None: {
+        "tiger50k": (17, 1_060_315, 132_932, 126_806, 10_784_780),
+        "uni30k": (58, 2_177_369, 410_919, 352_671, 11_334_164),
+    },
+    SCAN_SMOKE_RECORDS: {
+        "tiger50k": (16, 6_991, 205, 195, 40_592),
+        "uni30k": (58, 10_001, 1_874, 1_586, 61_972),
+    },
+}
+
+
+def capture_leaves(left, right, memory_bytes, t_factor):
+    """``(a, b, regions)`` of every leaf a sequential columnar PBSM run
+    joins, in its order (the leaf's kernel calls, recorded as made)."""
+    leaves = []
+    rpm, region = leaf_module.rpm_join_ids, leaf_module.region_join_ids
+
+    def record_rpm(a, b, grid, pid, cpu):
+        leaves.append((a, b, ((grid, pid),)))
+        return rpm(a, b, grid, pid, cpu)
+
+    def record_region(a, b, regions, cpu):
+        leaves.append((a, b, regions))
+        return region(a, b, regions, cpu)
+
+    leaf_module.rpm_join_ids, leaf_module.region_join_ids = record_rpm, record_region
+    try:
+        PBSM(memory_bytes, internal="sweep_numpy", t_factor=t_factor).run(left, right)
+    finally:
+        leaf_module.rpm_join_ids, leaf_module.region_join_ids = rpm, region
+    return leaves
+
+
+def scan_leaves(leaves):
+    """Join every leaf once; returns ``(detected, kept, batch_ops)``."""
+    counters = CpuCounters()
+    detected = kept = 0
+    for a, b, regions in leaves:
+        if len(regions) == 1:
+            rid, _, suppressed = rpm_join_ids(a, b, *regions[0], counters)
+        else:
+            rid, _, suppressed = region_join_ids(a, b, regions, counters)
+        kept += len(rid)
+        detected += len(rid) + suppressed
+    return detected, kept, counters.batch_ops
+
+
+def count_candidates(leaves):
+    """Candidate pairs the scan expands over *leaves*: the summed length
+    of every anchor's window (``hi - lo`` of each ``_pass_batches`` call)."""
+    total = 0
+    scan = sweep_module._pass_batches
+
+    def counting(yl, yh, lo, hi, *rest):
+        nonlocal total
+        total += int((hi - lo).sum())
+        return scan(yl, yh, lo, hi, *rest)
+
+    sweep_module._pass_batches = counting
+    try:
+        scan_leaves(leaves)
+    finally:
+        sweep_module._pass_batches = scan
+    return total
+
+
+def run_leaf_scan_bench(records=None) -> ExperimentResult:
+    """Scan wall time (median of ``SCAN_REPS``) and exact counts per dataset,
+    at full scale or *records* per side."""
+    rows = []
+    for name, generate, n, kwargs, t_factor, memory_mb in SCAN_DATASETS:
+        size = records or n
+        left = generate(size, seed=1, **kwargs)
+        right = generate(size, seed=2, start_oid=1_000_000, **kwargs)
+        leaves = capture_leaves(left, right, mb(memory_mb * size / n), t_factor)
+        walls = []
+        for _ in range(SCAN_REPS):
+            start = time.perf_counter()
+            detected, kept, batch_ops = scan_leaves(leaves)
+            walls.append(time.perf_counter() - start)
+        rows.append(
+            (
+                name, len(leaves), count_candidates(leaves), detected, kept,
+                batch_ops, round(1000 * statistics.median(walls), 2),
+            )
+        )
+    return ExperimentResult(
+        exp_id="Kernels: leaf scan",
+        title="forward scan + RPM ownership over the e2e datasets' PBSM leaves",
+        columns=["dataset", *SCAN_COUNTS, "scan_ms"],
+        rows=rows,
+        notes=[f"records per side: {records or 'full'}", f"machine cpu_count={cpu_count()}"],
+    )
+
+
+def assert_scan_counts(result, records):
+    counts = {row[0]: tuple(row[1:-1]) for row in result.rows}
+    assert counts == SCAN_PINNED[records]
+
+
+def test_leaf_scan_counts_at_smoke_scale():
+    """What CI runs: the counts exact at 2,000 records per side."""
+    assert_scan_counts(run_leaf_scan_bench(SCAN_SMOKE_RECORDS), SCAN_SMOKE_RECORDS)
+
+
+@pytest.mark.benchmark(group="kernels")
+def test_leaf_scan(benchmark):
+    result = benchmark.pedantic(run_leaf_scan_bench, rounds=1, iterations=1)
+    record(
+        "kernels_scan",
+        result,
+        workload="tiger50k t=1.2 mb(0.25), uni30k t=3.0 mb(0.06): every leaf, rpm",
+        scan_ms=dict(zip(column(result, "dataset"), column(result, "scan_ms"))),
+    )
+    assert_scan_counts(result, None)
 
 
 def run_process_pbsm_bench(tracer=None) -> ExperimentResult:

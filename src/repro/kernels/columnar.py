@@ -16,6 +16,7 @@ invisible to tuple-based code.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,6 +26,10 @@ from repro.core.rect import KPE
 #: Records materialised per chunk when iterating columns as tuples
 #: (bounds transient list size; a full ``[:]`` still works).
 _ITER_CHUNK = 65536
+
+#: ``KPE(*row)`` for a row tuple, without the named tuple's Python-level
+#: ``__new__``: slicing and iteration box every row through it.
+_new_kpe = functools.partial(tuple.__new__, KPE)
 
 #: One KPE tuple as :meth:`ColumnarRelation.from_kpes` reads it.
 _KPE_RECORD = np.dtype(
@@ -234,16 +239,8 @@ class ColumnarRelation:
         records it touches.
         """
         if isinstance(index, slice):
-            return [
-                KPE(o, a, b, c, d)
-                for o, a, b, c, d in zip(
-                    self.oid[index].tolist(),
-                    self.xl[index].tolist(),
-                    self.yl[index].tolist(),
-                    self.xh[index].tolist(),
-                    self.yh[index].tolist(),
-                )
-            ]
+            columns = (self.oid, self.xl, self.yl, self.xh, self.yh)
+            return list(map(_new_kpe, zip(*(col[index].tolist() for col in columns))))
         return KPE(
             int(self.oid[index]),
             float(self.xl[index]),

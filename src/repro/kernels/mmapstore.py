@@ -164,19 +164,6 @@ class MappedColumnarStore:
     def n(self) -> int:
         return self.header.n
 
-    def __len__(self) -> int:
-        return self.header.n
-
-    @property
-    def extent(self) -> Tuple[float, float, float, float]:
-        """The dataset MBR recorded in the header."""
-        return self.header.extent
-
-    @property
-    def nbytes(self) -> int:
-        """Total mapped bytes (header plus column payload)."""
-        return self.header.header_bytes + self.header.data_bytes
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

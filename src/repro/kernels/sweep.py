@@ -12,22 +12,25 @@ symmetric passes —
   inside ``(s.xl, s.xh]`` (strict on the left so ties are not reported
   twice).
 
-Each pass is fully array-shaped: one ``searchsorted`` pair delivers every
-anchor's candidate window, a repeat/arange expansion materialises the
-candidate index pairs, and one boolean mask applies the y-overlap test.
-Candidate expansion is chunked (``batch_candidates``) so memory stays
-bounded on dense inputs.
+Both passes run as one scan over the rows ``[a; b]``: ``searchsorted``
+gives every row's candidate window (pass 1's into b's rows, pass 2's
+into a's), one repeat/arange expansion materialises the candidate probe
+rows, and one mask applies the y test.  Hits are kept by position
+(``flatnonzero``), each hit's anchor found by a search over the window
+ends, so no candidate-length array is boolean-indexed.  Expansion is
+chunked (``batch_candidates``) so memory stays bounded on dense inputs.
 
 On large inputs the x-sorted scan alone generates every *x*-overlapping
 pair as a candidate, which is quadratic in the active-set size.  The
 kernel therefore stripes the y-axis first — the paper's own partitioning
 idea applied inside a partition: records are replicated into every y
-stripe they overlap, each stripe runs the (now much smaller) forward
-scan, and a reference-point rule keeps a pair only in the first stripe
-both rectangles overlap (``max`` of their bottom stripes), so results
-stay exact and duplicate-free.  Striping changes the order in which
-pairs are produced (stripe-major), never the set.  The kernel charges
-batch-level ``batch_ops`` only.
+stripe they overlap, each stripe runs the (now much smaller) scan, and a
+reference-point rule keeps a pair only in the first stripe both
+rectangles overlap: the stripe that is either rectangle's bottom stripe
+(both overlap it, so neither bottom stripe lies above it).  Results stay
+exact and duplicate-free; striping changes the order in which pairs are
+produced (stripe-major, pass 1 before pass 2), never the set.  The
+kernel charges batch-level ``batch_ops`` only.
 """
 
 from __future__ import annotations
@@ -84,69 +87,86 @@ def clamped_index(scaled: Any, n: int) -> Any:
 # the kernel proper
 # ----------------------------------------------------------------------
 def _pass_batches(
-    anchor_yl: Any,
-    anchor_yh: Any,
-    probe_yl: Any,
-    probe_yh: Any,
-    lo: Any,
-    hi: Any,
-    counters: CpuCounters,
-    batch_candidates: int,
-    swap: bool,
-    anchor_slo: Optional[Any] = None,
-    probe_slo: Optional[Any] = None,
-    stripe: int = -1,
+    yl: Any, yh: Any, lo: Any, hi: Any, counters: CpuCounters,
+    batch_candidates: int, own: Optional[Any] = None,
 ) -> Iterator[Tuple]:
-    """Yield ``(anchor_idx, probe_idx)`` pairs of one pass, in batches.
+    """Yield the ``(anchor, probe)`` row pairs of one scan, in batches.
 
-    ``lo``/``hi`` bound each anchor's candidate window in the probe
-    columns; ``swap`` reports pairs as ``(probe, anchor)`` so pass 2 can
-    keep the (left, right) orientation of the join.  When ``stripe`` is
-    given, only pairs owned by that y stripe (the first stripe both
-    rectangles overlap) survive the mask.
+    Every row anchors the probe rows ``[lo, hi)`` of the same columns; a
+    candidate survives the y test and, given ``own``, the stripe's
+    ownership rule (either rectangle's bottom stripe is this one).  Hits
+    come in anchor order, each anchor's in probe order, and are taken by
+    position: no candidate-length array is boolean-indexed.
     """
     counts = hi - lo
     csum = np.cumsum(counts)
-    total = int(csum[-1]) if counts.size else 0
-    if total == 0:
+    if not counts.size or csum[-1] == 0:
         return
     n_anchors = counts.shape[0]
-    arange = np.arange
     repeat = np.repeat
-    per_candidate = BATCH_OPS_PER_CANDIDATE + (2 if stripe >= 0 else 0)
+    per_candidate = BATCH_OPS_PER_CANDIDATE + (0 if own is None else 2)
     start = 0
     base = 0
     while start < n_anchors:
         stop = int(np.searchsorted(csum, base + batch_candidates, side="right"))
         stop = min(max(stop, start + 1), n_anchors)
-        lo_c = lo[start:stop]
         counts_c = counts[start:stop]
-        chunk_total = int(csum[stop - 1]) - base
-        base = int(csum[stop - 1])
+        ends = csum[start:stop] - base  # each anchor's window end, chunk-local
+        chunk_total = int(ends[-1])
+        base += chunk_total
         start_prev, start = start, stop
         if chunk_total == 0:
             continue
-        offsets = np.cumsum(counts_c) - counts_c
-        # Flat probe positions: one arange plus a single fused repeat.
-        flat = arange(chunk_total) + repeat(lo_c - offsets, counts_c)
+        # Flat probe rows: one fused repeat, then an in-place arange.
+        flat = repeat(hi[start_prev:stop] - ends, counts_c)
+        flat += np.arange(chunk_total)
         # Anchor-side values expand with repeat (contiguous reads);
         # probe-side values gather through ``flat``.
-        mask = (probe_yl[flat] <= repeat(anchor_yh[start_prev:stop], counts_c)) & (
-            repeat(anchor_yl[start_prev:stop], counts_c) <= probe_yh[flat]
+        mask = (yl[flat] <= repeat(yh[start_prev:stop], counts_c)) & (
+            repeat(yl[start_prev:stop], counts_c) <= yh[flat]
         )
-        if stripe >= 0:
-            mask &= (
-                np.maximum(
-                    repeat(anchor_slo[start_prev:stop], counts_c),
-                    probe_slo[flat],
-                )
-                == stripe
-            )
+        if own is not None:
+            mask &= repeat(own[start_prev:stop], counts_c) | own[flat]
         counters.batch_ops += per_candidate * chunk_total
-        anchor_hit = repeat(arange(start_prev, stop), counts_c)[mask]
-        probe_hit = flat[mask]
-        if anchor_hit.size:
-            yield (probe_hit, anchor_hit) if swap else (anchor_hit, probe_hit)
+        hit = np.flatnonzero(mask)
+        if hit.size:  # a hit's anchor: the first window ending past it
+            yield np.searchsorted(ends, hit, side="right") + start_prev, flat[hit]
+
+
+def _both_passes(
+    a_cols: Sequence[Any], b_cols: Sequence[Any], counters: CpuCounters,
+    batch_candidates: int, stripe: int = -1,
+) -> Iterator[Tuple]:
+    """Pass 1 then pass 2 of one stripe (or unstriped leaf), one expansion.
+
+    ``a_cols``/``b_cols`` are ``(xl, xh, yl, yh, bottom_stripe)``.  The
+    scan runs over the rows ``[a; b]``: pass 1's anchors are a's rows and
+    its windows index b's (offset by ``len(a)``), pass 2's anchors are
+    b's rows and its windows index a's.  Yields ``(a_row, b_row)``
+    batches, side-local, with every pass-1 pair ahead of pass 2's.
+    """
+    a_xl, a_xh, a_yl, a_yh, a_slo = a_cols
+    b_xl, b_xh, b_yl, b_yh, b_slo = b_cols
+    n_a, n_b = a_xl.shape[0], b_xl.shape[0]
+    searchsorted = np.searchsorted
+    # Pass 1 probes s with s.xl in [r.xl, r.xh]; pass 2 probes r with
+    # r.xl in (s.xl, s.xh] -- both ends side="right", so one call.
+    ends_2 = searchsorted(a_xl, np.concatenate((b_xl, b_xh)), side="right")
+    lo = np.concatenate((searchsorted(b_xl, a_xl, side="left") + n_a, ends_2[:n_b]))
+    hi = np.concatenate((searchsorted(b_xl, a_xh, side="right") + n_a, ends_2[n_b:]))
+    own = None if stripe < 0 else np.concatenate((a_slo, b_slo)) == stripe
+    for anchor, probe in _pass_batches(
+        np.concatenate((a_yl, b_yl)), np.concatenate((a_yh, b_yh)), lo, hi,
+        counters, batch_candidates, own,
+    ):
+        # Anchors run in row order: the batch splits at its first b anchor.
+        cut = int(searchsorted(anchor, n_a))
+        probe[:cut] -= n_a
+        anchor[cut:] -= n_a
+        if cut:
+            yield anchor[:cut], probe[:cut]
+        if cut < anchor.shape[0]:
+            yield probe[cut:], anchor[cut:]
 
 
 def _stripe_count(a: ColumnarRelation, b: ColumnarRelation, span: float) -> int:
@@ -218,29 +238,17 @@ def _stripe_passes(
     b_cols = [col[b_orig] for col in (b.xl, b.xh, b.yl, b.yh, b_slo)]
     a_bounds = a_bounds.tolist()
     b_bounds = b_bounds.tolist()
-    searchsorted = np.searchsorted
     for s in range(k):
         a_lo, a_hi = a_bounds[s], a_bounds[s + 1]
         b_lo, b_hi = b_bounds[s], b_bounds[s + 1]
         if a_lo == a_hi or b_lo == b_hi:
             continue
-        a_xl, a_xh, a_yl, a_yh, a_s = (col[a_lo:a_hi] for col in a_cols)
-        b_xl, b_xh, b_yl, b_yh, b_s = (col[b_lo:b_hi] for col in b_cols)
-        ai = a_orig[a_lo:a_hi]
-        bi = b_orig[b_lo:b_hi]
+        ai, bi = a_orig[a_lo:a_hi], b_orig[b_lo:b_hi]
         counters.batch_ops += 8 * ((a_hi - a_lo) + (b_hi - b_lo))
-        lo = searchsorted(b_xl, a_xl, side="left")
-        hi = searchsorted(b_xl, a_xh, side="right")
-        for a_hit, b_hit in _pass_batches(
-            a_yl, a_yh, b_yl, b_yh, lo, hi, counters, batch_candidates,
-            False, a_s, b_s, s,
-        ):
-            yield ai[a_hit], bi[b_hit]
-        lo = searchsorted(a_xl, b_xl, side="right")
-        hi = searchsorted(a_xl, b_xh, side="right")
-        for a_hit, b_hit in _pass_batches(
-            b_yl, b_yh, a_yl, a_yh, lo, hi, counters, batch_candidates,
-            True, b_s, a_s, s,
+        for a_hit, b_hit in _both_passes(
+            [col[a_lo:a_hi] for col in a_cols],
+            [col[b_lo:b_hi] for col in b_cols],
+            counters, batch_candidates, s,
         ):
             yield ai[a_hit], bi[b_hit]
 
@@ -270,18 +278,10 @@ def forward_scan_batches(
     if k > 1:
         yield from _stripe_passes(a, b, k, ylo, k / span, counters, batch_candidates)
         return
-    # Unstriped: pass 1 anchors in a; probes s with s.xl in [r.xl, r.xh].
-    lo = np.searchsorted(b.xl, a.xl, side="left")
-    hi = np.searchsorted(b.xl, a.xh, side="right")
-    counters.batch_ops += 2 * a.n + 2 * b.n  # the four searchsorted sweeps
-    yield from _pass_batches(
-        a.yl, a.yh, b.yl, b.yh, lo, hi, counters, batch_candidates, False
-    )
-    # Pass 2: anchors in b; probes r with r.xl in (s.xl, s.xh].
-    lo = np.searchsorted(a.xl, b.xl, side="right")
-    hi = np.searchsorted(a.xl, b.xh, side="right")
-    yield from _pass_batches(
-        b.yl, b.yh, a.yl, a.yh, lo, hi, counters, batch_candidates, True
+    counters.batch_ops += 2 * a.n + 2 * b.n  # the four window searches
+    yield from _both_passes(
+        (a.xl, a.xh, a.yl, a.yh, None), (b.xl, b.xh, b.yl, b.yh, None),
+        counters, batch_candidates,
     )
 
 

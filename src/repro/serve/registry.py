@@ -36,6 +36,7 @@ from repro.datasets import PATTERNS
 from repro.datasets.fileio import load_relation
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import SharedColumnarStore, columnar_arrays, shm_enabled
+from repro.planner.stats import relation_fingerprint
 
 
 @dataclass
@@ -106,10 +107,12 @@ class DatasetRegistry:
         # would parse every record into tuples — the exact cost the
         # format exists to avoid.  Pinning below copies straight from
         # the file mapping into the segment instead.  Records get their
-        # columns built once, here, instead of on every query.
+        # columns built once, here, instead of on every query, and so
+        # does the content key the plan caches look them up by (a mapped
+        # file carries its header's).
         relation = ColumnarRelation.from_kpes(kpes)
         if relation is not kpes:
-            relation.freeze()
+            relation.freeze().fingerprint = relation_fingerprint(relation)
         entry = Dataset(name=name, kpes=relation, source=source)
         if shm_enabled() and len(relation):
             entry.store = SharedColumnarStore.create(columnar_arrays("D", relation))

@@ -4,13 +4,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.rect import KPE
 from repro.core.stats import CpuCounters
 from repro.internal import sweep_list_join
 from repro.io.costmodel import CostModel
+import repro.kernels.columnar as columnar_module
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
+    BATCH_OPS_PER_CANDIDATE,
     STRIPE_MIN_RECORDS,
     _stripe_count,
     _stripe_layout,
@@ -77,6 +81,24 @@ class TestColumnarRelation:
         cols = ColumnarRelation.from_kpes([])
         assert cols.n == 0 and len(cols) == 0
         assert cols.to_kpes() == []
+
+    def test_slices_and_iteration_box_equal_kpes(self, monkeypatch):
+        kpes = random_kpes(300, seed=12)
+        cols = ColumnarRelation.from_kpes(kpes)
+        # Iteration boxes chunk by chunk: make the chunks small.
+        monkeypatch.setattr(columnar_module, "_ITER_CHUNK", 64)
+        for got, want in (
+            (cols[:], kpes),
+            (cols[10:250:7], kpes[10:250:7]),
+            (cols[-5:], kpes[-5:]),
+            (cols[7:7], []),
+            (list(cols), kpes),
+        ):
+            assert all(type(k) is KPE for k in got)
+            assert got == [KPE(*k) for k in want]
+        row = cols[:][3]
+        assert (row.oid, row.xl, row.yl, row.xh, row.yh) == tuple(kpes[3])
+        assert type(row.oid) is int and type(row.yh) is float
 
     def test_sort_by_xl_is_stable(self):
         kpes = [KPE(i, 0.5, i / 10.0, 0.6, 1.0) for i in range(10)]
@@ -172,6 +194,139 @@ class TestStriping:
         want, _ = collect(sweep_list_join, left, right)
         assert sorted(got) == sorted(want)
         assert counters.batch_ops > 0
+
+
+# ----------------------------------------------------------------------
+# the scan's pair order against the two-pass, per-stripe reference
+# ----------------------------------------------------------------------
+def _reference_pass(anchor, probe, lo, hi, counters, batch_candidates, swap, stripe=-1):
+    """One pass as the kernel ran it with a loop per pass: candidates
+    expanded in anchor chunks, hits boolean-indexed, ownership by
+    ``max`` of the two bottom stripes.  ``anchor``/``probe`` are
+    ``(yl, yh, bottom_stripe)`` columns."""
+    counts = hi - lo
+    csum = np.cumsum(counts)
+    per_candidate = BATCH_OPS_PER_CANDIDATE + (2 if stripe >= 0 else 0)
+    start = base = 0
+    while counts.size and csum[-1] and start < counts.shape[0]:
+        stop = int(np.searchsorted(csum, base + batch_candidates, side="right"))
+        stop = min(max(stop, start + 1), counts.shape[0])
+        counts_c = counts[start:stop]
+        chunk_total = int(csum[stop - 1]) - base
+        base = int(csum[stop - 1])
+        flat = np.arange(chunk_total) + np.repeat(
+            lo[start:stop] - (np.cumsum(counts_c) - counts_c), counts_c
+        )
+        a_yl, a_yh, a_slo = (np.repeat(col[start:stop], counts_c) for col in anchor)
+        mask = (probe[0][flat] <= a_yh) & (a_yl <= probe[1][flat])
+        if stripe >= 0:
+            mask &= np.maximum(a_slo, probe[2][flat]) == stripe
+        counters.batch_ops += per_candidate * chunk_total
+        anchor_hit = np.repeat(np.arange(start, stop), counts_c)[mask]
+        probe_hit = flat[mask]
+        start = stop
+        if anchor_hit.size:
+            yield (probe_hit, anchor_hit) if swap else (anchor_hit, probe_hit)
+
+
+def reference_scan(a, b, counters, batch_candidates):
+    """``forward_scan_batches`` as two passes per stripe, each with its own
+    expansion: pass 1 over every stripe's a anchors, then pass 2."""
+    ylo = min(float(a.yl.min()), float(b.yl.min()))
+    span = max(float(a.yh.max()), float(b.yh.max())) - ylo
+    k = _stripe_count(a, b, span)
+    if k == 1:
+        a_orig, a_bounds, a_slo = np.arange(a.n), [0, a.n], np.zeros(a.n, np.int64)
+        b_orig, b_bounds, b_slo = np.arange(b.n), [0, b.n], np.zeros(b.n, np.int64)
+        counters.batch_ops += 2 * a.n + 2 * b.n
+    else:
+        a_orig, a_bounds, a_slo = _stripe_layout(a, ylo, k / span, k, counters)
+        b_orig, b_bounds, b_slo = _stripe_layout(b, ylo, k / span, k, counters)
+    for s in range(k):
+        ai = a_orig[a_bounds[s] : a_bounds[s + 1]]
+        bi = b_orig[b_bounds[s] : b_bounds[s + 1]]
+        if not (ai.size and bi.size):
+            continue
+        if k > 1:
+            counters.batch_ops += 8 * (ai.size + bi.size)
+        ra = (a.yl[ai], a.yh[ai], a_slo[ai])
+        rb = (b.yl[bi], b.yh[bi], b_slo[bi])
+        stripe = s if k > 1 else -1
+        ss = np.searchsorted
+        lo, hi = ss(b.xl[bi], a.xl[ai], side="left"), ss(b.xl[bi], a.xh[ai], side="right")
+        for x, y in _reference_pass(ra, rb, lo, hi, counters, batch_candidates, False, stripe):
+            yield ai[x], bi[y]
+        lo, hi = ss(a.xl[ai], b.xl[bi], side="right"), ss(a.xl[ai], b.xh[bi], side="right")
+        for x, y in _reference_pass(rb, ra, lo, hi, counters, batch_candidates, True, stripe):
+            yield ai[x], bi[y]
+
+
+@st.composite
+def scan_inputs(draw):
+    """Two xl-sorted relations, striped or not, with the shapes that
+    stress the scan's windows: ``xl`` ties (``-0.0`` next to ``0.0``),
+    infinite extents, zero-height rectangles."""
+    striped = draw(st.booleans())
+    if striped:
+        n_a = draw(st.integers(STRIPE_MIN_RECORDS // 2, STRIPE_MIN_RECORDS // 2 + 400))
+        n_b = STRIPE_MIN_RECORDS - n_a + draw(st.integers(0, 400))
+    else:
+        n_a, n_b = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = draw(st.sampled_from([0.0, 0.003, 0.03, 0.3]))
+    ties = draw(st.booleans())
+    zero_height = draw(st.booleans())
+    infinite = draw(st.sampled_from(["", "x", "y"]))
+
+    def relation(n, oid0):
+        xl, yl = rng.random(n), rng.random(n)
+        if ties:  # a coarse grid, and both zeros
+            xl = np.floor(xl * 8) / 8
+            xl[rng.random(n) < 0.2] = -0.0
+        w, h = rng.random(n) * edge, rng.random(n) * edge
+        if zero_height:
+            h[rng.random(n) < 0.5] = 0.0
+        xh, yh = xl + w, yl + h
+        if infinite:
+            lo, hi = (xl, xh) if infinite == "x" else (yl, yh)
+            lo[rng.random(n) < 0.05] = -np.inf
+            hi[rng.random(n) < 0.05] = np.inf
+        return ColumnarRelation(np.arange(oid0, oid0 + n), xl, yl, xh, yh).sort_by_xl()
+
+    batch_candidates = draw(
+        st.sampled_from([256, 4096, 1 << 22] if striped else [1, 2, 5, 17, 64, 1 << 22])
+    )
+    return relation(n_a, 0), relation(n_b, 10**6), batch_candidates, striped
+
+
+class TestScanOrderOracle:
+    """The fused scan yields exactly the pairs, in exactly the order, and
+    charges exactly the ``batch_ops`` of two passes per stripe."""
+
+    @given(scan_inputs())
+    @example(
+        (
+            xl_sorted([KPE(0, -0.0, 0.0, 0.5, 0.0), KPE(1, 0.0, 0.0, 0.0, 1.0)]),
+            xl_sorted([KPE(9, 0.0, 0.0, 0.0, 0.0), KPE(8, -0.0, 0.5, 1.0, 0.5)]),
+            1,
+            False,
+        )
+    )
+    def test_same_pairs_order_and_batch_ops(self, inputs):
+        a, b, batch_candidates, striped = inputs
+        if striped and np.isfinite(a.yh).all() and np.isfinite(b.yh).all():
+            span = max(a.yh.max(), b.yh.max()) - min(a.yl.min(), b.yl.min())
+            assert _stripe_count(a, b, span) > 1  # the striped loop runs
+        want_counters, got_counters = CpuCounters(), CpuCounters()
+        want = list(reference_scan(a, b, want_counters, batch_candidates))
+        got = list(forward_scan_batches(a, b, got_counters, batch_candidates))
+        for side in (0, 1):
+            expected = np.concatenate([batch[side] for batch in want] or [[]])
+            actual = np.concatenate([batch[side] for batch in got] or [[]])
+            assert actual.tolist() == expected.tolist()
+        assert got_counters == want_counters
+        for a_idx, b_idx in got:
+            assert a_idx.size == b_idx.size > 0
 
 
 class TestCostModelCurrency:

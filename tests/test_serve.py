@@ -457,6 +457,35 @@ class TestRegistry:
         finally:
             registry.close()
 
+    def test_records_are_fingerprinted_once_at_registration(self, monkeypatch):
+        """The plan caches' content key is stamped on the frozen columns:
+        a served query after the first samples no record for it."""
+        from repro.kernels.columnar import ColumnarRelation
+        from repro.planner.stats import relation_fingerprint
+
+        registry = make_registry()
+        engine = EngineHost(MEMORY, workers=1)
+        try:
+            left, right = registry.get("L"), registry.get("R")
+            assert left.kpes.fingerprint == relation_fingerprint(LEFT)
+            assert right.kpes.fingerprint == relation_fingerprint(RIGHT)
+            engine.execute(engine.plan(left, right), left, right)
+            sampled = []
+            getitem = ColumnarRelation.__getitem__
+
+            def counting(relation, index):
+                if not isinstance(index, slice):
+                    sampled.append(index)
+                return getitem(relation, index)
+
+            monkeypatch.setattr(ColumnarRelation, "__getitem__", counting)
+            plan = engine.plan(left, right)
+            assert plan.from_cache
+            engine.execute(plan, left, right)
+            assert sampled == []
+        finally:
+            registry.close()
+
     def test_pin_disabled_registry_never_pins(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_SHM", "1")
         registry = DatasetRegistry()

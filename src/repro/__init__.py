@@ -173,8 +173,9 @@ def spatial_join(
 
             kwargs.setdefault("cache", DEFAULT_CACHE)
             # Each list converted once: the plan is made and run on these.
-            left = ColumnarRelation.from_kpes(left)
-            right = ColumnarRelation.from_kpes(right)
+            with tracer.span("ingest", kind=KIND_SECTION):
+                left = ColumnarRelation.from_kpes(left)
+                right = ColumnarRelation.from_kpes(right)
             plan = plan_join(left, right, memory_bytes, tracer=tracer, **kwargs)
             result = plan.execute(left, right, tracer=tracer)
             result.plan = plan

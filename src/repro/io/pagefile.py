@@ -27,9 +27,9 @@ class PageFile:
         self.disk = disk
         self.record_bytes = record_bytes
         self.name = name
-        #: A list — or, for the id runs the columnar partitioner emits, a
-        #: read-only int64 array (read side only; ``read_all`` still
-        #: returns a list).
+        #: A list — or, for the id runs ``partition_relation(emit="ids")``
+        #: wraps, a read-only int64 array (read side only; ``read_all``
+        #: still returns a list).
         self.records: Any = []
 
     # ------------------------------------------------------------------
@@ -84,15 +84,6 @@ class PageFile:
         self.disk.charge_read(self.n_pages, requests=1)
         records = self.records
         return list(records) if isinstance(records, list) else records.tolist()
-
-    def read_view(self) -> Any:
-        """Like :meth:`read_all`, but hands out the stored sequence itself.
-
-        Same single charged request, no copy: how the columnar driver
-        reads an id run (a read-only int64 array) without boxing it.
-        """
-        self.disk.charge_read(self.n_pages, requests=1)
-        return self.records
 
     def iter_chunks(self, buffer_pages: int) -> Iterator[List]:
         """Iterate the file in buffer-sized chunks, one request each."""

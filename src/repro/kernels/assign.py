@@ -1,24 +1,26 @@
-"""Vectorized tile assignment for the PBSM partitioner.
+"""Vectorized tile assignment: PBSM's partitioning phase on arrays.
 
-``partition_relation`` spends most of its CPU time computing, per record,
-the tile range its rectangle overlaps and the owning partition of each
-tile — four coordinate normalisations plus a set build per KPE.  This
-module computes the tile ranges of a whole relation in six array
-operations and offers two consumers of them:
+Partitioning asks, per record, which tiles its rectangle overlaps and
+which partition owns each tile.  This module computes the tile ranges
+of a whole relation in six array operations and offers three consumers
+of them:
 
+* :func:`partition_runs` — what the PBSM driver runs and carries:
+  every partition's id run, a read-only int64 view into one CSR buffer
+  (:mod:`repro.pbsm.paper_io` charges its I/O from its length);
+* :func:`partition_ids` — the same phase as CSR ``(offsets, ids)``, no
+  per-record Python at all;
 * :func:`partition_plan` — per-record destinations for the
-  records-emitting partitioner: single-tile records (the overwhelmingly
-  common case) resolve to their partition id array-wise, only genuinely
-  multi-tile records fall back to the per-tile loop;
-* :func:`partition_ids` — the whole ``emit="ids"`` partition phase as
-  one kernel: columns in, CSR ``(offsets, ids)`` out, no per-record
-  Python at all.
+  records-emitting partitioner of the frozen layer replay
+  (``partition_relation(emit="records")``): single-tile records resolve
+  array-wise, only genuinely multi-tile records fall back to the
+  per-tile loop.
 
-Both preserve the partitioner's exact semantics: per-partition record
-order, replica counts, and the structure-op accounting all match the
-scalar path, so simulated costs are identical — the win is wall clock
-only.  (The columnar engine asks ``partition_ids`` for the same runs in
-``xl`` order, which no charge depends on.)
+All preserve the scalar partitioner's exact semantics: per-partition
+record order, replica counts, and the structure-op accounting all
+match, so simulated costs are identical — the win is wall clock only.
+(The columnar engine asks for the same runs in ``xl`` order, which no
+charge depends on.)
 
 A relation whose five columns are all read-only (a mapped ``.rcd``, a
 registry dataset) keeps what ``partition_ids`` computed for it, per grid:
@@ -34,6 +36,7 @@ from typing import Any, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.core.stats import CpuCounters
 from repro.kernels.columnar import ColumnarRelation, xl_order
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.pbsm.grid import TileGrid
@@ -156,6 +159,23 @@ def partition_ids(
     return offsets, ids
 
 
+def partition_runs(
+    kpes: Sequence[Tuple], grid: TileGrid, counters: CpuCounters, by_xl: bool = False
+) -> List[Any]:
+    """Every partition's id run: PBSM's partitioning phase on arrays.
+
+    Run ``pid`` is ``ids[offsets[pid]:offsets[pid + 1]]`` of
+    :func:`partition_ids`, a read-only int64 view into the one CSR
+    buffer.  *counters* is charged what the scalar loop charged: one
+    structure op per copy written plus one lookup per record.
+    """
+    offsets, ids = partition_ids(kpes, grid, by_xl)
+    ids.flags.writeable = False
+    counters.structure_ops += len(ids) + len(kpes)
+    bounds = offsets.tolist()
+    return [ids[bounds[pid] : bounds[pid + 1]] for pid in range(grid.n_partitions)]
+
+
 def partition_memoized(kpes: Sequence[Tuple], grid: TileGrid, by_xl: bool) -> bool:
     """Whether ``partition_ids(kpes, grid, by_xl)`` would be a memo hit now."""
     rel = getattr(kpes, "columnar", None)
@@ -221,5 +241,6 @@ __all__ = [
     "partition_ids",
     "partition_memoized",
     "partition_plan",
+    "partition_runs",
     "tile_ranges",
 ]

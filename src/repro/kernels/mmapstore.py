@@ -16,10 +16,12 @@ building, and tuple-based code paths (scalar engines, validators) read
 it as a lazy ``Sequence[KPE]`` that only converts the records they
 touch.
 
-The mapping is strictly read-only: the ``memmap`` is opened ``mode="r"``
-and every column view inherits ``writeable=False``, so an accidental
-in-place mutation of what looks like a scratch array raises
-``ValueError`` instead of silently corrupting the dataset on disk.
+Each column is a plain ``ndarray`` view of the mapped pages (the
+``memmap`` sits in its ``.base`` chain).  The mapping is strictly
+read-only: the ``memmap`` is opened ``mode="r"`` and every column view
+inherits ``writeable=False``, so an accidental in-place mutation of
+what looks like a scratch array raises ``ValueError`` instead of
+silently corrupting the dataset on disk.
 """
 
 from __future__ import annotations
@@ -118,8 +120,9 @@ class MappedColumnarStore:
         columns: Dict[str, Any] = {}
         for name, dtype, offset, nbytes in header.columns:
             if header.n:
-                columns[name] = buffer[offset : offset + nbytes].view(
-                    np.dtype(dtype)
+                # Plain ndarrays: np.memmap's __getitem__ is Python-level.
+                columns[name] = np.asarray(
+                    buffer[offset : offset + nbytes].view(np.dtype(dtype))
                 )
             else:
                 columns[name] = np.empty(0, dtype=np.dtype(dtype))

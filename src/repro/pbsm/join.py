@@ -22,7 +22,12 @@ the operator layer can demonstrate the pipelining difference.
 :meth:`PBSM._join_leaves` is the one PBSM pipeline.  Both engines read
 the inputs' five columns (already there for mapped inputs, built once
 and validated otherwise) for the extent, the partitioning and every
-repartitioning step, and their partition files hold row ids.  The engine
+repartitioning step, and partition to plain int64 runs of row ids
+(:func:`~repro.kernels.assign.partition_runs`), which the recursion, the
+leaves and the pool fan-out carry as they are; the paper's page I/O for
+them is charged from their lengths (:mod:`repro.pbsm.paper_io`), and
+only ``dedup="sort"`` stages records through a paged file
+(:class:`~repro.pbsm.dedup.CandidateFile`).  The engine
 is only the kernel a leaf (:func:`~repro.pbsm.leaf.join_leaf`) runs: the
 *tuple* engine's :func:`~repro.pbsm.leaf.tuple_leaf` (any internal but
 ``sweep_numpy``; the paper's subject) over records gathered from the
@@ -44,17 +49,7 @@ W workers.
 from __future__ import annotations
 
 import time
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,29 +65,17 @@ from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import SimulatedDisk
-from repro.io.pagefile import PageFile
-from repro.kernels.assign import partition_memoized
+from repro.kernels.assign import partition_memoized, partition_runs
 from repro.kernels.columnar import ColumnarRelation, checked_columns
-from repro.obs.trace import KIND_RUN, KIND_TASK, NULL_TRACER
-from repro.pbsm.dedup import sort_based_dedup
+from repro.obs.trace import KIND_RUN, KIND_SECTION, KIND_TASK, NULL_TRACER
+from repro.pbsm.dedup import CandidateFile
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TILES_PER_PARTITION, TileGrid
-from repro.pbsm.leaf import (
-    Leaf,
-    LeafOutcome,
-    Region,
-    columnar_engine,
-    join_leaf,
-    read_leaf,
-)
+from repro.pbsm.leaf import Leaf, LeafOutcome, Region, columnar_engine, join_leaf
 from repro.pbsm.parallel import (
-    EXECUTORS,
-    clamp_workers,
-    execute_process,
-    fan_out_executor,
-    lpt_schedule,
+    EXECUTORS, clamp_workers, execute_process, fan_out_executor, lpt_schedule,
 )
-from repro.pbsm.partitioner import partition_relation
+from repro.pbsm.paper_io import charge_leaf, charge_partition
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split, split_partition_ids
 
 DEDUP_MODES = ("rpm", "sort")
@@ -184,7 +167,7 @@ class PBSM:
         box nothing.  Under ``"sort"`` it is the sorted-out ``list``.
         """
         stats = self._new_stats(left, right)
-        columns = _columns(left, right)
+        columns = _columns(left, right, self.tracer)
         pieces = self._join_leaves(columns, stats)
         if self.dedup == "sort":
             pairs: List[Tuple[int, int]] = []
@@ -213,7 +196,7 @@ class PBSM:
         """
         if stats is None:
             stats = self._new_stats(left, right)
-        columns = _columns(left, right)
+        columns = _columns(left, right, self.tracer)
         pieces = self._join_leaves(columns, stats)
         if columns is not None and self.dedup == "rpm":
             sides = _row_oids(columns, boxed=True)
@@ -263,8 +246,8 @@ class PBSM:
             PHASE_JOIN: CpuCounters(),
             PHASE_DEDUP: CpuCounters(),
         }
-        #: ``(pages read, counters, wall seconds)`` per leaf, in join order.
-        leaf_costs: List[Tuple[int, CpuCounters, float]] = []
+        #: ``(read units, counters, wall seconds)`` per leaf, in join order.
+        leaf_costs: List[Tuple[float, CpuCounters, float]] = []
         if columns is None:
             self._finalize_stats(stats, disk, cpu, leaf_costs)
             return
@@ -297,40 +280,38 @@ class PBSM:
             with tracer.span(
                 PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
             ) as sp:
-                # Both inputs' id runs into files ``R.*``/``S.*``;
-                # *reused* counts the sides whose runs came out of a
-                # read-only relation's partition memo (same charges).
+                # Both inputs' id runs, one per partition; *reused*
+                # counts the sides whose runs came out of a read-only
+                # relation's partition memo (same charges).
                 reused = 0
-                sides: List[Tuple[List[PageFile], int]] = []
+                sides: List[List[Any]] = []
                 with disk.phase(PHASE_PARTITION):
-                    for cols, prefix in ((columns.left, "R"), (columns.right, "S")):
+                    for cols in columns:
                         reused += partition_memoized(cols, grid, columnar)
-                        sides.append(
-                            partition_relation(
-                                cols, grid, disk, kpe_bytes, cpu[PHASE_PARTITION],
-                                prefix, emit="ids", by_xl=columnar,
-                            )
+                        runs = partition_runs(
+                            cols, grid, cpu[PHASE_PARTITION], columnar
                         )
-                (left_files, n_left), (right_files, n_right) = sides
+                        charge_partition(disk, runs, kpe_bytes)
+                        sides.append(runs)
+                runs_left, runs_right = sides
                 sp.add_counters({"partitions_reused": reused})
-                stats.records_partitioned = n_left + n_right
+                written = sum(len(run) for run in runs_left + runs_right)
+                stats.records_partitioned = written
                 stats.replicas_created = (
-                    n_left + n_right - len(columns.left) - len(columns.right)
+                    written - len(columns.left) - len(columns.right)
                 )
             stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- candidate sink -------------------------------------------
-            candidate_file: Optional[PageFile] = None
-            candidate_writer = None
+            candidates: Optional[CandidateFile] = None
             if self.dedup == "sort":
-                candidate_file = PageFile(disk, self.cost_model.result_bytes, "cands")
-                candidate_writer = candidate_file.writer(buffer_pages=1)
-                sides = _row_oids(columns, boxed=True)
+                candidates = CandidateFile(disk)
+                oids = _row_oids(columns, boxed=True)
 
             # --- phases 2+3: (re)partition & join --------------------------
             # Top-level pairs stacked so that partition 0 is looked at first.
-            pending: List[Tuple[PageFile, PageFile, Region, int]] = [
-                (left_files[pid], right_files[pid], ((grid, pid),), 0)
+            pending: List[Tuple[Any, Any, Region, int]] = [
+                (runs_left[pid], runs_right[pid], ((grid, pid),), 0)
                 for pid in reversed(range(n_partitions))
             ]
             join_cpu = cpu[PHASE_JOIN]
@@ -338,22 +319,22 @@ class PBSM:
                 leaves = self._leaves(
                     pending, space, columns, disk, cpu[PHASE_REPARTITION], stats
                 )
-                for (file_left, file_right, _), outcome in self._run_leaves(
-                    leaves, columns, disk, stats
+                for (ids_left, ids_right, _), outcome in self._run_leaves(
+                    leaves, columns, stats
                 ):
                     pairs, suppressed, counters, wall = outcome
                     join_cpu.add(counters)
                     stats.duplicates_suppressed += suppressed
-                    leaf_costs.append(
-                        (file_left.n_pages + file_right.n_pages, counters, wall)
-                    )
-                    if candidate_writer is None:
+                    with disk.phase(PHASE_JOIN):
+                        read_units = charge_leaf(disk, ids_left, ids_right)
+                    leaf_costs.append((read_units, counters, wall))
+                    if candidates is None:
                         yield pairs
                     else:
                         # The candidate-pair writes are part of the
                         # duplicate-removal overhead (Figure 3a).
                         with disk.phase(PHASE_DEDUP):
-                            candidate_writer.write_many(PairRows(pairs, sides))
+                            candidates.write_many(PairRows(pairs, oids))
                 sp.add_counters(
                     {
                         "bytes_shipped": stats.ipc_bytes_shipped,
@@ -363,14 +344,13 @@ class PBSM:
             stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
             # --- phase 4: sort-based duplicate removal ---------------------
-            if candidate_writer is not None:
+            if candidates is not None:
                 with tracer.span(
                     PHASE_DEDUP, cpu=cpu[PHASE_DEDUP], disk=disk
                 ) as sp:
                     with disk.phase(PHASE_DEDUP):
-                        candidate_writer.close()
-                        unique, removed = sort_based_dedup(
-                            candidate_file, self.memory_bytes, cpu[PHASE_DEDUP]
+                        unique, removed = candidates.sort_out(
+                            self.memory_bytes, cpu[PHASE_DEDUP]
                         )
                     stats.duplicates_sorted_out = removed
                 stats.wall_seconds_by_phase[PHASE_DEDUP] = sp.wall_seconds
@@ -379,7 +359,7 @@ class PBSM:
 
     def _leaves(
         self,
-        pending: List[Tuple[PageFile, PageFile, Region, int]],
+        pending: List[Tuple[Any, Any, Region, int]],
         space: Space,
         columns: "_Columns",
         disk: SimulatedDisk,
@@ -388,60 +368,65 @@ class PBSM:
     ) -> Iterator[Leaf]:
         """The recursion of Section 3.2.3: yield the pairs to join as they are.
 
-        *pending* is the stack of ``(file_left, file_right, region,
+        *pending* is the stack of ``(ids_left, ids_right, region,
         depth)`` still to look at, next one last.  A pair over the budget
         is replaced by its sub-pairs — the larger side split by a finer
         grid, each sub-partition against the whole other side; every
-        other non-empty pair is a leaf ``(file_left, file_right, region)``,
-        in the order a depth-first recursion joins them.  The files hold
-        row ids into *columns*; an argument like the rest of the run's
-        state, never stored, so nothing keeps it alive once the generator
-        is done.  Past ``MAX_REPARTITION_DEPTH`` splits a pair is joined
+        other non-empty pair is a leaf ``(ids_left, ids_right, region)``,
+        in the order a depth-first recursion joins them.  The id runs
+        hold row positions into *columns*; an argument like the rest of
+        the run's state, never stored, so nothing keeps it alive once the
+        generator is done.  A side of ``n`` ids takes ``n`` KPEs of the
+        budget.  Past ``MAX_REPARTITION_DEPTH`` splits a pair is joined
         over the budget (counted in ``stats.memory_overruns``).
         """
+        kpe_bytes = self.cost_model.kpe_bytes
         while pending:
-            file_left, file_right, region, depth = pending.pop()
-            if file_left.n_records == 0 or file_right.n_records == 0:
+            ids_left, ids_right, region, depth = pending.pop()
+            if len(ids_left) == 0 or len(ids_right) == 0:
                 # An empty side produces nothing.  This must short-circuit
                 # *before* the memory check: otherwise an over-budget partner
                 # would be repartitioned once per empty sub-partition,
                 # exploding the recursion on unsplittable (e.g. all-identical)
                 # inputs.
                 continue
-            pair_bytes = file_left.n_bytes + file_right.n_bytes
+            bytes_left = len(ids_left) * kpe_bytes
+            bytes_right = len(ids_right) * kpe_bytes
+            pair_bytes = bytes_left + bytes_right
             fits = pair_bytes <= self.memory_bytes
-            splittable = max(file_left.n_records, file_right.n_records) > 2
+            splittable = max(len(ids_left), len(ids_right)) > 2
             if fits or not splittable or depth >= MAX_REPARTITION_DEPTH:
                 if not fits:
                     stats.memory_overruns += 1
                 if pair_bytes > stats.peak_memory_bytes:
                     stats.peak_memory_bytes = pair_bytes
-                yield file_left, file_right, region
+                yield ids_left, ids_right, region
                 continue
             # Split the larger partition; each sub-partition meets the other.
             stats.repartition_events += 1
-            left_is_larger = file_left.n_bytes >= file_right.n_bytes
-            larger = file_left if left_is_larger else file_right
-            smaller = file_right if left_is_larger else file_left
+            left_is_larger = bytes_left >= bytes_right
+            larger, smaller = (
+                (ids_left, ids_right) if left_is_larger else (ids_right, ids_left)
+            )
             k = choose_split(
-                larger.n_bytes, smaller.n_bytes, self.memory_bytes, self.t_factor
+                max(bytes_left, bytes_right), min(bytes_left, bytes_right),
+                self.memory_bytes, self.t_factor,
             )
             with disk.phase(PHASE_REPARTITION):
-                subfiles, subgrid = split_partition_ids(
+                subruns, subgrid = split_partition_ids(
                     larger,
                     columns.left if left_is_larger else columns.right,
                     k, space, disk, cpu, self.tiles_per_partition,
-                    f"{larger.name}.d{depth}",
                 )
-            if max(f.n_records for f in subfiles) >= larger.n_records:
+            if max(len(run) for run in subruns) >= len(larger):
                 # No progress: every record overlaps (nearly) every tile, so a
                 # sub-partition is as large as its parent — e.g. all-identical
                 # rectangles.  Recursing would multiply work without shrinking
                 # anything; join the original pair directly instead.
-                pending.append((file_left, file_right, region, MAX_REPARTITION_DEPTH))
+                pending.append((ids_left, ids_right, region, MAX_REPARTITION_DEPTH))
                 continue
-            for sub_pid in reversed(range(len(subfiles))):
-                sub = subfiles[sub_pid]
+            for sub_pid in reversed(range(len(subruns))):
+                sub = subruns[sub_pid]
                 sides = (sub, smaller) if left_is_larger else (smaller, sub)
                 # Parent region AND sub-region (Section 3.2.3).
                 pending.append((*sides, region + ((subgrid, sub_pid),), depth + 1))
@@ -450,7 +435,6 @@ class PBSM:
         self,
         leaves: Iterable[Leaf],
         columns: "_Columns",
-        disk: SimulatedDisk,
         stats: JoinStats,
     ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
         """Join each leaf: on the warm pool when the leaves really fan out
@@ -460,12 +444,11 @@ class PBSM:
         tracer = self.tracer
         if stats.executor == "process":
             yield from execute_process(
-                list(leaves), columns, disk, stats, self.internal_name, tracer
+                list(leaves), columns, stats, self.internal_name, tracer
             )
             return
         for leaf in leaves:
-            file_left, file_right, region = leaf
-            l_ids, r_ids = read_leaf(disk, file_left, file_right)
+            l_ids, r_ids, region = leaf
             started = time.perf_counter()
             counters = CpuCounters()
             pairs, suppressed = join_leaf(
@@ -480,20 +463,20 @@ class PBSM:
                 )
             yield leaf, (pairs, suppressed, counters, wall)
 
-
     def _finalize_stats(
         self,
         stats: JoinStats,
         disk: SimulatedDisk,
         cpu: Dict[str, CpuCounters],
-        leaf_costs: List[Tuple[int, CpuCounters, float]],
+        leaf_costs: List[Tuple[float, CpuCounters, float]],
     ) -> None:
         """The one accounting rule, an empty side included (zero-filled
         phases): each phase is charged its counters and its I/O, except
         that with ``workers > 1`` the join phase is the LPT makespan of
-        the leaves on W workers, each leaf costing its two reads (one
-        request each) plus its CPU counters.  The makespan mixes the
-        leaves' reads and CPU; it counts as CPU."""
+        the leaves on W workers, each leaf costing its two reads
+        (:func:`~repro.pbsm.paper_io.charge_leaf`) plus its CPU
+        counters.  The makespan mixes the leaves' reads and CPU; it
+        counts as CPU."""
         cost = self.cost_model
         stats.io_units_by_phase = units = disk.units_by_phase()
         stats.io_pages_by_phase = disk.pages_by_phase()
@@ -511,8 +494,8 @@ class PBSM:
         if self.workers > 1:
             makespan, _loads = lpt_schedule(
                 [
-                    cost.io_seconds(cost.pt_ratio * 2 + pages) + cost.cpu_seconds(counters)
-                    for pages, counters, _ in leaf_costs
+                    cost.io_seconds(read_units) + cost.cpu_seconds(counters)
+                    for read_units, counters, _ in leaf_costs
                 ],
                 self.workers,
             )
@@ -532,12 +515,14 @@ class _Columns(NamedTuple):
     right: ColumnarRelation
 
 
-def _columns(left: Sequence[Tuple], right: Sequence[Tuple]) -> Optional[_Columns]:
-    """Both inputs' validated columns; ``None`` when a side is empty
-    (nothing is joined, so nothing is validated)."""
-    if not left or not right:
-        return None
-    return _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
+def _columns(left: Sequence[Tuple], right: Sequence[Tuple], tracer: Any) -> Optional[_Columns]:
+    """Both inputs' validated columns, under an ``ingest`` span (a list
+    is converted here); ``None`` when a side is empty (nothing is
+    joined, so nothing is validated)."""
+    with tracer.span("ingest", kind=KIND_SECTION):
+        if not left or not right:
+            return None
+        return _Columns(checked_columns(left, "left"), checked_columns(right, "right"))
 
 
 def concat_rows(pieces: Iterable[Tuple[Any, Any]]) -> Tuple[Any, Any]:

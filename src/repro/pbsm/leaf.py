@@ -12,11 +12,8 @@ from typing import Any, Callable, List, Tuple
 
 import numpy as np
 
-from repro.core.phases import PHASE_JOIN
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
-from repro.io.disk import SimulatedDisk
-from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import owned_mask, region_join_ids, rpm_join_ids
 from repro.kernels.sweep import _charge_batch_sort
@@ -29,8 +26,9 @@ from repro.pbsm.grid import TileGrid
 #: points (:func:`~repro.kernels.rpm.owned_mask`).
 Region = Tuple[Tuple[TileGrid, int], ...]
 
-#: A leaf the recursion hands out: ``(file_left, file_right, region)``.
-Leaf = Tuple[PageFile, PageFile, Region]
+#: A leaf the recursion hands out: ``(ids_left, ids_right, region)``,
+#: each side a read-only int64 run of row positions into its input.
+Leaf = Tuple[Any, Any, Region]
 
 #: ``(pairs, suppressed, counters, wall_seconds)`` — one joined leaf: what
 #: :func:`join_leaf` returned (*pairs* is ``(rid, sid)``), and the leaf's
@@ -41,12 +39,6 @@ LeafOutcome = Tuple[Any, int, CpuCounters, float]
 def columnar_engine(internal_name: str) -> bool:
     """Whether a PBSM driver runs the columnar engine for this internal."""
     return internal_name == "sweep_numpy"
-
-
-def read_leaf(disk: SimulatedDisk, file_left: PageFile, file_right: PageFile) -> Tuple[Any, Any]:
-    """A leaf's two id runs, each read with one charged request."""
-    with disk.phase(PHASE_JOIN):
-        return file_left.read_view(), file_right.read_view()
 
 
 def join_leaf(

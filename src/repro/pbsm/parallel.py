@@ -48,22 +48,12 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from typing import (
-    Any,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.result import JoinStats
 from repro.core.stats import CpuCounters
-from repro.io.disk import SimulatedDisk
 from repro.kernels.shm import (
     Manifest,
     SharedColumnarStore,
@@ -72,7 +62,7 @@ from repro.kernels.shm import (
 )
 from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.leaf import Leaf, LeafOutcome, Region, join_leaf, read_leaf
+from repro.pbsm.leaf import Leaf, LeafOutcome, Region, join_leaf
 
 EXECUTORS = ("simulated", "process")
 
@@ -596,15 +586,13 @@ def _emit_pool_spans(
 def execute_process(
     leaves: List[Leaf],
     columns: Any,
-    disk: SimulatedDisk,
     stats: JoinStats,
     internal_name: str,
     tracer: Any,
 ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
     """Fan the leaves out as tasks over the warm pool and one segment.
 
-    Reads every leaf's two id runs (charged like the in-process
-    loop's reads), concatenates them per side in leaf order, loads
+    Concatenates every leaf's two id runs per side in leaf order, loads
     those two id arrays once into a segment, next to the columns of
     each side whose relation names no pinned ``segment``, ships
     five-integer tasks next to the grids and each leaf's ownership
@@ -624,16 +612,11 @@ def execute_process(
         return
     workers = stats.n_workers
     tasks: List[IdTask] = []
-    runs_left: List[Any] = []
-    runs_right: List[Any] = []
     #: grid spec -> its index in the config's ``grid_specs``
     grid_index: Dict[Tuple, int] = {}
     chains: List[Tuple[Tuple[int, int], ...]] = []
     n_left = n_right = 0
-    for leaf, (file_left, file_right, region) in enumerate(leaves):
-        run_left, run_right = read_leaf(disk, file_left, file_right)
-        runs_left.append(run_left)
-        runs_right.append(run_right)
+    for leaf, (run_left, run_right, region) in enumerate(leaves):
         l_lo, r_lo = n_left, n_right
         n_left += len(run_left)
         n_right += len(run_right)
@@ -652,8 +635,8 @@ def execute_process(
         if cols.segment is None:
             arrays.update(columnar_arrays(prefix, cols))
         sides.append(cols.segment or (None, prefix))
-    arrays["L.ids"] = np.concatenate(runs_left)
-    arrays["R.ids"] = np.concatenate(runs_right)
+    arrays["L.ids"] = np.concatenate([leaf[0] for leaf in leaves])
+    arrays["R.ids"] = np.concatenate([leaf[1] for leaf in leaves])
     chunks = _chunk_tasks(tasks, workers * CHUNKS_PER_WORKER)
 
     with SharedColumnarStore.create(arrays) as store:

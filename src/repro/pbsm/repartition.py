@@ -17,9 +17,9 @@ from typing import Any, List, Tuple
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.io.disk import SimulatedDisk
-from repro.io.pagefile import PageFile
+from repro.kernels.assign import partition_runs
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.partitioner import partition_relation
+from repro.pbsm.paper_io import charge_split
 
 #: Upper bound on the fan-out of one repartitioning step.
 MAX_SPLIT = 64
@@ -47,28 +47,27 @@ def choose_split(
 
 
 def split_partition_ids(
-    source: PageFile,
+    source: Any,
     columns: Any,
     k: int,
     space: Space,
     disk: SimulatedDisk,
     counters: CpuCounters,
     tiles_per_partition: int,
-    name: str,
-) -> Tuple[List[PageFile], TileGrid]:
-    """Re-partition *source* into *k* sub-partitions with a finer grid.
+) -> Tuple[List[Any], TileGrid]:
+    """Re-partition the id run *source* into *k* sub-partitions with a
+    finer grid.
 
-    The partitions of both PBSM engines hold positions in the input's
-    :class:`~repro.kernels.columnar.ColumnarRelation` *columns*, not
-    records: the source's rows are gathered, partitioned by the
-    id-emitting kernel, and each sub-partition's local positions —
+    The partitions of both PBSM engines are int64 runs of positions in
+    the input's :class:`~repro.kernels.columnar.ColumnarRelation`
+    *columns*, not records: the source's rows are gathered, partitioned
+    by the array kernel, and each sub-partition's local positions —
     ascending, so in the source's order (``(xl, position)`` for the
     columnar engine, ``position`` for the tuple engine) — mapped back to
-    input positions, with nothing sorted.  The source is read back with
-    one contiguous request; the sub-partition writes are charged like
-    the initial partitioning's one-page buffers, by how many rows each
-    sub-partition receives.  Returns the sub-partition files and the
-    sub-grid (whose point map the composed RPM region test uses).
+    input positions, with nothing sorted.  The paper's I/O is charged
+    from the run lengths (:func:`~repro.pbsm.paper_io.charge_split`).
+    Returns the read-only sub-partition runs and the sub-grid (whose
+    point map the composed RPM region test uses).
 
     The source is deliberately left intact: a partition can be the
     shared "smaller" side of several sub-pairs, and the recursion may
@@ -76,17 +75,10 @@ def split_partition_ids(
     silently drop those pairs.
     """
     subgrid = TileGrid.for_partitions(space, k, tiles_per_partition)
-    ids = source.read_view()
-    files, _ = partition_relation(
-        columns.rows(ids),
-        subgrid,
-        disk,
-        source.record_bytes,
-        counters,
-        name_prefix=name,
-        emit="ids",
-    )
-    for file in files:
-        file.records = ids[file.records]
-    return files, subgrid
-
+    runs: List[Any] = []
+    for local in partition_runs(columns.rows(source), subgrid, counters):
+        run = source[local]
+        run.flags.writeable = False
+        runs.append(run)
+    charge_split(disk, source, runs)
+    return runs, subgrid

@@ -403,7 +403,7 @@ def repartition_overflow(
         return -(-int(n + 0.5) // per_page)
 
     def read_io(a: float, b: float) -> float:
-        # A pair's two sides, read in one request each (``read_view``).
+        # A pair's two sides, read in one request each (``charge_leaf``).
         return cost.request_units(pages(a)) + cost.request_units(pages(b))
 
     events = 0

@@ -152,6 +152,26 @@ class TestMappedStore:
             with pytest.raises(ValueError):
                 store.column("oid")[0] = -1
 
+    def test_a_mapped_column_is_a_plain_array_on_the_mapping(self, rcd_path):
+        import mmap
+
+        import numpy as np
+
+        _, path = rcd_path
+        rel = load_relation(path)
+        for col in (rel.oid, rel.xl, rel.yl, rel.xh, rel.yh):
+            # Not the memmap subclass: a gather pays no Python-level
+            # __getitem__.
+            assert type(col) is np.ndarray
+            assert not col.flags.writeable
+            bases = []
+            base = col.base
+            while base is not None:
+                bases.append(base)
+                base = getattr(base, "base", None)
+            assert any(isinstance(b, np.memmap) for b in bases)
+            assert any(isinstance(b, mmap.mmap) for b in bases)
+
     def test_closed_store_refuses_views(self, rcd_path):
         from repro.kernels.mmapstore import MappedColumnarStore
 

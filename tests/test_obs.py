@@ -500,6 +500,22 @@ class TestSpatialJoinTracing:
         assert outer.wall_seconds == pytest.approx(stats.total_wall_seconds)
         assert outer.wall_seconds >= sum(stats.wall_seconds_by_phase.values())
 
+    @pytest.mark.parametrize("method", ["pbsm", "auto"])
+    def test_list_conversion_runs_under_an_ingest_span(self, small_pair, method):
+        left, right = small_pair
+        tracer = Tracer()
+        spatial_join(list(left), list(right), mb(0.5), method=method, tracer=tracer)
+        (root,) = [s for s in tracer.spans if s.name == "spatial_join"]
+        ingests = [s for s in tracer.spans if s.name == "ingest"]
+        assert ingests and all(s.kind == KIND_SECTION for s in ingests)
+        # The lists become columns under the root, before anything runs.
+        first = ingests[0]
+        assert first.parent_id == root.span_id
+        assert first.wall_seconds > 0
+        assert first.t_start <= min(
+            s.t_start for s in tracer.spans if s.name in ("plan", "pbsm")
+        )
+
     def test_auto_records_plan_span_and_drift(self, small_pair):
         left, right = small_pair
         tracer = Tracer()

@@ -1,15 +1,17 @@
-"""The columnar ``emit="ids"`` partitioner against the scalar loop it replaced.
+"""PBSM's array partitioning against the scalar loop it replaced.
 
-``partition_relation(..., emit="ids")`` is one kernel
-(``kernels.assign.partition_ids``) plus charges computed from the
-per-partition counts; the per-record loop it replaced is
-:func:`scalar_partition_ids` here, spelt with ``partitions_for_rect``
-and one ``PageWriter`` per partition.  Everything the rest of the engine
-can observe must be equal between the two: the id list of every partition file,
-``records_written``, the charged ``structure_ops`` and every
-``SimulatedDisk`` request/page counter — and, one level up, the pairs
-and ``JoinStats`` of a process-executor ``PBSM(workers=2)`` run against the
-simulated executor's in-process loop.
+The driver partitions with one kernel
+(:func:`~repro.kernels.assign.partition_runs`: every partition's id run)
+and charges the paper's writes from the run lengths
+(:func:`~repro.pbsm.paper_io.charge_partition`); the per-record loop it
+replaced is :func:`scalar_partition_ids` here, spelt with
+``partitions_for_rect`` and one one-page ``PageWriter`` per partition.
+Everything the rest of the engine can observe must be equal between the
+two: the ids of every partition, ``records_written``, the charged
+``structure_ops`` and every ``SimulatedDisk`` request/page counter —
+and, one level up, the pairs and ``JoinStats`` of a process-executor
+``PBSM(workers=2)`` run against the simulated executor's in-process
+loop.
 """
 
 import pickle
@@ -26,12 +28,13 @@ from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
+from repro.kernels.assign import partition_runs
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm import parallel
 from repro.pbsm.join import PBSM
+from repro.pbsm.paper_io import charge_partition
 from repro.pbsm.parallel import _chunk_tasks
-from repro.pbsm.partitioner import partition_relation
 
 from tests.conftest import HASH_ID, random_kpes
 from tests.test_boundary_ownership import lattice_rects
@@ -43,13 +46,10 @@ needs_shm = pytest.mark.skipif(
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
 
-def scalar_partition_ids(kpes, grid, disk, record_bytes, counters, name_prefix, buffer_pages):
+def scalar_partition_ids(kpes, grid, disk, record_bytes, counters):
     """The per-record loop: every row id into every partition it overlaps."""
-    files = [
-        PageFile(disk, record_bytes, f"{name_prefix}.{pid}")
-        for pid in range(grid.n_partitions)
-    ]
-    writers = [file.writer(buffer_pages=buffer_pages) for file in files]
+    files = [PageFile(disk, record_bytes) for _ in range(grid.n_partitions)]
+    writers = [file.writer(buffer_pages=1) for file in files]
     written = 0
     for i, kpe in enumerate(kpes):
         pids = grid.partitions_for_rect(kpe)
@@ -59,39 +59,34 @@ def scalar_partition_ids(kpes, grid, disk, record_bytes, counters, name_prefix, 
         written += len(pids)
     for writer in writers:
         writer.close()
-    return files, written
+    return [file.records for file in files], written
 
 
-def partition_ids_observed(kpes, grid, *, scalar, buffer_pages=1):
-    """Everything observable about one ``emit="ids"`` partitioning."""
+def partition_ids_observed(kpes, grid, *, scalar):
+    """Everything observable about one id partitioning."""
     disk = SimulatedDisk(CostModel())
     counters = CpuCounters()
     with disk.phase(PHASE_PARTITION):
         if scalar:
-            files, written = scalar_partition_ids(
-                kpes, grid, disk, 20, counters, "P", buffer_pages
-            )
+            per_partition, written = scalar_partition_ids(kpes, grid, disk, 20, counters)
         else:
-            files, written = partition_relation(
-                kpes, grid, disk, 20, counters, "P",
-                buffer_pages=buffer_pages, emit="ids",
-            )  # fmt: skip
-    per_file = [file.read_all() for file in files]
-    for ids in per_file:
+            runs = partition_runs(kpes, grid, counters)
+            charge_partition(disk, runs, 20)
+            per_partition = [run.tolist() for run in runs]
+            written = sum(map(len, per_partition))
+    for ids in per_partition:
         assert all(type(i) is int for i in ids)
     return {
-        "ids": per_file,
-        "n_pages": [file.n_pages for file in files],
-        "names": [file.name for file in files],
+        "ids": per_partition,
         "written": written,
         "structure_ops": counters.structure_ops,
         "disk": disk.counters,
     }
 
 
-def assert_vector_equals_scalar(kpes, grid, **kwargs):
-    vector = partition_ids_observed(kpes, grid, scalar=False, **kwargs)
-    scalar = partition_ids_observed(kpes, grid, scalar=True, **kwargs)
+def assert_vector_equals_scalar(kpes, grid):
+    vector = partition_ids_observed(kpes, grid, scalar=False)
+    scalar = partition_ids_observed(kpes, grid, scalar=True)
     assert vector == scalar
     return vector
 
@@ -162,13 +157,15 @@ class TestVectorEqualsScalar:
         from_mapped = assert_vector_equals_scalar(mapped, grid)
         assert from_mapped == partition_ids_observed(kpes, grid, scalar=False)
 
-    @pytest.mark.parametrize("buffer_pages", [1, 2, 5])
+    # One-page buffers only, the partitioning's; the id keeps its
+    # parameter from when the replay partitioner took other sizes.
+    @pytest.mark.parametrize("buffer_pages", [1])
     def test_flush_charges_follow_the_writer_buffer(self, buffer_pages):
         # Page size 4096 / 20-byte records = 204 per page; partition sizes
-        # land on both sides of one and of several buffers.
+        # land on both sides of one and of several pages.
         grid = TileGrid(UNIT, 6, 6, 3)
         kpes = random_kpes(1500, seed=12, max_edge=0.04)
-        assert_vector_equals_scalar(kpes, grid, buffer_pages=buffer_pages)
+        assert_vector_equals_scalar(kpes, grid)
 
     def test_data_space_wider_than_the_data(self):
         # Grid space and data extent differ: clipping of out-of-space

@@ -37,7 +37,6 @@ from repro.datasets.fileio import load_relation, save_relation
 from repro.datasets.synthetic import zipf_rects
 from repro.internal.brute import brute_force_pairs
 from repro.io.costmodel import mb
-from repro.io.pagefile import PageFile
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.shm import shm_enabled
 from repro.obs import KIND_PHASE, KIND_RUN, Tracer
@@ -172,23 +171,30 @@ class TestAgainstTupleEngine:
             assert result.stats.io_units_by_phase == {}
 
     def test_budgets_reach_their_depths(self, monkeypatch):
-        names = []
+        depths = []
+        #: ``id(run) -> depth`` of every sub-partition run a split made;
+        #: *kept* holds the runs, so no id is reused during a run.
+        depth_of = {}
+        kept = []
         split = pbsm_join_module.split_partition_ids
 
-        def spy(source, columns, k, space, disk, counters, tiles, name):
-            names.append(name)
-            return split(source, columns, k, space, disk, counters, tiles, name)
+        def spy(source, *args):
+            # A top-level partition is split at depth 0, a run made by
+            # the split at depth k at depth k + 1.
+            depth = depth_of.get(id(source), 0)
+            depths.append(depth)
+            runs, subgrid = split(source, *args)
+            kept.extend(runs)
+            depth_of.update((id(sub), depth + 1) for sub in runs)
+            return runs, subgrid
 
         monkeypatch.setattr(pbsm_join_module, "split_partition_ids", spy)
         left, right = workload("uniform")
         depth = {}
         for label, memory in BUDGETS.items():
-            names.clear()
+            depths.clear()
             run(left, right, memory, "sweep_numpy", "rpm")
-            # ``<file>.d<k>`` names the split made at recursion depth k.
-            depth[label] = max(
-                (int(n.rsplit(".d", 1)[1]) + 1 for n in names), default=0
-            )
+            depth[label] = max((d + 1 for d in depths), default=0)
         assert depth["depth0"] == 0
         assert depth["depth1"] == 1
         assert depth["deep"] >= 2
@@ -405,13 +411,13 @@ class TestLeafBatching:
 class TestGeneratorBoundary:
     def test_first_rpm_pair_streams_before_the_last_read(self, monkeypatch):
         reads = [0]
-        read_view = PageFile.read_view
+        charge_leaf = pbsm_join_module.charge_leaf
 
-        def counting(self):
+        def counting(*args):
             reads[0] += 1
-            return read_view(self)
+            return charge_leaf(*args)
 
-        monkeypatch.setattr(PageFile, "read_view", counting)
+        monkeypatch.setattr(pbsm_join_module, "charge_leaf", counting)
         left, right = workload("uniform")
         pairs = PBSM(BUDGETS["depth1"], internal="sweep_numpy").iter_pairs(
             left, right

@@ -17,6 +17,7 @@ from repro.kernels.columnar import ColumnarRelation
 from repro.pbsm.repartition import choose_split, split_partition_ids
 
 from tests.conftest import random_kpes
+from tests.test_lint import REPO_ROOT, imported_modules
 
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
@@ -107,10 +108,11 @@ class TestChooseSplit:
         assert k >= 2
 
 
-def id_source(disk, kpes):
-    """A partition file of row ids into *kpes*'s columns, as the drivers write it."""
-    source = PageFile(disk, SIZEOF_KPE, "src")
-    source.records = np.arange(len(kpes), dtype=np.int64)
+def id_source(kpes):
+    """A read-only run of row ids into *kpes*'s columns, as the driver
+    carries a partition."""
+    source = np.arange(len(kpes), dtype=np.int64)
+    source.flags.writeable = False
     return source, ColumnarRelation.from_kpes(kpes)
 
 
@@ -118,30 +120,38 @@ class TestSplitPartitionIds:
     def test_split_preserves_records_with_replication(self):
         disk = SimulatedDisk(CostModel(page_size=200))
         kpes = random_kpes(80, 9, max_edge=0.1)
-        source, columns = id_source(disk, kpes)
+        source, columns = id_source(kpes)
         counters = CpuCounters()
-        files, subgrid = split_partition_ids(
-            source, columns, 4, UNIT, disk, counters, 4, "sub"
+        runs, subgrid = split_partition_ids(
+            source, columns, 4, UNIT, disk, counters, 4
         )
-        stored = {int(columns.oid[i]) for f in files for i in f.records}
+        assert all(run.dtype == np.int64 and not run.flags.writeable for run in runs)
+        stored = {int(columns.oid[i]) for run in runs for i in run}
         assert stored == {k.oid for k in kpes}
         # Every record once per distinct sub-partition its rectangle meets.
-        assert sum(f.n_records for f in files) == sum(
+        assert sum(len(run) for run in runs) == sum(
             len(subgrid.partitions_for_rect(k)) for k in kpes
         )
-        assert sum(f.n_records for f in files) >= len(kpes)
+        assert sum(len(run) for run in runs) >= len(kpes)
         # source must remain intact (it may be joined against again)
-        assert source.records.tolist() == list(range(len(kpes)))
+        assert source.tolist() == list(range(len(kpes)))
 
     def test_split_charges_read_and_writes(self):
-        disk = SimulatedDisk(CostModel(page_size=200))
-        source, columns = id_source(disk, random_kpes(50, 10))
-        split_partition_ids(
-            source, columns, 2, UNIT, disk, CpuCounters(), 4, "sub"
+        cost = CostModel(page_size=200)
+        disk = SimulatedDisk(cost)
+        source, columns = id_source(random_kpes(50, 10))
+        runs, _ = split_partition_ids(
+            source, columns, 2, UNIT, disk, CpuCounters(), 4
         )
         total = disk.total_counters()
-        assert total.pages_read > 0
-        assert total.pages_written > 0
+        # The source in one request, each sub-partition through a
+        # one-page buffer: a request per page.
+        assert (total.read_requests, total.pages_read) == (
+            1, cost.pages_for(len(source), SIZEOF_KPE)
+        )
+        written = sum(cost.pages_for(len(run), SIZEOF_KPE) for run in runs)
+        assert written > 0
+        assert (total.write_requests, total.pages_written) == (written, written)
 
 
 class TestSortBasedDedup:
@@ -166,3 +176,29 @@ class TestSortBasedDedup:
         disk.reset()
         sort_based_dedup(f, 300, CpuCounters())
         assert disk.total_units() > 0
+
+
+class TestPaperIoBoundary:
+    """The engine's PBSM modules carry id arrays: no paged file, no
+    external sort, and one module that knows the paper's charges."""
+
+    PBSM_DIR = REPO_ROOT / "src/repro/pbsm"
+    PAGED = ("repro.io.pagefile", "repro.io.extsort")
+
+    def test_only_the_sort_mode_and_the_replay_import_paged_files(self):
+        importers = {
+            path.name
+            for path in self.PBSM_DIR.glob("*.py")
+            if any(module in self.PAGED for module in imported_modules(path))
+        }
+        assert importers <= {"dedup.py", "partitioner.py"}
+        for name in ("join.py", "leaf.py", "repartition.py", "parallel.py"):
+            assert name not in importers, name
+
+    def test_only_paper_io_charges_the_disk(self):
+        chargers = {
+            path.name
+            for path in self.PBSM_DIR.glob("*.py")
+            if "charge_read(" in path.read_text() or "charge_write(" in path.read_text()
+        }
+        assert chargers == {"paper_io.py"}

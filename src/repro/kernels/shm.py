@@ -5,8 +5,8 @@ lists into every join task and pickles Python pair lists back spends its
 wall time on IPC serialization, not on the join kernel.  This module is
 the transport without the copies: the parent packs
 both inputs' :class:`~repro.kernels.columnar.ColumnarRelation` columns
-(plus the CSR partition-index arrays) into **one**
-:mod:`multiprocessing.shared_memory` segment, workers attach by name,
+(plus the CSR partition-index arrays) into **one** POSIX shared-memory
+segment (:class:`ShmSegment`), workers attach by name,
 view the mapped columns as relations again
 (:meth:`SharedColumnarStore.relation`) and ``take`` their partition
 slices directly out of the mapped pages, and only a few integers per
@@ -14,21 +14,24 @@ task ever cross the pipe.
 
 Lifecycle (who unlinks)
 -----------------------
-The parent is the owner: it creates the segment, keeps it registered
-with the ``resource_tracker`` (so a crashed parent still gets cleaned up
-at interpreter shutdown), and calls ``close()`` + ``unlink()`` when the
-fan-out completes — :class:`SharedColumnarStore` is a context manager
-exactly for that. Workers attach read-only in spirit (they only copy
-rows out) and merely ``close()`` on exit — pool workers share the parent's
-resource tracker, so attaching never double-books the segment and a
-worker exit never tears it down (a forked worker starts with the
-tracker's lock unheld, whatever the parent's other threads were doing).
-Worker-*created* result segments
-invert the roles: the worker creates untracked and the parent attaches,
-decodes and unlinks. The one crash window is a worker dying between creating
-its result segment and the parent unlinking it — that segment leaks
-until reboot, which ``docs/architecture.md`` documents as the price of
-zero-copy results.
+The name is the only ownership record.  Every segment is named
+``repro_shm_<creator-pid>_...``, and no process registers it anywhere
+else: there is no resource tracker, so creating, attaching and
+unlinking are a few system calls each and start no helper process.
+
+* The creator unlinks.  The parent creates the per-query segment and
+  calls ``close()`` + ``unlink()`` when the fan-out completes —
+  :class:`SharedColumnarStore` is a context manager exactly for that.
+  Workers attach (they only copy rows out) and merely ``close()``.
+* A worker-*created* result segment inverts the roles: the worker
+  creates, the parent attaches, decodes and unlinks — while the worker
+  is still alive, since the pool stays lent out until then.
+* A creator that dies before unlinking leaves its segment behind until
+  the next :func:`sweep_orphan_segments`, which reaps every repro
+  segment whose creator pid is gone.  A server sweeps at start and
+  stop, and a process sweeps whenever it spawns a warm pool, so a
+  library process killed mid fan-out leaks only until the next fan-out
+  or server start.
 
 ``shm_enabled()`` gates the whole path: ``REPRO_DISABLE_SHM`` must be
 unset and the platform must actually support POSIX shared memory
@@ -41,8 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 import secrets
-import sys
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,10 +101,63 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _shared_memory_module() -> Any:
-    from multiprocessing import shared_memory
+class ShmSegment:
+    """One POSIX shared-memory segment, mapped read-write.
 
-    return shared_memory
+    ``ShmSegment(name, create=True, size=n)`` creates the segment (an
+    existing name raises ``FileExistsError``); ``ShmSegment(name)`` maps
+    an existing one whole.  :attr:`buf` is the mapping as a
+    ``memoryview``.  :meth:`close` raises ``BufferError`` while a view
+    of it is exported (a numpy array over it, say) and leaves it mapped.
+    """
+
+    __slots__ = ("name", "size", "buf", "_mmap")
+
+    def __init__(self, name: str, create: bool = False, size: int = 0) -> None:
+        # Imported on first use: a join at one worker never maps a
+        # segment, and loading these two extension modules with ``repro``
+        # moved the peak RSS of such a join's process up ~2 MB.
+        import mmap
+        from _posixshmem import shm_open
+
+        flags = os.O_RDWR | (os.O_CREAT | os.O_EXCL if create else 0)
+        fd = shm_open("/" + name, flags, mode=0o600)
+        try:
+            if create:
+                os.ftruncate(fd, size)
+            else:
+                size = os.fstat(fd).st_size
+            self._mmap = mmap.mmap(fd, size)
+        except BaseException:
+            if create:
+                unlink_segment(name)
+            raise
+        finally:
+            os.close(fd)  # the mapping holds its own descriptor
+        self.name = name
+        self.size = size
+        self.buf: Optional[memoryview] = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap this process's view (idempotent)."""
+        if self.buf is not None:
+            self.buf.release()  # BufferError while a view is exported
+            self.buf = None
+            self._mmap.close()
+
+    def unlink(self) -> None:
+        """Destroy the segment (idempotent); mappings stay until closed."""
+        unlink_segment(self.name)
+
+
+def unlink_segment(name: str) -> None:
+    """Destroy segment *name*; a name already gone is no error."""
+    from _posixshmem import shm_unlink
+
+    try:
+        shm_unlink("/" + name)
+    except FileNotFoundError:
+        pass
 
 
 def _platform_has_shm() -> bool:
@@ -110,17 +165,18 @@ def _platform_has_shm() -> bool:
     global _platform_probe
     if _platform_probe is None:
         # ImportError: no _posixshmem extension on this platform;
-        # OSError: /dev/shm missing, full, or permission-denied;
-        # BufferError: close() refused while a view is still mapped.
+        # OSError: /dev/shm missing, full, or permission-denied.
+        works = False
         try:
-            seg = _shared_memory_module().SharedMemory(create=True, size=8)
+            segment = ShmSegment(_new_segment_name(), create=True, size=8)
             try:
-                _platform_probe = True
+                segment.unlink()
             finally:
-                seg.close()
-                seg.unlink()
-        except (ImportError, OSError, BufferError):
-            _platform_probe = False
+                segment.close()
+            works = True
+        except (ImportError, OSError):
+            pass
+        _platform_probe = works
     return _platform_probe
 
 
@@ -136,46 +192,14 @@ def shm_enabled() -> bool:
     return _platform_has_shm()
 
 
-def _untrack(segment: Any) -> None:
-    """Remove *segment* from the resource tracker (worker-side creates).
-
-    A worker-created result segment is cleaned up by the *parent* after
-    decoding; without this, the tracker would double-book the name and
-    warn about "leaked" shared memory if the parent unlinks first.
-
-    ImportError/AttributeError cover interpreters without the tracker
-    API; OSError covers a tracker process that already exited.  Anything
-    else is a real lifecycle bug and must surface.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(segment._name, "shared_memory")
-    except (ImportError, AttributeError, OSError):
-        pass
-
-
-def _unlock_tracker_in_child() -> None:
-    """After ``fork``, in the child: the resource tracker's lock is free.
-
-    ``fork`` copies the tracker's lock in whatever state it is in.  When
-    another thread of the parent was inside a tracker call at that moment
-    (creating, attaching or unlinking a segment), the child's copy stays
-    held by a thread the child does not have, and the child's first
-    create or attach blocks forever: a warm-pool worker forked while a
-    second thread of the parent starts its own query never returns its
-    chunk.  The child runs one thread, so an unheld lock is the true
-    state.  Nothing to do before anything imported the tracker.
-    """
-    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
-    tracker = getattr(tracker_module, "_resource_tracker", None)
-    reinit = getattr(getattr(tracker, "_lock", None), "_at_fork_reinit", None)
-    if reinit is not None:
-        reinit()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_unlock_tracker_in_child)
+def _map_views(
+    segment: ShmSegment,
+    entries: Iterable[Tuple[str, str, int, int]],
+    views: Dict[str, Any],
+) -> None:
+    """Fill *views* with the arrays *entries* describe, over *segment*."""
+    for key, dtype, n, off in entries:
+        views[key] = np.ndarray((n,), dtype=dtype, buffer=segment.buf, offset=off)
 
 
 class SharedColumnarStore:
@@ -192,7 +216,7 @@ class SharedColumnarStore:
 
     def __init__(
         self,
-        segment: Any,
+        segment: ShmSegment,
         arrays: Dict[str, Any],
         manifest: Manifest,
         owner: bool,
@@ -206,15 +230,13 @@ class SharedColumnarStore:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, arrays: Dict[str, object], track: bool = True) -> "SharedColumnarStore":
+    def create(cls, arrays: Dict[str, object]) -> "SharedColumnarStore":
         """Copy *arrays* (name -> 1-D ndarray) into a fresh segment.
 
-        With ``track=False`` the segment is immediately unregistered from
-        the resource tracker — the worker-side result transport, where
-        the *parent* unlinks after decoding.  If anything fails between
-        allocating and returning (a ``KeyboardInterrupt`` mid-copy
-        included), the segment is closed and unlinked before the
-        exception propagates: nobody else knows its name yet.
+        If anything fails between allocating and returning (a
+        ``KeyboardInterrupt`` mid-copy included), the segment is unlinked
+        and closed before the exception propagates: nobody else knows
+        its name yet.
         """
         entries = []
         offset = 0
@@ -225,23 +247,16 @@ class SharedColumnarStore:
             entries.append((key, arr.dtype.str, int(arr.shape[0]), offset))
             offset += int(arr.nbytes)
         views: Dict[str, Any] = {}
-        segment = _shared_memory_module().SharedMemory(
-            name=_new_segment_name(), create=True, size=max(offset, 1)
-        )
+        segment = ShmSegment(_new_segment_name(), create=True, size=max(offset, 1))
         try:
-            if not track:
-                _untrack(segment)
-            for key, dtype, n, off in entries:
-                views[key] = np.ndarray(
-                    (n,), dtype=dtype, buffer=segment.buf, offset=off
-                )
-                views[key][:] = packed[key]
-            manifest: Manifest = (segment.name, tuple(entries))
-            return cls(segment, views, manifest, owner=True)
+            _map_views(segment, entries, views)
+            for key, view in views.items():
+                view[:] = packed[key]
+            return cls(segment, views, (segment.name, tuple(entries)), owner=True)
         except BaseException:
             views.clear()  # drop the exported views so close() can unmap
-            segment.close()
             segment.unlink()
+            segment.close()
             raise
 
     @classmethod
@@ -253,16 +268,9 @@ class SharedColumnarStore:
         """
         name, entries = manifest
         views: Dict[str, Any] = {}
-        # Attaching re-registers the name with the resource tracker
-        # shared by the whole process tree (harmless set.add); whoever
-        # ends up calling unlink() performs the single matching
-        # unregister, so no extra untrack here.
-        segment = _shared_memory_module().SharedMemory(name=name)
+        segment = ShmSegment(name)
         try:
-            for key, dtype, n, off in entries:
-                views[key] = np.ndarray(
-                    (n,), dtype=dtype, buffer=segment.buf, offset=off
-                )
+            _map_views(segment, entries, views)
             return cls(segment, views, manifest, owner=False)
         except BaseException:
             views.clear()  # drop the exported views so close() can unmap
@@ -283,7 +291,7 @@ class SharedColumnarStore:
     @property
     def nbytes(self) -> int:
         """Mapped segment size (what zero-copy avoids shipping)."""
-        return int(self._segment.size)
+        return self._segment.size
 
     @property
     def owner(self) -> bool:
@@ -322,10 +330,7 @@ class SharedColumnarStore:
 
     def unlink(self) -> None:
         """Destroy the segment (owner only; idempotent)."""
-        try:
-            self._segment.unlink()
-        except FileNotFoundError:
-            pass
+        self._segment.unlink()
 
     def __enter__(self) -> "SharedColumnarStore":
         return self
@@ -384,7 +389,9 @@ __all__ = [
     "Manifest",
     "SEGMENT_PREFIX",
     "SharedColumnarStore",
+    "ShmSegment",
     "columnar_arrays",
     "shm_enabled",
     "sweep_orphan_segments",
+    "unlink_segment",
 ]

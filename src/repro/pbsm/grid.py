@@ -129,7 +129,3 @@ class TileGrid:
             for ty in range(tyl, tyh + 1)
             for tx in range(txl, txh + 1)
         }
-
-    def tile_count(self) -> int:
-        return self.nx * self.ny
-

@@ -59,6 +59,8 @@ from repro.kernels.shm import (
     SharedColumnarStore,
     columnar_arrays,
     shm_enabled,
+    sweep_orphan_segments,
+    unlink_segment,
 )
 from repro.obs.trace import KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
@@ -213,11 +215,11 @@ def _chunk_blob(
         )
     wall = time.perf_counter() - started
     cpu_seconds = time.process_time() - cpu_started
-    # Untracked on purpose: the parent unlinks after copying out (a worker
-    # crashing between here and there leaks the segment — see docs).  If
-    # the reply cannot even be serialised, unlink now: the parent will
-    # never see the manifest, so nobody else can clean the segment up.
-    results = SharedColumnarStore.create(out_arrays, track=False)
+    # The parent unlinks after copying out (a worker crashing between
+    # here and there leaves the segment to the next sweep).  If the reply
+    # cannot even be serialised, unlink now: the parent will never see
+    # the manifest, so nobody else can clean the segment up.
+    results = SharedColumnarStore.create(out_arrays)
     try:
         blob = pickle.dumps(
             (os.getpid(), _PINNED_CPU, wall, cpu_seconds, metas, results.manifest),
@@ -233,8 +235,7 @@ def _chunk_blob(
 
 def _unlink_result_blob(blob: bytes) -> None:
     """Destroy the result segment a chunk *blob* names, undecoded."""
-    with SharedColumnarStore.attach(pickle.loads(blob)[-1]) as results:
-        results.unlink()
+    unlink_segment(pickle.loads(blob)[-1][0])
 
 
 #: Where a side's columns live: ``(manifest, prefix)`` of a long-lived
@@ -344,20 +345,15 @@ def _spawn_pool(workers: int) -> Any:
     (:func:`_pin_worker`, round robin when there are fewer CPUs than
     workers).  Two unpinned workers were seen sharing one vCPU, each at
     half speed, for whole chunks at a time.
+
+    Spawning first reaps the segments of dead creators
+    (:func:`~repro.kernels.shm.sweep_orphan_segments`): a process killed
+    mid fan-out leaks its segments only until the next pool spawn.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, wait
 
-    # Make sure the parent's resource tracker exists *before* the
-    # workers fork: workers forked first would each spawn their
-    # own tracker, whose shared-memory registrations are never
-    # matched by the parent's unlinks (spurious leak warnings).
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.ensure_running()
-    except (ImportError, AttributeError):
-        pass  # platform without the tracker API; nothing to pre-start
+    sweep_orphan_segments()
     try:
         cpus = tuple(sorted(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
@@ -583,6 +579,39 @@ def _emit_pool_spans(
     )
 
 
+def _copy_out(
+    payloads: List[bytes], blobs: List[bytes]
+) -> Tuple[Dict[int, LeafOutcome], List[ChunkReport]]:
+    """Every task's outcome, copied out of its chunk's result segment
+    (each unlinked once read), and one :data:`ChunkReport` per chunk."""
+    outcomes: Dict[int, LeafOutcome] = {}
+    chunk_reports: List[ChunkReport] = []
+    for payload, blob in zip(payloads, blobs):
+        worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = pickle.loads(blob)
+        results = SharedColumnarStore.attach(manifest)
+        try:
+            for leaf, suppressed, counter_dict, task_wall in metas:
+                # Copies, so no view keeps the segment mapped.
+                task_pairs = (results[f"{leaf}.rid"].copy(), results[f"{leaf}.sid"].copy())
+                outcomes[leaf] = (
+                    task_pairs, suppressed, CpuCounters(**counter_dict), task_wall,
+                )
+        finally:
+            results.close()
+            results.unlink()
+        chunk_reports.append(
+            (
+                f"pid-{worker_pid}",
+                cpu,
+                chunk_wall,
+                cpu_seconds,
+                metas,
+                len(payload) + len(blob),
+            )
+        )
+    return outcomes, chunk_reports
+
+
 def execute_process(
     leaves: List[Leaf],
     columns: Any,
@@ -605,8 +634,8 @@ def execute_process(
     ``stats.ipc_seconds``; only the pipe traffic counts into
     ``stats.ipc_bytes_shipped``.  When a chunk fails, the result
     segments of the chunks that finished are unlinked before the error
-    propagates (workers create them untracked); a dead worker's pool is
-    replaced on the way out (:meth:`WarmPool.borrow`).
+    propagates (the parent unlinks every result segment); a dead
+    worker's pool is replaced on the way out (:meth:`WarmPool.borrow`).
     """
     if not leaves:
         return
@@ -653,46 +682,19 @@ def execute_process(
         ]
         bytes_shipped = sum(len(p) for p in payloads)
         ipc_seconds = time.perf_counter() - encode_started
+        # The copy-out runs on the loan: a pool is shut down only after
+        # its last borrower gives it back, so the workers that created
+        # the result segments are alive, and no sweep takes them, until
+        # every one is unlinked.
         with LIBRARY_POOL.borrow(workers) as pool:
             started = time.perf_counter()
             blobs = _drain(pool, payloads)
             stats.join_makespan_seconds = time.perf_counter() - started
 
-        copy_started = time.perf_counter()
-        outcomes: Dict[int, LeafOutcome] = {}
-        chunk_reports: List[ChunkReport] = []
-        for payload, blob in zip(payloads, blobs):
-            worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = (
-                pickle.loads(blob)
-            )
-            bytes_shipped += len(blob)
-            results = SharedColumnarStore.attach(manifest)
-            try:
-                for leaf, suppressed, counter_dict, task_wall in metas:
-                    # Copies, so no view keeps the segment mapped.
-                    task_pairs = (
-                        results[f"{leaf}.rid"].copy(),
-                        results[f"{leaf}.sid"].copy(),
-                    )
-                    outcomes[leaf] = (
-                        task_pairs, suppressed, CpuCounters(**counter_dict),
-                        task_wall,
-                    )
-            finally:
-                results.close()
-                results.unlink()
-            chunk_reports.append(
-                (
-                    f"pid-{worker_pid}",
-                    cpu,
-                    chunk_wall,
-                    cpu_seconds,
-                    metas,
-                    len(payload) + len(blob),
-                )
-            )
-        ipc_seconds += time.perf_counter() - copy_started
-    stats.ipc_bytes_shipped = bytes_shipped
+            copy_started = time.perf_counter()
+            outcomes, chunk_reports = _copy_out(payloads, blobs)
+            ipc_seconds += time.perf_counter() - copy_started
+    stats.ipc_bytes_shipped = bytes_shipped + sum(len(blob) for blob in blobs)
     stats.ipc_seconds = ipc_seconds
     _emit_pool_spans(tracer, stats, chunk_reports, leaves)
     # One at a time, so no task's buffers outlive their decoding.

@@ -184,6 +184,12 @@ class DatasetRegistry:
         with self._lock:
             return sorted(self._datasets)
 
+    def pinned_bytes(self) -> int:
+        """The summed size of the pinned segments."""
+        with self._lock:
+            stores = [entry.store for entry in self._datasets.values()]
+        return sum(store.nbytes for store in stores if store is not None)
+
     def describe(self) -> List[Dict[str, object]]:
         with self._lock:
             entries = list(self._datasets.values())

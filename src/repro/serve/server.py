@@ -129,6 +129,10 @@ class JoinServer:
         m.gauge("repro_serve_inflight", "Queries currently executing")
         m.gauge("repro_serve_datasets", "Registered datasets")
         m.gauge(
+            "repro_serve_pinned_shm_bytes",
+            "Bytes of the registered datasets' pinned shared-memory segments",
+        )
+        m.gauge(
             "repro_serve_plan_cache",
             "Shared planner-cache state, by stat name",
         )
@@ -144,6 +148,9 @@ class JoinServer:
 
     def _refresh_gauges(self) -> None:
         self.metrics.set("repro_serve_datasets", float(len(self.registry.names())))
+        self.metrics.set(
+            "repro_serve_pinned_shm_bytes", float(self.registry.pinned_bytes())
+        )
         for stat, value in self.engine.cache.stats().items():
             self.metrics.set("repro_serve_plan_cache", float(value), stat=stat)
 
@@ -201,6 +208,7 @@ class JoinServer:
             await server.wait_closed()
         await run_blocking(self.engine.shutdown)
         await run_blocking(self.registry.close)
+        self._refresh_gauges()
         # Anything this pid still owns at this point (a query killed
         # mid-fan-out, for instance) is garbage by definition.
         await run_blocking(sweep_orphan_segments, True)

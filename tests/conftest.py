@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import os
 import random
+import select
+import subprocess
+from typing import IO, Iterable, Optional, Set, Tuple
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -42,6 +45,56 @@ def _fresh_clamp_warnings():
     yield
 
 
+def descendants(roots: Iterable[int]) -> Set[int]:
+    """Every live process below one of *roots* (Linux ``/proc``)."""
+    roots = set(roots)
+    parent_of = {}
+    for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as stat:
+                    # "pid (comm) state ppid ...": comm may hold spaces.
+                    parent_of[int(entry)] = int(stat.read().rsplit(")", 1)[1].split()[1])
+            except (OSError, ValueError, IndexError):
+                continue  # exited while we were reading
+    found = set(roots)
+    grew = True
+    while grew:
+        below = {child for child, parent in parent_of.items() if parent in found}
+        grew = not below <= found
+        found |= below
+    return found - roots
+
+
+def cmdline(pid: int) -> str:
+    """The command line of live process *pid* (empty once it has exited)."""
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as raw:
+            return raw.read().replace(b"\0", b" ").decode(errors="replace")
+    except OSError:
+        return ""
+
+
+def readline_within(stream: IO[str], seconds: float) -> str:
+    """The next line of a child's *stream*; ``""`` when none starts
+    arriving within *seconds* (or the child closed it)."""
+    ready, _, _ = select.select([stream], [], [], seconds)
+    return stream.readline() if ready else ""
+
+
+def finish(
+    child: "subprocess.Popen[str]", stdin: Optional[str] = None, seconds: float = 30.0
+) -> Tuple[str, str]:
+    """``child.communicate(stdin)``, killing *child* when it has not
+    ended within *seconds* (the timeout still fails the test)."""
+    try:
+        return child.communicate(stdin, timeout=seconds)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
+
+
 class OwnShmSegments:
     """The ``repro_shm_*`` segments this test's process tree has left behind.
 
@@ -68,21 +121,8 @@ class OwnShmSegments:
         return {n for n in os.listdir("/dev/shm") if n.startswith(SEGMENT_PREFIX)}
 
     def record_descendants(self) -> None:
-        """Add every live process below a recorded one (Linux ``/proc``)."""
-        parent_of = {}
-        for entry in os.listdir("/proc") if os.path.isdir("/proc") else ():
-            if entry.isdigit():
-                try:
-                    with open(f"/proc/{entry}/stat") as stat:
-                        # "pid (comm) state ppid ...": comm may hold spaces.
-                        parent_of[int(entry)] = int(stat.read().rsplit(")", 1)[1].split()[1])
-                except (OSError, ValueError, IndexError):
-                    continue  # exited while we were reading
-        grew = True
-        while grew:
-            found = {pid for pid, parent in parent_of.items() if parent in self.pids}
-            grew = not found <= self.pids
-            self.pids |= found
+        """Add every live process below a recorded one."""
+        self.pids |= descendants(self.pids)
 
     def __call__(self):
         self.record_descendants()

@@ -8,7 +8,10 @@ runs on a fresh pool with byte-identical pairs; a process that used the
 pool exits promptly without leaking a segment; a forked child gets
 a pool of its own instead of the parent's; and a child forked while
 another thread is inside the resource tracker still attaches a
-segment.  Every pool — the first, one
+segment.  Segments never start that tracker: a process that creates,
+attaches and unlinks them and fans out has its pool workers below it
+and nothing else, and what a killed creator leaves behind is reaped by
+the next sweep or pool spawn.  Every pool — the first, one
 respawned after a worker died, a forked child's — pins each worker to
 one CPU of its own, and every worker span says which CPU and how much
 CPU time its chunk took.
@@ -28,16 +31,17 @@ import pytest
 
 from repro import PBSM, spatial_join
 from repro.io.costmodel import mb
-from repro.kernels.shm import SharedColumnarStore, shm_enabled
+from repro.kernels.shm import SharedColumnarStore, shm_enabled, sweep_orphan_segments
 from repro.obs import KIND_WORKER, Tracer
 from repro.pbsm import parallel
 from repro.pbsm.parallel import (
     LIBRARY_POOL,
     MAX_WORKERS_ENV,
+    WarmPool,
     _warm_worker,
 )
 
-from tests.conftest import random_kpes
+from tests.conftest import cmdline, descendants, finish, random_kpes, readline_within
 
 pytestmark = pytest.mark.skipif(
     not shm_enabled(), reason="needs platform shared memory"
@@ -222,6 +226,93 @@ def test_a_process_that_used_the_pool_exits_promptly_and_cleanly(own_shm_segment
     assert own_shm_segments() == set()
 
 
+TRACKERLESS_CHILD = """
+import os, sys
+import numpy as np
+from repro import spatial_join
+from repro.datasets import uniform_rects
+from repro.io.costmodel import mb
+from repro.kernels.shm import SharedColumnarStore
+
+with SharedColumnarStore.create({"x": np.arange(5)}) as store:
+    with SharedColumnarStore.attach(store.manifest) as attached:
+        assert attached["x"].tolist() == [0, 1, 2, 3, 4]
+left = uniform_rects(3000, seed=1, mean_edge=0.02)
+right = uniform_rects(3000, seed=2, mean_edge=0.02, start_oid=10**6)
+assert spatial_join(left, right, mb(0.02), workers=2).stats.executor == "process"
+print(os.getpid(), flush=True)
+sys.stdin.readline()  # hold the pool while the test looks below this process
+"""
+
+
+def test_segments_and_a_fan_out_start_no_tracker_process(own_shm_segments):
+    """Creating, attaching and unlinking segments and a ``workers=2``
+    fan-out leave exactly the two pool workers below the process: no
+    resource tracker, an interpreter of its own, is ever started."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_MAX_WORKERS="2")
+    with subprocess.Popen(
+        [sys.executable, "-c", TRACKERLESS_CHILD],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as child:
+        try:
+            ready = readline_within(child.stdout, 3 * TIMEOUT)
+            tree = {pid: cmdline(pid) for pid in descendants({child.pid})}
+        finally:
+            _, err = finish(child, "\n", TIMEOUT)
+    assert child.returncode == 0 and ready, err
+    assert len(tree) == 2, tree
+    assert not any("resource_tracker" in line for line in tree.values()), tree
+    own_shm_segments.pids |= {child.pid, *tree}
+    assert own_shm_segments() == set()
+
+
+SEGMENT_HOLDER = """
+import sys
+import numpy as np
+from repro.kernels.shm import SharedColumnarStore
+
+store = SharedColumnarStore.create({"x": np.arange(4)})
+print(store.name, flush=True)
+sys.stdin.readline()  # killed here
+"""
+
+
+def killed_creators_segment():
+    """The name of a segment whose creator was SIGKILLed holding it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with subprocess.Popen(
+        [sys.executable, "-c", SEGMENT_HOLDER],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as holder:
+        name = readline_within(holder.stdout, 3 * TIMEOUT).strip()
+        holder.kill()
+        finish(holder)
+    assert name and os.path.exists(f"/dev/shm/{name}")  # nothing reaped it
+    return name
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs /dev/shm")
+def test_a_killed_creators_segment_is_reaped_by_the_next_sweep_and_pool_spawn():
+    name = killed_creators_segment()
+    assert name in sweep_orphan_segments()
+    assert not os.path.exists(f"/dev/shm/{name}")
+
+    name = killed_creators_segment()
+    pool = WarmPool()
+    try:
+        pool.start(1)
+    finally:
+        pool.shutdown()
+    assert not os.path.exists(f"/dev/shm/{name}")
+
+
 def test_a_forked_child_runs_its_own_pool():
     expected = expected_arrays()
     tracer = Tracer()
@@ -248,9 +339,10 @@ def test_a_forked_child_runs_its_own_pool():
 
 def test_a_child_forked_while_another_thread_is_in_the_tracker_attaches():
     """``fork`` copies the resource tracker's lock as it is.  A pool
-    worker forked while another thread creates, attaches or unlinks a
-    segment must still attach one (it used to block on the copy forever,
-    and the join waiting for its chunk with it)."""
+    worker forked while another thread holds it must still attach a
+    segment: attaching never touches the tracker (a tracker call there
+    once blocked on the copy forever, and the join waiting for its chunk
+    with it)."""
     from multiprocessing import resource_tracker
 
     resource_tracker.ensure_running()

@@ -186,6 +186,21 @@ class TestSegmentCustodyPaths:
         assert findings[0].line == 3
         assert "line 4 runs outside any try" in findings[0].message
 
+    # The repository's own segment constructor, leaking the same way.
+    SEGMENT_LEAK = (
+        "from repro.kernels.shm import ShmSegment\n"
+        "def map_it(name):\n"
+        "    segment = ShmSegment(name, create=True, size=8)\n"
+        "    segment.buf[0] = 1\n"
+        "    segment.close()\n"
+    )
+
+    def test_shm_segment_constructor_leak_flagged(self):
+        findings = lint_one(self.SEGMENT_LEAK, "RPL008")
+        assert rules_of(findings) == ["RPL008"]
+        assert findings[0].line == 3
+        assert "'segment'" in findings[0].message
+
     # The shape of SharedColumnarStore.create before its fix: untrack and
     # copy between the allocation and the hand-off to the constructor.
     CREATE = (

@@ -115,16 +115,16 @@ class TestSharedColumnarStore:
 
         import repro.kernels.shm as shm
 
-        untrack = shm._untrack
+        map_views = shm._map_views
 
-        def interrupted(segment):
-            untrack(segment)
+        def interrupted(segment, entries, views):
+            map_views(segment, entries, views)
             raise KeyboardInterrupt  # as if during the column copy
 
-        # Untracked, as a worker's result segment: nothing else reclaims it.
-        monkeypatch.setattr(shm, "_untrack", interrupted)
+        # A segment nobody else knows the name of yet: nothing else reclaims it.
+        monkeypatch.setattr(shm, "_map_views", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            SharedColumnarStore.create({"a": np.arange(1000)}, track=False)
+            SharedColumnarStore.create({"a": np.arange(1000)})
         assert own_shm_segments() == set()
 
     def test_an_attach_that_fails_after_mapping_closes_its_handle(self, monkeypatch):
@@ -134,16 +134,12 @@ class TestSharedColumnarStore:
 
         opened = []
 
-        class RecordingSharedMemory(shm._shared_memory_module().SharedMemory):
+        class RecordingSegment(shm.ShmSegment):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 opened.append(self)
 
-        monkeypatch.setattr(
-            shm,
-            "_shared_memory_module",
-            lambda: type("M", (), {"SharedMemory": RecordingSharedMemory}),
-        )
+        monkeypatch.setattr(shm, "ShmSegment", RecordingSegment)
         with SharedColumnarStore.create({"a": np.arange(4)}) as store:
             name, entries = store.manifest
             too_long = ((key, dtype, n * 1000, off) for key, dtype, n, off in entries)

@@ -817,6 +817,23 @@ class TestServeShm:
         run(scenario())
         assert sweep_orphan_segments(include_live=True) == []
 
+    def test_pinned_shm_bytes_gauge_sums_the_pinned_segments(self):
+        async def scenario():
+            server = await _started_server()  # two registrations, both pinned
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    text = await client.metrics_text()
+                stores = [server.registry.get(name).store for name in ("L", "R")]
+                pinned = sum(store.nbytes for store in stores)
+                assert pinned > 0
+                assert "repro_serve_pinned_shm_bytes" in text
+                assert server.metrics.get("repro_serve_pinned_shm_bytes") == pinned
+            finally:
+                await server.stop()  # closes the registry
+            assert server.metrics.get("repro_serve_pinned_shm_bytes") == 0
+
+        run(scenario())
+
     def test_pool_and_pinned_execution_matches_sequential(self):
         """Force the parallel process candidate through the persistent
         pool + pinned-segment path and demand byte parity."""
@@ -858,7 +875,7 @@ class TestServeShm:
             "sys.path.insert(0, 'src')\n"
             "import numpy as np\n"
             "from repro.kernels.shm import SharedColumnarStore\n"
-            "store = SharedColumnarStore.create({'x': np.arange(4)}, track=False)\n"
+            "store = SharedColumnarStore.create({'x': np.arange(4)})\n"
             "print(store.name)\n"
         )
         orphan = subprocess.run(
@@ -874,6 +891,52 @@ class TestServeShm:
         swept = sweep_orphan_segments()
         assert orphan in swept
         assert not os.path.exists(f"/dev/shm/{orphan}")
+
+    def test_a_running_server_is_one_process_and_its_workers(self, own_shm_segments):
+        """``repro serve --workers 2`` that pinned two datasets and ran a
+        join has its two pool workers below it and nothing else: no
+        resource tracker process rides along."""
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from .conftest import cmdline, descendants, finish, readline_within
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), REPRO_MAX_WORKERS="2")
+        command = [sys.executable, "-m", "repro", "serve", "--workers", "2", "--port", "0"]
+        with subprocess.Popen(
+            command, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+        ) as server:
+            try:
+                line = readline_within(server.stdout, 30.0)
+                listening = re.search(r"listening on [^:]*:(\d+)", line)
+                assert listening, line
+
+                async def register_and_join():
+                    port = int(listening.group(1))
+                    async with await ServeClient.connect(port=port) as client:
+                        for name, seed, start_oid in (("L", 1, 0), ("R", 2, 10**6)):
+                            registered = await client.register(
+                                name, pattern="uniform", n=3000, seed=seed,
+                                start_oid=start_oid,
+                            )
+                            assert registered["dataset"]["pinned"], registered
+                        summary, _ = await client.join("L", "R", memory_mb=0.05)
+                        assert summary["ok"], summary
+
+                run(register_and_join())
+                tree = {pid: cmdline(pid) for pid in descendants({server.pid})}
+                own_shm_segments.pids |= {server.pid, *tree}
+            finally:
+                server.terminate()
+                out, _ = finish(server)
+        assert len(tree) == 2, tree
+        assert not any("resource_tracker" in line for line in tree.values()), tree
+        assert "stopped cleanly" in out, out
+        assert own_shm_segments() == set()
 
     def test_server_stop_leaves_no_segments_behind(self):
         async def scenario():

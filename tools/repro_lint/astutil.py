@@ -59,16 +59,18 @@ def in_path(relpath: str, *suffixes: str) -> bool:
 def is_shm_acquisition(node: ast.AST) -> bool:
     """Does *node* acquire a shared-memory segment?
 
-    Either a direct ``SharedMemory(...)`` constructor call or a
-    ``<...>Store.create(...)`` / ``<...>Store.attach(...)`` classmethod —
-    the two ways this repository ever obtains a segment handle (see
-    ``kernels/shm.py``).  What RPL008 tracks.
+    Either a direct segment constructor call — ``ShmSegment(...)``, the
+    one place this repository maps a segment (``kernels/shm.py``), or
+    the standard library's ``SharedMemory(...)`` — or a
+    ``<...>Store.create(...)`` / ``<...>Store.attach(...)`` classmethod,
+    the way everything else obtains a segment handle.  What RPL008
+    tracks.
     """
     if not isinstance(node, ast.Call):
         return False
     func = node.func
     tail = tail_name(func)
-    if tail == "SharedMemory":
+    if tail in ("ShmSegment", "SharedMemory"):
         return True
     if tail in ("create", "attach") and isinstance(func, ast.Attribute):
         receiver = tail_name(func.value)

@@ -236,15 +236,16 @@ class SegmentCustodyPaths(Rule):
     ``sweep_orphan_segments`` reaper (``kernels/shm.py``); this rule is
     its static twin, catching the leak before it ships.
 
-    Tracked: ``SharedMemory(...)`` / ``*Store.create/attach(...)`` bound
-    to a local name.  Custody on a path ends when the handle is closed or
-    unlinked, returned/yielded, stored into an attribute/subscript,
-    passed to a call, captured by a nested scope, aliased, or declared
-    global.  The acquisition is flagged if the function exit is
-    reachable with the handle still held, or if a statement outside any
-    ``try`` can raise while it is held (the CFG gives such a statement no
-    exception edge, so the rule checks it directly).  The statement that
-    releases or hands off the handle is exempt for that handle.
+    Tracked: ``ShmSegment(...)`` / ``SharedMemory(...)`` /
+    ``*Store.create/attach(...)`` bound to a local name.  Custody on a
+    path ends when the handle is closed or unlinked, returned/yielded,
+    stored into an attribute/subscript, passed to a call, captured by a
+    nested scope, aliased, or declared global.  The acquisition is
+    flagged if the function exit is reachable with the handle still
+    held, or if a statement outside any ``try`` can raise while it is
+    held (the CFG gives such a statement no exception edge, so the rule
+    checks it directly).  The statement that releases or hands off the
+    handle is exempt for that handle.
     """
 
     rule_id = "RPL008"

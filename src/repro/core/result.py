@@ -195,11 +195,26 @@ class PairRows(Sequence):
         self._arrays = arrays
         self._sides = sides
 
+    @property
+    def columns(self) -> Tuple[Any, Any]:
+        """Each input's int64 oid column: what the pairs' oids are
+        gathered from."""
+        return self._sides[0].column, self._sides[1].column
+
     def oids(self) -> Tuple[Any, Any]:
         """The pairs as two int64 oid arrays, gathered from the oid
         columns."""
-        left, right = self._sides
-        return left.column[self._arrays[0]], right.column[self._arrays[1]]
+        left, right = self.columns
+        return left[self._arrays[0]], right[self._arrays[1]]
+
+    def oid_chunks(self, size: int) -> Iterator[Tuple[Any, Any]]:
+        """The pairs' oids in order, *size* pairs at a time: two int64
+        arrays per chunk, gathered from the oid columns, so no more than
+        one chunk's oids exist at once."""
+        left, right = self.columns
+        rid, sid = self._arrays
+        for lo in range(0, len(rid), size):
+            yield left[rid[lo : lo + size]], right[sid[lo : lo + size]]
 
     def _decode(
         self, index: slice, through: Optional[Tuple[Any, Any]] = None

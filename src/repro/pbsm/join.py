@@ -527,14 +527,33 @@ def _columns(left: Sequence[Tuple], right: Sequence[Tuple], tracer: Any) -> Opti
 
 def concat_rows(pieces: Iterable[Tuple[Any, Any]]) -> Tuple[Any, Any]:
     """The leaves' ``(rid, sid)`` pieces, each side concatenated once in
-    leaf order."""
+    leaf order; a side whose pieces already tile one buffer, in order (a
+    process fan-out's, :func:`~repro.pbsm.parallel.execute_process`), is
+    that buffer, uncopied."""
     rids: List[Any] = []
     sids: List[Any] = []
     for rid, sid in pieces:
         rids.append(rid)
         sids.append(sid)
-    empty = np.empty(0, dtype=np.int64)
-    return np.concatenate([empty, *rids]), np.concatenate([empty, *sids])
+    return _concatenated(rids), _concatenated(sids)
+
+
+def _concatenated(parts: List[Any]) -> Any:
+    """*parts* as one int64 array: their common buffer when the non-empty
+    ones are its adjacent slices, first to last, covering it; else a new
+    one."""
+    parts = [part for part in parts if len(part)]
+    base = parts[0].base if parts else None
+    if isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.int64:
+        at = base.ctypes.data
+        for part in parts:
+            if part.base is not base or part.ctypes.data != at or part.strides != base.strides:
+                break
+            at += part.nbytes
+        else:
+            if at == base.ctypes.data + base.nbytes:
+                return base
+    return np.concatenate([np.empty(0, dtype=np.int64), *parts])
 
 
 #: What an empty side's row positions decode through: no rows.

@@ -17,8 +17,9 @@ them here, through :func:`execute_process`:
 * Each task's ``(rid, sid)`` row positions come back through a
   worker-created segment: only task tuples, the query's configuration
   (the grids and each leaf's ownership chain among them) and manifests
-  cross the pipe.  The driver merges them in leaf order, so the output
-  is byte-identical to the in-process loop.
+  cross the pipe.  The parent copies each task's runs straight into
+  their slice of one leaf-ordered buffer pair (:func:`_copy_out`), so
+  the output is byte-identical to the in-process loop and held once.
 * One pool entry point serves every fan-out: chunks carry their
   per-query configuration and go to :func:`_run_dyn_chunk`, on
   :data:`LIBRARY_POOL`, the one lazily spawned warm pool of the process
@@ -48,6 +49,7 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
+from itertools import accumulate
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -62,7 +64,7 @@ from repro.kernels.shm import (
     sweep_orphan_segments,
     unlink_segment,
 )
-from repro.obs.trace import KIND_TASK, KIND_WORKER
+from repro.obs.trace import KIND_SECTION, KIND_TASK, KIND_WORKER
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.leaf import Leaf, LeafOutcome, Region, join_leaf
 
@@ -316,8 +318,28 @@ def _warm_worker(seconds: float) -> int:
 _PINNED_CPU: Optional[int] = None
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_SECONDS = 0.5
+
+
+def _exit_with_parent(parent: int) -> None:
+    """A pool worker's watch thread: end the worker once *parent* is no
+    longer its parent (killed without shutting its pool down)."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(1)
+
+
 def _pin_worker(slots: Any, cpus: Tuple[int, ...]) -> None:
-    """Pool initializer: pin the worker to the next CPU of *cpus*.
+    """Pool initializer: tie the worker's life to its parent's and pin
+    it to the next CPU of *cpus*.
+
+    A daemon thread polls the parent pid the worker was forked under
+    (:func:`_exit_with_parent`): a SIGKILLed parent cannot shut its pool
+    down, and workers left running would keep every segment they map
+    resident.  (Not ``PR_SET_PDEATHSIG``: that fires when the *thread*
+    that forked the worker exits, and a pool may be spawned from a
+    short-lived thread.)
 
     *slots* is a queue holding each worker index ``0 .. W-1`` once;
     worker ``i`` takes ``cpus[i % len(cpus)]``.  (A queue rather than a
@@ -327,6 +349,9 @@ def _pin_worker(slots: Any, cpus: Tuple[int, ...]) -> None:
     unpinned: an initializer that raises breaks the pool.
     """
     global _PINNED_CPU
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), name="parent-watch", daemon=True
+    ).start()
     index = slots.get()
     if not cpus:
         return
@@ -580,22 +605,38 @@ def _emit_pool_spans(
 
 
 def _copy_out(
-    payloads: List[bytes], blobs: List[bytes]
+    payloads: List[bytes], blobs: List[bytes], n_leaves: int
 ) -> Tuple[Dict[int, LeafOutcome], List[ChunkReport]]:
-    """Every task's outcome, copied out of its chunk's result segment
-    (each unlinked once read), and one :data:`ChunkReport` per chunk."""
+    """Every task's outcome, and one :data:`ChunkReport` per chunk.
+
+    The tasks' ``(rid, sid)`` runs are laid out by prefix sum, in leaf
+    order, in one buffer pair sized from the result manifests' lengths
+    (under RPM every pair has one owning leaf, so the runs are
+    disjoint), and each run is copied out of its chunk's result segment
+    straight into its slice, each segment unlinked once read.  A task's
+    outcome holds views of its slices: adjacent, so
+    :func:`~repro.pbsm.join.concat_rows` takes the buffers as they are.
+    """
+    decoded = [pickle.loads(blob) for blob in blobs]
+    lengths = {key: n for *_, manifest in decoded for key, _, n, _ in manifest[1]}
+    offsets = list(
+        accumulate((lengths[f"{leaf}.rid"] for leaf in range(n_leaves)), initial=0)
+    )
+    rids = np.empty(offsets[-1], dtype=np.int64)
+    sids = np.empty(offsets[-1], dtype=np.int64)
     outcomes: Dict[int, LeafOutcome] = {}
     chunk_reports: List[ChunkReport] = []
-    for payload, blob in zip(payloads, blobs):
-        worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = pickle.loads(blob)
+    for payload, blob, report in zip(payloads, blobs, decoded):
+        worker_pid, cpu, chunk_wall, cpu_seconds, metas, manifest = report
         results = SharedColumnarStore.attach(manifest)
         try:
             for leaf, suppressed, counter_dict, task_wall in metas:
-                # Copies, so no view keeps the segment mapped.
-                task_pairs = (results[f"{leaf}.rid"].copy(), results[f"{leaf}.sid"].copy())
-                outcomes[leaf] = (
-                    task_pairs, suppressed, CpuCounters(**counter_dict), task_wall,
-                )
+                # Copied, so no view keeps the segment mapped.
+                lo, hi = offsets[leaf], offsets[leaf + 1]
+                rid, sid = rids[lo:hi], sids[lo:hi]
+                rid[:] = results[f"{leaf}.rid"]
+                sid[:] = results[f"{leaf}.sid"]
+                outcomes[leaf] = ((rid, sid), suppressed, CpuCounters(**counter_dict), task_wall)
         finally:
             results.close()
             results.unlink()
@@ -625,10 +666,11 @@ def execute_process(
     those two id arrays once into a segment, next to the columns of
     each side whose relation names no pinned ``segment``, ships
     five-integer tasks next to the grids and each leaf's ownership
-    chain, and copies each task's ``(rid, sid)`` buffers out of the
-    worker-created result segment as they are — the driver merges them
-    in leaf order, so the output is byte-identical to the in-process
-    loop.
+    chain, and copies each task's ``(rid, sid)`` runs out of the
+    worker-created result segment into its slice of one leaf-ordered
+    buffer pair (:func:`_copy_out`, under a ``collect`` span): the
+    leaves' pieces tile it, so the output is byte-identical to the
+    in-process loop and nobody concatenates it again.
 
     Segment build, payload encode and the copy-out all count into
     ``stats.ipc_seconds``; only the pipe traffic counts into
@@ -691,9 +733,9 @@ def execute_process(
             blobs = _drain(pool, payloads)
             stats.join_makespan_seconds = time.perf_counter() - started
 
-            copy_started = time.perf_counter()
-            outcomes, chunk_reports = _copy_out(payloads, blobs)
-            ipc_seconds += time.perf_counter() - copy_started
+            with tracer.span("collect", kind=KIND_SECTION) as sp:
+                outcomes, chunk_reports = _copy_out(payloads, blobs, len(leaves))
+            ipc_seconds += sp.wall_seconds
     stats.ipc_bytes_shipped = bytes_shipped + sum(len(blob) for blob in blobs)
     stats.ipc_seconds = ipc_seconds
     _emit_pool_spans(tracer, stats, chunk_reports, leaves)

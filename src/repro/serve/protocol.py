@@ -41,7 +41,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from repro.core.result import pair_columns
+from repro.core.result import PairRows, pair_columns
 from repro.io.costmodel import is_memory_mb
 
 #: Upper bound on one protocol line; the asyncio stream reader limit.
@@ -71,6 +71,16 @@ PAIR_STRUCT = struct.Struct("<qq")
 #: ``(left_oids, right_oids)`` — a result as two equally long int64
 #: buffers (numpy arrays), the form ``JoinResult.to_arrays()`` returns.
 OidColumns = Tuple[Any, Any]
+
+#: What the server reads a result through: a row-backed ``result.pairs``
+#: (:class:`~repro.core.result.PairRows`, whose oids are gathered a chunk
+#: or page at a time) or, for a list-backed result, its
+#: :data:`OidColumns`.
+OidPairs = Union[OidColumns, PairRows]
+
+#: Pairs the checksum packs, gathers or hashes at a time: the bound on
+#: its temporaries (a 512 KiB table of sorted pairs).
+CHECKSUM_CHUNK = 1 << 15
 
 
 def encode_message(message: Dict[str, Any]) -> bytes:
@@ -111,57 +121,131 @@ def _is_columns(pairs: object) -> bool:
     )
 
 
-def _sorted_table(left: Any, right: Any) -> Any:
-    """The pairs of two int64 columns as one sorted ``(n, 2)`` ``<i8`` table.
+def _oid_slices(pairs: OidPairs, size: int) -> Iterator[Tuple[Any, Any]]:
+    """The oids of *pairs* in order, at most *size* pairs at a time, as
+    two int64 arrays each: views of :data:`OidColumns`, or a
+    :class:`~repro.core.result.PairRows` chunk gathered from its oid
+    columns."""
+    if isinstance(pairs, PairRows):
+        return pairs.oid_chunks(size)
+    left, right = pairs
+    return ((left[lo : lo + size], right[lo : lo + size]) for lo in range(0, len(left), size))
 
-    A pair packs into one key ``(l - l_min) << bits | (r - r_min)``,
-    ``bits`` wide enough for the right oids' span, whose order is the
-    pairs' lexicographic order: one ``ndarray.sort()`` over the keys
-    replaces the two-key ``lexsort``, and a shift and a mask unpack them.
-    The keys are ``uint32`` when every key stays below ``2**32`` (half the
-    bytes to sort) and int64 below ``2**63``; wider ranges keep
-    ``lexsort``.  The spans are taken from the data.  Same table, hence
-    the same digest, whichever way.
+
+def _packed_keys(
+    slices: Iterable[Tuple[Any, Any]], n: int, l_min: int, l_max: int, r_min: int, r_max: int
+) -> Optional[Tuple[Any, int]]:
+    """``(keys, bits)``: the *n* pairs of *slices* (at most
+    :data:`CHECKSUM_CHUNK` pairs each) packed in place, one key
+    ``(l - l_min) << bits | (r - r_min)`` a pair, ``bits`` wide enough
+    for ``r_max - r_min``; ``None`` when the largest key could reach
+    ``2**63``.
+
+    The key order is the pairs' lexicographic order whatever bounds
+    enclose the oids, so one ``ndarray.sort()`` sorts the pairs, and a
+    shift and a mask unpack them (:func:`_unpack`).  The keys are
+    ``uint32`` when every key stays below ``2**32`` (half the bytes to
+    sort) and int64 otherwise.  Each slice is packed straight into its
+    stretch of the keys (``out=``): no temporary outlives a slice.
     """
-    table = np.empty((len(left), 2), dtype="<i8")
-    if not len(left):
-        return table
-    l_min, r_min = int(left.min()), int(right.min())
-    r_span = int(right.max()) - r_min
+    r_span = r_max - r_min
     bits = r_span.bit_length()
-    top = (int(left.max()) - l_min) << bits | r_span
+    top = (l_max - l_min) << bits | r_span
     if top < 2**32:
         key_type: Any = np.uint32
     elif top < 2**63:
         key_type = np.int64
     else:
+        return None
+    keys = np.empty(n, dtype=key_type)
+    scratch = np.empty(min(n, CHECKSUM_CHUNK), dtype=key_type)
+    lo = 0
+    for left, right in slices:
+        hi = lo + len(left)
+        out, low = keys[lo:hi], scratch[: hi - lo]
+        np.subtract(left, l_min, out=out, casting="unsafe")
+        out <<= bits
+        np.subtract(right, r_min, out=low, casting="unsafe")
+        out |= low
+        lo = hi
+        del left, right  # a gathered slice goes before the next one comes
+    return keys, bits
+
+
+def _unpack(keys: Any, bits: int, l_min: int, r_min: int, table: Any) -> None:
+    """Sorted packed *keys* back into the pairs, written into *table*
+    (``(len(keys), 2)`` ``<i8``)."""
+    np.right_shift(keys, bits, out=table[:, 0], casting="unsafe")
+    np.bitwise_and(keys, (1 << bits) - 1, out=table[:, 1], casting="unsafe")
+    table[:, 0] += l_min
+    table[:, 1] += r_min
+
+
+def _sorted_table(left: Any, right: Any) -> Any:
+    """The pairs of two int64 columns as one sorted ``(n, 2)`` ``<i8`` table.
+
+    The reference form of what :func:`result_checksum` hashes: the same
+    packed keys (:func:`_packed_keys`, over the data's own spans) sorted
+    and unpacked at once; ``lexsort`` where no key type fits.
+    """
+    table = np.empty((len(left), 2), dtype="<i8")
+    if not len(left):
+        return table
+    l_min, r_min = int(left.min()), int(right.min())
+    packed = _packed_keys(
+        _oid_slices((left, right), CHECKSUM_CHUNK), len(left),
+        l_min, int(left.max()), r_min, int(right.max()),
+    )
+    if packed is None:
         order = np.lexsort((right, left))
         table[:, 0] = left[order]
         table[:, 1] = right[order]
         return table
-    keys = (left - l_min).astype(key_type) << bits | (right - r_min).astype(key_type)
+    keys, bits = packed
     keys.sort()
-    table[:, 0] = keys >> bits
-    table[:, 1] = keys & ((1 << bits) - 1)
-    table[:, 0] += l_min
-    table[:, 1] += r_min
+    _unpack(keys, bits, l_min, r_min, table)
     return table
 
 
-def result_checksum(pairs: Union[Iterable[Tuple[int, int]], OidColumns]) -> str:
+def result_checksum(pairs: Union[Iterable[Tuple[int, int]], OidPairs]) -> str:
     """Order-insensitive SHA-256 fingerprint of a result-pair set.
 
-    *pairs* is an iterable of ``(left_oid, right_oid)`` pairs or the
-    :data:`OidColumns` of a result (``result.to_arrays()``), which are
-    read as they are — no tuple is boxed.  The pairs are sorted as int64
-    columns (:func:`_sorted_table`) and hashed as one packed buffer: the
-    bytes of :data:`PAIR_STRUCT` over every pair in sorted order.
+    *pairs* is an iterable of ``(left_oid, right_oid)`` pairs, the
+    :data:`OidColumns` of a result, or a row-backed ``result.pairs``
+    (:class:`~repro.core.result.PairRows`), whose row positions are read
+    as they are: no tuple is boxed, and its oids are gathered one
+    :data:`CHECKSUM_CHUNK` at a time.  The digest is that of the bytes of
+    :data:`PAIR_STRUCT` over every pair in sorted order.  The pairs are
+    packed into one key each (:func:`_packed_keys`, bounded by the oid
+    columns they are read from), sorted in place and unpacked a chunk at
+    a time into the hash; where no key type fits, the sorted table of
+    :func:`_sorted_table` is hashed whole.
     """
-    left, right = pairs if _is_columns(pairs) else pair_columns(pairs)
-    table = _sorted_table(
-        np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+    rows: OidPairs
+    if isinstance(pairs, PairRows):
+        rows, (left, right), n = pairs, pairs.columns, len(pairs)
+    else:
+        left, right = pairs if _is_columns(pairs) else pair_columns(pairs)
+        left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
+        rows, n = (left, right), len(left)
+    digest = hashlib.sha256()
+    if not n:
+        return digest.hexdigest()
+    l_min, r_min = int(left.min()), int(right.min())
+    packed = _packed_keys(
+        _oid_slices(rows, CHECKSUM_CHUNK), n, l_min, int(left.max()), r_min, int(right.max())
     )
-    return hashlib.sha256(table).hexdigest()  # C-contiguous buffer
+    if packed is None:
+        digest.update(_sorted_table(*(rows.oids() if isinstance(rows, PairRows) else rows)))
+        return digest.hexdigest()
+    keys, bits = packed
+    keys.sort()
+    table = np.empty((min(n, CHECKSUM_CHUNK), 2), dtype="<i8")
+    for lo in range(0, n, CHECKSUM_CHUNK):
+        chunk = keys[lo : lo + CHECKSUM_CHUNK]
+        _unpack(chunk, bits, l_min, r_min, table[: len(chunk)])
+        digest.update(table[: len(chunk)])  # C-contiguous rows
+    return digest.hexdigest()
 
 
 def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[List[int]]]:
@@ -178,22 +262,20 @@ def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[
 
 
 def encode_pages(
-    columns: OidColumns, page_size: int, pairs_format: str, query_id: int
+    pairs: OidPairs, page_size: int, pairs_format: str, query_id: int
 ) -> Iterator[bytes]:
     """The page messages of one ``join`` result, each ready for the socket.
 
-    Pages are cut from the two oid buffers, in their order, and a pair
+    Pages are cut from *pairs* in their order (:func:`_oid_slices`: a
+    row-backed result's oids are gathered a page at a time), and a pair
     is boxed only where the frame needs it: a :data:`PAIRS_I8` page is
-    its header line plus the interleaved buffer slice, a JSON page is
-    byte for byte ``encode_message({..., "pairs": page})`` over
-    :func:`paginate` of the same pairs (``tolist()`` of the slice).
+    its header line plus the interleaved oids, a JSON page is byte for
+    byte ``encode_message({..., "pairs": page})`` over :func:`paginate`
+    of the same pairs (``tolist()`` of the page).
     """
-    left, right = columns
-    for index, start in enumerate(range(0, len(left), page_size)):
+    for index, (left, right) in enumerate(_oid_slices(pairs, page_size)):
         head = {"ok": True, "query_id": query_id, "page": index}
-        page = np.stack(
-            (left[start : start + page_size], right[start : start + page_size]), axis=1
-        )
+        page = np.stack((left, right), axis=1)
         if pairs_format == PAIRS_I8:
             body = page.astype("<i8", copy=False).tobytes()
             yield encode_message({**head, "n": len(page), "bytes": len(body)}) + body
@@ -234,11 +316,13 @@ def join_options(
 
 
 __all__ = [
+    "CHECKSUM_CHUNK",
     "DEFAULT_PAGE_SIZE",
     "DEFAULT_PORT",
     "MAX_LINE_BYTES",
     "MAX_PAGE_SIZE",
     "OidColumns",
+    "OidPairs",
     "PAIRS_I8",
     "PAIRS_JSON",
     "PAIR_STRUCT",

@@ -14,16 +14,20 @@ Request lifecycle of a ``join`` op::
       -> plan through the shared cache        EngineHost.plan
       -> budget check on the cost estimate    AdmissionController
       -> execute (persistent pool, pins)      EngineHost.execute
-      -> checksum the result's oid buffers    protocol.result_checksum
+      -> checksum the result's pairs          protocol.result_checksum
       -> stream result pages + summary        protocol.encode_pages
 
 Plan to checksum is one blocking call (``JoinServer._answer``), so a
 query's engine work stays on one worker thread.
 
-The result of a join is handled as the two int64 oid buffers
-``JoinResult.to_arrays()`` returns and never through ``result.pairs``:
-a parallel plan's result is those buffers already, so a served join
-boxes no tuple (``protocol`` decides what a page looks like).
+A row-backed result (PBSM under RPM, every worker count) is held once,
+as the row positions ``result.pairs`` keeps
+(:class:`~repro.core.result.PairRows`; for a parallel plan the one
+buffer pair the workers' result segments were copied into), and never
+decoded into tuples: the checksum and the pages gather its oids from the
+inputs' oid columns a chunk or a page at a time (``protocol`` decides
+what a page looks like).  A list-backed result goes as the two oid
+buffers ``JoinResult.to_arrays()`` unboxes.
 
 Every request gets its own :class:`~repro.obs.Tracer`; the finished span
 tree is retained for the last :data:`TRACE_KEEP` queries and served back
@@ -43,21 +47,25 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
+import resource
 import signal
+import sys
 import time
 from collections import OrderedDict
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
+from repro.core.result import PairRows
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
+from repro.obs.trace import KIND_SECTION, Tracer
 from repro.serve.admission import AdmissionController, AdmissionReject
 from repro.serve.engine import EngineHost
 from repro.serve.executor import run_blocking
 from repro.serve.protocol import (
     DEFAULT_PAGE_SIZE,
     MAX_LINE_BYTES,
+    OidPairs,
     ProtocolError,
     decode_message,
     encode_message,
@@ -72,6 +80,13 @@ from repro.serve.registry import Dataset, DatasetRegistry
 TRACE_KEEP = 64
 
 _LOG = logging.getLogger(__name__)
+
+
+def _peak_rss_bytes() -> int:
+    """This process's peak resident set size in bytes (``ru_maxrss`` is
+    KiB on Linux, bytes on macOS); its pool workers are not counted."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
 
 
 class JoinServer:
@@ -133,6 +148,10 @@ class JoinServer:
             "Bytes of the registered datasets' pinned shared-memory segments",
         )
         m.gauge(
+            "repro_serve_peak_rss_bytes",
+            "Peak resident set size of the server process itself (ru_maxrss)",
+        )
+        m.gauge(
             "repro_serve_plan_cache",
             "Shared planner-cache state, by stat name",
         )
@@ -151,6 +170,7 @@ class JoinServer:
         self.metrics.set(
             "repro_serve_pinned_shm_bytes", float(self.registry.pinned_bytes())
         )
+        self.metrics.set("repro_serve_peak_rss_bytes", float(_peak_rss_bytes()))
         for stat, value in self.engine.cache.stats().items():
             self.metrics.set("repro_serve_plan_cache", float(value), stat=stat)
 
@@ -425,10 +445,14 @@ class JoinServer:
         plan = self.engine.plan(left, right, memory_bytes, tracer)
         self.admission.check_budget(plan.chosen.estimate.total_seconds)
         result = self.engine.execute(plan, left, right, tracer)
-        # The result is two oid buffers from here to the socket, and only
-        # those: the row positions go with *result*.
-        columns = result.to_arrays()
-        return plan, result.stats, columns, result_checksum(columns)
+        # A row-backed result goes to the socket as its row positions,
+        # held once: the checksum and the pages gather its oids a chunk
+        # at a time.  A list-backed one goes as its two oid buffers.
+        pairs = result.pairs
+        rows: OidPairs = pairs if isinstance(pairs, PairRows) else result.to_arrays()
+        with tracer.span("checksum", kind=KIND_SECTION):
+            checksum = result_checksum(rows)
+        return plan, result.stats, rows, checksum
 
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
@@ -454,7 +478,7 @@ class JoinServer:
 
         try:
             async with self.admission.slot():
-                plan, stats, columns, checksum = await run_blocking(
+                plan, stats, rows, checksum = await run_blocking(
                     self._answer, left, right, memory_bytes, tracer
                 )
         except AdmissionReject as exc:
@@ -484,7 +508,7 @@ class JoinServer:
             return
 
         if include_pairs:
-            for frame in encode_pages(columns, page_size, pairs_format, query_id):
+            for frame in encode_pages(rows, page_size, pairs_format, query_id):
                 writer.write(frame)
                 await writer.drain()
 

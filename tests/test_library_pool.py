@@ -5,7 +5,8 @@ instead of spawning a pool per call.  Pinned here: consecutive joins run
 on the same worker processes; joins asking for different worker counts
 at once all finish; a killed worker fails one call and the next call
 runs on a fresh pool with byte-identical pairs; a process that used the
-pool exits promptly without leaking a segment; a forked child gets
+pool exits promptly without leaking a segment, and the workers of one
+that is SIGKILLed end within seconds; a forked child gets
 a pool of its own instead of the parent's; and a child forked while
 another thread is inside the resource tracker still attaches a
 segment.  Segments never start that tracker: a process that creates,
@@ -268,6 +269,54 @@ def test_segments_and_a_fan_out_start_no_tracker_process(own_shm_segments):
     assert not any("resource_tracker" in line for line in tree.values()), tree
     own_shm_segments.pids |= {child.pid, *tree}
     assert own_shm_segments() == set()
+
+
+POOL_HOLDER = """
+import sys
+from repro.pbsm.parallel import LIBRARY_POOL
+
+LIBRARY_POOL.start(2)
+print("ready", flush=True)
+sys.stdin.readline()  # killed here
+"""
+
+
+def running(pid):
+    """Whether *pid* is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+def test_a_killed_parents_pool_workers_exit_within_5_seconds():
+    """A SIGKILLed parent cannot shut its pool down; its workers notice
+    the new parent pid and end themselves instead of keeping what they
+    mapped resident."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_MAX_WORKERS="2")
+    with subprocess.Popen(
+        [sys.executable, "-c", POOL_HOLDER],
+        env=env,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    ) as holder:
+        try:
+            ready = readline_within(holder.stdout, 3 * TIMEOUT)
+            workers = descendants({holder.pid})
+        finally:
+            holder.kill()
+            holder.wait(TIMEOUT)  # not its pipes: the workers hold them too
+    assert ready and len(workers) == 2, workers
+    deadline = time.monotonic() + 5.0
+    while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = {pid: cmdline(pid) for pid in workers if running(pid)}
+    for pid in left:  # fail without leaving them behind
+        os.kill(pid, signal.SIGKILL)
+    assert not left, left
 
 
 SEGMENT_HOLDER = """

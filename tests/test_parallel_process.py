@@ -8,17 +8,20 @@ byte-identical claim, the graceful ``workers=1`` degrade (no pool), and
 the plumbing (picklable grid specs, LPT chunking, counter merge).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.space import Space
 from repro.io.costmodel import mb
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
-from repro.pbsm import PBSM
+from repro.pbsm import PBSM, parallel
+from repro.pbsm.join import concat_rows
 from repro.pbsm.parallel import (
     EXECUTORS,
     cpu_count,
     _chunk_tasks,
+    _copy_out,
 )
 
 from tests.conftest import random_kpes
@@ -56,6 +59,50 @@ class TestProcessExecutorParity:
         ran = "process" if shm_enabled() else "simulated"
         assert run("process", 2).stats.executor == ran
         assert run("simulated", 2).stats.executor == "simulated"
+
+
+class TestOneResultBuffer:
+    """The pool's result runs are laid out by prefix sum in one buffer
+    pair, leaf by leaf, and the result is that pair: nothing concatenates
+    it again."""
+
+    @pytest.mark.skipif(not shm_enabled(), reason="needs platform shared memory")
+    def test_a_fan_out_result_is_the_buffer_its_tasks_were_copied_into(self, monkeypatch):
+        copied = []
+
+        def recording_copy_out(*args):
+            outcomes, reports = _copy_out(*args)
+            copied.append(dict(outcomes))  # the driver pops them
+            return outcomes, reports
+
+        monkeypatch.setattr(parallel, "_copy_out", recording_copy_out)
+        proc = run("process", 2, "sweep_numpy")
+        (outcomes,) = copied
+        rid, sid = proc.pairs._arrays
+        assert rid.base is None and sid.base is None  # owned, not views
+        for side, buffer in enumerate((rid, sid)):
+            pieces = [outcomes[leaf][0][side] for leaf in range(len(outcomes))]
+            assert all(piece.base is buffer for piece in pieces)
+            assert sum(len(piece) for piece in pieces) == len(buffer) > 0
+        assert proc.pairs == run("simulated", 2, "sweep_numpy").pairs
+
+    def test_concat_rows_takes_a_tiled_buffer_and_copies_anything_else(self):
+        buffer = np.arange(10, dtype=np.int64)
+        tiled = [buffer[0:3], buffer[3:3], buffer[3:10]]
+        rid, sid = concat_rows(zip(tiled, tiled))
+        assert rid is buffer and sid is buffer
+        for pieces in (
+            [buffer[3:10], buffer[0:3]],  # out of order
+            [buffer[0:3], buffer[4:10]],  # a gap
+            [buffer[0:3]],  # not all of it
+            [buffer[0:10:2], buffer[1:10:2]],  # strided
+            [buffer[0:3], np.arange(3, 10)],  # another buffer
+        ):
+            rid, _ = concat_rows((piece, piece) for piece in pieces)
+            assert not np.shares_memory(rid, buffer)
+            assert rid.tolist() == np.concatenate(pieces).tolist()
+        empty, _ = concat_rows([])
+        assert empty.dtype == np.int64 and len(empty) == 0
 
 
 class TestGracefulDegrade:

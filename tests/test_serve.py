@@ -10,16 +10,18 @@ are exercised by the `needs_shm`-gated tests at the bottom.
 from __future__ import annotations
 
 import asyncio
+import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import spatial_join
-from repro.core.result import pair_columns
+from repro.core.result import PairRows, RowOids, pair_columns
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import (
@@ -33,6 +35,7 @@ from repro.serve import (
 )
 import repro.serve.protocol as protocol_module
 from repro.serve.protocol import (
+    CHECKSUM_CHUNK,
     ProtocolError,
     _sorted_table,
     decode_message,
@@ -246,6 +249,56 @@ class TestProtocol:
         expected = np.stack([left[order], right[order]], axis=1).reshape(-1, 2)
         table = _sorted_table(left, right)
         assert table.dtype == "<i8" and table.tolist() == expected.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([0, 1, CHECKSUM_CHUNK - 1, CHECKSUM_CHUNK, CHECKSUM_CHUNK + 1]),
+        spans=st.tuples(SPANS, SPANS),
+        lows=st.tuples(st.integers(-(2**63), 2**63 - 1), st.integers(-(2**63), 2**63 - 1)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_chunked_checksum_equals_the_struct_loop(self, n, spans, lows, seed):
+        """Around the chunk size, at the uint32 / int64 / lexsort key
+        widths, negative oids included, read as columns and as row
+        positions into oid columns that reach past the pairs' oids."""
+        rng = np.random.default_rng(seed)
+        sides = []
+        for span, low in zip(spans, lows):
+            low = min(low, 2**63 - span)  # the span fits int64 from here
+            high = low + span - 1
+            oids = rng.integers(low, high, size=n, endpoint=True, dtype=np.int64)
+            oids[: min(n, 2)] = [low, high][: min(n, 2)]
+            sides.append(oids)
+        pairs = list(zip(sides[0].tolist(), sides[1].tolist()))
+        reference = struct_loop_checksum(pairs)
+        assert result_checksum((sides[0], sides[1])) == reference
+        # The same pairs as row positions: each column holds the pairs'
+        # oids in another order, plus oids a span beyond both ends, so
+        # the keys are packed against wider bounds than the pairs'.
+        rows, columns = [], []
+        for oids, span in zip(sides, spans):
+            order = rng.permutation(n)
+            low, high = (int(oids.min()), int(oids.max())) if n else (0, 0)
+            edges = [max(-(2**63), low - span), min(2**63 - 1, high + span)]
+            columns.append(RowOids(np.array([*oids[order].tolist(), *edges], dtype=np.int64)))
+            rows.append(np.argsort(order))
+        assert result_checksum(PairRows((rows[0], rows[1]), (columns[0], columns[1]))) == reference
+
+    def test_checksum_of_352k_packable_pairs_traces_at_most_10_bytes_a_pair(self):
+        """Keys packed in place and hashed a chunk at a time: about 5 B a
+        pair (4 of them the uint32 key); an ``(n, 2)`` table and n-sized
+        temporaries took about 33."""
+        n = 352_000
+        rng = np.random.default_rng(5)
+        left = rng.integers(0, 30_000, n)
+        right = rng.integers(10**6, 10**6 + 30_000, n)
+        tracemalloc.start()
+        try:
+            result_checksum((left, right))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * n + 2**20, peak / n
 
     def test_paginate_covers_everything_in_order(self):
         pairs = [(i, i + 1) for i in range(10)]
@@ -784,6 +837,27 @@ class TestServer:
                 await server.stop()
 
         run(scenario())
+
+    def test_peak_rss_gauge_is_the_servers_own_and_never_drops(self):
+        async def scenario():
+            server = await _started_server()
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    first = await client.metrics_text()
+                    await client.join("L", "R", include_pairs=True)
+                    second = await client.metrics_text()
+            finally:
+                await server.stop()
+            return first, second
+
+        gauges = [
+            float(re.search(r"^repro_serve_peak_rss_bytes (\S+)$", text, re.M).group(1))
+            for text in run(scenario())
+        ]
+        assert 0 < gauges[0] <= gauges[1], gauges
+        # ru_maxrss: this very process, whose resident set is at least
+        # the interpreter and numpy.
+        assert gauges[1] >= 10 * 2**20, gauges
 
     def test_shutdown_op_stops_the_serve_loop(self):
         async def scenario():

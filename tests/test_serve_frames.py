@@ -1,12 +1,14 @@
 """The served result path: page frames, request validation, failed joins.
 
-A served join's result travels as two oid buffers from the engine to the
-socket, and the request says which page frame its sender reads: JSON
+A served join's result travels from the engine to the socket as the row
+positions it holds once (or, list-backed, as two oid buffers), and the
+request says which page frame its sender reads: JSON
 lines (the default — raw-socket clients, ``nc``, the benchmark's
 first-page probe) or the binary frame ``ServeClient`` asks for.  Pinned
 here: both frames carry ``result.pairs`` in its order; the JSON lines are
 byte for byte what ``paginate`` + ``encode_message`` produce; the server
-never builds ``result.pairs``; a request no server could honour and a
+never builds ``result.pairs`` and a hot answer traces at most twice the
+result's oid bytes; a request no server could honour and a
 join that fails are typed error responses on a connection that stays
 usable; and the client trusts no frame header.  Everything but the
 forced parallel plans runs without numpy too.
@@ -19,13 +21,15 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro import spatial_join
 from repro.core.result import pair_columns
-from repro.serve import DatasetRegistry, EngineHost, ServeClient, result_checksum
+from repro.obs.trace import Tracer
+from repro.serve import DatasetRegistry, EngineHost, JoinServer, ServeClient, result_checksum
 from repro.pbsm.parallel import _warm_worker
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
@@ -195,7 +199,7 @@ class TestFramesOverTheWire:
 
 
 # ----------------------------------------------------------------------
-# one form on the served path: oid buffers, never result.pairs
+# one form on the served path: row positions held once, never tuples
 # ----------------------------------------------------------------------
 class ForcedPlanEngine(RecordingEngine):
     """A recording host that runs the parallel ``sweep_numpy`` candidate,
@@ -253,6 +257,61 @@ class TestServedResultStaysBuffers:
             tuple(pair) for line, _ in as_json[:-1] for pair in decode_message(line)["pairs"]
         ]
         assert json_pairs == pairs
+        assert own_shm_segments() == set()
+
+
+    def test_a_hot_querys_trace_has_one_collect_and_one_checksum_span(self):
+        engine = ForcedPlanEngine()
+
+        async def scenario():
+            server = await _started_server(engine=engine)
+            try:
+                if engine.pool is None:
+                    pytest.skip("worker cap forced workers=1 on this box")
+                async with await ServeClient.connect(port=server.port) as client:
+                    await client.join("L", "R")
+                    hot, _ = await client.join("L", "R")
+                    trace = await client.trace(hot["query_id"])
+            finally:
+                await server.stop()
+            return hot, trace
+
+        hot, trace = run(scenario())
+        assert hot["from_cache"] and trace["ok"]
+        names = [span["name"] for span in trace["spans"]]
+        assert names.count("collect") == 1 and names.count("checksum") == 1, names
+        by_id = {span["span_id"]: span for span in trace["spans"]}
+        (collect,) = [span for span in trace["spans"] if span["name"] == "collect"]
+        assert by_id[collect["parent_id"]]["name"] == "join"  # the copy-out is the parent's
+
+    def test_a_hot_answer_traces_at_most_twice_the_results_oid_bytes(self, own_shm_segments):
+        """The result is held once, as the row positions the workers'
+        result segments were copied into, and the checksum gathers its
+        oids a chunk at a time.  A copy per task, a concatenation,
+        ``to_arrays()`` and a whole-result sort table put this at 4x."""
+        registry = DatasetRegistry()
+        registry.register_synthetic("L", "uniform", 20_000, seed=41)
+        registry.register_synthetic("R", "uniform", 20_000, seed=42, start_oid=10**6)
+        engine = ForcedPlanEngine()
+        server = JoinServer(registry, engine)
+        try:
+            engine.start()
+            if engine.pool is None:
+                pytest.skip("worker cap forced workers=1 on this box")
+            left, right = registry.get("L"), registry.get("R")
+            server._answer(left, right, MEMORY, Tracer())  # plan and partition once
+            tracemalloc.start()
+            try:
+                _, stats, pairs, checksum = server._answer(left, right, MEMORY, Tracer())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert stats.executor == "process" and stats.n_results > 100_000
+            assert checksum == result_checksum(engine.results[0].to_arrays())
+            assert peak <= 2 * 16 * stats.n_results, peak / (16 * stats.n_results)
+        finally:
+            engine.shutdown()
+            registry.close()
         assert own_shm_segments() == set()
 
 

@@ -7,32 +7,15 @@ workload must hit the plan cache.  The plans and their simulated seconds
 must also be the committed table's: no chosen plan moves unnoticed.
 """
 
-import re
-
 import pytest
 
 from repro.bench.experiments import run_planner_sweep
 
-from benchmarks.conftest import RESULTS_DIR, column, record
+from benchmarks.conftest import RESULTS_DIR, column, record, table_cells
 
 #: The columns of ``results/planner.txt`` a fresh run reproduces exactly
 #: (``plan_ms`` and ``replan_ms`` are wall time).
 HELD_COLUMNS = ("workload", "auto_plan", "auto_sec", "best_fixed", "best_sec", "ratio")
-
-
-def table_cells(text):
-    """``{column: [cell, ...]}`` of a rendered result table, each row cut
-    at the spans of the dashed rule under the header."""
-    lines = text.splitlines()
-    rule = next(i for i, line in enumerate(lines) if re.fullmatch(r"-+( +-+)*", line))
-    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
-    rows = []
-    for line in lines[rule + 1 :]:
-        if line.startswith("note:"):
-            break
-        rows.append([line[a:b].strip() for a, b in spans])
-    header = [lines[rule - 1][a:b].strip() for a, b in spans]
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 @pytest.mark.benchmark(group="planner")

@@ -7,6 +7,9 @@
 * **R2 — workload families**: the PBSM-vs-S³J ordering must not be an
   artifact of the TIGER-like generator; re-checked on Manhattan-grid,
   radial-city and mixed-scale data.
+
+Both tables are simulated, so a fresh run must also equal the committed
+one (``results/robustness_*.txt``) cell for cell.
 """
 
 import pytest
@@ -17,7 +20,7 @@ from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
 from repro.pbsm import PBSM
 from repro.s3j import S3J
 
-from benchmarks.conftest import column, record
+from benchmarks.conftest import RESULTS_DIR, column, record, table_cells
 
 
 def _la_like(n, seed, coverage):
@@ -86,8 +89,10 @@ def run_workload_families() -> ExperimentResult:
 
 @pytest.mark.benchmark(group="robustness")
 def test_scale_stability(benchmark):
+    committed = table_cells((RESULTS_DIR / "robustness_scale.txt").read_text())
     result = benchmark.pedantic(run_scale_stability, rounds=1, iterations=1)
     record("robustness_scale", result)
+    assert table_cells(result.to_text()) == committed
     pd_rp = column(result, "PD/RP")
     s3j_ratio = column(result, "S3Jorig/S3Jrepl")
     cpu_ratio = column(result, "cpu_orig/repl")
@@ -102,8 +107,10 @@ def test_scale_stability(benchmark):
 
 @pytest.mark.benchmark(group="robustness")
 def test_workload_families(benchmark):
+    committed = table_cells((RESULTS_DIR / "robustness_families.txt").read_text())
     result = benchmark.pedantic(run_workload_families, rounds=1, iterations=1)
     record("robustness_families", result)
+    assert table_cells(result.to_text()) == committed
     ratios = column(result, "ratio")
     # PBSM(trie) wins on every family (the paper's bottom line).
     assert all(ratio > 1.0 for ratio in ratios)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import platform
+import re
 from pathlib import Path
 
 from repro.pbsm.parallel import cpu_count
@@ -70,3 +71,18 @@ def column(result, name: str):
     """Extract one column of an ExperimentResult as a list."""
     idx = result.columns.index(name)
     return [row[idx] for row in result.rows]
+
+
+def table_cells(text):
+    """``{column: [cell, ...]}`` of a rendered result table, each row cut
+    at the spans of the dashed rule under the header."""
+    lines = text.splitlines()
+    rule = next(i for i, line in enumerate(lines) if re.fullmatch(r"-+( +-+)*", line))
+    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
+    rows = []
+    for line in lines[rule + 1 :]:
+        if line.startswith("note:"):
+            break
+        rows.append([line[a:b].strip() for a, b in spans])
+    header = [lines[rule - 1][a:b].strip() for a, b in spans]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}

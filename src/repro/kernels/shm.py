@@ -231,7 +231,9 @@ class SharedColumnarStore:
     # ------------------------------------------------------------------
     @classmethod
     def create(cls, arrays: Dict[str, object]) -> "SharedColumnarStore":
-        """Copy *arrays* (name -> 1-D ndarray) into a fresh segment.
+        """Copy *arrays* into a fresh segment.  Each maps a name to a 1-D
+        ndarray, or to a list of 1-D pieces of one dtype laid out back to
+        back as one array (at least one piece; empty ones included).
 
         If anything fails between allocating and returning (a
         ``KeyboardInterrupt`` mid-copy included), the segment is unlinked
@@ -240,18 +242,23 @@ class SharedColumnarStore:
         """
         entries = []
         offset = 0
-        packed = {}
-        for key, arr in arrays.items():
-            arr = np.ascontiguousarray(arr)
-            packed[key] = arr
-            entries.append((key, arr.dtype.str, int(arr.shape[0]), offset))
-            offset += int(arr.nbytes)
+        pieces = {}
+        for key, value in arrays.items():
+            parts = value if isinstance(value, list) else [value]
+            dtype = parts[0].dtype
+            n = sum(len(part) for part in parts)
+            pieces[key] = parts
+            entries.append((key, dtype.str, n, offset))
+            offset += n * dtype.itemsize
         views: Dict[str, Any] = {}
         segment = ShmSegment(_new_segment_name(), create=True, size=max(offset, 1))
         try:
             _map_views(segment, entries, views)
             for key, view in views.items():
-                view[:] = packed[key]
+                at = 0
+                for part in pieces[key]:
+                    view[at : at + len(part)] = part
+                    at += len(part)
             return cls(segment, views, (segment.name, tuple(entries)), owner=True)
         except BaseException:
             views.clear()  # drop the exported views so close() can unmap

@@ -41,7 +41,6 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.stats import CpuCounters
-from repro.io.extsort import BY_XL
 from repro.kernels.columnar import ColumnarRelation, xl_order
 
 #: Maximum candidate pairs expanded per batch (bounds peak memory: five
@@ -328,7 +327,6 @@ def sweep_numpy_join(
 
 __all__ = [
     "BATCH_OPS_PER_CANDIDATE",
-    "BY_XL",
     "DEFAULT_BATCH_CANDIDATES",
     "forward_scan_batches",
     "sweep_numpy_join",

@@ -9,8 +9,9 @@ pairs:
 
 * a :class:`Span` is one timed region with a name, a kind (``run``,
   ``phase``, ``section``, ``task``, ``worker``, ``plan``), tags, and the
-  counter *deltas* (CPU operation counts, simulated I/O units) observed
-  while it was open;
+  counters attached to it while it was open (a join phase's CPU
+  operation counts and simulated I/O, from the run's
+  :class:`~repro.io.disk.Ledger`);
 * a :class:`Tracer` opens spans as context managers, nests them via an
   explicit stack (children know their parent), and retains every finished
   span for export (JSONL via :mod:`repro.obs.export`, Prometheus text via
@@ -18,7 +19,7 @@ pairs:
 * :data:`NULL_TRACER` is the always-on default: its spans still measure
   wall time — drivers derive ``JoinStats.wall_seconds_by_phase`` from the
   span they just closed, so the numbers exist with tracing off — but
-  nothing is retained, no counters are snapshotted, and no tags are
+  nothing is retained, no counters are attached, and no tags are
   stored.  The cost of a disabled span is two ``perf_counter()`` calls
   and one small allocation per *phase* (never per record), which keeps
   the hot loops untouched.
@@ -94,31 +95,15 @@ class Span:
 class _ActiveSpan:
     """A span in progress: context manager plus the handle drivers keep.
 
-    On exit it computes the wall time and the deltas of any attached
-    :class:`~repro.core.stats.CpuCounters` / simulated-disk totals, then
-    hands the finished :class:`Span` to the tracer.
+    On exit it computes the wall time and hands the finished
+    :class:`Span` to the tracer.
     """
 
-    __slots__ = (
-        "_tracer",
-        "span",
-        "_cpu",
-        "_cpu_before",
-        "_disk",
-        "_units_before",
-        "_pages_before",
-    )
+    __slots__ = ("_tracer", "span")
 
-    def __init__(
-        self, tracer: "Tracer", span: Span, cpu: Any, disk: Any
-    ) -> None:
+    def __init__(self, tracer: "Tracer", span: Span) -> None:
         self._tracer = tracer
         self.span = span
-        self._cpu = cpu
-        self._cpu_before = None
-        self._disk = disk
-        self._units_before = 0.0
-        self._pages_before = 0
 
     @property
     def wall_seconds(self) -> float:
@@ -140,35 +125,12 @@ class _ActiveSpan:
     def __enter__(self) -> "_ActiveSpan":
         tracer = self._tracer
         tracer._stack.append(self.span.span_id)
-        if self._cpu is not None:
-            self._cpu_before = self._cpu.as_dict()
-        if self._disk is not None:
-            self._units_before = self._disk.total_units()
-            total = self._disk.total_counters()
-            self._pages_before = total.pages_read + total.pages_written
         self.span.t_start = tracer._now()
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         tracer = self._tracer
         self.span.t_end = tracer._now()
-        if self._cpu is not None:
-            after = self._cpu.as_dict()
-            before = self._cpu_before
-            self.add_counters(
-                {key: after[key] - before[key] for key in after}
-            )
-        if self._disk is not None:
-            self.add_counters(
-                {"io_units": self._disk.total_units() - self._units_before}
-            )
-            total = self._disk.total_counters()
-            self.add_counters(
-                {
-                    "io_pages": (total.pages_read + total.pages_written)
-                    - self._pages_before
-                }
-            )
         stack = tracer._stack
         if stack and stack[-1] == self.span.span_id:
             stack.pop()
@@ -230,21 +192,8 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     # ------------------------------------------------------------------
-    def span(
-        self,
-        name: str,
-        *,
-        kind: str = KIND_PHASE,
-        cpu: Optional[Any] = None,
-        disk: Optional[Any] = None,
-        **tags: Any,
-    ) -> _ActiveSpan:
-        """Open a span as a context manager.
-
-        ``cpu`` (a :class:`~repro.core.stats.CpuCounters`) and ``disk``
-        (a :class:`~repro.io.disk.SimulatedDisk`) are snapshotted on
-        entry; their deltas are attached to the span on exit.
-        """
+    def span(self, name: str, *, kind: str = KIND_PHASE, **tags: Any) -> _ActiveSpan:
+        """Open a span as a context manager."""
         span = Span(
             span_id=self._alloc_id(),
             parent_id=self.current_span_id,
@@ -254,7 +203,7 @@ class Tracer:
             t_end=0.0,
             tags={k: v for k, v in tags.items() if v is not None},
         )
-        return _ActiveSpan(self, span, cpu, disk)
+        return _ActiveSpan(self, span)
 
     def add_span(
         self,
@@ -318,15 +267,7 @@ class NullTracer:
     recording = False
     spans: List[Span] = []  # always empty; shared on purpose
 
-    def span(
-        self,
-        name: str,
-        *,
-        kind: str = KIND_PHASE,
-        cpu: Optional[Any] = None,
-        disk: Optional[Any] = None,
-        **tags: Any,
-    ) -> Any:
+    def span(self, name: str, *, kind: str = KIND_PHASE, **tags: Any) -> Any:
         return _NullSpan()
 
     def add_span(self, name: str, wall_seconds: float, **kwargs: Any) -> None:

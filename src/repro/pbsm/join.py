@@ -49,7 +49,7 @@ W workers.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
-from repro.io.disk import SimulatedDisk
+from repro.io.disk import Ledger, SimulatedDisk
 from repro.kernels.assign import partition_memoized, partition_runs
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.obs.trace import KIND_RUN, KIND_SECTION, KIND_TASK, NULL_TRACER
@@ -165,18 +165,21 @@ class PBSM:
         objects while it is iterated (:class:`~repro.core.result.PairRows`;
         no ``append``), and ``len(result)`` and ``result.to_arrays()``
         box nothing.  Under ``"sort"`` it is the sorted-out ``list``.
+        Building the result, once every leaf is joined, is the
+        ``result`` section span.
         """
         stats = self._new_stats(left, right)
         columns = _columns(left, right, self.tracer)
-        pieces = self._join_leaves(columns, stats)
-        if self.dedup == "sort":
-            pairs: List[Tuple[int, int]] = []
-            for unique in pieces:
-                pairs.extend(unique)
-            result = JoinResult(pairs=pairs, stats=stats)
-        else:
-            sides = _NO_ROWS if columns is None else _row_oids(columns)
-            result = JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
+        pieces = list(self._join_leaves(columns, stats))
+        with self.tracer.span("result", kind=KIND_SECTION):
+            if self.dedup == "sort":
+                pairs: List[Tuple[int, int]] = []
+                for unique in pieces:
+                    pairs.extend(unique)
+                result = JoinResult(pairs=pairs, stats=stats)
+            else:
+                sides = _NO_ROWS if columns is None else _row_oids(columns)
+                result = JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
         stats.n_results = len(result)
         return result
 
@@ -234,22 +237,22 @@ class PBSM:
         the duplicate-free result of the final phase.  The one PBSM
         pipeline: :meth:`run` and :meth:`iter_pairs` drain it, whatever
         the worker count.  No generator is resumed per pair.
-        Everything a run accumulates (disk, counters, *stats*) is local
+        Everything a run accumulates (its ledger, *stats*) is local
         to this generator — never an attribute of the driver — so
         iterators open on one driver share nothing, and *stats* is
         complete once it is exhausted (:meth:`_finalize_stats`).
         """
-        disk = SimulatedDisk(self.cost_model)
-        cpu = {
-            PHASE_PARTITION: CpuCounters(),
-            PHASE_REPARTITION: CpuCounters(),
-            PHASE_JOIN: CpuCounters(),
-            PHASE_DEDUP: CpuCounters(),
-        }
+        ledger = Ledger(
+            stats,
+            (PHASE_PARTITION, PHASE_REPARTITION, PHASE_JOIN, PHASE_DEDUP),
+            self.cost_model,
+            self.tracer,
+        )
+        disk, cpu = ledger.disk, ledger.cpu
         #: ``(read units, counters, wall seconds)`` per leaf, in join order.
         leaf_costs: List[Tuple[float, CpuCounters, float]] = []
         if columns is None:
-            self._finalize_stats(stats, disk, cpu, leaf_costs)
+            self._finalize_stats(ledger, leaf_costs)
             return
 
         # The columnar leaf's id runs arrive xl-sorted, the tuple leaf's
@@ -267,8 +270,7 @@ class PBSM:
         grid = TileGrid.for_partitions(space, n_partitions, self.tiles_per_partition)
         stats.n_partitions = n_partitions
 
-        tracer = self.tracer
-        with tracer.span(
+        with self.tracer.span(
             "pbsm",
             kind=KIND_RUN,
             internal=self.internal_name,
@@ -277,22 +279,19 @@ class PBSM:
             workers=stats.n_workers or None,
         ):
             # --- phase 1: partitioning -----------------------------------
-            with tracer.span(
-                PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
-            ) as sp:
+            with ledger.phase(PHASE_PARTITION) as sp:
                 # Both inputs' id runs, one per partition; *reused*
                 # counts the sides whose runs came out of a read-only
                 # relation's partition memo (same charges).
                 reused = 0
                 sides: List[List[Any]] = []
-                with disk.phase(PHASE_PARTITION):
-                    for cols in columns:
-                        reused += partition_memoized(cols, grid, columnar)
-                        runs = partition_runs(
-                            cols, grid, cpu[PHASE_PARTITION], columnar
-                        )
-                        charge_partition(disk, runs, kpe_bytes)
-                        sides.append(runs)
+                for cols in columns:
+                    reused += partition_memoized(cols, grid, columnar)
+                    runs = partition_runs(
+                        cols, grid, cpu[PHASE_PARTITION], columnar
+                    )
+                    charge_partition(disk, runs, kpe_bytes)
+                    sides.append(runs)
                 runs_left, runs_right = sides
                 sp.add_counters({"partitions_reused": reused})
                 written = sum(len(run) for run in runs_left + runs_right)
@@ -300,7 +299,6 @@ class PBSM:
                 stats.replicas_created = (
                     written - len(columns.left) - len(columns.right)
                 )
-            stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- candidate sink -------------------------------------------
             candidates: Optional[CandidateFile] = None
@@ -315,7 +313,7 @@ class PBSM:
                 for pid in reversed(range(n_partitions))
             ]
             join_cpu = cpu[PHASE_JOIN]
-            with tracer.span(PHASE_JOIN, cpu=join_cpu, disk=disk) as sp:
+            with ledger.phase(PHASE_JOIN) as sp:
                 leaves = self._leaves(
                     pending, space, columns, disk, cpu[PHASE_REPARTITION], stats
                 )
@@ -325,8 +323,7 @@ class PBSM:
                     pairs, suppressed, counters, wall = outcome
                     join_cpu.add(counters)
                     stats.duplicates_suppressed += suppressed
-                    with disk.phase(PHASE_JOIN):
-                        read_units = charge_leaf(disk, ids_left, ids_right)
+                    read_units = charge_leaf(disk, ids_left, ids_right)
                     leaf_costs.append((read_units, counters, wall))
                     if candidates is None:
                         yield pairs
@@ -341,21 +338,16 @@ class PBSM:
                         "ipc_seconds": stats.ipc_seconds,
                     }
                 )
-            stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
 
             # --- phase 4: sort-based duplicate removal ---------------------
             if candidates is not None:
-                with tracer.span(
-                    PHASE_DEDUP, cpu=cpu[PHASE_DEDUP], disk=disk
-                ) as sp:
-                    with disk.phase(PHASE_DEDUP):
-                        unique, removed = candidates.sort_out(
-                            self.memory_bytes, cpu[PHASE_DEDUP]
-                        )
+                with ledger.phase(PHASE_DEDUP):
+                    unique, removed = candidates.sort_out(
+                        self.memory_bytes, cpu[PHASE_DEDUP]
+                    )
                     stats.duplicates_sorted_out = removed
-                stats.wall_seconds_by_phase[PHASE_DEDUP] = sp.wall_seconds
                 yield unique
-        self._finalize_stats(stats, disk, cpu, leaf_costs)
+        self._finalize_stats(ledger, leaf_costs)
 
     def _leaves(
         self,
@@ -465,47 +457,35 @@ class PBSM:
 
     def _finalize_stats(
         self,
-        stats: JoinStats,
-        disk: SimulatedDisk,
-        cpu: Dict[str, CpuCounters],
+        ledger: Ledger,
         leaf_costs: List[Tuple[float, CpuCounters, float]],
     ) -> None:
-        """The one accounting rule, an empty side included (zero-filled
-        phases): each phase is charged its counters and its I/O, except
-        that with ``workers > 1`` the join phase is the LPT makespan of
-        the leaves on W workers, each leaf costing its two reads
+        """The paper's cost rule (:meth:`Ledger.charge`), an empty side
+        included (zero-filled phases), except that with ``workers > 1``
+        the join phase is the LPT makespan of the leaves on W workers,
+        each leaf costing its two reads
         (:func:`~repro.pbsm.paper_io.charge_leaf`) plus its CPU
         counters.  The makespan mixes the leaves' reads and CPU; it
         counts as CPU."""
+        ledger.charge()
+        if self.workers == 1:
+            return
+        stats = ledger.stats
         cost = self.cost_model
-        stats.io_units_by_phase = units = disk.units_by_phase()
-        stats.io_pages_by_phase = disk.pages_by_phase()
-        stats.cpu_by_phase = {
-            phase: counters.as_dict() for phase, counters in cpu.items()
-        }
-        stats.sim_io_seconds = cost.io_seconds(disk.total_units())
-        stats.sim_cpu_seconds = sum(
-            cost.cpu_seconds(counters) for counters in cpu.values()
+        makespan, _loads = lpt_schedule(
+            [
+                cost.io_seconds(read_units) + cost.cpu_seconds(counters)
+                for read_units, counters, _ in leaf_costs
+            ],
+            self.workers,
         )
-        stats.sim_seconds_by_phase = {
-            phase: cost.cpu_seconds(counters) + cost.io_seconds(units.get(phase, 0.0))
-            for phase, counters in cpu.items()
-        }
-        if self.workers > 1:
-            makespan, _loads = lpt_schedule(
-                [
-                    cost.io_seconds(read_units) + cost.cpu_seconds(counters)
-                    for read_units, counters, _ in leaf_costs
-                ],
-                self.workers,
-            )
-            stats.sim_seconds_by_phase[PHASE_JOIN] = makespan
-            stats.sim_io_seconds -= cost.io_seconds(units.get(PHASE_JOIN, 0.0))
-            stats.sim_cpu_seconds = sum(stats.sim_seconds_by_phase.values()) - stats.sim_io_seconds
-            stats.join_busy_seconds = sum((wall for _, _, wall in leaf_costs), 0.0)
-            if stats.executor != "process":
-                # In process, the tasks' elapsed time is the join phase's.
-                stats.join_makespan_seconds = stats.wall_seconds_by_phase.get(PHASE_JOIN, 0.0)
+        stats.sim_seconds_by_phase[PHASE_JOIN] = makespan
+        stats.sim_io_seconds -= cost.io_seconds(stats.io_units_by_phase.get(PHASE_JOIN, 0.0))
+        stats.sim_cpu_seconds = sum(stats.sim_seconds_by_phase.values()) - stats.sim_io_seconds
+        stats.join_busy_seconds = sum((wall for _, _, wall in leaf_costs), 0.0)
+        if stats.executor != "process":
+            # In process, the tasks' elapsed time is the join phase's.
+            stats.join_makespan_seconds = stats.wall_seconds_by_phase.get(PHASE_JOIN, 0.0)
 
 
 class _Columns(NamedTuple):

@@ -662,8 +662,8 @@ def execute_process(
 ) -> Iterator[Tuple[Leaf, LeafOutcome]]:
     """Fan the leaves out as tasks over the warm pool and one segment.
 
-    Concatenates every leaf's two id runs per side in leaf order, loads
-    those two id arrays once into a segment, next to the columns of
+    Lays every leaf's id runs, per side and in leaf order, straight
+    into a segment as that side's one id array, next to the columns of
     each side whose relation names no pinned ``segment``, ships
     five-integer tasks next to the grids and each leaf's ownership
     chain, and copies each task's ``(rid, sid)`` runs out of the
@@ -706,8 +706,8 @@ def execute_process(
         if cols.segment is None:
             arrays.update(columnar_arrays(prefix, cols))
         sides.append(cols.segment or (None, prefix))
-    arrays["L.ids"] = np.concatenate([leaf[0] for leaf in leaves])
-    arrays["R.ids"] = np.concatenate([leaf[1] for leaf in leaves])
+    arrays["L.ids"] = [leaf[0] for leaf in leaves]
+    arrays["R.ids"] = [leaf[1] for leaf in leaves]
     chunks = _chunk_tasks(tasks, workers * CHUNKS_PER_WORKER)
 
     with SharedColumnarStore.create(arrays) as store:

@@ -23,7 +23,7 @@ from repro.core.result import JoinResult, JoinStats
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel
-from repro.io.disk import SimulatedDisk
+from repro.io.disk import Ledger, SimulatedDisk
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.rtree.tree import RTree, RTreeNode
 
@@ -63,63 +63,42 @@ class RTreeJoin:
             n_left=len(left),
             n_right=len(right),
         )
-        disk = SimulatedDisk(self.cost_model)
-        cpu = {PHASE_BUILD: CpuCounters(), PHASE_JOIN: CpuCounters()}
+        ledger = Ledger(stats, (PHASE_BUILD, PHASE_JOIN), self.cost_model, self.tracer)
+        disk = ledger.disk
         pairs: List[Tuple[int, int]] = []
 
         if left and right:
-            tracer = self.tracer
-            with tracer.span(
+            with self.tracer.span(
                 "rtree_join",
                 kind=KIND_RUN,
                 internal=self.internal_name,
                 prebuilt=self.prebuilt,
             ):
-                with tracer.span(
-                    PHASE_BUILD, cpu=cpu[PHASE_BUILD], disk=disk
-                ) as sp:
-                    with disk.phase(PHASE_BUILD):
-                        if tree_left is None:
-                            tree_left = RTree.bulk_load(left, self.fanout)
-                            if not self.prebuilt:
-                                disk.charge_write(
-                                    tree_left.node_count * _NODE_PAGES, 1
-                                )
-                        if tree_right is None:
-                            tree_right = RTree.bulk_load(right, self.fanout)
-                            if not self.prebuilt:
-                                disk.charge_write(
-                                    tree_right.node_count * _NODE_PAGES, 1
-                                )
-                stats.wall_seconds_by_phase[PHASE_BUILD] = sp.wall_seconds
+                with ledger.phase(PHASE_BUILD):
+                    if tree_left is None:
+                        tree_left = RTree.bulk_load(left, self.fanout)
+                        if not self.prebuilt:
+                            disk.charge_write(
+                                tree_left.node_count * _NODE_PAGES, 1
+                            )
+                    if tree_right is None:
+                        tree_right = RTree.bulk_load(right, self.fanout)
+                        if not self.prebuilt:
+                            disk.charge_write(
+                                tree_right.node_count * _NODE_PAGES, 1
+                            )
 
-                with tracer.span(
-                    PHASE_JOIN, cpu=cpu[PHASE_JOIN], disk=disk
-                ) as sp:
-                    with disk.phase(PHASE_JOIN):
-                        self._join_nodes(
-                            tree_left.root,
-                            tree_right.root,
-                            pairs,
-                            cpu[PHASE_JOIN],
-                            disk,
-                        )
-                stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
+                with ledger.phase(PHASE_JOIN):
+                    self._join_nodes(
+                        tree_left.root,
+                        tree_right.root,
+                        pairs,
+                        ledger.cpu[PHASE_JOIN],
+                        disk,
+                    )
 
         stats.n_results = len(pairs)
-        stats.io_units_by_phase = disk.units_by_phase()
-        stats.io_pages_by_phase = disk.pages_by_phase()
-        stats.sim_io_seconds = self.cost_model.io_seconds(disk.total_units())
-        stats.sim_cpu_seconds = sum(
-            self.cost_model.cpu_seconds(c) for c in cpu.values()
-        )
-        stats.cpu_by_phase = {p: c.as_dict() for p, c in cpu.items()}
-        units = stats.io_units_by_phase
-        stats.sim_seconds_by_phase = {
-            phase: self.cost_model.cpu_seconds(counters)
-            + self.cost_model.io_seconds(units.get(phase, 0.0))
-            for phase, counters in cpu.items()
-        }
+        ledger.charge()
         return JoinResult(pairs=pairs, stats=stats)
 
     # ------------------------------------------------------------------

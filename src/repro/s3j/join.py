@@ -27,7 +27,7 @@ from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
-from repro.io.disk import SimulatedDisk
+from repro.io.disk import Ledger
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.s3j.levelfile import build_level_files, sort_level_files
 from repro.s3j.levels import ASSIGNMENT_STRATEGIES
@@ -148,21 +148,22 @@ class S3J:
         right: Sequence[Tuple],
         stats: JoinStats,
     ) -> Iterator[Tuple[int, int]]:
-        disk = SimulatedDisk(self.cost_model)
-        cpu = {
-            PHASE_PARTITION: CpuCounters(),
-            PHASE_SORT: CpuCounters(),
-            PHASE_JOIN: CpuCounters(),
-        }
+        ledger = Ledger(
+            stats,
+            (PHASE_PARTITION, PHASE_SORT, PHASE_JOIN),
+            self.cost_model,
+            self.tracer,
+        )
+        disk, cpu = ledger.disk, ledger.cpu
+        hilbert = self.curve == "hilbert"
         if not left or not right:
-            self._finalize_stats(stats, disk, cpu)
+            ledger.charge(hilbert)
             return
 
         space = Space.of(left, right)
         assign = self.assign
 
-        tracer = self.tracer
-        with tracer.span(
+        with self.tracer.span(
             "s3j",
             kind=KIND_RUN,
             internal=self.internal_name,
@@ -170,36 +171,33 @@ class S3J:
             curve=self.curve,
         ):
             # --- phase 1: partitioning into level files --------------------
-            with tracer.span(
-                PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
-            ) as sp:
-                with disk.phase(PHASE_PARTITION):
-                    files_left, n_left_written = build_level_files(
-                        assign(
-                            left,
-                            space,
-                            self.max_level,
-                            self.encoder,
-                            cpu[PHASE_PARTITION],
-                        ),
+            with ledger.phase(PHASE_PARTITION):
+                files_left, n_left_written = build_level_files(
+                    assign(
+                        left,
+                        space,
                         self.max_level,
-                        disk,
-                        "R",
-                        self.io_buffer_pages,
-                    )
-                    files_right, n_right_written = build_level_files(
-                        assign(
-                            right,
-                            space,
-                            self.max_level,
-                            self.encoder,
-                            cpu[PHASE_PARTITION],
-                        ),
+                        self.encoder,
+                        cpu[PHASE_PARTITION],
+                    ),
+                    self.max_level,
+                    disk,
+                    "R",
+                    self.io_buffer_pages,
+                )
+                files_right, n_right_written = build_level_files(
+                    assign(
+                        right,
+                        space,
                         self.max_level,
-                        disk,
-                        "S",
-                        self.io_buffer_pages,
-                    )
+                        self.encoder,
+                        cpu[PHASE_PARTITION],
+                    ),
+                    self.max_level,
+                    disk,
+                    "S",
+                    self.io_buffer_pages,
+                )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
                     stats.records_partitioned - len(left) - len(right)
@@ -207,41 +205,36 @@ class S3J:
                 stats.n_partitions = sum(
                     1 for f in files_left + files_right if f.n_records
                 )
-            stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             # --- phase 2: sort level files by locational code ---------------
-            with tracer.span(PHASE_SORT, cpu=cpu[PHASE_SORT], disk=disk) as sp:
-                with disk.phase(PHASE_SORT):
-                    files_left = sort_level_files(
-                        files_left, self.memory_bytes, cpu[PHASE_SORT]
-                    )
-                    files_right = sort_level_files(
-                        files_right, self.memory_bytes, cpu[PHASE_SORT]
-                    )
-            stats.wall_seconds_by_phase[PHASE_SORT] = sp.wall_seconds
+            with ledger.phase(PHASE_SORT):
+                files_left = sort_level_files(
+                    files_left, self.memory_bytes, cpu[PHASE_SORT]
+                )
+                files_right = sort_level_files(
+                    files_right, self.memory_bytes, cpu[PHASE_SORT]
+                )
 
             # --- phase 3: synchronized scan --------------------------------
             scan_stats = ScanStats()
             join_cpu = cpu[PHASE_JOIN]
-            with tracer.span(PHASE_JOIN, cpu=join_cpu, disk=disk) as sp:
-                with disk.phase(PHASE_JOIN):
-                    for part_left, part_right in scan_pairs(
-                        files_left,
-                        files_right,
-                        self.max_level,
-                        self.decoder,
-                        join_cpu,
-                        self.memory_bytes,
-                        scan_stats,
-                        self.io_buffer_pages,
-                    ):
-                        yield from self._join_partition_pair(
-                            part_left, part_right, space, join_cpu, stats
-                        )
+            with ledger.phase(PHASE_JOIN):
+                for part_left, part_right in scan_pairs(
+                    files_left,
+                    files_right,
+                    self.max_level,
+                    self.decoder,
+                    join_cpu,
+                    self.memory_bytes,
+                    scan_stats,
+                    self.io_buffer_pages,
+                ):
+                    yield from self._join_partition_pair(
+                        part_left, part_right, space, join_cpu, stats
+                    )
                 stats.memory_overruns = scan_stats.memory_overruns
                 stats.peak_memory_bytes = scan_stats.peak_stack_bytes
-            stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
-        self._finalize_stats(stats, disk, cpu)
+        ledger.charge(hilbert)
 
     def _join_partition_pair(
         self,
@@ -288,26 +281,3 @@ class S3J:
             cpu.refpoint_tests += refpoint_tests
             stats.duplicates_suppressed += suppressed
         yield from results
-
-    # ------------------------------------------------------------------
-    # statistics
-    # ------------------------------------------------------------------
-    def _finalize_stats(self, stats: JoinStats, disk: SimulatedDisk, cpu) -> None:
-        cost = self.cost_model
-        hilbert = self.curve == "hilbert"
-        stats.io_units_by_phase = disk.units_by_phase()
-        stats.io_pages_by_phase = disk.pages_by_phase()
-        stats.cpu_by_phase = {
-            phase: counters.as_dict() for phase, counters in cpu.items()
-        }
-        stats.sim_io_seconds = cost.io_seconds(disk.total_units())
-        stats.sim_cpu_seconds = sum(
-            cost.cpu_seconds(counters, hilbert=hilbert) for counters in cpu.values()
-        )
-        by_phase = {}
-        units = stats.io_units_by_phase
-        for phase, counters in cpu.items():
-            by_phase[phase] = cost.cpu_seconds(counters, hilbert=hilbert) + (
-                cost.io_seconds(units.get(phase, 0.0))
-            )
-        stats.sim_seconds_by_phase = by_phase

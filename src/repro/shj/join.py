@@ -24,10 +24,9 @@ from typing import List, Optional, Sequence, Tuple
 from repro.core.phases import PHASE_JOIN, PHASE_PARTITION
 from repro.core.result import JoinResult, JoinStats
 from repro.core.space import Space, clamped_cell
-from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
-from repro.io.disk import SimulatedDisk
+from repro.io.disk import Ledger
 from repro.io.pagefile import PageFile
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.estimator import estimate_partitions
@@ -60,17 +59,19 @@ class SpatialHashJoin:
             n_left=len(left),
             n_right=len(right),
         )
-        disk = SimulatedDisk(self.cost_model)
-        cpu = {PHASE_PARTITION: CpuCounters(), PHASE_JOIN: CpuCounters()}
+        ledger = Ledger(
+            stats, (PHASE_PARTITION, PHASE_JOIN), self.cost_model, self.tracer
+        )
         pairs: List[Tuple[int, int]] = []
         if left and right:
-            self._execute(left, right, pairs, stats, disk, cpu)
+            self._execute(left, right, pairs, stats, ledger)
         stats.n_results = len(pairs)
-        self._finalize(stats, disk, cpu)
+        ledger.charge()
         return JoinResult(pairs=pairs, stats=stats)
 
     # ------------------------------------------------------------------
-    def _execute(self, left, right, pairs, stats, disk, cpu) -> None:
+    def _execute(self, left, right, pairs, stats, ledger: Ledger) -> None:
+        disk, cpu = ledger.disk, ledger.cpu
         kpe_bytes = self.cost_model.kpe_bytes
         space = Space.of(left, right)
         n_buckets = estimate_partitions(
@@ -80,111 +81,90 @@ class SpatialHashJoin:
         n_buckets = side * side
         stats.n_partitions = n_buckets
 
-        tracer = self.tracer
-        with tracer.span("shj", kind=KIND_RUN, internal=self.internal_name):
-            with tracer.span(
-                PHASE_PARTITION, cpu=cpu[PHASE_PARTITION], disk=disk
-            ) as sp:
-                with disk.phase(PHASE_PARTITION):
-                    # Build side: one bucket per record, chosen by centre
-                    # point.
-                    build_files = [
-                        PageFile(disk, kpe_bytes, f"B{i}")
-                        for i in range(n_buckets)
-                    ]
-                    extents: List[
-                        Optional[Tuple[float, float, float, float]]
-                    ] = [None] * n_buckets
-                    writers = [f.writer(buffer_pages=1) for f in build_files]
-                    counters = cpu[PHASE_PARTITION]
-                    for k in left:
-                        cx = (k[1] + k[3]) / 2.0
-                        cy = (k[2] + k[4]) / 2.0
-                        bx = clamped_cell(space.norm_x(cx) * side, side)
-                        by = clamped_cell(space.norm_y(cy) * side, side)
-                        bucket = by * side + bx
-                        writers[bucket].write(k)
-                        counters.structure_ops += 1
-                        extent = extents[bucket]
-                        if extent is None:
-                            extents[bucket] = (k[1], k[2], k[3], k[4])
-                        else:
-                            extents[bucket] = (
-                                extent[0] if extent[0] < k[1] else k[1],
-                                extent[1] if extent[1] < k[2] else k[2],
-                                extent[2] if extent[2] > k[3] else k[3],
-                                extent[3] if extent[3] > k[4] else k[4],
-                            )
-                    for writer in writers:
-                        writer.close()
+        with self.tracer.span("shj", kind=KIND_RUN, internal=self.internal_name):
+            with ledger.phase(PHASE_PARTITION):
+                # Build side: one bucket per record, chosen by centre
+                # point.
+                build_files = [
+                    PageFile(disk, kpe_bytes, f"B{i}")
+                    for i in range(n_buckets)
+                ]
+                extents: List[
+                    Optional[Tuple[float, float, float, float]]
+                ] = [None] * n_buckets
+                writers = [f.writer(buffer_pages=1) for f in build_files]
+                counters = cpu[PHASE_PARTITION]
+                for k in left:
+                    cx = (k[1] + k[3]) / 2.0
+                    cy = (k[2] + k[4]) / 2.0
+                    bx = clamped_cell(space.norm_x(cx) * side, side)
+                    by = clamped_cell(space.norm_y(cy) * side, side)
+                    bucket = by * side + bx
+                    writers[bucket].write(k)
+                    counters.structure_ops += 1
+                    extent = extents[bucket]
+                    if extent is None:
+                        extents[bucket] = (k[1], k[2], k[3], k[4])
+                    else:
+                        extents[bucket] = (
+                            extent[0] if extent[0] < k[1] else k[1],
+                            extent[1] if extent[1] < k[2] else k[2],
+                            extent[2] if extent[2] > k[3] else k[3],
+                            extent[3] if extent[3] > k[4] else k[4],
+                        )
+                for writer in writers:
+                    writer.close()
 
-                    # Probe side: replicate into every bucket whose extent
-                    # the rectangle overlaps.
-                    probe_files = [
-                        PageFile(disk, kpe_bytes, f"P{i}")
-                        for i in range(n_buckets)
-                    ]
-                    probe_writers = [
-                        f.writer(buffer_pages=1) for f in probe_files
-                    ]
-                    probe_written = 0
-                    for s in right:
-                        for bucket, extent in enumerate(extents):
-                            counters.intersection_tests += (
-                                1 if extent is not None else 0
-                            )
-                            if extent is None:
-                                continue
-                            if (
-                                s[1] <= extent[2]
-                                and extent[0] <= s[3]
-                                and s[2] <= extent[3]
-                                and extent[1] <= s[4]
-                            ):
-                                probe_writers[bucket].write(s)
-                                probe_written += 1
-                    for writer in probe_writers:
-                        writer.close()
+                # Probe side: replicate into every bucket whose extent
+                # the rectangle overlaps.
+                probe_files = [
+                    PageFile(disk, kpe_bytes, f"P{i}")
+                    for i in range(n_buckets)
+                ]
+                probe_writers = [
+                    f.writer(buffer_pages=1) for f in probe_files
+                ]
+                probe_written = 0
+                for s in right:
+                    for bucket, extent in enumerate(extents):
+                        counters.intersection_tests += (
+                            1 if extent is not None else 0
+                        )
+                        if extent is None:
+                            continue
+                        if (
+                            s[1] <= extent[2]
+                            and extent[0] <= s[3]
+                            and s[2] <= extent[3]
+                            and extent[1] <= s[4]
+                        ):
+                            probe_writers[bucket].write(s)
+                            probe_written += 1
+                for writer in probe_writers:
+                    writer.close()
                 stats.records_partitioned = len(left) + probe_written
                 # Probe records overlapping no bucket extent are dropped
                 # (they can produce no result), so the net replica count can
                 # be negative; report only genuine replicas.
                 stats.replicas_created = max(0, probe_written - len(right))
-            stats.wall_seconds_by_phase[PHASE_PARTITION] = sp.wall_seconds
 
             join_cpu = cpu[PHASE_JOIN]
-            with tracer.span(PHASE_JOIN, cpu=join_cpu, disk=disk) as sp:
-                with disk.phase(PHASE_JOIN):
-                    for bucket in range(n_buckets):
-                        if not build_files[bucket].n_records:
-                            continue
-                        if not probe_files[bucket].n_records:
-                            continue
-                        build = build_files[bucket].read_all()
-                        probe = probe_files[bucket].read_all()
-                        size = (len(build) + len(probe)) * kpe_bytes
-                        if size > stats.peak_memory_bytes:
-                            stats.peak_memory_bytes = size
-                        if size > self.memory_bytes:
-                            stats.memory_overruns += 1
-                        self.internal(
-                            build,
-                            probe,
-                            lambda r, s: pairs.append((r[0], s[0])),
-                            join_cpu,
-                        )
-            stats.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
-
-    def _finalize(self, stats, disk, cpu) -> None:
-        cost = self.cost_model
-        stats.io_units_by_phase = disk.units_by_phase()
-        stats.io_pages_by_phase = disk.pages_by_phase()
-        stats.cpu_by_phase = {p: c.as_dict() for p, c in cpu.items()}
-        stats.sim_io_seconds = cost.io_seconds(disk.total_units())
-        stats.sim_cpu_seconds = sum(cost.cpu_seconds(c) for c in cpu.values())
-        units = stats.io_units_by_phase
-        stats.sim_seconds_by_phase = {
-            phase: cost.cpu_seconds(counters)
-            + cost.io_seconds(units.get(phase, 0.0))
-            for phase, counters in cpu.items()
-        }
+            with ledger.phase(PHASE_JOIN):
+                for bucket in range(n_buckets):
+                    if not build_files[bucket].n_records:
+                        continue
+                    if not probe_files[bucket].n_records:
+                        continue
+                    build = build_files[bucket].read_all()
+                    probe = probe_files[bucket].read_all()
+                    size = (len(build) + len(probe)) * kpe_bytes
+                    if size > stats.peak_memory_bytes:
+                        stats.peak_memory_bytes = size
+                    if size > self.memory_bytes:
+                        stats.memory_overruns += 1
+                    self.internal(
+                        build,
+                        probe,
+                        lambda r, s: pairs.append((r[0], s[0])),
+                        join_cpu,
+                    )

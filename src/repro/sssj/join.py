@@ -24,7 +24,7 @@ from repro.core.result import JoinResult, JoinStats
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
-from repro.io.disk import SimulatedDisk
+from repro.io.disk import Ledger, SimulatedDisk
 from repro.io.extsort import BY_XL, XlSorted, sort_in_memory
 from repro.io.pagefile import PageFile
 from repro.obs.trace import KIND_RUN, NULL_TRACER
@@ -71,42 +71,33 @@ class SSSJ:
     ) -> Iterator[Tuple[int, int]]:
         """Yield result pairs; nothing is available before sorting ends."""
         own = stats if stats is not None else JoinStats(algorithm="SSSJ")
-        disk = SimulatedDisk(self.cost_model)
-        cpu = {PHASE_SORT: CpuCounters(), PHASE_JOIN: CpuCounters()}
+        ledger = Ledger(own, (PHASE_SORT, PHASE_JOIN), self.cost_model, self.tracer)
+        disk, cpu = ledger.disk, ledger.cpu
         if left and right:
-            tracer = self.tracer
-            with tracer.span(
+            with self.tracer.span(
                 "sssj", kind=KIND_RUN, internal=self.internal_name
             ):
-                with tracer.span(
-                    PHASE_SORT, cpu=cpu[PHASE_SORT], disk=disk
-                ) as sp:
-                    with disk.phase(PHASE_SORT):
-                        sorted_left = self._external_sort_input(
-                            left, disk, cpu[PHASE_SORT]
-                        )
-                        sorted_right = self._external_sort_input(
-                            right, disk, cpu[PHASE_SORT]
-                        )
-                own.wall_seconds_by_phase[PHASE_SORT] = sp.wall_seconds
+                with ledger.phase(PHASE_SORT):
+                    sorted_left = self._external_sort_input(
+                        left, disk, cpu[PHASE_SORT]
+                    )
+                    sorted_right = self._external_sort_input(
+                        right, disk, cpu[PHASE_SORT]
+                    )
 
                 results: List[Tuple[int, int]] = []
-                with tracer.span(
-                    PHASE_JOIN, cpu=cpu[PHASE_JOIN], disk=disk
-                ) as sp:
-                    with disk.phase(PHASE_JOIN):
-                        self.internal(
-                            sorted_left,
-                            sorted_right,
-                            lambda r, s: results.append((r[0], s[0])),
-                            cpu[PHASE_JOIN],
-                        )
-                own.wall_seconds_by_phase[PHASE_JOIN] = sp.wall_seconds
+                with ledger.phase(PHASE_JOIN):
+                    self.internal(
+                        sorted_left,
+                        sorted_right,
+                        lambda r, s: results.append((r[0], s[0])),
+                        cpu[PHASE_JOIN],
+                    )
             own.peak_memory_bytes = (
                 len(left) + len(right)
             ) * self.cost_model.kpe_bytes
             yield from results
-        self._finalize(own, disk, cpu)
+        ledger.charge()
 
     def _external_sort_input(
         self, records: Sequence[Tuple], disk: SimulatedDisk, counters: CpuCounters
@@ -143,17 +134,3 @@ class SSSJ:
                 heapq.heappush(heap, (nxt[1], nxt[0], idx, nxt))
                 counters.heap_ops += 1
         return merged
-
-    def _finalize(self, stats: JoinStats, disk: SimulatedDisk, cpu) -> None:
-        cost = self.cost_model
-        stats.io_units_by_phase = disk.units_by_phase()
-        stats.io_pages_by_phase = disk.pages_by_phase()
-        stats.cpu_by_phase = {p: c.as_dict() for p, c in cpu.items()}
-        stats.sim_io_seconds = cost.io_seconds(disk.total_units())
-        stats.sim_cpu_seconds = sum(cost.cpu_seconds(c) for c in cpu.values())
-        units = stats.io_units_by_phase
-        stats.sim_seconds_by_phase = {
-            phase: cost.cpu_seconds(counters)
-            + cost.io_seconds(units.get(phase, 0.0))
-            for phase, counters in cpu.items()
-        }

@@ -101,6 +101,24 @@ class TestSharedColumnarStore:
             store.unlink()
         store.unlink()  # second unlink must not raise
 
+    def test_a_pieced_key_reads_back_as_the_concatenation(self):
+        import numpy as np
+
+        pieces = [
+            np.arange(3, dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            np.arange(10, 15, dtype=np.int64)[::2],  # a strided view
+            np.empty(0, dtype=np.int64),
+        ]
+        whole = np.arange(4, dtype=np.float64)
+        with SharedColumnarStore.create({"ids": pieces, "x": whole}) as store:
+            assert store["ids"].dtype == np.int64
+            assert store["ids"].tolist() == np.concatenate(pieces).tolist()
+            assert store["x"].tolist() == whole.tolist()
+            assert [n for _, _, n, _ in store.manifest[1]] == [6, 4]
+        with SharedColumnarStore.create({"ids": [np.empty(0, dtype=np.int64)]}) as store:
+            assert store["ids"].shape == (0,)
+
     def test_empty_arrays_supported(self):
         import numpy as np
 

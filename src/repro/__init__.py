@@ -151,8 +151,9 @@ def spatial_join(
         included; ``stats.planning_seconds`` isolates the planner's
         share).  For ``method="auto"`` the chosen
         :class:`~repro.planner.JoinPlan` is attached as ``result.plan``
-        (``result.plan.explain()`` renders the EXPLAIN report with
-        estimated-vs-actual counters and phase drift).
+        (``result.plan.explain(result=result)`` renders the EXPLAIN
+        report with estimated-vs-actual counters and phase drift).  The
+        plan holds no reference back to the result.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     with tracer.span(

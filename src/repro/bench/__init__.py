@@ -1,7 +1,7 @@
 """Experiment harness: regenerates every table and figure of the paper."""
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.render import ExperimentResult, ascii_chart, format_table
+from repro.bench.render import ExperimentResult, format_table
 from repro.bench.workloads import (
     EXTENDED_MEMORY_FRACTIONS,
     LA_MEMORY_FRACTION,
@@ -22,7 +22,6 @@ __all__ = [
     "LA_MEMORY_FRACTION",
     "MEMORY_FRACTIONS",
     "REDUCED_MEMORY_FRACTIONS",
-    "ascii_chart",
     "format_table",
     "input_bytes",
     "j5_inputs",

@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 from repro.bench.experiments import EXPERIMENTS
-from repro.bench.render import ascii_chart
 
 
 def main(argv=None) -> int:
@@ -48,11 +47,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--list", action="store_true", help="list experiment names and exit"
     )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="also render sweep experiments as ASCII charts",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -79,25 +73,6 @@ def main(argv=None) -> int:
             if not _matches(text + "\n", args.check / f"{name}.txt"):
                 failed.append(name)
             continue
-        if args.chart and len(result.rows) >= 4:
-            numeric = [
-                i
-                for i in range(1, len(result.columns))
-                if all(isinstance(row[i], (int, float)) for row in result.rows)
-            ]
-            x_ok = all(
-                isinstance(row[0], (int, float)) for row in result.rows
-            )
-            if x_ok and numeric:
-                series = {
-                    result.columns[i]: [
-                        (float(row[0]), float(row[i])) for row in result.rows
-                    ]
-                    for i in numeric[:4]
-                }
-                text += "\n" + ascii_chart(
-                    series, x_label=result.columns[0], y_label="value"
-                )
         print(text + "\n")
         if args.out is not None:
             (args.out / f"{name}.txt").write_text(text + "\n")

@@ -39,7 +39,6 @@ from repro.datasets import (
     PAPER_JOIN_RESULTS,
     dataset,
     la_pair,
-    selectivity,
     summarize,
 )
 from repro.internal import internal_algorithm

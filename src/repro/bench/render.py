@@ -74,39 +74,3 @@ def format_table(columns: Sequence[str], rows: Sequence[Tuple]) -> str:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
 
-
-def ascii_chart(
-    series: Dict[str, List[Tuple[float, float]]],
-    width: int = 64,
-    height: int = 16,
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
-    """A crude scatter/line chart for eyeballing figure shapes in text."""
-    points = [(x, y) for pts in series.values() for x, y in pts]
-    if not points:
-        return "(no data)"
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for _ in range(height)]
-    markers = "ox+*#@%&"
-    legend = []
-    for idx, (name, pts) in enumerate(series.items()):
-        mark = markers[idx % len(markers)]
-        legend.append(f"{mark} = {name}")
-        for x, y in pts:
-            cx = int((x - x_lo) / x_span * (width - 1))
-            cy = int((y - y_lo) / y_span * (height - 1))
-            grid[height - 1 - cy][cx] = mark
-    lines = ["|" + "".join(row) for row in grid]
-    lines.append("+" + "-" * width)
-    lines.append(
-        f"x: {x_label} in [{_fmt(x_lo)}, {_fmt(x_hi)}]   "
-        f"y: {y_label} in [{_fmt(y_lo)}, {_fmt(y_hi)}]"
-    )
-    lines.append("   ".join(legend))
-    return "\n".join(lines)

@@ -226,7 +226,7 @@ def _cmd_join(args: argparse.Namespace) -> int:
     print(format_stats(stats, verbose=args.verbose))
     if args.method == "auto":
         print()
-        print(result.plan.explain(verbose=args.verbose))
+        print(result.plan.explain(verbose=args.verbose, result=result))
     if args.trace:
         n_spans = tracer.write(args.trace)
         print(f"wrote {n_spans:,} spans to {args.trace}")
@@ -384,9 +384,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         return 2
     left, right = pair
     plan = plan_join(left, right, mb(args.memory_mb), cache=DEFAULT_CACHE)
-    if args.execute:
-        plan.execute(left, right)
-    print(plan.explain(verbose=args.verbose))
+    result = plan.execute(left, right) if args.execute else None
+    print(plan.explain(verbose=args.verbose, result=result))
     return 0
 
 

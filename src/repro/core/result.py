@@ -274,8 +274,7 @@ class JoinResult:
     read.  ``len(result)`` and :meth:`to_arrays` read the buffers.  Such
     ``pairs`` is not a ``list`` — no ``append`` or ``sort``
     (``sorted(result.pairs)`` and ``list(result.pairs)`` work), and two
-    reads need not return the same object — but assigning
-    ``result.pairs = [...]`` makes any result list-backed.
+    reads need not return the same object.
     A row-backed result keeps each input's int64 oid column (and a list
     input's oid object array, 8 B a row each) alive for as long as it
     lives; boxes a columnar input's oids need live only while ``pairs``
@@ -309,11 +308,6 @@ class JoinResult:
         assert self._pairs is not None
         return self._pairs
 
-    @pairs.setter
-    def pairs(self, pairs: List[Tuple[int, int]]) -> None:
-        self._pairs = pairs
-        self._oids = None
-
     def to_arrays(self) -> Tuple[Any, Any]:
         """The result as ``(left_oids, right_oids)``, two int64 arrays.
 
@@ -338,9 +332,3 @@ class JoinResult:
 
     def __repr__(self) -> str:
         return f"JoinResult({len(self):,} pairs, {self.stats.algorithm or 'no algorithm'})"
-
-
-def empty_result(algorithm: str, n_left: int = 0, n_right: int = 0) -> JoinResult:
-    """A result carrying no pairs, used for trivially empty inputs."""
-    stats = JoinStats(algorithm=algorithm, n_left=n_left, n_right=n_right)
-    return JoinResult(pairs=[], stats=stats)

@@ -82,10 +82,6 @@ class Space:
         """Normalise a y coordinate into [0, 1] (callers clamp cells)."""
         return (y - self.yl) / self.height
 
-    def contains(self, x: float, y: float) -> bool:
-        """Closed containment of a point in the space."""
-        return self.xl <= x <= self.xh and self.yl <= y <= self.yh
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Space({self.xl}, {self.yl}, {self.xh}, {self.yh})"
 

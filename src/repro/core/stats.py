@@ -75,15 +75,3 @@ class CpuCounters:
     def as_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (stable field order)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def total_ops(self) -> int:
-        """Sum of all counted operations except the result tallies."""
-        return (
-            self.intersection_tests
-            + self.comparisons
-            + self.heap_ops
-            + self.code_computations
-            + self.structure_ops
-            + self.refpoint_tests
-            + self.batch_ops
-        )

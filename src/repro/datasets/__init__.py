@@ -22,7 +22,7 @@ from repro.datasets.fileio import (
     write_npy,
 )
 from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
-from repro.datasets.stats import DatasetSummary, coverage, selectivity, summarize
+from repro.datasets.stats import DatasetSummary, coverage, summarize
 from repro.datasets.synthetic import (
     clustered_rects,
     polyline_mbrs,
@@ -70,7 +70,6 @@ __all__ = [
     "save_relation",
     "scale_edges",
     "scale_to_coverage",
-    "selectivity",
     "summarize",
     "uniform_rects",
     "write_csv",

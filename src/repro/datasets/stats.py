@@ -1,8 +1,8 @@
-"""Dataset and join statistics: coverage, selectivity, summaries.
+"""Dataset statistics: coverage, edge lengths, skew, summaries.
 
 *Coverage* is Table 1's measure: the sum of rectangle areas divided by the
-area of the MBR of all rectangles.  *Selectivity* is Table 2's: result
-count over the size of the cross product.
+area of the MBR of all rectangles.  (Table 2's selectivity, result count
+over the size of the cross product, is ``JoinStats.selectivity()``.)
 """
 
 from __future__ import annotations
@@ -36,20 +36,6 @@ def average_edges(kpes: Sequence[Tuple]) -> Tuple[float, float]:
     return avg_w, avg_h
 
 
-def average_area(kpes: Sequence[Tuple]) -> float:
-    """Mean rectangle area E[w*h] (0.0 for an empty relation).
-
-    Distinct from ``average_edges`` multiplied out: on heavy-tailed
-    extent distributions (mixed-scale data) E[w*h] far exceeds
-    E[w]*E[h], and replication estimates built on the product silently
-    undercount the copies the few huge rectangles generate.
-    """
-    n = len(kpes)
-    if n == 0:
-        return 0.0
-    return sum((k[3] - k[1]) * (k[4] - k[2]) for k in kpes) / n
-
-
 def density_skew(cell_counts: Sequence[float]) -> float:
     """Max occupied-cell count over the mean occupied-cell count (>= 1).
 
@@ -67,14 +53,6 @@ def density_skew(cell_counts: Sequence[float]) -> float:
     return max(occupied) / mean
 
 
-def selectivity(n_results: int, n_left: int, n_right: int) -> float:
-    """Results over cross-product size (Table 2)."""
-    denominator = n_left * n_right
-    if denominator == 0:
-        return 0.0
-    return n_results / denominator
-
-
 @dataclass(frozen=True)
 class DatasetSummary:
     """One row of a Table 1-style dataset inventory."""
@@ -84,9 +62,6 @@ class DatasetSummary:
     coverage: float
     avg_width: float
     avg_height: float
-
-    def row(self) -> Tuple:
-        return (self.name, self.n_mbrs, round(self.coverage, 4))
 
 
 def summarize(name: str, kpes: Sequence[Tuple]) -> DatasetSummary:

@@ -131,29 +131,3 @@ class IntervalTrie:
                 stack.append(right)
         tests_out[0] = tests
         self.ops += ops
-
-    def live_entries(self, sweep_x: float) -> List[Tuple]:
-        """All non-expired entries (diagnostics and tests only)."""
-        found = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            found.extend(e for e in node.entries if e[2] >= sweep_x)
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return found
-
-    def node_count(self) -> int:
-        """Number of materialised trie nodes (diagnostics and tests only)."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.left is not None:
-                stack.append(node.left)
-            if node.right is not None:
-                stack.append(node.right)
-        return count

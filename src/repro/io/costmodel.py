@@ -99,10 +99,6 @@ class CostModel:
         per_page = self.records_per_page(record_bytes)
         return -(-n_records // per_page)
 
-    def bytes_for(self, n_records: int, record_bytes: int) -> int:
-        """In-memory footprint charged against the memory budget."""
-        return n_records * record_bytes
-
     # ------------------------------------------------------------------
     # cost translation
     # ------------------------------------------------------------------

@@ -65,10 +65,6 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     # phases
     # ------------------------------------------------------------------
-    @property
-    def current_phase(self) -> str:
-        return self._phase
-
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
         """Attribute all charges inside the block to phase *name*."""
@@ -130,9 +126,6 @@ class SimulatedDisk:
         for counters in self.counters.values():
             total.add(counters)
         return total
-
-    def reset(self) -> None:
-        self.counters.clear()
 
 
 class Ledger:

@@ -43,11 +43,6 @@ class PageFile:
     def n_pages(self) -> int:
         return self.disk.cost.pages_for(len(self.records), self.record_bytes)
 
-    @property
-    def n_bytes(self) -> int:
-        """In-memory footprint if the whole file is loaded."""
-        return len(self.records) * self.record_bytes
-
     def records_per_page(self) -> int:
         return self.disk.cost.records_per_page(self.record_bytes)
 
@@ -101,11 +96,6 @@ class PageFile:
         for chunk in self.iter_chunks(buffer_pages):
             for record in chunk:
                 yield record
-
-    def clear(self) -> None:
-        """Drop the contents without charging I/O (deallocation is free)."""
-        # Rebind rather than ``.clear()``: an id run is an ndarray view.
-        self.records = []
 
 
 class PageWriter:

@@ -126,12 +126,6 @@ class RcdHeader:
         """Total column payload bytes following the header."""
         return sum(nbytes for _, _, _, nbytes in self.columns)
 
-    def column(self, name: str) -> Tuple[str, str, int, int]:
-        for entry in self.columns:
-            if entry[0] == name:
-                return entry
-        raise KeyError(name)
-
 
 def _column_layout(n: int) -> Tuple[Tuple[str, str, int, int], ...]:
     """The version-1 column table for *n* rows."""

@@ -25,7 +25,7 @@ numpy is a dependency of the package: every module here imports it at
 the top and there is one implementation of each kernel.
 """
 
-from repro.kernels.columnar import ColumnarRelation, from_kpes
+from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.mmapstore import (
     MappedColumnarStore,
     open_relation,
@@ -55,7 +55,6 @@ __all__ = [
     "columnar_arrays",
     "shm_enabled",
     "forward_scan_batches",
-    "from_kpes",
     "open_relation",
     "partition_plan",
     "point_partitions",

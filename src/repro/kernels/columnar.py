@@ -294,10 +294,6 @@ def xl_order(xl: Any) -> Any:
     return order
 
 
-def from_kpes(kpes: Sequence[Tuple]) -> ColumnarRelation:
-    """Module-level alias of :meth:`ColumnarRelation.from_kpes`."""
-    return ColumnarRelation.from_kpes(kpes)
-
 
 def invalid_row(
     cols: ColumnarRelation, *, finite: bool, ordered: bool = True

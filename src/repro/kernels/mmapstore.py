@@ -155,18 +155,6 @@ class MappedColumnarStore:
         relation.fingerprint = self.header.fingerprint
         return relation
 
-    def column(self, name: str) -> Any:
-        """One mapped column by name (read-only array)."""
-        self._require_open()
-        return self._columns[name]
-
-    # ------------------------------------------------------------------
-    # metadata
-    # ------------------------------------------------------------------
-    @property
-    def n(self) -> int:
-        return self.header.n
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -181,10 +169,6 @@ class MappedColumnarStore:
         self._buffer = None
         self._columns = {}
 
-    @property
-    def closed(self) -> bool:
-        return self._buffer is None
-
     def _require_open(self) -> None:
         if self._buffer is None:
             raise ValueError(f"{self.path}: mapped store is closed")
@@ -196,7 +180,7 @@ class MappedColumnarStore:
         self.close()
 
     def __repr__(self) -> str:
-        state = "closed" if self.closed else "open"
+        state = "closed" if self._buffer is None else "open"
         return (
             f"MappedColumnarStore({str(self.path)!r}, n={self.n}, "
             f"fingerprint={self.header.fingerprint!r}, {state})"

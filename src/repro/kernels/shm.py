@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import os
 import secrets
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -300,18 +300,11 @@ class SharedColumnarStore:
         """Mapped segment size (what zero-copy avoids shipping)."""
         return self._segment.size
 
-    @property
-    def owner(self) -> bool:
-        return self._owner
-
     def __getitem__(self, key: str) -> Any:
         return self._arrays[key]
 
     def __contains__(self, key: str) -> bool:
         return key in self._arrays
-
-    def keys(self) -> Iterator[str]:
-        return self._arrays.keys()
 
     def relation(self, prefix: str) -> ColumnarRelation:
         """The relation stored under *prefix*, as views of the mapped columns.

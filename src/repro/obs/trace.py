@@ -109,10 +109,6 @@ class _ActiveSpan:
     def wall_seconds(self) -> float:
         return self.span.wall_seconds
 
-    @property
-    def span_id(self) -> int:
-        return self.span.span_id
-
     def set_tag(self, key: str, value: Any) -> None:
         self.span.tags[key] = value
 
@@ -143,9 +139,6 @@ class _NullSpan:
     """The disabled span: wall clock only, everything else a no-op."""
 
     __slots__ = ("_t0", "wall_seconds")
-
-    span = None
-    span_id = None
 
     def __enter__(self) -> "_NullSpan":
         self.wall_seconds = 0.0
@@ -235,23 +228,8 @@ class Tracer:
         return span
 
     # ------------------------------------------------------------------
-    # aggregation & export
+    # export
     # ------------------------------------------------------------------
-    def wall_by_phase(self) -> Dict[str, float]:
-        """Total wall seconds of ``phase`` spans, aggregated by name."""
-        totals: Dict[str, float] = {}
-        for span in self.spans:
-            if span.kind == KIND_PHASE:
-                totals[span.name] = totals.get(span.name, 0.0) + span.wall_seconds
-        return totals
-
-    def spans_of_kind(self, kind: str) -> List[Span]:
-        return [span for span in self.spans if span.kind == kind]
-
-    def to_jsonl(self) -> str:
-        """The whole trace as JSON-lines text (one span per line)."""
-        return "\n".join(json.dumps(span.to_dict()) for span in self.spans)
-
     def write(self, path: Union[str, Path]) -> int:
         """Write the trace as JSONL; returns the number of spans written."""
         with open(path, "w") as handle:
@@ -269,25 +247,6 @@ class NullTracer:
 
     def span(self, name: str, *, kind: str = KIND_PHASE, **tags: Any) -> Any:
         return _NullSpan()
-
-    def add_span(self, name: str, wall_seconds: float, **kwargs: Any) -> None:
-        return None
-
-    @property
-    def current_span_id(self) -> Optional[int]:
-        return None
-
-    def wall_by_phase(self) -> Dict[str, float]:
-        return {}
-
-    def spans_of_kind(self, kind: str) -> List[Span]:
-        return []
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def write(self, path: Union[str, Path]) -> int:
-        return 0
 
 
 #: Shared do-nothing tracer; drivers default to it.

@@ -138,11 +138,6 @@ def _warn_clamp(message: str, stacklevel: int = 3) -> None:
     warnings.warn(message, RuntimeWarning, stacklevel=stacklevel)
 
 
-def reset_clamp_warnings() -> None:
-    """Forget previously-warned clamps (tests asserting on the warning)."""
-    _WARNED_CLAMPS.clear()
-
-
 def clamp_workers(workers: int, executor: str) -> int:
     """*workers* clamped to at least 1 and, for the process executor, to
     :func:`worker_cap`, with a :class:`RuntimeWarning` (once per process
@@ -754,6 +749,5 @@ __all__ = [
     "execute_process",
     "fan_out_executor",
     "lpt_schedule",
-    "reset_clamp_warnings",
     "worker_cap",
 ]

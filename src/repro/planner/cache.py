@@ -135,12 +135,6 @@ class PlannerCache:
             _lru_put(self._plans, key, plan, self.max_plans)
 
     # ------------------------------------------------------------------
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
-            self._histograms.clear()
-            self._plans.clear()
-
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {

@@ -3,17 +3,17 @@
 :func:`plan_join` profiles the inputs (through the cache), enumerates the
 candidate space, and wraps the winner in a :class:`JoinPlan`.  The plan
 executes through the ordinary drivers and keeps the estimates alongside
-the measured :class:`~repro.core.result.JoinStats`, so
-:meth:`JoinPlan.explain` can render estimated-versus-actual counters —
-making the estimator's error observable instead of hidden.
+the measured :class:`~repro.core.result.JoinStats` of an executed
+result, so :meth:`JoinPlan.explain` can render estimated-versus-actual
+counters — making the estimator's error observable instead of hidden.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence, Tuple, cast
 
-from repro.core.result import JoinResult
+from repro.core.result import JoinResult, JoinStats
 from repro.io.costmodel import CostModel, require_positive
 from repro.obs.trace import KIND_PLAN, KIND_SECTION, NULL_TRACER
 from repro.pbsm import PBSM
@@ -53,7 +53,7 @@ def _run_candidate(
 
 @dataclass
 class JoinPlan:
-    """A chosen plan, its rejected rivals, and (after execution) actuals."""
+    """A chosen plan and its rejected rivals."""
 
     chosen: PlanCandidate
     candidates: List[PlanCandidate]
@@ -66,7 +66,6 @@ class JoinPlan:
     #: whether (left, right) are memory-mapped ``.rcd`` relations — the
     #: ingest line of EXPLAIN prices mmap-open vs re-parse from this.
     inputs_mapped: Tuple[bool, bool] = (False, False)
-    last_result: Optional[JoinResult] = field(default=None, repr=False)
 
     # ------------------------------------------------------------------
     def execute(
@@ -75,8 +74,12 @@ class JoinPlan:
         right: Sequence[Tuple],
         tracer: Optional[Any] = None,
     ) -> JoinResult:
-        """Run the chosen candidate and remember the measured statistics."""
-        result = _run_candidate(
+        """Run the chosen candidate.
+
+        The plan keeps no reference to the result: a plan <-> result
+        cycle would leave the pair buffers to the cyclic collector.
+        """
+        return _run_candidate(
             self.chosen,
             left,
             right,
@@ -84,12 +87,11 @@ class JoinPlan:
             self.cost_model,
             tracer=tracer,
         )
-        self.last_result = result
-        return result
 
     # ------------------------------------------------------------------
-    def explain(self, verbose: bool = False) -> str:
-        """Render the plan: inputs, every candidate, and est-vs-actual."""
+    def explain(self, verbose: bool = False, result: Optional[JoinResult] = None) -> str:
+        """Render the plan: inputs, every candidate, and, given the
+        *result* of executing it, est-vs-actual."""
         jp = self.profile
         est = self.chosen.estimate
         lines: List[str] = []
@@ -127,8 +129,8 @@ class JoinPlan:
             lines.append("  chosen-plan phase estimate:")
             for phase, seconds in sorted(est.breakdown.items()):
                 lines.append(f"    {phase:<14} {seconds:>10.3f}s")
-        if self.last_result is not None:
-            lines.extend(self._explain_actuals())
+        if result is not None:
+            lines.extend(self._explain_actuals(result.stats))
         return "\n".join(lines)
 
     def _explain_ingest(self) -> str:
@@ -154,8 +156,7 @@ class JoinPlan:
                 parts.append(f"{label} parse {seconds:.3f}s")
         return ", ".join(parts)
 
-    def _explain_actuals(self) -> List[str]:
-        stats = self.last_result.stats
+    def _explain_actuals(self, stats: JoinStats) -> List[str]:
         est = self.chosen.estimate
         predicted = est.predicted
         lines = ["  estimated vs. actual (after execution):"]
@@ -192,10 +193,10 @@ class JoinPlan:
             )
         lines.append(row("io units", est.io_units, stats.io_units))
         lines.append(row("sim seconds", est.total_seconds, stats.sim_seconds, ".3f"))
-        lines.extend(self._explain_phase_drift())
+        lines.extend(self._explain_phase_drift(stats))
         return lines
 
-    def _explain_phase_drift(self) -> List[str]:
+    def _explain_phase_drift(self, stats: JoinStats) -> List[str]:
         """Estimated vs. measured per-phase *shares* of the runtime.
 
         The estimate's breakdown is in simulated seconds while the
@@ -203,7 +204,6 @@ class JoinPlan:
         the comparable quantity is each phase's share of its total — the
         drift column shows where the cost model misattributes work.
         """
-        stats = self.last_result.stats
         est = self.chosen.estimate
         wall = stats.wall_seconds_by_phase
         total_wall = sum(wall.values())
@@ -237,11 +237,11 @@ def plan_join(
     With a *cache*, repeated planning of the same inputs, budget and
     cost model returns a copy of the cached :class:`JoinPlan` without
     re-profiling (the candidates and profile are shared, the per-call
-    fields — ``from_cache``, ``planning_seconds``, ``inputs_mapped``,
-    ``last_result`` — are the caller's own).  Planning is traced as one ``plan`` span (with ``profile`` and ``enumerate``
-    child sections on a fresh enumeration); ``planning_seconds`` is that
-    span's wall time.  ``workers > 1`` adds parallel PBSM candidates to
-    the enumeration.
+    fields — ``from_cache``, ``planning_seconds``, ``inputs_mapped`` —
+    are the caller's own).  Planning is traced as one ``plan`` span (with
+    ``profile`` and ``enumerate`` child sections on a fresh enumeration);
+    ``planning_seconds`` is that span's wall time.  ``workers > 1`` adds
+    parallel PBSM candidates to the enumeration.
     """
     require_positive("memory_bytes", memory_bytes)
     cost = cost_model or CostModel()
@@ -273,8 +273,7 @@ def plan_join(
     if cached is not None:
         # A per-call copy: the cached plan is shared by every concurrent
         # query that hits it, so the per-call fields must not be stamped
-        # onto it (and a result parked on it would stay pinned by the
-        # cache).  Same content can arrive mapped on one call and
+        # onto it.  Same content can arrive mapped on one call and
         # in-memory on the next (identical fingerprints), hence
         # inputs_mapped is per call too.
         return replace(
@@ -282,7 +281,6 @@ def plan_join(
             from_cache=True,
             planning_seconds=plan_span.wall_seconds,
             inputs_mapped=inputs_mapped,
-            last_result=None,
         )
     plan = JoinPlan(
         chosen=chosen,
@@ -294,7 +292,7 @@ def plan_join(
         inputs_mapped=inputs_mapped,
     )
     if cache is not None:
-        # The cache keeps its own copy, so executing the returned plan
-        # does not park the result inside the cache either.
+        # The cache keeps its own copy: a caller may re-point the fields
+        # of the plan it was handed (``plan.chosen = ...``).
         cache.put_plan(key, replace(plan))
     return plan

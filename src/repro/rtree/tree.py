@@ -137,32 +137,3 @@ class RTree:
             yield node
             if not node.is_leaf:
                 stack.extend(node.entries)
-
-    def iter_kpes(self) -> Iterator[Tuple]:
-        for node in self.iter_nodes():
-            if node.is_leaf:
-                yield from node.entries
-
-    def height(self) -> int:
-        height = 1
-        node = self.root
-        while not node.is_leaf:
-            node = node.entries[0]
-            height += 1
-        return height
-
-    def search(self, xl: float, yl: float, xh: float, yh: float) -> List[Tuple]:
-        """Window query: all KPEs intersecting the closed rectangle."""
-        found = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.xl > xh or xl > node.xh or node.yl > yh or yl > node.yh:
-                continue
-            if node.is_leaf:
-                for k in node.entries:
-                    if k[1] <= xh and xl <= k[3] and k[2] <= yh and yl <= k[4]:
-                        found.append(k)
-            else:
-                stack.extend(node.entries)
-        return found

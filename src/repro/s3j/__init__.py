@@ -6,7 +6,7 @@ from repro.s3j.levelfile import (
     record_bytes_for_level,
     sort_level_files,
 )
-from repro.s3j.levels import assign_original, assign_replicated, level_histogram
+from repro.s3j.levels import assign_original, assign_replicated
 from repro.s3j.scan import CellPartition, ScanStats, partition_stream, scan_pairs
 
 __all__ = [
@@ -16,7 +16,6 @@ __all__ = [
     "assign_original",
     "assign_replicated",
     "build_level_files",
-    "level_histogram",
     "partition_stream",
     "record_bytes_for_level",
     "scan_pairs",

@@ -18,7 +18,7 @@ suppressed online by the hierarchical Reference Point Method in the scan.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
@@ -119,11 +119,3 @@ ASSIGNMENT_STRATEGIES = {
     "hybrid": assign_hybrid,
 }
 
-
-def level_histogram(entries: Sequence[Entry], max_level: int) -> List[int]:
-    """Entries per level — the distribution Section 4.2's critique is
-    about (diagnostics, tests and the ablation bench use this)."""
-    histogram = [0] * (max_level + 1)
-    for level, _code, _kpe in entries:
-        histogram[level] += 1
-    return histogram

@@ -24,7 +24,7 @@ from repro.serve.engine import EngineHost
 from repro.serve.loadgen import run_load
 from repro.serve.protocol import result_checksum
 from repro.serve.registry import Dataset, DatasetRegistry
-from repro.serve.server import JoinServer, start_server
+from repro.serve.server import JoinServer
 
 __all__ = [
     "AdmissionController",
@@ -36,5 +36,4 @@ __all__ = [
     "ServeClient",
     "result_checksum",
     "run_load",
-    "start_server",
 ]

@@ -54,14 +54,6 @@ class EngineHost:
         self.cache = cache if cache is not None else PlannerCache()
         self.cost_model = cost_model or CostModel()
 
-    @property
-    def pool(self) -> Optional[Any]:
-        """The warm pool this host's fan-outs run on (``None`` with one
-        worker, or while no pool of the host's size is running)."""
-        if self.workers > 1 and LIBRARY_POOL.workers == self.workers:
-            return LIBRARY_POOL.pool
-        return None
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -119,11 +111,6 @@ class EngineHost:
         runs.
         """
         result = plan.execute(left.kpes, right.kpes, tracer=tracer)
-        # result -> plan only.  A plan -> result back reference would
-        # close a cycle, and a served pair list would then wait for the
-        # cyclic collector instead of being freed when the handler drops
-        # it (+34 MB peak RSS on a 127k-pair hot query).
-        plan.last_result = None
         result.plan = plan
         result.stats.planning_seconds = plan.planning_seconds
         return result

@@ -263,24 +263,30 @@ def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[
 
 def encode_pages(
     pairs: OidPairs, page_size: int, pairs_format: str, query_id: int
-) -> Iterator[bytes]:
-    """The page messages of one ``join`` result, each ready for the socket.
+) -> Iterator[Tuple[Any, ...]]:
+    """The page messages of one ``join`` result, each the buffers to write
+    to the socket in turn.
 
     Pages are cut from *pairs* in their order (:func:`_oid_slices`: a
-    row-backed result's oids are gathered a page at a time), and a pair
-    is boxed only where the frame needs it: a :data:`PAIRS_I8` page is
-    its header line plus the interleaved oids, a JSON page is byte for
+    row-backed result's oids are gathered a page at a time), and each is
+    filled into one fresh ``(n, 2)`` ``<i8`` table; a pair is boxed only
+    where the frame needs it.  A :data:`PAIRS_I8` page is two buffers,
+    its header line and the table's bytes; a JSON page is one, byte for
     byte ``encode_message({..., "pairs": page})`` over :func:`paginate`
-    of the same pairs (``tolist()`` of the page).
+    of the same pairs.  No table is reused: a transport may queue the
+    caller's buffer without copying it.
     """
     for index, (left, right) in enumerate(_oid_slices(pairs, page_size)):
         head = {"ok": True, "query_id": query_id, "page": index}
-        page = np.stack((left, right), axis=1)
+        page = np.empty((len(left), 2), dtype="<i8")
+        page[:, 0] = left
+        page[:, 1] = right
+        del left, right  # a gathered slice goes before the page is written
         if pairs_format == PAIRS_I8:
-            body = page.astype("<i8", copy=False).tobytes()
-            yield encode_message({**head, "n": len(page), "bytes": len(body)}) + body
+            header = encode_message({**head, "n": len(page), "bytes": page.nbytes})
+            yield header, memoryview(page).cast("B")
         else:
-            yield encode_message({**head, "pairs": page.tolist()})
+            yield (encode_message({**head, "pairs": page.tolist()}),)
 
 
 def join_options(

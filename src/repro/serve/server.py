@@ -71,6 +71,7 @@ from repro.serve.protocol import (
     encode_message,
     encode_pages,
     error_response,
+    is_integer,
     join_options,
     result_checksum,
 )
@@ -80,6 +81,20 @@ from repro.serve.registry import Dataset, DatasetRegistry
 TRACE_KEEP = 64
 
 _LOG = logging.getLogger(__name__)
+
+
+def _register_problem(message: dict) -> Optional[str]:
+    """Why *message* is not a well-formed ``register`` request, or ``None``."""
+    name = message.get("name")
+    if not isinstance(name, str) or not name:
+        return "register needs a 'name'"
+    for key in ("n", "seed", "start_oid"):
+        if key in message and not is_integer(message[key]):
+            return f"register's {key!r} must be an integer, got {message[key]!r}"
+    records = message.get("records", [])
+    if not isinstance(records, list) or not all(isinstance(row, list) for row in records):
+        return "register's 'records' must be a list of [oid, xl, yl, xh, yh] lists"
+    return None
 
 
 def _peak_rss_bytes() -> int:
@@ -305,12 +320,11 @@ class JoinServer:
         )
 
     async def _op_register(self, message: dict, writer: asyncio.StreamWriter) -> None:
-        name = message.get("name")
-        if not isinstance(name, str) or not name:
-            await self._send(
-                writer, error_response("bad_request", "register needs a 'name'")
-            )
+        problem = _register_problem(message)
+        if problem is not None:
+            await self._send(writer, error_response("bad_request", problem))
             return
+        name = message["name"]
         try:
             if "path" in message:
                 entry = await run_blocking(
@@ -321,9 +335,9 @@ class JoinServer:
                     self.registry.register_synthetic,
                     name,
                     str(message["pattern"]),
-                    int(message.get("n", 10_000)),
-                    seed=int(message.get("seed", 1)),
-                    start_oid=int(message.get("start_oid", 0)),
+                    message.get("n", 10_000),
+                    seed=message.get("seed", 1),
+                    start_oid=message.get("start_oid", 0),
                 )
             elif "records" in message:
                 records = [tuple(row) for row in message["records"]]
@@ -396,7 +410,13 @@ class JoinServer:
 
     async def _op_trace(self, message: dict, writer: asyncio.StreamWriter) -> None:
         query_id = message.get("query_id")
-        spans = self._traces.get(query_id) if isinstance(query_id, int) else None
+        if not is_integer(query_id):
+            await self._send(
+                writer,
+                error_response("bad_request", f"trace needs an integer 'query_id', got {query_id!r}"),
+            )
+            return
+        spans = self._traces.get(query_id)
         if spans is None:
             await self._send(
                 writer,
@@ -509,7 +529,8 @@ class JoinServer:
 
         if include_pairs:
             for frame in encode_pages(rows, page_size, pairs_format, query_id):
-                writer.write(frame)
+                for buffer in frame:
+                    writer.write(buffer)
                 await writer.drain()
 
         elapsed = time.perf_counter() - started
@@ -539,17 +560,4 @@ class JoinServer:
         )
 
 
-async def start_server(
-    registry: DatasetRegistry,
-    engine: EngineHost,
-    admission: Optional[AdmissionController] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    **kwargs: Any,
-) -> JoinServer:
-    """Build and start a :class:`JoinServer` in one call (test helper)."""
-    server = JoinServer(registry, engine, admission, metrics, **kwargs)
-    await server.start()
-    return server
-
-
-__all__ = ["JoinServer", "TRACE_KEEP", "start_server"]
+__all__ = ["JoinServer", "TRACE_KEEP"]

@@ -39,10 +39,15 @@ settings.load_profile("default")
 @pytest.fixture(autouse=True)
 def _fresh_clamp_warnings():
     """Clamp RuntimeWarnings fire once per process; re-arm them per test."""
-    from repro.pbsm.parallel import reset_clamp_warnings
+    from repro.pbsm.parallel import _WARNED_CLAMPS
 
-    reset_clamp_warnings()
+    _WARNED_CLAMPS.clear()
     yield
+
+
+def spans_of_kind(tracer, kind: str) -> list:
+    """The finished spans of *tracer* of one kind, in finishing order."""
+    return [span for span in tracer.spans if span.kind == kind]
 
 
 def descendants(roots: Iterable[int]) -> Set[int]:

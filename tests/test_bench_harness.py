@@ -10,7 +10,6 @@ from repro.bench import (
     ExperimentResult,
     LA_MEMORY_FRACTION,
     MEMORY_FRACTIONS,
-    ascii_chart,
     format_table,
     input_bytes,
     la_memory,
@@ -50,20 +49,6 @@ class TestExperimentResult:
         assert "== X1: demo ==" in text
         assert "paper: a claim" in text
         assert "note: a note" in text
-
-
-class TestAsciiChart:
-    def test_renders_series(self):
-        chart = ascii_chart({"s": [(0, 0), (1, 1), (2, 4)]}, width=20, height=6)
-        assert "o = s" in chart
-        assert chart.count("o") >= 3
-
-    def test_empty(self):
-        assert ascii_chart({}) == "(no data)"
-
-    def test_constant_series(self):
-        chart = ascii_chart({"flat": [(0, 5), (1, 5)]}, width=10, height=4)
-        assert "flat" in chart
 
 
 class TestWorkloadHelpers:
@@ -127,11 +112,6 @@ class TestBenchCli:
         saved = (tmp_path / "table1.txt").read_text()
         assert "Table 1" in saved
         assert "LA_RR" in capsys.readouterr().out
-
-    def test_chart_flag(self, capsys):
-        assert bench_main(["ablation_t_factor", "--chart"]) == 0
-        out = capsys.readouterr().out
-        assert "x: t in" in out
 
 
 # ----------------------------------------------------------------------

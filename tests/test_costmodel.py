@@ -30,9 +30,6 @@ class TestPageArithmetic:
         cost = CostModel(page_size=8192)
         assert cost.pages_for(410, 20) == 2
 
-    def test_bytes_for(self):
-        assert CostModel().bytes_for(100, 20) == 2000
-
 
 class TestRequestCost:
     def test_request_units_is_pt_plus_n(self):

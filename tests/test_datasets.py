@@ -9,7 +9,6 @@ from repro.datasets import (
     polyline_mbrs,
     scale_edges,
     scale_to_coverage,
-    selectivity,
     summarize,
     uniform_rects,
 )
@@ -110,17 +109,12 @@ class TestStats:
 
         assert coverage([KPE(1, 0, 0, 1, 1)]) == pytest.approx(1.0)
 
-    def test_selectivity(self):
-        assert selectivity(50, 100, 100) == pytest.approx(0.005)
-        assert selectivity(5, 0, 10) == 0.0
-
     def test_summarize(self):
         kpes = uniform_rects(100, seed=9)
         s = summarize("X", kpes)
         assert s.name == "X"
         assert s.n_mbrs == 100
         assert s.coverage == pytest.approx(coverage(kpes))
-        assert s.row()[0] == "X"
 
     def test_summarize_empty(self):
         s = summarize("E", [])

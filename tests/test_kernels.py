@@ -343,10 +343,6 @@ class TestCostModelCurrency:
             2.0 * cost.batch_op_seconds
         )
 
-    def test_total_ops_includes_batch_ops(self):
-        counters = CpuCounters(batch_ops=7)
-        assert counters.total_ops() >= 7
-
 
 class TestPlannerIntegration:
     def test_sweep_numpy_enumerated_only_with_numpy(self):

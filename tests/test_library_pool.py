@@ -42,7 +42,14 @@ from repro.pbsm.parallel import (
     _warm_worker,
 )
 
-from tests.conftest import cmdline, descendants, finish, random_kpes, readline_within
+from tests.conftest import (
+    cmdline,
+    descendants,
+    finish,
+    random_kpes,
+    readline_within,
+    spans_of_kind,
+)
 
 pytestmark = pytest.mark.skipif(
     not shm_enabled(), reason="needs platform shared memory"
@@ -75,7 +82,7 @@ def assert_same_pairs(result, expected):
 
 def worker_pids(tracer):
     """The ``pid-N`` labels of a trace's worker spans, as pids."""
-    labels = {span.tags["worker"] for span in tracer.spans_of_kind(KIND_WORKER)}
+    labels = {span.tags["worker"] for span in spans_of_kind(tracer, KIND_WORKER)}
     assert labels and all(label.startswith("pid-") for label in labels)
     return {int(label[4:]) for label in labels}
 
@@ -129,7 +136,7 @@ def test_every_worker_is_pinned_to_a_cpu_of_its_own():
 def test_worker_spans_carry_their_cpu_and_cpu_time():
     tracer = Tracer()
     pooled_join(tracer)
-    spans = tracer.spans_of_kind(KIND_WORKER)
+    spans = spans_of_kind(tracer, KIND_WORKER)
     assert spans
     parent_cpus = os.sched_getaffinity(0)
     for span in spans:

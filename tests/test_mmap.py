@@ -150,7 +150,7 @@ class TestMappedStore:
             with pytest.raises(ValueError):
                 rel.xl[0] = 99.0
             with pytest.raises(ValueError):
-                store.column("oid")[0] = -1
+                rel.oid[0] = -1
 
     def test_a_mapped_column_is_a_plain_array_on_the_mapping(self, rcd_path):
         import mmap
@@ -178,7 +178,6 @@ class TestMappedStore:
         _, path = rcd_path
         store = MappedColumnarStore.open(path)
         store.close()
-        assert store.closed
         with pytest.raises(ValueError, match="closed"):
             store.relation()
 
@@ -225,7 +224,8 @@ class TestMappedStore:
         assert copy.store is None and not copy.mapped
         assert copy.fingerprint == rel.fingerprint and copy.to_kpes() == rel.to_kpes()
         rel.store.close()
-        assert rel.store.closed
+        with pytest.raises(ValueError, match="closed"):
+            rel.store.relation()
         assert not ColumnarRelation.from_kpes(list(rel)).mapped
 
     def test_empty_relation_roundtrip(self, tmp_path):

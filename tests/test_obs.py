@@ -32,7 +32,6 @@ from repro.obs import (
     KIND_WORKER,
     MetricsRegistry,
     NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     TraceValidationError,
@@ -48,7 +47,7 @@ from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
 
-from tests.conftest import random_kpes
+from tests.conftest import random_kpes, spans_of_kind
 
 
 # ----------------------------------------------------------------------
@@ -59,8 +58,8 @@ class TestTracer:
         tracer = Tracer()
         with tracer.span("outer", kind=KIND_RUN) as outer:
             with tracer.span("inner") as inner:
-                assert tracer.current_span_id == inner.span_id
-            assert tracer.current_span_id == outer.span_id
+                assert tracer.current_span_id == inner.span.span_id
+            assert tracer.current_span_id == outer.span.span_id
         assert tracer.current_span_id is None
         spans = {s.name: s for s in tracer.spans}
         assert spans["outer"].parent_id is None
@@ -98,14 +97,6 @@ class TestTracer:
         assert span.counters == {"kept": 2}  # zero-valued dropped
         assert span.tags == {"worker": "w1"}
 
-    def test_wall_by_phase_aggregates_phase_spans_only(self):
-        tracer = Tracer()
-        tracer.add_span(PHASE_JOIN, 0.5, kind=KIND_PHASE)
-        tracer.add_span(PHASE_JOIN, 0.25, kind=KIND_PHASE)
-        tracer.add_span(PHASE_JOIN, 9.0, kind=KIND_TASK)  # not a phase
-        totals = tracer.wall_by_phase()
-        assert totals == {PHASE_JOIN: pytest.approx(0.75)}
-
     def test_exception_still_closes_span(self):
         tracer = Tracer()
         with pytest.raises(RuntimeError):
@@ -128,13 +119,6 @@ class TestNullTracer:
             pass
         assert sp.wall_seconds >= 0.0
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.add_span("t", 1.0) is None
-        assert NULL_TRACER.wall_by_phase() == {}
-
-    def test_write_is_a_noop(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        assert NullTracer().write(path) == 0
-        assert not path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +180,7 @@ class TestExport:
         tracer.add_span(
             "task", 0.3, kind=KIND_TASK, parent_id=worker.span_id, worker="w0"
         )
-        spans = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+        spans = [span.to_dict() for span in tracer.spans]
         assert worker_busy(spans) == {"w0": pytest.approx(0.5)}
         text = summarize_trace(spans)
         assert "2 spans" in text
@@ -230,7 +214,7 @@ class TestMetrics:
         # collide with inc()'s metric-name parameter.
         tracer = Tracer()
         tracer.add_span(PHASE_JOIN, 0.5, kind=KIND_PHASE)
-        spans = [json.loads(line) for line in tracer.to_jsonl().splitlines()]
+        spans = [span.to_dict() for span in tracer.spans]
         registry = MetricsRegistry()
         registry.observe_trace(spans)
         text = registry.render()
@@ -334,9 +318,9 @@ class TestDriverReconciliation:
         stats_phases = result.stats.wall_seconds_by_phase
         assert stats_phases  # drivers always record their phases
         # Exact equality: both numbers are the same span measurement.
-        assert stats_phases == tracer.wall_by_phase()
+        assert stats_phases == phase_totals([span.to_dict() for span in tracer.spans])
         assert set(stats_phases) <= set(ALL_PHASES)
-        assert len(tracer.spans_of_kind(KIND_RUN)) == 1
+        assert len(spans_of_kind(tracer, KIND_RUN)) == 1
 
     @pytest.mark.parametrize("make", DRIVERS)
     def test_stats_identical_with_tracing_off(self, make, small_pair):
@@ -354,7 +338,7 @@ class TestDriverReconciliation:
         left, right = small_pair
         tracer = Tracer()
         stats = make(tracer).run(left, right).stats
-        spans = tracer.spans_of_kind(KIND_PHASE)
+        spans = spans_of_kind(tracer, KIND_PHASE)
         assert sum(s.counters.get("io_units", 0) for s in spans) == pytest.approx(
             stats.io_units
         )
@@ -368,7 +352,7 @@ class TestDriverReconciliation:
         assert len(built) == 1
         assert built[0].kind == KIND_SECTION
         # A sibling after the run span, not a phase inside it.
-        (run,) = tracer.spans_of_kind(KIND_RUN)
+        (run,) = spans_of_kind(tracer, KIND_RUN)
         assert built[0].parent_id == run.parent_id
         assert built[0].t_start >= run.t_end
         phases = {PHASE_PARTITION, PHASE_JOIN}
@@ -381,7 +365,7 @@ class TestDriverReconciliation:
         tracer = Tracer()
         PBSM(mb(0.5), tracer=tracer).run(left, right)
         join_span = [
-            s for s in tracer.spans_of_kind(KIND_PHASE) if s.name == PHASE_JOIN
+            s for s in spans_of_kind(tracer, KIND_PHASE) if s.name == PHASE_JOIN
         ][0]
         assert join_span.counters.get("io_units", 0) > 0
 
@@ -469,7 +453,7 @@ class TestParallelTiming:
         assert stats.join_makespan_seconds > 0
         # One process: busy cannot exceed the observed elapsed time.
         assert stats.join_busy_seconds <= stats.join_makespan_seconds * 1.5
-        task_spans = tracer.spans_of_kind(KIND_TASK)
+        task_spans = spans_of_kind(tracer, KIND_TASK)
         assert task_spans
         assert sum(s.wall_seconds for s in task_spans) == pytest.approx(
             stats.join_busy_seconds
@@ -487,8 +471,8 @@ class TestParallelTiming:
         result = join.run(left, right)
         stats = result.stats
 
-        worker_spans = tracer.spans_of_kind(KIND_WORKER)
-        task_spans = tracer.spans_of_kind(KIND_TASK)
+        worker_spans = spans_of_kind(tracer, KIND_WORKER)
+        task_spans = spans_of_kind(tracer, KIND_TASK)
         assert len(worker_spans) >= workers
         assert task_spans
         # A chunk's wall includes its tasks' walls, so summed worker time
@@ -533,8 +517,8 @@ class TestSpatialJoinTracing:
         result = spatial_join(left, right, mb(0.5), tracer=tracer)
         stats = result.stats
         assert stats.total_wall_seconds > 0
-        assert stats.wall_seconds_by_phase == tracer.wall_by_phase()
-        sections = tracer.spans_of_kind(KIND_SECTION)
+        assert stats.wall_seconds_by_phase == phase_totals([span.to_dict() for span in tracer.spans])
+        sections = spans_of_kind(tracer, KIND_SECTION)
         assert any(s.name == "spatial_join" for s in sections)
         # The section covers everything the stats report.
         outer = [s for s in sections if s.name == "spatial_join"][0]
@@ -566,15 +550,15 @@ class TestSpatialJoinTracing:
             left, right, mb(0.5), method="auto", cache=PlannerCache(),
             tracer=tracer,
         )
-        plan_spans = tracer.spans_of_kind(KIND_PLAN)
+        plan_spans = spans_of_kind(tracer, KIND_PLAN)
         assert len(plan_spans) == 1
         assert plan_spans[0].tags["from_cache"] is False
         assert result.stats.planning_seconds == pytest.approx(
             plan_spans[0].wall_seconds
         )
-        section_names = {s.name for s in tracer.spans_of_kind(KIND_SECTION)}
+        section_names = {s.name for s in spans_of_kind(tracer, KIND_SECTION)}
         assert {"profile", "enumerate"} <= section_names
-        explain = result.plan.explain()
+        explain = result.plan.explain(result=result)
         assert "phase shares, estimated vs. measured wall:" in explain
         assert "drift" in explain
 
@@ -588,10 +572,10 @@ class TestSpatialJoinTracing:
         result = spatial_join(
             left, right, mb(0.5), method="auto", cache=cache, tracer=tracer
         )
-        plan_span = tracer.spans_of_kind(KIND_PLAN)[0]
+        plan_span = spans_of_kind(tracer, KIND_PLAN)[0]
         assert plan_span.tags["from_cache"] is True
         assert not any(
-            s.name == "profile" for s in tracer.spans_of_kind(KIND_SECTION)
+            s.name == "profile" for s in spans_of_kind(tracer, KIND_SECTION)
         )
         assert result.plan.from_cache is True
 

@@ -2,13 +2,9 @@
 
 import pytest
 
-from repro.core.space import Space
-from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
 from repro.io.pagefile import PageFile
-from repro.pbsm.grid import TileGrid
-from repro.pbsm.partitioner import partition_relation
 
 
 def small_disk(page_size=100, pt=5.0):
@@ -20,14 +16,12 @@ class TestGeometry:
         f = PageFile(small_disk(), record_bytes=10)
         assert f.n_records == 0
         assert f.n_pages == 0
-        assert f.n_bytes == 0
 
     def test_page_count(self):
         disk = small_disk(page_size=100)
         f = PageFile(disk, record_bytes=10)
         f.records.extend(range(25))  # 10 records per page
         assert f.n_pages == 3
-        assert f.n_bytes == 250
 
 
 class TestBulkIo:
@@ -56,7 +50,7 @@ class TestBulkIo:
         disk = small_disk(page_size=100)
         f = PageFile(disk, record_bytes=10)
         f.append_bulk(list(range(25)))
-        disk.reset()
+        disk.counters.clear()
         data = f.read_all()
         assert data == list(range(25))
         c = disk.counters["default"]
@@ -153,36 +147,3 @@ class TestPageWriter:
         assert disk4.total_counters().pages_written == (
             disk1.total_counters().pages_written
         )
-
-    def test_clear_is_free(self):
-        disk = small_disk()
-        f = PageFile(disk, 10)
-        f.append_bulk([1, 2, 3])
-        units = disk.total_units()
-        f.clear()
-        assert f.n_records == 0
-        assert disk.total_units() == units
-
-    def test_clear_and_read_view_on_an_id_run(self):
-        # ``partition_relation(emit="ids")`` stores id runs as read-only
-        # int64 views, which have no ``.clear()``; clearing must still
-        # work.  (The id keeps the name of the ``read_view`` method the
-        # driver read its runs with, before it carried them as arrays.)
-        disk = small_disk()
-        grid = TileGrid.for_partitions(Space(0.0, 0.0, 1.0, 1.0), 2, 4)
-        kpes = [(i, i / 10, i / 10, i / 10, i / 10) for i in range(10)]
-        files, _ = partition_relation(
-            kpes, grid, disk, 10, CpuCounters(), emit="ids"
-        )
-        file = max(files, key=lambda f: f.n_records)
-        assert not isinstance(file.records, list) and file.n_records > 0
-        requests = disk.total_counters().read_requests
-        ids = file.read_all()
-        assert disk.total_counters().read_requests == requests + 1  # one read
-        assert ids == file.records.tolist() and all(type(i) is int for i in ids)
-        units = disk.total_units()
-        file.clear()
-        assert file.n_records == 0 and file.n_pages == 0
-        assert disk.total_units() == units
-        file.append_bulk([7])  # and the file is a plain list file again
-        assert file.read_all() == [7]

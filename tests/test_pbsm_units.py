@@ -173,7 +173,7 @@ class TestSortBasedDedup:
         disk = SimulatedDisk(CostModel(page_size=100))
         f = PageFile(disk, 8, "cands")
         f.records.extend((i, i) for i in range(500))
-        disk.reset()
+        disk.counters.clear()
         sort_based_dedup(f, 300, CpuCounters())
         assert disk.total_units() > 0
 

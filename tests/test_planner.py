@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import JOIN_METHODS, SPATIAL_JOIN_METHODS, mb, spatial_join
@@ -247,31 +250,24 @@ class TestPlannerCache:
         assert warm.planning_seconds < cold_seconds
 
     def test_cache_hit_returns_a_per_call_copy(self, small_pair):
-        """A hit must not re-stamp (or park results on) the shared plan:
-        concurrent served queries would race on those fields and the
-        cache would pin the last result's pair list."""
+        """A hit must not re-stamp the shared plan: concurrent served
+        queries would race on those fields."""
         left, right = small_pair
         cache = PlannerCache()
         cold = plan_join(left, right, 16_000, cache=cache)
         cold_seconds = cold.planning_seconds
-        cold_result = cold.execute(left, right)
+        cold.execute(left, right)
         first = plan_join(left, right, 16_000, cache=cache)
         second = plan_join(left, right, 16_000, cache=cache)
         # The cold plan keeps what it was stamped with.
         assert not cold.from_cache
         assert cold.planning_seconds == cold_seconds
-        assert cold.last_result is cold_result
         # Hits are distinct objects sharing the (immutable) enumeration.
         assert first.from_cache and second.from_cache
         assert first is not second and first is not cold
         assert first.chosen is cold.chosen and first.candidates is cold.candidates
-        assert first.last_result is None and second.last_result is None
         first_result = first.execute(left, right)
-        assert first.last_result is first_result
-        assert second.last_result is None
-        # Nothing executed through a returned plan lands in the cache.
-        assert plan_join(left, right, 16_000, cache=cache).last_result is None
-        assert "estimated vs. actual" in first.explain()
+        assert "estimated vs. actual" in first.explain(result=first_result)
         assert "estimated vs. actual" not in second.explain()
 
     def test_memory_budget_is_part_of_the_key(self, small_pair):
@@ -414,7 +410,23 @@ class TestAutoMethod:
         result = spatial_join(left, right, 16_000, method="auto")
         assert isinstance(result.plan, JoinPlan)
         assert isinstance(result.plan.chosen, PlanCandidate)
-        assert result.plan.last_result is result
+        assert not hasattr(result.plan, "last_result")
+
+    @pytest.mark.parametrize("method", ["pbsm", "auto"])
+    def test_result_is_freed_without_the_cyclic_collector(self, small_pair, method):
+        """``result.plan`` points one way only: with the cyclic GC off, a
+        dropped auto result frees its pair buffers like a pbsm one."""
+        left, right = small_pair
+        kwargs = {"cache": PlannerCache()} if method == "auto" else {}
+        gc.collect()
+        gc.disable()
+        try:
+            result = spatial_join(left, right, 16_000, method=method, **kwargs)
+            ref = weakref.ref(result)
+            del result
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_choice_is_cost_based_not_hardcoded(self):
         """Different workload shapes must produce different choices.
@@ -458,7 +470,7 @@ class TestExplain:
         left, right = small_pair
         plan = plan_join(left, right, 16_000)
         result = plan.execute(left, right)
-        text = plan.explain(verbose=True)
+        text = plan.explain(verbose=True, result=result)
         assert "estimated vs. actual" in text
         assert f"{result.stats.n_results:,}" in text
         assert "sim seconds" in text

@@ -235,8 +235,9 @@ def test_explain_shows_repartitions_estimated_against_actual():
         c for c in plan.candidates if c.method == "pbsm" and c.kwargs["t_factor"] == 1.2
     )
     assert plan.chosen.describe() == "pbsm(dedup=rpm, internal=sweep_numpy, t=1.2)"
-    actual = plan.execute(left, right).stats.repartition_events
-    (line,) = [x for x in plan.explain().splitlines() if "repartitions" in x]
+    result = plan.execute(left, right)
+    actual = result.stats.repartition_events
+    (line,) = [x for x in plan.explain(result=result).splitlines() if "repartitions" in x]
     estimated, shown, _ratio = re.findall(r"[\d.,]+x?", line)
     assert int(shown.replace(",", "")) == actual > 10
     assert abs(float(estimated.replace(",", "")) - actual) <= max(1, 0.25 * actual)

@@ -11,7 +11,7 @@ from repro.s3j.levelfile import (
     record_bytes_for_level,
     sort_level_files,
 )
-from repro.s3j.levels import assign_original, assign_replicated, level_histogram
+from repro.s3j.levels import assign_original, assign_replicated
 from repro.sfc.locational import curve_encoder
 
 from tests.conftest import random_kpes
@@ -89,21 +89,16 @@ class TestAssignReplicated:
 
 
 class TestLevelHistogram:
-    def test_histogram(self):
-        entries = [(0, 0, None), (2, 5, None), (2, 6, None), (4, 1, None)]
-        assert level_histogram(entries, 4) == [1, 0, 2, 0, 1]
-
     def test_replication_reduces_level0_population(self):
         """The observation that motivates Section 4.3: original S3J dumps
         many small rectangles into level 0; size separation empties it."""
         kpes = random_kpes(2000, 3, max_edge=0.02)
-        orig = level_histogram(
-            list(assign_original(kpes, UNIT, 8, Z, CpuCounters())), 8
-        )
-        repl = level_histogram(
-            list(assign_replicated(kpes, UNIT, 8, Z, CpuCounters())), 8
-        )
-        assert repl[0] < orig[0]
+        def level0(entries):
+            return sum(1 for level, _code, _kpe in entries if level == 0)
+
+        orig = level0(assign_original(kpes, UNIT, 8, Z, CpuCounters()))
+        repl = level0(assign_replicated(kpes, UNIT, 8, Z, CpuCounters()))
+        assert repl < orig
 
 
 class TestLevelFiles:
@@ -144,7 +139,7 @@ class TestLevelFiles:
         disk = SimulatedDisk(CostModel(page_size=200))
         entries = [(0, 0, KPE(i, 0.4, 0.4, 0.6, 0.6)) for i in range(20)]
         files, _ = build_level_files(entries, 3, disk, "T")
-        disk.reset()
+        disk.counters.clear()
         sorted_files = sort_level_files(files, 100_000, CpuCounters())
         assert sorted_files[0] is files[0]
         assert disk.total_units() == 0.0

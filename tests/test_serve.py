@@ -24,6 +24,7 @@ from repro import spatial_join
 from repro.core.result import PairRows, RowOids, pair_columns
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
+from repro.pbsm.parallel import LIBRARY_POOL
 from repro.serve import (
     AdmissionController,
     AdmissionReject,
@@ -57,6 +58,14 @@ RIGHT = random_kpes(300, seed=32, start_oid=10_000, max_edge=0.05)
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def host_pool(engine: EngineHost):
+    """The warm pool *engine*'s fan-outs run on (``None`` with one worker,
+    or while no pool of its size is running)."""
+    if engine.workers > 1 and LIBRARY_POOL.workers == engine.workers:
+        return LIBRARY_POOL.pool
+    return None
 
 
 def make_registry() -> DatasetRegistry:
@@ -601,9 +610,8 @@ class TestEngineHost:
     def test_workers_are_clamped_with_the_librarys_warning(self):
         """A served clamp warns once, as ``PBSM``'s does; ``repro serve
         --workers N`` raises the cap to N first, so the CLI never clamps."""
-        from repro.pbsm.parallel import reset_clamp_warnings, worker_cap
+        from repro.pbsm.parallel import worker_cap
 
-        reset_clamp_warnings()
         cap = worker_cap()
         with pytest.warns(RuntimeWarning, match="exceeds the usable CPU count"):
             assert EngineHost(MEMORY, workers=cap + 1).workers == cap
@@ -915,7 +923,7 @@ class TestServeShm:
         registry = make_registry()
         try:
             engine.start()
-            if engine.pool is None:
+            if host_pool(engine) is None:
                 pytest.skip("worker cap forced workers=1 on this box")
             left, right = registry.get("L"), registry.get("R")
             plan = engine.plan(left, right)

@@ -50,6 +50,7 @@ from .test_serve import (
     RIGHT,
     _started_server,
     expected_checksum,
+    host_pool,
     make_registry,
     needs_shm,
     run,
@@ -104,7 +105,7 @@ class TestEncodePages:
 
     @pytest.mark.parametrize("page_size", [1, 2, 5, 9])
     def test_json_pages_are_paginate_plus_encode_message(self, page_size):
-        frames = list(encode_pages(pair_columns(self.PAIRS), page_size, "json", 7))
+        frames = [b"".join(f) for f in encode_pages(pair_columns(self.PAIRS), page_size, "json", 7)]
         assert frames == [
             encode_message({"ok": True, "query_id": 7, "page": index, "pairs": page})
             for index, page in enumerate(paginate(self.PAIRS, page_size))
@@ -114,8 +115,8 @@ class TestEncodePages:
     def test_binary_pages_are_a_header_line_and_packed_pairs(self, page_size):
         frames = list(encode_pages(pair_columns(self.PAIRS), page_size, "i8", 7))
         decoded = []
-        for index, frame in enumerate(frames):
-            line, _, body = frame.partition(b"\n")
+        for index, (line, body) in enumerate(frames):
+            assert line.endswith(b"\n")
             n = min(page_size, len(self.PAIRS) - index * page_size)
             assert decode_message(line) == {
                 "ok": True, "query_id": 7, "page": index, "n": n, "bytes": 16 * n,
@@ -123,6 +124,8 @@ class TestEncodePages:
             assert len(body) == 16 * n
             decoded.extend(PAIR_STRUCT.iter_unpack(body))
         assert decoded == self.PAIRS
+        # A fresh table a page: a queued page is never overwritten.
+        assert len({id(body.obj) for _, body in frames}) == len(frames)
 
     @pytest.mark.parametrize("pairs_format", ["json", "i8"])
     def test_empty_result_is_no_pages(self, pairs_format):
@@ -230,7 +233,7 @@ class TestServedResultStaysBuffers:
         async def scenario():
             server = await _started_server(engine=engine)
             try:
-                if engine.pool is None:
+                if host_pool(engine) is None:
                     pytest.skip("worker cap forced workers=1 on this box")
                 async with await ServeClient.connect(port=server.port) as client:
                     hot, _ = await client.join("L", "R")
@@ -266,7 +269,7 @@ class TestServedResultStaysBuffers:
         async def scenario():
             server = await _started_server(engine=engine)
             try:
-                if engine.pool is None:
+                if host_pool(engine) is None:
                     pytest.skip("worker cap forced workers=1 on this box")
                 async with await ServeClient.connect(port=server.port) as client:
                     await client.join("L", "R")
@@ -296,7 +299,7 @@ class TestServedResultStaysBuffers:
         server = JoinServer(registry, engine)
         try:
             engine.start()
-            if engine.pool is None:
+            if host_pool(engine) is None:
                 pytest.skip("worker cap forced workers=1 on this box")
             left, right = registry.get("L"), registry.get("R")
             server._answer(left, right, MEMORY, Tracer())  # plan and partition once
@@ -454,6 +457,57 @@ class TestJoinRequestValidation:
         assert tiny["done"] and tiny["checksum"] == big["checksum"]
 
 
+class TestRegisterAndTraceValidation:
+    """A malformed ``register`` or ``trace`` is a ``bad_request`` answer,
+    never an exception out of the handler that drops the connection."""
+
+    BAD_REGISTERS = [
+        {"pattern": "uniform", "n": None},
+        {"pattern": "uniform", "n": "100"},
+        {"pattern": "uniform", "n": 2.5},
+        {"pattern": "uniform", "n": True},
+        {"pattern": "uniform", "seed": None},
+        {"pattern": "uniform", "start_oid": [0]},
+        {"records": None},
+        {"records": 5},
+        {"records": "abc"},
+        {"records": [1, 2]},
+    ]
+    BAD_TRACES = [None, True, "1", 1.0]
+
+    def test_bad_requests_get_bad_request_on_a_live_connection(self):
+        async def scenario():
+            server = await _started_server()
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    _, _ = await client.join("L", "R")  # query 1 has a trace
+                    answers = []
+                    for fields in self.BAD_REGISTERS:
+                        request = {"op": "register", "name": "bad", **fields}
+                        answers.append(await asyncio.wait_for(client.request(request), TIMEOUT))
+                        assert (await asyncio.wait_for(client.ping(), TIMEOUT))["ok"]
+                    for query_id in self.BAD_TRACES:
+                        request = {"op": "trace", "query_id": query_id}
+                        answers.append(await asyncio.wait_for(client.request(request), TIMEOUT))
+                        assert (await asyncio.wait_for(client.ping(), TIMEOUT))["ok"]
+                    good = await client.trace(1)
+                    registered = await client.request(
+                        {"op": "register", "name": "ok", "pattern": "uniform", "n": 50}
+                    )
+                    datasets = await client.request({"op": "datasets"})
+            finally:
+                await server.stop()
+            return answers, good, registered, datasets
+
+        answers, good, registered, datasets = run(scenario())
+        assert len(answers) == len(self.BAD_REGISTERS) + len(self.BAD_TRACES)
+        for answer in answers:
+            assert not answer["ok"] and answer["error"] == "bad_request", answer
+        assert good["query_id"] == 1 and good["spans"]
+        assert registered["ok"], registered
+        assert "bad" not in {d["name"] for d in datasets["datasets"]}
+
+
 # ----------------------------------------------------------------------
 # bugfix: a join that fails is a join_failed response; the server goes on
 # ----------------------------------------------------------------------
@@ -506,7 +560,7 @@ class TestJoinFailure:
         engine = ForcedPlanEngine()
 
         def kill_an_idle_worker():
-            pool = engine.pool
+            pool = host_pool(engine)
             pids = {
                 f.result(TIMEOUT) for f in [pool.submit(_warm_worker, 0.05) for _ in range(2)]
             }
@@ -526,14 +580,14 @@ class TestJoinFailure:
         async def scenario():
             server = await _started_server(engine=engine)
             try:
-                if engine.pool is None:
+                if host_pool(engine) is None:
                     pytest.skip("worker cap forced workers=1 on this box")
                 async with await ServeClient.connect(port=server.port) as client:
                     dead = kill_an_idle_worker()
                     failed, _ = await asyncio.wait_for(client.join("L", "R"), TIMEOUT)
                     after, _ = await asyncio.wait_for(client.join("L", "R"), TIMEOUT)
                     stats = await client.stats()
-                assert engine.pool is not dead
+                assert host_pool(engine) is not dead
             finally:
                 await server.stop()
             return failed, after, stats

@@ -55,12 +55,6 @@ class TestNormalisation:
         assert s.norm_x(1.0) == 0.0
         assert s.norm_y(3.0) == 0.5
 
-    def test_contains_closed(self):
-        s = Space(0.0, 0.0, 1.0, 1.0)
-        assert s.contains(0.0, 0.0)
-        assert s.contains(1.0, 1.0)
-        assert not s.contains(1.1, 0.5)
-
     @given(
         st.floats(-10, 10, allow_nan=False),
         st.floats(0.001, 10, allow_nan=False),

@@ -807,10 +807,11 @@ class SpanPairing(Rule):
     """Every ``tracer.span(...)`` is a ``with`` statement, or its handle
     is explicitly exited on all paths.
 
-    The trace↔stats reconciliation (``obs/compare.py``) treats the span
-    tree as exhaustive: an entered-but-never-exited span leaves a
-    dangling open interval whose children re-parent, and the phase
-    shares stop adding up to the wall time.  A span object that is
+    The trace↔stats reconciliation (CI ``parallel-smoke``'s "Trace
+    reconciles with the stats report" step) treats the span tree as
+    exhaustive: an entered-but-never-exited span leaves a dangling open
+    interval whose children re-parent, and the phase shares stop adding
+    up to the wall time.  A span object that is
     created and dropped records nothing at all — silently missing
     telemetry is worse than none, because the reconciliation then
     *passes* on a partial tree.

@@ -182,7 +182,7 @@ class MappedColumnarStore:
     def __repr__(self) -> str:
         state = "closed" if self._buffer is None else "open"
         return (
-            f"MappedColumnarStore({str(self.path)!r}, n={self.n}, "
+            f"MappedColumnarStore({str(self.path)!r}, n={self.header.n}, "
             f"fingerprint={self.header.fingerprint!r}, {state})"
         )
 

@@ -181,6 +181,15 @@ class TestMappedStore:
         with pytest.raises(ValueError, match="closed"):
             store.relation()
 
+    def test_repr_of_an_open_and_a_closed_store(self, rcd_path):
+        from repro.kernels.mmapstore import MappedColumnarStore
+
+        kpes, path = rcd_path
+        store = MappedColumnarStore.open(path)
+        assert f"n={len(kpes)}," in repr(store) and repr(store).endswith(", open)")
+        store.close()
+        assert f"n={len(kpes)}," in repr(store) and repr(store).endswith(", closed)")
+
     def test_mapped_relation_is_a_sequence(self, rcd_path):
         kpes, path = rcd_path
         rel = load_relation(path)

@@ -1,6 +1,6 @@
 """The reachability gate's contract (``tools/reach.py``) on a fixture package.
 
-A surface script runs under ``python -m tools.reach run`` and calls the
+A surface script runs under ``reach.run`` and calls the
 fixture's functions directly, from a thread, from a child interpreter and
 from a forked child that ends in ``os._exit``.  ``check`` must then report
 exactly the function that only a test file calls, pass once an allowlist
@@ -9,16 +9,12 @@ entry names it with a reason, and never ask about a dunder.
 
 from __future__ import annotations
 
-import subprocess
 import sys
 import textwrap
-from pathlib import Path
 
 import pytest
 
 from tools import reach
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CORE = '''
 import os
@@ -95,14 +91,10 @@ def fixture(tmp_path_factory):
     (base / "tests").mkdir()
     (base / "tests" / "test_core.py").write_text(TEST_FILE)
     record = base / "surface.txt"
-    env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(base / "src")}
-    subprocess.run(
-        [
-            sys.executable, "-m", "tools.reach", "--root", str(package), "run", str(record),
-            "--", sys.executable, "-c", "import fixpkg.core; fixpkg.core.surface()",
-        ],
-        cwd=REPO_ROOT, env=env, check=True, timeout=60,
-    )  # fmt: skip
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(base / "src"))
+        command = [sys.executable, "-c", "import fixpkg.core; fixpkg.core.surface()"]
+        assert reach.run(record, package, command) == 0
     return package, record
 
 

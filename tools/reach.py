@@ -164,21 +164,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     import argparse
 
     parser = argparse.ArgumentParser(prog="python -m tools.reach", description="reachability gate for src/repro")
-    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT, help="package to account for")
     sub = parser.add_subparsers(dest="action", required=True)
     run_p = sub.add_parser("run", help="run a command and record what it reaches")
     run_p.add_argument("record", type=Path)
     run_p.add_argument("command", nargs=argparse.REMAINDER)
     check_p = sub.add_parser("check", help="fail on functions no record reached")
     check_p.add_argument("records", type=Path, nargs="+")
-    check_p.add_argument("--allowlist", type=Path, default=ALLOWLIST)
     args = parser.parse_args(argv)
     if args.action == "run":
         command = args.command[1:] if args.command[:1] == ["--"] else args.command
         if not command:
             parser.error("run needs a command after --")
-        return run(args.record, args.root, command)
-    return check(args.records, args.root, args.allowlist)
+        return run(args.record, DEFAULT_ROOT, command)
+    return check(args.records, DEFAULT_ROOT, ALLOWLIST)
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """Bench A6 — all join classes: PBSM/S3J/SSSJ (no index), SHJ (one-side
 replication), and the R-tree join (index on both, build charged or free)
 on the same workload — the availability-of-index taxonomy of the paper's
-related work, measured.
+related work, measured.  The table is simulated, so a fresh run must
+also equal the committed one (``results/ablation_join_classes.txt``)
+cell for cell.
 """
 
 import pytest
 
-from repro.bench.render import ExperimentResult
+from repro.bench.render import ExperimentResult, table_cells
 from repro.bench.workloads import la_join, la_memory
 from repro.pbsm import PBSM
 from repro.rtree import RTreeJoin
@@ -14,7 +16,7 @@ from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
 
-from benchmarks.conftest import column, record
+from benchmarks.conftest import RESULTS_DIR, column, record
 
 
 def run_join_class_comparison() -> ExperimentResult:
@@ -53,8 +55,10 @@ def run_join_class_comparison() -> ExperimentResult:
 
 @pytest.mark.benchmark(group="ablations")
 def test_join_class_comparison(benchmark):
+    committed = table_cells((RESULTS_DIR / "ablation_join_classes.txt").read_text())
     result = benchmark.pedantic(run_join_class_comparison, rounds=1, iterations=1)
     record("ablation_join_classes", result)
+    assert table_cells(result.to_text()) == committed
     methods = column(result, "method")
     totals = dict(zip(methods, column(result, "total_sec")))
     results = set(column(result, "results"))

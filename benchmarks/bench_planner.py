@@ -10,8 +10,9 @@ must also be the committed table's: no chosen plan moves unnoticed.
 import pytest
 
 from repro.bench.experiments import run_planner_sweep
+from repro.bench.render import table_cells
 
-from benchmarks.conftest import RESULTS_DIR, column, record, table_cells
+from benchmarks.conftest import RESULTS_DIR, column, record
 
 #: The columns of ``results/planner.txt`` a fresh run reproduces exactly
 #: (``plan_ms`` and ``replan_ms`` are wall time).

@@ -14,13 +14,13 @@ one (``results/robustness_*.txt``) cell for cell.
 
 import pytest
 
-from repro.bench.render import ExperimentResult
+from repro.bench.render import ExperimentResult, table_cells
 from repro.datasets import polyline_mbrs, scale_to_coverage
 from repro.datasets.patterns import manhattan_grid, mixed_scale, radial_city
 from repro.pbsm import PBSM
 from repro.s3j import S3J
 
-from benchmarks.conftest import RESULTS_DIR, column, record, table_cells
+from benchmarks.conftest import RESULTS_DIR, column, record
 
 
 def _la_like(n, seed, coverage):

@@ -1,30 +1,20 @@
-"""Shared helpers for the benchmark suite.
+"""Shared helpers for the benches beyond the paper's tables.
 
-Every bench runs one experiment from :mod:`repro.bench.experiments` exactly
-once (``benchmark.pedantic(rounds=1)``), prints the reproduced table, saves
-it under ``benchmarks/results/``, and asserts the *shape* claims the paper
-makes about that table or figure.  Absolute numbers are not asserted — the
-substrate is a simulator, not the authors' SPARCstation.
+The paper's 17 tables are ``python -m repro.bench`` experiments (``--out``
+regenerates, ``--check`` gates) whose claims ``tests/test_paper_claims.py``
+asserts.  The benches here (planner sweep, robustness, join classes,
+kernels) run their experiment once, print it, and ``record`` it under
+the gitignored ``results/fresh/``, never over a committed table: a bench
+that holds one compares against ``results/<name>.txt``, and re-recording
+it is a copy out of ``fresh/``.  Run one with::
 
-Each recorded experiment is persisted twice: the aligned text table
-(``results/<name>.txt``, unchanged) and a machine-readable
-``results/BENCH_<name>.json`` carrying the same rows plus the execution
-environment (CPU count, Python version) and any bench-specific
-metadata (workload, wall seconds, pairs/sec) passed through ``record``.
-
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Scale is controlled by the ``REPRO_SCALE`` environment variable (default
-0.10 of the paper's dataset cardinalities).
+    PYTHONPATH=src:. python -m pytest benchmarks/bench_planner.py -q
 """
 
 from __future__ import annotations
 
 import os
 import platform
-import re
 from pathlib import Path
 
 from repro.pbsm.parallel import cpu_count
@@ -33,6 +23,8 @@ from repro.pbsm.parallel import cpu_count
 os.environ.setdefault("REPRO_MAX_WORKERS", "4")
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where ``record`` writes; never a committed file.
+FRESH_DIR = RESULTS_DIR / "fresh"
 
 
 def environment() -> dict:
@@ -45,7 +37,7 @@ def environment() -> dict:
 
 
 def record(name: str, result, tracer=None, **meta) -> None:
-    """Print an experiment result and persist it under results/.
+    """Print an experiment result and persist it under results/fresh/.
 
     Writes the aligned text table to ``<name>.txt`` and a JSON document to
     ``BENCH_<name>.json``.  Extra keyword arguments (``workload=...``,
@@ -58,31 +50,16 @@ def record(name: str, result, tracer=None, **meta) -> None:
     """
     text = result.to_text()
     print("\n" + text)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    (RESULTS_DIR / f"BENCH_{name}.json").write_text(
+    FRESH_DIR.mkdir(parents=True, exist_ok=True)
+    (FRESH_DIR / f"{name}.txt").write_text(text + "\n")
+    (FRESH_DIR / f"BENCH_{name}.json").write_text(
         result.to_json(environment=environment(), **meta) + "\n"
     )
     if tracer is not None and tracer.recording:
-        tracer.write(RESULTS_DIR / f"BENCH_{name}.trace.jsonl")
+        tracer.write(FRESH_DIR / f"BENCH_{name}.trace.jsonl")
 
 
 def column(result, name: str):
     """Extract one column of an ExperimentResult as a list."""
     idx = result.columns.index(name)
     return [row[idx] for row in result.rows]
-
-
-def table_cells(text):
-    """``{column: [cell, ...]}`` of a rendered result table, each row cut
-    at the spans of the dashed rule under the header."""
-    lines = text.splitlines()
-    rule = next(i for i, line in enumerate(lines) if re.fullmatch(r"-+( +-+)*", line))
-    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
-    rows = []
-    for line in lines[rule + 1 :]:
-        if line.startswith("note:"):
-            break
-        rows.append([line[a:b].strip() for a, b in spans])
-    header = [lines[rule - 1][a:b].strip() for a, b in spans]
-    return {name: [row[i] for row in rows] for i, name in enumerate(header)}

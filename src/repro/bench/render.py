@@ -1,7 +1,9 @@
-"""Plain-text rendering of experiment results: tables and ASCII charts."""
+"""Plain-text rendering of experiment results, and the parser that reads
+a rendered table back (:func:`table_cells`)."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -74,3 +76,17 @@ def format_table(columns: Sequence[str], rows: Sequence[Tuple]) -> str:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
 
+
+def table_cells(text: str) -> Dict[str, List[str]]:
+    """``{column: [cell, ...]}`` of a rendered result table, each row cut
+    at the spans of the dashed rule under the header."""
+    lines = text.splitlines()
+    rule = next(i for i, line in enumerate(lines) if re.fullmatch(r"-+( +-+)*", line))
+    spans = [m.span() for m in re.finditer(r"-+", lines[rule])]
+    rows = []
+    for line in lines[rule + 1 :]:
+        if line.startswith("note:"):
+            break
+        rows.append([line[a:b].strip() for a, b in spans])
+    header = [lines[rule - 1][a:b].strip() for a, b in spans]
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}

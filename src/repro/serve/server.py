@@ -52,10 +52,13 @@ import signal
 import sys
 import time
 from collections import OrderedDict
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.result import PairRows
 from repro.io.costmodel import mb
+from repro.kernels.columnar import ColumnarRelation, invalid_row
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import KIND_SECTION, Tracer
@@ -94,6 +97,32 @@ def _register_problem(message: dict) -> Optional[str]:
     records = message.get("records", [])
     if not isinstance(records, list) or not all(isinstance(row, list) for row in records):
         return "register's 'records' must be a list of [oid, xl, yl, xh, yh] lists"
+    return None
+
+
+def _records_problem(records: List[List[Any]]) -> Optional[str]:
+    """Why inline *records* are not a relation, or ``None``: each row is
+    ``[oid, xl, yl, xh, yh]`` with an int64 oid, and every MBR keeps
+    the loaders' file rule (finite, ``xl <= xh``, ``yl <= yh``)."""
+    for index, row in enumerate(records):
+        if len(row) != 5:
+            return f"register's record {index} has {len(row)} entries, not [oid, xl, yl, xh, yh]"
+        if not is_integer(row[0]) or not -(2**63) <= row[0] < 2**63:
+            return f"register's record {index} has oid {row[0]!r}, not a 64-bit integer"
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in row[1:]):
+            return f"register's record {index} has a coordinate that is not a number: {row!r}"
+    if not records:
+        return None
+    try:
+        coords = np.array([row[1:] for row in records], dtype=np.float64)
+    except OverflowError:
+        return "register's 'records' hold a coordinate beyond the float64 range"
+    index = invalid_row(ColumnarRelation(None, *coords.T), finite=True)
+    if index is not None:
+        return (
+            f"register's record {index} is not a finite MBR with xl <= xh "
+            f"and yl <= yh: {records[index]!r}"
+        )
     return None
 
 
@@ -340,6 +369,11 @@ class JoinServer:
                     start_oid=message.get("start_oid", 0),
                 )
             elif "records" in message:
+                # Per row, so off the event loop like the registration.
+                problem = await run_blocking(_records_problem, message["records"])
+                if problem is not None:
+                    await self._send(writer, error_response("bad_request", problem))
+                    return
                 records = [tuple(row) for row in message["records"]]
                 entry = await run_blocking(self.registry.register, name, records)
             else:

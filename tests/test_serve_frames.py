@@ -472,6 +472,18 @@ class TestRegisterAndTraceValidation:
         {"records": 5},
         {"records": "abc"},
         {"records": [1, 2]},
+        # A row is [oid, xl, yl, xh, yh]: five entries, an int64 oid,
+        # numeric coordinates, and an MBR the file loaders accept.
+        *(
+            {"records": [row]}
+            for row in (
+                [1, 0, 0, 1], [1, 0, 0, 1, 1, 7], [1.5, 0, 0, 1, 1], [True, 0, 0, 1, 1],
+                ["1", 0, 0, 1, 1], [2**63, 0, 0, 1, 1], [1, None, 0, 1, 1],
+                [1, False, 0, 1, 1], [1, "0", 0, 1, 1], [1, float("nan"), 0, 1, 1],
+                [1, 0, 0, float("inf"), 1], [1, 0, 0, 10**400, 1], [1, 2, 0, 1, 1],
+                [1, 0, 2, 1, 1],
+            )
+        ),
     ]
     BAD_TRACES = [None, True, "1", 1.0]
 
@@ -506,6 +518,29 @@ class TestRegisterAndTraceValidation:
         assert good["query_id"] == 1 and good["spans"]
         assert registered["ok"], registered
         assert "bad" not in {d["name"] for d in datasets["datasets"]}
+
+    def test_a_bad_row_is_named_and_good_rows_register_as_before(self, own_shm_segments):
+        good = [[1, 0, 0, 1, 1], [2, 0.5, 0.5, 2.0, 2.0], [-3, -1.5, -1, 0, 0]]
+        requests = [("bad", good + [[7, 0, 0, 1, None]]), ("bad", good + [[7, 0, 0, 1]]),
+                    ("inline", good), ("inline", good), ("empty", [])]
+
+        async def scenario():
+            server = await _started_server()
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    return [
+                        await client.request({"op": "register", "name": name, "records": rows})
+                        for name, rows in requests
+                    ]
+            finally:
+                await server.stop()
+
+        *bad, first, again, empty = run(scenario())
+        for answer in bad:
+            assert answer["error"] == "bad_request" and "record 3 " in answer["message"], answer
+        assert first["ok"] and again == first, (first, again)
+        assert first["dataset"]["n"] == 3 and first["dataset"]["source"] == "records"
+        assert empty["ok"] and empty["dataset"]["n"] == 0, empty
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """A simulated disk charging the paper's ``PT + n`` cost per request.
 
-The simulation holds file contents in memory but routes every transfer
-through :class:`SimulatedDisk`, which records, per named *phase*
-(partitioning, sorting, join, duplicate removal, ...):
+The drivers hold their records in memory; what the paper's files of them
+would cost is computed from their record counts
+(:mod:`repro.io.paper_io`) and charged to :class:`SimulatedDisk`, which
+records, per named *phase* (partitioning, sorting, join, duplicate
+removal, ...):
 
 * the number of read/write requests (each paying the positioning cost PT),
 * the number of pages read/written (each paying one transfer unit).
 
 This reproduces the paper's I/O accounting deterministically, independent of
-the host machine, while still executing the real data movement (records are
-genuinely staged through the "files" and re-read by later phases).
+the host machine.
 
 :class:`Ledger` is one join run's whole account under that model: its
 disk, its CPU counters per phase, and the one rule that prices them into
@@ -53,8 +54,8 @@ class SimulatedDisk:
     """Tracks simulated I/O per phase and owns the cost model.
 
     All page-level charging is funnelled through :meth:`charge_read` and
-    :meth:`charge_write`; the paged-file layer decides what constitutes a
-    contiguous request.
+    :meth:`charge_write`; :mod:`repro.io.paper_io` decides what
+    constitutes a contiguous request.
     """
 
     def __init__(self, cost_model: Optional[CostModel] = None) -> None:

@@ -1,29 +1,18 @@
-"""External merge sort over paged files, with charged I/O and CPU.
+"""In-memory sorts with charged comparisons, and the sweeps' ``xl`` order.
 
-Used by two phases of the reproduced systems:
-
-* the *sorting phase* of S3J (each level file is sorted by locational code;
-  Section 4.2), and
-* the *duplicate removal phase* of original PBSM (the candidate pairs are
-  sorted so duplicates become adjacent; Section 3.1).
-
-The implementation follows the textbook two-stage design: memory-sized runs
-are generated with an in-memory sort, then merged with a bounded fan-in
-(one input page buffer per run plus one output page).  Every transfer is
-charged to the simulated disk; sort comparisons are charged as
-``n * ceil(log2 n)`` (deterministic, since Python's timsort does not expose
-its comparison count) and merge heap operations are counted exactly.
+A sort of ``n`` records is charged ``n * ceil(log2 n)`` comparisons
+(deterministic, since Python's timsort does not expose its comparison
+count).  The external merge sort of a file too large for memory is
+priced from its run lengths in :mod:`repro.io.paper_io`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from repro.core.stats import CpuCounters
-from repro.io.pagefile import PageFile
 
 #: The sweep algorithms' sort key (``kpe[1]``), shared module-wide so the
 #: hot loops pay one C-level itemgetter instead of a per-call lambda.
@@ -53,7 +42,8 @@ def ensure_sorted_by_xl(records: Sequence, counters: CpuCounters) -> Sequence:
     return XlSorted(sort_in_memory(list(records), BY_XL, counters))
 
 
-def _charge_sort_comparisons(counters: CpuCounters, n: int) -> None:
+def count_sort_comparisons(counters: CpuCounters, n: int) -> None:
+    """Charge a sort of *n* records its ``n * ceil(log2 n)`` comparisons."""
     if n > 1:
         counters.comparisons += n * max(1, math.ceil(math.log2(n)))
 
@@ -64,116 +54,5 @@ def sort_in_memory(
     counters: CpuCounters,
 ) -> List:
     """Sort a record list, charging ``n log n`` comparisons."""
-    _charge_sort_comparisons(counters, len(records))
+    count_sort_comparisons(counters, len(records))
     return sorted(records, key=key)
-
-
-def external_sort(
-    source: PageFile,
-    key: Callable,
-    memory_bytes: int,
-    counters: CpuCounters,
-    output_name: str = "",
-) -> PageFile:
-    """Sort *source* into a new page file under a memory budget.
-
-    If the file fits in memory, it is read with one contiguous request,
-    sorted, and written back with one request (the paper's best case for
-    S3J level files: each file read and written exactly once).  Otherwise
-    runs are generated and merged, possibly over several passes when the
-    number of runs exceeds the fan-in the memory budget allows.
-    """
-    disk = source.disk
-    cost = disk.cost
-    out = PageFile(disk, source.record_bytes, output_name or f"{source.name}.sorted")
-    if source.n_records == 0:
-        return out
-
-    page_records = source.records_per_page()
-    memory_pages = max(2, memory_bytes // cost.page_size)
-    memory_records = memory_pages * page_records
-
-    if source.n_records <= memory_records:
-        data = source.read_all()
-        data = sort_in_memory(data, key, counters)
-        out.append_bulk(data, max_request_pages=memory_pages)
-        return out
-
-    # ------------------------------------------------------------------
-    # run generation
-    # ------------------------------------------------------------------
-    runs: List[PageFile] = []
-    for chunk in source.iter_chunks(memory_pages):
-        run = PageFile(disk, source.record_bytes, f"{source.name}.run{len(runs)}")
-        run.append_bulk(sort_in_memory(chunk, key, counters))
-        runs.append(run)
-
-    # ------------------------------------------------------------------
-    # merge passes
-    # ------------------------------------------------------------------
-    fan_in = max(2, memory_pages - 1)
-    while len(runs) > 1:
-        next_runs: List[PageFile] = []
-        for start in range(0, len(runs), fan_in):
-            group = runs[start : start + fan_in]
-            merged = PageFile(
-                disk, source.record_bytes, f"{source.name}.merge{len(next_runs)}"
-            )
-            _merge_runs(group, merged, key, counters)
-            next_runs.append(merged)
-        runs = next_runs
-    final = runs[0]
-    final.name = out.name
-    return final
-
-
-def _merge_runs(
-    runs: List[PageFile],
-    out: PageFile,
-    key: Callable,
-    counters: CpuCounters,
-) -> None:
-    """Merge sorted runs into *out* with one page buffer per run."""
-    writer = out.writer(buffer_pages=1)
-    heap = []
-    iters = [run.iter_records(buffer_pages=1) for run in runs]
-    for idx, it in enumerate(iters):
-        record = next(it, None)
-        if record is not None:
-            heapq.heappush(heap, (key(record), idx, record))
-            counters.heap_ops += 1
-    while heap:
-        _, idx, record = heapq.heappop(heap)
-        counters.heap_ops += 1
-        writer.write(record)
-        nxt = next(iters[idx], None)
-        if nxt is not None:
-            heapq.heappush(heap, (key(nxt), idx, nxt))
-            counters.heap_ops += 1
-    writer.close()
-
-
-def sorted_dedup(
-    source: PageFile,
-    counters: CpuCounters,
-    sink: Optional[Callable] = None,
-) -> int:
-    """Scan a *sorted* file, dropping adjacent duplicates.
-
-    Returns the number of unique records; each unique record is passed to
-    *sink* when given.  The scan is charged as a sequential read.  One key
-    comparison per record is charged (the adjacency test).
-    """
-    unique = 0
-    previous = _SENTINEL
-    for record in source.iter_records(buffer_pages=1):
-        counters.comparisons += 1
-        if record != previous:
-            unique += 1
-            if sink is not None:
-                sink(record)
-            previous = record
-    return unique
-
-
-_SENTINEL = object()

@@ -7,7 +7,7 @@ of them:
 
 * :func:`partition_runs` — what the PBSM driver runs and carries:
   every partition's id run, a read-only int64 view into one CSR buffer
-  (:mod:`repro.pbsm.paper_io` charges its I/O from its length);
+  (:mod:`repro.io.paper_io` charges its I/O from its length);
 * :func:`partition_ids` — the same phase as CSR ``(offsets, ids)``, no
   per-record Python at all;
 * :func:`partition_plan` — per-record destinations for the

@@ -1,6 +1,5 @@
 """Partition Based Spatial-Merge Join (PBSM) and its paper improvements."""
 
-from repro.pbsm.dedup import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.join import DEDUP_MODES, PBSM
@@ -18,5 +17,4 @@ __all__ = [
     "lpt_schedule",
     "partition_csr",
     "partition_relation",
-    "sort_based_dedup",
 ]

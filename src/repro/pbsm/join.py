@@ -25,9 +25,8 @@ and validated otherwise) for the extent, the partitioning and every
 repartitioning step, and partition to plain int64 runs of row ids
 (:func:`~repro.kernels.assign.partition_runs`), which the recursion, the
 leaves and the pool fan-out carry as they are; the paper's page I/O for
-them is charged from their lengths (:mod:`repro.pbsm.paper_io`), and
-only ``dedup="sort"`` stages records through a paged file
-(:class:`~repro.pbsm.dedup.CandidateFile`).  The engine
+them is charged from their lengths (:mod:`repro.io.paper_io`), as is
+``dedup="sort"``'s list of candidate pairs.  The engine
 is only the kernel a leaf (:func:`~repro.pbsm.leaf.join_leaf`) runs: the
 *tuple* engine's :func:`~repro.pbsm.leaf.tuple_leaf` (any internal but
 ``sweep_numpy``; the paper's subject) over records gathered from the
@@ -65,17 +64,18 @@ from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import Ledger, SimulatedDisk
+from repro.io.paper_io import (
+    charge_filled_pages, charge_leaf, charge_partition, charge_write, sort_based_dedup,
+)
 from repro.kernels.assign import partition_memoized, partition_runs
 from repro.kernels.columnar import ColumnarRelation, checked_columns
 from repro.obs.trace import KIND_RUN, KIND_SECTION, KIND_TASK, NULL_TRACER
-from repro.pbsm.dedup import CandidateFile
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TILES_PER_PARTITION, TileGrid
 from repro.pbsm.leaf import Leaf, LeafOutcome, Region, columnar_engine, join_leaf
 from repro.pbsm.parallel import (
     EXECUTORS, clamp_workers, execute_process, fan_out_executor, lpt_schedule,
 )
-from repro.pbsm.paper_io import charge_leaf, charge_partition
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split, split_partition_ids
 
 DEDUP_MODES = ("rpm", "sort")
@@ -301,9 +301,11 @@ class PBSM:
                 )
 
             # --- candidate sink -------------------------------------------
-            candidates: Optional[CandidateFile] = None
+            # Written through a one-page buffer as the leaves report them.
+            candidates: Optional[List[Tuple[int, int]]] = None
+            result_bytes = self.cost_model.result_bytes
             if self.dedup == "sort":
-                candidates = CandidateFile(disk)
+                candidates = []
                 oids = _row_oids(columns, boxed=True)
 
             # --- phases 2+3: (re)partition & join --------------------------
@@ -331,7 +333,11 @@ class PBSM:
                         # The candidate-pair writes are part of the
                         # duplicate-removal overhead (Figure 3a).
                         with disk.phase(PHASE_DEDUP):
-                            candidates.write_many(PairRows(pairs, oids))
+                            held = len(candidates)
+                            candidates.extend(PairRows(pairs, oids))
+                            charge_filled_pages(
+                                disk, held, len(candidates) - held, result_bytes
+                            )
                 sp.add_counters(
                     {
                         "bytes_shipped": stats.ipc_bytes_shipped,
@@ -342,8 +348,14 @@ class PBSM:
             # --- phase 4: sort-based duplicate removal ---------------------
             if candidates is not None:
                 with ledger.phase(PHASE_DEDUP):
-                    unique, removed = candidates.sort_out(
-                        self.memory_bytes, cpu[PHASE_DEDUP]
+                    # The candidate file's last, partial page.
+                    per_page = self.cost_model.records_per_page(result_bytes)
+                    charge_write(
+                        disk, len(candidates) % per_page, result_bytes, buffer_pages=1
+                    )
+                    unique, removed = sort_based_dedup(
+                        disk, candidates, result_bytes, self.memory_bytes,
+                        cpu[PHASE_DEDUP],
                     )
                     stats.duplicates_sorted_out = removed
                 yield unique
@@ -464,7 +476,7 @@ class PBSM:
         included (zero-filled phases), except that with ``workers > 1``
         the join phase is the LPT makespan of the leaves on W workers,
         each leaf costing its two reads
-        (:func:`~repro.pbsm.paper_io.charge_leaf`) plus its CPU
+        (:func:`~repro.io.paper_io.charge_leaf`) plus its CPU
         counters.  The makespan mixes the leaves' reads and CPU; it
         counts as CPU."""
         ledger.charge()

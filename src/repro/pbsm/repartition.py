@@ -17,9 +17,9 @@ from typing import Any, List, Tuple
 from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.io.disk import SimulatedDisk
+from repro.io.paper_io import charge_split
 from repro.kernels.assign import partition_runs
 from repro.pbsm.grid import TileGrid
-from repro.pbsm.paper_io import charge_split
 
 #: Upper bound on the fan-out of one repartitioning step.
 MAX_SPLIT = 64
@@ -65,7 +65,7 @@ def split_partition_ids(
     ascending, so in the source's order (``(xl, position)`` for the
     columnar engine, ``position`` for the tuple engine) — mapped back to
     input positions, with nothing sorted.  The paper's I/O is charged
-    from the run lengths (:func:`~repro.pbsm.paper_io.charge_split`).
+    from the run lengths (:func:`~repro.io.paper_io.charge_split`).
     Returns the read-only sub-partition runs and the sub-grid (whose
     point map the composed RPM region test uses).
 

@@ -182,7 +182,6 @@ class S3J:
                     ),
                     self.max_level,
                     disk,
-                    "R",
                     self.io_buffer_pages,
                 )
                 files_right, n_right_written = build_level_files(
@@ -195,7 +194,6 @@ class S3J:
                     ),
                     self.max_level,
                     disk,
-                    "S",
                     self.io_buffer_pages,
                 )
                 stats.records_partitioned = n_left_written + n_right_written
@@ -203,16 +201,16 @@ class S3J:
                     stats.records_partitioned - len(left) - len(right)
                 )
                 stats.n_partitions = sum(
-                    1 for f in files_left + files_right if f.n_records
+                    1 for f in files_left + files_right if f
                 )
 
             # --- phase 2: sort level files by locational code ---------------
             with ledger.phase(PHASE_SORT):
                 files_left = sort_level_files(
-                    files_left, self.memory_bytes, cpu[PHASE_SORT]
+                    files_left, disk, self.memory_bytes, cpu[PHASE_SORT]
                 )
                 files_right = sort_level_files(
-                    files_right, self.memory_bytes, cpu[PHASE_SORT]
+                    files_right, disk, self.memory_bytes, cpu[PHASE_SORT]
                 )
 
             # --- phase 3: synchronized scan --------------------------------
@@ -224,6 +222,7 @@ class S3J:
                     files_right,
                     self.max_level,
                     self.decoder,
+                    disk,
                     join_cpu,
                     self.memory_bytes,
                     scan_stats,

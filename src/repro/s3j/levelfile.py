@@ -1,9 +1,10 @@
-"""S3J level files: one paged file per quadtree level per relation.
+"""S3J level files: one record list per quadtree level per relation.
 
 A level-file record is ``(code, kpe)``.  Its on-disk size is level
 dependent, as the paper points out: a locational code at level ``k`` needs
 ``2k`` bits on top of the 20-byte KPE (we round the code to whole bytes).
-Level 0 stores no code at all.
+Level 0 stores no code at all.  The files are plain lists; their page
+I/O is charged from their lengths (:mod:`repro.io.paper_io`).
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from typing import Iterable, List, Tuple
 from repro.core.rect import SIZEOF_KPE
 from repro.core.stats import CpuCounters
 from repro.io.disk import SimulatedDisk
-from repro.io.extsort import external_sort
-from repro.io.pagefile import PageFile
+from repro.io.paper_io import charge_write, sort_records
 
 
 def record_bytes_for_level(level: int) -> int:
@@ -28,9 +28,8 @@ def build_level_files(
     entries: Iterable[Tuple[int, int, Tuple]],
     max_level: int,
     disk: SimulatedDisk,
-    name_prefix: str,
     buffer_pages: int = 4,
-) -> Tuple[List[PageFile], int]:
+) -> Tuple[List[List[Tuple[int, Tuple]]], int]:
     """Write assignment entries into per-level files (partitioning phase).
 
     Returns ``(files, records_written)``.  There are only ``max_level + 1``
@@ -38,45 +37,33 @@ def build_level_files(
     can afford a multi-page output buffer — this is how S3J "almost avoids"
     random I/O (Section 5.1).
     """
-    files = [
-        PageFile(disk, record_bytes_for_level(level), f"{name_prefix}.L{level}")
-        for level in range(max_level + 1)
-    ]
-    writers = [f.writer(buffer_pages=buffer_pages) for f in files]
-    written = 0
+    files: List[List[Tuple[int, Tuple]]] = [[] for _ in range(max_level + 1)]
     for level, code, kpe in entries:
-        writers[level].write((code, kpe))
-        written += 1
-    for writer in writers:
-        writer.close()
-    return files, written
+        files[level].append((code, kpe))
+    for level, records in enumerate(files):
+        charge_write(disk, len(records), record_bytes_for_level(level), buffer_pages)
+    return files, sum(map(len, files))
 
 
 def sort_level_files(
-    files: List[PageFile],
+    files: List[List[Tuple[int, Tuple]]],
+    disk: SimulatedDisk,
     memory_bytes: int,
     counters: CpuCounters,
-) -> List[PageFile]:
+) -> List[List[Tuple[int, Tuple]]]:
     """Sorting phase: order every level file by locational code.
 
     Level 0 holds a single cell, so it needs no sorting (and is not even
     read); deeper files are sorted in memory when they fit — one read and
-    one write each, the paper's Table 3 bound — or externally otherwise.
+    one write each, the paper's Table 3 bound — or externally otherwise
+    (:func:`~repro.io.paper_io.sort_records`).
     """
-    sorted_files: List[PageFile] = [files[0]]
-    for level_file in files[1:]:
-        if level_file.n_records == 0:
-            sorted_files.append(level_file)
-            continue
-        sorted_files.append(
-            external_sort(
-                level_file,
-                key=_by_code,
-                memory_bytes=memory_bytes,
-                counters=counters,
-            )
+    return [files[0]] + [
+        sort_records(
+            disk, records, _by_code, record_bytes_for_level(level), memory_bytes, counters
         )
-    return sorted_files
+        for level, records in enumerate(files[1:], 1)
+    ]
 
 
 def _by_code(record: Tuple) -> int:

@@ -20,7 +20,8 @@ import heapq
 from typing import Callable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.core.stats import CpuCounters
-from repro.io.pagefile import PageFile
+from repro.io.disk import SimulatedDisk
+from repro.io.paper_io import charge_read
 from repro.s3j.levelfile import record_bytes_for_level
 from repro.sfc.locational import is_ancestor_code, preorder_key
 
@@ -41,26 +42,32 @@ class CellPartition(NamedTuple):
 
 
 def partition_stream(
-    level_file: PageFile,
+    level_file: List[Tuple[int, Tuple]],
     level: int,
     rel: int,
     decoder: Callable[[int, int], Tuple[int, int]],
+    disk: SimulatedDisk,
     buffer_pages: int = 4,
 ) -> Iterator[CellPartition]:
     """Group a sorted level file into per-cell partitions.
 
     Reading happens through a small multi-page buffer (each level file is
-    scanned strictly sequentially), charged to whatever disk phase is
-    current when the stream is consumed.
+    scanned strictly sequentially): each chunk is charged, one request,
+    to whatever disk phase is current when the stream reaches it.
     """
+    record_bytes = record_bytes_for_level(level)
+    per_chunk = buffer_pages * disk.cost.records_per_page(record_bytes)
     run_code: Optional[int] = None
     run: List = []
-    for code, kpe in level_file.iter_records(buffer_pages=buffer_pages):
-        if code != run_code and run:
-            yield _make_partition(level, run_code, run, rel, decoder)
-            run = []
-        run_code = code
-        run.append(kpe)
+    for start in range(0, len(level_file), per_chunk):
+        chunk = level_file[start : start + per_chunk]
+        charge_read(disk, len(chunk), record_bytes)
+        for code, kpe in chunk:
+            if code != run_code and run:
+                yield _make_partition(level, run_code, run, rel, decoder)
+                run = []
+            run_code = code
+            run.append(kpe)
     if run:
         yield _make_partition(level, run_code, run, rel, decoder)
 
@@ -91,10 +98,11 @@ class ScanStats:
 
 
 def scan_pairs(
-    files_left: List[PageFile],
-    files_right: List[PageFile],
+    files_left: List[List[Tuple[int, Tuple]]],
+    files_right: List[List[Tuple[int, Tuple]]],
     max_level: int,
     decoder: Callable[[int, int], Tuple[int, int]],
+    disk: SimulatedDisk,
     counters: CpuCounters,
     memory_bytes: int,
     scan_stats: ScanStats,
@@ -108,10 +116,10 @@ def scan_pairs(
     streams: List[Iterator[CellPartition]] = []
     for rel, files in ((0, files_left), (1, files_right)):
         for level in range(max_level + 1):
-            if files[level].n_records:
+            if files[level]:
                 streams.append(
                     partition_stream(
-                        files[level], level, rel, decoder, buffer_pages
+                        files[level], level, rel, decoder, disk, buffer_pages
                     )
                 )
 

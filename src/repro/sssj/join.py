@@ -26,7 +26,7 @@ from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import Ledger, SimulatedDisk
 from repro.io.extsort import BY_XL, XlSorted, sort_in_memory
-from repro.io.pagefile import PageFile
+from repro.io.paper_io import charge_read, charge_write
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 
 
@@ -108,29 +108,20 @@ class SSSJ:
         if len(records) <= memory_records:
             return XlSorted(sort_in_memory(list(records), BY_XL, counters))
         # run generation: input chunks are free to read, runs are written
-        runs: List[PageFile] = []
+        runs: List[List[Tuple]] = []
         for start in range(0, len(records), memory_records):
-            chunk = sort_in_memory(
+            run = sort_in_memory(
                 list(records[start : start + memory_records]), BY_XL, counters
             )
-            run = PageFile(disk, cost.kpe_bytes, f"sssj.run{len(runs)}")
-            run.append_bulk(chunk)
+            charge_write(disk, len(run), cost.kpe_bytes)
             runs.append(run)
-        # single merge pass with one page buffer per run
-        merged: List[Tuple] = XlSorted()
-        heap = []
-        iters = [run.iter_records(buffer_pages=1) for run in runs]
-        for idx, it in enumerate(iters):
-            first = next(it, None)
-            if first is not None:
-                heapq.heappush(heap, (first[1], first[0], idx, first))
-                counters.heap_ops += 1
-        while heap:
-            _, _, idx, record = heapq.heappop(heap)
-            counters.heap_ops += 1
-            merged.append(record)
-            nxt = next(iters[idx], None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[1], nxt[0], idx, nxt))
-                counters.heap_ops += 1
-        return merged
+        # single merge pass with one page buffer per run; ties on xl go
+        # to the smaller oid, then to the earlier run
+        for run in runs:
+            charge_read(disk, len(run), cost.kpe_bytes, buffer_pages=1)
+        counters.heap_ops += 2 * len(records)
+        return XlSorted(heapq.merge(*runs, key=_by_xl_oid))
+
+
+def _by_xl_oid(record: Tuple) -> Tuple:
+    return record[1], record[0]

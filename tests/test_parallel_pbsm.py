@@ -10,8 +10,10 @@ from repro.core.stats import CpuCounters
 from repro.internal import brute_force_pairs
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
+from repro.io.paper_io import charge_partition
+from repro.kernels.assign import partition_runs
 from repro.kernels.shm import shm_enabled
-from repro.pbsm import PBSM, TileGrid, partition_relation
+from repro.pbsm import PBSM, TileGrid
 from repro.pbsm.parallel import lpt_schedule
 
 from tests.conftest import random_kpes
@@ -134,16 +136,16 @@ class TestParallelPBSM:
         grid = TileGrid.for_partitions(
             Space.of(left, right), par.stats.n_partitions, 4
         )
-        files = [
-            partition_relation(
-                rel, grid, disk, cost.kpe_bytes, CpuCounters(), emit="ids"
-            )[0]
-            for rel in (left, right)
-        ]
+        sides = []
+        for rel in (left, right):
+            runs = partition_runs(rel, grid, CpuCounters())
+            charge_partition(disk, runs, cost.kpe_bytes)
+            sides.append(runs)
         assert par.stats.io_pages_by_phase[PHASE_JOIN] == sum(
-            fl.n_pages + fr.n_pages
-            for fl, fr in zip(*files)
-            if fl.n_records and fr.n_records
+            cost.pages_for(len(rl), cost.kpe_bytes)
+            + cost.pages_for(len(rr), cost.kpe_bytes)
+            for rl, rr in zip(*sides)
+            if len(rl) and len(rr)
         )
         assert par.stats.io_pages_by_phase[PHASE_PARTITION] == sum(
             disk.pages_by_phase().values()

@@ -3,9 +3,9 @@
 The driver partitions with one kernel
 (:func:`~repro.kernels.assign.partition_runs`: every partition's id run)
 and charges the paper's writes from the run lengths
-(:func:`~repro.pbsm.paper_io.charge_partition`); the per-record loop it
+(:func:`~repro.io.paper_io.charge_partition`); the per-record loop it
 replaced is :func:`scalar_partition_ids` here, spelt with
-``partitions_for_rect`` and one one-page ``PageWriter`` per partition.
+``partitions_for_rect`` and one one-page output buffer per partition.
 Everything the rest of the engine can observe must be equal between the
 two: the ids of every partition, ``records_written``, the charged
 ``structure_ops`` and every ``SimulatedDisk`` request/page counter —
@@ -27,13 +27,12 @@ from repro.datasets.fileio import load_relation, save_relation
 from repro.datasets.synthetic import zipf_rects
 from repro.io.costmodel import CostModel, mb
 from repro.io.disk import SimulatedDisk
-from repro.io.pagefile import PageFile
+from repro.io.paper_io import charge_partition
 from repro.kernels.assign import partition_runs
 from repro.kernels.shm import shm_enabled
 from repro.pbsm.grid import TileGrid
 from repro.pbsm import parallel
 from repro.pbsm.join import PBSM
-from repro.pbsm.paper_io import charge_partition
 from repro.pbsm.parallel import _chunk_tasks
 
 from tests.conftest import HASH_ID, random_kpes
@@ -47,19 +46,23 @@ UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
 
 def scalar_partition_ids(kpes, grid, disk, record_bytes, counters):
-    """The per-record loop: every row id into every partition it overlaps."""
-    files = [PageFile(disk, record_bytes) for _ in range(grid.n_partitions)]
-    writers = [file.writer(buffer_pages=1) for file in files]
+    """The per-record loop: every row id into every partition it overlaps,
+    each partition written through its own one-page buffer."""
+    per_page = disk.cost.records_per_page(record_bytes)
+    files = [[] for _ in range(grid.n_partitions)]
     written = 0
     for i, kpe in enumerate(kpes):
         pids = grid.partitions_for_rect(kpe)
         counters.structure_ops += len(pids) + 1
         for pid in pids:
-            writers[pid].write(i)
+            files[pid].append(i)
+            if len(files[pid]) % per_page == 0:  # a full page is flushed
+                disk.charge_write(1, requests=1)
         written += len(pids)
-    for writer in writers:
-        writer.close()
-    return [file.records for file in files], written
+    for ids in files:
+        if len(ids) % per_page:  # the last, partial page
+            disk.charge_write(1, requests=1)
+    return files, written
 
 
 def partition_ids_observed(kpes, grid, *, scalar):

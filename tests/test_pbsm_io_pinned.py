@@ -2,7 +2,7 @@
 
 The paper prices PBSM in ``PT + n`` page I/O (Sec. 3.1, Fig. 3a).  The
 driver charges it from the lengths of its id runs
-(:mod:`repro.pbsm.paper_io`); ``pbsm_io_pinned.json`` holds
+(:mod:`repro.io.paper_io`); ``pbsm_io_pinned.json`` holds
 ``io_units_by_phase`` (requests at ``PT`` plus pages) and
 ``io_pages_by_phase`` (pages alone) as recorded on the commit before
 the partitions stopped being ``PageFile`` objects, when every charge

@@ -1,5 +1,7 @@
 """Unit tests for PBSM's estimator, partitioner, repartitioning and dedup."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from repro.core.space import Space
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
-from repro.io.pagefile import PageFile
-from repro.pbsm.dedup import sort_based_dedup
+from repro.io.paper_io import sort_based_dedup
 from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TileGrid
 from repro.pbsm.partitioner import partition_relation
@@ -17,7 +18,7 @@ from repro.kernels.columnar import ColumnarRelation
 from repro.pbsm.repartition import choose_split, split_partition_ids
 
 from tests.conftest import random_kpes
-from tests.test_lint import REPO_ROOT, imported_modules
+from tests.test_lint import REPO_ROOT
 
 UNIT = Space(0.0, 0.0, 1.0, 1.0)
 
@@ -60,7 +61,7 @@ class TestPartitioner:
     def test_every_record_lands_somewhere(self):
         kpes = random_kpes(100, 1, max_edge=0.05)
         files, written, grid, _, _ = self._partition(kpes)
-        assert sum(f.n_records for f in files) == written
+        assert sum(len(f.records) for f in files) == written
         assert written >= len(kpes)
         stored = {k[0] for f in files for k in f.records}
         assert stored == {k.oid for k in kpes}
@@ -70,7 +71,7 @@ class TestPartitioner:
         kpes = [KPE(1, 0.0, 0.0, 1.0, 1.0)]
         files, written, _, _, _ = self._partition(kpes, n_partitions=4)
         assert written == 4
-        assert all(f.n_records == 1 for f in files)
+        assert all(len(f.records) == 1 for f in files)
 
     def test_writes_charged(self):
         kpes = random_kpes(200, 2)
@@ -87,7 +88,7 @@ class TestPartitioner:
         kpes = [KPE(7, 0.1, 0.1, 0.15, 0.15)]
         files, _, grid, _, _ = self._partition(kpes)
         expected = grid.partitions_for_rect(kpes[0])
-        holders = {pid for pid, f in enumerate(files) if f.n_records}
+        holders = {pid for pid, f in enumerate(files) if f.records}
         assert holders == expected
 
 
@@ -157,48 +158,41 @@ class TestSplitPartitionIds:
 class TestSortBasedDedup:
     def test_removes_cross_partition_duplicates(self):
         disk = SimulatedDisk(CostModel(page_size=100))
-        f = PageFile(disk, 8, "cands")
-        f.records.extend([(1, 2), (3, 4), (1, 2), (1, 2), (5, 6)])
-        unique, removed = sort_based_dedup(f, 10_000, CpuCounters())
+        candidates = [(1, 2), (3, 4), (1, 2), (1, 2), (5, 6)]
+        unique, removed = sort_based_dedup(disk, candidates, 8, 10_000, CpuCounters())
         assert sorted(unique) == [(1, 2), (3, 4), (5, 6)]
         assert removed == 2
 
     def test_empty(self):
         disk = SimulatedDisk()
-        f = PageFile(disk, 8, "cands")
-        unique, removed = sort_based_dedup(f, 1000, CpuCounters())
+        unique, removed = sort_based_dedup(disk, [], 8, 1000, CpuCounters())
         assert unique == [] and removed == 0
 
     def test_charges_sort_io(self):
         disk = SimulatedDisk(CostModel(page_size=100))
-        f = PageFile(disk, 8, "cands")
-        f.records.extend((i, i) for i in range(500))
-        disk.counters.clear()
-        sort_based_dedup(f, 300, CpuCounters())
+        candidates = [(i, i) for i in range(500)]
+        sort_based_dedup(disk, candidates, 8, 300, CpuCounters())
         assert disk.total_units() > 0
 
 
 class TestPaperIoBoundary:
-    """The engine's PBSM modules carry id arrays: no paged file, no
-    external sort, and one module that knows the paper's charges."""
+    """The drivers keep records in lists and id arrays: no paged file
+    but the frozen replay's, and one module that knows the paper's
+    charges."""
 
-    PBSM_DIR = REPO_ROOT / "src/repro/pbsm"
-    PAGED = ("repro.io.pagefile", "repro.io.extsort")
+    SRC = REPO_ROOT / "src/repro"
 
-    def test_only_the_sort_mode_and_the_replay_import_paged_files(self):
-        importers = {
-            path.name
-            for path in self.PBSM_DIR.glob("*.py")
-            if any(module in self.PAGED for module in imported_modules(path))
+    def _files_matching(self, pattern):
+        return {
+            path.relative_to(self.SRC).as_posix()
+            for path in self.SRC.rglob("*.py")
+            if re.search(pattern, path.read_text(encoding="utf-8"))
         }
-        assert importers <= {"dedup.py", "partitioner.py"}
-        for name in ("join.py", "leaf.py", "repartition.py", "parallel.py"):
-            assert name not in importers, name
+
+    def test_only_the_replay_keeps_paged_files(self):
+        assert self._files_matching(r"\bPage(File|Writer)\b") == {"pbsm/partitioner.py"}
 
     def test_only_paper_io_charges_the_disk(self):
-        chargers = {
-            path.name
-            for path in self.PBSM_DIR.glob("*.py")
-            if "charge_read(" in path.read_text() or "charge_write(" in path.read_text()
-        }
-        assert chargers == {"paper_io.py"}
+        # The R-tree join charges index node pages, not record files.
+        chargers = self._files_matching(r"\.charge_(read|write)\(")
+        assert chargers == {"io/paper_io.py", "rtree/join.py"}

@@ -112,34 +112,32 @@ class TestLevelFiles:
     def test_build_level_files_routing(self):
         disk = SimulatedDisk(CostModel(page_size=200))
         entries = [(0, 0, KPE(1, 0, 0, 1, 1)), (2, 9, KPE(2, 0, 0, 0.1, 0.1))]
-        files, written = build_level_files(entries, 4, disk, "T")
+        files, written = build_level_files(entries, 4, disk)
         assert written == 2
-        assert files[0].n_records == 1
-        assert files[2].n_records == 1
-        assert files[1].n_records == 0
+        assert [len(f) for f in files] == [1, 0, 1, 0, 0]
 
     def test_build_charges_writes(self):
         disk = SimulatedDisk(CostModel(page_size=200))
         kpes = random_kpes(100, 4)
         entries = assign_replicated(kpes, UNIT, 6, Z, CpuCounters())
-        build_level_files(entries, 6, disk, "T")
+        build_level_files(entries, 6, disk)
         assert disk.total_counters().pages_written > 0
 
     def test_sort_level_files_orders_by_code(self):
         disk = SimulatedDisk(CostModel(page_size=200))
         kpes = random_kpes(200, 5)
         entries = assign_replicated(kpes, UNIT, 6, Z, CpuCounters())
-        files, _ = build_level_files(entries, 6, disk, "T")
-        sorted_files = sort_level_files(files, 100_000, CpuCounters())
+        files, _ = build_level_files(entries, 6, disk)
+        sorted_files = sort_level_files(files, disk, 100_000, CpuCounters())
         for f in sorted_files[1:]:
-            codes = [rec[0] for rec in f.records]
+            codes = [rec[0] for rec in f]
             assert codes == sorted(codes)
 
     def test_level_zero_not_resorted(self):
         disk = SimulatedDisk(CostModel(page_size=200))
         entries = [(0, 0, KPE(i, 0.4, 0.4, 0.6, 0.6)) for i in range(20)]
-        files, _ = build_level_files(entries, 3, disk, "T")
+        files, _ = build_level_files(entries, 3, disk)
         disk.counters.clear()
-        sorted_files = sort_level_files(files, 100_000, CpuCounters())
+        sorted_files = sort_level_files(files, disk, 100_000, CpuCounters())
         assert sorted_files[0] is files[0]
         assert disk.total_units() == 0.0

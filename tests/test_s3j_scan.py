@@ -18,45 +18,36 @@ Z_DEC = curve_decoder("peano")
 MAX_LEVEL = 6
 
 
-def make_sorted_files(kpes, prefix, disk):
+def make_sorted_files(kpes, disk):
     entries = assign_replicated(kpes, UNIT, MAX_LEVEL, Z_ENC, CpuCounters())
-    files, _ = build_level_files(entries, MAX_LEVEL, disk, prefix)
-    return sort_level_files(files, 1_000_000, CpuCounters())
+    files, _ = build_level_files(entries, MAX_LEVEL, disk)
+    return sort_level_files(files, disk, 1_000_000, CpuCounters())
 
 
 class TestPartitionStream:
     def test_groups_by_code(self):
         disk = SimulatedDisk(CostModel(page_size=200))
-        from repro.io.pagefile import PageFile
-
-        f = PageFile(disk, 24, "L2")
         a, b, c = (
             KPE(1, 0, 0, 0.1, 0.1),
             KPE(2, 0, 0, 0.1, 0.1),
             KPE(3, 0.9, 0.9, 1, 1),
         )
-        f.records.extend([(5, a), (5, b), (9, c)])
-        parts = list(partition_stream(f, 2, rel=0, decoder=Z_DEC))
+        level_file = [(5, a), (5, b), (9, c)]
+        parts = list(partition_stream(level_file, 2, rel=0, decoder=Z_DEC, disk=disk))
         assert [(p.code, len(p.kpes)) for p in parts] == [(5, 2), (9, 1)]
         assert parts[0].level == 2
         assert parts[0].rel == 0
 
     def test_decodes_cell_coordinates(self):
         disk = SimulatedDisk(CostModel(page_size=200))
-        from repro.io.pagefile import PageFile
-
-        f = PageFile(disk, 24, "L1")
-        f.records.append((3, KPE(1, 0.6, 0.6, 0.9, 0.9)))
-        (part,) = partition_stream(f, 1, 0, Z_DEC)
+        level_file = [(3, KPE(1, 0.6, 0.6, 0.9, 0.9))]
+        (part,) = partition_stream(level_file, 1, 0, Z_DEC, disk)
         assert (part.ix, part.iy) == Z_DEC(3, 1)
 
     def test_level0_cell_is_origin(self):
         disk = SimulatedDisk(CostModel(page_size=200))
-        from repro.io.pagefile import PageFile
-
-        f = PageFile(disk, 20, "L0")
-        f.records.append((0, KPE(1, 0, 0, 1, 1)))
-        (part,) = partition_stream(f, 0, 1, Z_DEC)
+        level_file = [(0, KPE(1, 0, 0, 1, 1))]
+        (part,) = partition_stream(level_file, 0, 1, Z_DEC, disk)
         assert (part.ix, part.iy) == (0, 0)
         assert part.bytes == 20
 
@@ -64,13 +55,13 @@ class TestPartitionStream:
 class TestScanPairs:
     def _scan(self, left_kpes, right_kpes, memory=1_000_000):
         disk = SimulatedDisk(CostModel(page_size=200))
-        files_left = make_sorted_files(left_kpes, "R", disk)
-        files_right = make_sorted_files(right_kpes, "S", disk)
+        files_left = make_sorted_files(left_kpes, disk)
+        files_right = make_sorted_files(right_kpes, disk)
         counters = CpuCounters()
         stats = ScanStats()
         pairs = list(
             scan_pairs(
-                files_left, files_right, MAX_LEVEL, Z_DEC, counters, memory, stats
+                files_left, files_right, MAX_LEVEL, Z_DEC, disk, counters, memory, stats
             )
         )
         return pairs, counters, stats

@@ -615,6 +615,11 @@ def run_ablation_parallel() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Planner: method="auto" vs every fixed method
 # ----------------------------------------------------------------------
+#: Plannings timed per side of the planner sweep's ``plan_ms`` and
+#: ``replan_ms`` cells.
+PLAN_TIMINGS = 3
+
+
 def run_planner_sweep(
     n: int = 2000, fractions=PLANNER_MEMORY_FRACTIONS
 ) -> ExperimentResult:
@@ -622,8 +627,11 @@ def run_planner_sweep(
 
     The Fig. 4/12-style grid (dataset shape x memory budget) on which no
     fixed plan wins everywhere; ``method="auto"`` must track the best
-    fixed method within 1.25x on every point, and the second planning of
-    each workload must come from the plan cache in ~zero time.
+    fixed method within 1.25x on every point, and planning a workload
+    again must come from the plan cache in ~zero time.  ``plan_ms`` is
+    the best of :data:`PLAN_TIMINGS` fresh plannings (the cache bypassed
+    after the first), ``replan_ms`` the best of as many cache hits: one
+    call's wall time can take a collector pause.
     """
     from repro import JOIN_METHODS, spatial_join
     from repro.planner import PlannerCache, plan_join
@@ -635,10 +643,15 @@ def run_planner_sweep(
     rows = []
     for label, left, right, memory in planner_sweep(n, fractions):
         plan = plan_join(left, right, memory, cache=cache)
-        cold_ms = plan.planning_seconds * 1e3
+        cold = [plan] + [
+            plan_join(left, right, memory) for _ in range(PLAN_TIMINGS - 1)
+        ]
         auto_sec = plan.execute(left, right).stats.sim_seconds
-        replanned = plan_join(left, right, memory, cache=cache)
-        warm_ms = replanned.planning_seconds * 1e3
+        warm = [
+            plan_join(left, right, memory, cache=cache) for _ in range(PLAN_TIMINGS)
+        ]
+        cold_ms = min(p.planning_seconds for p in cold) * 1e3
+        warm_ms = min(p.planning_seconds for p in warm) * 1e3
         fixed = {
             method: spatial_join(
                 left, right, memory, method=method, **pinned.get(method, {})
@@ -657,7 +670,7 @@ def run_planner_sweep(
                 round(auto_sec / best_sec, 3) if best_sec else 1.0,
                 round(cold_ms, 2),
                 round(warm_ms, 3),
-                int(replanned.from_cache),
+                int(all(p.from_cache for p in warm)),
             )
         )
     return ExperimentResult(
@@ -677,7 +690,8 @@ def run_planner_sweep(
         rows=rows,
         notes=[
             "fixed baselines run each method with its default knobs",
-            "replan_ms is the second plan_join over the same inputs/budget",
+            f"plan_ms: best of {PLAN_TIMINGS} fresh plannings; replan_ms: "
+            f"best of {PLAN_TIMINGS} plan-cache hits",
         ],
         paper_claim=(
             "no single configuration wins across dataset shape and memory "

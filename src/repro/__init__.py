@@ -42,6 +42,7 @@ from repro.io import CostModel, SimulatedDisk, mb
 from repro.kernels.columnar import ColumnarRelation
 from repro.obs import KIND_SECTION, MetricsRegistry, NULL_TRACER, Tracer
 from repro.planner import JoinPlan, PlannerCache, plan_join
+from repro.planner.plan import JOIN_DRIVERS
 from repro.rtree import RTree, RTreeJoin
 from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
@@ -50,7 +51,7 @@ from repro.sssj import SSSJ
 __version__ = "1.0.0"
 
 #: Fixed join method registry for :func:`spatial_join`.
-JOIN_METHODS = ("pbsm", "s3j", "sssj", "shj", "rtree")
+JOIN_METHODS = tuple(JOIN_DRIVERS)
 
 #: Everything :func:`spatial_join` accepts, including the planner.
 SPATIAL_JOIN_METHODS = JOIN_METHODS + ("auto",)
@@ -139,14 +140,14 @@ def spatial_join(
     -------
     JoinResult
         All ``(left_oid, right_oid)`` pairs whose MBRs intersect, each
-        exactly once, plus execution statistics.  A PBSM result under
-        the Reference Point Method (the default, and every ``workers``
-        run) keeps two int64 arrays:
-        ``len(result)`` and ``result.to_arrays()`` box nothing, and
-        ``result.pairs`` is a read-only sequence that builds the tuples
-        only while it is iterated — not a ``list`` (no ``append``; use
-        ``list(result.pairs)`` for one).  Other methods and
-        ``dedup="sort"`` return a ``list``.
+        exactly once, plus execution statistics.  Every method keeps
+        them as two int64 arrays (PBSM's row positions into the inputs,
+        the other methods' oids): ``len(result)`` boxes nothing,
+        ``result.pairs.oid_chunks(size)`` gathers the oids as two int64
+        arrays ``size`` pairs at a time, and ``result.pairs`` is a
+        read-only sequence that builds the tuples only while it is
+        iterated — not a ``list`` (no ``append``; use
+        ``list(result.pairs)`` for one).
         ``stats.total_wall_seconds`` covers this whole call (planning
         included; ``stats.planning_seconds`` isolates the planner's
         share).  For ``method="auto"`` the chosen
@@ -165,11 +166,7 @@ def spatial_join(
                     f"workers= requires method='pbsm' or 'auto', got method={method!r}"
                 )
             kwargs["workers"] = workers
-        if method == "pbsm":
-            # Columns all the way (docs/kernels.md).
-            kwargs.setdefault("internal", "sweep_numpy")
-            result = PBSM(memory_bytes, tracer=tracer, **kwargs).run(left, right)
-        elif method == "auto":
+        if method == "auto":
             from repro.planner.cache import DEFAULT_CACHE
 
             kwargs.setdefault("cache", DEFAULT_CACHE)
@@ -181,17 +178,9 @@ def spatial_join(
             result = plan.execute(left, right, tracer=tracer)
             result.plan = plan
             result.stats.planning_seconds = plan.planning_seconds
-        elif method == "s3j":
-            result = S3J(memory_bytes, tracer=tracer, **kwargs).run(left, right)
-        elif method == "sssj":
-            result = SSSJ(memory_bytes, tracer=tracer, **kwargs).run(left, right)
-        elif method == "shj":
-            result = SpatialHashJoin(memory_bytes, tracer=tracer, **kwargs).run(
-                left, right
-            )
-        elif method == "rtree":
-            # The index join has no memory knob; its budget is the buffer.
-            result = RTreeJoin(tracer=tracer, **kwargs).run(left, right)
+        elif method in JOIN_DRIVERS:
+            driver = JOIN_DRIVERS[method](memory_bytes, tracer=tracer, **kwargs)
+            result = driver.run(left, right)
         else:
             raise ValueError(
                 f"unknown method {method!r}; choose from {SPATIAL_JOIN_METHODS}"

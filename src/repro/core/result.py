@@ -17,7 +17,6 @@ from typing import (
     Dict,
     Iterable,
     Iterator,
-    List,
     NamedTuple,
     Optional,
     Tuple,
@@ -137,11 +136,16 @@ class JoinStats:
 
 
 def pair_columns(pairs: Iterable[Tuple[int, int]]) -> Tuple[Any, Any]:
-    """Pairs unboxed into ``(left_oids, right_oids)``, two int64 arrays."""
+    """Pairs unboxed into ``(left_oids, right_oids)``, two int64 arrays.
+
+    Raises ``ValueError`` unless every item holds two oids and none is
+    an array: a result's two oid columns are no pairs, whatever their
+    length (:meth:`PairRows.of_oids` reads those)."""
     rows = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-    table = np.fromiter(
-        chain.from_iterable(rows), dtype=np.int64, count=2 * len(rows)
-    ).reshape(-1, 2)
+    if set(map(len, rows)) - {2} or (rows and isinstance(rows[0], np.ndarray)):
+        raise ValueError("expected (left_oid, right_oid) pairs, not oid columns")
+    oids = chain.from_iterable(rows)
+    table = np.fromiter(oids, dtype=np.int64, count=2 * len(rows)).reshape(-1, 2)
     return table[:, 0], table[:, 1]
 
 
@@ -153,7 +157,7 @@ DECODE_CHUNK = 16_384
 class RowOids(NamedTuple):
     """One input's oids, indexed by row position."""
 
-    #: the int64 oid column (what ``to_arrays`` gathers from)
+    #: the int64 oid column (what :meth:`PairRows.oid_chunks` gathers from)
     column: Any
     #: the oid objects in row order, an object array: a list input's own
     #: (its tuples hold the very same ones); ``None`` for an input without
@@ -184,9 +188,10 @@ class PairRows(Sequence):
     Iteration decodes :data:`DECODE_CHUNK` pairs at a time into one
     ``zip`` each, so ``for l, r in pairs`` allocates no tuple per pair:
     ``zip`` reuses its result tuple once the loop has dropped it.  An
-    input without oid objects has its column boxed once per iteration
-    (:func:`oid_objects`), and the boxes go when the iteration does;
-    indexing reads the column without boxing it.
+    input without oid objects whose rows can repeat across pairs (its
+    column shorter than the pairs) has its column boxed once per
+    iteration (:func:`oid_objects`), and the boxes go when the iteration
+    does; any other column, and indexing, is read a chunk at a time.
     """
 
     __slots__ = ("_arrays", "_sides")
@@ -195,17 +200,18 @@ class PairRows(Sequence):
         self._arrays = arrays
         self._sides = sides
 
+    @classmethod
+    def of_oids(cls, left: Any, right: Any) -> "PairRows":
+        """Pairs held as their two int64 oid arrays: both read through
+        one shared ``arange`` of row positions."""
+        rows = np.arange(len(left))
+        return cls((rows, rows), (RowOids(left), RowOids(right)))
+
     @property
     def columns(self) -> Tuple[Any, Any]:
         """Each input's int64 oid column: what the pairs' oids are
         gathered from."""
         return self._sides[0].column, self._sides[1].column
-
-    def oids(self) -> Tuple[Any, Any]:
-        """The pairs as two int64 oid arrays, gathered from the oid
-        columns."""
-        left, right = self.columns
-        return left[self._arrays[0]], right[self._arrays[1]]
 
     def oid_chunks(self, size: int) -> Iterator[Tuple[Any, Any]]:
         """The pairs' oids in order, *size* pairs at a time: two int64
@@ -220,8 +226,8 @@ class PairRows(Sequence):
         self, index: slice, through: Optional[Tuple[Any, Any]] = None
     ) -> Iterator[Tuple[Any, Any]]:
         """Pairs *index* as oid tuples, row positions looked up in
-        *through* (each side's :func:`oid_objects`), or else in each
-        side's oid objects or column."""
+        *through* (each side's :func:`oid_objects` or column), or else in
+        each side's oid objects or column."""
         left, right = through or [
             side.column if side.objects is None else side.objects
             for side in self._sides
@@ -233,7 +239,14 @@ class PairRows(Sequence):
         return len(self._arrays[0])
 
     def __iter__(self) -> Iterator[Tuple[Any, Any]]:
-        through = (oid_objects(self._sides[0]), oid_objects(self._sides[1]))
+        # Boxing a column whole saves boxes only where pairs repeat its
+        # rows; an :meth:`of_oids` column has one row a pair.
+        through = tuple(
+            side.column
+            if side.objects is None and len(side.column) >= len(self)
+            else oid_objects(side)
+            for side in self._sides
+        )
         return chain.from_iterable(
             self._decode(slice(lo, lo + DECODE_CHUNK), through)
             for lo in range(0, len(self), DECODE_CHUNK)
@@ -264,26 +277,27 @@ class JoinResult:
     intersecting *records* (including an object with itself), because the
     filter step operates purely on KPEs.
 
-    A result is backed by one of two forms.  The paper's engines (S3J,
-    SSSJ, SHJ, the R-tree join) and PBSM's ``dedup="sort"`` hand their
-    ``list`` of tuples to the constructor, and ``pairs`` is that list.
-    PBSM under the Reference Point Method, at any worker count, keeps
-    the leaves' int64 row positions (:meth:`from_arrays`).  No tuple of
-    those exists until a caller iterates ``pairs``: a read-only
-    :class:`PairRows` that decodes them chunk by chunk, every time it is
-    read.  ``len(result)`` and :meth:`to_arrays` read the buffers.  Such
-    ``pairs`` is not a ``list`` — no ``append`` or ``sort``
-    (``sorted(result.pairs)`` and ``list(result.pairs)`` work), and two
-    reads need not return the same object.
-    A row-backed result keeps each input's int64 oid column (and a list
-    input's oid object array, 8 B a row each) alive for as long as it
-    lives; boxes a columnar input's oids need live only while ``pairs``
-    is iterated.
+    Every result is backed by two equally long int64 arrays, read
+    through a :class:`PairRows`.  PBSM, under either duplicate removal
+    and at any worker count, keeps the leaves' row positions
+    (:meth:`from_arrays`); the paper's other engines (S3J, SSSJ, SHJ,
+    the R-tree join) hand their pairs to the constructor, which unboxes
+    them once into two oid arrays (:meth:`PairRows.of_oids`).  No tuple
+    exists until a caller iterates ``pairs``: a read-only sequence that
+    decodes them chunk by chunk, every time it is read.  ``len(result)``
+    and ``pairs.oid_chunks`` read the buffers.  ``pairs`` is not a ``list``
+    — no ``append`` or ``sort`` (``sorted(result.pairs)`` and
+    ``list(result.pairs)`` work), and two reads need not return the same
+    object.  A PBSM result keeps each input's int64 oid column
+    (and a list input's oid object array, 8 B a row each) alive for as
+    long as it lives; boxes a columnar input's oids need live only while
+    ``pairs`` is iterated, and an unboxed result's only a chunk at a time.
     """
 
-    def __init__(self, pairs: List[Tuple[int, int]], stats: JoinStats) -> None:
-        self._pairs: Optional[List[Tuple[int, int]]] = pairs
-        self._oids: Optional[PairRows] = None
+    def __init__(self, pairs: Iterable[Tuple[int, int]], stats: JoinStats) -> None:
+        self._rows = (
+            pairs if isinstance(pairs, PairRows) else PairRows.of_oids(*pair_columns(pairs))
+        )
         self.stats = stats
 
     @classmethod
@@ -296,28 +310,11 @@ class JoinResult:
     ) -> "JoinResult":
         """A result backed by two equally long int64 arrays of row
         positions, decoded through *sides*."""
-        result = cls([], stats)
-        result._pairs = None
-        result._oids = PairRows((left, right), sides)
-        return result
+        return cls(PairRows((left, right), sides), stats)
 
     @property
-    def pairs(self) -> Sequence[Tuple[int, int]]:
-        if self._oids is not None:
-            return self._oids
-        assert self._pairs is not None
-        return self._pairs
-
-    def to_arrays(self) -> Tuple[Any, Any]:
-        """The result as ``(left_oids, right_oids)``, two int64 arrays.
-
-        Gathered from the inputs' oid columns when the result holds row
-        positions; otherwise unboxed from the pair list on every call
-        (:func:`pair_columns`).
-        """
-        if self._oids is not None:
-            return self._oids.oids()
-        return pair_columns(self.pairs)
+    def pairs(self) -> PairRows:
+        return self._rows
 
     def pair_set(self) -> set:
         """The result as a set — the canonical comparison form in tests."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable, List, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
-from repro.io.extsort import ensure_sorted_by_xl
+from repro.io.paper_io import ensure_sorted_by_xl
 
 
 def sweep_list_join(

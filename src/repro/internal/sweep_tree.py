@@ -17,7 +17,7 @@ from bisect import insort
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
-from repro.io.extsort import ensure_sorted_by_xl
+from repro.io.paper_io import ensure_sorted_by_xl
 
 _MAX_DEPTH = 20
 

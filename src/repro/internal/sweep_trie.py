@@ -15,7 +15,7 @@ from typing import Callable, Sequence, Tuple
 
 from repro.core.stats import CpuCounters
 from repro.internal.interval_trie import DEFAULT_MAX_DEPTH, IntervalTrie
-from repro.io.extsort import ensure_sorted_by_xl
+from repro.io.paper_io import ensure_sorted_by_xl
 
 
 def sweep_trie_join(

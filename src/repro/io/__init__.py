@@ -10,7 +10,7 @@ what the paper's files of them would cost, from their record counts.
 
 from repro.io.costmodel import CostModel, DEFAULT_COST_MODEL, mb
 from repro.io.disk import IoCounters, SimulatedDisk
-from repro.io.extsort import sort_in_memory
+from repro.io.paper_io import sort_in_memory
 from repro.io.rcd import (
     RCD_MAGIC,
     RCD_VERSION,

@@ -1,4 +1,4 @@
-"""The paper's page I/O, charged from record counts.
+"""The paper's page I/O and sorts, charged from record counts.
 
 The paper prices every algorithm in ``PT + n`` page transfers (Sec. 2):
 PBSM's partitions and its sort-based duplicate removal (Sec. 3.1,
@@ -9,16 +9,64 @@ what a file costs on the paper's disk depends only on how many records
 it holds and how they are buffered.  This module is the one place that
 knows those charges; the run's :class:`~repro.io.disk.SimulatedDisk` is
 only the ledger, per phase, that the spans snapshot.
+
+Sorts in memory are charged the same way: a sort of ``n`` records costs
+``n * ceil(log2 n)`` operations (:func:`sort_operations`; deterministic,
+since Python's timsort does not expose its comparison count), whether
+a tuple driver's comparisons or a columnar kernel's batch operations.
+The sweeps' ``xl`` order (:data:`BY_XL`, :class:`XlSorted`) lives here
+with the sort that charges it.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+import math
+import operator
+from typing import Any, Callable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.core.stats import CpuCounters
 from repro.io.disk import SimulatedDisk
-from repro.io.extsort import count_sort_comparisons
+
+#: The sweep algorithms' sort key (``kpe[1]``), shared module-wide so the
+#: hot loops pay one C-level itemgetter instead of a per-call lambda.
+BY_XL = operator.itemgetter(1)
+
+
+def sort_operations(n: int) -> int:
+    """What a sort of *n* records is charged: ``n * ceil(log2 n)``
+    operations, none below two records."""
+    return n * max(1, math.ceil(math.log2(n))) if n > 1 else 0
+
+
+def sort_in_memory(records: List, key: Callable, counters: CpuCounters) -> List:
+    """Sort a record list, charging ``n log n`` comparisons."""
+    counters.comparisons += sort_operations(len(records))
+    return sorted(records, key=key)
+
+
+class XlSorted(list):
+    """A list of KPEs flagged as already sorted by ``xl``.
+
+    Drivers that sort an input once (SSSJ's sorting phase, a columnar
+    kernel handing records back) wrap the result in this type so the
+    internal algorithms skip their own re-sort — and its comparison
+    charge, which was already paid when the list was first sorted.
+    """
+
+    __slots__ = ()
+
+    @property
+    def sorted_by_xl(self) -> bool:
+        return True
+
+
+def ensure_sorted_by_xl(records: Sequence, counters: CpuCounters) -> Sequence:
+    """*records* sorted by ``xl``, re-sorting (and charging) only if needed."""
+    if getattr(records, "sorted_by_xl", False):
+        return records
+    return XlSorted(sort_in_memory(list(records), BY_XL, counters))
 
 
 def charge_write(
@@ -103,16 +151,15 @@ def charge_filled_pages(
     charge_write(disk, filled * per_page, record_bytes, buffer_pages=1)
 
 
-def sort_records(
+def charge_sort(
     disk: SimulatedDisk,
-    records: Sequence[Any],
-    key: Optional[Callable[[Any], Any]],
+    n: int,
     record_bytes: int,
     memory_bytes: int,
     counters: CpuCounters,
-) -> List[Any]:
-    """*records* stably sorted by *key*, charged as the external merge
-    sort of a file of them under *memory_bytes*.
+) -> None:
+    """Charge the external merge sort of a file of *n* records under
+    *memory_bytes*.
 
     A file that fits in memory is read in one request, sorted and
     written back in one (the paper's best case for S³J's level files:
@@ -120,12 +167,10 @@ def sort_records(
     chunks, each sorted into a run written in one request; runs are then
     merged ``max(2, memory_pages - 1)`` at a time, one page per request
     on both sides, until one is left.  Each merge pass costs two heap
-    operations per record.  Merging stably sorted runs, ties broken by
-    run, is a stable sort, so the records are sorted in memory.
+    operations per record.
     """
-    n = len(records)
     if n == 0:
-        return []
+        return
     cost = disk.cost
     memory_pages = max(2, memory_bytes // cost.page_size)
     memory_records = memory_pages * cost.records_per_page(record_bytes)
@@ -133,7 +178,7 @@ def sort_records(
     full, rest = divmod(n, memory_records)
     runs = [memory_records] * full + ([rest] if rest else [])
     for run in runs:
-        count_sort_comparisons(counters, run)
+        counters.comparisons += sort_operations(run)
         charge_write(disk, run, record_bytes)
     fan_in = max(2, memory_pages - 1)
     while len(runs) > 1:
@@ -143,22 +188,42 @@ def sort_records(
         for run in runs:
             charge_write(disk, run, record_bytes, buffer_pages=1)
         counters.heap_ops += 2 * n
+
+
+def sort_records(
+    disk: SimulatedDisk,
+    records: Sequence[Any],
+    key: Optional[Callable[[Any], Any]],
+    record_bytes: int,
+    memory_bytes: int,
+    counters: CpuCounters,
+) -> List[Any]:
+    """*records* stably sorted by *key*, charged as the external merge
+    sort of a file of them (:func:`charge_sort`).  Merging stably sorted
+    runs, ties broken by run, is a stable sort, so the records are
+    sorted in memory."""
+    charge_sort(disk, len(records), record_bytes, memory_bytes, counters)
     return sorted(records, key=key)
 
 
 def sort_based_dedup(
     disk: SimulatedDisk,
-    records: Sequence[Any],
+    left: Any,
+    right: Any,
     record_bytes: int,
     memory_bytes: int,
     counters: CpuCounters,
-) -> Tuple[List[Any], int]:
-    """Original PBSM's duplicate removal (Sec. 3.1): sort the candidate
-    file (:func:`sort_records`), then scan it through a one-page buffer,
-    one comparison per record, keeping the first of each run of equal
-    records.  Returns ``(unique, duplicates_removed)``."""
-    ordered = sort_records(disk, records, None, record_bytes, memory_bytes, counters)
-    charge_read(disk, len(ordered), record_bytes, buffer_pages=1)
-    counters.comparisons += len(ordered)
-    unique = [record for record, _ in groupby(ordered)]
-    return unique, len(ordered) - len(unique)
+) -> Any:
+    """Original PBSM's duplicate removal (Sec. 3.1) over the candidate
+    pairs ``(left[i], right[i])``, two int64 oid arrays: sort the
+    candidate file (:func:`charge_sort`), then scan it through a
+    one-page buffer, one comparison per record, keeping the first of
+    each run of equal pairs.  Returns the positions of the kept
+    candidates in sorted pair order: one stable sort, so each is its
+    pair's first occurrence."""
+    n = len(left)
+    charge_sort(disk, n, record_bytes, memory_bytes, counters)
+    charge_read(disk, n, record_bytes, buffer_pages=1)
+    counters.comparisons += n
+    _, first = np.unique(np.stack((left, right), 1), axis=0, return_index=True)
+    return first

@@ -21,10 +21,10 @@ from typing import Any, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.stats import CpuCounters
+from repro.io.paper_io import sort_operations
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
-    _charge_batch_sort,
     clamped_index,
     forward_scan_batches,
 )
@@ -107,12 +107,12 @@ def _owned_scan(
     if a_cols.sorted_by_xl:
         a = a_cols
     else:
-        _charge_batch_sort(counters, a_cols.n)
+        counters.batch_ops += sort_operations(a_cols.n)
         a = a_cols.sort_by_xl()
     if b_cols.sorted_by_xl:
         b = b_cols
     else:
-        _charge_batch_sort(counters, b_cols.n)
+        counters.batch_ops += sort_operations(b_cols.n)
         b = b_cols.sort_by_xl()
     rids = []
     sids = []

@@ -41,6 +41,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.stats import CpuCounters
+from repro.io.paper_io import sort_operations
 from repro.kernels.columnar import ColumnarRelation, xl_order
 
 #: Maximum candidate pairs expanded per batch (bounds peak memory: five
@@ -61,12 +62,6 @@ STRIPE_MAX = 1024
 #: Stripe count is capped at ``y_span / (REPLICATION_EDGES * mean_height)``
 #: so the expected replication factor stays below 1 + 1/REPLICATION_EDGES.
 REPLICATION_EDGES = 4.0
-
-
-def _charge_batch_sort(counters: CpuCounters, n: int) -> None:
-    """Charge one vectorized ``argsort`` as batch-level operations."""
-    if n > 1:
-        counters.batch_ops += n * max(1, math.ceil(math.log2(n)))
 
 
 def clamped_index(scaled: Any, n: int) -> Any:
@@ -213,7 +208,7 @@ def _stripe_layout(
     bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(stripe, minlength=k), out=bounds[1:])
     counters.batch_ops += 6 * rel.n + 2 * total
-    _charge_batch_sort(counters, total)
+    counters.batch_ops += sort_operations(total)
     return orig[order], bounds, slo
 
 
@@ -308,7 +303,7 @@ def sweep_numpy_join(
         a.sorted_by_xl = True
         left_sorted = list(left)
     else:
-        _charge_batch_sort(counters, a.n)
+        counters.batch_ops += sort_operations(a.n)
         order = xl_order(a.xl)
         a = a.take(order, sorted_by_xl=True)
         left_sorted = [left[i] for i in order.tolist()]
@@ -316,7 +311,7 @@ def sweep_numpy_join(
         b.sorted_by_xl = True
         right_sorted = list(right)
     else:
-        _charge_batch_sort(counters, b.n)
+        counters.batch_ops += sort_operations(b.n)
         order = xl_order(b.xl)
         b = b.take(order, sorted_by_xl=True)
         right_sorted = [right[i] for i in order.tolist()]

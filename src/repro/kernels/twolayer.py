@@ -59,12 +59,12 @@ from typing import Any, List, Tuple
 import numpy as np
 
 from repro.core.stats import CpuCounters
+from repro.io.paper_io import sort_operations
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import point_tiles, tile_partitions
 from repro.kernels.sweep import (
     DEFAULT_BATCH_CANDIDATES,
     STRIPE_MIN_RECORDS,
-    _charge_batch_sort,
     forward_scan_batches,
 )
 from repro.pbsm.grid import TileGrid
@@ -139,7 +139,7 @@ def _classify(
         CLASSIFY_BATCH_OPS_PER_RECORD * rel.n
         + CLASSIFY_BATCH_OPS_PER_REPLICA * total
     )
-    _charge_batch_sort(counters, total)
+    counters.batch_ops += sort_operations(total)
     return orig[order], key[order]
 
 
@@ -214,8 +214,8 @@ def _best_axis(
     cand_y = _axis_candidates(a_yl, a_yh, b_yl, b_yh)
     # The eight probe searchsorteds plus the two small y argsorts.
     counters.batch_ops += 4 * (a_grp.n + b_grp.n)
-    _charge_batch_sort(counters, a_grp.n)
-    _charge_batch_sort(counters, b_grp.n)
+    counters.batch_ops += sort_operations(a_grp.n)
+    counters.batch_ops += sort_operations(b_grp.n)
     if cand_y < cand_x:
         a_t = ColumnarRelation(
             a_grp.oid[order_a],
@@ -258,12 +258,12 @@ def twolayer_join_ids(
     if a_cols.sorted_by_xl:
         a = a_cols
     else:
-        _charge_batch_sort(counters, a_cols.n)
+        counters.batch_ops += sort_operations(a_cols.n)
         a = a_cols.sort_by_xl()
     if b_cols.sorted_by_xl:
         b = b_cols
     else:
-        _charge_batch_sort(counters, b_cols.n)
+        counters.batch_ops += sort_operations(b_cols.n)
         b = b_cols.sort_by_xl()
     a_orig, a_key = _classify(a, grid, pid, counters)
     b_orig, b_key = _classify(b, grid, pid, counters)

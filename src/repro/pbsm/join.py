@@ -26,16 +26,17 @@ repartitioning step, and partition to plain int64 runs of row ids
 (:func:`~repro.kernels.assign.partition_runs`), which the recursion, the
 leaves and the pool fan-out carry as they are; the paper's page I/O for
 them is charged from their lengths (:mod:`repro.io.paper_io`), as is
-``dedup="sort"``'s list of candidate pairs.  The engine
+``dedup="sort"``'s candidate file.  The engine
 is only the kernel a leaf (:func:`~repro.pbsm.leaf.join_leaf`) runs: the
 *tuple* engine's :func:`~repro.pbsm.leaf.tuple_leaf` (any internal but
 ``sweep_numpy``; the paper's subject) over records gathered from the
 columns, or the *columnar* engine's :func:`~repro.pbsm.leaf.columnar_leaf`
 (``internal="sweep_numpy"``, what :func:`repro.spatial_join` runs by
 default).  Both return row positions after one batched ownership test;
-the result keeps them, and ``result.pairs`` turns them into oid tuples
-through the inputs' own oid objects only while it is read —
-``docs/kernels.md``, "Columnar sequential driver".
+the result keeps them (``dedup="sort"`` those of each pair's first
+candidate), and ``result.pairs`` turns them into oid tuples through the
+inputs' own oid objects only while it is read — ``docs/kernels.md``,
+"Columnar sequential driver".
 
 ``workers=W > 1`` changes only where the leaves run and how the join
 phase is accounted: the same recursion hands out the same leaves in the
@@ -159,27 +160,21 @@ class PBSM:
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
         """Execute the join and return all result pairs plus statistics.
 
-        Under ``dedup="rpm"`` the result holds the leaves' row positions,
-        concatenated once, on every executor: ``result.pairs`` is a
-        read-only sequence that decodes them through the inputs' own oid
-        objects while it is iterated (:class:`~repro.core.result.PairRows`;
-        no ``append``), and ``len(result)`` and ``result.to_arrays()``
-        box nothing.  Under ``"sort"`` it is the sorted-out ``list``.
-        Building the result, once every leaf is joined, is the
+        The result holds row positions, concatenated once, on every
+        executor: the leaves' under ``dedup="rpm"``, the sorted-out
+        ones under ``"sort"``.  ``result.pairs`` is a read-only sequence
+        that decodes them through the inputs' own oid objects while it
+        is iterated (:class:`~repro.core.result.PairRows`; no
+        ``append``), and ``len(result)`` and ``result.pairs.oid_chunks``
+        box nothing.  Building the result, once every leaf is joined, is the
         ``result`` section span.
         """
         stats = self._new_stats(left, right)
         columns = _columns(left, right, self.tracer)
         pieces = list(self._join_leaves(columns, stats))
         with self.tracer.span("result", kind=KIND_SECTION):
-            if self.dedup == "sort":
-                pairs: List[Tuple[int, int]] = []
-                for unique in pieces:
-                    pairs.extend(unique)
-                result = JoinResult(pairs=pairs, stats=stats)
-            else:
-                sides = _NO_ROWS if columns is None else _row_oids(columns)
-                result = JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
+            sides = _NO_ROWS if columns is None else _row_oids(columns)
+            result = JoinResult.from_arrays(*concat_rows(pieces), stats, sides)
         stats.n_results = len(result)
         return result
 
@@ -200,12 +195,9 @@ class PBSM:
         if stats is None:
             stats = self._new_stats(left, right)
         columns = _columns(left, right, self.tracer)
-        pieces = self._join_leaves(columns, stats)
-        if columns is not None and self.dedup == "rpm":
-            sides = _row_oids(columns, boxed=True)
-            pieces = (PairRows(piece, sides) for piece in pieces)
-        for leaf_pairs in pieces:
-            yield from leaf_pairs
+        sides = _NO_ROWS if columns is None else _row_oids(columns, boxed=True)
+        for piece in self._join_leaves(columns, stats):
+            yield from PairRows(piece, sides)
 
     # ------------------------------------------------------------------
     # execution
@@ -232,9 +224,10 @@ class PBSM:
     ) -> Iterator[Any]:
         """Run the phases over *columns* (``None``: an empty side).
 
-        Under ``dedup="rpm"`` yields each leaf's ``(rid, sid)`` row
-        positions as one piece; under ``"sort"`` one list of oid tuples,
-        the duplicate-free result of the final phase.  The one PBSM
+        Yields ``(rid, sid)`` row positions: under ``dedup="rpm"`` each
+        leaf's as one piece; under ``"sort"`` one piece once the final
+        phase is done, the first candidate of each distinct oid pair in
+        sorted pair order.  The one PBSM
         pipeline: :meth:`run` and :meth:`iter_pairs` drain it, whatever
         the worker count.  No generator is resumed per pair.
         Everything a run accumulates (its ledger, *stats*) is local
@@ -300,13 +293,11 @@ class PBSM:
                     written - len(columns.left) - len(columns.right)
                 )
 
-            # --- candidate sink -------------------------------------------
+            # --- candidate file (dedup="sort") ----------------------------
             # Written through a one-page buffer as the leaves report them.
-            candidates: Optional[List[Tuple[int, int]]] = None
+            candidates: List[Tuple[Any, Any]] = []
+            held = 0
             result_bytes = self.cost_model.result_bytes
-            if self.dedup == "sort":
-                candidates = []
-                oids = _row_oids(columns, boxed=True)
 
             # --- phases 2+3: (re)partition & join --------------------------
             # Top-level pairs stacked so that partition 0 is looked at first.
@@ -327,17 +318,15 @@ class PBSM:
                     stats.duplicates_suppressed += suppressed
                     read_units = charge_leaf(disk, ids_left, ids_right)
                     leaf_costs.append((read_units, counters, wall))
-                    if candidates is None:
+                    if self.dedup == "rpm":
                         yield pairs
                     else:
                         # The candidate-pair writes are part of the
                         # duplicate-removal overhead (Figure 3a).
                         with disk.phase(PHASE_DEDUP):
-                            held = len(candidates)
-                            candidates.extend(PairRows(pairs, oids))
-                            charge_filled_pages(
-                                disk, held, len(candidates) - held, result_bytes
-                            )
+                            charge_filled_pages(disk, held, len(pairs[0]), result_bytes)
+                        held += len(pairs[0])
+                        candidates.append(pairs)
                 sp.add_counters(
                     {
                         "bytes_shipped": stats.ipc_bytes_shipped,
@@ -346,19 +335,18 @@ class PBSM:
                 )
 
             # --- phase 4: sort-based duplicate removal ---------------------
-            if candidates is not None:
+            if self.dedup == "sort":
                 with ledger.phase(PHASE_DEDUP):
                     # The candidate file's last, partial page.
                     per_page = self.cost_model.records_per_page(result_bytes)
-                    charge_write(
-                        disk, len(candidates) % per_page, result_bytes, buffer_pages=1
+                    charge_write(disk, held % per_page, result_bytes, buffer_pages=1)
+                    rid, sid = concat_rows(candidates)
+                    first = sort_based_dedup(
+                        disk, columns.left.oid[rid], columns.right.oid[sid],
+                        result_bytes, self.memory_bytes, cpu[PHASE_DEDUP],
                     )
-                    unique, removed = sort_based_dedup(
-                        disk, candidates, result_bytes, self.memory_bytes,
-                        cpu[PHASE_DEDUP],
-                    )
-                    stats.duplicates_sorted_out = removed
-                yield unique
+                    stats.duplicates_sorted_out = held - len(first)
+                yield rid[first], sid[first]
         self._finalize_stats(ledger, leaf_costs)
 
     def _leaves(

@@ -14,9 +14,9 @@ import numpy as np
 
 from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
+from repro.io.paper_io import sort_operations
 from repro.kernels.columnar import ColumnarRelation
 from repro.kernels.rpm import owned_mask, region_join_ids, rpm_join_ids
-from repro.kernels.sweep import _charge_batch_sort
 from repro.pbsm.grid import TileGrid
 
 #: The region a partition pair owns, as a chain of ``(grid, pid)``
@@ -136,8 +136,8 @@ def columnar_leaf(
     """
     a = left.rows(l_ids, sorted_by_xl=True)
     b = right.rows(r_ids, sorted_by_xl=True)
-    _charge_batch_sort(cpu, a.n)
-    _charge_batch_sort(cpu, b.n)
+    cpu.batch_ops += sort_operations(a.n)
+    cpu.batch_ops += sort_operations(b.n)
     if dedup == "rpm" and len(region) == 1:
         grid, pid = region[0]
         rid, sid, suppressed = rpm_join_ids(a, b, grid, pid, cpu)

@@ -51,7 +51,9 @@ from repro.pbsm.estimator import estimate_partitions
 from repro.pbsm.grid import TILES_PER_PARTITION, TileGrid
 from repro.pbsm.repartition import MAX_REPARTITION_DEPTH, choose_split
 from repro.planner.stats import JoinProfile
+from repro.s3j.join import IO_BUFFER_PAGES as S3J_IO_BUFFER_PAGES
 from repro.sfc.locational import DEFAULT_MAX_LEVEL
+from repro.shj.join import T_FACTOR as SHJ_T_FACTOR
 
 #: Sweep bookkeeping charged per record beyond the probe loop (enter/expire).
 _SWEEP_OVERHEAD = 2.0
@@ -64,10 +66,6 @@ _EMPTY_RECORDS = 0.5
 #: Splits the overflow model follows before it joins what is left as is:
 #: bounds planning time on inputs whose recursion would not shrink.
 _MAX_MODELLED_SPLITS = 1024
-#: SHJ's bucket-count safety factor (``SpatialHashJoin``'s default).
-_SHJ_T_FACTOR = 1.2
-#: S3J's level-file write buffers, in pages (``S3J``'s default).
-_S3J_IO_BUFFER_PAGES = 4
 
 #: Process-executor pipe traffic per task: a five-integer task tuple
 #: out, its share of per-chunk metadata and manifest back.
@@ -746,7 +744,7 @@ def estimate_s3j(
     cpu_partition = cost.cpu_seconds_from_counts(
         code_computations=n_repl + n, structure_ops=n_repl
     )
-    io_partition = pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio
+    io_partition = pages + pages / S3J_IO_BUFFER_PAGES * cost.pt_ratio
 
     # Sorting each level file by locational code; external when a level
     # file exceeds the budget (runs written and merged back once).
@@ -754,13 +752,13 @@ def estimate_s3j(
         comparisons=n_repl * _lg(n_repl), heap_ops=n_repl * 0.5
     )
     external = 2.0 if n_repl * kb > memory_bytes else 0.0
-    io_sort = external * (pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio)
+    io_sort = external * (pages + pages / S3J_IO_BUFFER_PAGES * cost.pt_ratio)
 
     # Synchronized scan: heap traffic per cell partition, then per-pair
     # internal joins.  Without replication, straddling rectangles sink
     # ``sink``-deep and are joined against every partition on their root
     # path — the order-of-magnitude CPU penalty of Fig. 10/11.
-    io_scan = pages + pages / _S3J_IO_BUFFER_PAGES * cost.pt_ratio
+    io_scan = pages + pages / S3J_IO_BUFFER_PAGES * cost.pt_ratio
     heap = n_repl * 3.0
     detected = jp.est_results * max(1.0, copies * 0.75)
     path_partners = 1.0 + sink * size_level * 2.0
@@ -807,7 +805,7 @@ def estimate_shj(
     width = jp.space[2] - jp.space[0] or 1.0
     height = jp.space[3] - jp.space[1] or 1.0
 
-    n_buckets = estimate_partitions(nl, nr, kb, memory_bytes, _SHJ_T_FACTOR)
+    n_buckets = estimate_partitions(nl, nr, kb, memory_bytes, SHJ_T_FACTOR)
     side = max(1, math.ceil(math.sqrt(n_buckets)))
     n_buckets = side * side
 

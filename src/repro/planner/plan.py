@@ -11,7 +11,8 @@ counters — making the estimator's error observable instead of hidden.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence, Tuple, cast
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.result import JoinResult, JoinStats
 from repro.io.costmodel import CostModel, require_positive
@@ -20,9 +21,28 @@ from repro.pbsm import PBSM
 from repro.planner.cache import PlannerCache
 from repro.planner.enumerate import PlanCandidate, enumerate_candidates
 from repro.planner.stats import JoinProfile, profile_join, relation_fingerprint
+from repro.rtree import RTreeJoin
 from repro.s3j import S3J
 from repro.shj import SpatialHashJoin
 from repro.sssj import SSSJ
+
+
+def _rtree_join(memory_bytes: int, **kwargs: Any) -> RTreeJoin:
+    """The index join has no memory knob; its budget is the buffer."""
+    return RTreeJoin(**kwargs)
+
+
+#: Every join method's driver, built from ``(memory_bytes, **kwargs)``,
+#: by name in :data:`repro.JOIN_METHODS` order: what
+#: :func:`repro.spatial_join` and a plan's candidate run.  PBSM runs on
+#: columns all the way (docs/kernels.md) unless *internal* is given.
+JOIN_DRIVERS: Dict[str, Callable[..., Any]] = {
+    "pbsm": partial(PBSM, internal="sweep_numpy"),
+    "s3j": S3J,
+    "sssj": SSSJ,
+    "shj": SpatialHashJoin,
+    "rtree": _rtree_join,
+}
 
 
 def _run_candidate(
@@ -39,16 +59,9 @@ def _run_candidate(
         kwargs["cost_model"] = cost_model
     if tracer is not None:
         kwargs["tracer"] = tracer
-    method = candidate.method
-    if method == "pbsm":
-        return PBSM(memory_bytes, **kwargs).run(left, right)
-    if method == "s3j":
-        return S3J(memory_bytes, **kwargs).run(left, right)
-    if method == "sssj":
-        return SSSJ(memory_bytes, **kwargs).run(left, right)
-    if method == "shj":
-        return SpatialHashJoin(memory_bytes, **kwargs).run(left, right)
-    raise ValueError(f"planner cannot execute method {candidate.method!r}")
+    if candidate.method not in JOIN_DRIVERS:
+        raise ValueError(f"planner cannot execute method {candidate.method!r}")
+    return JOIN_DRIVERS[candidate.method](memory_bytes, **kwargs).run(left, right)
 
 
 @dataclass

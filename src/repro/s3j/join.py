@@ -39,6 +39,11 @@ from repro.sfc.locational import (
     point_cell,
 )
 
+#: Pages per level-file output/scan buffer.  S3J has only
+#: ``max_level + 1`` files per relation, so multi-page buffers are
+#: affordable and keep its I/O nearly sequential (Section 5.1).
+IO_BUFFER_PAGES = 4
+
 
 class S3J:
     """Size Separation Spatial Join.
@@ -64,10 +69,6 @@ class S3J:
         The choice affects only the code-computation CPU cost (4.4.2).
     max_level:
         Deepest grid level (the hierarchy has ``max_level + 1`` levels).
-    io_buffer_pages:
-        Pages per level-file output/scan buffer.  S3J has only
-        ``max_level + 1`` files per relation, so multi-page buffers are
-        affordable and keep its I/O nearly sequential (Section 5.1).
     """
 
     def __init__(
@@ -79,7 +80,6 @@ class S3J:
         curve: str = "peano",
         max_level: int = DEFAULT_MAX_LEVEL,
         cost_model: Optional[CostModel] = None,
-        io_buffer_pages: int = 4,
         strategy: Optional[str] = None,
         tracer=None,
     ):
@@ -105,9 +105,6 @@ class S3J:
         self.decoder = curve_decoder(curve)
         self.max_level = max_level
         self.cost_model = cost_model or CostModel()
-        if io_buffer_pages < 1:
-            raise ValueError("io_buffer_pages must be >= 1")
-        self.io_buffer_pages = io_buffer_pages
 
     # ------------------------------------------------------------------
     # public API
@@ -182,7 +179,7 @@ class S3J:
                     ),
                     self.max_level,
                     disk,
-                    self.io_buffer_pages,
+                    IO_BUFFER_PAGES,
                 )
                 files_right, n_right_written = build_level_files(
                     assign(
@@ -194,7 +191,7 @@ class S3J:
                     ),
                     self.max_level,
                     disk,
-                    self.io_buffer_pages,
+                    IO_BUFFER_PAGES,
                 )
                 stats.records_partitioned = n_left_written + n_right_written
                 stats.replicas_created = (
@@ -226,7 +223,7 @@ class S3J:
                     join_cpu,
                     self.memory_bytes,
                     scan_stats,
-                    self.io_buffer_pages,
+                    IO_BUFFER_PAGES,
                 ):
                     yield from self._join_partition_pair(
                         part_left, part_right, space, join_cpu, stats

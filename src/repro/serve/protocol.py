@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,16 +67,6 @@ PAIRS_I8 = "i8"
 
 #: One pair on the binary frame, and in the checksum.
 PAIR_STRUCT = struct.Struct("<qq")
-
-#: ``(left_oids, right_oids)`` — a result as two equally long int64
-#: buffers (numpy arrays), the form ``JoinResult.to_arrays()`` returns.
-OidColumns = Tuple[Any, Any]
-
-#: What the server reads a result through: a row-backed ``result.pairs``
-#: (:class:`~repro.core.result.PairRows`, whose oids are gathered a chunk
-#: or page at a time) or, for a list-backed result, its
-#: :data:`OidColumns`.
-OidPairs = Union[OidColumns, PairRows]
 
 #: Pairs the checksum packs, gathers or hashes at a time: the bound on
 #: its temporaries (a 512 KiB table of sorted pairs).
@@ -110,26 +100,6 @@ def error_response(error: str, message: str, **extra: Any) -> Dict[str, Any]:
 def is_integer(value: object) -> bool:
     """A JSON integer: an ``int`` that is not a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_columns(pairs: object) -> bool:
-    """Whether *pairs* is an :data:`OidColumns` and not a sequence of pairs."""
-    return (
-        isinstance(pairs, tuple)
-        and len(pairs) == 2
-        and all(hasattr(column, "tobytes") for column in pairs)
-    )
-
-
-def _oid_slices(pairs: OidPairs, size: int) -> Iterator[Tuple[Any, Any]]:
-    """The oids of *pairs* in order, at most *size* pairs at a time, as
-    two int64 arrays each: views of :data:`OidColumns`, or a
-    :class:`~repro.core.result.PairRows` chunk gathered from its oid
-    columns."""
-    if isinstance(pairs, PairRows):
-        return pairs.oid_chunks(size)
-    left, right = pairs
-    return ((left[lo : lo + size], right[lo : lo + size]) for lo in range(0, len(left), size))
 
 
 def _packed_keys(
@@ -192,9 +162,12 @@ def _sorted_table(left: Any, right: Any) -> Any:
     if not len(left):
         return table
     l_min, r_min = int(left.min()), int(right.min())
+    slices = (
+        (left[lo : lo + CHECKSUM_CHUNK], right[lo : lo + CHECKSUM_CHUNK])
+        for lo in range(0, len(left), CHECKSUM_CHUNK)
+    )
     packed = _packed_keys(
-        _oid_slices((left, right), CHECKSUM_CHUNK), len(left),
-        l_min, int(left.max()), r_min, int(right.max()),
+        slices, len(left), l_min, int(left.max()), r_min, int(right.max())
     )
     if packed is None:
         order = np.lexsort((right, left))
@@ -207,36 +180,32 @@ def _sorted_table(left: Any, right: Any) -> Any:
     return table
 
 
-def result_checksum(pairs: Union[Iterable[Tuple[int, int]], OidPairs]) -> str:
+def result_checksum(pairs: Iterable[Tuple[int, int]]) -> str:
     """Order-insensitive SHA-256 fingerprint of a result-pair set.
 
-    *pairs* is an iterable of ``(left_oid, right_oid)`` pairs, the
-    :data:`OidColumns` of a result, or a row-backed ``result.pairs``
-    (:class:`~repro.core.result.PairRows`), whose row positions are read
-    as they are: no tuple is boxed, and its oids are gathered one
-    :data:`CHECKSUM_CHUNK` at a time.  The digest is that of the bytes of
-    :data:`PAIR_STRUCT` over every pair in sorted order.  The pairs are
+    *pairs* is a ``result.pairs`` (:class:`~repro.core.result.PairRows`),
+    whose row positions are read as they are: no tuple is boxed, and
+    its oids are gathered one :data:`CHECKSUM_CHUNK` at a time.  Any
+    other iterable of ``(left_oid, right_oid)`` pairs is unboxed into
+    one first (:meth:`~repro.core.result.PairRows.of_oids`).  The digest
+    is that of the bytes of :data:`PAIR_STRUCT` over every pair in
+    sorted order.  The pairs are
     packed into one key each (:func:`_packed_keys`, bounded by the oid
     columns they are read from), sorted in place and unpacked a chunk at
     a time into the hash; where no key type fits, the sorted table of
     :func:`_sorted_table` is hashed whole.
     """
-    rows: OidPairs
-    if isinstance(pairs, PairRows):
-        rows, (left, right), n = pairs, pairs.columns, len(pairs)
-    else:
-        left, right = pairs if _is_columns(pairs) else pair_columns(pairs)
-        left, right = np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64)
-        rows, n = (left, right), len(left)
+    rows = pairs if isinstance(pairs, PairRows) else PairRows.of_oids(*pair_columns(pairs))
+    (left, right), n = rows.columns, len(rows)
     digest = hashlib.sha256()
     if not n:
         return digest.hexdigest()
     l_min, r_min = int(left.min()), int(right.min())
     packed = _packed_keys(
-        _oid_slices(rows, CHECKSUM_CHUNK), n, l_min, int(left.max()), r_min, int(right.max())
+        rows.oid_chunks(CHECKSUM_CHUNK), n, l_min, int(left.max()), r_min, int(right.max())
     )
     if packed is None:
-        digest.update(_sorted_table(*(rows.oids() if isinstance(rows, PairRows) else rows)))
+        digest.update(_sorted_table(*next(rows.oid_chunks(n))))
         return digest.hexdigest()
     keys, bits = packed
     keys.sort()
@@ -262,13 +231,14 @@ def paginate(pairs: Sequence[Tuple[int, int]], page_size: int) -> Iterable[List[
 
 
 def encode_pages(
-    pairs: OidPairs, page_size: int, pairs_format: str, query_id: int
+    pairs: PairRows, page_size: int, pairs_format: str, query_id: int
 ) -> Iterator[Tuple[Any, ...]]:
     """The page messages of one ``join`` result, each the buffers to write
     to the socket in turn.
 
-    Pages are cut from *pairs* in their order (:func:`_oid_slices`: a
-    row-backed result's oids are gathered a page at a time), and each is
+    Pages are cut from ``result.pairs`` in their order, its oids
+    gathered a page at a time
+    (:meth:`~repro.core.result.PairRows.oid_chunks`), and each is
     filled into one fresh ``(n, 2)`` ``<i8`` table; a pair is boxed only
     where the frame needs it.  A :data:`PAIRS_I8` page is two buffers,
     its header line and the table's bytes; a JSON page is one, byte for
@@ -276,7 +246,7 @@ def encode_pages(
     of the same pairs.  No table is reused: a transport may queue the
     caller's buffer without copying it.
     """
-    for index, (left, right) in enumerate(_oid_slices(pairs, page_size)):
+    for index, (left, right) in enumerate(pairs.oid_chunks(page_size)):
         head = {"ok": True, "query_id": query_id, "page": index}
         page = np.empty((len(left), 2), dtype="<i8")
         page[:, 0] = left
@@ -327,8 +297,6 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_LINE_BYTES",
     "MAX_PAGE_SIZE",
-    "OidColumns",
-    "OidPairs",
     "PAIRS_I8",
     "PAIRS_JSON",
     "PAIR_STRUCT",

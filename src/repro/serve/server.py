@@ -20,14 +20,12 @@ Request lifecycle of a ``join`` op::
 Plan to checksum is one blocking call (``JoinServer._answer``), so a
 query's engine work stays on one worker thread.
 
-A row-backed result (PBSM under RPM, every worker count) is held once,
-as the row positions ``result.pairs`` keeps
-(:class:`~repro.core.result.PairRows`; for a parallel plan the one
-buffer pair the workers' result segments were copied into), and never
-decoded into tuples: the checksum and the pages gather its oids from the
-inputs' oid columns a chunk or a page at a time (``protocol`` decides
-what a page looks like).  A list-backed result goes as the two oid
-buffers ``JoinResult.to_arrays()`` unboxes.
+A result is held once, as the two int64 buffers ``result.pairs`` keeps
+(:class:`~repro.core.result.PairRows`: a PBSM plan's row positions, for
+a parallel plan the one buffer pair the workers' result segments were
+copied into; another method's oids), and never decoded into tuples: the
+checksum and the pages gather its oids a chunk or a page at a time
+(``protocol`` decides what a page looks like).
 
 Every request gets its own :class:`~repro.obs.Tracer`; the finished span
 tree is retained for the last :data:`TRACE_KEEP` queries and served back
@@ -56,7 +54,6 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.result import PairRows
 from repro.io.costmodel import mb
 from repro.kernels.columnar import ColumnarRelation, invalid_row
 from repro.kernels.shm import shm_enabled, sweep_orphan_segments
@@ -68,7 +65,6 @@ from repro.serve.executor import run_blocking
 from repro.serve.protocol import (
     DEFAULT_PAGE_SIZE,
     MAX_LINE_BYTES,
-    OidPairs,
     ProtocolError,
     decode_message,
     encode_message,
@@ -499,14 +495,12 @@ class JoinServer:
         plan = self.engine.plan(left, right, memory_bytes, tracer)
         self.admission.check_budget(plan.chosen.estimate.total_seconds)
         result = self.engine.execute(plan, left, right, tracer)
-        # A row-backed result goes to the socket as its row positions,
-        # held once: the checksum and the pages gather its oids a chunk
-        # at a time.  A list-backed one goes as its two oid buffers.
+        # The result goes to the socket as its two buffers, held once:
+        # the checksum and the pages gather its oids a chunk at a time.
         pairs = result.pairs
-        rows: OidPairs = pairs if isinstance(pairs, PairRows) else result.to_arrays()
         with tracer.span("checksum", kind=KIND_SECTION):
-            checksum = result_checksum(rows)
-        return plan, result.stats, rows, checksum
+            checksum = result_checksum(pairs)
+        return plan, result.stats, pairs, checksum
 
     async def _op_join(self, message: dict, writer: asyncio.StreamWriter) -> None:
         self._query_seq += 1
@@ -532,7 +526,7 @@ class JoinServer:
 
         try:
             async with self.admission.slot():
-                plan, stats, rows, checksum = await run_blocking(
+                plan, stats, pairs, checksum = await run_blocking(
                     self._answer, left, right, memory_bytes, tracer
                 )
         except AdmissionReject as exc:
@@ -562,7 +556,7 @@ class JoinServer:
             return
 
         if include_pairs:
-            for frame in encode_pages(rows, page_size, pairs_format, query_id):
+            for frame in encode_pages(pairs, page_size, pairs_format, query_id):
                 for buffer in frame:
                     writer.write(buffer)
                 await writer.drain()

@@ -31,6 +31,9 @@ from repro.io.paper_io import charge_partition, charge_read
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 from repro.pbsm.estimator import estimate_partitions
 
+#: Safety factor on the bucket count (formula (1), as PBSM's ``t_factor``).
+T_FACTOR = 1.2
+
 
 class SpatialHashJoin:
     """Spatial hash join: build-side buckets, probe-side replication."""
@@ -40,7 +43,6 @@ class SpatialHashJoin:
         memory_bytes: int,
         *,
         internal: str = "sweep_list",
-        t_factor: float = 1.2,
         cost_model: Optional[CostModel] = None,
         tracer=None,
     ):
@@ -49,7 +51,6 @@ class SpatialHashJoin:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.internal_name = internal
         self.internal = internal_algorithm(internal)
-        self.t_factor = t_factor
         self.cost_model = cost_model or CostModel()
 
     def run(self, left: Sequence[Tuple], right: Sequence[Tuple]) -> JoinResult:
@@ -75,7 +76,7 @@ class SpatialHashJoin:
         kpe_bytes = self.cost_model.kpe_bytes
         space = Space.of(left, right)
         n_buckets = estimate_partitions(
-            len(left), len(right), kpe_bytes, self.memory_bytes, self.t_factor
+            len(left), len(right), kpe_bytes, self.memory_bytes, T_FACTOR
         )
         side = max(1, math.ceil(math.sqrt(n_buckets)))
         n_buckets = side * side

@@ -25,8 +25,7 @@ from repro.core.stats import CpuCounters
 from repro.internal import internal_algorithm
 from repro.io.costmodel import CostModel, require_positive
 from repro.io.disk import Ledger, SimulatedDisk
-from repro.io.extsort import BY_XL, XlSorted, sort_in_memory
-from repro.io.paper_io import charge_read, charge_write
+from repro.io.paper_io import BY_XL, XlSorted, charge_read, charge_write, sort_in_memory
 from repro.obs.trace import KIND_RUN, NULL_TRACER
 
 

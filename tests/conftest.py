@@ -8,6 +8,7 @@ import select
 import subprocess
 from typing import IO, Iterable, Optional, Set, Tuple
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -170,6 +171,27 @@ def random_kpes(n: int, seed: int, start_oid: int = 0, max_edge: float = 0.1):
         h = rng.random() * max_edge
         out.append(KPE(start_oid + i, x, y, x + w, y + h))
     return out
+
+
+def oid_arrays(result):
+    """A result's pairs as two int64 oid arrays: ``result.pairs.oid_chunks``
+    in one chunk (two empty arrays for no pairs)."""
+    empty = np.empty(0, dtype=np.int64)
+    return next(result.pairs.oid_chunks(max(1, len(result))), (empty, empty))
+
+
+@pytest.fixture
+def no_oid_unboxing(monkeypatch):
+    """Fails any result built from oid pairs or oid columns
+    (``pair_columns``, ``PairRows.of_oids``) from here on: a PBSM result
+    holds its leaves' row positions, read through each input's oids."""
+    import repro.core.result as core_result
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a result was built from oids, not row positions")
+
+    monkeypatch.setattr(core_result, "pair_columns", refuse)
+    monkeypatch.setattr(core_result.PairRows, "of_oids", classmethod(refuse))
 
 
 @pytest.fixture

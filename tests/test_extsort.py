@@ -29,8 +29,8 @@ from repro.core.phases import PHASE_DEDUP, PHASE_SORT
 from repro.core.stats import CpuCounters
 from repro.io.costmodel import CostModel
 from repro.io.disk import SimulatedDisk
-from repro.io.extsort import sort_in_memory
-from repro.io.paper_io import sort_based_dedup, sort_records
+from repro.core.result import pair_columns
+from repro.io.paper_io import sort_based_dedup, sort_in_memory, sort_records
 
 PINNED = Path(__file__).with_name("extsort_pinned.json")
 
@@ -60,9 +60,7 @@ def observe(n, record_bytes, memory_bytes):
             disk, keyed, operator.itemgetter(0), record_bytes, memory_bytes, cpu[PHASE_SORT]
         )
     with disk.phase(PHASE_DEDUP):
-        unique, removed = sort_based_dedup(
-            disk, pairs, record_bytes, memory_bytes, cpu[PHASE_DEDUP]
-        )
+        unique, removed = dedup(disk, pairs, record_bytes, memory_bytes, cpu[PHASE_DEDUP])
     return {
         "order_sha256": digest(i for _, i in out),
         "unique_sha256": digest(unique),
@@ -75,6 +73,15 @@ def observe(n, record_bytes, memory_bytes):
             phase: [c.comparisons, c.heap_ops] for phase, c in sorted(cpu.items())
         },
     }
+
+
+def dedup(disk, pairs, record_bytes, memory_bytes, counters):
+    """``(unique, removed)``: :func:`sort_based_dedup` of *pairs*, the
+    kept candidates read back as a list of pairs."""
+    left, right = pair_columns(pairs)
+    first = sort_based_dedup(disk, left, right, record_bytes, memory_bytes, counters)
+    unique = list(zip(left[first].tolist(), right[first].tolist()))
+    return unique, len(pairs) - len(unique)
 
 
 def key(point):
@@ -166,26 +173,30 @@ class TestExternalSortExternalPath:
 
 class TestSortedDedup:
     def test_removes_adjacent_duplicates(self):
-        unique, removed = sort_based_dedup(
-            small_disk(), [1, 1, 2, 3, 3, 3, 4], 10, 1000, CpuCounters()
-        )
-        assert unique == [1, 2, 3, 4]
+        pairs = [(1, 0), (1, 0), (2, 5), (3, 1), (3, 1), (3, 1), (4, 0)]
+        unique, removed = dedup(small_disk(), pairs, 10, 1000, CpuCounters())
+        assert unique == [(1, 0), (2, 5), (3, 1), (4, 0)]
         assert removed == 3
 
     def test_empty(self):
         disk = small_disk()
-        assert sort_based_dedup(disk, [], 10, 1000, CpuCounters()) == ([], 0)
+        assert dedup(disk, [], 10, 1000, CpuCounters()) == ([], 0)
         assert disk.total_units() == 0.0
 
     def test_all_duplicates(self):
-        unique, removed = sort_based_dedup(small_disk(), [7] * 50, 10, 1000, CpuCounters())
-        assert (unique, removed) == ([7], 49)
+        unique, removed = dedup(small_disk(), [(7, 7)] * 50, 10, 1000, CpuCounters())
+        assert (unique, removed) == ([(7, 7)], 49)
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)), max_size=200))
     def test_equivalent_to_set(self, pairs):
-        unique, removed = sort_based_dedup(small_disk(), pairs, 8, 1000, CpuCounters())
+        unique, removed = dedup(small_disk(), pairs, 8, 1000, CpuCounters())
         assert unique == sorted(set(pairs))
         assert removed == len(pairs) - len(set(pairs))
+
+    def test_keeps_each_pairs_first_candidate(self):
+        left, right = pair_columns([(5, 1), (2, 2), (5, 1), (-3, 9), (2, 2)])
+        first = sort_based_dedup(small_disk(), left, right, 8, 1000, CpuCounters())
+        assert first.tolist() == [3, 1, 0]
 
 
 def record():

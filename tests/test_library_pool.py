@@ -46,6 +46,7 @@ from tests.conftest import (
     cmdline,
     descendants,
     finish,
+    oid_arrays,
     random_kpes,
     readline_within,
     spans_of_kind,
@@ -72,11 +73,11 @@ def expected_arrays(workers=2):
     result = PBSM(
         MEMORY, workers=workers, internal="sweep_numpy", executor="simulated"
     ).run(LEFT, RIGHT)
-    return result.to_arrays()
+    return oid_arrays(result)
 
 
 def assert_same_pairs(result, expected):
-    rid, sid = result.to_arrays()
+    rid, sid = oid_arrays(result)
     assert np.array_equal(rid, expected[0]) and np.array_equal(sid, expected[1])
 
 

@@ -16,7 +16,7 @@ from repro.kernels.shm import shm_enabled
 from repro.pbsm import PBSM, TileGrid
 from repro.pbsm.parallel import lpt_schedule
 
-from tests.conftest import random_kpes
+from tests.conftest import oid_arrays, random_kpes
 from tests.test_planner_overflow import IDS, WORKLOADS
 
 
@@ -196,7 +196,7 @@ class TestSameRecursionAsPBSM:
             assert par.stats.repartition_events == seq.stats.repartition_events
             assert par.stats.memory_overruns == seq.stats.memory_overruns
             # The same leaves in the same order: the same pair order.
-            for got, want in zip(par.to_arrays(), seq.to_arrays()):
+            for got, want in zip(oid_arrays(par), oid_arrays(seq)):
                 assert got.tolist() == want.tolist()
         if workers == 1:
             assert par.stats.algorithm == seq.stats.algorithm

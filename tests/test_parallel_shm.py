@@ -209,13 +209,15 @@ class TestCsrPartitioning:
 @needs_shm
 class TestShmExecutorParity:
     @pytest.mark.parametrize("internal", ["sweep_numpy", "sweep_trie"])
-    def test_byte_identical_across_executors(self, internal, pair_decodes):
+    def test_byte_identical_across_executors(self, internal, pair_decodes, no_oid_unboxing):
         sim = run(2, executor="simulated", internal=internal)
         proc = run(2, internal=internal)
         assert proc.stats.executor == "process"
         # The driver boxes no pair: every leaf returns row positions, in
-        # this process and in a pool worker, decoded into oid buffers.
-        assert sim._pairs is None and proc._pairs is None  # buffer-backed
+        # this process and in a pool worker, read through each input's
+        # oid column (no per-pair oid copy: ``no_oid_unboxing``).
+        for result in (sim, proc):
+            assert [len(column) for column in result.pairs.columns] == [len(LEFT), len(RIGHT)]
         assert proc.stats.n_results == len(proc) == len(sim.pairs)
         assert pair_decodes == []  # run and len() did not decode
         assert proc.pairs == sim.pairs  # same pairs, same order

@@ -34,7 +34,7 @@ from repro.pbsm.grid import TileGrid
 from repro.serve.engine import EngineHost
 from repro.serve.registry import DatasetRegistry
 
-from tests.conftest import random_kpes
+from tests.conftest import oid_arrays, random_kpes
 
 needs_shm = pytest.mark.skipif(
     not shm_enabled(), reason="needs platform shared memory"
@@ -48,7 +48,7 @@ UNIT = Space(0.0, 0.0, 1.0, 1.0)
 def observe(result):
     """Everything a hit must reproduce of a miss."""
     stats = result.stats
-    rid, sid = result.to_arrays()
+    rid, sid = oid_arrays(result)
     return {
         "pairs": list(zip(rid.tolist(), sid.tolist())),
         "records_partitioned": stats.records_partitioned,

@@ -158,20 +158,21 @@ class TestSplitPartitionIds:
 class TestSortBasedDedup:
     def test_removes_cross_partition_duplicates(self):
         disk = SimulatedDisk(CostModel(page_size=100))
-        candidates = [(1, 2), (3, 4), (1, 2), (1, 2), (5, 6)]
-        unique, removed = sort_based_dedup(disk, candidates, 8, 10_000, CpuCounters())
-        assert sorted(unique) == [(1, 2), (3, 4), (5, 6)]
-        assert removed == 2
+        left, right = np.array([1, 3, 1, 1, 5]), np.array([2, 4, 2, 2, 6])
+        first = sort_based_dedup(disk, left, right, 8, 10_000, CpuCounters())
+        assert list(zip(left[first].tolist(), right[first].tolist())) == [(1, 2), (3, 4), (5, 6)]
+        assert len(left) - len(first) == 2
 
     def test_empty(self):
         disk = SimulatedDisk()
-        unique, removed = sort_based_dedup(disk, [], 8, 1000, CpuCounters())
-        assert unique == [] and removed == 0
+        none = np.empty(0, dtype=np.int64)
+        assert len(sort_based_dedup(disk, none, none, 8, 1000, CpuCounters())) == 0
+        assert disk.total_units() == 0.0
 
     def test_charges_sort_io(self):
         disk = SimulatedDisk(CostModel(page_size=100))
-        candidates = [(i, i) for i in range(500)]
-        sort_based_dedup(disk, candidates, 8, 300, CpuCounters())
+        oids = np.arange(500)
+        sort_based_dedup(disk, oids, oids, 8, 300, CpuCounters())
         assert disk.total_units() > 0
 
 

@@ -197,22 +197,27 @@ class TestProtocol:
             assert result_checksum(pairs) == reference, name
             assert result_checksum(iter(pairs)) == reference, name
             assert result_checksum([list(p) for p in pairs]) == reference, name
-            assert result_checksum(pair_columns(pairs)) == reference, name
+            assert result_checksum(PairRows.of_oids(*pair_columns(pairs))) == reference, name
 
     @given(pairs=st.lists(st.tuples(OIDS, OIDS), max_size=40))
     def test_checksum_of_arrays_equals_the_struct_loop(self, pairs):
         reference = struct_loop_checksum(pairs)
-        assert result_checksum(pair_columns(pairs)) == reference
+        assert result_checksum(PairRows.of_oids(*pair_columns(pairs))) == reference
         assert result_checksum(pairs) == reference
-        assert result_checksum(pair_columns(pairs[::-1])) == reference
+        assert result_checksum(PairRows.of_oids(*pair_columns(pairs[::-1]))) == reference
 
     def test_two_pairs_are_pairs_and_two_buffers_are_columns(self):
         pairs = ((1, 2), (3, 4))
         assert result_checksum(pairs) == struct_loop_checksum(pairs)
         columns = pair_columns(pairs)  # ([1, 3], [2, 4]): two buffers, not two pairs
-        assert result_checksum(columns) == struct_loop_checksum(pairs)
+        assert result_checksum(PairRows.of_oids(*columns)) == struct_loop_checksum(pairs)
         as_pairs = [tuple(column.tolist()) for column in columns]
         assert result_checksum(as_pairs) == struct_loop_checksum([(1, 3), (2, 4)])
+        for n in (2, 3):  # n pairs' columns are no pairs, whatever n
+            with pytest.raises(ValueError, match="pairs"):
+                result_checksum(pair_columns([(1, 2), (3, 4), (5, 6)][:n]))
+        with pytest.raises(ValueError, match="pairs"):  # nor is a pair of three oids
+            result_checksum([(1, 2), (3, 4, 5)])
 
     def test_packed_key_sort_up_to_the_int64_limit_and_lexsort_beyond(self, monkeypatch):
         """A pair packs into ``(l - l_min) << bits | (r - r_min)``: uint32
@@ -249,7 +254,9 @@ class TestProtocol:
                 took |= {"lexsort"} if counting.lexsorts else set()
                 assert took == {keys}, (span_l, span_r, took)
                 assert table.tolist() == [list(p) for p in sorted(pairs)]
-                assert result_checksum(pair_columns(pairs)) == struct_loop_checksum(pairs)
+                assert result_checksum(PairRows.of_oids(*pair_columns(pairs))) == (
+                    struct_loop_checksum(pairs)
+                )
 
     @given(pairs=packable_pairs())
     def test_sorted_table_equals_the_lexsort_reference(self, pairs):
@@ -280,7 +287,7 @@ class TestProtocol:
             sides.append(oids)
         pairs = list(zip(sides[0].tolist(), sides[1].tolist()))
         reference = struct_loop_checksum(pairs)
-        assert result_checksum((sides[0], sides[1])) == reference
+        assert result_checksum(PairRows.of_oids(sides[0], sides[1])) == reference
         # The same pairs as row positions: each column holds the pairs'
         # oids in another order, plus oids a span beyond both ends, so
         # the keys are packed against wider bounds than the pairs'.
@@ -301,9 +308,10 @@ class TestProtocol:
         rng = np.random.default_rng(5)
         left = rng.integers(0, 30_000, n)
         right = rng.integers(10**6, 10**6 + 30_000, n)
+        pairs = PairRows.of_oids(left, right)
         tracemalloc.start()
         try:
-            result_checksum((left, right))
+            result_checksum(pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,7 +1,8 @@
 """The served result path: page frames, request validation, failed joins.
 
-A served join's result travels from the engine to the socket as the row
-positions it holds once (or, list-backed, as two oid buffers), and the
+A served join's result travels from the engine to the socket as the two
+int64 buffers it holds once (a PBSM plan's row positions, another
+method's oids), and the
 request says which page frame its sender reads: JSON
 lines (the default — raw-socket clients, ``nc``, the benchmark's
 first-page probe) or the binary frame ``ServeClient`` asks for.  Pinned
@@ -27,7 +28,8 @@ from concurrent.futures.process import BrokenProcessPool
 import pytest
 
 from repro import spatial_join
-from repro.core.result import pair_columns
+from repro.core.result import PairRows, pair_columns
+from repro.internal import brute_force_pairs
 from repro.obs.trace import Tracer
 from repro.serve import DatasetRegistry, EngineHost, JoinServer, ServeClient, result_checksum
 from repro.pbsm.parallel import _warm_worker
@@ -54,6 +56,7 @@ from .test_serve import (
     make_registry,
     needs_shm,
     run,
+    struct_loop_checksum,
 )
 
 EXPECTED = spatial_join(LEFT, RIGHT, MEMORY, method="pbsm")
@@ -105,7 +108,8 @@ class TestEncodePages:
 
     @pytest.mark.parametrize("page_size", [1, 2, 5, 9])
     def test_json_pages_are_paginate_plus_encode_message(self, page_size):
-        frames = [b"".join(f) for f in encode_pages(pair_columns(self.PAIRS), page_size, "json", 7)]
+        rows = PairRows.of_oids(*pair_columns(self.PAIRS))
+        frames = [b"".join(f) for f in encode_pages(rows, page_size, "json", 7)]
         assert frames == [
             encode_message({"ok": True, "query_id": 7, "page": index, "pairs": page})
             for index, page in enumerate(paginate(self.PAIRS, page_size))
@@ -113,7 +117,7 @@ class TestEncodePages:
 
     @pytest.mark.parametrize("page_size", [1, 2, 5, 9])
     def test_binary_pages_are_a_header_line_and_packed_pairs(self, page_size):
-        frames = list(encode_pages(pair_columns(self.PAIRS), page_size, "i8", 7))
+        frames = list(encode_pages(PairRows.of_oids(*pair_columns(self.PAIRS)), page_size, "i8", 7))
         decoded = []
         for index, (line, body) in enumerate(frames):
             assert line.endswith(b"\n")
@@ -129,7 +133,7 @@ class TestEncodePages:
 
     @pytest.mark.parametrize("pairs_format", ["json", "i8"])
     def test_empty_result_is_no_pages(self, pairs_format):
-        assert list(encode_pages(pair_columns([]), 4, pairs_format, 1)) == []
+        assert list(encode_pages(PairRows.of_oids(*pair_columns([])), 4, pairs_format, 1)) == []
 
 
 # ----------------------------------------------------------------------
@@ -226,7 +230,7 @@ class ForcedPlanEngine(RecordingEngine):
 @needs_shm
 class TestServedResultStaysBuffers:
     def test_no_pair_list_with_or_without_include_pairs(
-        self, own_shm_segments, pair_decodes
+        self, own_shm_segments, pair_decodes, no_oid_unboxing
     ):
         engine = ForcedPlanEngine()
 
@@ -249,8 +253,12 @@ class TestServedResultStaysBuffers:
         assert len(engine.results) == 3
         assert all(r.stats.executor == "process" for r in engine.results)
         # Checksummed, paginated in both frames, summarised — and no
-        # tuple was ever built server-side.
-        assert all(r._pairs is None for r in engine.results)
+        # tuple was ever built server-side: each result reads its row
+        # positions through the inputs' oid columns (``no_oid_unboxing``).
+        assert all(
+            [len(column) for column in r.pairs.columns] == [len(LEFT), len(RIGHT)]
+            for r in engine.results
+        )
         assert pair_decodes == []
         assert hot["checksum"] == streamed["checksum"] == expected_checksum()
         assert hot["n_results"] == len(pairs) == len(EXPECTED.pairs)
@@ -290,8 +298,9 @@ class TestServedResultStaysBuffers:
     def test_a_hot_answer_traces_at_most_twice_the_results_oid_bytes(self, own_shm_segments):
         """The result is held once, as the row positions the workers'
         result segments were copied into, and the checksum gathers its
-        oids a chunk at a time.  A copy per task, a concatenation,
-        ``to_arrays()`` and a whole-result sort table put this at 4x."""
+        oids a chunk at a time.  A copy per task, a concatenation, a
+        whole-result oid copy and a whole-result sort table put this at
+        4x."""
         registry = DatasetRegistry()
         registry.register_synthetic("L", "uniform", 20_000, seed=41)
         registry.register_synthetic("R", "uniform", 20_000, seed=42, start_oid=10**6)
@@ -310,12 +319,57 @@ class TestServedResultStaysBuffers:
             finally:
                 tracemalloc.stop()
             assert stats.executor == "process" and stats.n_results > 100_000
-            assert checksum == result_checksum(engine.results[0].to_arrays())
+            assert checksum == result_checksum(engine.results[0].pairs)
             assert peak <= 2 * 16 * stats.n_results, peak / (16 * stats.n_results)
         finally:
             engine.shutdown()
             registry.close()
         assert own_shm_segments() == set()
+
+
+class TestAnotherMethodIsServedAsBuffers:
+    def test_an_s3j_plans_pages_and_checksum_equal_brute_force(
+        self, monkeypatch, pair_decodes
+    ):
+        """A plan the planner could choose over PBSM reaches the socket
+        the same way: its result is two oid buffers, paged and
+        checksummed without a tuple."""
+        import repro.serve.engine as engine_module
+
+        plan_join = engine_module.plan_join
+
+        def s3j_plan(*args, **kwargs):
+            plan = plan_join(*args, **kwargs)
+            plan.chosen = next(c for c in plan.candidates if c.method == "s3j")
+            return plan
+
+        monkeypatch.setattr(engine_module, "plan_join", s3j_plan)
+        engine = RecordingEngine()
+
+        async def scenario():
+            server = await _started_server(engine=engine)
+            try:
+                async with await ServeClient.connect(port=server.port) as client:
+                    summary, pairs = await client.join(
+                        "L", "R", include_pairs=True, page_size=50
+                    )
+                as_json = await raw_join(server.port, include_pairs=True, page_size=50)
+            finally:
+                await server.stop()
+            return summary, pairs, as_json
+
+        summary, pairs, as_json = run(scenario())
+        assert pair_decodes == []
+        assert [r.stats.algorithm[:4] for r in engine.results] == ["S3J(", "S3J("]
+        # Unboxed once into two oid buffers, one row a pair.
+        assert all([len(c) for c in r.pairs.columns] == [len(r)] * 2 for r in engine.results)
+        truth = sorted(brute_force_pairs(LEFT, RIGHT))
+        assert sorted(pairs) == truth and len(pairs) > 50
+        assert summary["checksum"] == struct_loop_checksum(truth) == expected_checksum()
+        json_pairs = [
+            tuple(pair) for line, _ in as_json[:-1] for pair in decode_message(line)["pairs"]
+        ]
+        assert json_pairs == pairs == list(engine.results[0].pairs)
 
 
 # ----------------------------------------------------------------------
@@ -346,9 +400,9 @@ class TestOneThreadPerQuery:
 
         engine = ThreadRecordingEngine()
 
-        def recording_checksum(columns):
+        def recording_checksum(pairs):
             engine.threads.append(("checksum", threading.get_ident()))
-            return result_checksum(columns)
+            return result_checksum(pairs)
 
         monkeypatch.setattr(server_module, "result_checksum", recording_checksum)
 

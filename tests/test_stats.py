@@ -10,13 +10,14 @@ import pytest
 
 import repro.core.result as core_result
 from repro import PBSM, S3J, SSSJ, RTreeJoin, SpatialHashJoin
-from repro.core.result import JoinResult, JoinStats, RowOids, pair_columns
+from repro.core.result import JoinResult, JoinStats, PairRows, RowOids, pair_columns
 from repro.core.stats import CpuCounters
 from repro.datasets import load_relation, save_relation
 from repro.kernels.shm import shm_enabled
 from repro.internal import brute_force_pairs
+from repro.serve.protocol import result_checksum
 
-from .conftest import random_kpes
+from .conftest import oid_arrays, random_kpes
 
 
 class TestCpuCounters:
@@ -104,7 +105,7 @@ class TestBufferBackedResult:
     def test_len_and_to_arrays_do_not_decode(self, pair_decodes):
         result = self.make()
         assert len(result) == 4
-        assert column_lists(result.to_arrays()) == [[1, 3, 1, -5], [20, 40, 20, 2**40]]
+        assert column_lists(oid_arrays(result)) == [[1, 3, 1, -5], [20, 40, 20, 2**40]]
         assert "4 pairs" in repr(result)
         assert pair_decodes == []  # still the buffers, no tuple built
         assert list(result.pairs) == self.PAIRS and len(pair_decodes) == 1
@@ -116,13 +117,14 @@ class TestBufferBackedResult:
         assert type(pairs) is not list  # a view of the buffers, read-only
         assert all(type(oid) is int for pair in pairs for oid in pair)
         assert list(result.pairs) == list(pairs)  # every read decodes the same
-        assert result._pairs is None  # the buffers stay the one form
+        # The buffers stay the one form: rows into each side's distinct oids.
+        assert column_lists(pairs.columns) == [[-5, 1, 3], [20, 40, 2**40]]
         assert result.has_duplicates()
         assert result.pair_set() == {(1, 20), (3, 40), (-5, 2**40)}
 
 
 class TestListBackedToArrays:
-    """``to_arrays()`` of every tuple-producing driver is ``zip(*pairs)``."""
+    """The oid arrays of every tuple-producing driver are ``zip(*pairs)``."""
 
     LEFT = random_kpes(150, seed=41, max_edge=0.1)
     RIGHT = random_kpes(150, seed=42, start_oid=10_000, max_edge=0.1)
@@ -140,14 +142,68 @@ class TestListBackedToArrays:
     )
     def test_equals_zip_of_pairs(self, driver):
         result = driver.run(self.LEFT, self.RIGHT)
-        assert result._oids is None and len(result) > 0
-        assert column_lists(result.to_arrays()) == [
+        # PBSM's rows index each input's oid column; every other driver's
+        # pairs are unboxed once into two oid buffers, one row a pair.
+        rows = [len(self.LEFT), len(self.RIGHT)] if isinstance(driver, PBSM) else [len(result)] * 2
+        assert [len(column) for column in result.pairs.columns] == rows and len(result) > 0
+        assert column_lists(oid_arrays(result)) == [
             list(column) for column in zip(*result.pairs)
         ]
 
     def test_empty_list_backed_result(self):
         empty = JoinResult(pairs=[], stats=JoinStats(algorithm="X"))
-        assert column_lists(empty.to_arrays()) == [[], []]
+        assert column_lists(oid_arrays(empty)) == [[], []]
+
+
+SHM = pytest.mark.skipif(not shm_enabled(), reason="needs POSIX shared memory")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda: PBSM(4096), id="pbsm-rpm"),
+        pytest.param(lambda: PBSM(4096, dedup="sort"), id="pbsm-sort"),
+        pytest.param(
+            lambda: PBSM(4096, workers=2, executor="simulated"), id="pbsm-w2-simulated"
+        ),
+        pytest.param(lambda: PBSM(4096, workers=2), id="pbsm-w2-process", marks=SHM),
+        pytest.param(lambda: S3J(4096, strategy="original"), id="s3j-original"),
+        pytest.param(lambda: S3J(4096, strategy="size"), id="s3j-size"),
+        pytest.param(lambda: SSSJ(4096), id="sssj"),
+        pytest.param(lambda: SpatialHashJoin(4096), id="shj"),
+        pytest.param(RTreeJoin, id="rtree"),
+    ],
+)
+def test_every_driver_returns_its_pairs_as_two_buffers(make):
+    """One result form: ``result.pairs`` is a :class:`PairRows` whatever
+    the driver, and its checksum and arrays are brute force's."""
+    left = random_kpes(300, seed=71, max_edge=0.1)
+    right = random_kpes(300, seed=72, start_oid=10_000, max_edge=0.1)
+    truth = sorted(brute_force_pairs(left, right))
+    result = make().run(left, right)
+    assert isinstance(result.pairs, PairRows) and len(result) == len(truth) > 0
+    assert result_checksum(result.pairs) == result_checksum(truth)
+    assert sorted(zip(*column_lists(oid_arrays(result)))) == truth
+
+
+def test_iterating_an_unboxed_result_boxes_one_chunk_at_a_time():
+    """An :meth:`PairRows.of_oids` result has one row a pair: iterating
+    it decodes :data:`DECODE_CHUNK` pairs at a time instead of boxing
+    each whole oid column first (72 B a pair)."""
+    n = 12 * core_result.DECODE_CHUNK
+    rng = np.random.default_rng(3)
+    left = rng.integers(10**6, 2 * 10**6, n)
+    right = rng.integers(10**9, 2 * 10**9, n)
+    result = JoinResult(PairRows.of_oids(left, right), JoinStats())
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for _pair in result.pairs)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert count == n
+    assert peak <= 128 * core_result.DECODE_CHUNK, peak / core_result.DECODE_CHUNK
 
 
 class TestRowBackedPbsmResult:
@@ -174,9 +230,9 @@ class TestRowBackedPbsmResult:
         result = PBSM(4096, internal=internal).run(left, right)
         truth = brute_force_pairs(self.LEFT[:400], self.RIGHT[:400])
         assert len(result) == len(truth) > 0
-        assert sorted(zip(*column_lists(result.to_arrays()))) == sorted(truth)
+        assert sorted(zip(*column_lists(oid_arrays(result)))) == sorted(truth)
         assert result.pairs[0] in truth  # indexing reads the oid columns
-        assert calls == []  # run, len(), to_arrays() and indexing box nothing
+        assert calls == []  # run, len(), oid_chunks and indexing box nothing
         assert sorted(result.pairs) == sorted(truth)
         assert len(calls) == 2  # once per side, on the first read
         assert list(result.pairs)[-3:] == result.pairs[-3:]
@@ -192,7 +248,7 @@ class TestRowBackedPbsmResult:
         result = PBSM(4096).run(left, right)
         for copied in (pickle.loads(pickle.dumps(result)), copy.deepcopy(result)):
             assert list(copied.pairs) == list(result.pairs) and len(copied) > 0
-            assert column_lists(copied.to_arrays()) == column_lists(result.to_arrays())
+            assert column_lists(oid_arrays(copied)) == column_lists(oid_arrays(result))
             assert copied.stats.n_results == result.stats.n_results
 
     def test_iterating_pairs_builds_no_pair_list(self):
